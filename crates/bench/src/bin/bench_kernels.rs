@@ -32,11 +32,20 @@
 //! (see [`pair_ratios`]), which both slot bias and one-off hiccups
 //! cancel out of.
 //!
+//! The `blocks_*` rows time the block↔flat conversions the sparse
+//! algorithms pay around their kernels (`to_dense`, `from_dense`,
+//! `to_flat_sparse`, `from_flat_sparse`) on middle-bond tensors of warm
+//! DMRG states. They move elements, not flops: their "gflops" column is
+//! 10⁹ stored elements per second.
+//!
 //! Baselines must be regenerated on an idle machine — see `BENCHING.md`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 use std::time::Instant;
+use tt_bench::{grow_state, System};
+use tt_blocks::{contract, Algorithm, BlockSparseTensor};
 use tt_dist::{ExecMode, Executor, Machine};
 use tt_tensor::{Complex64, DenseTensor, Scalar, SparseTensor};
 
@@ -354,6 +363,46 @@ fn skewed_sparse(m: usize, k: usize) -> SparseTensor<f64> {
     SparseTensor::from_dense(&dense, 0.0)
 }
 
+/// The tensors the sparse algorithms convert at the middle bond of a warm
+/// `lx × ly` state at bond dimension `m` (the `bench_e2e` sweep sizes):
+/// the two-site tensor `x` (order 4) and the first matvec intermediate
+/// `t₁ = L·x` (order 5), labelled `<system>-m<m>-<tensor>`.
+fn conversion_operands(
+    system: System,
+    lx: usize,
+    ly: usize,
+    m: usize,
+) -> Vec<(String, BlockSparseTensor)> {
+    let warm = grow_state(system, &system.lattice(lx, ly), m);
+    let exec = Executor::local();
+    let mut mps = warm.mps;
+    mps.canonicalize(&exec, 0).expect("canonicalize");
+    let mid = mps.n_sites() / 2 - 1;
+    let mut left = dmrg::left_edge(&mps, &warm.mpo).expect("left edge");
+    for j in 0..mid {
+        left = dmrg::extend_left(
+            &exec,
+            Algorithm::List,
+            &left,
+            mps.tensor(j),
+            warm.mpo.tensor(j),
+        )
+        .expect("left environment");
+    }
+    let list =
+        |spec, a, b| contract(&exec, Algorithm::List, spec, a, b).expect("bond indices match");
+    let x = list("lsj,jtk->lstk", mps.tensor(mid), mps.tensor(mid + 1));
+    let t1 = list("bkc,cqwf->bkqwf", &left, &x);
+    let name = match system {
+        System::Spins => "spins",
+        System::Electrons => "electrons",
+    };
+    vec![
+        (format!("{name}-m{m}-x"), x),
+        (format!("{name}-m{m}-t1"), t1),
+    ]
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -398,6 +447,12 @@ fn main() {
     } else {
         &[(512, 128, 64, 10), (1024, 256, 128, 6), (2048, 512, 256, 6)]
     };
+    // smoke converts the electrons tensors only: that state grows in about
+    // a second, the spins one in several
+    let mut conversion_tensors = conversion_operands(System::Electrons, 4, 3, 32);
+    if !smoke {
+        conversion_tensors.extend(conversion_operands(System::Spins, 6, 4, 64));
+    }
     let reps = 8;
     // every (kernel, size) is measured in PASSES round-robin sweeps and
     // min-merged, so its best-of samples several machine states instead
@@ -585,6 +640,46 @@ fn main() {
                     secs,
                 );
             }
+        }
+
+        // --- block↔flat conversions (rate in 10⁹ stored elements/s) ----------
+        for (size, t) in &conversion_tensors {
+            let elems = t.stored_elements() as f64;
+            let (indices, flux) = (t.indices().to_vec(), t.flux());
+            let dense = t.to_dense();
+            let flat = t.to_flat_sparse();
+            let mut row = |kernel, f: &mut dyn FnMut()| {
+                record(
+                    &mut entries,
+                    kernel,
+                    size.clone(),
+                    elems,
+                    best_of(reps * 4, f),
+                );
+            };
+            row("blocks_to_dense", &mut || {
+                black_box(t.to_dense());
+            });
+            row("blocks_from_dense", &mut || {
+                black_box(BlockSparseTensor::from_dense(
+                    indices.clone(),
+                    flux,
+                    &dense,
+                    0.0,
+                ))
+                .expect("dense image has the tensor's shape");
+            });
+            row("blocks_to_flat", &mut || {
+                black_box(t.to_flat_sparse());
+            });
+            row("blocks_from_flat", &mut || {
+                black_box(BlockSparseTensor::from_flat_sparse(
+                    indices.clone(),
+                    flux,
+                    &flat,
+                ))
+                .expect("flat image holds allowed entries only");
+            });
         }
     } // pass loop
 

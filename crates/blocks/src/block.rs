@@ -32,6 +32,90 @@ pub struct BlockSparseTensor {
     blocks: BTreeMap<BlockKey, Arc<DenseTensor<f64>>>,
 }
 
+/// The flattened (row-major dense) index space of a graded index list.
+/// Sectors are contiguous ranges of each mode, so a block is a set of
+/// contiguous innermost-mode *runs* there, and every block↔flat
+/// conversion is slice copies between runs and block data.
+struct FlatLayout<'a> {
+    indices: &'a [QnIndex],
+    /// Row-major strides of the dense dims.
+    strides: Vec<usize>,
+    /// Odometer over a block's outer modes, reused across blocks.
+    idx: Vec<usize>,
+}
+
+/// One run of block `block` (a position in the caller's key order):
+/// `len` elements at flat offset `start`, at `local` in the block's data.
+struct Run {
+    start: usize,
+    len: usize,
+    block: usize,
+    local: usize,
+}
+
+impl<'a> FlatLayout<'a> {
+    fn new(indices: &'a [QnIndex]) -> Self {
+        let dims: Vec<usize> = indices.iter().map(|i| i.dim()).collect();
+        Self {
+            indices,
+            strides: tt_tensor::Shape::from(dims).strides(),
+            idx: vec![0; indices.len() - 1],
+        }
+    }
+
+    /// Call `f(start, local, len)` for each run of block `key`, in the
+    /// block's row-major order — ascending in both offsets.
+    fn for_each_run(&mut self, key: &[u16], mut f: impl FnMut(usize, usize, usize)) {
+        let indices = self.indices;
+        let last = key.len() - 1;
+        let extent = |m: usize| indices[m].sector_dim(key[m] as usize);
+        let len = extent(last);
+        let mut start: usize = (0..=last)
+            .map(|m| indices[m].sector_offset(key[m] as usize) * self.strides[m])
+            .sum();
+        let mut local = 0;
+        self.idx.fill(0);
+        loop {
+            f(start, local, len);
+            local += len;
+            // advance the outer modes, innermost first; a mode that wraps
+            // hands its span back before carrying
+            let mut m = last;
+            loop {
+                if m == 0 {
+                    return;
+                }
+                m -= 1;
+                self.idx[m] += 1;
+                start += self.strides[m];
+                if self.idx[m] < extent(m) {
+                    break;
+                }
+                start -= self.idx[m] * self.strides[m];
+                self.idx[m] = 0;
+            }
+        }
+    }
+
+    /// The runs of every block of `keys`, ascending by flat offset
+    /// (distinct blocks never overlap, so that order is total).
+    fn sorted_runs<'k>(mut self, keys: impl Iterator<Item = &'k BlockKey>) -> Vec<Run> {
+        let mut runs = Vec::new();
+        for (block, key) in keys.enumerate() {
+            self.for_each_run(key, |start, local, len| {
+                runs.push(Run {
+                    start,
+                    len,
+                    block,
+                    local,
+                })
+            });
+        }
+        runs.sort_unstable_by_key(|r| r.start);
+        runs
+    }
+}
+
 impl BlockSparseTensor {
     /// Empty tensor with the given graded indices and flux.
     pub fn new(indices: Vec<QnIndex>, flux: QN) -> Self {
@@ -219,18 +303,14 @@ impl BlockSparseTensor {
 
     /// Embed into a dense tensor (blocks at their sector offsets).
     pub fn to_dense(&self) -> DenseTensor<f64> {
-        let dims = self.dense_dims();
-        let mut out = DenseTensor::zeros(dims.clone());
+        let mut layout = FlatLayout::new(&self.indices);
+        let mut out = DenseTensor::zeros(self.dense_dims());
+        let data = out.data_mut();
         for (key, block) in &self.blocks {
-            let offs: Vec<usize> = key
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| self.indices[i].sector_offset(s as usize))
-                .collect();
-            for idx in block.shape().index_iter() {
-                let gidx: Vec<usize> = idx.iter().zip(&offs).map(|(&x, &o)| x + o).collect();
-                out.set(&gidx, block.at(&idx));
-            }
+            let src = block.data();
+            layout.for_each_run(key, |start, local, len| {
+                data[start..start + len].copy_from_slice(&src[local..local + len]);
+            });
         }
         out
     }
@@ -252,22 +332,16 @@ impl BlockSparseTensor {
                 want
             )));
         }
+        let mut layout = FlatLayout::new(&t.indices);
+        let src = dense.data();
         for key in t.allowed_keys() {
             let dims = t.block_dims(&key);
-            let offs: Vec<usize> = key
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| t.indices[i].sector_offset(s as usize))
-                .collect();
-            let mut block = DenseTensor::zeros(dims.clone());
-            let mut maxabs = 0.0f64;
-            for idx in block.shape().index_iter() {
-                let gidx: Vec<usize> = idx.iter().zip(&offs).map(|(&x, &o)| x + o).collect();
-                let v = dense.at(&gidx);
-                maxabs = maxabs.max(v.abs());
-                block.set(&idx, v);
-            }
-            if maxabs > tol {
+            let mut data = Vec::with_capacity(dims.iter().product());
+            layout.for_each_run(&key, |start, _, len| {
+                data.extend_from_slice(&src[start..start + len]);
+            });
+            let block = DenseTensor::from_vec(dims, data).expect("runs tile the block");
+            if block.max_abs() > tol {
                 t.blocks.insert(key, Arc::new(block));
             }
         }
@@ -276,50 +350,42 @@ impl BlockSparseTensor {
 
     /// Flatten into a single sparse tensor over the dense index space
     /// (the storage format of the sparse-dense / sparse-sparse algorithms).
+    /// Stored zeros are not emitted.
     pub fn to_flat_sparse(&self) -> SparseTensor<f64> {
-        let dims = self.dense_dims();
-        let shape = tt_tensor::Shape::from(dims.clone());
-        let mut entries = Vec::new();
-        for (key, block) in &self.blocks {
-            let offs: Vec<usize> = key
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| self.indices[i].sector_offset(s as usize))
-                .collect();
-            for idx in block.shape().index_iter() {
-                let gidx: Vec<usize> = idx.iter().zip(&offs).map(|(&x, &o)| x + o).collect();
-                let v = block.at(&idx);
+        let blocks: Vec<&[f64]> = self.blocks.values().map(|b| b.data()).collect();
+        let runs = FlatLayout::new(&self.indices).sorted_runs(self.blocks.keys());
+        let stored = self.stored_elements();
+        let (mut offsets, mut values) = (Vec::with_capacity(stored), Vec::with_capacity(stored));
+        for run in runs {
+            let src = &blocks[run.block][run.local..run.local + run.len];
+            for (i, &v) in src.iter().enumerate() {
                 if v != 0.0 {
-                    entries.push((shape.offset(&gidx).expect("in bounds") as u64, v));
+                    offsets.push((run.start + i) as u64);
+                    values.push(v);
                 }
             }
         }
-        SparseTensor::from_entries(dims, entries).expect("valid entries")
+        SparseTensor::from_sorted(self.dense_dims(), offsets, values)
+            .expect("sorted runs of distinct blocks are disjoint")
     }
 
-    /// All dense offsets allowed by symmetry — the pre-computed output
-    /// sparsity handed to masked sparse-sparse contractions.
+    /// All dense offsets allowed by symmetry, **ascending** — the
+    /// pre-computed output sparsity handed to masked sparse-sparse
+    /// contractions (whose kernel binary-searches it; an ascending mask
+    /// spares it the sort).
     pub fn flat_mask(indices: &[QnIndex], flux: QN) -> Vec<u64> {
-        let probe = Self::new(indices.to_vec(), flux);
-        let shape = tt_tensor::Shape::from(probe.dense_dims());
-        let mut mask = Vec::new();
-        for key in probe.allowed_keys() {
-            let dims = probe.block_dims(&key);
-            let offs: Vec<usize> = key
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| probe.indices[i].sector_offset(s as usize))
-                .collect();
-            for idx in tt_tensor::Shape::from(dims).index_iter() {
-                let gidx: Vec<usize> = idx.iter().zip(&offs).map(|(&x, &o)| x + o).collect();
-                mask.push(shape.offset(&gidx).expect("in bounds") as u64);
-            }
+        let keys = Self::new(indices.to_vec(), flux).allowed_keys();
+        let runs = FlatLayout::new(indices).sorted_runs(keys.iter());
+        let mut mask = Vec::with_capacity(runs.iter().map(|r| r.len).sum());
+        for run in runs {
+            mask.extend(run.start as u64..(run.start + run.len) as u64);
         }
         mask
     }
 
     /// Rebuild block form from a flattened sparse tensor. Entries in
-    /// symmetry-forbidden positions are rejected.
+    /// symmetry-forbidden positions are rejected; stored zeros are skipped
+    /// wherever they sit, and a block is created by its first nonzero.
     pub fn from_flat_sparse(
         indices: Vec<QnIndex>,
         flux: QN,
@@ -334,33 +400,36 @@ impl BlockSparseTensor {
                 dims
             )));
         }
-        let shape = tt_tensor::Shape::from(dims);
+        // entries and allowed runs both ascend: one merge pass places every
+        // entry, and an entry no run covers is forbidden
+        let keys = t.allowed_keys();
+        let runs = FlatLayout::new(&t.indices).sorted_runs(keys.iter());
+        let mut data: Vec<Option<Vec<f64>>> = vec![None; keys.len()];
+        let mut r = 0;
         for (off, v) in sp.entries() {
             if v == 0.0 {
                 continue;
             }
-            let gidx = shape.unoffset(off as usize);
-            let mut key: BlockKey = Vec::with_capacity(t.order());
-            let mut within: Vec<usize> = Vec::with_capacity(t.order());
-            for (i, &g) in gidx.iter().enumerate() {
-                let (s, w) = t.indices[i].locate(g);
-                key.push(s as u16);
-                within.push(w);
+            let off = off as usize;
+            while runs.get(r).is_some_and(|run| run.start + run.len <= off) {
+                r += 1;
             }
-            if !t.is_allowed(&key) {
+            let Some(run) = runs.get(r).filter(|run| run.start <= off) else {
                 return Err(Error::Symmetry(format!(
-                    "entry at {gidx:?} violates flux {}",
+                    "entry at {:?} violates flux {}",
+                    sp.shape().unoffset(off),
                     t.flux
                 )));
+            };
+            let block = data[run.block]
+                .get_or_insert_with(|| vec![0.0; t.block_dims(&keys[run.block]).iter().product()]);
+            block[run.local + off - run.start] = v;
+        }
+        for (key, d) in keys.into_iter().zip(data) {
+            if let Some(d) = d {
+                let block = DenseTensor::from_vec(t.block_dims(&key), d).expect("block volume");
+                t.blocks.insert(key, Arc::new(block));
             }
-            let dims_b = t.block_dims(&key);
-            let block = Arc::make_mut(
-                t.blocks
-                    .entry(key)
-                    .or_insert_with(|| Arc::new(DenseTensor::zeros(dims_b))),
-            );
-            let cur = block.at(&within);
-            block.set(&within, cur + v);
         }
         Ok(t)
     }

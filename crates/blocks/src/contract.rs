@@ -18,8 +18,10 @@ use crate::block::{BlockKey, BlockSparseTensor};
 use crate::index::QnIndex;
 use crate::qn::QN;
 use crate::{Error, Result};
+use std::sync::{Arc, Mutex};
 use tt_dist::{DenseOp, Executor, OpHandle};
 use tt_tensor::einsum::ContractPlan;
+use tt_tensor::SparseTensor;
 
 /// Which block-sparsity strategy to contract with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -267,7 +269,10 @@ pub fn free_operand(exec: &Executor, op: &ResidentOperand) -> Result<()> {
 
 /// Contract a resident operand `a` against a by-value operand `b` —
 /// bitwise-identical to [`contract`] on the same tensors, on every
-/// backend and in every mode.
+/// backend and in every mode. One step with a block-form result: `b` is
+/// converted on the way in and the result re-blocked on the way out, so a
+/// sequence of steps that feed each other belongs in [`chain_apply`],
+/// which this function is the per-step reference of.
 ///
 /// For [`Algorithm::List`] the per-pair `B` blocks are themselves
 /// uploaded transiently (each distinct block ships at most once per rank
@@ -396,25 +401,36 @@ pub fn contract_resident(
 
 /// Apply an ordered chain of contractions — each step's structural `A`
 /// operand resident, its `B` operand the previous step's output (`x` for
-/// step 0) — as **worker-side chain supersteps**: every intermediate
-/// stays pinned in the worker stores under driver-issued keys, and only
-/// the final result's blocks are downloaded. Bitwise-identical to folding
-/// [`contract_resident`] over the same steps (and therefore to the value
-/// path) on every backend; on the multi-process backend the driver's
-/// *result* traffic collapses from one payload per block pair per step to
-/// one download per output block of the last step.
+/// step 0) — without bringing any intermediate back into block form.
+/// Bitwise-identical to folding [`contract_resident`] over the same steps
+/// (and therefore to the value path) on every backend, cost counters
+/// included.
 ///
-/// [`Algorithm::List`] chains per-block results (accumulate steps fold
-/// partials in the exact enumeration order of [`contract_list`]);
-/// [`Algorithm::SparseDense`] chains the whole flattened contractions.
-/// The sparse-sparse kernel's flat outputs need driver-side re-blocking
-/// between steps, so [`Algorithm::SparseSparse`] falls back to the
-/// per-step resident path.
+/// [`Algorithm::List`] and [`Algorithm::SparseDense`] run as **worker-side
+/// chain supersteps**: every intermediate stays pinned in the worker
+/// stores under driver-issued keys and only the final result downloads, so
+/// on the multi-process backend the driver's *result* traffic collapses
+/// from one payload per block pair per step to one download per output
+/// block of the last step. List chains per-block results (accumulate steps
+/// fold partials in the exact enumeration order of [`contract_list`]);
+/// sparse-dense chains the whole flattened contractions.
+///
+/// [`Algorithm::SparseSparse`] stays flat on the driver: `x` is flattened
+/// once, each step's sparse result is the next step's `B` operand as it
+/// comes back from [`Executor::contract_ss_h`], and only `y` is re-blocked.
+/// The steps are still one superstep each (a worker-side sparse-sparse
+/// chain is an open ROADMAP item), but the boundary between block and flat
+/// form is crossed once per application, not twice per step.
+///
+/// `state` carries what the chain derives from structure alone between
+/// applications (see [`ChainState`]); pass the same one for as long as the
+/// operands live.
 pub fn chain_apply(
     exec: &Executor,
     algo: Algorithm,
     steps: &[(&str, &ResidentOperand)],
     x: &BlockSparseTensor,
+    state: &ChainState,
 ) -> Result<BlockSparseTensor> {
     if steps.is_empty() {
         return Err(Error::Key("empty contraction chain".into()));
@@ -422,21 +438,144 @@ pub fn chain_apply(
     match algo {
         Algorithm::List => chain_apply_list(exec, steps, x),
         Algorithm::SparseDense => chain_apply_sd(exec, steps, x),
-        Algorithm::SparseSparse => {
-            let mut cur: Option<BlockSparseTensor> = None;
-            for (spec, a) in steps {
-                let b = cur.as_ref().unwrap_or(x);
-                cur = Some(contract_resident(
-                    exec,
-                    Algorithm::SparseSparse,
-                    spec,
-                    a,
-                    b,
-                )?);
-            }
-            Ok(cur.expect("non-empty chain"))
-        }
+        Algorithm::SparseSparse => chain_apply_ss(exec, steps, x, state),
     }
+}
+
+/// What a chain works out from the *structure* of its operands and input —
+/// indices and fluxes, never values — kept between applications so that a
+/// Davidson solve pays for it once per bond instead of once per step per
+/// matvec. Owned by whoever owns the resident operands and dropped with
+/// them; a chain applied to other operands or a differently graded `x`
+/// finds the state stale and derives it afresh.
+///
+/// Today only the sparse-sparse chain keeps anything here: each step's
+/// output indices and flux and its output-sparsity mask.
+#[derive(Default)]
+pub struct ChainState {
+    ss: Mutex<Option<Arc<SsChainPlan>>>,
+}
+
+/// One sparse-sparse step's output: graded indices, flux, and every dense
+/// offset the symmetry allows, ascending ([`BlockSparseTensor::flat_mask`]).
+struct SsStepOutput {
+    indices: Vec<QnIndex>,
+    flux: QN,
+    mask: Vec<u64>,
+}
+
+/// The structural plan of a sparse-sparse chain, with the structure it
+/// was derived from.
+struct SsChainPlan {
+    x_indices: Vec<QnIndex>,
+    x_flux: QN,
+    /// Each step's spec and operand structure.
+    operands: Vec<(String, Vec<QnIndex>, QN)>,
+    outputs: Vec<SsStepOutput>,
+}
+
+impl SsChainPlan {
+    fn derive(steps: &[(&str, &ResidentOperand)], x: &BlockSparseTensor) -> Result<Self> {
+        let mut outputs: Vec<SsStepOutput> = Vec::with_capacity(steps.len());
+        for (spec, a) in steps {
+            let plan = ContractPlan::parse(spec).map_err(tt_dist::Error::from)?;
+            let (b_indices, b_flux) = match outputs.last() {
+                Some(prev) => (&prev.indices[..], prev.flux),
+                None => (x.indices(), x.flux()),
+            };
+            let (indices, flux) =
+                output_structure_parts(&plan, &a.indices, a.flux, b_indices, b_flux)?;
+            let mask = BlockSparseTensor::flat_mask(&indices, flux);
+            outputs.push(SsStepOutput {
+                indices,
+                flux,
+                mask,
+            });
+        }
+        Ok(Self {
+            x_indices: x.indices().to_vec(),
+            x_flux: x.flux(),
+            operands: steps
+                .iter()
+                .map(|(spec, a)| (spec.to_string(), a.indices.clone(), a.flux))
+                .collect(),
+            outputs,
+        })
+    }
+
+    fn derived_from(&self, steps: &[(&str, &ResidentOperand)], x: &BlockSparseTensor) -> bool {
+        self.x_indices == x.indices()
+            && self.x_flux == x.flux()
+            && self.operands.len() == steps.len()
+            && self
+                .operands
+                .iter()
+                .zip(steps)
+                .all(|((spec, indices, flux), (s, a))| {
+                    spec == s && *indices == a.indices && *flux == a.flux
+                })
+    }
+}
+
+impl ChainState {
+    /// The sparse-sparse plan for `steps` on `x`: the kept one when it was
+    /// derived from this very structure, a fresh one (kept from now on)
+    /// otherwise.
+    fn ss_plan(
+        &self,
+        steps: &[(&str, &ResidentOperand)],
+        x: &BlockSparseTensor,
+    ) -> Result<Arc<SsChainPlan>> {
+        let mut slot = self
+            .ss
+            .lock()
+            .expect("the plan slot is only ever assigned whole");
+        if let Some(plan) = slot.as_ref().filter(|p| p.derived_from(steps, x)) {
+            return Ok(Arc::clone(plan));
+        }
+        let plan = Arc::new(SsChainPlan::derive(steps, x)?);
+        *slot = Some(Arc::clone(&plan));
+        Ok(plan)
+    }
+}
+
+/// The sparse-sparse chain (see [`chain_apply`]). A step's flat result
+/// may hold explicit zeros where products cancelled; block form never
+/// stores them back into a flattened operand
+/// ([`BlockSparseTensor::to_flat_sparse`] skips zeros), so dropping them
+/// here hands the next step bit for bit the operand the per-step path
+/// ([`contract_resident`]) builds — and with it the same flop count.
+fn chain_apply_ss(
+    exec: &Executor,
+    steps: &[(&str, &ResidentOperand)],
+    x: &BlockSparseTensor,
+    state: &ChainState,
+) -> Result<BlockSparseTensor> {
+    let plan = state.ss_plan(steps, x)?;
+    let mut cur = x.to_flat_sparse();
+    for ((spec, a), out) in steps.iter().zip(&plan.outputs) {
+        let ResidentForm::Flat(h) = &a.form else {
+            return Err(Error::Key(
+                "operand was uploaded per-block for the list algorithm".into(),
+            ));
+        };
+        let c = exec.contract_ss_h(spec, h.into(), (&cur).into(), Some(&out.mask))?;
+        cur = without_zeros(c);
+    }
+    let y = plan.outputs.last().expect("non-empty chain");
+    BlockSparseTensor::from_flat_sparse(y.indices.clone(), y.flux, &cur)
+}
+
+/// `c` minus its stored zeros — by `v != 0.0`, the test
+/// `to_flat_sparse` applies (`SparseTensor::prune(0.0)` would drop NaN too
+/// and hide a diverged matvec).
+fn without_zeros(c: SparseTensor<f64>) -> SparseTensor<f64> {
+    if c.entries().all(|(_, v)| v != 0.0) {
+        return c;
+    }
+    let (offsets, values) = c.entries().filter(|&(_, v)| v != 0.0).unzip();
+    SparseTensor::from_sorted(c.shape().clone(), offsets, values)
+        .expect("a subsequence of sorted entries is sorted")
 }
 
 /// Which resident buffer backs one `B` operand of a block chain step.

@@ -27,7 +27,7 @@ pub mod qn;
 
 pub use block::{BlockKey, BlockSparseTensor};
 pub use contract::{
-    chain_apply, contract, contract_resident, free_operand, upload_operand, Algorithm,
+    chain_apply, contract, contract_resident, free_operand, upload_operand, Algorithm, ChainState,
     ResidentOperand,
 };
 pub use index::QnIndex;

@@ -2474,7 +2474,7 @@ impl Executor {
                     ax_strides: ax_strides.clone(),
                     cx_dims: cx_dims.clone(),
                     cx_strides: cx_strides.clone(),
-                    mask: mask_sorted.clone(),
+                    mask: mask_sorted.as_ref().map(|ms| ms.to_vec()),
                 },
             ));
         }

@@ -18,6 +18,7 @@
 
 use crate::pool::ThreadPool;
 use crate::Result;
+use std::borrow::Cow;
 use std::sync::Arc;
 use tt_tensor::einsum::ContractPlan;
 use tt_tensor::gemm::{
@@ -260,21 +261,32 @@ pub(crate) fn sparse_coords(
     row_modes: &[usize],
     col_modes: &[usize],
 ) -> Vec<Coord> {
+    // per mode of a fused index: (stride in `t`, extent, weight in the
+    // fused index) — an entry's coordinate is then plain arithmetic on
+    // its offset, with no multi-index materialized
     let dims = t.dims();
-    let shape = t.shape().clone();
+    let strides = t.shape().strides();
+    let terms = |modes: &[usize]| -> Vec<(u64, u64, u64)> {
+        let mut weight = 1u64;
+        modes
+            .iter()
+            .rev()
+            .map(|&m| {
+                let term = (strides[m] as u64, dims[m] as u64, weight);
+                weight *= dims[m] as u64;
+                term
+            })
+            .collect()
+    };
+    let (row_terms, col_terms) = (terms(row_modes), terms(col_modes));
+    let fuse = |off: u64, terms: &[(u64, u64, u64)]| -> u64 {
+        terms
+            .iter()
+            .map(|&(stride, extent, weight)| (off / stride) % extent * weight)
+            .sum()
+    };
     t.entries()
-        .map(|(off, v)| {
-            let idx = shape.unoffset(off as usize);
-            let mut row = 0u64;
-            for &mm in row_modes {
-                row = row * dims[mm] as u64 + idx[mm] as u64;
-            }
-            let mut col = 0u64;
-            for &mm in col_modes {
-                col = col * dims[mm] as u64 + idx[mm] as u64;
-            }
-            (row, col, v)
-        })
+        .map(|(off, v)| (fuse(off, &row_terms), fuse(off, &col_terms), v))
         .collect()
 }
 
@@ -408,7 +420,7 @@ pub(crate) fn sd_contract(
 /// the per-chunk jobs consume, computed once. Shared by the in-process
 /// kernel and the multi-process executor (which ships the pieces to its
 /// workers over the transport).
-pub(crate) struct SsPrep {
+pub(crate) struct SsPrep<'a> {
     /// Output tensor shape (already permuted to the spec's output order).
     pub(crate) out_shape: Shape,
     /// Fused output row count.
@@ -425,19 +437,21 @@ pub(crate) struct SsPrep {
     pub(crate) col_axes: Vec<(u64, u64)>,
     /// `B` grouped by contracted key: sorted key runs over flat arrays.
     pub(crate) btab: SsBTable<f64>,
-    /// Sorted output-sparsity mask, when given.
-    pub(crate) mask_sorted: Option<Vec<u64>>,
+    /// Sorted output-sparsity mask, when given: the caller's own slice
+    /// when that already ascends (what `BlockSparseTensor::flat_mask`
+    /// hands over), a sorted copy otherwise.
+    pub(crate) mask_sorted: Option<Cow<'a, [u64]>>,
     /// `A`'s `(fused row, contracted key, value)` coords in stored order.
     pub(crate) coords: Vec<Coord>,
 }
 
 /// Build the shared [`SsPrep`] state for `a ·spec· b`.
-pub(crate) fn ss_prepare(
+pub(crate) fn ss_prepare<'a>(
     plan: &ContractPlan,
     a: &SparseTensor<f64>,
     b: &SparseTensor<f64>,
-    mask: Option<&[u64]>,
-) -> Result<SsPrep> {
+    mask: Option<&'a [u64]>,
+) -> Result<SsPrep<'a>> {
     let out_dims = plan.output_dims(a.dims(), b.dims())?;
     let out_shape = Shape::from(out_dims);
     let (m, _k, n) = fused_dims(plan, a.dims(), b.dims());
@@ -470,9 +484,13 @@ pub(crate) fn ss_prepare(
     ));
 
     let mask_sorted = mask.map(|ms| {
-        let mut v = ms.to_vec();
-        v.sort_unstable();
-        v
+        if ms.windows(2).all(|w| w[0] <= w[1]) {
+            Cow::Borrowed(ms)
+        } else {
+            let mut v = ms.to_vec();
+            v.sort_unstable();
+            Cow::Owned(v)
+        }
     });
 
     let coords = sparse_coords(a, plan.free_a_positions(), plan.ctr_a_positions());
@@ -558,7 +576,6 @@ pub(crate) fn ss_contract(
     pool: Option<&ThreadPool>,
     min_par_flops: u64,
 ) -> Result<(SparseTensor<f64>, u64)> {
-    let prep = ss_prepare(plan, a, b, mask)?;
     let SsPrep {
         out_shape,
         m,
@@ -568,11 +585,7 @@ pub(crate) fn ss_contract(
         btab,
         mask_sorted,
         coords,
-    } = prep;
-    let row_axes = Arc::new(row_axes);
-    let col_axes = Arc::new(col_axes);
-    let btab = Arc::new(btab);
-    let mask_sorted = mask_sorted.map(Arc::new);
+    } = ss_prepare(plan, a, b, mask)?;
 
     let nthreads = pool.map(|p| p.threads()).unwrap_or(1);
     // exact work model: an A entry costs one multiply-add per entry of its
@@ -584,31 +597,60 @@ pub(crate) fn ss_contract(
     } else {
         nthreads
     };
-    let (ranges, buckets) = bucket_by_volume(coords, m, chunks, coord_work);
-
-    let mut jobs: Vec<SsJob> = Vec::new();
-    for ((r0, r1), mut bucket) in ranges.into_iter().zip(buckets) {
-        let btab = Arc::clone(&btab);
-        let row_axes = Arc::clone(&row_axes);
-        let col_axes = Arc::clone(&col_axes);
-        let mask_sorted = mask_sorted.clone();
-        sort_bucket_by_key(&mut bucket);
-        jobs.push(Box::new(move || {
-            ss_chunk(
-                &bucket,
-                &btab,
-                r0,
-                r1,
-                n,
-                &row_axes,
-                &col_axes,
-                mask_sorted.as_ref().map(|m| m.as_slice()),
-            )
-        }));
+    let (ranges, mut buckets) = bucket_by_volume(coords, m, chunks, coord_work);
+    for bucket in &mut buckets {
+        sort_bucket_by_key(bucket);
     }
-    let chunk_results = match pool {
-        Some(pool) if jobs.len() > 1 => pool.run(jobs),
-        _ => jobs.into_iter().map(|j| j()).collect(),
+
+    let chunk_results: Vec<(Vec<(u64, f64)>, u64)> = match pool {
+        Some(pool) if ranges.len() > 1 => {
+            // pool jobs outlive this frame: they share the tables, and a
+            // borrowed mask is copied once for all of them
+            let row_axes = Arc::new(row_axes);
+            let col_axes = Arc::new(col_axes);
+            let btab = Arc::new(btab);
+            let mask_sorted = mask_sorted.map(|ms| Arc::new(ms.into_owned()));
+            let jobs = ranges
+                .into_iter()
+                .zip(buckets)
+                .map(|((r0, r1), bucket)| {
+                    let btab = Arc::clone(&btab);
+                    let row_axes = Arc::clone(&row_axes);
+                    let col_axes = Arc::clone(&col_axes);
+                    let mask_sorted = mask_sorted.clone();
+                    let job: SsJob = Box::new(move || {
+                        ss_chunk(
+                            &bucket,
+                            &btab,
+                            r0,
+                            r1,
+                            n,
+                            &row_axes,
+                            &col_axes,
+                            mask_sorted.as_ref().map(|m| m.as_slice()),
+                        )
+                    });
+                    job
+                })
+                .collect();
+            pool.run(jobs)
+        }
+        _ => ranges
+            .into_iter()
+            .zip(&buckets)
+            .map(|((r0, r1), bucket)| {
+                ss_chunk(
+                    bucket,
+                    &btab,
+                    r0,
+                    r1,
+                    n,
+                    &row_axes,
+                    &col_axes,
+                    mask_sorted.as_deref(),
+                )
+            })
+            .collect(),
     };
 
     // Distinct output rows per chunk ⇒ entry sets are disjoint; the union

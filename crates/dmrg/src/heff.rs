@@ -11,7 +11,7 @@
 
 use crate::{Error, Result};
 use tt_blocks::contract::{chain_apply, contract, free_operand, upload_operand};
-use tt_blocks::{Algorithm, BlockSparseTensor, ResidentOperand};
+use tt_blocks::{Algorithm, BlockSparseTensor, ChainState, ResidentOperand};
 use tt_dist::Executor;
 
 /// The implicit two-site effective Hamiltonian `K`.
@@ -73,6 +73,7 @@ impl EffectiveHam<'_> {
             w1: upload_operand(self.exec, self.algo, self.w1),
             w2: upload_operand(self.exec, self.algo, self.w2),
             right: upload_operand(self.exec, self.algo, self.right),
+            chain: ChainState::default(),
         })
     }
 }
@@ -89,16 +90,24 @@ pub struct ResidentHam<'a> {
     w1: ResidentOperand,
     w2: ResidentOperand,
     right: ResidentOperand,
+    /// What the matvec chain derives from the operands' and ψ's structure
+    /// alone — filled by the first `apply`, reused by the rest of the
+    /// eigensolve, gone with the operands.
+    chain: ChainState,
 }
 
 impl ResidentHam<'_> {
     /// Apply `K` to a two-site tensor — bitwise-identical to
-    /// [`EffectiveHam::apply`] on the same operands, but run as **one
-    /// chained superstep per matvec**: ψ's blocks upload once, the
-    /// intermediates t₁…t₃ stay resident in the worker stores (no
-    /// per-contraction round-trip through the driver), and only `y`'s
-    /// blocks download. On the multi-process backend this collapses the
-    /// driver's per-matvec *result* traffic to the final download.
+    /// [`EffectiveHam::apply`] on the same operands, but run as one
+    /// [`chain_apply`]: the intermediates t₁…t₃ never return to block
+    /// form. For the list and sparse-dense algorithms that is **one
+    /// chained superstep per matvec** — ψ uploads once, t₁…t₃ stay
+    /// resident in the worker stores and only `y`'s blocks download, which
+    /// on the multi-process backend collapses the driver's per-matvec
+    /// *result* traffic to the final download. For sparse-sparse the four
+    /// steps stay separate supersteps, but ψ is flattened once, each flat
+    /// result feeds the next step as it comes back, only `y` is
+    /// re-blocked, and the output masks are derived once per eigensolve.
     pub fn apply(&self, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
         chain_apply(
             self.exec,
@@ -110,6 +119,7 @@ impl ResidentHam<'_> {
                 ("rhf,bpshf->bpsr", &self.right),
             ],
             x,
+            &self.chain,
         )
         .map_err(wrap)
     }

@@ -66,6 +66,33 @@ impl<T: Scalar> SparseTensor<T> {
         })
     }
 
+    /// Build from offsets that are already strictly ascending (checked),
+    /// skipping [`SparseTensor::from_entries`]' pair buffer and sort.
+    pub fn from_sorted(shape: impl Into<Shape>, offsets: Vec<u64>, values: Vec<T>) -> Result<Self> {
+        let shape = shape.into();
+        if offsets.len() != values.len() {
+            return Err(Error::BadIndex(format!(
+                "{} offsets for {} values",
+                offsets.len(),
+                values.len()
+            )));
+        }
+        if !offsets.windows(2).all(|w| w[0] < w[1]) {
+            return Err(Error::BadIndex("offsets are not strictly ascending".into()));
+        }
+        let vol = shape.len() as u64;
+        if let Some(&off) = offsets.last().filter(|&&off| off >= vol) {
+            return Err(Error::BadIndex(format!(
+                "offset {off} out of bounds for volume {vol}"
+            )));
+        }
+        Ok(Self {
+            shape,
+            offsets,
+            values,
+        })
+    }
+
     /// Sparsify a dense tensor, keeping entries with `|x| > tol`.
     pub fn from_dense(t: &DenseTensor<T>, tol: f64) -> Self {
         let mut offsets = Vec::new();

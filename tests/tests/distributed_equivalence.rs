@@ -657,6 +657,168 @@ fn chained_matvecs_bitwise_across_backends() {
             );
         }
     }
+
+    // The sparse-sparse chain never brings t₁…t₃ back into block form. It
+    // must still be the per-step path in every observable: y's bits and
+    // every meter against the fold of `contract_resident`, y's bits and the
+    // flop count against the value path, on each backend and across them.
+    let algo = Algorithm::SparseSparse;
+    let mut across: Option<(Vec<f64>, u64, u64)> = None;
+    for (name, exec) in flat_chain_executors() {
+        let envs = Environments::initialize(&exec, algo, &psi, &mpo).unwrap();
+        let j = 2;
+        let mut lenv = envs.left[0].clone().unwrap();
+        for site in 0..j {
+            lenv =
+                dmrg::extend_left(&exec, algo, &lenv, psi.tensor(site), mpo.tensor(site)).unwrap();
+        }
+        let x = contract_list(&exec, "lsj,jtk->lstk", psi.tensor(j), psi.tensor(j + 1)).unwrap();
+        let tensors = [
+            &lenv,
+            mpo.tensor(j),
+            mpo.tensor(j + 1),
+            envs.right[j + 1].as_ref().unwrap(),
+        ];
+        let m = meter_ss_paths(&name, &exec, &MATVEC_SPECS, &tensors, &x);
+        match &across {
+            None => across = Some(m),
+            Some(first) => assert_eq!(&m, first, "{name}: flat chain across backends"),
+        }
+    }
+}
+
+/// The four contractions of one two-site matvec, in order.
+const MATVEC_SPECS: [&str; 4] = [
+    "bkc,cqwf->bkqwf",
+    "kpqg,bkqwf->bpgwf",
+    "gswh,bpgwf->bpshf",
+    "rhf,bpshf->bpsr",
+];
+
+/// Sequential, Threaded and (on unix) two worker processes.
+fn flat_chain_executors() -> Vec<(String, Executor)> {
+    let mut execs = vec![
+        (
+            "inproc-seq".to_string(),
+            Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential),
+        ),
+        (
+            "inproc-thr".to_string(),
+            Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Threaded),
+        ),
+    ];
+    #[cfg(unix)]
+    execs.push(("multi-process p=2".into(), multi_process_executor(2)));
+    execs
+}
+
+/// Run the sparse-sparse chain `specs[s]: operands[s] · (previous result,
+/// `x` first)` three ways on `exec` — `chain_apply`'s flat chain, the fold
+/// of `contract_resident`, the value path — each from zeroed meters with
+/// the operands already resident. Asserts chain ≡ fold in result bits,
+/// flops, simulated seconds, operand bytes and result bytes, and chain ≡
+/// value in result bits and flops; returns what must also agree across
+/// backends: `(y, flops, simulated-seconds bits)`.
+fn meter_ss_paths(
+    name: &str,
+    exec: &Executor,
+    specs: &[&str],
+    operands: &[&BlockSparseTensor],
+    x: &BlockSparseTensor,
+) -> (Vec<f64>, u64, u64) {
+    use tt_blocks::contract::{
+        chain_apply, contract, contract_resident, free_operand, upload_operand,
+    };
+    let algo = Algorithm::SparseSparse;
+    let resident: Vec<tt_blocks::ResidentOperand> = operands
+        .iter()
+        .map(|t| upload_operand(exec, algo, t))
+        .collect();
+    let steps: Vec<(&str, &tt_blocks::ResidentOperand)> =
+        specs.iter().copied().zip(&resident).collect();
+    let state = tt_blocks::ChainState::default();
+    let chain = || chain_apply(exec, algo, &steps, x, &state).unwrap();
+    let fold = || {
+        steps.iter().fold(x.clone(), |b, (spec, a)| {
+            contract_resident(exec, algo, spec, a, &b).unwrap()
+        })
+    };
+    let value = || {
+        specs.iter().zip(operands).fold(x.clone(), |b, (spec, a)| {
+            contract(exec, algo, spec, a, &b).unwrap()
+        })
+    };
+    let metered = |path: &dyn Fn() -> BlockSparseTensor| {
+        exec.reset_costs();
+        let y = path();
+        (
+            y.to_dense().into_data(),
+            exec.total_flops(),
+            exec.sim_time().total().to_bits(),
+            exec.operand_bytes(),
+            exec.result_bytes(),
+        )
+    };
+    // the first use ships the operands' derived buffers; meter what every
+    // later matvec of the eigensolve costs
+    chain();
+    let chained = metered(&chain);
+    // a second application finds the kept structural plan: same everything
+    assert_eq!(metered(&chain), chained, "{name}: kept chain state");
+    assert_eq!(
+        metered(&fold),
+        chained,
+        "{name}: flat chain vs per-step fold"
+    );
+    let by_value = metered(&value);
+    assert_eq!(by_value.0, chained.0, "{name}: flat chain vs value path");
+    assert_eq!(by_value.1, chained.1, "{name}: flops vs value path");
+    for op in &resident {
+        free_operand(exec, op).unwrap();
+    }
+    (chained.0, chained.1, chained.2)
+}
+
+/// An intermediate entry that cancels to exactly 0.0 comes back from the
+/// sparse-sparse kernel as a stored zero. Block form would not hand it on
+/// to the next step, so the flat chain must not either: one more entry in
+/// `B` is more products, and the flop count would leave the per-step path.
+#[test]
+fn flat_chain_drops_cancelled_intermediate_entries() {
+    use tt_tensor::DenseTensor;
+    // trivially graded 2×2 matrices: every position is allowed
+    let ix = |arrow| QnIndex::trivial(arrow, 2, 1);
+    let matrix = |rows: [[f64; 2]; 2]| {
+        let mut t = BlockSparseTensor::new(vec![ix(Arrow::Out), ix(Arrow::In)], QN::zero(1));
+        let block = DenseTensor::from_vec([2, 2], rows.concat()).unwrap();
+        t.insert_block(vec![0, 0], block).unwrap();
+        t
+    };
+    let a1 = matrix([[1.0, 1.0], [0.0, 1.0]]);
+    let a2 = matrix([[1.0, 1.0], [2.0, 0.0]]);
+    // (a1·x)[0][0] = 1·1 + 1·(−1)
+    let x = matrix([[1.0, 2.0], [-1.0, 3.0]]);
+    let specs = ["ik,kj->ij", "li,ij->lj"];
+    let mut across = None;
+    for (name, exec) in flat_chain_executors() {
+        let t = exec
+            .contract_ss(specs[0], &a1.to_flat_sparse(), &x.to_flat_sparse(), None)
+            .unwrap();
+        assert!(
+            t.entries().any(|(_, v)| v == 0.0),
+            "{name}: the fixture must produce a stored zero"
+        );
+        let m = meter_ss_paths(&name, &exec, &specs, &[&a1, &a2], &x);
+        // step 1: 3 entries of a1 × 2-entry rows of x; step 2: a2's two
+        // entries on i=0 meet the one surviving entry of t's row 0, its
+        // entry on i=1 meets two — 6 + 4 products
+        assert_eq!(m.1, 20, "{name}: flops with the cancelled entry dropped");
+        assert_eq!(m.0, [-1.0, 8.0, 0.0, 10.0], "{name}: a2·a1·x");
+        match &across {
+            None => across = Some(m),
+            Some(first) => assert_eq!(&m, first, "{name}: across backends"),
+        }
+    }
 }
 
 /// Driver data-plane traffic of one Davidson solve, per path.
