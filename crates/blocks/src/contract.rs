@@ -145,7 +145,7 @@ pub fn contract_list(
 
     // enumerate matching pairs in deterministic (A-stored, B-stored) order
     let mut out_keys: Vec<crate::block::BlockKey> = Vec::new();
-    let mut pairs: Vec<(&tt_tensor::DenseTensor<f64>, &tt_tensor::DenseTensor<f64>)> = Vec::new();
+    let mut pairs: Vec<(DenseOp, DenseOp)> = Vec::new();
     for (ka, ablock) in a.blocks() {
         let ctr_key: Vec<u16> = ctr_a.iter().map(|&i| ka[i]).collect();
         let Some(bkeys) = b_by_ctr.get(&ctr_key) else {
@@ -160,7 +160,7 @@ pub fn contract_list(
                 .chain(free_b.iter().map(|&j| kb[j]))
                 .collect();
             out_keys.push(out_perm.iter().map(|&p| natural[p]).collect());
-            pairs.push((ablock, bblock));
+            pairs.push((ablock.into(), bblock.into()));
         }
     }
 
@@ -301,13 +301,13 @@ pub fn contract_resident(
         ResidentForm::Flat(h) => match algo {
             Algorithm::SparseDense => {
                 let b_dense = b.to_dense();
-                let c_dense = exec.contract_sd_h(spec, h.into(), (&b_dense).into())?;
+                let c_dense = exec.contract_sd(spec, h, &b_dense)?;
                 BlockSparseTensor::from_dense(out_indices, out_flux, &c_dense, 0.0)
             }
             Algorithm::SparseSparse => {
                 let b_flat = b.to_flat_sparse();
                 let mask = BlockSparseTensor::flat_mask(&out_indices, out_flux);
-                let c_sparse = exec.contract_ss_h(spec, h.into(), (&b_flat).into(), Some(&mask))?;
+                let c_sparse = exec.contract_ss(spec, h, &b_flat, Some(&mask))?;
                 BlockSparseTensor::from_flat_sparse(out_indices, out_flux, &c_sparse)
             }
             Algorithm::List => Err(Error::Key(
@@ -376,7 +376,7 @@ pub fn contract_resident(
                     )
                 })
                 .collect();
-            let partials = exec.contract_batch_h(spec, &ops);
+            let partials = exec.contract_batch(spec, &ops);
             // release the transient uploads before surfacing any batch
             // error — a failed matvec must not leave pinned (LRU-exempt)
             // buffers behind on the workers
@@ -417,7 +417,7 @@ pub fn contract_resident(
 ///
 /// [`Algorithm::SparseSparse`] stays flat on the driver: `x` is flattened
 /// once, each step's sparse result is the next step's `B` operand as it
-/// comes back from [`Executor::contract_ss_h`], and only `y` is re-blocked.
+/// comes back from [`Executor::contract_ss`], and only `y` is re-blocked.
 /// The steps are still one superstep each (a worker-side sparse-sparse
 /// chain is an open ROADMAP item), but the boundary between block and flat
 /// form is crossed once per application, not twice per step.
@@ -559,7 +559,7 @@ fn chain_apply_ss(
                 "operand was uploaded per-block for the list algorithm".into(),
             ));
         };
-        let c = exec.contract_ss_h(spec, h.into(), (&cur).into(), Some(&out.mask))?;
+        let c = exec.contract_ss(spec, h, &cur, Some(&out.mask))?;
         cur = without_zeros(c);
     }
     let y = plan.outputs.last().expect("non-empty chain");

@@ -10,7 +10,7 @@
 //! * [`block::BlockSparseTensor`] — the list-of-blocks tensor format,
 //!   including flattening to single sparse/dense tensors and the
 //!   pre-computed output-sparsity masks,
-//! * [`contract`] — the `list` (Alg. 2), `sparse-dense` and `sparse-sparse`
+//! * [`mod@contract`] — the `list` (Alg. 2), `sparse-dense` and `sparse-sparse`
 //!   contraction algorithms, all dispatched through a
 //!   [`tt_dist::Executor`],
 //! * [`linalg`] — block SVD/QR via the list method with *global* singular

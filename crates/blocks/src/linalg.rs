@@ -12,7 +12,7 @@ use crate::index::QnIndex;
 use crate::qn::{signed, Arrow, QN};
 use crate::{Error, Result};
 use std::collections::BTreeMap;
-use tt_dist::Executor;
+use tt_dist::{DenseOp, Executor};
 use tt_linalg::TruncSpec;
 use tt_tensor::DenseTensor;
 
@@ -223,7 +223,8 @@ pub fn block_svd(
         cutoff: 0.0,
         min_keep: 1,
     };
-    let svds = exec.svd_trunc_batch(mats, full_spec)?;
+    let ops: Vec<DenseOp> = mats.iter().map(DenseOp::from).collect();
+    let svds = exec.svd_trunc_batch(&ops, full_spec)?;
 
     // global truncation across groups
     let mut all: Vec<(f64, usize)> = Vec::new(); // (σ, group)
@@ -352,7 +353,8 @@ pub fn block_qr(
         ));
     }
     // independent per-group QRs fan out over the executor's pool
-    let qrs = exec.qr_batch(mats)?;
+    let ops: Vec<DenseOp> = mats.iter().map(DenseOp::from).collect();
+    let qrs = exec.qr_batch(&ops)?;
 
     let mut bond_sectors: Vec<(QN, usize)> = Vec::new();
     for (g, (q, _)) in groups.iter().zip(&qrs) {

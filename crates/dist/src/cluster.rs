@@ -19,8 +19,8 @@
 //!
 //! When the transport supports recovery (the multi-process backend), the
 //! cluster additionally keeps a per-rank **journal**: the encoded bytes of
-//! every state-mutating request (`Put*`, `Upload*`, `Summa*`, `Chain*`,
-//! `SetCacheCap`) the rank has *acknowledged*. A rank fault
+//! every state-mutating request (`Upload*`, `Summa*`, storing `Contract`,
+//! `ChainSd`, `SetCacheCap`) the rank has *acknowledged*. A rank fault
 //! ([`crate::FaultKind::is_rank_fault`]) triggers, transparently inside
 //! [`Cluster::call`]/[`Cluster::call_all`]:
 //!
@@ -46,7 +46,7 @@
 //! `bytes_operands`/`bytes_results` equal to the fault-free run.
 
 use crate::cost::CostTracker;
-use crate::transport::worker::{OpC, OpCoords, OpF, Reply, Request};
+use crate::transport::worker::{Out, Reply, Request};
 use crate::transport::{InProcTransport, Transport};
 use crate::{Error, FaultKind, Result};
 use parking_lot::Mutex;
@@ -95,78 +95,41 @@ struct RankLog {
 /// Classify a request for the journal. Operand `Key`s become dependency
 /// edges; `store` keys (and uploaded keys) become the entry's `op`.
 fn journal_class(req: &Request) -> JClass {
-    fn f(op: &OpF, deps: &mut Vec<u64>) {
-        if let OpF::Key(k) = op {
-            deps.push(*k);
-        }
-    }
-    fn c(op: &OpC, deps: &mut Vec<u64>) {
-        if let OpC::Key(k) = op {
-            deps.push(*k);
-        }
-    }
-    fn coords(op: &OpCoords, deps: &mut Vec<u64>) {
-        if let OpCoords::Key(k) = op {
-            deps.push(*k);
-        }
-    }
-    let store = |key: u64| JClass::Store {
+    let store = |key: u64, deps: Vec<u64>| JClass::Store {
         op: Some(key),
-        deps: Vec::new(),
+        deps,
     };
     match req {
-        Request::Put { key, .. }
-        | Request::PutC64 { key, .. }
-        | Request::Upload { key, .. }
-        | Request::UploadC64 { key, .. }
+        Request::Upload { key, .. }
         | Request::UploadCoords { key, .. }
         | Request::UploadSs { key, .. }
         | Request::SummaInit { key, .. }
-        | Request::SummaPanel { key, .. } => store(*key),
+        | Request::SummaPanel { key, .. } => store(*key, Vec::new()),
         Request::SetCacheCap { .. } => JClass::Store {
             op: None,
             deps: Vec::new(),
         },
-        Request::ChainDense { a, b, store, .. } => {
-            let mut deps = Vec::new();
-            f(a, &mut deps);
-            f(b, &mut deps);
-            JClass::Store {
-                op: Some(*store),
-                deps,
-            }
-        }
-        Request::ChainDenseC64 { a, b, store, .. } => {
-            let mut deps = Vec::new();
-            c(a, &mut deps);
-            c(b, &mut deps);
-            JClass::Store {
-                op: Some(*store),
-                deps,
-            }
-        }
-        Request::ChainSd { a, b, store, .. } => {
-            let mut deps = Vec::new();
-            coords(a, &mut deps);
-            f(b, &mut deps);
-            JClass::Store {
-                op: Some(*store),
-                deps,
-            }
-        }
+        Request::Contract {
+            a,
+            b,
+            out: Out::Store { key, .. },
+            ..
+        } => store(*key, a.key().into_iter().chain(b.key()).collect()),
+        Request::ChainSd {
+            a, b, store: key, ..
+        } => store(*key, a.key().into_iter().chain(b.key()).collect()),
         Request::Free { key } | Request::Release { key } | Request::Download { key } => {
             JClass::Remove { key: *key }
         }
-        // pure probes, fetches and value-returning compute: nothing to
-        // reconstruct (their operands, when keyed, are journaled by the
-        // uploads that pinned them)
+        // pure probes and value-returning compute: nothing to reconstruct
+        // (their operands, when keyed, are journaled by the uploads that
+        // pinned them)
         Request::Ping
-        | Request::Get { .. }
-        | Request::GetC64 { .. }
         | Request::CacheStats
         | Request::DenseChunk { .. }
-        | Request::DenseChunkC64 { .. }
-        | Request::DensePair { .. }
+        | Request::Contract {
+            out: Out::Reply, ..
+        }
         | Request::SdChunk { .. }
         | Request::SsChunk { .. }
         | Request::QrThin { .. }
@@ -570,6 +533,7 @@ impl Placement {
 mod tests {
     use super::*;
     use crate::machine::Machine;
+    use crate::transport::worker::Buf;
 
     #[test]
     fn call_all_returns_in_submission_order() {
@@ -578,9 +542,9 @@ mod tests {
             .map(|i| {
                 (
                     i % 3,
-                    Request::Put {
+                    Request::Upload {
                         key: i as u64,
-                        data: vec![i as f64],
+                        data: Buf::F64(vec![i as f64]),
                     },
                 )
             })
@@ -589,18 +553,18 @@ mod tests {
             assert_eq!(rep, Reply::Unit);
         }
         let gets: Vec<(usize, Request)> = (0..9)
-            .map(|i| (i % 3, Request::Get { key: i as u64 }))
+            .map(|i| (i % 3, Request::Download { key: i as u64 }))
             .collect();
         let reps = cl.call_all(gets).unwrap();
         for (i, rep) in reps.into_iter().enumerate() {
-            assert_eq!(rep, Reply::F64s(vec![i as f64]));
+            assert_eq!(rep, Reply::Buf(Buf::F64(vec![i as f64])));
         }
     }
 
     #[test]
     fn worker_failures_surface_as_errors() {
         let mut cl = Cluster::in_process(1);
-        assert!(cl.call(0, &Request::Get { key: 42 }).is_err());
+        assert!(cl.call(0, &Request::Download { key: 42 }).is_err());
     }
 
     #[test]
@@ -610,9 +574,9 @@ mod tests {
         cl.attach_tracker(Arc::clone(&tracker));
         cl.call(
             0,
-            &Request::Put {
+            &Request::Upload {
                 key: 1,
-                data: vec![1.0; 100],
+                data: Buf::F64(vec![1.0; 100]),
             },
         )
         .unwrap();
@@ -622,7 +586,7 @@ mod tests {
         };
         assert!(ops >= 800, "the 100-word payload is counted: {ops}");
         assert!(res >= 1, "the ack reply is counted: {res}");
-        cl.call(0, &Request::Get { key: 1 }).unwrap();
+        cl.call(0, &Request::Download { key: 1 }).unwrap();
         let t = tracker.lock();
         assert!(
             t.bytes_results >= 800,
@@ -702,27 +666,27 @@ mod tests {
                 1,
                 &Request::Upload {
                     key: 5,
-                    data: vec![1.0, 2.0],
+                    data: Buf::F64(vec![1.0, 2.0]),
                 },
             )
             .unwrap();
             cl.call(
                 1,
-                &Request::Put {
+                &Request::Upload {
                     key: 6,
-                    data: vec![3.0],
+                    data: Buf::F64(vec![3.0]),
                 },
             )
             .unwrap();
             // the third send kills the worker; recovery respawns it,
-            // replays both journaled stores and re-issues this Get
+            // replays both journaled stores and re-issues this Download
             assert_eq!(
-                cl.call(1, &Request::Get { key: 5 }).unwrap(),
-                Reply::F64s(vec![1.0, 2.0])
+                cl.call(1, &Request::Download { key: 5 }).unwrap(),
+                Reply::Buf(Buf::F64(vec![1.0, 2.0]))
             );
             assert_eq!(
-                cl.call(1, &Request::Get { key: 6 }).unwrap(),
-                Reply::F64s(vec![3.0])
+                cl.call(1, &Request::Download { key: 6 }).unwrap(),
+                Reply::Buf(Buf::F64(vec![3.0]))
             );
             let t = tracker.lock();
             assert!(t.bytes_recovery > 0, "replay traffic is metered apart");
@@ -735,15 +699,15 @@ mod tests {
                 1,
                 &Request::Upload {
                     key: 7,
-                    data: vec![4.5],
+                    data: Buf::F64(vec![4.5]),
                 },
             )
             .unwrap();
             // kill fires; respawn is vetoed, so rank 1 retires onto the
             // survivor — with its journal replayed there
             assert_eq!(
-                cl.call(1, &Request::Get { key: 7 }).unwrap(),
-                Reply::F64s(vec![4.5])
+                cl.call(1, &Request::Download { key: 7 }).unwrap(),
+                Reply::Buf(Buf::F64(vec![4.5]))
             );
             // both logical ranks stay serviceable
             cl.probe(0).unwrap();
@@ -757,15 +721,15 @@ mod tests {
                 0,
                 &Request::Upload {
                     key: 9,
-                    data: vec![0.25],
+                    data: Buf::F64(vec![0.25]),
                 },
             )
             .unwrap();
             // this reply arrives corrupted → Decode fault → respawn +
-            // replay + re-issue → the retried Get answers correctly
+            // replay + re-issue → the retried Download answers correctly
             assert_eq!(
-                cl.call(0, &Request::Get { key: 9 }).unwrap(),
-                Reply::F64s(vec![0.25])
+                cl.call(0, &Request::Download { key: 9 }).unwrap(),
+                Reply::Buf(Buf::F64(vec![0.25]))
             );
             assert!(tracker.lock().bytes_recovery > 0);
         }
@@ -777,7 +741,7 @@ mod tests {
                 0,
                 &Request::Upload {
                     key: 11,
-                    data: vec![1.0],
+                    data: Buf::F64(vec![1.0]),
                 },
             )
             .unwrap();
@@ -786,16 +750,16 @@ mod tests {
                 0,
                 &Request::Upload {
                     key: 12,
-                    data: vec![2.0],
+                    data: Buf::F64(vec![2.0]),
                 },
             )
             .unwrap();
             // kill + recovery: replay must not resurrect the freed key
             assert_eq!(
-                cl.call(0, &Request::Get { key: 12 }).unwrap(),
-                Reply::F64s(vec![2.0])
+                cl.call(0, &Request::Download { key: 12 }).unwrap(),
+                Reply::Buf(Buf::F64(vec![2.0]))
             );
-            let err = cl.call(0, &Request::Get { key: 11 }).unwrap_err();
+            let err = cl.call(0, &Request::Download { key: 11 }).unwrap_err();
             assert!(
                 matches!(err.as_fault().map(|f| f.kind), Some(FaultKind::Task)),
                 "freed key must stay absent after replay: {err:?}"
@@ -805,7 +769,7 @@ mod tests {
         #[test]
         fn task_failures_do_not_trigger_recovery() {
             let (mut cl, tracker) = cluster_with(1, "");
-            let err = cl.call(0, &Request::Get { key: 404 }).unwrap_err();
+            let err = cl.call(0, &Request::Download { key: 404 }).unwrap_err();
             assert!(matches!(
                 err.as_fault().map(|f| f.kind),
                 Some(FaultKind::Task)

@@ -12,16 +12,17 @@
 //! The hot entry points accept operands either **by value** (a tensor
 //! reference — shipped with every task on the multi-process backend) or
 //! **by handle** ([`OpHandle`], created with [`Executor::upload`] /
-//! [`Executor::upload_c64`] / [`Executor::upload_sparse`], freed with
-//! [`Executor::free`]). A handle's derived buffers (permuted matrices,
-//! row slabs, coordinate buckets, grouped sparse tables) are pinned in
-//! the worker stores on first use, so every later contraction against the
-//! same handle ships **zero operand bytes**: scatter and compute are
-//! fused into one superstep per chunk, and the chunk request carries only
-//! a store key. The α–β charges follow the same discipline — a one-time
-//! upload charge on first use (miss), no β charge on a hit — and are
-//! computed from driver-side registry state only, so the charge sequence
-//! is bitwise-identical on every backend. On [`Backend::InProcess`]
+//! [`Executor::upload_sparse`], freed with [`Executor::free`]) — the same
+//! entry point takes either, as `impl Into<`[`DenseOp`]`>` /
+//! `impl Into<`[`SparseOp`]`>`. A handle's derived buffers (permuted
+//! matrices, row slabs, coordinate buckets, grouped sparse tables) are
+//! pinned in the worker stores on first use, so every later contraction
+//! against the same handle ships **zero operand bytes**: scatter and
+//! compute are fused into one superstep per chunk, and the chunk request
+//! carries only a store key. The α–β charges follow the same discipline —
+//! a one-time upload charge on first use (miss), no β charge on a hit —
+//! and are computed from driver-side registry state only, so the charge
+//! sequence is bitwise-identical on every backend. On [`Backend::InProcess`]
 //! handles are plain `Arc`s around the tensor and the numerics take the
 //! exact same kernel path as the value-passing API.
 
@@ -29,13 +30,12 @@ use crate::cluster::{Cluster, Placement};
 use crate::comm::Comm;
 use crate::cost::{self, CostTracker, SimTime};
 use crate::handle::{
-    derive, hseq, Fnv, LocalResult, OpHandle, Payload, Residency, ResultHandle, ResultInfo,
-    ResultKind,
+    derive, hseq, DenseAny, Fnv, OpHandle, Payload, Residency, ResultHandle, ResultInfo, ResultKind,
 };
 use crate::kernels;
 use crate::machine::Machine;
 use crate::pool::ThreadPool;
-use crate::transport::worker::{OpC, OpCoords, OpF, OpSs, Reply, Request};
+use crate::transport::worker::{Buf, Op, OpCoords, OpSs, Out, Reply, Request};
 use crate::transport::SpawnSpec;
 use crate::{process_grid, Error, Result};
 use parking_lot::Mutex;
@@ -76,8 +76,8 @@ pub enum Backend {
 
 /// A dense operand of scalar type `T`: by value or by resident handle.
 /// [`DenseOp`] and [`DenseOpC`] are the `f64` / [`Complex64`] instances —
-/// every dense executor path is generic over [`WireScalar`], which is what
-/// lets one cluster driver serve both scalar types.
+/// every dense executor path is generic over the element type, which is
+/// what lets one cluster driver serve both.
 pub enum DenseOpT<'a, T: Scalar> {
     /// Shipped with every task.
     Value(&'a DenseTensor<T>),
@@ -113,14 +113,14 @@ impl<'a, T: Scalar> From<&'a OpHandle> for DenseOpT<'a, T> {
 // type — the trait itself is not part of the API surface
 #[allow(private_bounds)]
 impl<'a, T: WireScalar> DenseOpT<'a, T> {
-    fn tensor(&self) -> Result<&'a DenseTensor<T>> {
+    pub(crate) fn tensor(&self) -> Result<&'a DenseTensor<T>> {
         match self {
             DenseOpT::Value(t) => Ok(t),
-            DenseOpT::Handle(h) => T::from_handle(h),
+            DenseOpT::Handle(h) => h.dense(),
         }
     }
 
-    fn handle(&self) -> Option<&'a OpHandle> {
+    pub(crate) fn handle(&self) -> Option<&'a OpHandle> {
         match self {
             DenseOpT::Value(_) => None,
             DenseOpT::Handle(h) => Some(h),
@@ -165,122 +165,75 @@ impl<'a> SparseOp<'a> {
     }
 }
 
-/// Wire-level behavior of a dense scalar type: operand encoding, upload /
-/// chunk / chain request construction, reply decoding, and handle payload
-/// extraction. The two implementations (for `f64` and [`Complex64`]) are
-/// the *only* scalar-specific code in the dense data plane — everything
-/// else is one generic driver (mirroring `kernels::dense_contract<T>`).
+/// What the dense data plane needs to know about an element type: how to
+/// tag a buffer or tensor of it, and how to recognize one. The two
+/// implementations (for `f64` and [`Complex64`]) are the *only*
+/// scalar-specific code — everything else is one generic driver
+/// (mirroring `kernels::dense_contract<T>`).
 pub(crate) trait WireScalar: Scalar {
-    /// The wire operand representation ([`OpF`] or [`OpC`]).
-    type Op: Clone + Send;
     /// Stored `f64` words per element (1 for `f64`, 2 for [`Complex64`]).
     const WORDS: usize;
+    /// The tag itself.
+    const KIND: ResultKind;
     /// Derived-buffer purpose tag for slab-partitioned permuted `A`.
     const TAG_A: u64;
     /// Derived-buffer purpose tag for the replicated permuted `B` matrix.
     const TAG_B: u64;
-    fn op_inline(data: Vec<Self>) -> Self::Op;
-    fn op_key(key: u64) -> Self::Op;
-    fn upload_req(key: u64, data: Vec<Self>) -> Request;
-    fn chunk_req(
-        path: GemmPath,
-        rows: usize,
-        k: usize,
-        n: usize,
-        a: Self::Op,
-        b: Self::Op,
-    ) -> Request;
-    fn expect(reply: Reply) -> Result<Vec<Self>>;
-    fn from_handle(h: &OpHandle) -> Result<&DenseTensor<Self>>;
-    fn payload(t: &DenseTensor<Self>) -> Payload;
+    fn wrap(data: Vec<Self>) -> Buf;
+    fn unwrap(buf: Buf) -> Result<Vec<Self>>;
+    fn wrap_tensor(t: Arc<DenseTensor<Self>>) -> DenseAny;
+    fn peek(t: &DenseAny) -> Option<&Arc<DenseTensor<Self>>>;
 }
 
 impl WireScalar for f64 {
-    type Op = OpF;
     const WORDS: usize = 1;
+    const KIND: ResultKind = ResultKind::F64;
     const TAG_A: u64 = TAG_DENSE_A;
     const TAG_B: u64 = TAG_MAT_B;
 
-    fn op_inline(data: Vec<Self>) -> OpF {
-        OpF::Inline(data)
+    fn wrap(data: Vec<Self>) -> Buf {
+        Buf::F64(data)
     }
 
-    fn op_key(key: u64) -> OpF {
-        OpF::Key(key)
+    fn unwrap(buf: Buf) -> Result<Vec<Self>> {
+        buf.into_f64()
     }
 
-    fn upload_req(key: u64, data: Vec<Self>) -> Request {
-        Request::Upload { key, data }
+    fn wrap_tensor(t: Arc<DenseTensor<Self>>) -> DenseAny {
+        DenseAny::F64(t)
     }
 
-    fn chunk_req(path: GemmPath, rows: usize, k: usize, n: usize, a: OpF, b: OpF) -> Request {
-        Request::DenseChunk {
-            path,
-            rows,
-            k,
-            n,
-            a,
-            b,
+    fn peek(t: &DenseAny) -> Option<&Arc<DenseTensor<Self>>> {
+        match t {
+            DenseAny::F64(t) => Some(t),
+            DenseAny::C64(_) => None,
         }
-    }
-
-    fn expect(reply: Reply) -> Result<Vec<Self>> {
-        expect_f64s(reply)
-    }
-
-    fn from_handle(h: &OpHandle) -> Result<&DenseTensor<Self>> {
-        h.dense()
-    }
-
-    fn payload(t: &DenseTensor<Self>) -> Payload {
-        Payload::F64(Arc::new(t.clone()))
     }
 }
 
 impl WireScalar for Complex64 {
-    type Op = OpC;
     const WORDS: usize = 2;
+    const KIND: ResultKind = ResultKind::C64;
     const TAG_A: u64 = TAG_C64_A;
     const TAG_B: u64 = TAG_C64_B;
 
-    fn op_inline(data: Vec<Self>) -> OpC {
-        OpC::Inline(data)
+    fn wrap(data: Vec<Self>) -> Buf {
+        Buf::C64(data)
     }
 
-    fn op_key(key: u64) -> OpC {
-        OpC::Key(key)
+    fn unwrap(buf: Buf) -> Result<Vec<Self>> {
+        buf.into_c64()
     }
 
-    fn upload_req(key: u64, data: Vec<Self>) -> Request {
-        Request::UploadC64 { key, data }
+    fn wrap_tensor(t: Arc<DenseTensor<Self>>) -> DenseAny {
+        DenseAny::C64(t)
     }
 
-    fn chunk_req(path: GemmPath, rows: usize, k: usize, n: usize, a: OpC, b: OpC) -> Request {
-        Request::DenseChunkC64 {
-            path,
-            rows,
-            k,
-            n,
-            a,
-            b,
+    fn peek(t: &DenseAny) -> Option<&Arc<DenseTensor<Self>>> {
+        match t {
+            DenseAny::C64(t) => Some(t),
+            DenseAny::F64(_) => None,
         }
-    }
-
-    fn expect(reply: Reply) -> Result<Vec<Self>> {
-        match reply {
-            Reply::C64s(v) => Ok(v),
-            other => Err(Error::transport(format!(
-                "expected Complex64 payload, got {other:?}"
-            ))),
-        }
-    }
-
-    fn from_handle(h: &OpHandle) -> Result<&DenseTensor<Self>> {
-        h.dense_c64()
-    }
-
-    fn payload(t: &DenseTensor<Self>) -> Payload {
-        Payload::C64(Arc::new(t.clone()))
     }
 }
 
@@ -315,9 +268,9 @@ pub struct ChainStep<'a> {
 }
 
 /// The kernel family of a planned chain step.
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum StepKind {
     Dense,
-    DenseC,
     Sd,
 }
 
@@ -325,6 +278,8 @@ enum StepKind {
 /// dims alone.
 struct PlannedStep {
     kind: StepKind,
+    /// Element type of the step's operands and result.
+    scalar: ResultKind,
     plan: ContractPlan,
     a_dims: Vec<usize>,
     b_dims: Vec<usize>,
@@ -340,53 +295,40 @@ struct PlannedStep {
     key: u64,
 }
 
-impl PlannedStep {
-    fn result_kind(&self) -> ResultKind {
-        result_kind_of(&self.kind)
-    }
-}
-
-fn result_kind_of(kind: &StepKind) -> ResultKind {
+/// Stored `f64` words per element of a dense buffer tagged `kind`.
+fn words_per_element(kind: ResultKind) -> usize {
     match kind {
-        StepKind::DenseC => ResultKind::C64,
-        _ => ResultKind::F64,
+        ResultKind::F64 => f64::WORDS,
+        ResultKind::C64 => Complex64::WORDS,
     }
 }
 
-/// The scalar family of a chain-step operand at planning time.
+/// What a chain-step operand is at planning time: a dense buffer of some
+/// element type, or sparse `f64` coordinates.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum SrcKind {
-    F64,
-    C64,
+    Dense(ResultKind),
     Sparse,
 }
 
 /// A resolved wire operand of a chain step.
 enum WireIn {
-    F(OpF),
-    C(OpC),
+    Dense(Op),
     Coords(OpCoords),
 }
 
 impl WireIn {
-    fn f64(self) -> Result<OpF> {
+    fn dense(self) -> Result<Op> {
         match self {
-            WireIn::F(op) => Ok(op),
-            _ => Err(Error::Runtime("chain step operand kind mismatch".into())),
-        }
-    }
-
-    fn c64(self) -> Result<OpC> {
-        match self {
-            WireIn::C(op) => Ok(op),
-            _ => Err(Error::Runtime("chain step operand kind mismatch".into())),
+            WireIn::Dense(op) => Ok(op),
+            WireIn::Coords(_) => Err(Error::Runtime("chain step operand kind mismatch".into())),
         }
     }
 
     fn coords(self) -> Result<OpCoords> {
         match self {
             WireIn::Coords(op) => Ok(op),
-            _ => Err(Error::Runtime("chain step operand kind mismatch".into())),
+            WireIn::Dense(_) => Err(Error::Runtime("chain step operand kind mismatch".into())),
         }
     }
 }
@@ -718,12 +660,13 @@ impl Executor {
 
     // -- resident-operand lifecycle --------------------------------------
 
-    /// Upload a dense `f64` tensor, returning a content-keyed handle.
-    /// Residency is lazy: buffers derived from the handle are pinned on
-    /// the workers by the first contraction that needs them. Each upload
-    /// must be matched by one [`Executor::free`].
-    pub fn upload(&self, t: &DenseTensor<f64>) -> OpHandle {
-        self.upload_shared(&Arc::new(t.clone()))
+    /// Upload a dense tensor (`f64` or [`Complex64`]), returning a
+    /// content-keyed handle. Residency is lazy: buffers derived from the
+    /// handle are pinned on the workers by the first contraction that
+    /// needs them. Each upload must be matched by one [`Executor::free`].
+    #[allow(private_bounds)]
+    pub fn upload<T: WireScalar>(&self, t: &DenseTensor<T>) -> OpHandle {
+        self.upload_dense(T::wrap_tensor(Arc::new(t.clone())))
     }
 
     /// Upload an `Arc`-shared dense `f64` tensor without cloning its
@@ -732,14 +675,11 @@ impl Executor {
     /// per-block uploads and chain-step enqueues stop paying a full clone
     /// per block.
     pub fn upload_shared(&self, t: &Arc<DenseTensor<f64>>) -> OpHandle {
-        let h = OpHandle::new(Payload::F64(Arc::clone(t)));
-        self.finish_upload(&h);
-        h
+        self.upload_dense(DenseAny::F64(Arc::clone(t)))
     }
 
-    /// Upload a dense [`Complex64`] tensor.
-    pub fn upload_c64(&self, t: &DenseTensor<Complex64>) -> OpHandle {
-        let h = OpHandle::new(Payload::C64(Arc::new(t.clone())));
+    fn upload_dense(&self, t: DenseAny) -> OpHandle {
+        let h = OpHandle::new(Payload::Dense(t));
         self.finish_upload(&h);
         h
     }
@@ -882,7 +822,7 @@ impl Executor {
         if op.handle().is_some() || !self.retention_enabled() {
             return None;
         }
-        let h = OpHandle::new(T::payload(t));
+        let h = OpHandle::new(Payload::Dense(T::wrap_tensor(Arc::new(t.clone()))));
         self.residency.lock().retain(h.key());
         if self.note_retention(&h) {
             Some(h)
@@ -959,14 +899,19 @@ impl Executor {
             .collect()
     }
 
-    /// Resolve a handle operand's charge state: the first observation of
-    /// `lkey` in a resident period is a [`OpCharge::Miss`], later ones are
-    /// hits. Value operands charge in full.
-    fn op_state(&self, handle: Option<&OpHandle>, lkey: u64, words: usize) -> OpCharge {
+    /// Resolve an operand's charge state: value operands charge in full;
+    /// for a handle the first observation of its logical key `lkey(h)` in
+    /// a resident period is a [`OpCharge::Miss`], later ones are hits.
+    fn op_state(
+        &self,
+        handle: Option<&OpHandle>,
+        lkey: impl FnOnce(&OpHandle) -> u64,
+        words: usize,
+    ) -> OpCharge {
         match handle {
             None => OpCharge::Value(words),
             Some(h) => {
-                if self.observe_logical(h.key(), lkey) {
+                if self.observe_logical(h.key(), lkey(h)) {
                     OpCharge::Miss(words)
                 } else {
                     OpCharge::Hit
@@ -1062,44 +1007,21 @@ impl Executor {
         });
     }
 
-    /// Distributed dense × dense contraction (einsum grammar).
-    pub fn contract(
+    /// Distributed dense × dense contraction (einsum grammar) of `f64` or
+    /// [`Complex64`] operands, each by value (`&DenseTensor<T>`) or by
+    /// resident handle (`&OpHandle`). Results and α–β charges are
+    /// bitwise-identical on every backend and for either operand form;
+    /// decomposition and residency derivation are the same for both
+    /// element types (a `Complex64` element is two stored words). Two
+    /// handles leave `T` to the caller: `contract::<f64>(..)`.
+    #[allow(private_bounds)]
+    pub fn contract<'a, T: WireScalar>(
         &self,
         spec: &str,
-        a: &DenseTensor<f64>,
-        b: &DenseTensor<f64>,
-    ) -> Result<DenseTensor<f64>> {
-        self.contract_h(spec, a.into(), b.into())
-    }
-
-    /// Dense × dense contraction with value-or-handle operands. Results
-    /// are bitwise-identical to [`Executor::contract`] on every backend.
-    pub fn contract_h(&self, spec: &str, a: DenseOp, b: DenseOp) -> Result<DenseTensor<f64>> {
-        self.contract_dense_t(spec, a, b)
-    }
-
-    /// Dense × dense [`Complex64`] contraction with value-or-handle
-    /// operands, bitwise-deterministic across backends exactly like the
-    /// `f64` path (the wire codec round-trips complex values bit-exactly).
-    pub fn contract_c64(
-        &self,
-        spec: &str,
-        a: DenseOpC,
-        b: DenseOpC,
-    ) -> Result<DenseTensor<Complex64>> {
-        self.contract_dense_t(spec, a, b)
-    }
-
-    /// The scalar-generic dense contraction driver behind
-    /// [`Executor::contract_h`] and [`Executor::contract_c64`]: identical
-    /// decomposition, residency derivation and α–β charges for both
-    /// scalar types (element words scale by [`WireScalar::WORDS`]).
-    fn contract_dense_t<T: WireScalar>(
-        &self,
-        spec: &str,
-        a: DenseOpT<T>,
-        b: DenseOpT<T>,
+        a: impl Into<DenseOpT<'a, T>>,
+        b: impl Into<DenseOpT<'a, T>>,
     ) -> Result<DenseTensor<T>> {
+        let (a, b) = (a.into(), b.into());
         let plan = ContractPlan::parse(spec)?;
         let (at, bt) = (a.tensor()?, b.tensor()?);
         // Value-operand auto-residency: with the retention cache enabled
@@ -1127,16 +1049,12 @@ impl Executor {
         let path = gemm_path(k, n);
         let sa = self.op_state(
             a.handle(),
-            a.handle()
-                .map(|h| derive(&[h.key(), T::TAG_A, hseq(&perm_a), path as u64]))
-                .unwrap_or_default(),
+            |h| derive(&[h.key(), T::TAG_A, hseq(&perm_a), path as u64]),
             T::WORDS * m * k,
         );
         let sb = self.op_state(
             b.handle(),
-            b.handle()
-                .map(|h| derive(&[h.key(), T::TAG_B, hseq(&perm_b)]))
-                .unwrap_or_default(),
+            |h| derive(&[h.key(), T::TAG_B, hseq(&perm_b)]),
             T::WORDS * k * n,
         );
         self.charge_contraction(sa, sb, T::WORDS * m * n, m, n, flops, false);
@@ -1176,7 +1094,7 @@ impl Executor {
 
         // B: replicated permuted matrix, resident for handles
         let b_field = match b.handle() {
-            None => T::op_inline(bt.permute(&perm_b)?.into_data()),
+            None => Op::Inline(T::wrap(bt.permute(&perm_b)?.into_data())),
             Some(h) => {
                 let wkey = derive(&[h.key(), T::TAG_B, hseq(&perm_b)]);
                 let mut b_mat: Option<Vec<T>> = None;
@@ -1195,10 +1113,13 @@ impl Executor {
                                 d
                             }
                         };
-                        Ok(T::upload_req(wkey, data))
+                        Ok(Request::Upload {
+                            key: wkey,
+                            data: T::wrap(data),
+                        })
                     },
                 )?;
-                T::op_key(wkey)
+                Op::Key(wkey)
             }
         };
 
@@ -1218,17 +1139,24 @@ impl Executor {
         let n_uploads = reqs.len();
         for (i, &(r0, r1)) in ranges.iter().enumerate() {
             let a_field = match &a_fields {
-                AFields::Inline(mat) => T::op_inline(mat[r0 * k..r1 * k].to_vec()),
-                AFields::Keys(keys) => T::op_key(keys[i]),
+                AFields::Inline(mat) => Op::Inline(T::wrap(mat[r0 * k..r1 * k].to_vec())),
+                AFields::Keys(keys) => Op::Key(keys[i]),
             };
             reqs.push((
                 i % p,
-                T::chunk_req(path, r1 - r0, k, n, a_field, b_field.clone()),
+                Request::DenseChunk {
+                    path,
+                    rows: r1 - r0,
+                    k,
+                    n,
+                    a: a_field,
+                    b: b_field.clone(),
+                },
             ));
         }
         let mut c = Vec::with_capacity(m * n);
         for reply in cl.call_all(reqs)?.into_iter().skip(n_uploads) {
-            c.extend_from_slice(&T::expect(reply)?);
+            c.extend_from_slice(&T::unwrap(expect_buf(reply)?)?);
         }
         // (worker-side kernel flop counts travel back with every reply —
         // see the counter-delta prefix in transport::process — so the
@@ -1237,50 +1165,18 @@ impl Executor {
         Ok(c.permute(plan.output_permutation())?)
     }
 
-    // -- result residency: handle-returning contractions and chains ------
-
-    /// Dense × dense contraction that *produces a handle*: the result
-    /// stays pinned in the worker store of the rank that computed it and
-    /// never returns to the driver. [`Executor::download`] is the only
-    /// value-returning exit; [`Executor::free_result`] discards.
-    pub fn contract_to_h(&self, spec: &str, a: DenseOp, b: DenseOp) -> Result<ResultHandle> {
-        let mut out = self.chain(&[ChainStep {
-            spec,
-            a: ChainSrc::Dense(a),
-            b: ChainSrc::Dense(b),
-            acc: None,
-        }])?;
-        Ok(out.pop().flatten().expect("single non-accumulate step"))
-    }
-
-    /// [`Executor::contract_to_h`] for [`Complex64`] operands.
-    pub fn contract_c64_to_h(&self, spec: &str, a: DenseOpC, b: DenseOpC) -> Result<ResultHandle> {
-        let mut out = self.chain(&[ChainStep {
-            spec,
-            a: ChainSrc::DenseC(a),
-            b: ChainSrc::DenseC(b),
-            acc: None,
-        }])?;
-        Ok(out.pop().flatten().expect("single non-accumulate step"))
-    }
-
-    /// Sparse × dense contraction producing a resident handle.
-    pub fn contract_sd_to_h(&self, spec: &str, a: SparseOp, b: DenseOp) -> Result<ResultHandle> {
-        let mut out = self.chain(&[ChainStep {
-            spec,
-            a: ChainSrc::Sparse(a),
-            b: ChainSrc::Dense(b),
-            acc: None,
-        }])?;
-        Ok(out.pop().flatten().expect("single non-accumulate step"))
-    }
+    // -- result residency: chains ----------------------------------------
 
     /// Run an ordered list of contraction steps **worker-side**: each step
     /// may consume prior steps' resident outputs ([`ChainSrc::Prev`]) or
     /// the outputs of earlier chains ([`ChainSrc::Res`]), and no
     /// intermediate ever round-trips through the driver. Returns one
     /// [`ResultHandle`] per non-accumulate step (in step order; `None` for
-    /// accumulate steps, which fold into their target's handle).
+    /// accumulate steps, which fold into their target's handle): the
+    /// results stay pinned in the worker stores of the ranks that computed
+    /// them. [`Executor::download`] / [`Executor::download_many`] are the
+    /// only value-returning exits; [`Executor::free_result`] discards. A
+    /// contraction that should just *produce a handle* is a one-step chain.
     ///
     /// Placement: a step runs on the rank holding its largest resident
     /// input; when inputs live on different ranks the smaller ones move
@@ -1296,7 +1192,7 @@ impl Executor {
     /// submission order exactly like the driver-side value path.
     pub fn chain(&self, steps: &[ChainStep]) -> Result<Vec<Option<ResultHandle>>> {
         let planned = self.plan_chain(steps)?;
-        let mut locals: Vec<Option<LocalResult>> = (0..steps.len()).map(|_| None).collect();
+        let mut locals: Vec<Option<DenseAny>> = (0..steps.len()).map(|_| None).collect();
         let homes = if let Some(cl) = &self.cluster {
             match self.chain_over_cluster(&mut cl.lock(), steps, &planned) {
                 Ok(homes) => homes,
@@ -1336,7 +1232,7 @@ impl Executor {
                 pl.m,
                 pl.n,
                 pl.flops,
-                matches!(pl.kind, StepKind::Sd),
+                pl.kind == StepKind::Sd,
             );
         }
         let mut out = Vec::with_capacity(steps.len());
@@ -1362,7 +1258,7 @@ impl Executor {
             out.push(Some(ResultHandle {
                 key: pl.key,
                 dims: pl.out_dims.clone(),
-                kind: pl.result_kind(),
+                kind: pl.scalar,
                 words: pl.words_c,
                 local: locals[i].take(),
             }));
@@ -1377,16 +1273,17 @@ impl Executor {
         for (i, st) in steps.iter().enumerate() {
             let (a_dims, ak) = src_info(&st.a, &planned)?;
             let (b_dims, bk) = src_info(&st.b, &planned)?;
-            let kind = match (ak, bk) {
-                (SrcKind::Sparse, SrcKind::F64) => StepKind::Sd,
+            let (kind, scalar) = match (ak, bk) {
+                (SrcKind::Sparse, SrcKind::Dense(ResultKind::F64)) => {
+                    (StepKind::Sd, ResultKind::F64)
+                }
                 (SrcKind::Sparse, _) | (_, SrcKind::Sparse) => {
                     return Err(Error::Runtime(
                         "only sparse × dense chain steps are supported (sparse operand first)"
                             .into(),
                     ))
                 }
-                (SrcKind::C64, SrcKind::C64) => StepKind::DenseC,
-                (SrcKind::F64, SrcKind::F64) => StepKind::Dense,
+                (SrcKind::Dense(ka), SrcKind::Dense(kb)) if ka == kb => (StepKind::Dense, ka),
                 _ => {
                     return Err(Error::Runtime(
                         "chain step mixes f64 and Complex64 operands".into(),
@@ -1396,16 +1293,11 @@ impl Executor {
             let plan = ContractPlan::parse(st.spec)?;
             let out_dims = plan.output_dims(&a_dims, &b_dims)?;
             let (m, k, n) = kernels::fused_dims(&plan, &a_dims, &b_dims);
-            let flops = match (&kind, &st.a) {
+            let flops = match (kind, &st.a) {
                 (StepKind::Sd, ChainSrc::Sparse(op)) => 2 * op.tensor()?.nnz() as u64 * n as u64,
                 _ => plan.flop_count(&a_dims, &b_dims),
             };
-            let words_el = if matches!(kind, StepKind::DenseC) {
-                2
-            } else {
-                1
-            };
-            let words_c = words_el * out_dims.iter().product::<usize>();
+            let words_c = words_per_element(scalar) * out_dims.iter().product::<usize>();
             let (base, key) = match st.acc {
                 None => (i, self.fresh_result_key()),
                 Some(t) => {
@@ -1417,12 +1309,12 @@ impl Executor {
                             "step {i} accumulates into step {t}, itself an accumulate step"
                         )));
                     }
-                    if !matches!(kind, StepKind::Dense | StepKind::DenseC) {
+                    if kind != StepKind::Dense {
                         return Err(Error::Runtime(
                             "accumulate is only supported for dense chain steps".into(),
                         ));
                     }
-                    if tgt.out_dims != out_dims || tgt.result_kind() != result_kind_of(&kind) {
+                    if tgt.out_dims != out_dims || tgt.scalar != scalar {
                         return Err(Error::Runtime(format!(
                             "step {i} accumulate target has mismatched shape or kind"
                         )));
@@ -1432,6 +1324,7 @@ impl Executor {
             };
             planned.push(PlannedStep {
                 kind,
+                scalar,
                 plan,
                 a_dims,
                 b_dims,
@@ -1486,23 +1379,16 @@ impl Executor {
             let b_field =
                 self.wire_input(cl, rank, &st.b, pl, &mut homes, planned, &mut pending)?;
             let req = match pl.kind {
-                StepKind::Dense => Request::ChainDense {
+                StepKind::Dense => Request::Contract {
                     spec: st.spec.to_string(),
                     a_dims: pl.a_dims.clone(),
-                    a: a_field.f64()?,
+                    a: a_field.dense()?,
                     b_dims: pl.b_dims.clone(),
-                    b: b_field.f64()?,
-                    store: pl.key,
-                    acc: pl.base != i,
-                },
-                StepKind::DenseC => Request::ChainDenseC64 {
-                    spec: st.spec.to_string(),
-                    a_dims: pl.a_dims.clone(),
-                    a: a_field.c64()?,
-                    b_dims: pl.b_dims.clone(),
-                    b: b_field.c64()?,
-                    store: pl.key,
-                    acc: pl.base != i,
+                    b: b_field.dense()?,
+                    out: Out::Store {
+                        key: pl.key,
+                        acc: pl.base != i,
+                    },
                 },
                 StepKind::Sd => Request::ChainSd {
                     a: a_field.coords()?,
@@ -1510,7 +1396,7 @@ impl Executor {
                     n: pl.n,
                     b_dims: pl.b_dims.clone(),
                     perm_b: operand_perms(&pl.plan).1,
-                    b: b_field.f64()?,
+                    b: b_field.dense()?,
                     nat_dims: kernels::natural_dims(&pl.plan, &pl.a_dims, &pl.b_dims),
                     out_perm: pl.plan.output_permutation().to_vec(),
                     store: pl.key,
@@ -1539,33 +1425,11 @@ impl Executor {
         pending: &mut Vec<(usize, Request)>,
     ) -> Result<WireIn> {
         Ok(match src {
-            ChainSrc::Dense(DenseOpT::Value(t)) => WireIn::F(OpF::Inline(t.data().to_vec())),
-            ChainSrc::Dense(DenseOpT::Handle(h)) => {
-                let wkey = derive(&[h.key(), TAG_WHOLE]);
-                if self.residency.lock().add_home(h.key(), wkey, rank) {
-                    pending.push((
-                        rank,
-                        Request::Upload {
-                            key: wkey,
-                            data: h.dense()?.data().to_vec(),
-                        },
-                    ));
-                }
-                WireIn::F(OpF::Key(wkey))
+            ChainSrc::Dense(op) => {
+                WireIn::Dense(whole_op(&mut self.residency.lock(), op, rank, pending)?)
             }
-            ChainSrc::DenseC(DenseOpT::Value(t)) => WireIn::C(OpC::Inline(t.data().to_vec())),
-            ChainSrc::DenseC(DenseOpT::Handle(h)) => {
-                let wkey = derive(&[h.key(), TAG_WHOLE]);
-                if self.residency.lock().add_home(h.key(), wkey, rank) {
-                    pending.push((
-                        rank,
-                        Request::UploadC64 {
-                            key: wkey,
-                            data: h.dense_c64()?.data().to_vec(),
-                        },
-                    ));
-                }
-                WireIn::C(OpC::Key(wkey))
+            ChainSrc::DenseC(op) => {
+                WireIn::Dense(whole_op(&mut self.residency.lock(), op, rank, pending)?)
             }
             ChainSrc::Sparse(op) => {
                 let at = op.tensor()?;
@@ -1605,26 +1469,20 @@ impl Executor {
             ChainSrc::Prev(j) => {
                 let key = planned[*j].key;
                 if homes[*j] != rank {
-                    self.chain_move(cl, key, homes[*j], rank, planned[*j].result_kind(), pending)?;
+                    self.chain_move(cl, key, homes[*j], rank, pending)?;
                     homes[*j] = rank;
                 }
-                match planned[*j].result_kind() {
-                    ResultKind::F64 => WireIn::F(OpF::Key(key)),
-                    ResultKind::C64 => WireIn::C(OpC::Key(key)),
-                }
+                WireIn::Dense(Op::Key(key))
             }
             ChainSrc::Res(h) => {
                 let info = self.residency.lock().result(h.key).ok_or_else(|| {
                     Error::Runtime(format!("unknown or already-consumed result {h:?}"))
                 })?;
                 if info.home != rank {
-                    self.chain_move(cl, h.key, info.home, rank, h.kind, pending)?;
+                    self.chain_move(cl, h.key, info.home, rank, pending)?;
                     self.residency.lock().move_result(h.key, rank);
                 }
-                match h.kind {
-                    ResultKind::F64 => WireIn::F(OpF::Key(h.key)),
-                    ResultKind::C64 => WireIn::C(OpC::Key(h.key)),
-                }
+                WireIn::Dense(Op::Key(h.key))
             }
         })
     }
@@ -1641,26 +1499,13 @@ impl Executor {
         key: u64,
         from: usize,
         to: usize,
-        kind: ResultKind,
         pending: &mut Vec<(usize, Request)>,
     ) -> Result<()> {
         if !pending.is_empty() {
             cl.call_all(std::mem::take(pending))?;
         }
-        let reply = cl.call(from, &Request::Download { key })?;
-        match (kind, reply) {
-            (ResultKind::F64, Reply::F64s(data)) => {
-                pending.push((to, Request::Upload { key, data }))
-            }
-            (ResultKind::C64, Reply::C64s(data)) => {
-                pending.push((to, Request::UploadC64 { key, data }))
-            }
-            (_, other) => {
-                return Err(Error::transport(format!(
-                    "redistribute of {key:#x} returned {other:?}"
-                )))
-            }
-        }
+        let data = expect_buf(cl.call(from, &Request::Download { key })?)?;
+        pending.push((to, Request::Upload { key, data }));
         Ok(())
     }
 
@@ -1671,29 +1516,28 @@ impl Executor {
         &self,
         steps: &[ChainStep],
         planned: &[PlannedStep],
-        outs: &mut [Option<LocalResult>],
+        outs: &mut [Option<DenseAny>],
     ) -> Result<()> {
+        let mismatch = || Error::Runtime("chain step operand kind mismatch".into());
         for (i, (st, pl)) in steps.iter().zip(planned).enumerate() {
-            enum Partial {
-                F(DenseTensor<f64>),
-                C(DenseTensor<Complex64>),
-            }
             let partial = match pl.kind {
-                StepKind::Dense => {
-                    let ta = resolve_local_f64(&st.a, outs)?;
-                    let tb = resolve_local_f64(&st.b, outs)?;
-                    Partial::F(kernels::dense_contract(&pl.plan, ta, tb, self.pool())?)
-                }
-                StepKind::DenseC => {
-                    let ta = resolve_local_c64(&st.a, outs)?;
-                    let tb = resolve_local_c64(&st.b, outs)?;
-                    Partial::C(kernels::dense_contract(&pl.plan, ta, tb, self.pool())?)
-                }
+                StepKind::Dense => match (resolve_local(&st.a, outs)?, resolve_local(&st.b, outs)?)
+                {
+                    (LocalRef::F64(ta), LocalRef::F64(tb)) => DenseAny::F64(Arc::new(
+                        kernels::dense_contract(&pl.plan, ta, tb, self.pool())?,
+                    )),
+                    (LocalRef::C64(ta), LocalRef::C64(tb)) => DenseAny::C64(Arc::new(
+                        kernels::dense_contract(&pl.plan, ta, tb, self.pool())?,
+                    )),
+                    _ => return Err(mismatch()),
+                },
                 StepKind::Sd => {
                     let ChainSrc::Sparse(op) = &st.a else {
                         unreachable!("validated by plan_chain");
                     };
-                    let tb = resolve_local_f64(&st.b, outs)?;
+                    let LocalRef::F64(tb) = resolve_local(&st.b, outs)? else {
+                        return Err(mismatch());
+                    };
                     let (c, _flops) = kernels::sd_contract(
                         &pl.plan,
                         op.tensor()?,
@@ -1701,28 +1545,16 @@ impl Executor {
                         self.pool(),
                         kernels::SPARSE_PAR_MIN_FLOPS,
                     )?;
-                    Partial::F(c)
+                    DenseAny::F64(Arc::new(c))
                 }
             };
             if pl.base == i {
-                outs[i] = Some(match partial {
-                    Partial::F(c) => LocalResult::F64(Arc::new(c)),
-                    Partial::C(c) => LocalResult::C64(Arc::new(c)),
-                });
+                outs[i] = Some(partial);
             } else {
-                match (partial, &mut outs[pl.base]) {
-                    (Partial::F(c), Some(LocalResult::F64(acc))) => {
-                        Arc::make_mut(acc).axpy(1.0, &c)?
-                    }
-                    (Partial::C(c), Some(LocalResult::C64(acc))) => {
-                        Arc::make_mut(acc).axpy(Complex64::new(1.0, 0.0), &c)?
-                    }
-                    _ => {
-                        return Err(Error::Runtime(
-                            "accumulate target missing or mismatched".into(),
-                        ))
-                    }
-                }
+                outs[pl.base]
+                    .as_mut()
+                    .ok_or_else(|| Error::Runtime("accumulate target missing".into()))?
+                    .accumulate(&partial)?;
             }
         }
         Ok(())
@@ -1735,51 +1567,33 @@ impl Executor {
     /// produced in place and never move on the charged path).
     fn chain_charge(&self, src: &ChainSrc, pl: &PlannedStep, is_a: bool) -> Result<OpCharge> {
         let elems = if is_a { pl.m * pl.k } else { pl.k * pl.n };
-        let words_el = if matches!(pl.kind, StepKind::DenseC) {
-            2
-        } else {
-            1
-        };
         Ok(match src {
-            ChainSrc::Dense(op) => self.op_state(
-                op.handle(),
-                op.handle()
-                    .map(|h| derive(&[h.key(), TAG_WHOLE]))
-                    .unwrap_or_default(),
-                words_el * elems,
+            ChainSrc::Dense(_) | ChainSrc::DenseC(_) => self.op_state(
+                src.handle(),
+                whole_key,
+                words_per_element(pl.scalar) * elems,
             ),
-            ChainSrc::DenseC(op) => self.op_state(
-                op.handle(),
-                op.handle()
-                    .map(|h| derive(&[h.key(), TAG_WHOLE]))
-                    .unwrap_or_default(),
-                words_el * elems,
+            ChainSrc::Sparse(op) => self.op_state(
+                src.handle(),
+                |h| {
+                    derive(&[
+                        h.key(),
+                        TAG_SD_A,
+                        hseq(pl.plan.free_a_positions()),
+                        hseq(pl.plan.ctr_a_positions()),
+                        pl.n as u64,
+                    ])
+                },
+                2 * op.tensor()?.nnz(),
             ),
-            ChainSrc::Sparse(op) => {
-                let words = 2 * op.tensor()?.nnz();
-                self.op_state(
-                    op.handle(),
-                    op.handle()
-                        .map(|h| {
-                            derive(&[
-                                h.key(),
-                                TAG_SD_A,
-                                hseq(pl.plan.free_a_positions()),
-                                hseq(pl.plan.ctr_a_positions()),
-                                pl.n as u64,
-                            ])
-                        })
-                        .unwrap_or_default(),
-                    words,
-                )
-            }
             ChainSrc::Prev(_) | ChainSrc::Res(_) => OpCharge::Hit,
         })
     }
 
-    /// Download a resident `f64` result — the only value-returning exit
-    /// of a chain. Consumes the handle: the buffer leaves (unpins from)
-    /// its home rank's store and the driver forgets it.
+    /// Download a resident `f64` result — with
+    /// [`Executor::download_many`], the only value-returning exit of a
+    /// chain. Consumes the handle: the buffer leaves (unpins from) its
+    /// home rank's store and the driver forgets it.
     pub fn download(&self, h: ResultHandle) -> Result<DenseTensor<f64>> {
         Ok(self
             .download_many(vec![h])?
@@ -1787,10 +1601,15 @@ impl Executor {
             .expect("one handle in, one tensor out"))
     }
 
-    /// Download many resident `f64` results in one superstep.
-    pub fn download_many(&self, hs: Vec<ResultHandle>) -> Result<Vec<DenseTensor<f64>>> {
-        if let Some(h) = hs.iter().find(|h| h.kind != ResultKind::F64) {
-            return Err(Error::Runtime(format!("f64 download of {h:?}")));
+    /// Download many resident results of element type `T` in one
+    /// superstep (consuming the handles).
+    #[allow(private_bounds)]
+    pub fn download_many<T: WireScalar>(
+        &self,
+        hs: Vec<ResultHandle>,
+    ) -> Result<Vec<DenseTensor<T>>> {
+        if let Some(h) = hs.iter().find(|h| h.kind != T::KIND) {
+            return Err(Error::Runtime(format!("{:?} download of {h:?}", T::KIND)));
         }
         if let Some(cl) = &self.cluster {
             let reqs = {
@@ -1809,7 +1628,8 @@ impl Executor {
             let mut out = Vec::with_capacity(hs.len());
             for (h, reply) in hs.iter().zip(replies) {
                 res.forget_result(h.key);
-                out.push(DenseTensor::from_vec(h.dims.clone(), expect_f64s(reply)?)?);
+                let data = T::unwrap(expect_buf(reply)?)?;
+                out.push(DenseTensor::from_vec(h.dims.clone(), data)?);
             }
             Ok(out)
         } else {
@@ -1817,48 +1637,16 @@ impl Executor {
             hs.into_iter()
                 .map(|mut h| {
                     res.forget_result(h.key);
-                    match h.local.take() {
-                        Some(LocalResult::F64(t)) => {
-                            Ok(Arc::try_unwrap(t).unwrap_or_else(|a| (*a).clone()))
-                        }
-                        _ => Err(Error::Runtime(
-                            "result handle has no in-process payload".into(),
-                        )),
-                    }
+                    let local = h.local.take();
+                    let t = local.as_ref().and_then(T::peek).cloned().ok_or_else(|| {
+                        Error::Runtime("result handle has no in-process payload".into())
+                    })?;
+                    // the handle's own reference goes first, so a result
+                    // nobody else holds moves out without a copy
+                    drop(local);
+                    Ok(Arc::try_unwrap(t).unwrap_or_else(|a| (*a).clone()))
                 })
                 .collect()
-        }
-    }
-
-    /// Download a resident [`Complex64`] result (consuming the handle).
-    pub fn download_c64(&self, mut h: ResultHandle) -> Result<DenseTensor<Complex64>> {
-        if h.kind != ResultKind::C64 {
-            return Err(Error::Runtime(format!("Complex64 download of {h:?}")));
-        }
-        if let Some(cl) = &self.cluster {
-            let info = self.residency.lock().result(h.key).ok_or_else(|| {
-                Error::Runtime(format!("unknown or already-consumed result {h:?}"))
-            })?;
-            let reply = cl
-                .lock()
-                .call(info.home, &Request::Download { key: h.key })?;
-            self.residency.lock().forget_result(h.key);
-            match reply {
-                Reply::C64s(v) => Ok(DenseTensor::from_vec(h.dims.clone(), v)?),
-                other => Err(Error::transport(format!(
-                    "expected Complex64 payload, got {other:?}"
-                ))),
-            }
-        } else {
-            self.residency.lock().forget_result(h.key);
-            match h.local.take() {
-                Some(LocalResult::C64(t)) => {
-                    Ok(Arc::try_unwrap(t).unwrap_or_else(|a| (*a).clone()))
-                }
-                _ => Err(Error::Runtime(
-                    "result handle has no in-process payload".into(),
-                )),
-            }
         }
     }
 
@@ -1892,33 +1680,21 @@ impl Executor {
         Ok(())
     }
 
-    /// Contract many independent operand pairs with one spec — the
-    /// block-pair fan-out of the list algorithm.
+    /// Contract many independent operand pairs (each operand by value or
+    /// by handle) with one spec — the block-pair fan-out of the list
+    /// algorithm.
     ///
     /// In [`ExecMode::Threaded`] every pair runs as its own pool job
     /// (each internally sequential: pair-level parallelism replaces
     /// row-level parallelism, so per-element accumulation order is
-    /// unchanged). Results come back in submission order and costs are
-    /// charged in that same order on the caller thread, keeping both the
-    /// numerics and the cost counters bitwise-deterministic.
+    /// unchanged). On the multi-process backend a handle-bearing pair is
+    /// routed to the rank already holding one of its operands
+    /// (deterministically; round-robin otherwise), and whole-tensor
+    /// uploads a miss requires ride in the same superstep as the pair
+    /// tasks. Results come back in submission order and costs are charged
+    /// in that same order on the caller thread, keeping both the numerics
+    /// and the cost counters bitwise-deterministic.
     pub fn contract_batch(
-        &self,
-        spec: &str,
-        pairs: &[(&DenseTensor<f64>, &DenseTensor<f64>)],
-    ) -> Result<Vec<DenseTensor<f64>>> {
-        let ops: Vec<(DenseOp, DenseOp)> = pairs
-            .iter()
-            .map(|&(a, b)| (DenseOp::Value(a), DenseOp::Value(b)))
-            .collect();
-        self.contract_batch_h(spec, &ops)
-    }
-
-    /// [`Executor::contract_batch`] with value-or-handle operands. On the
-    /// multi-process backend a handle-bearing pair is routed to the rank
-    /// already holding one of its operands (deterministically; round-robin
-    /// otherwise), and whole-tensor uploads a miss requires ride in the
-    /// same superstep as the pair tasks.
-    pub fn contract_batch_h(
         &self,
         spec: &str,
         pairs: &[(DenseOp, DenseOp)],
@@ -1935,20 +1711,8 @@ impl Executor {
             charges.push((m, k, n, plan.flop_count(at.dims(), bt.dims())));
         }
         let charge_pair = |(a, b): &(DenseOp, DenseOp), (m, k, n, flops): (_, _, _, u64)| {
-            let sa = self.op_state(
-                a.handle(),
-                a.handle()
-                    .map(|h| derive(&[h.key(), TAG_WHOLE]))
-                    .unwrap_or_default(),
-                m * k,
-            );
-            let sb = self.op_state(
-                b.handle(),
-                b.handle()
-                    .map(|h| derive(&[h.key(), TAG_WHOLE]))
-                    .unwrap_or_default(),
-                k * n,
-            );
+            let sa = self.op_state(a.handle(), whole_key, m * k);
+            let sb = self.op_state(b.handle(), whole_key, k * n);
             self.charge_contraction(sa, sb, m * n, m, n, flops, false);
         };
         if let Some(cl) = &self.cluster {
@@ -1959,74 +1723,41 @@ impl Executor {
             let p = cl.ranks();
             let mut placement = Placement::new(p);
             let mut reqs: Vec<(usize, Request)> = Vec::new();
-            let mut is_pair: Vec<bool> = Vec::new();
+            let mut is_task: Vec<bool> = Vec::new();
             {
                 let mut res = self.residency.lock();
                 for (a, b) in pairs {
                     let (at, bt) = (a.tensor()?, b.tensor()?);
-                    let akey = a.handle().map(|h| (h, derive(&[h.key(), TAG_WHOLE])));
-                    let bkey = b.handle().map(|h| (h, derive(&[h.key(), TAG_WHOLE])));
                     // the B operand's home wins: in the block-pair fan-out
                     // B is the short-lived operand (a Davidson vector
                     // block), so following it keeps every transient block
                     // on one rank while the long-lived A operands spread
                     // to at most one extra home per pair rank
-                    let rank = placement.place([
-                        bkey.and_then(|(_, w)| res.homes(w).and_then(|r| r.first().copied())),
-                        akey.and_then(|(_, w)| res.homes(w).and_then(|r| r.first().copied())),
-                    ]);
-                    let field = |op: Option<(&OpHandle, u64)>,
-                                 t: &DenseTensor<f64>,
-                                 res: &mut Residency,
-                                 reqs: &mut Vec<(usize, Request)>,
-                                 is_pair: &mut Vec<bool>|
-                     -> OpF {
-                        match op {
-                            None => OpF::Inline(t.data().to_vec()),
-                            Some((h, wkey)) => {
-                                if res.add_home(h.key(), wkey, rank) {
-                                    reqs.push((
-                                        rank,
-                                        Request::Upload {
-                                            key: wkey,
-                                            data: t.data().to_vec(),
-                                        },
-                                    ));
-                                    is_pair.push(false);
-                                }
-                                OpF::Key(wkey)
-                            }
-                        }
-                    };
-                    let a_field = field(akey, at, &mut res, &mut reqs, &mut is_pair);
-                    let b_field = field(bkey, bt, &mut res, &mut reqs, &mut is_pair);
+                    let rank = placement.place([whole_home(&res, b), whole_home(&res, a)]);
+                    let a_field = whole_op(&mut res, a, rank, &mut reqs)?;
+                    let b_field = whole_op(&mut res, b, rank, &mut reqs)?;
+                    is_task.resize(reqs.len(), false);
                     reqs.push((
                         rank,
-                        Request::DensePair {
+                        Request::Contract {
                             spec: spec.to_string(),
                             a_dims: at.dims().to_vec(),
                             a: a_field,
                             b_dims: bt.dims().to_vec(),
                             b: b_field,
+                            out: Out::Reply,
                         },
                     ));
-                    is_pair.push(true);
+                    is_task.push(true);
                 }
             }
             let replies = cl.call_all(reqs)?;
             drop(cl);
             let mut out = Vec::with_capacity(pairs.len());
-            let mut pair_replies = replies
-                .into_iter()
-                .zip(is_pair)
-                .filter_map(|(rep, keep)| keep.then_some(rep));
-            for (pair, &chg) in pairs.iter().zip(&charges) {
-                let reply = pair_replies
-                    .next()
-                    .ok_or_else(|| Error::transport("missing pair reply in batch"))?;
+            for ((reply, pair), &chg) in task_replies(replies, is_task).zip(pairs).zip(&charges) {
                 let (at, bt) = (pair.0.tensor()?, pair.1.tensor()?);
                 let dims = plan.output_dims(at.dims(), bt.dims())?;
-                out.push(DenseTensor::from_vec(dims, expect_f64s(reply)?)?);
+                out.push(DenseTensor::from_vec(dims, expect_buf(reply)?.into_f64()?)?);
                 charge_pair(pair, chg);
             }
             return Ok(out);
@@ -2064,20 +1795,17 @@ impl Executor {
     }
 
     /// Distributed sparse × dense contraction (the *sparse-dense*
-    /// algorithm's kernel): flattened-sparse `a` against densified `b`.
-    pub fn contract_sd(
+    /// algorithm's kernel): flattened-sparse `a` against densified `b`,
+    /// each by value or by handle. A handle on `a` keeps its
+    /// volume-balanced coordinate buckets resident per rank; a handle on
+    /// `b` keeps the permuted dense matrix resident.
+    pub fn contract_sd<'a>(
         &self,
         spec: &str,
-        a: &SparseTensor<f64>,
-        b: &DenseTensor<f64>,
+        a: impl Into<SparseOp<'a>>,
+        b: impl Into<DenseOp<'a>>,
     ) -> Result<DenseTensor<f64>> {
-        self.contract_sd_h(spec, a.into(), b.into())
-    }
-
-    /// Sparse × dense contraction with value-or-handle operands. A handle
-    /// on `a` keeps its volume-balanced coordinate buckets resident per
-    /// rank; a handle on `b` keeps the permuted dense matrix resident.
-    pub fn contract_sd_h(&self, spec: &str, a: SparseOp, b: DenseOp) -> Result<DenseTensor<f64>> {
+        let (a, b) = (a.into(), b.into());
         let plan = ContractPlan::parse(spec)?;
         let (at, bt) = (a.tensor()?, b.tensor()?);
         let (c, flops) = if let Some(cl) = &self.cluster {
@@ -2099,24 +1827,20 @@ impl Executor {
         // `bytes_operands`) without an extra α–β upload charge.
         let sa = self.op_state(
             a.handle(),
-            a.handle()
-                .map(|h| {
-                    derive(&[
-                        h.key(),
-                        TAG_SD_A,
-                        hseq(plan.free_a_positions()),
-                        hseq(plan.ctr_a_positions()),
-                        n as u64,
-                    ])
-                })
-                .unwrap_or_default(),
+            |h| {
+                derive(&[
+                    h.key(),
+                    TAG_SD_A,
+                    hseq(plan.free_a_positions()),
+                    hseq(plan.ctr_a_positions()),
+                    n as u64,
+                ])
+            },
             2 * at.nnz(),
         );
         let sb = self.op_state(
             b.handle(),
-            b.handle()
-                .map(|h| derive(&[h.key(), TAG_MAT_B, hseq(&perm_b)]))
-                .unwrap_or_default(),
+            |h| derive(&[h.key(), TAG_MAT_B, hseq(&perm_b)]),
             k * n,
         );
         self.charge_contraction(sa, sb, m * n, m, n, flops, true);
@@ -2153,7 +1877,7 @@ impl Executor {
         let mut reqs: Vec<(usize, Request)> = Vec::new();
 
         let b_field = match b.handle() {
-            None => OpF::Inline(bt.permute(&perm_b)?.into_data()),
+            None => Op::Inline(Buf::F64(bt.permute(&perm_b)?.into_data())),
             Some(h) => {
                 let wkey = derive(&[h.key(), TAG_MAT_B, hseq(&perm_b)]);
                 let mut b_mat: Option<Vec<f64>> = None;
@@ -2172,10 +1896,13 @@ impl Executor {
                                 d
                             }
                         };
-                        Ok(Request::Upload { key: wkey, data })
+                        Ok(Request::Upload {
+                            key: wkey,
+                            data: Buf::F64(data),
+                        })
                     },
                 )?;
-                OpF::Key(wkey)
+                Op::Key(wkey)
             }
         };
 
@@ -2234,35 +1961,26 @@ impl Executor {
         }
         let mut c = Vec::with_capacity(m * n);
         for reply in cl.call_all(reqs)?.into_iter().skip(n_uploads) {
-            c.extend_from_slice(&expect_f64s(reply)?);
+            c.extend_from_slice(&expect_buf(reply)?.into_f64()?);
         }
         let c = DenseTensor::from_vec(kernels::natural_dims(plan, at.dims(), bt.dims()), c)?;
         Ok((c.permute(plan.output_permutation())?, flops))
     }
 
     /// Distributed sparse × sparse contraction with optional pre-computed
-    /// output sparsity `mask` (output linear offsets that may be nonzero).
-    pub fn contract_ss(
+    /// output sparsity `mask` (output linear offsets that may be nonzero),
+    /// each operand by value or by handle. A handle on `a` keeps its row
+    /// buckets resident (bucketed by stored entries only, so the
+    /// boundaries don't depend on `b`); a handle on `b` keeps the grouped
+    /// contraction table resident.
+    pub fn contract_ss<'a>(
         &self,
         spec: &str,
-        a: &SparseTensor<f64>,
-        b: &SparseTensor<f64>,
+        a: impl Into<SparseOp<'a>>,
+        b: impl Into<SparseOp<'a>>,
         mask: Option<&[u64]>,
     ) -> Result<SparseTensor<f64>> {
-        self.contract_ss_h(spec, a.into(), b.into(), mask)
-    }
-
-    /// Sparse × sparse contraction with value-or-handle operands. A
-    /// handle on `a` keeps its row buckets resident (bucketed by stored
-    /// entries only, so the boundaries don't depend on `b`); a handle on
-    /// `b` keeps the grouped contraction table resident.
-    pub fn contract_ss_h(
-        &self,
-        spec: &str,
-        a: SparseOp,
-        b: SparseOp,
-        mask: Option<&[u64]>,
-    ) -> Result<SparseTensor<f64>> {
+        let (a, b) = (a.into(), b.into());
         let plan = ContractPlan::parse(spec)?;
         let (at, bt) = (a.tensor()?, b.tensor()?);
         let (c, flops) = if let Some(cl) = &self.cluster {
@@ -2284,35 +2002,31 @@ impl Executor {
         // the resident buffers were resolved against.
         let sa = self.op_state(
             a.handle(),
-            a.handle()
-                .map(|h| {
-                    derive(&[
-                        h.key(),
-                        TAG_SS_A,
-                        hseq(plan.free_a_positions()),
-                        hseq(plan.ctr_a_positions()),
-                    ])
-                })
-                .unwrap_or_default(),
+            |h| {
+                derive(&[
+                    h.key(),
+                    TAG_SS_A,
+                    hseq(plan.free_a_positions()),
+                    hseq(plan.ctr_a_positions()),
+                ])
+            },
             2 * at.nnz(),
         );
         let sb = self.op_state(
             b.handle(),
-            b.handle()
-                .map(|h| {
-                    // the grouped table stores *fused* free indices, so it
-                    // depends only on B's content (h.key) and the plan's
-                    // B-side positions — not on A's dims or the output
-                    // permutation; the same resident table serves every
-                    // contraction against this operand
-                    derive(&[
-                        h.key(),
-                        TAG_SS_B,
-                        hseq(plan.ctr_b_positions()),
-                        hseq(plan.free_b_positions()),
-                    ])
-                })
-                .unwrap_or_default(),
+            |h| {
+                // the grouped table stores *fused* free indices, so it
+                // depends only on B's content (h.key) and the plan's
+                // B-side positions — not on A's dims or the output
+                // permutation; the same resident table serves every
+                // contraction against this operand
+                derive(&[
+                    h.key(),
+                    TAG_SS_B,
+                    hseq(plan.ctr_b_positions()),
+                    hseq(plan.free_b_positions()),
+                ])
+            },
             2 * bt.nnz(),
         );
         self.charge_contraction(sa, sb, 2 * c.nnz(), m, n, flops, true);
@@ -2390,7 +2104,7 @@ impl Executor {
             Some(h) => {
                 // fused-col table: keyed by B content + plan positions only
                 // (must stay in lockstep with the charge key in
-                // `contract_ss_h`)
+                // `contract_ss`)
                 let wkey = derive(&[
                     h.key(),
                     TAG_SS_B,
@@ -2500,399 +2214,185 @@ impl Executor {
         Ok((SparseTensor::from_entries(out_shape, entries)?, flops))
     }
 
-    /// Distributed truncated SVD of a matrix (the ScaLAPACK `pdgesvd`
-    /// stand-in used under the block SVD). On the multi-process backend
-    /// the factorization executes on a worker process (same code, same
-    /// bits). Tall panels (see [`tall_panel`]) actually route through the
-    /// [`crate::tsqr`] tree — QR the panel, SVD the small `R` — instead of
-    /// only charging its cost model; results then match the direct path
-    /// up to the usual per-column sign convention.
-    pub fn svd_trunc(&self, a: &DenseTensor<f64>, spec: TruncSpec) -> Result<TruncatedSvd> {
-        if tall_panel(a.dims()) {
-            return self.svd_tall(a, spec);
-        }
-        let out = match &self.cluster {
-            Some(cl) if a.order() == 2 => decode_svd(
-                cl.lock()
-                    .call(0, &svd_request(a, OpF::Inline(a.data().to_vec()), spec))?,
-            )?,
-            _ => tt_linalg::svd_trunc(a, spec)?,
-        };
-        self.charge_factorization(a.dims(), 14.0);
-        Ok(out)
-    }
-
-    /// Distributed thin QR. Tall panels route through the [`crate::tsqr`]
-    /// tree (slab QRs on the workers, `R`-merge on the driver — the
-    /// communication-avoiding factorization the cost model always
-    /// assumed); everything else keeps the direct `qr_thin` path. On the
-    /// multi-process backend the direct factorization executes on a
-    /// worker.
-    pub fn qr(&self, a: &DenseTensor<f64>) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
-        if tall_panel(a.dims()) {
-            return self.qr_tall(a);
-        }
-        let out = match &self.cluster {
-            Some(cl) if a.order() == 2 => decode_qr(
-                cl.lock()
-                    .call(0, &qr_request(a, OpF::Inline(a.data().to_vec())))?,
-            )?,
-            _ => tt_linalg::qr_thin(a)?,
-        };
-        self.charge_factorization(a.dims(), 4.0);
-        Ok(out)
-    }
-
-    /// Tall-panel QR via the TSQR tree. The merge tree's real p2p charges
-    /// land on top of the standard factorization charge (the tree is the
-    /// factorization the cost model priced; running it makes the charge
-    /// honest), identically on every backend.
-    fn qr_tall(&self, a: &DenseTensor<f64>) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
-        let comm = self.comm();
-        let out = match self.with_cluster(|cl| crate::tsqr::tsqr_on(a, &comm, cl)) {
-            Some(r) => r?,
-            None => crate::tsqr::tsqr(a, &comm)?,
-        };
-        self.charge_factorization(a.dims(), 4.0);
-        Ok(out)
-    }
-
-    /// Tall-panel truncated SVD: TSQR the panel, SVD the `n × n` `R` on
-    /// the driver, and recover `U = Q · U_R`. Singular values match the
-    /// direct factorization to rounding; vectors up to sign.
-    fn svd_tall(&self, a: &DenseTensor<f64>, spec: TruncSpec) -> Result<TruncatedSvd> {
-        let comm = self.comm();
-        let factors = match self.with_cluster(|cl| crate::tsqr::tsqr_on(a, &comm, cl)) {
-            Some(out) => out?,
-            None => crate::tsqr::tsqr(a, &comm)?,
-        };
-        self.svd_from_tsqr(a.dims(), factors, spec)
-    }
-
-    /// Recover a truncated SVD from a panel's TSQR factors: SVD the small
-    /// `R` on the driver, `U = Q · U_R`, and charge the standard
-    /// factorization cost. Shared by the value and handle tall paths.
-    fn svd_from_tsqr(
+    /// Distributed truncated SVD of a matrix, by value or by resident
+    /// handle (the ScaLAPACK `pdgesvd` stand-in used under the block SVD).
+    /// On the multi-process backend the factorization executes on a worker
+    /// process (same code, same bits) — the one holding the matrix, for a
+    /// handle. Tall panels (at least 32 rows, and 8× as many rows as
+    /// columns) actually route through the [`crate::tsqr()`] tree — QR the
+    /// panel, SVD the small `R` on the driver, `U = Q · U_R` — instead of
+    /// only charging its cost model; singular values then match the direct
+    /// path to rounding, vectors up to the usual per-column sign
+    /// convention.
+    pub fn svd_trunc<'a>(
         &self,
-        dims: &[usize],
-        (q, r): (DenseTensor<f64>, DenseTensor<f64>),
+        a: impl Into<DenseOp<'a>>,
         spec: TruncSpec,
     ) -> Result<TruncatedSvd> {
-        let t = tt_linalg::svd_trunc(&r, spec)?;
-        let u = tt_tensor::gemm_f64(&q, &t.u)?;
-        self.charge_factorization(dims, 14.0);
-        Ok(TruncatedSvd {
-            u,
-            s: t.s,
-            vt: t.vt,
-            trunc_err: t.trunc_err,
-            n_discarded: t.n_discarded,
-        })
+        let mut out = self.svd_trunc_batch(&[a.into()], spec)?;
+        Ok(out.pop().expect("one matrix, one factorization"))
+    }
+
+    /// Distributed thin QR of a matrix, by value or by resident handle.
+    /// Tall panels route through the [`crate::tsqr()`] tree (slab QRs on the
+    /// workers, `R`-merge on the driver — the communication-avoiding
+    /// factorization the cost model always assumed, whose real p2p charges
+    /// land on top of the standard factorization charge, identically on
+    /// every backend); everything else is one direct `qr_thin`.
+    pub fn qr<'a>(
+        &self,
+        a: impl Into<DenseOp<'a>>,
+    ) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
+        let mut out = self.qr_batch(&[a.into()])?;
+        Ok(out.pop().expect("one matrix, one factorization"))
     }
 
     /// Truncated SVDs of many independent matrices (the sector groups of a
-    /// block SVD). In [`ExecMode::Threaded`] the factorizations fan out
-    /// over the pool; on the multi-process backend each matrix ships to a
-    /// rank round-robin. Results return in submission order and costs are
-    /// charged in that order, so totals match the serial loop exactly.
-    pub fn svd_trunc_batch(
-        &self,
-        mats: Vec<DenseTensor<f64>>,
-        spec: TruncSpec,
-    ) -> Result<Vec<TruncatedSvd>> {
-        // tall panels must route exactly like the singles (batch ≡ loop of
-        // singles is a tested invariant), so a batch containing one falls
-        // back to the serial loop
-        if mats.iter().any(|m| tall_panel(m.dims())) {
-            return mats.iter().map(|m| self.svd_trunc(m, spec)).collect();
-        }
-        if let Some(cl) = &self.cluster {
-            if mats.iter().all(|m| m.order() == 2) {
-                let mut cl = cl.lock();
-                let p = cl.ranks();
-                let dims: Vec<Vec<usize>> = mats.iter().map(|m| m.dims().to_vec()).collect();
-                let reqs: Vec<(usize, Request)> = mats
-                    .iter()
-                    .enumerate()
-                    .map(|(i, m)| (i % p, svd_request(m, OpF::Inline(m.data().to_vec()), spec)))
-                    .collect();
-                let replies = cl.call_all(reqs)?;
-                let mut out = Vec::with_capacity(replies.len());
-                for (reply, d) in replies.into_iter().zip(dims) {
-                    out.push(decode_svd(reply)?);
-                    self.charge_factorization(&d, 14.0);
-                }
-                return Ok(out);
-            }
-        }
-        self.factorize_batch(mats, 14.0, move |m| tt_linalg::svd_trunc(m, spec))
-    }
-
-    /// Truncated SVDs of resident matrices: after the first batch against
-    /// the same handles, zero operand bytes ship. Placement is
-    /// residency-aware (the factorization runs where the matrix lives).
-    pub fn svd_trunc_batch_h(
-        &self,
-        mats: &[&OpHandle],
-        spec: TruncSpec,
-    ) -> Result<Vec<TruncatedSvd>> {
-        if mats
-            .iter()
-            .any(|h| h.dense().map(|t| tall_panel(t.dims())) == Ok(true))
-        {
-            return mats
-                .iter()
-                .map(|h| {
-                    let t = h.dense()?;
-                    if tall_panel(t.dims()) {
-                        self.svd_tall_h(h, spec)
-                    } else {
-                        Ok(self
-                            .factorize_batch_h(
-                                &[*h],
-                                14.0,
-                                |h, field| Ok(svd_request(h.dense()?, field, spec)),
-                                decode_svd,
-                                move |m| tt_linalg::svd_trunc(m, spec),
-                            )?
-                            .pop()
-                            .expect("one matrix, one factorization"))
-                    }
-                })
-                .collect();
-        }
-        self.factorize_batch_h(
+    /// block SVD), each by value or by resident handle. In
+    /// [`ExecMode::Threaded`] the factorizations fan out over the pool; on
+    /// the multi-process backend each runs on the rank its matrix is
+    /// resident on (round-robin, with the upload in the same superstep,
+    /// when it is on none) — so after the first batch against the same
+    /// handles, zero operand bytes ship. Results return in submission
+    /// order and costs are charged in that order, so factors and counters
+    /// match the serial loop of [`Executor::svd_trunc`] exactly.
+    pub fn svd_trunc_batch(&self, mats: &[DenseOp], spec: TruncSpec) -> Result<Vec<TruncatedSvd>> {
+        self.factorize(
             mats,
             14.0,
-            |h, field| Ok(svd_request(h.dense()?, field, spec)),
+            |rows, cols, a| Request::SvdTrunc {
+                rows,
+                cols,
+                a,
+                max_rank: spec.max_rank as u64,
+                cutoff: spec.cutoff,
+                min_keep: spec.min_keep as u64,
+            },
             decode_svd,
             move |m| tt_linalg::svd_trunc(m, spec),
+            |(q, r)| {
+                let t = tt_linalg::svd_trunc(&r, spec)?;
+                Ok(TruncatedSvd {
+                    u: tt_tensor::gemm_f64(&q, &t.u)?,
+                    s: t.s,
+                    vt: t.vt,
+                    trunc_err: t.trunc_err,
+                    n_discarded: t.n_discarded,
+                })
+            },
         )
-    }
-
-    /// Tall-panel truncated SVD of a *resident* matrix: TSQR over the
-    /// handle's pinned row slabs ([`crate::tsqr_on_h`]), then the shared
-    /// small-R recovery.
-    fn svd_tall_h(&self, h: &OpHandle, spec: TruncSpec) -> Result<TruncatedSvd> {
-        let comm = self.comm();
-        let factors = crate::tsqr::tsqr_on_h(self, h, &comm)?;
-        self.svd_from_tsqr(h.dense()?.dims(), factors, spec)
-    }
-
-    /// Tall-panel thin QR of a *resident* matrix via its pinned row slabs.
-    fn qr_tall_h(&self, h: &OpHandle) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
-        let comm = self.comm();
-        let out = crate::tsqr::tsqr_on_h(self, h, &comm)?;
-        self.charge_factorization(h.dense()?.dims(), 4.0);
-        Ok(out)
     }
 
     /// Thin QRs of many independent matrices (the sector groups of a block
-    /// QR), pool-parallel in [`ExecMode::Threaded`] and rank-round-robin
-    /// on the multi-process backend, with in-order results and cost
-    /// charging.
-    pub fn qr_batch(
-        &self,
-        mats: Vec<DenseTensor<f64>>,
-    ) -> Result<Vec<(DenseTensor<f64>, DenseTensor<f64>)>> {
-        if mats.iter().any(|m| tall_panel(m.dims())) {
-            return mats.iter().map(|m| self.qr(m)).collect();
-        }
-        if let Some(cl) = &self.cluster {
-            if mats.iter().all(|m| m.order() == 2) {
-                let mut cl = cl.lock();
-                let p = cl.ranks();
-                let dims: Vec<Vec<usize>> = mats.iter().map(|m| m.dims().to_vec()).collect();
-                let reqs: Vec<(usize, Request)> = mats
-                    .iter()
-                    .enumerate()
-                    .map(|(i, m)| (i % p, qr_request(m, OpF::Inline(m.data().to_vec()))))
-                    .collect();
-                let replies = cl.call_all(reqs)?;
-                let mut out = Vec::with_capacity(replies.len());
-                for (reply, d) in replies.into_iter().zip(dims) {
-                    out.push(decode_qr(reply)?);
-                    self.charge_factorization(&d, 4.0);
-                }
-                return Ok(out);
-            }
-        }
-        self.factorize_batch(mats, 4.0, tt_linalg::qr_thin)
-    }
-
-    /// Thin QRs of resident matrices (see [`Executor::svd_trunc_batch_h`]).
-    pub fn qr_batch_h(
-        &self,
-        mats: &[&OpHandle],
-    ) -> Result<Vec<(DenseTensor<f64>, DenseTensor<f64>)>> {
-        if mats
-            .iter()
-            .any(|h| h.dense().map(|t| tall_panel(t.dims())) == Ok(true))
-        {
-            return mats
-                .iter()
-                .map(|h| {
-                    let t = h.dense()?;
-                    if tall_panel(t.dims()) {
-                        self.qr_tall_h(h)
-                    } else {
-                        Ok(self
-                            .factorize_batch_h(
-                                &[*h],
-                                4.0,
-                                |h, field| Ok(qr_request(h.dense()?, field)),
-                                decode_qr,
-                                tt_linalg::qr_thin,
-                            )?
-                            .pop()
-                            .expect("one matrix, one factorization"))
-                    }
-                })
-                .collect();
-        }
-        self.factorize_batch_h(
+    /// QR); see [`Executor::svd_trunc_batch`].
+    pub fn qr_batch(&self, mats: &[DenseOp]) -> Result<Vec<(DenseTensor<f64>, DenseTensor<f64>)>> {
+        self.factorize(
             mats,
             4.0,
-            |h, field| Ok(qr_request(h.dense()?, field)),
+            |rows, cols, a| Request::QrThin { rows, cols, a },
             decode_qr,
             tt_linalg::qr_thin,
+            Ok,
         )
     }
 
-    /// Shared driver for the handle factorization batches: route each
-    /// matrix to its resident rank (round-robin on first use, uploading
-    /// it in the same superstep), decode replies in submission order, and
-    /// charge the one-time uploads plus each factorization in that order.
-    fn factorize_batch_h<T: Send + 'static>(
+    /// The one factorization driver: factor every matrix of `mats` — on
+    /// the worker `make_req` addresses and `decode` reads back, or with
+    /// `local` in-process — and charge each, in submission order: what a
+    /// contraction charges a whole operand (nothing extra by value, the
+    /// one-time upload on a handle's first observation), then the
+    /// factorization costing `flop_coeff · max(m,n) · min²` flops. A tall
+    /// panel factors through the TSQR tree and `from_tsqr` instead.
+    fn factorize<R: Send + 'static>(
         &self,
-        mats: &[&OpHandle],
+        mats: &[DenseOp],
         flop_coeff: f64,
-        make_req: impl Fn(&OpHandle, OpF) -> Result<Request>,
-        decode: impl Fn(Reply) -> Result<T>,
-        local: impl Fn(&DenseTensor<f64>) -> tt_linalg::Result<T> + Send + Sync + Copy + 'static,
-    ) -> Result<Vec<T>> {
-        let mut out = Vec::with_capacity(mats.len());
-        if let Some(cl) = &self.cluster {
-            if mats
-                .iter()
-                .all(|h| h.dense().map(|t| t.order() == 2) == Ok(true))
-            {
-                let mut cl = cl.lock();
-                let mut placement = Placement::new(cl.ranks());
-                let mut reqs: Vec<(usize, Request)> = Vec::new();
-                let mut is_task: Vec<bool> = Vec::new();
-                {
-                    let mut res = self.residency.lock();
-                    for h in mats {
-                        let wkey = derive(&[h.key(), TAG_WHOLE]);
-                        let rank =
-                            placement.place([res.homes(wkey).and_then(|r| r.first().copied())]);
-                        if res.add_home(h.key(), wkey, rank) {
-                            reqs.push((
-                                rank,
-                                Request::Upload {
-                                    key: wkey,
-                                    data: h.dense()?.data().to_vec(),
-                                },
-                            ));
-                            is_task.push(false);
-                        }
-                        reqs.push((rank, make_req(h, OpF::Key(wkey))?));
-                        is_task.push(true);
-                    }
-                }
-                let replies = cl.call_all(reqs)?;
-                drop(cl);
-                let mut task_replies = replies
-                    .into_iter()
-                    .zip(is_task)
-                    .filter_map(|(rep, keep)| keep.then_some(rep));
-                for h in mats {
-                    let reply = task_replies
-                        .next()
-                        .ok_or_else(|| Error::transport("missing factorization reply in batch"))?;
-                    out.push(decode(reply)?);
-                    self.charge_factorization_h(h, flop_coeff)?;
-                }
-                return Ok(out);
+        make_req: impl Fn(usize, usize, Op) -> Request + Copy,
+        decode: impl Fn(Reply) -> Result<R> + Copy,
+        local: impl Fn(&DenseTensor<f64>) -> tt_linalg::Result<R> + Send + Sync + Copy + 'static,
+        from_tsqr: impl Fn((DenseTensor<f64>, DenseTensor<f64>)) -> Result<R> + Copy,
+    ) -> Result<Vec<R>> {
+        let tensors = mats
+            .iter()
+            .map(|m| m.tensor())
+            .collect::<Result<Vec<_>>>()?;
+        if tensors.iter().any(|t| tall_panel(t.dims())) {
+            if let [op] = mats {
+                let factors = crate::tsqr::tsqr_on(self, *op, &self.comm())?;
+                let out = from_tsqr(factors)?;
+                self.charge_factorization(tensors[0].dims(), flop_coeff);
+                return Ok(vec![out]);
             }
+            // a batch must route exactly like the loop of singles (batch ≡
+            // loop is a tested invariant), so one containing a tall panel
+            // runs as that loop
+            let mut out = Vec::with_capacity(mats.len());
+            for op in mats {
+                let one = std::slice::from_ref(op);
+                out.extend(self.factorize(one, flop_coeff, make_req, decode, local, from_tsqr)?);
+            }
+            return Ok(out);
         }
-        // in-process: handles are plain Arcs — factor the payloads with
-        // the local routine, pool-parallel in Threaded mode like the
-        // value-path batches, charging per matrix in submission order
-        // exactly like the cluster path (same float accumulation order
-        // ⇒ bitwise-equal counters across backends)
-        let results: Vec<tt_linalg::Result<T>> = match self.pool() {
-            Some(pool) if mats.len() > 1 => {
-                let jobs = mats
-                    .iter()
-                    .map(|h| {
-                        let m = h.dense()?.clone();
-                        let job: Box<dyn FnOnce() -> tt_linalg::Result<T> + Send> =
-                            Box::new(move || local(&m));
-                        Ok(job)
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                pool.run(jobs)
+        let charge = |op: &DenseOp, t: &DenseTensor<f64>| {
+            if let OpCharge::Miss(w) = self.op_state(op.handle(), whole_key, t.len()) {
+                if self.ranks > 1 {
+                    cost::charge(&self.tracker, |tr| tr.charge_superstep(8 * w as u64));
+                }
             }
-            _ => mats
-                .iter()
-                .map(|h| Ok(local(h.dense()?)))
-                .collect::<Result<Vec<_>>>()?,
+            self.charge_factorization(t.dims(), flop_coeff);
         };
-        for (r, h) in results.into_iter().zip(mats) {
-            out.push(r?);
-            self.charge_factorization_h(h, flop_coeff)?;
+        let mut out = Vec::with_capacity(mats.len());
+        if let (Some(cl), true) = (&self.cluster, tensors.iter().all(|t| t.order() == 2)) {
+            let mut cl = cl.lock();
+            let mut placement = Placement::new(cl.ranks());
+            let mut reqs: Vec<(usize, Request)> = Vec::new();
+            let mut is_task: Vec<bool> = Vec::new();
+            {
+                let mut res = self.residency.lock();
+                for (op, t) in mats.iter().zip(&tensors) {
+                    let rank = placement.place([whole_home(&res, op)]);
+                    let field = whole_op(&mut res, op, rank, &mut reqs)?;
+                    is_task.resize(reqs.len(), false);
+                    reqs.push((rank, make_req(t.dims()[0], t.dims()[1], field)));
+                    is_task.push(true);
+                }
+            }
+            let replies = cl.call_all(reqs)?;
+            drop(cl);
+            for ((reply, op), t) in task_replies(replies, is_task).zip(mats).zip(tensors) {
+                out.push(decode(reply)?);
+                charge(op, t);
+            }
+            return Ok(out);
         }
-        Ok(out)
-    }
-
-    /// Charge one handle factorization: a one-time whole-tensor upload on
-    /// first use, then the standard factorization cost.
-    fn charge_factorization_h(&self, h: &OpHandle, flop_coeff: f64) -> Result<()> {
-        let lkey = derive(&[h.key(), TAG_WHOLE]);
-        if self.observe_logical(h.key(), lkey) && self.ranks > 1 {
-            cost::charge(&self.tracker, |tr| {
-                tr.charge_superstep(8 * h.words() as u64);
-            });
-        }
-        self.charge_factorization(h.dense()?.dims(), flop_coeff);
-        Ok(())
-    }
-
-    /// Shared driver for the factorization batches: run `f` over every
-    /// matrix (on the pool when threaded), then charge each factorization
-    /// in submission order on the caller thread.
-    fn factorize_batch<T: Send + 'static>(
-        &self,
-        mats: Vec<DenseTensor<f64>>,
-        flop_coeff: f64,
-        f: impl Fn(&DenseTensor<f64>) -> tt_linalg::Result<T> + Send + Sync + Copy + 'static,
-    ) -> Result<Vec<T>> {
-        let dims: Vec<Vec<usize>> = mats.iter().map(|m| m.dims().to_vec()).collect();
-        let results: Vec<tt_linalg::Result<T>> = match self.pool() {
+        // in-process, charging per matrix in submission order exactly like
+        // the cluster path (same float accumulation order ⇒ bitwise-equal
+        // counters across backends)
+        let results: Vec<tt_linalg::Result<R>> = match self.pool() {
             Some(pool) if mats.len() > 1 => {
-                let jobs = mats
-                    .into_iter()
-                    .map(|m| {
-                        let job: Box<dyn FnOnce() -> tt_linalg::Result<T> + Send> =
-                            Box::new(move || f(&m));
+                // jobs need owned inputs ('static); the clone is the price
+                // of matrix-level parallelism, paid only here
+                let jobs = tensors
+                    .iter()
+                    .map(|&t| {
+                        let m = t.clone();
+                        let job: Box<dyn FnOnce() -> tt_linalg::Result<R> + Send> =
+                            Box::new(move || local(&m));
                         job
                     })
                     .collect();
                 pool.run(jobs)
             }
-            _ => mats.iter().map(f).collect(),
+            _ => tensors.iter().map(|&t| local(t)).collect(),
         };
-        let mut out = Vec::with_capacity(results.len());
-        for (r, d) in results.into_iter().zip(dims) {
+        for ((r, op), t) in results.into_iter().zip(mats).zip(tensors) {
             out.push(r?);
-            self.charge_factorization(&d, flop_coeff);
+            charge(op, t);
         }
         Ok(out)
     }
 
-    /// Charge an `m×n` dense factorization costing `c · max(m,n) · min² `
+    /// Charge an `m×n` dense factorization costing `c · max(m,n) · min²`
     /// flops: ScaLAPACK-style half-efficiency compute plus a TSQR-shaped
     /// reduction tree (one n×n R per level).
     fn charge_factorization(&self, dims: &[usize], flop_coeff: f64) {
@@ -2943,11 +2443,29 @@ fn sd_whole_key(h: &OpHandle, plan: &ContractPlan, n: usize) -> u64 {
     ])
 }
 
-/// Dims and scalar family of a chain-step operand at planning time.
+impl ChainSrc<'_> {
+    /// The operand handle behind a by-handle operand.
+    fn handle(&self) -> Option<&OpHandle> {
+        match self {
+            ChainSrc::Dense(op) => op.handle(),
+            ChainSrc::DenseC(op) => op.handle(),
+            ChainSrc::Sparse(op) => op.handle(),
+            ChainSrc::Prev(_) | ChainSrc::Res(_) => None,
+        }
+    }
+}
+
+/// Dims and kind of a chain-step operand at planning time.
 fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, SrcKind)> {
     Ok(match src {
-        ChainSrc::Dense(op) => (op.tensor()?.dims().to_vec(), SrcKind::F64),
-        ChainSrc::DenseC(op) => (op.tensor()?.dims().to_vec(), SrcKind::C64),
+        ChainSrc::Dense(op) => (
+            op.tensor()?.dims().to_vec(),
+            SrcKind::Dense(ResultKind::F64),
+        ),
+        ChainSrc::DenseC(op) => (
+            op.tensor()?.dims().to_vec(),
+            SrcKind::Dense(ResultKind::C64),
+        ),
         ChainSrc::Sparse(op) => (op.tensor()?.dims().to_vec(), SrcKind::Sparse),
         ChainSrc::Prev(j) => {
             let pl = planned
@@ -2958,19 +2476,9 @@ fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, SrcK
                     "chain step references accumulate step {j}; reference its base instead"
                 )));
             }
-            let kind = match pl.result_kind() {
-                ResultKind::F64 => SrcKind::F64,
-                ResultKind::C64 => SrcKind::C64,
-            };
-            (pl.out_dims.clone(), kind)
+            (pl.out_dims.clone(), SrcKind::Dense(pl.scalar))
         }
-        ChainSrc::Res(h) => {
-            let kind = match h.kind {
-                ResultKind::F64 => SrcKind::F64,
-                ResultKind::C64 => SrcKind::C64,
-            };
-            (h.dims.clone(), kind)
-        }
+        ChainSrc::Res(h) => (h.dims.clone(), SrcKind::Dense(h.kind)),
     })
 }
 
@@ -2978,11 +2486,9 @@ fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, SrcK
 /// or a constant for inline values).
 fn src_provenance(src: &ChainSrc, planned: &[PlannedStep]) -> u64 {
     match src {
-        ChainSrc::Dense(op) => op.handle().map(OpHandle::key).unwrap_or(1),
-        ChainSrc::DenseC(op) => op.handle().map(OpHandle::key).unwrap_or(1),
-        ChainSrc::Sparse(op) => op.handle().map(OpHandle::key).unwrap_or(1),
         ChainSrc::Prev(j) => planned[*j].key,
         ChainSrc::Res(h) => h.key,
+        _ => src.handle().map(OpHandle::key).unwrap_or(1),
     }
 }
 
@@ -2996,81 +2502,91 @@ fn collect_weights(
     planned: &[PlannedStep],
     weighted: &mut Vec<(usize, u64)>,
 ) {
-    let whole_handle_weights = |h: &OpHandle, weighted: &mut Vec<(usize, u64)>| {
-        let wkey = derive(&[h.key(), TAG_WHOLE]);
-        if let Some(ranks) = res.homes(wkey) {
-            weighted.extend(ranks.iter().map(|&r| (r, h.words() as u64)));
-        }
-    };
     match src {
-        ChainSrc::Dense(op) => {
-            if let Some(h) = op.handle() {
-                whole_handle_weights(h, weighted);
-            }
-        }
-        ChainSrc::DenseC(op) => {
-            if let Some(h) = op.handle() {
-                whole_handle_weights(h, weighted);
-            }
-        }
-        ChainSrc::Sparse(op) => {
-            if let Some(h) = op.handle() {
-                let wkey = sd_whole_key(h, &pl.plan, pl.n);
-                if let Some(ranks) = res.homes(wkey) {
-                    weighted.extend(ranks.iter().map(|&r| (r, h.words() as u64)));
-                }
-            }
-        }
         ChainSrc::Prev(j) => weighted.push((homes[*j], planned[*j].words_c as u64)),
         ChainSrc::Res(h) => {
             if let Some(info) = res.result(h.key) {
                 weighted.push((info.home, info.words as u64));
             }
         }
+        _ => {
+            let Some(h) = src.handle() else { return };
+            let wkey = match src {
+                ChainSrc::Sparse(_) => sd_whole_key(h, &pl.plan, pl.n),
+                _ => whole_key(h),
+            };
+            if let Some(ranks) = res.homes(wkey) {
+                weighted.extend(ranks.iter().map(|&r| (r, h.words() as u64)));
+            }
+        }
     }
 }
 
-/// Resolve a chain-step operand to its local `f64` tensor (in-process
+/// A borrowed in-process dense operand, tagged like [`DenseAny`].
+enum LocalRef<'x> {
+    F64(&'x DenseTensor<f64>),
+    C64(&'x DenseTensor<Complex64>),
+}
+
+/// Resolve a dense chain-step operand to its local tensor (in-process
 /// execution).
-fn resolve_local_f64<'x>(
-    src: &'x ChainSrc<'x>,
-    outs: &'x [Option<LocalResult>],
-) -> Result<&'x DenseTensor<f64>> {
-    match src {
-        ChainSrc::Dense(op) => op.tensor(),
-        ChainSrc::Prev(j) => match &outs[*j] {
-            Some(LocalResult::F64(t)) => Ok(t),
-            _ => Err(Error::Runtime("chain step operand kind mismatch".into())),
-        },
-        ChainSrc::Res(h) => match &h.local {
-            Some(LocalResult::F64(t)) => Ok(t),
-            _ => Err(Error::Runtime(
-                "result handle has no in-process f64 payload".into(),
-            )),
-        },
-        _ => Err(Error::Runtime("chain step operand kind mismatch".into())),
+fn resolve_local<'x>(src: &'x ChainSrc<'x>, outs: &'x [Option<DenseAny>]) -> Result<LocalRef<'x>> {
+    let resident = match src {
+        ChainSrc::Dense(op) => return Ok(LocalRef::F64(op.tensor()?)),
+        ChainSrc::DenseC(op) => return Ok(LocalRef::C64(op.tensor()?)),
+        ChainSrc::Sparse(_) => None,
+        ChainSrc::Prev(j) => outs[*j].as_ref(),
+        ChainSrc::Res(h) => h.local.as_ref(),
+    };
+    match resident {
+        Some(DenseAny::F64(t)) => Ok(LocalRef::F64(t)),
+        Some(DenseAny::C64(t)) => Ok(LocalRef::C64(t)),
+        None => Err(Error::Runtime(
+            "chain step operand has no in-process dense payload".into(),
+        )),
     }
 }
 
-/// Resolve a chain-step operand to its local [`Complex64`] tensor.
-fn resolve_local_c64<'x>(
-    src: &'x ChainSrc<'x>,
-    outs: &'x [Option<LocalResult>],
-) -> Result<&'x DenseTensor<Complex64>> {
-    match src {
-        ChainSrc::DenseC(op) => op.tensor(),
-        ChainSrc::Prev(j) => match &outs[*j] {
-            Some(LocalResult::C64(t)) => Ok(t),
-            _ => Err(Error::Runtime("chain step operand kind mismatch".into())),
-        },
-        ChainSrc::Res(h) => match &h.local {
-            Some(LocalResult::C64(t)) => Ok(t),
-            _ => Err(Error::Runtime(
-                "result handle has no in-process Complex64 payload".into(),
-            )),
-        },
-        _ => Err(Error::Runtime("chain step operand kind mismatch".into())),
+/// Worker key (and logical charge key) of a dense operand's whole-tensor
+/// buffer — what pair, chain-step and factorization tasks consume.
+fn whole_key(h: &OpHandle) -> u64 {
+    derive(&[h.key(), TAG_WHOLE])
+}
+
+/// The first rank already holding `op`'s whole-tensor buffer, if any.
+fn whole_home(res: &Residency, op: &DenseOp) -> Option<usize> {
+    res.homes(whole_key(op.handle()?))?.first().copied()
+}
+
+/// The wire form of a whole dense operand for a task on `rank`: the
+/// payload itself for a value; for a handle its resident key, with the
+/// upload queued on `reqs` when `rank` does not hold the buffer yet (it
+/// then rides in the same superstep as the task).
+fn whole_op<T: WireScalar>(
+    res: &mut Residency,
+    op: &DenseOpT<T>,
+    rank: usize,
+    reqs: &mut Vec<(usize, Request)>,
+) -> Result<Op> {
+    let data = || Ok::<_, Error>(T::wrap(op.tensor()?.data().to_vec()));
+    let Some(h) = op.handle() else {
+        return Ok(Op::Inline(data()?));
+    };
+    let wkey = whole_key(h);
+    if res.add_home(h.key(), wkey, rank) {
+        let data = data()?;
+        reqs.push((rank, Request::Upload { key: wkey, data }));
     }
+    Ok(Op::Key(wkey))
+}
+
+/// The task replies of a superstep whose requests interleave uploads
+/// (`is_task` false) with tasks, in submission order.
+fn task_replies(replies: Vec<Reply>, is_task: Vec<bool>) -> impl Iterator<Item = Reply> {
+    replies
+        .into_iter()
+        .zip(is_task)
+        .filter_map(|(reply, keep)| keep.then_some(reply))
 }
 
 /// The recurring "replicated B" block of the dense/sd/ss cluster paths:
@@ -3140,7 +2656,13 @@ fn slab_fields<T: WireScalar>(
                             a_mat.as_ref().expect("just set")
                         }
                     };
-                    reqs.push((i % p, T::upload_req(wkey, mat[r0 * k..r1 * k].to_vec())));
+                    reqs.push((
+                        i % p,
+                        Request::Upload {
+                            key: wkey,
+                            data: T::wrap(mat[r0 * k..r1 * k].to_vec()),
+                        },
+                    ));
                 }
                 keys.push(wkey);
             }
@@ -3149,12 +2671,12 @@ fn slab_fields<T: WireScalar>(
     }
 }
 
-/// Unwrap a row-panel reply.
-fn expect_f64s(reply: Reply) -> Result<Vec<f64>> {
+/// Unwrap a dense-buffer reply.
+fn expect_buf(reply: Reply) -> Result<Buf> {
     match reply {
-        Reply::F64s(v) => Ok(v),
+        Reply::Buf(buf) => Ok(buf),
         other => Err(Error::transport(format!(
-            "expected f64 payload, got {other:?}"
+            "expected a dense buffer, got {other:?}"
         ))),
     }
 }
@@ -3170,27 +2692,6 @@ fn split_coords(coords: Vec<kernels::Coord>) -> (Vec<u64>, Vec<u64>, Vec<f64>) {
         vals.push(v);
     }
     (rows, cols, vals)
-}
-
-/// Build the worker request for a truncated SVD of matrix `a`.
-fn svd_request(a: &DenseTensor<f64>, field: OpF, spec: TruncSpec) -> Request {
-    Request::SvdTrunc {
-        rows: a.dims()[0],
-        cols: a.dims()[1],
-        a: field,
-        max_rank: spec.max_rank as u64,
-        cutoff: spec.cutoff,
-        min_keep: spec.min_keep as u64,
-    }
-}
-
-/// Build the worker request for a thin QR of matrix `a`.
-fn qr_request(a: &DenseTensor<f64>, field: OpF) -> Request {
-    Request::QrThin {
-        rows: a.dims()[0],
-        cols: a.dims()[1],
-        a: field,
-    }
 }
 
 /// Rebuild a [`TruncatedSvd`] from its wire reply.
@@ -3239,6 +2740,26 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One contraction whose result stays resident: a one-step chain.
+    fn to_handle(exec: &Executor, spec: &str, a: ChainSrc, b: ChainSrc) -> ResultHandle {
+        let step = ChainStep {
+            spec,
+            a,
+            b,
+            acc: None,
+        };
+        let mut out = exec.chain(&[step]).unwrap();
+        out.pop().flatten().expect("single non-accumulate step")
+    }
+
+    /// A batch of operands, all by value or all by handle.
+    fn ops<'a, X>(xs: &'a [X]) -> Vec<DenseOp<'a>>
+    where
+        &'a X: Into<DenseOp<'a>>,
+    {
+        xs.iter().map(Into::into).collect()
+    }
 
     fn operands(seed: u64) -> (DenseTensor<f64>, DenseTensor<f64>) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -3351,8 +2872,8 @@ mod tests {
             .iter()
             .map(|(a, b)| single.contract("isj,jtk->istk", a, b).unwrap())
             .collect();
-        let pair_refs: Vec<(&DenseTensor<f64>, &DenseTensor<f64>)> =
-            pairs.iter().map(|(a, b)| (a, b)).collect();
+        let pair_refs: Vec<(DenseOp, DenseOp)> =
+            pairs.iter().map(|(a, b)| (a.into(), b.into())).collect();
         for mode in [ExecMode::Sequential, ExecMode::Threaded] {
             let batch = Executor::with_machine(Machine::blue_waters(2), 2, mode);
             let out = batch.contract_batch("isj,jtk->istk", &pair_refs).unwrap();
@@ -3378,11 +2899,13 @@ mod tests {
         let bad = DenseTensor::<f64>::zeros([2, 3]);
         let ok = DenseTensor::<f64>::zeros([3, 2, 2]);
         assert!(exec
-            .contract_batch("isj,jtk->istk", &[(&bad, &ok)])
+            .contract_batch("isj,jtk->istk", &[((&bad).into(), (&ok).into())])
             .is_err());
         // mismatched contracted dims too
         let a = DenseTensor::<f64>::zeros([2, 2, 5]);
-        assert!(exec.contract_batch("isj,jtk->istk", &[(&a, &ok)]).is_err());
+        assert!(exec
+            .contract_batch("isj,jtk->istk", &[((&a).into(), (&ok).into())])
+            .is_err());
     }
 
     #[test]
@@ -3405,13 +2928,13 @@ mod tests {
         let qrs_ref: Vec<_> = mats.iter().map(|m| single.qr(m).unwrap()).collect();
         for mode in [ExecMode::Sequential, ExecMode::Threaded] {
             let batch = Executor::with_machine(Machine::stampede2(4), 1, mode);
-            let svds = batch.svd_trunc_batch(mats.clone(), spec).unwrap();
+            let svds = batch.svd_trunc_batch(&ops(&mats), spec).unwrap();
             for (s, r) in svds.iter().zip(&svds_ref) {
                 assert_eq!(s.s, r.s, "{mode:?}");
                 assert_eq!(s.u.data(), r.u.data(), "{mode:?}");
                 assert_eq!(s.vt.data(), r.vt.data(), "{mode:?}");
             }
-            let qrs = batch.qr_batch(mats.clone()).unwrap();
+            let qrs = batch.qr_batch(&ops(&mats)).unwrap();
             for ((q, rr), (q2, r2)) in qrs.iter().zip(&qrs_ref) {
                 assert_eq!(q.data(), q2.data(), "{mode:?}");
                 assert_eq!(rr.data(), r2.data(), "{mode:?}");
@@ -3439,21 +2962,15 @@ mod tests {
             let hsb = han.upload_sparse(&sb);
 
             let c_val = val.contract("isj,jtk->istk", &a, &b).unwrap();
-            let c_han = han
-                .contract_h("isj,jtk->istk", (&ha).into(), (&hb).into())
-                .unwrap();
+            let c_han = han.contract::<f64>("isj,jtk->istk", &ha, &hb).unwrap();
             assert_eq!(c_val.data(), c_han.data(), "{mode:?} dense");
 
             let d_val = val.contract_sd("isj,jtk->istk", &sa, &b).unwrap();
-            let d_han = han
-                .contract_sd_h("isj,jtk->istk", (&hsa).into(), (&hb).into())
-                .unwrap();
+            let d_han = han.contract_sd("isj,jtk->istk", &hsa, &hb).unwrap();
             assert_eq!(d_val.data(), d_han.data(), "{mode:?} sd");
 
             let s_val = val.contract_ss("isj,jtk->istk", &sa, &sb, None).unwrap();
-            let s_han = han
-                .contract_ss_h("isj,jtk->istk", (&hsa).into(), (&hsb).into(), None)
-                .unwrap();
+            let s_han = han.contract_ss("isj,jtk->istk", &hsa, &hsb, None).unwrap();
             assert_eq!(
                 s_val.to_dense().data(),
                 s_han.to_dense().data(),
@@ -3475,11 +2992,9 @@ mod tests {
         let (a, b) = operands(61);
         let exec = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
         let hb = exec.upload(&b);
-        exec.contract_h("isj,jtk->istk", (&a).into(), (&hb).into())
-            .unwrap();
+        exec.contract::<f64>("isj,jtk->istk", &a, &hb).unwrap();
         let after_first = exec.tracker().lock().bytes_critical;
-        exec.contract_h("isj,jtk->istk", (&a).into(), (&hb).into())
-            .unwrap();
+        exec.contract::<f64>("isj,jtk->istk", &a, &hb).unwrap();
         let hit_delta = exec.tracker().lock().bytes_critical - after_first;
 
         let val = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
@@ -3501,9 +3016,7 @@ mod tests {
         let (a, _) = operands(62);
         let exec = Executor::local();
         let h = exec.upload(&a);
-        assert!(exec
-            .contract_sd_h("isj,jtk->istk", (&h).into(), (&a).into())
-            .is_err());
+        assert!(exec.contract_sd("isj,jtk->istk", &h, &a).is_err());
         exec.free(&h).unwrap();
     }
 
@@ -3514,14 +3027,12 @@ mod tests {
         let b = br.to_complex();
         let exec = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
         let reference = tt_tensor::einsum("isj,jtk->istk", &a, &b).unwrap();
-        let c = exec
-            .contract_c64("isj,jtk->istk", (&a).into(), (&b).into())
-            .unwrap();
+        let c = exec.contract::<Complex64>("isj,jtk->istk", &a, &b).unwrap();
         assert_eq!(c.data(), reference.data());
-        let ha = exec.upload_c64(&a);
-        let hb = exec.upload_c64(&b);
+        let ha = exec.upload(&a);
+        let hb = exec.upload(&b);
         let ch = exec
-            .contract_c64("isj,jtk->istk", (&ha).into(), (&hb).into())
+            .contract::<Complex64>("isj,jtk->istk", &ha, &hb)
             .unwrap();
         assert_eq!(ch.data(), reference.data());
         exec.free(&ha).unwrap();
@@ -3604,8 +3115,8 @@ mod tests {
                 )
             })
             .collect();
-        let pair_refs: Vec<(&DenseTensor<f64>, &DenseTensor<f64>)> =
-            pairs.iter().map(|(a, b)| (a, b)).collect();
+        let pair_refs: Vec<(DenseOp, DenseOp)> =
+            pairs.iter().map(|(a, b)| (a.into(), b.into())).collect();
         let out_seq = seq.contract_batch("isj,jtk->istk", &pair_refs).unwrap();
         let out_mp = mp.contract_batch("isj,jtk->istk", &pair_refs).unwrap();
         for (s, m) in out_seq.iter().zip(&out_mp) {
@@ -3619,15 +3130,15 @@ mod tests {
             cutoff: 0.0,
             min_keep: 1,
         };
-        let svd_seq = seq.svd_trunc_batch(mats.clone(), spec).unwrap();
-        let svd_mp = mp.svd_trunc_batch(mats.clone(), spec).unwrap();
+        let svd_seq = seq.svd_trunc_batch(&ops(&mats), spec).unwrap();
+        let svd_mp = mp.svd_trunc_batch(&ops(&mats), spec).unwrap();
         for (s, m) in svd_seq.iter().zip(&svd_mp) {
             assert_eq!(s.s, m.s);
             assert_eq!(s.u.data(), m.u.data());
             assert_eq!(s.vt.data(), m.vt.data());
         }
-        let qr_seq = seq.qr_batch(mats.clone()).unwrap();
-        let qr_mp = mp.qr_batch(mats).unwrap();
+        let qr_seq = seq.qr_batch(&ops(&mats)).unwrap();
+        let qr_mp = mp.qr_batch(&ops(&mats)).unwrap();
         for ((q1, r1), (q2, r2)) in qr_seq.iter().zip(&qr_mp) {
             assert_eq!(q1.data(), q2.data());
             assert_eq!(r1.data(), r2.data());
@@ -3647,13 +3158,9 @@ mod tests {
         let (a, b) = operands(64);
         let ha = mp.upload(&a);
         let hb = mp.upload(&b);
-        let c1 = mp
-            .contract_h("isj,jtk->istk", (&ha).into(), (&hb).into())
-            .unwrap();
+        let c1 = mp.contract::<f64>("isj,jtk->istk", &ha, &hb).unwrap();
         let first = mp.operand_bytes();
-        let c2 = mp
-            .contract_h("isj,jtk->istk", (&ha).into(), (&hb).into())
-            .unwrap();
+        let c2 = mp.contract::<f64>("isj,jtk->istk", &ha, &hb).unwrap();
         let second = mp.operand_bytes() - first;
         assert_eq!(c1.data(), c2.data());
         // the repeat ships only chunk headers and store keys — orders of
@@ -3700,12 +3207,8 @@ mod tests {
             let a = DenseTensor::<f64>::random([12, 18], &mut rng);
             let b = DenseTensor::<f64>::random([18, 9], &mut rng);
             let hb = mp.upload(&b);
-            let c1 = mp
-                .contract_h("ik,kj->ij", (&a).into(), (&hb).into())
-                .unwrap();
-            let c2 = mp
-                .contract_h("ik,kj->ij", (&a).into(), (&hb).into())
-                .unwrap();
+            let c1 = mp.contract::<f64>("ik,kj->ij", &a, &hb).unwrap();
+            let c2 = mp.contract::<f64>("ik,kj->ij", &a, &hb).unwrap();
             assert_eq!(c1.data(), c2.data());
             mp.free(&hb).unwrap();
         }
@@ -3720,9 +3223,12 @@ mod tests {
         let (a, b) = operands(70);
         let exec = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
         let c_ref = exec.contract("isj,jtk->istk", &a, &b).unwrap();
-        let h = exec
-            .contract_to_h("isj,jtk->istk", (&a).into(), (&b).into())
-            .unwrap();
+        let h = to_handle(
+            &exec,
+            "isj,jtk->istk",
+            ChainSrc::Dense((&a).into()),
+            ChainSrc::Dense((&b).into()),
+        );
         assert_eq!(h.dims(), c_ref.dims());
         assert!(
             exec.result_provenance(&h).is_some(),
@@ -3733,20 +3239,30 @@ mod tests {
 
         let sa = SparseTensor::from_dense(&a, 0.5);
         let d_ref = exec.contract_sd("isj,jtk->istk", &sa, &b).unwrap();
-        let h = exec
-            .contract_sd_to_h("isj,jtk->istk", (&sa).into(), (&b).into())
-            .unwrap();
+        let h = to_handle(
+            &exec,
+            "isj,jtk->istk",
+            ChainSrc::Sparse((&sa).into()),
+            ChainSrc::Dense((&b).into()),
+        );
         let d = exec.download(h).unwrap();
         assert_eq!(d.data(), d_ref.data(), "sparse-dense");
 
         let (ac, bc) = (a.to_complex(), b.to_complex());
         let e_ref = exec
-            .contract_c64("isj,jtk->istk", (&ac).into(), (&bc).into())
+            .contract::<Complex64>("isj,jtk->istk", &ac, &bc)
             .unwrap();
-        let h = exec
-            .contract_c64_to_h("isj,jtk->istk", (&ac).into(), (&bc).into())
+        let h = to_handle(
+            &exec,
+            "isj,jtk->istk",
+            ChainSrc::DenseC((&ac).into()),
+            ChainSrc::DenseC((&bc).into()),
+        );
+        let e = exec
+            .download_many::<Complex64>(vec![h])
+            .unwrap()
+            .pop()
             .unwrap();
-        let e = exec.download_c64(h).unwrap();
         assert_eq!(e.data(), e_ref.data(), "Complex64");
     }
 
@@ -3806,9 +3322,12 @@ mod tests {
         assert_eq!(exec.download(h).unwrap().data(), acc_ref.data());
 
         // results of earlier chains feed later ones via Res
-        let h1 = exec
-            .contract_to_h("ik,kj->ij", (&a).into(), (&b).into())
-            .unwrap();
+        let h1 = to_handle(
+            &exec,
+            "ik,kj->ij",
+            ChainSrc::Dense((&a).into()),
+            ChainSrc::Dense((&b).into()),
+        );
         let mut out = exec
             .chain(&[ChainStep {
                 spec: "ik,kj->ij",
@@ -3908,12 +3427,18 @@ mod tests {
         // ranks; combining them exercises the explicit redistribute
         // superstep and still matches the value path bitwise
         let d = DenseTensor::<f64>::random([12, 9], &mut rng);
-        let h1 = mp
-            .contract_to_h("ik,kj->ij", (&a).into(), (&b).into())
-            .unwrap();
-        let h2 = mp
-            .contract_to_h("ik,kj->ij", (&c).into(), (&d).into())
-            .unwrap();
+        let h1 = to_handle(
+            &mp,
+            "ik,kj->ij",
+            ChainSrc::Dense((&a).into()),
+            ChainSrc::Dense((&b).into()),
+        );
+        let h2 = to_handle(
+            &mp,
+            "ik,kj->ij",
+            ChainSrc::Dense((&c).into()),
+            ChainSrc::Dense((&d).into()),
+        );
         let fused_ref = mp
             .contract("ik,kj->ij", &t, &mp.contract("ik,kj->ij", &c, &d).unwrap())
             .unwrap();
@@ -4006,6 +3531,124 @@ mod tests {
         assert!(exec.supersteps() > 0);
     }
 
+    /// Every cost counter of an executor, floats by bit pattern.
+    fn counters(exec: &Executor) -> (u64, u64, String, u64, u64, u64) {
+        (
+            exec.total_flops(),
+            exec.supersteps(),
+            format!("{:?}", exec.sim_time()),
+            exec.operand_bytes(),
+            exec.result_bytes(),
+            exec.recovery_bytes(),
+        )
+    }
+
+    /// The case one operand type newly allows: a factorization batch
+    /// mixing value and handle matrices, one of them a tall panel, must
+    /// equal the loop of singles bit for bit — factors and every cost
+    /// counter — and a second pass must ship nothing for the handles.
+    fn mixed_factorization_batch(make: impl Fn() -> Executor) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(67);
+        let mats: Vec<DenseTensor<f64>> = [(20usize, 8usize), (13, 13), (256, 8), (6, 17)]
+            .iter()
+            .map(|&(m, n)| DenseTensor::<f64>::random([m, n], &mut rng))
+            .collect();
+        assert!(tall_panel(mats[2].dims()));
+        let spec = TruncSpec {
+            max_rank: 6,
+            cutoff: 0.0,
+            min_keep: 1,
+        };
+        // matrices 1 and 2 (the tall one) by handle, 0 and 3 by value
+        let (single, batch) = (make(), make());
+        fn mixed_ops<'a>(mats: &'a [DenseTensor<f64>], h: &'a [OpHandle]) -> Vec<DenseOp<'a>> {
+            vec![
+                (&mats[0]).into(),
+                (&h[0]).into(),
+                (&h[1]).into(),
+                (&mats[3]).into(),
+            ]
+        }
+        let mixed = |h| mixed_ops(&mats, h);
+        let hs: Vec<OpHandle> = mats[1..3].iter().map(|m| single.upload(m)).collect();
+        let (mut svds_ref, mut qrs_ref) = (Vec::new(), Vec::new());
+        for op in mixed(&hs) {
+            svds_ref.push(single.svd_trunc(op, spec).unwrap());
+        }
+        for op in mixed(&hs) {
+            qrs_ref.push(single.qr(op).unwrap());
+        }
+        let hb: Vec<OpHandle> = mats[1..3].iter().map(|m| batch.upload(m)).collect();
+        let svds = batch.svd_trunc_batch(&mixed(&hb), spec).unwrap();
+        let qrs = batch.qr_batch(&mixed(&hb)).unwrap();
+        let mut bits = Vec::new();
+        for (s, r) in svds.iter().zip(&svds_ref) {
+            assert_eq!(s.s, r.s);
+            assert_eq!(s.u.data(), r.u.data());
+            assert_eq!(s.vt.data(), r.vt.data());
+            assert_eq!(s.trunc_err.to_bits(), r.trunc_err.to_bits());
+            bits.push(s.u.data().to_vec());
+        }
+        for ((q, rr), (q2, r2)) in qrs.iter().zip(&qrs_ref) {
+            assert_eq!(q.data(), q2.data());
+            assert_eq!(rr.data(), r2.data());
+            bits.push(q.data().to_vec());
+        }
+        assert_eq!(counters(&batch), counters(&single));
+        // second pass: the handles are resident, so only the two value
+        // matrices (and nothing else) ship — once per batch
+        let before = batch.operand_bytes();
+        batch.svd_trunc_batch(&mixed(&hb), spec).unwrap();
+        batch.qr_batch(&mixed(&hb)).unwrap();
+        let by_value = match batch.backend() {
+            Backend::MultiProcess { .. } => 2 * 8 * (mats[0].len() + mats[3].len()) as u64,
+            Backend::InProcess(_) => 0,
+        };
+        assert_eq!(
+            batch.operand_bytes() - before,
+            by_value,
+            "handles must ship nothing on the second pass"
+        );
+        for (exec, handles) in [(&single, &hs), (&batch, &hb)] {
+            for h in handles {
+                exec.free(h).unwrap();
+            }
+        }
+        bits.push(vec![
+            batch.total_flops() as f64,
+            batch.supersteps() as f64,
+            batch.sim_time().total(),
+        ]);
+        bits
+    }
+
+    #[test]
+    fn mixed_value_handle_factorization_batch_matches_singles_on_every_backend() {
+        let in_process = |mode| move || Executor::with_machine(Machine::stampede2(4), 1, mode);
+        let reference = mixed_factorization_batch(in_process(ExecMode::Sequential));
+        let bitwise = |other: Vec<Vec<f64>>, name: &str| {
+            for (x, y) in other.iter().zip(&reference) {
+                let (x, y): (Vec<u64>, Vec<u64>) = (
+                    x.iter().map(|v| v.to_bits()).collect(),
+                    y.iter().map(|v| v.to_bits()).collect(),
+                );
+                assert_eq!(x, y, "{name}");
+            }
+        };
+        bitwise(
+            mixed_factorization_batch(in_process(ExecMode::Threaded)),
+            "threaded",
+        );
+        #[cfg(unix)]
+        bitwise(
+            mixed_factorization_batch(|| {
+                let spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
+                Executor::multi_process(Machine::stampede2(4), 1, 2, spawn).unwrap()
+            }),
+            "multi-process p=2",
+        );
+    }
+
     #[test]
     fn factorization_handle_batches_match_value_batches() {
         let mut rng = StdRng::seed_from_u64(66);
@@ -4019,17 +3662,16 @@ mod tests {
             min_keep: 1,
         };
         let exec = Executor::with_machine(Machine::stampede2(4), 1, ExecMode::Sequential);
-        let svds_ref = exec.svd_trunc_batch(mats.clone(), spec).unwrap();
-        let qrs_ref = exec.qr_batch(mats.clone()).unwrap();
+        let svds_ref = exec.svd_trunc_batch(&ops(&mats), spec).unwrap();
+        let qrs_ref = exec.qr_batch(&ops(&mats)).unwrap();
         let handles: Vec<OpHandle> = mats.iter().map(|m| exec.upload(m)).collect();
-        let hrefs: Vec<&OpHandle> = handles.iter().collect();
-        let svds = exec.svd_trunc_batch_h(&hrefs, spec).unwrap();
+        let svds = exec.svd_trunc_batch(&ops(&handles), spec).unwrap();
         for (s, r) in svds.iter().zip(&svds_ref) {
             assert_eq!(s.s, r.s);
             assert_eq!(s.u.data(), r.u.data());
             assert_eq!(s.vt.data(), r.vt.data());
         }
-        let qrs = exec.qr_batch_h(&hrefs).unwrap();
+        let qrs = exec.qr_batch(&ops(&handles)).unwrap();
         for ((q, rr), (q2, r2)) in qrs.iter().zip(&qrs_ref) {
             assert_eq!(q.data(), q2.data());
             assert_eq!(rr.data(), r2.data());

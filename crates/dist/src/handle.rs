@@ -2,8 +2,8 @@
 //! stay *resident* on the runtime instead of being re-shipped with every
 //! task.
 //!
-//! An [`OpHandle`] is created by [`crate::Executor::upload`] (or the
-//! `upload_c64` / `upload_sparse` variants) and freed by
+//! An [`OpHandle`] is created by [`crate::Executor::upload`] (dense, `f64`
+//! or [`Complex64`]) or [`crate::Executor::upload_sparse`] and freed by
 //! [`crate::Executor::free`]. The handle's key is a content hash of the
 //! tensor (dims + exact value bit patterns), so two uploads of identical
 //! data share one key — and one refcount, one set of resident buffers.
@@ -19,6 +19,7 @@
 //! still consulted so the α–β cost charges are bitwise-identical across
 //! backends.
 
+use crate::exec::WireScalar;
 use crate::{Error, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -77,16 +78,43 @@ pub(crate) fn hseq(vals: &[usize]) -> u64 {
     Fnv::new().u64s(vals.iter().map(|&v| v as u64)).finish()
 }
 
+/// A shared dense tensor whose element type is a tag on the data: the
+/// payload of a dense operand handle, and the value of an in-process
+/// resident result (the in-process backend has no worker stores — the
+/// "resident" buffer is the driver's own `Arc`).
+#[derive(Clone)]
+pub(crate) enum DenseAny {
+    F64(Arc<DenseTensor<f64>>),
+    C64(Arc<DenseTensor<Complex64>>),
+}
+
+impl DenseAny {
+    /// Accumulate `partial` elementwise into this tensor; the element
+    /// types and shapes must agree.
+    pub(crate) fn accumulate(&mut self, partial: &DenseAny) -> Result<()> {
+        match (self, partial) {
+            (DenseAny::F64(acc), DenseAny::F64(p)) => Arc::make_mut(acc).axpy(1.0, p)?,
+            (DenseAny::C64(acc), DenseAny::C64(p)) => {
+                Arc::make_mut(acc).axpy(Complex64::new(1.0, 0.0), p)?
+            }
+            _ => {
+                return Err(Error::Runtime(
+                    "accumulate target has the other element type".into(),
+                ))
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The tensor a handle refers to. Payloads are `Arc`-backed so an upload
 /// of an already-shared tensor (an `Arc`-stored block of a
 /// `BlockSparseTensor`, say) shares storage instead of cloning the data —
 /// only the content hash is recomputed.
 #[derive(Clone)]
 pub(crate) enum Payload {
-    /// A dense `f64` tensor.
-    F64(Arc<DenseTensor<f64>>),
-    /// A dense [`Complex64`] tensor.
-    C64(Arc<DenseTensor<Complex64>>),
+    /// A dense tensor.
+    Dense(DenseAny),
     /// A flattened sparse `f64` tensor.
     Sparse(Arc<SparseTensor<f64>>),
 }
@@ -95,12 +123,12 @@ impl Payload {
     /// Content key: tag + dims + exact value bit patterns.
     fn content_key(&self) -> u64 {
         match self {
-            Payload::F64(t) => Fnv::new()
+            Payload::Dense(DenseAny::F64(t)) => Fnv::new()
                 .u8(1)
                 .u64s(t.dims().iter().map(|&d| d as u64))
                 .u64s(t.data().iter().map(|v| v.to_bits()))
                 .finish(),
-            Payload::C64(t) => Fnv::new()
+            Payload::Dense(DenseAny::C64(t)) => Fnv::new()
                 .u8(2)
                 .u64s(t.dims().iter().map(|&d| d as u64))
                 .u64s(
@@ -121,8 +149,8 @@ impl Payload {
     /// payload moves.
     fn words(&self) -> usize {
         match self {
-            Payload::F64(t) => t.len(),
-            Payload::C64(t) => 2 * t.len(),
+            Payload::Dense(DenseAny::F64(t)) => t.len(),
+            Payload::Dense(DenseAny::C64(t)) => 2 * t.len(),
             // offset + value per stored entry
             Payload::Sparse(t) => 2 * t.nnz(),
         }
@@ -162,22 +190,18 @@ impl OpHandle {
         self.words
     }
 
-    pub(crate) fn dense(&self) -> Result<&DenseTensor<f64>> {
+    /// The dense tensor of element type `T` behind this handle.
+    pub(crate) fn dense<T: WireScalar>(&self) -> Result<&DenseTensor<T>> {
         match &self.payload {
-            Payload::F64(t) => Ok(t),
-            _ => Err(Error::Runtime(
-                "operand handle does not hold a dense f64 tensor".into(),
-            )),
+            Payload::Dense(t) => T::peek(t).map(|t| &**t),
+            Payload::Sparse(_) => None,
         }
-    }
-
-    pub(crate) fn dense_c64(&self) -> Result<&DenseTensor<Complex64>> {
-        match &self.payload {
-            Payload::C64(t) => Ok(t),
-            _ => Err(Error::Runtime(
-                "operand handle does not hold a dense Complex64 tensor".into(),
-            )),
-        }
+        .ok_or_else(|| {
+            Error::Runtime(format!(
+                "operand handle does not hold a dense {:?} tensor",
+                T::KIND
+            ))
+        })
     }
 
     pub(crate) fn sparse(&self) -> Result<&SparseTensor<f64>> {
@@ -199,17 +223,8 @@ pub enum ResultKind {
     C64,
 }
 
-/// The value of an in-process resident result (the in-process backend has
-/// no worker stores — the "resident" buffer is the driver's own `Arc`).
-#[derive(Clone)]
-pub(crate) enum LocalResult {
-    F64(Arc<DenseTensor<f64>>),
-    C64(Arc<DenseTensor<Complex64>>),
-}
-
 /// A handle on a contraction *result* that stayed resident on the runtime
-/// instead of returning to the driver — produced by
-/// [`crate::Executor::contract_to_h`] and friends, or by a
+/// instead of returning to the driver — produced by a
 /// [`crate::Executor::chain`] superstep. Unlike [`OpHandle`] the key is
 /// driver-issued (the driver never sees the bytes, so it cannot content-
 /// hash them) and ownership is linear: every handle must be consumed by
@@ -220,7 +235,7 @@ pub struct ResultHandle {
     pub(crate) dims: Vec<usize>,
     pub(crate) kind: ResultKind,
     pub(crate) words: usize,
-    pub(crate) local: Option<LocalResult>,
+    pub(crate) local: Option<DenseAny>,
 }
 
 impl ResultHandle {
@@ -410,6 +425,10 @@ impl Residency {
 mod tests {
     use super::*;
 
+    fn dense_f64(t: Arc<DenseTensor<f64>>) -> Payload {
+        Payload::Dense(DenseAny::F64(t))
+    }
+
     #[test]
     fn content_keys_are_content_keyed() {
         let a = DenseTensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
@@ -417,18 +436,18 @@ mod tests {
         let c = DenseTensor::from_vec([4], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let d = DenseTensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, -4.0]).unwrap();
         let (ha, hb) = (
-            OpHandle::new(Payload::F64(Arc::new(a))),
-            OpHandle::new(Payload::F64(Arc::new(b))),
+            OpHandle::new(dense_f64(Arc::new(a))),
+            OpHandle::new(dense_f64(Arc::new(b))),
         );
         assert_eq!(ha.key(), hb.key(), "same content, same key");
         assert_ne!(
             ha.key(),
-            OpHandle::new(Payload::F64(Arc::new(c))).key(),
+            OpHandle::new(dense_f64(Arc::new(c))).key(),
             "dims count"
         );
         assert_ne!(
             ha.key(),
-            OpHandle::new(Payload::F64(Arc::new(d))).key(),
+            OpHandle::new(dense_f64(Arc::new(d))).key(),
             "values count"
         );
         // scalar type is part of the key
@@ -442,7 +461,10 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_ne!(ha.key(), OpHandle::new(Payload::C64(Arc::new(cx))).key());
+        assert_ne!(
+            ha.key(),
+            OpHandle::new(Payload::Dense(DenseAny::C64(Arc::new(cx)))).key()
+        );
     }
 
     #[test]

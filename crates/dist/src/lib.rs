@@ -18,14 +18,36 @@
 //!   `local`) with flop rooflines and α/β network parameters,
 //! * [`SimTime`] / [`CostTracker`] — the Fig. 7 cost categories,
 //! * [`Comm`] — collective volume accounting (allreduce/allgather/scatter,
-//!   point-to-point), shared by [`DistMatrix`] and [`tsqr`],
-//! * [`Executor`] — `contract` / `contract_sd` / `contract_ss` /
-//!   `svd_trunc` / `qr` entry points used by `tt-blocks` and everything
-//!   above it,
+//!   point-to-point), shared by [`DistMatrix`] and [`tsqr()`],
+//! * [`Executor`] — the entry points used by `tt-blocks` and everything
+//!   above it (table below),
 //! * [`DistMatrix`] — a block-cyclically distributed dense matrix with a
 //!   SUMMA product,
-//! * [`tsqr`] — communication-avoiding tall-skinny QR built on
+//! * [`tsqr()`] — communication-avoiding tall-skinny QR built on
 //!   [`tt_linalg::qr_thin`].
+//!
+//! Two decisions are made once: *value-or-resident is a property of the
+//! operand* ([`DenseOp`] / [`SparseOp`] convert from `&tensor` and from
+//! `&`[`OpHandle`]), and *the element type of a dense buffer is a tag on
+//! the data* (`contract`, `upload` and `download_many` are generic over
+//! `f64` / `Complex64`; [`ResultHandle`]s and wire buffers carry a
+//! [`ResultKind`]). Neither is spelled in a function or opcode name, so
+//! the whole [`Executor`] surface is:
+//!
+//! | entry point | operands |
+//! |---|---|
+//! | [`Executor::contract`] | 2 × `impl Into<DenseOpT<T>>` |
+//! | [`Executor::contract_sd`] | `impl Into<SparseOp>`, `impl Into<DenseOp>` |
+//! | [`Executor::contract_ss`] | 2 × `impl Into<SparseOp>`, output mask |
+//! | [`Executor::contract_batch`] | `&[(DenseOp, DenseOp)]` |
+//! | [`Executor::chain`] | [`ChainStep`]s over [`ChainSrc`] operands; results stay resident |
+//! | [`Executor::svd_trunc`], [`Executor::qr`] | `impl Into<DenseOp>` |
+//! | [`Executor::svd_trunc_batch`], [`Executor::qr_batch`] | `&[DenseOp]` |
+//! | [`Executor::upload`], [`Executor::upload_shared`], [`Executor::upload_sparse`], [`Executor::free`] | operand residency |
+//! | [`Executor::download`], [`Executor::download_many`], [`Executor::free_result`], [`Executor::free_results`] | result residency |
+//!
+//! The worker protocol under it — 19 requests — is tabulated in
+//! [`transport`].
 
 mod cluster;
 mod comm;
@@ -57,7 +79,7 @@ pub use transport::ProcTransport;
 pub use transport::{maybe_serve, InProcTransport, SpawnSpec, Transport};
 #[cfg(unix)]
 pub use transport::{FaultPlan, ProcOptions};
-pub use tsqr::{tsqr, tsqr_on, tsqr_on_h};
+pub use tsqr::{tsqr, tsqr_on};
 
 // DistError / FaultKind are defined below and exported from the crate
 // root alongside Error/Result.
@@ -80,7 +102,7 @@ pub enum FaultKind {
     Io,
     /// Spawning (or respawning) a worker process failed.
     Spawn,
-    /// The task itself failed on a healthy worker ([`Reply::Fail`] —
+    /// The task itself failed on a healthy worker (a `Reply::Fail` —
     /// not a transport fault; never triggers recovery).
     Task,
 }

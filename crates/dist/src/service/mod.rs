@@ -13,7 +13,7 @@
 //!   `max_concurrent` run, and every job carries a resident-operand byte
 //!   cap enforced at sweep boundaries.
 //! * **Per-job metering** — each runner thread installs a
-//!   [`JobScope`](crate::JobScope), so the job's flop / superstep /
+//!   [`JobScope`], so the job's flop / superstep /
 //!   operand / result / recovery counters and its miss/hit charge book
 //!   read exactly as if the job ran alone on a fresh executor: the
 //!   reported [`JobMeter`] is bitwise-equal to a serial in-process run.

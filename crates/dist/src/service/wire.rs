@@ -1,7 +1,7 @@
 //! Wire frames of the solve-service socket protocol.
 //!
 //! The service speaks the same hand-rolled little-endian codec as the
-//! worker protocol ([`crate::transport::wire`]): each socket message is
+//! worker protocol (`crate::transport::wire`): each socket message is
 //! one `[tag u64][len u64][payload]` frame whose payload is an encoded
 //! [`JobRequest`] (client → daemon, frame tag [`FRAME_REQUEST`]) or
 //! [`JobEvent`] (daemon → client, frame tag [`FRAME_EVENT`]). Decoders

@@ -9,7 +9,7 @@
 
 use crate::cluster::Cluster;
 use crate::comm::Comm;
-use crate::transport::worker::{Reply, Request};
+use crate::transport::worker::{Buf, Reply, Request};
 use crate::{process_grid, Error, Result};
 use tt_tensor::gemm::gemm_acc_slices;
 use tt_tensor::DenseTensor;
@@ -155,7 +155,7 @@ impl DistMatrix {
         let slabs = crate::kernels::mc_aligned_ranges(m, p);
         // slab keys come from the cluster's allocator and live as *pinned*
         // store entries (same lifecycle as uploaded operand handles:
-        // pinned while in use, dropped by the explicit free below)
+        // pinned while in use, removed by the final download)
         let keys: Vec<u64> = slabs.iter().map(|_| cluster.fresh_key()).collect();
         let init: Vec<(usize, Request)> = slabs
             .iter()
@@ -209,16 +209,16 @@ impl DistMatrix {
             kb0 += w;
         }
 
-        // gather the resident slabs in row order, then free them
+        // take the resident slabs out of the stores, in row order
         let gets: Vec<(usize, Request)> = keys
             .iter()
             .enumerate()
-            .map(|(i, &key)| (i % p, Request::Get { key }))
+            .map(|(i, &key)| (i % p, Request::Download { key }))
             .collect();
         let mut c = Vec::with_capacity(m * n);
         for reply in cluster.call_all(gets)? {
             match reply {
-                Reply::F64s(v) => c.extend_from_slice(&v),
+                Reply::Buf(Buf::F64(v)) => c.extend_from_slice(&v),
                 other => {
                     return Err(Error::transport(format!(
                         "expected summa slab, got {other:?}"
@@ -226,12 +226,6 @@ impl DistMatrix {
                 }
             }
         }
-        let frees: Vec<(usize, Request)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &key)| (i % p, Request::Free { key }))
-            .collect();
-        cluster.call_all(frees)?;
 
         Ok(DistMatrix {
             global: DenseTensor::from_vec([m, n], c)?,

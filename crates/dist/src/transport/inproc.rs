@@ -72,7 +72,7 @@ impl Transport for InProcTransport {
 
 #[cfg(test)]
 mod tests {
-    use super::super::worker::Reply;
+    use super::super::worker::{Buf, Reply};
     use super::*;
 
     #[test]
@@ -84,9 +84,9 @@ mod tests {
             t.send(
                 r,
                 tag,
-                &Request::Put {
+                &Request::Upload {
                     key: 1,
-                    data: vec![r as f64],
+                    data: Buf::F64(vec![r as f64]),
                 }
                 .encode(),
             )
@@ -96,10 +96,11 @@ mod tests {
                 Reply::Unit
             );
             let tag = t.next_tag();
-            t.send(r, tag, &Request::Get { key: 1 }.encode()).unwrap();
+            t.send(r, tag, &Request::Download { key: 1 }.encode())
+                .unwrap();
             assert_eq!(
                 Reply::decode(&t.recv(r, tag).unwrap()).unwrap(),
-                Reply::F64s(vec![r as f64])
+                Reply::Buf(Buf::F64(vec![r as f64]))
             );
         }
         assert!(t.recv(0, 999).is_err(), "unknown tag must error");

@@ -19,6 +19,29 @@
 //! order, so its result is reproducible and identical across backends.
 //! A future MPI backend is "swap this trait's implementation": the
 //! executor-side routing does not change.
+//!
+//! What travels over it is the rank-side task protocol (`worker`): 19
+//! requests. A dense operand is an `Op` — `Inline(Buf)` or a `Key` into
+//! the rank's store — and the element type is a tag on the data
+//! (`Buf::F64` / `Buf::C64`), never part of the opcode; operands whose
+//! tags disagree fail typed.
+//!
+//! | request | effect | reply |
+//! |---|---|---|
+//! | `Ping` | liveness / barrier probe | `Pong` |
+//! | `Upload` | pin a dense `Buf` under a key (refcount +1) | `Unit` |
+//! | `UploadCoords`, `UploadSs` | pin a sparse bucket / grouped table | `Unit` |
+//! | `Release` | unpin; at refcount zero the entry is LRU-evictable | `Unit` |
+//! | `Free` | drop the entry outright | `Unit` |
+//! | `Download` | remove a dense entry and return it | `Buf` |
+//! | `CacheStats`, `SetCacheCap` | store counters; LRU byte cap | `Stats`, `Unit` |
+//! | `DenseChunk` | one row slab of a dense contraction | `Buf` |
+//! | `Contract` | a whole dense contraction, `out` = `Reply` or `Store {key, acc}` | `Buf` or `Unit` |
+//! | `SdChunk`, `SsChunk` | one sparse-dense / sparse-sparse bucket | `Buf`, `Entries` |
+//! | `ChainSd` | a whole sparse-dense chain step, result stored | `Unit` |
+//! | `QrThin`, `SvdTrunc` | factor an `f64` matrix | `Factors`, `Svd` |
+//! | `SummaInit`, `SummaPanel` | resident SUMMA slab | `Unit` |
+//! | `Shutdown` | end the worker loop | — |
 
 mod inproc;
 #[cfg(unix)]
@@ -34,7 +57,7 @@ pub use worker::maybe_serve;
 pub use worker::{serve_from_env, worker_loop};
 
 use crate::{Error, Result};
-use worker::{Reply, Request};
+use worker::{Buf, Reply, Request};
 
 /// How the multi-process backend launches its worker processes.
 #[derive(Clone, Debug)]
@@ -140,8 +163,8 @@ pub trait Transport: Send {
         Ok(())
     }
 
-    /// Scatter: store `parts[r]` under `key` on rank `r`. `parts` must
-    /// have exactly one entry per rank.
+    /// Scatter: store `parts[r]` under `key` on rank `r` (pinned, like
+    /// every store). `parts` must have exactly one entry per rank.
     fn scatter(&mut self, key: u64, parts: &[Vec<f64>]) -> Result<()> {
         if parts.len() != self.ranks() {
             return Err(Error::transport(format!(
@@ -156,9 +179,9 @@ pub trait Transport: Send {
             self.send(
                 rank,
                 tag,
-                &Request::Put {
+                &Request::Upload {
                     key,
-                    data: part.clone(),
+                    data: Buf::F64(part.clone()),
                 }
                 .encode(),
             )?;
@@ -234,13 +257,14 @@ fn recv_reply(t: &mut (impl Transport + ?Sized), rank: usize, tag: u64) -> Resul
     }
 }
 
-/// Fetch every rank's buffer under `key`, in rank order.
+/// Take every rank's buffer under `key` out of its store, in rank order
+/// (the collectives scatter the combined result back under the same key).
 fn gather_parts(t: &mut (impl Transport + ?Sized), key: u64) -> Result<Vec<Vec<f64>>> {
-    let tags = send_all_same(t, &Request::Get { key })?;
+    let tags = send_all_same(t, &Request::Download { key })?;
     let mut parts = Vec::with_capacity(tags.len());
     for (rank, tag) in tags.into_iter().enumerate() {
         match recv_reply(t, rank, tag)? {
-            Reply::F64s(v) => parts.push(v),
+            Reply::Buf(Buf::F64(v)) => parts.push(v),
             other => {
                 return Err(Error::transport(format!(
                     "rank {rank}: expected buffer, got {other:?}"

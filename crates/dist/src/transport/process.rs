@@ -794,7 +794,7 @@ impl Drop for ProcTransport {
 
 #[cfg(test)]
 mod tests {
-    use super::super::worker::Reply;
+    use super::super::worker::{Buf, Op, Reply};
     use super::*;
 
     /// Self-exec hook: when the lib test binary is re-executed as a
@@ -822,9 +822,9 @@ mod tests {
             t.send(
                 r,
                 tag,
-                &Request::Put {
+                &Request::Upload {
                     key: 7,
-                    data: vec![r as f64 + 0.5],
+                    data: Buf::F64(vec![r as f64 + 0.5]),
                 }
                 .encode(),
             )
@@ -836,10 +836,11 @@ mod tests {
         }
         for r in 0..2 {
             let tag = t.next_tag();
-            t.send(r, tag, &Request::Get { key: 7 }.encode()).unwrap();
+            t.send(r, tag, &Request::Download { key: 7 }.encode())
+                .unwrap();
             assert_eq!(
                 Reply::decode(&t.recv(r, tag).unwrap()).unwrap(),
-                Reply::F64s(vec![r as f64 + 0.5])
+                Reply::Buf(Buf::F64(vec![r as f64 + 0.5]))
             );
         }
         // complex payloads cross the socket bitwise
@@ -848,18 +849,18 @@ mod tests {
         t.send(
             0,
             tag,
-            &Request::PutC64 {
+            &Request::Upload {
                 key: 1,
-                data: c.clone(),
+                data: Buf::C64(c.clone()),
             }
             .encode(),
         )
         .unwrap();
         t.recv(0, tag).unwrap();
         let tag = t.next_tag();
-        t.send(0, tag, &Request::GetC64 { key: 1 }.encode())
+        t.send(0, tag, &Request::Download { key: 1 }.encode())
             .unwrap();
-        let Reply::C64s(back) = Reply::decode(&t.recv(0, tag).unwrap()).unwrap() else {
+        let Reply::Buf(Buf::C64(back)) = Reply::decode(&t.recv(0, tag).unwrap()).unwrap() else {
             panic!("expected complex payload");
         };
         assert_eq!(back[0].re.to_bits(), c[0].re.to_bits());
@@ -882,15 +883,15 @@ mod tests {
             t.send(
                 0,
                 put,
-                &Request::Put {
+                &Request::Upload {
                     key: round,
-                    data: big.clone(),
+                    data: Buf::F64(big.clone()),
                 }
                 .encode(),
             )
             .unwrap();
             let get = t.next_tag();
-            t.send(0, get, &Request::Get { key: round }.encode())
+            t.send(0, get, &Request::Download { key: round }.encode())
                 .unwrap();
             tags.push((put, get));
         }
@@ -899,7 +900,8 @@ mod tests {
                 Reply::decode(&t.recv(0, put).unwrap()).unwrap(),
                 Reply::Unit
             );
-            let Reply::F64s(back) = Reply::decode(&t.recv(0, get).unwrap()).unwrap() else {
+            let Reply::Buf(Buf::F64(back)) = Reply::decode(&t.recv(0, get).unwrap()).unwrap()
+            else {
                 panic!("expected payload");
             };
             assert_eq!(back.len(), big.len());
@@ -925,8 +927,8 @@ mod tests {
                 rows,
                 k,
                 n,
-                a: crate::transport::worker::OpF::Inline(vec![1.0; rows * k]),
-                b: crate::transport::worker::OpF::Inline(vec![1.0; k * n]),
+                a: Op::Inline(Buf::F64(vec![1.0; rows * k])),
+                b: Op::Inline(Buf::F64(vec![1.0; k * n])),
             }
             .encode(),
         )
@@ -943,9 +945,9 @@ mod tests {
         t.send(
             0,
             t1,
-            &Request::Put {
+            &Request::Upload {
                 key: 1,
-                data: vec![1.0],
+                data: Buf::F64(vec![1.0]),
             }
             .encode(),
         )
@@ -953,9 +955,9 @@ mod tests {
         t.send(
             0,
             t2,
-            &Request::Put {
+            &Request::Upload {
                 key: 2,
-                data: vec![2.0],
+                data: Buf::F64(vec![2.0]),
             }
             .encode(),
         )
@@ -969,7 +971,8 @@ mod tests {
     fn worker_task_failure_does_not_kill_the_process() {
         let mut t = ProcTransport::spawn(1, &spec()).unwrap();
         let tag = t.next_tag();
-        t.send(0, tag, &Request::Get { key: 404 }.encode()).unwrap();
+        t.send(0, tag, &Request::Download { key: 404 }.encode())
+            .unwrap();
         assert!(matches!(
             Reply::decode(&t.recv(0, tag).unwrap()).unwrap(),
             Reply::Fail(_)
@@ -1038,9 +1041,9 @@ mod tests {
         t.send(
             1,
             tag,
-            &Request::Put {
+            &Request::Upload {
                 key: 9,
-                data: vec![1.5],
+                data: Buf::F64(vec![1.5]),
             }
             .encode(),
         )
@@ -1058,7 +1061,8 @@ mod tests {
         // ...but with a clean store (state reconstruction is the
         // journal's job, one layer up)
         let tag = t.next_tag();
-        t.send(1, tag, &Request::Get { key: 9 }.encode()).unwrap();
+        t.send(1, tag, &Request::Download { key: 9 }.encode())
+            .unwrap();
         assert!(matches!(
             Reply::decode(&t.recv(1, tag).unwrap()).unwrap(),
             Reply::Fail(_)
@@ -1085,19 +1089,20 @@ mod tests {
         t.send(
             1,
             tag,
-            &Request::Put {
+            &Request::Upload {
                 key: 3,
-                data: vec![2.5],
+                data: Buf::F64(vec![2.5]),
             }
             .encode(),
         )
         .unwrap();
         t.recv(1, tag).unwrap();
         let tag = t.next_tag();
-        t.send(1, tag, &Request::Get { key: 3 }.encode()).unwrap();
+        t.send(1, tag, &Request::Download { key: 3 }.encode())
+            .unwrap();
         assert_eq!(
             Reply::decode(&t.recv(1, tag).unwrap()).unwrap(),
-            Reply::F64s(vec![2.5])
+            Reply::Buf(Buf::F64(vec![2.5]))
         );
     }
 

@@ -9,18 +9,21 @@
 //! *exactly* the same work decomposition, multi-process results are
 //! bitwise-identical to the in-process Sequential executor.
 //!
-//! Every bulk operand of a compute task is an [`OpF`] / [`OpC`] /
-//! [`OpCoords`] / [`OpSs`] — either **inline** bytes (the value-passing
-//! path) or a **key** into the rank's resident store (the handle path:
-//! the operand was pinned by an earlier `Upload*` request and ships zero
-//! bytes with the task). The store is refcounted and LRU-bounded:
-//! `Upload*` pins (refcount +1), `Release` unpins, `Free` drops
-//! outright — the driver's `Executor::free` sends `Free`, since it
-//! forgets the buffer homes and could never reference the copies again;
-//! `Release` is the unpin primitive a transport that *does* retain homes
-//! (e.g. a future MPI backend) would use. Unpinned entries are evicted
-//! in deterministic least-recently-used order whenever the store's byte
-//! footprint exceeds its cap.
+//! The element type of a dense buffer is a tag on the data ([`Buf`]), not
+//! a property of the opcode: one request serves `f64` and [`Complex64`],
+//! and a pair of operands whose tags disagree fails typed. Every bulk
+//! operand of a compute task is an [`Op`] / [`OpCoords`] / [`OpSs`] —
+//! either **inline** bytes (the value-passing path) or a **key** into the
+//! rank's resident store (the handle path: the operand was pinned by an
+//! earlier `Upload*` request and ships zero bytes with the task). The
+//! store is refcounted and LRU-bounded: every store pins (refcount +1),
+//! `Release` unpins, `Free` and `Download` drop outright — the driver's
+//! `Executor::free` sends `Free`, since it forgets the buffer homes and
+//! could never reference the copies again; `Release` is the unpin
+//! primitive a transport that *does* retain homes (e.g. a future MPI
+//! backend) would use. Unpinned entries are evicted in deterministic
+//! least-recently-used order whenever the store's byte footprint exceeds
+//! its cap.
 //!
 //! The same [`WorkerState`] is driven two ways:
 //!
@@ -39,7 +42,7 @@ use tt_linalg::TruncSpec;
 use tt_tensor::einsum::ContractPlan;
 use tt_tensor::gemm::GemmPath;
 use tt_tensor::ssmerge::SsBTable;
-use tt_tensor::{Complex64, DenseTensor};
+use tt_tensor::{Complex64, DenseTensor, Scalar};
 
 /// Environment variable carrying the hub socket path to spawned workers.
 pub const ENV_SOCKET: &str = "TT_DIST_WORKER_SOCKET";
@@ -50,20 +53,34 @@ pub const ENV_RANK: &str = "TT_DIST_WORKER_RANK";
 /// this are evicted LRU-first; pinned entries are exempt).
 pub(crate) const DEFAULT_CACHE_CAP: u64 = 1 << 30;
 
-/// An `f64` buffer operand: inline payload or resident-store key.
+/// A dense buffer: the element type is a tag on the data.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) enum OpF {
+pub(crate) enum Buf {
+    F64(Vec<f64>),
+    C64(Vec<Complex64>),
+}
+
+/// A dense buffer operand: inline payload or resident-store key.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum Op {
     /// The bytes travel with the task.
-    Inline(Vec<f64>),
+    Inline(Buf),
     /// The operand is resident on the rank under this key.
     Key(u64),
 }
 
-/// A [`Complex64`] buffer operand.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum OpC {
-    Inline(Vec<Complex64>),
-    Key(u64),
+/// Where a [`Request::Contract`] puts its result.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Out {
+    /// Return it to the driver in the reply.
+    Reply,
+    /// Write it straight into the rank's resident store under the
+    /// driver-issued `key` (pinned); the reply carries no payload. With
+    /// `acc` the result is accumulated elementwise into the existing
+    /// buffer under `key` (the block-list chains route every partial of
+    /// one output block to one rank, in driver enumeration order, so the
+    /// accumulation order matches the driver-side value path exactly).
+    Store { key: u64, acc: bool },
 }
 
 /// A sparse-coordinate bucket operand (`(row, col, value)` triples as
@@ -96,20 +113,10 @@ pub(crate) enum OpSs {
 pub(crate) enum Request {
     /// Liveness / barrier probe.
     Ping,
-    /// Store an `f64` buffer under `key` (unpinned — evictable).
-    Put { key: u64, data: Vec<f64> },
-    /// Fetch the `f64` buffer under `key`.
-    Get { key: u64 },
     /// Drop the buffer under `key` unconditionally (any payload type).
     Free { key: u64 },
-    /// Store a [`Complex64`] buffer under `key` (unpinned).
-    PutC64 { key: u64, data: Vec<Complex64> },
-    /// Fetch the [`Complex64`] buffer under `key`.
-    GetC64 { key: u64 },
-    /// Pin an `f64` buffer under `key` (refcount +1).
-    Upload { key: u64, data: Vec<f64> },
-    /// Pin a [`Complex64`] buffer under `key`.
-    UploadC64 { key: u64, data: Vec<Complex64> },
+    /// Pin a dense buffer under `key` (refcount +1).
+    Upload { key: u64, data: Buf },
     /// Pin a sparse-coordinate bucket under `key`.
     UploadCoords {
         key: u64,
@@ -140,26 +147,19 @@ pub(crate) enum Request {
         rows: usize,
         k: usize,
         n: usize,
-        a: OpF,
-        b: OpF,
+        a: Op,
+        b: Op,
     },
-    /// [`Request::DenseChunk`] over [`Complex64`] operands.
-    DenseChunkC64 {
-        path: GemmPath,
-        rows: usize,
-        k: usize,
-        n: usize,
-        a: OpC,
-        b: OpC,
-    },
-    /// One whole dense contraction (the block-pair fan-out of the list
-    /// algorithm ships each pair to a rank).
-    DensePair {
+    /// One whole dense TTGT contraction: a block pair of the list
+    /// algorithm's fan-out ([`Out::Reply`]) or a chain step whose result
+    /// stays resident ([`Out::Store`]).
+    Contract {
         spec: String,
         a_dims: Vec<usize>,
-        a: OpF,
+        a: Op,
         b_dims: Vec<usize>,
-        b: OpF,
+        b: Op,
+        out: Out,
     },
     /// One volume-balanced sparse-dense bucket over rows `[r0, r1)`.
     SdChunk {
@@ -167,7 +167,7 @@ pub(crate) enum Request {
         r1: usize,
         n: usize,
         a: OpCoords,
-        b: OpF,
+        b: Op,
     },
     /// One work-balanced sparse-sparse bucket (key-sorted `A` coords over
     /// fused rows `[r0, r1)`) merged against the sorted-run `B` table.
@@ -185,13 +185,13 @@ pub(crate) enum Request {
         cx_strides: Vec<u64>,
         mask: Option<Vec<u64>>,
     },
-    /// Thin QR of a `rows × cols` matrix.
-    QrThin { rows: usize, cols: usize, a: OpF },
-    /// Truncated SVD of a `rows × cols` matrix.
+    /// Thin QR of a `rows × cols` `f64` matrix.
+    QrThin { rows: usize, cols: usize, a: Op },
+    /// Truncated SVD of a `rows × cols` `f64` matrix.
     SvdTrunc {
         rows: usize,
         cols: usize,
-        a: OpF,
+        a: Op,
         max_rank: u64,
         cutoff: f64,
         min_keep: u64,
@@ -209,32 +209,6 @@ pub(crate) enum Request {
         a: Vec<f64>,
         b: Vec<f64>,
     },
-    /// One dense chain step: a whole TTGT contraction whose result does
-    /// **not** return to the driver — it is written straight into the
-    /// rank's resident store under the driver-issued `store` key (pinned).
-    /// With `acc` the result is accumulated elementwise into the existing
-    /// buffer under `store` (the block-list chains route every partial of
-    /// one output block to one rank, in driver enumeration order, so the
-    /// accumulation order matches the driver-side value path exactly).
-    ChainDense {
-        spec: String,
-        a_dims: Vec<usize>,
-        a: OpF,
-        b_dims: Vec<usize>,
-        b: OpF,
-        store: u64,
-        acc: bool,
-    },
-    /// [`Request::ChainDense`] over [`Complex64`] operands.
-    ChainDenseC64 {
-        spec: String,
-        a_dims: Vec<usize>,
-        a: OpC,
-        b_dims: Vec<usize>,
-        b: OpC,
-        store: u64,
-        acc: bool,
-    },
     /// One sparse-dense chain step: the whole contraction (single bucket
     /// covering all `m` fused rows — bitwise-identical to any row-disjoint
     /// bucketing), with the dense operand permuted worker-side by
@@ -246,13 +220,13 @@ pub(crate) enum Request {
         n: usize,
         b_dims: Vec<usize>,
         perm_b: Vec<usize>,
-        b: OpF,
+        b: Op,
         nat_dims: Vec<usize>,
         out_perm: Vec<usize>,
         store: u64,
     },
-    /// Remove the buffer under `key` from the store and return its
-    /// payload — the only value-returning exit of a chain. Unpins
+    /// Remove the dense buffer under `key` from the store and return its
+    /// payload — the only value-returning read of the store. Unpins
     /// unconditionally (the driver forgets the home).
     Download { key: u64 },
     /// Terminate the worker loop.
@@ -266,10 +240,8 @@ pub(crate) enum Reply {
     Pong,
     /// Success with no payload.
     Unit,
-    /// An `f64` buffer.
-    F64s(Vec<f64>),
-    /// A [`Complex64`] buffer.
-    C64s(Vec<Complex64>),
+    /// A dense buffer.
+    Buf(Buf),
     /// Sparse output entries plus the flops the chunk executed.
     Entries {
         offs: Vec<u64>,
@@ -339,47 +311,96 @@ fn get_usizes(d: &mut Dec) -> Result<Vec<usize>> {
     (0..n).map(|_| d.usize()).collect()
 }
 
-impl OpF {
-    fn put(&self, e: &mut Enc) {
+impl Buf {
+    /// Payload bytes.
+    pub(crate) fn bytes(&self) -> usize {
         match self {
-            OpF::Inline(v) => {
-                e.put_u8(0);
-                e.put_f64s(v);
-            }
-            OpF::Key(k) => {
-                e.put_u8(1);
-                e.put_u64(*k);
-            }
+            Buf::F64(v) => 8 * v.len(),
+            Buf::C64(v) => 16 * v.len(),
         }
     }
 
-    fn get(d: &mut Dec) -> Result<Self> {
-        Ok(match d.u8()? {
-            0 => OpF::Inline(d.f64s()?),
-            1 => OpF::Key(d.u64()?),
-            t => return Err(Error::transport(format!("bad operand tag {t}"))),
+    /// The `f64` data, or a typed failure for a [`Complex64`] buffer.
+    pub(crate) fn into_f64(self) -> Result<Vec<f64>> {
+        match self {
+            Buf::F64(v) => Ok(v),
+            Buf::C64(_) => Err(Error::transport("expected f64 data, got Complex64")),
+        }
+    }
+
+    /// The [`Complex64`] data, or a typed failure for an `f64` buffer.
+    pub(crate) fn into_c64(self) -> Result<Vec<Complex64>> {
+        match self {
+            Buf::C64(v) => Ok(v),
+            Buf::F64(_) => Err(Error::transport("expected Complex64 data, got f64")),
+        }
+    }
+
+    fn as_f64(&self) -> Result<&[f64]> {
+        match self {
+            Buf::F64(v) => Ok(v),
+            Buf::C64(_) => Err(Error::transport("expected f64 data, got Complex64")),
+        }
+    }
+
+    /// The element tag on the wire. It rides in the discriminant byte
+    /// that introduces the buffer (`base + tag`: an opcode or an operand
+    /// tag), so tagging the data adds no byte to any frame.
+    fn tag(&self) -> u8 {
+        match self {
+            Buf::F64(_) => 0,
+            Buf::C64(_) => 1,
+        }
+    }
+
+    fn put_data(&self, e: &mut Enc) {
+        match self {
+            Buf::F64(v) => e.put_f64s(v),
+            Buf::C64(v) => e.put_c64s(v),
+        }
+    }
+
+    fn get_data(d: &mut Dec, tag: u8) -> Result<Self> {
+        Ok(match tag {
+            0 => Buf::F64(d.f64s()?),
+            _ => Buf::C64(d.c64s()?),
         })
     }
 }
 
-impl OpC {
+impl Op {
+    /// Resident key this operand reads, if any.
+    pub(crate) fn key(&self) -> Option<u64> {
+        match self {
+            Op::Inline(_) => None,
+            Op::Key(k) => Some(*k),
+        }
+    }
+
+    fn payload_bytes(&self) -> usize {
+        match self {
+            Op::Inline(buf) => buf.bytes(),
+            Op::Key(_) => 0,
+        }
+    }
+
     fn put(&self, e: &mut Enc) {
         match self {
-            OpC::Inline(v) => {
+            Op::Key(k) => {
                 e.put_u8(0);
-                e.put_c64s(v);
-            }
-            OpC::Key(k) => {
-                e.put_u8(1);
                 e.put_u64(*k);
+            }
+            Op::Inline(buf) => {
+                e.put_u8(1 + buf.tag());
+                buf.put_data(e);
             }
         }
     }
 
     fn get(d: &mut Dec) -> Result<Self> {
         Ok(match d.u8()? {
-            0 => OpC::Inline(d.c64s()?),
-            1 => OpC::Key(d.u64()?),
+            0 => Op::Key(d.u64()?),
+            t @ 1..=2 => Op::Inline(Buf::get_data(d, t - 1)?),
             t => return Err(Error::transport(format!("bad operand tag {t}"))),
         })
     }
@@ -450,6 +471,16 @@ impl OpSs {
     }
 }
 
+impl OpCoords {
+    /// Resident key this operand reads, if any.
+    pub(crate) fn key(&self) -> Option<u64> {
+        match self {
+            OpCoords::Inline { .. } => None,
+            OpCoords::Key(k) => Some(*k),
+        }
+    }
+}
+
 impl Request {
     /// Operand payload bytes this request carries inline: tensor values,
     /// sparse coordinates, and SUMMA panels — the data-plane volume
@@ -458,18 +489,6 @@ impl Request {
     /// the meter reads what the driver actually *shipped*, and a request
     /// whose operands are all worker-resident ships nothing.
     pub(crate) fn payload_bytes(&self) -> usize {
-        fn f(op: &OpF) -> usize {
-            match op {
-                OpF::Inline(v) => 8 * v.len(),
-                OpF::Key(_) => 0,
-            }
-        }
-        fn c(op: &OpC) -> usize {
-            match op {
-                OpC::Inline(v) => 16 * v.len(),
-                OpC::Key(_) => 0,
-            }
-        }
         fn coords(op: &OpCoords) -> usize {
             match op {
                 OpCoords::Inline { rows, cols, vals } => 8 * (rows.len() + cols.len() + vals.len()),
@@ -488,8 +507,7 @@ impl Request {
             }
         }
         match self {
-            Request::Put { data, .. } | Request::Upload { data, .. } => 8 * data.len(),
-            Request::PutC64 { data, .. } | Request::UploadC64 { data, .. } => 16 * data.len(),
+            Request::Upload { data, .. } => data.bytes(),
             Request::UploadCoords {
                 rows, cols, vals, ..
             } => 8 * (rows.len() + cols.len() + vals.len()),
@@ -500,19 +518,16 @@ impl Request {
                 vals,
                 ..
             } => 8 * (keys.len() + lens.len() + cols.len() + vals.len()),
-            Request::DenseChunk { a, b, .. } | Request::DensePair { a, b, .. } => f(a) + f(b),
-            Request::DenseChunkC64 { a, b, .. } => c(a) + c(b),
-            Request::SdChunk { a, b, .. } => coords(a) + f(b),
+            Request::DenseChunk { a, b, .. } | Request::Contract { a, b, .. } => {
+                a.payload_bytes() + b.payload_bytes()
+            }
+            Request::SdChunk { a, b, .. } | Request::ChainSd { a, b, .. } => {
+                coords(a) + b.payload_bytes()
+            }
             Request::SsChunk { a, b, .. } => coords(a) + ss(b),
-            Request::QrThin { a, .. } => f(a),
-            Request::SvdTrunc { a, .. } => f(a),
+            Request::QrThin { a, .. } | Request::SvdTrunc { a, .. } => a.payload_bytes(),
             Request::SummaPanel { a, b, .. } => 8 * (a.len() + b.len()),
-            Request::ChainDense { a, b, .. } => f(a) + f(b),
-            Request::ChainDenseC64 { a, b, .. } => c(a) + c(b),
-            Request::ChainSd { a, b, .. } => coords(a) + f(b),
             Request::Ping
-            | Request::Get { .. }
-            | Request::GetC64 { .. }
             | Request::Free { .. }
             | Request::Release { .. }
             | Request::CacheStats
@@ -528,27 +543,49 @@ impl Request {
         let mut e = Enc::new();
         match self {
             Request::Ping => e.put_u8(0),
-            Request::Put { key, data } => {
+            Request::Free { key } => {
                 e.put_u8(1);
                 e.put_u64(*key);
-                e.put_f64s(data);
             }
-            Request::Get { key } => {
-                e.put_u8(2);
+            Request::Upload { key, data } => {
+                e.put_u8(2 + data.tag());
                 e.put_u64(*key);
+                data.put_data(&mut e);
             }
-            Request::Free { key } => {
-                e.put_u8(3);
-                e.put_u64(*key);
-            }
-            Request::PutC64 { key, data } => {
+            Request::UploadCoords {
+                key,
+                rows,
+                cols,
+                vals,
+            } => {
                 e.put_u8(4);
                 e.put_u64(*key);
-                e.put_c64s(data);
+                e.put_u64s(rows);
+                e.put_u64s(cols);
+                e.put_f64s(vals);
             }
-            Request::GetC64 { key } => {
+            Request::UploadSs {
+                key,
+                keys,
+                lens,
+                cols,
+                vals,
+            } => {
                 e.put_u8(5);
                 e.put_u64(*key);
+                e.put_u64s(keys);
+                e.put_u64s(lens);
+                e.put_u64s(cols);
+                e.put_f64s(vals);
+            }
+            Request::Release { key } => {
+                e.put_u8(6);
+                e.put_u64(*key);
+            }
+            Request::CacheStats => e.put_u8(7),
+            Request::SetCacheCap { bytes } => {
+                e.put_u8(8);
+                e.put_u64(*bytes);
             }
             Request::DenseChunk {
                 path,
@@ -558,7 +595,7 @@ impl Request {
                 a,
                 b,
             } => {
-                e.put_u8(6);
+                e.put_u8(9);
                 e.put_u8(path_to_u8(*path));
                 e.put_usize(*rows);
                 e.put_usize(*k);
@@ -566,22 +603,31 @@ impl Request {
                 a.put(&mut e);
                 b.put(&mut e);
             }
-            Request::DensePair {
+            Request::Contract {
                 spec,
                 a_dims,
                 a,
                 b_dims,
                 b,
+                out,
             } => {
-                e.put_u8(7);
+                e.put_u8(10);
                 e.put_str(spec);
                 put_usizes(&mut e, a_dims);
                 a.put(&mut e);
                 put_usizes(&mut e, b_dims);
                 b.put(&mut e);
+                match out {
+                    Out::Reply => e.put_u8(0),
+                    Out::Store { key, acc } => {
+                        e.put_u8(1);
+                        e.put_u64(*key);
+                        e.put_bool(*acc);
+                    }
+                }
             }
             Request::SdChunk { r0, r1, n, a, b } => {
-                e.put_u8(8);
+                e.put_u8(11);
                 e.put_usize(*r0);
                 e.put_usize(*r1);
                 e.put_usize(*n);
@@ -600,7 +646,7 @@ impl Request {
                 cx_strides,
                 mask,
             } => {
-                e.put_u8(9);
+                e.put_u8(12);
                 a.put(&mut e);
                 b.put(&mut e);
                 e.put_u64(*r0);
@@ -616,7 +662,7 @@ impl Request {
                 }
             }
             Request::QrThin { rows, cols, a } => {
-                e.put_u8(10);
+                e.put_u8(13);
                 e.put_usize(*rows);
                 e.put_usize(*cols);
                 a.put(&mut e);
@@ -629,7 +675,7 @@ impl Request {
                 cutoff,
                 min_keep,
             } => {
-                e.put_u8(11);
+                e.put_u8(14);
                 e.put_usize(*rows);
                 e.put_usize(*cols);
                 a.put(&mut e);
@@ -638,7 +684,7 @@ impl Request {
                 e.put_u64(*min_keep);
             }
             Request::SummaInit { key, rows, n } => {
-                e.put_u8(12);
+                e.put_u8(15);
                 e.put_u64(*key);
                 e.put_usize(*rows);
                 e.put_usize(*n);
@@ -651,111 +697,13 @@ impl Request {
                 a,
                 b,
             } => {
-                e.put_u8(13);
+                e.put_u8(16);
                 e.put_u64(*key);
                 e.put_usize(*rows);
                 e.put_usize(*w);
                 e.put_usize(*n);
                 e.put_f64s(a);
                 e.put_f64s(b);
-            }
-            Request::Shutdown => e.put_u8(14),
-            Request::DenseChunkC64 {
-                path,
-                rows,
-                k,
-                n,
-                a,
-                b,
-            } => {
-                e.put_u8(15);
-                e.put_u8(path_to_u8(*path));
-                e.put_usize(*rows);
-                e.put_usize(*k);
-                e.put_usize(*n);
-                a.put(&mut e);
-                b.put(&mut e);
-            }
-            Request::Upload { key, data } => {
-                e.put_u8(16);
-                e.put_u64(*key);
-                e.put_f64s(data);
-            }
-            Request::UploadC64 { key, data } => {
-                e.put_u8(17);
-                e.put_u64(*key);
-                e.put_c64s(data);
-            }
-            Request::UploadCoords {
-                key,
-                rows,
-                cols,
-                vals,
-            } => {
-                e.put_u8(18);
-                e.put_u64(*key);
-                e.put_u64s(rows);
-                e.put_u64s(cols);
-                e.put_f64s(vals);
-            }
-            Request::UploadSs {
-                key,
-                keys,
-                lens,
-                cols,
-                vals,
-            } => {
-                e.put_u8(19);
-                e.put_u64(*key);
-                e.put_u64s(keys);
-                e.put_u64s(lens);
-                e.put_u64s(cols);
-                e.put_f64s(vals);
-            }
-            Request::Release { key } => {
-                e.put_u8(20);
-                e.put_u64(*key);
-            }
-            Request::CacheStats => e.put_u8(21),
-            Request::SetCacheCap { bytes } => {
-                e.put_u8(22);
-                e.put_u64(*bytes);
-            }
-            Request::ChainDense {
-                spec,
-                a_dims,
-                a,
-                b_dims,
-                b,
-                store,
-                acc,
-            } => {
-                e.put_u8(23);
-                e.put_str(spec);
-                put_usizes(&mut e, a_dims);
-                a.put(&mut e);
-                put_usizes(&mut e, b_dims);
-                b.put(&mut e);
-                e.put_u64(*store);
-                e.put_bool(*acc);
-            }
-            Request::ChainDenseC64 {
-                spec,
-                a_dims,
-                a,
-                b_dims,
-                b,
-                store,
-                acc,
-            } => {
-                e.put_u8(24);
-                e.put_str(spec);
-                put_usizes(&mut e, a_dims);
-                a.put(&mut e);
-                put_usizes(&mut e, b_dims);
-                b.put(&mut e);
-                e.put_u64(*store);
-                e.put_bool(*acc);
             }
             Request::ChainSd {
                 a,
@@ -768,7 +716,7 @@ impl Request {
                 out_perm,
                 store,
             } => {
-                e.put_u8(25);
+                e.put_u8(17);
                 a.put(&mut e);
                 e.put_usize(*m);
                 e.put_usize(*n);
@@ -780,9 +728,10 @@ impl Request {
                 e.put_u64(*store);
             }
             Request::Download { key } => {
-                e.put_u8(26);
+                e.put_u8(18);
                 e.put_u64(*key);
             }
+            Request::Shutdown => e.put_u8(19),
         }
         e.finish()
     }
@@ -792,40 +741,58 @@ impl Request {
         let mut d = Dec::new(bytes);
         let req = match d.u8()? {
             0 => Request::Ping,
-            1 => Request::Put {
+            1 => Request::Free { key: d.u64()? },
+            op @ 2..=3 => Request::Upload {
                 key: d.u64()?,
-                data: d.f64s()?,
+                data: Buf::get_data(&mut d, op - 2)?,
             },
-            2 => Request::Get { key: d.u64()? },
-            3 => Request::Free { key: d.u64()? },
-            4 => Request::PutC64 {
+            4 => Request::UploadCoords {
                 key: d.u64()?,
-                data: d.c64s()?,
+                rows: d.u64s()?,
+                cols: d.u64s()?,
+                vals: d.f64s()?,
             },
-            5 => Request::GetC64 { key: d.u64()? },
-            6 => Request::DenseChunk {
+            5 => Request::UploadSs {
+                key: d.u64()?,
+                keys: d.u64s()?,
+                lens: d.u64s()?,
+                cols: d.u64s()?,
+                vals: d.f64s()?,
+            },
+            6 => Request::Release { key: d.u64()? },
+            7 => Request::CacheStats,
+            8 => Request::SetCacheCap { bytes: d.u64()? },
+            9 => Request::DenseChunk {
                 path: path_from_u8(d.u8()?)?,
                 rows: d.usize()?,
                 k: d.usize()?,
                 n: d.usize()?,
-                a: OpF::get(&mut d)?,
-                b: OpF::get(&mut d)?,
+                a: Op::get(&mut d)?,
+                b: Op::get(&mut d)?,
             },
-            7 => Request::DensePair {
+            10 => Request::Contract {
                 spec: d.str()?,
                 a_dims: get_usizes(&mut d)?,
-                a: OpF::get(&mut d)?,
+                a: Op::get(&mut d)?,
                 b_dims: get_usizes(&mut d)?,
-                b: OpF::get(&mut d)?,
+                b: Op::get(&mut d)?,
+                out: match d.u8()? {
+                    0 => Out::Reply,
+                    1 => Out::Store {
+                        key: d.u64()?,
+                        acc: d.bool()?,
+                    },
+                    t => return Err(Error::transport(format!("bad output tag {t}"))),
+                },
             },
-            8 => Request::SdChunk {
+            11 => Request::SdChunk {
                 r0: d.usize()?,
                 r1: d.usize()?,
                 n: d.usize()?,
                 a: OpCoords::get(&mut d)?,
-                b: OpF::get(&mut d)?,
+                b: Op::get(&mut d)?,
             },
-            9 => Request::SsChunk {
+            12 => Request::SsChunk {
                 a: OpCoords::get(&mut d)?,
                 b: OpSs::get(&mut d)?,
                 r0: d.u64()?,
@@ -837,25 +804,25 @@ impl Request {
                 cx_strides: d.u64s()?,
                 mask: if d.bool()? { Some(d.u64s()?) } else { None },
             },
-            10 => Request::QrThin {
+            13 => Request::QrThin {
                 rows: d.usize()?,
                 cols: d.usize()?,
-                a: OpF::get(&mut d)?,
+                a: Op::get(&mut d)?,
             },
-            11 => Request::SvdTrunc {
+            14 => Request::SvdTrunc {
                 rows: d.usize()?,
                 cols: d.usize()?,
-                a: OpF::get(&mut d)?,
+                a: Op::get(&mut d)?,
                 max_rank: d.u64()?,
                 cutoff: d.f64()?,
                 min_keep: d.u64()?,
             },
-            12 => Request::SummaInit {
+            15 => Request::SummaInit {
                 key: d.u64()?,
                 rows: d.usize()?,
                 n: d.usize()?,
             },
-            13 => Request::SummaPanel {
+            16 => Request::SummaPanel {
                 key: d.u64()?,
                 rows: d.usize()?,
                 w: d.usize()?,
@@ -863,69 +830,19 @@ impl Request {
                 a: d.f64s()?,
                 b: d.f64s()?,
             },
-            14 => Request::Shutdown,
-            15 => Request::DenseChunkC64 {
-                path: path_from_u8(d.u8()?)?,
-                rows: d.usize()?,
-                k: d.usize()?,
-                n: d.usize()?,
-                a: OpC::get(&mut d)?,
-                b: OpC::get(&mut d)?,
-            },
-            16 => Request::Upload {
-                key: d.u64()?,
-                data: d.f64s()?,
-            },
-            17 => Request::UploadC64 {
-                key: d.u64()?,
-                data: d.c64s()?,
-            },
-            18 => Request::UploadCoords {
-                key: d.u64()?,
-                rows: d.u64s()?,
-                cols: d.u64s()?,
-                vals: d.f64s()?,
-            },
-            19 => Request::UploadSs {
-                key: d.u64()?,
-                keys: d.u64s()?,
-                lens: d.u64s()?,
-                cols: d.u64s()?,
-                vals: d.f64s()?,
-            },
-            20 => Request::Release { key: d.u64()? },
-            21 => Request::CacheStats,
-            22 => Request::SetCacheCap { bytes: d.u64()? },
-            23 => Request::ChainDense {
-                spec: d.str()?,
-                a_dims: get_usizes(&mut d)?,
-                a: OpF::get(&mut d)?,
-                b_dims: get_usizes(&mut d)?,
-                b: OpF::get(&mut d)?,
-                store: d.u64()?,
-                acc: d.bool()?,
-            },
-            24 => Request::ChainDenseC64 {
-                spec: d.str()?,
-                a_dims: get_usizes(&mut d)?,
-                a: OpC::get(&mut d)?,
-                b_dims: get_usizes(&mut d)?,
-                b: OpC::get(&mut d)?,
-                store: d.u64()?,
-                acc: d.bool()?,
-            },
-            25 => Request::ChainSd {
+            17 => Request::ChainSd {
                 a: OpCoords::get(&mut d)?,
                 m: d.usize()?,
                 n: d.usize()?,
                 b_dims: get_usizes(&mut d)?,
                 perm_b: get_usizes(&mut d)?,
-                b: OpF::get(&mut d)?,
+                b: Op::get(&mut d)?,
                 nat_dims: get_usizes(&mut d)?,
                 out_perm: get_usizes(&mut d)?,
                 store: d.u64()?,
             },
-            26 => Request::Download { key: d.u64()? },
+            18 => Request::Download { key: d.u64()? },
+            19 => Request::Shutdown,
             op => return Err(Error::transport(format!("unknown request opcode {op}"))),
         };
         Ok(req)
@@ -939,13 +856,9 @@ impl Reply {
         match self {
             Reply::Pong => e.put_u8(0),
             Reply::Unit => e.put_u8(1),
-            Reply::F64s(v) => {
-                e.put_u8(2);
-                e.put_f64s(v);
-            }
-            Reply::C64s(v) => {
-                e.put_u8(3);
-                e.put_c64s(v);
+            Reply::Buf(buf) => {
+                e.put_u8(2 + buf.tag());
+                buf.put_data(&mut e);
             }
             Reply::Entries { offs, vals, flops } => {
                 e.put_u8(4);
@@ -1021,8 +934,7 @@ impl Reply {
         let rep = match d.u8()? {
             0 => Reply::Pong,
             1 => Reply::Unit,
-            2 => Reply::F64s(d.f64s()?),
-            3 => Reply::C64s(d.c64s()?),
+            op @ 2..=3 => Reply::Buf(Buf::get_data(&mut d, op - 2)?),
             4 => Reply::Entries {
                 offs: d.u64s()?,
                 vals: d.f64s()?,
@@ -1096,8 +1008,7 @@ impl SsTable {
 
 /// One resident buffer.
 enum Cached {
-    F64(Arc<Vec<f64>>),
-    C64(Arc<Vec<Complex64>>),
+    Dense(Arc<Buf>),
     Coords(Arc<Vec<kernels::Coord>>),
     Ss(Arc<SsTable>),
 }
@@ -1106,8 +1017,7 @@ impl Cached {
     /// Deterministic byte accounting of the buffer.
     fn bytes(&self) -> u64 {
         match self {
-            Cached::F64(v) => 8 * v.len() as u64,
-            Cached::C64(v) => 16 * v.len() as u64,
+            Cached::Dense(buf) => buf.bytes() as u64,
             Cached::Coords(v) => 24 * v.len() as u64,
             Cached::Ss(t) => 16 * (t.table.n_entries() + t.table.n_keys()) as u64,
         }
@@ -1168,13 +1078,10 @@ impl WorkerState {
         self.clock
     }
 
-    /// Insert (or replace) `key`; `pin` adds one to the refcount carried
-    /// over from any replaced entry. Evicts LRU unpinned entries if the
-    /// cap is now exceeded — but never the entry being inserted, so a
-    /// staged buffer (a collective's `Put` part, even one bigger than
-    /// the cap) always survives until at least the next insert on this
-    /// rank, which is after the request that consumes it.
-    fn insert(&mut self, key: u64, val: Cached, pin: bool) {
+    /// Insert (or replace) `key`, pinned: the refcount is one more than
+    /// that of any replaced entry. Evicts LRU unpinned entries if the cap
+    /// is now exceeded.
+    fn insert(&mut self, key: u64, val: Cached) {
         let old_rc = match self.store.remove(&key) {
             Some(e) => {
                 self.bytes -= e.val.bytes();
@@ -1191,22 +1098,21 @@ impl WorkerState {
             key,
             Entry {
                 val,
-                rc: old_rc + pin as u32,
+                rc: old_rc + 1,
                 last_use,
             },
         );
-        self.evict(Some(key));
+        self.evict();
     }
 
     /// Evict unpinned entries in ascending last-use order until the store
-    /// fits the cap (pinned entries are exempt and may exceed it;
-    /// `keep` — the entry an in-flight insert staged — is never a victim).
-    fn evict(&mut self, keep: Option<u64>) {
+    /// fits the cap (pinned entries are exempt and may exceed it).
+    fn evict(&mut self) {
         while self.bytes > self.cap {
             let victim = self
                 .store
                 .iter()
-                .filter(|(&k, e)| e.rc == 0 && Some(k) != keep)
+                .filter(|(_, e)| e.rc == 0)
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(&k, _)| k);
             match victim {
@@ -1215,7 +1121,7 @@ impl WorkerState {
                     self.bytes -= e.val.bytes();
                     self.evictions += 1;
                 }
-                None => break, // everything left is pinned or staged
+                None => break, // everything left is pinned
             }
         }
     }
@@ -1231,18 +1137,11 @@ impl WorkerState {
         Ok(e)
     }
 
-    fn get_f64(&mut self, key: u64) -> Result<Arc<Vec<f64>>> {
+    fn get_dense(&mut self, key: u64) -> Result<Arc<Buf>> {
         match &self.touch(key)?.val {
-            Cached::F64(v) => Ok(Arc::clone(v)),
-            _ => Err(Error::transport(format!("key {key:#x} is not f64 data"))),
-        }
-    }
-
-    fn get_c64(&mut self, key: u64) -> Result<Arc<Vec<Complex64>>> {
-        match &self.touch(key)?.val {
-            Cached::C64(v) => Ok(Arc::clone(v)),
+            Cached::Dense(buf) => Ok(Arc::clone(buf)),
             _ => Err(Error::transport(format!(
-                "key {key:#x} is not Complex64 data"
+                "key {key:#x} is not a dense buffer"
             ))),
         }
     }
@@ -1268,22 +1167,15 @@ impl WorkerState {
     /// Take a resolved operand by value: moves the buffer out when the
     /// `Arc` is unique (inline operands), copies only when it is shared
     /// (resident buffers, which must stay in the store).
-    fn take<T: Clone>(buf: Arc<Vec<T>>) -> Vec<T> {
+    fn take(buf: Arc<Buf>) -> Buf {
         Arc::try_unwrap(buf).unwrap_or_else(|a| a.as_ref().clone())
     }
 
-    /// Resolve an [`OpF`] to owned-or-resident f64 data.
-    fn opf(&mut self, op: OpF) -> Result<Arc<Vec<f64>>> {
+    /// Resolve an [`Op`] to owned-or-resident dense data.
+    fn op(&mut self, op: Op) -> Result<Arc<Buf>> {
         match op {
-            OpF::Inline(v) => Ok(Arc::new(v)),
-            OpF::Key(k) => self.get_f64(k),
-        }
-    }
-
-    fn opc(&mut self, op: OpC) -> Result<Arc<Vec<Complex64>>> {
-        match op {
-            OpC::Inline(v) => Ok(Arc::new(v)),
-            OpC::Key(k) => self.get_c64(k),
+            Op::Inline(buf) => Ok(Arc::new(buf)),
+            Op::Key(k) => self.get_dense(k),
         }
     }
 
@@ -1322,9 +1214,18 @@ impl WorkerState {
     /// first partial of an output block is *stored*, not added to zeros
     /// (`-0.0 + 0.0` would flip sign bits), exactly like the driver-side
     /// value path inserts its first partial.
-    fn store_f64(&mut self, key: u64, data: Vec<f64>, acc: bool) -> Result<()> {
+    fn store(&mut self, key: u64, data: Buf, acc: bool) -> Result<()> {
+        fn add<T: Scalar>(acc: &mut [T], data: &[T]) -> Result<()> {
+            if acc.len() != data.len() {
+                return Err(Error::transport("chain partial shape mismatch"));
+            }
+            for (c, p) in acc.iter_mut().zip(data) {
+                *c += *p;
+            }
+            Ok(())
+        }
         if !acc {
-            self.insert(key, Cached::F64(Arc::new(data)), true);
+            self.insert(key, Cached::Dense(Arc::new(data)));
             return Ok(());
         }
         let stamp = self.tick();
@@ -1333,40 +1234,14 @@ impl WorkerState {
             .get_mut(&key)
             .ok_or_else(|| Error::transport(format!("no chain result under key {key:#x}")))?;
         entry.last_use = stamp;
-        let Cached::F64(buf) = &mut entry.val else {
+        let Cached::Dense(buf) = &mut entry.val else {
             return Err(Error::transport("chain result has wrong payload type"));
         };
-        if buf.len() != data.len() {
-            return Err(Error::transport("chain partial shape mismatch"));
+        match (Arc::make_mut(buf), &data) {
+            (Buf::F64(c), Buf::F64(p)) => add(c, p),
+            (Buf::C64(c), Buf::C64(p)) => add(c, p),
+            _ => Err(mixed_tags()),
         }
-        for (c, p) in Arc::make_mut(buf).iter_mut().zip(&data) {
-            *c += p;
-        }
-        Ok(())
-    }
-
-    /// [`WorkerState::store_f64`] for [`Complex64`] results.
-    fn store_c64(&mut self, key: u64, data: Vec<Complex64>, acc: bool) -> Result<()> {
-        if !acc {
-            self.insert(key, Cached::C64(Arc::new(data)), true);
-            return Ok(());
-        }
-        let stamp = self.tick();
-        let entry = self
-            .store
-            .get_mut(&key)
-            .ok_or_else(|| Error::transport(format!("no chain result under key {key:#x}")))?;
-        entry.last_use = stamp;
-        let Cached::C64(buf) = &mut entry.val else {
-            return Err(Error::transport("chain result has wrong payload type"));
-        };
-        if buf.len() != data.len() {
-            return Err(Error::transport("chain partial shape mismatch"));
-        }
-        for (c, p) in Arc::make_mut(buf).iter_mut().zip(&data) {
-            *c += *p;
-        }
-        Ok(())
     }
 
     /// Execute one request. Returns `None` only for [`Request::Shutdown`];
@@ -1383,28 +1258,14 @@ impl WorkerState {
         match req {
             Request::Shutdown => unreachable!("handled in handle()"),
             Request::Ping => Ok(Reply::Pong),
-            Request::Put { key, data } => {
-                self.insert(key, Cached::F64(Arc::new(data)), false);
-                Ok(Reply::Unit)
-            }
-            Request::Get { key } => Ok(Reply::F64s(self.get_f64(key)?.as_ref().clone())),
             Request::Free { key } => {
                 if let Some(e) = self.store.remove(&key) {
                     self.bytes -= e.val.bytes();
                 }
                 Ok(Reply::Unit)
             }
-            Request::PutC64 { key, data } => {
-                self.insert(key, Cached::C64(Arc::new(data)), false);
-                Ok(Reply::Unit)
-            }
-            Request::GetC64 { key } => Ok(Reply::C64s(self.get_c64(key)?.as_ref().clone())),
             Request::Upload { key, data } => {
-                self.insert(key, Cached::F64(Arc::new(data)), true);
-                Ok(Reply::Unit)
-            }
-            Request::UploadC64 { key, data } => {
-                self.insert(key, Cached::C64(Arc::new(data)), true);
+                self.insert(key, Cached::Dense(Arc::new(data)));
                 Ok(Reply::Unit)
             }
             Request::UploadCoords {
@@ -1414,7 +1275,7 @@ impl WorkerState {
                 vals,
             } => {
                 let coords = self.opcoords(OpCoords::Inline { rows, cols, vals })?;
-                self.insert(key, Cached::Coords(coords), true);
+                self.insert(key, Cached::Coords(coords));
                 Ok(Reply::Unit)
             }
             Request::UploadSs {
@@ -1425,7 +1286,7 @@ impl WorkerState {
                 vals,
             } => {
                 let table = SsTable::build(keys, &lens, cols, vals)?;
-                self.insert(key, Cached::Ss(Arc::new(table)), true);
+                self.insert(key, Cached::Ss(Arc::new(table)));
                 Ok(Reply::Unit)
             }
             Request::Release { key } => {
@@ -1434,7 +1295,7 @@ impl WorkerState {
                 if let Some(e) = self.store.get_mut(&key) {
                     e.rc = e.rc.saturating_sub(1);
                 }
-                self.evict(None);
+                self.evict();
                 Ok(Reply::Unit)
             }
             Request::CacheStats => Ok(Reply::Stats {
@@ -1453,7 +1314,7 @@ impl WorkerState {
             }),
             Request::SetCacheCap { bytes } => {
                 self.cap = bytes;
-                self.evict(None);
+                self.evict();
                 Ok(Reply::Unit)
             }
             Request::DenseChunk {
@@ -1464,47 +1325,70 @@ impl WorkerState {
                 a,
                 b,
             } => {
-                let a = self.opf(a)?;
-                let b = self.opf(b)?;
-                if a.len() != rows * k || b.len() != k * n {
-                    return Err(Error::transport("dense chunk operand size mismatch"));
+                fn chunk<T: Scalar>(
+                    path: GemmPath,
+                    (rows, k, n): (usize, usize, usize),
+                    a: &[T],
+                    b: &[T],
+                ) -> Result<Vec<T>> {
+                    if a.len() != rows * k || b.len() != k * n {
+                        return Err(Error::transport("dense chunk operand size mismatch"));
+                    }
+                    Ok(kernels::dense_chunk(path, rows, k, n, a, b))
                 }
-                Ok(Reply::F64s(kernels::dense_chunk(path, rows, k, n, &a, &b)))
+                let (a, b) = (self.op(a)?, self.op(b)?);
+                Ok(Reply::Buf(match (a.as_ref(), b.as_ref()) {
+                    (Buf::F64(a), Buf::F64(b)) => Buf::F64(chunk(path, (rows, k, n), a, b)?),
+                    (Buf::C64(a), Buf::C64(b)) => Buf::C64(chunk(path, (rows, k, n), a, b)?),
+                    _ => return Err(mixed_tags()),
+                }))
             }
-            Request::DenseChunkC64 {
-                path,
-                rows,
-                k,
-                n,
-                a,
-                b,
-            } => {
-                let a = self.opc(a)?;
-                let b = self.opc(b)?;
-                if a.len() != rows * k || b.len() != k * n {
-                    return Err(Error::transport("dense chunk operand size mismatch"));
-                }
-                Ok(Reply::C64s(kernels::dense_chunk(path, rows, k, n, &a, &b)))
-            }
-            Request::DensePair {
+            Request::Contract {
                 spec,
                 a_dims,
                 a,
                 b_dims,
                 b,
+                out,
             } => {
+                fn contract<T: Scalar>(
+                    plan: &ContractPlan,
+                    (a_dims, a): (Vec<usize>, Vec<T>),
+                    (b_dims, b): (Vec<usize>, Vec<T>),
+                ) -> Result<Vec<T>> {
+                    let ta = DenseTensor::from_vec(a_dims, a)?;
+                    let tb = DenseTensor::from_vec(b_dims, b)?;
+                    Ok(kernels::dense_contract(plan, &ta, &tb, None)?.into_data())
+                }
                 let plan = ContractPlan::parse(&spec)?;
-                let a = self.opf(a)?;
-                let b = self.opf(b)?;
-                let ta = DenseTensor::from_vec(a_dims, Self::take(a))?;
-                let tb = DenseTensor::from_vec(b_dims, Self::take(b))?;
-                let c = kernels::dense_contract(&plan, &ta, &tb, None)?;
-                Ok(Reply::F64s(c.into_data()))
+                let (a, b) = (self.op(a)?, self.op(b)?);
+                let c = match (Self::take(a), Self::take(b)) {
+                    (Buf::F64(a), Buf::F64(b)) => {
+                        Buf::F64(contract(&plan, (a_dims, a), (b_dims, b))?)
+                    }
+                    (Buf::C64(a), Buf::C64(b)) => {
+                        Buf::C64(contract(&plan, (a_dims, a), (b_dims, b))?)
+                    }
+                    _ => return Err(mixed_tags()),
+                };
+                match out {
+                    Out::Reply => Ok(Reply::Buf(c)),
+                    Out::Store { key, acc } => {
+                        self.store(key, c, acc)?;
+                        Ok(Reply::Unit)
+                    }
+                }
             }
             Request::SdChunk { r0, r1, n, a, b } => {
                 let bucket = self.opcoords(a)?;
-                let b = self.opf(b)?;
-                Ok(Reply::F64s(kernels::sd_chunk(r0, r1, n, &bucket, &b)))
+                let b = self.op(b)?;
+                Ok(Reply::Buf(Buf::F64(kernels::sd_chunk(
+                    r0,
+                    r1,
+                    n,
+                    &bucket,
+                    b.as_f64()?,
+                ))))
             }
             Request::SsChunk {
                 a,
@@ -1536,9 +1420,8 @@ impl WorkerState {
                 Ok(Reply::Entries { offs, vals, flops })
             }
             Request::QrThin { rows, cols, a } => {
-                let a = self.opf(a)?;
-                let (q, r) =
-                    tt_linalg::qr_thin(&DenseTensor::from_vec([rows, cols], Self::take(a))?)?;
+                let a = Self::take(self.op(a)?).into_f64()?;
+                let (q, r) = tt_linalg::qr_thin(&DenseTensor::from_vec([rows, cols], a)?)?;
                 Ok(Reply::Factors {
                     q_rows: q.dims()[0],
                     q_cols: q.dims()[1],
@@ -1561,11 +1444,8 @@ impl WorkerState {
                     cutoff,
                     min_keep: min_keep as usize,
                 };
-                let a = self.opf(a)?;
-                let t = tt_linalg::svd_trunc(
-                    &DenseTensor::from_vec([rows, cols], Self::take(a))?,
-                    spec,
-                )?;
+                let a = Self::take(self.op(a)?).into_f64()?;
+                let t = tt_linalg::svd_trunc(&DenseTensor::from_vec([rows, cols], a)?, spec)?;
                 Ok(Reply::Svd {
                     u_rows: t.u.dims()[0],
                     rank: t.s.len(),
@@ -1576,42 +1456,6 @@ impl WorkerState {
                     trunc_err: t.trunc_err,
                     n_discarded: t.n_discarded as u64,
                 })
-            }
-            Request::ChainDense {
-                spec,
-                a_dims,
-                a,
-                b_dims,
-                b,
-                store,
-                acc,
-            } => {
-                let plan = ContractPlan::parse(&spec)?;
-                let a = self.opf(a)?;
-                let b = self.opf(b)?;
-                let ta = DenseTensor::from_vec(a_dims, Self::take(a))?;
-                let tb = DenseTensor::from_vec(b_dims, Self::take(b))?;
-                let c = kernels::dense_contract(&plan, &ta, &tb, None)?;
-                self.store_f64(store, c.into_data(), acc)?;
-                Ok(Reply::Unit)
-            }
-            Request::ChainDenseC64 {
-                spec,
-                a_dims,
-                a,
-                b_dims,
-                b,
-                store,
-                acc,
-            } => {
-                let plan = ContractPlan::parse(&spec)?;
-                let a = self.opc(a)?;
-                let b = self.opc(b)?;
-                let ta = DenseTensor::from_vec(a_dims, Self::take(a))?;
-                let tb = DenseTensor::from_vec(b_dims, Self::take(b))?;
-                let c = kernels::dense_contract(&plan, &ta, &tb, None)?;
-                self.store_c64(store, c.into_data(), acc)?;
-                Ok(Reply::Unit)
             }
             Request::ChainSd {
                 a,
@@ -1625,12 +1469,12 @@ impl WorkerState {
                 store,
             } => {
                 let bucket = self.opcoords(a)?;
-                let b = self.opf(b)?;
-                let tb = DenseTensor::from_vec(b_dims, Self::take(b))?;
+                let b = Self::take(self.op(b)?).into_f64()?;
+                let tb = DenseTensor::from_vec(b_dims, b)?;
                 let b_mat = tb.permute(&perm_b)?.into_data();
                 let c = kernels::sd_chunk(0, m, n, &bucket, &b_mat);
                 let c = DenseTensor::from_vec(nat_dims, c)?.permute(&out_perm)?;
-                self.store_f64(store, c.into_data(), false)?;
+                self.store(store, Buf::F64(c.into_data()), false)?;
                 Ok(Reply::Unit)
             }
             Request::Download { key } => {
@@ -1640,16 +1484,16 @@ impl WorkerState {
                     .ok_or_else(|| Error::transport(format!("no result under key {key:#x}")))?;
                 self.bytes -= entry.val.bytes();
                 match entry.val {
-                    Cached::F64(v) => Ok(Reply::F64s(Self::take(v))),
-                    Cached::C64(v) => Ok(Reply::C64s(Self::take(v))),
+                    Cached::Dense(buf) => Ok(Reply::Buf(Self::take(buf))),
                     _ => Err(Error::transport(format!(
                         "key {key:#x} does not hold a downloadable dense buffer"
                     ))),
                 }
             }
             Request::SummaInit { key, rows, n } => {
-                // pinned for the duration of the product; summa_on frees it
-                self.insert(key, Cached::F64(Arc::new(vec![0.0f64; rows * n])), true);
+                // pinned for the duration of the product; summa_on
+                // downloads it
+                self.insert(key, Cached::Dense(Arc::new(Buf::F64(vec![0.0; rows * n]))));
                 Ok(Reply::Unit)
             }
             Request::SummaPanel {
@@ -1669,29 +1513,31 @@ impl WorkerState {
                     .get_mut(&key)
                     .ok_or_else(|| Error::transport(format!("no summa slab under key {key}")))?;
                 entry.last_use = stamp;
-                let Cached::F64(slab) = &mut entry.val else {
+                let Cached::Dense(slab) = &mut entry.val else {
+                    return Err(Error::transport("summa slab has wrong payload type"));
+                };
+                let Buf::F64(slab) = Arc::make_mut(slab) else {
                     return Err(Error::transport("summa slab has wrong payload type"));
                 };
                 if slab.len() != rows * n {
                     return Err(Error::transport("summa slab shape mismatch"));
                 }
-                tt_tensor::gemm::gemm_acc_slices(
-                    rows,
-                    w,
-                    n,
-                    &a,
-                    &b,
-                    Arc::make_mut(slab).as_mut_slice(),
-                );
+                tt_tensor::gemm::gemm_acc_slices(rows, w, n, &a, &b, slab.as_mut_slice());
                 Ok(Reply::Unit)
             }
         }
     }
 }
 
-/// Drive a [`WorkerState`] from framed requests on `stream` until a
-/// [`Request::Shutdown`] arrives or the peer disconnects. Task panics are
-/// caught and surfaced as [`Reply::Fail`]; the worker stays alive.
+/// The typed failure for a dense operand pair (or accumulate target)
+/// whose element tags disagree.
+fn mixed_tags() -> Error {
+    Error::transport("operands mix f64 and Complex64 data")
+}
+
+/// Drive a `WorkerState` from framed requests on `stream` until a
+/// `Request::Shutdown` arrives or the peer disconnects. Task panics are
+/// caught and surfaced as `Reply::Fail`; the worker stays alive.
 #[cfg(unix)]
 pub fn worker_loop(mut stream: std::os::unix::net::UnixStream) -> Result<()> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1776,86 +1622,118 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn sample_requests() -> Vec<Request> {
-        vec![
+    /// The values the request/reply samples are built from.
+    struct Seed {
+        key: u64,
+        data: Vec<f64>,
+        cdata: Vec<Complex64>,
+        rows: Vec<u64>,
+    }
+
+    fn fixed_seed() -> Seed {
+        Seed {
+            key: 77,
+            data: vec![1.5, -2.25, -0.0],
+            cdata: vec![Complex64::new(0.1, -0.2), Complex64::I],
+            rows: vec![1, 3],
+        }
+    }
+
+    /// Position of a request's variant. Exhaustive on purpose — no
+    /// wildcard arm — so a new variant does not compile until it is
+    /// listed here, and `samples_cover_every_variant` fails until
+    /// [`sample_requests`] carries a sample of it.
+    fn request_variant(req: &Request) -> usize {
+        match req {
+            Request::Ping => 0,
+            Request::Free { .. } => 1,
+            Request::Upload { .. } => 2,
+            Request::UploadCoords { .. } => 3,
+            Request::UploadSs { .. } => 4,
+            Request::Release { .. } => 5,
+            Request::CacheStats => 6,
+            Request::SetCacheCap { .. } => 7,
+            Request::DenseChunk { .. } => 8,
+            Request::Contract { .. } => 9,
+            Request::SdChunk { .. } => 10,
+            Request::SsChunk { .. } => 11,
+            Request::QrThin { .. } => 12,
+            Request::SvdTrunc { .. } => 13,
+            Request::SummaInit { .. } => 14,
+            Request::SummaPanel { .. } => 15,
+            Request::ChainSd { .. } => 16,
+            Request::Download { .. } => 17,
+            Request::Shutdown => 18,
+        }
+    }
+    const REQUEST_VARIANTS: usize = 19;
+
+    /// Same contract as [`request_variant`], for replies.
+    fn reply_variant(rep: &Reply) -> usize {
+        match rep {
+            Reply::Pong => 0,
+            Reply::Unit => 1,
+            Reply::Buf(_) => 2,
+            Reply::Entries { .. } => 3,
+            Reply::Factors { .. } => 4,
+            Reply::Svd { .. } => 5,
+            Reply::Stats { .. } => 6,
+            Reply::Fail(_) => 7,
+        }
+    }
+    const REPLY_VARIANTS: usize = 8;
+
+    /// Every request variant; every dense-buffer-carrying one under both
+    /// element tags, inline and keyed, and `Contract` under every `out`.
+    fn sample_requests(s: &Seed) -> Vec<Request> {
+        let Seed { key, rows, .. } = s;
+        let key = *key;
+        let vals: Vec<f64> = rows.iter().map(|&r| f64::from_bits(r ^ 0x5a5a)).collect();
+        let coords = OpCoords::Inline {
+            rows: rows.clone(),
+            cols: rows.clone(),
+            vals: vals.clone(),
+        };
+        let ss = OpSs::Inline {
+            keys: rows.clone(),
+            lens: vec![1; rows.len()],
+            cols: rows.clone(),
+            vals: vals.clone(),
+        };
+        let mut reqs = vec![
             Request::Ping,
-            Request::Put {
-                key: 9,
-                data: vec![1.5, -2.25],
-            },
-            Request::Get { key: 9 },
-            Request::Free { key: 9 },
-            Request::PutC64 {
-                key: 1,
-                data: vec![Complex64::new(0.1, -0.2)],
-            },
-            Request::GetC64 { key: 1 },
-            Request::Upload {
-                key: 77,
-                data: vec![0.5, -0.0],
-            },
-            Request::UploadC64 {
-                key: 78,
-                data: vec![Complex64::I],
-            },
+            Request::Free { key },
             Request::UploadCoords {
-                key: 79,
-                rows: vec![1, 2],
-                cols: vec![3, 4],
-                vals: vec![0.5, 0.25],
+                key,
+                rows: rows.clone(),
+                cols: rows.clone(),
+                vals: vals.clone(),
             },
             Request::UploadSs {
-                key: 80,
-                keys: vec![2],
-                lens: vec![1],
-                cols: vec![4],
-                vals: vec![5.0],
+                key,
+                keys: rows.clone(),
+                lens: vec![1; rows.len()],
+                cols: rows.clone(),
+                vals: vals.clone(),
             },
-            Request::Release { key: 77 },
+            Request::Release { key },
             Request::CacheStats,
-            Request::SetCacheCap { bytes: 4096 },
-            Request::DenseChunk {
-                path: GemmPath::Packed,
-                rows: 2,
-                k: 3,
-                n: 2,
-                a: OpF::Inline(vec![1.0; 6]),
-                b: OpF::Key(77),
-            },
-            Request::DenseChunkC64 {
-                path: GemmPath::Scalar,
-                rows: 1,
-                k: 1,
-                n: 1,
-                a: OpC::Inline(vec![Complex64::new(1.0, -1.0)]),
-                b: OpC::Key(78),
-            },
-            Request::DensePair {
-                spec: "ik,kj->ij".into(),
-                a_dims: vec![2, 3],
-                a: OpF::Inline(vec![0.5; 6]),
-                b_dims: vec![3, 2],
-                b: OpF::Key(12),
-            },
-            Request::SdChunk {
-                r0: 1,
-                r1: 4,
-                n: 2,
-                a: OpCoords::Inline {
-                    rows: vec![1, 3],
-                    cols: vec![0, 2],
-                    vals: vec![0.5, -0.5],
-                },
-                b: OpF::Inline(vec![1.0; 6]),
+            Request::SetCacheCap { bytes: key },
+            Request::SsChunk {
+                a: coords.clone(),
+                b: OpSs::Key(key),
+                r0: 0,
+                r1: key,
+                n: key,
+                ax_dims: rows.clone(),
+                ax_strides: rows.clone(),
+                cx_dims: rows.clone(),
+                cx_strides: rows.clone(),
+                mask: Some(rows.clone()),
             },
             Request::SsChunk {
-                a: OpCoords::Key(42),
-                b: OpSs::Inline {
-                    keys: vec![2],
-                    lens: vec![1],
-                    cols: vec![4],
-                    vals: vec![5.0],
-                },
+                a: OpCoords::Key(key),
+                b: ss,
                 r0: 0,
                 r1: 7,
                 n: 5,
@@ -1863,88 +1741,99 @@ mod tests {
                 ax_strides: vec![5],
                 cx_dims: vec![5],
                 cx_strides: vec![1],
-                mask: Some(vec![4]),
+                mask: None,
             },
-            Request::QrThin {
-                rows: 2,
-                cols: 2,
-                a: OpF::Inline(vec![1.0, 0.0, 0.0, 1.0]),
-            },
-            Request::SvdTrunc {
-                rows: 2,
-                cols: 2,
-                a: OpF::Key(5),
-                max_rank: u64::MAX,
-                cutoff: 1e-12,
-                min_keep: 1,
-            },
-            Request::SummaInit {
-                key: 3,
-                rows: 4,
-                n: 2,
-            },
+            Request::SummaInit { key, rows: 4, n: 2 },
             Request::SummaPanel {
-                key: 3,
+                key,
                 rows: 4,
                 w: 1,
                 n: 2,
-                a: vec![1.0; 4],
-                b: vec![2.0; 2],
+                a: s.data.clone(),
+                b: vals,
             },
-            Request::ChainDense {
-                spec: "ik,kj->ij".into(),
-                a_dims: vec![2, 3],
-                a: OpF::Inline(vec![0.5; 6]),
-                b_dims: vec![3, 2],
-                b: OpF::Key(12),
-                store: 900,
-                acc: true,
-            },
-            Request::ChainDenseC64 {
-                spec: "ik,kj->ij".into(),
-                a_dims: vec![1, 1],
-                a: OpC::Inline(vec![Complex64::I]),
-                b_dims: vec![1, 1],
-                b: OpC::Key(13),
-                store: 901,
-                acc: false,
-            },
-            Request::ChainSd {
-                a: OpCoords::Key(42),
+            Request::Download { key },
+            Request::Shutdown,
+        ];
+        for buf in [Buf::F64(s.data.clone()), Buf::C64(s.cdata.clone())] {
+            let (inline, keyed) = (Op::Inline(buf.clone()), Op::Key(key));
+            reqs.push(Request::Upload {
+                key,
+                data: buf.clone(),
+            });
+            reqs.push(Request::DenseChunk {
+                path: GemmPath::Packed,
+                rows: rows.len(),
+                k: 3,
+                n: 2,
+                a: inline.clone(),
+                b: keyed.clone(),
+            });
+            for out in [
+                Out::Reply,
+                Out::Store { key, acc: false },
+                Out::Store { key, acc: true },
+            ] {
+                reqs.push(Request::Contract {
+                    spec: "ik,kj->ij".into(),
+                    a_dims: vec![2, 3],
+                    a: keyed.clone(),
+                    b_dims: vec![3, 2],
+                    b: inline.clone(),
+                    out,
+                });
+            }
+            reqs.push(Request::SdChunk {
+                r0: 1,
+                r1: 4,
+                n: 2,
+                a: coords.clone(),
+                b: inline.clone(),
+            });
+            reqs.push(Request::QrThin {
+                rows: 2,
+                cols: 2,
+                a: inline.clone(),
+            });
+            reqs.push(Request::SvdTrunc {
+                rows: 2,
+                cols: 2,
+                a: keyed.clone(),
+                max_rank: u64::MAX,
+                cutoff: 1e-12,
+                min_keep: 1,
+            });
+            reqs.push(Request::ChainSd {
+                a: OpCoords::Key(key),
                 m: 4,
                 n: 2,
                 b_dims: vec![3, 2],
                 perm_b: vec![0, 1],
-                b: OpF::Key(14),
+                b: inline,
                 nat_dims: vec![4, 2],
                 out_perm: vec![1, 0],
-                store: 902,
-            },
-            Request::Download { key: 902 },
-            Request::Shutdown,
-        ]
+                store: key,
+            });
+        }
+        reqs
     }
 
-    #[test]
-    fn requests_and_replies_roundtrip() {
-        for req in sample_requests() {
-            let back = Request::decode(&req.encode()).unwrap();
-            assert_eq!(back, req);
-        }
-        let reps = vec![
+    /// Every reply variant, `Buf` under both element tags.
+    fn sample_replies(s: &Seed) -> Vec<Reply> {
+        vec![
             Reply::Pong,
             Reply::Unit,
-            Reply::F64s(vec![1.0, -0.0]),
-            Reply::C64s(vec![Complex64::I]),
+            Reply::Buf(Buf::F64(s.data.clone())),
+            Reply::Buf(Buf::C64(s.cdata.clone())),
             Reply::Entries {
-                offs: vec![3, 7],
-                vals: vec![0.5, 0.25],
-                flops: 12,
+                offs: s.rows.clone(),
+                vals: s.rows.iter().map(|&r| f64::from_bits(r)).collect(),
+                flops: s.key,
             },
             Reply::Factors {
                 q_rows: 2,
                 q_cols: 1,
-                q: vec![1.0, 0.0],
+                q: s.data.clone(),
                 r_rows: 1,
                 r_cols: 1,
                 r: vec![2.0],
@@ -1953,24 +1842,48 @@ mod tests {
                 u_rows: 2,
                 rank: 1,
                 vt_cols: 2,
-                u: vec![1.0, 0.0],
+                u: s.data.clone(),
                 s: vec![2.0],
                 vt: vec![0.0, 1.0],
                 trunc_err: 1e-16,
                 n_discarded: 1,
             },
             Reply::Stats {
-                bytes: 4096,
+                bytes: s.key,
                 entries: 3,
                 pinned: 1,
                 pinned_bytes: 2048,
-                hits: 17,
+                hits: s.key,
                 misses: 5,
                 evictions: 2,
             },
             Reply::Fail("boom".into()),
-        ];
-        for rep in reps {
+        ]
+    }
+
+    #[test]
+    fn samples_cover_every_variant() {
+        let s = fixed_seed();
+        let mut seen = [false; REQUEST_VARIANTS];
+        for req in sample_requests(&s) {
+            seen[request_variant(&req)] = true;
+        }
+        assert!(seen.iter().all(|&b| b), "request variant without a sample");
+        let mut seen = [false; REPLY_VARIANTS];
+        for rep in sample_replies(&s) {
+            seen[reply_variant(&rep)] = true;
+        }
+        assert!(seen.iter().all(|&b| b), "reply variant without a sample");
+    }
+
+    #[test]
+    fn requests_and_replies_roundtrip() {
+        let s = fixed_seed();
+        for req in sample_requests(&s) {
+            let back = Request::decode(&req.encode()).unwrap();
+            assert_eq!(back, req);
+        }
+        for rep in sample_replies(&s) {
             let back = Reply::decode(&rep.encode()).unwrap();
             assert_eq!(back, rep);
         }
@@ -1994,7 +1907,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The codec round-trips the handle-bearing request variants with
+        /// The codec round-trips every request and reply sample with
         /// exact f64/Complex64 bit patterns (NaNs and -0.0 included), so
         /// bitwise equality is compared on the *re-encoded bytes*, not
         /// through float ==.
@@ -2004,79 +1917,16 @@ mod tests {
             data in any_f64s(),
             cdata in any_c64s(),
             rows in prop::collection::vec(any::<u64>(), 0..16),
-            inline in any::<bool>(),
         ) {
-            let vals: Vec<f64> = rows.iter().map(|&r| f64::from_bits(r ^ 0x5a5a)).collect();
-            let cols = rows.clone();
-            let a = if inline {
-                OpCoords::Inline { rows: rows.clone(), cols: cols.clone(), vals: vals.clone() }
-            } else {
-                OpCoords::Key(key)
-            };
-            let reqs = vec![
-                Request::Upload { key, data: data.clone() },
-                Request::UploadC64 { key, data: cdata.clone() },
-                Request::UploadCoords { key, rows: rows.clone(), cols, vals: vals.clone() },
-                Request::UploadSs {
-                    key,
-                    keys: rows.clone(),
-                    lens: vec![1; rows.len()],
-                    cols: rows.clone(),
-                    vals: vals.clone(),
-                },
-                Request::Release { key },
-                Request::SetCacheCap { bytes: key },
-                Request::DenseChunk {
-                    path: GemmPath::Gemv,
-                    rows: rows.len(),
-                    k: 1,
-                    n: 1,
-                    a: OpF::Inline(data.clone()),
-                    b: OpF::Key(key),
-                },
-                Request::DenseChunkC64 {
-                    path: GemmPath::Packed,
-                    rows: 0,
-                    k: 2,
-                    n: 3,
-                    a: OpC::Inline(cdata.clone()),
-                    b: OpC::Key(key),
-                },
-                Request::SdChunk { r0: 0, r1: rows.len(), n: 2, a, b: OpF::Key(key) },
-                Request::SsChunk {
-                    a: OpCoords::Key(key),
-                    b: OpSs::Key(key),
-                    r0: 0,
-                    r1: key,
-                    n: key,
-                    ax_dims: rows.clone(),
-                    ax_strides: rows.clone(),
-                    cx_dims: rows.clone(),
-                    cx_strides: rows.clone(),
-                    mask: if inline { Some(rows.clone()) } else { None },
-                },
-            ];
-            for req in reqs {
+            let s = Seed { key, data, cdata, rows };
+            for req in sample_requests(&s) {
                 let bytes = req.encode();
                 let back = Request::decode(&bytes).unwrap();
                 // re-encode and compare bytes: exact bit round-trip even
                 // for NaN payloads (where PartialEq would lie)
                 prop_assert_eq!(back.encode(), bytes);
             }
-            let reps = vec![
-                Reply::F64s(data),
-                Reply::C64s(cdata),
-                Reply::Stats {
-                    bytes: key,
-                    entries: 1,
-                    pinned: 0,
-                    pinned_bytes: 0,
-                    hits: key,
-                    misses: 1,
-                    evictions: 0,
-                },
-            ];
-            for rep in reps {
+            for rep in sample_replies(&s) {
                 let bytes = rep.encode();
                 prop_assert_eq!(Reply::decode(&bytes).unwrap().encode(), bytes);
             }
@@ -2092,25 +1942,24 @@ mod tests {
         }
     }
 
+    /// Every valid encoding of every sample, requests then replies.
+    fn sample_encodings() -> Vec<Vec<u8>> {
+        let s = fixed_seed();
+        let reqs = sample_requests(&s).into_iter().map(|r| r.encode());
+        reqs.chain(sample_replies(&s).into_iter().map(|r| r.encode()))
+            .collect()
+    }
+
     /// Every truncation of every valid message decodes to an error (or a
     /// shorter valid message for payload-trailing truncations) without
     /// panicking.
     #[test]
     fn truncated_messages_never_panic() {
-        for req in sample_requests() {
-            let bytes = req.encode();
+        for bytes in sample_encodings() {
             for cut in 0..bytes.len() {
                 let _ = Request::decode(&bytes[..cut]);
+                let _ = Reply::decode(&bytes[..cut]);
             }
-        }
-        let rep = Reply::Entries {
-            offs: vec![1, 2, 3],
-            vals: vec![0.5, 0.25, 0.125],
-            flops: 99,
-        }
-        .encode();
-        for cut in 0..rep.len() {
-            let _ = Reply::decode(&rep[..cut]);
         }
     }
 
@@ -2127,11 +1976,7 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for req in sample_requests() {
-            let bytes = req.encode();
-            if bytes.is_empty() {
-                continue;
-            }
+        for bytes in sample_encodings() {
             for _ in 0..64 {
                 let mut m = bytes.clone();
                 for _ in 0..(1 + next() % 4) {
@@ -2144,20 +1989,40 @@ mod tests {
         }
     }
 
+    fn upload(w: &mut WorkerState, key: u64, data: Vec<f64>) {
+        assert_eq!(
+            w.handle(Request::Upload {
+                key,
+                data: Buf::F64(data)
+            }),
+            Some(Reply::Unit)
+        );
+    }
+
+    /// Whether `key` holds `len` resident f64 words, probed with a keyed
+    /// compute task — a touch that leaves the entry in place.
+    fn resident(w: &mut WorkerState, key: u64, len: usize) -> bool {
+        matches!(
+            w.handle(Request::DenseChunk {
+                path: GemmPath::Scalar,
+                rows: len,
+                k: 1,
+                n: 1,
+                a: Op::Key(key),
+                b: Op::Inline(Buf::F64(vec![1.0])),
+            }),
+            Some(Reply::Buf(_))
+        )
+    }
+
     #[test]
     fn worker_state_store_and_summa_lifecycle() {
         let mut w = WorkerState::new();
         assert_eq!(w.handle(Request::Ping), Some(Reply::Pong));
+        upload(&mut w, 5, vec![1.0, 2.0]);
         assert_eq!(
-            w.handle(Request::Put {
-                key: 5,
-                data: vec![1.0, 2.0]
-            }),
-            Some(Reply::Unit)
-        );
-        assert_eq!(
-            w.handle(Request::Get { key: 5 }),
-            Some(Reply::F64s(vec![1.0, 2.0]))
+            w.handle(Request::Download { key: 5 }),
+            Some(Reply::Buf(Buf::F64(vec![1.0, 2.0])))
         );
         // summa: C = A·B accumulated over two 1-wide panels
         w.handle(Request::SummaInit {
@@ -2180,14 +2045,14 @@ mod tests {
                 Some(Reply::Unit)
             );
         }
-        let Some(Reply::F64s(c)) = w.handle(Request::Get { key: 8 }) else {
-            panic!("expected slab");
-        };
         // [[0,1],[2,3]] · [[0,1],[2,3]] = [[2,3],[6,11]]
-        assert_eq!(c, vec![2.0, 3.0, 6.0, 11.0]);
+        assert_eq!(
+            w.handle(Request::Download { key: 8 }),
+            Some(Reply::Buf(Buf::F64(vec![2.0, 3.0, 6.0, 11.0])))
+        );
         assert_eq!(w.handle(Request::Free { key: 8 }), Some(Reply::Unit));
         assert!(matches!(
-            w.handle(Request::Get { key: 8 }),
+            w.handle(Request::Download { key: 8 }),
             Some(Reply::Fail(_))
         ));
         assert_eq!(w.handle(Request::Shutdown), None);
@@ -2197,33 +2062,21 @@ mod tests {
     fn resident_operands_serve_fused_tasks() {
         let mut w = WorkerState::new();
         // pin B, then run a dense chunk against the resident key only
-        w.handle(Request::Upload {
-            key: 100,
-            data: vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], // 3×2
-        });
-        let Some(Reply::F64s(c)) = w.handle(Request::DenseChunk {
+        upload(&mut w, 100, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]); // 3×2
+        let chunk = |b: u64| Request::DenseChunk {
             path: GemmPath::Scalar,
             rows: 1,
             k: 3,
             n: 2,
-            a: OpF::Inline(vec![1.0, 1.0, 1.0]),
-            b: OpF::Key(100),
-        }) else {
-            panic!("expected chunk result");
+            a: Op::Inline(Buf::F64(vec![1.0, 1.0, 1.0])),
+            b: Op::Key(b),
         };
-        assert_eq!(c, vec![9.0, 12.0]);
+        assert_eq!(
+            w.handle(chunk(100)),
+            Some(Reply::Buf(Buf::F64(vec![9.0, 12.0])))
+        );
         // unknown key fails without killing the worker
-        assert!(matches!(
-            w.handle(Request::DenseChunk {
-                path: GemmPath::Scalar,
-                rows: 1,
-                k: 3,
-                n: 2,
-                a: OpF::Inline(vec![1.0, 1.0, 1.0]),
-                b: OpF::Key(999),
-            }),
-            Some(Reply::Fail(_))
-        ));
+        assert!(matches!(w.handle(chunk(999)), Some(Reply::Fail(_))));
         assert_eq!(w.handle(Request::Ping), Some(Reply::Pong));
     }
 
@@ -2231,11 +2084,12 @@ mod tests {
     fn lru_cap_bounds_unpinned_entries_deterministically() {
         // cap of 4 f64 buffers of 8 values each (8*8*4 = 256 bytes)
         let mut w = WorkerState::with_cap(256);
+        let put = |w: &mut WorkerState, key: u64| {
+            upload(w, key, vec![key as f64; 8]);
+            w.handle(Request::Release { key });
+        };
         for key in 0..8u64 {
-            w.handle(Request::Put {
-                key,
-                data: vec![key as f64; 8],
-            });
+            put(&mut w, key);
         }
         let Some(Reply::Stats { bytes, entries, .. }) = w.handle(Request::CacheStats) else {
             panic!("expected stats");
@@ -2244,92 +2098,47 @@ mod tests {
         assert_eq!(entries, 4);
         // oldest entries evicted in insertion order: 0..4 gone, 4..8 kept
         for key in 0..4u64 {
-            assert!(matches!(
-                w.handle(Request::Get { key }),
-                Some(Reply::Fail(_))
-            ));
+            assert!(!resident(&mut w, key, 8));
         }
         // touching key 4 makes key 5 the LRU victim of the next insert
-        w.handle(Request::Get { key: 4 });
-        w.handle(Request::Put {
-            key: 100,
-            data: vec![0.0; 8],
-        });
-        assert!(matches!(
-            w.handle(Request::Get { key: 5 }),
-            Some(Reply::Fail(_))
-        ));
-        assert!(matches!(
-            w.handle(Request::Get { key: 4 }),
-            Some(Reply::F64s(_))
-        ));
-    }
-
-    #[test]
-    fn staged_put_survives_its_own_cap_pressure() {
-        // a collective stages parts with Put and Gets them back before
-        // any other insert on the rank; even a part bigger than the cap
-        // must survive until then (the just-inserted entry is never its
-        // own eviction victim)
-        let mut w = WorkerState::with_cap(64);
-        w.handle(Request::Put {
-            key: 1,
-            data: vec![1.0; 32], // 256 bytes > 64-byte cap
-        });
-        assert!(
-            matches!(w.handle(Request::Get { key: 1 }), Some(Reply::F64s(_))),
-            "staged part must be readable before the next insert"
-        );
-        // the next insert evicts the over-cap staged entry
-        w.handle(Request::Put {
-            key: 2,
-            data: vec![2.0; 4],
-        });
-        assert!(matches!(
-            w.handle(Request::Get { key: 1 }),
-            Some(Reply::Fail(_))
-        ));
-        assert!(matches!(
-            w.handle(Request::Get { key: 2 }),
-            Some(Reply::F64s(_))
-        ));
+        assert!(resident(&mut w, 4, 8));
+        put(&mut w, 100);
+        assert!(!resident(&mut w, 5, 8));
+        assert!(resident(&mut w, 4, 8));
     }
 
     #[test]
     fn pinned_entries_survive_cap_pressure_until_released() {
         let mut w = WorkerState::with_cap(64);
-        w.handle(Request::Upload {
-            key: 1,
-            data: vec![1.0; 16], // 128 bytes > cap, but pinned
-        });
-        assert!(matches!(
-            w.handle(Request::Get { key: 1 }),
-            Some(Reply::F64s(_))
-        ));
+        upload(&mut w, 1, vec![1.0; 16]); // 128 bytes > cap, but pinned
+        assert!(resident(&mut w, 1, 16));
         let Some(Reply::Stats { pinned, .. }) = w.handle(Request::CacheStats) else {
             panic!();
         };
         assert_eq!(pinned, 1);
         // double-pin (second upload of the same content) needs two releases
-        w.handle(Request::Upload {
-            key: 1,
-            data: vec![1.0; 16],
-        });
+        upload(&mut w, 1, vec![1.0; 16]);
         w.handle(Request::Release { key: 1 });
-        assert!(matches!(
-            w.handle(Request::Get { key: 1 }),
-            Some(Reply::F64s(_))
-        ));
+        assert!(resident(&mut w, 1, 16));
         // final release drops the pin; over-cap entry is evicted
         w.handle(Request::Release { key: 1 });
-        assert!(matches!(
-            w.handle(Request::Get { key: 1 }),
-            Some(Reply::Fail(_))
-        ));
+        assert!(!resident(&mut w, 1, 16));
         let Some(Reply::Stats { bytes, .. }) = w.handle(Request::CacheStats) else {
             panic!();
         };
         assert_eq!(bytes, 0);
+    }
+
+    /// A 2-operand `f64` contraction step with inline operands.
+    fn contract(dims: [usize; 2], a: Vec<f64>, b: Vec<f64>, out: Out) -> Request {
+        Request::Contract {
+            spec: "ik,kj->ij".into(),
+            a_dims: dims.to_vec(),
+            a: Op::Inline(Buf::F64(a)),
+            b_dims: dims.to_vec(),
+            b: Op::Inline(Buf::F64(b)),
+            out,
+        }
     }
 
     #[test]
@@ -2339,33 +2148,20 @@ mod tests {
         // downloaded — the only value-returning exit
         let a = vec![1.0, 2.0, 3.0, 4.0]; // 2×2
         let b = vec![1.0, 0.0, 0.0, 1.0]; // identity
-        assert_eq!(
-            w.handle(Request::ChainDense {
-                spec: "ik,kj->ij".into(),
-                a_dims: vec![2, 2],
-                a: OpF::Inline(a.clone()),
-                b_dims: vec![2, 2],
-                b: OpF::Inline(b.clone()),
-                store: 50,
-                acc: false,
-            }),
-            Some(Reply::Unit)
-        );
-        assert_eq!(
-            w.handle(Request::ChainDense {
-                spec: "ik,kj->ij".into(),
-                a_dims: vec![2, 2],
-                a: OpF::Inline(a.clone()),
-                b_dims: vec![2, 2],
-                b: OpF::Inline(b),
-                store: 50,
-                acc: true,
-            }),
-            Some(Reply::Unit)
-        );
+        for acc in [false, true] {
+            assert_eq!(
+                w.handle(contract(
+                    [2, 2],
+                    a.clone(),
+                    b.clone(),
+                    Out::Store { key: 50, acc }
+                )),
+                Some(Reply::Unit)
+            );
+        }
         assert_eq!(
             w.handle(Request::Download { key: 50 }),
-            Some(Reply::F64s(vec![2.0, 4.0, 6.0, 8.0]))
+            Some(Reply::Buf(Buf::F64(vec![2.0, 4.0, 6.0, 8.0])))
         );
         // downloaded results are gone
         assert!(matches!(
@@ -2374,17 +2170,20 @@ mod tests {
         ));
         // accumulating into an absent key fails cleanly
         assert!(matches!(
-            w.handle(Request::ChainDense {
-                spec: "ik,kj->ij".into(),
-                a_dims: vec![2, 2],
-                a: OpF::Inline(a),
-                b_dims: vec![2, 2],
-                b: OpF::Inline(vec![1.0; 4]),
-                store: 51,
-                acc: true,
-            }),
+            w.handle(contract(
+                [2, 2],
+                a.clone(),
+                vec![1.0; 4],
+                Out::Store { key: 51, acc: true }
+            )),
             Some(Reply::Fail(_))
         ));
+        // the same contraction with `Out::Reply` returns what a store
+        // would have kept
+        assert_eq!(
+            w.handle(contract([2, 2], a.clone(), b, Out::Reply)),
+            Some(Reply::Buf(Buf::F64(a)))
+        );
     }
 
     #[test]
@@ -2393,26 +2192,23 @@ mod tests {
         // results are pinned, so cap pressure evicts everything else but
         // never them; Download removes (unpins) and frees the bytes
         let mut w = WorkerState::with_cap(128);
-        let a = vec![1.0; 16]; // 4×4 result = 128 bytes == cap
-        w.handle(Request::ChainDense {
-            spec: "ik,kj->ij".into(),
-            a_dims: vec![4, 4],
-            a: OpF::Inline(a),
-            b_dims: vec![4, 4],
-            b: OpF::Inline(
-                (0..16)
-                    .map(|i| if i % 5 == 0 { 1.0 } else { 0.0 })
-                    .collect(),
-            ),
-            store: 60,
-            acc: false,
-        });
-        // hammer the store with unpinned puts well past the cap
+        let eye: Vec<f64> = (0..16)
+            .map(|i| if i % 5 == 0 { 1.0 } else { 0.0 })
+            .collect();
+        // 4×4 result = 128 bytes == cap
+        w.handle(contract(
+            [4, 4],
+            vec![1.0; 16],
+            eye,
+            Out::Store {
+                key: 60,
+                acc: false,
+            },
+        ));
+        // hammer the store with released uploads well past the cap
         for key in 0..6u64 {
-            w.handle(Request::Put {
-                key,
-                data: vec![key as f64; 8],
-            });
+            upload(&mut w, key, vec![key as f64; 8]);
+            w.handle(Request::Release { key });
         }
         let Some(Reply::Stats { pinned, .. }) = w.handle(Request::CacheStats) else {
             panic!("expected stats");
@@ -2420,7 +2216,7 @@ mod tests {
         assert_eq!(pinned, 1, "the chain result is still pinned");
         assert_eq!(
             w.handle(Request::Download { key: 60 }),
-            Some(Reply::F64s(vec![1.0; 16])),
+            Some(Reply::Buf(Buf::F64(vec![1.0; 16]))),
             "pinned intermediate survived cap pressure"
         );
         let Some(Reply::Stats { pinned, .. }) = w.handle(Request::CacheStats) else {
@@ -2428,15 +2224,15 @@ mod tests {
         };
         assert_eq!(pinned, 0, "download unpins");
         // Free also unpins chain results (the free_result path)
-        w.handle(Request::ChainDense {
-            spec: "ik,kj->ij".into(),
-            a_dims: vec![1, 1],
-            a: OpF::Inline(vec![2.0]),
-            b_dims: vec![1, 1],
-            b: OpF::Inline(vec![3.0]),
-            store: 61,
-            acc: false,
-        });
+        w.handle(contract(
+            [1, 1],
+            vec![2.0],
+            vec![3.0],
+            Out::Store {
+                key: 61,
+                acc: false,
+            },
+        ));
         w.handle(Request::Free { key: 61 });
         assert!(matches!(
             w.handle(Request::Download { key: 61 }),
@@ -2447,17 +2243,64 @@ mod tests {
     #[test]
     fn bad_tasks_fail_without_killing_the_worker() {
         let mut w = WorkerState::new();
-        assert!(matches!(
-            w.handle(Request::DenseChunk {
-                path: GemmPath::Scalar,
+        let f = |v: Vec<f64>| Op::Inline(Buf::F64(v));
+        let c = |n: usize| Op::Inline(Buf::C64(vec![Complex64::I; n]));
+        let chunk = |a: Op, b: Op| Request::DenseChunk {
+            path: GemmPath::Scalar,
+            rows: 2,
+            k: 2,
+            n: 2,
+            a,
+            b,
+        };
+        let pair = |a: Op, b: Op, out: Out| Request::Contract {
+            spec: "ik,kj->ij".into(),
+            a_dims: vec![2, 2],
+            a,
+            b_dims: vec![2, 2],
+            b,
+            out,
+        };
+        let store = |acc: bool| Out::Store { key: 70, acc };
+        // an f64 result resident under key 70, a coords bucket under 71
+        assert_eq!(
+            w.handle(pair(f(vec![1.0; 4]), f(vec![1.0; 4]), store(false))),
+            Some(Reply::Unit)
+        );
+        w.handle(Request::UploadCoords {
+            key: 71,
+            rows: vec![0],
+            cols: vec![0],
+            vals: vec![1.0],
+        });
+        let bad = [
+            // wrong operand size
+            chunk(f(vec![0.0; 3]), f(vec![0.0; 4])),
+            // f64 `A` against Complex64 `B`, chunked and whole
+            chunk(f(vec![0.0; 4]), c(4)),
+            pair(c(4), f(vec![0.0; 4]), Out::Reply),
+            // accumulate into a buffer of the other element type
+            pair(c(4), c(4), store(true)),
+            // a keyed f64-only operand that resolves to Complex64 data
+            Request::QrThin {
                 rows: 2,
-                k: 2,
-                n: 2,
-                a: OpF::Inline(vec![0.0; 3]), // wrong size
-                b: OpF::Inline(vec![0.0; 4]),
-            }),
-            Some(Reply::Fail(_))
-        ));
-        assert_eq!(w.handle(Request::Ping), Some(Reply::Pong));
+                cols: 2,
+                a: c(4),
+            },
+            // Download reads dense buffers only
+            Request::Download { key: 71 },
+        ];
+        for req in bad {
+            assert!(
+                matches!(w.handle(req.clone()), Some(Reply::Fail(_))),
+                "{req:?}"
+            );
+            assert_eq!(w.handle(Request::Ping), Some(Reply::Pong));
+        }
+        // the refused accumulate left its target intact
+        assert_eq!(
+            w.handle(Request::Download { key: 70 }),
+            Some(Reply::Buf(Buf::F64(vec![2.0; 4])))
+        );
     }
 }

@@ -7,10 +7,10 @@
 //! which is what makes TSQR latency-optimal compared to gathering the
 //! whole panel.
 
-use crate::cluster::Cluster;
 use crate::comm::Comm;
-use crate::handle::{derive, OpHandle};
-use crate::transport::worker::{OpF, Reply, Request};
+use crate::exec::DenseOp;
+use crate::handle::derive;
+use crate::transport::worker::{Buf, Op, Reply, Request};
 use crate::{Error, Executor, Result};
 use tt_linalg::qr_thin;
 use tt_tensor::gemm::gemm_acc_slices;
@@ -51,15 +51,25 @@ pub fn tsqr(a: &DenseTensor<f64>, comm: &Comm) -> Result<(DenseTensor<f64>, Dens
     merge_tree(factors, n, comm)
 }
 
-/// TSQR with the slab factorizations executed on a [`Cluster`]'s worker
+/// TSQR with the slab factorizations executed on the executor's worker
 /// ranks (one `qr_thin` task per slab, round-robin) and the `R`-merge tree
 /// run on the driver. Slab boundaries and merge order are identical to
-/// [`tsqr`], so the factors are bitwise-identical to the in-process run.
-pub fn tsqr_on(
-    a: &DenseTensor<f64>,
+/// [`tsqr`], so the factors are bitwise-identical to the in-process run —
+/// which is also what an executor without worker processes falls back to.
+///
+/// The panel is taken by value or by resident handle. A handle's row
+/// slabs are pinned on the worker ranks at first use (same lifecycle as
+/// every other operand handle — [`Executor::free`] releases them), so
+/// repeated factorizations of the same panel ship zero operand bytes; the
+/// one-time upload is charged on first use on every backend, so the
+/// counters stay backend-identical.
+pub fn tsqr_on<'a>(
+    exec: &Executor,
+    a: impl Into<DenseOp<'a>>,
     comm: &Comm,
-    cluster: &mut Cluster,
 ) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
+    let a = a.into();
+    let (h, a) = (a.handle(), a.tensor()?);
     if a.order() != 2 {
         return Err(crate::Error::Runtime(format!(
             "tsqr wants a matrix, got order {}",
@@ -68,28 +78,57 @@ pub fn tsqr_on(
     }
     let (m, n) = (a.dims()[0], a.dims()[1]);
     let p = comm.ranks().clamp(1, m.max(1));
-    let rows_per = m.div_ceil(p);
-    let data = a.data();
-    let workers = cluster.ranks();
-    let mut reqs: Vec<(usize, Request)> = Vec::new();
-    let mut r0 = 0usize;
-    while r0 < m {
-        let r1 = (r0 + rows_per).min(m);
-        reqs.push((
-            reqs.len() % workers,
-            Request::QrThin {
-                rows: r1 - r0,
-                cols: n,
-                a: OpF::Inline(data[r0 * n..r1 * n].to_vec()),
-            },
-        ));
-        r0 = r1;
+    if let Some(h) = h {
+        let lkey = derive(&[h.key(), TAG_TSQR, p as u64]);
+        if exec.residency().lock().observe(h.key(), lkey) {
+            comm.charge_p2p(8 * (m * n) as u64);
+        }
     }
-    let mut factors = Vec::with_capacity(reqs.len());
-    for reply in cluster.call_all(reqs)? {
-        factors.push(decode_factors(reply)?);
+    let factors = exec.with_cluster(|cluster| -> Result<_> {
+        let rows_per = m.div_ceil(p);
+        let nslabs = m.div_ceil(rows_per.max(1));
+        let workers = cluster.ranks();
+        let data = a.data();
+        let mut uploads: Vec<(usize, Request)> = Vec::new();
+        let mut tasks: Vec<(usize, Request)> = Vec::with_capacity(nslabs);
+        let mut res = exec.residency().lock();
+        for i in 0..nslabs {
+            let (r0, r1) = (i * rows_per, ((i + 1) * rows_per).min(m));
+            let slab = || Buf::F64(data[r0 * n..r1 * n].to_vec());
+            let field = match h {
+                None => Op::Inline(slab()),
+                Some(h) => {
+                    let wkey = derive(&[h.key(), TAG_TSQR, p as u64, nslabs as u64, i as u64]);
+                    if res.add_home(h.key(), wkey, i % workers) {
+                        let data = slab();
+                        uploads.push((i % workers, Request::Upload { key: wkey, data }));
+                    }
+                    Op::Key(wkey)
+                }
+            };
+            tasks.push((
+                i % workers,
+                Request::QrThin {
+                    rows: r1 - r0,
+                    cols: n,
+                    a: field,
+                },
+            ));
+        }
+        drop(res);
+        let n_uploads = uploads.len();
+        uploads.extend(tasks);
+        let replies = cluster.call_all(uploads)?;
+        replies
+            .into_iter()
+            .skip(n_uploads)
+            .map(decode_factors)
+            .collect()
+    });
+    match factors {
+        Some(factors) => merge_tree(factors?, n, comm),
+        None => tsqr(a, comm),
     }
-    merge_tree(factors, n, comm)
 }
 
 fn decode_factors(reply: Reply) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
@@ -108,85 +147,6 @@ fn decode_factors(reply: Reply) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> 
         other => Err(Error::transport(format!(
             "expected slab factors, got {other:?}"
         ))),
-    }
-}
-
-/// TSQR of a *resident* panel: the handle's row slabs are pinned on the
-/// executor's worker ranks at first use (same lifecycle as every other
-/// operand handle — [`Executor::free`] releases them), so repeated TSQR
-/// factorizations of the same panel ship zero operand bytes. Slab
-/// boundaries and merge order match [`tsqr`], so the factors are
-/// bitwise-identical to the value-passing runs; without a cluster the
-/// numerics fall back to [`tsqr`] on the handle's payload while the
-/// residency charges are still replayed for backend-identical counters.
-pub fn tsqr_on_h(
-    exec: &Executor,
-    h: &OpHandle,
-    comm: &Comm,
-) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
-    let a = h.dense()?;
-    if a.order() != 2 {
-        return Err(crate::Error::Runtime(format!(
-            "tsqr wants a matrix, got order {}",
-            a.order()
-        )));
-    }
-    let (m, n) = (a.dims()[0], a.dims()[1]);
-    let p = comm.ranks().clamp(1, m.max(1));
-    // one-time upload charge on first use, identical on every backend
-    let lkey = derive(&[h.key(), TAG_TSQR, p as u64]);
-    if exec.residency().lock().observe(h.key(), lkey) {
-        comm.charge_p2p(8 * (m * n) as u64);
-    }
-    let factors = exec.with_cluster(|cluster| -> Result<_> {
-        let rows_per = m.div_ceil(p);
-        let workers = cluster.ranks();
-        let mut reqs: Vec<(usize, Request)> = Vec::new();
-        let mut slabs = Vec::new();
-        let mut r0 = 0usize;
-        while r0 < m {
-            let r1 = (r0 + rows_per).min(m);
-            slabs.push((r0, r1));
-            r0 = r1;
-        }
-        {
-            let mut res = exec.residency().lock();
-            let data = a.data();
-            for (i, &(r0, r1)) in slabs.iter().enumerate() {
-                let wkey = derive(&[h.key(), TAG_TSQR, p as u64, slabs.len() as u64, i as u64]);
-                if res.add_home(h.key(), wkey, i % workers) {
-                    reqs.push((
-                        i % workers,
-                        Request::Upload {
-                            key: wkey,
-                            data: data[r0 * n..r1 * n].to_vec(),
-                        },
-                    ));
-                }
-            }
-        }
-        let n_uploads = reqs.len();
-        for (i, &(r0, r1)) in slabs.iter().enumerate() {
-            let wkey = derive(&[h.key(), TAG_TSQR, p as u64, slabs.len() as u64, i as u64]);
-            reqs.push((
-                i % workers,
-                Request::QrThin {
-                    rows: r1 - r0,
-                    cols: n,
-                    a: OpF::Key(wkey),
-                },
-            ));
-        }
-        let mut factors = Vec::with_capacity(slabs.len());
-        for reply in cluster.call_all(reqs)?.into_iter().skip(n_uploads) {
-            factors.push(decode_factors(reply)?);
-        }
-        Ok(factors)
-    });
-    match factors {
-        Some(factors) => merge_tree(factors?, n, comm),
-        // in-process: the handle is a plain Arc — same slab/merge code
-        None => tsqr(a, comm),
     }
 }
 
@@ -305,16 +265,23 @@ mod tests {
         assert_eq!(c.tracker().lock().supersteps, 0);
     }
 
+    #[cfg(unix)]
+    fn mp_executor(workers: usize) -> Executor {
+        let spawn = crate::transport::SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
+        Executor::multi_process(Machine::blue_waters(2), 2, workers, spawn).unwrap()
+    }
+
+    #[cfg(unix)]
     #[test]
     fn tsqr_on_cluster_is_bitwise_identical() {
         let mut rng = StdRng::seed_from_u64(55);
         let a = DenseTensor::<f64>::random([96, 7], &mut rng);
+        let mp = mp_executor(3);
         for p in [1usize, 2, 4, 5] {
             let c_ref = comm(p);
             let (q_ref, r_ref) = tsqr(&a, &c_ref).unwrap();
-            let mut cl = crate::Cluster::in_process(3);
             let c = comm(p);
-            let (q, r) = tsqr_on(&a, &c, &mut cl).unwrap();
+            let (q, r) = tsqr_on(&mp, &a, &c).unwrap();
             assert_eq!(q.data(), q_ref.data(), "p={p}");
             assert_eq!(r.data(), r_ref.data(), "p={p}");
             assert_eq!(
@@ -331,16 +298,14 @@ mod tests {
         let a = DenseTensor::<f64>::random([64, 5], &mut rng);
         let c_ref = comm(4);
         let (q_ref, r_ref) = tsqr(&a, &c_ref).unwrap();
-        let spawn = crate::transport::SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
-        let mut cl = crate::Cluster::multi_process(2, &spawn).unwrap();
         let c = comm(4);
-        let (q, r) = tsqr_on(&a, &c, &mut cl).unwrap();
+        let (q, r) = tsqr_on(&mp_executor(2), &a, &c).unwrap();
         assert_eq!(q.data(), q_ref.data());
         assert_eq!(r.data(), r_ref.data());
     }
 
     #[test]
-    fn tsqr_on_h_in_process_matches_tsqr_bitwise() {
+    fn tsqr_on_handle_in_process_matches_tsqr_bitwise() {
         use crate::exec::ExecMode;
         let mut rng = StdRng::seed_from_u64(57);
         let a = DenseTensor::<f64>::random([80, 6], &mut rng);
@@ -349,13 +314,13 @@ mod tests {
         let c_ref = comm(4);
         let (q_ref, r_ref) = tsqr(&a, &c_ref).unwrap();
         let c = comm(4);
-        let (q, r) = tsqr_on_h(&exec, &h, &c).unwrap();
+        let (q, r) = tsqr_on(&exec, &h, &c).unwrap();
         assert_eq!(q.data(), q_ref.data());
         assert_eq!(r.data(), r_ref.data());
         // the first use charges the one-time panel upload on top of the
         // merge-tree supersteps; the second (cache hit) does not
         let first = c.tracker().lock().bytes_critical;
-        let (q2, _) = tsqr_on_h(&exec, &h, &c).unwrap();
+        let (q2, _) = tsqr_on(&exec, &h, &c).unwrap();
         assert_eq!(q2.data(), q_ref.data());
         let second = c.tracker().lock().bytes_critical - first;
         assert!(second < first, "hit must charge less: {second} vs {first}");
@@ -364,20 +329,19 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
-    fn tsqr_on_h_over_processes_reuses_resident_slabs() {
+    fn tsqr_on_handle_over_processes_reuses_resident_slabs() {
         let mut rng = StdRng::seed_from_u64(58);
         let a = DenseTensor::<f64>::random([72, 5], &mut rng);
         let c_ref = comm(4);
         let (q_ref, r_ref) = tsqr(&a, &c_ref).unwrap();
-        let spawn = crate::transport::SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
-        let mp = crate::Executor::multi_process(Machine::blue_waters(2), 2, 2, spawn).unwrap();
+        let mp = mp_executor(2);
         let h = mp.upload(&a);
         let c = comm(4);
-        let (q, r) = tsqr_on_h(&mp, &h, &c).unwrap();
+        let (q, r) = tsqr_on(&mp, &h, &c).unwrap();
         assert_eq!(q.data(), q_ref.data());
         assert_eq!(r.data(), r_ref.data());
         let first = mp.operand_bytes();
-        let (q2, r2) = tsqr_on_h(&mp, &h, &c).unwrap();
+        let (q2, r2) = tsqr_on(&mp, &h, &c).unwrap();
         let repeat = mp.operand_bytes() - first;
         assert_eq!(q2.data(), q_ref.data());
         assert_eq!(r2.data(), r_ref.data());

@@ -3,7 +3,7 @@
 //! Spawns one worker fleet, binds a Unix-domain socket and serves
 //! concurrent DMRG / contraction-chain jobs until a client sends
 //! `Shutdown` (or the process is signalled). Workers are re-execs of this
-//! same binary ([`SpawnSpec::SelfExec`]), so the daemon is self-contained.
+//! same binary ([`tt_dist::SpawnSpec::SelfExec`]), so the daemon is self-contained.
 //!
 //! ```text
 //! tt-dist-serve [--socket PATH] [--workers P] [--nodes N]

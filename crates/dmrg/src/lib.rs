@@ -1,10 +1,10 @@
 //! `dmrg` — the paper's primary contribution: two-site DMRG over
 //! (simulated-)distributed sparse and dense parallel tensor contractions.
 //!
-//! * [`env`] — left/right environments (size `m²k`), extended site by site,
+//! * [`mod@env`] — left/right environments (size `m²k`), extended site by site,
 //! * [`heff`] — the implicit two-site effective Hamiltonian of Fig. 1d,
 //!   applied in `O(m³kd)` per Davidson matvec,
-//! * [`davidson`] — the paper's Algorithm 1 (no preconditioning, randomized
+//! * [`mod@davidson`] — the paper's Algorithm 1 (no preconditioning, randomized
 //!   reorthogonalization fallback, small subspace),
 //! * [`sweep`] — the two-site sweep driver with bond-growth schedules,
 //!   truncation bookkeeping and per-site timing/flop records,

@@ -6,9 +6,9 @@
 //!
 //! * [`DenseTensor`] — N-dimensional row-major dense tensors over a
 //!   [`Scalar`] element type (`f64` or [`Complex64`]),
-//! * [`einsum`] — Einstein-summation contraction of two tensors, lowered to
+//! * [`mod@einsum`] — Einstein-summation contraction of two tensors, lowered to
 //!   transpose-transpose-GEMM-transpose (TTGT) exactly like CTF,
-//! * [`gemm`] — a tiled, cache-blocked matrix-multiply kernel,
+//! * [`mod@gemm`] — a tiled, cache-blocked matrix-multiply kernel,
 //! * [`transpose::permute`] — blocked N-d transposition (the HPTT stand-in),
 //! * [`SparseTensor`] — coordinate-format sparse tensors with
 //!   sparse×dense and sparse×sparse contraction kernels (the local pieces of

@@ -1,6 +1,6 @@
 //! Runtime SIMD feature dispatch for the GEMM microkernel.
 //!
-//! The microkernel in [`crate::gemm`] is compiled into several variants,
+//! The microkernel in [`mod@crate::gemm`] is compiled into several variants,
 //! each behind `#[target_feature]`, and the variant to run is chosen *once
 //! per process* from CPUID (via `is_x86_feature_detected!`) — so a portable
 //! build (`-C target-cpu=x86-64`) still runs the AVX2+FMA kernel on

@@ -236,7 +236,7 @@ impl<T: Scalar> SparseTensor<T> {
 
     /// Sparse × dense contraction producing a dense tensor.
     ///
-    /// `spec` follows [`crate::einsum`] grammar with `self` as the first
+    /// `spec` follows [`crate::einsum()`] grammar with `self` as the first
     /// operand. This is the kernel under the *sparse-dense* algorithm.
     pub fn contract_dense(&self, spec: &str, b: &DenseTensor<T>) -> Result<DenseTensor<T>> {
         let plan = ContractPlan::parse(spec)?;

@@ -9,6 +9,7 @@ use tt_dist::{ExecMode, Executor, Machine, SpawnSpec};
 use tt_integration::test_schedule;
 use tt_linalg::TruncSpec;
 use tt_mps::{heisenberg_j1j2, neel_state, Lattice, Mps, SpinHalf};
+use tt_tensor::Complex64;
 
 /// Self-exec worker hook: when the multi-process backend re-executes this
 /// test binary with the `spawned_worker_entry` filter, this "test" becomes
@@ -313,26 +314,14 @@ fn run_handles(
     let (ha, hb) = (exec.upload(&a), exec.upload(&b));
     let (hsa, hsb) = (exec.upload_sparse(&sa), exec.upload_sparse(&sb));
     // twice each: miss then hit — results must be bitwise identical
-    let c1 = exec
-        .contract_h("isj,jtk->istk", (&ha).into(), (&hb).into())
-        .unwrap();
-    let c2 = exec
-        .contract_h("isj,jtk->istk", (&ha).into(), (&hb).into())
-        .unwrap();
+    let c1 = exec.contract::<f64>("isj,jtk->istk", &ha, &hb).unwrap();
+    let c2 = exec.contract::<f64>("isj,jtk->istk", &ha, &hb).unwrap();
     assert_eq!(c1.data(), c2.data(), "hit repeats the miss bitwise");
-    let d1 = exec
-        .contract_sd_h("isj,jtk->istk", (&hsa).into(), (&hb).into())
-        .unwrap();
-    let d2 = exec
-        .contract_sd_h("isj,jtk->istk", (&hsa).into(), (&hb).into())
-        .unwrap();
+    let d1 = exec.contract_sd("isj,jtk->istk", &hsa, &hb).unwrap();
+    let d2 = exec.contract_sd("isj,jtk->istk", &hsa, &hb).unwrap();
     assert_eq!(d1.data(), d2.data());
-    let s1 = exec
-        .contract_ss_h("isj,jtk->istk", (&hsa).into(), (&hsb).into(), None)
-        .unwrap();
-    let s2 = exec
-        .contract_ss_h("isj,jtk->istk", (&hsa).into(), (&hsb).into(), None)
-        .unwrap();
+    let s1 = exec.contract_ss("isj,jtk->istk", &hsa, &hsb, None).unwrap();
+    let s2 = exec.contract_ss("isj,jtk->istk", &hsa, &hsb, None).unwrap();
     assert_eq!(s1.to_dense().data(), s2.to_dense().data());
     for h in [&ha, &hb, &hsa, &hsb] {
         exec.free(h).unwrap();
@@ -398,16 +387,14 @@ fn handle_c64_contractions_bitwise_across_backends() {
         execs.push(multi_process_executor(p));
     }
     for exec in &execs {
-        let cv = exec
-            .contract_c64("isj,jtk->istk", (&a).into(), (&b).into())
-            .unwrap();
+        let cv = exec.contract("isj,jtk->istk", &a, &b).unwrap();
         assert_eq!(cv.data(), reference.data(), "value path");
-        let (ha, hb) = (exec.upload_c64(&a), exec.upload_c64(&b));
+        let (ha, hb) = (exec.upload(&a), exec.upload(&b));
         let c1 = exec
-            .contract_c64("isj,jtk->istk", (&ha).into(), (&hb).into())
+            .contract::<Complex64>("isj,jtk->istk", &ha, &hb)
             .unwrap();
         let c2 = exec
-            .contract_c64("isj,jtk->istk", (&ha).into(), (&hb).into())
+            .contract::<Complex64>("isj,jtk->istk", &ha, &hb)
             .unwrap();
         assert_eq!(c1.data(), reference.data(), "handle miss");
         assert_eq!(c2.data(), reference.data(), "handle hit");
@@ -479,11 +466,23 @@ fn resident_ham_matches_effective_ham_bitwise() {
 
 #[test]
 fn handle_returning_contractions_bitwise_across_backends() {
-    // contract_to_h / contract_sd_to_h / contract_c64_to_h + chains with
+    // one-step chains (a contraction whose result stays resident, for
+    // dense f64, sparse-dense and Complex64 operands) + chains with
     // worker-side intermediates: value ≡ chained-handle bitwise over
     // InProcess seq/thr and MultiProcess p=2,3, with bitwise-equal cost
     // counters across all of them
     use tt_dist::{ChainSrc, ChainStep};
+    let to_handle = |exec: &Executor, a: ChainSrc, b: ChainSrc| {
+        let spec = "isj,jtk->istk";
+        let step = ChainStep {
+            spec,
+            a,
+            b,
+            acc: None,
+        };
+        let mut out = exec.chain(&[step]).unwrap();
+        out.pop().flatten().expect("single non-accumulate step")
+    };
     let (a, b, sa, _) = dense_fixture();
     let val = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
     let c_ref = val.contract("isj,jtk->istk", &a, &b).unwrap();
@@ -508,9 +507,11 @@ fn handle_returning_contractions_bitwise_across_backends() {
     }
     let mut sims = Vec::new();
     for (name, exec) in &execs {
-        let h = exec
-            .contract_to_h("isj,jtk->istk", (&a).into(), (&b).into())
-            .unwrap();
+        let h = to_handle(
+            exec,
+            ChainSrc::Dense((&a).into()),
+            ChainSrc::Dense((&b).into()),
+        );
         // a full chain: the resident result feeds the next step worker-side
         let mut out = exec
             .chain(&[
@@ -545,22 +546,23 @@ fn handle_returning_contractions_bitwise_across_backends() {
             c_ref.data(),
             "{name}: handle-returning dense"
         );
-        let hd = exec
-            .contract_sd_to_h("isj,jtk->istk", (&sa).into(), (&b).into())
-            .unwrap();
+        let hd = to_handle(
+            exec,
+            ChainSrc::Sparse((&sa).into()),
+            ChainSrc::Dense((&b).into()),
+        );
         assert_eq!(
             exec.download(hd).unwrap().data(),
             d_ref.data(),
             "{name}: handle-returning sd"
         );
-        let hc = exec
-            .contract_c64_to_h("isj,jtk->istk", (&ac).into(), (&bc).into())
-            .unwrap();
-        assert_eq!(
-            exec.download_c64(hc).unwrap().data(),
-            e_ref.data(),
-            "{name}: handle-returning c64"
+        let hc = to_handle(
+            exec,
+            ChainSrc::DenseC((&ac).into()),
+            ChainSrc::DenseC((&bc).into()),
         );
+        let e = exec.download_many::<Complex64>(vec![hc]).unwrap();
+        assert_eq!(e[0].data(), e_ref.data(), "{name}: handle-returning c64");
         sims.push((name.clone(), exec.total_flops(), exec.sim_time()));
     }
     for (name, flops, sim) in &sims[1..] {
