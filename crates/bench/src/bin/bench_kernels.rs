@@ -36,7 +36,14 @@
 //! algorithms pay around their kernels (`to_dense`, `from_dense`,
 //! `to_flat_sparse`, `from_flat_sparse`) on middle-bond tensors of warm
 //! DMRG states. They move elements, not flops: their "gflops" column is
-//! 10⁹ stored elements per second.
+//! 10⁹ stored elements per second. The `permute` rows time
+//! `tt_tensor::transpose::permute` — one case per kernel branch at the
+//! shapes the spins m=64 matvec transposes — and their "gflops" column is
+//! GB/s (bytes read plus bytes written). The `sd_contract_seq` rows named
+//! `spins-m64-step*` run the sparse-dense kernel at the H_eff chain's
+//! step-2 (run views on both sides) and step-4 (`B` really transposed)
+//! operand shapes, so the gate sees the layout boundary and not only the
+//! 2-D kernel.
 //!
 //! Baselines must be regenerated on an idle machine — see `BENCHING.md`.
 
@@ -363,6 +370,64 @@ fn skewed_sparse(m: usize, k: usize) -> SparseTensor<f64> {
     SparseTensor::from_dense(&dense, 0.0)
 }
 
+/// A sparse tensor of shape `dims` keeping each element with probability
+/// `density` (fixed seed: every pass and every run times the same operand).
+fn random_sparse(dims: &[usize], density: f64, seed: u64) -> SparseTensor<f64> {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dense = DenseTensor::<f64>::from_fn(dims, |_| {
+        if rng.gen_bool(density) {
+            rng.gen_range(-1.0..1.0)
+        } else {
+            0.0
+        }
+    });
+    SparseTensor::from_dense(&dense, 0.0)
+}
+
+/// `(label, dims, perm)` of the transposition rows: the 2-D case, the
+/// permutes a spins m=64 sparse-dense matvec used to run — `t₁`
+/// `(b,k,q,w,f) → (k,q,b,w,f)` moves contiguous runs, `t₃`
+/// `(b,p,s,h,f) → (h,f,b,p,s)` is a tiled matrix transpose — and one
+/// list-algorithm block.
+const PERMUTE_CASES: [(&str, &[usize], &[usize]); 4] = [
+    ("2d-1024x1024", &[1024, 1024], &[1, 0]),
+    ("spins-m64-t1-runs", &[64, 14, 2, 2, 64], &[1, 2, 0, 3, 4]),
+    ("spins-m64-t3-tiles", &[64, 2, 2, 14, 64], &[3, 4, 0, 1, 2]),
+    ("list-30x8x30", &[30, 8, 30], &[1, 0, 2]),
+];
+
+/// One sparse-dense row at an H_eff chain shape.
+struct SdChainCase {
+    label: &'static str,
+    spec: &'static str,
+    a_dims: &'static [usize],
+    a_density: f64,
+    b_dims: &'static [usize],
+}
+
+/// The sparse-dense rows at H_eff chain shapes (spins 6×4, m = 64, middle
+/// bond): step 2 contracts a ~40-entry MPO tensor against `t₁` and
+/// reads/writes 128-element runs in place; step 4 contracts the right
+/// environment against `t₃`, whose free modes lead, so `B` is transposed
+/// for real.
+const SD_CHAIN_CASES: [SdChainCase; 2] = [
+    SdChainCase {
+        label: "spins-m64-step2",
+        spec: "kpqg,bkqwf->bpgwf",
+        a_dims: &[14, 2, 2, 17],
+        a_density: 0.05,
+        b_dims: &[64, 14, 2, 2, 64],
+    },
+    SdChainCase {
+        label: "spins-m64-step4",
+        spec: "rhf,bpshf->bpsr",
+        a_dims: &[64, 14, 64],
+        a_density: 0.24,
+        b_dims: &[64, 2, 2, 14, 64],
+    },
+];
+
 /// The tensors the sparse algorithms convert at the middle bond of a warm
 /// `lx × ly` state at bond dimension `m` (the `bench_e2e` sweep sizes):
 /// the two-site tensor `x` (order 4) and the first matvec intermediate
@@ -606,6 +671,28 @@ fn main() {
                 record(&mut entries, label, format!("{m}x{k}x{n}"), sd_flops, secs);
             }
         }
+        // the same kernel at H_eff chain shapes: 5-mode B, permuted output
+        for case in &SD_CHAIN_CASES {
+            let sp = random_sparse(case.a_dims, case.a_density, 11);
+            let b = DenseTensor::<f64>::random(case.b_dims, &mut rng);
+            let seq = Executor::with_machine(Machine::local(), 1, ExecMode::Sequential);
+            let plan = tt_tensor::ContractPlan::parse(case.spec).unwrap();
+            let n: usize = plan
+                .free_b_positions()
+                .iter()
+                .map(|&j| case.b_dims[j])
+                .product();
+            let secs = best_of(reps * 2, || {
+                black_box(seq.contract_sd(case.spec, &sp, &b).unwrap());
+            });
+            record(
+                &mut entries,
+                "sd_contract_seq",
+                case.label.to_string(),
+                2.0 * sp.nnz() as f64 * n as f64,
+                secs,
+            );
+        }
         for &(m, k, n, reps) in ss_sizes {
             let sp = skewed_sparse(m, k);
             let sb = SparseTensor::from_dense(&DenseTensor::<f64>::random([k, n], &mut rng), 0.5);
@@ -640,6 +727,16 @@ fn main() {
                     secs,
                 );
             }
+        }
+
+        // --- transposition (rate in GB/s: bytes read + bytes written) ---------
+        for (label, dims, perm) in PERMUTE_CASES {
+            let t = DenseTensor::<f64>::random(dims, &mut rng);
+            let bytes = 2.0 * (t.len() * std::mem::size_of::<f64>()) as f64;
+            let secs = best_of(reps * 4, || {
+                black_box(t.permute(perm).unwrap());
+            });
+            record(&mut entries, "permute", label.to_string(), bytes, secs);
         }
 
         // --- block↔flat conversions (rate in 10⁹ stored elements/s) ----------

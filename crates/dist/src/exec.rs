@@ -280,7 +280,10 @@ struct PlannedStep {
     kind: StepKind,
     /// Element type of the step's operands and result.
     scalar: ResultKind,
-    plan: ContractPlan,
+    /// The parsed spec and its provenance hash, shared by every step of
+    /// the chain that spells the same spec.
+    plan: Arc<ContractPlan>,
+    spec_hash: u64,
     a_dims: Vec<usize>,
     b_dims: Vec<usize>,
     out_dims: Vec<usize>,
@@ -1042,7 +1045,7 @@ impl Executor {
         self.finish_auto(auto_b);
         let (m, k, n) = kernels::fused_dims(&plan, at.dims(), bt.dims());
         let flops = plan.flop_count(at.dims(), bt.dims());
-        let (perm_a, perm_b) = operand_perms(&plan);
+        let (perm_a, perm_b) = kernels::operand_perms(&plan);
         // the A-slab contents depend on the kernel path (MC-aligned vs
         // uniform ranges), so the logical charge key tracks it too — a
         // path change is a genuine re-upload, not a cache hit
@@ -1081,7 +1084,7 @@ impl Executor {
         let (at, bt) = (a.tensor()?, b.tensor()?);
         plan.output_dims(at.dims(), bt.dims())?; // validates shapes
         let (m, k, n) = kernels::fused_dims(plan, at.dims(), bt.dims());
-        let (perm_a, perm_b) = operand_perms(plan);
+        let (perm_a, perm_b) = kernels::operand_perms(plan);
 
         let path = gemm_path(k, n);
         let p = cl.ranks();
@@ -1243,7 +1246,7 @@ impl Executor {
                 continue;
             }
             let produced_by = derive(&[
-                hash_spec(steps[i].spec),
+                pl.spec_hash,
                 src_provenance(&steps[i].a, &planned),
                 src_provenance(&steps[i].b, &planned),
             ]);
@@ -1270,6 +1273,9 @@ impl Executor {
     /// fused sizes, flops, output slot and store key).
     fn plan_chain(&self, steps: &[ChainStep]) -> Result<Vec<PlannedStep>> {
         let mut planned: Vec<PlannedStep> = Vec::with_capacity(steps.len());
+        // a list matvec is hundreds of steps over a handful of specs:
+        // parse and hash each distinct one once
+        let mut specs: Vec<(&str, Arc<ContractPlan>, u64)> = Vec::new();
         for (i, st) in steps.iter().enumerate() {
             let (a_dims, ak) = src_info(&st.a, &planned)?;
             let (b_dims, bk) = src_info(&st.b, &planned)?;
@@ -1290,7 +1296,15 @@ impl Executor {
                     ))
                 }
             };
-            let plan = ContractPlan::parse(st.spec)?;
+            let known = match specs.iter().position(|(spec, ..)| *spec == st.spec) {
+                Some(at) => at,
+                None => {
+                    let plan = Arc::new(ContractPlan::parse(st.spec)?);
+                    specs.push((st.spec, plan, hash_spec(st.spec)));
+                    specs.len() - 1
+                }
+            };
+            let (plan, spec_hash) = (Arc::clone(&specs[known].1), specs[known].2);
             let out_dims = plan.output_dims(&a_dims, &b_dims)?;
             let (m, k, n) = kernels::fused_dims(&plan, &a_dims, &b_dims);
             let flops = match (kind, &st.a) {
@@ -1326,6 +1340,7 @@ impl Executor {
                 kind,
                 scalar,
                 plan,
+                spec_hash,
                 a_dims,
                 b_dims,
                 out_dims,
@@ -1395,7 +1410,7 @@ impl Executor {
                     m: pl.m,
                     n: pl.n,
                     b_dims: pl.b_dims.clone(),
-                    perm_b: operand_perms(&pl.plan).1,
+                    perm_b: kernels::operand_perms(&pl.plan).1,
                     b: b_field.dense()?,
                     nat_dims: kernels::natural_dims(&pl.plan, &pl.a_dims, &pl.b_dims),
                     out_perm: pl.plan.output_permutation().to_vec(),
@@ -1814,8 +1829,7 @@ impl Executor {
             kernels::sd_contract(&plan, at, bt, self.pool(), kernels::SPARSE_PAR_MIN_FLOPS)?
         };
         let (m, k, n) = kernels::fused_dims(&plan, at.dims(), bt.dims());
-        let mut perm_b: Vec<usize> = plan.ctr_b_positions().to_vec();
-        perm_b.extend_from_slice(plan.free_b_positions());
+        let perm_b = kernels::operand_perms(&plan).1;
         // The sparse operand moves its stored entries (offset + value),
         // the dense operand and result their full volume.
         //
@@ -1862,8 +1876,7 @@ impl Executor {
         let (at, bt) = (a.tensor()?, b.tensor()?);
         plan.output_dims(at.dims(), bt.dims())?;
         let (m, _k, n) = kernels::fused_dims(plan, at.dims(), bt.dims());
-        let mut perm_b: Vec<usize> = plan.ctr_b_positions().to_vec();
-        perm_b.extend_from_slice(plan.free_b_positions());
+        let perm_b = kernels::operand_perms(plan).1;
 
         let coords = kernels::sparse_coords(at, plan.free_a_positions(), plan.ctr_a_positions());
         let flops = 2 * coords.len() as u64 * n as u64;
@@ -2411,16 +2424,6 @@ impl Executor {
             }
         });
     }
-}
-
-/// TTGT operand permutations of a plan: `A` to `(free, contracted)` and
-/// `B` to `(contracted, free)` order.
-fn operand_perms(plan: &ContractPlan) -> (Vec<usize>, Vec<usize>) {
-    let mut perm_a: Vec<usize> = plan.free_a_positions().to_vec();
-    perm_a.extend_from_slice(plan.ctr_a_positions());
-    let mut perm_b: Vec<usize> = plan.ctr_b_positions().to_vec();
-    perm_b.extend_from_slice(plan.free_b_positions());
-    (perm_a, perm_b)
 }
 
 /// Hash an einsum spec into one derivation component (for provenance).

@@ -15,16 +15,28 @@
 //!   per-row flops picks the chunk boundaries, so a handful of dense rows
 //!   (the skewed patterns block-sparse flattening produces) no longer
 //!   serializes onto one worker the way a uniform row split did.
+//!
+//! The kernels are TTGT (transpose–GEMM–transpose) in meaning only: a
+//! permutation is executed when elements really have to change order.
+//! An operand whose permutation fuses to the identity
+//! ([`tt_tensor::transpose::motion`]) is read where it lies, a plain
+//! matrix transpose reaches the packed GEMM as strides, and the
+//! sparse-dense kernel gathers `B` rows and scatters `C` rows through
+//! [`SdView`] offset tables whenever the trailing free modes form a
+//! contiguous run. None of this touches arithmetic: every output element
+//! still accumulates the same products in the same order.
 
 use crate::pool::ThreadPool;
-use crate::Result;
+use crate::{Error, Result};
 use std::borrow::Cow;
 use std::sync::Arc;
 use tt_tensor::einsum::ContractPlan;
 use tt_tensor::gemm::{
     gemm_acc_packed_rows, gemm_acc_slices, gemm_path, gemv_acc_rows, GemmPath, PackedB, MC,
 };
+use tt_tensor::shape::is_permutation;
 use tt_tensor::ssmerge::{merge_chunk, SsBTable};
+use tt_tensor::transpose::{motion, permute_data, Motion};
 use tt_tensor::{DenseTensor, Scalar, Shape, SparseTensor};
 
 /// Work volume (flops) below which the sparse kernels stay on a single
@@ -100,22 +112,6 @@ fn volume_ranges(weights: &[u64], chunks: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Run `make_job(range)` over the row ranges — on the pool when one is
-/// given, inline otherwise — and return per-range results in row order.
-fn run_chunked<T: Send + 'static>(
-    pool: Option<&ThreadPool>,
-    ranges: Vec<(usize, usize)>,
-    make_job: impl Fn((usize, usize)) -> Box<dyn FnOnce() -> T + Send + 'static>,
-) -> Vec<T> {
-    match pool {
-        Some(pool) if ranges.len() > 1 => {
-            let jobs = ranges.into_iter().map(&make_job).collect();
-            pool.run(jobs)
-        }
-        _ => ranges.into_iter().map(|r| make_job(r)()).collect(),
-    }
-}
-
 /// Fused dimensions of a contraction: output rows `m`, contracted `k`,
 /// output cols `n`.
 pub(crate) fn fused_dims(
@@ -137,10 +133,120 @@ pub(crate) fn natural_dims(plan: &ContractPlan, a_dims: &[usize], b_dims: &[usiz
         .collect()
 }
 
+/// TTGT operand permutations of a plan: `A` to `(free, contracted)` and
+/// `B` to `(contracted, free)` order.
+pub(crate) fn operand_perms(plan: &ContractPlan) -> (Vec<usize>, Vec<usize>) {
+    let mut perm_a: Vec<usize> = plan.free_a_positions().to_vec();
+    perm_a.extend_from_slice(plan.ctr_a_positions());
+    let mut perm_b: Vec<usize> = plan.ctr_b_positions().to_vec();
+    perm_b.extend_from_slice(plan.free_b_positions());
+    (perm_a, perm_b)
+}
+
+/// A dense operand as the `rows × cols` matrix the GEMM kernels read:
+/// element `(i, l)` lives at `data[i·rs + l·cs]`.
+struct MatOperand<'a, T: Scalar> {
+    data: Cow<'a, [T]>,
+    rs: usize,
+    cs: usize,
+}
+
+/// `t` permuted by `perm` as a `rows × cols` matrix, executing the
+/// permutation only when elements have to change order: an identity (after
+/// fusion) borrows `t`'s storage, and — when the consumer takes strides
+/// (`strided`: the packed GEMM path) — so does a plain matrix transpose.
+fn mat_operand<'a, T: Scalar>(
+    t: &'a DenseTensor<T>,
+    perm: &[usize],
+    rows: usize,
+    cols: usize,
+    strided: bool,
+) -> Result<MatOperand<'a, T>> {
+    let (data, rs, cs) = match motion(t.dims(), perm)? {
+        Motion::Identity => (Cow::Borrowed(t.data()), cols, 1),
+        // the fused pair is the matrix's (row, col) pair only if the
+        // split falls between the row and the column modes
+        Motion::Transpose { rows: r, .. } if strided && r == rows => {
+            (Cow::Borrowed(t.data()), 1, rows)
+        }
+        _ => (Cow::Owned(permute_data(t.data(), t.dims(), perm)?), cols, 1),
+    };
+    Ok(MatOperand { data, rs, cs })
+}
+
+/// The natural-order (`free A`, `free B`) result buffer as the output
+/// tensor: moved when the output permutation fuses to the identity,
+/// permuted otherwise.
+fn into_output<T: Scalar>(
+    nat_dims: Vec<usize>,
+    c: Vec<T>,
+    out_perm: &[usize],
+) -> Result<DenseTensor<T>> {
+    let out_dims: Vec<usize> = out_perm.iter().map(|&q| nat_dims[q]).collect();
+    let c = match motion(&nat_dims, out_perm)? {
+        Motion::Identity => c,
+        _ => permute_data(&c, &nat_dims, out_perm)?,
+    };
+    Ok(DenseTensor::from_vec(out_dims, c)?)
+}
+
+/// Row panels in row order as one buffer: a single panel moves.
+fn concat_rows<T: Scalar>(mut panels: Vec<Vec<T>>, len: usize) -> Vec<T> {
+    if panels.len() == 1 {
+        return panels.pop().expect("one panel");
+    }
+    let mut c = Vec::with_capacity(len);
+    for panel in panels {
+        c.extend_from_slice(&panel);
+    }
+    c
+}
+
+/// Rows `[r0, r1)` of `A · B` as a fresh row panel — the unit of work of
+/// every dense path (inline, pool job, multi-process worker). `a` is the
+/// full `m × k` matrix through strides `(a_rs, a_cs)` (contiguous rows
+/// unless the path is packed); `b` is the contiguous `k × n` matrix, read
+/// by the GEMV and scalar paths; `pb` is `B` packed, read by the packed
+/// path.
+#[allow(clippy::too_many_arguments)]
+fn dense_rows<T: Scalar>(
+    path: GemmPath,
+    (r0, r1): (usize, usize),
+    (k, n): (usize, usize),
+    a: &[T],
+    (a_rs, a_cs): (usize, usize),
+    b: &[T],
+    pb: Option<&PackedB<T>>,
+) -> Vec<T> {
+    let rows = r1 - r0;
+    match path {
+        GemmPath::Gemv => {
+            // Davidson matvec shape: skip the blocked machinery entirely
+            let mut c = vec![T::zero(); rows];
+            gemv_acc_rows(r0, r1, k, a, b, 1, &mut c);
+            c
+        }
+        GemmPath::Scalar => {
+            let mut c = vec![T::zero(); rows * n];
+            gemm_acc_slices(rows, k, n, &a[r0 * k..r1 * k], b, &mut c);
+            c
+        }
+        GemmPath::Packed => {
+            let mut c = vec![T::zero(); rows * n];
+            if let Some(pb) = pb {
+                gemm_acc_packed_rows(r0, r1, a, a_rs, a_cs, pb, &mut c);
+            }
+            c
+        }
+    }
+}
+
 /// Dense × dense contraction (TTGT), parallel at the GEMM level: the
 /// kernel path comes from [`gemm_path`]`(k, n)` (invariant under row
 /// chunking), `B` is packed once and shared, and row-disjoint panels fan
-/// out over the pool.
+/// out over the pool. Operands are read in place when their permutation
+/// moves nothing (see [`mat_operand`]); only pool jobs, which outlive this
+/// frame, take an owned copy.
 pub(crate) fn dense_contract<T: Scalar>(
     plan: &ContractPlan,
     a: &DenseTensor<T>,
@@ -149,71 +255,81 @@ pub(crate) fn dense_contract<T: Scalar>(
 ) -> Result<DenseTensor<T>> {
     plan.output_dims(a.dims(), b.dims())?; // validates shapes
     let (m, k, n) = fused_dims(plan, a.dims(), b.dims());
-
-    let mut perm_a: Vec<usize> = plan.free_a_positions().to_vec();
-    perm_a.extend_from_slice(plan.ctr_a_positions());
-    let mut perm_b: Vec<usize> = plan.ctr_b_positions().to_vec();
-    perm_b.extend_from_slice(plan.free_b_positions());
-
-    let a_mat: Arc<Vec<T>> = Arc::new(a.permute(&perm_a)?.into_data());
-    let b_mat: Arc<Vec<T>> = Arc::new(b.permute(&perm_b)?.into_data());
+    let (perm_a, perm_b) = operand_perms(plan);
+    let path = gemm_path(k, n);
+    let packed = path == GemmPath::Packed;
+    let a_mat = mat_operand(a, &perm_a, m, k, packed)?;
+    let b_mat = mat_operand(b, &perm_b, k, n, packed)?;
+    let a_strides = (a_mat.rs, a_mat.cs);
 
     let nthreads = pool.map(|p| p.threads()).unwrap_or(1);
-    let chunks = match gemm_path(k, n) {
-        GemmPath::Gemv => {
-            // Davidson matvec shape: skip the blocked machinery entirely
-            run_chunked(pool, row_ranges(m, nthreads), |(r0, r1)| {
-                let a_mat = Arc::clone(&a_mat);
-                let b_mat = Arc::clone(&b_mat);
-                Box::new(move || {
-                    let mut c = vec![T::zero(); r1 - r0];
-                    gemv_acc_rows(r0, r1, k, &a_mat, &b_mat, 1, &mut c);
-                    c
-                })
-            })
-        }
-        GemmPath::Scalar => run_chunked(pool, row_ranges(m, nthreads), |(r0, r1)| {
-            let a_mat = Arc::clone(&a_mat);
-            let b_mat = Arc::clone(&b_mat);
-            Box::new(move || {
-                let rows = r1 - r0;
-                let mut c = vec![T::zero(); rows * n];
-                gemm_acc_slices(rows, k, n, &a_mat[r0 * k..r1 * k], &b_mat, &mut c);
-                c
-            })
-        }),
-        GemmPath::Packed => {
+    let ranges = if packed {
+        mc_aligned_ranges(m, nthreads)
+    } else {
+        row_ranges(m, nthreads)
+    };
+    let panels: Vec<Vec<T>> = match pool {
+        Some(pool) if ranges.len() > 1 => {
+            let a_own: Arc<Vec<T>> = Arc::new(a_mat.data.into_owned());
+            let b_own: Arc<Vec<T>> = Arc::new(b_mat.data.into_owned());
             // pack B across the pool, one KC-deep block per job — blocks
             // are independent and reassemble to the exact bytes of a
             // monolithic pack — then every worker drives the microkernel
             // over its own MC-aligned row panels against the shared
             // packed operand
-            let blk_ranges: Vec<(usize, usize)> = (0..PackedB::<T>::block_count(k))
-                .map(|blk| (blk, blk + 1))
-                .collect();
-            let blocks = run_chunked(pool, blk_ranges, |(blk, _)| {
-                let b_mat = Arc::clone(&b_mat);
-                Box::new(move || PackedB::<T>::pack_block(k, n, &b_mat, n, 1, blk))
+            let pb: Option<Arc<PackedB<T>>> = packed.then(|| {
+                let (b_rs, b_cs) = (b_mat.rs, b_mat.cs);
+                let jobs = (0..PackedB::<T>::block_count(k))
+                    .map(|blk| {
+                        let b_own = Arc::clone(&b_own);
+                        Box::new(move || PackedB::<T>::pack_block(k, n, &b_own, b_rs, b_cs, blk))
+                            as Box<dyn FnOnce() -> _ + Send>
+                    })
+                    .collect();
+                Arc::new(PackedB::from_blocks(k, n, pool.run(jobs)))
             });
-            let pb: Arc<PackedB<T>> = Arc::new(PackedB::from_blocks(k, n, blocks));
-            run_chunked(pool, mc_aligned_ranges(m, nthreads), |(r0, r1)| {
-                let a_mat = Arc::clone(&a_mat);
-                let pb = Arc::clone(&pb);
-                Box::new(move || {
-                    let mut c = vec![T::zero(); (r1 - r0) * n];
-                    gemm_acc_packed_rows(r0, r1, &a_mat, k, 1, &pb, &mut c);
-                    c
+            let jobs = ranges
+                .into_iter()
+                .map(|range| {
+                    let (a_own, b_own, pb) = (Arc::clone(&a_own), Arc::clone(&b_own), pb.clone());
+                    Box::new(move || {
+                        dense_rows(
+                            path,
+                            range,
+                            (k, n),
+                            &a_own,
+                            a_strides,
+                            &b_own,
+                            pb.as_deref(),
+                        )
+                    }) as Box<dyn FnOnce() -> Vec<T> + Send>
                 })
-            })
+                .collect();
+            pool.run(jobs)
+        }
+        _ => {
+            let pb = packed.then(|| PackedB::pack(k, n, &b_mat.data, b_mat.rs, b_mat.cs));
+            ranges
+                .into_iter()
+                .map(|range| {
+                    dense_rows(
+                        path,
+                        range,
+                        (k, n),
+                        &a_mat.data,
+                        a_strides,
+                        &b_mat.data,
+                        pb.as_ref(),
+                    )
+                })
+                .collect()
         }
     };
-
-    let mut c = Vec::with_capacity(m * n);
-    for chunk in chunks {
-        c.extend_from_slice(&chunk);
-    }
-    let c = DenseTensor::from_vec(natural_dims(plan, a.dims(), b.dims()), c)?;
-    Ok(c.permute(plan.output_permutation())?)
+    into_output(
+        natural_dims(plan, a.dims(), b.dims()),
+        concat_rows(panels, m * n),
+        plan.output_permutation(),
+    )
 }
 
 /// One dense chunk computed from a *local* row slab: the shared-nothing
@@ -232,26 +348,8 @@ pub(crate) fn dense_chunk<T: Scalar>(
     a_slab: &[T],
     b_mat: &[T],
 ) -> Vec<T> {
-    match path {
-        GemmPath::Gemv => {
-            let mut c = vec![T::zero(); rows];
-            gemv_acc_rows(0, rows, k, a_slab, b_mat, 1, &mut c);
-            c
-        }
-        GemmPath::Scalar => {
-            let mut c = vec![T::zero(); rows * n];
-            gemm_acc_slices(rows, k, n, a_slab, b_mat, &mut c);
-            c
-        }
-        GemmPath::Packed => {
-            let mut c = vec![T::zero(); rows * n];
-            if rows > 0 {
-                let pb = PackedB::pack(k, n, b_mat, n, 1);
-                gemm_acc_packed_rows(0, rows, a_slab, k, 1, &pb, &mut c);
-            }
-            c
-        }
-    }
+    let pb = (path == GemmPath::Packed && rows > 0).then(|| PackedB::pack(k, n, b_mat, n, 1));
+    dense_rows(path, (0, rows), (k, n), a_slab, (k, 1), b_mat, pb.as_ref())
 }
 
 /// `(fused output row, fused contracted col, value)` triples of a sparse
@@ -341,37 +439,300 @@ pub(crate) fn bucket_by_volume(
     (ranges, buckets)
 }
 
+/// Shortest contiguous run worth addressing through an offset table:
+/// below it the per-run loop overhead of [`sd_chunk`] outweighs the
+/// transposition it saves, and the operand is permuted into one
+/// full-width run instead.
+const SD_MIN_RUN: usize = 32;
+
+/// Where the logical `rows × n` matrix of a sparse-dense operand lives in
+/// its buffer, as *(offset tables, contiguous inner run)*: with `run`
+/// elements per run (a property of the contraction, shared by the `B` and
+/// `C` views), element `(r, o·run + i)` sits at
+/// `rows[r] + outer[o] + i`. A plain row-major matrix is the view with one
+/// full-width run per row.
+pub(crate) struct SdView {
+    rows: Vec<usize>,
+    outer: Vec<usize>,
+}
+
+impl SdView {
+    /// The view of a contiguous row-major `rows × n` matrix, cut into runs
+    /// of `run` elements (`run` divides `n`; both may be zero).
+    pub(crate) fn matrix(rows: usize, n: usize, run: usize) -> Self {
+        Self {
+            rows: (0..rows).map(|r| r * n).collect(),
+            outer: (0..n / run.max(1)).map(|o| o * run).collect(),
+        }
+    }
+
+    /// The view of a tensor read in place, modes most significant first.
+    fn strided(row_modes: &[Axis], outer_modes: &[Axis]) -> Self {
+        Self {
+            rows: mode_offsets(row_modes),
+            outer: mode_offsets(outer_modes),
+        }
+    }
+}
+
+/// One mode of a tensor read in place: `(extent, stride)`.
+type Axis = (usize, usize);
+
+/// Offsets of every index combination of `modes` (most significant first)
+/// in row-major order.
+fn mode_offsets(modes: &[Axis]) -> Vec<usize> {
+    let mut offs = vec![0usize];
+    for &(dim, stride) in modes {
+        offs = offs
+            .iter()
+            .flat_map(|&base| (0..dim).map(move |i| base + i * stride))
+            .collect();
+    }
+    offs
+}
+
+/// `(extent, stride)` of the modes of a row-major tensor of shape `dims`,
+/// listed in `order`, unit modes dropped.
+fn strided_modes(dims: &[usize], order: &[usize]) -> Vec<Axis> {
+    order
+        .iter()
+        .filter(|&&p| dims[p] != 1)
+        .map(|&p| (dims[p], dims[p + 1..].iter().product()))
+        .collect()
+}
+
+/// Split `modes` in front of its trailing group of total extent `width`.
+fn split_trailing(modes: &[Axis], width: usize) -> Result<(&[Axis], &[Axis])> {
+    let (mut at, mut got) = (modes.len(), 1usize);
+    while got < width && at > 0 {
+        at -= 1;
+        got *= modes[at].0;
+    }
+    if got != width {
+        return Err(Error::Runtime(format!(
+            "no trailing modes of {modes:?} span {width} elements"
+        )));
+    }
+    Ok(modes.split_at(at))
+}
+
+/// Extent of the longest trailing group of `cols` that is contiguous
+/// (unit stride, each mode nested directly inside the previous).
+fn trailing_run(cols: &[Axis]) -> usize {
+    let mut run = 1;
+    for &(dim, stride) in cols.iter().rev() {
+        if stride != run {
+            break;
+        }
+        run *= dim;
+    }
+    run
+}
+
+/// The dense side of one sparse-dense contraction — everything the layout
+/// decision reads. Built from a [`ContractPlan`] by [`sd_contract`] and
+/// from the `ChainSd` request fields by the worker, so both make the same
+/// decision.
+pub(crate) struct SdGeometry<'a> {
+    /// Fused output rows (free modes of the sparse operand).
+    pub(crate) m: usize,
+    /// Fused output columns (free modes of `B`).
+    pub(crate) n: usize,
+    /// Shape of `B` as stored.
+    pub(crate) b_dims: &'a [usize],
+    /// `B`'s modes in `(contracted, free)` order.
+    pub(crate) perm_b: &'a [usize],
+    /// Result shape in natural `(free A, free B)` order.
+    pub(crate) nat_dims: &'a [usize],
+    /// Natural order → output order.
+    pub(crate) out_perm: &'a [usize],
+}
+
+/// How [`sd_apply`] addresses `B` and `C`: in place through run views, or
+/// as full-width matrices around a real transposition.
+struct SdLayout {
+    run: usize,
+    /// `B` is read where it lies (else: permuted to `k × n` first).
+    b_in_place: bool,
+    /// `C` is accumulated in output order (else: in natural order, then
+    /// permuted).
+    c_in_place: bool,
+    b: SdView,
+    c: SdView,
+}
+
+impl SdLayout {
+    /// Decide from dims and permutations alone. An operand is used in
+    /// place when its trailing free modes form a contiguous run of at
+    /// least [`SD_MIN_RUN`] elements (or the whole row: a permutation that
+    /// fuses to the identity). `scatter` says whether `C` may be written
+    /// in output order at all — only a single chunk owns the whole output
+    /// buffer; row panels of a chunked run are natural-order and
+    /// concatenated.
+    fn choose(g: &SdGeometry, out_dims: &[usize], scatter: bool) -> Result<Self> {
+        let n = g.n;
+        let mut inv_out = vec![0usize; g.out_perm.len()];
+        for (j, &q) in g.out_perm.iter().enumerate() {
+            inv_out[q] = j;
+        }
+        let b_modes = strided_modes(g.b_dims, g.perm_b);
+        let c_modes = strided_modes(out_dims, &inv_out);
+        let (b_rows, b_cols) = split_trailing(&b_modes, n)?;
+        let (c_rows, c_cols) = split_trailing(&c_modes, n)?;
+        let k: usize = b_rows.iter().map(|m| m.0).product();
+        if !b_cols.iter().map(|m| m.0).eq(c_cols.iter().map(|m| m.0))
+            || c_rows.iter().map(|m| m.0).product::<usize>() != g.m
+        {
+            return Err(Error::Runtime(
+                "sparse-dense operand and result shapes disagree".into(),
+            ));
+        }
+        let (run_b, run_c) = (trailing_run(b_cols), trailing_run(c_cols));
+        let usable = |run: usize| run >= SD_MIN_RUN || run == n;
+        let (b_in_place, c_in_place, run) = if scatter && usable(run_b.min(run_c)) {
+            (true, true, run_b.min(run_c))
+        } else if usable(run_b) {
+            (true, false, run_b)
+        } else if scatter && usable(run_c) {
+            (false, true, run_c)
+        } else {
+            (false, false, n)
+        };
+        // `run` is a trailing product of the column extents either way
+        let (b_outer, c_outer) = (
+            split_trailing(b_cols, run)?.0,
+            split_trailing(c_cols, run)?.0,
+        );
+        let view = |in_place: bool, rows: &[Axis], outer: &[Axis], r: usize| {
+            if in_place {
+                SdView::strided(rows, outer)
+            } else {
+                SdView::matrix(r, n, run)
+            }
+        };
+        Ok(Self {
+            run,
+            b_in_place,
+            c_in_place,
+            b: view(b_in_place, b_rows, b_outer, k),
+            c: view(c_in_place, c_rows, c_outer, g.m),
+        })
+    }
+}
+
 /// One sparse-dense chunk: accumulate `bucket`'s entries (all with fused
-/// rows in `[r0, r1)`) against dense `b_mat` into the chunk's local rows.
-/// Shared by the pool jobs and the multi-process worker — the accumulation
-/// order per output element is the stored-entry order either way. Charges
+/// rows in `[r0, r0 + c.rows.len())`) against dense `B` into the chunk's
+/// rows of `C`, both addressed through [`SdView`]s (`c`'s row table is
+/// chunk-local: row `r` is entry `r - r0`). The one body behind the
+/// inline path, the pool jobs and the multi-process worker — per output
+/// element the accumulation order is the stored-entry order whatever the
+/// views are, so the layout decision never shows in a result bit. Charges
 /// the global flop counter here (not in the wrapper) so the count lands
 /// in whichever process actually ran the chunk; the transport propagates
 /// worker-side counts back to the driver.
 pub(crate) fn sd_chunk(
     r0: usize,
-    r1: usize,
-    n: usize,
     bucket: &[Coord],
-    b_mat: &[f64],
-) -> Vec<f64> {
-    tt_tensor::counter::add_flops(2 * bucket.len() as u64 * n as u64);
-    let mut c = vec![0.0f64; (r1 - r0) * n];
-    if n == 1 {
-        // gemv-shaped: each entry contributes one scalar product
-        for &(row, col, v) in bucket {
-            c[row as usize - r0] += v * b_mat[col as usize];
-        }
-    } else {
-        for &(row, col, v) in bucket {
-            let local = (row as usize - r0) * n;
-            let brow = &b_mat[col as usize * n..(col as usize + 1) * n];
-            for (cj, &bj) in c[local..local + n].iter_mut().zip(brow) {
+    run: usize,
+    b: &SdView,
+    b_data: &[f64],
+    c: &SdView,
+    c_data: &mut [f64],
+) {
+    tt_tensor::counter::add_flops(2 * (bucket.len() * run * b.outer.len()) as u64);
+    for &(row, col, v) in bucket {
+        let (c_row, b_row) = (c.rows[row as usize - r0], b.rows[col as usize]);
+        for (&co, &bo) in c.outer.iter().zip(&b.outer) {
+            let c_run = &mut c_data[c_row + co..c_row + co + run];
+            let b_run = &b_data[b_row + bo..b_row + bo + run];
+            for (cj, &bj) in c_run.iter_mut().zip(b_run) {
                 *cj += v * bj;
             }
         }
     }
+}
+
+/// Rows `[r0, r1)` of a sparse-dense product as a fresh natural-order
+/// row panel: the chunk form used by pool jobs and the worker's `SdChunk`.
+pub(crate) fn sd_panel(
+    (r0, r1): (usize, usize),
+    n: usize,
+    bucket: &[Coord],
+    run: usize,
+    b: &SdView,
+    b_data: &[f64],
+) -> Vec<f64> {
+    let mut c = vec![0.0f64; (r1 - r0) * n];
+    let c_view = SdView::matrix(r1 - r0, n, run);
+    sd_chunk(r0, bucket, run, b, b_data, &c_view, &mut c);
     c
+}
+
+/// The dense half of a sparse-dense contraction: accumulate `coords`
+/// (`A`'s fused entries, stored order) against `B` and return the output
+/// tensor. One chunk runs inline and, when the layout allows, writes `C`
+/// straight into output order; more chunks bucket the coords by volume
+/// and fan natural-order row panels out over the pool. `B` is borrowed
+/// unless it has to be transposed or pool jobs need an owned copy.
+pub(crate) fn sd_apply(
+    g: &SdGeometry,
+    b: &[f64],
+    coords: Cow<[Coord]>,
+    chunks: usize,
+    pool: Option<&ThreadPool>,
+) -> Result<DenseTensor<f64>> {
+    let (m, n) = (g.m, g.n);
+    // the worker builds `g` from request fields: check before indexing
+    if !is_permutation(g.perm_b, g.b_dims.len())
+        || !is_permutation(g.out_perm, g.nat_dims.len())
+        || b.len() != g.b_dims.iter().product::<usize>()
+        || m * n != g.nat_dims.iter().product::<usize>()
+    {
+        return Err(Error::Runtime(
+            "sparse-dense geometry does not match its operands".into(),
+        ));
+    }
+    let out_dims: Vec<usize> = g.out_perm.iter().map(|&q| g.nat_dims[q]).collect();
+    if m * n == 0 || b.is_empty() {
+        return Ok(DenseTensor::zeros(out_dims));
+    }
+    let parallel = pool.filter(|_| chunks > 1);
+    let layout = SdLayout::choose(g, &out_dims, parallel.is_none())?;
+    let b_data: Cow<[f64]> = if layout.b_in_place {
+        Cow::Borrowed(b)
+    } else {
+        Cow::Owned(permute_data(b, g.b_dims, g.perm_b)?)
+    };
+    let Some(pool) = parallel else {
+        let mut c = vec![0.0f64; m * n];
+        sd_chunk(
+            0, &coords, layout.run, &layout.b, &b_data, &layout.c, &mut c,
+        );
+        return if layout.c_in_place {
+            Ok(DenseTensor::from_vec(out_dims, c)?)
+        } else {
+            into_output(g.nat_dims.to_vec(), c, g.out_perm)
+        };
+    };
+    // every stored entry costs one n-wide axpy
+    let (ranges, buckets) = bucket_by_volume(coords.into_owned(), m, chunks, |_| n as u64);
+    let run = layout.run;
+    let b_view = Arc::new(layout.b);
+    let b_data: Arc<Vec<f64>> = Arc::new(b_data.into_owned());
+    let jobs = ranges
+        .into_iter()
+        .zip(buckets)
+        .map(|(range, bucket)| {
+            let (b_view, b_data) = (Arc::clone(&b_view), Arc::clone(&b_data));
+            Box::new(move || sd_panel(range, n, &bucket, run, &b_view, &b_data))
+                as Box<dyn FnOnce() -> Vec<f64> + Send>
+        })
+        .collect();
+    into_output(
+        g.nat_dims.to_vec(),
+        concat_rows(pool.run(jobs), m * n),
+        g.out_perm,
+    )
 }
 
 /// Sparse × dense contraction producing a dense tensor, row-chunked with
@@ -386,34 +747,20 @@ pub(crate) fn sd_contract(
 ) -> Result<(DenseTensor<f64>, u64)> {
     plan.output_dims(a.dims(), b.dims())?;
     let (m, _k, n) = fused_dims(plan, a.dims(), b.dims());
-
-    let mut perm_b: Vec<usize> = plan.ctr_b_positions().to_vec();
-    perm_b.extend_from_slice(plan.free_b_positions());
-    let b_mat: Arc<Vec<f64>> = Arc::new(b.permute(&perm_b)?.into_data());
-
     let coords = sparse_coords(a, plan.free_a_positions(), plan.ctr_a_positions());
     let flops = 2 * coords.len() as u64 * n as u64;
     let nthreads = pool.map(|p| p.threads()).unwrap_or(1);
     let chunks = if flops < min_par_flops { 1 } else { nthreads };
-    // every stored entry costs one n-wide axpy
-    let (ranges, buckets) = bucket_by_volume(coords, m, chunks, |_| n as u64);
-
-    let mut jobs: Vec<Box<dyn FnOnce() -> Vec<f64> + Send>> = Vec::new();
-    for ((r0, r1), bucket) in ranges.iter().copied().zip(buckets) {
-        let b_mat = Arc::clone(&b_mat);
-        jobs.push(Box::new(move || sd_chunk(r0, r1, n, &bucket, &b_mat)));
-    }
-    let chunks = match pool {
-        Some(pool) if jobs.len() > 1 => pool.run(jobs),
-        _ => jobs.into_iter().map(|j| j()).collect(),
+    let g = SdGeometry {
+        m,
+        n,
+        b_dims: b.dims(),
+        perm_b: &operand_perms(plan).1,
+        nat_dims: &natural_dims(plan, a.dims(), b.dims()),
+        out_perm: plan.output_permutation(),
     };
-
-    let mut c = Vec::with_capacity(m * n);
-    for chunk in chunks {
-        c.extend_from_slice(&chunk);
-    }
-    let c = DenseTensor::from_vec(natural_dims(plan, a.dims(), b.dims()), c)?;
-    Ok((c.permute(plan.output_permutation())?, flops))
+    let c = sd_apply(&g, b.data(), Cow::Owned(coords), chunks, pool)?;
+    Ok((c, flops))
 }
 
 /// Driver-side preparation for a sparse × sparse contraction: everything
@@ -669,6 +1016,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use tt_tensor::Complex64;
 
     fn random_sparse(dims: &[usize], density: f64, seed: u64) -> SparseTensor<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -831,6 +1179,241 @@ mod tests {
         }
         let reference = tt_tensor::einsum("ik,kj->ij", &a.to_dense(), &b).unwrap();
         assert!(seq.allclose(&reference, 1e-12));
+    }
+
+    // -- the TTGT boundary: in-place operands vs executed permutations ------
+
+    /// The reference the layout shortcuts must reproduce bit for bit:
+    /// permute both operands to matrices, run the contiguous GEMM, permute
+    /// the natural-order result to output order.
+    fn dense_reference<T: Scalar>(
+        plan: &ContractPlan,
+        a: &DenseTensor<T>,
+        b: &DenseTensor<T>,
+    ) -> DenseTensor<T> {
+        let (m, k, n) = fused_dims(plan, a.dims(), b.dims());
+        let (perm_a, perm_b) = operand_perms(plan);
+        let a_mat = a.permute(&perm_a).unwrap().into_data();
+        let b_mat = b.permute(&perm_b).unwrap().into_data();
+        let mut c = vec![T::zero(); m * n];
+        gemm_acc_slices(m, k, n, &a_mat, &b_mat, &mut c);
+        DenseTensor::from_vec(natural_dims(plan, a.dims(), b.dims()), c)
+            .unwrap()
+            .permute(plan.output_permutation())
+            .unwrap()
+    }
+
+    /// Same for sparse × dense: permute `B`, accumulate every stored
+    /// entry's full-width axpy in stored order, permute the result.
+    fn sd_reference(
+        plan: &ContractPlan,
+        a: &SparseTensor<f64>,
+        b: &DenseTensor<f64>,
+    ) -> DenseTensor<f64> {
+        let (m, _k, n) = fused_dims(plan, a.dims(), b.dims());
+        let b_mat = b.permute(&operand_perms(plan).1).unwrap().into_data();
+        let mut c = vec![0.0f64; m * n];
+        for (row, col, v) in sparse_coords(a, plan.free_a_positions(), plan.ctr_a_positions()) {
+            for j in 0..n {
+                c[row as usize * n + j] += v * b_mat[col as usize * n + j];
+            }
+        }
+        DenseTensor::from_vec(natural_dims(plan, a.dims(), b.dims()), c)
+            .unwrap()
+            .permute(plan.output_permutation())
+            .unwrap()
+    }
+
+    fn check_dense<T: Scalar>(spec: &str, a_dims: &[usize], b_dims: &[usize], seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = DenseTensor::<T>::random(a_dims, &mut rng);
+        let b = DenseTensor::<T>::random(b_dims, &mut rng);
+        let plan = ContractPlan::parse(spec).unwrap();
+        let reference = dense_reference(&plan, &a, &b);
+        let seq = dense_contract(&plan, &a, &b, None).unwrap();
+        assert_eq!(seq, reference, "{spec} {a_dims:?} {b_dims:?} inline");
+        let pool = ThreadPool::new(3);
+        let par = dense_contract(&plan, &a, &b, Some(&pool)).unwrap();
+        assert_eq!(par, reference, "{spec} {a_dims:?} {b_dims:?} pool");
+    }
+
+    fn check_sd(spec: &str, a_dims: &[usize], b_dims: &[usize], seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = random_sparse(a_dims, 0.3, seed);
+        let b = DenseTensor::<f64>::random(b_dims, &mut rng);
+        let plan = ContractPlan::parse(spec).unwrap();
+        let reference = sd_reference(&plan, &a, &b);
+        let (seq, flops) = sd_contract(&plan, &a, &b, None, 0).unwrap();
+        assert_eq!(seq, reference, "{spec} {a_dims:?} {b_dims:?} inline");
+        let n = fused_dims(&plan, a_dims, b_dims).2;
+        assert_eq!(flops, 2 * (a.nnz() * n) as u64);
+        let pool = ThreadPool::new(3);
+        // every chunk count: forced fan-out, and the production threshold
+        // (these sizes sit below it: one chunk despite the pool)
+        for min_par_flops in [0, SPARSE_PAR_MIN_FLOPS] {
+            let (par, _) = sd_contract(&plan, &a, &b, Some(&pool), min_par_flops).unwrap();
+            assert_eq!(par, reference, "{spec} {a_dims:?} {b_dims:?} pool");
+        }
+    }
+
+    /// The four H_eff steps `(spec, A dims, B dims)` at bond dimension
+    /// `bond`, MPO bond 5, physical dimension 2.
+    fn heff_steps(bond: usize) -> [(&'static str, Vec<usize>, Vec<usize>); 4] {
+        let (m, w, d) = (bond, 5, 2);
+        [
+            ("bkc,cqwf->bkqwf", vec![m, w, m], vec![m, d, d, m]),
+            ("kpqg,bkqwf->bpgwf", vec![w, d, d, w], vec![m, w, d, d, m]),
+            ("gswh,bpgwf->bpshf", vec![w, d, d, w], vec![m, d, w, d, m]),
+            ("rhf,bpshf->bpsr", vec![m, w, m], vec![m, d, d, w, m]),
+        ]
+    }
+
+    #[test]
+    fn heff_chain_layouts_are_what_the_profile_asked_for() {
+        // at a DMRG bond dimension: step 1 moves nothing, steps 2–3 gather
+        // and scatter runs, step 4 has no contiguous free run in B and
+        // scatters C only
+        let layouts: Vec<(bool, bool, usize)> = heff_steps(40)
+            .iter()
+            .map(|(spec, a_dims, b_dims)| {
+                let plan = ContractPlan::parse(spec).unwrap();
+                let (m, _k, n) = fused_dims(&plan, a_dims, b_dims);
+                let g = SdGeometry {
+                    m,
+                    n,
+                    b_dims,
+                    perm_b: &operand_perms(&plan).1,
+                    nat_dims: &natural_dims(&plan, a_dims, b_dims),
+                    out_perm: plan.output_permutation(),
+                };
+                let out_dims = plan.output_dims(a_dims, b_dims).unwrap();
+                let l = SdLayout::choose(&g, &out_dims, true).unwrap();
+                (l.b_in_place, l.c_in_place, l.run)
+            })
+            .collect();
+        assert_eq!(
+            layouts,
+            [
+                (true, true, 2 * 2 * 40),
+                (true, true, 2 * 40),
+                (true, true, 40),
+                (false, false, 40 * 2 * 2),
+            ]
+        );
+    }
+
+    #[test]
+    fn heff_steps_bitwise_equal_permute_kernel_permute() {
+        // bond 40: run views engage; bond 6: every run is below
+        // SD_MIN_RUN and the operands are really transposed
+        for bond in [40, 6] {
+            for (i, (spec, a_dims, b_dims)) in heff_steps(bond).iter().enumerate() {
+                let seed = 100 + i as u64;
+                check_sd(spec, a_dims, b_dims, seed);
+                check_dense::<f64>(spec, a_dims, b_dims, seed);
+                check_dense::<Complex64>(spec, a_dims, b_dims, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn strided_and_gemv_operands_bitwise_equal_reference() {
+        // A stored k×m and B stored n×k on the packed path: both reach
+        // the packer as strides
+        assert_eq!(gemm_path(70, 300), GemmPath::Packed);
+        check_dense::<f64>("ki,jk->ij", &[70, 300], &[300, 70], 1);
+        check_dense::<Complex64>("ki,jk->ij", &[70, 300], &[300, 70], 2);
+        // … and transposed output on top
+        check_dense::<f64>("ki,jk->ji", &[70, 2 * MC + 5], &[90, 70], 3);
+        // a transpose that does not split at the row/column boundary must
+        // be executed: A (x,y,z) with rows y and cols (z,x)
+        check_dense::<f64>("xyz,zxc->yc", &[9, 40, 8], &[8, 9, 50], 4);
+        // same transposes on the scalar path (executed, not strided)
+        assert_eq!(gemm_path(7, 9), GemmPath::Scalar);
+        check_dense::<f64>("ki,jk->ij", &[7, 11], &[9, 7], 5);
+        // gemv: B fully contracted, its modes in another order than A's
+        assert_eq!(gemm_path(35, 1), GemmPath::Gemv);
+        check_dense::<f64>("ajk,kj->a", &[40, 5, 7], &[7, 5], 6);
+        check_dense::<Complex64>("jak,kj->a", &[5, 40, 7], &[7, 5], 7);
+    }
+
+    /// A random two-operand spec: `(spec, A dims, B dims)` with 1–2
+    /// contracted modes at random positions, extents 1–5 and a random
+    /// output order.
+    fn random_spec(rng: &mut StdRng) -> (String, Vec<usize>, Vec<usize>) {
+        use rand::SliceRandom;
+        let (free_a, free_b, ctr) = (
+            rng.gen_range(1..4usize),
+            rng.gen_range(0..4usize),
+            rng.gen_range(1..3usize),
+        );
+        let mut labels = (b'a'..=b'z').map(|c| (c, rng.gen_range(1..6usize)));
+        let mut take = |n: usize| labels.by_ref().take(n).collect::<Vec<_>>();
+        let (fa, fb, ct) = (take(free_a), take(free_b), take(ctr));
+        let mut a: Vec<(u8, usize)> = fa.iter().chain(&ct).copied().collect();
+        let mut b: Vec<(u8, usize)> = fb.iter().chain(&ct).copied().collect();
+        let mut out: Vec<(u8, usize)> = fa.iter().chain(&fb).copied().collect();
+        a.shuffle(rng);
+        b.shuffle(rng);
+        out.shuffle(rng);
+        let text = |ls: &[(u8, usize)]| ls.iter().map(|&(c, _)| c as char).collect::<String>();
+        let dims = |ls: &[(u8, usize)]| ls.iter().map(|&(_, d)| d).collect::<Vec<_>>();
+        (
+            format!("{},{}->{}", text(&a), text(&b), text(&out)),
+            dims(&a),
+            dims(&b),
+        )
+    }
+
+    #[test]
+    fn random_specs_bitwise_equal_permute_kernel_permute() {
+        let mut rng = StdRng::seed_from_u64(77);
+        for case in 0..60u64 {
+            let (spec, a_dims, b_dims) = random_spec(&mut rng);
+            check_dense::<f64>(&spec, &a_dims, &b_dims, case);
+            check_dense::<Complex64>(&spec, &a_dims, &b_dims, case);
+            check_sd(&spec, &a_dims, &b_dims, case);
+        }
+    }
+
+    #[test]
+    fn sd_views_engage_on_long_runs_of_random_specs() {
+        // random specs with one long trailing free mode of B, so the run
+        // views (not just the permute fallback) see arbitrary geometry
+        let mut rng = StdRng::seed_from_u64(78);
+        for case in 0..30u64 {
+            let (spec, a_dims, mut b_dims) = random_spec(&mut rng);
+            let (lhs, out) = spec.split_once("->").unwrap();
+            let (a_txt, b_txt) = lhs.split_once(',').unwrap();
+            // append a fresh long mode to B, and to the output at a
+            // random-ish position: last on even cases, first on odd
+            b_dims.push(33 + case as usize % 4);
+            let out = if case % 2 == 0 {
+                format!("{out}Z")
+            } else {
+                format!("Z{out}")
+            };
+            check_sd(&format!("{a_txt},{b_txt}Z->{out}"), &a_dims, &b_dims, case);
+        }
+    }
+
+    #[test]
+    fn sd_apply_rejects_inconsistent_geometry() {
+        let b = vec![0.0f64; 24];
+        let g = |perm_b: &'static [usize], n: usize| SdGeometry {
+            m: 2,
+            n,
+            b_dims: &[2, 3, 4],
+            perm_b,
+            nat_dims: &[2, 3, 4],
+            out_perm: &[0, 1, 2],
+        };
+        assert!(sd_apply(&g(&[0, 1, 2], 12), &b, Cow::Owned(vec![]), 1, None).is_ok());
+        // not a permutation; n no product of trailing modes
+        assert!(sd_apply(&g(&[0, 1, 1], 12), &b, Cow::Owned(vec![]), 1, None).is_err());
+        assert!(sd_apply(&g(&[0, 1, 2], 8), &b, Cow::Owned(vec![]), 1, None).is_err());
+        // operand shorter than its dims
+        assert!(sd_apply(&g(&[0, 1, 2], 12), &b[..20], Cow::Owned(vec![]), 1, None).is_err());
     }
 
     #[test]

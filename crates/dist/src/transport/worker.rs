@@ -3,7 +3,9 @@
 //! A worker (one rank of the shared-nothing backend) is a small kernel
 //! server: it holds a keyed store of resident buffers and executes the
 //! same deterministic chunk kernels as the in-process executor —
-//! [`crate::kernels::dense_chunk`], [`crate::kernels::sd_chunk`],
+//! [`crate::kernels::dense_chunk`], [`crate::kernels::sd_chunk`] (through
+//! [`crate::kernels::sd_panel`] for a shipped row chunk and
+//! [`crate::kernels::sd_apply`] for a whole chain step),
 //! [`crate::kernels::ss_chunk`], whole-matrix factorizations and resident
 //! SUMMA slab updates. Because both backends run *exactly* this code over
 //! *exactly* the same work decomposition, multi-process results are
@@ -36,6 +38,7 @@
 use super::wire::{read_frame, write_frame, Dec, Enc};
 use crate::kernels;
 use crate::{Error, Result};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tt_linalg::TruncSpec;
@@ -1382,12 +1385,19 @@ impl WorkerState {
             Request::SdChunk { r0, r1, n, a, b } => {
                 let bucket = self.opcoords(a)?;
                 let b = self.op(b)?;
-                Ok(Reply::Buf(Buf::F64(kernels::sd_chunk(
-                    r0,
-                    r1,
+                let b = b.as_f64()?;
+                if r1 < r0 || (n > 0 && b.len() % n != 0) {
+                    return Err(Error::transport("sd chunk operand size mismatch"));
+                }
+                // the driver ships B already permuted: one full-width run
+                let b_view = kernels::SdView::matrix(b.len() / n.max(1), n, n);
+                Ok(Reply::Buf(Buf::F64(kernels::sd_panel(
+                    (r0, r1),
                     n,
                     &bucket,
-                    b.as_f64()?,
+                    n,
+                    &b_view,
+                    b,
                 ))))
             }
             Request::SsChunk {
@@ -1469,11 +1479,16 @@ impl WorkerState {
                 store,
             } => {
                 let bucket = self.opcoords(a)?;
-                let b = Self::take(self.op(b)?).into_f64()?;
-                let tb = DenseTensor::from_vec(b_dims, b)?;
-                let b_mat = tb.permute(&perm_b)?.into_data();
-                let c = kernels::sd_chunk(0, m, n, &bucket, &b_mat);
-                let c = DenseTensor::from_vec(nat_dims, c)?.permute(&out_perm)?;
+                let b = self.op(b)?;
+                let g = kernels::SdGeometry {
+                    m,
+                    n,
+                    b_dims: &b_dims,
+                    perm_b: &perm_b,
+                    nat_dims: &nat_dims,
+                    out_perm: &out_perm,
+                };
+                let c = kernels::sd_apply(&g, b.as_f64()?, Cow::Borrowed(&bucket), 1, None)?;
                 self.store(store, Buf::F64(c.into_data()), false)?;
                 Ok(Reply::Unit)
             }
@@ -2184,6 +2199,106 @@ mod tests {
             w.handle(contract([2, 2], a.clone(), b, Out::Reply)),
             Some(Reply::Buf(Buf::F64(a)))
         );
+    }
+
+    #[test]
+    fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use tt_tensor::SparseTensor;
+        // H_eff step 2 at a bond dimension where the worker's ChainSd
+        // reads B and writes C through run views: the stored bytes must
+        // be the in-process kernel's
+        let spec = "kpqg,bkqwf->bpgwf";
+        let (a_dims, b_dims) = ([5usize, 2, 2, 5], [40usize, 5, 2, 2, 40]);
+        let mut rng = StdRng::seed_from_u64(15);
+        let b = DenseTensor::<f64>::random(b_dims, &mut rng);
+        let a_dense = DenseTensor::<f64>::from_fn(a_dims, |_| {
+            if rng.gen_bool(0.4) {
+                rng.gen_range(-1.0..1.0)
+            } else {
+                0.0
+            }
+        });
+        let a = SparseTensor::from_dense(&a_dense, 0.0);
+        let plan = ContractPlan::parse(spec).unwrap();
+        let (m, _k, n) = kernels::fused_dims(&plan, &a_dims, &b_dims);
+        let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+        for (r, c, v) in kernels::sparse_coords(&a, plan.free_a_positions(), plan.ctr_a_positions())
+        {
+            rows.push(r);
+            cols.push(c);
+            vals.push(v);
+        }
+        let mut w = WorkerState::new();
+        assert_eq!(
+            w.handle(Request::ChainSd {
+                a: OpCoords::Inline { rows, cols, vals },
+                m,
+                n,
+                b_dims: b_dims.to_vec(),
+                perm_b: kernels::operand_perms(&plan).1,
+                b: Op::Inline(Buf::F64(b.data().to_vec())),
+                nat_dims: kernels::natural_dims(&plan, &a_dims, &b_dims),
+                out_perm: plan.output_permutation().to_vec(),
+                store: 90,
+            }),
+            Some(Reply::Unit)
+        );
+        let (local, _) =
+            kernels::sd_contract(&plan, &a, &b, None, kernels::SPARSE_PAR_MIN_FLOPS).unwrap();
+        assert_eq!(
+            w.handle(Request::Download { key: 90 }),
+            Some(Reply::Buf(Buf::F64(local.into_data())))
+        );
+
+        // the dense step on the same operands (A densified)
+        let local = kernels::dense_contract(&plan, &a_dense, &b, None).unwrap();
+        assert_eq!(
+            w.handle(Request::Contract {
+                spec: spec.into(),
+                a_dims: a_dims.to_vec(),
+                a: Op::Inline(Buf::F64(a_dense.into_data())),
+                b_dims: b_dims.to_vec(),
+                b: Op::Inline(Buf::F64(b.into_data())),
+                out: Out::Reply,
+            }),
+            Some(Reply::Buf(Buf::F64(local.into_data())))
+        );
+        // a zero-width row chunk is an empty panel, not a failure
+        assert_eq!(
+            w.handle(Request::SdChunk {
+                r0: 0,
+                r1: 3,
+                n: 0,
+                a: OpCoords::Inline {
+                    rows: vec![],
+                    cols: vec![],
+                    vals: vec![]
+                },
+                b: Op::Inline(Buf::F64(vec![])),
+            }),
+            Some(Reply::Buf(Buf::F64(vec![])))
+        );
+        // a ChainSd whose geometry contradicts its operand fails cleanly
+        assert!(matches!(
+            w.handle(Request::ChainSd {
+                a: OpCoords::Inline {
+                    rows: vec![],
+                    cols: vec![],
+                    vals: vec![]
+                },
+                m: 2,
+                n: 3,
+                b_dims: vec![2, 3],
+                perm_b: vec![0, 0],
+                b: Op::Inline(Buf::F64(vec![0.0; 6])),
+                nat_dims: vec![2, 3],
+                out_perm: vec![0, 1],
+                store: 91,
+            }),
+            Some(Reply::Fail(_))
+        ));
     }
 
     #[test]

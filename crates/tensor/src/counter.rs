@@ -17,7 +17,11 @@ pub fn add_flops(n: u64) {
     FLOPS.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Add `n` bytes of memory traffic (used by transpose kernels).
+/// Add `n` bytes of memory traffic. The counter means *bytes moved*: the
+/// transposition kernel charges what it reads plus what it writes
+/// (`2·len·size_of::<T>()` per executed [`crate::transpose::permute`]),
+/// and a permutation a caller elides — an operand borrowed in place, a
+/// transpose folded into packing strides — charges nothing.
 #[inline]
 pub fn add_mem_traffic(n: u64) {
     MEM_TRAFFIC.fetch_add(n, Ordering::Relaxed);

@@ -9,7 +9,8 @@
 //! * [`mod@einsum`] — Einstein-summation contraction of two tensors, lowered to
 //!   transpose-transpose-GEMM-transpose (TTGT) exactly like CTF,
 //! * [`mod@gemm`] — a tiled, cache-blocked matrix-multiply kernel,
-//! * [`transpose::permute`] — blocked N-d transposition (the HPTT stand-in),
+//! * [`transpose::permute`] — mode-fusing N-d transposition: run copies and
+//!   a tiled inner transpose (the HPTT stand-in),
 //! * [`SparseTensor`] — coordinate-format sparse tensors with
 //!   sparse×dense and sparse×sparse contraction kernels (the local pieces of
 //!   the paper's *sparse-dense* and *sparse-sparse* algorithms),

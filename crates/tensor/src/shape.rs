@@ -125,19 +125,14 @@ impl Shape {
     }
 }
 
-/// Check that `perm` is a permutation of `0..n`.
+/// Check that `perm` is a permutation of `0..n`. Allocation-free: tensor
+/// orders are a handful of modes and this runs in front of every permute.
 pub fn is_permutation(perm: &[usize], n: usize) -> bool {
-    if perm.len() != n {
-        return false;
-    }
-    let mut seen = vec![false; n];
-    for &p in perm {
-        if p >= n || seen[p] {
-            return false;
-        }
-        seen[p] = true;
-    }
-    true
+    perm.len() == n
+        && perm
+            .iter()
+            .enumerate()
+            .all(|(i, &p)| p < n && !perm[..i].contains(&p))
 }
 
 /// Row-major iterator over all multi-indices of a shape.

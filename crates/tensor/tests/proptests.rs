@@ -25,24 +25,85 @@ fn tensor_with_shape(dims: Vec<usize>) -> impl Strategy<Value = DenseTensor<f64>
         .prop_map(move |data| DenseTensor::from_vec(dims.clone(), data).unwrap())
 }
 
+/// Every permutation of `0..n`, by insertion.
+fn all_permutations(n: usize) -> Vec<Vec<usize>> {
+    let mut perms = vec![Vec::new()];
+    for i in 0..n {
+        perms = perms
+            .into_iter()
+            .flat_map(|p| {
+                (0..=p.len()).map(move |at| {
+                    let mut q = p.clone();
+                    q.insert(at, i);
+                    q
+                })
+            })
+            .collect();
+    }
+    perms
+}
+
+/// `permute` against the one-element-at-a-time oracle, and back through
+/// the inverse permutation.
+fn check_permute<T: Scalar>(
+    t: &DenseTensor<T>,
+    perm: &[usize],
+) -> std::result::Result<(), proptest::TestCaseError> {
+    let p = t.permute(perm).unwrap();
+    let out_dims: Vec<usize> = perm.iter().map(|&m| t.dims()[m]).collect();
+    prop_assert_eq!(p.dims(), &out_dims[..]);
+    let mut naive = DenseTensor::<T>::zeros(out_dims.clone());
+    for out_idx in naive.shape().clone().index_iter() {
+        let mut in_idx = vec![0usize; perm.len()];
+        for (i, &m) in perm.iter().enumerate() {
+            in_idx[m] = out_idx[i];
+        }
+        naive.set(&out_idx, t.at(&in_idx));
+    }
+    prop_assert!(p == naive, "dims {:?} perm {:?}", t.dims(), perm);
+    let mut inv = vec![0usize; perm.len()];
+    for (i, &m) in perm.iter().enumerate() {
+        inv[m] = i;
+    }
+    prop_assert!(&p.permute(&inv).unwrap() == t, "roundtrip, perm {:?}", perm);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A permutation followed by its inverse is the identity.
+    /// `permute` equals the element-by-element oracle and a permutation
+    /// followed by its inverse is the identity — over orders 1–6 with
+    /// unit modes, fusable groups and zero extents, for both scalar
+    /// types; every permutation up to order 4, random ones above.
     #[test]
-    fn permute_roundtrip(dims in small_dims(), seed in 0u64..1000) {
+    fn permute_matches_naive_and_roundtrips(
+        picks in prop::collection::vec(0usize..8, 1..7),
+        seed in 0u64..1000,
+    ) {
         use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let t = DenseTensor::<f64>::random(dims.clone(), &mut rng);
+        // extent palette: unit modes are common, a zero extent is rare
+        const EXTENTS: [usize; 8] = [1, 1, 2, 2, 3, 4, 5, 0];
+        let dims: Vec<usize> = picks.iter().map(|&i| EXTENTS[i]).collect();
         let n = dims.len();
-        let mut perm: Vec<usize> = (0..n).collect();
-        perm.shuffle(&mut rng);
-        let p = t.permute(&perm).unwrap();
-        // invert
-        let mut inv = vec![0usize; n];
-        for (i, &pi) in perm.iter().enumerate() { inv[pi] = i; }
-        let back = p.permute(&inv).unwrap();
-        prop_assert!(t.allclose(&back, 0.0));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let perms: Vec<Vec<usize>> = if n <= 4 {
+            all_permutations(n)
+        } else {
+            (0..4)
+                .map(|_| {
+                    let mut p: Vec<usize> = (0..n).collect();
+                    p.shuffle(&mut rng);
+                    p
+                })
+                .collect()
+        };
+        let t = DenseTensor::<f64>::random(dims.clone(), &mut rng);
+        let tc = DenseTensor::<Complex64>::random(dims.clone(), &mut rng);
+        for perm in &perms {
+            check_permute(&t, perm)?;
+            check_permute(&tc, perm)?;
+        }
     }
 
     /// Matrix multiplication is associative: (AB)C == A(BC).
