@@ -38,19 +38,35 @@
 //!
 //! A respawned worker starts empty and replay restores precisely the
 //! acked prefix, so requests apply exactly once without sequence numbers.
-//! Journal hygiene is dependency-aware: a `Free`/`Download`/`Release` ack
-//! deletes the key's producing entries unless a later journaled request
-//! references the key as an operand — then a `Free` fixup entry is
-//! appended instead, keeping replay order-correct. All recovery traffic is
-//! metered under [`CostTracker::bytes_recovery`], keeping
-//! `bytes_operands`/`bytes_results` equal to the fault-free run.
+//! All recovery traffic is metered under [`CostTracker::bytes_recovery`],
+//! keeping `bytes_operands`/`bytes_results` equal to the fault-free run.
+//!
+//! **Journal hygiene.** The journal is an ordered map by sequence number
+//! with an index by store key: the entries that produce the key (and the
+//! `Free` fixups that remove it), and a count of the journaled entries
+//! that *read* it. Acking a store is an append. Acking a
+//! `Free`/`Download`/`Release` of a key nobody journaled reads deletes the
+//! key's entries through the index and un-counts what they read; a key
+//! that is still read keeps its producers — the reader's replay needs them
+//! — and gets a `Free` fixup appended, so replay still ends with it
+//! absent. When such a freed key loses its last reader, its producers and
+//! its fixup go too, which can release the keys *they* read in turn: the
+//! t₁→t₂→t₃→y chain of one H·ψ is collected whole the moment `y` is
+//! downloaded. Two invariants hold after every ack (a model-based test
+//! drives them): replaying the journal, in order, into an empty store
+//! never reads an absent key and ends with exactly the worker's key set;
+//! and the journal holds nothing but what a live key is derived from — so
+//! with no live result handle it is the live uploads, flat in matvecs,
+//! sweeps and jobs served. (Collection is by reader count, so keys
+//! re-stored from values derived from themselves would be kept; result
+//! keys are issued once and re-uploads carry no operands, so none are.)
 
 use crate::cost::CostTracker;
 use crate::transport::worker::{Out, Reply, Request};
 use crate::transport::{InProcTransport, Transport};
 use crate::{Error, FaultKind, Result};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// How many successive recoveries one reply wait may attempt before the
@@ -85,11 +101,109 @@ struct Inflight {
     class: JClass,
 }
 
-/// Per-rank recovery books.
+/// The journal's index entry for one store key.
+#[derive(Default)]
+struct KeyBook {
+    /// Sequence numbers, ascending, of the entries that produce this key
+    /// and of the `Free` fixups that remove it.
+    entries: Vec<u64>,
+    /// How many leading `entries` are history: generations of the key the
+    /// worker has since freed, each closed by its fixup. They stay only
+    /// while a journaled reader needs them; `dead == entries.len()` means
+    /// the key is absent on the worker.
+    dead: usize,
+    /// Journaled entries that read this key as an operand.
+    readers: usize,
+}
+
+/// Per-rank recovery books: the journal in sequence order, its index by
+/// key, and the in-flight queue.
 #[derive(Default)]
 struct RankLog {
-    acked: Vec<JEntry>,
+    acked: BTreeMap<u64, JEntry>,
+    next_seq: u64,
+    keys: HashMap<u64, KeyBook>,
+    /// Encoded bytes held by `acked`.
+    bytes: usize,
     inflight: VecDeque<Inflight>,
+}
+
+impl RankLog {
+    /// Append `e`, indexing it under the key it produces or frees and
+    /// counting it as a reader of every key it reads. An entry's read of
+    /// its own key (an accumulate, a replace) is not counted: producers of
+    /// one generation of a key stay and go together.
+    fn push(&mut self, e: JEntry) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if let Some(k) = e.op.or(e.frees) {
+            self.keys.entry(k).or_default().entries.push(seq);
+        }
+        for d in e.deps.iter().filter(|&&d| Some(d) != e.op) {
+            self.keys.entry(*d).or_default().readers += 1;
+        }
+        self.bytes += e.bytes.len();
+        self.acked.insert(seq, e);
+    }
+
+    /// Journal an acked state-creating request.
+    fn store(&mut self, op: Option<u64>, deps: Vec<u64>, bytes: Arc<Vec<u8>>) {
+        self.push(JEntry {
+            op,
+            deps,
+            frees: None,
+            bytes,
+        });
+    }
+
+    /// Fold an acked `Free`/`Download`/`Release` of `key` into the journal.
+    /// With no journaled reader the key's entries simply leave; otherwise
+    /// its producers must stay for the readers' replay, and a `Free` fixup
+    /// keeps the replayed store ending with the key absent.
+    fn remove(&mut self, key: u64) {
+        let Some(book) = self.keys.get_mut(&key) else {
+            return; // nothing of this key was ever journaled
+        };
+        if book.readers == 0 {
+            let gone = std::mem::take(&mut book.entries);
+            self.keys.remove(&key);
+            self.delete(gone);
+        } else if book.dead < book.entries.len() {
+            self.push(JEntry {
+                op: None,
+                deps: Vec::new(),
+                frees: Some(key),
+                bytes: Arc::new(Request::Free { key }.encode()),
+            });
+            let book = self.keys.get_mut(&key).expect("indexed by push");
+            book.dead = book.entries.len();
+        }
+    }
+
+    /// Delete entries (already unlinked from their own key's book) and
+    /// un-count what they read. A key that loses its last reader sheds its
+    /// history — the freed generations and their fixups — which may in
+    /// turn release the keys *those* read: a finished t₁→t₂→t₃→y chain
+    /// unwinds completely when `y` is downloaded.
+    fn delete(&mut self, mut gone: Vec<u64>) {
+        while let Some(seq) = gone.pop() {
+            let Some(e) = self.acked.remove(&seq) else {
+                continue;
+            };
+            self.bytes -= e.bytes.len();
+            for d in e.deps.iter().filter(|&&d| Some(d) != e.op) {
+                let book = self.keys.get_mut(d).expect("a counted reader has a book");
+                book.readers -= 1;
+                if book.readers == 0 {
+                    gone.extend(book.entries.drain(..book.dead));
+                    book.dead = 0;
+                    if book.entries.is_empty() {
+                        self.keys.remove(d);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Classify a request for the journal. Operand `Key`s become dependency
@@ -147,8 +261,17 @@ pub struct Cluster {
     /// cannot recover ranks (the in-process backends).
     logs: Vec<RankLog>,
     /// `(rank, original tag)` → re-issued tag, for replies awaited across
-    /// a recovery. Tags are never reused, so stale entries are inert.
+    /// a recovery; a chain is dropped when its reply is acked.
     remap: HashMap<(usize, u64), u64>,
+}
+
+/// Size of one rank's recovery journal (see [`Cluster::journal_stats`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct JournalStats {
+    /// Journaled requests a recovery would replay.
+    pub entries: usize,
+    /// Their encoded bytes.
+    pub bytes: usize,
 }
 
 impl Cluster {
@@ -217,6 +340,18 @@ impl Cluster {
     /// Number of rank endpoints.
     pub fn ranks(&self) -> usize {
         self.transport.ranks()
+    }
+
+    /// Per-rank size of the recovery journal — what a respawned rank would
+    /// be sent. Empty when the transport cannot recover ranks.
+    pub fn journal_stats(&self) -> Vec<JournalStats> {
+        self.logs
+            .iter()
+            .map(|log| JournalStats {
+                entries: log.acked.len(),
+                bytes: log.bytes,
+            })
+            .collect()
     }
 
     /// The underlying transport (collectives, diagnostics).
@@ -318,6 +453,7 @@ impl Cluster {
     /// that fails to decode is a [`FaultKind::Decode`] rank fault.
     fn try_reply(&mut self, rank: usize, tag: u64) -> Result<Reply> {
         // follow the remap chain: each recovery re-issues under a new tag
+        let awaited = tag;
         let mut tag = tag;
         while let Some(&t) = self.remap.get(&(rank, tag)) {
             tag = t;
@@ -327,6 +463,10 @@ impl Cluster {
             Ok(reply) => {
                 self.count_result(bytes.len());
                 self.ack(rank, tag, matches!(reply, Reply::Fail(_)));
+                let mut t = awaited;
+                while let Some(next) = self.remap.remove(&(rank, t)) {
+                    t = next;
+                }
                 match reply {
                     Reply::Fail(msg) => Err(Error::fault(
                         FaultKind::Task,
@@ -366,28 +506,8 @@ impl Cluster {
         }
         match fl.class {
             JClass::Skip => {}
-            JClass::Store { op, deps } => log.acked.push(JEntry {
-                op,
-                deps,
-                frees: None,
-                bytes: fl.bytes,
-            }),
-            JClass::Remove { key } => {
-                if log.acked.iter().any(|e| e.deps.contains(&key)) {
-                    // a journaled request reads this key: keep its
-                    // producers and append a Free fixup so replay still
-                    // ends with the key absent, in the right order
-                    log.acked.push(JEntry {
-                        op: None,
-                        deps: Vec::new(),
-                        frees: Some(key),
-                        bytes: Arc::new(Request::Free { key }.encode()),
-                    });
-                } else {
-                    log.acked
-                        .retain(|e| e.op != Some(key) && e.frees != Some(key));
-                }
-            }
+            JClass::Store { op, deps } => log.store(op, deps, fl.bytes),
+            JClass::Remove { key } => log.remove(key),
         }
     }
 
@@ -421,7 +541,7 @@ impl Cluster {
     fn replay(&mut self, r: usize) -> Result<()> {
         let entries: Vec<Arc<Vec<u8>>> = self.logs[r]
             .acked
-            .iter()
+            .values()
             .map(|e| Arc::clone(&e.bytes))
             .collect();
         for bytes in entries {
@@ -636,6 +756,153 @@ mod tests {
         cl.probe(1).unwrap();
     }
 
+    mod journal {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        fn upload(log: &mut RankLog, key: u64) {
+            log.store(Some(key), Vec::new(), Arc::new(vec![0; 8]));
+        }
+
+        fn derive(log: &mut RankLog, key: u64, deps: &[u64]) {
+            log.store(Some(key), deps.to_vec(), Arc::new(vec![0; 8]));
+        }
+
+        /// Replay the journal, in order, into an empty toy store (a key
+        /// set): no entry may read an absent key. Returns the final store.
+        fn replay(log: &RankLog) -> BTreeSet<u64> {
+            let mut store = BTreeSet::new();
+            for (seq, e) in &log.acked {
+                for d in &e.deps {
+                    assert!(store.contains(d), "entry {seq} reads absent key {d}");
+                }
+                store.extend(e.op);
+                if let Some(k) = e.frees {
+                    store.remove(&k);
+                }
+            }
+            store
+        }
+
+        fn assert_empty(log: &RankLog) {
+            assert_eq!(log.acked.len(), 0, "entries left behind");
+            assert_eq!(log.keys.len(), 0, "index left behind");
+            assert_eq!(log.bytes, 0, "byte count left behind");
+        }
+
+        #[test]
+        fn a_finished_matvec_chain_is_collected_whole() {
+            // the H_eff shape: operator w stays; psi -> t1 -> t2 -> t3 -> y,
+            // inputs freed in that order while their successors still read
+            // them, then y downloaded
+            let (w, psi, t1, t2, t3, y) = (100, 1, 2, 3, 4, 5);
+            let mut log = RankLog::default();
+            upload(&mut log, w);
+            upload(&mut log, psi);
+            for (out, input) in [(t1, psi), (t2, t1), (t3, t2), (y, t3)] {
+                derive(&mut log, out, &[w, input]);
+            }
+            let mut live = BTreeSet::from([w, psi, t1, t2, t3, y]);
+            for freed in [psi, t1, t2, t3] {
+                log.remove(freed);
+                live.remove(&freed);
+                assert_eq!(replay(&log), live);
+            }
+            // every producer is still needed for y, plus one fixup per free
+            assert_eq!(log.acked.len(), 6 + 4);
+            log.remove(y);
+            assert_eq!(log.acked.len(), 1, "only the operator's upload is left");
+            assert_eq!(replay(&log), BTreeSet::from([w]));
+            log.remove(w);
+            assert_empty(&log);
+        }
+
+        #[test]
+        fn a_key_freed_under_two_readers_outlives_the_first() {
+            let (k, a, b) = (1, 2, 3);
+            let mut log = RankLog::default();
+            upload(&mut log, k);
+            derive(&mut log, a, &[k]);
+            derive(&mut log, b, &[k]);
+            log.remove(k);
+            assert_eq!(log.acked.len(), 4, "producer kept, fixup appended");
+            log.remove(k);
+            assert_eq!(log.acked.len(), 4, "an absent key gets no second fixup");
+            log.remove(a);
+            assert_eq!(log.acked.len(), 3, "b's replay still needs k");
+            assert_eq!(replay(&log), BTreeSet::from([b]));
+            log.remove(b);
+            assert_empty(&log);
+        }
+
+        #[test]
+        fn a_restored_key_survives_the_collection_of_its_history() {
+            let (k, a) = (1, 2);
+            let mut log = RankLog::default();
+            upload(&mut log, k);
+            derive(&mut log, a, &[k]);
+            log.remove(k); // fixup: a reads the first generation
+            upload(&mut log, k); // same content key, uploaded again
+            upload(&mut log, k); // and once more (worker refcount 2)
+            assert_eq!(replay(&log), BTreeSet::from([k, a]));
+            log.remove(a); // first generation and its fixup go, the live one stays
+            assert_eq!(log.acked.len(), 2);
+            assert_eq!(replay(&log), BTreeSet::from([k]));
+            log.remove(k);
+            assert_empty(&log);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Model-based: random interleavings of uploads (fresh, repeated,
+            /// of a freed key), derived stores (fresh, accumulating, reading
+            /// themselves) and removals, acked into a `RankLog` and applied
+            /// to a toy store. Keys are numbered in dependency order (a store
+            /// reads only lower keys, or itself), as the executor's are:
+            /// result keys are issued once, re-uploads read nothing.
+            #[test]
+            fn replay_matches_the_store_and_collects_everything(
+                ops in prop::collection::vec(any::<u64>(), 1..160),
+            ) {
+                const KEYS: u64 = 8;
+                let mut log = RankLog::default();
+                let mut store = BTreeSet::new();
+                for w in ops {
+                    let key = (w >> 2) % KEYS;
+                    match w % 4 {
+                        0 => {
+                            upload(&mut log, key);
+                            store.insert(key);
+                        }
+                        1 => {
+                            let deps: Vec<u64> = (0..=key)
+                                .filter(|d| store.contains(d) && (w >> (8 + d)) & 1 == 1)
+                                .collect();
+                            derive(&mut log, key, &deps);
+                            store.insert(key);
+                        }
+                        _ => {
+                            log.remove(key);
+                            store.remove(&key);
+                        }
+                    }
+                    prop_assert_eq!(&replay(&log), &store);
+                    let indexed: usize = log.keys.values().map(|b| b.entries.len()).sum();
+                    prop_assert_eq!(indexed, log.acked.len());
+                }
+                // ascending order frees every input before its readers
+                for key in 0..KEYS {
+                    log.remove(key);
+                    store.remove(&key);
+                    prop_assert_eq!(&replay(&log), &store);
+                }
+                assert_empty(&log);
+            }
+        }
+    }
+
     #[cfg(unix)]
     mod recovery {
         use super::*;
@@ -775,7 +1042,34 @@ mod tests {
                 Some(FaultKind::Task)
             ));
             assert_eq!(tracker.lock().bytes_recovery, 0);
+            // a refused request is acked (not re-issued) and never journaled
+            assert!(cl.logs[0].inflight.is_empty());
+            assert_eq!(cl.journal_stats()[0], JournalStats::default());
             cl.probe(0).unwrap();
+        }
+
+        #[test]
+        fn remapped_tags_are_forgotten_once_acked() {
+            let (mut cl, _) = cluster_with(1, "kill:0@2");
+            let up = |key| Request::Upload {
+                key,
+                data: Buf::F64(vec![key as f64]),
+            };
+            cl.call(0, &up(1)).unwrap();
+            // the kill lands on the first of three pipelined requests: all
+            // three are re-issued under fresh tags and awaited through the
+            // remap, which must not outlive their acks
+            let replies = cl
+                .call_all(vec![
+                    (0, up(2)),
+                    (0, Request::Download { key: 1 }),
+                    (0, Request::Download { key: 2 }),
+                ])
+                .unwrap();
+            assert_eq!(replies[1], Reply::Buf(Buf::F64(vec![1.0])));
+            assert_eq!(replies[2], Reply::Buf(Buf::F64(vec![2.0])));
+            assert!(cl.remap.is_empty(), "{:?}", cl.remap);
+            assert_eq!(cl.journal_stats()[0], JournalStats::default());
         }
     }
 }

@@ -39,6 +39,7 @@ use crate::transport::worker::{Buf, Op, OpCoords, OpSs, Out, Reply, Request};
 use crate::transport::SpawnSpec;
 use crate::{process_grid, Error, Result};
 use parking_lot::Mutex;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use tt_linalg::{TruncSpec, TruncatedSvd};
 use tt_tensor::einsum::ContractPlan;
@@ -424,20 +425,50 @@ pub struct Executor {
 /// LRU book of contents the executor keeps resident beyond their
 /// uploaders' lifetimes so identical re-uploads (other tenants, later
 /// solves) hit the worker stores instead of re-shipping bytes. Holds one
-/// registry refcount per entry; front of `held` is the eviction victim.
+/// registry refcount per entry. Recency is a stamp from `clock`: `order`
+/// maps stamp → `(content key, bytes)`, so its first entry is the eviction
+/// victim, and `stamp` maps a content key back to its place in `order`.
 #[derive(Default)]
 struct Retention {
     cap_bytes: u64,
     bytes: u64,
-    held: Vec<(u64, u64)>,
+    clock: u64,
+    order: BTreeMap<u64, (u64, u64)>,
+    stamp: HashMap<u64, u64>,
 }
 
 impl Retention {
+    /// File `key` as the most recently used entry.
+    fn file(&mut self, key: u64, bytes: u64) {
+        self.clock += 1;
+        self.order.insert(self.clock, (key, bytes));
+        self.stamp.insert(key, self.clock);
+    }
+
+    /// Refresh `key` to most recently used; false if it is not held.
+    fn touch(&mut self, key: u64) -> bool {
+        let Some(stamp) = self.stamp.remove(&key) else {
+            return false;
+        };
+        let (_, bytes) = self.order.remove(&stamp).expect("stamped entry is ordered");
+        self.file(key, bytes);
+        true
+    }
+
+    /// Hold a new content.
+    fn insert(&mut self, key: u64, bytes: u64) {
+        self.file(key, bytes);
+        self.bytes += bytes;
+    }
+
     /// Pop oldest entries until within budget; returns the keys to release.
     fn evict_over_cap(&mut self) -> Vec<u64> {
         let mut out = Vec::new();
-        while self.bytes > self.cap_bytes && !self.held.is_empty() {
-            let (key, b) = self.held.remove(0);
+        while self.bytes > self.cap_bytes {
+            let Some((_, (key, b))) = self.order.pop_first() else {
+                break;
+            };
+            self.stamp.remove(&key);
             self.bytes -= b;
             out.push(key);
         }
@@ -644,6 +675,15 @@ impl Executor {
         self.tracker.lock().bytes_results
     }
 
+    /// Per-rank size of the driver-side recovery journal (multi-process
+    /// backend; empty in-process): what a respawned rank would be replayed.
+    /// With no live result handle it is the retained uploads and nothing
+    /// else, however many jobs this executor has served.
+    pub fn journal_stats(&self) -> Vec<crate::JournalStats> {
+        self.with_cluster(|cl| cl.journal_stats())
+            .unwrap_or_default()
+    }
+
     /// Bytes moved only because of fault recovery (journal replay and
     /// re-issued in-flight requests) since the last reset. Zero on a
     /// fault-free run; `operand_bytes`/`result_bytes` stay equal to the
@@ -788,15 +828,12 @@ impl Executor {
                 return false;
             }
             let bytes = 8 * h.words() as u64;
-            if let Some(pos) = r.held.iter().position(|&(k, _)| k == h.key()) {
-                let entry = r.held.remove(pos);
-                r.held.push(entry);
-            } else if bytes <= r.cap_bytes {
+            if !r.touch(h.key()) {
+                if bytes > r.cap_bytes {
+                    return false;
+                }
                 self.residency.lock().retain(h.key());
-                r.held.push((h.key(), bytes));
-                r.bytes += bytes;
-            } else {
-                return false;
+                r.insert(h.key(), bytes);
             }
             r.evict_over_cap()
         };

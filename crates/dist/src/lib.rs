@@ -63,7 +63,7 @@ mod summa;
 pub mod transport;
 mod tsqr;
 
-pub use cluster::Cluster;
+pub use cluster::{Cluster, JournalStats};
 pub use comm::Comm;
 pub use cost::{CostTracker, JobScope, ResidentMeter, SimTime};
 pub use exec::{

@@ -41,6 +41,7 @@ pub use wire::{
 use crate::cost::{CostTracker, JobScope, ResidentMeter};
 use crate::exec::RankCacheStats;
 use crate::transport::wire::{read_frame, write_frame};
+use crate::transport::{wait_fd, LIVENESS_CAP};
 use crate::{ChainSrc, ChainStep, Error, Executor, Machine, ProcOptions, Result, SpawnSpec};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -364,6 +365,9 @@ impl Service {
 
     fn teardown(&mut self) {
         self.inner.initiate_stop();
+        // wake the accept loop to see the stop flag now, not at its next
+        // liveness wake-up (fails harmlessly once the socket is gone)
+        let _ = UnixStream::connect(&self.socket);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -392,7 +396,8 @@ fn accept_loop(inner: Arc<Inner>, listener: UnixListener) {
                     .spawn(move || serve_connection(inner, stream));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+                // a client connecting — or `teardown`'s own — ends the wait
+                wait_fd(&listener, false, LIVENESS_CAP);
             }
             Err(_) => return,
         }

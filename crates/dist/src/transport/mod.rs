@@ -51,6 +51,8 @@ pub(crate) mod worker;
 
 pub use inproc::InProcTransport;
 #[cfg(unix)]
+pub(crate) use process::{wait_fd, LIVENESS_CAP};
+#[cfg(unix)]
 pub use process::{FaultPlan, ProcOptions, ProcTransport};
 pub use worker::maybe_serve;
 #[cfg(unix)]

@@ -22,11 +22,17 @@
 //!
 //! Worker failure is a first-class event, not a panic:
 //!
-//! * **Detection** — every blocking receive (and stalled send) is bounded
-//!   by a deadline (`TT_DIST_TIMEOUT_MS`, default 120 s), worker children
-//!   are `try_wait`-reaped inside every wait loop (a crashed rank surfaces
-//!   in milliseconds, not at the deadline), and oversized or short frames
-//!   are refused — all surfacing as typed [`FaultKind`] faults.
+//! * **Detection** — every receive (and stalled send) blocks on the
+//!   worker's socket in `wait_fd`, a hand-declared `poll(2)`, for the time
+//!   left to its deadline (`TT_DIST_TIMEOUT_MS`, default 120 s) in slices
+//!   of at most `LIVENESS_CAP`. The stream stays non-blocking and
+//!   `Link::pump` stays its only reader; the wait merely replaces the
+//!   sleep between two pumps, so a reply costs its bytes, not a timer
+//!   tick. A crashed worker's closed socket ends the wait at once (EOF is
+//!   the death notice) and the child is `try_wait`-reaped on every wake-up
+//!   as the backstop; oversized or short frames are refused — all
+//!   surfacing as typed [`FaultKind`] faults. The hub listener (worker
+//!   hellos) and the solve service's client listener wait the same way.
 //! * **Respawn** — [`ProcTransport::respawn`] replaces a dead rank's
 //!   process (capped exponential backoff on spawn+connect), re-accepting
 //!   on the retained hub listener. The new process is empty; the
@@ -48,8 +54,10 @@ use super::wire::{read_frame, write_frame, Dec, MAX_FRAME_BYTES};
 use super::worker::{Request, ENV_RANK, ENV_SOCKET};
 use super::{SpawnSpec, Transport};
 use crate::{Error, FaultKind, Result};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
+use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -61,8 +69,8 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
 /// How long to wait for workers to exit after a shutdown request.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 /// Default bound on every blocking receive / stalled send. Generous: a
-/// *dead* rank is caught by child reaping within milliseconds — the
-/// deadline only has to catch a wedged-but-alive rank.
+/// *dead* rank is caught by its closed socket (or child reaping) within
+/// milliseconds — the deadline only has to catch a wedged-but-alive rank.
 const DEFAULT_DEADLINE: Duration = Duration::from_secs(120);
 /// Environment override for the deadline, in milliseconds.
 const ENV_TIMEOUT_MS: &str = "TT_DIST_TIMEOUT_MS";
@@ -74,7 +82,66 @@ const DEFAULT_RESPAWN_ATTEMPTS: u32 = 4;
 /// Base backoff between respawn attempts.
 const RESPAWN_BACKOFF: Duration = Duration::from_millis(50);
 
+/// Longest single sleep inside [`wait_fd`]: however far away the deadline
+/// is, a waiter wakes this often to reap a dead child, re-check its stop
+/// flag or notice the deadline — the backstop for a failure the fd itself
+/// does not report.
+pub(crate) const LIVENESS_CAP: Duration = Duration::from_millis(100);
+
 static SPAWN_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// `struct pollfd` of `poll(2)`; no `libc` crate is vendored, so the one
+/// call this module needs is declared by hand.
+#[repr(C)]
+struct PollFd {
+    fd: std::ffi::c_int,
+    events: std::ffi::c_short,
+    revents: std::ffi::c_short,
+}
+
+const POLLIN: std::ffi::c_short = 0x001;
+const POLLOUT: std::ffi::c_short = 0x004;
+
+#[cfg(any(target_os = "linux", target_os = "android"))]
+type NfdsT = std::ffi::c_ulong;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+type NfdsT = std::ffi::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: std::ffi::c_int) -> std::ffi::c_int;
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Returns of [`wait_fd`] on this thread (tests count wake-ups).
+    static WAKEUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Block until `fd` is readable (or, with `or_writable`, writable), its
+/// peer hung up, or `timeout` — capped at [`LIVENESS_CAP`] — has passed.
+/// The one readiness wait of this crate: every caller keeps its fd
+/// non-blocking and retries its own `read`/`write`/`accept` afterwards, so
+/// a spurious or interrupted return costs one loop iteration and an error
+/// from `poll` itself resurfaces, typed, from that retry.
+pub(crate) fn wait_fd(fd: &impl AsRawFd, or_writable: bool, timeout: Duration) {
+    let mut pfd = PollFd {
+        fd: fd.as_raw_fd(),
+        events: if or_writable {
+            POLLIN | POLLOUT
+        } else {
+            POLLIN
+        },
+        revents: 0,
+    };
+    // round up: a sub-millisecond remainder must sleep, not spin
+    let ms = timeout.min(LIVENESS_CAP).as_micros().div_ceil(1000) as std::ffi::c_int;
+    // SAFETY: `pfd` is one valid, exclusively borrowed `pollfd` and `nfds`
+    // is 1, so the kernel reads and writes exactly that struct; the fd is
+    // open for the duration of the call because `fd` borrows its owner.
+    unsafe { poll(&mut pfd, 1, ms) };
+    #[cfg(test)]
+    WAKEUPS.with(|w| w.set(w.get() + 1));
+}
 
 /// Deterministic fault injection for the multi-process backend: which
 /// worker to kill, which reply frames to drop/corrupt/delay, and which
@@ -228,8 +295,9 @@ enum FrameFate {
 }
 
 /// One worker connection. The stream is kept **non-blocking** and every
-/// wait loops through [`Link::pump`], so the driver keeps draining worker
-/// replies even while it is still shipping requests. This is what makes
+/// wait loops through [`Link::pump`] (sleeping in [`wait_fd`] between two
+/// pumps), so the driver keeps draining worker replies even while it is
+/// still shipping requests. This is what makes
 /// [`crate::Cluster::call_all`]'s send-everything-then-collect pattern
 /// safe with large payloads: with blocking writes on both sides, a worker
 /// blocked writing a big reply and a driver blocked writing the next big
@@ -275,62 +343,58 @@ impl Link {
                 Err(e) => return Err(Error::fault(FaultKind::Io, rank, format!("read: {e}"))),
             }
         }
-        // peel complete `[tag][len][payload]` frames out of rdbuf
-        while self.rdbuf.len() >= 16 {
-            let len = u64::from_le_bytes(self.rdbuf[8..16].try_into().unwrap());
+        // Peel complete `[tag][len][payload]` frames by offset: each reply
+        // is copied once, straight into `pending` without its 16-byte
+        // counter prefix, and `rdbuf` is compacted once per pump.
+        let mut off = 0usize;
+        let mut fault = None;
+        while self.rdbuf.len() - off >= 16 {
+            let head = &self.rdbuf[off..];
+            let len = u64::from_le_bytes(head[8..16].try_into().unwrap());
             if len > MAX_FRAME_BYTES {
-                return Err(Error::fault(
-                    FaultKind::Decode,
-                    rank,
-                    format!("reply frame of {len} bytes refused"),
-                ));
-            }
-            let len = len as usize;
-            if self.rdbuf.len() < 16 + len {
+                fault = Some(format!("reply frame of {len} bytes refused"));
                 break;
             }
-            let tag = u64::from_le_bytes(self.rdbuf[..8].try_into().unwrap());
-            let mut payload = self.rdbuf[16..16 + len].to_vec();
-            self.rdbuf.drain(..16 + len);
-            // every reply carries a 16-byte flop/mem counter-delta prefix
-            if payload.len() < 16 {
-                return Err(Error::fault(
-                    FaultKind::Decode,
-                    rank,
-                    "reply frame shorter than its counter prefix",
-                ));
+            let len = len as usize;
+            if head.len() < 16 + len {
+                break;
             }
+            let tag = u64::from_le_bytes(head[..8].try_into().unwrap());
+            off += 16 + len;
+            // every reply carries a 16-byte flop/mem counter-delta prefix
+            if len < 16 {
+                fault = Some("reply frame shorter than its counter prefix".into());
+                break;
+            }
+            let (counters, reply) = head[16..16 + len].split_at(16);
+            let mut reply = reply.to_vec();
             match inj.on_frame(slot) {
                 FrameFate::Drop => continue, // the reply never happened
                 FrameFate::Corrupt => {
-                    // flip the reply opcode byte (past the counter prefix,
-                    // which stays untouched); counters from a corrupt
-                    // frame are not to be trusted, so skip them too
-                    if payload.len() > 16 {
-                        payload[16] ^= 0x80;
+                    // flip the reply opcode byte (past the counter prefix);
+                    // counters from a corrupt frame are not to be trusted,
+                    // so they are skipped
+                    if let Some(opcode) = reply.first_mut() {
+                        *opcode ^= 0x80;
                     }
-                    self.pending
-                        .entry(tag)
-                        .or_default()
-                        .push_back(payload[16..].to_vec());
+                    self.pending.entry(tag).or_default().push_back(reply);
                     continue;
                 }
                 FrameFate::Delay(d) => std::thread::sleep(d),
                 FrameFate::Deliver => {}
             }
-            // strip the worker's counter-delta prefix and replay it into
-            // this process's global counters (exactly once per frame)
-            let mut d = Dec::new(&payload);
-            let flops = d.u64()?;
-            let mem = d.u64()?;
-            tt_tensor::counter::add_flops(flops);
-            tt_tensor::counter::add_mem_traffic(mem);
-            self.pending
-                .entry(tag)
-                .or_default()
-                .push_back(payload[16..].to_vec());
+            // replay the worker's counter deltas into this process's global
+            // counters (exactly once per frame)
+            let mut d = Dec::new(counters);
+            tt_tensor::counter::add_flops(d.u64()?);
+            tt_tensor::counter::add_mem_traffic(d.u64()?);
+            self.pending.entry(tag).or_default().push_back(reply);
         }
-        Ok(progress)
+        self.rdbuf.drain(..off);
+        match fault {
+            Some(msg) => Err(Error::fault(FaultKind::Decode, rank, msg)),
+            None => Ok(progress),
+        }
     }
 
     /// Write one frame, pumping incoming replies whenever the socket's
@@ -363,14 +427,15 @@ impl Link {
                 Ok(n) => off += n,
                 Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if !self.pump(rank, slot, inj)? {
-                        if start.elapsed() > deadline {
+                        let Some(left) = deadline.checked_sub(start.elapsed()) else {
                             return Err(Error::fault(
                                 FaultKind::Timeout,
                                 rank,
                                 format!("send stalled for {deadline:?}"),
                             ));
-                        }
-                        std::thread::sleep(Duration::from_micros(200));
+                        };
+                        // room to write, a reply to drain, or a hang-up
+                        wait_fd(&self.stream, true, left);
                     }
                 }
                 Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -518,7 +583,7 @@ impl ProcTransport {
                             ));
                         }
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    wait_fd(&t.listener, false, LIVENESS_CAP);
                 }
             }
         }
@@ -660,14 +725,18 @@ impl Transport for ProcTransport {
             let link = self.links[slot].as_mut().ok_or_else(|| {
                 Error::fault(FaultKind::WorkerDied, from, "rank's worker slot is retired")
             })?;
-            if let Some(q) = link.pending.get_mut(&tag) {
-                if let Some(msg) = q.pop_front() {
+            // tags are never reused: an emptied queue leaves with its reply
+            if let Entry::Occupied(mut q) = link.pending.entry(tag) {
+                let msg = q.get_mut().pop_front();
+                if q.get().is_empty() {
+                    q.remove();
+                }
+                if let Some(msg) = msg {
                     return Ok(msg);
                 }
             }
             if !link.pump(from, slot, &mut self.inj)? {
-                // idle: reap a crashed child promptly instead of waiting
-                // out the deadline
+                // backstop for a death the socket did not report
                 if let Ok(Some(status)) = self.children[slot].try_wait() {
                     return Err(Error::fault(
                         FaultKind::WorkerDied,
@@ -675,14 +744,15 @@ impl Transport for ProcTransport {
                         format!("worker exited ({status})"),
                     ));
                 }
-                if start.elapsed() > deadline {
+                let Some(left) = deadline.checked_sub(start.elapsed()) else {
                     return Err(Error::fault(
                         FaultKind::Timeout,
                         from,
                         format!("no reply under tag {tag} within {deadline:?}"),
                     ));
-                }
-                std::thread::sleep(Duration::from_micros(200));
+                };
+                // a reply, or EOF from a dead worker, ends the wait at once
+                wait_fd(&link.stream, false, left);
             }
         }
     }
@@ -756,7 +826,7 @@ impl ProcTransport {
                             format!("respawned worker exited before connecting ({status})"),
                         ));
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    wait_fd(&self.listener, false, LIVENESS_CAP);
                 }
             }
         }
@@ -1180,19 +1250,99 @@ mod tests {
 
     #[test]
     fn dropped_reply_times_out_with_a_typed_fault() {
+        let deadline = Duration::from_millis(300);
         let opts = ProcOptions {
             plan: Some(FaultPlan::parse("drop:0@1").unwrap()),
-            deadline: Some(Duration::from_millis(300)),
+            deadline: Some(deadline),
             ..Default::default()
         };
         let mut t = ProcTransport::spawn_with(1, &spec(), opts).unwrap();
         let tag = t.next_tag();
         t.send(0, tag, &Request::Ping.encode()).unwrap();
+        let start = Instant::now();
         let err = t.recv(0, tag).expect_err("dropped reply must time out");
+        let waited = start.elapsed();
         assert!(matches!(
             err.as_fault().map(|f| f.kind),
             Some(FaultKind::Timeout)
         ));
+        // the wait sleeps to the deadline, never a liveness cap past it
+        // (scheduling slack on top: the fault is raised by the next wake-up)
+        assert!(waited >= deadline, "timed out early: {waited:?}");
+        assert!(
+            waited < deadline + LIVENESS_CAP + Duration::from_millis(150),
+            "timed out late: {waited:?}"
+        );
+    }
+
+    #[test]
+    fn a_late_reply_costs_a_handful_of_wakeups() {
+        // the worker is busy for a while (a scalar-path GEMM) and its reply
+        // is then held back a further 100 ms: the driver must sleep through
+        // all of it on the socket — one wake-up per liveness cap plus one
+        // per burst of reply bytes — where a 200 us poll loop woke hundreds
+        // of times
+        let opts = ProcOptions {
+            plan: Some(FaultPlan::parse("delay:0@1+100").unwrap()),
+            deadline: Some(Duration::from_secs(60)),
+            ..Default::default()
+        };
+        let mut t = ProcTransport::spawn_with(1, &spec(), opts).unwrap();
+        let n = 320usize;
+        let tag = t.next_tag();
+        t.send(
+            0,
+            tag,
+            &Request::DenseChunk {
+                path: tt_tensor::gemm::GemmPath::Scalar,
+                rows: n,
+                k: n,
+                n,
+                a: Op::Inline(Buf::F64(vec![1.0; n * n])),
+                b: Op::Inline(Buf::F64(vec![0.5; n * n])),
+            }
+            .encode(),
+        )
+        .unwrap();
+        let before = WAKEUPS.with(|w| w.get());
+        let start = Instant::now();
+        let reply = t.recv(0, tag).unwrap();
+        let (waited, wakeups) = (start.elapsed(), WAKEUPS.with(|w| w.get()) - before);
+        assert!(matches!(
+            Reply::decode(&reply).unwrap(),
+            Reply::Buf(Buf::F64(c)) if c.len() == n * n && c[0] == 0.5 * n as f64
+        ));
+        assert!(waited >= Duration::from_millis(100), "{waited:?}");
+        let allowed = 8 + (waited.as_millis() / LIVENESS_CAP.as_millis()) as u64;
+        assert!(
+            (1..=allowed).contains(&wakeups),
+            "{wakeups} wake-ups in {waited:?}"
+        );
+    }
+
+    #[test]
+    fn a_worker_killed_mid_wait_ends_the_wait_at_once() {
+        // nobody is going to answer and the deadline is two minutes away:
+        // the closed socket alone must wake the driver
+        let mut t = ProcTransport::spawn(1, &spec()).unwrap();
+        t.set_deadline(Duration::from_secs(120));
+        let pid = t.worker_pids()[0];
+        let killer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            // SAFETY: plain `kill(2)` on a child this test spawned
+            unsafe { libc_kill(pid as i32, 9) };
+        });
+        let start = Instant::now();
+        let err = t
+            .recv(0, 12345)
+            .expect_err("no reply can arrive under an unsent tag");
+        let waited = start.elapsed();
+        killer.join().unwrap();
+        assert!(
+            matches!(err.as_fault().map(|f| f.kind), Some(FaultKind::WorkerDied)),
+            "got {err:?}"
+        );
+        assert!(waited < Duration::from_millis(1200), "{waited:?}");
     }
 
     #[test]

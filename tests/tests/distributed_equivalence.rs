@@ -208,6 +208,40 @@ fn multi_process_dmrg_pipeline_is_bitwise_identical() {
 }
 
 #[test]
+fn multi_process_journal_is_flat_in_jobs_served() {
+    // A long-lived executor (the solve daemon's) serves the same job over
+    // and over. Its recovery journal must hold what a respawned rank needs
+    // and nothing else: every finished matvec chain is collected, so the
+    // journal after the sixth run reads exactly as after the second, and
+    // what it holds between jobs is the retention cache's uploads — one
+    // entry per buffer the workers still pin.
+    let mp = multi_process_executor(2);
+    mp.set_retention_cap(64 << 20).unwrap();
+    let first = run_energy(&mp, Algorithm::SparseDense);
+    let mut after = vec![mp.journal_stats()];
+    for _ in 1..6 {
+        assert_eq!(
+            run_energy(&mp, Algorithm::SparseDense).to_bits(),
+            first.to_bits()
+        );
+        after.push(mp.journal_stats());
+    }
+    assert_eq!(after[1], after[5], "journal grew with jobs served");
+    let journaled: Vec<u64> = after[5].iter().map(|s| s.entries as u64).collect();
+    let pinned: Vec<u64> = mp.cache_stats().unwrap().iter().map(|s| s.pinned).collect();
+    assert!(
+        journaled.iter().sum::<u64>() > 0,
+        "retained uploads are live"
+    );
+    assert_eq!(journaled, pinned, "one journaled upload per pinned buffer");
+    // dropping the retention cache frees the last handles: nothing is left
+    mp.set_retention_cap(0).unwrap();
+    for rank in mp.journal_stats() {
+        assert_eq!(rank, tt_dist::JournalStats::default());
+    }
+}
+
+#[test]
 fn multi_process_block_pipeline_tensors_are_bitwise_identical() {
     // Tensor-level (not just scalar-energy) equivalence for the block
     // contraction + factorization pipeline the DMRG sweep is built from.

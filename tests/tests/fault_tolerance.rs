@@ -181,3 +181,46 @@ fn seeded_random_kills_always_recover_bitwise() {
         );
     }
 }
+/// Every sweep's energy plus the meters of a whole `[8, 16] x 2` schedule.
+fn run_metered(exec: &Executor, algo: Algorithm) -> (Vec<u64>, u64, tt_dist::SimTime, u64, u64) {
+    let lat = Lattice::chain(6);
+    let mpo = heisenberg_j1j2(&lat, 1.0, 0.0).build().expect("mpo");
+    let mut psi = Mps::product_state(&SpinHalf, &neel_state(6)).expect("state");
+    let run = Dmrg::new(exec, algo, &mpo)
+        .run(&mut psi, &test_schedule(&[8, 16], 2))
+        .expect("dmrg");
+    (
+        run.energies().into_iter().map(f64::to_bits).collect(),
+        exec.total_flops(),
+        exec.sim_time(),
+        exec.operand_bytes(),
+        exec.result_bytes(),
+    )
+}
+
+#[test]
+fn kill_after_collected_chains_replays_only_what_is_live() {
+    // Rank 1 takes ~2 400 requests over the four sparse-dense sweeps; its
+    // 900th falls inside the second, after hundreds of finished
+    // t1->t2->t3->y matvec chains have been collected from its journal.
+    // Recovery must rebuild the rank from what is left — bitwise — and
+    // replay only that: before the journal was collected the same plan
+    // moved 87 249 recovery bytes (every chain step the rank had ever
+    // run, each with its `Free`), now the live operands alone (4 257).
+    const RECOVERY_BYTES_BEFORE_COLLECTION: u64 = 87_249;
+    let clean = Executor::multi_process(Machine::blue_waters(2), 1, 2, spec()).expect("spawn");
+    let faulty = faulty_executor(2, "kill:1@900");
+    let want = run_metered(&clean, Algorithm::SparseDense);
+    let got = run_metered(&faulty, Algorithm::SparseDense);
+    assert_eq!(
+        want, got,
+        "energies, flops, sim time, operand and result bytes"
+    );
+    assert_eq!(clean.recovery_bytes(), 0);
+    let recovered = faulty.recovery_bytes();
+    assert!(recovered > 0, "the kill must have fired");
+    assert!(
+        recovered < RECOVERY_BYTES_BEFORE_COLLECTION,
+        "replay moved {recovered} bytes"
+    );
+}
