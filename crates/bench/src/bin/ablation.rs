@@ -4,8 +4,7 @@
 //!    paper's pre-computed sparsity feature) — result sizes with and
 //!    without the mask;
 //! 2. **distributed-SVD strategy** — TSQR vs gathered Householder QR on a
-//!    tall-skinny panel;
-//! 3. **SUMMA block size** — communication volume vs panel width.
+//!    tall-skinny panel.
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -13,12 +12,12 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use tt_bench::Table;
 use tt_blocks::{contract, Algorithm, Arrow, BlockSparseTensor, QnIndex, QN};
-use tt_dist::{tsqr, Comm, CostTracker, DistMatrix, ExecMode, Executor, Machine};
+use tt_dist::{tsqr, Comm, CostTracker, Executor, Machine};
 use tt_tensor::DenseTensor;
 
 fn comm(p: usize) -> Comm {
     let tracker = Arc::new(Mutex::new(CostTracker::new(Machine::blue_waters(16), p)));
-    Comm::new(p, ExecMode::Sequential, tracker)
+    Comm::new(p, tracker)
 }
 
 fn main() {
@@ -131,28 +130,4 @@ fn main() {
         ]);
     }
     t2.print();
-    println!();
-
-    println!("=== Ablation 3: SUMMA panel width vs communication ===\n");
-    let mut t3 = Table::new(&["block", "supersteps", "bytes critical"]);
-    let mut rng = StdRng::seed_from_u64(23);
-    let a = DenseTensor::<f64>::random([64, 64], &mut rng);
-    let b = DenseTensor::<f64>::random([64, 64], &mut rng);
-    for block in [4usize, 8, 16, 32] {
-        let c = comm(4);
-        let da = DistMatrix::from_global(&a, &c, block).unwrap();
-        let db = DistMatrix::from_global(&b, &c, block).unwrap();
-        let _ = da.summa(&db, &c).unwrap();
-        let tr = c.tracker().lock();
-        t3.row(vec![
-            block.to_string(),
-            tr.supersteps.to_string(),
-            tr.bytes_critical.to_string(),
-        ]);
-    }
-    t3.print();
-    println!(
-        "\nWider panels trade fewer supersteps (latency) for the same asymptotic\n\
-         volume — the same latency/bandwidth dial as the list vs sparse choice."
-    );
 }

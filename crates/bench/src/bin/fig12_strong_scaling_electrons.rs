@@ -119,13 +119,13 @@ fn live_driver_bytes() {
     // per-rank worker cache residency after the sweeps
     if let Ok(stats) = exec.cache_stats() {
         println!(
-            "\n{:<6} {:>12} {:>8} {:>8} {:>10} {:>10} {:>10}",
-            "rank", "bytes", "entries", "pinned", "hits", "misses", "evictions"
+            "\n{:<6} {:>12} {:>8} {:>10} {:>10}",
+            "rank", "bytes", "entries", "hits", "misses"
         );
         for (r, s) in stats.iter().enumerate() {
             println!(
-                "{:<6} {:>12} {:>8} {:>8} {:>10} {:>10} {:>10}",
-                r, s.bytes, s.entries, s.pinned, s.hits, s.misses, s.evictions
+                "{:<6} {:>12} {:>8} {:>10} {:>10}",
+                r, s.bytes, s.entries, s.hits, s.misses
             );
         }
     }

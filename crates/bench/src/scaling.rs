@@ -67,7 +67,7 @@ pub fn model_step(
     let flops = DAVIDSON_ITERS * model.davidson_flops(algo, m, k);
 
     // compute: each block contraction runs across all p ranks, so the
-    // per-rank local GEMM has dimension ~ b/√p (2-D SUMMA decomposition);
+    // per-rank local GEMM has dimension ~ b/√p (2-D process-grid decomposition);
     // the rate is the block-volume-weighted roofline over the sector
     // spectrum, derated by the TTGT transpose/packing overhead of CTF-style
     // contraction (≈2× data motion per GEMM)

@@ -18,6 +18,7 @@ use crate::block::{BlockKey, BlockSparseTensor};
 use crate::index::QnIndex;
 use crate::qn::QN;
 use crate::{Error, Result};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 use tt_dist::{DenseOp, Executor, OpHandle};
 use tt_tensor::einsum::ContractPlan;
@@ -96,6 +97,43 @@ fn output_structure_parts(
     Ok((out_indices, a_flux.add(b_flux)))
 }
 
+/// Every matching block pair of a contraction, in the one order all list
+/// paths share: `A`'s blocks as given, and for each the `B` blocks with the
+/// same contracted labels, as given. `emit` receives the two payloads and
+/// the pair's output block key. Partials accumulate into an output block in
+/// this order, so sharing it is what makes [`contract_list`],
+/// [`contract_resident`] and [`chain_apply`] bitwise-equal to each other.
+fn for_each_block_pair<'a, 'b, A: Copy, B: Copy>(
+    plan: &ContractPlan,
+    a: impl IntoIterator<Item = (&'a BlockKey, A)>,
+    b: impl IntoIterator<Item = (&'b BlockKey, B)>,
+    mut emit: impl FnMut(A, B, BlockKey),
+) {
+    let (ctr_a, ctr_b) = (plan.ctr_a_positions(), plan.ctr_b_positions());
+    let (free_a, free_b) = (plan.free_a_positions(), plan.free_b_positions());
+    let out_perm = plan.output_permutation();
+    // index B's blocks by contracted-label tuple for O(|A|+|B|+matches)
+    let mut b_by_ctr: HashMap<Vec<u16>, Vec<(&BlockKey, B)>> = HashMap::new();
+    for (kb, pb) in b {
+        let ctr_key = ctr_b.iter().map(|&i| kb[i]).collect();
+        b_by_ctr.entry(ctr_key).or_default().push((kb, pb));
+    }
+    let mut natural: Vec<u16> = Vec::with_capacity(free_a.len() + free_b.len());
+    for (ka, pa) in a {
+        let ctr_key: Vec<u16> = ctr_a.iter().map(|&i| ka[i]).collect();
+        let Some(matches) = b_by_ctr.get(&ctr_key) else {
+            continue;
+        };
+        for &(kb, pb) in matches {
+            // natural result key: free_a labels then free_b labels
+            natural.clear();
+            natural.extend(free_a.iter().map(|&i| ka[i]));
+            natural.extend(free_b.iter().map(|&j| kb[j]));
+            emit(pa, pb, out_perm.iter().map(|&p| natural[p]).collect());
+        }
+    }
+}
+
 /// Contract two block-sparse tensors with the chosen algorithm.
 pub fn contract(
     exec: &Executor,
@@ -129,40 +167,12 @@ pub fn contract_list(
     let (out_indices, out_flux) = output_structure(&plan, a, b)?;
     let mut c = BlockSparseTensor::new(out_indices, out_flux);
 
-    let ctr_a = plan.ctr_a_positions();
-    let ctr_b = plan.ctr_b_positions();
-    let free_a = plan.free_a_positions();
-    let free_b = plan.free_b_positions();
-    let out_perm = plan.output_permutation();
-
-    // index B's blocks by contracted-label tuple for O(|A|+|B|+matches)
-    use std::collections::HashMap;
-    let mut b_by_ctr: HashMap<Vec<u16>, Vec<&crate::block::BlockKey>> = HashMap::new();
-    for (kb, _) in b.blocks() {
-        let ctr_key: Vec<u16> = ctr_b.iter().map(|&i| kb[i]).collect();
-        b_by_ctr.entry(ctr_key).or_default().push(kb);
-    }
-
-    // enumerate matching pairs in deterministic (A-stored, B-stored) order
-    let mut out_keys: Vec<crate::block::BlockKey> = Vec::new();
+    let mut out_keys: Vec<BlockKey> = Vec::new();
     let mut pairs: Vec<(DenseOp, DenseOp)> = Vec::new();
-    for (ka, ablock) in a.blocks() {
-        let ctr_key: Vec<u16> = ctr_a.iter().map(|&i| ka[i]).collect();
-        let Some(bkeys) = b_by_ctr.get(&ctr_key) else {
-            continue;
-        };
-        for &kb in bkeys {
-            let bblock = b.block(kb).expect("key from iteration");
-            // natural result key: free_a labels then free_b labels
-            let natural: Vec<u16> = free_a
-                .iter()
-                .map(|&i| ka[i])
-                .chain(free_b.iter().map(|&j| kb[j]))
-                .collect();
-            out_keys.push(out_perm.iter().map(|&p| natural[p]).collect());
-            pairs.push((ablock.into(), bblock.into()));
-        }
-    }
+    for_each_block_pair(&plan, a.blocks(), b.blocks(), |ablock, bblock, kc| {
+        out_keys.push(kc);
+        pairs.push((ablock.into(), bblock.into()));
+    });
 
     if exec.mode() == tt_dist::ExecMode::Threaded {
         // pair-level fan-out over the pool; partials return in pair order
@@ -324,48 +334,25 @@ pub fn contract_resident(
             }
             let mut c = BlockSparseTensor::new(out_indices, out_flux);
 
-            let ctr_a = plan.ctr_a_positions();
-            let ctr_b = plan.ctr_b_positions();
-            let free_a = plan.free_a_positions();
-            let free_b = plan.free_b_positions();
-            let out_perm = plan.output_permutation();
-
-            // index B's blocks by contracted-label tuple, exactly like
-            // contract_list, so pair enumeration order matches it
-            use std::collections::HashMap;
-            let mut b_by_ctr: HashMap<Vec<u16>, Vec<&BlockKey>> = HashMap::new();
-            for (kb, _) in b.blocks() {
-                let ctr_key: Vec<u16> = ctr_b.iter().map(|&i| kb[i]).collect();
-                b_by_ctr.entry(ctr_key).or_default().push(kb);
-            }
-
-            // pass 1: enumerate matching pairs in the exact order
-            // contract_list does, uploading each used B block once
-            // (first-use order — deterministic), to be freed on return
+            // pass 1: enumerate the pairs, uploading each used B block
+            // once (first-use order — deterministic; Arc-shared, so the
+            // upload hashes the block but does not clone its storage), to
+            // be freed on return
             let mut b_handles: HashMap<&BlockKey, OpHandle> = HashMap::new();
             let mut out_keys: Vec<BlockKey> = Vec::new();
             let mut pair_refs: Vec<(usize, &BlockKey)> = Vec::new();
-            for (ai, ka) in keys.iter().enumerate() {
-                let ctr_key: Vec<u16> = ctr_a.iter().map(|&i| ka[i]).collect();
-                let Some(bkeys) = b_by_ctr.get(&ctr_key) else {
-                    continue;
-                };
-                for &kb in bkeys {
-                    if !b_handles.contains_key(kb) {
-                        // Arc-shared: the upload hashes the block but does
-                        // not clone its storage
-                        let block = b.block_shared(kb).expect("key from iteration");
-                        b_handles.insert(kb, exec.upload_shared(block));
-                    }
-                    let natural: Vec<u16> = free_a
-                        .iter()
-                        .map(|&i| ka[i])
-                        .chain(free_b.iter().map(|&j| kb[j]))
-                        .collect();
-                    out_keys.push(out_perm.iter().map(|&p| natural[p]).collect());
+            for_each_block_pair(
+                &plan,
+                keys.iter().zip(0..),
+                b.blocks_shared().map(|(kb, block)| (kb, (kb, block))),
+                |ai, (kb, block), kc| {
+                    b_handles
+                        .entry(kb)
+                        .or_insert_with(|| exec.upload_shared(block));
+                    out_keys.push(kc);
                     pair_refs.push((ai, kb));
-                }
-            }
+                },
+            );
             // pass 2: assemble handle pairs (immutable borrows only)
             let ops: Vec<(DenseOp, DenseOp)> = pair_refs
                 .iter()
@@ -378,8 +365,8 @@ pub fn contract_resident(
                 .collect();
             let partials = exec.contract_batch(spec, &ops);
             // release the transient uploads before surfacing any batch
-            // error — a failed matvec must not leave pinned (LRU-exempt)
-            // buffers behind on the workers
+            // error — a failed matvec must not leave buffers behind on the
+            // workers (nothing there would ever evict them)
             drop(ops);
             let mut free_err: Option<tt_dist::Error> = None;
             for h in b_handles.values() {
@@ -407,7 +394,7 @@ pub fn contract_resident(
 /// included.
 ///
 /// [`Algorithm::List`] and [`Algorithm::SparseDense`] run as **worker-side
-/// chain supersteps**: every intermediate stays pinned in the worker
+/// chain supersteps**: every intermediate stays in the worker
 /// stores under driver-issued keys and only the final result downloads, so
 /// on the multi-process backend the driver's *result* traffic collapses
 /// from one payload per block pair per step to one download per output
@@ -579,6 +566,7 @@ fn without_zeros(c: SparseTensor<f64>) -> SparseTensor<f64> {
 }
 
 /// Which resident buffer backs one `B` operand of a block chain step.
+#[derive(Clone, Copy)]
 enum BRef {
     /// A transiently uploaded block of the chain input `x`.
     X(usize),
@@ -596,7 +584,6 @@ fn chain_apply_list(
     steps: &[(&str, &ResidentOperand)],
     x: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
-    use std::collections::{BTreeMap, HashMap};
     use tt_dist::{ChainSrc, ChainStep};
 
     // upload the chain input's blocks once (Arc-shared — hash, no clone);
@@ -633,44 +620,15 @@ fn chain_apply_list(
         let plan = ContractPlan::parse(spec).map_err(tt_dist::Error::from)?;
         let (out_indices, out_flux) =
             output_structure_parts(&plan, &a.indices, a.flux, &cur_indices, cur_flux)?;
-        let ctr_a = plan.ctr_a_positions();
-        let ctr_b = plan.ctr_b_positions();
-        let free_a = plan.free_a_positions();
-        let free_b = plan.free_b_positions();
-        let out_perm = plan.output_permutation();
-        // index the current B block set by contracted labels, preserving
-        // sorted key order inside each group — the same order
-        // contract_list sees from BTreeMap iteration
-        let mut b_by_ctr: HashMap<Vec<u16>, Vec<&BlockKey>> = HashMap::new();
-        for kb in cur.keys() {
-            let ctr_key: Vec<u16> = ctr_b.iter().map(|&i| kb[i]).collect();
-            b_by_ctr.entry(ctr_key).or_default().push(kb);
-        }
         // out block key -> desc index of its creating (non-acc) step
         let mut made: BTreeMap<BlockKey, usize> = BTreeMap::new();
-        for (ai, ka) in a_keys.iter().enumerate() {
-            let ctr_key: Vec<u16> = ctr_a.iter().map(|&i| ka[i]).collect();
-            let Some(bkeys) = b_by_ctr.get(&ctr_key) else {
-                continue;
-            };
-            for &kb in bkeys {
-                let natural: Vec<u16> = free_a
-                    .iter()
-                    .map(|&i| ka[i])
-                    .chain(free_b.iter().map(|&j| kb[j]))
-                    .collect();
-                let kc: BlockKey = out_perm.iter().map(|&p| natural[p]).collect();
-                let b = match cur.get(kb).expect("key from iteration") {
-                    BRef::X(i) => BRef::X(*i),
-                    BRef::Step(j) => BRef::Step(*j),
-                };
-                let acc = made.get(&kc).copied();
-                if acc.is_none() {
-                    made.insert(kc, descs.len());
-                }
-                descs.push(Desc { s, ai, b, acc });
+        for_each_block_pair(&plan, a_keys.iter().zip(0..), &cur, |ai, &b, kc| {
+            let acc = made.get(&kc).copied();
+            if acc.is_none() {
+                made.insert(kc, descs.len());
             }
-        }
+            descs.push(Desc { s, ai, b, acc });
+        });
         cur = made.into_iter().map(|(k, i)| (k, BRef::Step(i))).collect();
         cur_indices = out_indices;
         cur_flux = out_flux;
@@ -696,7 +654,7 @@ fn chain_apply_list(
         .collect();
     let chained = exec.chain(&chain_steps);
     // release the transient x uploads before surfacing any chain error —
-    // a failed matvec must not leave pinned buffers behind
+    // a failed matvec must not leave buffers behind
     let mut free_err: Option<tt_dist::Error> = None;
     for h in &x_handles {
         if let Err(e) = exec.free(h) {

@@ -11,7 +11,7 @@
 //! request payload is counted as *operand bytes shipped* and every reply
 //! payload as *result bytes returned*, into the attached
 //! [`CostTracker`]'s `bytes_operands` / `bytes_results` counters (see
-//! [`crate::Comm::operand_bytes`]). These count what the driver actually
+//! [`crate::Executor::operand_bytes`]). These count what the driver actually
 //! moved — they are how the resident-operand cache win is measured and
 //! regression-tested.
 //!
@@ -19,8 +19,8 @@
 //!
 //! When the transport supports recovery (the multi-process backend), the
 //! cluster additionally keeps a per-rank **journal**: the encoded bytes of
-//! every state-mutating request (`Upload*`, `Summa*`, storing `Contract`,
-//! `ChainSd`, `SetCacheCap`) the rank has *acknowledged*. A rank fault
+//! every state-mutating request (`Upload*`, storing `Contract`,
+//! `ChainSd`) the rank has *acknowledged*. A rank fault
 //! ([`crate::FaultKind::is_rank_fault`]) triggers, transparently inside
 //! [`Cluster::call`]/[`Cluster::call_all`]:
 //!
@@ -45,7 +45,7 @@
 //! with an index by store key: the entries that produce the key (and the
 //! `Free` fixups that remove it), and a count of the journaled entries
 //! that *read* it. Acking a store is an append. Acking a
-//! `Free`/`Download`/`Release` of a key nobody journaled reads deletes the
+//! `Free`/`Download` of a key nobody journaled reads deletes the
 //! key's entries through the index and un-counts what they read; a key
 //! that is still read keeps its producers — the reader's replay needs them
 //! — and gets a `Free` fixup appended, so replay still ends with it
@@ -89,7 +89,7 @@ enum JClass {
     /// No worker state mutated (probe, fetch, pure compute).
     Skip,
     /// Creates/mutates worker state: journal on ack.
-    Store { op: Option<u64>, deps: Vec<u64> },
+    Store { op: u64, deps: Vec<u64> },
     /// Removes worker state under `key`: prune the journal on ack.
     Remove { key: u64 },
 }
@@ -147,16 +147,16 @@ impl RankLog {
     }
 
     /// Journal an acked state-creating request.
-    fn store(&mut self, op: Option<u64>, deps: Vec<u64>, bytes: Arc<Vec<u8>>) {
+    fn store(&mut self, op: u64, deps: Vec<u64>, bytes: Arc<Vec<u8>>) {
         self.push(JEntry {
-            op,
+            op: Some(op),
             deps,
             frees: None,
             bytes,
         });
     }
 
-    /// Fold an acked `Free`/`Download`/`Release` of `key` into the journal.
+    /// Fold an acked `Free`/`Download` of `key` into the journal.
     /// With no journaled reader the key's entries simply leave; otherwise
     /// its producers must stay for the readers' replay, and a `Free` fixup
     /// keeps the replayed store ending with the key absent.
@@ -209,20 +209,11 @@ impl RankLog {
 /// Classify a request for the journal. Operand `Key`s become dependency
 /// edges; `store` keys (and uploaded keys) become the entry's `op`.
 fn journal_class(req: &Request) -> JClass {
-    let store = |key: u64, deps: Vec<u64>| JClass::Store {
-        op: Some(key),
-        deps,
-    };
+    let store = |key: u64, deps: Vec<u64>| JClass::Store { op: key, deps };
     match req {
         Request::Upload { key, .. }
         | Request::UploadCoords { key, .. }
-        | Request::UploadSs { key, .. }
-        | Request::SummaInit { key, .. }
-        | Request::SummaPanel { key, .. } => store(*key, Vec::new()),
-        Request::SetCacheCap { .. } => JClass::Store {
-            op: None,
-            deps: Vec::new(),
-        },
+        | Request::UploadSs { key, .. } => store(*key, Vec::new()),
         Request::Contract {
             a,
             b,
@@ -232,12 +223,10 @@ fn journal_class(req: &Request) -> JClass {
         Request::ChainSd {
             a, b, store: key, ..
         } => store(*key, a.key().into_iter().chain(b.key()).collect()),
-        Request::Free { key } | Request::Release { key } | Request::Download { key } => {
-            JClass::Remove { key: *key }
-        }
+        Request::Free { key } | Request::Download { key } => JClass::Remove { key: *key },
         // pure probes and value-returning compute: nothing to reconstruct
         // (their operands, when keyed, are journaled by the uploads that
-        // pinned them)
+        // stored them)
         Request::Ping
         | Request::CacheStats
         | Request::DenseChunk { .. }
@@ -256,7 +245,6 @@ fn journal_class(req: &Request) -> JClass {
 pub struct Cluster {
     transport: Box<dyn Transport>,
     tracker: Option<Arc<Mutex<CostTracker>>>,
-    next_key: u64,
     /// Per-rank journal + in-flight books; empty when the transport
     /// cannot recover ranks (the in-process backends).
     logs: Vec<RankLog>,
@@ -285,11 +273,6 @@ impl Cluster {
         Self {
             transport,
             tracker: None,
-            // resident-buffer keys allocated by this cluster (SUMMA slabs
-            // and friends) live far above small test/user keys; hashed
-            // handle keys occupy the full 64-bit space and collide with
-            // neither in practice
-            next_key: 1 << 32,
             logs,
             remap: HashMap::new(),
         }
@@ -300,19 +283,11 @@ impl Cluster {
         Self::new(Box::new(InProcTransport::new(ranks)))
     }
 
-    /// Cluster over `ranks` real worker processes.
-    #[cfg(unix)]
-    pub fn multi_process(ranks: usize, spec: &crate::transport::SpawnSpec) -> Result<Self> {
-        Ok(Self::new(Box::new(crate::transport::ProcTransport::spawn(
-            ranks, spec,
-        )?)))
-    }
-
-    /// Cluster over `ranks` real worker processes with explicit
+    /// Cluster over `ranks` real worker processes under
     /// [`ProcOptions`](crate::ProcOptions) (fault injection, deadline,
-    /// respawn budget).
+    /// respawn budget; `default()` reads them from the environment).
     #[cfg(unix)]
-    pub fn multi_process_with(
+    pub fn multi_process(
         ranks: usize,
         spec: &crate::transport::SpawnSpec,
         opts: crate::ProcOptions,
@@ -326,15 +301,6 @@ impl Cluster {
     /// `bytes_operands` / `bytes_results` counters.
     pub fn attach_tracker(&mut self, tracker: Arc<Mutex<CostTracker>>) {
         self.tracker = Some(tracker);
-    }
-
-    /// A fresh worker-store key, unique within this cluster's lifetime —
-    /// the allocator behind resident SUMMA slabs and other driver-managed
-    /// buffers.
-    pub(crate) fn fresh_key(&mut self) -> u64 {
-        let k = self.next_key;
-        self.next_key += 1;
-        k
     }
 
     /// Number of rank endpoints.
@@ -352,11 +318,6 @@ impl Cluster {
                 bytes: log.bytes,
             })
             .collect()
-    }
-
-    /// The underlying transport (collectives, diagnostics).
-    pub fn transport_mut(&mut self) -> &mut dyn Transport {
-        &mut *self.transport
     }
 
     fn count_operand(&self, bytes: usize) {
@@ -741,15 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn fresh_keys_are_unique() {
-        let mut cl = Cluster::in_process(1);
-        let a = cl.fresh_key();
-        let b = cl.fresh_key();
-        assert_ne!(a, b);
-        assert!(a >= 1 << 32);
-    }
-
-    #[test]
     fn probe_answers_on_a_live_rank() {
         let mut cl = Cluster::in_process(2);
         cl.probe(0).unwrap();
@@ -762,11 +714,11 @@ mod tests {
         use std::collections::BTreeSet;
 
         fn upload(log: &mut RankLog, key: u64) {
-            log.store(Some(key), Vec::new(), Arc::new(vec![0; 8]));
+            log.store(key, Vec::new(), Arc::new(vec![0; 8]));
         }
 
         fn derive(log: &mut RankLog, key: u64, deps: &[u64]) {
-            log.store(Some(key), deps.to_vec(), Arc::new(vec![0; 8]));
+            log.store(key, deps.to_vec(), Arc::new(vec![0; 8]));
         }
 
         /// Replay the journal, in order, into an empty toy store (a key
@@ -844,7 +796,7 @@ mod tests {
             derive(&mut log, a, &[k]);
             log.remove(k); // fixup: a reads the first generation
             upload(&mut log, k); // same content key, uploaded again
-            upload(&mut log, k); // and once more (worker refcount 2)
+            upload(&mut log, k); // and once more (replaced on the worker)
             assert_eq!(replay(&log), BTreeSet::from([k, a]));
             log.remove(a); // first generation and its fixup go, the live one stays
             assert_eq!(log.acked.len(), 2);
@@ -920,7 +872,7 @@ mod tests {
                 deadline: Some(Duration::from_secs(20)),
                 ..Default::default()
             };
-            let mut cl = Cluster::multi_process_with(ranks, &spec(), opts).unwrap();
+            let mut cl = Cluster::multi_process(ranks, &spec(), opts).unwrap();
             let tracker = Arc::new(Mutex::new(CostTracker::new(Machine::local(), ranks)));
             cl.attach_tracker(Arc::clone(&tracker));
             (cl, tracker)

@@ -1,31 +1,28 @@
-//! Collective-communication volume accounting.
+//! Point-to-point communication volume accounting.
 //!
 //! A [`Comm`] represents a communicator over `ranks` simulated processes.
-//! Its methods do no data movement — they charge the [`CostTracker`] with
-//! the supersteps and critical-path bytes the corresponding MPI collective
-//! would cost under the α–β model (tree collectives: `⌈log₂ p⌉`
-//! supersteps).
+//! It does no data movement — [`Comm::charge_p2p`] charges the
+//! [`CostTracker`] with the superstep and critical-path bytes the message
+//! would cost under the α–β model. [`crate::tsqr()`] charges its
+//! `R`-merge tree through it, one message per level.
 
 use crate::cost::{self, CostTracker};
-use crate::exec::ExecMode;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// A simulated communicator: rank count, execution mode and the shared
-/// cost tracker collectives charge into.
+/// A simulated communicator: rank count and the shared cost tracker its
+/// messages charge into.
 #[derive(Clone)]
 pub struct Comm {
     ranks: usize,
-    mode: ExecMode,
     tracker: Arc<Mutex<CostTracker>>,
 }
 
 impl Comm {
     /// Communicator over `ranks` processes charging into `tracker`.
-    pub fn new(ranks: usize, mode: ExecMode, tracker: Arc<Mutex<CostTracker>>) -> Self {
+    pub fn new(ranks: usize, tracker: Arc<Mutex<CostTracker>>) -> Self {
         Self {
             ranks: ranks.max(1),
-            mode,
             tracker,
         }
     }
@@ -35,75 +32,14 @@ impl Comm {
         self.ranks
     }
 
-    /// The communicator's execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
     /// The shared cost tracker.
     pub fn tracker(&self) -> &Arc<Mutex<CostTracker>> {
         &self.tracker
     }
 
-    /// Operand bytes the driver actually shipped to workers since the
-    /// last reset (multi-process data plane; zero in-process). Together
-    /// with [`Comm::result_bytes`] this is the per-category bytes-shipped
-    /// observability the resident-operand cache is measured by.
-    pub fn operand_bytes(&self) -> u64 {
-        self.tracker.lock().bytes_operands
-    }
-
-    /// Result bytes workers returned to the driver since the last reset.
-    pub fn result_bytes(&self) -> u64 {
-        self.tracker.lock().bytes_results
-    }
-
-    /// Depth of a binomial collective tree over the ranks.
-    fn tree_depth(&self) -> u64 {
-        (usize::BITS - (self.ranks - 1).leading_zeros()) as u64
-    }
-
     /// Point-to-point message of `bytes`: one superstep, full volume.
     pub fn charge_p2p(&self, bytes: u64) {
         cost::charge(&self.tracker, |t| t.charge_superstep(bytes));
-    }
-
-    /// Allreduce of `words` f64 values: `⌈log₂ p⌉` supersteps, ~2·bytes on
-    /// the critical path (reduce-scatter + allgather).
-    pub fn allreduce(&self, words: u64) {
-        if self.ranks <= 1 {
-            return;
-        }
-        let bytes = 2 * 8 * words;
-        cost::charge(&self.tracker, |t| {
-            t.charge_supersteps(self.tree_depth(), bytes)
-        });
-    }
-
-    /// Allgather where each rank contributes `words_per_rank` f64 values:
-    /// `⌈log₂ p⌉` supersteps, `(p−1)/p` of the gathered volume per rank.
-    pub fn allgather(&self, words_per_rank: u64) {
-        if self.ranks <= 1 {
-            return;
-        }
-        let p = self.ranks as u64;
-        let bytes = 8 * words_per_rank * (p - 1);
-        cost::charge(&self.tracker, |t| {
-            t.charge_supersteps(self.tree_depth(), bytes)
-        });
-    }
-
-    /// Scatter of `words_total` f64 values from one root: `⌈log₂ p⌉`
-    /// supersteps, the root injects all but its own share.
-    pub fn scatter(&self, words_total: u64) {
-        if self.ranks <= 1 {
-            return;
-        }
-        let p = self.ranks as u64;
-        let bytes = 8 * words_total * (p - 1) / p;
-        cost::charge(&self.tracker, |t| {
-            t.charge_supersteps(self.tree_depth(), bytes)
-        });
     }
 }
 
@@ -112,120 +48,21 @@ mod tests {
     use super::*;
     use crate::machine::Machine;
 
-    fn comm(p: usize) -> Comm {
-        let tracker = Arc::new(Mutex::new(CostTracker::new(Machine::blue_waters(16), p)));
-        Comm::new(p, ExecMode::Sequential, tracker)
-    }
-
     #[test]
-    fn single_rank_collectives_are_free() {
-        let c = comm(1);
-        c.allreduce(1000);
-        c.allgather(1000);
-        c.scatter(1000);
-        let t = c.tracker().lock();
-        assert_eq!(t.supersteps, 0);
-        assert_eq!(t.bytes_critical, 0);
-        assert_eq!(t.sim.comm, 0.0);
-    }
-
-    #[test]
-    fn tree_collectives_charge_log_supersteps() {
-        let c = comm(8);
-        c.allreduce(100);
-        assert_eq!(c.tracker().lock().supersteps, 3);
-        c.charge_p2p(64);
-        let t = c.tracker().lock();
-        assert_eq!(t.supersteps, 4);
-        assert!(t.bytes_critical > 0 && t.sim.comm > 0.0);
-    }
-
-    /// `⌈log₂ p⌉` — the tree depth every collective charges.
-    fn depth(p: usize) -> u64 {
-        (p as f64).log2().ceil() as u64
-    }
-
-    /// The α–β time `steps` supersteps moving `bytes` must cost, written
-    /// with the same expression shape as `CostTracker::charge_supersteps`
-    /// so the comparison can be exact (`to_bits`), not approximate.
-    fn alpha_beta(c: &Comm, steps: u64, bytes: u64) -> f64 {
-        let m = &c.tracker().lock().machine;
-        steps as f64 * m.alpha_s + bytes as f64 * m.beta_s_per_byte
-    }
-
-    #[test]
-    fn allreduce_charges_exact_alpha_beta_costs() {
-        for p in [2usize, 4, 7, 8, 16, 64] {
-            for words in [1u64, 17, 1000, 65536] {
-                let c = comm(p);
-                c.allreduce(words);
-                // reduce-scatter + allgather: ~2× the payload on the
-                // critical path, one tree sweep of supersteps
-                let bytes = 2 * 8 * words;
-                let t = c.tracker().lock();
-                assert_eq!(t.supersteps, depth(p), "p={p}");
-                assert_eq!(t.bytes_critical, bytes, "p={p} words={words}");
-                drop(t);
-                let expect = alpha_beta(&c, depth(p), bytes);
-                assert_eq!(
-                    c.tracker().lock().sim.comm.to_bits(),
-                    expect.to_bits(),
-                    "p={p} words={words}"
-                );
-            }
+    fn p2p_charges_one_superstep_at_the_exact_alpha_beta_cost() {
+        let mut times = Vec::new();
+        for machine in [Machine::blue_waters(16), Machine::stampede2(64)] {
+            let tracker = Arc::new(Mutex::new(CostTracker::new(machine, 8)));
+            let c = Comm::new(8, tracker);
+            c.charge_p2p(4096);
+            let t = c.tracker().lock();
+            assert_eq!((t.supersteps, t.bytes_critical), (1, 4096));
+            // the expression shape of `CostTracker::charge_superstep`, so
+            // the comparison can be exact
+            let expect = t.machine.alpha_s + 4096.0 * t.machine.beta_s_per_byte;
+            assert_eq!(t.sim.comm.to_bits(), expect.to_bits());
+            times.push(t.sim.comm);
         }
-    }
-
-    #[test]
-    fn allgather_charges_exact_alpha_beta_costs() {
-        for p in [2usize, 4, 6, 32] {
-            for words_per_rank in [3u64, 128, 4096] {
-                let c = comm(p);
-                c.allgather(words_per_rank);
-                // each rank receives the other p−1 contributions
-                let bytes = 8 * words_per_rank * (p as u64 - 1);
-                let t = c.tracker().lock();
-                assert_eq!(t.supersteps, depth(p));
-                assert_eq!(t.bytes_critical, bytes);
-                drop(t);
-                let expect = alpha_beta(&c, depth(p), bytes);
-                assert_eq!(c.tracker().lock().sim.comm.to_bits(), expect.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn scatter_charges_exact_alpha_beta_costs() {
-        for p in [2usize, 5, 8, 16] {
-            for words_total in [10u64, 1024, 100_000] {
-                let c = comm(p);
-                c.scatter(words_total);
-                // the root keeps its own 1/p share
-                let bytes = 8 * words_total * (p as u64 - 1) / p as u64;
-                let t = c.tracker().lock();
-                assert_eq!(t.supersteps, depth(p));
-                assert_eq!(t.bytes_critical, bytes);
-                drop(t);
-                let expect = alpha_beta(&c, depth(p), bytes);
-                assert_eq!(c.tracker().lock().sim.comm.to_bits(), expect.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn collective_costs_scale_with_machine_parameters() {
-        // same collective, different machine → different α–β charge
-        let mk = |machine: Machine, p: usize| {
-            let tracker = Arc::new(Mutex::new(CostTracker::new(machine, p)));
-            Comm::new(p, ExecMode::Sequential, tracker)
-        };
-        let bw = mk(Machine::blue_waters(16), 8);
-        let s2 = mk(Machine::stampede2(64), 8);
-        bw.allreduce(4096);
-        s2.allreduce(4096);
-        let (tb, ts) = (bw.tracker().lock(), s2.tracker().lock());
-        assert_eq!(tb.supersteps, ts.supersteps, "same tree depth");
-        assert_eq!(tb.bytes_critical, ts.bytes_critical, "same volume");
-        assert_ne!(tb.sim.comm, ts.sim.comm, "different α/β, different time");
+        assert_ne!(times[0], times[1], "different α/β, different time");
     }
 }

@@ -79,8 +79,7 @@ impl SimTime {
 }
 
 /// Mutable cost state shared (behind a mutex) by everything that charges
-/// simulated work: executors, [`crate::Comm`], [`crate::DistMatrix`],
-/// [`crate::tsqr`].
+/// simulated work: executors, [`crate::Comm`], [`crate::tsqr`].
 #[derive(Clone, Debug)]
 pub struct CostTracker {
     /// The machine being simulated.

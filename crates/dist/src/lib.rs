@@ -17,12 +17,10 @@
 //! * [`Machine`] — machine models (Blue Waters, Stampede2, a laptop-scale
 //!   `local`) with flop rooflines and α/β network parameters,
 //! * [`SimTime`] / [`CostTracker`] — the Fig. 7 cost categories,
-//! * [`Comm`] — collective volume accounting (allreduce/allgather/scatter,
-//!   point-to-point), shared by [`DistMatrix`] and [`tsqr()`],
+//! * [`Comm`] — point-to-point volume accounting, what [`tsqr()`] charges
+//!   its merge tree through,
 //! * [`Executor`] — the entry points used by `tt-blocks` and everything
 //!   above it (table below),
-//! * [`DistMatrix`] — a block-cyclically distributed dense matrix with a
-//!   SUMMA product,
 //! * [`tsqr()`] — communication-avoiding tall-skinny QR built on
 //!   [`tt_linalg::qr_thin`].
 //!
@@ -46,7 +44,7 @@
 //! | [`Executor::upload`], [`Executor::upload_shared`], [`Executor::upload_sparse`], [`Executor::free`] | operand residency |
 //! | [`Executor::download`], [`Executor::download_many`], [`Executor::free_result`], [`Executor::free_results`] | result residency |
 //!
-//! The worker protocol under it — 19 requests — is tabulated in
+//! The worker protocol under it — 15 requests — is tabulated in
 //! [`transport`].
 
 mod cluster;
@@ -59,7 +57,6 @@ mod machine;
 mod pool;
 #[cfg(unix)]
 pub mod service;
-mod summa;
 pub mod transport;
 mod tsqr;
 
@@ -73,7 +70,6 @@ pub use exec::{
 pub use handle::{OpHandle, ResultHandle, ResultKind};
 pub use machine::Machine;
 pub use pool::ThreadPool;
-pub use summa::DistMatrix;
 #[cfg(unix)]
 pub use transport::ProcTransport;
 pub use transport::{maybe_serve, InProcTransport, SpawnSpec, Transport};
@@ -230,7 +226,7 @@ impl std::fmt::Display for Error {
 impl std::error::Error for Error {}
 
 /// Factor `p` into the most-square `(rows, cols)` process grid with
-/// `rows * cols == p` — the grid SUMMA and the cost model assume.
+/// `rows * cols == p` — the grid the cost model assumes.
 pub(crate) fn process_grid(p: usize) -> (usize, usize) {
     let p = p.max(1);
     let mut rows = (p as f64).sqrt() as usize;

@@ -165,8 +165,6 @@ pub struct ServiceConfig {
     /// Byte budget of the cross-job retention cache
     /// ([`Executor::set_retention_cap`]); `0` disables dedup-by-retention.
     pub retention_bytes: u64,
-    /// Worker-side LRU cache cap override, if any.
-    pub worker_cache_cap: Option<u64>,
 }
 
 impl ServiceConfig {
@@ -184,7 +182,6 @@ impl ServiceConfig {
             max_queued: 16,
             default_resident_cap: 1 << 34,
             retention_bytes: 256 << 20,
-            worker_cache_cap: None,
         }
     }
 }
@@ -283,9 +280,6 @@ impl Service {
             cfg.spawn.clone(),
             cfg.opts.clone(),
         )?;
-        if let Some(cap) = cfg.worker_cache_cap {
-            exec.set_worker_cache_cap(cap)?;
-        }
         exec.set_retention_cap(cfg.retention_bytes)?;
 
         let _ = std::fs::remove_file(&cfg.socket);

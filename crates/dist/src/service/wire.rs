@@ -390,11 +390,8 @@ fn put_status(e: &mut Enc, s: &StatusReport) {
     for r in &s.fleet {
         e.put_u64(r.bytes);
         e.put_u64(r.entries);
-        e.put_u64(r.pinned);
-        e.put_u64(r.pinned_bytes);
         e.put_u64(r.hits);
         e.put_u64(r.misses);
-        e.put_u64(r.evictions);
     }
 }
 
@@ -417,11 +414,8 @@ fn get_status(d: &mut Dec) -> Result<StatusReport> {
         fleet.push(RankCacheStats {
             bytes: d.u64()?,
             entries: d.u64()?,
-            pinned: d.u64()?,
-            pinned_bytes: d.u64()?,
             hits: d.u64()?,
             misses: d.u64()?,
-            evictions: d.u64()?,
         });
     }
     Ok(StatusReport {
@@ -664,11 +658,8 @@ mod tests {
                 fleet: vec![RankCacheStats {
                     bytes: 4096,
                     entries: 7,
-                    pinned: 2,
-                    pinned_bytes: 512,
                     hits: 100,
                     misses: 9,
-                    evictions: 1,
                 }],
             }),
         ]

@@ -6,26 +6,22 @@
 //! [`crate::kernels::dense_chunk`], [`crate::kernels::sd_chunk`] (through
 //! [`crate::kernels::sd_panel`] for a shipped row chunk and
 //! [`crate::kernels::sd_apply`] for a whole chain step),
-//! [`crate::kernels::ss_chunk`], whole-matrix factorizations and resident
-//! SUMMA slab updates. Because both backends run *exactly* this code over
-//! *exactly* the same work decomposition, multi-process results are
-//! bitwise-identical to the in-process Sequential executor.
+//! [`crate::kernels::ss_chunk`] and whole-matrix factorizations. Because
+//! both backends run *exactly* this code over *exactly* the same work
+//! decomposition, multi-process results are bitwise-identical to the
+//! in-process Sequential executor.
 //!
 //! The element type of a dense buffer is a tag on the data ([`Buf`]), not
 //! a property of the opcode: one request serves `f64` and [`Complex64`],
 //! and a pair of operands whose tags disagree fails typed. Every bulk
 //! operand of a compute task is an [`Op`] / [`OpCoords`] / [`OpSs`] —
 //! either **inline** bytes (the value-passing path) or a **key** into the
-//! rank's resident store (the handle path: the operand was pinned by an
+//! rank's resident store (the handle path: the operand was stored by an
 //! earlier `Upload*` request and ships zero bytes with the task). The
-//! store is refcounted and LRU-bounded: every store pins (refcount +1),
-//! `Release` unpins, `Free` and `Download` drop outright — the driver's
-//! `Executor::free` sends `Free`, since it forgets the buffer homes and
-//! could never reference the copies again; `Release` is the unpin
-//! primitive a transport that *does* retain homes (e.g. a future MPI
-//! backend) would use. Unpinned entries are evicted in deterministic
-//! least-recently-used order whenever the store's byte footprint exceeds
-//! its cap.
+//! store is a plain keyed map: `Upload*` and storing compute requests
+//! insert (or replace), `Free` and `Download` remove, and nothing else
+//! ever leaves it — a rank's memory is bounded by the driver's frees, not
+//! here (`Executor::free` documents the bound).
 //!
 //! The same [`WorkerState`] is driven two ways:
 //!
@@ -37,7 +33,7 @@
 
 use super::wire::{read_frame, write_frame, Dec, Enc};
 use crate::kernels;
-use crate::{Error, Result};
+use crate::{DistError, Error, FaultKind, Result};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,10 +47,6 @@ use tt_tensor::{Complex64, DenseTensor, Scalar};
 pub const ENV_SOCKET: &str = "TT_DIST_WORKER_SOCKET";
 /// Environment variable carrying the worker's rank id.
 pub const ENV_RANK: &str = "TT_DIST_WORKER_RANK";
-
-/// Default byte cap of a rank's resident store (unpinned entries beyond
-/// this are evicted LRU-first; pinned entries are exempt).
-pub(crate) const DEFAULT_CACHE_CAP: u64 = 1 << 30;
 
 /// A dense buffer: the element type is a tag on the data.
 #[derive(Clone, Debug, PartialEq)]
@@ -78,7 +70,7 @@ pub(crate) enum Out {
     /// Return it to the driver in the reply.
     Reply,
     /// Write it straight into the rank's resident store under the
-    /// driver-issued `key` (pinned); the reply carries no payload. With
+    /// driver-issued `key`; the reply carries no payload. With
     /// `acc` the result is accumulated elementwise into the existing
     /// buffer under `key` (the block-list chains route every partial of
     /// one output block to one rank, in driver enumeration order, so the
@@ -118,16 +110,16 @@ pub(crate) enum Request {
     Ping,
     /// Drop the buffer under `key` unconditionally (any payload type).
     Free { key: u64 },
-    /// Pin a dense buffer under `key` (refcount +1).
+    /// Store a dense buffer under `key`.
     Upload { key: u64, data: Buf },
-    /// Pin a sparse-coordinate bucket under `key`.
+    /// Store a sparse-coordinate bucket under `key`.
     UploadCoords {
         key: u64,
         rows: Vec<u64>,
         cols: Vec<u64>,
         vals: Vec<f64>,
     },
-    /// Pin a grouped sparse-sparse operand table under `key`.
+    /// Store a grouped sparse-sparse operand table under `key`.
     UploadSs {
         key: u64,
         keys: Vec<u64>,
@@ -135,12 +127,8 @@ pub(crate) enum Request {
         cols: Vec<u64>,
         vals: Vec<f64>,
     },
-    /// Unpin `key` (refcount −1); at zero the buffer becomes evictable.
-    Release { key: u64 },
     /// Report the store's byte footprint and entry counts.
     CacheStats,
-    /// Set the store's LRU byte cap.
-    SetCacheCap { bytes: u64 },
     /// One row-slab of a dense TTGT contraction (`a` holds `rows` rows of
     /// the permuted A, `b` the full permuted B). Scatter and compute are
     /// fused: resident operands ship as keys, everything else rides in
@@ -199,24 +187,11 @@ pub(crate) enum Request {
         cutoff: f64,
         min_keep: u64,
     },
-    /// Allocate a zeroed resident SUMMA slab (`rows × n`) under `key`,
-    /// pinned until freed.
-    SummaInit { key: u64, rows: usize, n: usize },
-    /// Accumulate one `k`-panel product into the resident slab: the
-    /// `rows × w` A-slab panel times the `w × n` B panel.
-    SummaPanel {
-        key: u64,
-        rows: usize,
-        w: usize,
-        n: usize,
-        a: Vec<f64>,
-        b: Vec<f64>,
-    },
     /// One sparse-dense chain step: the whole contraction (single bucket
     /// covering all `m` fused rows — bitwise-identical to any row-disjoint
     /// bucketing), with the dense operand permuted worker-side by
     /// `perm_b` and the result permuted to output order by `out_perm`
-    /// before being stored under `store` (pinned).
+    /// before being stored under `store`.
     ChainSd {
         a: OpCoords,
         m: usize,
@@ -229,8 +204,8 @@ pub(crate) enum Request {
         store: u64,
     },
     /// Remove the dense buffer under `key` from the store and return its
-    /// payload — the only value-returning read of the store. Unpins
-    /// unconditionally (the driver forgets the home).
+    /// payload — the only value-returning read of the store (the driver
+    /// forgets the home).
     Download { key: u64 },
     /// Terminate the worker loop.
     Shutdown,
@@ -275,11 +250,8 @@ pub(crate) enum Reply {
     Stats {
         bytes: u64,
         entries: u64,
-        pinned: u64,
-        pinned_bytes: u64,
         hits: u64,
         misses: u64,
-        evictions: u64,
     },
     /// The task failed on the worker; the driver surfaces the message.
     Fail(String),
@@ -485,8 +457,8 @@ impl OpCoords {
 }
 
 impl Request {
-    /// Operand payload bytes this request carries inline: tensor values,
-    /// sparse coordinates, and SUMMA panels — the data-plane volume
+    /// Operand payload bytes this request carries inline: tensor values
+    /// and sparse coordinates — the data-plane volume
     /// [`CostTracker::bytes_operands`](crate::CostTracker) meters. Key
     /// references, dims, specs, and other control framing count zero, so
     /// the meter reads what the driver actually *shipped*, and a request
@@ -529,13 +501,9 @@ impl Request {
             }
             Request::SsChunk { a, b, .. } => coords(a) + ss(b),
             Request::QrThin { a, .. } | Request::SvdTrunc { a, .. } => a.payload_bytes(),
-            Request::SummaPanel { a, b, .. } => 8 * (a.len() + b.len()),
             Request::Ping
             | Request::Free { .. }
-            | Request::Release { .. }
             | Request::CacheStats
-            | Request::SetCacheCap { .. }
-            | Request::SummaInit { .. }
             | Request::Download { .. }
             | Request::Shutdown => 0,
         }
@@ -581,15 +549,7 @@ impl Request {
                 e.put_u64s(cols);
                 e.put_f64s(vals);
             }
-            Request::Release { key } => {
-                e.put_u8(6);
-                e.put_u64(*key);
-            }
             Request::CacheStats => e.put_u8(7),
-            Request::SetCacheCap { bytes } => {
-                e.put_u8(8);
-                e.put_u64(*bytes);
-            }
             Request::DenseChunk {
                 path,
                 rows,
@@ -686,28 +646,6 @@ impl Request {
                 e.put_f64(*cutoff);
                 e.put_u64(*min_keep);
             }
-            Request::SummaInit { key, rows, n } => {
-                e.put_u8(15);
-                e.put_u64(*key);
-                e.put_usize(*rows);
-                e.put_usize(*n);
-            }
-            Request::SummaPanel {
-                key,
-                rows,
-                w,
-                n,
-                a,
-                b,
-            } => {
-                e.put_u8(16);
-                e.put_u64(*key);
-                e.put_usize(*rows);
-                e.put_usize(*w);
-                e.put_usize(*n);
-                e.put_f64s(a);
-                e.put_f64s(b);
-            }
             Request::ChainSd {
                 a,
                 m,
@@ -739,7 +677,9 @@ impl Request {
         e.finish()
     }
 
-    /// Decode from the wire format.
+    /// Decode from the wire format. Opcodes 6, 8, 15 and 16 are retired:
+    /// never reassign them, so a frame from an older peer fails typed
+    /// instead of being misread.
     pub(crate) fn decode(bytes: &[u8]) -> Result<Self> {
         let mut d = Dec::new(bytes);
         let req = match d.u8()? {
@@ -762,9 +702,7 @@ impl Request {
                 cols: d.u64s()?,
                 vals: d.f64s()?,
             },
-            6 => Request::Release { key: d.u64()? },
             7 => Request::CacheStats,
-            8 => Request::SetCacheCap { bytes: d.u64()? },
             9 => Request::DenseChunk {
                 path: path_from_u8(d.u8()?)?,
                 rows: d.usize()?,
@@ -820,19 +758,6 @@ impl Request {
                 cutoff: d.f64()?,
                 min_keep: d.u64()?,
             },
-            15 => Request::SummaInit {
-                key: d.u64()?,
-                rows: d.usize()?,
-                n: d.usize()?,
-            },
-            16 => Request::SummaPanel {
-                key: d.u64()?,
-                rows: d.usize()?,
-                w: d.usize()?,
-                n: d.usize()?,
-                a: d.f64s()?,
-                b: d.f64s()?,
-            },
             17 => Request::ChainSd {
                 a: OpCoords::get(&mut d)?,
                 m: d.usize()?,
@@ -846,7 +771,14 @@ impl Request {
             },
             18 => Request::Download { key: d.u64()? },
             19 => Request::Shutdown,
-            op => return Err(Error::transport(format!("unknown request opcode {op}"))),
+            op => {
+                return Err(DistError::new(
+                    FaultKind::Decode,
+                    None,
+                    format!("unknown request opcode {op}"),
+                )
+                .into())
+            }
         };
         Ok(req)
     }
@@ -912,20 +844,14 @@ impl Reply {
             Reply::Stats {
                 bytes,
                 entries,
-                pinned,
-                pinned_bytes,
                 hits,
                 misses,
-                evictions,
             } => {
                 e.put_u8(8);
                 e.put_u64(*bytes);
                 e.put_u64(*entries);
-                e.put_u64(*pinned);
-                e.put_u64(*pinned_bytes);
                 e.put_u64(*hits);
                 e.put_u64(*misses);
-                e.put_u64(*evictions);
             }
         }
         e.finish()
@@ -965,11 +891,8 @@ impl Reply {
             8 => Reply::Stats {
                 bytes: d.u64()?,
                 entries: d.u64()?,
-                pinned: d.u64()?,
-                pinned_bytes: d.u64()?,
                 hits: d.u64()?,
                 misses: d.u64()?,
-                evictions: d.u64()?,
             },
             op => return Err(Error::transport(format!("unknown reply opcode {op}"))),
         };
@@ -1027,121 +950,50 @@ impl Cached {
     }
 }
 
-struct Entry {
-    val: Cached,
-    /// Pin count: >0 entries are never evicted.
-    rc: u32,
-    /// Logical LRU timestamp (unique per touch — eviction order is
-    /// deterministic given the request sequence).
-    last_use: u64,
-}
-
-/// One rank's resident state: a keyed buffer store with refcounts and an
-/// LRU byte cap.
+/// One rank's resident state: a keyed buffer store and its counters.
+#[derive(Default)]
 pub(crate) struct WorkerState {
-    store: HashMap<u64, Entry>,
-    clock: u64,
+    store: HashMap<u64, Cached>,
     bytes: u64,
-    cap: u64,
     /// Keyed lookups served from the store (lifetime).
     hits: u64,
     /// Fresh insertions — key not already resident (lifetime).
     misses: u64,
-    /// LRU evictions (lifetime).
-    evictions: u64,
-}
-
-impl Default for WorkerState {
-    fn default() -> Self {
-        Self::with_cap(DEFAULT_CACHE_CAP)
-    }
 }
 
 impl WorkerState {
-    /// Fresh state with an empty store and the default byte cap.
+    /// Fresh state with an empty store.
     pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Fresh state with an explicit LRU byte cap.
-    pub(crate) fn with_cap(cap: u64) -> Self {
-        Self {
-            store: HashMap::new(),
-            clock: 0,
-            bytes: 0,
-            cap,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    /// Insert (or replace) `key`, pinned: the refcount is one more than
-    /// that of any replaced entry. Evicts LRU unpinned entries if the cap
-    /// is now exceeded.
+    /// Insert (or replace) the buffer under `key`.
     fn insert(&mut self, key: u64, val: Cached) {
-        let old_rc = match self.store.remove(&key) {
-            Some(e) => {
-                self.bytes -= e.val.bytes();
-                e.rc
-            }
-            None => {
-                self.misses += 1;
-                0
-            }
-        };
         self.bytes += val.bytes();
-        let last_use = self.tick();
-        self.store.insert(
-            key,
-            Entry {
-                val,
-                rc: old_rc + 1,
-                last_use,
-            },
-        );
-        self.evict();
-    }
-
-    /// Evict unpinned entries in ascending last-use order until the store
-    /// fits the cap (pinned entries are exempt and may exceed it).
-    fn evict(&mut self) {
-        while self.bytes > self.cap {
-            let victim = self
-                .store
-                .iter()
-                .filter(|(_, e)| e.rc == 0)
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(&k, _)| k);
-            match victim {
-                Some(k) => {
-                    let e = self.store.remove(&k).expect("victim present");
-                    self.bytes -= e.val.bytes();
-                    self.evictions += 1;
-                }
-                None => break, // everything left is pinned
-            }
+        match self.store.insert(key, val) {
+            Some(old) => self.bytes -= old.bytes(),
+            None => self.misses += 1,
         }
     }
 
-    fn touch(&mut self, key: u64) -> Result<&Entry> {
-        let stamp = self.tick();
-        let e = self
+    /// Remove the buffer under `key`, if any.
+    fn remove(&mut self, key: u64) -> Option<Cached> {
+        let val = self.store.remove(&key)?;
+        self.bytes -= val.bytes();
+        Some(val)
+    }
+
+    fn get(&mut self, key: u64) -> Result<&Cached> {
+        let val = self
             .store
-            .get_mut(&key)
+            .get(&key)
             .ok_or_else(|| Error::transport(format!("no buffer under key {key:#x}")))?;
-        e.last_use = stamp;
         self.hits += 1;
-        Ok(e)
+        Ok(val)
     }
 
     fn get_dense(&mut self, key: u64) -> Result<Arc<Buf>> {
-        match &self.touch(key)?.val {
+        match self.get(key)? {
             Cached::Dense(buf) => Ok(Arc::clone(buf)),
             _ => Err(Error::transport(format!(
                 "key {key:#x} is not a dense buffer"
@@ -1150,7 +1002,7 @@ impl WorkerState {
     }
 
     fn get_coords(&mut self, key: u64) -> Result<Arc<Vec<kernels::Coord>>> {
-        match &self.touch(key)?.val {
+        match self.get(key)? {
             Cached::Coords(v) => Ok(Arc::clone(v)),
             _ => Err(Error::transport(format!(
                 "key {key:#x} is not a coordinate bucket"
@@ -1159,7 +1011,7 @@ impl WorkerState {
     }
 
     fn get_ss(&mut self, key: u64) -> Result<Arc<SsTable>> {
-        match &self.touch(key)?.val {
+        match self.get(key)? {
             Cached::Ss(v) => Ok(Arc::clone(v)),
             _ => Err(Error::transport(format!(
                 "key {key:#x} is not a grouped ss operand"
@@ -1212,7 +1064,7 @@ impl WorkerState {
         }
     }
 
-    /// Store a fresh resident result (pinned), or — with `acc` —
+    /// Store a fresh resident result, or — with `acc` —
     /// accumulate elementwise into the existing buffer under `key`. The
     /// first partial of an output block is *stored*, not added to zeros
     /// (`-0.0 + 0.0` would flip sign bits), exactly like the driver-side
@@ -1231,13 +1083,11 @@ impl WorkerState {
             self.insert(key, Cached::Dense(Arc::new(data)));
             return Ok(());
         }
-        let stamp = self.tick();
         let entry = self
             .store
             .get_mut(&key)
             .ok_or_else(|| Error::transport(format!("no chain result under key {key:#x}")))?;
-        entry.last_use = stamp;
-        let Cached::Dense(buf) = &mut entry.val else {
+        let Cached::Dense(buf) = entry else {
             return Err(Error::transport("chain result has wrong payload type"));
         };
         match (Arc::make_mut(buf), &data) {
@@ -1262,9 +1112,7 @@ impl WorkerState {
             Request::Shutdown => unreachable!("handled in handle()"),
             Request::Ping => Ok(Reply::Pong),
             Request::Free { key } => {
-                if let Some(e) = self.store.remove(&key) {
-                    self.bytes -= e.val.bytes();
-                }
+                self.remove(key);
                 Ok(Reply::Unit)
             }
             Request::Upload { key, data } => {
@@ -1292,34 +1140,12 @@ impl WorkerState {
                 self.insert(key, Cached::Ss(Arc::new(table)));
                 Ok(Reply::Unit)
             }
-            Request::Release { key } => {
-                // lenient: releasing an absent key is a no-op (the entry
-                // can only be absent if it was never pinned)
-                if let Some(e) = self.store.get_mut(&key) {
-                    e.rc = e.rc.saturating_sub(1);
-                }
-                self.evict();
-                Ok(Reply::Unit)
-            }
             Request::CacheStats => Ok(Reply::Stats {
                 bytes: self.bytes,
                 entries: self.store.len() as u64,
-                pinned: self.store.values().filter(|e| e.rc > 0).count() as u64,
-                pinned_bytes: self
-                    .store
-                    .values()
-                    .filter(|e| e.rc > 0)
-                    .map(|e| e.val.bytes())
-                    .sum(),
                 hits: self.hits,
                 misses: self.misses,
-                evictions: self.evictions,
             }),
-            Request::SetCacheCap { bytes } => {
-                self.cap = bytes;
-                self.evict();
-                Ok(Reply::Unit)
-            }
             Request::DenseChunk {
                 path,
                 rows,
@@ -1493,52 +1319,15 @@ impl WorkerState {
                 Ok(Reply::Unit)
             }
             Request::Download { key } => {
-                let entry = self
-                    .store
-                    .remove(&key)
+                let val = self
+                    .remove(key)
                     .ok_or_else(|| Error::transport(format!("no result under key {key:#x}")))?;
-                self.bytes -= entry.val.bytes();
-                match entry.val {
+                match val {
                     Cached::Dense(buf) => Ok(Reply::Buf(Self::take(buf))),
                     _ => Err(Error::transport(format!(
                         "key {key:#x} does not hold a downloadable dense buffer"
                     ))),
                 }
-            }
-            Request::SummaInit { key, rows, n } => {
-                // pinned for the duration of the product; summa_on
-                // downloads it
-                self.insert(key, Cached::Dense(Arc::new(Buf::F64(vec![0.0; rows * n]))));
-                Ok(Reply::Unit)
-            }
-            Request::SummaPanel {
-                key,
-                rows,
-                w,
-                n,
-                a,
-                b,
-            } => {
-                if a.len() != rows * w || b.len() != w * n {
-                    return Err(Error::transport("summa panel size mismatch"));
-                }
-                let stamp = self.tick();
-                let entry = self
-                    .store
-                    .get_mut(&key)
-                    .ok_or_else(|| Error::transport(format!("no summa slab under key {key}")))?;
-                entry.last_use = stamp;
-                let Cached::Dense(slab) = &mut entry.val else {
-                    return Err(Error::transport("summa slab has wrong payload type"));
-                };
-                let Buf::F64(slab) = Arc::make_mut(slab) else {
-                    return Err(Error::transport("summa slab has wrong payload type"));
-                };
-                if slab.len() != rows * n {
-                    return Err(Error::transport("summa slab shape mismatch"));
-                }
-                tt_tensor::gemm::gemm_acc_slices(rows, w, n, &a, &b, slab.as_mut_slice());
-                Ok(Reply::Unit)
             }
         }
     }
@@ -1654,34 +1443,47 @@ mod tests {
         }
     }
 
-    /// Position of a request's variant. Exhaustive on purpose — no
-    /// wildcard arm — so a new variant does not compile until it is
-    /// listed here, and `samples_cover_every_variant` fails until
-    /// [`sample_requests`] carries a sample of it.
-    fn request_variant(req: &Request) -> usize {
+    /// Name of a request's variant. Exhaustive on purpose — no wildcard
+    /// arm — so a new variant does not compile until it is listed here,
+    /// and `samples_cover_every_variant` fails until [`REQUEST_VARIANTS`]
+    /// names it and [`sample_requests`] carries a sample of it.
+    fn request_variant(req: &Request) -> &'static str {
         match req {
-            Request::Ping => 0,
-            Request::Free { .. } => 1,
-            Request::Upload { .. } => 2,
-            Request::UploadCoords { .. } => 3,
-            Request::UploadSs { .. } => 4,
-            Request::Release { .. } => 5,
-            Request::CacheStats => 6,
-            Request::SetCacheCap { .. } => 7,
-            Request::DenseChunk { .. } => 8,
-            Request::Contract { .. } => 9,
-            Request::SdChunk { .. } => 10,
-            Request::SsChunk { .. } => 11,
-            Request::QrThin { .. } => 12,
-            Request::SvdTrunc { .. } => 13,
-            Request::SummaInit { .. } => 14,
-            Request::SummaPanel { .. } => 15,
-            Request::ChainSd { .. } => 16,
-            Request::Download { .. } => 17,
-            Request::Shutdown => 18,
+            Request::Ping => "Ping",
+            Request::Free { .. } => "Free",
+            Request::Upload { .. } => "Upload",
+            Request::UploadCoords { .. } => "UploadCoords",
+            Request::UploadSs { .. } => "UploadSs",
+            Request::CacheStats => "CacheStats",
+            Request::DenseChunk { .. } => "DenseChunk",
+            Request::Contract { .. } => "Contract",
+            Request::SdChunk { .. } => "SdChunk",
+            Request::SsChunk { .. } => "SsChunk",
+            Request::QrThin { .. } => "QrThin",
+            Request::SvdTrunc { .. } => "SvdTrunc",
+            Request::ChainSd { .. } => "ChainSd",
+            Request::Download { .. } => "Download",
+            Request::Shutdown => "Shutdown",
         }
     }
-    const REQUEST_VARIANTS: usize = 19;
+    /// Every request variant, in wire-number order.
+    const REQUEST_VARIANTS: [&str; 15] = [
+        "Ping",
+        "Free",
+        "Upload",
+        "UploadCoords",
+        "UploadSs",
+        "CacheStats",
+        "DenseChunk",
+        "Contract",
+        "SdChunk",
+        "SsChunk",
+        "QrThin",
+        "SvdTrunc",
+        "ChainSd",
+        "Download",
+        "Shutdown",
+    ];
 
     /// Same contract as [`request_variant`], for replies.
     fn reply_variant(rep: &Reply) -> usize {
@@ -1729,11 +1531,9 @@ mod tests {
                 keys: rows.clone(),
                 lens: vec![1; rows.len()],
                 cols: rows.clone(),
-                vals: vals.clone(),
+                vals,
             },
-            Request::Release { key },
             Request::CacheStats,
-            Request::SetCacheCap { bytes: key },
             Request::SsChunk {
                 a: coords.clone(),
                 b: OpSs::Key(key),
@@ -1757,15 +1557,6 @@ mod tests {
                 cx_dims: vec![5],
                 cx_strides: vec![1],
                 mask: None,
-            },
-            Request::SummaInit { key, rows: 4, n: 2 },
-            Request::SummaPanel {
-                key,
-                rows: 4,
-                w: 1,
-                n: 2,
-                a: s.data.clone(),
-                b: vals,
             },
             Request::Download { key },
             Request::Shutdown,
@@ -1866,11 +1657,8 @@ mod tests {
             Reply::Stats {
                 bytes: s.key,
                 entries: 3,
-                pinned: 1,
-                pinned_bytes: 2048,
                 hits: s.key,
                 misses: 5,
-                evictions: 2,
             },
             Reply::Fail("boom".into()),
         ]
@@ -1879,11 +1667,13 @@ mod tests {
     #[test]
     fn samples_cover_every_variant() {
         let s = fixed_seed();
-        let mut seen = [false; REQUEST_VARIANTS];
-        for req in sample_requests(&s) {
-            seen[request_variant(&req)] = true;
+        let seen: Vec<&str> = sample_requests(&s).iter().map(request_variant).collect();
+        for name in REQUEST_VARIANTS {
+            assert!(seen.contains(&name), "no sample of Request::{name}");
         }
-        assert!(seen.iter().all(|&b| b), "request variant without a sample");
+        for name in seen {
+            assert!(REQUEST_VARIANTS.contains(&name), "{name} is not listed");
+        }
         let mut seen = [false; REPLY_VARIANTS];
         for rep in sample_replies(&s) {
             seen[reply_variant(&rep)] = true;
@@ -1957,12 +1747,57 @@ mod tests {
         }
     }
 
-    /// Every valid encoding of every sample, requests then replies.
+    /// A frame under each retired request opcode, with a payload long
+    /// enough for any fixed-width field a decoder could try to read.
+    fn retired_frames() -> Vec<Vec<u8>> {
+        [6u8, 8, 15, 16]
+            .iter()
+            .map(|&op| std::iter::once(op).chain([0x11; 40]).collect())
+            .collect()
+    }
+
+    /// Every valid encoding of every sample, requests then replies, and
+    /// the retired-opcode frames.
     fn sample_encodings() -> Vec<Vec<u8>> {
         let s = fixed_seed();
         let reqs = sample_requests(&s).into_iter().map(|r| r.encode());
         reqs.chain(sample_replies(&s).into_iter().map(|r| r.encode()))
+            .chain(retired_frames())
             .collect()
+    }
+
+    #[test]
+    fn retired_opcodes_decode_to_a_typed_fault() {
+        for frame in retired_frames() {
+            let err = Request::decode(&frame).unwrap_err();
+            assert_eq!(
+                err.as_fault().map(|f| f.kind),
+                Some(FaultKind::Decode),
+                "opcode {}: {err}",
+                frame[0]
+            );
+        }
+    }
+
+    /// The README's opcode table is the contract a rank on another
+    /// transport would implement: it names exactly the `Request` variants.
+    #[test]
+    fn readme_opcode_table_names_every_request() {
+        let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
+        let table = readme
+            .lines()
+            .skip_while(|l| !l.starts_with("| # | request | effect | reply |"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'));
+        let named: Vec<&str> = table
+            .map(|row| {
+                let cell = row.split('`').nth(1).expect("a backticked request name");
+                cell.split([' ', '{'])
+                    .next()
+                    .expect("split yields a first piece")
+            })
+            .collect();
+        assert_eq!(named, REQUEST_VARIANTS);
     }
 
     /// Every truncation of every valid message decodes to an error (or a
@@ -2031,7 +1866,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_state_store_and_summa_lifecycle() {
+    fn worker_state_store_lifecycle() {
         let mut w = WorkerState::new();
         assert_eq!(w.handle(Request::Ping), Some(Reply::Pong));
         upload(&mut w, 5, vec![1.0, 2.0]);
@@ -2039,38 +1874,43 @@ mod tests {
             w.handle(Request::Download { key: 5 }),
             Some(Reply::Buf(Buf::F64(vec![1.0, 2.0])))
         );
-        // summa: C = A·B accumulated over two 1-wide panels
-        w.handle(Request::SummaInit {
-            key: 8,
-            rows: 2,
-            n: 2,
-        });
-        for kk in 0..2usize {
-            let a: Vec<f64> = (0..2).map(|i| (i * 2 + kk) as f64).collect();
-            let b: Vec<f64> = (0..2).map(|j| (kk * 2 + j) as f64).collect();
-            assert_eq!(
-                w.handle(Request::SummaPanel {
-                    key: 8,
-                    rows: 2,
-                    w: 1,
-                    n: 2,
-                    a,
-                    b
-                }),
-                Some(Reply::Unit)
-            );
-        }
-        // [[0,1],[2,3]] · [[0,1],[2,3]] = [[2,3],[6,11]]
-        assert_eq!(
-            w.handle(Request::Download { key: 8 }),
-            Some(Reply::Buf(Buf::F64(vec![2.0, 3.0, 6.0, 11.0])))
-        );
+        upload(&mut w, 8, vec![3.0]);
         assert_eq!(w.handle(Request::Free { key: 8 }), Some(Reply::Unit));
         assert!(matches!(
             w.handle(Request::Download { key: 8 }),
             Some(Reply::Fail(_))
         ));
         assert_eq!(w.handle(Request::Shutdown), None);
+    }
+
+    #[test]
+    fn a_key_stored_twice_and_freed_once_leaves_nothing() {
+        let mut w = WorkerState::new();
+        // an upload replaced by an upload, a chain result replaced by a
+        // chain result: one `Free` each empties the store
+        upload(&mut w, 1, vec![1.0; 16]);
+        upload(&mut w, 1, vec![2.0; 4]);
+        for _ in 0..2 {
+            let store = Out::Store { key: 2, acc: false };
+            w.handle(contract([1, 1], vec![2.0], vec![3.0], store));
+        }
+        assert_eq!(
+            w.handle(Request::CacheStats),
+            Some(Reply::Stats {
+                bytes: 8 * 4 + 8,
+                entries: 2,
+                hits: 0,
+                misses: 2,
+            })
+        );
+        for key in [1, 2] {
+            assert_eq!(w.handle(Request::Free { key }), Some(Reply::Unit));
+            assert!(!resident(&mut w, key, 1));
+        }
+        let Some(Reply::Stats { bytes, entries, .. }) = w.handle(Request::CacheStats) else {
+            panic!("expected stats");
+        };
+        assert_eq!((bytes, entries), (0, 0));
     }
 
     #[test]
@@ -2093,55 +1933,6 @@ mod tests {
         // unknown key fails without killing the worker
         assert!(matches!(w.handle(chunk(999)), Some(Reply::Fail(_))));
         assert_eq!(w.handle(Request::Ping), Some(Reply::Pong));
-    }
-
-    #[test]
-    fn lru_cap_bounds_unpinned_entries_deterministically() {
-        // cap of 4 f64 buffers of 8 values each (8*8*4 = 256 bytes)
-        let mut w = WorkerState::with_cap(256);
-        let put = |w: &mut WorkerState, key: u64| {
-            upload(w, key, vec![key as f64; 8]);
-            w.handle(Request::Release { key });
-        };
-        for key in 0..8u64 {
-            put(&mut w, key);
-        }
-        let Some(Reply::Stats { bytes, entries, .. }) = w.handle(Request::CacheStats) else {
-            panic!("expected stats");
-        };
-        assert!(bytes <= 256, "footprint stays under the cap: {bytes}");
-        assert_eq!(entries, 4);
-        // oldest entries evicted in insertion order: 0..4 gone, 4..8 kept
-        for key in 0..4u64 {
-            assert!(!resident(&mut w, key, 8));
-        }
-        // touching key 4 makes key 5 the LRU victim of the next insert
-        assert!(resident(&mut w, 4, 8));
-        put(&mut w, 100);
-        assert!(!resident(&mut w, 5, 8));
-        assert!(resident(&mut w, 4, 8));
-    }
-
-    #[test]
-    fn pinned_entries_survive_cap_pressure_until_released() {
-        let mut w = WorkerState::with_cap(64);
-        upload(&mut w, 1, vec![1.0; 16]); // 128 bytes > cap, but pinned
-        assert!(resident(&mut w, 1, 16));
-        let Some(Reply::Stats { pinned, .. }) = w.handle(Request::CacheStats) else {
-            panic!();
-        };
-        assert_eq!(pinned, 1);
-        // double-pin (second upload of the same content) needs two releases
-        upload(&mut w, 1, vec![1.0; 16]);
-        w.handle(Request::Release { key: 1 });
-        assert!(resident(&mut w, 1, 16));
-        // final release drops the pin; over-cap entry is evicted
-        w.handle(Request::Release { key: 1 });
-        assert!(!resident(&mut w, 1, 16));
-        let Some(Reply::Stats { bytes, .. }) = w.handle(Request::CacheStats) else {
-            panic!();
-        };
-        assert_eq!(bytes, 0);
     }
 
     /// A 2-operand `f64` contraction step with inline operands.
@@ -2297,60 +2088,6 @@ mod tests {
                 out_perm: vec![0, 1],
                 store: 91,
             }),
-            Some(Reply::Fail(_))
-        ));
-    }
-
-    #[test]
-    fn chain_results_survive_cap_pressure_until_downloaded() {
-        // the LRU pin contract of chained intermediates: a chain's stored
-        // results are pinned, so cap pressure evicts everything else but
-        // never them; Download removes (unpins) and frees the bytes
-        let mut w = WorkerState::with_cap(128);
-        let eye: Vec<f64> = (0..16)
-            .map(|i| if i % 5 == 0 { 1.0 } else { 0.0 })
-            .collect();
-        // 4×4 result = 128 bytes == cap
-        w.handle(contract(
-            [4, 4],
-            vec![1.0; 16],
-            eye,
-            Out::Store {
-                key: 60,
-                acc: false,
-            },
-        ));
-        // hammer the store with released uploads well past the cap
-        for key in 0..6u64 {
-            upload(&mut w, key, vec![key as f64; 8]);
-            w.handle(Request::Release { key });
-        }
-        let Some(Reply::Stats { pinned, .. }) = w.handle(Request::CacheStats) else {
-            panic!("expected stats");
-        };
-        assert_eq!(pinned, 1, "the chain result is still pinned");
-        assert_eq!(
-            w.handle(Request::Download { key: 60 }),
-            Some(Reply::Buf(Buf::F64(vec![1.0; 16]))),
-            "pinned intermediate survived cap pressure"
-        );
-        let Some(Reply::Stats { pinned, .. }) = w.handle(Request::CacheStats) else {
-            panic!("expected stats");
-        };
-        assert_eq!(pinned, 0, "download unpins");
-        // Free also unpins chain results (the free_result path)
-        w.handle(contract(
-            [1, 1],
-            vec![2.0],
-            vec![3.0],
-            Out::Store {
-                key: 61,
-                acc: false,
-            },
-        ));
-        w.handle(Request::Free { key: 61 });
-        assert!(matches!(
-            w.handle(Request::Download { key: 61 }),
             Some(Reply::Fail(_))
         ));
     }

@@ -51,14 +51,15 @@ pub fn tsqr(a: &DenseTensor<f64>, comm: &Comm) -> Result<(DenseTensor<f64>, Dens
     merge_tree(factors, n, comm)
 }
 
-/// TSQR with the slab factorizations executed on the executor's worker
-/// ranks (one `qr_thin` task per slab, round-robin) and the `R`-merge tree
-/// run on the driver. Slab boundaries and merge order are identical to
-/// [`tsqr`], so the factors are bitwise-identical to the in-process run —
-/// which is also what an executor without worker processes falls back to.
+/// TSQR over the executor's own communicator ([`Executor::comm`]), with
+/// the slab factorizations executed on its worker ranks (one `qr_thin`
+/// task per slab, round-robin) and the `R`-merge tree run on the driver.
+/// Slab boundaries and merge order are identical to [`tsqr`], so the
+/// factors are bitwise-identical to the in-process run — which is also
+/// what an executor without worker processes falls back to.
 ///
 /// The panel is taken by value or by resident handle. A handle's row
-/// slabs are pinned on the worker ranks at first use (same lifecycle as
+/// slabs are stored on the worker ranks at first use (same lifecycle as
 /// every other operand handle — [`Executor::free`] releases them), so
 /// repeated factorizations of the same panel ship zero operand bytes; the
 /// one-time upload is charged on first use on every backend, so the
@@ -66,8 +67,8 @@ pub fn tsqr(a: &DenseTensor<f64>, comm: &Comm) -> Result<(DenseTensor<f64>, Dens
 pub fn tsqr_on<'a>(
     exec: &Executor,
     a: impl Into<DenseOp<'a>>,
-    comm: &Comm,
 ) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
+    let comm = &exec.comm();
     let a = a.into();
     let (h, a) = (a.handle(), a.tensor()?);
     if a.order() != 2 {
@@ -200,7 +201,6 @@ fn merge_tree(
 mod tests {
     use super::*;
     use crate::cost::CostTracker;
-    use crate::exec::ExecMode;
     use crate::machine::Machine;
     use parking_lot::Mutex;
     use rand::rngs::StdRng;
@@ -210,7 +210,7 @@ mod tests {
 
     fn comm(p: usize) -> Comm {
         let tracker = Arc::new(Mutex::new(CostTracker::new(Machine::blue_waters(16), p)));
-        Comm::new(p, ExecMode::Sequential, tracker)
+        Comm::new(p, tracker)
     }
 
     #[test]
@@ -265,10 +265,11 @@ mod tests {
         assert_eq!(c.tracker().lock().supersteps, 0);
     }
 
+    /// `workers` worker processes simulating `p` ranks.
     #[cfg(unix)]
-    fn mp_executor(workers: usize) -> Executor {
+    fn mp_executor(p: usize, workers: usize) -> Executor {
         let spawn = crate::transport::SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
-        Executor::multi_process(Machine::blue_waters(2), 2, workers, spawn).unwrap()
+        Executor::multi_process(Machine::blue_waters(1), p, workers, spawn).unwrap()
     }
 
     #[cfg(unix)]
@@ -276,18 +277,14 @@ mod tests {
     fn tsqr_on_cluster_is_bitwise_identical() {
         let mut rng = StdRng::seed_from_u64(55);
         let a = DenseTensor::<f64>::random([96, 7], &mut rng);
-        let mp = mp_executor(3);
         for p in [1usize, 2, 4, 5] {
             let c_ref = comm(p);
             let (q_ref, r_ref) = tsqr(&a, &c_ref).unwrap();
-            let c = comm(p);
-            let (q, r) = tsqr_on(&mp, &a, &c).unwrap();
+            let mp = mp_executor(p, 3);
+            let (q, r) = tsqr_on(&mp, &a).unwrap();
             assert_eq!(q.data(), q_ref.data(), "p={p}");
             assert_eq!(r.data(), r_ref.data(), "p={p}");
-            assert_eq!(
-                c.tracker().lock().supersteps,
-                c_ref.tracker().lock().supersteps
-            );
+            assert_eq!(mp.supersteps(), c_ref.tracker().lock().supersteps);
         }
     }
 
@@ -298,8 +295,7 @@ mod tests {
         let a = DenseTensor::<f64>::random([64, 5], &mut rng);
         let c_ref = comm(4);
         let (q_ref, r_ref) = tsqr(&a, &c_ref).unwrap();
-        let c = comm(4);
-        let (q, r) = tsqr_on(&mp_executor(2), &a, &c).unwrap();
+        let (q, r) = tsqr_on(&mp_executor(4, 2), &a).unwrap();
         assert_eq!(q.data(), q_ref.data());
         assert_eq!(r.data(), r_ref.data());
     }
@@ -313,16 +309,15 @@ mod tests {
         let h = exec.upload(&a);
         let c_ref = comm(4);
         let (q_ref, r_ref) = tsqr(&a, &c_ref).unwrap();
-        let c = comm(4);
-        let (q, r) = tsqr_on(&exec, &h, &c).unwrap();
+        let (q, r) = tsqr_on(&exec, &h).unwrap();
         assert_eq!(q.data(), q_ref.data());
         assert_eq!(r.data(), r_ref.data());
         // the first use charges the one-time panel upload on top of the
         // merge-tree supersteps; the second (cache hit) does not
-        let first = c.tracker().lock().bytes_critical;
-        let (q2, _) = tsqr_on(&exec, &h, &c).unwrap();
+        let first = exec.tracker().lock().bytes_critical;
+        let (q2, _) = tsqr_on(&exec, &h).unwrap();
         assert_eq!(q2.data(), q_ref.data());
-        let second = c.tracker().lock().bytes_critical - first;
+        let second = exec.tracker().lock().bytes_critical - first;
         assert!(second < first, "hit must charge less: {second} vs {first}");
         exec.free(&h).unwrap();
     }
@@ -334,14 +329,13 @@ mod tests {
         let a = DenseTensor::<f64>::random([72, 5], &mut rng);
         let c_ref = comm(4);
         let (q_ref, r_ref) = tsqr(&a, &c_ref).unwrap();
-        let mp = mp_executor(2);
+        let mp = mp_executor(4, 2);
         let h = mp.upload(&a);
-        let c = comm(4);
-        let (q, r) = tsqr_on(&mp, &h, &c).unwrap();
+        let (q, r) = tsqr_on(&mp, &h).unwrap();
         assert_eq!(q.data(), q_ref.data());
         assert_eq!(r.data(), r_ref.data());
         let first = mp.operand_bytes();
-        let (q2, r2) = tsqr_on(&mp, &h, &c).unwrap();
+        let (q2, r2) = tsqr_on(&mp, &h).unwrap();
         let repeat = mp.operand_bytes() - first;
         assert_eq!(q2.data(), q_ref.data());
         assert_eq!(r2.data(), r_ref.data());

@@ -32,6 +32,13 @@ pub struct EffectiveHam<'a> {
 
 impl EffectiveHam<'_> {
     /// Apply `K` to a two-site tensor `x(jl In, σ₁ In, σ₂ In, jr Out)`.
+    ///
+    /// This is the value-passing **reference**, kept on purpose: four
+    /// independent [`contract`] calls, every operand shipped, every
+    /// intermediate back in block form. A sweep runs
+    /// [`ResidentHam::apply`]; the bitwise suites of
+    /// `distributed_equivalence`, `fig12_strong_scaling_electrons` and the
+    /// CI byte gates measure that path against this one.
     pub fn apply(&self, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
         // t1(b,k,q,w,f) = L(b,k,c) · x(c,q,w,f)
         let t1 = contract(self.exec, self.algo, "bkc,cqwf->bkqwf", self.left, x).map_err(wrap)?;
@@ -49,14 +56,6 @@ impl EffectiveHam<'_> {
         let num = x.dot(&kx).map_err(wrap)?;
         let den = x.dot(x).map_err(wrap)?;
         Ok(num / den)
-    }
-
-    /// Flops of one `apply` under the classical algorithm, from the
-    /// executor's counter (useful for rate measurements).
-    pub fn flops_of_apply(&self, x: &BlockSparseTensor) -> Result<u64> {
-        let before = self.exec.total_flops();
-        let _ = self.apply(x)?;
-        Ok(self.exec.total_flops() - before)
     }
 
     /// Upload the four structural operands (L, W₁, W₂, R) onto the

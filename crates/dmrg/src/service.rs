@@ -202,6 +202,27 @@ mod tests {
     }
 
     #[test]
+    fn jobs_differing_only_in_j2_solve_different_hamiltonians() {
+        let at = |j2| {
+            let spec = DmrgJobSpec {
+                model: ModelSpec::HeisenbergChain { n: 8, j2 },
+                ..small_spec()
+            };
+            run_reference(&spec, &Executor::local())
+                .expect("solve")
+                .energy
+        };
+        let (plain, frustrated) = (at(0.0), at(0.5));
+        // j2 = 0.5 is the Majumdar–Ghosh point, E₀ = −3n/8 (to what two
+        // short sweeps reach; `dmrg_vs_ed` holds it to 1e-8)
+        assert!((frustrated + 3.0).abs() < 1e-6, "energy {frustrated}");
+        assert!(
+            (plain - frustrated).abs() > 0.1,
+            "j2 ignored: {plain} vs {frustrated}"
+        );
+    }
+
+    #[test]
     fn hubbard_chain_builds_and_solves() {
         let spec = DmrgJobSpec {
             model: ModelSpec::HubbardChain { n: 4, u: 4.0 },

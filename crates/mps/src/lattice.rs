@@ -142,10 +142,14 @@ impl Lattice {
         }
     }
 
-    /// Open 1-D chain (the quickstart geometry).
+    /// Open 1-D chain (the quickstart geometry): nearest-neighbour bonds
+    /// `(i, i+1)` and next-nearest bonds `(i, i+2)`, so a `J1−J2` model on
+    /// it is the frustrated chain.
     pub fn chain(n: usize) -> Lattice {
         assert!(n >= 2);
-        let bonds = (0..n - 1).map(|i| (i, i + 1, BondKind::Nearest)).collect();
+        let nearest = (0..n - 1).map(|i| (i, i + 1, BondKind::Nearest));
+        let next_nearest = (0..n - 2).map(|i| (i, i + 2, BondKind::NextNearest));
+        let bonds = nearest.chain(next_nearest).collect();
         Lattice {
             lx: n,
             ly: 1,
@@ -163,8 +167,12 @@ mod tests {
     fn chain_bonds() {
         let c = Lattice::chain(5);
         assert_eq!(c.n_sites(), 5);
-        assert_eq!(c.bonds.len(), 4);
-        assert_eq!(c.max_bond_range(), 1);
+        assert_eq!(c.bonds.len(), 2 * 5 - 3);
+        assert_eq!(c.bonds_of(BondKind::Nearest).count(), 4);
+        assert!(c.bonds_of(BondKind::NextNearest).all(|(a, b)| b == a + 2));
+        assert_eq!(c.max_bond_range(), 2);
+        // the two-site chain has no next-nearest pair
+        assert_eq!(Lattice::chain(2).bonds, vec![(0, 1, BondKind::Nearest)]);
     }
 
     #[test]

@@ -214,7 +214,7 @@ fn multi_process_journal_is_flat_in_jobs_served() {
     // and nothing else: every finished matvec chain is collected, so the
     // journal after the sixth run reads exactly as after the second, and
     // what it holds between jobs is the retention cache's uploads — one
-    // entry per buffer the workers still pin.
+    // entry per buffer the workers still hold.
     let mp = multi_process_executor(2);
     mp.set_retention_cap(64 << 20).unwrap();
     let first = run_energy(&mp, Algorithm::SparseDense);
@@ -228,12 +228,17 @@ fn multi_process_journal_is_flat_in_jobs_served() {
     }
     assert_eq!(after[1], after[5], "journal grew with jobs served");
     let journaled: Vec<u64> = after[5].iter().map(|s| s.entries as u64).collect();
-    let pinned: Vec<u64> = mp.cache_stats().unwrap().iter().map(|s| s.pinned).collect();
+    let held: Vec<u64> = mp
+        .cache_stats()
+        .unwrap()
+        .iter()
+        .map(|s| s.entries)
+        .collect();
     assert!(
         journaled.iter().sum::<u64>() > 0,
         "retained uploads are live"
     );
-    assert_eq!(journaled, pinned, "one journaled upload per pinned buffer");
+    assert_eq!(journaled, held, "one journaled upload per resident buffer");
     // dropping the retention cache frees the last handles: nothing is left
     mp.set_retention_cap(0).unwrap();
     for rank in mp.journal_stats() {

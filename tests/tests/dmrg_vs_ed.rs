@@ -38,6 +38,23 @@ fn heisenberg_chain_all_algorithms() {
 }
 
 #[test]
+fn majumdar_ghosh_chain_all_algorithms() {
+    // an oracle that is none of our code: at J2 = J1/2 the open chain of
+    // even n has the nearest-neighbour dimer product state as its exact
+    // ground state, −3/4·J1 per dimer
+    let lat = Lattice::chain(8);
+    for algo in [
+        Algorithm::List,
+        Algorithm::SparseDense,
+        Algorithm::SparseSparse,
+    ] {
+        let (e, exact) = spins_case(&lat, 0.5, &[8, 16, 32], algo);
+        assert!((e + 3.0).abs() < 1e-8, "{algo}: DMRG {e} vs −3n/8");
+        assert!((exact + 3.0).abs() < 1e-8, "{algo}: ED {exact} vs −3n/8");
+    }
+}
+
+#[test]
 fn j1j2_ladder_frustrated() {
     // 2-leg ladder with J2 = 0.5 — the paper's frustrated coupling
     let lat = Lattice::square_cylinder(4, 2);
