@@ -1,0 +1,541 @@
+//! The little-endian wire form of [`Request`] and [`Reply`].
+
+use super::super::wire::{Dec, Enc};
+use super::protocol::{Buf, Op, OpCoords, OpSs, Out, Reply, Request};
+use crate::{DistError, Error, FaultKind, Result};
+use tt_tensor::gemm::GemmPath;
+
+fn path_to_u8(p: GemmPath) -> u8 {
+    match p {
+        GemmPath::Gemv => 0,
+        GemmPath::Scalar => 1,
+        GemmPath::Packed => 2,
+    }
+}
+
+fn path_from_u8(v: u8) -> Result<GemmPath> {
+    match v {
+        0 => Ok(GemmPath::Gemv),
+        1 => Ok(GemmPath::Scalar),
+        2 => Ok(GemmPath::Packed),
+        _ => Err(Error::transport(format!("bad gemm path tag {v}"))),
+    }
+}
+
+fn put_usizes(e: &mut Enc, v: &[usize]) {
+    e.put_usize(v.len());
+    for &x in v {
+        e.put_usize(x);
+    }
+}
+
+fn get_usizes(d: &mut Dec) -> Result<Vec<usize>> {
+    let n = d.usize()?;
+    (0..n).map(|_| d.usize()).collect()
+}
+
+impl Buf {
+    /// The element tag on the wire. It rides in the discriminant byte
+    /// that introduces the buffer (`base + tag`: an opcode or an operand
+    /// tag), so tagging the data adds no byte to any frame.
+    fn tag(&self) -> u8 {
+        match self {
+            Buf::F64(_) => 0,
+            Buf::C64(_) => 1,
+        }
+    }
+
+    fn put_data(&self, e: &mut Enc) {
+        match self {
+            Buf::F64(v) => e.put_f64s(v),
+            Buf::C64(v) => e.put_c64s(v),
+        }
+    }
+
+    fn get_data(d: &mut Dec, tag: u8) -> Result<Self> {
+        Ok(match tag {
+            0 => Buf::F64(d.f64s()?),
+            _ => Buf::C64(d.c64s()?),
+        })
+    }
+}
+
+impl Op {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            Op::Key(k) => {
+                e.put_u8(0);
+                e.put_u64(*k);
+            }
+            Op::Inline(buf) => {
+                e.put_u8(1 + buf.tag());
+                buf.put_data(e);
+            }
+        }
+    }
+
+    fn get(d: &mut Dec) -> Result<Self> {
+        Ok(match d.u8()? {
+            0 => Op::Key(d.u64()?),
+            t @ 1..=2 => Op::Inline(Buf::get_data(d, t - 1)?),
+            t => return Err(Error::transport(format!("bad operand tag {t}"))),
+        })
+    }
+}
+
+impl OpCoords {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            OpCoords::Inline { rows, cols, vals } => {
+                e.put_u8(0);
+                e.put_u64s(rows);
+                e.put_u64s(cols);
+                e.put_f64s(vals);
+            }
+            OpCoords::Key(k) => {
+                e.put_u8(1);
+                e.put_u64(*k);
+            }
+        }
+    }
+
+    fn get(d: &mut Dec) -> Result<Self> {
+        Ok(match d.u8()? {
+            0 => OpCoords::Inline {
+                rows: d.u64s()?,
+                cols: d.u64s()?,
+                vals: d.f64s()?,
+            },
+            1 => OpCoords::Key(d.u64()?),
+            t => return Err(Error::transport(format!("bad operand tag {t}"))),
+        })
+    }
+}
+
+impl OpSs {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            OpSs::Inline {
+                keys,
+                lens,
+                cols,
+                vals,
+            } => {
+                e.put_u8(0);
+                e.put_u64s(keys);
+                e.put_u64s(lens);
+                e.put_u64s(cols);
+                e.put_f64s(vals);
+            }
+            OpSs::Key(k) => {
+                e.put_u8(1);
+                e.put_u64(*k);
+            }
+        }
+    }
+
+    fn get(d: &mut Dec) -> Result<Self> {
+        Ok(match d.u8()? {
+            0 => OpSs::Inline {
+                keys: d.u64s()?,
+                lens: d.u64s()?,
+                cols: d.u64s()?,
+                vals: d.f64s()?,
+            },
+            1 => OpSs::Key(d.u64()?),
+            t => return Err(Error::transport(format!("bad operand tag {t}"))),
+        })
+    }
+}
+
+impl Request {
+    /// Encode to the wire format.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        match self {
+            Request::Ping => e.put_u8(0),
+            Request::Free { key } => {
+                e.put_u8(1);
+                e.put_u64(*key);
+            }
+            Request::Upload { key, data } => {
+                e.put_u8(2 + data.tag());
+                e.put_u64(*key);
+                data.put_data(&mut e);
+            }
+            Request::UploadCoords {
+                key,
+                rows,
+                cols,
+                vals,
+            } => {
+                e.put_u8(4);
+                e.put_u64(*key);
+                e.put_u64s(rows);
+                e.put_u64s(cols);
+                e.put_f64s(vals);
+            }
+            Request::UploadSs {
+                key,
+                keys,
+                lens,
+                cols,
+                vals,
+            } => {
+                e.put_u8(5);
+                e.put_u64(*key);
+                e.put_u64s(keys);
+                e.put_u64s(lens);
+                e.put_u64s(cols);
+                e.put_f64s(vals);
+            }
+            Request::CacheStats => e.put_u8(7),
+            Request::DenseChunk {
+                path,
+                rows,
+                k,
+                n,
+                a,
+                b,
+            } => {
+                e.put_u8(9);
+                e.put_u8(path_to_u8(*path));
+                e.put_usize(*rows);
+                e.put_usize(*k);
+                e.put_usize(*n);
+                a.put(&mut e);
+                b.put(&mut e);
+            }
+            Request::Contract {
+                spec,
+                a_dims,
+                a,
+                b_dims,
+                b,
+                out,
+            } => {
+                e.put_u8(10);
+                e.put_str(spec);
+                put_usizes(&mut e, a_dims);
+                a.put(&mut e);
+                put_usizes(&mut e, b_dims);
+                b.put(&mut e);
+                match out {
+                    Out::Reply => e.put_u8(0),
+                    Out::Store { key, acc } => {
+                        e.put_u8(1);
+                        e.put_u64(*key);
+                        e.put_bool(*acc);
+                    }
+                }
+            }
+            Request::SdChunk { r0, r1, n, a, b } => {
+                e.put_u8(11);
+                e.put_usize(*r0);
+                e.put_usize(*r1);
+                e.put_usize(*n);
+                a.put(&mut e);
+                b.put(&mut e);
+            }
+            Request::SsChunk {
+                a,
+                b,
+                r0,
+                r1,
+                n,
+                ax_dims,
+                ax_strides,
+                cx_dims,
+                cx_strides,
+                mask,
+            } => {
+                e.put_u8(12);
+                a.put(&mut e);
+                b.put(&mut e);
+                e.put_u64(*r0);
+                e.put_u64(*r1);
+                e.put_u64(*n);
+                e.put_u64s(ax_dims);
+                e.put_u64s(ax_strides);
+                e.put_u64s(cx_dims);
+                e.put_u64s(cx_strides);
+                e.put_bool(mask.is_some());
+                if let Some(m) = mask {
+                    e.put_u64s(m);
+                }
+            }
+            Request::QrThin { rows, cols, a } => {
+                e.put_u8(13);
+                e.put_usize(*rows);
+                e.put_usize(*cols);
+                a.put(&mut e);
+            }
+            Request::SvdTrunc {
+                rows,
+                cols,
+                a,
+                max_rank,
+                cutoff,
+                min_keep,
+            } => {
+                e.put_u8(14);
+                e.put_usize(*rows);
+                e.put_usize(*cols);
+                a.put(&mut e);
+                e.put_u64(*max_rank);
+                e.put_f64(*cutoff);
+                e.put_u64(*min_keep);
+            }
+            Request::ChainSd {
+                a,
+                m,
+                n,
+                b_dims,
+                perm_b,
+                b,
+                nat_dims,
+                out_perm,
+                store,
+            } => {
+                e.put_u8(17);
+                a.put(&mut e);
+                e.put_usize(*m);
+                e.put_usize(*n);
+                put_usizes(&mut e, b_dims);
+                put_usizes(&mut e, perm_b);
+                b.put(&mut e);
+                put_usizes(&mut e, nat_dims);
+                put_usizes(&mut e, out_perm);
+                e.put_u64(*store);
+            }
+            Request::Download { key } => {
+                e.put_u8(18);
+                e.put_u64(*key);
+            }
+            Request::Shutdown => e.put_u8(19),
+        }
+        e.finish()
+    }
+
+    /// Decode from the wire format. Opcodes 6, 8, 15 and 16 are retired:
+    /// never reassign them, so a frame from an older peer fails typed
+    /// instead of being misread.
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Self> {
+        let mut d = Dec::new(bytes);
+        let req = match d.u8()? {
+            0 => Request::Ping,
+            1 => Request::Free { key: d.u64()? },
+            op @ 2..=3 => Request::Upload {
+                key: d.u64()?,
+                data: Buf::get_data(&mut d, op - 2)?,
+            },
+            4 => Request::UploadCoords {
+                key: d.u64()?,
+                rows: d.u64s()?,
+                cols: d.u64s()?,
+                vals: d.f64s()?,
+            },
+            5 => Request::UploadSs {
+                key: d.u64()?,
+                keys: d.u64s()?,
+                lens: d.u64s()?,
+                cols: d.u64s()?,
+                vals: d.f64s()?,
+            },
+            7 => Request::CacheStats,
+            9 => Request::DenseChunk {
+                path: path_from_u8(d.u8()?)?,
+                rows: d.usize()?,
+                k: d.usize()?,
+                n: d.usize()?,
+                a: Op::get(&mut d)?,
+                b: Op::get(&mut d)?,
+            },
+            10 => Request::Contract {
+                spec: d.str()?,
+                a_dims: get_usizes(&mut d)?,
+                a: Op::get(&mut d)?,
+                b_dims: get_usizes(&mut d)?,
+                b: Op::get(&mut d)?,
+                out: match d.u8()? {
+                    0 => Out::Reply,
+                    1 => Out::Store {
+                        key: d.u64()?,
+                        acc: d.bool()?,
+                    },
+                    t => return Err(Error::transport(format!("bad output tag {t}"))),
+                },
+            },
+            11 => Request::SdChunk {
+                r0: d.usize()?,
+                r1: d.usize()?,
+                n: d.usize()?,
+                a: OpCoords::get(&mut d)?,
+                b: Op::get(&mut d)?,
+            },
+            12 => Request::SsChunk {
+                a: OpCoords::get(&mut d)?,
+                b: OpSs::get(&mut d)?,
+                r0: d.u64()?,
+                r1: d.u64()?,
+                n: d.u64()?,
+                ax_dims: d.u64s()?,
+                ax_strides: d.u64s()?,
+                cx_dims: d.u64s()?,
+                cx_strides: d.u64s()?,
+                mask: if d.bool()? { Some(d.u64s()?) } else { None },
+            },
+            13 => Request::QrThin {
+                rows: d.usize()?,
+                cols: d.usize()?,
+                a: Op::get(&mut d)?,
+            },
+            14 => Request::SvdTrunc {
+                rows: d.usize()?,
+                cols: d.usize()?,
+                a: Op::get(&mut d)?,
+                max_rank: d.u64()?,
+                cutoff: d.f64()?,
+                min_keep: d.u64()?,
+            },
+            17 => Request::ChainSd {
+                a: OpCoords::get(&mut d)?,
+                m: d.usize()?,
+                n: d.usize()?,
+                b_dims: get_usizes(&mut d)?,
+                perm_b: get_usizes(&mut d)?,
+                b: Op::get(&mut d)?,
+                nat_dims: get_usizes(&mut d)?,
+                out_perm: get_usizes(&mut d)?,
+                store: d.u64()?,
+            },
+            18 => Request::Download { key: d.u64()? },
+            19 => Request::Shutdown,
+            op => {
+                return Err(DistError::new(
+                    FaultKind::Decode,
+                    None,
+                    format!("unknown request opcode {op}"),
+                )
+                .into())
+            }
+        };
+        Ok(req)
+    }
+}
+
+impl Reply {
+    /// Encode to the wire format.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        match self {
+            Reply::Pong => e.put_u8(0),
+            Reply::Unit => e.put_u8(1),
+            Reply::Buf(buf) => {
+                e.put_u8(2 + buf.tag());
+                buf.put_data(&mut e);
+            }
+            Reply::Entries { offs, vals, flops } => {
+                e.put_u8(4);
+                e.put_u64s(offs);
+                e.put_f64s(vals);
+                e.put_u64(*flops);
+            }
+            Reply::Factors {
+                q_rows,
+                q_cols,
+                q,
+                r_rows,
+                r_cols,
+                r,
+            } => {
+                e.put_u8(5);
+                e.put_usize(*q_rows);
+                e.put_usize(*q_cols);
+                e.put_f64s(q);
+                e.put_usize(*r_rows);
+                e.put_usize(*r_cols);
+                e.put_f64s(r);
+            }
+            Reply::Svd {
+                u_rows,
+                rank,
+                vt_cols,
+                u,
+                s,
+                vt,
+                trunc_err,
+                n_discarded,
+            } => {
+                e.put_u8(6);
+                e.put_usize(*u_rows);
+                e.put_usize(*rank);
+                e.put_usize(*vt_cols);
+                e.put_f64s(u);
+                e.put_f64s(s);
+                e.put_f64s(vt);
+                e.put_f64(*trunc_err);
+                e.put_u64(*n_discarded);
+            }
+            Reply::Fail(msg) => {
+                e.put_u8(7);
+                e.put_str(msg);
+            }
+            Reply::Stats {
+                bytes,
+                entries,
+                hits,
+                misses,
+            } => {
+                e.put_u8(8);
+                e.put_u64(*bytes);
+                e.put_u64(*entries);
+                e.put_u64(*hits);
+                e.put_u64(*misses);
+            }
+        }
+        e.finish()
+    }
+
+    /// Decode from the wire format.
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Self> {
+        let mut d = Dec::new(bytes);
+        let rep = match d.u8()? {
+            0 => Reply::Pong,
+            1 => Reply::Unit,
+            op @ 2..=3 => Reply::Buf(Buf::get_data(&mut d, op - 2)?),
+            4 => Reply::Entries {
+                offs: d.u64s()?,
+                vals: d.f64s()?,
+                flops: d.u64()?,
+            },
+            5 => Reply::Factors {
+                q_rows: d.usize()?,
+                q_cols: d.usize()?,
+                q: d.f64s()?,
+                r_rows: d.usize()?,
+                r_cols: d.usize()?,
+                r: d.f64s()?,
+            },
+            6 => Reply::Svd {
+                u_rows: d.usize()?,
+                rank: d.usize()?,
+                vt_cols: d.usize()?,
+                u: d.f64s()?,
+                s: d.f64s()?,
+                vt: d.f64s()?,
+                trunc_err: d.f64()?,
+                n_discarded: d.u64()?,
+            },
+            7 => Reply::Fail(d.str()?),
+            8 => Reply::Stats {
+                bytes: d.u64()?,
+                entries: d.u64()?,
+                hits: d.u64()?,
+                misses: d.u64()?,
+            },
+            op => return Err(Error::transport(format!("unknown reply opcode {op}"))),
+        };
+        Ok(rep)
+    }
+}

@@ -1,0 +1,249 @@
+//! Executing one request against a rank's store.
+
+use super::protocol::{Buf, OpCoords, Out, Reply, Request};
+use super::store::{mixed_tags, Cached, SsTable, WorkerState};
+use crate::kernels;
+use crate::{Error, Result};
+use std::borrow::Cow;
+use std::sync::Arc;
+use tt_linalg::TruncSpec;
+use tt_tensor::einsum::ContractPlan;
+use tt_tensor::gemm::GemmPath;
+use tt_tensor::{DenseTensor, Scalar};
+
+impl WorkerState {
+    /// Execute one request. Returns `None` only for [`Request::Shutdown`];
+    /// every other request produces exactly one reply (failures become
+    /// [`Reply::Fail`], so a worker never dies on a bad task).
+    pub(crate) fn handle(&mut self, req: Request) -> Option<Reply> {
+        if matches!(req, Request::Shutdown) {
+            return None;
+        }
+        Some(self.run(req).unwrap_or_else(|e| Reply::Fail(e.to_string())))
+    }
+
+    fn run(&mut self, req: Request) -> Result<Reply> {
+        match req {
+            Request::Shutdown => unreachable!("handled in handle()"),
+            Request::Ping => Ok(Reply::Pong),
+            Request::Free { key } => {
+                self.remove(key);
+                Ok(Reply::Unit)
+            }
+            Request::Upload { key, data } => {
+                self.insert(key, Cached::Dense(Arc::new(data)));
+                Ok(Reply::Unit)
+            }
+            Request::UploadCoords {
+                key,
+                rows,
+                cols,
+                vals,
+            } => {
+                let coords = self.opcoords(OpCoords::Inline { rows, cols, vals })?;
+                self.insert(key, Cached::Coords(coords));
+                Ok(Reply::Unit)
+            }
+            Request::UploadSs {
+                key,
+                keys,
+                lens,
+                cols,
+                vals,
+            } => {
+                let table = SsTable::build(keys, &lens, cols, vals)?;
+                self.insert(key, Cached::Ss(Arc::new(table)));
+                Ok(Reply::Unit)
+            }
+            Request::CacheStats => Ok(Reply::Stats {
+                bytes: self.bytes,
+                entries: self.store.len() as u64,
+                hits: self.hits,
+                misses: self.misses,
+            }),
+            Request::DenseChunk {
+                path,
+                rows,
+                k,
+                n,
+                a,
+                b,
+            } => {
+                fn chunk<T: Scalar>(
+                    path: GemmPath,
+                    (rows, k, n): (usize, usize, usize),
+                    a: &[T],
+                    b: &[T],
+                ) -> Result<Vec<T>> {
+                    if a.len() != rows * k || b.len() != k * n {
+                        return Err(Error::transport("dense chunk operand size mismatch"));
+                    }
+                    Ok(kernels::dense_chunk(path, rows, k, n, a, b))
+                }
+                let (a, b) = (self.op(a)?, self.op(b)?);
+                Ok(Reply::Buf(match (a.as_ref(), b.as_ref()) {
+                    (Buf::F64(a), Buf::F64(b)) => Buf::F64(chunk(path, (rows, k, n), a, b)?),
+                    (Buf::C64(a), Buf::C64(b)) => Buf::C64(chunk(path, (rows, k, n), a, b)?),
+                    _ => return Err(mixed_tags()),
+                }))
+            }
+            Request::Contract {
+                spec,
+                a_dims,
+                a,
+                b_dims,
+                b,
+                out,
+            } => {
+                fn contract<T: Scalar>(
+                    plan: &ContractPlan,
+                    (a_dims, a): (Vec<usize>, Vec<T>),
+                    (b_dims, b): (Vec<usize>, Vec<T>),
+                ) -> Result<Vec<T>> {
+                    let ta = DenseTensor::from_vec(a_dims, a)?;
+                    let tb = DenseTensor::from_vec(b_dims, b)?;
+                    Ok(kernels::dense_contract(plan, &ta, &tb, None)?.into_data())
+                }
+                let plan = ContractPlan::parse(&spec)?;
+                let (a, b) = (self.op(a)?, self.op(b)?);
+                let c = match (Self::take(a), Self::take(b)) {
+                    (Buf::F64(a), Buf::F64(b)) => {
+                        Buf::F64(contract(&plan, (a_dims, a), (b_dims, b))?)
+                    }
+                    (Buf::C64(a), Buf::C64(b)) => {
+                        Buf::C64(contract(&plan, (a_dims, a), (b_dims, b))?)
+                    }
+                    _ => return Err(mixed_tags()),
+                };
+                match out {
+                    Out::Reply => Ok(Reply::Buf(c)),
+                    Out::Store { key, acc } => {
+                        self.store(key, c, acc)?;
+                        Ok(Reply::Unit)
+                    }
+                }
+            }
+            Request::SdChunk { r0, r1, n, a, b } => {
+                let bucket = self.opcoords(a)?;
+                let b = self.op(b)?;
+                let b = b.as_f64()?;
+                if r1 < r0 || (n > 0 && b.len() % n != 0) {
+                    return Err(Error::transport("sd chunk operand size mismatch"));
+                }
+                // the driver ships B already permuted: one full-width run
+                let b_view = kernels::SdView::matrix(b.len() / n.max(1), n, n);
+                Ok(Reply::Buf(Buf::F64(kernels::sd_panel(
+                    (r0, r1),
+                    n,
+                    &bucket,
+                    n,
+                    &b_view,
+                    b,
+                ))))
+            }
+            Request::SsChunk {
+                a,
+                b,
+                r0,
+                r1,
+                n,
+                ax_dims,
+                ax_strides,
+                cx_dims,
+                cx_strides,
+                mask,
+            } => {
+                let bucket = self.opcoords(a)?;
+                let table = self.opss(b)?;
+                let row_axes: Vec<(u64, u64)> = ax_dims.into_iter().zip(ax_strides).collect();
+                let col_axes: Vec<(u64, u64)> = cx_dims.into_iter().zip(cx_strides).collect();
+                let (entries, flops) = kernels::ss_chunk(
+                    &bucket,
+                    &table.table,
+                    r0 as usize,
+                    r1 as usize,
+                    n,
+                    &row_axes,
+                    &col_axes,
+                    mask.as_deref(),
+                );
+                let (offs, vals) = entries.into_iter().unzip();
+                Ok(Reply::Entries { offs, vals, flops })
+            }
+            Request::QrThin { rows, cols, a } => {
+                let a = Self::take(self.op(a)?).into_f64()?;
+                let (q, r) = tt_linalg::qr_thin(&DenseTensor::from_vec([rows, cols], a)?)?;
+                Ok(Reply::Factors {
+                    q_rows: q.dims()[0],
+                    q_cols: q.dims()[1],
+                    q: q.into_data(),
+                    r_rows: r.dims()[0],
+                    r_cols: r.dims()[1],
+                    r: r.into_data(),
+                })
+            }
+            Request::SvdTrunc {
+                rows,
+                cols,
+                a,
+                max_rank,
+                cutoff,
+                min_keep,
+            } => {
+                let spec = TruncSpec {
+                    max_rank: max_rank as usize,
+                    cutoff,
+                    min_keep: min_keep as usize,
+                };
+                let a = Self::take(self.op(a)?).into_f64()?;
+                let t = tt_linalg::svd_trunc(&DenseTensor::from_vec([rows, cols], a)?, spec)?;
+                Ok(Reply::Svd {
+                    u_rows: t.u.dims()[0],
+                    rank: t.s.len(),
+                    vt_cols: t.vt.dims()[1],
+                    u: t.u.into_data(),
+                    s: t.s,
+                    vt: t.vt.into_data(),
+                    trunc_err: t.trunc_err,
+                    n_discarded: t.n_discarded as u64,
+                })
+            }
+            Request::ChainSd {
+                a,
+                m,
+                n,
+                b_dims,
+                perm_b,
+                b,
+                nat_dims,
+                out_perm,
+                store,
+            } => {
+                let bucket = self.opcoords(a)?;
+                let b = self.op(b)?;
+                let g = kernels::SdGeometry {
+                    m,
+                    n,
+                    b_dims: &b_dims,
+                    perm_b: &perm_b,
+                    nat_dims: &nat_dims,
+                    out_perm: &out_perm,
+                };
+                let c = kernels::sd_apply(&g, b.as_f64()?, Cow::Borrowed(&bucket), 1, None)?;
+                self.store(store, Buf::F64(c.into_data()), false)?;
+                Ok(Reply::Unit)
+            }
+            Request::Download { key } => {
+                let val = self
+                    .remove(key)
+                    .ok_or_else(|| Error::transport(format!("no result under key {key:#x}")))?;
+                match val {
+                    Cached::Dense(buf) => Ok(Reply::Buf(Self::take(buf))),
+                    _ => Err(Error::transport(format!(
+                        "key {key:#x} does not hold a downloadable dense buffer"
+                    ))),
+                }
+            }
+        }
+    }
+}

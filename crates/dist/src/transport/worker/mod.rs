@@ -1,0 +1,51 @@
+//! The rank-side task protocol.
+//!
+//! A worker (one rank of the shared-nothing backend) is a small kernel
+//! server: it holds a keyed store of resident buffers and executes the
+//! same deterministic chunk kernels as the in-process executor —
+//! [`crate::kernels::dense_chunk`], [`crate::kernels::sd_chunk`] (through
+//! [`crate::kernels::sd_panel`] for a shipped row chunk and
+//! [`crate::kernels::sd_apply`] for a whole chain step),
+//! [`crate::kernels::ss_chunk`] and whole-matrix factorizations. Because
+//! both backends run *exactly* this code over *exactly* the same work
+//! decomposition, multi-process results are bitwise-identical to the
+//! in-process Sequential executor.
+//!
+//! The element type of a dense buffer is a tag on the data ([`Buf`]), not
+//! a property of the opcode: one request serves `f64` and [`Complex64`],
+//! and a pair of operands whose tags disagree fails typed. Every bulk
+//! operand of a compute task is an [`Op`] / [`OpCoords`] / [`OpSs`] —
+//! either **inline** bytes (the value-passing path) or a **key** into the
+//! rank's resident store (the handle path: the operand was stored by an
+//! earlier `Upload*` request and ships zero bytes with the task). The
+//! store is a plain keyed map: `Upload*` and storing compute requests
+//! insert (or replace), `Free` and `Download` remove, and nothing else
+//! ever leaves it — a rank's memory is bounded by the driver's frees, not
+//! here (`Executor::free` documents the bound).
+//!
+//! The same [`WorkerState`] is driven two ways:
+//!
+//! * in-process: [`super::InProcTransport`] calls [`WorkerState::handle`]
+//!   directly (one address space, no sockets);
+//! * multi-process: [`worker_loop`] drives it from framed requests on a
+//!   Unix-domain socket, inside a separate OS process spawned by
+//!   [`super::ProcTransport`].
+//!
+//! Layout: `protocol` (the message types), `codec` (their wire form),
+//! `store` (the keyed buffer store), `dispatch` (one request → one reply)
+//! and `serve` (the socket loop of a worker process).
+
+mod codec;
+mod dispatch;
+mod protocol;
+mod serve;
+mod store;
+#[cfg(test)]
+mod tests;
+
+pub(crate) use protocol::{Buf, Op, OpCoords, OpSs, Out, Reply, Request};
+pub use serve::maybe_serve;
+#[cfg(unix)]
+pub use serve::{serve_from_env, worker_loop};
+pub use serve::{ENV_RANK, ENV_SOCKET};
+pub(crate) use store::WorkerState;

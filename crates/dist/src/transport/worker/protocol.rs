@@ -1,0 +1,329 @@
+//! The messages of the rank-side task protocol: operands, requests and
+//! replies. Their wire form is in `codec`.
+
+use crate::{Error, Result};
+use tt_tensor::gemm::GemmPath;
+use tt_tensor::Complex64;
+
+/// A dense buffer: the element type is a tag on the data.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum Buf {
+    F64(Vec<f64>),
+    C64(Vec<Complex64>),
+}
+
+/// A dense buffer operand: inline payload or resident-store key.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum Op {
+    /// The bytes travel with the task.
+    Inline(Buf),
+    /// The operand is resident on the rank under this key.
+    Key(u64),
+}
+
+/// Where a [`Request::Contract`] puts its result.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Out {
+    /// Return it to the driver in the reply.
+    Reply,
+    /// Write it straight into the rank's resident store under the
+    /// driver-issued `key`; the reply carries no payload. With
+    /// `acc` the result is accumulated elementwise into the existing
+    /// buffer under `key` (the block-list chains route every partial of
+    /// one output block to one rank, in driver enumeration order, so the
+    /// accumulation order matches the driver-side value path exactly).
+    Store { key: u64, acc: bool },
+}
+
+/// A sparse-coordinate bucket operand (`(row, col, value)` triples as
+/// three parallel arrays).
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum OpCoords {
+    Inline {
+        rows: Vec<u64>,
+        cols: Vec<u64>,
+        vals: Vec<f64>,
+    },
+    Key(u64),
+}
+
+/// A grouped sparse-sparse `B` operand (`keys`/`lens` index the flattened
+/// `cols`/`vals`, output offsets already resolved).
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum OpSs {
+    Inline {
+        keys: Vec<u64>,
+        lens: Vec<u64>,
+        cols: Vec<u64>,
+        vals: Vec<f64>,
+    },
+    Key(u64),
+}
+
+/// A request shipped to one rank.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum Request {
+    /// Liveness / barrier probe.
+    Ping,
+    /// Drop the buffer under `key` unconditionally (any payload type).
+    Free { key: u64 },
+    /// Store a dense buffer under `key`.
+    Upload { key: u64, data: Buf },
+    /// Store a sparse-coordinate bucket under `key`.
+    UploadCoords {
+        key: u64,
+        rows: Vec<u64>,
+        cols: Vec<u64>,
+        vals: Vec<f64>,
+    },
+    /// Store a grouped sparse-sparse operand table under `key`.
+    UploadSs {
+        key: u64,
+        keys: Vec<u64>,
+        lens: Vec<u64>,
+        cols: Vec<u64>,
+        vals: Vec<f64>,
+    },
+    /// Report the store's byte footprint and entry counts.
+    CacheStats,
+    /// One row-slab of a dense TTGT contraction (`a` holds `rows` rows of
+    /// the permuted A, `b` the full permuted B). Scatter and compute are
+    /// fused: resident operands ship as keys, everything else rides in
+    /// this one request.
+    DenseChunk {
+        path: GemmPath,
+        rows: usize,
+        k: usize,
+        n: usize,
+        a: Op,
+        b: Op,
+    },
+    /// One whole dense TTGT contraction: a block pair of the list
+    /// algorithm's fan-out ([`Out::Reply`]) or a chain step whose result
+    /// stays resident ([`Out::Store`]).
+    Contract {
+        spec: String,
+        a_dims: Vec<usize>,
+        a: Op,
+        b_dims: Vec<usize>,
+        b: Op,
+        out: Out,
+    },
+    /// One volume-balanced sparse-dense bucket over rows `[r0, r1)`.
+    SdChunk {
+        r0: usize,
+        r1: usize,
+        n: usize,
+        a: OpCoords,
+        b: Op,
+    },
+    /// One work-balanced sparse-sparse bucket (key-sorted `A` coords over
+    /// fused rows `[r0, r1)`) merged against the sorted-run `B` table.
+    /// `ax_*` map fused rows and `cx_*` map fused `B` free columns (width
+    /// `n`) to output offsets.
+    SsChunk {
+        a: OpCoords,
+        b: OpSs,
+        r0: u64,
+        r1: u64,
+        n: u64,
+        ax_dims: Vec<u64>,
+        ax_strides: Vec<u64>,
+        cx_dims: Vec<u64>,
+        cx_strides: Vec<u64>,
+        mask: Option<Vec<u64>>,
+    },
+    /// Thin QR of a `rows × cols` `f64` matrix.
+    QrThin { rows: usize, cols: usize, a: Op },
+    /// Truncated SVD of a `rows × cols` `f64` matrix.
+    SvdTrunc {
+        rows: usize,
+        cols: usize,
+        a: Op,
+        max_rank: u64,
+        cutoff: f64,
+        min_keep: u64,
+    },
+    /// One sparse-dense chain step: the whole contraction (single bucket
+    /// covering all `m` fused rows — bitwise-identical to any row-disjoint
+    /// bucketing), with the dense operand permuted worker-side by
+    /// `perm_b` and the result permuted to output order by `out_perm`
+    /// before being stored under `store`.
+    ChainSd {
+        a: OpCoords,
+        m: usize,
+        n: usize,
+        b_dims: Vec<usize>,
+        perm_b: Vec<usize>,
+        b: Op,
+        nat_dims: Vec<usize>,
+        out_perm: Vec<usize>,
+        store: u64,
+    },
+    /// Remove the dense buffer under `key` from the store and return its
+    /// payload — the only value-returning read of the store (the driver
+    /// forgets the home).
+    Download { key: u64 },
+    /// Terminate the worker loop.
+    Shutdown,
+}
+
+/// A reply from one rank.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum Reply {
+    /// Barrier acknowledgement.
+    Pong,
+    /// Success with no payload.
+    Unit,
+    /// A dense buffer.
+    Buf(Buf),
+    /// Sparse output entries plus the flops the chunk executed.
+    Entries {
+        offs: Vec<u64>,
+        vals: Vec<f64>,
+        flops: u64,
+    },
+    /// A `(Q, R)` factor pair with explicit dimensions.
+    Factors {
+        q_rows: usize,
+        q_cols: usize,
+        q: Vec<f64>,
+        r_rows: usize,
+        r_cols: usize,
+        r: Vec<f64>,
+    },
+    /// A truncated SVD.
+    Svd {
+        u_rows: usize,
+        rank: usize,
+        vt_cols: usize,
+        u: Vec<f64>,
+        s: Vec<f64>,
+        vt: Vec<f64>,
+        trunc_err: f64,
+        n_discarded: u64,
+    },
+    /// Resident-store footprint and lifetime cache counters.
+    Stats {
+        bytes: u64,
+        entries: u64,
+        hits: u64,
+        misses: u64,
+    },
+    /// The task failed on the worker; the driver surfaces the message.
+    Fail(String),
+}
+
+impl Buf {
+    /// Payload bytes.
+    pub(crate) fn bytes(&self) -> usize {
+        match self {
+            Buf::F64(v) => 8 * v.len(),
+            Buf::C64(v) => 16 * v.len(),
+        }
+    }
+
+    /// The `f64` data, or a typed failure for a [`Complex64`] buffer.
+    pub(crate) fn into_f64(self) -> Result<Vec<f64>> {
+        match self {
+            Buf::F64(v) => Ok(v),
+            Buf::C64(_) => Err(Error::transport("expected f64 data, got Complex64")),
+        }
+    }
+
+    /// The [`Complex64`] data, or a typed failure for an `f64` buffer.
+    pub(crate) fn into_c64(self) -> Result<Vec<Complex64>> {
+        match self {
+            Buf::C64(v) => Ok(v),
+            Buf::F64(_) => Err(Error::transport("expected Complex64 data, got f64")),
+        }
+    }
+
+    pub(super) fn as_f64(&self) -> Result<&[f64]> {
+        match self {
+            Buf::F64(v) => Ok(v),
+            Buf::C64(_) => Err(Error::transport("expected f64 data, got Complex64")),
+        }
+    }
+}
+
+impl Op {
+    /// Resident key this operand reads, if any.
+    pub(crate) fn key(&self) -> Option<u64> {
+        match self {
+            Op::Inline(_) => None,
+            Op::Key(k) => Some(*k),
+        }
+    }
+
+    fn payload_bytes(&self) -> usize {
+        match self {
+            Op::Inline(buf) => buf.bytes(),
+            Op::Key(_) => 0,
+        }
+    }
+}
+
+impl OpCoords {
+    /// Resident key this operand reads, if any.
+    pub(crate) fn key(&self) -> Option<u64> {
+        match self {
+            OpCoords::Inline { .. } => None,
+            OpCoords::Key(k) => Some(*k),
+        }
+    }
+}
+
+impl Request {
+    /// Operand payload bytes this request carries inline: tensor values
+    /// and sparse coordinates — the data-plane volume
+    /// [`CostTracker::bytes_operands`](crate::CostTracker) meters. Key
+    /// references, dims, specs, and other control framing count zero, so
+    /// the meter reads what the driver actually *shipped*, and a request
+    /// whose operands are all worker-resident ships nothing.
+    pub(crate) fn payload_bytes(&self) -> usize {
+        fn coords(op: &OpCoords) -> usize {
+            match op {
+                OpCoords::Inline { rows, cols, vals } => 8 * (rows.len() + cols.len() + vals.len()),
+                OpCoords::Key(_) => 0,
+            }
+        }
+        fn ss(op: &OpSs) -> usize {
+            match op {
+                OpSs::Inline {
+                    keys,
+                    lens,
+                    cols,
+                    vals,
+                } => 8 * (keys.len() + lens.len() + cols.len() + vals.len()),
+                OpSs::Key(_) => 0,
+            }
+        }
+        match self {
+            Request::Upload { data, .. } => data.bytes(),
+            Request::UploadCoords {
+                rows, cols, vals, ..
+            } => 8 * (rows.len() + cols.len() + vals.len()),
+            Request::UploadSs {
+                keys,
+                lens,
+                cols,
+                vals,
+                ..
+            } => 8 * (keys.len() + lens.len() + cols.len() + vals.len()),
+            Request::DenseChunk { a, b, .. } | Request::Contract { a, b, .. } => {
+                a.payload_bytes() + b.payload_bytes()
+            }
+            Request::SdChunk { a, b, .. } | Request::ChainSd { a, b, .. } => {
+                coords(a) + b.payload_bytes()
+            }
+            Request::SsChunk { a, b, .. } => coords(a) + ss(b),
+            Request::QrThin { a, .. } | Request::SvdTrunc { a, .. } => a.payload_bytes(),
+            Request::Ping
+            | Request::Free { .. }
+            | Request::CacheStats
+            | Request::Download { .. }
+            | Request::Shutdown => 0,
+        }
+    }
+}

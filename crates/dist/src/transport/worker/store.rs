@@ -1,0 +1,219 @@
+//! One rank's keyed buffer store and the resolution of operands against
+//! it.
+
+use super::protocol::{Buf, Op, OpCoords, OpSs};
+use crate::kernels;
+use crate::{Error, Result};
+use std::collections::HashMap;
+use std::sync::Arc;
+use tt_tensor::ssmerge::SsBTable;
+use tt_tensor::Scalar;
+
+/// The grouped sparse-sparse `B` operand in its resident (decoded) form:
+/// the flat sorted-run table the merge kernel consumes directly. The wire
+/// shape (`keys`/`lens`/`cols`/`vals`) is already the table's internal
+/// layout, so decoding is a validation pass plus a prefix-sum — no
+/// per-entry tree inserts.
+pub(crate) struct SsTable {
+    pub(crate) table: SsBTable<f64>,
+}
+
+impl SsTable {
+    /// Validating constructor for wire data ([`SsBTable::from_runs`] only
+    /// `debug_assert`s its invariants; a malformed or malicious frame must
+    /// surface as a transport error, not UB-adjacent nonsense).
+    pub(super) fn build(
+        keys: Vec<u64>,
+        lens: &[u64],
+        cols: Vec<u64>,
+        vals: Vec<f64>,
+    ) -> Result<Self> {
+        if cols.len() != vals.len() || keys.len() != lens.len() {
+            return Err(Error::transport("ss group table mismatch"));
+        }
+        let total: u64 = lens.iter().sum();
+        if total != cols.len() as u64 {
+            return Err(Error::transport("ss group table mismatch"));
+        }
+        if !keys.windows(2).all(|w| w[0] < w[1]) {
+            return Err(Error::transport(
+                "ss group table keys not strictly ascending",
+            ));
+        }
+        Ok(Self {
+            table: SsBTable::from_runs(keys, lens, cols, vals),
+        })
+    }
+}
+
+/// One resident buffer.
+pub(super) enum Cached {
+    Dense(Arc<Buf>),
+    Coords(Arc<Vec<kernels::Coord>>),
+    Ss(Arc<SsTable>),
+}
+
+impl Cached {
+    /// Deterministic byte accounting of the buffer.
+    fn bytes(&self) -> u64 {
+        match self {
+            Cached::Dense(buf) => buf.bytes() as u64,
+            Cached::Coords(v) => 24 * v.len() as u64,
+            Cached::Ss(t) => 16 * (t.table.n_entries() + t.table.n_keys()) as u64,
+        }
+    }
+}
+
+/// One rank's resident state: a keyed buffer store and its counters.
+#[derive(Default)]
+pub(crate) struct WorkerState {
+    pub(super) store: HashMap<u64, Cached>,
+    pub(super) bytes: u64,
+    /// Keyed lookups served from the store (lifetime).
+    pub(super) hits: u64,
+    /// Fresh insertions — key not already resident (lifetime).
+    pub(super) misses: u64,
+}
+
+impl WorkerState {
+    /// Fresh state with an empty store.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Insert (or replace) the buffer under `key`.
+    pub(super) fn insert(&mut self, key: u64, val: Cached) {
+        self.bytes += val.bytes();
+        match self.store.insert(key, val) {
+            Some(old) => self.bytes -= old.bytes(),
+            None => self.misses += 1,
+        }
+    }
+
+    /// Remove the buffer under `key`, if any.
+    pub(super) fn remove(&mut self, key: u64) -> Option<Cached> {
+        let val = self.store.remove(&key)?;
+        self.bytes -= val.bytes();
+        Some(val)
+    }
+
+    fn get(&mut self, key: u64) -> Result<&Cached> {
+        let val = self
+            .store
+            .get(&key)
+            .ok_or_else(|| Error::transport(format!("no buffer under key {key:#x}")))?;
+        self.hits += 1;
+        Ok(val)
+    }
+
+    fn get_dense(&mut self, key: u64) -> Result<Arc<Buf>> {
+        match self.get(key)? {
+            Cached::Dense(buf) => Ok(Arc::clone(buf)),
+            _ => Err(Error::transport(format!(
+                "key {key:#x} is not a dense buffer"
+            ))),
+        }
+    }
+
+    fn get_coords(&mut self, key: u64) -> Result<Arc<Vec<kernels::Coord>>> {
+        match self.get(key)? {
+            Cached::Coords(v) => Ok(Arc::clone(v)),
+            _ => Err(Error::transport(format!(
+                "key {key:#x} is not a coordinate bucket"
+            ))),
+        }
+    }
+
+    fn get_ss(&mut self, key: u64) -> Result<Arc<SsTable>> {
+        match self.get(key)? {
+            Cached::Ss(v) => Ok(Arc::clone(v)),
+            _ => Err(Error::transport(format!(
+                "key {key:#x} is not a grouped ss operand"
+            ))),
+        }
+    }
+
+    /// Take a resolved operand by value: moves the buffer out when the
+    /// `Arc` is unique (inline operands), copies only when it is shared
+    /// (resident buffers, which must stay in the store).
+    pub(super) fn take(buf: Arc<Buf>) -> Buf {
+        Arc::try_unwrap(buf).unwrap_or_else(|a| a.as_ref().clone())
+    }
+
+    /// Resolve an [`Op`] to owned-or-resident dense data.
+    pub(super) fn op(&mut self, op: Op) -> Result<Arc<Buf>> {
+        match op {
+            Op::Inline(buf) => Ok(Arc::new(buf)),
+            Op::Key(k) => self.get_dense(k),
+        }
+    }
+
+    pub(super) fn opcoords(&mut self, op: OpCoords) -> Result<Arc<Vec<kernels::Coord>>> {
+        match op {
+            OpCoords::Inline { rows, cols, vals } => {
+                if rows.len() != cols.len() || rows.len() != vals.len() {
+                    return Err(Error::transport("coordinate arity mismatch"));
+                }
+                Ok(Arc::new(
+                    rows.into_iter()
+                        .zip(cols)
+                        .zip(vals)
+                        .map(|((r, c), v)| (r, c, v))
+                        .collect(),
+                ))
+            }
+            OpCoords::Key(k) => self.get_coords(k),
+        }
+    }
+
+    pub(super) fn opss(&mut self, op: OpSs) -> Result<Arc<SsTable>> {
+        match op {
+            OpSs::Inline {
+                keys,
+                lens,
+                cols,
+                vals,
+            } => Ok(Arc::new(SsTable::build(keys, &lens, cols, vals)?)),
+            OpSs::Key(k) => self.get_ss(k),
+        }
+    }
+
+    /// Store a fresh resident result, or — with `acc` —
+    /// accumulate elementwise into the existing buffer under `key`. The
+    /// first partial of an output block is *stored*, not added to zeros
+    /// (`-0.0 + 0.0` would flip sign bits), exactly like the driver-side
+    /// value path inserts its first partial.
+    pub(super) fn store(&mut self, key: u64, data: Buf, acc: bool) -> Result<()> {
+        fn add<T: Scalar>(acc: &mut [T], data: &[T]) -> Result<()> {
+            if acc.len() != data.len() {
+                return Err(Error::transport("chain partial shape mismatch"));
+            }
+            for (c, p) in acc.iter_mut().zip(data) {
+                *c += *p;
+            }
+            Ok(())
+        }
+        if !acc {
+            self.insert(key, Cached::Dense(Arc::new(data)));
+            return Ok(());
+        }
+        let entry = self
+            .store
+            .get_mut(&key)
+            .ok_or_else(|| Error::transport(format!("no chain result under key {key:#x}")))?;
+        let Cached::Dense(buf) = entry else {
+            return Err(Error::transport("chain result has wrong payload type"));
+        };
+        match (Arc::make_mut(buf), &data) {
+            (Buf::F64(c), Buf::F64(p)) => add(c, p),
+            (Buf::C64(c), Buf::C64(p)) => add(c, p),
+            _ => Err(mixed_tags()),
+        }
+    }
+}
+
+/// The typed failure for a dense operand pair (or accumulate target)
+/// whose element tags disagree.
+pub(super) fn mixed_tags() -> Error {
+    Error::transport("operands mix f64 and Complex64 data")
+}

@@ -1,0 +1,736 @@
+use super::*;
+use crate::kernels;
+use crate::FaultKind;
+use proptest::prelude::*;
+use tt_tensor::einsum::ContractPlan;
+use tt_tensor::gemm::GemmPath;
+use tt_tensor::{Complex64, DenseTensor};
+
+/// The values the request/reply samples are built from.
+struct Seed {
+    key: u64,
+    data: Vec<f64>,
+    cdata: Vec<Complex64>,
+    rows: Vec<u64>,
+}
+
+fn fixed_seed() -> Seed {
+    Seed {
+        key: 77,
+        data: vec![1.5, -2.25, -0.0],
+        cdata: vec![Complex64::new(0.1, -0.2), Complex64::I],
+        rows: vec![1, 3],
+    }
+}
+
+/// Name of a request's variant. Exhaustive on purpose — no wildcard
+/// arm — so a new variant does not compile until it is listed here,
+/// and `samples_cover_every_variant` fails until [`REQUEST_VARIANTS`]
+/// names it and [`sample_requests`] carries a sample of it.
+fn request_variant(req: &Request) -> &'static str {
+    match req {
+        Request::Ping => "Ping",
+        Request::Free { .. } => "Free",
+        Request::Upload { .. } => "Upload",
+        Request::UploadCoords { .. } => "UploadCoords",
+        Request::UploadSs { .. } => "UploadSs",
+        Request::CacheStats => "CacheStats",
+        Request::DenseChunk { .. } => "DenseChunk",
+        Request::Contract { .. } => "Contract",
+        Request::SdChunk { .. } => "SdChunk",
+        Request::SsChunk { .. } => "SsChunk",
+        Request::QrThin { .. } => "QrThin",
+        Request::SvdTrunc { .. } => "SvdTrunc",
+        Request::ChainSd { .. } => "ChainSd",
+        Request::Download { .. } => "Download",
+        Request::Shutdown => "Shutdown",
+    }
+}
+/// Every request variant, in wire-number order.
+const REQUEST_VARIANTS: [&str; 15] = [
+    "Ping",
+    "Free",
+    "Upload",
+    "UploadCoords",
+    "UploadSs",
+    "CacheStats",
+    "DenseChunk",
+    "Contract",
+    "SdChunk",
+    "SsChunk",
+    "QrThin",
+    "SvdTrunc",
+    "ChainSd",
+    "Download",
+    "Shutdown",
+];
+
+/// Same contract as [`request_variant`], for replies.
+fn reply_variant(rep: &Reply) -> usize {
+    match rep {
+        Reply::Pong => 0,
+        Reply::Unit => 1,
+        Reply::Buf(_) => 2,
+        Reply::Entries { .. } => 3,
+        Reply::Factors { .. } => 4,
+        Reply::Svd { .. } => 5,
+        Reply::Stats { .. } => 6,
+        Reply::Fail(_) => 7,
+    }
+}
+const REPLY_VARIANTS: usize = 8;
+
+/// Every request variant; every dense-buffer-carrying one under both
+/// element tags, inline and keyed, and `Contract` under every `out`.
+fn sample_requests(s: &Seed) -> Vec<Request> {
+    let Seed { key, rows, .. } = s;
+    let key = *key;
+    let vals: Vec<f64> = rows.iter().map(|&r| f64::from_bits(r ^ 0x5a5a)).collect();
+    let coords = OpCoords::Inline {
+        rows: rows.clone(),
+        cols: rows.clone(),
+        vals: vals.clone(),
+    };
+    let ss = OpSs::Inline {
+        keys: rows.clone(),
+        lens: vec![1; rows.len()],
+        cols: rows.clone(),
+        vals: vals.clone(),
+    };
+    let mut reqs = vec![
+        Request::Ping,
+        Request::Free { key },
+        Request::UploadCoords {
+            key,
+            rows: rows.clone(),
+            cols: rows.clone(),
+            vals: vals.clone(),
+        },
+        Request::UploadSs {
+            key,
+            keys: rows.clone(),
+            lens: vec![1; rows.len()],
+            cols: rows.clone(),
+            vals,
+        },
+        Request::CacheStats,
+        Request::SsChunk {
+            a: coords.clone(),
+            b: OpSs::Key(key),
+            r0: 0,
+            r1: key,
+            n: key,
+            ax_dims: rows.clone(),
+            ax_strides: rows.clone(),
+            cx_dims: rows.clone(),
+            cx_strides: rows.clone(),
+            mask: Some(rows.clone()),
+        },
+        Request::SsChunk {
+            a: OpCoords::Key(key),
+            b: ss,
+            r0: 0,
+            r1: 7,
+            n: 5,
+            ax_dims: vec![7],
+            ax_strides: vec![5],
+            cx_dims: vec![5],
+            cx_strides: vec![1],
+            mask: None,
+        },
+        Request::Download { key },
+        Request::Shutdown,
+    ];
+    for buf in [Buf::F64(s.data.clone()), Buf::C64(s.cdata.clone())] {
+        let (inline, keyed) = (Op::Inline(buf.clone()), Op::Key(key));
+        reqs.push(Request::Upload {
+            key,
+            data: buf.clone(),
+        });
+        reqs.push(Request::DenseChunk {
+            path: GemmPath::Packed,
+            rows: rows.len(),
+            k: 3,
+            n: 2,
+            a: inline.clone(),
+            b: keyed.clone(),
+        });
+        for out in [
+            Out::Reply,
+            Out::Store { key, acc: false },
+            Out::Store { key, acc: true },
+        ] {
+            reqs.push(Request::Contract {
+                spec: "ik,kj->ij".into(),
+                a_dims: vec![2, 3],
+                a: keyed.clone(),
+                b_dims: vec![3, 2],
+                b: inline.clone(),
+                out,
+            });
+        }
+        reqs.push(Request::SdChunk {
+            r0: 1,
+            r1: 4,
+            n: 2,
+            a: coords.clone(),
+            b: inline.clone(),
+        });
+        reqs.push(Request::QrThin {
+            rows: 2,
+            cols: 2,
+            a: inline.clone(),
+        });
+        reqs.push(Request::SvdTrunc {
+            rows: 2,
+            cols: 2,
+            a: keyed.clone(),
+            max_rank: u64::MAX,
+            cutoff: 1e-12,
+            min_keep: 1,
+        });
+        reqs.push(Request::ChainSd {
+            a: OpCoords::Key(key),
+            m: 4,
+            n: 2,
+            b_dims: vec![3, 2],
+            perm_b: vec![0, 1],
+            b: inline,
+            nat_dims: vec![4, 2],
+            out_perm: vec![1, 0],
+            store: key,
+        });
+    }
+    reqs
+}
+
+/// Every reply variant, `Buf` under both element tags.
+fn sample_replies(s: &Seed) -> Vec<Reply> {
+    vec![
+        Reply::Pong,
+        Reply::Unit,
+        Reply::Buf(Buf::F64(s.data.clone())),
+        Reply::Buf(Buf::C64(s.cdata.clone())),
+        Reply::Entries {
+            offs: s.rows.clone(),
+            vals: s.rows.iter().map(|&r| f64::from_bits(r)).collect(),
+            flops: s.key,
+        },
+        Reply::Factors {
+            q_rows: 2,
+            q_cols: 1,
+            q: s.data.clone(),
+            r_rows: 1,
+            r_cols: 1,
+            r: vec![2.0],
+        },
+        Reply::Svd {
+            u_rows: 2,
+            rank: 1,
+            vt_cols: 2,
+            u: s.data.clone(),
+            s: vec![2.0],
+            vt: vec![0.0, 1.0],
+            trunc_err: 1e-16,
+            n_discarded: 1,
+        },
+        Reply::Stats {
+            bytes: s.key,
+            entries: 3,
+            hits: s.key,
+            misses: 5,
+        },
+        Reply::Fail("boom".into()),
+    ]
+}
+
+#[test]
+fn samples_cover_every_variant() {
+    let s = fixed_seed();
+    let seen: Vec<&str> = sample_requests(&s).iter().map(request_variant).collect();
+    for name in REQUEST_VARIANTS {
+        assert!(seen.contains(&name), "no sample of Request::{name}");
+    }
+    for name in seen {
+        assert!(REQUEST_VARIANTS.contains(&name), "{name} is not listed");
+    }
+    let mut seen = [false; REPLY_VARIANTS];
+    for rep in sample_replies(&s) {
+        seen[reply_variant(&rep)] = true;
+    }
+    assert!(seen.iter().all(|&b| b), "reply variant without a sample");
+}
+
+#[test]
+fn requests_and_replies_roundtrip() {
+    let s = fixed_seed();
+    for req in sample_requests(&s) {
+        let back = Request::decode(&req.encode()).unwrap();
+        assert_eq!(back, req);
+    }
+    for rep in sample_replies(&s) {
+        let back = Reply::decode(&rep.encode()).unwrap();
+        assert_eq!(back, rep);
+    }
+}
+
+/// Arbitrary f64 bit patterns (including NaNs, infinities, -0.0).
+fn any_f64s() -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(any::<u64>(), 0..24)
+        .prop_map(|bits| bits.into_iter().map(f64::from_bits).collect())
+}
+
+fn any_c64s() -> impl Strategy<Value = Vec<Complex64>> {
+    prop::collection::vec((any::<u64>(), any::<u64>()), 0..16).prop_map(|pairs| {
+        pairs
+            .into_iter()
+            .map(|(re, im)| Complex64::new(f64::from_bits(re), f64::from_bits(im)))
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The codec round-trips every request and reply sample with
+    /// exact f64/Complex64 bit patterns (NaNs and -0.0 included), so
+    /// bitwise equality is compared on the *re-encoded bytes*, not
+    /// through float ==.
+    #[test]
+    fn handle_request_codec_is_bit_exact(
+        key in any::<u64>(),
+        data in any_f64s(),
+        cdata in any_c64s(),
+        rows in prop::collection::vec(any::<u64>(), 0..16),
+    ) {
+        let s = Seed { key, data, cdata, rows };
+        for req in sample_requests(&s) {
+            let bytes = req.encode();
+            let back = Request::decode(&bytes).unwrap();
+            // re-encode and compare bytes: exact bit round-trip even
+            // for NaN payloads (where PartialEq would lie)
+            prop_assert_eq!(back.encode(), bytes);
+        }
+        for rep in sample_replies(&s) {
+            let bytes = rep.encode();
+            prop_assert_eq!(Reply::decode(&bytes).unwrap().encode(), bytes);
+        }
+    }
+
+    /// Pure garbage never panics the decoders — a malformed frame from
+    /// a misbehaving worker must surface as a typed error, never crash
+    /// the driver (and vice versa for requests on the worker side).
+    #[test]
+    fn garbage_bytes_never_panic_the_decoders(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+        let _ = Request::decode(&bytes);
+        let _ = Reply::decode(&bytes);
+    }
+}
+
+/// A frame under each retired request opcode, with a payload long
+/// enough for any fixed-width field a decoder could try to read.
+fn retired_frames() -> Vec<Vec<u8>> {
+    [6u8, 8, 15, 16]
+        .iter()
+        .map(|&op| std::iter::once(op).chain([0x11; 40]).collect())
+        .collect()
+}
+
+/// Every valid encoding of every sample, requests then replies, and
+/// the retired-opcode frames.
+fn sample_encodings() -> Vec<Vec<u8>> {
+    let s = fixed_seed();
+    let reqs = sample_requests(&s).into_iter().map(|r| r.encode());
+    reqs.chain(sample_replies(&s).into_iter().map(|r| r.encode()))
+        .chain(retired_frames())
+        .collect()
+}
+
+#[test]
+fn retired_opcodes_decode_to_a_typed_fault() {
+    for frame in retired_frames() {
+        let err = Request::decode(&frame).unwrap_err();
+        assert_eq!(
+            err.as_fault().map(|f| f.kind),
+            Some(FaultKind::Decode),
+            "opcode {}: {err}",
+            frame[0]
+        );
+    }
+}
+
+/// The README's opcode table is the contract a rank on another
+/// transport would implement: it names exactly the `Request` variants.
+#[test]
+fn readme_opcode_table_names_every_request() {
+    let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
+    let table = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("| # | request | effect | reply |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'));
+    let named: Vec<&str> = table
+        .map(|row| {
+            let cell = row.split('`').nth(1).expect("a backticked request name");
+            cell.split([' ', '{'])
+                .next()
+                .expect("split yields a first piece")
+        })
+        .collect();
+    assert_eq!(named, REQUEST_VARIANTS);
+}
+
+/// Every truncation of every valid message decodes to an error (or a
+/// shorter valid message for payload-trailing truncations) without
+/// panicking.
+#[test]
+fn truncated_messages_never_panic() {
+    for bytes in sample_encodings() {
+        for cut in 0..bytes.len() {
+            let _ = Request::decode(&bytes[..cut]);
+            let _ = Reply::decode(&bytes[..cut]);
+        }
+    }
+}
+
+/// Deterministic byte-flip fuzzing: xorshift-driven single- and
+/// multi-byte corruptions of valid encodings must never panic either
+/// decoder (they may decode to a different valid message — corruption
+/// detection beyond framing is not the codec's contract).
+#[test]
+fn bit_flipped_messages_never_panic() {
+    let mut state = 0x243F_6A88_85A3_08D3u64; // deterministic seed
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for bytes in sample_encodings() {
+        for _ in 0..64 {
+            let mut m = bytes.clone();
+            for _ in 0..(1 + next() % 4) {
+                let at = (next() as usize) % m.len();
+                m[at] ^= (next() % 255 + 1) as u8;
+            }
+            let _ = Request::decode(&m);
+            let _ = Reply::decode(&m);
+        }
+    }
+}
+
+fn upload(w: &mut WorkerState, key: u64, data: Vec<f64>) {
+    assert_eq!(
+        w.handle(Request::Upload {
+            key,
+            data: Buf::F64(data)
+        }),
+        Some(Reply::Unit)
+    );
+}
+
+/// Whether `key` holds `len` resident f64 words, probed with a keyed
+/// compute task — a touch that leaves the entry in place.
+fn resident(w: &mut WorkerState, key: u64, len: usize) -> bool {
+    matches!(
+        w.handle(Request::DenseChunk {
+            path: GemmPath::Scalar,
+            rows: len,
+            k: 1,
+            n: 1,
+            a: Op::Key(key),
+            b: Op::Inline(Buf::F64(vec![1.0])),
+        }),
+        Some(Reply::Buf(_))
+    )
+}
+
+#[test]
+fn worker_state_store_lifecycle() {
+    let mut w = WorkerState::new();
+    assert_eq!(w.handle(Request::Ping), Some(Reply::Pong));
+    upload(&mut w, 5, vec![1.0, 2.0]);
+    assert_eq!(
+        w.handle(Request::Download { key: 5 }),
+        Some(Reply::Buf(Buf::F64(vec![1.0, 2.0])))
+    );
+    upload(&mut w, 8, vec![3.0]);
+    assert_eq!(w.handle(Request::Free { key: 8 }), Some(Reply::Unit));
+    assert!(matches!(
+        w.handle(Request::Download { key: 8 }),
+        Some(Reply::Fail(_))
+    ));
+    assert_eq!(w.handle(Request::Shutdown), None);
+}
+
+#[test]
+fn a_key_stored_twice_and_freed_once_leaves_nothing() {
+    let mut w = WorkerState::new();
+    // an upload replaced by an upload, a chain result replaced by a
+    // chain result: one `Free` each empties the store
+    upload(&mut w, 1, vec![1.0; 16]);
+    upload(&mut w, 1, vec![2.0; 4]);
+    for _ in 0..2 {
+        let store = Out::Store { key: 2, acc: false };
+        w.handle(contract([1, 1], vec![2.0], vec![3.0], store));
+    }
+    assert_eq!(
+        w.handle(Request::CacheStats),
+        Some(Reply::Stats {
+            bytes: 8 * 4 + 8,
+            entries: 2,
+            hits: 0,
+            misses: 2,
+        })
+    );
+    for key in [1, 2] {
+        assert_eq!(w.handle(Request::Free { key }), Some(Reply::Unit));
+        assert!(!resident(&mut w, key, 1));
+    }
+    let Some(Reply::Stats { bytes, entries, .. }) = w.handle(Request::CacheStats) else {
+        panic!("expected stats");
+    };
+    assert_eq!((bytes, entries), (0, 0));
+}
+
+#[test]
+fn resident_operands_serve_fused_tasks() {
+    let mut w = WorkerState::new();
+    // pin B, then run a dense chunk against the resident key only
+    upload(&mut w, 100, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]); // 3×2
+    let chunk = |b: u64| Request::DenseChunk {
+        path: GemmPath::Scalar,
+        rows: 1,
+        k: 3,
+        n: 2,
+        a: Op::Inline(Buf::F64(vec![1.0, 1.0, 1.0])),
+        b: Op::Key(b),
+    };
+    assert_eq!(
+        w.handle(chunk(100)),
+        Some(Reply::Buf(Buf::F64(vec![9.0, 12.0])))
+    );
+    // unknown key fails without killing the worker
+    assert!(matches!(w.handle(chunk(999)), Some(Reply::Fail(_))));
+    assert_eq!(w.handle(Request::Ping), Some(Reply::Pong));
+}
+
+/// A 2-operand `f64` contraction step with inline operands.
+fn contract(dims: [usize; 2], a: Vec<f64>, b: Vec<f64>, out: Out) -> Request {
+    Request::Contract {
+        spec: "ik,kj->ij".into(),
+        a_dims: dims.to_vec(),
+        a: Op::Inline(Buf::F64(a)),
+        b_dims: dims.to_vec(),
+        b: Op::Inline(Buf::F64(b)),
+        out,
+    }
+}
+
+#[test]
+fn chain_steps_store_accumulate_and_download() {
+    let mut w = WorkerState::new();
+    // C = A·B stored resident, then a second partial accumulated, then
+    // downloaded — the only value-returning exit
+    let a = vec![1.0, 2.0, 3.0, 4.0]; // 2×2
+    let b = vec![1.0, 0.0, 0.0, 1.0]; // identity
+    for acc in [false, true] {
+        assert_eq!(
+            w.handle(contract(
+                [2, 2],
+                a.clone(),
+                b.clone(),
+                Out::Store { key: 50, acc }
+            )),
+            Some(Reply::Unit)
+        );
+    }
+    assert_eq!(
+        w.handle(Request::Download { key: 50 }),
+        Some(Reply::Buf(Buf::F64(vec![2.0, 4.0, 6.0, 8.0])))
+    );
+    // downloaded results are gone
+    assert!(matches!(
+        w.handle(Request::Download { key: 50 }),
+        Some(Reply::Fail(_))
+    ));
+    // accumulating into an absent key fails cleanly
+    assert!(matches!(
+        w.handle(contract(
+            [2, 2],
+            a.clone(),
+            vec![1.0; 4],
+            Out::Store { key: 51, acc: true }
+        )),
+        Some(Reply::Fail(_))
+    ));
+    // the same contraction with `Out::Reply` returns what a store
+    // would have kept
+    assert_eq!(
+        w.handle(contract([2, 2], a.clone(), b, Out::Reply)),
+        Some(Reply::Buf(Buf::F64(a)))
+    );
+}
+
+#[test]
+fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use tt_tensor::SparseTensor;
+    // H_eff step 2 at a bond dimension where the worker's ChainSd
+    // reads B and writes C through run views: the stored bytes must
+    // be the in-process kernel's
+    let spec = "kpqg,bkqwf->bpgwf";
+    let (a_dims, b_dims) = ([5usize, 2, 2, 5], [40usize, 5, 2, 2, 40]);
+    let mut rng = StdRng::seed_from_u64(15);
+    let b = DenseTensor::<f64>::random(b_dims, &mut rng);
+    let a_dense = DenseTensor::<f64>::from_fn(a_dims, |_| {
+        if rng.gen_bool(0.4) {
+            rng.gen_range(-1.0..1.0)
+        } else {
+            0.0
+        }
+    });
+    let a = SparseTensor::from_dense(&a_dense, 0.0);
+    let plan = ContractPlan::parse(spec).unwrap();
+    let (m, _k, n) = kernels::fused_dims(&plan, &a_dims, &b_dims);
+    let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+    for (r, c, v) in kernels::sparse_coords(&a, plan.free_a_positions(), plan.ctr_a_positions()) {
+        rows.push(r);
+        cols.push(c);
+        vals.push(v);
+    }
+    let mut w = WorkerState::new();
+    assert_eq!(
+        w.handle(Request::ChainSd {
+            a: OpCoords::Inline { rows, cols, vals },
+            m,
+            n,
+            b_dims: b_dims.to_vec(),
+            perm_b: kernels::operand_perms(&plan).1,
+            b: Op::Inline(Buf::F64(b.data().to_vec())),
+            nat_dims: kernels::natural_dims(&plan, &a_dims, &b_dims),
+            out_perm: plan.output_permutation().to_vec(),
+            store: 90,
+        }),
+        Some(Reply::Unit)
+    );
+    let (local, _) =
+        kernels::sd_contract(&plan, &a, &b, None, kernels::SPARSE_PAR_MIN_FLOPS).unwrap();
+    assert_eq!(
+        w.handle(Request::Download { key: 90 }),
+        Some(Reply::Buf(Buf::F64(local.into_data())))
+    );
+
+    // the dense step on the same operands (A densified)
+    let local = kernels::dense_contract(&plan, &a_dense, &b, None).unwrap();
+    assert_eq!(
+        w.handle(Request::Contract {
+            spec: spec.into(),
+            a_dims: a_dims.to_vec(),
+            a: Op::Inline(Buf::F64(a_dense.into_data())),
+            b_dims: b_dims.to_vec(),
+            b: Op::Inline(Buf::F64(b.into_data())),
+            out: Out::Reply,
+        }),
+        Some(Reply::Buf(Buf::F64(local.into_data())))
+    );
+    // a zero-width row chunk is an empty panel, not a failure
+    assert_eq!(
+        w.handle(Request::SdChunk {
+            r0: 0,
+            r1: 3,
+            n: 0,
+            a: OpCoords::Inline {
+                rows: vec![],
+                cols: vec![],
+                vals: vec![]
+            },
+            b: Op::Inline(Buf::F64(vec![])),
+        }),
+        Some(Reply::Buf(Buf::F64(vec![])))
+    );
+    // a ChainSd whose geometry contradicts its operand fails cleanly
+    assert!(matches!(
+        w.handle(Request::ChainSd {
+            a: OpCoords::Inline {
+                rows: vec![],
+                cols: vec![],
+                vals: vec![]
+            },
+            m: 2,
+            n: 3,
+            b_dims: vec![2, 3],
+            perm_b: vec![0, 0],
+            b: Op::Inline(Buf::F64(vec![0.0; 6])),
+            nat_dims: vec![2, 3],
+            out_perm: vec![0, 1],
+            store: 91,
+        }),
+        Some(Reply::Fail(_))
+    ));
+}
+
+#[test]
+fn bad_tasks_fail_without_killing_the_worker() {
+    let mut w = WorkerState::new();
+    let f = |v: Vec<f64>| Op::Inline(Buf::F64(v));
+    let c = |n: usize| Op::Inline(Buf::C64(vec![Complex64::I; n]));
+    let chunk = |a: Op, b: Op| Request::DenseChunk {
+        path: GemmPath::Scalar,
+        rows: 2,
+        k: 2,
+        n: 2,
+        a,
+        b,
+    };
+    let pair = |a: Op, b: Op, out: Out| Request::Contract {
+        spec: "ik,kj->ij".into(),
+        a_dims: vec![2, 2],
+        a,
+        b_dims: vec![2, 2],
+        b,
+        out,
+    };
+    let store = |acc: bool| Out::Store { key: 70, acc };
+    // an f64 result resident under key 70, a coords bucket under 71
+    assert_eq!(
+        w.handle(pair(f(vec![1.0; 4]), f(vec![1.0; 4]), store(false))),
+        Some(Reply::Unit)
+    );
+    w.handle(Request::UploadCoords {
+        key: 71,
+        rows: vec![0],
+        cols: vec![0],
+        vals: vec![1.0],
+    });
+    let bad = [
+        // wrong operand size
+        chunk(f(vec![0.0; 3]), f(vec![0.0; 4])),
+        // f64 `A` against Complex64 `B`, chunked and whole
+        chunk(f(vec![0.0; 4]), c(4)),
+        pair(c(4), f(vec![0.0; 4]), Out::Reply),
+        // accumulate into a buffer of the other element type
+        pair(c(4), c(4), store(true)),
+        // a keyed f64-only operand that resolves to Complex64 data
+        Request::QrThin {
+            rows: 2,
+            cols: 2,
+            a: c(4),
+        },
+        // Download reads dense buffers only
+        Request::Download { key: 71 },
+    ];
+    for req in bad {
+        assert!(
+            matches!(w.handle(req.clone()), Some(Reply::Fail(_))),
+            "{req:?}"
+        );
+        assert_eq!(w.handle(Request::Ping), Some(Reply::Pong));
+    }
+    // the refused accumulate left its target intact
+    assert_eq!(
+        w.handle(Request::Download { key: 70 }),
+        Some(Reply::Buf(Buf::F64(vec![2.0; 4])))
+    );
+}
