@@ -71,7 +71,7 @@ pub fn serve_from_env() -> Result<()> {
 }
 
 /// Worker entry hook for host binaries that spawn the multi-process
-/// backend by re-executing themselves ([`super::SpawnSpec::SelfExec`]):
+/// backend by re-executing themselves ([`crate::SpawnSpec::SelfExec`]):
 /// call this before doing anything else in `main` (or from a `#[test]`
 /// named `spawned_worker_entry` in test binaries). When the worker
 /// environment variables are absent this is a no-op; when present, the
