@@ -1,0 +1,777 @@
+//! Worker-side chains: the planner that turns [`ChainStep`]s into fused
+//! supersteps (placement, redistribution, charging), its in-process leg,
+//! and the exits of a resident result (`download*`, `free_result*`).
+
+use super::residency::{whole_key, whole_op, OpCharge};
+use super::sparse::split_coords;
+use super::{expect_buf, DenseOp, DenseOpC, Executor, SparseOp, WireScalar, TAG_SD_A};
+use crate::cluster::{Cluster, Placement};
+use crate::handle::{
+    derive, hseq, DenseAny, Fnv, OpHandle, Residency, ResultHandle, ResultInfo, ResultKind,
+};
+use crate::kernels;
+use crate::transport::worker::{Op, OpCoords, Out, Request};
+use crate::{Error, Result};
+use std::sync::Arc;
+use tt_tensor::einsum::ContractPlan;
+use tt_tensor::{Complex64, DenseTensor};
+
+/// One operand of a [`Executor::chain`] step.
+pub enum ChainSrc<'a> {
+    /// A dense `f64` operand (by value or by resident operand handle).
+    Dense(DenseOp<'a>),
+    /// A dense [`Complex64`] operand.
+    DenseC(DenseOpC<'a>),
+    /// A sparse `f64` operand — only valid as the first (`a`) side of a
+    /// step, selecting the sparse-dense kernel.
+    Sparse(SparseOp<'a>),
+    /// The resident output of step `i` of this chain (must be a
+    /// non-accumulate step).
+    Prev(usize),
+    /// The resident output of an earlier chain on the same executor.
+    Res(&'a ResultHandle),
+}
+
+/// One contraction of a worker-side chain superstep.
+pub struct ChainStep<'a> {
+    /// Einsum grammar of the step.
+    pub spec: &'a str,
+    /// First operand (the sparse/structural side for sd steps).
+    pub a: ChainSrc<'a>,
+    /// Second operand.
+    pub b: ChainSrc<'a>,
+    /// Accumulate elementwise into the output of step `i` (in submission
+    /// order — the first partial of an output is always a plain store)
+    /// instead of producing a fresh result.
+    pub acc: Option<usize>,
+}
+
+/// The kernel family of a planned chain step.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum StepKind {
+    Dense,
+    Sd,
+}
+
+/// Static per-step plan of a chain: everything derivable driver-side from
+/// dims alone.
+struct PlannedStep {
+    kind: StepKind,
+    /// Element type of the step's operands and result.
+    scalar: ResultKind,
+    /// The parsed spec and its provenance hash, shared by every step of
+    /// the chain that spells the same spec.
+    plan: Arc<ContractPlan>,
+    spec_hash: u64,
+    a_dims: Vec<usize>,
+    b_dims: Vec<usize>,
+    out_dims: Vec<usize>,
+    m: usize,
+    k: usize,
+    n: usize,
+    flops: u64,
+    words_c: usize,
+    /// The step whose output slot this step writes (self for non-acc).
+    base: usize,
+    /// Result store key (the base's key for accumulate steps).
+    key: u64,
+}
+
+/// Stored `f64` words per element of a dense buffer tagged `kind`.
+fn words_per_element(kind: ResultKind) -> usize {
+    match kind {
+        ResultKind::F64 => f64::WORDS,
+        ResultKind::C64 => Complex64::WORDS,
+    }
+}
+
+/// What a chain-step operand is at planning time: a dense buffer of some
+/// element type, or sparse `f64` coordinates.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum SrcKind {
+    Dense(ResultKind),
+    Sparse,
+}
+
+/// A resolved wire operand of a chain step.
+enum WireIn {
+    Dense(Op),
+    Coords(OpCoords),
+}
+
+impl WireIn {
+    fn dense(self) -> Result<Op> {
+        match self {
+            WireIn::Dense(op) => Ok(op),
+            WireIn::Coords(_) => Err(Error::Runtime("chain step operand kind mismatch".into())),
+        }
+    }
+
+    fn coords(self) -> Result<OpCoords> {
+        match self {
+            WireIn::Coords(op) => Ok(op),
+            WireIn::Dense(_) => Err(Error::Runtime("chain step operand kind mismatch".into())),
+        }
+    }
+}
+
+impl Executor {
+    // -- result residency: chains ----------------------------------------
+
+    /// Run an ordered list of contraction steps **worker-side**: each step
+    /// may consume prior steps' resident outputs ([`ChainSrc::Prev`]) or
+    /// the outputs of earlier chains ([`ChainSrc::Res`]), and no
+    /// intermediate ever round-trips through the driver. Returns one
+    /// [`ResultHandle`] per non-accumulate step (in step order; `None` for
+    /// accumulate steps, which fold into their target's handle): the
+    /// results stay in the worker stores of the ranks that computed
+    /// them. [`Executor::download`] / [`Executor::download_many`] are the
+    /// only value-returning exits; [`Executor::free_result`] discards. A
+    /// contraction that should just *produce a handle* is a one-step chain.
+    ///
+    /// Placement: a step runs on the rank holding its largest resident
+    /// input; when inputs live on different ranks the smaller ones move
+    /// in an explicit redistribute superstep (`Download` + re-`Upload`,
+    /// metered in the byte counters but — like every p-dependent physical
+    /// re-ship — not α–β-charged, so the cost counters stay bitwise-equal
+    /// across backends). Steps with no resident input anchor to one
+    /// round-robin rank per chain call.
+    ///
+    /// Numerics are bitwise-identical to running the equivalent
+    /// value-returning contractions on any backend: every kernel is the
+    /// same row-disjoint code, and accumulate steps add partials in
+    /// submission order exactly like the driver-side value path.
+    pub fn chain(&self, steps: &[ChainStep]) -> Result<Vec<Option<ResultHandle>>> {
+        let planned = self.plan_chain(steps)?;
+        let mut locals: Vec<Option<DenseAny>> = (0..steps.len()).map(|_| None).collect();
+        let homes = if let Some(cl) = &self.cluster {
+            match self.chain_over_cluster(&mut cl.lock(), steps, &planned) {
+                Ok(homes) => homes,
+                Err(e) => {
+                    // a mid-chain failure may have left earlier steps'
+                    // results stored (flushed supersteps execute eagerly)
+                    // with no handle to free them through — sweep every
+                    // key this chain could have stored, best-effort
+                    // (Free of an absent key is a worker no-op)
+                    let mut cl = cl.lock();
+                    let reqs: Vec<(usize, Request)> = planned
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, pl)| pl.base == i)
+                        .flat_map(|(_, pl)| {
+                            (0..cl.ranks()).map(move |r| (r, Request::Free { key: pl.key }))
+                        })
+                        .collect();
+                    let _ = cl.call_all(reqs);
+                    return Err(e);
+                }
+            }
+        } else {
+            self.chain_local(steps, &planned, &mut locals)?;
+            vec![0; steps.len()]
+        };
+        // charge every step in submission order, from driver-side registry
+        // state only — the charge sequence is bitwise-identical on every
+        // backend
+        for (st, pl) in steps.iter().zip(&planned) {
+            let sa = self.chain_charge(&st.a, pl, true)?;
+            let sb = self.chain_charge(&st.b, pl, false)?;
+            self.charge_contraction(
+                sa,
+                sb,
+                pl.words_c,
+                pl.m,
+                pl.n,
+                pl.flops,
+                pl.kind == StepKind::Sd,
+            );
+        }
+        let mut out = Vec::with_capacity(steps.len());
+        let mut res = self.residency.lock();
+        for (i, pl) in planned.iter().enumerate() {
+            if pl.base != i {
+                out.push(None);
+                continue;
+            }
+            let produced_by = derive(&[
+                pl.spec_hash,
+                src_provenance(&steps[i].a, &planned),
+                src_provenance(&steps[i].b, &planned),
+            ]);
+            res.record_result(
+                pl.key,
+                ResultInfo {
+                    home: homes[i],
+                    words: pl.words_c,
+                    produced_by,
+                },
+            );
+            out.push(Some(ResultHandle {
+                key: pl.key,
+                dims: pl.out_dims.clone(),
+                kind: pl.scalar,
+                words: pl.words_c,
+                local: locals[i].take(),
+            }));
+        }
+        Ok(out)
+    }
+
+    /// Validate a chain and compute every step's static plan (kind, dims,
+    /// fused sizes, flops, output slot and store key).
+    fn plan_chain(&self, steps: &[ChainStep]) -> Result<Vec<PlannedStep>> {
+        let mut planned: Vec<PlannedStep> = Vec::with_capacity(steps.len());
+        // a list matvec is hundreds of steps over a handful of specs:
+        // parse and hash each distinct one once
+        let mut specs: Vec<(&str, Arc<ContractPlan>, u64)> = Vec::new();
+        for (i, st) in steps.iter().enumerate() {
+            let (a_dims, ak) = src_info(&st.a, &planned)?;
+            let (b_dims, bk) = src_info(&st.b, &planned)?;
+            let (kind, scalar) = match (ak, bk) {
+                (SrcKind::Sparse, SrcKind::Dense(ResultKind::F64)) => {
+                    (StepKind::Sd, ResultKind::F64)
+                }
+                (SrcKind::Sparse, _) | (_, SrcKind::Sparse) => {
+                    return Err(Error::Runtime(
+                        "only sparse × dense chain steps are supported (sparse operand first)"
+                            .into(),
+                    ))
+                }
+                (SrcKind::Dense(ka), SrcKind::Dense(kb)) if ka == kb => (StepKind::Dense, ka),
+                _ => {
+                    return Err(Error::Runtime(
+                        "chain step mixes f64 and Complex64 operands".into(),
+                    ))
+                }
+            };
+            let known = match specs.iter().position(|(spec, ..)| *spec == st.spec) {
+                Some(at) => at,
+                None => {
+                    let plan = Arc::new(ContractPlan::parse(st.spec)?);
+                    specs.push((st.spec, plan, hash_spec(st.spec)));
+                    specs.len() - 1
+                }
+            };
+            let (plan, spec_hash) = (Arc::clone(&specs[known].1), specs[known].2);
+            let out_dims = plan.output_dims(&a_dims, &b_dims)?;
+            let (m, k, n) = kernels::fused_dims(&plan, &a_dims, &b_dims);
+            let flops = match (kind, &st.a) {
+                (StepKind::Sd, ChainSrc::Sparse(op)) => 2 * op.tensor()?.nnz() as u64 * n as u64,
+                _ => plan.flop_count(&a_dims, &b_dims),
+            };
+            let words_c = words_per_element(scalar) * out_dims.iter().product::<usize>();
+            let (base, key) = match st.acc {
+                None => (i, self.fresh_result_key()),
+                Some(t) => {
+                    let tgt = planned.get(t).ok_or_else(|| {
+                        Error::Runtime(format!("step {i} accumulates into future step {t}"))
+                    })?;
+                    if tgt.base != t {
+                        return Err(Error::Runtime(format!(
+                            "step {i} accumulates into step {t}, itself an accumulate step"
+                        )));
+                    }
+                    if kind != StepKind::Dense {
+                        return Err(Error::Runtime(
+                            "accumulate is only supported for dense chain steps".into(),
+                        ));
+                    }
+                    if tgt.out_dims != out_dims || tgt.scalar != scalar {
+                        return Err(Error::Runtime(format!(
+                            "step {i} accumulate target has mismatched shape or kind"
+                        )));
+                    }
+                    (t, tgt.key)
+                }
+            };
+            planned.push(PlannedStep {
+                kind,
+                scalar,
+                plan,
+                spec_hash,
+                a_dims,
+                b_dims,
+                out_dims,
+                m,
+                k,
+                n,
+                flops,
+                words_c,
+                base,
+                key,
+            });
+        }
+        Ok(planned)
+    }
+
+    /// The cluster leg of [`Executor::chain`]: place each step, move
+    /// misplaced resident inputs (redistribute supersteps), and ship the
+    /// fused chain superstep(s). Returns the home rank per step.
+    fn chain_over_cluster(
+        &self,
+        cl: &mut Cluster,
+        steps: &[ChainStep],
+        planned: &[PlannedStep],
+    ) -> Result<Vec<usize>> {
+        let p = cl.ranks();
+        let mut placement = Placement::new(p);
+        let anchor = {
+            let mut cur = self.chain_cursor.lock();
+            let a = *cur % p.max(1);
+            *cur = cur.wrapping_add(1);
+            a
+        };
+        let mut homes: Vec<usize> = vec![0; steps.len()];
+        let mut pending: Vec<(usize, Request)> = Vec::new();
+        for (i, (st, pl)) in steps.iter().zip(planned).enumerate() {
+            let rank = if pl.base != i {
+                homes[pl.base]
+            } else {
+                let mut weighted: Vec<(usize, u64)> = Vec::new();
+                {
+                    let res = self.residency.lock();
+                    for src in [&st.a, &st.b] {
+                        collect_weights(src, pl, &res, &homes, planned, &mut weighted);
+                    }
+                }
+                placement.place_weighted(weighted, Some(anchor))
+            };
+            homes[i] = rank;
+            let a_field =
+                self.wire_input(cl, rank, &st.a, pl, &mut homes, planned, &mut pending)?;
+            let b_field =
+                self.wire_input(cl, rank, &st.b, pl, &mut homes, planned, &mut pending)?;
+            let req = match pl.kind {
+                StepKind::Dense => Request::Contract {
+                    spec: st.spec.to_string(),
+                    a_dims: pl.a_dims.clone(),
+                    a: a_field.dense()?,
+                    b_dims: pl.b_dims.clone(),
+                    b: b_field.dense()?,
+                    out: Out::Store {
+                        key: pl.key,
+                        acc: pl.base != i,
+                    },
+                },
+                StepKind::Sd => Request::ChainSd {
+                    a: a_field.coords()?,
+                    m: pl.m,
+                    n: pl.n,
+                    b_dims: pl.b_dims.clone(),
+                    perm_b: kernels::operand_perms(&pl.plan).1,
+                    b: b_field.dense()?,
+                    nat_dims: kernels::natural_dims(&pl.plan, &pl.a_dims, &pl.b_dims),
+                    out_perm: pl.plan.output_permutation().to_vec(),
+                    store: pl.key,
+                },
+            };
+            pending.push((rank, req));
+        }
+        if !pending.is_empty() {
+            cl.call_all(pending)?;
+        }
+        Ok(homes)
+    }
+
+    /// Resolve one chain-step operand to its wire form on `rank`,
+    /// uploading missing resident operands and moving misplaced resident
+    /// results (the explicit redistribute superstep).
+    #[allow(clippy::too_many_arguments)]
+    fn wire_input(
+        &self,
+        cl: &mut Cluster,
+        rank: usize,
+        src: &ChainSrc,
+        pl: &PlannedStep,
+        homes: &mut [usize],
+        planned: &[PlannedStep],
+        pending: &mut Vec<(usize, Request)>,
+    ) -> Result<WireIn> {
+        Ok(match src {
+            ChainSrc::Dense(op) => {
+                WireIn::Dense(whole_op(&mut self.residency.lock(), op, rank, pending)?)
+            }
+            ChainSrc::DenseC(op) => {
+                WireIn::Dense(whole_op(&mut self.residency.lock(), op, rank, pending)?)
+            }
+            ChainSrc::Sparse(op) => {
+                let at = op.tensor()?;
+                match op.handle() {
+                    None => {
+                        let coords = kernels::sparse_coords(
+                            at,
+                            pl.plan.free_a_positions(),
+                            pl.plan.ctr_a_positions(),
+                        );
+                        let (rows, cols, vals) = split_coords(coords);
+                        WireIn::Coords(OpCoords::Inline { rows, cols, vals })
+                    }
+                    Some(h) => {
+                        let wkey = sd_whole_key(h, &pl.plan, pl.n);
+                        if self.residency.lock().add_home(h.key(), wkey, rank) {
+                            let coords = kernels::sparse_coords(
+                                at,
+                                pl.plan.free_a_positions(),
+                                pl.plan.ctr_a_positions(),
+                            );
+                            let (rows, cols, vals) = split_coords(coords);
+                            pending.push((
+                                rank,
+                                Request::UploadCoords {
+                                    key: wkey,
+                                    rows,
+                                    cols,
+                                    vals,
+                                },
+                            ));
+                        }
+                        WireIn::Coords(OpCoords::Key(wkey))
+                    }
+                }
+            }
+            ChainSrc::Prev(j) => {
+                let key = planned[*j].key;
+                if homes[*j] != rank {
+                    self.chain_move(cl, key, homes[*j], rank, pending)?;
+                    homes[*j] = rank;
+                }
+                WireIn::Dense(Op::Key(key))
+            }
+            ChainSrc::Res(h) => {
+                let info = self.residency.lock().result(h.key).ok_or_else(|| {
+                    Error::Runtime(format!("unknown or already-consumed result {h:?}"))
+                })?;
+                if info.home != rank {
+                    self.chain_move(cl, h.key, info.home, rank, pending)?;
+                    self.residency.lock().move_result(h.key, rank);
+                }
+                WireIn::Dense(Op::Key(h.key))
+            }
+        })
+    }
+
+    /// Move a resident result from `from` to `to`: flush any pending
+    /// superstep (whose tasks could produce or reference the buffer —
+    /// conservative, but moves are rare on anchored chains), download the
+    /// buffer off its old home, and re-upload on the new one.
+    /// This is the explicit redistribute superstep of the chain protocol
+    /// — metered, never α–β-charged.
+    fn chain_move(
+        &self,
+        cl: &mut Cluster,
+        key: u64,
+        from: usize,
+        to: usize,
+        pending: &mut Vec<(usize, Request)>,
+    ) -> Result<()> {
+        if !pending.is_empty() {
+            cl.call_all(std::mem::take(pending))?;
+        }
+        let data = expect_buf(cl.call(from, &Request::Download { key })?)?;
+        pending.push((to, Request::Upload { key, data }));
+        Ok(())
+    }
+
+    /// The in-process leg of [`Executor::chain`]: run every step locally
+    /// with the exact same kernels as the value paths, accumulating
+    /// partials in submission order.
+    fn chain_local(
+        &self,
+        steps: &[ChainStep],
+        planned: &[PlannedStep],
+        outs: &mut [Option<DenseAny>],
+    ) -> Result<()> {
+        let mismatch = || Error::Runtime("chain step operand kind mismatch".into());
+        for (i, (st, pl)) in steps.iter().zip(planned).enumerate() {
+            let partial = match pl.kind {
+                StepKind::Dense => match (resolve_local(&st.a, outs)?, resolve_local(&st.b, outs)?)
+                {
+                    (LocalRef::F64(ta), LocalRef::F64(tb)) => DenseAny::F64(Arc::new(
+                        kernels::dense_contract(&pl.plan, ta, tb, self.pool())?,
+                    )),
+                    (LocalRef::C64(ta), LocalRef::C64(tb)) => DenseAny::C64(Arc::new(
+                        kernels::dense_contract(&pl.plan, ta, tb, self.pool())?,
+                    )),
+                    _ => return Err(mismatch()),
+                },
+                StepKind::Sd => {
+                    let ChainSrc::Sparse(op) = &st.a else {
+                        unreachable!("validated by plan_chain");
+                    };
+                    let LocalRef::F64(tb) = resolve_local(&st.b, outs)? else {
+                        return Err(mismatch());
+                    };
+                    let (c, _flops) = kernels::sd_contract(
+                        &pl.plan,
+                        op.tensor()?,
+                        tb,
+                        self.pool(),
+                        kernels::SPARSE_PAR_MIN_FLOPS,
+                    )?;
+                    DenseAny::F64(Arc::new(c))
+                }
+            };
+            if pl.base == i {
+                outs[i] = Some(partial);
+            } else {
+                outs[pl.base]
+                    .as_mut()
+                    .ok_or_else(|| Error::Runtime("accumulate target missing".into()))?
+                    .accumulate(&partial)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The α–β charge state of one chain-step operand: value operands
+    /// charge in full, resident operands follow the one-time-upload /
+    /// cache-hit discipline (whole-tensor buffers — chains run whole
+    /// contractions), and resident results are always hits (they were
+    /// produced in place and never move on the charged path).
+    fn chain_charge(&self, src: &ChainSrc, pl: &PlannedStep, is_a: bool) -> Result<OpCharge> {
+        let elems = if is_a { pl.m * pl.k } else { pl.k * pl.n };
+        Ok(match src {
+            ChainSrc::Dense(_) | ChainSrc::DenseC(_) => self.op_state(
+                src.handle(),
+                whole_key,
+                words_per_element(pl.scalar) * elems,
+            ),
+            ChainSrc::Sparse(op) => self.op_state(
+                src.handle(),
+                |h| {
+                    derive(&[
+                        h.key(),
+                        TAG_SD_A,
+                        hseq(pl.plan.free_a_positions()),
+                        hseq(pl.plan.ctr_a_positions()),
+                        pl.n as u64,
+                    ])
+                },
+                2 * op.tensor()?.nnz(),
+            ),
+            ChainSrc::Prev(_) | ChainSrc::Res(_) => OpCharge::Hit,
+        })
+    }
+
+    /// Download a resident `f64` result — with
+    /// [`Executor::download_many`], the only value-returning exit of a
+    /// chain. Consumes the handle: the buffer leaves its home rank's
+    /// store and the driver forgets it.
+    pub fn download(&self, h: ResultHandle) -> Result<DenseTensor<f64>> {
+        Ok(self
+            .download_many(vec![h])?
+            .pop()
+            .expect("one handle in, one tensor out"))
+    }
+
+    /// Download many resident results of element type `T` in one
+    /// superstep (consuming the handles).
+    #[allow(private_bounds)]
+    pub fn download_many<T: WireScalar>(
+        &self,
+        hs: Vec<ResultHandle>,
+    ) -> Result<Vec<DenseTensor<T>>> {
+        if let Some(h) = hs.iter().find(|h| h.kind != T::KIND) {
+            return Err(Error::Runtime(format!("{:?} download of {h:?}", T::KIND)));
+        }
+        if let Some(cl) = &self.cluster {
+            let reqs = {
+                let res = self.residency.lock();
+                hs.iter()
+                    .map(|h| {
+                        let info = res.result(h.key).ok_or_else(|| {
+                            Error::Runtime(format!("unknown or already-consumed result {h:?}"))
+                        })?;
+                        Ok((info.home, Request::Download { key: h.key }))
+                    })
+                    .collect::<Result<Vec<_>>>()?
+            };
+            let replies = cl.lock().call_all(reqs)?;
+            let mut res = self.residency.lock();
+            let mut out = Vec::with_capacity(hs.len());
+            for (h, reply) in hs.iter().zip(replies) {
+                res.forget_result(h.key);
+                let data = T::unwrap(expect_buf(reply)?)?;
+                out.push(DenseTensor::from_vec(h.dims.clone(), data)?);
+            }
+            Ok(out)
+        } else {
+            let mut res = self.residency.lock();
+            hs.into_iter()
+                .map(|mut h| {
+                    res.forget_result(h.key);
+                    let local = h.local.take();
+                    let t = local.as_ref().and_then(T::peek).cloned().ok_or_else(|| {
+                        Error::Runtime("result handle has no in-process payload".into())
+                    })?;
+                    // the handle's own reference goes first, so a result
+                    // nobody else holds moves out without a copy
+                    drop(local);
+                    Ok(Arc::try_unwrap(t).unwrap_or_else(|a| (*a).clone()))
+                })
+                .collect()
+        }
+    }
+
+    /// The provenance key of a resident result — a hash of the producing
+    /// step (spec + input keys), recorded in the driver's residency book.
+    /// `None` once the result has been downloaded or freed.
+    pub fn result_provenance(&self, h: &ResultHandle) -> Option<u64> {
+        self.residency.lock().result(h.key).map(|i| i.produced_by)
+    }
+
+    /// Discard a resident result without downloading it.
+    pub fn free_result(&self, h: ResultHandle) -> Result<()> {
+        self.free_results(vec![h])
+    }
+
+    /// Discard many resident results in one superstep.
+    pub fn free_results(&self, hs: Vec<ResultHandle>) -> Result<()> {
+        let reqs = {
+            let mut res = self.residency.lock();
+            let mut reqs = Vec::new();
+            for h in &hs {
+                if let Some(info) = res.forget_result(h.key) {
+                    reqs.push((info.home, Request::Free { key: h.key }));
+                }
+            }
+            reqs
+        };
+        if let (Some(cl), false) = (&self.cluster, reqs.is_empty()) {
+            cl.lock().call_all(reqs)?;
+        }
+        Ok(())
+    }
+
+    /// A fresh driver-issued key for a resident contraction result.
+    fn fresh_result_key(&self) -> u64 {
+        let mut k = self.next_result.lock();
+        let key = *k;
+        *k += 1;
+        key
+    }
+}
+
+/// Hash an einsum spec into one derivation component (for provenance).
+fn hash_spec(s: &str) -> u64 {
+    s.bytes().fold(Fnv::new(), |f, b| f.u8(b)).finish()
+}
+
+/// Worker key of a sparse operand's whole-coordinate buffer (the
+/// single-bucket form chain steps consume): the standard sd derivation
+/// with a chunk count of 1.
+fn sd_whole_key(h: &OpHandle, plan: &ContractPlan, n: usize) -> u64 {
+    derive(&[
+        h.key(),
+        TAG_SD_A,
+        hseq(plan.free_a_positions()),
+        hseq(plan.ctr_a_positions()),
+        n as u64,
+        1,
+        0,
+    ])
+}
+
+impl ChainSrc<'_> {
+    /// The operand handle behind a by-handle operand.
+    fn handle(&self) -> Option<&OpHandle> {
+        match self {
+            ChainSrc::Dense(op) => op.handle(),
+            ChainSrc::DenseC(op) => op.handle(),
+            ChainSrc::Sparse(op) => op.handle(),
+            ChainSrc::Prev(_) | ChainSrc::Res(_) => None,
+        }
+    }
+}
+
+/// Dims and kind of a chain-step operand at planning time.
+fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, SrcKind)> {
+    Ok(match src {
+        ChainSrc::Dense(op) => (
+            op.tensor()?.dims().to_vec(),
+            SrcKind::Dense(ResultKind::F64),
+        ),
+        ChainSrc::DenseC(op) => (
+            op.tensor()?.dims().to_vec(),
+            SrcKind::Dense(ResultKind::C64),
+        ),
+        ChainSrc::Sparse(op) => (op.tensor()?.dims().to_vec(), SrcKind::Sparse),
+        ChainSrc::Prev(j) => {
+            let pl = planned
+                .get(*j)
+                .ok_or_else(|| Error::Runtime(format!("chain step references future step {j}")))?;
+            if pl.base != *j {
+                return Err(Error::Runtime(format!(
+                    "chain step references accumulate step {j}; reference its base instead"
+                )));
+            }
+            (pl.out_dims.clone(), SrcKind::Dense(pl.scalar))
+        }
+        ChainSrc::Res(h) => (h.dims.clone(), SrcKind::Dense(h.kind)),
+    })
+}
+
+/// Provenance component of a chain-step operand (content key, result key,
+/// or a constant for inline values).
+fn src_provenance(src: &ChainSrc, planned: &[PlannedStep]) -> u64 {
+    match src {
+        ChainSrc::Prev(j) => planned[*j].key,
+        ChainSrc::Res(h) => h.key,
+        _ => src.handle().map(OpHandle::key).unwrap_or(1),
+    }
+}
+
+/// Gather `(rank, words)` weights of one operand's resident copies for
+/// chain-step placement.
+fn collect_weights(
+    src: &ChainSrc,
+    pl: &PlannedStep,
+    res: &Residency,
+    homes: &[usize],
+    planned: &[PlannedStep],
+    weighted: &mut Vec<(usize, u64)>,
+) {
+    match src {
+        ChainSrc::Prev(j) => weighted.push((homes[*j], planned[*j].words_c as u64)),
+        ChainSrc::Res(h) => {
+            if let Some(info) = res.result(h.key) {
+                weighted.push((info.home, info.words as u64));
+            }
+        }
+        _ => {
+            let Some(h) = src.handle() else { return };
+            let wkey = match src {
+                ChainSrc::Sparse(_) => sd_whole_key(h, &pl.plan, pl.n),
+                _ => whole_key(h),
+            };
+            if let Some(ranks) = res.homes(wkey) {
+                weighted.extend(ranks.iter().map(|&r| (r, h.words() as u64)));
+            }
+        }
+    }
+}
+
+/// A borrowed in-process dense operand, tagged like [`DenseAny`].
+enum LocalRef<'x> {
+    F64(&'x DenseTensor<f64>),
+    C64(&'x DenseTensor<Complex64>),
+}
+
+/// Resolve a dense chain-step operand to its local tensor (in-process
+/// execution).
+fn resolve_local<'x>(src: &'x ChainSrc<'x>, outs: &'x [Option<DenseAny>]) -> Result<LocalRef<'x>> {
+    let resident = match src {
+        ChainSrc::Dense(op) => return Ok(LocalRef::F64(op.tensor()?)),
+        ChainSrc::DenseC(op) => return Ok(LocalRef::C64(op.tensor()?)),
+        ChainSrc::Sparse(_) => None,
+        ChainSrc::Prev(j) => outs[*j].as_ref(),
+        ChainSrc::Res(h) => h.local.as_ref(),
+    };
+    match resident {
+        Some(DenseAny::F64(t)) => Ok(LocalRef::F64(t)),
+        Some(DenseAny::C64(t)) => Ok(LocalRef::C64(t)),
+        None => Err(Error::Runtime(
+            "chain step operand has no in-process dense payload".into(),
+        )),
+    }
+}

@@ -1,0 +1,495 @@
+//! The execution front-end: every distributed-capable operation in the
+//! workspace goes through an [`Executor`].
+//!
+//! Numerics are exact (the executor computes locally with deterministic
+//! kernels); the *cost* of running the operation on `p` ranks of the
+//! configured [`Machine`] is charged to the shared [`CostTracker`]: a
+//! 2-D-grid panel-broadcast volume per contraction, TTGT packing traffic, roofline
+//! compute time, tile-imbalance idle time and per-operation supersteps.
+//!
+//! # Resident operands
+//!
+//! The hot entry points accept operands either **by value** (a tensor
+//! reference — shipped with every task on the multi-process backend) or
+//! **by handle** ([`OpHandle`], created with [`Executor::upload`] /
+//! [`Executor::upload_sparse`], freed with [`Executor::free`]) — the same
+//! entry point takes either, as `impl Into<`[`DenseOp`]`>` /
+//! `impl Into<`[`SparseOp`]`>`. A handle's derived buffers (permuted
+//! matrices, row slabs, coordinate buckets, grouped sparse tables) are
+//! stored on the workers on first use, so every later contraction
+//! against the same handle ships **zero operand bytes**: scatter and
+//! compute are fused into one superstep per chunk, and the chunk request
+//! carries only a store key. The α–β charges follow the same discipline —
+//! a one-time upload charge on first use (miss), no β charge on a hit —
+//! and are computed from driver-side registry state only, so the charge
+//! sequence is bitwise-identical on every backend. On [`Backend::InProcess`]
+//! handles are plain `Arc`s around the tensor and the numerics take the
+//! exact same kernel path as the value-passing API.
+//!
+//! Layout: this file holds the [`Executor`] itself and the operand types;
+//! `residency` the upload/free lifecycle, the retention cache and the α–β
+//! charges; `dense`, `sparse` and `factorize` the value-returning entry
+//! points; `chain` the planner of worker-side chains and the result
+//! handles' exits.
+
+mod chain;
+mod dense;
+mod factorize;
+mod residency;
+mod sparse;
+#[cfg(test)]
+mod tests;
+
+pub use chain::{ChainSrc, ChainStep};
+pub use residency::RankCacheStats;
+
+use crate::cluster::Cluster;
+use crate::comm::Comm;
+use crate::cost::{CostTracker, SimTime};
+use crate::handle::{DenseAny, OpHandle, Residency, ResultKind};
+use crate::machine::Machine;
+use crate::pool::ThreadPool;
+use crate::transport::worker::{Buf, Reply};
+use crate::transport::SpawnSpec;
+use crate::{Error, Result};
+use parking_lot::Mutex;
+use residency::Retention;
+use std::sync::Arc;
+use tt_tensor::{Complex64, DenseTensor, Scalar, SparseTensor};
+
+/// How the executor runs its local kernels.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ExecMode {
+    /// Single-threaded reference execution.
+    Sequential,
+    /// Kernels row-chunked across a worker pool; results are
+    /// bitwise-identical to [`ExecMode::Sequential`].
+    Threaded,
+}
+
+/// Which execution substrate an [`Executor`] runs on.
+#[derive(Clone, Debug)]
+pub enum Backend {
+    /// The simulated single-address-space runtime (the seed behavior):
+    /// exact local kernels, optionally thread-pool parallel, with
+    /// communication only *charged*, never performed.
+    InProcess(ExecMode),
+    /// The shared-nothing runtime: `workers` real OS processes execute
+    /// the kernel chunks and the driver moves operand/result payloads
+    /// over the socket transport. Results are bitwise-identical to
+    /// [`Backend::InProcess`] with [`ExecMode::Sequential`].
+    MultiProcess {
+        /// Number of worker processes to spawn.
+        workers: usize,
+        /// How to launch them.
+        spawn: SpawnSpec,
+    },
+}
+
+/// A dense operand of scalar type `T`: by value or by resident handle.
+/// [`DenseOp`] and [`DenseOpC`] are the `f64` / [`Complex64`] instances —
+/// every dense executor path is generic over the element type, which is
+/// what lets one cluster driver serve both.
+pub enum DenseOpT<'a, T: Scalar> {
+    /// Shipped with every task.
+    Value(&'a DenseTensor<T>),
+    /// Resident on the runtime after first use.
+    Handle(&'a OpHandle),
+}
+
+/// A dense `f64` operand: by value or by resident handle.
+pub type DenseOp<'a> = DenseOpT<'a, f64>;
+/// A dense [`Complex64`] operand: by value or by resident handle.
+pub type DenseOpC<'a> = DenseOpT<'a, Complex64>;
+
+impl<T: Scalar> Copy for DenseOpT<'_, T> {}
+impl<T: Scalar> Clone for DenseOpT<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<'a, T: Scalar> From<&'a DenseTensor<T>> for DenseOpT<'a, T> {
+    fn from(t: &'a DenseTensor<T>) -> Self {
+        DenseOpT::Value(t)
+    }
+}
+
+impl<'a, T: Scalar> From<&'a OpHandle> for DenseOpT<'a, T> {
+    fn from(h: &'a OpHandle) -> Self {
+        DenseOpT::Handle(h)
+    }
+}
+
+// the WireScalar bound is an internal wiring detail of the public operand
+// type — the trait itself is not part of the API surface
+#[allow(private_bounds)]
+impl<'a, T: WireScalar> DenseOpT<'a, T> {
+    pub(crate) fn tensor(&self) -> Result<&'a DenseTensor<T>> {
+        match self {
+            DenseOpT::Value(t) => Ok(t),
+            DenseOpT::Handle(h) => h.dense(),
+        }
+    }
+
+    pub(crate) fn handle(&self) -> Option<&'a OpHandle> {
+        match self {
+            DenseOpT::Value(_) => None,
+            DenseOpT::Handle(h) => Some(h),
+        }
+    }
+}
+
+/// A sparse `f64` operand: by value or by resident handle.
+#[derive(Clone, Copy)]
+pub enum SparseOp<'a> {
+    /// Shipped with every task.
+    Value(&'a SparseTensor<f64>),
+    /// Resident on the runtime after first use.
+    Handle(&'a OpHandle),
+}
+
+impl<'a> From<&'a SparseTensor<f64>> for SparseOp<'a> {
+    fn from(t: &'a SparseTensor<f64>) -> Self {
+        SparseOp::Value(t)
+    }
+}
+
+impl<'a> From<&'a OpHandle> for SparseOp<'a> {
+    fn from(h: &'a OpHandle) -> Self {
+        SparseOp::Handle(h)
+    }
+}
+
+impl<'a> SparseOp<'a> {
+    fn tensor(&self) -> Result<&'a SparseTensor<f64>> {
+        match self {
+            SparseOp::Value(t) => Ok(t),
+            SparseOp::Handle(h) => h.sparse(),
+        }
+    }
+
+    fn handle(&self) -> Option<&'a OpHandle> {
+        match self {
+            SparseOp::Value(_) => None,
+            SparseOp::Handle(h) => Some(h),
+        }
+    }
+}
+
+/// What the dense data plane needs to know about an element type: how to
+/// tag a buffer or tensor of it, and how to recognize one. The two
+/// implementations (for `f64` and [`Complex64`]) are the *only*
+/// scalar-specific code — everything else is one generic driver
+/// (mirroring `kernels::dense_contract<T>`).
+pub(crate) trait WireScalar: Scalar {
+    /// Stored `f64` words per element (1 for `f64`, 2 for [`Complex64`]).
+    const WORDS: usize;
+    /// The tag itself.
+    const KIND: ResultKind;
+    /// Derived-buffer purpose tag for slab-partitioned permuted `A`.
+    const TAG_A: u64;
+    /// Derived-buffer purpose tag for the replicated permuted `B` matrix.
+    const TAG_B: u64;
+    fn wrap(data: Vec<Self>) -> Buf;
+    fn unwrap(buf: Buf) -> Result<Vec<Self>>;
+    fn wrap_tensor(t: Arc<DenseTensor<Self>>) -> DenseAny;
+    fn peek(t: &DenseAny) -> Option<&Arc<DenseTensor<Self>>>;
+}
+
+impl WireScalar for f64 {
+    const WORDS: usize = 1;
+    const KIND: ResultKind = ResultKind::F64;
+    const TAG_A: u64 = TAG_DENSE_A;
+    const TAG_B: u64 = TAG_MAT_B;
+
+    fn wrap(data: Vec<Self>) -> Buf {
+        Buf::F64(data)
+    }
+
+    fn unwrap(buf: Buf) -> Result<Vec<Self>> {
+        buf.into_f64()
+    }
+
+    fn wrap_tensor(t: Arc<DenseTensor<Self>>) -> DenseAny {
+        DenseAny::F64(t)
+    }
+
+    fn peek(t: &DenseAny) -> Option<&Arc<DenseTensor<Self>>> {
+        match t {
+            DenseAny::F64(t) => Some(t),
+            DenseAny::C64(_) => None,
+        }
+    }
+}
+
+impl WireScalar for Complex64 {
+    const WORDS: usize = 2;
+    const KIND: ResultKind = ResultKind::C64;
+    const TAG_A: u64 = TAG_C64_A;
+    const TAG_B: u64 = TAG_C64_B;
+
+    fn wrap(data: Vec<Self>) -> Buf {
+        Buf::C64(data)
+    }
+
+    fn unwrap(buf: Buf) -> Result<Vec<Self>> {
+        buf.into_c64()
+    }
+
+    fn wrap_tensor(t: Arc<DenseTensor<Self>>) -> DenseAny {
+        DenseAny::C64(t)
+    }
+
+    fn peek(t: &DenseAny) -> Option<&Arc<DenseTensor<Self>>> {
+        match t {
+            DenseAny::C64(t) => Some(t),
+            DenseAny::F64(_) => None,
+        }
+    }
+}
+
+// Derived-buffer purpose tags (mixed into worker/logical keys).
+const TAG_DENSE_A: u64 = 0xA1; // slab-partitioned permuted f64 A
+const TAG_MAT_B: u64 = 0xB1; // replicated permuted f64 matrix
+const TAG_C64_A: u64 = 0xA2; // slab-partitioned permuted Complex64 A
+const TAG_C64_B: u64 = 0xB2; // replicated permuted Complex64 matrix
+const TAG_SD_A: u64 = 0x5D; // volume-bucketed sparse-dense coords
+const TAG_SS_A: u64 = 0x55; // row-bucketed sparse-sparse coords
+const TAG_SS_B: u64 = 0x56; // grouped sparse-sparse B table
+const TAG_WHOLE: u64 = 0xF0; // whole tensor (pairs, SVD/QR inputs)
+
+/// The distributed executor.
+pub struct Executor {
+    machine: Machine,
+    nodes: usize,
+    ranks: usize,
+    mode: ExecMode,
+    backend: Backend,
+    tracker: Arc<Mutex<CostTracker>>,
+    pool: Option<Arc<ThreadPool>>,
+    cluster: Option<Mutex<Cluster>>,
+    residency: Mutex<Residency>,
+    /// Allocator for driver-issued result keys (chain outputs).
+    next_result: Mutex<u64>,
+    /// Round-robin anchor cursor for chains with no resident inputs —
+    /// advanced once per [`Executor::chain`] call, so one chain's
+    /// unanchored steps stay together on one rank.
+    chain_cursor: Mutex<usize>,
+    /// Cross-job retention cache (see [`Executor::set_retention_cap`]).
+    retention: Mutex<Retention>,
+}
+
+/// Transport options of the multi-process backend; nothing to set on a
+/// platform it cannot run on.
+#[cfg(unix)]
+type ProcOpts = crate::ProcOptions;
+#[cfg(not(unix))]
+type ProcOpts = ();
+
+impl Executor {
+    /// Serial baseline: one rank of the free-communication local machine.
+    pub fn local() -> Self {
+        Self::with_machine(Machine::local(), 1, ExecMode::Sequential)
+    }
+
+    /// Executor over `nodes` nodes of `machine` (total ranks =
+    /// `nodes × machine.procs_per_node`) in the given in-process mode.
+    pub fn with_machine(machine: Machine, nodes: usize, mode: ExecMode) -> Self {
+        Self::with_backend(machine, nodes, Backend::InProcess(mode))
+            .expect("in-process backend construction is infallible")
+    }
+
+    /// Executor over `nodes` simulated nodes of `machine`, running on the
+    /// given [`Backend`]. Spawning the multi-process backend can fail
+    /// (worker binary missing, socket errors); its deadline and fault plan
+    /// come from the environment (`ProcOptions::default()`).
+    pub fn with_backend(machine: Machine, nodes: usize, backend: Backend) -> Result<Self> {
+        Self::build(machine, nodes, backend, ProcOpts::default())
+    }
+
+    /// Convenience: executor over the multi-process shared-nothing
+    /// backend with `workers` real worker processes.
+    pub fn multi_process(
+        machine: Machine,
+        nodes: usize,
+        workers: usize,
+        spawn: SpawnSpec,
+    ) -> Result<Self> {
+        Self::with_backend(machine, nodes, Backend::MultiProcess { workers, spawn })
+    }
+
+    /// Multi-process executor with explicit [`ProcOptions`] — detection
+    /// deadline, respawn budget and the [`FaultPlan`] injection layer
+    /// (both types re-exported at the crate root).
+    ///
+    /// [`ProcOptions`]: crate::ProcOptions
+    /// [`FaultPlan`]: crate::FaultPlan
+    #[cfg(unix)]
+    pub fn multi_process_opts(
+        machine: Machine,
+        nodes: usize,
+        workers: usize,
+        spawn: SpawnSpec,
+        opts: crate::ProcOptions,
+    ) -> Result<Self> {
+        Self::build(
+            machine,
+            nodes,
+            Backend::MultiProcess { workers, spawn },
+            opts,
+        )
+    }
+
+    /// The one constructor; `opts` only matters to [`Backend::MultiProcess`].
+    fn build(machine: Machine, nodes: usize, backend: Backend, opts: ProcOpts) -> Result<Self> {
+        let nodes = nodes.max(1);
+        let ranks = nodes * machine.procs_per_node.max(1);
+        let tracker = Arc::new(Mutex::new(CostTracker::new(machine.clone(), ranks)));
+        let (mode, pool, cluster) = match &backend {
+            Backend::InProcess(ExecMode::Sequential) => (ExecMode::Sequential, None, None),
+            Backend::InProcess(ExecMode::Threaded) => (
+                ExecMode::Threaded,
+                Some(Arc::new(ThreadPool::default_size())),
+                None,
+            ),
+            #[cfg(unix)]
+            Backend::MultiProcess { workers, spawn } => {
+                let mut cl = Cluster::multi_process(*workers, spawn, opts)?;
+                cl.attach_tracker(Arc::clone(&tracker));
+                (ExecMode::Sequential, None, Some(Mutex::new(cl)))
+            }
+            #[cfg(not(unix))]
+            Backend::MultiProcess { .. } => {
+                let () = opts;
+                return Err(Error::Runtime(
+                    "the multi-process backend requires a unix platform".into(),
+                ));
+            }
+        };
+        Ok(Self {
+            machine,
+            nodes,
+            ranks,
+            mode,
+            backend,
+            tracker,
+            pool,
+            cluster,
+            residency: Mutex::new(Residency::default()),
+            next_result: Mutex::new(1 << 48),
+            chain_cursor: Mutex::new(0),
+            retention: Mutex::new(Retention::default()),
+        })
+    }
+
+    /// The machine model being simulated.
+    pub fn machine(&self) -> &Machine {
+        &self.machine
+    }
+
+    /// Simulated node count.
+    pub fn nodes(&self) -> usize {
+        self.nodes
+    }
+
+    /// Total simulated ranks.
+    pub fn ranks(&self) -> usize {
+        self.ranks
+    }
+
+    /// Execution mode.
+    pub fn mode(&self) -> ExecMode {
+        self.mode
+    }
+
+    /// The backend this executor runs on.
+    pub fn backend(&self) -> &Backend {
+        &self.backend
+    }
+
+    /// Run `f` with the multi-process cluster handle, when this executor
+    /// has one ([`crate::tsqr_on`] factors its slabs over the same worker
+    /// set).
+    pub(crate) fn with_cluster<R>(&self, f: impl FnOnce(&mut Cluster) -> R) -> Option<R> {
+        self.cluster.as_ref().map(|cl| f(&mut cl.lock()))
+    }
+
+    /// The driver-side residency registry (for sibling modules that
+    /// manage resident buffers through the same lifecycle).
+    pub(crate) fn residency(&self) -> &Mutex<Residency> {
+        &self.residency
+    }
+
+    /// The shared cost tracker.
+    pub fn tracker(&self) -> &Arc<Mutex<CostTracker>> {
+        &self.tracker
+    }
+
+    /// A communicator over this executor's ranks charging into its tracker.
+    pub fn comm(&self) -> Comm {
+        Comm::new(self.ranks, Arc::clone(&self.tracker))
+    }
+
+    /// Flops executed through this executor since the last reset.
+    pub fn total_flops(&self) -> u64 {
+        self.tracker.lock().flops
+    }
+
+    /// BSP supersteps on the critical path since the last reset.
+    pub fn supersteps(&self) -> u64 {
+        self.tracker.lock().supersteps
+    }
+
+    /// Simulated time breakdown since the last reset.
+    pub fn sim_time(&self) -> SimTime {
+        self.tracker.lock().sim
+    }
+
+    /// Operand bytes the driver actually shipped to workers since the
+    /// last reset (multi-process data plane; zero in-process).
+    pub fn operand_bytes(&self) -> u64 {
+        self.tracker.lock().bytes_operands
+    }
+
+    /// Result bytes workers actually returned since the last reset.
+    pub fn result_bytes(&self) -> u64 {
+        self.tracker.lock().bytes_results
+    }
+
+    /// Per-rank size of the driver-side recovery journal (multi-process
+    /// backend; empty in-process): what a respawned rank would be replayed.
+    /// With no live result handle it is the retained uploads and nothing
+    /// else, however many jobs this executor has served.
+    pub fn journal_stats(&self) -> Vec<crate::JournalStats> {
+        self.with_cluster(|cl| cl.journal_stats())
+            .unwrap_or_default()
+    }
+
+    /// Bytes moved only because of fault recovery (journal replay and
+    /// re-issued in-flight requests) since the last reset. Zero on a
+    /// fault-free run; `operand_bytes`/`result_bytes` stay equal to the
+    /// fault-free run regardless.
+    pub fn recovery_bytes(&self) -> u64 {
+        self.tracker.lock().bytes_recovery
+    }
+
+    /// Zero all cost counters.
+    pub fn reset_costs(&self) {
+        self.tracker.lock().reset();
+    }
+
+    fn pool(&self) -> Option<&ThreadPool> {
+        self.pool.as_deref()
+    }
+}
+
+/// Unwrap a dense-buffer reply.
+fn expect_buf(reply: Reply) -> Result<Buf> {
+    match reply {
+        Reply::Buf(buf) => Ok(buf),
+        other => Err(Error::transport(format!(
+            "expected a dense buffer, got {other:?}"
+        ))),
+    }
+}

@@ -1,0 +1,927 @@
+use super::factorize::tall_panel;
+use super::*;
+use crate::handle::ResultHandle;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use tt_linalg::TruncSpec;
+
+/// One contraction whose result stays resident: a one-step chain.
+fn to_handle(exec: &Executor, spec: &str, a: ChainSrc, b: ChainSrc) -> ResultHandle {
+    let step = ChainStep {
+        spec,
+        a,
+        b,
+        acc: None,
+    };
+    let mut out = exec.chain(&[step]).unwrap();
+    out.pop().flatten().expect("single non-accumulate step")
+}
+
+/// A batch of operands, all by value or all by handle.
+fn ops<'a, X>(xs: &'a [X]) -> Vec<DenseOp<'a>>
+where
+    &'a X: Into<DenseOp<'a>>,
+{
+    xs.iter().map(Into::into).collect()
+}
+
+fn operands(seed: u64) -> (DenseTensor<f64>, DenseTensor<f64>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (
+        DenseTensor::<f64>::random([24, 6, 30], &mut rng),
+        DenseTensor::<f64>::random([30, 6, 18], &mut rng),
+    )
+}
+
+#[test]
+fn threaded_bitwise_equals_sequential() {
+    let (a, b) = operands(41);
+    let seq = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
+    let thr = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Threaded);
+    let cs = seq.contract("isj,jtk->istk", &a, &b).unwrap();
+    let ct = thr.contract("isj,jtk->istk", &a, &b).unwrap();
+    assert_eq!(
+        cs.data(),
+        ct.data(),
+        "dense contraction must be bitwise equal"
+    );
+
+    let sa = SparseTensor::from_dense(&a, 0.5);
+    let sb = SparseTensor::from_dense(&b, 0.5);
+    let ds = seq.contract_sd("isj,jtk->istk", &sa, &b).unwrap();
+    let dt = thr.contract_sd("isj,jtk->istk", &sa, &b).unwrap();
+    assert_eq!(ds.data(), dt.data(), "sparse-dense must be bitwise equal");
+
+    let ss = seq.contract_ss("isj,jtk->istk", &sa, &sb, None).unwrap();
+    let st = thr.contract_ss("isj,jtk->istk", &sa, &sb, None).unwrap();
+    assert_eq!(
+        ss.to_dense().data(),
+        st.to_dense().data(),
+        "sparse-sparse must be bitwise equal"
+    );
+}
+
+#[test]
+fn local_matches_plan_execute_exactly() {
+    let (a, b) = operands(42);
+    let exec = Executor::local();
+    let c = exec.contract("isj,jtk->tkis", &a, &b).unwrap();
+    let reference = tt_tensor::einsum("isj,jtk->tkis", &a, &b).unwrap();
+    assert_eq!(c.data(), reference.data());
+}
+
+#[test]
+fn sim_time_monotone_in_ranks() {
+    let (a, b) = operands(43);
+    let mut last = f64::INFINITY;
+    for nodes in [1usize, 2, 4, 8] {
+        let exec = Executor::with_machine(Machine::blue_waters(16), nodes, ExecMode::Sequential);
+        for _ in 0..4 {
+            exec.contract("isj,jtk->istk", &a, &b).unwrap();
+        }
+        let t = exec.sim_time().total();
+        assert!(t > 0.0);
+        assert!(
+            t <= last,
+            "sim time must not grow with ranks on a compute-bound workload: {t} > {last}"
+        );
+        last = t;
+    }
+}
+
+#[test]
+fn distributed_costs_are_machine_dependent_and_nonzero() {
+    let (a, b) = operands(44);
+    let mut totals = Vec::new();
+    for machine in [Machine::blue_waters(16), Machine::stampede2(64)] {
+        let exec = Executor::with_machine(machine, 2, ExecMode::Sequential);
+        exec.contract("isj,jtk->istk", &a, &b).unwrap();
+        assert!(exec.total_flops() > 0);
+        assert!(exec.supersteps() > 0);
+        let sim = exec.sim_time();
+        assert!(sim.total() > 0.0 && sim.comm > 0.0);
+        totals.push(sim.total());
+    }
+    assert_ne!(totals[0], totals[1], "different machines, different cost");
+}
+
+#[test]
+fn local_run_has_zero_comm_and_reset_works() {
+    let (a, b) = operands(45);
+    let exec = Executor::local();
+    exec.contract("isj,jtk->istk", &a, &b).unwrap();
+    let sim = exec.sim_time();
+    assert_eq!(sim.comm, 0.0);
+    assert!(sim.gemm > 0.0);
+    assert!(exec.total_flops() > 0);
+    exec.reset_costs();
+    assert_eq!(exec.total_flops(), 0);
+    assert_eq!(exec.sim_time().total(), 0.0);
+}
+
+#[test]
+fn contract_batch_matches_singles_bitwise_and_in_cost() {
+    let mut rng = StdRng::seed_from_u64(47);
+    let pairs: Vec<(DenseTensor<f64>, DenseTensor<f64>)> = (0..6)
+        .map(|_| {
+            (
+                DenseTensor::<f64>::random([9, 4, 7], &mut rng),
+                DenseTensor::<f64>::random([7, 4, 5], &mut rng),
+            )
+        })
+        .collect();
+    let single = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
+    let reference: Vec<DenseTensor<f64>> = pairs
+        .iter()
+        .map(|(a, b)| single.contract("isj,jtk->istk", a, b).unwrap())
+        .collect();
+    let pair_refs: Vec<(DenseOp, DenseOp)> =
+        pairs.iter().map(|(a, b)| (a.into(), b.into())).collect();
+    for mode in [ExecMode::Sequential, ExecMode::Threaded] {
+        let batch = Executor::with_machine(Machine::blue_waters(2), 2, mode);
+        let out = batch.contract_batch("isj,jtk->istk", &pair_refs).unwrap();
+        for (c, r) in out.iter().zip(&reference) {
+            assert_eq!(c.data(), r.data(), "{mode:?}");
+        }
+        // identical cost accounting regardless of mode
+        assert_eq!(batch.total_flops(), single.total_flops(), "{mode:?}");
+        assert_eq!(batch.supersteps(), single.supersteps(), "{mode:?}");
+        assert_eq!(
+            batch.sim_time().total().to_bits(),
+            single.sim_time().total().to_bits(),
+            "{mode:?}: cost charging must be order-deterministic"
+        );
+    }
+}
+
+#[test]
+fn contract_batch_rejects_malformed_pairs() {
+    // an operand whose order doesn't match the spec must surface as an
+    // error, exactly like the single-pair contract() path
+    let exec = Executor::local();
+    let bad = DenseTensor::<f64>::zeros([2, 3]);
+    let ok = DenseTensor::<f64>::zeros([3, 2, 2]);
+    assert!(exec
+        .contract_batch("isj,jtk->istk", &[((&bad).into(), (&ok).into())])
+        .is_err());
+    // mismatched contracted dims too
+    let a = DenseTensor::<f64>::zeros([2, 2, 5]);
+    assert!(exec
+        .contract_batch("isj,jtk->istk", &[((&a).into(), (&ok).into())])
+        .is_err());
+}
+
+#[test]
+fn factorization_batches_match_singles() {
+    let mut rng = StdRng::seed_from_u64(48);
+    let mats: Vec<DenseTensor<f64>> = [(20usize, 8usize), (13, 13), (6, 17), (30, 4)]
+        .iter()
+        .map(|&(m, n)| DenseTensor::<f64>::random([m, n], &mut rng))
+        .collect();
+    let spec = TruncSpec {
+        max_rank: 6,
+        cutoff: 0.0,
+        min_keep: 1,
+    };
+    let single = Executor::with_machine(Machine::stampede2(4), 1, ExecMode::Sequential);
+    let svds_ref: Vec<_> = mats
+        .iter()
+        .map(|m| single.svd_trunc(m, spec).unwrap())
+        .collect();
+    let qrs_ref: Vec<_> = mats.iter().map(|m| single.qr(m).unwrap()).collect();
+    for mode in [ExecMode::Sequential, ExecMode::Threaded] {
+        let batch = Executor::with_machine(Machine::stampede2(4), 1, mode);
+        let svds = batch.svd_trunc_batch(&ops(&mats), spec).unwrap();
+        for (s, r) in svds.iter().zip(&svds_ref) {
+            assert_eq!(s.s, r.s, "{mode:?}");
+            assert_eq!(s.u.data(), r.u.data(), "{mode:?}");
+            assert_eq!(s.vt.data(), r.vt.data(), "{mode:?}");
+        }
+        let qrs = batch.qr_batch(&ops(&mats)).unwrap();
+        for ((q, rr), (q2, r2)) in qrs.iter().zip(&qrs_ref) {
+            assert_eq!(q.data(), q2.data(), "{mode:?}");
+            assert_eq!(rr.data(), r2.data(), "{mode:?}");
+        }
+        assert_eq!(batch.total_flops(), single.total_flops(), "{mode:?}");
+        assert_eq!(
+            batch.sim_time().total().to_bits(),
+            single.sim_time().total().to_bits(),
+            "{mode:?}"
+        );
+    }
+}
+
+#[test]
+fn handle_contractions_bitwise_match_value_path_in_process() {
+    let (a, b) = operands(60);
+    let sa = SparseTensor::from_dense(&a, 0.5);
+    let sb = SparseTensor::from_dense(&b, 0.5);
+    for mode in [ExecMode::Sequential, ExecMode::Threaded] {
+        let val = Executor::with_machine(Machine::blue_waters(2), 2, mode);
+        let han = Executor::with_machine(Machine::blue_waters(2), 2, mode);
+        let ha = han.upload(&a);
+        let hb = han.upload(&b);
+        let hsa = han.upload_sparse(&sa);
+        let hsb = han.upload_sparse(&sb);
+
+        let c_val = val.contract("isj,jtk->istk", &a, &b).unwrap();
+        let c_han = han.contract::<f64>("isj,jtk->istk", &ha, &hb).unwrap();
+        assert_eq!(c_val.data(), c_han.data(), "{mode:?} dense");
+
+        let d_val = val.contract_sd("isj,jtk->istk", &sa, &b).unwrap();
+        let d_han = han.contract_sd("isj,jtk->istk", &hsa, &hb).unwrap();
+        assert_eq!(d_val.data(), d_han.data(), "{mode:?} sd");
+
+        let s_val = val.contract_ss("isj,jtk->istk", &sa, &sb, None).unwrap();
+        let s_han = han.contract_ss("isj,jtk->istk", &hsa, &hsb, None).unwrap();
+        assert_eq!(
+            s_val.to_dense().data(),
+            s_han.to_dense().data(),
+            "{mode:?} ss"
+        );
+
+        han.free(&ha).unwrap();
+        han.free(&hb).unwrap();
+        han.free(&hsa).unwrap();
+        han.free(&hsb).unwrap();
+    }
+}
+
+#[test]
+fn handle_reuse_charges_less_than_value_path() {
+    // second contraction against the same handle: no β for the
+    // resident operand, so critical-path bytes grow by strictly less
+    // than a value-path repeat
+    let (a, b) = operands(61);
+    let exec = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
+    let hb = exec.upload(&b);
+    exec.contract::<f64>("isj,jtk->istk", &a, &hb).unwrap();
+    let after_first = exec.tracker().lock().bytes_critical;
+    exec.contract::<f64>("isj,jtk->istk", &a, &hb).unwrap();
+    let hit_delta = exec.tracker().lock().bytes_critical - after_first;
+
+    let val = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
+    val.contract("isj,jtk->istk", &a, &b).unwrap();
+    let value_delta = val.tracker().lock().bytes_critical;
+    assert!(
+        hit_delta < value_delta,
+        "cache hit must drop β: {hit_delta} vs {value_delta}"
+    );
+    // flops are identical either way
+    assert_eq!(exec.total_flops(), 2 * val.total_flops());
+    exec.free(&hb).unwrap();
+    // freeing twice is an error
+    assert!(exec.free(&hb).is_err());
+}
+
+#[test]
+fn handle_type_mismatch_is_an_error() {
+    let (a, _) = operands(62);
+    let exec = Executor::local();
+    let h = exec.upload(&a);
+    assert!(exec.contract_sd("isj,jtk->istk", &h, &a).is_err());
+    exec.free(&h).unwrap();
+}
+
+#[test]
+fn contract_c64_matches_einsum_and_handles_hit() {
+    let (ar, br) = operands(63);
+    let a = ar.to_complex();
+    let b = br.to_complex();
+    let exec = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
+    let reference = tt_tensor::einsum("isj,jtk->istk", &a, &b).unwrap();
+    let c = exec.contract::<Complex64>("isj,jtk->istk", &a, &b).unwrap();
+    assert_eq!(c.data(), reference.data());
+    let ha = exec.upload(&a);
+    let hb = exec.upload(&b);
+    let ch = exec
+        .contract::<Complex64>("isj,jtk->istk", &ha, &hb)
+        .unwrap();
+    assert_eq!(ch.data(), reference.data());
+    exec.free(&ha).unwrap();
+    exec.free(&hb).unwrap();
+}
+
+#[cfg(unix)]
+#[test]
+fn multi_process_backend_bitwise_matches_sequential() {
+    let spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
+    let seq = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
+    let mp = Executor::multi_process(Machine::blue_waters(2), 2, 2, spawn).unwrap();
+    assert!(matches!(
+        mp.backend(),
+        Backend::MultiProcess { workers: 2, .. }
+    ));
+
+    let (a, b) = operands(49);
+    let cs = seq.contract("isj,jtk->istk", &a, &b).unwrap();
+    let cm = mp.contract("isj,jtk->istk", &a, &b).unwrap();
+    assert_eq!(
+        cs.data(),
+        cm.data(),
+        "dense over processes must be bitwise equal"
+    );
+
+    let sa = SparseTensor::from_dense(&a, 0.5);
+    let sb = SparseTensor::from_dense(&b, 0.5);
+    let ds = seq.contract_sd("isj,jtk->istk", &sa, &b).unwrap();
+    let dm = mp.contract_sd("isj,jtk->istk", &sa, &b).unwrap();
+    assert_eq!(ds.data(), dm.data(), "sparse-dense over processes");
+
+    let ss = seq.contract_ss("isj,jtk->istk", &sa, &sb, None).unwrap();
+    let sm = mp.contract_ss("isj,jtk->istk", &sa, &sb, None).unwrap();
+    assert_eq!(ss.to_dense().data(), sm.to_dense().data(), "sparse-sparse");
+
+    let mat = DenseTensor::from_vec([a.len() / 6, 6], a.data().to_vec()).unwrap();
+    let spec = TruncSpec {
+        max_rank: 4,
+        cutoff: 0.0,
+        min_keep: 1,
+    };
+    let ts = seq.svd_trunc(&mat, spec).unwrap();
+    let tm = mp.svd_trunc(&mat, spec).unwrap();
+    assert_eq!(ts.s, tm.s);
+    assert_eq!(ts.u.data(), tm.u.data());
+    assert_eq!(ts.vt.data(), tm.vt.data());
+    assert_eq!(ts.trunc_err.to_bits(), tm.trunc_err.to_bits());
+    let (qs, rs) = seq.qr(&mat).unwrap();
+    let (qm, rm) = mp.qr(&mat).unwrap();
+    assert_eq!(qs.data(), qm.data());
+    assert_eq!(rs.data(), rm.data());
+
+    // identical cost accounting: same machine model, same charges
+    assert_eq!(seq.total_flops(), mp.total_flops());
+    assert_eq!(seq.supersteps(), mp.supersteps());
+    assert_eq!(
+        seq.sim_time().total().to_bits(),
+        mp.sim_time().total().to_bits(),
+        "cost charging must be backend-independent"
+    );
+    // the data plane actually moved bytes — and only on the real backend
+    assert_eq!(seq.operand_bytes(), 0);
+    assert!(mp.operand_bytes() > 0);
+    assert!(mp.result_bytes() > 0);
+}
+
+#[cfg(unix)]
+#[test]
+fn multi_process_contract_batch_matches_sequential() {
+    let spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
+    let mp = Executor::multi_process(Machine::blue_waters(2), 1, 3, spawn).unwrap();
+    let seq = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
+    let mut rng = StdRng::seed_from_u64(50);
+    let pairs: Vec<(DenseTensor<f64>, DenseTensor<f64>)> = (0..5)
+        .map(|_| {
+            (
+                DenseTensor::<f64>::random([8, 3, 6], &mut rng),
+                DenseTensor::<f64>::random([6, 3, 4], &mut rng),
+            )
+        })
+        .collect();
+    let pair_refs: Vec<(DenseOp, DenseOp)> =
+        pairs.iter().map(|(a, b)| (a.into(), b.into())).collect();
+    let out_seq = seq.contract_batch("isj,jtk->istk", &pair_refs).unwrap();
+    let out_mp = mp.contract_batch("isj,jtk->istk", &pair_refs).unwrap();
+    for (s, m) in out_seq.iter().zip(&out_mp) {
+        assert_eq!(s.data(), m.data());
+    }
+    let mats: Vec<DenseTensor<f64>> = (0..4)
+        .map(|i| DenseTensor::<f64>::random([10 + i, 5], &mut rng))
+        .collect();
+    let spec = TruncSpec {
+        max_rank: 3,
+        cutoff: 0.0,
+        min_keep: 1,
+    };
+    let svd_seq = seq.svd_trunc_batch(&ops(&mats), spec).unwrap();
+    let svd_mp = mp.svd_trunc_batch(&ops(&mats), spec).unwrap();
+    for (s, m) in svd_seq.iter().zip(&svd_mp) {
+        assert_eq!(s.s, m.s);
+        assert_eq!(s.u.data(), m.u.data());
+        assert_eq!(s.vt.data(), m.vt.data());
+    }
+    let qr_seq = seq.qr_batch(&ops(&mats)).unwrap();
+    let qr_mp = mp.qr_batch(&ops(&mats)).unwrap();
+    for ((q1, r1), (q2, r2)) in qr_seq.iter().zip(&qr_mp) {
+        assert_eq!(q1.data(), q2.data());
+        assert_eq!(r1.data(), r2.data());
+    }
+    assert_eq!(seq.total_flops(), mp.total_flops());
+    assert_eq!(
+        seq.sim_time().total().to_bits(),
+        mp.sim_time().total().to_bits()
+    );
+}
+
+#[cfg(unix)]
+#[test]
+fn multi_process_handle_reuse_ships_zero_operand_bytes() {
+    let spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
+    let mp = Executor::multi_process(Machine::blue_waters(2), 1, 2, spawn).unwrap();
+    let (a, b) = operands(64);
+    let ha = mp.upload(&a);
+    let hb = mp.upload(&b);
+    let c1 = mp.contract::<f64>("isj,jtk->istk", &ha, &hb).unwrap();
+    let first = mp.operand_bytes();
+    let c2 = mp.contract::<f64>("isj,jtk->istk", &ha, &hb).unwrap();
+    let second = mp.operand_bytes() - first;
+    assert_eq!(c1.data(), c2.data());
+    // the repeat ships only chunk headers and store keys — orders of
+    // magnitude below the first (which uploaded both operands)
+    assert!(
+        second * 20 < first,
+        "resident repeat must ship almost nothing: first {first}, second {second}"
+    );
+    // value-passing the same contraction ships the operands again
+    let c3 = mp.contract("isj,jtk->istk", &a, &b).unwrap();
+    assert_eq!(c1.data(), c3.data());
+    let third = mp.operand_bytes() - first - second;
+    assert!(third > 10 * second);
+    // worker stores report the residency; free empties them everywhere
+    let entries =
+        |mp: &Executor| -> u64 { mp.worker_cache_stats().unwrap().iter().map(|s| s.1).sum() };
+    assert!(entries(&mp) > 0);
+    mp.free(&ha).unwrap();
+    mp.free(&hb).unwrap();
+    assert_eq!(entries(&mp), 0);
+}
+
+#[cfg(unix)]
+#[test]
+fn multi_process_resident_footprint_stays_bounded() {
+    // a long run of upload → contract → free cycles must leave the
+    // worker stores empty: the driver's `Free` is their only bound
+    let spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
+    let mp = Executor::multi_process(Machine::local(), 1, 2, spawn).unwrap();
+    let mut rng = StdRng::seed_from_u64(65);
+    for _ in 0..12 {
+        let a = DenseTensor::<f64>::random([12, 18], &mut rng);
+        let b = DenseTensor::<f64>::random([18, 9], &mut rng);
+        let hb = mp.upload(&b);
+        let c1 = mp.contract::<f64>("ik,kj->ij", &a, &hb).unwrap();
+        let c2 = mp.contract::<f64>("ik,kj->ij", &a, &hb).unwrap();
+        assert_eq!(c1.data(), c2.data());
+        mp.free(&hb).unwrap();
+    }
+    for (bytes, entries) in mp.worker_cache_stats().unwrap() {
+        assert_eq!((bytes, entries), (0, 0), "all handles were freed");
+    }
+}
+
+#[test]
+fn handle_returning_contractions_match_value_paths() {
+    let (a, b) = operands(70);
+    let exec = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
+    let c_ref = exec.contract("isj,jtk->istk", &a, &b).unwrap();
+    let h = to_handle(
+        &exec,
+        "isj,jtk->istk",
+        ChainSrc::Dense((&a).into()),
+        ChainSrc::Dense((&b).into()),
+    );
+    assert_eq!(h.dims(), c_ref.dims());
+    assert!(
+        exec.result_provenance(&h).is_some(),
+        "resident results carry produced-by provenance"
+    );
+    let c = exec.download(h).unwrap();
+    assert_eq!(c.data(), c_ref.data(), "dense");
+
+    let sa = SparseTensor::from_dense(&a, 0.5);
+    let d_ref = exec.contract_sd("isj,jtk->istk", &sa, &b).unwrap();
+    let h = to_handle(
+        &exec,
+        "isj,jtk->istk",
+        ChainSrc::Sparse((&sa).into()),
+        ChainSrc::Dense((&b).into()),
+    );
+    let d = exec.download(h).unwrap();
+    assert_eq!(d.data(), d_ref.data(), "sparse-dense");
+
+    let (ac, bc) = (a.to_complex(), b.to_complex());
+    let e_ref = exec
+        .contract::<Complex64>("isj,jtk->istk", &ac, &bc)
+        .unwrap();
+    let h = to_handle(
+        &exec,
+        "isj,jtk->istk",
+        ChainSrc::DenseC((&ac).into()),
+        ChainSrc::DenseC((&bc).into()),
+    );
+    let e = exec
+        .download_many::<Complex64>(vec![h])
+        .unwrap()
+        .pop()
+        .unwrap();
+    assert_eq!(e.data(), e_ref.data(), "Complex64");
+}
+
+#[test]
+fn chains_compose_prev_acc_and_res_bitwise() {
+    let mut rng = StdRng::seed_from_u64(71);
+    let a = DenseTensor::<f64>::random([6, 8], &mut rng);
+    let b = DenseTensor::<f64>::random([8, 5], &mut rng);
+    let c = DenseTensor::<f64>::random([5, 7], &mut rng);
+    let exec = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
+    let t_ref = exec.contract("ik,kj->ij", &a, &b).unwrap();
+    let y_ref = exec.contract("ik,kj->ij", &t_ref, &c).unwrap();
+
+    // (a·b)·c with the intermediate consumed worker-side via Prev
+    let mut out = exec
+        .chain(&[
+            ChainStep {
+                spec: "ik,kj->ij",
+                a: ChainSrc::Dense((&a).into()),
+                b: ChainSrc::Dense((&b).into()),
+                acc: None,
+            },
+            ChainStep {
+                spec: "ik,kj->ij",
+                a: ChainSrc::Prev(0),
+                b: ChainSrc::Dense((&c).into()),
+                acc: None,
+            },
+        ])
+        .unwrap();
+    let h_y = out.pop().unwrap().unwrap();
+    let h_t = out.pop().unwrap().unwrap();
+    assert_eq!(exec.download(h_y).unwrap().data(), y_ref.data());
+    exec.free_result(h_t).unwrap();
+
+    // accumulate folds partials in submission order (first stored)
+    let mut out = exec
+        .chain(&[
+            ChainStep {
+                spec: "ik,kj->ij",
+                a: ChainSrc::Dense((&a).into()),
+                b: ChainSrc::Dense((&b).into()),
+                acc: None,
+            },
+            ChainStep {
+                spec: "ik,kj->ij",
+                a: ChainSrc::Dense((&a).into()),
+                b: ChainSrc::Dense((&b).into()),
+                acc: Some(0),
+            },
+        ])
+        .unwrap();
+    assert!(out[1].is_none(), "accumulate steps fold into their target");
+    let h = out[0].take().unwrap();
+    let mut acc_ref = t_ref.clone();
+    acc_ref.axpy(1.0, &t_ref).unwrap();
+    assert_eq!(exec.download(h).unwrap().data(), acc_ref.data());
+
+    // results of earlier chains feed later ones via Res
+    let h1 = to_handle(
+        &exec,
+        "ik,kj->ij",
+        ChainSrc::Dense((&a).into()),
+        ChainSrc::Dense((&b).into()),
+    );
+    let mut out = exec
+        .chain(&[ChainStep {
+            spec: "ik,kj->ij",
+            a: ChainSrc::Res(&h1),
+            b: ChainSrc::Dense((&c).into()),
+            acc: None,
+        }])
+        .unwrap();
+    let h_y = out.pop().unwrap().unwrap();
+    assert_eq!(exec.download(h_y).unwrap().data(), y_ref.data());
+    exec.free_result(h1).unwrap();
+
+    // malformed chains surface as errors
+    assert!(
+        exec.chain(&[ChainStep {
+            spec: "ik,kj->ij",
+            a: ChainSrc::Prev(3),
+            b: ChainSrc::Dense((&c).into()),
+            acc: None,
+        }])
+        .is_err(),
+        "forward Prev reference"
+    );
+    assert!(
+        exec.chain(&[
+            ChainStep {
+                spec: "ik,kj->ij",
+                a: ChainSrc::Dense((&a).into()),
+                b: ChainSrc::Dense((&b).into()),
+                acc: None,
+            },
+            ChainStep {
+                spec: "ik,kj->ij",
+                a: ChainSrc::Dense((&a).into()),
+                b: ChainSrc::Dense((&b).into()),
+                acc: Some(0),
+            },
+            ChainStep {
+                spec: "ik,kj->ij",
+                a: ChainSrc::Dense((&a).into()),
+                b: ChainSrc::Dense((&b).into()),
+                acc: Some(1),
+            },
+        ])
+        .is_err(),
+        "accumulating into an accumulate step"
+    );
+}
+
+#[cfg(unix)]
+#[test]
+fn multi_process_chains_bitwise_and_collapse_result_bytes() {
+    let spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
+    let mp = Executor::multi_process(Machine::blue_waters(2), 1, 2, spawn).unwrap();
+    let mut rng = StdRng::seed_from_u64(72);
+    let a = DenseTensor::<f64>::random([24, 30], &mut rng);
+    let b = DenseTensor::<f64>::random([30, 18], &mut rng);
+    let c = DenseTensor::<f64>::random([18, 12], &mut rng);
+
+    // value path: both intermediates round-trip through the driver
+    let before = mp.result_bytes();
+    let t = mp.contract("ik,kj->ij", &a, &b).unwrap();
+    let y_ref = mp.contract("ik,kj->ij", &t, &c).unwrap();
+    let value_result_bytes = mp.result_bytes() - before;
+
+    // chained: only the final download returns bytes
+    let before = mp.result_bytes();
+    let mut out = mp
+        .chain(&[
+            ChainStep {
+                spec: "ik,kj->ij",
+                a: ChainSrc::Dense((&a).into()),
+                b: ChainSrc::Dense((&b).into()),
+                acc: None,
+            },
+            ChainStep {
+                spec: "ik,kj->ij",
+                a: ChainSrc::Prev(0),
+                b: ChainSrc::Dense((&c).into()),
+                acc: None,
+            },
+        ])
+        .unwrap();
+    let h_y = out.pop().unwrap().unwrap();
+    let h_t = out.pop().unwrap().unwrap();
+    let y = mp.download(h_y).unwrap();
+    mp.free_result(h_t).unwrap();
+    let chain_result_bytes = mp.result_bytes() - before;
+    assert_eq!(y.data(), y_ref.data(), "chained must be bitwise equal");
+    assert!(
+        2 * chain_result_bytes < value_result_bytes,
+        "chaining must collapse driver result bytes: chain {chain_result_bytes} vs \
+         value {value_result_bytes}"
+    );
+
+    // results created by separate chains land on different anchor
+    // ranks; combining them exercises the explicit redistribute
+    // superstep and still matches the value path bitwise
+    let d = DenseTensor::<f64>::random([12, 9], &mut rng);
+    let h1 = to_handle(
+        &mp,
+        "ik,kj->ij",
+        ChainSrc::Dense((&a).into()),
+        ChainSrc::Dense((&b).into()),
+    );
+    let h2 = to_handle(
+        &mp,
+        "ik,kj->ij",
+        ChainSrc::Dense((&c).into()),
+        ChainSrc::Dense((&d).into()),
+    );
+    let fused_ref = mp
+        .contract("ik,kj->ij", &t, &mp.contract("ik,kj->ij", &c, &d).unwrap())
+        .unwrap();
+    let mut out = mp
+        .chain(&[ChainStep {
+            spec: "ik,kj->ij",
+            a: ChainSrc::Res(&h1),
+            b: ChainSrc::Res(&h2),
+            acc: None,
+        }])
+        .unwrap();
+    let h = out.pop().unwrap().unwrap();
+    assert_eq!(mp.download(h).unwrap().data(), fused_ref.data());
+    mp.free_results(vec![h1, h2]).unwrap();
+
+    // after download/free nothing is left on the workers
+    let entries: u64 = mp.worker_cache_stats().unwrap().iter().map(|s| s.1).sum();
+    assert_eq!(entries, 0, "chain intermediates leave on download/free");
+}
+
+#[test]
+fn tall_panels_route_through_tsqr() {
+    let mut rng = StdRng::seed_from_u64(73);
+    let a = DenseTensor::<f64>::random([256, 8], &mut rng);
+    let exec = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
+    let (q, r) = exec.qr(&a).unwrap();
+    // bitwise-identical to the TSQR tree over the same rank count
+    let reference = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
+    let (q_ref, r_ref) = crate::tsqr::tsqr(&a, &reference.comm()).unwrap();
+    assert_eq!(q.data(), q_ref.data());
+    assert_eq!(r.data(), r_ref.data());
+    // and equal to the direct factorization up to per-column sign
+    let (q_d, r_d) = tt_linalg::qr_thin(&a).unwrap();
+    for j in 0..8 {
+        let sign = (r.at(&[j, j]) * r_d.at(&[j, j])).signum();
+        for jj in j..8 {
+            assert!(
+                (r.at(&[j, jj]) - sign * r_d.at(&[j, jj])).abs() < 1e-9,
+                "R row {j} beyond sign"
+            );
+        }
+        for i in 0..256 {
+            assert!((q.at(&[i, j]) - sign * q_d.at(&[i, j])).abs() < 1e-9);
+        }
+    }
+
+    // tall SVD: singular values match the direct path to rounding
+    let spec = TruncSpec {
+        max_rank: 8,
+        cutoff: 0.0,
+        min_keep: 1,
+    };
+    let t = exec.svd_trunc(&a, spec).unwrap();
+    let t_ref = tt_linalg::svd_trunc(&a, spec).unwrap();
+    assert_eq!(t.s.len(), t_ref.s.len());
+    for (x, y) in t.s.iter().zip(&t_ref.s) {
+        assert!((x - y).abs() < 1e-9 * y.max(1.0), "{x} vs {y}");
+    }
+
+    // sub-threshold panels keep the direct path bitwise
+    let b = DenseTensor::<f64>::random([40, 12], &mut rng);
+    let (qb, rb) = exec.qr(&b).unwrap();
+    let (qb_d, rb_d) = tt_linalg::qr_thin(&b).unwrap();
+    assert_eq!(qb.data(), qb_d.data());
+    assert_eq!(rb.data(), rb_d.data());
+}
+
+#[test]
+fn svd_and_qr_are_exact_and_charged() {
+    let mut rng = StdRng::seed_from_u64(46);
+    let a = DenseTensor::<f64>::random([40, 12], &mut rng);
+    let exec = Executor::with_machine(Machine::stampede2(4), 1, ExecMode::Sequential);
+    let (q, r) = exec.qr(&a).unwrap();
+    let (q2, r2) = tt_linalg::qr_thin(&a).unwrap();
+    assert_eq!(q.data(), q2.data());
+    assert_eq!(r.data(), r2.data());
+    let spec = TruncSpec {
+        max_rank: 8,
+        cutoff: 0.0,
+        min_keep: 1,
+    };
+    let t = exec.svd_trunc(&a, spec).unwrap();
+    assert_eq!(t.s.len(), 8);
+    assert!(exec.sim_time().svd > 0.0);
+    assert!(exec.supersteps() > 0);
+}
+
+/// Every cost counter of an executor, floats by bit pattern.
+fn counters(exec: &Executor) -> (u64, u64, String, u64, u64, u64) {
+    (
+        exec.total_flops(),
+        exec.supersteps(),
+        format!("{:?}", exec.sim_time()),
+        exec.operand_bytes(),
+        exec.result_bytes(),
+        exec.recovery_bytes(),
+    )
+}
+
+/// The case one operand type newly allows: a factorization batch
+/// mixing value and handle matrices, one of them a tall panel, must
+/// equal the loop of singles bit for bit — factors and every cost
+/// counter — and a second pass must ship nothing for the handles.
+fn mixed_factorization_batch(make: impl Fn() -> Executor) -> Vec<Vec<f64>> {
+    let mut rng = StdRng::seed_from_u64(67);
+    let mats: Vec<DenseTensor<f64>> = [(20usize, 8usize), (13, 13), (256, 8), (6, 17)]
+        .iter()
+        .map(|&(m, n)| DenseTensor::<f64>::random([m, n], &mut rng))
+        .collect();
+    assert!(tall_panel(mats[2].dims()));
+    let spec = TruncSpec {
+        max_rank: 6,
+        cutoff: 0.0,
+        min_keep: 1,
+    };
+    // matrices 1 and 2 (the tall one) by handle, 0 and 3 by value
+    let (single, batch) = (make(), make());
+    fn mixed_ops<'a>(mats: &'a [DenseTensor<f64>], h: &'a [OpHandle]) -> Vec<DenseOp<'a>> {
+        vec![
+            (&mats[0]).into(),
+            (&h[0]).into(),
+            (&h[1]).into(),
+            (&mats[3]).into(),
+        ]
+    }
+    let mixed = |h| mixed_ops(&mats, h);
+    let hs: Vec<OpHandle> = mats[1..3].iter().map(|m| single.upload(m)).collect();
+    let (mut svds_ref, mut qrs_ref) = (Vec::new(), Vec::new());
+    for op in mixed(&hs) {
+        svds_ref.push(single.svd_trunc(op, spec).unwrap());
+    }
+    for op in mixed(&hs) {
+        qrs_ref.push(single.qr(op).unwrap());
+    }
+    let hb: Vec<OpHandle> = mats[1..3].iter().map(|m| batch.upload(m)).collect();
+    let svds = batch.svd_trunc_batch(&mixed(&hb), spec).unwrap();
+    let qrs = batch.qr_batch(&mixed(&hb)).unwrap();
+    let mut bits = Vec::new();
+    for (s, r) in svds.iter().zip(&svds_ref) {
+        assert_eq!(s.s, r.s);
+        assert_eq!(s.u.data(), r.u.data());
+        assert_eq!(s.vt.data(), r.vt.data());
+        assert_eq!(s.trunc_err.to_bits(), r.trunc_err.to_bits());
+        bits.push(s.u.data().to_vec());
+    }
+    for ((q, rr), (q2, r2)) in qrs.iter().zip(&qrs_ref) {
+        assert_eq!(q.data(), q2.data());
+        assert_eq!(rr.data(), r2.data());
+        bits.push(q.data().to_vec());
+    }
+    assert_eq!(counters(&batch), counters(&single));
+    // second pass: the handles are resident, so only the two value
+    // matrices (and nothing else) ship — once per batch
+    let before = batch.operand_bytes();
+    batch.svd_trunc_batch(&mixed(&hb), spec).unwrap();
+    batch.qr_batch(&mixed(&hb)).unwrap();
+    let by_value = match batch.backend() {
+        Backend::MultiProcess { .. } => 2 * 8 * (mats[0].len() + mats[3].len()) as u64,
+        Backend::InProcess(_) => 0,
+    };
+    assert_eq!(
+        batch.operand_bytes() - before,
+        by_value,
+        "handles must ship nothing on the second pass"
+    );
+    for (exec, handles) in [(&single, &hs), (&batch, &hb)] {
+        for h in handles {
+            exec.free(h).unwrap();
+        }
+    }
+    bits.push(vec![
+        batch.total_flops() as f64,
+        batch.supersteps() as f64,
+        batch.sim_time().total(),
+    ]);
+    bits
+}
+
+#[test]
+fn mixed_value_handle_factorization_batch_matches_singles_on_every_backend() {
+    let in_process = |mode| move || Executor::with_machine(Machine::stampede2(4), 1, mode);
+    let reference = mixed_factorization_batch(in_process(ExecMode::Sequential));
+    let bitwise = |other: Vec<Vec<f64>>, name: &str| {
+        for (x, y) in other.iter().zip(&reference) {
+            let (x, y): (Vec<u64>, Vec<u64>) = (
+                x.iter().map(|v| v.to_bits()).collect(),
+                y.iter().map(|v| v.to_bits()).collect(),
+            );
+            assert_eq!(x, y, "{name}");
+        }
+    };
+    bitwise(
+        mixed_factorization_batch(in_process(ExecMode::Threaded)),
+        "threaded",
+    );
+    #[cfg(unix)]
+    bitwise(
+        mixed_factorization_batch(|| {
+            let spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
+            Executor::multi_process(Machine::stampede2(4), 1, 2, spawn).unwrap()
+        }),
+        "multi-process p=2",
+    );
+}
+
+#[test]
+fn factorization_handle_batches_match_value_batches() {
+    let mut rng = StdRng::seed_from_u64(66);
+    let mats: Vec<DenseTensor<f64>> = [(20usize, 8usize), (13, 13), (30, 4)]
+        .iter()
+        .map(|&(m, n)| DenseTensor::<f64>::random([m, n], &mut rng))
+        .collect();
+    let spec = TruncSpec {
+        max_rank: 6,
+        cutoff: 0.0,
+        min_keep: 1,
+    };
+    let exec = Executor::with_machine(Machine::stampede2(4), 1, ExecMode::Sequential);
+    let svds_ref = exec.svd_trunc_batch(&ops(&mats), spec).unwrap();
+    let qrs_ref = exec.qr_batch(&ops(&mats)).unwrap();
+    let handles: Vec<OpHandle> = mats.iter().map(|m| exec.upload(m)).collect();
+    let svds = exec.svd_trunc_batch(&ops(&handles), spec).unwrap();
+    for (s, r) in svds.iter().zip(&svds_ref) {
+        assert_eq!(s.s, r.s);
+        assert_eq!(s.u.data(), r.u.data());
+        assert_eq!(s.vt.data(), r.vt.data());
+    }
+    let qrs = exec.qr_batch(&ops(&handles)).unwrap();
+    for ((q, rr), (q2, r2)) in qrs.iter().zip(&qrs_ref) {
+        assert_eq!(q.data(), q2.data());
+        assert_eq!(rr.data(), r2.data());
+    }
+    for h in &handles {
+        exec.free(h).unwrap();
+    }
+}
