@@ -439,7 +439,7 @@ fn multi_process_handle_reuse_ships_zero_operand_bytes() {
     assert!(third > 10 * second);
     // worker stores report the residency; free empties them everywhere
     let entries =
-        |mp: &Executor| -> u64 { mp.worker_cache_stats().unwrap().iter().map(|s| s.1).sum() };
+        |mp: &Executor| -> u64 { mp.cache_stats().unwrap().iter().map(|s| s.entries).sum() };
     assert!(entries(&mp) > 0);
     mp.free(&ha).unwrap();
     mp.free(&hb).unwrap();
@@ -705,7 +705,7 @@ fn multi_process_chains_bitwise_and_collapse_result_bytes() {
     mp.free_results(vec![h1, h2]).unwrap();
 
     // after download/free nothing is left on the workers
-    let entries: u64 = mp.worker_cache_stats().unwrap().iter().map(|s| s.1).sum();
+    let entries: u64 = mp.cache_stats().unwrap().iter().map(|s| s.entries).sum();
     assert_eq!(entries, 0, "chain intermediates leave on download/free");
 }
 

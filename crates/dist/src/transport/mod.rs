@@ -30,7 +30,7 @@
 //!
 //! | # | request | effect | reply |
 //! |---|---|---|---|
-//! | 0 | `Ping` | liveness probe (hello, health) | `Pong` |
+//! | 0 | `Ping` | liveness probe (`Cluster::probe`) | `Pong` |
 //! | 1 | `Free` | drop the entry under a key | `Unit` |
 //! | 2–3 | `Upload` | store a dense `Buf` (`F64` / `C64`) under a key | `Unit` |
 //! | 4 | `UploadCoords` | store a sparse coordinate bucket | `Unit` |

@@ -63,7 +63,7 @@ pub(crate) enum OpSs {
 /// A request shipped to one rank.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum Request {
-    /// Liveness / barrier probe.
+    /// Liveness probe ([`Cluster::probe`](crate::Cluster::probe)).
     Ping,
     /// Drop the buffer under `key` unconditionally (any payload type).
     Free { key: u64 },
@@ -171,7 +171,7 @@ pub(crate) enum Request {
 /// A reply from one rank.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum Reply {
-    /// Barrier acknowledgement.
+    /// The answer to [`Request::Ping`].
     Pong,
     /// Success with no payload.
     Unit,
