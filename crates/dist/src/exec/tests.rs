@@ -925,3 +925,196 @@ fn factorization_handle_batches_match_value_batches() {
         exec.free(h).unwrap();
     }
 }
+
+/// Every frame a 2-worker cluster executor sends for a fixed script that
+/// walks each superstep builder — which rank, which request, which
+/// resident keys it reads and stores, how many operand bytes it carries —
+/// against the committed list. The `kill:R@N` fault plans count sends per
+/// rank, so "same frames, same order, same ranks" is a correctness
+/// property of any refactor of the cluster legs. On a mismatch the full
+/// trace is printed; after an *intended* protocol change, paste it over
+/// `trace_golden.txt`.
+#[test]
+fn protocol_trace_matches_golden() {
+    use crate::transport::RecordingTransport;
+    use tt_tensor::gemm::{gemm_path, GemmPath, MC};
+
+    // 4 simulated ranks (TSQR cuts 4 slabs) over 2 workers
+    let mut exec = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
+    let (transport, log) = RecordingTransport::new(2);
+    let mut cl = Cluster::new(Box::new(transport));
+    cl.attach_tracker(Arc::clone(exec.tracker()));
+    exec.cluster = Some(Mutex::new(cl));
+    let mut rng = StdRng::seed_from_u64(1900);
+    let mut dense = |dims: &[usize]| DenseTensor::<f64>::random(dims, &mut rng);
+
+    // -- dense: packed (two MC-aligned slabs) and GEMV shapes, f64 and
+    // Complex64, by value, by handle (miss, then hit) and mixed
+    let (a, b, x) = (dense(&[MC + 22, 65]), dense(&[65, 70]), dense(&[65]));
+    assert_eq!(gemm_path(65, 70), GemmPath::Packed);
+    assert_eq!(gemm_path(65, 1), GemmPath::Gemv);
+    fn dense_forms<T: WireScalar>(
+        exec: &Executor,
+        a: &DenseTensor<T>,
+        b: &DenseTensor<T>,
+        x: &DenseTensor<T>,
+    ) {
+        let (ha, hb, hx) = (exec.upload(a), exec.upload(b), exec.upload(x));
+        for (spec, bv, hbv) in [("ik,kj->ji", b, &hb), ("ik,k->i", x, &hx)] {
+            exec.contract::<T>(spec, a, bv).unwrap();
+            exec.contract::<T>(spec, &ha, hbv).unwrap();
+            exec.contract::<T>(spec, &ha, hbv).unwrap();
+            exec.contract::<T>(spec, &ha, bv).unwrap();
+        }
+        for h in [ha, hb, hx] {
+            exec.free(&h).unwrap();
+        }
+    }
+    dense_forms(&exec, &a, &b, &x);
+    dense_forms(&exec, &a.to_complex(), &b.to_complex(), &x.to_complex());
+    // value operands under the retention cache ship once, keyed
+    exec.set_retention_cap(1 << 20).unwrap();
+    exec.contract("ik,kj->ij", &a, &b).unwrap();
+    exec.contract("ik,kj->ij", &a, &b).unwrap();
+    exec.set_retention_cap(0).unwrap();
+
+    // -- sparse-dense and sparse-sparse, below the 16 MFlop gate (one
+    // chunk) and above it (one per worker), by value and by handle
+    let small = (dense(&[24, 6, 30]), dense(&[30, 6, 18]));
+    let large = (dense(&[400, 250]), dense(&[250, 300]));
+    for (spec, (a, b), thr_b) in [("isj,jtk->istk", &small, 0.5), ("ik,kj->ji", &large, 0.2)] {
+        let (sa, sb) = (
+            SparseTensor::from_dense(a, 0.5),
+            SparseTensor::from_dense(b, thr_b),
+        );
+        let (hsa, hsb, hb) = (
+            exec.upload_sparse(&sa),
+            exec.upload_sparse(&sb),
+            exec.upload(b),
+        );
+        exec.contract_sd(spec, &sa, b).unwrap();
+        exec.contract_sd(spec, &hsa, &hb).unwrap();
+        exec.contract_sd(spec, &hsa, &hb).unwrap();
+        let c = exec.contract_ss(spec, &sa, &sb, None).unwrap();
+        let mask: Vec<u64> = c.entries().map(|(off, _)| off).step_by(2).collect();
+        exec.contract_ss(spec, &sa, &sb, Some(&mask)).unwrap();
+        exec.contract_ss(spec, &hsa, &hsb, None).unwrap();
+        exec.contract_ss(spec, &hsa, &hsb, Some(&mask)).unwrap();
+        for h in [hsa, hsb, hb] {
+            exec.free(&h).unwrap();
+        }
+    }
+
+    // -- block-pair batch with mixed operands, twice (misses, then hits)
+    let pairs: Vec<_> = (0..4)
+        .map(|_| (dense(&[9, 4, 7]), dense(&[7, 4, 5])))
+        .collect();
+    let (h1, h2, h3) = (
+        exec.upload(&pairs[1].0),
+        exec.upload(&pairs[2].1),
+        exec.upload(&pairs[3].1),
+    );
+    let mixed: Vec<(DenseOp, DenseOp)> = vec![
+        ((&pairs[0].0).into(), (&pairs[0].1).into()),
+        ((&h1).into(), (&pairs[1].1).into()),
+        ((&pairs[2].0).into(), (&h2).into()),
+        ((&h1).into(), (&h3).into()),
+    ];
+    exec.contract_batch("isj,jtk->istk", &mixed).unwrap();
+    exec.contract_batch("isj,jtk->istk", &mixed).unwrap();
+
+    // -- factorizations: mixed batches, and a tall panel through TSQR slabs
+    let mats = [dense(&[20, 8]), dense(&[13, 13]), dense(&[6, 17])];
+    let tall = dense(&[256, 8]);
+    assert!(tall_panel(tall.dims()));
+    let (hm, ht) = (exec.upload(&mats[1]), exec.upload(&tall));
+    let batch: Vec<DenseOp> = vec![(&mats[0]).into(), (&hm).into(), (&mats[2]).into()];
+    let spec = TruncSpec {
+        max_rank: 6,
+        cutoff: 0.0,
+        min_keep: 1,
+    };
+    for _ in 0..2 {
+        exec.svd_trunc_batch(&batch, spec).unwrap();
+        exec.qr_batch(&batch).unwrap();
+        exec.qr(&ht).unwrap();
+    }
+    exec.qr(&tall).unwrap();
+    exec.svd_trunc(&ht, spec).unwrap();
+
+    // -- chains. `big` is resident on rank 1 only (second pair of a batch),
+    // so step 1 runs there and pulls step 0's output across from rank 0;
+    // step 2 accumulates into step 1 in place
+    let (p, q, big, r) = (
+        dense(&[6, 8]),
+        dense(&[8, 40]),
+        dense(&[40, 30]),
+        dense(&[6, 40]),
+    );
+    let hbig = exec.upload(&big);
+    exec.contract_batch(
+        "ik,kj->ij",
+        &[((&p).into(), (&q).into()), ((&r).into(), (&hbig).into())],
+    )
+    .unwrap();
+    let step = |a, b, acc| ChainStep {
+        spec: "ik,kj->ij",
+        a,
+        b,
+        acc,
+    };
+    let mut out = exec
+        .chain(&[
+            step(
+                ChainSrc::Dense((&p).into()),
+                ChainSrc::Dense((&q).into()),
+                None,
+            ),
+            step(ChainSrc::Prev(0), ChainSrc::Dense((&hbig).into()), None),
+            step(
+                ChainSrc::Dense((&r).into()),
+                ChainSrc::Dense((&hbig).into()),
+                Some(1),
+            ),
+        ])
+        .unwrap();
+    let y = out.remove(1).unwrap();
+    let t = out.remove(0).unwrap();
+    // a later chain consumes both results; a sparse-dense step by value
+    // and by handle
+    let sq = SparseTensor::from_dense(&dense(&[12, 6]), 0.5);
+    let hsq = exec.upload_sparse(&sq);
+    let tail = exec
+        .chain(&[
+            step(ChainSrc::Res(&t), ChainSrc::Dense((&big).into()), None),
+            step(ChainSrc::Sparse((&sq).into()), ChainSrc::Res(&y), None),
+            step(ChainSrc::Sparse((&hsq).into()), ChainSrc::Res(&y), None),
+        ])
+        .unwrap();
+    exec.download(y).unwrap();
+    exec.free_result(t).unwrap();
+    let mut tail: Vec<ResultHandle> = tail.into_iter().flatten().collect();
+    exec.download(tail.remove(0)).unwrap();
+    exec.free_results(tail).unwrap();
+    let (pc, qc) = (p.to_complex(), q.to_complex());
+    let hc = to_handle(
+        &exec,
+        "ik,kj->ij",
+        ChainSrc::DenseC((&pc).into()),
+        ChainSrc::DenseC((&qc).into()),
+    );
+    exec.download_many::<Complex64>(vec![hc]).unwrap();
+
+    for h in [h1, h2, h3, hm, ht, hbig, hsq] {
+        exec.free(&h).unwrap();
+    }
+    let stores = exec.cache_stats().unwrap();
+    assert!(stores.iter().all(|s| s.entries == 0), "{stores:?}");
+
+    let got = log.lock().unwrap().join("\n") + "\n";
+    let golden = include_str!("trace_golden.txt");
+    assert!(
+        got == golden,
+        "protocol trace changed; the full trace is:\n{got}"
+    );
+}

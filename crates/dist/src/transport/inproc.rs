@@ -70,6 +70,93 @@ impl Transport for InProcTransport {
     }
 }
 
+/// [`InProcTransport`] with a protocol trace: every `send` is decoded and
+/// logged as `r<rank> <opcode> reads[<resident keys>] writes[<store key>]
+/// <operand payload bytes>B`. The `kill:R@N` fault plans count sends per
+/// rank, so which frames go where, in which order, is part of the
+/// executor's contract — `exec::tests::protocol_trace_matches_golden` pins
+/// it.
+#[cfg(test)]
+pub(crate) struct RecordingTransport {
+    inner: InProcTransport,
+    log: std::sync::Arc<std::sync::Mutex<Vec<String>>>,
+}
+
+#[cfg(test)]
+impl RecordingTransport {
+    /// A recording transport over `ranks` ranks, and its log.
+    pub(crate) fn new(ranks: usize) -> (Self, std::sync::Arc<std::sync::Mutex<Vec<String>>>) {
+        let log = std::sync::Arc::default();
+        let inner = InProcTransport::new(ranks);
+        (
+            Self {
+                inner,
+                log: std::sync::Arc::clone(&log),
+            },
+            log,
+        )
+    }
+
+    fn line(rank: usize, req: &Request) -> String {
+        use super::worker::{OpSs, Out};
+        let (mut reads, mut writes): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
+        match req {
+            Request::Upload { key, .. }
+            | Request::UploadCoords { key, .. }
+            | Request::UploadSs { key, .. } => writes.push(*key),
+            Request::Free { key } | Request::Download { key } => reads.push(*key),
+            Request::DenseChunk { a, b, .. } => reads.extend(a.key().into_iter().chain(b.key())),
+            Request::Contract { a, b, out, .. } => {
+                reads.extend(a.key().into_iter().chain(b.key()));
+                if let Out::Store { key, .. } = out {
+                    writes.push(*key);
+                }
+            }
+            Request::SdChunk { a, b, .. } => reads.extend(a.key().into_iter().chain(b.key())),
+            Request::ChainSd { a, b, store, .. } => {
+                reads.extend(a.key().into_iter().chain(b.key()));
+                writes.push(*store);
+            }
+            Request::SsChunk { a, b, .. } => {
+                reads.extend(a.key());
+                if let OpSs::Key(k) = b {
+                    reads.push(*k);
+                }
+            }
+            Request::QrThin { a, .. } | Request::SvdTrunc { a, .. } => reads.extend(a.key()),
+            Request::Ping | Request::CacheStats | Request::Shutdown => {}
+        }
+        let name = format!("{req:?}");
+        let name = name.split(|c: char| !c.is_alphanumeric()).next();
+        format!(
+            "r{rank} {} reads{reads:x?} writes{writes:x?} {}B",
+            name.unwrap_or_default(),
+            req.payload_bytes()
+        )
+    }
+}
+
+#[cfg(test)]
+impl Transport for RecordingTransport {
+    fn ranks(&self) -> usize {
+        self.inner.ranks()
+    }
+
+    fn next_tag(&mut self) -> u64 {
+        self.inner.next_tag()
+    }
+
+    fn send(&mut self, to: usize, tag: u64, msg: &[u8]) -> Result<()> {
+        let line = Self::line(to, &Request::decode(msg)?);
+        self.log.lock().expect("log lock").push(line);
+        self.inner.send(to, tag, msg)
+    }
+
+    fn recv(&mut self, from: usize, tag: u64) -> Result<Vec<u8>> {
+        self.inner.recv(from, tag)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::worker::{Buf, Reply};

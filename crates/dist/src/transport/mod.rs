@@ -53,6 +53,8 @@ pub(crate) mod wire;
 pub(crate) mod worker;
 
 pub use inproc::InProcTransport;
+#[cfg(test)]
+pub(crate) use inproc::RecordingTransport;
 #[cfg(unix)]
 pub(crate) use process::{wait_fd, LIVENESS_CAP};
 #[cfg(unix)]
