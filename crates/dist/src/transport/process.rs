@@ -507,12 +507,22 @@ fn worker_exe() -> Result<PathBuf> {
     })
 }
 
-fn env_deadline() -> Duration {
-    std::env::var(ENV_TIMEOUT_MS)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .unwrap_or(DEFAULT_DEADLINE)
+/// The deadline `TT_DIST_TIMEOUT_MS` asks for, given what the variable
+/// holds: a positive number of milliseconds, the default when unset or
+/// blank. Anything else is an error — `"30s"` read as the default would
+/// silently run with another deadline than the one asked for, and `0`
+/// makes every receive time out at once, so recovery respawns into the
+/// same fault.
+fn parse_deadline(value: Option<&str>) -> Result<Duration> {
+    let Some(v) = value.map(str::trim).filter(|v| !v.is_empty()) else {
+        return Ok(DEFAULT_DEADLINE);
+    };
+    match v.parse::<u64>() {
+        Ok(ms) if ms > 0 => Ok(Duration::from_millis(ms)),
+        _ => Err(Error::Runtime(format!(
+            "{ENV_TIMEOUT_MS}={v:?}: expected a positive number of milliseconds"
+        ))),
+    }
 }
 
 impl ProcTransport {
@@ -524,12 +534,18 @@ impl ProcTransport {
     }
 
     /// Spawn with explicit [`ProcOptions`] (fault injection, deadline,
-    /// respawn budget); unset options fall back to the environment.
+    /// respawn budget); unset options fall back to the environment, where
+    /// a malformed `TT_FAULT_PLAN` or `TT_DIST_TIMEOUT_MS` (not a positive
+    /// number of milliseconds) is an error, never a silent default.
     pub fn spawn_with(ranks: usize, spec: &SpawnSpec, opts: ProcOptions) -> Result<Self> {
         let ranks = ranks.max(1);
         let plan = match opts.plan {
             Some(p) => p,
             None => FaultPlan::from_env()?,
+        };
+        let deadline = match opts.deadline {
+            Some(d) => d,
+            None => parse_deadline(std::env::var(ENV_TIMEOUT_MS).ok().as_deref())?,
         };
         let dir = std::env::temp_dir().join(format!(
             "tt-dist-{}-{}",
@@ -554,7 +570,7 @@ impl ProcTransport {
             spec: spec.clone(),
             dir,
             next_tag: 1,
-            deadline: opts.deadline.unwrap_or_else(env_deadline),
+            deadline,
             respawn_attempts: opts
                 .respawn_attempts
                 .unwrap_or(DEFAULT_RESPAWN_ATTEMPTS)
@@ -1188,6 +1204,22 @@ mod tests {
         assert!(FaultPlan::parse("explode:1@2").is_err());
         assert!(FaultPlan::parse("delay:1@2").is_err());
         assert!(FaultPlan::parse("").unwrap().is_empty());
+    }
+
+    #[test]
+    fn env_deadline_parses_and_rejects_garbage() {
+        assert_eq!(parse_deadline(None).unwrap(), DEFAULT_DEADLINE);
+        assert_eq!(parse_deadline(Some("  ")).unwrap(), DEFAULT_DEADLINE);
+        assert_eq!(
+            parse_deadline(Some(" 2500 ")).unwrap(),
+            Duration::from_millis(2500)
+        );
+        for bad in ["30s", "0", "-5", "1.5"] {
+            let err = parse_deadline(Some(bad)).unwrap_err();
+            assert!(matches!(err, Error::Runtime(_)), "{bad}: {err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains(ENV_TIMEOUT_MS) && msg.contains(bad), "{msg}");
+        }
     }
 
     #[test]
