@@ -2,8 +2,8 @@
 //! supersteps (placement, redistribution, charging), its in-process leg,
 //! and the exits of a resident result (`download*`, `free_result*`).
 
-use super::residency::{whole_key, whole_op, OpCharge};
-use super::sparse::split_coords;
+use super::residency::{whole_key, OpCharge, Superstep};
+use super::sparse::{inline_coords, upload_coords};
 use super::{expect_buf, DenseOp, DenseOpC, Executor, SparseOp, WireScalar, TAG_SD_A};
 use crate::cluster::{Cluster, Placement};
 use crate::handle::{
@@ -322,7 +322,7 @@ impl Executor {
             a
         };
         let mut homes: Vec<usize> = vec![0; steps.len()];
-        let mut pending: Vec<(usize, Request)> = Vec::new();
+        let mut pending = Superstep::default();
         for (i, (st, pl)) in steps.iter().zip(planned).enumerate() {
             let rank = if pl.base != i {
                 homes[pl.base]
@@ -365,11 +365,9 @@ impl Executor {
                     store: pl.key,
                 },
             };
-            pending.push((rank, req));
+            pending.task(rank, req);
         }
-        if !pending.is_empty() {
-            cl.call_all(pending)?;
-        }
+        pending.run(cl)?;
         Ok(homes)
     }
 
@@ -385,49 +383,29 @@ impl Executor {
         pl: &PlannedStep,
         homes: &mut [usize],
         planned: &[PlannedStep],
-        pending: &mut Vec<(usize, Request)>,
+        pending: &mut Superstep,
     ) -> Result<WireIn> {
         Ok(match src {
             ChainSrc::Dense(op) => {
-                WireIn::Dense(whole_op(&mut self.residency.lock(), op, rank, pending)?)
+                WireIn::Dense(pending.whole(&mut self.residency.lock(), op, rank)?)
             }
             ChainSrc::DenseC(op) => {
-                WireIn::Dense(whole_op(&mut self.residency.lock(), op, rank, pending)?)
+                WireIn::Dense(pending.whole(&mut self.residency.lock(), op, rank)?)
             }
             ChainSrc::Sparse(op) => {
                 let at = op.tensor()?;
-                match op.handle() {
-                    None => {
-                        let coords = kernels::sparse_coords(
-                            at,
-                            pl.plan.free_a_positions(),
-                            pl.plan.ctr_a_positions(),
-                        );
-                        let (rows, cols, vals) = split_coords(coords);
-                        WireIn::Coords(OpCoords::Inline { rows, cols, vals })
-                    }
+                let (rows, cols) = (pl.plan.free_a_positions(), pl.plan.ctr_a_positions());
+                let coords = || kernels::sparse_coords(at, rows, cols);
+                WireIn::Coords(match op.handle() {
+                    None => inline_coords(coords()),
                     Some(h) => {
-                        let wkey = sd_whole_key(h, &pl.plan, pl.n);
-                        if self.residency.lock().add_home(h.key(), wkey, rank) {
-                            let coords = kernels::sparse_coords(
-                                at,
-                                pl.plan.free_a_positions(),
-                                pl.plan.ctr_a_positions(),
-                            );
-                            let (rows, cols, vals) = split_coords(coords);
-                            pending.push((
-                                rank,
-                                Request::UploadCoords {
-                                    key: wkey,
-                                    rows,
-                                    cols,
-                                    vals,
-                                },
-                            ));
-                        }
-                        WireIn::Coords(OpCoords::Key(wkey))
+                        let key = sd_whole_key(h, &pl.plan, pl.n);
+                        let res = &mut self.residency.lock();
+                        pending
+                            .ensure(res, h.key(), key, rank, || Ok(upload_coords(key, coords())))?;
+                        OpCoords::Key(key)
                     }
-                }
+                })
             }
             ChainSrc::Prev(j) => {
                 let key = planned[*j].key;
@@ -462,13 +440,11 @@ impl Executor {
         key: u64,
         from: usize,
         to: usize,
-        pending: &mut Vec<(usize, Request)>,
+        pending: &mut Superstep,
     ) -> Result<()> {
-        if !pending.is_empty() {
-            cl.call_all(std::mem::take(pending))?;
-        }
+        std::mem::take(pending).run(cl)?;
         let data = expect_buf(cl.call(from, &Request::Download { key })?)?;
-        pending.push((to, Request::Upload { key, data }));
+        pending.upload(to, Request::Upload { key, data });
         Ok(())
     }
 
@@ -501,13 +477,8 @@ impl Executor {
                     let LocalRef::F64(tb) = resolve_local(&st.b, outs)? else {
                         return Err(mismatch());
                     };
-                    let (c, _flops) = kernels::sd_contract(
-                        &pl.plan,
-                        op.tensor()?,
-                        tb,
-                        self.pool(),
-                        kernels::SPARSE_PAR_MIN_FLOPS,
-                    )?;
+                    let (c, _flops) =
+                        kernels::sd_contract(&pl.plan, op.tensor()?, tb, self.pool())?;
                     DenseAny::F64(Arc::new(c))
                 }
             };

@@ -1,18 +1,17 @@
 //! Dense × dense contraction: one contraction chunked by row slabs, and
 //! the block-pair batch of the list algorithm.
 
-use super::residency::{replicate_to_missing, task_replies, whole_home, whole_key, whole_op};
+use super::residency::{whole_home, whole_key, Superstep};
 #[cfg(doc)]
 use super::ExecMode;
 use super::{expect_buf, DenseOp, DenseOpT, Executor, WireScalar};
 use crate::cluster::{Cluster, Placement};
-use crate::handle::{derive, hseq, Residency};
+use crate::handle::{derive, hseq};
 use crate::kernels;
 use crate::transport::worker::{Op, Out, Request};
 use crate::Result;
-use std::sync::Arc;
 use tt_tensor::einsum::ContractPlan;
-use tt_tensor::gemm::{gemm_path, GemmPath};
+use tt_tensor::gemm::gemm_path;
 #[cfg(doc)]
 use tt_tensor::Complex64;
 use tt_tensor::DenseTensor;
@@ -90,100 +89,77 @@ impl Executor {
         b: &DenseOpT<T>,
     ) -> Result<DenseTensor<T>> {
         let (at, bt) = (a.tensor()?, b.tensor()?);
-        plan.output_dims(at.dims(), bt.dims())?; // validates shapes
-        let (m, k, n) = kernels::fused_dims(plan, at.dims(), bt.dims());
-        let (perm_a, perm_b) = kernels::operand_perms(plan);
-
-        let path = gemm_path(k, n);
         let p = cl.ranks();
-        let ranges = match path {
-            GemmPath::Packed => kernels::mc_aligned_ranges(m, p),
-            _ => kernels::row_ranges(m, p),
-        };
+        let ((m, k, n), path, ranges) = kernels::dense_prepare(plan, at.dims(), bt.dims(), p)?;
+        let (perm_a, perm_b) = kernels::operand_perms(plan);
         let nchunks = ranges.len();
-        let mut reqs: Vec<(usize, Request)> = Vec::new();
-
-        // B: replicated permuted matrix, resident for handles
-        let b_field = match b.handle() {
-            None => Op::Inline(T::wrap(bt.permute(&perm_b)?.into_data())),
-            Some(h) => {
-                let wkey = derive(&[h.key(), T::TAG_B, hseq(&perm_b)]);
-                let mut b_mat: Option<Vec<T>> = None;
-                replicate_to_missing(
-                    &mut self.residency.lock(),
-                    h.key(),
-                    wkey,
-                    nchunks.min(p),
-                    &mut reqs,
-                    || {
-                        let data = match &b_mat {
-                            Some(d) => d.clone(),
-                            None => {
-                                let d = bt.permute(&perm_b)?.into_data();
-                                b_mat = Some(d.clone());
-                                d
-                            }
-                        };
-                        Ok(Request::Upload {
-                            key: wkey,
-                            data: T::wrap(data),
-                        })
-                    },
-                )?;
-                Op::Key(wkey)
-            }
-        };
-
-        // A: row slabs, one resident buffer per chunk for handles
-        let a_fields = slab_fields(
-            &mut self.residency.lock(),
-            a,
-            at,
-            &perm_a,
-            path,
-            &ranges,
-            k,
-            p,
-            &mut reqs,
-        )?;
-
-        let n_uploads = reqs.len();
-        for (i, &(r0, r1)) in ranges.iter().enumerate() {
-            let a_field = match &a_fields {
-                AFields::Inline(mat) => Op::Inline(T::wrap(mat[r0 * k..r1 * k].to_vec())),
-                AFields::Keys(keys) => Op::Key(keys[i]),
+        let mut step = Superstep::default();
+        // B: the replicated permuted matrix; A: one row slab per chunk,
+        // each a resident buffer of its own for a handle
+        let (b_field, a_fields) = {
+            let mut res = self.residency.lock();
+            let b_field = step.replicated(&mut res, b, &perm_b, nchunks.min(p))?;
+            let mut a_mat: Option<Vec<T>> = None;
+            let mut slab = |(r0, r1): (usize, usize)| -> Result<_> {
+                let mat = match &a_mat {
+                    Some(mat) => mat,
+                    None => a_mat.insert(at.permute(&perm_a)?.into_data()),
+                };
+                Ok(T::wrap(mat[r0 * k..r1 * k].to_vec()))
             };
-            reqs.push((
+            let mut a_fields = Vec::with_capacity(nchunks);
+            for (i, &range) in ranges.iter().enumerate() {
+                a_fields.push(match a.handle() {
+                    None => Op::Inline(slab(range)?),
+                    Some(h) => {
+                        let chunk = (nchunks as u64, i as u64);
+                        let layout = (hseq(&perm_a), path as u64);
+                        let key =
+                            derive(&[h.key(), T::TAG_A, layout.0, layout.1, chunk.0, chunk.1]);
+                        step.ensure(&mut res, h.key(), key, i % p, || {
+                            Ok(Request::Upload {
+                                key,
+                                data: slab(range)?,
+                            })
+                        })?;
+                        Op::Key(key)
+                    }
+                });
+            }
+            (b_field, a_fields)
+        };
+        for (i, (a, &(r0, r1))) in a_fields.into_iter().zip(&ranges).enumerate() {
+            let (rows, b) = (r1 - r0, b_field.clone());
+            step.task(
                 i % p,
                 Request::DenseChunk {
                     path,
-                    rows: r1 - r0,
+                    rows,
                     k,
                     n,
-                    a: a_field,
-                    b: b_field.clone(),
+                    a,
+                    b,
                 },
-            ));
-        }
-        let mut c = Vec::with_capacity(m * n);
-        for reply in cl.call_all(reqs)?.into_iter().skip(n_uploads) {
-            c.extend_from_slice(&T::unwrap(expect_buf(reply)?)?);
+            );
         }
         // (worker-side kernel flop counts travel back with every reply —
         // see the counter-delta prefix in transport::process — so the
         // driver's global counter matches the in-process backends)
-        let c = DenseTensor::from_vec(kernels::natural_dims(plan, at.dims(), bt.dims()), c)?;
-        Ok(c.permute(plan.output_permutation())?)
+        let mut c = Vec::with_capacity(m * n);
+        for reply in step.run(cl)? {
+            c.extend_from_slice(&T::unwrap(expect_buf(reply)?)?);
+        }
+        kernels::natural_output(plan, at.dims(), bt.dims(), c)
     }
 
     /// Contract many independent operand pairs (each operand by value or
     /// by handle) with one spec — the block-pair fan-out of the list
     /// algorithm.
     ///
-    /// In [`ExecMode::Threaded`] every pair runs as its own pool job
-    /// (each internally sequential: pair-level parallelism replaces
-    /// row-level parallelism, so per-element accumulation order is
-    /// unchanged). On the multi-process backend a handle-bearing pair is
+    /// In [`ExecMode::Threaded`] every pair runs on a pool lane, borrowing
+    /// its operands (each internally sequential: pair-level parallelism
+    /// replaces row-level parallelism, so per-element accumulation order
+    /// is unchanged). On the multi-process backend a handle-bearing pair is
     /// routed to the rank already holding one of its operands
     /// (deterministically; round-robin otherwise), and whole-tensor
     /// uploads a miss requires ride in the same superstep as the pair
@@ -195,7 +171,7 @@ impl Executor {
         spec: &str,
         pairs: &[(DenseOp, DenseOp)],
     ) -> Result<Vec<DenseTensor<f64>>> {
-        let plan = Arc::new(ContractPlan::parse(spec)?);
+        let plan = ContractPlan::parse(spec)?;
         // validate every pair up front (fused_dims/flop_count index by
         // plan positions and would panic on mismatched operand orders),
         // and snapshot the cost parameters
@@ -218,8 +194,7 @@ impl Executor {
             let mut cl = cl.lock();
             let p = cl.ranks();
             let mut placement = Placement::new(p);
-            let mut reqs: Vec<(usize, Request)> = Vec::new();
-            let mut is_task: Vec<bool> = Vec::new();
+            let mut step = Superstep::default();
             {
                 let mut res = self.residency.lock();
                 for (a, b) in pairs {
@@ -230,27 +205,21 @@ impl Executor {
                     // on one rank while the long-lived A operands spread
                     // to at most one extra home per pair rank
                     let rank = placement.place([whole_home(&res, b), whole_home(&res, a)]);
-                    let a_field = whole_op(&mut res, a, rank, &mut reqs)?;
-                    let b_field = whole_op(&mut res, b, rank, &mut reqs)?;
-                    is_task.resize(reqs.len(), false);
-                    reqs.push((
-                        rank,
-                        Request::Contract {
-                            spec: spec.to_string(),
-                            a_dims: at.dims().to_vec(),
-                            a: a_field,
-                            b_dims: bt.dims().to_vec(),
-                            b: b_field,
-                            out: Out::Reply,
-                        },
-                    ));
-                    is_task.push(true);
+                    let request = Request::Contract {
+                        spec: spec.to_string(),
+                        a_dims: at.dims().to_vec(),
+                        a: step.whole(&mut res, a, rank)?,
+                        b_dims: bt.dims().to_vec(),
+                        b: step.whole(&mut res, b, rank)?,
+                        out: Out::Reply,
+                    };
+                    step.task(rank, request);
                 }
             }
-            let replies = cl.call_all(reqs)?;
+            let replies = step.run(&mut cl)?;
             drop(cl);
             let mut out = Vec::with_capacity(pairs.len());
-            for ((reply, pair), &chg) in task_replies(replies, is_task).zip(pairs).zip(&charges) {
+            for ((reply, pair), &chg) in replies.into_iter().zip(pairs).zip(&charges) {
                 let (at, bt) = (pair.0.tensor()?, pair.1.tensor()?);
                 let dims = plan.output_dims(at.dims(), bt.dims())?;
                 out.push(DenseTensor::from_vec(dims, expect_buf(reply)?.into_f64()?)?);
@@ -258,96 +227,20 @@ impl Executor {
             }
             return Ok(out);
         }
-        let results: Vec<Result<DenseTensor<f64>>> = match self.pool() {
-            Some(pool) if pairs.len() > 1 => {
-                // jobs need owned operands ('static); the clone is the
-                // price of pair-level parallelism, paid only here
-                let jobs = pairs
-                    .iter()
-                    .map(|(a, b)| {
-                        let (a, b) = (a.tensor()?.clone(), b.tensor()?.clone());
-                        let plan = Arc::clone(&plan);
-                        let job: Box<dyn FnOnce() -> Result<DenseTensor<f64>> + Send> =
-                            Box::new(move || kernels::dense_contract(&plan, &a, &b, None));
-                        Ok(job)
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                pool.run(jobs)
-            }
-            // sequential mode, or a single pair: no copies; row-level
-            // parallelism (bitwise-identical by construction) still
-            // applies if a pool is present
-            _ => pairs
-                .iter()
-                .map(|(a, b)| kernels::dense_contract(&plan, a.tensor()?, b.tensor()?, self.pool()))
-                .collect(),
-        };
+        // with a pool, pair-level parallelism replaces row-level: a fanned
+        // out pair runs sequentially on its lane, a lone pair keeps its
+        // row panels (bitwise-identical by construction either way)
+        let pool = self.pool();
+        let rows = pool.filter(|_| pairs.len() == 1);
+        let results = kernels::ordered_map(pool, pairs.len(), |i| {
+            let (a, b) = &pairs[i];
+            kernels::dense_contract(&plan, a.tensor()?, b.tensor()?, rows)
+        });
         let mut out = Vec::with_capacity(results.len());
         for ((r, pair), &chg) in results.into_iter().zip(pairs).zip(&charges) {
             out.push(r?);
             charge_pair(pair, chg);
         }
         Ok(out)
-    }
-}
-
-/// The per-chunk `A` operand fields of a chunked cluster contraction:
-/// inline row slabs (value operands) or per-chunk resident keys.
-enum AFields<T> {
-    Inline(Vec<T>),
-    Keys(Vec<u64>),
-}
-
-/// The recurring "slab upload" block of the dense cluster paths: derive
-/// one resident buffer per row slab of the permuted `A` matrix, upload
-/// the slabs missing from their home ranks, and return the operand fields
-/// the chunk requests reference.
-#[allow(clippy::too_many_arguments)]
-fn slab_fields<T: WireScalar>(
-    res: &mut Residency,
-    a: &DenseOpT<T>,
-    at: &DenseTensor<T>,
-    perm_a: &[usize],
-    path: GemmPath,
-    ranges: &[(usize, usize)],
-    k: usize,
-    p: usize,
-    reqs: &mut Vec<(usize, Request)>,
-) -> Result<AFields<T>> {
-    match a.handle() {
-        None => Ok(AFields::Inline(at.permute(perm_a)?.into_data())),
-        Some(h) => {
-            let mut a_mat: Option<Vec<T>> = None;
-            let nchunks = ranges.len();
-            let mut keys = Vec::with_capacity(nchunks);
-            for (i, &(r0, r1)) in ranges.iter().enumerate() {
-                let wkey = derive(&[
-                    h.key(),
-                    T::TAG_A,
-                    hseq(perm_a),
-                    path as u64,
-                    nchunks as u64,
-                    i as u64,
-                ]);
-                if res.add_home(h.key(), wkey, i % p) {
-                    let mat = match &a_mat {
-                        Some(d) => d,
-                        None => {
-                            a_mat = Some(at.permute(perm_a)?.into_data());
-                            a_mat.as_ref().expect("just set")
-                        }
-                    };
-                    reqs.push((
-                        i % p,
-                        Request::Upload {
-                            key: wkey,
-                            data: T::wrap(mat[r0 * k..r1 * k].to_vec()),
-                        },
-                    ));
-                }
-                keys.push(wkey);
-            }
-            Ok(AFields::Keys(keys))
-        }
     }
 }

@@ -1,12 +1,13 @@
 //! Truncated SVD and thin QR, single and batched, through one driver;
 //! tall panels route through the TSQR tree.
 
-use super::residency::{task_replies, whole_home, whole_key, whole_op, OpCharge, MAP_OVERHEAD_S};
+use super::residency::{whole_home, whole_key, OpCharge, Superstep, MAP_OVERHEAD_S};
 #[cfg(doc)]
 use super::ExecMode;
 use super::{DenseOp, Executor};
 use crate::cluster::Placement;
 use crate::cost;
+use crate::kernels;
 use crate::transport::worker::{Op, Reply, Request};
 use crate::{Error, Result};
 use tt_linalg::{TruncSpec, TruncatedSvd};
@@ -67,7 +68,8 @@ impl Executor {
 
     /// Truncated SVDs of many independent matrices (the sector groups of a
     /// block SVD), each by value or by resident handle. In
-    /// [`ExecMode::Threaded`] the factorizations fan out over the pool; on
+    /// [`ExecMode::Threaded`] the factorizations fan out over the pool,
+    /// each borrowing its matrix; on
     /// the multi-process backend each runs on the rank its matrix is
     /// resident on (round-robin, with the upload in the same superstep,
     /// when it is on none) — so after the first batch against the same
@@ -78,7 +80,7 @@ impl Executor {
         self.factorize(
             mats,
             14.0,
-            |rows, cols, a| Request::SvdTrunc {
+            &|rows, cols, a| Request::SvdTrunc {
                 rows,
                 cols,
                 a,
@@ -86,9 +88,9 @@ impl Executor {
                 cutoff: spec.cutoff,
                 min_keep: spec.min_keep as u64,
             },
-            decode_svd,
-            move |m| tt_linalg::svd_trunc(m, spec),
-            |(q, r)| {
+            &decode_svd,
+            &|m| tt_linalg::svd_trunc(m, spec),
+            &|(q, r)| {
                 let t = tt_linalg::svd_trunc(&r, spec)?;
                 Ok(TruncatedSvd {
                     u: tt_tensor::gemm_f64(&q, &t.u)?,
@@ -107,10 +109,10 @@ impl Executor {
         self.factorize(
             mats,
             4.0,
-            |rows, cols, a| Request::QrThin { rows, cols, a },
-            decode_qr,
-            tt_linalg::qr_thin,
-            Ok,
+            &|rows, cols, a| Request::QrThin { rows, cols, a },
+            &decode_qr,
+            &tt_linalg::qr_thin,
+            &Ok,
         )
     }
 
@@ -121,14 +123,14 @@ impl Executor {
     /// one-time upload on a handle's first observation), then the
     /// factorization costing `flop_coeff · max(m,n) · min²` flops. A tall
     /// panel factors through the TSQR tree and `from_tsqr` instead.
-    fn factorize<R: Send + 'static>(
+    fn factorize<R: Send>(
         &self,
         mats: &[DenseOp],
         flop_coeff: f64,
-        make_req: impl Fn(usize, usize, Op) -> Request + Copy,
-        decode: impl Fn(Reply) -> Result<R> + Copy,
-        local: impl Fn(&DenseTensor<f64>) -> tt_linalg::Result<R> + Send + Sync + Copy + 'static,
-        from_tsqr: impl Fn((DenseTensor<f64>, DenseTensor<f64>)) -> Result<R> + Copy,
+        make_req: &dyn Fn(usize, usize, Op) -> Request,
+        decode: &dyn Fn(Reply) -> Result<R>,
+        local: &(dyn Fn(&DenseTensor<f64>) -> tt_linalg::Result<R> + Sync),
+        from_tsqr: &dyn Fn((DenseTensor<f64>, DenseTensor<f64>)) -> Result<R>,
     ) -> Result<Vec<R>> {
         let tensors = mats
             .iter()
@@ -163,21 +165,18 @@ impl Executor {
         if let (Some(cl), true) = (&self.cluster, tensors.iter().all(|t| t.order() == 2)) {
             let mut cl = cl.lock();
             let mut placement = Placement::new(cl.ranks());
-            let mut reqs: Vec<(usize, Request)> = Vec::new();
-            let mut is_task: Vec<bool> = Vec::new();
+            let mut step = Superstep::default();
             {
                 let mut res = self.residency.lock();
                 for (op, t) in mats.iter().zip(&tensors) {
                     let rank = placement.place([whole_home(&res, op)]);
-                    let field = whole_op(&mut res, op, rank, &mut reqs)?;
-                    is_task.resize(reqs.len(), false);
-                    reqs.push((rank, make_req(t.dims()[0], t.dims()[1], field)));
-                    is_task.push(true);
+                    let field = step.whole(&mut res, op, rank)?;
+                    step.task(rank, make_req(t.dims()[0], t.dims()[1], field));
                 }
             }
-            let replies = cl.call_all(reqs)?;
+            let replies = step.run(&mut cl)?;
             drop(cl);
-            for ((reply, op), t) in task_replies(replies, is_task).zip(mats).zip(tensors) {
+            for ((reply, op), t) in replies.into_iter().zip(mats).zip(tensors) {
                 out.push(decode(reply)?);
                 charge(op, t);
             }
@@ -186,23 +185,7 @@ impl Executor {
         // in-process, charging per matrix in submission order exactly like
         // the cluster path (same float accumulation order ⇒ bitwise-equal
         // counters across backends)
-        let results: Vec<tt_linalg::Result<R>> = match self.pool() {
-            Some(pool) if mats.len() > 1 => {
-                // jobs need owned inputs ('static); the clone is the price
-                // of matrix-level parallelism, paid only here
-                let jobs = tensors
-                    .iter()
-                    .map(|&t| {
-                        let m = t.clone();
-                        let job: Box<dyn FnOnce() -> tt_linalg::Result<R> + Send> =
-                            Box::new(move || local(&m));
-                        job
-                    })
-                    .collect();
-                pool.run(jobs)
-            }
-            _ => tensors.iter().map(|&t| local(t)).collect(),
-        };
+        let results = kernels::ordered_map(self.pool(), tensors.len(), |i| local(tensors[i]));
         for ((r, op), t) in results.into_iter().zip(mats).zip(tensors) {
             out.push(r?);
             charge(op, t);
@@ -255,7 +238,7 @@ fn decode_svd(reply: Reply) -> Result<TruncatedSvd> {
 }
 
 /// Rebuild a `(Q, R)` pair from its wire reply.
-fn decode_qr(reply: Reply) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
+pub(crate) fn decode_qr(reply: Reply) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
     match reply {
         Reply::Factors {
             q_rows,

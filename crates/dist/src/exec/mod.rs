@@ -41,7 +41,9 @@ mod sparse;
 mod tests;
 
 pub use chain::{ChainSrc, ChainStep};
+pub(crate) use factorize::decode_qr;
 pub use residency::RankCacheStats;
+pub(crate) use residency::Superstep;
 
 use crate::cluster::Cluster;
 use crate::comm::Comm;

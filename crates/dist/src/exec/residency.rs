@@ -1,13 +1,14 @@
 //! Residency, retention and charging: the upload/free lifecycle of operand
 //! handles, the cross-job retention cache, the worker-store counters, the
-//! α–β charge of a contraction, and the whole-tensor / replicated buffer
-//! helpers every cluster path shares.
+//! α–β charge of a contraction, and [`Superstep`], the builder every
+//! cluster leg assembles its frames with.
 
 use super::{DenseOp, DenseOpT, Executor, WireScalar, TAG_WHOLE};
+use crate::cluster::Cluster;
 use crate::cost;
 #[cfg(doc)]
 use crate::handle::ResultHandle;
-use crate::handle::{derive, DenseAny, OpHandle, Payload, Residency};
+use crate::handle::{derive, hseq, DenseAny, OpHandle, Payload, Residency};
 use crate::transport::worker::{Op, Reply, Request};
 use crate::{process_grid, Error, Result};
 use std::collections::{BTreeMap, HashMap};
@@ -460,54 +461,104 @@ pub(super) fn whole_home(res: &Residency, op: &DenseOp) -> Option<usize> {
     res.homes(whole_key(op.handle()?))?.first().copied()
 }
 
-/// The wire form of a whole dense operand for a task on `rank`: the
-/// payload itself for a value; for a handle its resident key, with the
-/// upload queued on `reqs` when `rank` does not hold the buffer yet (it
-/// then rides in the same superstep as the task).
-pub(super) fn whole_op<T: WireScalar>(
-    res: &mut Residency,
-    op: &DenseOpT<T>,
-    rank: usize,
-    reqs: &mut Vec<(usize, Request)>,
-) -> Result<Op> {
-    let data = || Ok::<_, Error>(T::wrap(op.tensor()?.data().to_vec()));
-    let Some(h) = op.handle() else {
-        return Ok(Op::Inline(data()?));
-    };
-    let wkey = whole_key(h);
-    if res.add_home(h.key(), wkey, rank) {
-        let data = data()?;
-        reqs.push((rank, Request::Upload { key: wkey, data }));
+/// One superstep under construction: requests in submission order, each an
+/// *upload* (a buffer a later task reads by key; its ack says nothing) or
+/// a *task* (its reply is the result). Every cluster leg that computes —
+/// dense, sd and ss chunks, block pairs, factorizations, TSQR slabs, chain
+/// steps — assembles its frames here and nowhere else, so the rule "ship
+/// what the rank is missing, then the tasks, keep the task replies" is
+/// said once.
+#[derive(Default)]
+pub(crate) struct Superstep {
+    reqs: Vec<(usize, Request)>,
+    is_task: Vec<bool>,
+}
+
+impl Superstep {
+    /// Queue an upload for `rank`.
+    pub(crate) fn upload(&mut self, rank: usize, req: Request) {
+        self.reqs.push((rank, req));
+        self.is_task.push(false);
     }
-    Ok(Op::Key(wkey))
-}
 
-/// The task replies of a superstep whose requests interleave uploads
-/// (`is_task` false) with tasks, in submission order.
-pub(super) fn task_replies(replies: Vec<Reply>, is_task: Vec<bool>) -> impl Iterator<Item = Reply> {
-    replies
-        .into_iter()
-        .zip(is_task)
-        .filter_map(|(reply, keep)| keep.then_some(reply))
-}
+    /// Queue a task for `rank`.
+    pub(crate) fn task(&mut self, rank: usize, req: Request) {
+        self.reqs.push((rank, req));
+        self.is_task.push(true);
+    }
 
-/// The recurring "replicated B" block of the dense/sd/ss cluster paths:
-/// ship the buffer derived from `content` under `wkey` to every rank (of
-/// the first `nranks`) that doesn't already hold it. `make` builds the
-/// upload request and is only invoked for missing ranks — callers memoize
-/// the payload inside it, so a fully-resident operand costs nothing.
-pub(super) fn replicate_to_missing(
-    res: &mut Residency,
-    content: u64,
-    wkey: u64,
-    nranks: usize,
-    reqs: &mut Vec<(usize, Request)>,
-    mut make: impl FnMut() -> Result<Request>,
-) -> Result<()> {
-    for r in 0..nranks {
-        if res.add_home(content, wkey, r) {
-            reqs.push((r, make()?));
+    /// Make `rank` hold the buffer `wkey` derived from `content`: unless
+    /// the registry already has it there, record the new home and queue
+    /// `make_upload()` — which is only then invoked, so a resident operand
+    /// costs nothing.
+    pub(crate) fn ensure(
+        &mut self,
+        res: &mut Residency,
+        content: u64,
+        wkey: u64,
+        rank: usize,
+        make_upload: impl FnOnce() -> Result<Request>,
+    ) -> Result<()> {
+        if res.add_home(content, wkey, rank) {
+            self.upload(rank, make_upload()?);
         }
+        Ok(())
     }
-    Ok(())
+
+    /// The wire form of a whole dense operand for a task on `rank`: the
+    /// payload itself for a value; for a handle its resident key, the
+    /// upload queued when `rank` does not hold the buffer yet.
+    pub(super) fn whole<T: WireScalar>(
+        &mut self,
+        res: &mut Residency,
+        op: &DenseOpT<T>,
+        rank: usize,
+    ) -> Result<Op> {
+        let data = || Ok::<_, Error>(T::wrap(op.tensor()?.data().to_vec()));
+        let Some(h) = op.handle() else {
+            return Ok(Op::Inline(data()?));
+        };
+        let key = whole_key(h);
+        self.ensure(res, h.key(), key, rank, || {
+            Ok(Request::Upload { key, data: data()? })
+        })?;
+        Ok(Op::Key(key))
+    }
+
+    /// The permuted `k × n` matrix of `b` as the replicated operand of
+    /// chunk tasks on ranks `0..nranks`: inline for a value; for a handle
+    /// resident under one key, permuted once, on the first miss.
+    pub(super) fn replicated<T: WireScalar>(
+        &mut self,
+        res: &mut Residency,
+        b: &DenseOpT<T>,
+        perm_b: &[usize],
+        nranks: usize,
+    ) -> Result<Op> {
+        let mat = || Ok::<_, Error>(b.tensor()?.permute(perm_b)?.into_data());
+        let Some(h) = b.handle() else {
+            return Ok(Op::Inline(T::wrap(mat()?)));
+        };
+        let key = derive(&[h.key(), T::TAG_B, hseq(perm_b)]);
+        let mut memo: Option<Vec<T>> = None;
+        for rank in 0..nranks {
+            self.ensure(res, h.key(), key, rank, || {
+                let data = T::wrap(match &memo {
+                    Some(m) => m.clone(),
+                    None => memo.insert(mat()?).clone(),
+                });
+                Ok(Request::Upload { key, data })
+            })?;
+        }
+        Ok(Op::Key(key))
+    }
+
+    /// Ship every request — all before any reply is awaited — and return
+    /// the task replies in submission order.
+    pub(crate) fn run(self, cl: &mut Cluster) -> Result<Vec<Reply>> {
+        let mut replies = cl.call_all(self.reqs)?;
+        let mut is_task = self.is_task.into_iter();
+        replies.retain(|_| is_task.next().unwrap_or(false));
+        Ok(replies)
+    }
 }

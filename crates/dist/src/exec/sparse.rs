@@ -1,12 +1,12 @@
 //! Sparse × dense and sparse × sparse contraction (the flattened
 //! algorithms' kernels), in-process or bucketed over the cluster.
 
-use super::residency::replicate_to_missing;
+use super::residency::Superstep;
 use super::{expect_buf, DenseOp, Executor, SparseOp, TAG_MAT_B, TAG_SD_A, TAG_SS_A, TAG_SS_B};
 use crate::cluster::Cluster;
-use crate::handle::{derive, hseq};
+use crate::handle::{derive, hseq, OpHandle, Residency};
 use crate::kernels;
-use crate::transport::worker::{Buf, Op, OpCoords, OpSs, Reply, Request};
+use crate::transport::worker::{OpCoords, OpSs, Reply, Request};
 use crate::{Error, Result};
 use tt_tensor::einsum::ContractPlan;
 use tt_tensor::{DenseTensor, SparseTensor};
@@ -29,7 +29,7 @@ impl Executor {
         let (c, flops) = if let Some(cl) = &self.cluster {
             self.sd_over_cluster(&mut cl.lock(), &plan, &a, &b)?
         } else {
-            kernels::sd_contract(&plan, at, bt, self.pool(), kernels::SPARSE_PAR_MIN_FLOPS)?
+            kernels::sd_contract(&plan, at, bt, self.pool())?
         };
         let (m, k, n) = kernels::fused_dims(&plan, at.dims(), bt.dims());
         let perm_b = kernels::operand_perms(&plan).1;
@@ -77,110 +77,38 @@ impl Executor {
         b: &DenseOp,
     ) -> Result<(DenseTensor<f64>, u64)> {
         let (at, bt) = (a.tensor()?, b.tensor()?);
-        plan.output_dims(at.dims(), bt.dims())?;
+        let p = cl.ranks();
+        let (coords, flops, chunks) = kernels::sd_prepare(plan, at, bt.dims(), p)?;
         let (m, _k, n) = kernels::fused_dims(plan, at.dims(), bt.dims());
         let perm_b = kernels::operand_perms(plan).1;
-
-        let coords = kernels::sparse_coords(at, plan.free_a_positions(), plan.ctr_a_positions());
-        let flops = 2 * coords.len() as u64 * n as u64;
-        let chunks = if flops < kernels::SPARSE_PAR_MIN_FLOPS {
-            1
-        } else {
-            cl.ranks()
-        };
-        let (ranges, buckets) = kernels::bucket_by_volume(coords, m, chunks, |_| n as u64);
-        let p = cl.ranks();
-        let mut reqs: Vec<(usize, Request)> = Vec::new();
-
-        let b_field = match b.handle() {
-            None => Op::Inline(Buf::F64(bt.permute(&perm_b)?.into_data())),
-            Some(h) => {
-                let wkey = derive(&[h.key(), TAG_MAT_B, hseq(&perm_b)]);
-                let mut b_mat: Option<Vec<f64>> = None;
-                replicate_to_missing(
-                    &mut self.residency.lock(),
+        let (ranges, buckets) = kernels::sd_buckets(coords, m, n, chunks);
+        let mut step = Superstep::default();
+        let (b_field, a_fields) = {
+            let mut res = self.residency.lock();
+            let b_field = step.replicated(&mut res, b, &perm_b, ranges.len().min(p))?;
+            let a_fields = bucket_fields(&mut step, &mut res, a.handle(), buckets, p, |h, i| {
+                derive(&[
                     h.key(),
-                    wkey,
-                    ranges.len().min(p),
-                    &mut reqs,
-                    || {
-                        let data = match &b_mat {
-                            Some(d) => d.clone(),
-                            None => {
-                                let d = bt.permute(&perm_b)?.into_data();
-                                b_mat = Some(d.clone());
-                                d
-                            }
-                        };
-                        Ok(Request::Upload {
-                            key: wkey,
-                            data: Buf::F64(data),
-                        })
-                    },
-                )?;
-                Op::Key(wkey)
-            }
+                    TAG_SD_A,
+                    hseq(plan.free_a_positions()),
+                    hseq(plan.ctr_a_positions()),
+                    n as u64,
+                    chunks as u64,
+                    i as u64,
+                ])
+            })?;
+            (b_field, a_fields)
         };
-
-        let a_keys: Option<Vec<u64>> = match a.handle() {
-            None => None,
-            Some(h) => {
-                let mut res = self.residency.lock();
-                let mut keys = Vec::with_capacity(buckets.len());
-                for (i, bucket) in buckets.iter().enumerate() {
-                    let wkey = derive(&[
-                        h.key(),
-                        TAG_SD_A,
-                        hseq(plan.free_a_positions()),
-                        hseq(plan.ctr_a_positions()),
-                        n as u64,
-                        chunks as u64,
-                        i as u64,
-                    ]);
-                    if res.add_home(h.key(), wkey, i % p) {
-                        let (rows, cols, vals) = split_coords(bucket.clone());
-                        reqs.push((
-                            i % p,
-                            Request::UploadCoords {
-                                key: wkey,
-                                rows,
-                                cols,
-                                vals,
-                            },
-                        ));
-                    }
-                    keys.push(wkey);
-                }
-                Some(keys)
-            }
-        };
-
-        let n_uploads = reqs.len();
-        for (i, (&(r0, r1), bucket)) in ranges.iter().zip(buckets).enumerate() {
-            let a_field = match &a_keys {
-                Some(keys) => OpCoords::Key(keys[i]),
-                None => {
-                    let (rows, cols, vals) = split_coords(bucket);
-                    OpCoords::Inline { rows, cols, vals }
-                }
-            };
-            reqs.push((
-                i % p,
-                Request::SdChunk {
-                    r0,
-                    r1,
-                    n,
-                    a: a_field,
-                    b: b_field.clone(),
-                },
-            ));
+        for (i, (a, &(r0, r1))) in a_fields.into_iter().zip(&ranges).enumerate() {
+            let b = b_field.clone();
+            step.task(i % p, Request::SdChunk { r0, r1, n, a, b });
         }
         let mut c = Vec::with_capacity(m * n);
-        for reply in cl.call_all(reqs)?.into_iter().skip(n_uploads) {
+        for reply in step.run(cl)? {
             c.extend_from_slice(&expect_buf(reply)?.into_f64()?);
         }
-        let c = DenseTensor::from_vec(kernels::natural_dims(plan, at.dims(), bt.dims()), c)?;
-        Ok((c.permute(plan.output_permutation())?, flops))
+        let c = kernels::natural_output(plan, at.dims(), bt.dims(), c)?;
+        Ok((c, flops))
     }
 
     /// Distributed sparse × sparse contraction with optional pre-computed
@@ -202,14 +130,7 @@ impl Executor {
         let (c, flops) = if let Some(cl) = &self.cluster {
             self.ss_over_cluster(&mut cl.lock(), &plan, &a, &b, mask)?
         } else {
-            kernels::ss_contract(
-                &plan,
-                at,
-                bt,
-                mask,
-                self.pool(),
-                kernels::SPARSE_PAR_MIN_FLOPS,
-            )?
+            kernels::ss_contract(&plan, at, bt, mask, self.pool())?
         };
         let (m, _k, n) = kernels::fused_dims(&plan, at.dims(), bt.dims());
         // All three tensors move only their stored entries (offset + value).
@@ -266,38 +187,20 @@ impl Executor {
         mask: Option<&[u64]>,
     ) -> Result<(SparseTensor<f64>, u64)> {
         let (at, bt) = (a.tensor()?, b.tensor()?);
-        let prep = kernels::ss_prepare(plan, at, bt, mask)?;
+        let p = cl.ranks();
+        let mut prep = kernels::ss_prepare(plan, at, bt, mask)?;
+        let chunks = kernels::sparse_chunks(prep.flops(), p);
+        // resident A buckets must not depend on B's pattern
+        let (ranges, buckets) = prep.take_buckets(chunks, a.handle().is_some());
         let kernels::SsPrep {
             out_shape,
-            m,
             n,
             row_axes,
             col_axes,
             btab,
             mask_sorted,
-            coords,
+            ..
         } = prep;
-
-        let coord_work = |c: &kernels::Coord| btab.run_len(c.1) as u64;
-        let total_work: u64 = coords.iter().map(&coord_work).sum();
-        let chunks = if 2 * total_work < kernels::SPARSE_PAR_MIN_FLOPS {
-            1
-        } else {
-            cl.ranks()
-        };
-        // resident A buckets must not depend on B's pattern, so the
-        // handle path weights each stored entry equally; any
-        // row-contiguous bucketing yields bitwise-identical results
-        let (ranges, mut buckets) = if a.handle().is_some() {
-            kernels::bucket_by_volume(coords, m, chunks, |_| 1)
-        } else {
-            kernels::bucket_by_volume(coords, m, chunks, coord_work)
-        };
-        // buckets ship key-sorted (the order the merge kernel consumes),
-        // so resident buckets amortize the sort across iterations
-        for bucket in &mut buckets {
-            kernels::sort_bucket_by_key(bucket);
-        }
 
         // flatten the grouped B operand once
         let b_keys = btab.keys().to_vec();
@@ -307,95 +210,57 @@ impl Executor {
         let (ax_dims, ax_strides): (Vec<u64>, Vec<u64>) = row_axes.iter().copied().unzip();
         let (cx_dims, cx_strides): (Vec<u64>, Vec<u64>) = col_axes.iter().copied().unzip();
 
-        let p = cl.ranks();
-        let mut reqs: Vec<(usize, Request)> = Vec::new();
-
-        let b_field = match b.handle() {
-            None => OpSs::Inline {
-                keys: b_keys,
-                lens: b_lens,
-                cols: b_cols,
-                vals: b_vals,
-            },
-            Some(h) => {
-                // fused-col table: keyed by B content + plan positions only
-                // (must stay in lockstep with the charge key in
-                // `contract_ss`)
-                let wkey = derive(&[
-                    h.key(),
-                    TAG_SS_B,
-                    hseq(plan.ctr_b_positions()),
-                    hseq(plan.free_b_positions()),
-                ]);
-                replicate_to_missing(
-                    &mut self.residency.lock(),
-                    h.key(),
-                    wkey,
-                    buckets.len().min(p),
-                    &mut reqs,
-                    || {
-                        Ok(Request::UploadSs {
-                            key: wkey,
-                            keys: b_keys.clone(),
-                            lens: b_lens.clone(),
-                            cols: b_cols.clone(),
-                            vals: b_vals.clone(),
-                        })
-                    },
-                )?;
-                OpSs::Key(wkey)
-            }
-        };
-
-        let a_keys: Option<Vec<u64>> = match a.handle() {
-            None => None,
-            Some(h) => {
-                let mut res = self.residency.lock();
-                let mut keys = Vec::with_capacity(buckets.len());
-                for (i, bucket) in buckets.iter().enumerate() {
-                    let wkey = derive(&[
+        let mut step = Superstep::default();
+        let (b_field, a_fields) = {
+            let mut res = self.residency.lock();
+            let b_field = match b.handle() {
+                None => OpSs::Inline {
+                    keys: b_keys,
+                    lens: b_lens,
+                    cols: b_cols,
+                    vals: b_vals,
+                },
+                Some(h) => {
+                    // fused-col table: keyed by B content + plan positions
+                    // only (must stay in lockstep with the charge key in
+                    // `contract_ss`)
+                    let key = derive(&[
                         h.key(),
-                        TAG_SS_A,
-                        hseq(plan.free_a_positions()),
-                        hseq(plan.ctr_a_positions()),
-                        chunks as u64,
-                        i as u64,
+                        TAG_SS_B,
+                        hseq(plan.ctr_b_positions()),
+                        hseq(plan.free_b_positions()),
                     ]);
-                    if res.add_home(h.key(), wkey, i % p) {
-                        let (rows, ctrs, vals) = split_coords(bucket.clone());
-                        reqs.push((
-                            i % p,
-                            Request::UploadCoords {
-                                key: wkey,
-                                rows,
-                                cols: ctrs,
-                                vals,
-                            },
-                        ));
+                    for rank in 0..ranges.len().min(p) {
+                        step.ensure(&mut res, h.key(), key, rank, || {
+                            Ok(Request::UploadSs {
+                                key,
+                                keys: b_keys.clone(),
+                                lens: b_lens.clone(),
+                                cols: b_cols.clone(),
+                                vals: b_vals.clone(),
+                            })
+                        })?;
                     }
-                    keys.push(wkey);
-                }
-                Some(keys)
-            }
-        };
-
-        let n_uploads = reqs.len();
-        for (i, ((r0, r1), bucket)) in ranges.into_iter().zip(buckets).enumerate() {
-            let a_field = match &a_keys {
-                Some(keys) => OpCoords::Key(keys[i]),
-                None => {
-                    let (rows, ctrs, vals) = split_coords(bucket);
-                    OpCoords::Inline {
-                        rows,
-                        cols: ctrs,
-                        vals,
-                    }
+                    OpSs::Key(key)
                 }
             };
-            reqs.push((
+            let a_fields = bucket_fields(&mut step, &mut res, a.handle(), buckets, p, |h, i| {
+                derive(&[
+                    h.key(),
+                    TAG_SS_A,
+                    hseq(plan.free_a_positions()),
+                    hseq(plan.ctr_a_positions()),
+                    chunks as u64,
+                    i as u64,
+                ])
+            })?;
+            (b_field, a_fields)
+        };
+        for (i, (a, (r0, r1))) in a_fields.into_iter().zip(ranges).enumerate() {
+            step.task(
                 i % p,
                 Request::SsChunk {
-                    a: a_field,
+                    a,
                     b: b_field.clone(),
                     r0: r0 as u64,
                     r1: r1 as u64,
@@ -406,11 +271,11 @@ impl Executor {
                     cx_strides: cx_strides.clone(),
                     mask: mask_sorted.as_ref().map(|ms| ms.to_vec()),
                 },
-            ));
+            );
         }
         let mut entries = Vec::new();
         let mut flops = 0u64;
-        for reply in cl.call_all(reqs)?.into_iter().skip(n_uploads) {
+        for reply in step.run(cl)? {
             match reply {
                 Reply::Entries {
                     offs,
@@ -431,8 +296,30 @@ impl Executor {
     }
 }
 
-/// Split coords into the three parallel arrays the wire format carries.
-pub(super) fn split_coords(coords: Vec<kernels::Coord>) -> (Vec<u64>, Vec<u64>, Vec<f64>) {
+/// The `A` operand of each chunk task of a bucketed sparse contraction:
+/// the bucket inline, or — for a handle — resident under `wkey(h, i)` on
+/// the chunk's rank `i % p`, uploaded where it is missing.
+fn bucket_fields(
+    step: &mut Superstep,
+    res: &mut Residency,
+    handle: Option<&OpHandle>,
+    buckets: Vec<Vec<kernels::Coord>>,
+    p: usize,
+    wkey: impl Fn(&OpHandle, usize) -> u64,
+) -> Result<Vec<OpCoords>> {
+    let field = |(i, bucket)| {
+        let Some(h) = handle else {
+            return Ok(inline_coords(bucket));
+        };
+        let key = wkey(h, i);
+        step.ensure(res, h.key(), key, i % p, || Ok(upload_coords(key, bucket)))?;
+        Ok(OpCoords::Key(key))
+    };
+    buckets.into_iter().enumerate().map(field).collect()
+}
+
+/// Coords as the three parallel arrays the wire format carries.
+fn split_coords(coords: Vec<kernels::Coord>) -> (Vec<u64>, Vec<u64>, Vec<f64>) {
     let mut rows = Vec::with_capacity(coords.len());
     let mut cols = Vec::with_capacity(coords.len());
     let mut vals = Vec::with_capacity(coords.len());
@@ -442,4 +329,21 @@ pub(super) fn split_coords(coords: Vec<kernels::Coord>) -> (Vec<u64>, Vec<u64>, 
         vals.push(v);
     }
     (rows, cols, vals)
+}
+
+/// Coords shipped with their task.
+pub(super) fn inline_coords(coords: Vec<kernels::Coord>) -> OpCoords {
+    let (rows, cols, vals) = split_coords(coords);
+    OpCoords::Inline { rows, cols, vals }
+}
+
+/// Coords stored under `key`.
+pub(super) fn upload_coords(key: u64, coords: Vec<kernels::Coord>) -> Request {
+    let (rows, cols, vals) = split_coords(coords);
+    Request::UploadCoords {
+        key,
+        rows,
+        cols,
+        vals,
+    }
 }

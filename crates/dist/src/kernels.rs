@@ -26,10 +26,9 @@
 //! contiguous run. None of this touches arithmetic: every output element
 //! still accumulates the same products in the same order.
 
-use crate::pool::ThreadPool;
+use crate::pool::{PoolJob, ThreadPool};
 use crate::{Error, Result};
 use std::borrow::Cow;
-use std::sync::Arc;
 use tt_tensor::einsum::ContractPlan;
 use tt_tensor::gemm::{
     gemm_acc_packed_rows, gemm_acc_slices, gemm_path, gemv_acc_rows, GemmPath, PackedB, MC,
@@ -39,17 +38,69 @@ use tt_tensor::ssmerge::{merge_chunk, SsBTable};
 use tt_tensor::transpose::{motion, permute_data, Motion};
 use tt_tensor::{DenseTensor, Scalar, Shape, SparseTensor};
 
+/// Contiguous row ranges `[r0, r1)`, in row order.
+pub(crate) type Ranges = Vec<(usize, usize)>;
+
+/// `f(0), …, f(n − 1)`, in that order: across the pool when there is one
+/// and more than one call to make, on this thread otherwise. The one way
+/// kernel work reaches a lane — `f` borrows whatever it needs, and the
+/// result order never depends on which leg ran.
+pub(crate) fn ordered_map<T: Send>(
+    pool: Option<&ThreadPool>,
+    n: usize,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    match pool {
+        Some(pool) if n > 1 => {
+            let f = &f;
+            pool.run(
+                (0..n)
+                    .map(|i| Box::new(move || f(i)) as PoolJob<T>)
+                    .collect(),
+            )
+        }
+        _ => (0..n).map(f).collect(),
+    }
+}
+
+/// Lanes a kernel may fan out over: the pool's threads, or one.
+fn lanes(pool: Option<&ThreadPool>) -> usize {
+    pool.map_or(1, ThreadPool::threads)
+}
+
 /// Work volume (flops) below which the sparse kernels stay on a single
-/// worker: at small sizes the pool dispatch overhead (job boxing, channel
-/// wakeups, shared-queue contention) costs more than the kernel itself —
-/// `BENCH_kernels.json` measured `sd_contract_threaded` at 512×128×64
-/// (~5.6 MFlop) *slower* than sequential before this gate existed.
-pub(crate) const SPARSE_PAR_MIN_FLOPS: u64 = 16_000_000;
+/// lane: at small sizes the dispatch overhead (job boxing, channel
+/// wakeups, shared-queue contention — or a frame per worker) costs more
+/// than the kernel itself — `BENCH_kernels.json` measured
+/// `sd_contract_threaded` at 512×128×64 (~5.6 MFlop) *slower* than
+/// sequential before this gate existed.
+const SPARSE_PAR_MIN_FLOPS: u64 = 16_000_000;
+
+/// The sparse fan-out rule: how many row chunks a sparse-dense or
+/// sparse-sparse contraction of `flops` flops is cut into, given `lanes`
+/// pool threads or worker ranks.
+pub(crate) fn sparse_chunks(flops: u64, lanes: usize) -> usize {
+    if flops < SPARSE_PAR_MIN_FLOPS {
+        1
+    } else {
+        lanes
+    }
+}
+
+/// The dense fan-out rule: the row ranges an `m`-row GEMM on kernel path
+/// `path` is cut into over `lanes` — [`MC`]-aligned on the packed path,
+/// uniform otherwise; never gated on work size.
+pub(crate) fn dense_ranges(path: GemmPath, m: usize, lanes: usize) -> Ranges {
+    match path {
+        GemmPath::Packed => mc_aligned_ranges(m, lanes),
+        GemmPath::Gemv | GemmPath::Scalar => row_ranges(m, lanes),
+    }
+}
 
 /// Split `m` rows into at most `chunks` contiguous ranges. Always returns
 /// at least one (possibly empty) range so zero-extent outputs flow through
 /// the same chunked path instead of panicking downstream.
-pub(crate) fn row_ranges(m: usize, chunks: usize) -> Vec<(usize, usize)> {
+fn row_ranges(m: usize, chunks: usize) -> Vec<(usize, usize)> {
     if m == 0 {
         return vec![(0, 0)];
     }
@@ -64,7 +115,7 @@ pub(crate) fn row_ranges(m: usize, chunks: usize) -> Vec<(usize, usize)> {
 /// Split `m` rows into at most `chunks` ranges whose boundaries are
 /// [`MC`]-aligned, so every chunking packs exactly the same `A` panels as
 /// the sequential single-chunk run (GEMM-level parallelism contract).
-pub(crate) fn mc_aligned_ranges(m: usize, chunks: usize) -> Vec<(usize, usize)> {
+fn mc_aligned_ranges(m: usize, chunks: usize) -> Vec<(usize, usize)> {
     if m == 0 {
         return vec![(0, 0)];
     }
@@ -190,6 +241,22 @@ fn into_output<T: Scalar>(
     Ok(DenseTensor::from_vec(out_dims, c)?)
 }
 
+/// The epilogue of every dense-result leg: the natural-order rows of
+/// `a ·plan· b`, as computed locally or concatenated from worker panels,
+/// as the output tensor.
+pub(crate) fn natural_output<T: Scalar>(
+    plan: &ContractPlan,
+    a_dims: &[usize],
+    b_dims: &[usize],
+    c: Vec<T>,
+) -> Result<DenseTensor<T>> {
+    into_output(
+        natural_dims(plan, a_dims, b_dims),
+        c,
+        plan.output_permutation(),
+    )
+}
+
 /// Row panels in row order as one buffer: a single panel moves.
 fn concat_rows<T: Scalar>(mut panels: Vec<Vec<T>>, len: usize) -> Vec<T> {
     if panels.len() == 1 {
@@ -203,7 +270,7 @@ fn concat_rows<T: Scalar>(mut panels: Vec<Vec<T>>, len: usize) -> Vec<T> {
 }
 
 /// Rows `[r0, r1)` of `A · B` as a fresh row panel — the unit of work of
-/// every dense path (inline, pool job, multi-process worker). `a` is the
+/// every dense path (in-process lane, multi-process worker). `a` is the
 /// full `m × k` matrix through strides `(a_rs, a_cs)` (contiguous rows
 /// unless the path is packed); `b` is the contiguous `k × n` matrix, read
 /// by the GEMV and scalar paths; `pb` is `B` packed, read by the packed
@@ -241,95 +308,58 @@ fn dense_rows<T: Scalar>(
     }
 }
 
-/// Dense × dense contraction (TTGT), parallel at the GEMM level: the
-/// kernel path comes from [`gemm_path`]`(k, n)` (invariant under row
-/// chunking), `B` is packed once and shared, and row-disjoint panels fan
-/// out over the pool. Operands are read in place when their permutation
-/// moves nothing (see [`mat_operand`]); only pool jobs, which outlive this
-/// frame, take an owned copy.
+/// The prelude both legs of a dense contraction share: the validated
+/// fused dims `(m, k, n)`, the kernel path ([`gemm_path`]`(k, n)`,
+/// invariant under row chunking) and the row ranges over `lanes`.
+pub(crate) fn dense_prepare(
+    plan: &ContractPlan,
+    a_dims: &[usize],
+    b_dims: &[usize],
+    lanes: usize,
+) -> Result<((usize, usize, usize), GemmPath, Ranges)> {
+    plan.output_dims(a_dims, b_dims)?; // validates shapes
+    let (m, k, n) = fused_dims(plan, a_dims, b_dims);
+    let path = gemm_path(k, n);
+    Ok(((m, k, n), path, dense_ranges(path, m, lanes)))
+}
+
+/// Dense × dense contraction (TTGT), parallel at the GEMM level: `B` is
+/// packed once — one `KC`-deep block per call; blocks are independent and
+/// reassemble to the exact bytes of a monolithic pack — and row-disjoint
+/// panels run the microkernel against the shared packed operand, both
+/// through [`ordered_map`]. Operands are read in place when their
+/// permutation moves nothing (see [`mat_operand`]), on every lane.
 pub(crate) fn dense_contract<T: Scalar>(
     plan: &ContractPlan,
     a: &DenseTensor<T>,
     b: &DenseTensor<T>,
     pool: Option<&ThreadPool>,
 ) -> Result<DenseTensor<T>> {
-    plan.output_dims(a.dims(), b.dims())?; // validates shapes
-    let (m, k, n) = fused_dims(plan, a.dims(), b.dims());
+    let ((m, k, n), path, ranges) = dense_prepare(plan, a.dims(), b.dims(), lanes(pool))?;
     let (perm_a, perm_b) = operand_perms(plan);
-    let path = gemm_path(k, n);
     let packed = path == GemmPath::Packed;
     let a_mat = mat_operand(a, &perm_a, m, k, packed)?;
     let b_mat = mat_operand(b, &perm_b, k, n, packed)?;
-    let a_strides = (a_mat.rs, a_mat.cs);
-
-    let nthreads = pool.map(|p| p.threads()).unwrap_or(1);
-    let ranges = if packed {
-        mc_aligned_ranges(m, nthreads)
-    } else {
-        row_ranges(m, nthreads)
-    };
-    let panels: Vec<Vec<T>> = match pool {
-        Some(pool) if ranges.len() > 1 => {
-            let a_own: Arc<Vec<T>> = Arc::new(a_mat.data.into_owned());
-            let b_own: Arc<Vec<T>> = Arc::new(b_mat.data.into_owned());
-            // pack B across the pool, one KC-deep block per job — blocks
-            // are independent and reassemble to the exact bytes of a
-            // monolithic pack — then every worker drives the microkernel
-            // over its own MC-aligned row panels against the shared
-            // packed operand
-            let pb: Option<Arc<PackedB<T>>> = packed.then(|| {
-                let (b_rs, b_cs) = (b_mat.rs, b_mat.cs);
-                let jobs = (0..PackedB::<T>::block_count(k))
-                    .map(|blk| {
-                        let b_own = Arc::clone(&b_own);
-                        Box::new(move || PackedB::<T>::pack_block(k, n, &b_own, b_rs, b_cs, blk))
-                            as Box<dyn FnOnce() -> _ + Send>
-                    })
-                    .collect();
-                Arc::new(PackedB::from_blocks(k, n, pool.run(jobs)))
-            });
-            let jobs = ranges
-                .into_iter()
-                .map(|range| {
-                    let (a_own, b_own, pb) = (Arc::clone(&a_own), Arc::clone(&b_own), pb.clone());
-                    Box::new(move || {
-                        dense_rows(
-                            path,
-                            range,
-                            (k, n),
-                            &a_own,
-                            a_strides,
-                            &b_own,
-                            pb.as_deref(),
-                        )
-                    }) as Box<dyn FnOnce() -> Vec<T> + Send>
-                })
-                .collect();
-            pool.run(jobs)
-        }
-        _ => {
-            let pb = packed.then(|| PackedB::pack(k, n, &b_mat.data, b_mat.rs, b_mat.cs));
-            ranges
-                .into_iter()
-                .map(|range| {
-                    dense_rows(
-                        path,
-                        range,
-                        (k, n),
-                        &a_mat.data,
-                        a_strides,
-                        &b_mat.data,
-                        pb.as_ref(),
-                    )
-                })
-                .collect()
-        }
-    };
-    into_output(
-        natural_dims(plan, a.dims(), b.dims()),
-        concat_rows(panels, m * n),
-        plan.output_permutation(),
-    )
+    // one row range: nothing to fan out, and `B` is packed here too
+    let pool = pool.filter(|_| ranges.len() > 1);
+    let pb = packed.then(|| {
+        let blocks = ordered_map(pool, PackedB::<T>::block_count(k), |blk| {
+            PackedB::<T>::pack_block(k, n, &b_mat.data, b_mat.rs, b_mat.cs, blk)
+        });
+        PackedB::from_blocks(k, n, blocks)
+    });
+    let panels = ordered_map(pool, ranges.len(), |i| {
+        dense_rows(
+            path,
+            ranges[i],
+            (k, n),
+            &a_mat.data,
+            (a_mat.rs, a_mat.cs),
+            &b_mat.data,
+            pb.as_ref(),
+        )
+    });
+    natural_output(plan, a.dims(), b.dims(), concat_rows(panels, m * n))
 }
 
 /// One dense chunk computed from a *local* row slab: the shared-nothing
@@ -390,9 +420,6 @@ pub(crate) fn sparse_coords(
 
 /// A `(fused row, fused col, value)` sparse coordinate.
 pub(crate) type Coord = (u64, u64, f64);
-
-/// A chunk job producing `(output entries, flops executed)`.
-type SsJob = Box<dyn FnOnce() -> (Vec<(u64, f64)>, u64) + Send>;
 
 /// Decompose a row-major fused index over `axes` (`(dimension, output
 /// stride)` pairs, most-significant first) and re-fuse it with the output
@@ -673,7 +700,7 @@ pub(crate) fn sd_panel(
 /// tensor. One chunk runs inline and, when the layout allows, writes `C`
 /// straight into output order; more chunks bucket the coords by volume
 /// and fan natural-order row panels out over the pool. `B` is borrowed
-/// unless it has to be transposed or pool jobs need an owned copy.
+/// unless it has to be transposed.
 pub(crate) fn sd_apply(
     g: &SdGeometry,
     b: &[f64],
@@ -703,7 +730,7 @@ pub(crate) fn sd_apply(
     } else {
         Cow::Owned(permute_data(b, g.b_dims, g.perm_b)?)
     };
-    let Some(pool) = parallel else {
+    if parallel.is_none() {
         let mut c = vec![0.0f64; m * n];
         sd_chunk(
             0, &coords, layout.run, &layout.b, &b_data, &layout.c, &mut c,
@@ -713,44 +740,52 @@ pub(crate) fn sd_apply(
         } else {
             into_output(g.nat_dims.to_vec(), c, g.out_perm)
         };
-    };
-    // every stored entry costs one n-wide axpy
-    let (ranges, buckets) = bucket_by_volume(coords.into_owned(), m, chunks, |_| n as u64);
-    let run = layout.run;
-    let b_view = Arc::new(layout.b);
-    let b_data: Arc<Vec<f64>> = Arc::new(b_data.into_owned());
-    let jobs = ranges
-        .into_iter()
-        .zip(buckets)
-        .map(|(range, bucket)| {
-            let (b_view, b_data) = (Arc::clone(&b_view), Arc::clone(&b_data));
-            Box::new(move || sd_panel(range, n, &bucket, run, &b_view, &b_data))
-                as Box<dyn FnOnce() -> Vec<f64> + Send>
-        })
-        .collect();
-    into_output(
-        g.nat_dims.to_vec(),
-        concat_rows(pool.run(jobs), m * n),
-        g.out_perm,
-    )
+    }
+    let (ranges, buckets) = sd_buckets(coords.into_owned(), m, n, chunks);
+    let panels = ordered_map(parallel, ranges.len(), |i| {
+        sd_panel(ranges[i], n, &buckets[i], layout.run, &layout.b, &b_data)
+    });
+    into_output(g.nat_dims.to_vec(), concat_rows(panels, m * n), g.out_perm)
+}
+
+/// `coords` as `chunks` volume-balanced row buckets: every stored entry
+/// costs one `n`-wide axpy.
+pub(crate) fn sd_buckets(
+    coords: Vec<Coord>,
+    m: usize,
+    n: usize,
+    chunks: usize,
+) -> (Ranges, Vec<Vec<Coord>>) {
+    bucket_by_volume(coords, m, chunks, |_| n as u64)
+}
+
+/// The prelude both legs of a sparse-dense contraction share: `A`'s
+/// coords in stored order, the flops they cost against `B`'s `n`-wide
+/// rows, and the chunk count over `lanes`.
+pub(crate) fn sd_prepare(
+    plan: &ContractPlan,
+    a: &SparseTensor<f64>,
+    b_dims: &[usize],
+    lanes: usize,
+) -> Result<(Vec<Coord>, u64, usize)> {
+    plan.output_dims(a.dims(), b_dims)?;
+    let n = fused_dims(plan, a.dims(), b_dims).2;
+    let coords = sparse_coords(a, plan.free_a_positions(), plan.ctr_a_positions());
+    let flops = 2 * coords.len() as u64 * n as u64;
+    Ok((coords, flops, sparse_chunks(flops, lanes)))
 }
 
 /// Sparse × dense contraction producing a dense tensor, row-chunked with
-/// volume-balanced (nnz·n) chunk boundaries. Work below `min_par_flops`
-/// stays on one worker (pool dispatch would cost more than it saves).
+/// volume-balanced (nnz·n) chunk boundaries when [`sparse_chunks`] says
+/// the work is worth more than one lane.
 pub(crate) fn sd_contract(
     plan: &ContractPlan,
     a: &SparseTensor<f64>,
     b: &DenseTensor<f64>,
     pool: Option<&ThreadPool>,
-    min_par_flops: u64,
 ) -> Result<(DenseTensor<f64>, u64)> {
-    plan.output_dims(a.dims(), b.dims())?;
+    let (coords, flops, chunks) = sd_prepare(plan, a, b.dims(), lanes(pool))?;
     let (m, _k, n) = fused_dims(plan, a.dims(), b.dims());
-    let coords = sparse_coords(a, plan.free_a_positions(), plan.ctr_a_positions());
-    let flops = 2 * coords.len() as u64 * n as u64;
-    let nthreads = pool.map(|p| p.threads()).unwrap_or(1);
-    let chunks = if flops < min_par_flops { 1 } else { nthreads };
     let g = SdGeometry {
         m,
         n,
@@ -901,12 +936,40 @@ pub(crate) fn ss_chunk(
     (entries, flops)
 }
 
-/// Stable sort of a chunk's coords by contracted key — the order
-/// [`ss_chunk`] requires. Split out so the driver can pre-sort buckets
-/// before uploading them as resident derived buffers (sorting then
-/// amortizes across Davidson iterations like the `B` table build).
-pub(crate) fn sort_bucket_by_key(bucket: &mut [Coord]) {
-    bucket.sort_by_key(|c| c.1);
+impl SsPrep<'_> {
+    /// Exact work model: an `A` entry costs one multiply-add per entry of
+    /// its matching `B` key run (zero when no run matches).
+    fn coord_work(&self, c: &Coord) -> u64 {
+        self.btab.run_len(c.1) as u64
+    }
+
+    /// Flops of the whole contraction — what [`sparse_chunks`] gates on.
+    pub(crate) fn flops(&self) -> u64 {
+        2 * self.coords.iter().map(|c| self.coord_work(c)).sum::<u64>()
+    }
+
+    /// Take the coords as `chunks` row-disjoint buckets, each stably
+    /// sorted by contracted key (the order [`ss_chunk`] consumes, so a
+    /// resident bucket amortizes the sort across iterations). Buckets are
+    /// balanced by exact work — or, `by_entries`, by stored entries alone:
+    /// a resident bucket must not depend on `B`'s pattern, and any
+    /// row-contiguous bucketing yields bitwise-identical results.
+    pub(crate) fn take_buckets(
+        &mut self,
+        chunks: usize,
+        by_entries: bool,
+    ) -> (Ranges, Vec<Vec<Coord>>) {
+        let coords = std::mem::take(&mut self.coords);
+        let (ranges, mut buckets) = if by_entries {
+            bucket_by_volume(coords, self.m, chunks, |_| 1)
+        } else {
+            bucket_by_volume(coords, self.m, chunks, |c| self.coord_work(c))
+        };
+        for bucket in &mut buckets {
+            bucket.sort_by_key(|c| c.1);
+        }
+        (ranges, buckets)
+    }
 }
 
 /// Sparse × sparse contraction with an optional pre-computed output-
@@ -914,92 +977,38 @@ pub(crate) fn sort_bucket_by_key(bucket: &mut [Coord]) {
 /// row-chunked with exact per-row work weights (each `A` entry is weighted
 /// by its matching `B` key-run length) and fully deterministic (per output
 /// element, products apply in ascending contracted-key order independent
-/// of chunking). Work below `min_par_flops` stays on one worker.
+/// of chunking).
 pub(crate) fn ss_contract(
     plan: &ContractPlan,
     a: &SparseTensor<f64>,
     b: &SparseTensor<f64>,
     mask: Option<&[u64]>,
     pool: Option<&ThreadPool>,
-    min_par_flops: u64,
 ) -> Result<(SparseTensor<f64>, u64)> {
-    let SsPrep {
-        out_shape,
-        m,
-        n,
-        row_axes,
-        col_axes,
-        btab,
-        mask_sorted,
-        coords,
-    } = ss_prepare(plan, a, b, mask)?;
+    let prep = ss_prepare(plan, a, b, mask)?;
+    let chunks = sparse_chunks(prep.flops(), lanes(pool));
+    ss_chunked(prep, chunks, pool)
+}
 
-    let nthreads = pool.map(|p| p.threads()).unwrap_or(1);
-    // exact work model: an A entry costs one multiply-add per entry of its
-    // matching B key run (zero when no run matches)
-    let coord_work = |c: &Coord| btab.run_len(c.1) as u64;
-    let total_work: u64 = coords.iter().map(&coord_work).sum();
-    let chunks = if 2 * total_work < min_par_flops {
-        1
-    } else {
-        nthreads
-    };
-    let (ranges, mut buckets) = bucket_by_volume(coords, m, chunks, coord_work);
-    for bucket in &mut buckets {
-        sort_bucket_by_key(bucket);
-    }
-
-    let chunk_results: Vec<(Vec<(u64, f64)>, u64)> = match pool {
-        Some(pool) if ranges.len() > 1 => {
-            // pool jobs outlive this frame: they share the tables, and a
-            // borrowed mask is copied once for all of them
-            let row_axes = Arc::new(row_axes);
-            let col_axes = Arc::new(col_axes);
-            let btab = Arc::new(btab);
-            let mask_sorted = mask_sorted.map(|ms| Arc::new(ms.into_owned()));
-            let jobs = ranges
-                .into_iter()
-                .zip(buckets)
-                .map(|((r0, r1), bucket)| {
-                    let btab = Arc::clone(&btab);
-                    let row_axes = Arc::clone(&row_axes);
-                    let col_axes = Arc::clone(&col_axes);
-                    let mask_sorted = mask_sorted.clone();
-                    let job: SsJob = Box::new(move || {
-                        ss_chunk(
-                            &bucket,
-                            &btab,
-                            r0,
-                            r1,
-                            n,
-                            &row_axes,
-                            &col_axes,
-                            mask_sorted.as_ref().map(|m| m.as_slice()),
-                        )
-                    });
-                    job
-                })
-                .collect();
-            pool.run(jobs)
-        }
-        _ => ranges
-            .into_iter()
-            .zip(&buckets)
-            .map(|((r0, r1), bucket)| {
-                ss_chunk(
-                    bucket,
-                    &btab,
-                    r0,
-                    r1,
-                    n,
-                    &row_axes,
-                    &col_axes,
-                    mask_sorted.as_deref(),
-                )
-            })
-            .collect(),
-    };
-
+/// [`ss_contract`] over a given chunk count.
+fn ss_chunked(
+    mut prep: SsPrep,
+    chunks: usize,
+    pool: Option<&ThreadPool>,
+) -> Result<(SparseTensor<f64>, u64)> {
+    let (ranges, buckets) = prep.take_buckets(chunks, false);
+    let chunk_results = ordered_map(pool, ranges.len(), |i| {
+        ss_chunk(
+            &buckets[i],
+            &prep.btab,
+            ranges[i].0,
+            ranges[i].1,
+            prep.n,
+            &prep.row_axes,
+            &prep.col_axes,
+            prep.mask_sorted.as_deref(),
+        )
+    });
     // Distinct output rows per chunk ⇒ entry sets are disjoint; the union
     // is just a concatenation that from_entries re-sorts.
     let mut entries = Vec::new();
@@ -1008,7 +1017,7 @@ pub(crate) fn ss_contract(
         entries.extend(chunk);
         flops += f;
     }
-    Ok((SparseTensor::from_entries(out_shape, entries)?, flops))
+    Ok((SparseTensor::from_entries(prep.out_shape, entries)?, flops))
 }
 
 #[cfg(test)]
@@ -1028,6 +1037,39 @@ mod tests {
             }
         });
         SparseTensor::from_dense(&dense, 0.0)
+    }
+
+    /// [`sd_contract`] cut into one chunk per pool thread, whatever
+    /// [`sparse_chunks`] would say of the work size.
+    fn sd_forced(
+        plan: &ContractPlan,
+        a: &SparseTensor<f64>,
+        b: &DenseTensor<f64>,
+        pool: &ThreadPool,
+    ) -> DenseTensor<f64> {
+        let (coords, ..) = sd_prepare(plan, a, b.dims(), 1).unwrap();
+        let (m, _k, n) = fused_dims(plan, a.dims(), b.dims());
+        let g = SdGeometry {
+            m,
+            n,
+            b_dims: b.dims(),
+            perm_b: &operand_perms(plan).1,
+            nat_dims: &natural_dims(plan, a.dims(), b.dims()),
+            out_perm: plan.output_permutation(),
+        };
+        sd_apply(&g, b.data(), Cow::Owned(coords), pool.threads(), Some(pool)).unwrap()
+    }
+
+    /// [`ss_contract`] cut into one chunk per pool thread likewise.
+    fn ss_forced(
+        plan: &ContractPlan,
+        a: &SparseTensor<f64>,
+        b: &SparseTensor<f64>,
+        mask: Option<&[u64]>,
+        pool: &ThreadPool,
+    ) -> SparseTensor<f64> {
+        let prep = ss_prepare(plan, a, b, mask).unwrap();
+        ss_chunked(prep, pool.threads(), Some(pool)).unwrap().0
     }
 
     #[test]
@@ -1095,6 +1137,83 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_rule_table() {
+        // the sparse rule: one chunk below 16 MFlop, one per lane from there
+        const GATE: u64 = 16_000_000;
+        for lanes in [1usize, 2, 8] {
+            assert_eq!(sparse_chunks(0, lanes), 1);
+            assert_eq!(sparse_chunks(GATE - 1, lanes), 1);
+            assert_eq!(sparse_chunks(GATE, lanes), lanes);
+            assert_eq!(sparse_chunks(u64::MAX, lanes), lanes);
+        }
+        // the dense rule, as the cut points of the ranges: whole MC panels
+        // on the packed path, uniform rows otherwise, never more ranges
+        // than lanes (or panels, or rows) and no gate on work size
+        let every =
+            |step: usize, m: usize| -> Vec<usize> { (0..m).step_by(step).chain([m]).collect() };
+        let table: [(GemmPath, usize, [Vec<usize>; 3]); 10] = [
+            (GemmPath::Packed, 0, [vec![0, 0], vec![0, 0], vec![0, 0]]),
+            (GemmPath::Packed, 1, [vec![0, 1], vec![0, 1], vec![0, 1]]),
+            (
+                GemmPath::Packed,
+                MC - 1,
+                [every(MC, MC - 1), every(MC, MC - 1), every(MC, MC - 1)],
+            ),
+            (
+                GemmPath::Packed,
+                MC,
+                [vec![0, MC], vec![0, MC], vec![0, MC]],
+            ),
+            (
+                GemmPath::Packed,
+                3 * MC + 1,
+                [
+                    vec![0, 3 * MC + 1],
+                    vec![0, 2 * MC, 3 * MC + 1],
+                    every(MC, 3 * MC + 1),
+                ],
+            ),
+            (GemmPath::Scalar, 0, [vec![0, 0], vec![0, 0], vec![0, 0]]),
+            (GemmPath::Gemv, 1, [vec![0, 1], vec![0, 1], vec![0, 1]]),
+            (
+                GemmPath::Scalar,
+                MC - 1,
+                [
+                    vec![0, MC - 1],
+                    every(MC / 2, MC - 1),
+                    every(MC / 8, MC - 1),
+                ],
+            ),
+            (
+                GemmPath::Gemv,
+                MC,
+                [vec![0, MC], every(MC / 2, MC), every(MC / 8, MC)],
+            ),
+            (
+                GemmPath::Scalar,
+                3 * MC + 1,
+                [
+                    vec![0, 3 * MC + 1],
+                    vec![0, 193, 3 * MC + 1],
+                    every(49, 3 * MC + 1),
+                ],
+            ),
+        ];
+        for (path, m, by_lanes) in table {
+            for (lanes, cuts) in [1usize, 2, 8].into_iter().zip(by_lanes) {
+                let ranges = dense_ranges(path, m, lanes);
+                let got: Vec<usize> = ranges
+                    .iter()
+                    .map(|r| r.0)
+                    .chain(ranges.last().map(|r| r.1))
+                    .collect();
+                assert_eq!(got, cuts, "{path:?} m={m} lanes={lanes}");
+                assert!(ranges.windows(2).all(|w| w[0].1 == w[1].0), "contiguous");
+            }
+        }
+    }
+
+    #[test]
     fn volume_ranges_balance_skewed_rows() {
         // first row carries almost all the work; uniform splitting would
         // put rows [0, m/2) on one chunk
@@ -1147,10 +1266,10 @@ mod tests {
         let a = random_sparse(&[6, 4, 5], 0.4, 7);
         let b = DenseTensor::<f64>::random([5, 4, 3], &mut rng);
         let plan = ContractPlan::parse("ajk,kjc->ac").unwrap();
-        let (seq, flops) = sd_contract(&plan, &a, &b, None, 0).unwrap();
+        let (seq, flops) = sd_contract(&plan, &a, &b, None).unwrap();
         assert!(flops > 0);
         let pool = ThreadPool::new(4);
-        let (par, _) = sd_contract(&plan, &a, &b, Some(&pool), 0).unwrap();
+        let par = sd_forced(&plan, &a, &b, &pool);
         assert_eq!(seq.data(), par.data());
         let reference = tt_tensor::einsum("ajk,kjc->ac", &a.to_dense(), &b).unwrap();
         assert!(seq.allclose(&reference, 1e-12));
@@ -1171,10 +1290,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let b = DenseTensor::<f64>::random([12, 7], &mut rng);
         let plan = ContractPlan::parse("ik,kj->ij").unwrap();
-        let (seq, _) = sd_contract(&plan, &a, &b, None, 0).unwrap();
+        let (seq, _) = sd_contract(&plan, &a, &b, None).unwrap();
         for threads in [2, 3, 8] {
             let pool = ThreadPool::new(threads);
-            let (par, _) = sd_contract(&plan, &a, &b, Some(&pool), 0).unwrap();
+            let par = sd_forced(&plan, &a, &b, &pool);
             assert_eq!(seq.data(), par.data(), "threads={threads}");
         }
         let reference = tt_tensor::einsum("ik,kj->ij", &a.to_dense(), &b).unwrap();
@@ -1243,17 +1362,17 @@ mod tests {
         let b = DenseTensor::<f64>::random(b_dims, &mut rng);
         let plan = ContractPlan::parse(spec).unwrap();
         let reference = sd_reference(&plan, &a, &b);
-        let (seq, flops) = sd_contract(&plan, &a, &b, None, 0).unwrap();
+        let (seq, flops) = sd_contract(&plan, &a, &b, None).unwrap();
         assert_eq!(seq, reference, "{spec} {a_dims:?} {b_dims:?} inline");
         let n = fused_dims(&plan, a_dims, b_dims).2;
         assert_eq!(flops, 2 * (a.nnz() * n) as u64);
         let pool = ThreadPool::new(3);
-        // every chunk count: forced fan-out, and the production threshold
-        // (these sizes sit below it: one chunk despite the pool)
-        for min_par_flops in [0, SPARSE_PAR_MIN_FLOPS] {
-            let (par, _) = sd_contract(&plan, &a, &b, Some(&pool), min_par_flops).unwrap();
-            assert_eq!(par, reference, "{spec} {a_dims:?} {b_dims:?} pool");
-        }
+        // forced fan-out, and the production rule (these sizes sit below
+        // the gate: one chunk despite the pool)
+        let forced = sd_forced(&plan, &a, &b, &pool);
+        assert_eq!(forced, reference, "{spec} {a_dims:?} {b_dims:?} forced");
+        let (par, _) = sd_contract(&plan, &a, &b, Some(&pool)).unwrap();
+        assert_eq!(par, reference, "{spec} {a_dims:?} {b_dims:?} pool");
     }
 
     /// The four H_eff steps `(spec, A dims, B dims)` at bond dimension
@@ -1423,11 +1542,11 @@ mod tests {
         let a = SparseTensor::<f64>::from_dense(&DenseTensor::zeros([0, 3]), 0.0);
         let b = DenseTensor::<f64>::zeros([3, 2]);
         let plan = ContractPlan::parse("ik,kj->ij").unwrap();
-        let (c, flops) = sd_contract(&plan, &a, &b, None, 0).unwrap();
+        let (c, flops) = sd_contract(&plan, &a, &b, None).unwrap();
         assert_eq!(c.dims(), &[0, 2]);
         assert_eq!(flops, 0);
         let sb = SparseTensor::<f64>::from_dense(&b, 0.0);
-        let (cs, _) = ss_contract(&plan, &a, &sb, None, None, 0).unwrap();
+        let (cs, _) = ss_contract(&plan, &a, &sb, None, None).unwrap();
         assert_eq!(cs.dims(), &[0, 2]);
         assert_eq!(cs.nnz(), 0);
     }
@@ -1437,16 +1556,16 @@ mod tests {
         let a = random_sparse(&[5, 6], 0.5, 8);
         let b = random_sparse(&[6, 4], 0.5, 9);
         let plan = ContractPlan::parse("ik,kj->ji").unwrap();
-        let (seq, _) = ss_contract(&plan, &a, &b, None, None, 0).unwrap();
+        let (seq, _) = ss_contract(&plan, &a, &b, None, None).unwrap();
         let pool = ThreadPool::new(4);
-        let (par, _) = ss_contract(&plan, &a, &b, None, Some(&pool), 0).unwrap();
+        let par = ss_forced(&plan, &a, &b, None, &pool);
         assert_eq!(seq.to_dense().data(), par.to_dense().data());
         let reference = tt_tensor::einsum("ik,kj->ji", &a.to_dense(), &b.to_dense()).unwrap();
         assert!(seq.to_dense().allclose(&reference, 1e-12));
 
         // mask restricts the output pattern
         let mask: Vec<u64> = (0..4).map(|i| i * 5 + i).collect();
-        let (masked, _) = ss_contract(&plan, &a, &b, Some(&mask), None, 0).unwrap();
+        let (masked, _) = ss_contract(&plan, &a, &b, Some(&mask), None).unwrap();
         for (off, _) in masked.entries() {
             assert!(mask.contains(&off));
         }
@@ -1475,11 +1594,11 @@ mod tests {
                 let a = random_sparse(&[m, kk], da, seed);
                 let b = random_sparse(&[kk, n], db, seed.wrapping_add(1));
                 let plan = ContractPlan::parse("ik,kj->ji").unwrap();
-                let (seq, _) = ss_contract(&plan, &a, &b, None, None, 0).unwrap();
+                let (seq, _) = ss_contract(&plan, &a, &b, None, None).unwrap();
                 let seq_dense = seq.to_dense();
                 for threads in [2usize, 5] {
                     let pool = ThreadPool::new(threads);
-                    let (par, _) = ss_contract(&plan, &a, &b, None, Some(&pool), 0).unwrap();
+                    let par = ss_forced(&plan, &a, &b, None, &pool);
                     let par_dense = par.to_dense();
                     prop_assert_eq!(seq_dense.data(), par_dense.data());
                 }
@@ -1491,8 +1610,7 @@ mod tests {
                 // mask pattern, value for value
                 let mask: Vec<u64> = (0..(m * n) as u64).filter(|o| o % 3 != 0).collect();
                 let pool = ThreadPool::new(3);
-                let (masked, _) =
-                    ss_contract(&plan, &a, &b, Some(&mask), Some(&pool), 0).unwrap();
+                let masked = ss_forced(&plan, &a, &b, Some(&mask), &pool);
                 let expect: Vec<(u64, f64)> = seq
                     .entries()
                     .filter(|(off, _)| mask.binary_search(off).is_ok())
@@ -1517,10 +1635,10 @@ mod tests {
         let a = SparseTensor::from_dense(&dense, 0.0);
         let b = random_sparse(&[6, 9], 0.6, 11);
         let plan = ContractPlan::parse("ik,kj->ij").unwrap();
-        let (seq, _) = ss_contract(&plan, &a, &b, None, None, 0).unwrap();
+        let (seq, _) = ss_contract(&plan, &a, &b, None, None).unwrap();
         for threads in [2, 5, 8] {
             let pool = ThreadPool::new(threads);
-            let (par, _) = ss_contract(&plan, &a, &b, None, Some(&pool), 0).unwrap();
+            let par = ss_forced(&plan, &a, &b, None, &pool);
             assert_eq!(
                 seq.to_dense().data(),
                 par.to_dense().data(),

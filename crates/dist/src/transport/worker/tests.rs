@@ -615,8 +615,7 @@ fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
         }),
         Some(Reply::Unit)
     );
-    let (local, _) =
-        kernels::sd_contract(&plan, &a, &b, None, kernels::SPARSE_PAR_MIN_FLOPS).unwrap();
+    let (local, _) = kernels::sd_contract(&plan, &a, &b, None).unwrap();
     assert_eq!(
         w.handle(Request::Download { key: 90 }),
         Some(Reply::Buf(Buf::F64(local.into_data())))

@@ -8,10 +8,10 @@
 //! whole panel.
 
 use crate::comm::Comm;
-use crate::exec::DenseOp;
+use crate::exec::{decode_qr, DenseOp, Superstep};
 use crate::handle::derive;
-use crate::transport::worker::{Buf, Op, Reply, Request};
-use crate::{Error, Executor, Result};
+use crate::transport::worker::{Buf, Op, Request};
+use crate::{Executor, Result};
 use tt_linalg::qr_thin;
 use tt_tensor::gemm::gemm_acc_slices;
 use tt_tensor::DenseTensor;
@@ -89,65 +89,34 @@ pub fn tsqr_on<'a>(
         let rows_per = m.div_ceil(p);
         let nslabs = m.div_ceil(rows_per.max(1));
         let workers = cluster.ranks();
-        let data = a.data();
-        let mut uploads: Vec<(usize, Request)> = Vec::new();
-        let mut tasks: Vec<(usize, Request)> = Vec::with_capacity(nslabs);
-        let mut res = exec.residency().lock();
-        for i in 0..nslabs {
-            let (r0, r1) = (i * rows_per, ((i + 1) * rows_per).min(m));
-            let slab = || Buf::F64(data[r0 * n..r1 * n].to_vec());
-            let field = match h {
-                None => Op::Inline(slab()),
-                Some(h) => {
-                    let wkey = derive(&[h.key(), TAG_TSQR, p as u64, nslabs as u64, i as u64]);
-                    if res.add_home(h.key(), wkey, i % workers) {
-                        let data = slab();
-                        uploads.push((i % workers, Request::Upload { key: wkey, data }));
+        let slab = |i: usize| (i * rows_per, ((i + 1) * rows_per).min(m));
+        let data = |i: usize| Buf::F64(a.data()[slab(i).0 * n..slab(i).1 * n].to_vec());
+        let mut step = Superstep::default();
+        let mut fields = Vec::with_capacity(nslabs);
+        {
+            let mut res = exec.residency().lock();
+            for i in 0..nslabs {
+                fields.push(match h {
+                    None => Op::Inline(data(i)),
+                    Some(h) => {
+                        let key = derive(&[h.key(), TAG_TSQR, p as u64, nslabs as u64, i as u64]);
+                        step.ensure(&mut res, h.key(), key, i % workers, || {
+                            Ok(Request::Upload { key, data: data(i) })
+                        })?;
+                        Op::Key(key)
                     }
-                    Op::Key(wkey)
-                }
-            };
-            tasks.push((
-                i % workers,
-                Request::QrThin {
-                    rows: r1 - r0,
-                    cols: n,
-                    a: field,
-                },
-            ));
+                });
+            }
         }
-        drop(res);
-        let n_uploads = uploads.len();
-        uploads.extend(tasks);
-        let replies = cluster.call_all(uploads)?;
-        replies
-            .into_iter()
-            .skip(n_uploads)
-            .map(decode_factors)
-            .collect()
+        for (i, a) in fields.into_iter().enumerate() {
+            let (rows, cols) = (slab(i).1 - slab(i).0, n);
+            step.task(i % workers, Request::QrThin { rows, cols, a });
+        }
+        step.run(cluster)?.into_iter().map(decode_qr).collect()
     });
     match factors {
         Some(factors) => merge_tree(factors?, n, comm),
         None => tsqr(a, comm),
-    }
-}
-
-fn decode_factors(reply: Reply) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
-    match reply {
-        Reply::Factors {
-            q_rows,
-            q_cols,
-            q,
-            r_rows,
-            r_cols,
-            r,
-        } => Ok((
-            DenseTensor::from_vec([q_rows, q_cols], q)?,
-            DenseTensor::from_vec([r_rows, r_cols], r)?,
-        )),
-        other => Err(Error::transport(format!(
-            "expected slab factors, got {other:?}"
-        ))),
     }
 }
 
