@@ -4,10 +4,11 @@
 
 use super::residency::{whole_key, OpCharge, Superstep};
 use super::sparse::{inline_coords, upload_coords};
-use super::{expect_buf, DenseOp, DenseOpC, Executor, SparseOp, WireScalar, TAG_SD_A};
+use super::{expect_buf, DenseSrc, Executor, SparseOp, WireScalar, TAG_SD_A};
 use crate::cluster::{Cluster, Placement};
 use crate::handle::{
-    derive, hseq, DenseAny, Fnv, OpHandle, Residency, ResultHandle, ResultInfo, ResultKind,
+    derive, hseq, DenseAny, DenseRef, Fnv, OpHandle, Residency, ResultHandle, ResultInfo,
+    ResultKind,
 };
 use crate::kernels;
 use crate::transport::worker::{Op, OpCoords, Out, Request};
@@ -18,10 +19,10 @@ use tt_tensor::{Complex64, DenseTensor};
 
 /// One operand of a [`Executor::chain`] step.
 pub enum ChainSrc<'a> {
-    /// A dense `f64` operand (by value or by resident operand handle).
-    Dense(DenseOp<'a>),
-    /// A dense [`Complex64`] operand.
-    DenseC(DenseOpC<'a>),
+    /// A dense operand, `f64` or [`Complex64`], by value or by resident
+    /// operand handle: `ChainSrc::Dense(x.into())` from a `&DenseTensor<T>`,
+    /// an `&OpHandle` or a [`DenseOpT`](super::DenseOpT).
+    Dense(DenseSrc<'a>),
     /// A sparse `f64` operand — only valid as the first (`a`) side of a
     /// step, selecting the sparse-dense kernel.
     Sparse(SparseOp<'a>),
@@ -387,10 +388,7 @@ impl Executor {
     ) -> Result<WireIn> {
         Ok(match src {
             ChainSrc::Dense(op) => {
-                WireIn::Dense(pending.whole(&mut self.residency.lock(), op, rank)?)
-            }
-            ChainSrc::DenseC(op) => {
-                WireIn::Dense(pending.whole(&mut self.residency.lock(), op, rank)?)
+                WireIn::Dense(pending.whole(&mut self.residency.lock(), *op, rank)?)
             }
             ChainSrc::Sparse(op) => {
                 let at = op.tensor()?;
@@ -462,10 +460,10 @@ impl Executor {
             let partial = match pl.kind {
                 StepKind::Dense => match (resolve_local(&st.a, outs)?, resolve_local(&st.b, outs)?)
                 {
-                    (LocalRef::F64(ta), LocalRef::F64(tb)) => DenseAny::F64(Arc::new(
+                    (DenseRef::F64(ta), DenseRef::F64(tb)) => DenseAny::F64(Arc::new(
                         kernels::dense_contract(&pl.plan, ta, tb, self.pool())?,
                     )),
-                    (LocalRef::C64(ta), LocalRef::C64(tb)) => DenseAny::C64(Arc::new(
+                    (DenseRef::C64(ta), DenseRef::C64(tb)) => DenseAny::C64(Arc::new(
                         kernels::dense_contract(&pl.plan, ta, tb, self.pool())?,
                     )),
                     _ => return Err(mismatch()),
@@ -474,7 +472,7 @@ impl Executor {
                     let ChainSrc::Sparse(op) = &st.a else {
                         unreachable!("validated by plan_chain");
                     };
-                    let LocalRef::F64(tb) = resolve_local(&st.b, outs)? else {
+                    let DenseRef::F64(tb) = resolve_local(&st.b, outs)? else {
                         return Err(mismatch());
                     };
                     let (c, _flops) =
@@ -502,7 +500,7 @@ impl Executor {
     fn chain_charge(&self, src: &ChainSrc, pl: &PlannedStep, is_a: bool) -> Result<OpCharge> {
         let elems = if is_a { pl.m * pl.k } else { pl.k * pl.n };
         Ok(match src {
-            ChainSrc::Dense(_) | ChainSrc::DenseC(_) => self.op_state(
+            ChainSrc::Dense(_) => self.op_state(
                 src.handle(),
                 whole_key,
                 words_per_element(pl.scalar) * elems,
@@ -524,11 +522,12 @@ impl Executor {
         })
     }
 
-    /// Download a resident `f64` result — with
-    /// [`Executor::download_many`], the only value-returning exit of a
-    /// chain. Consumes the handle: the buffer leaves its home rank's
-    /// store and the driver forgets it.
-    pub fn download(&self, h: ResultHandle) -> Result<DenseTensor<f64>> {
+    /// Download a resident result of element type `T` — with
+    /// [`Executor::download_many`], of which it is the one-handle case,
+    /// the only value-returning exit of a chain. Consumes the handle: the
+    /// buffer leaves its home rank's store and the driver forgets it.
+    #[allow(private_bounds)]
+    pub fn download<T: WireScalar>(&self, h: ResultHandle) -> Result<DenseTensor<T>> {
         Ok(self
             .download_many(vec![h])?
             .pop()
@@ -648,7 +647,6 @@ impl ChainSrc<'_> {
     fn handle(&self) -> Option<&OpHandle> {
         match self {
             ChainSrc::Dense(op) => op.handle(),
-            ChainSrc::DenseC(op) => op.handle(),
             ChainSrc::Sparse(op) => op.handle(),
             ChainSrc::Prev(_) | ChainSrc::Res(_) => None,
         }
@@ -658,14 +656,10 @@ impl ChainSrc<'_> {
 /// Dims and kind of a chain-step operand at planning time.
 fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, SrcKind)> {
     Ok(match src {
-        ChainSrc::Dense(op) => (
-            op.tensor()?.dims().to_vec(),
-            SrcKind::Dense(ResultKind::F64),
-        ),
-        ChainSrc::DenseC(op) => (
-            op.tensor()?.dims().to_vec(),
-            SrcKind::Dense(ResultKind::C64),
-        ),
+        ChainSrc::Dense(op) => {
+            let t = op.tensor()?;
+            (t.dims().to_vec(), SrcKind::Dense(t.kind()))
+        }
         ChainSrc::Sparse(op) => (op.tensor()?.dims().to_vec(), SrcKind::Sparse),
         ChainSrc::Prev(j) => {
             let pl = planned
@@ -722,27 +716,16 @@ fn collect_weights(
     }
 }
 
-/// A borrowed in-process dense operand, tagged like [`DenseAny`].
-enum LocalRef<'x> {
-    F64(&'x DenseTensor<f64>),
-    C64(&'x DenseTensor<Complex64>),
-}
-
 /// Resolve a dense chain-step operand to its local tensor (in-process
 /// execution).
-fn resolve_local<'x>(src: &'x ChainSrc<'x>, outs: &'x [Option<DenseAny>]) -> Result<LocalRef<'x>> {
+fn resolve_local<'x>(src: &'x ChainSrc<'x>, outs: &'x [Option<DenseAny>]) -> Result<DenseRef<'x>> {
     let resident = match src {
-        ChainSrc::Dense(op) => return Ok(LocalRef::F64(op.tensor()?)),
-        ChainSrc::DenseC(op) => return Ok(LocalRef::C64(op.tensor()?)),
+        ChainSrc::Dense(op) => return op.tensor(),
         ChainSrc::Sparse(_) => None,
         ChainSrc::Prev(j) => outs[*j].as_ref(),
         ChainSrc::Res(h) => h.local.as_ref(),
     };
-    match resident {
-        Some(DenseAny::F64(t)) => Ok(LocalRef::F64(t)),
-        Some(DenseAny::C64(t)) => Ok(LocalRef::C64(t)),
-        None => Err(Error::Runtime(
-            "chain step operand has no in-process dense payload".into(),
-        )),
-    }
+    resident
+        .map(DenseAny::as_ref)
+        .ok_or_else(|| Error::Runtime("chain step operand has no in-process dense payload".into()))
 }

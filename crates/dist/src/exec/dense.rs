@@ -208,9 +208,9 @@ impl Executor {
                     let request = Request::Contract {
                         spec: spec.to_string(),
                         a_dims: at.dims().to_vec(),
-                        a: step.whole(&mut res, a, rank)?,
+                        a: step.whole(&mut res, (*a).into(), rank)?,
                         b_dims: bt.dims().to_vec(),
-                        b: step.whole(&mut res, b, rank)?,
+                        b: step.whole(&mut res, (*b).into(), rank)?,
                         out: Out::Reply,
                     };
                     step.task(rank, request);

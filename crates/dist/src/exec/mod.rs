@@ -48,7 +48,7 @@ pub(crate) use residency::Superstep;
 use crate::cluster::Cluster;
 use crate::comm::Comm;
 use crate::cost::{CostTracker, SimTime};
-use crate::handle::{DenseAny, OpHandle, Residency, ResultKind};
+use crate::handle::{DenseAny, DenseRef, OpHandle, Residency, ResultKind};
 use crate::machine::Machine;
 use crate::pool::ThreadPool;
 use crate::transport::worker::{Buf, Reply};
@@ -142,6 +142,58 @@ impl<'a, T: WireScalar> DenseOpT<'a, T> {
     }
 }
 
+/// A dense operand of a [`ChainStep`]: `f64` or [`Complex64`], by value or
+/// by resident handle. The element type is a tag on the data, so one type
+/// takes them all — built `From` a `&DenseTensor<T>`, an `&OpHandle` or a
+/// [`DenseOpT`].
+#[derive(Clone, Copy)]
+pub struct DenseSrc<'a>(SrcRepr<'a>);
+
+#[derive(Clone, Copy)]
+enum SrcRepr<'a> {
+    Value(DenseRef<'a>),
+    Handle(&'a OpHandle),
+}
+
+impl<'a> DenseSrc<'a> {
+    pub(crate) fn tensor(&self) -> Result<DenseRef<'a>> {
+        match self.0 {
+            SrcRepr::Value(t) => Ok(t),
+            SrcRepr::Handle(h) => h.dense_ref(),
+        }
+    }
+
+    pub(crate) fn handle(&self) -> Option<&'a OpHandle> {
+        match self.0 {
+            SrcRepr::Value(_) => None,
+            SrcRepr::Handle(h) => Some(h),
+        }
+    }
+}
+
+#[allow(private_bounds)]
+impl<'a, T: WireScalar> From<DenseOpT<'a, T>> for DenseSrc<'a> {
+    fn from(op: DenseOpT<'a, T>) -> Self {
+        DenseSrc(match op {
+            DenseOpT::Value(t) => SrcRepr::Value(T::tagged(t)),
+            DenseOpT::Handle(h) => SrcRepr::Handle(h),
+        })
+    }
+}
+
+#[allow(private_bounds)]
+impl<'a, T: WireScalar> From<&'a DenseTensor<T>> for DenseSrc<'a> {
+    fn from(t: &'a DenseTensor<T>) -> Self {
+        DenseOpT::Value(t).into()
+    }
+}
+
+impl<'a> From<&'a OpHandle> for DenseSrc<'a> {
+    fn from(h: &'a OpHandle) -> Self {
+        DenseSrc(SrcRepr::Handle(h))
+    }
+}
+
 /// A sparse `f64` operand: by value or by resident handle.
 #[derive(Clone, Copy)]
 pub enum SparseOp<'a> {
@@ -197,6 +249,7 @@ pub(crate) trait WireScalar: Scalar {
     fn unwrap(buf: Buf) -> Result<Vec<Self>>;
     fn wrap_tensor(t: Arc<DenseTensor<Self>>) -> DenseAny;
     fn peek(t: &DenseAny) -> Option<&Arc<DenseTensor<Self>>>;
+    fn tagged(t: &DenseTensor<Self>) -> DenseRef<'_>;
 }
 
 impl WireScalar for f64 {
@@ -222,6 +275,10 @@ impl WireScalar for f64 {
             DenseAny::F64(t) => Some(t),
             DenseAny::C64(_) => None,
         }
+    }
+
+    fn tagged(t: &DenseTensor<Self>) -> DenseRef<'_> {
+        DenseRef::F64(t)
     }
 }
 
@@ -249,6 +306,10 @@ impl WireScalar for Complex64 {
             DenseAny::F64(_) => None,
         }
     }
+
+    fn tagged(t: &DenseTensor<Self>) -> DenseRef<'_> {
+        DenseRef::C64(t)
+    }
 }
 
 // Derived-buffer purpose tags (mixed into worker/logical keys).
@@ -266,7 +327,6 @@ pub struct Executor {
     machine: Machine,
     nodes: usize,
     ranks: usize,
-    mode: ExecMode,
     backend: Backend,
     tracker: Arc<Mutex<CostTracker>>,
     pool: Option<Arc<ThreadPool>>,
@@ -348,18 +408,16 @@ impl Executor {
         let nodes = nodes.max(1);
         let ranks = nodes * machine.procs_per_node.max(1);
         let tracker = Arc::new(Mutex::new(CostTracker::new(machine.clone(), ranks)));
-        let (mode, pool, cluster) = match &backend {
-            Backend::InProcess(ExecMode::Sequential) => (ExecMode::Sequential, None, None),
-            Backend::InProcess(ExecMode::Threaded) => (
-                ExecMode::Threaded,
-                Some(Arc::new(ThreadPool::default_size())),
-                None,
-            ),
+        let (pool, cluster) = match &backend {
+            Backend::InProcess(ExecMode::Sequential) => (None, None),
+            Backend::InProcess(ExecMode::Threaded) => {
+                (Some(Arc::new(ThreadPool::default_size())), None)
+            }
             #[cfg(unix)]
             Backend::MultiProcess { workers, spawn } => {
                 let mut cl = Cluster::multi_process(*workers, spawn, opts)?;
                 cl.attach_tracker(Arc::clone(&tracker));
-                (ExecMode::Sequential, None, Some(Mutex::new(cl)))
+                (None, Some(Mutex::new(cl)))
             }
             #[cfg(not(unix))]
             Backend::MultiProcess { .. } => {
@@ -373,7 +431,6 @@ impl Executor {
             machine,
             nodes,
             ranks,
-            mode,
             backend,
             tracker,
             pool,
@@ -400,9 +457,13 @@ impl Executor {
         self.ranks
     }
 
-    /// Execution mode.
+    /// Execution mode: [`ExecMode::Threaded`] exactly when the kernels
+    /// have a pool to fan out over.
     pub fn mode(&self) -> ExecMode {
-        self.mode
+        match self.pool {
+            Some(_) => ExecMode::Threaded,
+            None => ExecMode::Sequential,
+        }
     }
 
     /// The backend this executor runs on.

@@ -3,7 +3,7 @@
 //! α–β charge of a contraction, and [`Superstep`], the builder every
 //! cluster leg assembles its frames with.
 
-use super::{DenseOp, DenseOpT, Executor, WireScalar, TAG_WHOLE};
+use super::{DenseOp, DenseOpT, DenseSrc, Executor, WireScalar, TAG_WHOLE};
 use crate::cluster::Cluster;
 use crate::cost;
 #[cfg(doc)]
@@ -508,19 +508,14 @@ impl Superstep {
     /// The wire form of a whole dense operand for a task on `rank`: the
     /// payload itself for a value; for a handle its resident key, the
     /// upload queued when `rank` does not hold the buffer yet.
-    pub(super) fn whole<T: WireScalar>(
-        &mut self,
-        res: &mut Residency,
-        op: &DenseOpT<T>,
-        rank: usize,
-    ) -> Result<Op> {
-        let data = || Ok::<_, Error>(T::wrap(op.tensor()?.data().to_vec()));
+    pub(super) fn whole(&mut self, res: &mut Residency, op: DenseSrc, rank: usize) -> Result<Op> {
         let Some(h) = op.handle() else {
-            return Ok(Op::Inline(data()?));
+            return Ok(Op::Inline(op.tensor()?.buf()));
         };
         let key = whole_key(h);
         self.ensure(res, h.key(), key, rank, || {
-            Ok(Request::Upload { key, data: data()? })
+            let data = op.tensor()?.buf();
+            Ok(Request::Upload { key, data })
         })?;
         Ok(Op::Key(key))
     }

@@ -484,7 +484,7 @@ fn handle_returning_contractions_match_value_paths() {
         exec.result_provenance(&h).is_some(),
         "resident results carry produced-by provenance"
     );
-    let c = exec.download(h).unwrap();
+    let c = exec.download::<f64>(h).unwrap();
     assert_eq!(c.data(), c_ref.data(), "dense");
 
     let sa = SparseTensor::from_dense(&a, 0.5);
@@ -495,7 +495,7 @@ fn handle_returning_contractions_match_value_paths() {
         ChainSrc::Sparse((&sa).into()),
         ChainSrc::Dense((&b).into()),
     );
-    let d = exec.download(h).unwrap();
+    let d = exec.download::<f64>(h).unwrap();
     assert_eq!(d.data(), d_ref.data(), "sparse-dense");
 
     let (ac, bc) = (a.to_complex(), b.to_complex());
@@ -505,14 +505,10 @@ fn handle_returning_contractions_match_value_paths() {
     let h = to_handle(
         &exec,
         "isj,jtk->istk",
-        ChainSrc::DenseC((&ac).into()),
-        ChainSrc::DenseC((&bc).into()),
+        ChainSrc::Dense((&ac).into()),
+        ChainSrc::Dense((&bc).into()),
     );
-    let e = exec
-        .download_many::<Complex64>(vec![h])
-        .unwrap()
-        .pop()
-        .unwrap();
+    let e = exec.download::<Complex64>(h).unwrap();
     assert_eq!(e.data(), e_ref.data(), "Complex64");
 }
 
@@ -545,7 +541,7 @@ fn chains_compose_prev_acc_and_res_bitwise() {
         .unwrap();
     let h_y = out.pop().unwrap().unwrap();
     let h_t = out.pop().unwrap().unwrap();
-    assert_eq!(exec.download(h_y).unwrap().data(), y_ref.data());
+    assert_eq!(exec.download::<f64>(h_y).unwrap().data(), y_ref.data());
     exec.free_result(h_t).unwrap();
 
     // accumulate folds partials in submission order (first stored)
@@ -569,7 +565,7 @@ fn chains_compose_prev_acc_and_res_bitwise() {
     let h = out[0].take().unwrap();
     let mut acc_ref = t_ref.clone();
     acc_ref.axpy(1.0, &t_ref).unwrap();
-    assert_eq!(exec.download(h).unwrap().data(), acc_ref.data());
+    assert_eq!(exec.download::<f64>(h).unwrap().data(), acc_ref.data());
 
     // results of earlier chains feed later ones via Res
     let h1 = to_handle(
@@ -587,7 +583,7 @@ fn chains_compose_prev_acc_and_res_bitwise() {
         }])
         .unwrap();
     let h_y = out.pop().unwrap().unwrap();
-    assert_eq!(exec.download(h_y).unwrap().data(), y_ref.data());
+    assert_eq!(exec.download::<f64>(h_y).unwrap().data(), y_ref.data());
     exec.free_result(h1).unwrap();
 
     // malformed chains surface as errors
@@ -663,7 +659,7 @@ fn multi_process_chains_bitwise_and_collapse_result_bytes() {
         .unwrap();
     let h_y = out.pop().unwrap().unwrap();
     let h_t = out.pop().unwrap().unwrap();
-    let y = mp.download(h_y).unwrap();
+    let y = mp.download::<f64>(h_y).unwrap();
     mp.free_result(h_t).unwrap();
     let chain_result_bytes = mp.result_bytes() - before;
     assert_eq!(y.data(), y_ref.data(), "chained must be bitwise equal");
@@ -701,7 +697,7 @@ fn multi_process_chains_bitwise_and_collapse_result_bytes() {
         }])
         .unwrap();
     let h = out.pop().unwrap().unwrap();
-    assert_eq!(mp.download(h).unwrap().data(), fused_ref.data());
+    assert_eq!(mp.download::<f64>(h).unwrap().data(), fused_ref.data());
     mp.free_results(vec![h1, h2]).unwrap();
 
     // after download/free nothing is left on the workers
@@ -1091,19 +1087,19 @@ fn protocol_trace_matches_golden() {
             step(ChainSrc::Sparse((&hsq).into()), ChainSrc::Res(&y), None),
         ])
         .unwrap();
-    exec.download(y).unwrap();
+    exec.download::<f64>(y).unwrap();
     exec.free_result(t).unwrap();
     let mut tail: Vec<ResultHandle> = tail.into_iter().flatten().collect();
-    exec.download(tail.remove(0)).unwrap();
+    exec.download::<f64>(tail.remove(0)).unwrap();
     exec.free_results(tail).unwrap();
     let (pc, qc) = (p.to_complex(), q.to_complex());
     let hc = to_handle(
         &exec,
         "ik,kj->ij",
-        ChainSrc::DenseC((&pc).into()),
-        ChainSrc::DenseC((&qc).into()),
+        ChainSrc::Dense((&pc).into()),
+        ChainSrc::Dense((&qc).into()),
     );
-    exec.download_many::<Complex64>(vec![hc]).unwrap();
+    exec.download::<Complex64>(hc).unwrap();
 
     for h in [h1, h2, h3, hm, ht, hbig, hsq] {
         exec.free(&h).unwrap();

@@ -20,6 +20,7 @@
 //! backends.
 
 use crate::exec::WireScalar;
+use crate::transport::worker::Buf;
 use crate::{Error, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -88,7 +89,45 @@ pub(crate) enum DenseAny {
     C64(Arc<DenseTensor<Complex64>>),
 }
 
+/// A borrowed dense tensor, tagged like [`DenseAny`].
+#[derive(Clone, Copy)]
+pub(crate) enum DenseRef<'a> {
+    F64(&'a DenseTensor<f64>),
+    C64(&'a DenseTensor<Complex64>),
+}
+
+impl DenseRef<'_> {
+    pub(crate) fn dims(&self) -> &[usize] {
+        match self {
+            DenseRef::F64(t) => t.dims(),
+            DenseRef::C64(t) => t.dims(),
+        }
+    }
+
+    pub(crate) fn kind(&self) -> ResultKind {
+        match self {
+            DenseRef::F64(_) => ResultKind::F64,
+            DenseRef::C64(_) => ResultKind::C64,
+        }
+    }
+
+    /// A copy of the data as a wire buffer.
+    pub(crate) fn buf(&self) -> Buf {
+        match self {
+            DenseRef::F64(t) => Buf::F64(t.data().to_vec()),
+            DenseRef::C64(t) => Buf::C64(t.data().to_vec()),
+        }
+    }
+}
+
 impl DenseAny {
+    pub(crate) fn as_ref(&self) -> DenseRef<'_> {
+        match self {
+            DenseAny::F64(t) => DenseRef::F64(t),
+            DenseAny::C64(t) => DenseRef::C64(t),
+        }
+    }
+
     /// Accumulate `partial` elementwise into this tensor; the element
     /// types and shapes must agree.
     pub(crate) fn accumulate(&mut self, partial: &DenseAny) -> Result<()> {
@@ -202,6 +241,16 @@ impl OpHandle {
                 T::KIND
             ))
         })
+    }
+
+    /// The dense tensor behind this handle, whatever its element type.
+    pub(crate) fn dense_ref(&self) -> Result<DenseRef<'_>> {
+        match &self.payload {
+            Payload::Dense(t) => Ok(t.as_ref()),
+            Payload::Sparse(_) => Err(Error::Runtime(
+                "operand handle does not hold a dense tensor".into(),
+            )),
+        }
     }
 
     pub(crate) fn sparse(&self) -> Result<&SparseTensor<f64>> {

@@ -27,9 +27,10 @@
 //! Two decisions are made once: *value-or-resident is a property of the
 //! operand* ([`DenseOp`] / [`SparseOp`] convert from `&tensor` and from
 //! `&`[`OpHandle`]), and *the element type of a dense buffer is a tag on
-//! the data* (`contract`, `upload` and `download_many` are generic over
-//! `f64` / `Complex64`; [`ResultHandle`]s and wire buffers carry a
-//! [`ResultKind`]). Neither is spelled in a function or opcode name, so
+//! the data* (`contract`, `upload`, `download` and `download_many` are
+//! generic over `f64` / `Complex64`; a chain step's dense operand is one
+//! [`DenseSrc`] whatever it holds; [`ResultHandle`]s and wire buffers
+//! carry a [`ResultKind`]). Neither is spelled in a function or opcode name, so
 //! the whole [`Executor`] surface is:
 //!
 //! | entry point | operands |
@@ -64,8 +65,8 @@ pub use cluster::{Cluster, JournalStats};
 pub use comm::Comm;
 pub use cost::{CostTracker, JobScope, ResidentMeter, SimTime};
 pub use exec::{
-    Backend, ChainSrc, ChainStep, DenseOp, DenseOpC, DenseOpT, ExecMode, Executor, RankCacheStats,
-    SparseOp,
+    Backend, ChainSrc, ChainStep, DenseOp, DenseOpC, DenseOpT, DenseSrc, ExecMode, Executor,
+    RankCacheStats, SparseOp,
 };
 pub use handle::{OpHandle, ResultHandle, ResultKind};
 pub use machine::Machine;

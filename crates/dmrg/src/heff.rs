@@ -127,7 +127,9 @@ impl ResidentHam<'_> {
 impl Drop for ResidentHam<'_> {
     fn drop(&mut self) {
         // release the resident buffers; a transport failure here cannot
-        // be surfaced from drop and the worker store self-bounds anyway
+        // be surfaced from drop. A worker store never evicts, so a `Free`
+        // that fails leaves the buffers on the workers until the executor
+        // itself drops — the soak in ROADMAP robustness (d) watches that
         for op in [&self.left, &self.w1, &self.w2, &self.right] {
             let _ = free_operand(self.exec, op);
         }

@@ -571,17 +571,17 @@ fn handle_returning_contractions_bitwise_across_backends() {
         let h_y = out.pop().unwrap().unwrap();
         let h_t = out.pop().unwrap().unwrap();
         assert_eq!(
-            exec.download(h_y).unwrap().data(),
+            exec.download::<f64>(h_y).unwrap().data(),
             y_ref.data(),
             "{name}: chained scalar"
         );
         assert_eq!(
-            exec.download(h_t).unwrap().data(),
+            exec.download::<f64>(h_t).unwrap().data(),
             c_ref.data(),
             "{name}: chained dense"
         );
         assert_eq!(
-            exec.download(h).unwrap().data(),
+            exec.download::<f64>(h).unwrap().data(),
             c_ref.data(),
             "{name}: handle-returning dense"
         );
@@ -591,17 +591,17 @@ fn handle_returning_contractions_bitwise_across_backends() {
             ChainSrc::Dense((&b).into()),
         );
         assert_eq!(
-            exec.download(hd).unwrap().data(),
+            exec.download::<f64>(hd).unwrap().data(),
             d_ref.data(),
             "{name}: handle-returning sd"
         );
         let hc = to_handle(
             exec,
-            ChainSrc::DenseC((&ac).into()),
-            ChainSrc::DenseC((&bc).into()),
+            ChainSrc::Dense((&ac).into()),
+            ChainSrc::Dense((&bc).into()),
         );
-        let e = exec.download_many::<Complex64>(vec![hc]).unwrap();
-        assert_eq!(e[0].data(), e_ref.data(), "{name}: handle-returning c64");
+        let e = exec.download::<Complex64>(hc).unwrap();
+        assert_eq!(e.data(), e_ref.data(), "{name}: handle-returning c64");
         sims.push((name.clone(), exec.total_flops(), exec.sim_time()));
     }
     for (name, flops, sim) in &sims[1..] {

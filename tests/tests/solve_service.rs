@@ -287,7 +287,7 @@ fn chain_jobs_match_local_execution_bitwise() {
         ])
         .expect("local chain");
     let mut hs: Vec<_> = handles.into_iter().flatten().collect();
-    let expected = local.download(hs.pop().expect("result")).expect("download");
+    let expected: DenseTensor<f64> = local.download(hs.pop().expect("result")).expect("download");
     local.free_results(hs).expect("free");
 
     let (service, socket) = start("chain", config("chain"));
