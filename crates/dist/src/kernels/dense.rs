@@ -1,0 +1,162 @@
+//! Dense × dense: operands as strided matrices, the row-panel unit of
+//! work, the contraction over [`ordered_map`], and the worker's chunk.
+
+use super::{
+    concat_rows, dense_ranges, fused_dims, lanes, natural_output, operand_perms, ordered_map,
+    Ranges,
+};
+use crate::pool::ThreadPool;
+use crate::Result;
+use std::borrow::Cow;
+use tt_tensor::einsum::ContractPlan;
+#[cfg(doc)]
+use tt_tensor::gemm::MC;
+use tt_tensor::gemm::{
+    gemm_acc_packed_rows, gemm_acc_slices, gemm_path, gemv_acc_rows, GemmPath, PackedB,
+};
+use tt_tensor::transpose::{motion, permute_data, Motion};
+use tt_tensor::{DenseTensor, Scalar};
+
+/// A dense operand as the `rows × cols` matrix the GEMM kernels read:
+/// element `(i, l)` lives at `data[i·rs + l·cs]`.
+struct MatOperand<'a, T: Scalar> {
+    data: Cow<'a, [T]>,
+    rs: usize,
+    cs: usize,
+}
+
+/// `t` permuted by `perm` as a `rows × cols` matrix, executing the
+/// permutation only when elements have to change order: an identity (after
+/// fusion) borrows `t`'s storage, and — when the consumer takes strides
+/// (`strided`: the packed GEMM path) — so does a plain matrix transpose.
+fn mat_operand<'a, T: Scalar>(
+    t: &'a DenseTensor<T>,
+    perm: &[usize],
+    rows: usize,
+    cols: usize,
+    strided: bool,
+) -> Result<MatOperand<'a, T>> {
+    let (data, rs, cs) = match motion(t.dims(), perm)? {
+        Motion::Identity => (Cow::Borrowed(t.data()), cols, 1),
+        // the fused pair is the matrix's (row, col) pair only if the
+        // split falls between the row and the column modes
+        Motion::Transpose { rows: r, .. } if strided && r == rows => {
+            (Cow::Borrowed(t.data()), 1, rows)
+        }
+        _ => (Cow::Owned(permute_data(t.data(), t.dims(), perm)?), cols, 1),
+    };
+    Ok(MatOperand { data, rs, cs })
+}
+
+/// Rows `[r0, r1)` of `A · B` as a fresh row panel — the unit of work of
+/// every dense path (in-process lane, multi-process worker). `a` is the
+/// full `m × k` matrix through strides `(a_rs, a_cs)` (contiguous rows
+/// unless the path is packed); `b` is the contiguous `k × n` matrix, read
+/// by the GEMV and scalar paths; `pb` is `B` packed, read by the packed
+/// path.
+#[allow(clippy::too_many_arguments)]
+fn dense_rows<T: Scalar>(
+    path: GemmPath,
+    (r0, r1): (usize, usize),
+    (k, n): (usize, usize),
+    a: &[T],
+    (a_rs, a_cs): (usize, usize),
+    b: &[T],
+    pb: Option<&PackedB<T>>,
+) -> Vec<T> {
+    let rows = r1 - r0;
+    match path {
+        GemmPath::Gemv => {
+            // Davidson matvec shape: skip the blocked machinery entirely
+            let mut c = vec![T::zero(); rows];
+            gemv_acc_rows(r0, r1, k, a, b, 1, &mut c);
+            c
+        }
+        GemmPath::Scalar => {
+            let mut c = vec![T::zero(); rows * n];
+            gemm_acc_slices(rows, k, n, &a[r0 * k..r1 * k], b, &mut c);
+            c
+        }
+        GemmPath::Packed => {
+            let mut c = vec![T::zero(); rows * n];
+            if let Some(pb) = pb {
+                gemm_acc_packed_rows(r0, r1, a, a_rs, a_cs, pb, &mut c);
+            }
+            c
+        }
+    }
+}
+
+/// The prelude both legs of a dense contraction share: the validated
+/// fused dims `(m, k, n)`, the kernel path ([`gemm_path`]`(k, n)`,
+/// invariant under row chunking) and the row ranges over `lanes`.
+pub(crate) fn dense_prepare(
+    plan: &ContractPlan,
+    a_dims: &[usize],
+    b_dims: &[usize],
+    lanes: usize,
+) -> Result<((usize, usize, usize), GemmPath, Ranges)> {
+    plan.output_dims(a_dims, b_dims)?; // validates shapes
+    let (m, k, n) = fused_dims(plan, a_dims, b_dims);
+    let path = gemm_path(k, n);
+    Ok(((m, k, n), path, dense_ranges(path, m, lanes)))
+}
+
+/// Dense × dense contraction (TTGT), parallel at the GEMM level: `B` is
+/// packed once — one `KC`-deep block per call; blocks are independent and
+/// reassemble to the exact bytes of a monolithic pack — and row-disjoint
+/// panels run the microkernel against the shared packed operand, both
+/// through [`ordered_map`]. Operands are read in place when their
+/// permutation moves nothing (see [`mat_operand`]), on every lane.
+pub(crate) fn dense_contract<T: Scalar>(
+    plan: &ContractPlan,
+    a: &DenseTensor<T>,
+    b: &DenseTensor<T>,
+    pool: Option<&ThreadPool>,
+) -> Result<DenseTensor<T>> {
+    let ((m, k, n), path, ranges) = dense_prepare(plan, a.dims(), b.dims(), lanes(pool))?;
+    let (perm_a, perm_b) = operand_perms(plan);
+    let packed = path == GemmPath::Packed;
+    let a_mat = mat_operand(a, &perm_a, m, k, packed)?;
+    let b_mat = mat_operand(b, &perm_b, k, n, packed)?;
+    // one row range: nothing to fan out, and `B` is packed here too
+    let pool = pool.filter(|_| ranges.len() > 1);
+    let pb = packed.then(|| {
+        let blocks = ordered_map(pool, PackedB::<T>::block_count(k), |blk| {
+            PackedB::<T>::pack_block(k, n, &b_mat.data, b_mat.rs, b_mat.cs, blk)
+        });
+        PackedB::from_blocks(k, n, blocks)
+    });
+    let panels = ordered_map(pool, ranges.len(), |i| {
+        dense_rows(
+            path,
+            ranges[i],
+            (k, n),
+            &a_mat.data,
+            (a_mat.rs, a_mat.cs),
+            &b_mat.data,
+            pb.as_ref(),
+        )
+    });
+    natural_output(plan, a.dims(), b.dims(), concat_rows(panels, m * n))
+}
+
+/// One dense chunk computed from a *local* row slab: the shared-nothing
+/// form of the per-range jobs in [`dense_contract`], used by the
+/// multi-process worker. `a_slab` holds `rows` rows of the permuted `A`
+/// matrix and `b_mat` the full permuted `B`; for the packed path the
+/// worker packs `B` itself (identical `PackedB` contents every time, so
+/// results stay bitwise-equal to the in-process kernels — provided the
+/// slab's first row is [`MC`]-aligned in the global matrix, which keeps
+/// the `A`-panel blocking identical).
+pub(crate) fn dense_chunk<T: Scalar>(
+    path: GemmPath,
+    rows: usize,
+    k: usize,
+    n: usize,
+    a_slab: &[T],
+    b_mat: &[T],
+) -> Vec<T> {
+    let pb = (path == GemmPath::Packed && rows > 0).then(|| PackedB::pack(k, n, b_mat, n, 1));
+    dense_rows(path, (0, rows), (k, n), a_slab, (k, 1), b_mat, pb.as_ref())
+}

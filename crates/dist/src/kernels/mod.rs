@@ -1,0 +1,334 @@
+//! Deterministic, chunkable local contraction kernels.
+//!
+//! The executor's two modes must produce **bitwise-identical** results, so
+//! every kernel here partitions work by *disjoint output rows*: for a fixed
+//! output element the accumulation order never depends on how many chunks
+//! (threads, or worker ranks) the row space was split into. Sequential
+//! execution is the single-chunk special case of the same code path.
+//!
+//! Each kernel is written once. Work reaches a lane through
+//! [`ordered_map`] — `f(0..n)` in order, across the pool when there is one
+//! and `n > 1`, on the calling thread otherwise — whose jobs *borrow* the
+//! operands, the packed `B`, the buckets and the tables, so threading
+//! clones nothing. How many pieces there are is decided by two rules that
+//! sit side by side below and nowhere else:
+//!
+//! * [`dense_ranges`]: the dense kernel parallelizes **inside** the GEMM —
+//!   `B` is packed once (its `KC`-deep blocks are themselves an ordered
+//!   map), then [`MC`]-aligned row panels of the packed microkernel run
+//!   against the shared packed operand; one range per lane, no gate on
+//!   work size;
+//! * [`sparse_chunks`]: the sparse kernels split rows by **work volume** —
+//!   a prefix sum of per-row flops picks the chunk boundaries, so a
+//!   handful of dense rows (the skewed patterns block-sparse flattening
+//!   produces) does not serialize onto one lane — one chunk per lane from
+//!   16 MFlop up, a single chunk below.
+//!
+//! `lanes` is the pool's thread count for the in-process legs and the
+//! worker count for the cluster legs (`exec`), which start from the same
+//! preludes ([`dense_prepare`], [`sd_prepare`], [`ss_prepare`]) and end in
+//! the same epilogue ([`natural_output`]).
+//!
+//! The kernels are TTGT (transpose–GEMM–transpose) in meaning only: a
+//! permutation is executed when elements really have to change order.
+//! An operand whose permutation fuses to the identity
+//! ([`tt_tensor::transpose::motion`]) is read where it lies, a plain
+//! matrix transpose reaches the packed GEMM as strides, and the
+//! sparse-dense kernel gathers `B` rows and scatters `C` rows through
+//! [`SdView`] offset tables whenever the trailing free modes form a
+//! contiguous run. None of this touches arithmetic: every output element
+//! still accumulates the same products in the same order.
+//!
+//! Layout: this file holds the ordered map, the two fan-out rules, the
+//! range functions and the dims / output helpers every family shares;
+//! `dense` the packed-GEMM contraction and its worker chunk; `sd` the
+//! sparse-dense layout decision, chunk body and contraction; `ss` the
+//! sparse-sparse preparation, merge chunk and contraction.
+
+mod dense;
+mod sd;
+mod ss;
+#[cfg(test)]
+mod tests;
+
+pub(crate) use dense::{dense_chunk, dense_contract, dense_prepare};
+pub(crate) use sd::{sd_apply, sd_buckets, sd_contract, sd_panel, sd_prepare, SdGeometry, SdView};
+pub(crate) use ss::{ss_chunk, ss_contract, ss_prepare, SsPrep};
+
+use crate::pool::{PoolJob, ThreadPool};
+use crate::Result;
+use tt_tensor::einsum::ContractPlan;
+use tt_tensor::gemm::{GemmPath, MC};
+use tt_tensor::transpose::{motion, permute_data, Motion};
+use tt_tensor::{DenseTensor, Scalar, SparseTensor};
+
+/// Contiguous row ranges `[r0, r1)`, in row order.
+pub(crate) type Ranges = Vec<(usize, usize)>;
+
+/// `f(0), …, f(n − 1)`, in that order: across the pool when there is one
+/// and more than one call to make, on this thread otherwise. The one way
+/// kernel work reaches a lane — `f` borrows whatever it needs, and the
+/// result order never depends on which leg ran.
+pub(crate) fn ordered_map<T: Send>(
+    pool: Option<&ThreadPool>,
+    n: usize,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    match pool {
+        Some(pool) if n > 1 => {
+            let f = &f;
+            pool.run(
+                (0..n)
+                    .map(|i| Box::new(move || f(i)) as PoolJob<T>)
+                    .collect(),
+            )
+        }
+        _ => (0..n).map(f).collect(),
+    }
+}
+
+/// Lanes a kernel may fan out over: the pool's threads, or one.
+fn lanes(pool: Option<&ThreadPool>) -> usize {
+    pool.map_or(1, ThreadPool::threads)
+}
+
+/// Work volume (flops) below which the sparse kernels stay on a single
+/// lane: at small sizes the dispatch overhead (job boxing, channel
+/// wakeups, shared-queue contention — or a frame per worker) costs more
+/// than the kernel itself — `BENCH_kernels.json` measured
+/// `sd_contract_threaded` at 512×128×64 (~5.6 MFlop) *slower* than
+/// sequential before this gate existed.
+const SPARSE_PAR_MIN_FLOPS: u64 = 16_000_000;
+
+/// The sparse fan-out rule: how many row chunks a sparse-dense or
+/// sparse-sparse contraction of `flops` flops is cut into, given `lanes`
+/// pool threads or worker ranks.
+pub(crate) fn sparse_chunks(flops: u64, lanes: usize) -> usize {
+    if flops < SPARSE_PAR_MIN_FLOPS {
+        1
+    } else {
+        lanes
+    }
+}
+
+/// The dense fan-out rule: the row ranges an `m`-row GEMM on kernel path
+/// `path` is cut into over `lanes` — [`MC`]-aligned on the packed path,
+/// uniform otherwise; never gated on work size.
+pub(crate) fn dense_ranges(path: GemmPath, m: usize, lanes: usize) -> Ranges {
+    match path {
+        GemmPath::Packed => mc_aligned_ranges(m, lanes),
+        GemmPath::Gemv | GemmPath::Scalar => row_ranges(m, lanes),
+    }
+}
+
+/// Split `m` rows into at most `chunks` contiguous ranges. Always returns
+/// at least one (possibly empty) range so zero-extent outputs flow through
+/// the same chunked path instead of panicking downstream.
+fn row_ranges(m: usize, chunks: usize) -> Vec<(usize, usize)> {
+    if m == 0 {
+        return vec![(0, 0)];
+    }
+    let chunks = chunks.clamp(1, m);
+    let per = m.div_ceil(chunks);
+    (0..m)
+        .step_by(per.max(1))
+        .map(|r0| (r0, (r0 + per).min(m)))
+        .collect()
+}
+
+/// Split `m` rows into at most `chunks` ranges whose boundaries are
+/// [`MC`]-aligned, so every chunking packs exactly the same `A` panels as
+/// the sequential single-chunk run (GEMM-level parallelism contract).
+fn mc_aligned_ranges(m: usize, chunks: usize) -> Vec<(usize, usize)> {
+    if m == 0 {
+        return vec![(0, 0)];
+    }
+    let panels = m.div_ceil(MC);
+    let chunks = chunks.clamp(1, panels);
+    let per = panels.div_ceil(chunks);
+    (0..panels)
+        .step_by(per)
+        .map(|p0| (p0 * MC, ((p0 + per) * MC).min(m)))
+        .collect()
+}
+
+/// Split `m` rows into at most `chunks` ranges of approximately equal
+/// total `weights` (per-row work), via prefix sums. Ranges may have wildly
+/// different widths; empty ranges are possible when the distribution is
+/// extreme.
+fn volume_ranges(weights: &[u64], chunks: usize) -> Vec<(usize, usize)> {
+    let m = weights.len();
+    if m == 0 {
+        return vec![(0, 0)];
+    }
+    let chunks = chunks.clamp(1, m);
+    let total: u128 = weights.iter().map(|&w| w as u128).sum();
+    if chunks == 1 || total == 0 {
+        return vec![(0, m)];
+    }
+    let mut prefix: Vec<u128> = Vec::with_capacity(m + 1);
+    prefix.push(0);
+    for &w in weights {
+        prefix.push(prefix.last().unwrap() + w as u128);
+    }
+    let mut ranges = Vec::with_capacity(chunks);
+    let mut r0 = 0usize;
+    for c in 1..=chunks {
+        let target = total * c as u128 / chunks as u128;
+        // first row index whose prefix reaches the target share
+        let r1 = if c == chunks {
+            m
+        } else {
+            prefix.partition_point(|&p| p < target).min(m).max(r0)
+        };
+        ranges.push((r0, r1));
+        r0 = r1;
+    }
+    ranges
+}
+
+/// Fused dimensions of a contraction: output rows `m`, contracted `k`,
+/// output cols `n`.
+pub(crate) fn fused_dims(
+    plan: &ContractPlan,
+    a_dims: &[usize],
+    b_dims: &[usize],
+) -> (usize, usize, usize) {
+    let m = plan.free_a_positions().iter().map(|&i| a_dims[i]).product();
+    let k = plan.ctr_a_positions().iter().map(|&i| a_dims[i]).product();
+    let n = plan.free_b_positions().iter().map(|&j| b_dims[j]).product();
+    (m, k, n)
+}
+
+pub(crate) fn natural_dims(plan: &ContractPlan, a_dims: &[usize], b_dims: &[usize]) -> Vec<usize> {
+    plan.free_a_positions()
+        .iter()
+        .map(|&i| a_dims[i])
+        .chain(plan.free_b_positions().iter().map(|&j| b_dims[j]))
+        .collect()
+}
+
+/// TTGT operand permutations of a plan: `A` to `(free, contracted)` and
+/// `B` to `(contracted, free)` order.
+pub(crate) fn operand_perms(plan: &ContractPlan) -> (Vec<usize>, Vec<usize>) {
+    let mut perm_a: Vec<usize> = plan.free_a_positions().to_vec();
+    perm_a.extend_from_slice(plan.ctr_a_positions());
+    let mut perm_b: Vec<usize> = plan.ctr_b_positions().to_vec();
+    perm_b.extend_from_slice(plan.free_b_positions());
+    (perm_a, perm_b)
+}
+
+/// The natural-order (`free A`, `free B`) result buffer as the output
+/// tensor: moved when the output permutation fuses to the identity,
+/// permuted otherwise.
+fn into_output<T: Scalar>(
+    nat_dims: Vec<usize>,
+    c: Vec<T>,
+    out_perm: &[usize],
+) -> Result<DenseTensor<T>> {
+    let out_dims: Vec<usize> = out_perm.iter().map(|&q| nat_dims[q]).collect();
+    let c = match motion(&nat_dims, out_perm)? {
+        Motion::Identity => c,
+        _ => permute_data(&c, &nat_dims, out_perm)?,
+    };
+    Ok(DenseTensor::from_vec(out_dims, c)?)
+}
+
+/// The epilogue of every dense-result leg: the natural-order rows of
+/// `a ·plan· b`, as computed locally or concatenated from worker panels,
+/// as the output tensor.
+pub(crate) fn natural_output<T: Scalar>(
+    plan: &ContractPlan,
+    a_dims: &[usize],
+    b_dims: &[usize],
+    c: Vec<T>,
+) -> Result<DenseTensor<T>> {
+    into_output(
+        natural_dims(plan, a_dims, b_dims),
+        c,
+        plan.output_permutation(),
+    )
+}
+
+/// Row panels in row order as one buffer: a single panel moves.
+fn concat_rows<T: Scalar>(mut panels: Vec<Vec<T>>, len: usize) -> Vec<T> {
+    if panels.len() == 1 {
+        return panels.pop().expect("one panel");
+    }
+    let mut c = Vec::with_capacity(len);
+    for panel in panels {
+        c.extend_from_slice(&panel);
+    }
+    c
+}
+
+/// `(fused output row, fused contracted col, value)` triples of a sparse
+/// operand, in stored-offset order.
+pub(crate) fn sparse_coords(
+    t: &SparseTensor<f64>,
+    row_modes: &[usize],
+    col_modes: &[usize],
+) -> Vec<Coord> {
+    // per mode of a fused index: (stride in `t`, extent, weight in the
+    // fused index) — an entry's coordinate is then plain arithmetic on
+    // its offset, with no multi-index materialized
+    let dims = t.dims();
+    let strides = t.shape().strides();
+    let terms = |modes: &[usize]| -> Vec<(u64, u64, u64)> {
+        let mut weight = 1u64;
+        modes
+            .iter()
+            .rev()
+            .map(|&m| {
+                let term = (strides[m] as u64, dims[m] as u64, weight);
+                weight *= dims[m] as u64;
+                term
+            })
+            .collect()
+    };
+    let (row_terms, col_terms) = (terms(row_modes), terms(col_modes));
+    let fuse = |off: u64, terms: &[(u64, u64, u64)]| -> u64 {
+        terms
+            .iter()
+            .map(|&(stride, extent, weight)| (off / stride) % extent * weight)
+            .sum()
+    };
+    t.entries()
+        .map(|(off, v)| (fuse(off, &row_terms), fuse(off, &col_terms), v))
+        .collect()
+}
+
+/// A `(fused row, fused col, value)` sparse coordinate.
+pub(crate) type Coord = (u64, u64, f64);
+
+/// Bucket coords into work-balanced row ranges, preserving scan order
+/// inside each bucket (the property that makes chunked accumulation
+/// bitwise-stable: every output row lives in exactly one bucket, and its
+/// coords keep their stored order there).
+///
+/// `coord_work` gives each coordinate's flop weight; per-row weights are
+/// their sum. Bucket lookup binary-searches the range starts — ranges are
+/// *not* uniform in width, so the old `row / first_range_width` indexing
+/// would misbucket everything past the first boundary.
+pub(crate) fn bucket_by_volume(
+    coords: Vec<Coord>,
+    m: usize,
+    chunks: usize,
+    coord_work: impl Fn(&Coord) -> u64,
+) -> (Vec<(usize, usize)>, Vec<Vec<Coord>>) {
+    let mut weights = vec![0u64; m];
+    for c in &coords {
+        weights[c.0 as usize] += coord_work(c);
+    }
+    let ranges = volume_ranges(&weights, chunks);
+    let starts: Vec<usize> = ranges.iter().map(|&(r0, _)| r0).collect();
+    let mut buckets: Vec<Vec<Coord>> = vec![Vec::new(); ranges.len()];
+    for c in coords {
+        // last range whose start is <= row; empty ranges share a start
+        // with their successor, and partition_point picks the last of the
+        // run — the one that actually contains the row
+        let b = starts.partition_point(|&s| s <= c.0 as usize) - 1;
+        buckets[b].push(c);
+    }
+    (ranges, buckets)
+}

@@ -1,0 +1,346 @@
+//! Sparse × dense: where `B` and `C` live ([`SdView`], [`SdLayout`]), the
+//! one chunk body, and the contraction over [`ordered_map`].
+
+use super::{
+    bucket_by_volume, concat_rows, fused_dims, into_output, lanes, natural_dims, operand_perms,
+    ordered_map, sparse_chunks, sparse_coords, Coord, Ranges,
+};
+use crate::pool::ThreadPool;
+use crate::{Error, Result};
+use std::borrow::Cow;
+use tt_tensor::einsum::ContractPlan;
+use tt_tensor::shape::is_permutation;
+use tt_tensor::transpose::permute_data;
+use tt_tensor::{DenseTensor, SparseTensor};
+
+/// Shortest contiguous run worth addressing through an offset table:
+/// below it the per-run loop overhead of [`sd_chunk`] outweighs the
+/// transposition it saves, and the operand is permuted into one
+/// full-width run instead.
+const SD_MIN_RUN: usize = 32;
+
+/// Where the logical `rows × n` matrix of a sparse-dense operand lives in
+/// its buffer, as *(offset tables, contiguous inner run)*: with `run`
+/// elements per run (a property of the contraction, shared by the `B` and
+/// `C` views), element `(r, o·run + i)` sits at
+/// `rows[r] + outer[o] + i`. A plain row-major matrix is the view with one
+/// full-width run per row.
+pub(crate) struct SdView {
+    rows: Vec<usize>,
+    outer: Vec<usize>,
+}
+
+impl SdView {
+    /// The view of a contiguous row-major `rows × n` matrix, cut into runs
+    /// of `run` elements (`run` divides `n`; both may be zero).
+    pub(crate) fn matrix(rows: usize, n: usize, run: usize) -> Self {
+        Self {
+            rows: (0..rows).map(|r| r * n).collect(),
+            outer: (0..n / run.max(1)).map(|o| o * run).collect(),
+        }
+    }
+
+    /// The view of a tensor read in place, modes most significant first.
+    fn strided(row_modes: &[Axis], outer_modes: &[Axis]) -> Self {
+        Self {
+            rows: mode_offsets(row_modes),
+            outer: mode_offsets(outer_modes),
+        }
+    }
+}
+
+/// One mode of a tensor read in place: `(extent, stride)`.
+type Axis = (usize, usize);
+
+/// Offsets of every index combination of `modes` (most significant first)
+/// in row-major order.
+fn mode_offsets(modes: &[Axis]) -> Vec<usize> {
+    let mut offs = vec![0usize];
+    for &(dim, stride) in modes {
+        offs = offs
+            .iter()
+            .flat_map(|&base| (0..dim).map(move |i| base + i * stride))
+            .collect();
+    }
+    offs
+}
+
+/// `(extent, stride)` of the modes of a row-major tensor of shape `dims`,
+/// listed in `order`, unit modes dropped.
+fn strided_modes(dims: &[usize], order: &[usize]) -> Vec<Axis> {
+    order
+        .iter()
+        .filter(|&&p| dims[p] != 1)
+        .map(|&p| (dims[p], dims[p + 1..].iter().product()))
+        .collect()
+}
+
+/// Split `modes` in front of its trailing group of total extent `width`.
+fn split_trailing(modes: &[Axis], width: usize) -> Result<(&[Axis], &[Axis])> {
+    let (mut at, mut got) = (modes.len(), 1usize);
+    while got < width && at > 0 {
+        at -= 1;
+        got *= modes[at].0;
+    }
+    if got != width {
+        return Err(Error::Runtime(format!(
+            "no trailing modes of {modes:?} span {width} elements"
+        )));
+    }
+    Ok(modes.split_at(at))
+}
+
+/// Extent of the longest trailing group of `cols` that is contiguous
+/// (unit stride, each mode nested directly inside the previous).
+fn trailing_run(cols: &[Axis]) -> usize {
+    let mut run = 1;
+    for &(dim, stride) in cols.iter().rev() {
+        if stride != run {
+            break;
+        }
+        run *= dim;
+    }
+    run
+}
+
+/// The dense side of one sparse-dense contraction — everything the layout
+/// decision reads. Built from a [`ContractPlan`] by [`sd_contract`] and
+/// from the `ChainSd` request fields by the worker, so both make the same
+/// decision.
+pub(crate) struct SdGeometry<'a> {
+    /// Fused output rows (free modes of the sparse operand).
+    pub(crate) m: usize,
+    /// Fused output columns (free modes of `B`).
+    pub(crate) n: usize,
+    /// Shape of `B` as stored.
+    pub(crate) b_dims: &'a [usize],
+    /// `B`'s modes in `(contracted, free)` order.
+    pub(crate) perm_b: &'a [usize],
+    /// Result shape in natural `(free A, free B)` order.
+    pub(crate) nat_dims: &'a [usize],
+    /// Natural order → output order.
+    pub(crate) out_perm: &'a [usize],
+}
+
+/// How [`sd_apply`] addresses `B` and `C`: in place through run views, or
+/// as full-width matrices around a real transposition.
+pub(super) struct SdLayout {
+    pub(super) run: usize,
+    /// `B` is read where it lies (else: permuted to `k × n` first).
+    pub(super) b_in_place: bool,
+    /// `C` is accumulated in output order (else: in natural order, then
+    /// permuted).
+    pub(super) c_in_place: bool,
+    b: SdView,
+    c: SdView,
+}
+
+impl SdLayout {
+    /// Decide from dims and permutations alone. An operand is used in
+    /// place when its trailing free modes form a contiguous run of at
+    /// least [`SD_MIN_RUN`] elements (or the whole row: a permutation that
+    /// fuses to the identity). `scatter` says whether `C` may be written
+    /// in output order at all — only a single chunk owns the whole output
+    /// buffer; row panels of a chunked run are natural-order and
+    /// concatenated.
+    pub(super) fn choose(g: &SdGeometry, out_dims: &[usize], scatter: bool) -> Result<Self> {
+        let n = g.n;
+        let mut inv_out = vec![0usize; g.out_perm.len()];
+        for (j, &q) in g.out_perm.iter().enumerate() {
+            inv_out[q] = j;
+        }
+        let b_modes = strided_modes(g.b_dims, g.perm_b);
+        let c_modes = strided_modes(out_dims, &inv_out);
+        let (b_rows, b_cols) = split_trailing(&b_modes, n)?;
+        let (c_rows, c_cols) = split_trailing(&c_modes, n)?;
+        let k: usize = b_rows.iter().map(|m| m.0).product();
+        if !b_cols.iter().map(|m| m.0).eq(c_cols.iter().map(|m| m.0))
+            || c_rows.iter().map(|m| m.0).product::<usize>() != g.m
+        {
+            return Err(Error::Runtime(
+                "sparse-dense operand and result shapes disagree".into(),
+            ));
+        }
+        let (run_b, run_c) = (trailing_run(b_cols), trailing_run(c_cols));
+        let usable = |run: usize| run >= SD_MIN_RUN || run == n;
+        let (b_in_place, c_in_place, run) = if scatter && usable(run_b.min(run_c)) {
+            (true, true, run_b.min(run_c))
+        } else if usable(run_b) {
+            (true, false, run_b)
+        } else if scatter && usable(run_c) {
+            (false, true, run_c)
+        } else {
+            (false, false, n)
+        };
+        // `run` is a trailing product of the column extents either way
+        let (b_outer, c_outer) = (
+            split_trailing(b_cols, run)?.0,
+            split_trailing(c_cols, run)?.0,
+        );
+        let view = |in_place: bool, rows: &[Axis], outer: &[Axis], r: usize| {
+            if in_place {
+                SdView::strided(rows, outer)
+            } else {
+                SdView::matrix(r, n, run)
+            }
+        };
+        Ok(Self {
+            run,
+            b_in_place,
+            c_in_place,
+            b: view(b_in_place, b_rows, b_outer, k),
+            c: view(c_in_place, c_rows, c_outer, g.m),
+        })
+    }
+}
+
+/// One sparse-dense chunk: accumulate `bucket`'s entries (all with fused
+/// rows in `[r0, r0 + c.rows.len())`) against dense `B` into the chunk's
+/// rows of `C`, both addressed through [`SdView`]s (`c`'s row table is
+/// chunk-local: row `r` is entry `r - r0`). The one body behind the
+/// inline path, the pool jobs and the multi-process worker — per output
+/// element the accumulation order is the stored-entry order whatever the
+/// views are, so the layout decision never shows in a result bit. Charges
+/// the global flop counter here (not in the wrapper) so the count lands
+/// in whichever process actually ran the chunk; the transport propagates
+/// worker-side counts back to the driver.
+pub(crate) fn sd_chunk(
+    r0: usize,
+    bucket: &[Coord],
+    run: usize,
+    b: &SdView,
+    b_data: &[f64],
+    c: &SdView,
+    c_data: &mut [f64],
+) {
+    tt_tensor::counter::add_flops(2 * (bucket.len() * run * b.outer.len()) as u64);
+    for &(row, col, v) in bucket {
+        let (c_row, b_row) = (c.rows[row as usize - r0], b.rows[col as usize]);
+        for (&co, &bo) in c.outer.iter().zip(&b.outer) {
+            let c_run = &mut c_data[c_row + co..c_row + co + run];
+            let b_run = &b_data[b_row + bo..b_row + bo + run];
+            for (cj, &bj) in c_run.iter_mut().zip(b_run) {
+                *cj += v * bj;
+            }
+        }
+    }
+}
+
+/// Rows `[r0, r1)` of a sparse-dense product as a fresh natural-order
+/// row panel: the chunk form used by pool jobs and the worker's `SdChunk`.
+pub(crate) fn sd_panel(
+    (r0, r1): (usize, usize),
+    n: usize,
+    bucket: &[Coord],
+    run: usize,
+    b: &SdView,
+    b_data: &[f64],
+) -> Vec<f64> {
+    let mut c = vec![0.0f64; (r1 - r0) * n];
+    let c_view = SdView::matrix(r1 - r0, n, run);
+    sd_chunk(r0, bucket, run, b, b_data, &c_view, &mut c);
+    c
+}
+
+/// The dense half of a sparse-dense contraction: accumulate `coords`
+/// (`A`'s fused entries, stored order) against `B` and return the output
+/// tensor. One chunk runs inline and, when the layout allows, writes `C`
+/// straight into output order; more chunks bucket the coords by volume
+/// and fan natural-order row panels out over the pool. `B` is borrowed
+/// unless it has to be transposed.
+pub(crate) fn sd_apply(
+    g: &SdGeometry,
+    b: &[f64],
+    coords: Cow<[Coord]>,
+    chunks: usize,
+    pool: Option<&ThreadPool>,
+) -> Result<DenseTensor<f64>> {
+    let (m, n) = (g.m, g.n);
+    // the worker builds `g` from request fields: check before indexing
+    if !is_permutation(g.perm_b, g.b_dims.len())
+        || !is_permutation(g.out_perm, g.nat_dims.len())
+        || b.len() != g.b_dims.iter().product::<usize>()
+        || m * n != g.nat_dims.iter().product::<usize>()
+    {
+        return Err(Error::Runtime(
+            "sparse-dense geometry does not match its operands".into(),
+        ));
+    }
+    let out_dims: Vec<usize> = g.out_perm.iter().map(|&q| g.nat_dims[q]).collect();
+    if m * n == 0 || b.is_empty() {
+        return Ok(DenseTensor::zeros(out_dims));
+    }
+    let parallel = pool.filter(|_| chunks > 1);
+    let layout = SdLayout::choose(g, &out_dims, parallel.is_none())?;
+    let b_data: Cow<[f64]> = if layout.b_in_place {
+        Cow::Borrowed(b)
+    } else {
+        Cow::Owned(permute_data(b, g.b_dims, g.perm_b)?)
+    };
+    if parallel.is_none() {
+        let mut c = vec![0.0f64; m * n];
+        sd_chunk(
+            0, &coords, layout.run, &layout.b, &b_data, &layout.c, &mut c,
+        );
+        return if layout.c_in_place {
+            Ok(DenseTensor::from_vec(out_dims, c)?)
+        } else {
+            into_output(g.nat_dims.to_vec(), c, g.out_perm)
+        };
+    }
+    let (ranges, buckets) = sd_buckets(coords.into_owned(), m, n, chunks);
+    let panels = ordered_map(parallel, ranges.len(), |i| {
+        sd_panel(ranges[i], n, &buckets[i], layout.run, &layout.b, &b_data)
+    });
+    into_output(g.nat_dims.to_vec(), concat_rows(panels, m * n), g.out_perm)
+}
+
+/// `coords` as `chunks` volume-balanced row buckets: every stored entry
+/// costs one `n`-wide axpy.
+pub(crate) fn sd_buckets(
+    coords: Vec<Coord>,
+    m: usize,
+    n: usize,
+    chunks: usize,
+) -> (Ranges, Vec<Vec<Coord>>) {
+    bucket_by_volume(coords, m, chunks, |_| n as u64)
+}
+
+/// The prelude both legs of a sparse-dense contraction share: `A`'s
+/// coords in stored order, the flops they cost against `B`'s `n`-wide
+/// rows, and the chunk count over `lanes`.
+pub(crate) fn sd_prepare(
+    plan: &ContractPlan,
+    a: &SparseTensor<f64>,
+    b_dims: &[usize],
+    lanes: usize,
+) -> Result<(Vec<Coord>, u64, usize)> {
+    plan.output_dims(a.dims(), b_dims)?;
+    let n = fused_dims(plan, a.dims(), b_dims).2;
+    let coords = sparse_coords(a, plan.free_a_positions(), plan.ctr_a_positions());
+    let flops = 2 * coords.len() as u64 * n as u64;
+    Ok((coords, flops, sparse_chunks(flops, lanes)))
+}
+
+/// Sparse × dense contraction producing a dense tensor, row-chunked with
+/// volume-balanced (nnz·n) chunk boundaries when [`sparse_chunks`] says
+/// the work is worth more than one lane.
+pub(crate) fn sd_contract(
+    plan: &ContractPlan,
+    a: &SparseTensor<f64>,
+    b: &DenseTensor<f64>,
+    pool: Option<&ThreadPool>,
+) -> Result<(DenseTensor<f64>, u64)> {
+    let (coords, flops, chunks) = sd_prepare(plan, a, b.dims(), lanes(pool))?;
+    let (m, _k, n) = fused_dims(plan, a.dims(), b.dims());
+    let g = SdGeometry {
+        m,
+        n,
+        b_dims: b.dims(),
+        perm_b: &operand_perms(plan).1,
+        nat_dims: &natural_dims(plan, a.dims(), b.dims()),
+        out_perm: plan.output_permutation(),
+    };
+    let c = sd_apply(&g, b.data(), Cow::Owned(coords), chunks, pool)?;
+    Ok((c, flops))
+}

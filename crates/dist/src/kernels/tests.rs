@@ -1,0 +1,627 @@
+use super::sd::SdLayout;
+use super::ss::ss_chunked;
+use super::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
+use tt_tensor::gemm::{gemm_acc_slices, gemm_path};
+use tt_tensor::Complex64;
+
+fn random_sparse(dims: &[usize], density: f64, seed: u64) -> SparseTensor<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dense = DenseTensor::<f64>::from_fn(dims, |_| {
+        if rng.gen_bool(density) {
+            rng.gen_range(-1.0..1.0)
+        } else {
+            0.0
+        }
+    });
+    SparseTensor::from_dense(&dense, 0.0)
+}
+
+/// [`sd_contract`] cut into one chunk per pool thread, whatever
+/// [`sparse_chunks`] would say of the work size.
+fn sd_forced(
+    plan: &ContractPlan,
+    a: &SparseTensor<f64>,
+    b: &DenseTensor<f64>,
+    pool: &ThreadPool,
+) -> DenseTensor<f64> {
+    let (coords, ..) = sd_prepare(plan, a, b.dims(), 1).unwrap();
+    let (m, _k, n) = fused_dims(plan, a.dims(), b.dims());
+    let g = SdGeometry {
+        m,
+        n,
+        b_dims: b.dims(),
+        perm_b: &operand_perms(plan).1,
+        nat_dims: &natural_dims(plan, a.dims(), b.dims()),
+        out_perm: plan.output_permutation(),
+    };
+    sd_apply(&g, b.data(), Cow::Owned(coords), pool.threads(), Some(pool)).unwrap()
+}
+
+/// [`ss_contract`] cut into one chunk per pool thread likewise.
+fn ss_forced(
+    plan: &ContractPlan,
+    a: &SparseTensor<f64>,
+    b: &SparseTensor<f64>,
+    mask: Option<&[u64]>,
+    pool: &ThreadPool,
+) -> SparseTensor<f64> {
+    let prep = ss_prepare(plan, a, b, mask).unwrap();
+    ss_chunked(prep, pool.threads(), Some(pool)).unwrap().0
+}
+
+#[test]
+fn dense_kernel_matches_einsum_any_chunking() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let a = DenseTensor::<f64>::random([7, 3, 9], &mut rng);
+    let b = DenseTensor::<f64>::random([9, 3, 5], &mut rng);
+    let plan = ContractPlan::parse("ajk,kjc->ca").unwrap();
+    let seq = dense_contract(&plan, &a, &b, None).unwrap();
+    let pool = ThreadPool::new(3);
+    let par = dense_contract(&plan, &a, &b, Some(&pool)).unwrap();
+    assert_eq!(seq.data(), par.data(), "threaded must be bitwise identical");
+    let reference = tt_tensor::einsum("ajk,kjc->ca", &a, &b).unwrap();
+    assert_eq!(seq.data(), reference.data());
+}
+
+#[test]
+fn dense_kernel_packed_path_bitwise_across_chunkings() {
+    // large enough for GemmPath::Packed, with m spanning several MC
+    // panels: pool-parallel GEMM must equal sequential bit for bit
+    let mut rng = StdRng::seed_from_u64(51);
+    let a = DenseTensor::<f64>::random([2 * MC + 37, 65], &mut rng);
+    let b = DenseTensor::<f64>::random([65, 70], &mut rng);
+    assert_eq!(gemm_path(65, 70), GemmPath::Packed);
+    let plan = ContractPlan::parse("ik,kj->ij").unwrap();
+    let seq = dense_contract(&plan, &a, &b, None).unwrap();
+    for threads in [2, 3, 5, 8] {
+        let pool = ThreadPool::new(threads);
+        let par = dense_contract(&plan, &a, &b, Some(&pool)).unwrap();
+        assert_eq!(seq.data(), par.data(), "threads={threads}");
+    }
+    let reference = tt_tensor::einsum("ik,kj->ij", &a, &b).unwrap();
+    assert_eq!(seq.data(), reference.data());
+}
+
+#[test]
+fn dense_kernel_gemv_path_used_and_bitwise() {
+    // fused n == 1 (Davidson matvec shape)
+    let mut rng = StdRng::seed_from_u64(52);
+    let a = DenseTensor::<f64>::random([40, 30], &mut rng);
+    let x = DenseTensor::<f64>::random([30, 1], &mut rng);
+    assert_eq!(gemm_path(30, 1), GemmPath::Gemv);
+    let plan = ContractPlan::parse("ik,kj->ij").unwrap();
+    let seq = dense_contract(&plan, &a, &x, None).unwrap();
+    let pool = ThreadPool::new(4);
+    let par = dense_contract(&plan, &a, &x, Some(&pool)).unwrap();
+    assert_eq!(seq.data(), par.data());
+    let reference = tt_tensor::einsum("ik,kj->ij", &a, &x).unwrap();
+    assert_eq!(seq.data(), reference.data());
+}
+
+#[test]
+fn mc_ranges_cover_and_align() {
+    for (m, chunks) in [(1, 4), (MC, 2), (3 * MC + 7, 4), (10 * MC, 3)] {
+        let ranges = mc_aligned_ranges(m, chunks);
+        assert_eq!(ranges.first().unwrap().0, 0);
+        assert_eq!(ranges.last().unwrap().1, m);
+        for w in ranges.windows(2) {
+            assert_eq!(w[0].1, w[1].0, "contiguous");
+        }
+        for &(r0, _) in &ranges {
+            assert_eq!(r0 % MC, 0, "start must be MC-aligned");
+        }
+    }
+}
+
+#[test]
+fn fan_out_rule_table() {
+    // the sparse rule: one chunk below 16 MFlop, one per lane from there
+    const GATE: u64 = 16_000_000;
+    for lanes in [1usize, 2, 8] {
+        assert_eq!(sparse_chunks(0, lanes), 1);
+        assert_eq!(sparse_chunks(GATE - 1, lanes), 1);
+        assert_eq!(sparse_chunks(GATE, lanes), lanes);
+        assert_eq!(sparse_chunks(u64::MAX, lanes), lanes);
+    }
+    // the dense rule, as the cut points of the ranges: whole MC panels
+    // on the packed path, uniform rows otherwise, never more ranges
+    // than lanes (or panels, or rows) and no gate on work size
+    let every = |step: usize, m: usize| -> Vec<usize> { (0..m).step_by(step).chain([m]).collect() };
+    let table: [(GemmPath, usize, [Vec<usize>; 3]); 10] = [
+        (GemmPath::Packed, 0, [vec![0, 0], vec![0, 0], vec![0, 0]]),
+        (GemmPath::Packed, 1, [vec![0, 1], vec![0, 1], vec![0, 1]]),
+        (
+            GemmPath::Packed,
+            MC - 1,
+            [every(MC, MC - 1), every(MC, MC - 1), every(MC, MC - 1)],
+        ),
+        (
+            GemmPath::Packed,
+            MC,
+            [vec![0, MC], vec![0, MC], vec![0, MC]],
+        ),
+        (
+            GemmPath::Packed,
+            3 * MC + 1,
+            [
+                vec![0, 3 * MC + 1],
+                vec![0, 2 * MC, 3 * MC + 1],
+                every(MC, 3 * MC + 1),
+            ],
+        ),
+        (GemmPath::Scalar, 0, [vec![0, 0], vec![0, 0], vec![0, 0]]),
+        (GemmPath::Gemv, 1, [vec![0, 1], vec![0, 1], vec![0, 1]]),
+        (
+            GemmPath::Scalar,
+            MC - 1,
+            [
+                vec![0, MC - 1],
+                every(MC / 2, MC - 1),
+                every(MC / 8, MC - 1),
+            ],
+        ),
+        (
+            GemmPath::Gemv,
+            MC,
+            [vec![0, MC], every(MC / 2, MC), every(MC / 8, MC)],
+        ),
+        (
+            GemmPath::Scalar,
+            3 * MC + 1,
+            [
+                vec![0, 3 * MC + 1],
+                vec![0, 193, 3 * MC + 1],
+                every(49, 3 * MC + 1),
+            ],
+        ),
+    ];
+    for (path, m, by_lanes) in table {
+        for (lanes, cuts) in [1usize, 2, 8].into_iter().zip(by_lanes) {
+            let ranges = dense_ranges(path, m, lanes);
+            let got: Vec<usize> = ranges
+                .iter()
+                .map(|r| r.0)
+                .chain(ranges.last().map(|r| r.1))
+                .collect();
+            assert_eq!(got, cuts, "{path:?} m={m} lanes={lanes}");
+            assert!(ranges.windows(2).all(|w| w[0].1 == w[1].0), "contiguous");
+        }
+    }
+}
+
+#[test]
+fn volume_ranges_balance_skewed_rows() {
+    // first row carries almost all the work; uniform splitting would
+    // put rows [0, m/2) on one chunk
+    let mut weights = vec![1u64; 64];
+    weights[0] = 10_000;
+    let ranges = volume_ranges(&weights, 4);
+    assert_eq!(ranges.first().unwrap().0, 0);
+    assert_eq!(ranges.last().unwrap().1, 64);
+    // the heavy row must be alone in its range
+    assert_eq!(ranges[0], (0, 1), "heavy row isolated: {ranges:?}");
+    // and ranges are non-uniform in width (the latent bug trigger)
+    let widths: Vec<usize> = ranges.iter().map(|&(a, b)| b - a).collect();
+    assert!(widths.windows(2).any(|w| w[0] != w[1]), "{widths:?}");
+}
+
+#[test]
+fn volume_buckets_respect_nonuniform_ranges() {
+    // rows with equal nnz except one giant row → uneven ranges; every
+    // coord must land in the bucket whose range contains its row
+    let m = 32;
+    let mut coords: Vec<Coord> = Vec::new();
+    for r in 0..m as u64 {
+        coords.push((r, 0, 1.0));
+    }
+    for _ in 0..100 {
+        coords.push((3, 1, 2.0)); // row 3 is hot
+    }
+    let (ranges, buckets) = bucket_by_volume(coords, m, 4, |_| 1);
+    for (range, bucket) in ranges.iter().zip(&buckets) {
+        for c in bucket {
+            assert!(
+                (c.0 as usize) >= range.0 && (c.0 as usize) < range.1,
+                "coord row {} outside range {range:?}",
+                c.0
+            );
+        }
+    }
+    // scan order within each bucket is preserved per row
+    for bucket in &buckets {
+        let rows3: Vec<f64> = bucket.iter().filter(|c| c.0 == 3).map(|c| c.2).collect();
+        if !rows3.is_empty() {
+            assert_eq!(rows3[0], 1.0, "stored-order first");
+        }
+    }
+}
+
+#[test]
+fn sd_kernel_matches_dense_reference() {
+    let mut rng = StdRng::seed_from_u64(6);
+    let a = random_sparse(&[6, 4, 5], 0.4, 7);
+    let b = DenseTensor::<f64>::random([5, 4, 3], &mut rng);
+    let plan = ContractPlan::parse("ajk,kjc->ac").unwrap();
+    let (seq, flops) = sd_contract(&plan, &a, &b, None).unwrap();
+    assert!(flops > 0);
+    let pool = ThreadPool::new(4);
+    let par = sd_forced(&plan, &a, &b, &pool);
+    assert_eq!(seq.data(), par.data());
+    let reference = tt_tensor::einsum("ajk,kjc->ac", &a.to_dense(), &b).unwrap();
+    assert!(seq.allclose(&reference, 1e-12));
+}
+
+#[test]
+fn sd_kernel_skewed_rows_bitwise() {
+    // highly rectangular + row-skewed sparse operand: the shape that
+    // used to land entirely in one uniform bucket
+    let dense = DenseTensor::<f64>::from_fn([80, 12], |idx| {
+        if idx[0] < 3 || idx[1] == 0 {
+            (idx[0] * 13 + idx[1]) as f64 * 0.01 - 0.3
+        } else {
+            0.0
+        }
+    });
+    let a = SparseTensor::from_dense(&dense, 0.0);
+    let mut rng = StdRng::seed_from_u64(8);
+    let b = DenseTensor::<f64>::random([12, 7], &mut rng);
+    let plan = ContractPlan::parse("ik,kj->ij").unwrap();
+    let (seq, _) = sd_contract(&plan, &a, &b, None).unwrap();
+    for threads in [2, 3, 8] {
+        let pool = ThreadPool::new(threads);
+        let par = sd_forced(&plan, &a, &b, &pool);
+        assert_eq!(seq.data(), par.data(), "threads={threads}");
+    }
+    let reference = tt_tensor::einsum("ik,kj->ij", &a.to_dense(), &b).unwrap();
+    assert!(seq.allclose(&reference, 1e-12));
+}
+
+// -- the TTGT boundary: in-place operands vs executed permutations ------
+
+/// The reference the layout shortcuts must reproduce bit for bit:
+/// permute both operands to matrices, run the contiguous GEMM, permute
+/// the natural-order result to output order.
+fn dense_reference<T: Scalar>(
+    plan: &ContractPlan,
+    a: &DenseTensor<T>,
+    b: &DenseTensor<T>,
+) -> DenseTensor<T> {
+    let (m, k, n) = fused_dims(plan, a.dims(), b.dims());
+    let (perm_a, perm_b) = operand_perms(plan);
+    let a_mat = a.permute(&perm_a).unwrap().into_data();
+    let b_mat = b.permute(&perm_b).unwrap().into_data();
+    let mut c = vec![T::zero(); m * n];
+    gemm_acc_slices(m, k, n, &a_mat, &b_mat, &mut c);
+    DenseTensor::from_vec(natural_dims(plan, a.dims(), b.dims()), c)
+        .unwrap()
+        .permute(plan.output_permutation())
+        .unwrap()
+}
+
+/// Same for sparse × dense: permute `B`, accumulate every stored
+/// entry's full-width axpy in stored order, permute the result.
+fn sd_reference(
+    plan: &ContractPlan,
+    a: &SparseTensor<f64>,
+    b: &DenseTensor<f64>,
+) -> DenseTensor<f64> {
+    let (m, _k, n) = fused_dims(plan, a.dims(), b.dims());
+    let b_mat = b.permute(&operand_perms(plan).1).unwrap().into_data();
+    let mut c = vec![0.0f64; m * n];
+    for (row, col, v) in sparse_coords(a, plan.free_a_positions(), plan.ctr_a_positions()) {
+        for j in 0..n {
+            c[row as usize * n + j] += v * b_mat[col as usize * n + j];
+        }
+    }
+    DenseTensor::from_vec(natural_dims(plan, a.dims(), b.dims()), c)
+        .unwrap()
+        .permute(plan.output_permutation())
+        .unwrap()
+}
+
+fn check_dense<T: Scalar>(spec: &str, a_dims: &[usize], b_dims: &[usize], seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let a = DenseTensor::<T>::random(a_dims, &mut rng);
+    let b = DenseTensor::<T>::random(b_dims, &mut rng);
+    let plan = ContractPlan::parse(spec).unwrap();
+    let reference = dense_reference(&plan, &a, &b);
+    let seq = dense_contract(&plan, &a, &b, None).unwrap();
+    assert_eq!(seq, reference, "{spec} {a_dims:?} {b_dims:?} inline");
+    let pool = ThreadPool::new(3);
+    let par = dense_contract(&plan, &a, &b, Some(&pool)).unwrap();
+    assert_eq!(par, reference, "{spec} {a_dims:?} {b_dims:?} pool");
+}
+
+fn check_sd(spec: &str, a_dims: &[usize], b_dims: &[usize], seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let a = random_sparse(a_dims, 0.3, seed);
+    let b = DenseTensor::<f64>::random(b_dims, &mut rng);
+    let plan = ContractPlan::parse(spec).unwrap();
+    let reference = sd_reference(&plan, &a, &b);
+    let (seq, flops) = sd_contract(&plan, &a, &b, None).unwrap();
+    assert_eq!(seq, reference, "{spec} {a_dims:?} {b_dims:?} inline");
+    let n = fused_dims(&plan, a_dims, b_dims).2;
+    assert_eq!(flops, 2 * (a.nnz() * n) as u64);
+    let pool = ThreadPool::new(3);
+    // forced fan-out, and the production rule (these sizes sit below
+    // the gate: one chunk despite the pool)
+    let forced = sd_forced(&plan, &a, &b, &pool);
+    assert_eq!(forced, reference, "{spec} {a_dims:?} {b_dims:?} forced");
+    let (par, _) = sd_contract(&plan, &a, &b, Some(&pool)).unwrap();
+    assert_eq!(par, reference, "{spec} {a_dims:?} {b_dims:?} pool");
+}
+
+/// The four H_eff steps `(spec, A dims, B dims)` at bond dimension
+/// `bond`, MPO bond 5, physical dimension 2.
+fn heff_steps(bond: usize) -> [(&'static str, Vec<usize>, Vec<usize>); 4] {
+    let (m, w, d) = (bond, 5, 2);
+    [
+        ("bkc,cqwf->bkqwf", vec![m, w, m], vec![m, d, d, m]),
+        ("kpqg,bkqwf->bpgwf", vec![w, d, d, w], vec![m, w, d, d, m]),
+        ("gswh,bpgwf->bpshf", vec![w, d, d, w], vec![m, d, w, d, m]),
+        ("rhf,bpshf->bpsr", vec![m, w, m], vec![m, d, d, w, m]),
+    ]
+}
+
+#[test]
+fn heff_chain_layouts_are_what_the_profile_asked_for() {
+    // at a DMRG bond dimension: step 1 moves nothing, steps 2–3 gather
+    // and scatter runs, step 4 has no contiguous free run in B and
+    // scatters C only
+    let layouts: Vec<(bool, bool, usize)> = heff_steps(40)
+        .iter()
+        .map(|(spec, a_dims, b_dims)| {
+            let plan = ContractPlan::parse(spec).unwrap();
+            let (m, _k, n) = fused_dims(&plan, a_dims, b_dims);
+            let g = SdGeometry {
+                m,
+                n,
+                b_dims,
+                perm_b: &operand_perms(&plan).1,
+                nat_dims: &natural_dims(&plan, a_dims, b_dims),
+                out_perm: plan.output_permutation(),
+            };
+            let out_dims = plan.output_dims(a_dims, b_dims).unwrap();
+            let l = SdLayout::choose(&g, &out_dims, true).unwrap();
+            (l.b_in_place, l.c_in_place, l.run)
+        })
+        .collect();
+    assert_eq!(
+        layouts,
+        [
+            (true, true, 2 * 2 * 40),
+            (true, true, 2 * 40),
+            (true, true, 40),
+            (false, false, 40 * 2 * 2),
+        ]
+    );
+}
+
+#[test]
+fn heff_steps_bitwise_equal_permute_kernel_permute() {
+    // bond 40: run views engage; bond 6: every run is below
+    // SD_MIN_RUN and the operands are really transposed
+    for bond in [40, 6] {
+        for (i, (spec, a_dims, b_dims)) in heff_steps(bond).iter().enumerate() {
+            let seed = 100 + i as u64;
+            check_sd(spec, a_dims, b_dims, seed);
+            check_dense::<f64>(spec, a_dims, b_dims, seed);
+            check_dense::<Complex64>(spec, a_dims, b_dims, seed);
+        }
+    }
+}
+
+#[test]
+fn strided_and_gemv_operands_bitwise_equal_reference() {
+    // A stored k×m and B stored n×k on the packed path: both reach
+    // the packer as strides
+    assert_eq!(gemm_path(70, 300), GemmPath::Packed);
+    check_dense::<f64>("ki,jk->ij", &[70, 300], &[300, 70], 1);
+    check_dense::<Complex64>("ki,jk->ij", &[70, 300], &[300, 70], 2);
+    // … and transposed output on top
+    check_dense::<f64>("ki,jk->ji", &[70, 2 * MC + 5], &[90, 70], 3);
+    // a transpose that does not split at the row/column boundary must
+    // be executed: A (x,y,z) with rows y and cols (z,x)
+    check_dense::<f64>("xyz,zxc->yc", &[9, 40, 8], &[8, 9, 50], 4);
+    // same transposes on the scalar path (executed, not strided)
+    assert_eq!(gemm_path(7, 9), GemmPath::Scalar);
+    check_dense::<f64>("ki,jk->ij", &[7, 11], &[9, 7], 5);
+    // gemv: B fully contracted, its modes in another order than A's
+    assert_eq!(gemm_path(35, 1), GemmPath::Gemv);
+    check_dense::<f64>("ajk,kj->a", &[40, 5, 7], &[7, 5], 6);
+    check_dense::<Complex64>("jak,kj->a", &[5, 40, 7], &[7, 5], 7);
+}
+
+/// A random two-operand spec: `(spec, A dims, B dims)` with 1–2
+/// contracted modes at random positions, extents 1–5 and a random
+/// output order.
+fn random_spec(rng: &mut StdRng) -> (String, Vec<usize>, Vec<usize>) {
+    use rand::SliceRandom;
+    let (free_a, free_b, ctr) = (
+        rng.gen_range(1..4usize),
+        rng.gen_range(0..4usize),
+        rng.gen_range(1..3usize),
+    );
+    let mut labels = (b'a'..=b'z').map(|c| (c, rng.gen_range(1..6usize)));
+    let mut take = |n: usize| labels.by_ref().take(n).collect::<Vec<_>>();
+    let (fa, fb, ct) = (take(free_a), take(free_b), take(ctr));
+    let mut a: Vec<(u8, usize)> = fa.iter().chain(&ct).copied().collect();
+    let mut b: Vec<(u8, usize)> = fb.iter().chain(&ct).copied().collect();
+    let mut out: Vec<(u8, usize)> = fa.iter().chain(&fb).copied().collect();
+    a.shuffle(rng);
+    b.shuffle(rng);
+    out.shuffle(rng);
+    let text = |ls: &[(u8, usize)]| ls.iter().map(|&(c, _)| c as char).collect::<String>();
+    let dims = |ls: &[(u8, usize)]| ls.iter().map(|&(_, d)| d).collect::<Vec<_>>();
+    (
+        format!("{},{}->{}", text(&a), text(&b), text(&out)),
+        dims(&a),
+        dims(&b),
+    )
+}
+
+#[test]
+fn random_specs_bitwise_equal_permute_kernel_permute() {
+    let mut rng = StdRng::seed_from_u64(77);
+    for case in 0..60u64 {
+        let (spec, a_dims, b_dims) = random_spec(&mut rng);
+        check_dense::<f64>(&spec, &a_dims, &b_dims, case);
+        check_dense::<Complex64>(&spec, &a_dims, &b_dims, case);
+        check_sd(&spec, &a_dims, &b_dims, case);
+    }
+}
+
+#[test]
+fn sd_views_engage_on_long_runs_of_random_specs() {
+    // random specs with one long trailing free mode of B, so the run
+    // views (not just the permute fallback) see arbitrary geometry
+    let mut rng = StdRng::seed_from_u64(78);
+    for case in 0..30u64 {
+        let (spec, a_dims, mut b_dims) = random_spec(&mut rng);
+        let (lhs, out) = spec.split_once("->").unwrap();
+        let (a_txt, b_txt) = lhs.split_once(',').unwrap();
+        // append a fresh long mode to B, and to the output at a
+        // random-ish position: last on even cases, first on odd
+        b_dims.push(33 + case as usize % 4);
+        let out = if case % 2 == 0 {
+            format!("{out}Z")
+        } else {
+            format!("Z{out}")
+        };
+        check_sd(&format!("{a_txt},{b_txt}Z->{out}"), &a_dims, &b_dims, case);
+    }
+}
+
+#[test]
+fn sd_apply_rejects_inconsistent_geometry() {
+    let b = vec![0.0f64; 24];
+    let g = |perm_b: &'static [usize], n: usize| SdGeometry {
+        m: 2,
+        n,
+        b_dims: &[2, 3, 4],
+        perm_b,
+        nat_dims: &[2, 3, 4],
+        out_perm: &[0, 1, 2],
+    };
+    assert!(sd_apply(&g(&[0, 1, 2], 12), &b, Cow::Owned(vec![]), 1, None).is_ok());
+    // not a permutation; n no product of trailing modes
+    assert!(sd_apply(&g(&[0, 1, 1], 12), &b, Cow::Owned(vec![]), 1, None).is_err());
+    assert!(sd_apply(&g(&[0, 1, 2], 8), &b, Cow::Owned(vec![]), 1, None).is_err());
+    // operand shorter than its dims
+    assert!(sd_apply(&g(&[0, 1, 2], 12), &b[..20], Cow::Owned(vec![]), 1, None).is_err());
+}
+
+#[test]
+fn zero_extent_outputs_do_not_panic() {
+    // A zero-dimension free mode gives an empty output; the sparse
+    // kernels must flow through the chunked path instead of panicking.
+    let a = SparseTensor::<f64>::from_dense(&DenseTensor::zeros([0, 3]), 0.0);
+    let b = DenseTensor::<f64>::zeros([3, 2]);
+    let plan = ContractPlan::parse("ik,kj->ij").unwrap();
+    let (c, flops) = sd_contract(&plan, &a, &b, None).unwrap();
+    assert_eq!(c.dims(), &[0, 2]);
+    assert_eq!(flops, 0);
+    let sb = SparseTensor::<f64>::from_dense(&b, 0.0);
+    let (cs, _) = ss_contract(&plan, &a, &sb, None, None).unwrap();
+    assert_eq!(cs.dims(), &[0, 2]);
+    assert_eq!(cs.nnz(), 0);
+}
+
+#[test]
+fn ss_kernel_matches_dense_reference_and_respects_mask() {
+    let a = random_sparse(&[5, 6], 0.5, 8);
+    let b = random_sparse(&[6, 4], 0.5, 9);
+    let plan = ContractPlan::parse("ik,kj->ji").unwrap();
+    let (seq, _) = ss_contract(&plan, &a, &b, None, None).unwrap();
+    let pool = ThreadPool::new(4);
+    let par = ss_forced(&plan, &a, &b, None, &pool);
+    assert_eq!(seq.to_dense().data(), par.to_dense().data());
+    let reference = tt_tensor::einsum("ik,kj->ji", &a.to_dense(), &b.to_dense()).unwrap();
+    assert!(seq.to_dense().allclose(&reference, 1e-12));
+
+    // mask restricts the output pattern
+    let mask: Vec<u64> = (0..4).map(|i| i * 5 + i).collect();
+    let (masked, _) = ss_contract(&plan, &a, &b, Some(&mask), None).unwrap();
+    for (off, _) in masked.entries() {
+        assert!(mask.contains(&off));
+    }
+}
+
+mod ss_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The merge-join ss kernel agrees with the dense einsum
+        /// reference on arbitrary odd shapes/densities, every chunk
+        /// count is bitwise identical to sequential, and a mask is
+        /// exactly an extraction-time filter of the unmasked result.
+        #[test]
+        fn ss_contract_matches_naive_any_chunking(
+            m in 1usize..10,
+            kk in 1usize..8,
+            n in 1usize..9,
+            da in 0.1f64..0.9,
+            db in 0.1f64..0.9,
+            seed in 0u64..10_000,
+        ) {
+            let a = random_sparse(&[m, kk], da, seed);
+            let b = random_sparse(&[kk, n], db, seed.wrapping_add(1));
+            let plan = ContractPlan::parse("ik,kj->ji").unwrap();
+            let (seq, _) = ss_contract(&plan, &a, &b, None, None).unwrap();
+            let seq_dense = seq.to_dense();
+            for threads in [2usize, 5] {
+                let pool = ThreadPool::new(threads);
+                let par = ss_forced(&plan, &a, &b, None, &pool);
+                let par_dense = par.to_dense();
+                prop_assert_eq!(seq_dense.data(), par_dense.data());
+            }
+            let reference =
+                tt_tensor::einsum("ik,kj->ji", &a.to_dense(), &b.to_dense()).unwrap();
+            prop_assert!(seq.to_dense().allclose(&reference, 1e-12));
+
+            // masked run (threaded) == unmasked result filtered to the
+            // mask pattern, value for value
+            let mask: Vec<u64> = (0..(m * n) as u64).filter(|o| o % 3 != 0).collect();
+            let pool = ThreadPool::new(3);
+            let masked = ss_forced(&plan, &a, &b, Some(&mask), &pool);
+            let expect: Vec<(u64, f64)> = seq
+                .entries()
+                .filter(|(off, _)| mask.binary_search(off).is_ok())
+                .collect();
+            let got: Vec<(u64, f64)> = masked.entries().collect();
+            prop_assert_eq!(got, expect);
+        }
+    }
+}
+
+#[test]
+fn ss_kernel_rectangular_skewed_bitwise() {
+    // tall-skinny output with clustered rows — exercises the exact
+    // per-entry work weights and non-uniform chunk boundaries
+    let dense = DenseTensor::<f64>::from_fn([120, 6], |idx| {
+        if idx[0] % 17 == 0 || idx[0] < 2 {
+            0.3 - (idx[0] + 2 * idx[1]) as f64 * 0.007
+        } else {
+            0.0
+        }
+    });
+    let a = SparseTensor::from_dense(&dense, 0.0);
+    let b = random_sparse(&[6, 9], 0.6, 11);
+    let plan = ContractPlan::parse("ik,kj->ij").unwrap();
+    let (seq, _) = ss_contract(&plan, &a, &b, None, None).unwrap();
+    for threads in [2, 5, 8] {
+        let pool = ThreadPool::new(threads);
+        let par = ss_forced(&plan, &a, &b, None, &pool);
+        assert_eq!(
+            seq.to_dense().data(),
+            par.to_dense().data(),
+            "threads={threads}"
+        );
+    }
+}

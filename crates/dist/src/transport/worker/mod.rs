@@ -3,7 +3,7 @@
 //! A worker (one rank of the shared-nothing backend) is a small kernel
 //! server: it holds a keyed store of resident buffers and executes the
 //! same deterministic chunk kernels as the in-process executor —
-//! [`crate::kernels::dense_chunk`], [`crate::kernels::sd_chunk`] (through
+//! [`crate::kernels::dense_chunk`], `kernels::sd::sd_chunk` (through
 //! [`crate::kernels::sd_panel`] for a shipped row chunk and
 //! [`crate::kernels::sd_apply`] for a whole chain step),
 //! [`crate::kernels::ss_chunk`] and whole-matrix factorizations. Because
