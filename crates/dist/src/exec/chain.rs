@@ -656,10 +656,10 @@ impl ChainSrc<'_> {
 /// Dims and kind of a chain-step operand at planning time.
 fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, SrcKind)> {
     Ok(match src {
-        ChainSrc::Dense(op) => {
-            let t = op.tensor()?;
-            (t.dims().to_vec(), SrcKind::Dense(t.kind()))
-        }
+        ChainSrc::Dense(op) => match op.tensor()? {
+            DenseRef::F64(t) => (t.dims().to_vec(), SrcKind::Dense(ResultKind::F64)),
+            DenseRef::C64(t) => (t.dims().to_vec(), SrcKind::Dense(ResultKind::C64)),
+        },
         ChainSrc::Sparse(op) => (op.tensor()?.dims().to_vec(), SrcKind::Sparse),
         ChainSrc::Prev(j) => {
             let pl = planned

@@ -112,10 +112,14 @@ impl Executor {
                 a_fields.push(match a.handle() {
                     None => Op::Inline(slab(range)?),
                     Some(h) => {
-                        let chunk = (nchunks as u64, i as u64);
-                        let layout = (hseq(&perm_a), path as u64);
-                        let key =
-                            derive(&[h.key(), T::TAG_A, layout.0, layout.1, chunk.0, chunk.1]);
+                        let key = derive(&[
+                            h.key(),
+                            T::TAG_A,
+                            hseq(&perm_a),
+                            path as u64,
+                            nchunks as u64,
+                            i as u64,
+                        ]);
                         step.ensure(&mut res, h.key(), key, i % p, || {
                             Ok(Request::Upload {
                                 key,

@@ -26,11 +26,29 @@
 //! handles are plain `Arc`s around the tensor and the numerics take the
 //! exact same kernel path as the value-passing API.
 //!
+//! # One leg per decision
+//!
+//! An entry point has an in-process leg and a cluster leg, and they share
+//! everything but the carrier. *How the work is cut* comes from one
+//! prelude per kernel family in `kernels` (`dense_prepare`, `sd_prepare`,
+//! `ss_prepare`: fused dims, kernel path, the two fan-out rules over
+//! `lanes` = pool threads or worker ranks, buckets), consumed by both
+//! legs, and the pieces come back through one epilogue
+//! (`kernels::natural_output`). *How it reaches a lane* in-process is
+//! `kernels::ordered_map` over borrowed data. *What a superstep is* on the
+//! cluster is `residency::Superstep`: `ensure` an upload wherever a rank
+//! lacks a buffer, queue the `task`s, `run` — every request that carries
+//! work (`DenseChunk`, `Contract`, `SdChunk`, `SsChunk`, `ChainSd`,
+//! `QrThin`, `SvdTrunc`) is assembled and sent there; the bare
+//! `call_all`s left outside it (`Free`s, `CacheStats`, `Download`s, the
+//! chain's error sweep) carry none. The frames a fixed script sends are
+//! pinned by `tests::protocol_trace_matches_golden`.
+//!
 //! Layout: this file holds the [`Executor`] itself and the operand types;
-//! `residency` the upload/free lifecycle, the retention cache and the α–β
-//! charges; `dense`, `sparse` and `factorize` the value-returning entry
-//! points; `chain` the planner of worker-side chains and the result
-//! handles' exits.
+//! `residency` the upload/free lifecycle, the retention cache, the α–β
+//! charges and the `Superstep` builder; `dense`, `sparse` and `factorize`
+//! the value-returning entry points; `chain` the planner of worker-side
+//! chains and the result handles' exits.
 
 mod chain;
 mod dense;

@@ -192,23 +192,14 @@ impl Executor {
         let chunks = kernels::sparse_chunks(prep.flops(), p);
         // resident A buckets must not depend on B's pattern
         let (ranges, buckets) = prep.take_buckets(chunks, a.handle().is_some());
-        let kernels::SsPrep {
-            out_shape,
-            n,
-            row_axes,
-            col_axes,
-            btab,
-            mask_sorted,
-            ..
-        } = prep;
 
         // flatten the grouped B operand once
-        let b_keys = btab.keys().to_vec();
-        let b_lens: Vec<u64> = btab.run_lens().collect();
-        let b_cols = btab.cols().to_vec();
-        let b_vals = btab.vals().to_vec();
-        let (ax_dims, ax_strides): (Vec<u64>, Vec<u64>) = row_axes.iter().copied().unzip();
-        let (cx_dims, cx_strides): (Vec<u64>, Vec<u64>) = col_axes.iter().copied().unzip();
+        let b_keys = prep.btab.keys().to_vec();
+        let b_lens: Vec<u64> = prep.btab.run_lens().collect();
+        let b_cols = prep.btab.cols().to_vec();
+        let b_vals = prep.btab.vals().to_vec();
+        let (ax_dims, ax_strides): (Vec<u64>, Vec<u64>) = prep.row_axes.iter().copied().unzip();
+        let (cx_dims, cx_strides): (Vec<u64>, Vec<u64>) = prep.col_axes.iter().copied().unzip();
 
         let mut step = Superstep::default();
         let (b_field, a_fields) = {
@@ -264,12 +255,12 @@ impl Executor {
                     b: b_field.clone(),
                     r0: r0 as u64,
                     r1: r1 as u64,
-                    n,
+                    n: prep.n,
                     ax_dims: ax_dims.clone(),
                     ax_strides: ax_strides.clone(),
                     cx_dims: cx_dims.clone(),
                     cx_strides: cx_strides.clone(),
-                    mask: mask_sorted.as_ref().map(|ms| ms.to_vec()),
+                    mask: prep.mask_sorted.as_ref().map(|ms| ms.to_vec()),
                 },
             );
         }
@@ -292,7 +283,7 @@ impl Executor {
                 }
             }
         }
-        Ok((SparseTensor::from_entries(out_shape, entries)?, flops))
+        Ok((SparseTensor::from_entries(prep.out_shape, entries)?, flops))
     }
 }
 

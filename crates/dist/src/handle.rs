@@ -97,20 +97,6 @@ pub(crate) enum DenseRef<'a> {
 }
 
 impl DenseRef<'_> {
-    pub(crate) fn dims(&self) -> &[usize] {
-        match self {
-            DenseRef::F64(t) => t.dims(),
-            DenseRef::C64(t) => t.dims(),
-        }
-    }
-
-    pub(crate) fn kind(&self) -> ResultKind {
-        match self {
-            DenseRef::F64(_) => ResultKind::F64,
-            DenseRef::C64(_) => ResultKind::C64,
-        }
-    }
-
     /// A copy of the data as a wire buffer.
     pub(crate) fn buf(&self) -> Buf {
         match self {

@@ -53,7 +53,7 @@ mod tests;
 
 pub(crate) use dense::{dense_chunk, dense_contract, dense_prepare};
 pub(crate) use sd::{sd_apply, sd_buckets, sd_contract, sd_panel, sd_prepare, SdGeometry, SdView};
-pub(crate) use ss::{ss_chunk, ss_contract, ss_prepare, SsPrep};
+pub(crate) use ss::{ss_chunk, ss_contract, ss_prepare};
 
 use crate::pool::{PoolJob, ThreadPool};
 use crate::Result;
