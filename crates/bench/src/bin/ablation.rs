@@ -9,15 +9,13 @@
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 use tt_bench::Table;
 use tt_blocks::{contract, Algorithm, Arrow, BlockSparseTensor, QnIndex, QN};
-use tt_dist::{tsqr, Comm, CostTracker, Executor, Machine};
+use tt_dist::{tsqr, CostTracker, Executor, Machine};
 use tt_tensor::DenseTensor;
 
-fn comm(p: usize) -> Comm {
-    let tracker = Arc::new(Mutex::new(CostTracker::new(Machine::blue_waters(16), p)));
-    Comm::new(p, tracker)
+fn tracker(p: usize) -> Mutex<CostTracker> {
+    Mutex::new(CostTracker::new(Machine::blue_waters(16), p))
 }
 
 fn main() {
@@ -87,8 +85,8 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(22);
     let a_tall = DenseTensor::<f64>::random([256, 8], &mut rng);
     for p in [2usize, 4, 8] {
-        let c = comm(p);
-        let (q, _r) = tsqr(&a_tall, &c).unwrap();
+        let c = tracker(p);
+        let (q, _r) = tsqr(&a_tall, p, &c).unwrap();
         let qtq = tt_tensor::gemm(
             &q,
             tt_tensor::Layout::Transposed,
@@ -97,7 +95,7 @@ fn main() {
         )
         .unwrap();
         let err = qtq.max_diff(&DenseTensor::eye(8)).unwrap();
-        let tr = c.tracker().lock();
+        let tr = c.lock();
         t2.row(vec![
             "TSQR".into(),
             p.to_string(),
@@ -109,8 +107,8 @@ fn main() {
     {
         // gathered: all data to one rank, local QR — bytes scale with the
         // full panel instead of n² per tree level
-        let c = comm(8);
-        c.charge_p2p((256 * 8 * 8) as u64);
+        let c = tracker(8);
+        CostTracker::charge_p2p(&c, (256 * 8 * 8) as u64);
         let (q, _r) = tt_linalg::qr_thin(&a_tall).unwrap();
         let qtq = tt_tensor::gemm(
             &q,
@@ -120,7 +118,7 @@ fn main() {
         )
         .unwrap();
         let err = qtq.max_diff(&DenseTensor::eye(8)).unwrap();
-        let tr = c.tracker().lock();
+        let tr = c.lock();
         t2.row(vec![
             "gather+QR".into(),
             "8".into(),

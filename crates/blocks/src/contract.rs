@@ -13,6 +13,12 @@
 //!
 //! All three produce identical results; they differ in supersteps, memory
 //! and communication exactly as Table II quantifies.
+//!
+//! [`contract`] passes both operands by value and is the reference every
+//! other path is compared against. A [`ResidentChain`] keeps the structural
+//! operands of a run of contractions resident and applies the run to a
+//! moving operand; it alone uploads and frees a [`ResidentOperand`].
+//! Runtime and kernel errors travel up by `?` as [`Error::Dist`], typed.
 
 use crate::block::{BlockKey, BlockSparseTensor};
 use crate::index::QnIndex;
@@ -20,9 +26,9 @@ use crate::qn::QN;
 use crate::{Error, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
-use tt_dist::{DenseOp, Executor, OpHandle};
+use tt_dist::{ChainSrc, ChainStep, DenseOp, Executor, OpHandle, ResultHandle, SparseOp};
 use tt_tensor::einsum::ContractPlan;
-use tt_tensor::SparseTensor;
+use tt_tensor::{DenseTensor, SparseTensor};
 
 /// Which block-sparsity strategy to contract with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,56 +51,98 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// Validate operands against the plan and compute the output indices/flux.
-fn output_structure(
-    plan: &ContractPlan,
-    a: &BlockSparseTensor,
-    b: &BlockSparseTensor,
-) -> Result<(Vec<QnIndex>, QN)> {
-    output_structure_parts(plan, a.indices(), a.flux(), b.indices(), b.flux())
+/// An operand as structure alone: its graded indices and its flux.
+type Structure<'a> = (&'a [QnIndex], QN);
+
+fn structure(t: &BlockSparseTensor) -> Structure<'_> {
+    (t.indices(), t.flux())
 }
 
-/// [`output_structure`] from operands given only as structure (indices +
-/// flux) — the form a [`ResidentOperand`] carries, and all a chain step
-/// needs to plan its output symbolically.
-fn output_structure_parts(
-    plan: &ContractPlan,
-    a_indices: &[QnIndex],
-    a_flux: QN,
-    b_indices: &[QnIndex],
-    b_flux: QN,
-) -> Result<(Vec<QnIndex>, QN)> {
-    let (oa, ob) = plan.operand_orders();
-    if oa != a_indices.len() || ob != b_indices.len() {
-        return Err(Error::Key(format!(
-            "spec orders {oa}/{ob} don't match tensors {}/{}",
-            a_indices.len(),
-            b_indices.len()
-        )));
-    }
-    for (&ia, &ib) in plan.ctr_a_positions().iter().zip(plan.ctr_b_positions()) {
-        if !a_indices[ia].contractable_with(&b_indices[ib]) {
-            return Err(Error::Symmetry(format!(
-                "contracted index pair ({ia},{ib}) has mismatched sectors or arrows"
+/// What one contraction is from structure alone — indices and fluxes,
+/// never values. Every path starts from one: the value path, the per-step
+/// resident path, and each step of a [`ResidentChain`]'s kept plan.
+struct StepPlan {
+    contract: ContractPlan,
+    out_indices: Vec<QnIndex>,
+    out_flux: QN,
+    /// For [`Algorithm::SparseSparse`], and only then: every dense offset
+    /// of the output the symmetry allows, ascending
+    /// ([`BlockSparseTensor::flat_mask`]).
+    mask: Option<Vec<u64>>,
+}
+
+impl StepPlan {
+    /// Parse `spec`, validate the operands' structures against it and
+    /// derive the output's.
+    fn derive(
+        algo: Algorithm,
+        spec: &str,
+        (a_indices, a_flux): Structure,
+        (b_indices, b_flux): Structure,
+    ) -> Result<Self> {
+        let contract = ContractPlan::parse(spec)?;
+        let (oa, ob) = contract.operand_orders();
+        if oa != a_indices.len() || ob != b_indices.len() {
+            return Err(Error::Key(format!(
+                "spec orders {oa}/{ob} don't match tensors {}/{}",
+                a_indices.len(),
+                b_indices.len()
             )));
         }
+        for (&ia, &ib) in contract
+            .ctr_a_positions()
+            .iter()
+            .zip(contract.ctr_b_positions())
+        {
+            if !a_indices[ia].contractable_with(&b_indices[ib]) {
+                return Err(Error::Symmetry(format!(
+                    "contracted index pair ({ia},{ib}) has mismatched sectors or arrows"
+                )));
+            }
+        }
+        let natural: Vec<&QnIndex> = contract
+            .free_a_positions()
+            .iter()
+            .map(|&i| &a_indices[i])
+            .chain(contract.free_b_positions().iter().map(|&j| &b_indices[j]))
+            .collect();
+        let out_indices: Vec<QnIndex> = contract
+            .output_permutation()
+            .iter()
+            .map(|&p| natural[p].clone())
+            .collect();
+        let out_flux = a_flux.add(b_flux);
+        let mask = (algo == Algorithm::SparseSparse)
+            .then(|| BlockSparseTensor::flat_mask(&out_indices, out_flux));
+        Ok(Self {
+            contract,
+            out_indices,
+            out_flux,
+            mask,
+        })
     }
-    let natural: Vec<QnIndex> = plan
-        .free_a_positions()
-        .iter()
-        .map(|&i| a_indices[i].clone())
-        .chain(
-            plan.free_b_positions()
-                .iter()
-                .map(|&j| b_indices[j].clone()),
-        )
-        .collect();
-    let out_indices: Vec<QnIndex> = plan
-        .output_permutation()
-        .iter()
-        .map(|&p| natural[p].clone())
-        .collect();
-    Ok((out_indices, a_flux.add(b_flux)))
+
+    /// Run the step as one flattened contraction — sparse-sparse under its
+    /// mask when it has one, sparse-dense otherwise — of `a`, flattened, by
+    /// value or by resident handle, against `b`.
+    fn contract_flat(
+        self,
+        exec: &Executor,
+        spec: &str,
+        a: SparseOp,
+        b: &BlockSparseTensor,
+    ) -> Result<BlockSparseTensor> {
+        match self.mask {
+            None => {
+                let c = exec.contract_sd(spec, a, &b.to_dense())?;
+                BlockSparseTensor::from_dense(self.out_indices, self.out_flux, &c, 0.0)
+            }
+            Some(mask) => {
+                let c = exec.contract_ss(spec, a, &b.to_flat_sparse(), Some(&mask))?;
+                BlockSparseTensor::from_flat_sparse(self.out_indices, self.out_flux, &c)
+            }
+        }
+    }
 }
 
 /// Every matching block pair of a contraction, in the one order all list
@@ -102,7 +150,8 @@ fn output_structure_parts(
 /// same contracted labels, as given. `emit` receives the two payloads and
 /// the pair's output block key. Partials accumulate into an output block in
 /// this order, so sharing it is what makes [`contract_list`],
-/// [`contract_resident`] and [`chain_apply`] bitwise-equal to each other.
+/// [`contract_resident`] and [`ResidentChain::apply`] bitwise-equal to each
+/// other.
 fn for_each_block_pair<'a, 'b, A: Copy, B: Copy>(
     plan: &ContractPlan,
     a: impl IntoIterator<Item = (&'a BlockKey, A)>,
@@ -142,11 +191,13 @@ pub fn contract(
     a: &BlockSparseTensor,
     b: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
-    match algo {
-        Algorithm::List => contract_list(exec, spec, a, b),
-        Algorithm::SparseDense => contract_sparse_dense(exec, spec, a, b),
-        Algorithm::SparseSparse => contract_sparse_sparse(exec, spec, a, b),
+    if algo == Algorithm::List {
+        return contract_list(exec, spec, a, b);
     }
+    // flattened: sparse A times densified B, or sparse A times sparse B
+    // with the output sparsity pre-computed from the quantum numbers
+    let step = StepPlan::derive(algo, spec, structure(a), structure(b))?;
+    step.contract_flat(exec, spec, (&a.to_flat_sparse()).into(), b)
 }
 
 /// Paper Algorithm 2: loop over block pairs, match contracted labels,
@@ -163,16 +214,20 @@ pub fn contract_list(
     a: &BlockSparseTensor,
     b: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
-    let plan = ContractPlan::parse(spec).map_err(tt_dist::Error::from)?;
-    let (out_indices, out_flux) = output_structure(&plan, a, b)?;
-    let mut c = BlockSparseTensor::new(out_indices, out_flux);
+    let step = StepPlan::derive(Algorithm::List, spec, structure(a), structure(b))?;
+    let mut c = BlockSparseTensor::new(step.out_indices, step.out_flux);
 
     let mut out_keys: Vec<BlockKey> = Vec::new();
     let mut pairs: Vec<(DenseOp, DenseOp)> = Vec::new();
-    for_each_block_pair(&plan, a.blocks(), b.blocks(), |ablock, bblock, kc| {
-        out_keys.push(kc);
-        pairs.push((ablock.into(), bblock.into()));
-    });
+    for_each_block_pair(
+        &step.contract,
+        a.blocks(),
+        b.blocks(),
+        |ablock, bblock, kc| {
+            out_keys.push(kc);
+            pairs.push((ablock.into(), bblock.into()));
+        },
+    );
 
     if exec.mode() == tt_dist::ExecMode::Threaded {
         // pair-level fan-out over the pool; partials return in pair order
@@ -194,26 +249,23 @@ pub fn contract_list(
 /// Accumulate a partial into its output block (always called in pair
 /// order, so the floating-point accumulation order is fixed). The
 /// `Arc`-backed storage accumulates in place — no clone per partial.
-fn absorb(
-    c: &mut BlockSparseTensor,
-    kc: BlockKey,
-    partial: tt_tensor::DenseTensor<f64>,
-) -> Result<()> {
+fn absorb(c: &mut BlockSparseTensor, kc: BlockKey, partial: DenseTensor<f64>) -> Result<()> {
     c.axpy_block(kc, partial)
 }
 
-/// A block-sparse operand uploaded onto the executor for reuse across
-/// many contractions (the paper's operand-residency discipline: the
+/// A block-sparse operand resident on the executor for reuse across many
+/// contractions (the paper's operand-residency discipline: the
 /// environment and MPO tensors of a Davidson solve stay put, only the
-/// iteration vector moves).
+/// iteration vector moves). Uploaded, owned and freed by a
+/// [`ResidentChain`], which lends it out through
+/// [`ResidentChain::operand`].
 ///
 /// The uploaded form follows the algorithm that will consume it: one
 /// [`OpHandle`] per quantum-number block for [`Algorithm::List`]
 /// (block-pair tasks reference resident blocks by key and are routed to
 /// the rank that holds them), or one flattened-sparse handle for the
 /// sparse-dense / sparse-sparse algorithms (resident coordinate buckets
-/// and grouped tables). Free with [`free_operand`] when the reuse window
-/// closes.
+/// and grouped tables).
 pub struct ResidentOperand {
     indices: Vec<QnIndex>,
     flux: QN,
@@ -229,70 +281,106 @@ enum ResidentForm {
 }
 
 impl ResidentOperand {
-    /// The operand's index structure.
-    pub fn indices(&self) -> &[QnIndex] {
-        &self.indices
+    /// Upload `t` in the form `algo` consumes.
+    fn upload(exec: &Executor, algo: Algorithm, t: &BlockSparseTensor) -> Self {
+        let form = match algo {
+            Algorithm::List => {
+                let (keys, handles) = t
+                    .blocks_shared()
+                    .map(|(k, block)| (k.clone(), exec.upload_shared(block)))
+                    .unzip();
+                ResidentForm::List { keys, handles }
+            }
+            Algorithm::SparseDense | Algorithm::SparseSparse => {
+                ResidentForm::Flat(exec.upload_sparse(&t.to_flat_sparse()))
+            }
+        };
+        Self {
+            indices: t.indices().to_vec(),
+            flux: t.flux(),
+            form,
+        }
     }
 
-    /// The operand's flux.
-    pub fn flux(&self) -> QN {
-        self.flux
+    /// The per-block form the list algorithm consumes: block keys and
+    /// their handles, in stored order.
+    fn blocks(&self) -> Result<(&[BlockKey], &[OpHandle])> {
+        match &self.form {
+            ResidentForm::List { keys, handles } => Ok((keys, handles)),
+            ResidentForm::Flat(_) => Err(Error::Key(
+                "operand was uploaded in flattened form; contract with the algorithm it was \
+                 uploaded for"
+                    .into(),
+            )),
+        }
+    }
+
+    /// The flattened form the sparse-dense and sparse-sparse algorithms
+    /// consume.
+    fn flat(&self) -> Result<&OpHandle> {
+        match &self.form {
+            ResidentForm::Flat(h) => Ok(h),
+            ResidentForm::List { .. } => Err(Error::Key(
+                "operand was uploaded per-block for the list algorithm".into(),
+            )),
+        }
+    }
+
+    /// Every handle behind the operand, in upload order.
+    fn handles(&self) -> &[OpHandle] {
+        match &self.form {
+            ResidentForm::List { handles, .. } => handles,
+            ResidentForm::Flat(h) => std::slice::from_ref(h),
+        }
     }
 }
 
-/// Upload `t` in the form `algo` consumes (see [`ResidentOperand`]).
-pub fn upload_operand(exec: &Executor, algo: Algorithm, t: &BlockSparseTensor) -> ResidentOperand {
-    let form = match algo {
-        Algorithm::List => {
-            let mut keys = Vec::with_capacity(t.n_blocks());
-            let mut handles = Vec::with_capacity(t.n_blocks());
-            for (k, block) in t.blocks_shared() {
-                keys.push(k.clone());
-                handles.push(exec.upload_shared(block));
-            }
-            ResidentForm::List { keys, handles }
-        }
-        Algorithm::SparseDense | Algorithm::SparseSparse => {
-            ResidentForm::Flat(exec.upload_sparse(&t.to_flat_sparse()))
-        }
-    };
-    ResidentOperand {
-        indices: t.indices().to_vec(),
-        flux: t.flux(),
-        form,
-    }
+/// Free every one of `handles`, whatever fails on the way, and report the
+/// first error. A worker store never evicts, so a handle skipped here
+/// would stay resident until the executor drops.
+fn free_all<'h>(
+    exec: &Executor,
+    handles: impl IntoIterator<Item = &'h OpHandle>,
+) -> tt_dist::Result<()> {
+    // every free runs before the first error is looked for
+    let freed: Vec<tt_dist::Result<()>> = handles.into_iter().map(|h| exec.free(h)).collect();
+    freed.into_iter().collect()
 }
 
-/// Free every handle behind `op` (the derived worker buffers are dropped
-/// once the last upload of each content is freed).
-pub fn free_operand(exec: &Executor, op: &ResidentOperand) -> Result<()> {
-    match &op.form {
-        ResidentForm::List { handles, .. } => {
-            for h in handles {
-                exec.free(h).map_err(Error::from)?;
-            }
-        }
-        ResidentForm::Flat(h) => exec.free(h).map_err(Error::from)?,
-    }
-    Ok(())
+/// Run `run` against uploads of `blocks` that live for this call only
+/// (`Arc`-shared: an upload hashes its block, it does not clone it), then
+/// free every one, in upload order, before surfacing `run`'s outcome — its
+/// own error first, else the first failed free. A failed matvec must not
+/// leave buffers behind on the workers.
+fn with_transient<'b, T>(
+    exec: &Executor,
+    blocks: impl IntoIterator<Item = &'b Arc<DenseTensor<f64>>>,
+    run: impl FnOnce(&[OpHandle]) -> tt_dist::Result<T>,
+) -> Result<T> {
+    let handles: Vec<OpHandle> = blocks.into_iter().map(|b| exec.upload_shared(b)).collect();
+    let out = run(&handles);
+    let freed = free_all(exec, &handles);
+    let out = out?;
+    freed?;
+    Ok(out)
 }
 
 /// Contract a resident operand `a` against a by-value operand `b` —
 /// bitwise-identical to [`contract`] on the same tensors, on every
 /// backend and in every mode. One step with a block-form result: `b` is
 /// converted on the way in and the result re-blocked on the way out, so a
-/// sequence of steps that feed each other belongs in [`chain_apply`],
-/// which this function is the per-step reference of.
+/// sequence of steps that feed each other belongs in
+/// [`ResidentChain::apply`], which this function is the per-step
+/// reference of.
 ///
 /// For [`Algorithm::List`] the per-pair `B` blocks are themselves
 /// uploaded transiently (each distinct block ships at most once per rank
-/// per call instead of once per pair) and freed before returning; the
-/// resident `A` blocks ship nothing after their first use, which is
-/// where the Davidson matvec reuse pays.
+/// per call instead of once per pair) and freed, in first-use order,
+/// before returning; the resident `A` blocks ship nothing after their
+/// first use, which is where the Davidson matvec reuse pays.
 ///
 /// The transient uploads cost one content hash per distinct `B` block on
-/// every call (the `Arc`-backed block storage makes the upload itself
-/// clone-free) — on `Backend::InProcess` that is overhead with no
+/// every call — on `Backend::InProcess` that is overhead with no
 /// shipping to save, but it is paid uniformly on purpose: the α–β charge
 /// sequence depends on the registry's hit/miss bookkeeping, and keeping
 /// it identical on every backend is what makes the cost counters
@@ -304,253 +392,341 @@ pub fn contract_resident(
     a: &ResidentOperand,
     b: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
-    let plan = ContractPlan::parse(spec).map_err(tt_dist::Error::from)?;
-    let (out_indices, out_flux) =
-        output_structure_parts(&plan, &a.indices, a.flux, b.indices(), b.flux())?;
-    match &a.form {
-        ResidentForm::Flat(h) => match algo {
-            Algorithm::SparseDense => {
-                let b_dense = b.to_dense();
-                let c_dense = exec.contract_sd(spec, h, &b_dense)?;
-                BlockSparseTensor::from_dense(out_indices, out_flux, &c_dense, 0.0)
-            }
-            Algorithm::SparseSparse => {
-                let b_flat = b.to_flat_sparse();
-                let mask = BlockSparseTensor::flat_mask(&out_indices, out_flux);
-                let c_sparse = exec.contract_ss(spec, h, &b_flat, Some(&mask))?;
-                BlockSparseTensor::from_flat_sparse(out_indices, out_flux, &c_sparse)
-            }
-            Algorithm::List => Err(Error::Key(
-                "operand was uploaded in flattened form; contract with the algorithm it was \
-                 uploaded for"
-                    .into(),
-            )),
+    let step = StepPlan::derive(algo, spec, (&a.indices, a.flux), structure(b))?;
+    if algo != Algorithm::List {
+        return step.contract_flat(exec, spec, a.flat()?.into(), b);
+    }
+    let (keys, handles) = a.blocks()?;
+    // enumerate the pairs; each B block they use uploads once, in
+    // first-use order
+    let mut used: Vec<&Arc<DenseTensor<f64>>> = Vec::new();
+    let mut slot: HashMap<&BlockKey, usize> = HashMap::new();
+    let mut out_keys: Vec<BlockKey> = Vec::new();
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for_each_block_pair(
+        &step.contract,
+        keys.iter().zip(0..),
+        b.blocks_shared().map(|(kb, block)| (kb, (kb, block))),
+        |ai, (kb, block), kc| {
+            let bi = *slot.entry(kb).or_insert_with(|| {
+                used.push(block);
+                used.len() - 1
+            });
+            out_keys.push(kc);
+            pairs.push((ai, bi));
         },
-        ResidentForm::List { keys, handles } => {
-            if algo != Algorithm::List {
-                return Err(Error::Key(
-                    "operand was uploaded per-block for the list algorithm".into(),
-                ));
-            }
-            let mut c = BlockSparseTensor::new(out_indices, out_flux);
-
-            // pass 1: enumerate the pairs, uploading each used B block
-            // once (first-use order — deterministic; Arc-shared, so the
-            // upload hashes the block but does not clone its storage), to
-            // be freed on return
-            let mut b_handles: HashMap<&BlockKey, OpHandle> = HashMap::new();
-            let mut out_keys: Vec<BlockKey> = Vec::new();
-            let mut pair_refs: Vec<(usize, &BlockKey)> = Vec::new();
-            for_each_block_pair(
-                &plan,
-                keys.iter().zip(0..),
-                b.blocks_shared().map(|(kb, block)| (kb, (kb, block))),
-                |ai, (kb, block), kc| {
-                    b_handles
-                        .entry(kb)
-                        .or_insert_with(|| exec.upload_shared(block));
-                    out_keys.push(kc);
-                    pair_refs.push((ai, kb));
-                },
-            );
-            // pass 2: assemble handle pairs (immutable borrows only)
-            let ops: Vec<(DenseOp, DenseOp)> = pair_refs
-                .iter()
-                .map(|&(ai, kb)| {
-                    (
-                        (&handles[ai]).into(),
-                        b_handles.get(kb).expect("uploaded above").into(),
-                    )
-                })
-                .collect();
-            let partials = exec.contract_batch(spec, &ops);
-            // release the transient uploads before surfacing any batch
-            // error — a failed matvec must not leave buffers behind on the
-            // workers (nothing there would ever evict them)
-            drop(ops);
-            let mut free_err: Option<tt_dist::Error> = None;
-            for h in b_handles.values() {
-                if let Err(e) = exec.free(h) {
-                    free_err.get_or_insert(e);
-                }
-            }
-            let partials = partials?;
-            if let Some(e) = free_err {
-                return Err(e.into());
-            }
-            for (kc, partial) in out_keys.into_iter().zip(partials) {
-                absorb(&mut c, kc, partial)?;
-            }
-            Ok(c)
-        }
+    );
+    let partials = with_transient(exec, used, |b_handles| {
+        let ops: Vec<(DenseOp, DenseOp)> = pairs
+            .iter()
+            .map(|&(ai, bi)| ((&handles[ai]).into(), (&b_handles[bi]).into()))
+            .collect();
+        exec.contract_batch(spec, &ops)
+    })?;
+    let mut c = BlockSparseTensor::new(step.out_indices, step.out_flux);
+    for (kc, partial) in out_keys.into_iter().zip(partials) {
+        absorb(&mut c, kc, partial)?;
     }
+    Ok(c)
 }
 
-/// Apply an ordered chain of contractions — each step's structural `A`
-/// operand resident, its `B` operand the previous step's output (`x` for
-/// step 0) — without bringing any intermediate back into block form.
-/// Bitwise-identical to folding [`contract_resident`] over the same steps
-/// (and therefore to the value path) on every backend, cost counters
-/// included.
-///
-/// [`Algorithm::List`] and [`Algorithm::SparseDense`] run as **worker-side
-/// chain supersteps**: every intermediate stays in the worker
-/// stores under driver-issued keys and only the final result downloads, so
-/// on the multi-process backend the driver's *result* traffic collapses
-/// from one payload per block pair per step to one download per output
-/// block of the last step. List chains per-block results (accumulate steps
-/// fold partials in the exact enumeration order of [`contract_list`]);
-/// sparse-dense chains the whole flattened contractions.
-///
-/// [`Algorithm::SparseSparse`] stays flat on the driver: `x` is flattened
-/// once, each step's sparse result is the next step's `B` operand as it
-/// comes back from [`Executor::contract_ss`], and only `y` is re-blocked.
-/// The steps are still one superstep each (a worker-side sparse-sparse
-/// chain is an open ROADMAP item), but the boundary between block and flat
-/// form is crossed once per application, not twice per step.
-///
-/// `state` carries what the chain derives from structure alone between
-/// applications (see [`ChainState`]); pass the same one for as long as the
-/// operands live.
-pub fn chain_apply(
-    exec: &Executor,
+/// An ordered chain of contractions whose structural `A` operands are
+/// **resident** — step `s` contracts its operand with the previous step's
+/// output (`x` for step 0) — and the owner of what residency needs an owner
+/// for. *The operands*: [`ResidentChain::upload`] uploads them in step
+/// order, [`ResidentChain::operand`] lends one to [`contract_resident`],
+/// [`ResidentChain::release`] frees **every** handle whatever fails on the
+/// way and reports the first error; dropping the chain does the same and
+/// has nobody to report to. *The plan*: one `StepPlan` per step, derived
+/// by the first [`ResidentChain::apply`] and kept for the later ones. The
+/// operands cannot change under the chain, so the plan is stale only when
+/// `x`'s indices or flux are not the ones it was derived for.
+pub struct ResidentChain<'e> {
+    exec: &'e Executor,
     algo: Algorithm,
-    steps: &[(&str, &ResidentOperand)],
-    x: &BlockSparseTensor,
-    state: &ChainState,
-) -> Result<BlockSparseTensor> {
-    if steps.is_empty() {
-        return Err(Error::Key("empty contraction chain".into()));
-    }
-    match algo {
-        Algorithm::List => chain_apply_list(exec, steps, x),
-        Algorithm::SparseDense => chain_apply_sd(exec, steps, x),
-        Algorithm::SparseSparse => chain_apply_ss(exec, steps, x, state),
-    }
+    /// Each step's spec and resident operand, in step order.
+    steps: Vec<(String, ResidentOperand)>,
+    plan: Mutex<Option<Arc<ChainPlan>>>,
 }
 
-/// What a chain works out from the *structure* of its operands and input —
-/// indices and fluxes, never values — kept between applications so that a
-/// Davidson solve pays for it once per bond instead of once per step per
-/// matvec. Owned by whoever owns the resident operands and dropped with
-/// them; a chain applied to other operands or a differently graded `x`
-/// finds the state stale and derives it afresh.
-///
-/// Today only the sparse-sparse chain keeps anything here: each step's
-/// output indices and flux and its output-sparsity mask.
-#[derive(Default)]
-pub struct ChainState {
-    ss: Mutex<Option<Arc<SsChainPlan>>>,
-}
-
-/// One sparse-sparse step's output: graded indices, flux, and every dense
-/// offset the symmetry allows, ascending ([`BlockSparseTensor::flat_mask`]).
-struct SsStepOutput {
-    indices: Vec<QnIndex>,
-    flux: QN,
-    mask: Vec<u64>,
-}
-
-/// The structural plan of a sparse-sparse chain, with the structure it
-/// was derived from.
-struct SsChainPlan {
+/// The structural plan of a chain, with the input structure it serves.
+struct ChainPlan {
     x_indices: Vec<QnIndex>,
     x_flux: QN,
-    /// Each step's spec and operand structure.
-    operands: Vec<(String, Vec<QnIndex>, QN)>,
-    outputs: Vec<SsStepOutput>,
+    steps: Vec<StepPlan>,
 }
 
-impl SsChainPlan {
-    fn derive(steps: &[(&str, &ResidentOperand)], x: &BlockSparseTensor) -> Result<Self> {
-        let mut outputs: Vec<SsStepOutput> = Vec::with_capacity(steps.len());
+impl ChainPlan {
+    fn derive(
+        algo: Algorithm,
+        steps: &[(String, ResidentOperand)],
+        x: &BlockSparseTensor,
+    ) -> Result<Self> {
+        let mut planned: Vec<StepPlan> = Vec::with_capacity(steps.len());
         for (spec, a) in steps {
-            let plan = ContractPlan::parse(spec).map_err(tt_dist::Error::from)?;
-            let (b_indices, b_flux) = match outputs.last() {
-                Some(prev) => (&prev.indices[..], prev.flux),
-                None => (x.indices(), x.flux()),
+            let b = match planned.last() {
+                Some(prev) => (&prev.out_indices[..], prev.out_flux),
+                None => structure(x),
             };
-            let (indices, flux) =
-                output_structure_parts(&plan, &a.indices, a.flux, b_indices, b_flux)?;
-            let mask = BlockSparseTensor::flat_mask(&indices, flux);
-            outputs.push(SsStepOutput {
-                indices,
-                flux,
-                mask,
-            });
+            planned.push(StepPlan::derive(algo, spec, (&a.indices, a.flux), b)?);
         }
         Ok(Self {
             x_indices: x.indices().to_vec(),
             x_flux: x.flux(),
-            operands: steps
-                .iter()
-                .map(|(spec, a)| (spec.to_string(), a.indices.clone(), a.flux))
-                .collect(),
-            outputs,
+            steps: planned,
         })
     }
 
-    fn derived_from(&self, steps: &[(&str, &ResidentOperand)], x: &BlockSparseTensor) -> bool {
-        self.x_indices == x.indices()
-            && self.x_flux == x.flux()
-            && self.operands.len() == steps.len()
-            && self
-                .operands
-                .iter()
-                .zip(steps)
-                .all(|((spec, indices, flux), (s, a))| {
-                    spec == s && *indices == a.indices && *flux == a.flux
-                })
+    fn serves(&self, x: &BlockSparseTensor) -> bool {
+        self.x_indices == x.indices() && self.x_flux == x.flux()
+    }
+
+    /// Indices and flux of the chain's result.
+    fn output(&self) -> (Vec<QnIndex>, QN) {
+        let last = self.steps.last().expect("a chain has at least one step");
+        (last.out_indices.clone(), last.out_flux)
     }
 }
 
-impl ChainState {
-    /// The sparse-sparse plan for `steps` on `x`: the kept one when it was
-    /// derived from this very structure, a fresh one (kept from now on)
-    /// otherwise.
-    fn ss_plan(
-        &self,
-        steps: &[(&str, &ResidentOperand)],
-        x: &BlockSparseTensor,
-    ) -> Result<Arc<SsChainPlan>> {
+/// Which resident buffer backs one `B` operand of a list chain step.
+#[derive(Clone, Copy)]
+enum BRef {
+    /// A transiently uploaded block of the chain input `x`.
+    X(usize),
+    /// The resident output of an earlier chain step.
+    Step(usize),
+}
+
+impl<'e> ResidentChain<'e> {
+    /// Upload each step's operand, in step order, in the form `algo`
+    /// consumes. Nothing ships yet: residency is lazy, the first
+    /// [`ResidentChain::apply`] stores what it needs on the workers.
+    pub fn upload(
+        exec: &'e Executor,
+        algo: Algorithm,
+        steps: &[(&str, &BlockSparseTensor)],
+    ) -> Result<Self> {
+        if steps.is_empty() {
+            return Err(Error::Key("empty contraction chain".into()));
+        }
+        Ok(Self {
+            exec,
+            algo,
+            steps: steps
+                .iter()
+                .map(|&(spec, t)| (spec.to_string(), ResidentOperand::upload(exec, algo, t)))
+                .collect(),
+            plan: Mutex::new(None),
+        })
+    }
+
+    /// Step `i`'s resident operand, for [`contract_resident`].
+    pub fn operand(&self, i: usize) -> &ResidentOperand {
+        &self.steps[i].1
+    }
+
+    /// Free every resident handle of every step, in step order — all of
+    /// them even when one fails — and report the first error. After this
+    /// the next resident period of the same tensors starts from nothing,
+    /// as on a fresh executor.
+    pub fn release(mut self) -> Result<()> {
+        self.free_handles()
+    }
+
+    fn free_handles(&mut self) -> Result<()> {
+        let steps = std::mem::take(&mut self.steps);
+        let handles = steps.iter().flat_map(|(_, op)| op.handles());
+        Ok(free_all(self.exec, handles)?)
+    }
+
+    /// Apply the chain to `x` without bringing any intermediate back into
+    /// block form. Bitwise-identical to folding [`contract_resident`] over
+    /// the same steps (and therefore to the value path) on every backend,
+    /// cost counters included.
+    ///
+    /// [`Algorithm::List`] and [`Algorithm::SparseDense`] run as
+    /// **worker-side chain supersteps**: every intermediate stays in the
+    /// worker stores under driver-issued keys and only the final result
+    /// downloads, so on the multi-process backend the driver's *result*
+    /// traffic collapses from one payload per block pair per step to one
+    /// download per output block of the last step. List chains per-block
+    /// results (accumulate steps fold partials in the exact enumeration
+    /// order of [`contract_list`]); sparse-dense chains the whole flattened
+    /// contractions.
+    ///
+    /// [`Algorithm::SparseSparse`] stays flat on the driver: `x` is
+    /// flattened once, each step's sparse result is the next step's `B`
+    /// operand as it comes back from [`Executor::contract_ss`], and only
+    /// the result is re-blocked. The steps are still one superstep each (a
+    /// worker-side sparse-sparse chain is an open ROADMAP item), but the
+    /// boundary between block and flat form is crossed once per
+    /// application, not twice per step.
+    pub fn apply(&self, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
+        let plan = self.plan_for(x)?;
+        match self.algo {
+            Algorithm::List => self.apply_list(&plan, x),
+            Algorithm::SparseDense => self.apply_sd(&plan, x),
+            Algorithm::SparseSparse => self.apply_ss(&plan, x),
+        }
+    }
+
+    /// The kept plan when it serves `x`'s structure, a fresh one (kept
+    /// from now on) otherwise.
+    fn plan_for(&self, x: &BlockSparseTensor) -> Result<Arc<ChainPlan>> {
         let mut slot = self
-            .ss
+            .plan
             .lock()
             .expect("the plan slot is only ever assigned whole");
-        if let Some(plan) = slot.as_ref().filter(|p| p.derived_from(steps, x)) {
+        if let Some(plan) = slot.as_ref().filter(|p| p.serves(x)) {
             return Ok(Arc::clone(plan));
         }
-        let plan = Arc::new(SsChainPlan::derive(steps, x)?);
+        let plan = Arc::new(ChainPlan::derive(self.algo, &self.steps, x)?);
         *slot = Some(Arc::clone(&plan));
         Ok(plan)
     }
+
+    /// The sparse-sparse chain. A step's flat result may hold explicit
+    /// zeros where products cancelled; block form never stores them back
+    /// into a flattened operand ([`BlockSparseTensor::to_flat_sparse`]
+    /// skips zeros), so dropping them here hands the next step bit for bit
+    /// the operand the per-step path ([`contract_resident`]) builds — and
+    /// with it the same flop count.
+    fn apply_ss(&self, plan: &ChainPlan, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
+        let mut cur = x.to_flat_sparse();
+        for ((spec, a), step) in self.steps.iter().zip(&plan.steps) {
+            let mask = step.mask.as_deref().expect("planned for sparse-sparse");
+            let c = self.exec.contract_ss(spec, a.flat()?, &cur, Some(mask))?;
+            cur = without_zeros(c);
+        }
+        let (indices, flux) = plan.output();
+        BlockSparseTensor::from_flat_sparse(indices, flux, &cur)
+    }
+
+    /// The sparse-dense chain: one sd chain step per contraction, each
+    /// consuming the previous step's resident dense output directly
+    /// (exact: symmetric contractions put no weight outside allowed
+    /// blocks, so skipping the driver-side re-blocking between steps is
+    /// bitwise-neutral).
+    fn apply_sd(&self, plan: &ChainPlan, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
+        let b_dense = x.to_dense();
+        let chain_steps = self
+            .steps
+            .iter()
+            .enumerate()
+            .map(|(s, (spec, a))| {
+                Ok(ChainStep {
+                    spec,
+                    a: ChainSrc::Sparse(a.flat()?.into()),
+                    b: match s.checked_sub(1) {
+                        None => ChainSrc::Dense((&b_dense).into()),
+                        Some(prev) => ChainSrc::Prev(prev),
+                    },
+                    acc: None,
+                })
+            })
+            .collect::<Result<Vec<ChainStep>>>()?;
+        let mut results = self.exec.chain(&chain_steps)?;
+        let last = results
+            .pop()
+            .expect("non-empty chain")
+            .expect("final step is not an accumulate");
+        let rest: Vec<ResultHandle> = results.into_iter().flatten().collect();
+        let y = self.exec.download(last);
+        self.exec.free_results(rest)?;
+        let (indices, flux) = plan.output();
+        BlockSparseTensor::from_dense(indices, flux, &y?, 0.0)
+    }
+
+    /// The list chain: propagate the block structure symbolically (the
+    /// driver knows every intermediate's block keys without seeing its
+    /// values — this part depends on `x`'s stored keys, so it is redone
+    /// per application), emit one chain step per block pair with
+    /// accumulate steps in [`contract_list`]'s exact enumeration order,
+    /// and download only the last contraction's blocks.
+    fn apply_list(&self, plan: &ChainPlan, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
+        let operands = self
+            .steps
+            .iter()
+            .map(|(_, a)| a.blocks())
+            .collect::<Result<Vec<_>>>()?;
+
+        struct Desc {
+            s: usize,
+            ai: usize,
+            b: BRef,
+            acc: Option<usize>,
+        }
+        let mut descs: Vec<Desc> = Vec::new();
+        let mut cur: BTreeMap<BlockKey, BRef> = x
+            .blocks()
+            .enumerate()
+            .map(|(i, (k, _))| (k.clone(), BRef::X(i)))
+            .collect();
+        for (s, (&(a_keys, _), step)) in operands.iter().zip(&plan.steps).enumerate() {
+            // out block key -> desc index of its creating (non-acc) step
+            let mut made: BTreeMap<BlockKey, usize> = BTreeMap::new();
+            for_each_block_pair(
+                &step.contract,
+                a_keys.iter().zip(0..),
+                &cur,
+                |ai, &b, kc| {
+                    let acc = made.get(&kc).copied();
+                    if acc.is_none() {
+                        made.insert(kc, descs.len());
+                    }
+                    descs.push(Desc { s, ai, b, acc });
+                },
+            );
+            cur = made.into_iter().map(|(k, i)| (k, BRef::Step(i))).collect();
+        }
+
+        // x's blocks upload in stored order, for the length of the chain
+        let x_blocks = x.blocks_shared().map(|(_, block)| block);
+        let mut results = with_transient(self.exec, x_blocks, |x_handles| {
+            let chain_steps: Vec<ChainStep> = descs
+                .iter()
+                .map(|d| ChainStep {
+                    spec: &self.steps[d.s].0,
+                    a: ChainSrc::Dense((&operands[d.s].1[d.ai]).into()),
+                    b: match d.b {
+                        BRef::X(i) => ChainSrc::Dense((&x_handles[i]).into()),
+                        BRef::Step(j) => ChainSrc::Prev(j),
+                    },
+                    acc: d.acc,
+                })
+                .collect();
+            self.exec.chain(&chain_steps)
+        })?;
+
+        // download the final step's blocks (in sorted key order); free every
+        // other resident intermediate in place
+        let mut dl_keys: Vec<BlockKey> = Vec::new();
+        let mut to_download: Vec<ResultHandle> = Vec::new();
+        for (k, bref) in &cur {
+            if let BRef::Step(j) = bref {
+                dl_keys.push(k.clone());
+                to_download.push(results[*j].take().expect("creating step owns its result"));
+            }
+        }
+        let rest: Vec<ResultHandle> = results.into_iter().flatten().collect();
+        let downloaded = self.exec.download_many(to_download);
+        let freed = self.exec.free_results(rest);
+        let downloaded = downloaded?;
+        freed?;
+        let (indices, flux) = plan.output();
+        let mut c = BlockSparseTensor::new(indices, flux);
+        for (k, t) in dl_keys.into_iter().zip(downloaded) {
+            c.insert_block(k, t)?;
+        }
+        Ok(c)
+    }
 }
 
-/// The sparse-sparse chain (see [`chain_apply`]). A step's flat result
-/// may hold explicit zeros where products cancelled; block form never
-/// stores them back into a flattened operand
-/// ([`BlockSparseTensor::to_flat_sparse`] skips zeros), so dropping them
-/// here hands the next step bit for bit the operand the per-step path
-/// ([`contract_resident`]) builds — and with it the same flop count.
-fn chain_apply_ss(
-    exec: &Executor,
-    steps: &[(&str, &ResidentOperand)],
-    x: &BlockSparseTensor,
-    state: &ChainState,
-) -> Result<BlockSparseTensor> {
-    let plan = state.ss_plan(steps, x)?;
-    let mut cur = x.to_flat_sparse();
-    for ((spec, a), out) in steps.iter().zip(&plan.outputs) {
-        let ResidentForm::Flat(h) = &a.form else {
-            return Err(Error::Key(
-                "operand was uploaded per-block for the list algorithm".into(),
-            ));
-        };
-        let c = exec.contract_ss(spec, h, &cur, Some(&out.mask))?;
-        cur = without_zeros(c);
+impl Drop for ResidentChain<'_> {
+    fn drop(&mut self) {
+        // nobody to report to: `release` is the exit that does
+        let _ = self.free_handles();
     }
-    let y = plan.outputs.last().expect("non-empty chain");
-    BlockSparseTensor::from_flat_sparse(y.indices.clone(), y.flux, &cur)
 }
 
 /// `c` minus its stored zeros — by `v != 0.0`, the test
@@ -563,208 +739,6 @@ fn without_zeros(c: SparseTensor<f64>) -> SparseTensor<f64> {
     let (offsets, values) = c.entries().filter(|&(_, v)| v != 0.0).unzip();
     SparseTensor::from_sorted(c.shape().clone(), offsets, values)
         .expect("a subsequence of sorted entries is sorted")
-}
-
-/// Which resident buffer backs one `B` operand of a block chain step.
-#[derive(Clone, Copy)]
-enum BRef {
-    /// A transiently uploaded block of the chain input `x`.
-    X(usize),
-    /// The resident output of an earlier chain step.
-    Step(usize),
-}
-
-/// The list-algorithm chain: propagate the block structure symbolically
-/// (the driver knows every intermediate's block keys without seeing its
-/// values), emit one chain step per block pair with accumulate steps in
-/// [`contract_list`]'s exact enumeration order, and download only the
-/// last contraction's blocks.
-fn chain_apply_list(
-    exec: &Executor,
-    steps: &[(&str, &ResidentOperand)],
-    x: &BlockSparseTensor,
-) -> Result<BlockSparseTensor> {
-    use tt_dist::{ChainSrc, ChainStep};
-
-    // upload the chain input's blocks once (Arc-shared — hash, no clone);
-    // released before returning
-    let x_keys: Vec<BlockKey> = x.blocks().map(|(k, _)| k.clone()).collect();
-    let x_handles: Vec<OpHandle> = x
-        .blocks_shared()
-        .map(|(_, b)| exec.upload_shared(b))
-        .collect();
-
-    struct Desc {
-        s: usize,
-        ai: usize,
-        b: BRef,
-        acc: Option<usize>,
-    }
-    let mut descs: Vec<Desc> = Vec::new();
-    let mut cur_indices = x.indices().to_vec();
-    let mut cur_flux = x.flux();
-    let mut cur: BTreeMap<BlockKey, BRef> = x_keys
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, k)| (k, BRef::X(i)))
-        .collect();
-    for (s, (spec, a)) in steps.iter().enumerate() {
-        let ResidentForm::List { keys: a_keys, .. } = &a.form else {
-            return Err(Error::Key(
-                "operand was uploaded in flattened form; chain with the algorithm it was \
-                 uploaded for"
-                    .into(),
-            ));
-        };
-        let plan = ContractPlan::parse(spec).map_err(tt_dist::Error::from)?;
-        let (out_indices, out_flux) =
-            output_structure_parts(&plan, &a.indices, a.flux, &cur_indices, cur_flux)?;
-        // out block key -> desc index of its creating (non-acc) step
-        let mut made: BTreeMap<BlockKey, usize> = BTreeMap::new();
-        for_each_block_pair(&plan, a_keys.iter().zip(0..), &cur, |ai, &b, kc| {
-            let acc = made.get(&kc).copied();
-            if acc.is_none() {
-                made.insert(kc, descs.len());
-            }
-            descs.push(Desc { s, ai, b, acc });
-        });
-        cur = made.into_iter().map(|(k, i)| (k, BRef::Step(i))).collect();
-        cur_indices = out_indices;
-        cur_flux = out_flux;
-    }
-
-    // assemble the executor chain against stable handle storage
-    let chain_steps: Vec<ChainStep> = descs
-        .iter()
-        .map(|d| {
-            let ResidentForm::List { handles, .. } = &steps[d.s].1.form else {
-                unreachable!("validated above");
-            };
-            ChainStep {
-                spec: steps[d.s].0,
-                a: ChainSrc::Dense((&handles[d.ai]).into()),
-                b: match d.b {
-                    BRef::X(i) => ChainSrc::Dense((&x_handles[i]).into()),
-                    BRef::Step(j) => ChainSrc::Prev(j),
-                },
-                acc: d.acc,
-            }
-        })
-        .collect();
-    let chained = exec.chain(&chain_steps);
-    // release the transient x uploads before surfacing any chain error —
-    // a failed matvec must not leave buffers behind
-    let mut free_err: Option<tt_dist::Error> = None;
-    for h in &x_handles {
-        if let Err(e) = exec.free(h) {
-            free_err.get_or_insert(e);
-        }
-    }
-    let mut results = chained.map_err(Error::from)?;
-    if let Some(e) = free_err {
-        return Err(e.into());
-    }
-
-    // download the final step's blocks (in sorted key order); free every
-    // other resident intermediate in place
-    let mut dl_keys: Vec<BlockKey> = Vec::new();
-    let mut to_download: Vec<tt_dist::ResultHandle> = Vec::new();
-    for (k, bref) in &cur {
-        if let BRef::Step(j) = bref {
-            dl_keys.push(k.clone());
-            to_download.push(results[*j].take().expect("creating step owns its result"));
-        }
-    }
-    let rest: Vec<tt_dist::ResultHandle> = results.into_iter().flatten().collect();
-    let downloaded = exec.download_many(to_download);
-    let freed = exec.free_results(rest);
-    let downloaded = downloaded.map_err(Error::from)?;
-    freed.map_err(Error::from)?;
-    let mut c = BlockSparseTensor::new(cur_indices, cur_flux);
-    for (k, t) in dl_keys.into_iter().zip(downloaded) {
-        c.insert_block(k, t)?;
-    }
-    Ok(c)
-}
-
-/// The sparse-dense chain: one sd chain step per contraction, each
-/// consuming the previous step's resident dense output directly (exact:
-/// symmetric contractions put no weight outside allowed blocks, so
-/// skipping the driver-side re-blocking between steps is bitwise-neutral).
-fn chain_apply_sd(
-    exec: &Executor,
-    steps: &[(&str, &ResidentOperand)],
-    x: &BlockSparseTensor,
-) -> Result<BlockSparseTensor> {
-    use tt_dist::{ChainSrc, ChainStep};
-    let b_dense = x.to_dense();
-    let mut cur_indices = x.indices().to_vec();
-    let mut cur_flux = x.flux();
-    let mut chain_steps: Vec<ChainStep> = Vec::with_capacity(steps.len());
-    for (s, (spec, a)) in steps.iter().enumerate() {
-        let ResidentForm::Flat(h) = &a.form else {
-            return Err(Error::Key(
-                "operand was uploaded per-block for the list algorithm".into(),
-            ));
-        };
-        let plan = ContractPlan::parse(spec).map_err(tt_dist::Error::from)?;
-        let (out_indices, out_flux) =
-            output_structure_parts(&plan, &a.indices, a.flux, &cur_indices, cur_flux)?;
-        chain_steps.push(ChainStep {
-            spec,
-            a: ChainSrc::Sparse(h.into()),
-            b: if s == 0 {
-                ChainSrc::Dense((&b_dense).into())
-            } else {
-                ChainSrc::Prev(s - 1)
-            },
-            acc: None,
-        });
-        cur_indices = out_indices;
-        cur_flux = out_flux;
-    }
-    let mut results = exec.chain(&chain_steps).map_err(Error::from)?;
-    let last = results
-        .pop()
-        .expect("non-empty chain")
-        .expect("final step is not an accumulate");
-    let rest: Vec<tt_dist::ResultHandle> = results.into_iter().flatten().collect();
-    let y = exec.download(last);
-    exec.free_results(rest).map_err(Error::from)?;
-    BlockSparseTensor::from_dense(cur_indices, cur_flux, &y.map_err(Error::from)?, 0.0)
-}
-
-/// The sparse-dense algorithm: flattened-sparse A times densified B.
-pub fn contract_sparse_dense(
-    exec: &Executor,
-    spec: &str,
-    a: &BlockSparseTensor,
-    b: &BlockSparseTensor,
-) -> Result<BlockSparseTensor> {
-    let plan = ContractPlan::parse(spec).map_err(tt_dist::Error::from)?;
-    let (out_indices, out_flux) = output_structure(&plan, a, b)?;
-    let a_flat = a.to_flat_sparse();
-    let b_dense = b.to_dense();
-    let c_dense = exec.contract_sd(spec, &a_flat, &b_dense)?;
-    BlockSparseTensor::from_dense(out_indices, out_flux, &c_dense, 0.0)
-}
-
-/// The sparse-sparse algorithm: both operands flattened, output sparsity
-/// pre-computed from the quantum numbers and passed as a contraction mask.
-pub fn contract_sparse_sparse(
-    exec: &Executor,
-    spec: &str,
-    a: &BlockSparseTensor,
-    b: &BlockSparseTensor,
-) -> Result<BlockSparseTensor> {
-    let plan = ContractPlan::parse(spec).map_err(tt_dist::Error::from)?;
-    let (out_indices, out_flux) = output_structure(&plan, a, b)?;
-    let a_flat = a.to_flat_sparse();
-    let b_flat = b.to_flat_sparse();
-    let mask = BlockSparseTensor::flat_mask(&out_indices, out_flux);
-    let c_sparse = exec.contract_ss(spec, &a_flat, &b_flat, Some(&mask))?;
-    BlockSparseTensor::from_flat_sparse(out_indices, out_flux, &c_sparse)
 }
 
 #[cfg(test)]
@@ -874,6 +848,94 @@ mod tests {
         }
         let trace: f64 = (0..d.dims()[0]).map(|i| d.at(&[i, i])).sum();
         assert!((trace - a.norm() * a.norm()) / trace < 1e-10);
+    }
+
+    const ALGOS: [Algorithm; 3] = [
+        Algorithm::List,
+        Algorithm::SparseDense,
+        Algorithm::SparseSparse,
+    ];
+
+    /// The satellite bug: freeing a per-block operand stopped at the first
+    /// free that failed, leaving every later block registered — and, on
+    /// workers, resident — with nobody told. `release` frees them all.
+    #[test]
+    fn release_frees_every_block_after_a_failed_free() {
+        let (a, b) = pair();
+        assert!(
+            a.n_blocks() >= 3,
+            "the fixture needs blocks after the first"
+        );
+        let spec = "isj,jtk->istk";
+        let machine = || {
+            Executor::with_machine(
+                tt_dist::Machine::blue_waters(4),
+                1,
+                tt_dist::ExecMode::Sequential,
+            )
+        };
+        // what one resident period of `a` charges, from upload to release
+        let period = |exec: &Executor| {
+            exec.reset_costs();
+            let chain = ResidentChain::upload(exec, Algorithm::List, &[(spec, &a)]).unwrap();
+            chain.apply(&b).unwrap();
+            chain.release().unwrap();
+            (exec.supersteps(), exec.sim_time().total().to_bits())
+        };
+        let fresh = period(&machine());
+
+        let exec = machine();
+        assert!(exec.ranks() > 1);
+        let chain = ResidentChain::upload(&exec, Algorithm::List, &[(spec, &a)]).unwrap();
+        chain.apply(&b).unwrap();
+        // behind the owner's back: its first free is now a double free
+        exec.free(&chain.operand(0).handles()[0]).unwrap();
+        let err = chain.release().expect_err("the first free fails");
+        assert!(
+            matches!(err, Error::Dist(tt_dist::Error::Runtime(_))),
+            "{err}"
+        );
+        // every later block was freed all the same: the next resident
+        // period charges each one's upload again, as on a fresh executor
+        assert_eq!(period(&exec), fresh);
+    }
+
+    /// A chain keeps its structural plan between applications and must
+    /// notice when the input's structure is no longer the one it planned
+    /// for: ψ, then a ψ′ with other sectors, then ψ again, on one chain,
+    /// equals three fresh chains bit for bit.
+    #[test]
+    fn kept_plan_follows_the_input_structure() {
+        let mut rng = StdRng::seed_from_u64(103);
+        let (a, psi) = pair();
+        // a second step, so the plan also carries structure between steps
+        let il = a.indices()[0].clone();
+        let w = BlockSparseTensor::random(
+            vec![bond(Arrow::In, &[(-1, 2), (1, 3)]), il.dual()],
+            QN::zero(1),
+            &mut rng,
+        );
+        let steps = [("isj,jtk->istk", &a), ("ui,istk->ustk", &w)];
+        // same contracted bond as ψ, other sectors on the free one
+        let psi2 = BlockSparseTensor::random(
+            vec![
+                psi.indices()[0].clone(),
+                spin(Arrow::In),
+                bond(Arrow::Out, &[(-1, 2), (1, 1)]),
+            ],
+            QN::zero(1),
+            &mut rng,
+        );
+        let exec = Executor::local();
+        for algo in ALGOS {
+            let kept = ResidentChain::upload(&exec, algo, &steps).unwrap();
+            for x in [&psi, &psi2, &psi] {
+                let fresh = ResidentChain::upload(&exec, algo, &steps).unwrap();
+                assert_eq!(kept.apply(x).unwrap(), fresh.apply(x).unwrap(), "{algo}");
+                fresh.release().unwrap();
+            }
+            kept.release().unwrap();
+        }
     }
 
     #[test]

@@ -26,10 +26,7 @@ pub mod model;
 pub mod qn;
 
 pub use block::{BlockKey, BlockSparseTensor};
-pub use contract::{
-    chain_apply, contract, contract_resident, free_operand, upload_operand, Algorithm, ChainState,
-    ResidentOperand,
-};
+pub use contract::{contract, contract_resident, Algorithm, ResidentChain, ResidentOperand};
 pub use index::QnIndex;
 pub use linalg::{block_qr, block_svd, scale_bond, BlockDiag, BlockSvd};
 pub use model::BlockModel;
@@ -38,26 +35,37 @@ pub use qn::{Arrow, QN};
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Errors from block-sparse tensor operations.
+/// Errors from block-sparse tensor operations: the two this crate detects
+/// itself, and the runtime's, carried whole so it stays typed on the way up.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Error {
     /// Malformed block key, mode list or dimension mismatch.
     Key(String),
     /// Operation violates quantum-number conservation.
     Symmetry(String),
-    /// Error from the distributed runtime or kernels.
-    Dist(String),
+    /// Error from the distributed runtime or the kernels under it.
+    Dist(tt_dist::Error),
+}
+
+impl Error {
+    /// The transport fault underneath, if this error is one.
+    pub fn as_fault(&self) -> Option<&tt_dist::DistError> {
+        match self {
+            Error::Dist(e) => e.as_fault(),
+            Error::Key(_) | Error::Symmetry(_) => None,
+        }
+    }
 }
 
 impl From<tt_dist::Error> for Error {
     fn from(e: tt_dist::Error) -> Self {
-        Error::Dist(e.to_string())
+        Error::Dist(e)
     }
 }
 
 impl From<tt_tensor::Error> for Error {
     fn from(e: tt_tensor::Error) -> Self {
-        Error::Dist(e.to_string())
+        Error::Dist(e.into())
     }
 }
 
@@ -66,9 +74,16 @@ impl std::fmt::Display for Error {
         match self {
             Error::Key(s) => write!(f, "key error: {s}"),
             Error::Symmetry(s) => write!(f, "symmetry violation: {s}"),
-            Error::Dist(s) => write!(f, "distributed runtime: {s}"),
+            Error::Dist(e) => write!(f, "distributed runtime: {e}"),
         }
     }
 }
 
-impl std::error::Error for Error {}
+impl std::error::Error for Error {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Error::Dist(e) => Some(e),
+            Error::Key(_) | Error::Symmetry(_) => None,
+        }
+    }
+}

@@ -180,9 +180,7 @@ fn build_groups(
             let (_, ro, rd) = rows.iter().find(|(k, _, _)| *k == rk).expect("present");
             let (_, co, _cd) = cols.iter().find(|(k, _, _)| *k == ck).expect("present");
             // matricize the block to (row_modes, col_modes)
-            let bm = block
-                .matricize(row_modes, col_modes)
-                .map_err(tt_dist::Error::from)?;
+            let bm = block.matricize(row_modes, col_modes)?;
             debug_assert_eq!(bm.dims()[0], *rd);
             for i in 0..bm.dims()[0] {
                 for j in 0..bm.dims()[1] {
@@ -297,7 +295,7 @@ pub fn block_svd(
                     flat.set(&[i, j], svd.u.at(&[ro + i, j]));
                 }
             }
-            let block = flat.reshape(dims).map_err(tt_dist::Error::from)?;
+            let block = flat.reshape(dims)?;
             let mut key: BlockKey = rk.clone();
             key.push(bond_sector_id);
             let norm = block.max_abs();
@@ -319,7 +317,7 @@ pub fn block_svd(
                     flat.set(&[i, j], svd.vt.at(&[i, co + j]));
                 }
             }
-            let block = flat.reshape(dims).map_err(tt_dist::Error::from)?;
+            let block = flat.reshape(dims)?;
             let mut key: BlockKey = vec![bond_sector_id];
             key.extend_from_slice(ck);
             if block.max_abs() > 0.0 {
@@ -395,7 +393,7 @@ pub fn block_qr(
             }
             let mut key: BlockKey = rk.clone();
             key.push(bond_sector_id);
-            qt.insert_block(key, flat.reshape(dims).map_err(tt_dist::Error::from)?)?;
+            qt.insert_block(key, flat.reshape(dims)?)?;
         }
         for (ck, co, cd) in &g.cols {
             let mut dims: Vec<usize> = vec![k];
@@ -412,7 +410,7 @@ pub fn block_qr(
             }
             let mut key: BlockKey = vec![bond_sector_id];
             key.extend_from_slice(ck);
-            let block = flat.reshape(dims).map_err(tt_dist::Error::from)?;
+            let block = flat.reshape(dims)?;
             if block.max_abs() > 0.0 {
                 rt.insert_block(key, block)?;
             }

@@ -2,13 +2,13 @@
 //! supersteps (placement, redistribution, charging), its in-process leg,
 //! and the exits of a resident result (`download*`, `free_result*`).
 
-use super::residency::{whole_key, OpCharge, Superstep};
+use super::keys;
+use super::residency::{OpCharge, Superstep};
 use super::sparse::{inline_coords, upload_coords};
-use super::{expect_buf, DenseSrc, Executor, SparseOp, WireScalar, TAG_SD_A};
+use super::{expect_buf, DenseSrc, Executor, SparseOp, WireScalar};
 use crate::cluster::{Cluster, Placement};
 use crate::handle::{
-    derive, hseq, DenseAny, DenseRef, Fnv, OpHandle, Residency, ResultHandle, ResultInfo,
-    ResultKind,
+    DenseAny, DenseRef, OpHandle, Residency, ResultHandle, ResultInfo, ResultKind,
 };
 use crate::kernels;
 use crate::transport::worker::{Op, OpCoords, Out, Request};
@@ -60,10 +60,9 @@ struct PlannedStep {
     kind: StepKind,
     /// Element type of the step's operands and result.
     scalar: ResultKind,
-    /// The parsed spec and its provenance hash, shared by every step of
-    /// the chain that spells the same spec.
+    /// The parsed spec, shared by every step of the chain that spells the
+    /// same spec.
     plan: Arc<ContractPlan>,
-    spec_hash: u64,
     a_dims: Vec<usize>,
     b_dims: Vec<usize>,
     out_dims: Vec<usize>,
@@ -146,7 +145,10 @@ impl Executor {
         let planned = self.plan_chain(steps)?;
         let mut locals: Vec<Option<DenseAny>> = (0..steps.len()).map(|_| None).collect();
         let homes = if let Some(cl) = &self.cluster {
-            match self.chain_over_cluster(&mut cl.lock(), steps, &planned) {
+            // its own statement: a guard in the `match` scrutinee would live
+            // through the arms, and the error arm locks the cluster again
+            let run = self.chain_over_cluster(&mut cl.lock(), steps, &planned);
+            match run {
                 Ok(homes) => homes,
                 Err(e) => {
                     // a mid-chain failure may have left earlier steps'
@@ -194,17 +196,11 @@ impl Executor {
                 out.push(None);
                 continue;
             }
-            let produced_by = derive(&[
-                pl.spec_hash,
-                src_provenance(&steps[i].a, &planned),
-                src_provenance(&steps[i].b, &planned),
-            ]);
             res.record_result(
                 pl.key,
                 ResultInfo {
                     home: homes[i],
                     words: pl.words_c,
-                    produced_by,
                 },
             );
             out.push(Some(ResultHandle {
@@ -223,8 +219,8 @@ impl Executor {
     fn plan_chain(&self, steps: &[ChainStep]) -> Result<Vec<PlannedStep>> {
         let mut planned: Vec<PlannedStep> = Vec::with_capacity(steps.len());
         // a list matvec is hundreds of steps over a handful of specs:
-        // parse and hash each distinct one once
-        let mut specs: Vec<(&str, Arc<ContractPlan>, u64)> = Vec::new();
+        // parse each distinct one once
+        let mut specs: Vec<(&str, Arc<ContractPlan>)> = Vec::new();
         for (i, st) in steps.iter().enumerate() {
             let (a_dims, ak) = src_info(&st.a, &planned)?;
             let (b_dims, bk) = src_info(&st.b, &planned)?;
@@ -245,15 +241,14 @@ impl Executor {
                     ))
                 }
             };
-            let known = match specs.iter().position(|(spec, ..)| *spec == st.spec) {
-                Some(at) => at,
+            let plan = match specs.iter().find(|(spec, _)| *spec == st.spec) {
+                Some((_, plan)) => Arc::clone(plan),
                 None => {
                     let plan = Arc::new(ContractPlan::parse(st.spec)?);
-                    specs.push((st.spec, plan, hash_spec(st.spec)));
-                    specs.len() - 1
+                    specs.push((st.spec, Arc::clone(&plan)));
+                    plan
                 }
             };
-            let (plan, spec_hash) = (Arc::clone(&specs[known].1), specs[known].2);
             let out_dims = plan.output_dims(&a_dims, &b_dims)?;
             let (m, k, n) = kernels::fused_dims(&plan, &a_dims, &b_dims);
             let flops = match (kind, &st.a) {
@@ -289,7 +284,6 @@ impl Executor {
                 kind,
                 scalar,
                 plan,
-                spec_hash,
                 a_dims,
                 b_dims,
                 out_dims,
@@ -397,7 +391,7 @@ impl Executor {
                 WireIn::Coords(match op.handle() {
                     None => inline_coords(coords()),
                     Some(h) => {
-                        let key = sd_whole_key(h, &pl.plan, pl.n);
+                        let key = keys::sd_a(h, &pl.plan, pl.n).whole();
                         let res = &mut self.residency.lock();
                         pending
                             .ensure(res, h.key(), key, rank, || Ok(upload_coords(key, coords())))?;
@@ -502,20 +496,12 @@ impl Executor {
         Ok(match src {
             ChainSrc::Dense(_) => self.op_state(
                 src.handle(),
-                whole_key,
+                keys::whole,
                 words_per_element(pl.scalar) * elems,
             ),
             ChainSrc::Sparse(op) => self.op_state(
                 src.handle(),
-                |h| {
-                    derive(&[
-                        h.key(),
-                        TAG_SD_A,
-                        hseq(pl.plan.free_a_positions()),
-                        hseq(pl.plan.ctr_a_positions()),
-                        pl.n as u64,
-                    ])
-                },
+                |h| keys::sd_a(h, &pl.plan, pl.n).logical(),
                 2 * op.tensor()?.nnz(),
             ),
             ChainSrc::Prev(_) | ChainSrc::Res(_) => OpCharge::Hit,
@@ -583,13 +569,6 @@ impl Executor {
         }
     }
 
-    /// The provenance key of a resident result — a hash of the producing
-    /// step (spec + input keys), recorded in the driver's residency book.
-    /// `None` once the result has been downloaded or freed.
-    pub fn result_provenance(&self, h: &ResultHandle) -> Option<u64> {
-        self.residency.lock().result(h.key).map(|i| i.produced_by)
-    }
-
     /// Discard a resident result without downloading it.
     pub fn free_result(&self, h: ResultHandle) -> Result<()> {
         self.free_results(vec![h])
@@ -620,26 +599,6 @@ impl Executor {
         *k += 1;
         key
     }
-}
-
-/// Hash an einsum spec into one derivation component (for provenance).
-fn hash_spec(s: &str) -> u64 {
-    s.bytes().fold(Fnv::new(), |f, b| f.u8(b)).finish()
-}
-
-/// Worker key of a sparse operand's whole-coordinate buffer (the
-/// single-bucket form chain steps consume): the standard sd derivation
-/// with a chunk count of 1.
-fn sd_whole_key(h: &OpHandle, plan: &ContractPlan, n: usize) -> u64 {
-    derive(&[
-        h.key(),
-        TAG_SD_A,
-        hseq(plan.free_a_positions()),
-        hseq(plan.ctr_a_positions()),
-        n as u64,
-        1,
-        0,
-    ])
 }
 
 impl ChainSrc<'_> {
@@ -676,16 +635,6 @@ fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, SrcK
     })
 }
 
-/// Provenance component of a chain-step operand (content key, result key,
-/// or a constant for inline values).
-fn src_provenance(src: &ChainSrc, planned: &[PlannedStep]) -> u64 {
-    match src {
-        ChainSrc::Prev(j) => planned[*j].key,
-        ChainSrc::Res(h) => h.key,
-        _ => src.handle().map(OpHandle::key).unwrap_or(1),
-    }
-}
-
 /// Gather `(rank, words)` weights of one operand's resident copies for
 /// chain-step placement.
 fn collect_weights(
@@ -706,8 +655,8 @@ fn collect_weights(
         _ => {
             let Some(h) = src.handle() else { return };
             let wkey = match src {
-                ChainSrc::Sparse(_) => sd_whole_key(h, &pl.plan, pl.n),
-                _ => whole_key(h),
+                ChainSrc::Sparse(_) => keys::sd_a(h, &pl.plan, pl.n).whole(),
+                _ => keys::whole(h),
             };
             if let Some(ranks) = res.homes(wkey) {
                 weighted.extend(ranks.iter().map(|&r| (r, h.words() as u64)));

@@ -1,12 +1,12 @@
 //! Dense × dense contraction: one contraction chunked by row slabs, and
 //! the block-pair batch of the list algorithm.
 
-use super::residency::{whole_home, whole_key, Superstep};
+use super::keys;
+use super::residency::{whole_home, Superstep};
 #[cfg(doc)]
 use super::ExecMode;
 use super::{expect_buf, DenseOp, DenseOpT, Executor, WireScalar};
 use crate::cluster::{Cluster, Placement};
-use crate::handle::{derive, hseq};
 use crate::kernels;
 use crate::transport::worker::{Op, Out, Request};
 use crate::Result;
@@ -53,18 +53,15 @@ impl Executor {
         let (m, k, n) = kernels::fused_dims(&plan, at.dims(), bt.dims());
         let flops = plan.flop_count(at.dims(), bt.dims());
         let (perm_a, perm_b) = kernels::operand_perms(&plan);
-        // the A-slab contents depend on the kernel path (MC-aligned vs
-        // uniform ranges), so the logical charge key tracks it too — a
-        // path change is a genuine re-upload, not a cache hit
         let path = gemm_path(k, n);
         let sa = self.op_state(
             a.handle(),
-            |h| derive(&[h.key(), T::TAG_A, hseq(&perm_a), path as u64]),
+            |h| keys::dense_a::<T>(h, &perm_a, path).logical(),
             T::WORDS * m * k,
         );
         let sb = self.op_state(
             b.handle(),
-            |h| derive(&[h.key(), T::TAG_B, hseq(&perm_b)]),
+            |h| keys::matrix_b::<T>(h, &perm_b),
             T::WORDS * k * n,
         );
         self.charge_contraction(sa, sb, T::WORDS * m * n, m, n, flops, false);
@@ -112,14 +109,7 @@ impl Executor {
                 a_fields.push(match a.handle() {
                     None => Op::Inline(slab(range)?),
                     Some(h) => {
-                        let key = derive(&[
-                            h.key(),
-                            T::TAG_A,
-                            hseq(&perm_a),
-                            path as u64,
-                            nchunks as u64,
-                            i as u64,
-                        ]);
+                        let key = keys::dense_a::<T>(h, &perm_a, path).chunk(nchunks, i);
                         step.ensure(&mut res, h.key(), key, i % p, || {
                             Ok(Request::Upload {
                                 key,
@@ -187,8 +177,8 @@ impl Executor {
             charges.push((m, k, n, plan.flop_count(at.dims(), bt.dims())));
         }
         let charge_pair = |(a, b): &(DenseOp, DenseOp), (m, k, n, flops): (_, _, _, u64)| {
-            let sa = self.op_state(a.handle(), whole_key, m * k);
-            let sb = self.op_state(b.handle(), whole_key, k * n);
+            let sa = self.op_state(a.handle(), keys::whole, m * k);
+            let sb = self.op_state(b.handle(), keys::whole, k * n);
             self.charge_contraction(sa, sb, m * n, m, n, flops, false);
         };
         if let Some(cl) = &self.cluster {

@@ -1,7 +1,8 @@
 //! Truncated SVD and thin QR, single and batched, through one driver;
 //! tall panels route through the TSQR tree.
 
-use super::residency::{whole_home, whole_key, OpCharge, Superstep, MAP_OVERHEAD_S};
+use super::keys;
+use super::residency::{whole_home, OpCharge, Superstep, MAP_OVERHEAD_S};
 #[cfg(doc)]
 use super::ExecMode;
 use super::{DenseOp, Executor};
@@ -154,7 +155,7 @@ impl Executor {
             return Ok(out);
         }
         let charge = |op: &DenseOp, t: &DenseTensor<f64>| {
-            if let OpCharge::Miss(w) = self.op_state(op.handle(), whole_key, t.len()) {
+            if let OpCharge::Miss(w) = self.op_state(op.handle(), keys::whole, t.len()) {
                 if self.ranks > 1 {
                     cost::charge(&self.tracker, |tr| tr.charge_superstep(8 * w as u64));
                 }

@@ -1,0 +1,121 @@
+//! The key table of derived buffers: one function per buffer family.
+//!
+//! A resident operand is stored on the workers as *derived* buffers — the
+//! form one kind of contraction consumes. Each has a **logical** key, which
+//! the cost model's charge book sees (free of the worker count, so the
+//! α–β charges are the same on every backend), and for the chunked
+//! families one **physical** key per chunk, which the worker stores see:
+//! the logical key's parts followed by `(chunks, i)`. Both come from the
+//! one [`Chunked`] value, so they cannot drift apart.
+//!
+//! A key is a plain FNV hash of its parts in order: deterministic and
+//! backend-independent, which is what lets the in-process backend replay
+//! the exact charge sequence of the multi-process one.
+
+use super::WireScalar;
+use crate::handle::{Fnv, OpHandle};
+use tt_tensor::einsum::ContractPlan;
+use tt_tensor::gemm::GemmPath;
+
+// Purpose tags: what a buffer derived from a handle's content is for.
+pub(super) const TAG_DENSE_A: u64 = 0xA1; // slab-partitioned permuted f64 A
+pub(super) const TAG_MAT_B: u64 = 0xB1; // replicated permuted f64 matrix
+pub(super) const TAG_C64_A: u64 = 0xA2; // slab-partitioned permuted Complex64 A
+pub(super) const TAG_C64_B: u64 = 0xB2; // replicated permuted Complex64 matrix
+const TAG_SD_A: u64 = 0x5D; // volume-bucketed sparse-dense coords
+const TAG_SS_A: u64 = 0x55; // row-bucketed sparse-sparse coords
+const TAG_SS_B: u64 = 0x56; // grouped sparse-sparse B table
+const TAG_WHOLE: u64 = 0xF0; // whole tensor (pairs, SVD/QR inputs)
+const TAG_TSQR: u64 = 0x7A; // TSQR row slabs
+
+fn derive(parts: &[u64]) -> Fnv {
+    Fnv::new().u64s(parts.iter().copied())
+}
+
+/// A `usize` sequence (an axis permutation, mode positions) as one part.
+fn hseq(vals: &[usize]) -> u64 {
+    Fnv::new().u64s(vals.iter().map(|&v| v as u64)).finish()
+}
+
+/// The key of a buffer family that is stored in chunks.
+#[derive(Clone, Copy)]
+pub(crate) struct Chunked(Fnv);
+
+impl Chunked {
+    /// The charge key. It omits the chunk count, which follows the worker
+    /// count: a re-chunking re-ships physically (metered in
+    /// `bytes_operands`) without a second α–β upload charge.
+    pub(crate) fn logical(self) -> u64 {
+        self.0.finish()
+    }
+
+    /// The worker key of chunk `i` of `chunks`.
+    pub(crate) fn chunk(self, chunks: usize, i: usize) -> u64 {
+        self.0.u64(chunks as u64).u64(i as u64).finish()
+    }
+
+    /// The worker key of the family stored unchunked — the one chunk of
+    /// one that a chain step consumes.
+    pub(crate) fn whole(self) -> u64 {
+        self.chunk(1, 0)
+    }
+}
+
+/// Row slabs of the permuted dense `A`. Their contents depend on the
+/// kernel path (MC-aligned or uniform ranges), so a path change is a
+/// genuine re-upload, not a cache hit.
+pub(super) fn dense_a<T: WireScalar>(h: &OpHandle, perm_a: &[usize], path: GemmPath) -> Chunked {
+    Chunked(derive(&[h.key(), T::TAG_A, hseq(perm_a), path as u64]))
+}
+
+/// The replicated permuted `k × n` matrix of a dense `B`.
+pub(super) fn matrix_b<T: WireScalar>(h: &OpHandle, perm_b: &[usize]) -> u64 {
+    derive(&[h.key(), T::TAG_B, hseq(perm_b)]).finish()
+}
+
+/// Volume-balanced coordinate buckets of a sparse-dense `A`, fused against
+/// `n` output columns.
+pub(super) fn sd_a(h: &OpHandle, plan: &ContractPlan, n: usize) -> Chunked {
+    Chunked(derive(&[
+        h.key(),
+        TAG_SD_A,
+        hseq(plan.free_a_positions()),
+        hseq(plan.ctr_a_positions()),
+        n as u64,
+    ]))
+}
+
+/// Row buckets of a sparse-sparse `A`.
+pub(super) fn ss_a(h: &OpHandle, plan: &ContractPlan) -> Chunked {
+    Chunked(derive(&[
+        h.key(),
+        TAG_SS_A,
+        hseq(plan.free_a_positions()),
+        hseq(plan.ctr_a_positions()),
+    ]))
+}
+
+/// The grouped table of a sparse-sparse `B`. It stores *fused* free
+/// indices, so it depends only on `B`'s content and the plan's `B`-side
+/// positions — not on `A`'s dims or the output permutation: one resident
+/// table serves every contraction against this operand.
+pub(super) fn ss_b(h: &OpHandle, plan: &ContractPlan) -> u64 {
+    derive(&[
+        h.key(),
+        TAG_SS_B,
+        hseq(plan.ctr_b_positions()),
+        hseq(plan.free_b_positions()),
+    ])
+    .finish()
+}
+
+/// A dense operand's whole tensor — what pair, chain-step and
+/// factorization tasks consume.
+pub(super) fn whole(h: &OpHandle) -> u64 {
+    derive(&[h.key(), TAG_WHOLE]).finish()
+}
+
+/// Row slabs of a tall panel factored by TSQR over `p` ranks.
+pub(crate) fn tsqr_slabs(h: &OpHandle, p: usize) -> Chunked {
+    Chunked(derive(&[h.key(), TAG_TSQR, p as u64]))
+}

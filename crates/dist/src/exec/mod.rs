@@ -45,6 +45,7 @@
 //! pinned by `tests::protocol_trace_matches_golden`.
 //!
 //! Layout: this file holds the [`Executor`] itself and the operand types;
+//! `keys` the logical and physical key of every derived-buffer family;
 //! `residency` the upload/free lifecycle, the retention cache, the α–β
 //! charges and the `Superstep` builder; `dense`, `sparse` and `factorize`
 //! the value-returning entry points; `chain` the planner of worker-side
@@ -53,6 +54,7 @@
 mod chain;
 mod dense;
 mod factorize;
+pub(crate) mod keys;
 mod residency;
 mod sparse;
 #[cfg(test)]
@@ -64,7 +66,6 @@ pub use residency::RankCacheStats;
 pub(crate) use residency::Superstep;
 
 use crate::cluster::Cluster;
-use crate::comm::Comm;
 use crate::cost::{CostTracker, SimTime};
 use crate::handle::{DenseAny, DenseRef, OpHandle, Residency, ResultKind};
 use crate::machine::Machine;
@@ -273,8 +274,8 @@ pub(crate) trait WireScalar: Scalar {
 impl WireScalar for f64 {
     const WORDS: usize = 1;
     const KIND: ResultKind = ResultKind::F64;
-    const TAG_A: u64 = TAG_DENSE_A;
-    const TAG_B: u64 = TAG_MAT_B;
+    const TAG_A: u64 = keys::TAG_DENSE_A;
+    const TAG_B: u64 = keys::TAG_MAT_B;
 
     fn wrap(data: Vec<Self>) -> Buf {
         Buf::F64(data)
@@ -303,8 +304,8 @@ impl WireScalar for f64 {
 impl WireScalar for Complex64 {
     const WORDS: usize = 2;
     const KIND: ResultKind = ResultKind::C64;
-    const TAG_A: u64 = TAG_C64_A;
-    const TAG_B: u64 = TAG_C64_B;
+    const TAG_A: u64 = keys::TAG_C64_A;
+    const TAG_B: u64 = keys::TAG_C64_B;
 
     fn wrap(data: Vec<Self>) -> Buf {
         Buf::C64(data)
@@ -329,16 +330,6 @@ impl WireScalar for Complex64 {
         DenseRef::C64(t)
     }
 }
-
-// Derived-buffer purpose tags (mixed into worker/logical keys).
-const TAG_DENSE_A: u64 = 0xA1; // slab-partitioned permuted f64 A
-const TAG_MAT_B: u64 = 0xB1; // replicated permuted f64 matrix
-const TAG_C64_A: u64 = 0xA2; // slab-partitioned permuted Complex64 A
-const TAG_C64_B: u64 = 0xB2; // replicated permuted Complex64 matrix
-const TAG_SD_A: u64 = 0x5D; // volume-bucketed sparse-dense coords
-const TAG_SS_A: u64 = 0x55; // row-bucketed sparse-sparse coords
-const TAG_SS_B: u64 = 0x56; // grouped sparse-sparse B table
-const TAG_WHOLE: u64 = 0xF0; // whole tensor (pairs, SVD/QR inputs)
 
 /// The distributed executor.
 pub struct Executor {
@@ -505,11 +496,6 @@ impl Executor {
     /// The shared cost tracker.
     pub fn tracker(&self) -> &Arc<Mutex<CostTracker>> {
         &self.tracker
-    }
-
-    /// A communicator over this executor's ranks charging into its tracker.
-    pub fn comm(&self) -> Comm {
-        Comm::new(self.ranks, Arc::clone(&self.tracker))
     }
 
     /// Flops executed through this executor since the last reset.

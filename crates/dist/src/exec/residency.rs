@@ -3,12 +3,13 @@
 //! α–β charge of a contraction, and [`Superstep`], the builder every
 //! cluster leg assembles its frames with.
 
-use super::{DenseOp, DenseOpT, DenseSrc, Executor, WireScalar, TAG_WHOLE};
+use super::keys;
+use super::{DenseOp, DenseOpT, DenseSrc, Executor, WireScalar};
 use crate::cluster::Cluster;
 use crate::cost;
 #[cfg(doc)]
 use crate::handle::ResultHandle;
-use crate::handle::{derive, hseq, DenseAny, OpHandle, Payload, Residency};
+use crate::handle::{DenseAny, OpHandle, Payload, Residency};
 use crate::transport::worker::{Op, Reply, Request};
 use crate::{process_grid, Error, Result};
 use std::collections::{BTreeMap, HashMap};
@@ -450,15 +451,9 @@ impl Executor {
     }
 }
 
-/// Worker key (and logical charge key) of a dense operand's whole-tensor
-/// buffer — what pair, chain-step and factorization tasks consume.
-pub(super) fn whole_key(h: &OpHandle) -> u64 {
-    derive(&[h.key(), TAG_WHOLE])
-}
-
 /// The first rank already holding `op`'s whole-tensor buffer, if any.
 pub(super) fn whole_home(res: &Residency, op: &DenseOp) -> Option<usize> {
-    res.homes(whole_key(op.handle()?))?.first().copied()
+    res.homes(keys::whole(op.handle()?))?.first().copied()
 }
 
 /// One superstep under construction: requests in submission order, each an
@@ -512,7 +507,7 @@ impl Superstep {
         let Some(h) = op.handle() else {
             return Ok(Op::Inline(op.tensor()?.buf()));
         };
-        let key = whole_key(h);
+        let key = keys::whole(h);
         self.ensure(res, h.key(), key, rank, || {
             let data = op.tensor()?.buf();
             Ok(Request::Upload { key, data })
@@ -534,7 +529,7 @@ impl Superstep {
         let Some(h) = b.handle() else {
             return Ok(Op::Inline(T::wrap(mat()?)));
         };
-        let key = derive(&[h.key(), T::TAG_B, hseq(perm_b)]);
+        let key = keys::matrix_b::<T>(h, perm_b);
         let mut memo: Option<Vec<T>> = None;
         for rank in 0..nranks {
             self.ensure(res, h.key(), key, rank, || {

@@ -1,10 +1,11 @@
 //! Sparse × dense and sparse × sparse contraction (the flattened
 //! algorithms' kernels), in-process or bucketed over the cluster.
 
+use super::keys;
 use super::residency::Superstep;
-use super::{expect_buf, DenseOp, Executor, SparseOp, TAG_MAT_B, TAG_SD_A, TAG_SS_A, TAG_SS_B};
+use super::{expect_buf, DenseOp, Executor, SparseOp};
 use crate::cluster::Cluster;
-use crate::handle::{derive, hseq, OpHandle, Residency};
+use crate::handle::{OpHandle, Residency};
 use crate::kernels;
 use crate::transport::worker::{OpCoords, OpSs, Reply, Request};
 use crate::{Error, Result};
@@ -35,31 +36,12 @@ impl Executor {
         let perm_b = kernels::operand_perms(&plan).1;
         // The sparse operand moves its stored entries (offset + value),
         // the dense operand and result their full volume.
-        //
-        // The logical charge key is deliberately coarser than the
-        // physical worker keys in one respect: it omits the chunk count,
-        // which depends on the worker count (backend-independent charging
-        // requires p-free keys). A re-bucketing caused by the work-volume
-        // threshold flipping re-ships physically (metered in
-        // `bytes_operands`) without an extra α–β upload charge.
         let sa = self.op_state(
             a.handle(),
-            |h| {
-                derive(&[
-                    h.key(),
-                    TAG_SD_A,
-                    hseq(plan.free_a_positions()),
-                    hseq(plan.ctr_a_positions()),
-                    n as u64,
-                ])
-            },
+            |h| keys::sd_a(h, &plan, n).logical(),
             2 * at.nnz(),
         );
-        let sb = self.op_state(
-            b.handle(),
-            |h| derive(&[h.key(), TAG_MAT_B, hseq(&perm_b)]),
-            k * n,
-        );
+        let sb = self.op_state(b.handle(), |h| keys::matrix_b::<f64>(h, &perm_b), k * n);
         self.charge_contraction(sa, sb, m * n, m, n, flops, true);
         Ok(c)
     }
@@ -87,15 +69,7 @@ impl Executor {
             let mut res = self.residency.lock();
             let b_field = step.replicated(&mut res, b, &perm_b, ranges.len().min(p))?;
             let a_fields = bucket_fields(&mut step, &mut res, a.handle(), buckets, p, |h, i| {
-                derive(&[
-                    h.key(),
-                    TAG_SD_A,
-                    hseq(plan.free_a_positions()),
-                    hseq(plan.ctr_a_positions()),
-                    n as u64,
-                    chunks as u64,
-                    i as u64,
-                ])
+                keys::sd_a(h, plan, n).chunk(chunks, i)
             })?;
             (b_field, a_fields)
         };
@@ -134,38 +108,8 @@ impl Executor {
         };
         let (m, _k, n) = kernels::fused_dims(&plan, at.dims(), bt.dims());
         // All three tensors move only their stored entries (offset + value).
-        // As in the sd path, the logical keys omit the (p-dependent)
-        // chunk count; both operands' dims pin the output-offset tables
-        // the resident buffers were resolved against.
-        let sa = self.op_state(
-            a.handle(),
-            |h| {
-                derive(&[
-                    h.key(),
-                    TAG_SS_A,
-                    hseq(plan.free_a_positions()),
-                    hseq(plan.ctr_a_positions()),
-                ])
-            },
-            2 * at.nnz(),
-        );
-        let sb = self.op_state(
-            b.handle(),
-            |h| {
-                // the grouped table stores *fused* free indices, so it
-                // depends only on B's content (h.key) and the plan's
-                // B-side positions — not on A's dims or the output
-                // permutation; the same resident table serves every
-                // contraction against this operand
-                derive(&[
-                    h.key(),
-                    TAG_SS_B,
-                    hseq(plan.ctr_b_positions()),
-                    hseq(plan.free_b_positions()),
-                ])
-            },
-            2 * bt.nnz(),
-        );
+        let sa = self.op_state(a.handle(), |h| keys::ss_a(h, &plan).logical(), 2 * at.nnz());
+        let sb = self.op_state(b.handle(), |h| keys::ss_b(h, &plan), 2 * bt.nnz());
         self.charge_contraction(sa, sb, 2 * c.nnz(), m, n, flops, true);
         Ok(c)
     }
@@ -212,15 +156,7 @@ impl Executor {
                     vals: b_vals,
                 },
                 Some(h) => {
-                    // fused-col table: keyed by B content + plan positions
-                    // only (must stay in lockstep with the charge key in
-                    // `contract_ss`)
-                    let key = derive(&[
-                        h.key(),
-                        TAG_SS_B,
-                        hseq(plan.ctr_b_positions()),
-                        hseq(plan.free_b_positions()),
-                    ]);
+                    let key = keys::ss_b(h, plan);
                     for rank in 0..ranges.len().min(p) {
                         step.ensure(&mut res, h.key(), key, rank, || {
                             Ok(Request::UploadSs {
@@ -236,14 +172,7 @@ impl Executor {
                 }
             };
             let a_fields = bucket_fields(&mut step, &mut res, a.handle(), buckets, p, |h, i| {
-                derive(&[
-                    h.key(),
-                    TAG_SS_A,
-                    hseq(plan.free_a_positions()),
-                    hseq(plan.ctr_a_positions()),
-                    chunks as u64,
-                    i as u64,
-                ])
+                keys::ss_a(h, plan).chunk(chunks, i)
             })?;
             (b_field, a_fields)
         };

@@ -64,21 +64,6 @@ impl Fnv {
     }
 }
 
-/// Derive a buffer key from mixed-in context components (content key,
-/// purpose tag, permutation/positions, chunk index, …). Purely a hash —
-/// derivation is deterministic and backend-independent, which is what lets
-/// the in-process backend replay the exact charge sequence of the
-/// multi-process one.
-pub(crate) fn derive(parts: &[u64]) -> u64 {
-    Fnv::new().u64s(parts.iter().copied()).finish()
-}
-
-/// Hash a `usize` sequence (an axis permutation, mode positions, …) into
-/// one derivation component.
-pub(crate) fn hseq(vals: &[usize]) -> u64 {
-    Fnv::new().u64s(vals.iter().map(|&v| v as u64)).finish()
-}
-
 /// A shared dense tensor whose element type is a tag on the data: the
 /// payload of a dense operand handle, and the value of an in-process
 /// resident result (the in-process backend has no worker stores — the
@@ -348,7 +333,7 @@ pub(crate) struct Residency {
     charged: std::collections::HashSet<u64>,
     /// Worker key → home ranks.
     homes: HashMap<u64, (u64, Vec<usize>)>,
-    /// Resident contraction results: worker key → placement + provenance.
+    /// Resident contraction results: worker key → placement.
     results: HashMap<u64, ResultInfo>,
 }
 
@@ -359,9 +344,6 @@ pub(crate) struct ResultInfo {
     pub(crate) home: usize,
     /// Stored words (8-byte units) — what a redistribute moves.
     pub(crate) words: usize,
-    /// Provenance: hash of the producing step (spec + input keys), for
-    /// diagnostics and for derived-buffer keys of downstream consumers.
-    pub(crate) produced_by: u64,
 }
 
 impl Residency {
@@ -438,7 +420,7 @@ impl Residency {
         self.results.insert(key, info);
     }
 
-    /// Placement + provenance of a resident result, if known.
+    /// Placement of a resident result, if known.
     pub(crate) fn result(&self, key: u64) -> Option<ResultInfo> {
         self.results.get(&key).copied()
     }
@@ -502,20 +484,13 @@ mod tests {
         );
     }
 
+    // (named for the provenance hash the book also kept until nothing
+    // read it; the name stays because the test floor lists it)
     #[test]
     fn result_book_tracks_homes_and_provenance() {
         let mut r = Residency::default();
-        r.record_result(
-            10,
-            ResultInfo {
-                home: 2,
-                words: 64,
-                produced_by: 0xbeef,
-            },
-        );
-        let info = r.result(10).expect("recorded");
-        assert_eq!(info.home, 2);
-        assert_eq!(info.produced_by, 0xbeef);
+        r.record_result(10, ResultInfo { home: 2, words: 64 });
+        assert_eq!(r.result(10).expect("recorded").home, 2);
         r.move_result(10, 0);
         assert_eq!(r.result(10).unwrap().home, 0, "redistribute moves home");
         assert_eq!(r.forget_result(10).unwrap().words, 64);

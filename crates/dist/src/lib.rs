@@ -17,8 +17,6 @@
 //! * [`Machine`] — machine models (Blue Waters, Stampede2, a laptop-scale
 //!   `local`) with flop rooflines and α/β network parameters,
 //! * [`SimTime`] / [`CostTracker`] — the Fig. 7 cost categories,
-//! * [`Comm`] — point-to-point volume accounting, what [`tsqr()`] charges
-//!   its merge tree through,
 //! * [`Executor`] — the entry points used by `tt-blocks` and everything
 //!   above it (table below),
 //! * [`tsqr()`] — communication-avoiding tall-skinny QR built on
@@ -49,7 +47,6 @@
 //! [`transport`].
 
 mod cluster;
-mod comm;
 mod cost;
 mod exec;
 mod handle;
@@ -62,7 +59,6 @@ pub mod transport;
 mod tsqr;
 
 pub use cluster::{Cluster, JournalStats};
-pub use comm::Comm;
 pub use cost::{CostTracker, JobScope, ResidentMeter, SimTime};
 pub use exec::{
     Backend, ChainSrc, ChainStep, DenseOp, DenseOpC, DenseOpT, DenseSrc, ExecMode, Executor,
@@ -224,7 +220,15 @@ impl std::fmt::Display for Error {
     }
 }
 
-impl std::error::Error for Error {}
+impl std::error::Error for Error {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Error::Tensor(e) => Some(e),
+            Error::Linalg(e) => Some(e),
+            Error::Runtime(_) | Error::Transport(_) => None,
+        }
+    }
+}
 
 /// Factor `p` into the most-square `(rows, cols)` process grid with
 /// `rows * cols == p` — the grid the cost model assumes.

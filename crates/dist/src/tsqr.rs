@@ -7,24 +7,26 @@
 //! which is what makes TSQR latency-optimal compared to gathering the
 //! whole panel.
 
-use crate::comm::Comm;
-use crate::exec::{decode_qr, DenseOp, Superstep};
-use crate::handle::derive;
+use crate::cost::CostTracker;
+use crate::exec::{decode_qr, keys, DenseOp, Superstep};
 use crate::transport::worker::{Buf, Op, Request};
 use crate::{Executor, Result};
+use parking_lot::Mutex;
 use tt_linalg::qr_thin;
 use tt_tensor::gemm::gemm_acc_slices;
 use tt_tensor::DenseTensor;
 
-/// Derived-buffer purpose tag for resident TSQR row slabs.
-const TAG_TSQR: u64 = 0x7A;
-
-/// TSQR of an `m × n` matrix over `comm`'s ranks: returns `(Q, R)` with
-/// `Q` of size `m × min(m, n)` having orthonormal columns.
+/// TSQR of an `m × n` matrix over `ranks` simulated ranks, the merge tree
+/// charged to `tracker`: returns `(Q, R)` with `Q` of size `m × min(m, n)`
+/// having orthonormal columns.
 ///
 /// Numerically this is a genuine tree QR (not a gathered factorization),
 /// so `Q`/`R` match [`qr_thin`] only up to per-column sign.
-pub fn tsqr(a: &DenseTensor<f64>, comm: &Comm) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
+pub fn tsqr(
+    a: &DenseTensor<f64>,
+    ranks: usize,
+    tracker: &Mutex<CostTracker>,
+) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
     if a.order() != 2 {
         return Err(crate::Error::Runtime(format!(
             "tsqr wants a matrix, got order {}",
@@ -32,7 +34,7 @@ pub fn tsqr(a: &DenseTensor<f64>, comm: &Comm) -> Result<(DenseTensor<f64>, Dens
         )));
     }
     let (m, n) = (a.dims()[0], a.dims()[1]);
-    let p = comm.ranks().clamp(1, m.max(1));
+    let p = ranks.clamp(1, m.max(1));
     if p == 1 {
         return Ok(qr_thin(a)?);
     }
@@ -48,11 +50,11 @@ pub fn tsqr(a: &DenseTensor<f64>, comm: &Comm) -> Result<(DenseTensor<f64>, Dens
         factors.push(qr_thin(&slab)?);
         r0 = r1;
     }
-    merge_tree(factors, n, comm)
+    merge_tree(factors, n, tracker)
 }
 
-/// TSQR over the executor's own communicator ([`Executor::comm`]), with
-/// the slab factorizations executed on its worker ranks (one `qr_thin`
+/// TSQR over the executor's own ranks and tracker, with the slab
+/// factorizations executed on its worker ranks (one `qr_thin`
 /// task per slab, round-robin) and the `R`-merge tree run on the driver.
 /// Slab boundaries and merge order are identical to [`tsqr`], so the
 /// factors are bitwise-identical to the in-process run — which is also
@@ -68,7 +70,7 @@ pub fn tsqr_on<'a>(
     exec: &Executor,
     a: impl Into<DenseOp<'a>>,
 ) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
-    let comm = &exec.comm();
+    let (ranks, tracker) = (exec.ranks(), exec.tracker());
     let a = a.into();
     let (h, a) = (a.handle(), a.tensor()?);
     if a.order() != 2 {
@@ -78,11 +80,11 @@ pub fn tsqr_on<'a>(
         )));
     }
     let (m, n) = (a.dims()[0], a.dims()[1]);
-    let p = comm.ranks().clamp(1, m.max(1));
+    let p = ranks.clamp(1, m.max(1));
     if let Some(h) = h {
-        let lkey = derive(&[h.key(), TAG_TSQR, p as u64]);
+        let lkey = keys::tsqr_slabs(h, p).logical();
         if exec.residency().lock().observe(h.key(), lkey) {
-            comm.charge_p2p(8 * (m * n) as u64);
+            CostTracker::charge_p2p(tracker, 8 * (m * n) as u64);
         }
     }
     let factors = exec.with_cluster(|cluster| -> Result<_> {
@@ -99,7 +101,7 @@ pub fn tsqr_on<'a>(
                 fields.push(match h {
                     None => Op::Inline(data(i)),
                     Some(h) => {
-                        let key = derive(&[h.key(), TAG_TSQR, p as u64, nslabs as u64, i as u64]);
+                        let key = keys::tsqr_slabs(h, p).chunk(nslabs, i);
                         step.ensure(&mut res, h.key(), key, i % workers, || {
                             Ok(Request::Upload { key, data: data(i) })
                         })?;
@@ -115,8 +117,8 @@ pub fn tsqr_on<'a>(
         step.run(cluster)?.into_iter().map(decode_qr).collect()
     });
     match factors {
-        Some(factors) => merge_tree(factors?, n, comm),
-        None => tsqr(a, comm),
+        Some(factors) => merge_tree(factors?, n, tracker),
+        None => tsqr(a, ranks, tracker),
     }
 }
 
@@ -125,7 +127,7 @@ pub fn tsqr_on<'a>(
 fn merge_tree(
     mut factors: Vec<(DenseTensor<f64>, DenseTensor<f64>)>,
     n: usize,
-    comm: &Comm,
+    tracker: &Mutex<CostTracker>,
 ) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
     while factors.len() > 1 {
         let mut next = Vec::with_capacity(factors.len().div_ceil(2));
@@ -159,7 +161,7 @@ fn merge_tree(
                 None => next.push((q1, r1)), // odd leftover rides up a level
             }
         }
-        comm.charge_p2p(8 * max_r_words as u64);
+        CostTracker::charge_p2p(tracker, 8 * max_r_words as u64);
         factors = next;
     }
     let (q, r) = factors.pop().expect("non-empty tree");
@@ -169,17 +171,13 @@ fn merge_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostTracker;
     use crate::machine::Machine;
-    use parking_lot::Mutex;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::Arc;
     use tt_tensor::{gemm, gemm_f64, Layout};
 
-    fn comm(p: usize) -> Comm {
-        let tracker = Arc::new(Mutex::new(CostTracker::new(Machine::blue_waters(16), p)));
-        Comm::new(p, tracker)
+    fn tracker(p: usize) -> Mutex<CostTracker> {
+        Mutex::new(CostTracker::new(Machine::blue_waters(16), p))
     }
 
     #[test]
@@ -187,14 +185,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(51);
         let a = DenseTensor::<f64>::random([96, 7], &mut rng);
         for p in [2usize, 3, 4, 8] {
-            let c = comm(p);
-            let (q, r) = tsqr(&a, &c).unwrap();
+            let c = tracker(p);
+            let (q, r) = tsqr(&a, p, &c).unwrap();
             assert_eq!(q.dims(), &[96, 7]);
             assert_eq!(r.dims(), &[7, 7]);
             assert!(gemm_f64(&q, &r).unwrap().allclose(&a, 1e-10), "p={p}");
             let qtq = gemm(&q, Layout::Transposed, &q, Layout::Normal).unwrap();
             assert!(qtq.allclose(&DenseTensor::eye(7), 1e-10), "p={p}");
-            let t = c.tracker().lock();
+            let t = c.lock();
             assert!(t.supersteps >= (p as f64).log2().ceil() as u64);
             assert!(t.bytes_critical > 0);
         }
@@ -205,8 +203,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(52);
         let a = DenseTensor::<f64>::random([64, 5], &mut rng);
         let (q_ref, r_ref) = qr_thin(&a).unwrap();
-        let c = comm(4);
-        let (q, r) = tsqr(&a, &c).unwrap();
+        let c = tracker(4);
+        let (q, r) = tsqr(&a, 4, &c).unwrap();
         for j in 0..5 {
             // Column sign fixed by comparing the leading R entries.
             let sign = (r.at(&[j, j]) * r_ref.at(&[j, j])).signum();
@@ -226,12 +224,12 @@ mod tests {
     fn single_rank_degenerates_to_qr_thin() {
         let mut rng = StdRng::seed_from_u64(53);
         let a = DenseTensor::<f64>::random([20, 4], &mut rng);
-        let c = comm(1);
-        let (q, r) = tsqr(&a, &c).unwrap();
+        let c = tracker(1);
+        let (q, r) = tsqr(&a, 1, &c).unwrap();
         let (q2, r2) = qr_thin(&a).unwrap();
         assert_eq!(q.data(), q2.data());
         assert_eq!(r.data(), r2.data());
-        assert_eq!(c.tracker().lock().supersteps, 0);
+        assert_eq!(c.lock().supersteps, 0);
     }
 
     /// `workers` worker processes simulating `p` ranks.
@@ -247,13 +245,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(55);
         let a = DenseTensor::<f64>::random([96, 7], &mut rng);
         for p in [1usize, 2, 4, 5] {
-            let c_ref = comm(p);
-            let (q_ref, r_ref) = tsqr(&a, &c_ref).unwrap();
+            let c_ref = tracker(p);
+            let (q_ref, r_ref) = tsqr(&a, p, &c_ref).unwrap();
             let mp = mp_executor(p, 3);
             let (q, r) = tsqr_on(&mp, &a).unwrap();
             assert_eq!(q.data(), q_ref.data(), "p={p}");
             assert_eq!(r.data(), r_ref.data(), "p={p}");
-            assert_eq!(mp.supersteps(), c_ref.tracker().lock().supersteps);
+            assert_eq!(mp.supersteps(), c_ref.lock().supersteps);
         }
     }
 
@@ -262,8 +260,7 @@ mod tests {
     fn tsqr_on_real_processes_is_bitwise() {
         let mut rng = StdRng::seed_from_u64(56);
         let a = DenseTensor::<f64>::random([64, 5], &mut rng);
-        let c_ref = comm(4);
-        let (q_ref, r_ref) = tsqr(&a, &c_ref).unwrap();
+        let (q_ref, r_ref) = tsqr(&a, 4, &tracker(4)).unwrap();
         let (q, r) = tsqr_on(&mp_executor(4, 2), &a).unwrap();
         assert_eq!(q.data(), q_ref.data());
         assert_eq!(r.data(), r_ref.data());
@@ -276,8 +273,7 @@ mod tests {
         let a = DenseTensor::<f64>::random([80, 6], &mut rng);
         let exec = crate::Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
         let h = exec.upload(&a);
-        let c_ref = comm(4);
-        let (q_ref, r_ref) = tsqr(&a, &c_ref).unwrap();
+        let (q_ref, r_ref) = tsqr(&a, 4, &tracker(4)).unwrap();
         let (q, r) = tsqr_on(&exec, &h).unwrap();
         assert_eq!(q.data(), q_ref.data());
         assert_eq!(r.data(), r_ref.data());
@@ -296,8 +292,7 @@ mod tests {
     fn tsqr_on_handle_over_processes_reuses_resident_slabs() {
         let mut rng = StdRng::seed_from_u64(58);
         let a = DenseTensor::<f64>::random([72, 5], &mut rng);
-        let c_ref = comm(4);
-        let (q_ref, r_ref) = tsqr(&a, &c_ref).unwrap();
+        let (q_ref, r_ref) = tsqr(&a, 4, &tracker(4)).unwrap();
         let mp = mp_executor(4, 2);
         let h = mp.upload(&a);
         let (q, r) = tsqr_on(&mp, &h).unwrap();
@@ -320,8 +315,8 @@ mod tests {
     fn wide_matrix_still_factors() {
         let mut rng = StdRng::seed_from_u64(54);
         let a = DenseTensor::<f64>::random([6, 10], &mut rng);
-        let c = comm(3);
-        let (q, r) = tsqr(&a, &c).unwrap();
+        let c = tracker(3);
+        let (q, r) = tsqr(&a, 3, &c).unwrap();
         assert!(gemm_f64(&q, &r).unwrap().allclose(&a, 1e-10));
     }
 }

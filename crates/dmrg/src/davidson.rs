@@ -75,7 +75,7 @@ pub fn davidson(
     let mut basis: Vec<BlockSparseTensor> = vec![v0.clone()];
     let mut av: Vec<BlockSparseTensor> = vec![apply(&v0)?];
     let mut matvecs = 1usize;
-    let mut lambda = v0.dot(&av[0]).map_err(wrap)?;
+    let mut lambda = v0.dot(&av[0])?;
     let mut x = v0;
     let mut residual = f64::INFINITY;
 
@@ -85,17 +85,14 @@ pub fn davidson(
         let mut m = DenseTensor::<f64>::zeros([k, k]);
         for (i, bi) in basis.iter().enumerate() {
             for (j, avj) in av.iter().enumerate() {
-                let mij = bi.dot(avj).map_err(wrap)?;
+                let mij = bi.dot(avj)?;
                 m.set(&[i, j], mij);
             }
         }
         // symmetrize roundoff
-        let mt = m.permute(&[1, 0]).map_err(|e| Error::Eig(e.to_string()))?;
-        let m = m
-            .add(&mt)
-            .map_err(|e| Error::Eig(e.to_string()))?
-            .scaled(0.5);
-        let (w, vec) = eigh(&m).map_err(|e| Error::Eig(e.to_string()))?;
+        let mt = m.permute(&[1, 0])?;
+        let m = m.add(&mt)?.scaled(0.5);
+        let (w, vec) = eigh(&m)?;
         lambda = w[0];
 
         // Ritz vector x = Σ s_j v_j and q = Σ s_j (A v_j)
@@ -104,11 +101,11 @@ pub fn davidson(
         let mut q = av[0].clone();
         q.scale_mut(vec.at(&[0, 0]));
         for j in 1..k {
-            xr.axpy(vec.at(&[j, 0]), &basis[j]).map_err(wrap)?;
-            q.axpy(vec.at(&[j, 0]), &av[j]).map_err(wrap)?;
+            xr.axpy(vec.at(&[j, 0]), &basis[j])?;
+            q.axpy(vec.at(&[j, 0]), &av[j])?;
         }
         // residual q = A x − λ x
-        q.axpy(-lambda, &xr).map_err(wrap)?;
+        q.axpy(-lambda, &xr)?;
         residual = q.norm();
         x = xr;
         if residual <= opts.tol || matvecs >= opts.max_iter {
@@ -118,8 +115,8 @@ pub fn davidson(
         // orthogonalize q against the basis (modified Gram-Schmidt, twice)
         for _pass in 0..2 {
             for v in &basis {
-                let c = v.dot(&q).map_err(wrap)?;
-                q.axpy(-c, v).map_err(wrap)?;
+                let c = v.dot(&q)?;
+                q.axpy(-c, v)?;
             }
         }
         let qn = q.norm();
@@ -128,8 +125,8 @@ pub fn davidson(
             q = BlockSparseTensor::random(x.indices().to_vec(), x.flux(), &mut rng);
             for _pass in 0..2 {
                 for v in &basis {
-                    let c = v.dot(&q).map_err(wrap)?;
-                    q.axpy(-c, v).map_err(wrap)?;
+                    let c = v.dot(&q)?;
+                    q.axpy(-c, v)?;
                 }
             }
         }
@@ -169,10 +166,6 @@ pub fn davidson(
         },
         x,
     ))
-}
-
-fn wrap(e: tt_blocks::Error) -> Error {
-    Error::Eig(e.to_string())
 }
 
 #[cfg(test)]

@@ -170,8 +170,7 @@ pub fn ground_state_energy<S: SiteType>(
     let x0: Vec<f64> = (0..basis.dim())
         .map(|i| 1.0 + (i as f64 * 0.7391).sin())
         .collect();
-    let (e, _) = lanczos_smallest(|v| h.apply(v), &x0, LanczosOptions::default())
-        .map_err(|e| Error::Ed(e.to_string()))?;
+    let (e, _) = lanczos_smallest(|v| h.apply(v), &x0, LanczosOptions::default())?;
     Ok(e)
 }
 
@@ -254,8 +253,7 @@ pub fn hubbard_ed(
         return Ok(apply(&x)[0]);
     }
     let x0: Vec<f64> = (0..dim).map(|i| 1.0 + (i as f64 * 0.3717).cos()).collect();
-    let (e, _) = lanczos_smallest(apply, &x0, LanczosOptions::default())
-        .map_err(|e| Error::Ed(e.to_string()))?;
+    let (e, _) = lanczos_smallest(apply, &x0, LanczosOptions::default())?;
     Ok(e)
 }
 

@@ -29,8 +29,7 @@ pub fn left_edge(mps: &Mps, mpo: &Mpo) -> Result<BlockSparseTensor> {
     let mut e = BlockSparseTensor::new(vec![b, k, c], QN::zero(arity));
     let mut block = DenseTensor::zeros([1, 1, 1]);
     block.set(&[0, 0, 0], 1.0);
-    e.insert_block(vec![0, 0, 0], block)
-        .map_err(|er| Error::Env(er.to_string()))?;
+    e.insert_block(vec![0, 0, 0], block)?;
     Ok(e)
 }
 
@@ -48,8 +47,7 @@ pub fn right_edge(mps: &Mps, mpo: &Mpo) -> Result<BlockSparseTensor> {
     let mut e = BlockSparseTensor::new(vec![b, k, c], QN::zero(arity));
     let mut block = DenseTensor::zeros([1, 1, 1]);
     block.set(&[0, 0, 0], 1.0);
-    e.insert_block(vec![0, 0, 0], block)
-        .map_err(|er| Error::Env(er.to_string()))?;
+    e.insert_block(vec![0, 0, 0], block)?;
     Ok(e)
 }
 
@@ -64,11 +62,11 @@ pub fn extend_left(
 ) -> Result<BlockSparseTensor> {
     let bra = ket.conj();
     // t1(b,k,q,f) = L(b,k,c) · ket(c,q,f)
-    let t1 = contract(exec, algo, "bkc,cqf->bkqf", l, ket).map_err(wrap)?;
+    let t1 = contract(exec, algo, "bkc,cqf->bkqf", l, ket)?;
     // t2(b,p,f,g) = W(k,p,q,g) · t1(b,k,q,f)
-    let t2 = contract(exec, algo, "kpqg,bkqf->bpfg", w, &t1).map_err(wrap)?;
+    let t2 = contract(exec, algo, "kpqg,bkqf->bpfg", w, &t1)?;
     // L'(h,g,f) = bra(b,p,h) · t2(b,p,f,g)
-    contract(exec, algo, "bph,bpfg->hgf", &bra, &t2).map_err(wrap)
+    Ok(contract(exec, algo, "bph,bpfg->hgf", &bra, &t2)?)
 }
 
 /// Extend a right environment over site `j`:
@@ -82,11 +80,11 @@ pub fn extend_right(
 ) -> Result<BlockSparseTensor> {
     let bra = ket.conj();
     // t1(b,k,c,q) = R(b,k,f) · ket(c,q,f)
-    let t1 = contract(exec, algo, "bkf,cqf->bkcq", r, ket).map_err(wrap)?;
+    let t1 = contract(exec, algo, "bkf,cqf->bkcq", r, ket)?;
     // t2(b,p,g,c) = W(g,p,q,k) · t1(b,k,c,q)
-    let t2 = contract(exec, algo, "gpqk,bkcq->bpgc", w, &t1).map_err(wrap)?;
+    let t2 = contract(exec, algo, "gpqk,bkcq->bpgc", w, &t1)?;
     // R'(h,g,c) = bra(h,p,b) · t2(b,p,g,c)
-    contract(exec, algo, "hpb,bpgc->hgc", &bra, &t2).map_err(wrap)
+    Ok(contract(exec, algo, "hpb,bpgc->hgc", &bra, &t2)?)
 }
 
 /// Environment cache for a sweep: `left[j]` absorbs sites `< j`,
@@ -120,10 +118,6 @@ impl Environments {
         }
         Ok(Self { left, right })
     }
-}
-
-fn wrap(e: tt_blocks::Error) -> Error {
-    Error::Env(e.to_string())
 }
 
 #[cfg(test)]

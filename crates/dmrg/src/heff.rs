@@ -8,11 +8,28 @@
 //! structural operand (environment or MPO tensor) first — the operand the
 //! *sparse-dense* algorithm keeps sparse while Davidson intermediates stay
 //! dense, exactly as Section IV-A prescribes.
+//!
+//! [`EffectiveHam`] applies the four operands by value (the reference);
+//! [`EffectiveHam::upload`] makes it a [`ResidentHam`], a [`ResidentChain`]
+//! of the same four steps that owns the uploaded operands, the matvec's
+//! structural plan and their release.
 
-use crate::{Error, Result};
-use tt_blocks::contract::{chain_apply, contract, free_operand, upload_operand};
-use tt_blocks::{Algorithm, BlockSparseTensor, ChainState, ResidentOperand};
+use crate::Result;
+use tt_blocks::contract::contract;
+use tt_blocks::{Algorithm, BlockSparseTensor, ResidentChain};
 use tt_dist::Executor;
+
+/// The four contractions of one matvec, in chain order: each step's
+/// structural operand (L, W₁, W₂, R) against the previous step's output.
+///
+/// `t1(b,k,q,w,f) = L(b,k,c) · x(c,q,w,f)`, `t2(b,p,g,w,f) = W1(k,p,q,g) ·
+/// t1`, `t3(b,p,s,h,f) = W2(g,s,w,h) · t2`, `y(b,p,s,r) = R(r,h,f) · t3`.
+const MATVEC: [&str; 4] = [
+    "bkc,cqwf->bkqwf",
+    "kpqg,bkqwf->bpgwf",
+    "gswh,bpgwf->bpshf",
+    "rhf,bpshf->bpsr",
+];
 
 /// The implicit two-site effective Hamiltonian `K`.
 pub struct EffectiveHam<'a> {
@@ -40,22 +57,17 @@ impl EffectiveHam<'_> {
     /// `distributed_equivalence`, `fig12_strong_scaling_electrons` and the
     /// CI byte gates measure that path against this one.
     pub fn apply(&self, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
-        // t1(b,k,q,w,f) = L(b,k,c) · x(c,q,w,f)
-        let t1 = contract(self.exec, self.algo, "bkc,cqwf->bkqwf", self.left, x).map_err(wrap)?;
-        // t2(b,p,g,w,f) = W1(k,p,q,g) · t1
-        let t2 = contract(self.exec, self.algo, "kpqg,bkqwf->bpgwf", self.w1, &t1).map_err(wrap)?;
-        // t3(b,p,s,h,f) = W2(g,s,w,h) · t2
-        let t3 = contract(self.exec, self.algo, "gswh,bpgwf->bpshf", self.w2, &t2).map_err(wrap)?;
-        // y(b,p,s,r) = R(r,h,f) · t3
-        contract(self.exec, self.algo, "rhf,bpshf->bpsr", self.right, &t3).map_err(wrap)
+        let step = |s: usize, a, b| contract(self.exec, self.algo, MATVEC[s], a, b);
+        let t1 = step(0, self.left, x)?;
+        let t2 = step(1, self.w1, &t1)?;
+        let t3 = step(2, self.w2, &t2)?;
+        Ok(step(3, self.right, &t3)?)
     }
 
     /// Rayleigh quotient `⟨x|K|x⟩ / ⟨x|x⟩`.
     pub fn expectation(&self, x: &BlockSparseTensor) -> Result<f64> {
         let kx = self.apply(x)?;
-        let num = x.dot(&kx).map_err(wrap)?;
-        let den = x.dot(x).map_err(wrap)?;
-        Ok(num / den)
+        Ok(x.dot(&kx)? / x.dot(x)?)
     }
 
     /// Upload the four structural operands (L, W₁, W₂, R) onto the
@@ -65,79 +77,49 @@ impl EffectiveHam<'_> {
     /// multi-process backend. Numerics are bitwise-identical to
     /// [`EffectiveHam::apply`].
     pub fn upload(&self) -> Result<ResidentHam<'_>> {
-        Ok(ResidentHam {
-            exec: self.exec,
-            algo: self.algo,
-            left: upload_operand(self.exec, self.algo, self.left),
-            w1: upload_operand(self.exec, self.algo, self.w1),
-            w2: upload_operand(self.exec, self.algo, self.w2),
-            right: upload_operand(self.exec, self.algo, self.right),
-            chain: ChainState::default(),
-        })
+        let steps = [
+            (MATVEC[0], self.left),
+            (MATVEC[1], self.w1),
+            (MATVEC[2], self.w2),
+            (MATVEC[3], self.right),
+        ];
+        Ok(ResidentHam(ResidentChain::upload(
+            self.exec, self.algo, &steps,
+        )?))
     }
 }
 
 /// A two-site effective Hamiltonian whose structural operands are
 /// *resident* on the runtime (the paper's operand-residency discipline:
 /// the environments and MPO tensors of one local eigensolve stay put,
-/// only the Davidson vector and its intermediates move). Created by
-/// [`EffectiveHam::upload`]; the resident buffers are released on drop.
-pub struct ResidentHam<'a> {
-    exec: &'a Executor,
-    algo: Algorithm,
-    left: ResidentOperand,
-    w1: ResidentOperand,
-    w2: ResidentOperand,
-    right: ResidentOperand,
-    /// What the matvec chain derives from the operands' and ψ's structure
-    /// alone — filled by the first `apply`, reused by the rest of the
-    /// eigensolve, gone with the operands.
-    chain: ChainState,
-}
+/// only the Davidson vector and its intermediates move): a
+/// [`ResidentChain`] of the four matvec steps, and nothing else. Created
+/// by [`EffectiveHam::upload`]; dropping it frees every resident buffer,
+/// [`ResidentHam::release`] does the same and reports a failure.
+pub struct ResidentHam<'a>(ResidentChain<'a>);
 
 impl ResidentHam<'_> {
     /// Apply `K` to a two-site tensor — bitwise-identical to
     /// [`EffectiveHam::apply`] on the same operands, but run as one
-    /// [`chain_apply`]: the intermediates t₁…t₃ never return to block
-    /// form. For the list and sparse-dense algorithms that is **one
+    /// [`ResidentChain::apply`]: the intermediates t₁…t₃ never return to
+    /// block form. For the list and sparse-dense algorithms that is **one
     /// chained superstep per matvec** — ψ uploads once, t₁…t₃ stay
     /// resident in the worker stores and only `y`'s blocks download, which
     /// on the multi-process backend collapses the driver's per-matvec
     /// *result* traffic to the final download. For sparse-sparse the four
     /// steps stay separate supersteps, but ψ is flattened once, each flat
-    /// result feeds the next step as it comes back, only `y` is
-    /// re-blocked, and the output masks are derived once per eigensolve.
+    /// result feeds the next step as it comes back and only `y` is
+    /// re-blocked. What the matvec knows from structure alone is derived
+    /// once per eigensolve, for all three.
     pub fn apply(&self, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
-        chain_apply(
-            self.exec,
-            self.algo,
-            &[
-                ("bkc,cqwf->bkqwf", &self.left),
-                ("kpqg,bkqwf->bpgwf", &self.w1),
-                ("gswh,bpgwf->bpshf", &self.w2),
-                ("rhf,bpshf->bpsr", &self.right),
-            ],
-            x,
-            &self.chain,
-        )
-        .map_err(wrap)
+        Ok(self.0.apply(x)?)
     }
-}
 
-impl Drop for ResidentHam<'_> {
-    fn drop(&mut self) {
-        // release the resident buffers; a transport failure here cannot
-        // be surfaced from drop. A worker store never evicts, so a `Free`
-        // that fails leaves the buffers on the workers until the executor
-        // itself drops — the soak in ROADMAP robustness (d) watches that
-        for op in [&self.left, &self.w1, &self.w2, &self.right] {
-            let _ = free_operand(self.exec, op);
-        }
+    /// Free the resident operands — every one, whatever fails on the way —
+    /// and report the first error.
+    pub fn release(self) -> Result<()> {
+        Ok(self.0.release()?)
     }
-}
-
-fn wrap(e: tt_blocks::Error) -> Error {
-    Error::Eig(e.to_string())
 }
 
 #[cfg(test)]

@@ -16,9 +16,8 @@ pub fn site_expectation<S: SiteType>(
     }
     let mut b = AutoMpo::new(site_type.clone(), n);
     b.add(1.0, &[(site, op)]);
-    let mpo = b.build().map_err(|e| Error::Sweep(e.to_string()))?;
-    mps.expectation(&mpo)
-        .map_err(|e| Error::Sweep(e.to_string()))
+    let mpo = b.build()?;
+    Ok(mps.expectation(&mpo)?)
 }
 
 /// Two-point correlation `⟨Op_i Op_j⟩` of named operators.
@@ -38,9 +37,8 @@ pub fn correlation<S: SiteType>(
     }
     let mut b = AutoMpo::new(site_type.clone(), n);
     b.add(1.0, &[(i, op_i), (j, op_j)]);
-    let mpo = b.build().map_err(|e| Error::Sweep(e.to_string()))?;
-    mps.expectation(&mpo)
-        .map_err(|e| Error::Sweep(e.to_string()))
+    let mpo = b.build()?;
+    Ok(mps.expectation(&mpo)?)
 }
 
 /// Static spin structure factor
@@ -69,9 +67,8 @@ pub fn structure_factor<S: SiteType>(
                 // on-site ⟨Op²⟩ via a two-factor same-site term
                 let mut b = AutoMpo::new(site_type.clone(), n);
                 b.add(1.0, &[(i, op), (i, op)]);
-                let mpo = b.build().map_err(|e| Error::Sweep(e.to_string()))?;
-                mps.expectation(&mpo)
-                    .map_err(|e| Error::Sweep(e.to_string()))?
+                let mpo = b.build()?;
+                mps.expectation(&mpo)?
             } else {
                 correlation(mps, site_type, i, op, j, op)?
             };
@@ -88,9 +85,8 @@ pub fn total_expectation<S: SiteType>(mps: &Mps, site_type: &S, op: &str) -> Res
     for i in 0..n {
         b.add(1.0, &[(i, op)]);
     }
-    let mpo = b.build().map_err(|e| Error::Sweep(e.to_string()))?;
-    mps.expectation(&mpo)
-        .map_err(|e| Error::Sweep(e.to_string()))
+    let mpo = b.build()?;
+    Ok(mps.expectation(&mpo)?)
 }
 
 #[cfg(test)]

@@ -149,8 +149,7 @@ impl<'a> Dmrg<'a> {
         if n < 2 {
             return Err(Error::Sweep("two-site DMRG needs ≥ 2 sites".into()));
         }
-        mps.canonicalize(self.exec, 0)
-            .map_err(|e| Error::Sweep(e.to_string()))?;
+        mps.canonicalize(self.exec, 0)?;
         let mut envs = Environments::initialize(self.exec, self.algo, mps, self.mpo)?;
 
         let mut sweeps = Vec::new();
@@ -210,8 +209,7 @@ impl<'a> Dmrg<'a> {
             "lsj,jtk->lstk",
             mps.tensor(j),
             mps.tensor(j + 1),
-        )
-        .map_err(|e| Error::Sweep(e.to_string()))?;
+        )?;
 
         let heff = EffectiveHam {
             exec: self.exec,
@@ -224,10 +222,11 @@ impl<'a> Dmrg<'a> {
         // upload the environment/MPO operands once per local eigensolve:
         // every Davidson matvec contracts against the resident handles
         // (zero operand re-shipping on the multi-process backend), with
-        // bitwise-identical numerics; dropped (released) after the solve
+        // bitwise-identical numerics; released after the solve (a failed
+        // solve drops it, which frees just the same)
         let rham = heff.upload()?;
         let (dres, mut x) = davidson(|v| rham.apply(v), &x0, params.davidson)?;
-        drop(rham);
+        rham.release()?;
 
         // noise injection: perturb with a random tensor over *all* allowed
         // blocks so sectors absent from x regain weight before the split
@@ -239,8 +238,7 @@ impl<'a> Dmrg<'a> {
             let pn = pert.norm();
             if pn > 0.0 {
                 pert.scale_mut(params.noise * x.norm() / pn);
-                x.axpy(1.0, &pert)
-                    .map_err(|e| Error::Sweep(e.to_string()))?;
+                x.axpy(1.0, &pert)?;
             }
         }
 
@@ -255,13 +253,12 @@ impl<'a> Dmrg<'a> {
                 cutoff: params.cutoff,
                 min_keep: 1,
             },
-        )
-        .map_err(|e| Error::Sweep(e.to_string()))?;
+        )?;
 
         let bond_dim = svd.s.bond_dim();
         if moving_right {
             let mut svt = svd.vt;
-            scale_bond(&mut svt, 0, &svd.s, false).map_err(|e| Error::Sweep(e.to_string()))?;
+            scale_bond(&mut svt, 0, &svd.s, false)?;
             // renormalize (truncation removes weight)
             let nrm = svt.norm();
             if nrm > 0.0 {
@@ -278,7 +275,7 @@ impl<'a> Dmrg<'a> {
             )?);
         } else {
             let mut us = svd.u;
-            scale_bond(&mut us, 2, &svd.s, false).map_err(|e| Error::Sweep(e.to_string()))?;
+            scale_bond(&mut us, 2, &svd.s, false)?;
             let nrm = us.norm();
             if nrm > 0.0 {
                 us.scale_mut(1.0 / nrm);

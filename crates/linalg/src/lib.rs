@@ -54,4 +54,11 @@ impl std::fmt::Display for Error {
     }
 }
 
-impl std::error::Error for Error {}
+impl std::error::Error for Error {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Error::Tensor(e) => Some(e),
+            Error::Shape(_) | Error::NoConvergence(_) => None,
+        }
+    }
+}

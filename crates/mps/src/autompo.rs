@@ -405,7 +405,7 @@ fn deparallelize(ws: &mut [DenseTensor<f64>], charges: &mut [Vec<QN>]) -> Result
         for j in 0..n - 1 {
             let (dl, d, _, dr) = dims4(&ws[j]);
             // matricize (dl·d·d) × dr
-            let mat = ws[j].clone().reshape([dl * d * d, dr]).map_err(wrap)?;
+            let mat = ws[j].clone().reshape([dl * d * d, dr])?;
             let (keep, transfer) = column_depar(&mat, &charges[j + 1]);
             if keep.len() == dr {
                 continue;
@@ -447,8 +447,8 @@ fn deparallelize(ws: &mut [DenseTensor<f64>], charges: &mut [Vec<QN>]) -> Result
         for j in (1..n).rev() {
             let (dl, d, _, dr) = dims4(&ws[j]);
             // matricize dl × (d·d·dr): rows
-            let mat = ws[j].clone().reshape([dl, d * d * dr]).map_err(wrap)?;
-            let matt = mat.permute(&[1, 0]).map_err(wrap)?;
+            let mat = ws[j].clone().reshape([dl, d * d * dr])?;
+            let matt = mat.permute(&[1, 0])?;
             let (keep, transfer) = column_depar(&matt, &charges[j]);
             if keep.len() == dl {
                 continue;
@@ -488,10 +488,6 @@ fn deparallelize(ws: &mut [DenseTensor<f64>], charges: &mut [Vec<QN>]) -> Result
         }
     }
     Ok(())
-}
-
-fn wrap(e: tt_tensor::Error) -> Error {
-    Error::Term(e.to_string())
 }
 
 /// Column deparallelization of an `r×c` matrix whose columns carry charges:
@@ -593,10 +589,9 @@ fn to_block_tensors<S: SiteType>(
             site.physical_index(Arrow::Out),
             ridx,
         ];
-        let t = BlockSparseTensor::from_dense(indices, QN::zero(site.arity()), &dense, 0.0)
-            .map_err(|e| Error::Term(format!("MPO block conversion: {e}")))?;
+        let t = BlockSparseTensor::from_dense(indices, QN::zero(site.arity()), &dense, 0.0)?;
         // verify nothing was lost to symmetry filtering
-        let diff = t.to_dense().max_diff(&dense).map_err(wrap)?;
+        let diff = t.to_dense().max_diff(&dense)?;
         if diff > 1e-12 {
             return Err(Error::Term(format!(
                 "MPO site {j} has symmetry-forbidden entries (max {diff:.2e}); \

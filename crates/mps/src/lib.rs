@@ -30,7 +30,8 @@ pub use sites::{Electron, SiteType, SpinHalf};
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Errors from MPS/MPO construction and manipulation.
+/// Errors from MPS/MPO construction and manipulation: the three this crate
+/// detects itself, and those of the crates below it, carried whole.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Error {
     /// Unknown operator or malformed operator string.
@@ -39,6 +40,20 @@ pub enum Error {
     Term(String),
     /// Malformed state.
     State(String),
+    /// Error from a dense tensor kernel.
+    Tensor(tt_tensor::Error),
+    /// Error from a block-sparse operation or the runtime under it.
+    Blocks(tt_blocks::Error),
+}
+
+impl Error {
+    /// The transport fault underneath, if this error is one.
+    pub fn as_fault(&self) -> Option<&tt_dist::DistError> {
+        match self {
+            Error::Blocks(e) => e.as_fault(),
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for Error {
@@ -47,20 +62,30 @@ impl std::fmt::Display for Error {
             Error::Op(s) => write!(f, "operator error: {s}"),
             Error::Term(s) => write!(f, "term error: {s}"),
             Error::State(s) => write!(f, "state error: {s}"),
+            Error::Tensor(e) => write!(f, "tensor kernel: {e}"),
+            Error::Blocks(e) => write!(f, "block tensor: {e}"),
         }
     }
 }
 
-impl std::error::Error for Error {}
+impl std::error::Error for Error {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Error::Tensor(e) => Some(e),
+            Error::Blocks(e) => Some(e),
+            Error::Op(_) | Error::Term(_) | Error::State(_) => None,
+        }
+    }
+}
 
 impl From<tt_tensor::Error> for Error {
     fn from(e: tt_tensor::Error) -> Self {
-        Error::Term(e.to_string())
+        Error::Tensor(e)
     }
 }
 
 impl From<tt_blocks::Error> for Error {
     fn from(e: tt_blocks::Error) -> Self {
-        Error::Term(e.to_string())
+        Error::Blocks(e)
     }
 }

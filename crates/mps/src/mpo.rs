@@ -88,18 +88,18 @@ impl Mpo {
         // acc[out, in, k]
         let w0 = self.tensors[0].to_dense(); // [1, d, d, k]
         let k0 = w0.dims()[3];
-        let mut acc = w0.reshape([d, d, k0]).map_err(wrap)?;
+        let mut acc = w0.reshape([d, d, k0])?;
         for j in 1..n {
             let wj = self.tensors[j].to_dense(); // [k, d, d, k2]
                                                  // acc[o,i,k] ⋅ wj[k,a,b,r] -> [o,a,i,b,r]
-            let next = tt_tensor::einsum("oik,kabr->oaibr", &acc, &wj).map_err(wrap)?;
+            let next = tt_tensor::einsum("oik,kabr->oaibr", &acc, &wj)?;
             let o = acc.dims()[0] * d;
             let i = acc.dims()[1] * d;
             let r = wj.dims()[3];
-            acc = next.reshape([o, i, r]).map_err(wrap)?;
+            acc = next.reshape([o, i, r])?;
         }
         let dn = acc.dims()[0];
-        acc.reshape([dn, dn]).map_err(wrap)
+        Ok(acc.reshape([dn, dn])?)
     }
 
     /// Operator sum `self + other` via direct-sum bonds (block-diagonal
@@ -155,20 +155,16 @@ impl Mpo {
                 a.indices()[3].n_sectors() as u16
             };
             for (key, block) in a.blocks() {
-                t.insert_block(key.clone(), block.clone())
-                    .map_err(|e| Error::Term(e.to_string()))?;
+                t.insert_block(key.clone(), block.clone())?;
             }
             for (key, block) in b.blocks() {
                 let nk = vec![key[0] + l_shift, key[1], key[2], key[3] + r_shift];
                 if let Some(existing) = t.block(&nk) {
                     let mut acc = existing.clone();
-                    acc.axpy(1.0, block)
-                        .map_err(|e| Error::Term(e.to_string()))?;
-                    t.insert_block(nk, acc)
-                        .map_err(|e| Error::Term(e.to_string()))?;
+                    acc.axpy(1.0, block)?;
+                    t.insert_block(nk, acc)?;
                 } else {
-                    t.insert_block(nk, block.clone())
-                        .map_err(|e| Error::Term(e.to_string()))?;
+                    t.insert_block(nk, block.clone())?;
                 }
             }
             tensors.push(t);
@@ -195,42 +191,34 @@ impl Mpo {
         };
         // left → right: t_j = U, push S·Vt into t_{j+1}
         for j in 0..n - 1 {
-            let svd = block_svd(exec, &self.tensors[j], &[0, 1, 2], &[3], spec)
-                .map_err(|e| Error::Term(e.to_string()))?;
+            let svd = block_svd(exec, &self.tensors[j], &[0, 1, 2], &[3], spec)?;
             let mut svt = svd.vt;
-            scale_bond(&mut svt, 0, &svd.s, false).map_err(|e| Error::Term(e.to_string()))?;
+            scale_bond(&mut svt, 0, &svd.s, false)?;
             let merged = tt_blocks::contract::contract_list(
                 exec,
                 "xk,kabr->xabr",
                 &svt,
                 &self.tensors[j + 1],
-            )
-            .map_err(|e| Error::Term(e.to_string()))?;
+            )?;
             self.tensors[j] = svd.u;
             self.tensors[j + 1] = merged;
         }
         // right → left: t_j = Vt, push U·S into t_{j-1}
         for j in (1..n).rev() {
-            let svd = block_svd(exec, &self.tensors[j], &[0], &[1, 2, 3], spec)
-                .map_err(|e| Error::Term(e.to_string()))?;
+            let svd = block_svd(exec, &self.tensors[j], &[0], &[1, 2, 3], spec)?;
             let mut us = svd.u;
-            scale_bond(&mut us, 1, &svd.s, false).map_err(|e| Error::Term(e.to_string()))?;
+            scale_bond(&mut us, 1, &svd.s, false)?;
             let merged = tt_blocks::contract::contract_list(
                 exec,
                 "labk,kx->labx",
                 &self.tensors[j - 1],
                 &us,
-            )
-            .map_err(|e| Error::Term(e.to_string()))?;
+            )?;
             self.tensors[j] = svd.vt;
             self.tensors[j - 1] = merged;
         }
         Ok(self.max_bond_dim())
     }
-}
-
-fn wrap(e: tt_tensor::Error) -> Error {
-    Error::Term(e.to_string())
 }
 
 /// Dense `d^n × d^n` Hamiltonian from Jordan-Wigner-expanded terms — the

@@ -72,8 +72,7 @@ impl Mps {
             }
             let mut block = DenseTensor::zeros([1, phys.sector_dim(sector), 1]);
             block.set(&[0, within, 0], 1.0);
-            t.insert_block(vec![0, sector as u16, 0], block)
-                .map_err(|e| Error::State(e.to_string()))?;
+            t.insert_block(vec![0, sector as u16, 0], block)?;
             tensors.push(t);
         }
         Self::from_tensors(tensors)
@@ -122,14 +121,11 @@ impl Mps {
         let exec = Executor::local();
         let bra0 = self.tensors[0].conj();
         // E(b_bra, c_ket)
-        let mut e = contract_list(&exec, "lsb,lsc->bc", &bra0, &other.tensors[0])
-            .map_err(|e| Error::State(e.to_string()))?;
+        let mut e = contract_list(&exec, "lsb,lsc->bc", &bra0, &other.tensors[0])?;
         for j in 1..self.n_sites() {
             let bra = self.tensors[j].conj();
-            let t1 = contract_list(&exec, "bc,bse->cse", &e, &bra)
-                .map_err(|e| Error::State(e.to_string()))?;
-            e = contract_list(&exec, "cse,csf->ef", &t1, &other.tensors[j])
-                .map_err(|e| Error::State(e.to_string()))?;
+            let t1 = contract_list(&exec, "bc,bse->cse", &e, &bra)?;
+            e = contract_list(&exec, "cse,csf->ef", &t1, &other.tensors[j])?;
         }
         Ok(e.to_dense().at(&[0, 0]))
     }
@@ -159,8 +155,8 @@ impl Mps {
         // ket (l In, q In, c Out); boundary l and x are unit dims —
         // contract p and q, fold the unit left bonds via explicit labels
         let mut e = {
-            let bw = contract_list(&exec, "lpb,xpqk->lbxqk", &bra0, mpo.tensor(0)).map_err(wrap)?;
-            contract_list(&exec, "lbxqk,lqc->bxkc", &bw, &self.tensors[0]).map_err(wrap)?
+            let bw = contract_list(&exec, "lpb,xpqk->lbxqk", &bra0, mpo.tensor(0))?;
+            contract_list(&exec, "lbxqk,lqc->bxkc", &bw, &self.tensors[0])?
         };
         // e has indices (b_bra, x_unit, k_mpo, c_ket) — drop the unit x by
         // contracting later; simpler: reshape via permute keeping order —
@@ -168,12 +164,11 @@ impl Mps {
         for j in 1..self.n_sites() {
             let bra = self.tensors[j].conj();
             // t1(b,x,k,c) · bra(b,p,e) -> (x,k,c,p,e)
-            let t1 = contract_list(&exec, "bxkc,bpe->xkcpe", &e, &bra).map_err(wrap)?;
+            let t1 = contract_list(&exec, "bxkc,bpe->xkcpe", &e, &bra)?;
             // · W(k,p,q,f) -> (x,c,e,q,f)
-            let t2 = contract_list(&exec, "xkcpe,kpqf->xceqf", &t1, mpo.tensor(j)).map_err(wrap)?;
+            let t2 = contract_list(&exec, "xkcpe,kpqf->xceqf", &t1, mpo.tensor(j))?;
             // · ket(c,q,g) -> (x,e,f,g) == new (e? ...) keep order (e,x?,...)
-            let t3 =
-                contract_list(&exec, "xceqf,cqg->exfg", &t2, &self.tensors[j]).map_err(wrap)?;
+            let t3 = contract_list(&exec, "xceqf,cqg->exfg", &t2, &self.tensors[j])?;
             // rename to (b,x,k,c)
             e = t3;
         }
@@ -198,8 +193,7 @@ impl Mps {
         }
         if n == 1 {
             let mut t = self.tensors[0].clone();
-            t.axpy(1.0, &other.tensors[0])
-                .map_err(|e| Error::State(e.to_string()))?;
+            t.axpy(1.0, &other.tensors[0])?;
             return Mps::from_tensors(vec![t]);
         }
         if self.total_qn() != other.total_qn() {
@@ -254,21 +248,17 @@ impl Mps {
                 a.indices()[2].n_sectors() as u16
             };
             for (key, block) in a.blocks() {
-                t.insert_block(key.clone(), block.clone())
-                    .map_err(|e| Error::State(e.to_string()))?;
+                t.insert_block(key.clone(), block.clone())?;
             }
             for (key, block) in b.blocks() {
                 let nk = vec![key[0] + l_shift, key[1], key[2] + r_shift];
                 // boundary sharing can collide block keys; accumulate
                 if let Some(existing) = t.block(&nk) {
                     let mut acc = existing.clone();
-                    acc.axpy(1.0, block)
-                        .map_err(|e| Error::State(e.to_string()))?;
-                    t.insert_block(nk, acc)
-                        .map_err(|e| Error::State(e.to_string()))?;
+                    acc.axpy(1.0, block)?;
+                    t.insert_block(nk, acc)?;
                 } else {
-                    t.insert_block(nk, block.clone())
-                        .map_err(|e| Error::State(e.to_string()))?;
+                    t.insert_block(nk, block.clone())?;
                 }
             }
             tensors.push(t);
@@ -285,10 +275,8 @@ impl Mps {
             return Err(Error::State(format!("center {center} ≥ n={n}")));
         }
         for j in 0..center {
-            let (q, r) = tt_blocks::block_qr(exec, &self.tensors[j], &[0, 1], &[2])
-                .map_err(|e| Error::State(e.to_string()))?;
-            let merged =
-                contract_list(exec, "bk,ksj->bsj", &r, &self.tensors[j + 1]).map_err(wrap)?;
+            let (q, r) = tt_blocks::block_qr(exec, &self.tensors[j], &[0, 1], &[2])?;
+            let merged = contract_list(exec, "bk,ksj->bsj", &r, &self.tensors[j + 1])?;
             self.tensors[j] = q;
             self.tensors[j + 1] = merged;
         }
@@ -303,12 +291,10 @@ impl Mps {
                     cutoff: 0.0,
                     min_keep: 1,
                 },
-            )
-            .map_err(|e| Error::State(e.to_string()))?;
+            )?;
             let mut us = svd.u;
-            scale_bond(&mut us, 1, &svd.s, false).map_err(|e| Error::State(e.to_string()))?;
-            let merged =
-                contract_list(exec, "lsk,kx->lsx", &self.tensors[j - 1], &us).map_err(wrap)?;
+            scale_bond(&mut us, 1, &svd.s, false)?;
+            let merged = contract_list(exec, "lsk,kx->lsx", &self.tensors[j - 1], &us)?;
             self.tensors[j] = svd.vt;
             self.tensors[j - 1] = merged;
         }
@@ -328,8 +314,7 @@ impl Mps {
                 cutoff: 0.0,
                 min_keep: 1,
             },
-        )
-        .map_err(|e| Error::State(e.to_string()))?;
+        )?;
         Ok(svd.s)
     }
 
@@ -339,10 +324,6 @@ impl Mps {
         let t = &self.tensors[j];
         (t.n_blocks(), t.largest_block_dim(), t.fill_fraction())
     }
-}
-
-fn wrap(e: tt_blocks::Error) -> Error {
-    Error::State(e.to_string())
 }
 
 #[cfg(test)]

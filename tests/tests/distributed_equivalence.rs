@@ -754,7 +754,7 @@ fn flat_chain_executors() -> Vec<(String, Executor)> {
 }
 
 /// Run the sparse-sparse chain `specs[s]: operands[s] · (previous result,
-/// `x` first)` three ways on `exec` — `chain_apply`'s flat chain, the fold
+/// `x` first)` three ways on `exec` — `ResidentChain::apply`'s flat chain, the fold
 /// of `contract_resident`, the value path — each from zeroed meters with
 /// the operands already resident. Asserts chain ≡ fold in result bits,
 /// flops, simulated seconds, operand bytes and result bytes, and chain ≡
@@ -767,21 +767,18 @@ fn meter_ss_paths(
     operands: &[&BlockSparseTensor],
     x: &BlockSparseTensor,
 ) -> (Vec<f64>, u64, u64) {
-    use tt_blocks::contract::{
-        chain_apply, contract, contract_resident, free_operand, upload_operand,
-    };
+    use tt_blocks::contract::{contract, contract_resident};
     let algo = Algorithm::SparseSparse;
-    let resident: Vec<tt_blocks::ResidentOperand> = operands
+    let steps: Vec<(&str, &BlockSparseTensor)> = specs
         .iter()
-        .map(|t| upload_operand(exec, algo, t))
+        .copied()
+        .zip(operands.iter().copied())
         .collect();
-    let steps: Vec<(&str, &tt_blocks::ResidentOperand)> =
-        specs.iter().copied().zip(&resident).collect();
-    let state = tt_blocks::ChainState::default();
-    let chain = || chain_apply(exec, algo, &steps, x, &state).unwrap();
+    let resident = tt_blocks::ResidentChain::upload(exec, algo, &steps).unwrap();
+    let chain = || resident.apply(x).unwrap();
     let fold = || {
-        steps.iter().fold(x.clone(), |b, (spec, a)| {
-            contract_resident(exec, algo, spec, a, &b).unwrap()
+        specs.iter().enumerate().fold(x.clone(), |b, (s, spec)| {
+            contract_resident(exec, algo, spec, resident.operand(s), &b).unwrap()
         })
     };
     let value = || {
@@ -805,7 +802,7 @@ fn meter_ss_paths(
     chain();
     let chained = metered(&chain);
     // a second application finds the kept structural plan: same everything
-    assert_eq!(metered(&chain), chained, "{name}: kept chain state");
+    assert_eq!(metered(&chain), chained, "{name}: kept chain plan");
     assert_eq!(
         metered(&fold),
         chained,
@@ -814,9 +811,7 @@ fn meter_ss_paths(
     let by_value = metered(&value);
     assert_eq!(by_value.0, chained.0, "{name}: flat chain vs value path");
     assert_eq!(by_value.1, chained.1, "{name}: flops vs value path");
-    for op in &resident {
-        free_operand(exec, op).unwrap();
-    }
+    resident.release().unwrap();
     (chained.0, chained.1, chained.2)
 }
 

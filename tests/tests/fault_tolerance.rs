@@ -36,14 +36,15 @@ fn faulty_executor(workers: usize, plan: &str) -> Executor {
         .expect("spawn multi-process workers")
 }
 
-fn run_energy(exec: &Executor, algo: Algorithm) -> f64 {
+fn run_dmrg(exec: &Executor, algo: Algorithm) -> dmrg::Result<dmrg::DmrgRun> {
     let lat = Lattice::chain(6);
     let mpo = heisenberg_j1j2(&lat, 1.0, 0.0).build().expect("mpo");
     let mut psi = Mps::product_state(&SpinHalf, &neel_state(6)).expect("state");
-    Dmrg::new(exec, algo, &mpo)
-        .run(&mut psi, &test_schedule(&[8, 16], 2))
-        .expect("dmrg")
-        .energy
+    Dmrg::new(exec, algo, &mpo).run(&mut psi, &test_schedule(&[8, 16], 2))
+}
+
+fn run_energy(exec: &Executor, algo: Algorithm) -> f64 {
+    run_dmrg(exec, algo).expect("dmrg").energy
 }
 
 #[test]
@@ -97,6 +98,31 @@ fn exhausted_respawns_degrade_and_stay_bitwise() {
         "degraded run must still be bitwise-identical"
     );
     assert!(degraded.recovery_bytes() > 0);
+}
+
+#[test]
+fn unrecoverable_kill_is_a_typed_fault_through_the_sweep() {
+    // One worker, killed, respawn vetoed: there is nowhere to recover to,
+    // so the sweep must fail — and what reaches `Dmrg::run`'s caller is
+    // still the transport's typed fault (what happened, on which rank),
+    // four crates up, not prose. `ProcTransport::retire` raises it when no
+    // worker survives.
+    let deadline = Duration::from_secs(60);
+    for algo in [
+        Algorithm::List,
+        Algorithm::SparseDense,
+        Algorithm::SparseSparse,
+    ] {
+        let exec = faulty_executor(1, "kill:0@40,nospawn:0");
+        let started = std::time::Instant::now();
+        let err = run_dmrg(&exec, algo).expect_err("a sweep cannot outlive its only worker");
+        assert!(started.elapsed() < deadline, "{algo}: detected in time");
+        let fault = err
+            .as_fault()
+            .unwrap_or_else(|| panic!("{algo}: not a typed fault: {err}"));
+        assert_eq!(fault.kind, tt_dist::FaultKind::WorkerDied, "{algo}: {err}");
+        assert_eq!(fault.rank, Some(0), "{algo}: {err}");
+    }
 }
 
 /// A block-sparse pair with enough sectors to fan work out over 3 ranks.
