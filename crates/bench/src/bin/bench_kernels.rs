@@ -43,7 +43,16 @@
 //! `spins-m64-step*` run the sparse-dense kernel at the H_eff chain's
 //! step-2 (run views on both sides) and step-4 (`B` really transposed)
 //! operand shapes, so the gate sees the layout boundary and not only the
-//! 2-D kernel.
+//! 2-D kernel. Those rows re-run one contraction in a loop, which the
+//! allocator serves from a warm heap; the `sd_chain` row
+//! `spins-m64-matvec` is what a sweep runs instead — the four steps as one
+//! `Executor::chain` against resident operands on one executor, the result
+//! downloaded and handed back — and reads seconds per matvec, buffer
+//! lifetimes included.
+//!
+//! The seed repository's scalar GEMM stays as the reference the packed
+//! kernel is measured against, at one size per element type (full runs
+//! only).
 //!
 //! Baselines must be regenerated on an idle machine — see `BENCHING.md`.
 
@@ -53,7 +62,7 @@ use std::hint::black_box;
 use std::time::Instant;
 use tt_bench::{grow_state, System};
 use tt_blocks::{contract, Algorithm, BlockSparseTensor};
-use tt_dist::{ExecMode, Executor, Machine};
+use tt_dist::{ChainSrc, ChainStep, ExecMode, Executor, Machine, OpHandle};
 use tt_tensor::{Complex64, DenseTensor, Scalar, SparseTensor};
 
 /// GFlop/s regression a kernel may show against the baseline before the
@@ -65,6 +74,11 @@ const MAX_REGRESSION: f64 = 0.30;
 /// same single-worker code path; above it the pool must at least break
 /// even.
 const MAX_THREADED_DEFICIT: f64 = 0.05;
+
+/// The one size the seed kernel is timed at per element type: the largest
+/// of the full run's (the 512³ `f64` pair is PR 2's acceptance gate).
+const SEED_REFERENCE_SIZE: usize = 512;
+const SEED_REFERENCE_SIZE_C64: usize = 256;
 
 /// The seed repo's scalar cache-blocked `(i,k,j)` GEMM — kept here verbatim
 /// (generalized over the scalar type) as the perf reference the packed
@@ -428,6 +442,41 @@ const SD_CHAIN_CASES: [SdChainCase; 2] = [
     },
 ];
 
+/// The four H_eff steps at the same bond (`m` = 64, MPO bonds 14 → 17 →
+/// 14, physical dimension 2): `(spec, structural operand dims, density)`,
+/// each step contracting its operand with the previous step's output,
+/// the first with the two-site tensor `x` of shape [`MATVEC_X`].
+const MATVEC_STEPS: [(&str, &[usize], f64); 4] = [
+    ("bkc,cqwf->bkqwf", &[64, 14, 64], 0.24),
+    ("kpqg,bkqwf->bpgwf", &[14, 2, 2, 17], 0.05),
+    ("gswh,bpgwf->bpshf", &[17, 2, 2, 14], 0.05),
+    ("rhf,bpshf->bpsr", &[64, 14, 64], 0.24),
+];
+const MATVEC_X: [usize; 4] = [64, 2, 2, 64];
+
+/// One sparse-dense matvec as `ResidentChain::apply` runs it: the steps
+/// as one chain against resident operands, `y` downloaded and — once the
+/// caller would have re-blocked it — handed back.
+fn sd_chain_matvec(exec: &Executor, operands: &[OpHandle], x: &DenseTensor<f64>) {
+    let steps: Vec<ChainStep> = MATVEC_STEPS
+        .iter()
+        .zip(operands)
+        .enumerate()
+        .map(|(s, (&(spec, ..), a))| ChainStep {
+            spec,
+            a: ChainSrc::Sparse(a.into()),
+            b: match s.checked_sub(1) {
+                None => ChainSrc::Dense(x.into()),
+                Some(prev) => ChainSrc::Prev(prev),
+            },
+            acc: None,
+        })
+        .collect();
+    let y = exec.chain(&steps).unwrap().pop().flatten().unwrap();
+    let y = exec.download::<f64>(y).unwrap();
+    exec.recycle(black_box(y));
+}
+
 /// The tensors the sparse algorithms convert at the middle bond of a warm
 /// `lx × ly` state at bond dimension `m` (the `bench_e2e` sweep sizes):
 /// the two-site tensor `x` (order 4) and the first matvec intermediate
@@ -551,17 +600,19 @@ fn main() {
                 secs,
             );
 
-            let secs = best_of(reps, || {
-                c.iter_mut().for_each(|x| *x = 0.0);
-                seed_gemm_acc(s, s, s, a.data(), b.data(), &mut c);
-            });
-            record(
-                &mut entries,
-                "gemm_seed_scalar",
-                format!("{s}x{s}x{s}"),
-                flops,
-                secs,
-            );
+            if s == SEED_REFERENCE_SIZE {
+                let secs = best_of(reps, || {
+                    c.iter_mut().for_each(|x| *x = 0.0);
+                    seed_gemm_acc(s, s, s, a.data(), b.data(), &mut c);
+                });
+                record(
+                    &mut entries,
+                    "gemm_seed_scalar",
+                    format!("{s}x{s}x{s}"),
+                    flops,
+                    secs,
+                );
+            }
         }
 
         // --- Complex64 GEMM: plane-split packed microkernel vs seed scalar ---
@@ -584,17 +635,19 @@ fn main() {
                 secs,
             );
 
-            let secs = best_of(reps, || {
-                c.iter_mut().for_each(|x| *x = Complex64::new(0.0, 0.0));
-                seed_gemm_acc(s, s, s, a.data(), b.data(), &mut c);
-            });
-            record(
-                &mut entries,
-                "gemm_seed_scalar_c64",
-                format!("{s}x{s}x{s}"),
-                flops,
-                secs,
-            );
+            if s == SEED_REFERENCE_SIZE_C64 {
+                let secs = best_of(reps, || {
+                    c.iter_mut().for_each(|x| *x = Complex64::new(0.0, 0.0));
+                    seed_gemm_acc(s, s, s, a.data(), b.data(), &mut c);
+                });
+                record(
+                    &mut entries,
+                    "gemm_seed_scalar_c64",
+                    format!("{s}x{s}x{s}"),
+                    flops,
+                    secs,
+                );
+            }
         }
 
         // --- transposed-layout GEMM (packing absorbs the transpose) ----------
@@ -692,6 +745,37 @@ fn main() {
                 2.0 * sp.nnz() as f64 * n as f64,
                 secs,
             );
+        }
+        // the whole matvec those steps belong to, as a sweep runs it
+        {
+            let exec = Executor::with_machine(Machine::local(), 1, ExecMode::Sequential);
+            let x = DenseTensor::<f64>::random(&MATVEC_X[..], &mut rng);
+            let (mut flops, mut b_len) = (0.0, x.len());
+            let operands: Vec<OpHandle> = MATVEC_STEPS
+                .iter()
+                .map(|&(spec, dims, density)| {
+                    let a = random_sparse(dims, density, 11);
+                    // a step costs 2·nnz·n with n = |B| / k columns, and its
+                    // m·n output is the next step's B
+                    let plan = tt_tensor::ContractPlan::parse(spec).unwrap();
+                    let k: usize = plan.ctr_a_positions().iter().map(|&i| dims[i]).product();
+                    let m: usize = plan.free_a_positions().iter().map(|&i| dims[i]).product();
+                    flops += 2.0 * a.nnz() as f64 * (b_len / k) as f64;
+                    b_len = b_len / k * m;
+                    exec.upload_sparse(&a)
+                })
+                .collect();
+            let secs = best_of(reps * 2, || sd_chain_matvec(&exec, &operands, &x));
+            record(
+                &mut entries,
+                "sd_chain",
+                "spins-m64-matvec".to_string(),
+                flops,
+                secs,
+            );
+            for h in &operands {
+                exec.free(h).unwrap();
+            }
         }
         for &(m, k, n, reps) in ss_sizes {
             let sp = skewed_sparse(m, k);

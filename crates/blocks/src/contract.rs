@@ -134,8 +134,15 @@ impl StepPlan {
     ) -> Result<BlockSparseTensor> {
         match self.mask {
             None => {
-                let c = exec.contract_sd(spec, a, &b.to_dense())?;
-                BlockSparseTensor::from_dense(self.out_indices, self.out_flux, &c, 0.0)
+                let b_dense = b.to_dense();
+                let c = exec.contract_sd(spec, a, &b_dense)?;
+                let blocks =
+                    BlockSparseTensor::from_dense(self.out_indices, self.out_flux, &c, 0.0);
+                // both dense ends are spent: their buffers serve the next
+                // contraction's
+                exec.recycle(c);
+                exec.recycle(b_dense);
+                blocks
             }
             Some(mask) => {
                 let c = exec.contract_ss(spec, a, &b.to_flat_sparse(), Some(&mask))?;
@@ -625,16 +632,20 @@ impl<'e> ResidentChain<'e> {
                 })
             })
             .collect::<Result<Vec<ChainStep>>>()?;
-        let mut results = self.exec.chain(&chain_steps)?;
-        let last = results
+        // every step but the last is consumed by the next: the chain
+        // releases those itself and hands out the last alone
+        let last = self
+            .exec
+            .chain(&chain_steps)?
             .pop()
             .expect("non-empty chain")
             .expect("final step is not an accumulate");
-        let rest: Vec<ResultHandle> = results.into_iter().flatten().collect();
-        let y = self.exec.download(last);
-        self.exec.free_results(rest)?;
+        let y = self.exec.download(last)?;
         let (indices, flux) = plan.output();
-        BlockSparseTensor::from_dense(indices, flux, &y?, 0.0)
+        let blocks = BlockSparseTensor::from_dense(indices, flux, &y, 0.0);
+        self.exec.recycle(y);
+        self.exec.recycle(b_dense);
+        blocks
     }
 
     /// The list chain: propagate the block structure symbolically (the
@@ -698,8 +709,9 @@ impl<'e> ResidentChain<'e> {
             self.exec.chain(&chain_steps)
         })?;
 
-        // download the final step's blocks (in sorted key order); free every
-        // other resident intermediate in place
+        // download the final step's blocks (in sorted key order); free the
+        // blocks of earlier steps that nothing consumed (the chain released
+        // the consumed ones itself)
         let mut dl_keys: Vec<BlockKey> = Vec::new();
         let mut to_download: Vec<ResultHandle> = Vec::new();
         for (k, bref) in &cur {
@@ -935,6 +947,50 @@ mod tests {
                 fresh.release().unwrap();
             }
             kept.release().unwrap();
+        }
+    }
+
+    /// N applications of one chain: the same bits every time, and from the
+    /// second on no fresh workspace buffer — the first left behind what the
+    /// later ones need. Sectors of 32 make every sparse-dense intermediate
+    /// 128 KiB, the size the workspace starts serving at; the list and
+    /// sparse-sparse chains never draw on it.
+    #[test]
+    fn repeated_apply_reuses_and_agrees() {
+        let mut rng = StdRng::seed_from_u64(104);
+        let wide = |arrow| bond(arrow, &[(-1, 32), (1, 32)]);
+        let mid = bond(Arrow::Out, &[(-2, 16), (0, 32), (2, 16)]);
+        let a = BlockSparseTensor::random(
+            vec![wide(Arrow::In), spin(Arrow::In), mid.clone()],
+            QN::zero(1),
+            &mut rng,
+        );
+        let w = BlockSparseTensor::random(
+            vec![wide(Arrow::In), wide(Arrow::Out)],
+            QN::zero(1),
+            &mut rng,
+        );
+        let x = BlockSparseTensor::random(
+            vec![mid.dual(), spin(Arrow::In), wide(Arrow::Out)],
+            QN::zero(1),
+            &mut rng,
+        );
+        let steps = [("isj,jtk->istk", &a), ("ui,istk->ustk", &w)];
+        for algo in ALGOS {
+            let exec = Executor::local();
+            let chain = ResidentChain::upload(&exec, algo, &steps).unwrap();
+            let first = chain.apply(&x).unwrap();
+            let fresh = |exec: &Executor| {
+                let stats = exec.workspace_stats();
+                stats.takes - stats.reuses
+            };
+            let after_first = fresh(&exec);
+            assert_eq!(after_first > 0, algo == Algorithm::SparseDense, "{algo}");
+            for _ in 0..3 {
+                assert_eq!(chain.apply(&x).unwrap(), first, "{algo}");
+                assert_eq!(fresh(&exec), after_first, "{algo}");
+            }
+            chain.release().unwrap();
         }
     }
 

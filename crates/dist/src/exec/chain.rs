@@ -75,6 +75,18 @@ struct PlannedStep {
     base: usize,
     /// Result store key (the base's key for accumulate steps).
     key: u64,
+    /// For an output some later step reads through [`ChainSrc::Prev`]: the
+    /// last step that reads or accumulates into it. Such an output is
+    /// *internal* — released when that step has run, never handed out.
+    dies_after: Option<usize>,
+}
+
+impl PlannedStep {
+    /// Whether step `i`, which this plan belongs to, owns an output the
+    /// caller receives a handle for.
+    fn hands_out(&self, i: usize) -> bool {
+        self.base == i && self.dies_after.is_none()
+    }
 }
 
 /// Stored `f64` words per element of a dense buffer tagged `kind`.
@@ -122,10 +134,14 @@ impl Executor {
     /// may consume prior steps' resident outputs ([`ChainSrc::Prev`]) or
     /// the outputs of earlier chains ([`ChainSrc::Res`]), and no
     /// intermediate ever round-trips through the driver. Returns one
-    /// [`ResultHandle`] per non-accumulate step (in step order; `None` for
-    /// accumulate steps, which fold into their target's handle): the
-    /// results stay in the worker stores of the ranks that computed
-    /// them. [`Executor::download`] / [`Executor::download_many`] are the
+    /// [`ResultHandle`] per *terminal* output, in step order: the results
+    /// stay in the worker stores of the ranks that computed them. A step
+    /// yields `None` when it accumulates (it folds into its target's
+    /// handle) or when a later step of this chain reads its output — that
+    /// output is internal to the chain, which releases it itself once its
+    /// last consumer has run: in-process its buffer goes back to the
+    /// workspace there and then, on the cluster the chain ends with the
+    /// `Free`s. [`Executor::download`] / [`Executor::download_many`] are the
     /// only value-returning exits; [`Executor::free_result`] discards. A
     /// contraction that should just *produce a handle* is a one-step chain.
     ///
@@ -170,7 +186,8 @@ impl Executor {
                 }
             }
         } else {
-            self.chain_local(steps, &planned, &mut locals)?;
+            self.workspace
+                .call(|| self.chain_local(steps, &planned, &mut locals))?;
             vec![0; steps.len()]
         };
         // charge every step in submission order, from driver-side registry
@@ -192,7 +209,7 @@ impl Executor {
         let mut out = Vec::with_capacity(steps.len());
         let mut res = self.residency.lock();
         for (i, pl) in planned.iter().enumerate() {
-            if pl.base != i {
+            if !pl.hands_out(i) {
                 out.push(None);
                 continue;
             }
@@ -224,6 +241,9 @@ impl Executor {
         for (i, st) in steps.iter().enumerate() {
             let (a_dims, ak) = src_info(&st.a, &planned)?;
             let (b_dims, bk) = src_info(&st.b, &planned)?;
+            for j in [st.a.prev(), st.b.prev()].into_iter().flatten() {
+                planned[j].dies_after = Some(i);
+            }
             let (kind, scalar) = match (ak, bk) {
                 (SrcKind::Sparse, SrcKind::Dense(ResultKind::F64)) => {
                     (StepKind::Sd, ResultKind::F64)
@@ -277,7 +297,12 @@ impl Executor {
                             "step {i} accumulate target has mismatched shape or kind"
                         )));
                     }
-                    (t, tgt.key)
+                    // an accumulate keeps an internal output alive
+                    let key = tgt.key;
+                    if let Some(last) = &mut planned[t].dies_after {
+                        *last = i;
+                    }
+                    (t, key)
                 }
             };
             planned.push(PlannedStep {
@@ -294,6 +319,7 @@ impl Executor {
                 words_c,
                 base,
                 key,
+                dies_after: None,
             });
         }
         Ok(planned)
@@ -301,7 +327,8 @@ impl Executor {
 
     /// The cluster leg of [`Executor::chain`]: place each step, move
     /// misplaced resident inputs (redistribute supersteps), and ship the
-    /// fused chain superstep(s). Returns the home rank per step.
+    /// fused chain superstep(s), then free the outputs that were internal
+    /// to the chain. Returns the home rank per step.
     fn chain_over_cluster(
         &self,
         cl: &mut Cluster,
@@ -363,6 +390,17 @@ impl Executor {
             pending.task(rank, req);
         }
         pending.run(cl)?;
+        // every consumer has run: the internal outputs go, each where it
+        // ended up
+        let frees: Vec<(usize, Request)> = planned
+            .iter()
+            .zip(&homes)
+            .filter(|(pl, _)| pl.dies_after.is_some())
+            .map(|(pl, &home)| (home, Request::Free { key: pl.key }))
+            .collect();
+        if !frees.is_empty() {
+            cl.call_all(frees)?;
+        }
         Ok(homes)
     }
 
@@ -442,7 +480,9 @@ impl Executor {
 
     /// The in-process leg of [`Executor::chain`]: run every step locally
     /// with the exact same kernels as the value paths, accumulating
-    /// partials in submission order.
+    /// partials in submission order. An internal output leaves `outs` as
+    /// soon as its last consumer has run; a sparse-dense one's buffer goes
+    /// back to the workspace it came from, for the next step to take.
     fn chain_local(
         &self,
         steps: &[ChainStep],
@@ -469,8 +509,7 @@ impl Executor {
                     let DenseRef::F64(tb) = resolve_local(&st.b, outs)? else {
                         return Err(mismatch());
                     };
-                    let (c, _flops) =
-                        kernels::sd_contract(&pl.plan, op.tensor()?, tb, self.pool())?;
+                    let (c, _flops) = self.sd_local(&pl.plan, op, tb)?;
                     DenseAny::F64(Arc::new(c))
                 }
             };
@@ -481,6 +520,17 @@ impl Executor {
                     .as_mut()
                     .ok_or_else(|| Error::Runtime("accumulate target missing".into()))?
                     .accumulate(&partial)?;
+            }
+            for j in [st.a.prev(), st.b.prev(), st.acc].into_iter().flatten() {
+                if planned[j].dies_after != Some(i) {
+                    continue;
+                }
+                if let (StepKind::Sd, Some(DenseAny::F64(dead))) = (planned[j].kind, outs[j].take())
+                {
+                    if let Ok(dead) = Arc::try_unwrap(dead) {
+                        self.workspace.give(dead.into_data());
+                    }
+                }
             }
         }
         Ok(())
@@ -602,6 +652,14 @@ impl Executor {
 }
 
 impl ChainSrc<'_> {
+    /// The step whose output this operand is, if it is one of this chain's.
+    fn prev(&self) -> Option<usize> {
+        match self {
+            ChainSrc::Prev(j) => Some(*j),
+            _ => None,
+        }
+    }
+
     /// The operand handle behind a by-handle operand.
     fn handle(&self) -> Option<&OpHandle> {
         match self {

@@ -49,7 +49,8 @@
 //! `residency` the upload/free lifecycle, the retention cache, the α–β
 //! charges and the `Superstep` builder; `dense`, `sparse` and `factorize`
 //! the value-returning entry points; `chain` the planner of worker-side
-//! chains and the result handles' exits.
+//! chains and the result handles' exits; `workspace` the recycled buffers
+//! of the sparse-dense temporaries.
 
 mod chain;
 mod dense;
@@ -59,11 +60,14 @@ mod residency;
 mod sparse;
 #[cfg(test)]
 mod tests;
+mod workspace;
 
 pub use chain::{ChainSrc, ChainStep};
 pub(crate) use factorize::decode_qr;
 pub use residency::RankCacheStats;
 pub(crate) use residency::Superstep;
+pub(crate) use workspace::Workspace;
+pub use workspace::WorkspaceStats;
 
 use crate::cluster::Cluster;
 use crate::cost::{CostTracker, SimTime};
@@ -349,6 +353,9 @@ pub struct Executor {
     chain_cursor: Mutex<usize>,
     /// Cross-job retention cache (see [`Executor::set_retention_cap`]).
     retention: Mutex<Retention>,
+    /// Where the in-process sparse-dense legs keep their large temporaries
+    /// between uses (see [`Executor::workspace_stats`]).
+    workspace: Workspace,
 }
 
 /// Transport options of the multi-process backend; nothing to set on a
@@ -448,6 +455,7 @@ impl Executor {
             next_result: Mutex::new(1 << 48),
             chain_cursor: Mutex::new(0),
             retention: Mutex::new(Retention::default()),
+            workspace: Workspace::default(),
         })
     }
 
@@ -531,6 +539,24 @@ impl Executor {
     pub fn journal_stats(&self) -> Vec<crate::JournalStats> {
         self.with_cluster(|cl| cl.journal_stats())
             .unwrap_or_default()
+    }
+
+    /// What the executor's workspace holds and has served. The workspace
+    /// recycles the large dense temporaries of the in-process sparse-dense
+    /// legs — chain-step outputs, released when their last consumer has
+    /// run, the kernel's `C` and transposed copies, and what
+    /// [`Executor::recycle`] hands in — so that a sweep does not page-fault
+    /// fresh memory for each of them; [`Executor::free`] states the bound on
+    /// what it keeps.
+    pub fn workspace_stats(&self) -> WorkspaceStats {
+        self.workspace.stats()
+    }
+
+    /// Hand a dense tensor the caller is done with — a sparse-dense result
+    /// it has converted, the densified operand it passed in — back to the
+    /// workspace its buffer came from, or could serve next.
+    pub fn recycle(&self, t: DenseTensor<f64>) {
+        self.workspace.give(t.into_data());
     }
 
     /// Bytes moved only because of fault recovery (journal replay and

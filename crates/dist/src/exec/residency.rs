@@ -175,7 +175,15 @@ impl Executor {
     /// store is a keyed map that never evicts, so a rank holds exactly
     /// what the driver has stored and not yet freed or downloaded — live
     /// operand handles, live [`ResultHandle`]s, and the retention cache up
-    /// to its byte cap ([`Executor::set_retention_cap`]).
+    /// to its byte cap ([`Executor::set_retention_cap`]) — plus its
+    /// workspace. A workspace (one per worker, one in the driver for the
+    /// in-process legs; [`Executor::workspace_stats`]) holds retired
+    /// sparse-dense temporaries for the next contraction to take: between
+    /// two calls, only buffers the last chain or `contract_sd` used, so at
+    /// most what that call would have had allocated while it ran, and
+    /// nothing once a call has needed nothing. In-process a resident
+    /// sparse operand also keeps its fused coordinates (24 bytes per stored
+    /// entry and contraction shape) until this last free, as a worker does.
     pub fn free(&self, h: &OpHandle) -> Result<()> {
         cost::scope_release(h.key());
         cost::scope_account(-(h.words() as i64));

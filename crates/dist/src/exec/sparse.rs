@@ -9,6 +9,8 @@ use crate::handle::{OpHandle, Residency};
 use crate::kernels;
 use crate::transport::worker::{OpCoords, OpSs, Reply, Request};
 use crate::{Error, Result};
+use std::borrow::Cow;
+use std::sync::Arc;
 use tt_tensor::einsum::ContractPlan;
 use tt_tensor::{DenseTensor, SparseTensor};
 
@@ -30,7 +32,7 @@ impl Executor {
         let (c, flops) = if let Some(cl) = &self.cluster {
             self.sd_over_cluster(&mut cl.lock(), &plan, &a, &b)?
         } else {
-            kernels::sd_contract(&plan, at, bt, self.pool())?
+            self.workspace.call(|| self.sd_local(&plan, &a, bt))?
         };
         let (m, k, n) = kernels::fused_dims(&plan, at.dims(), bt.dims());
         let perm_b = kernels::operand_perms(&plan).1;
@@ -44,6 +46,39 @@ impl Executor {
         let sb = self.op_state(b.handle(), |h| keys::matrix_b::<f64>(h, &perm_b), k * n);
         self.charge_contraction(sa, sb, m * n, m, n, flops, true);
         Ok(c)
+    }
+
+    /// The in-process leg of one sparse-dense contraction, for
+    /// [`Executor::contract_sd`] and sd chain steps alike. A resident `a`
+    /// keeps its fused coordinates with the handle (under the logical key
+    /// its upload is charged by) until its last [`Executor::free`] — what a
+    /// worker keeps after `UploadCoords`; a value's are computed per call.
+    /// The result's buffer comes from the workspace, inside the caller's
+    /// [`Workspace::call`](super::Workspace::call).
+    pub(super) fn sd_local(
+        &self,
+        plan: &ContractPlan,
+        a: &SparseOp,
+        b: &DenseTensor<f64>,
+    ) -> Result<(DenseTensor<f64>, u64)> {
+        let at = a.tensor()?;
+        plan.output_dims(at.dims(), b.dims())?;
+        let fuse = || kernels::sparse_coords(at, plan.free_a_positions(), plan.ctr_a_positions());
+        let kept: Option<Arc<[kernels::Coord]>> = a.handle().map(|h| {
+            let n = kernels::fused_dims(plan, at.dims(), b.dims()).2;
+            let lkey = keys::sd_a(h, plan, n).logical();
+            if let Some(coords) = self.residency.lock().coords(lkey) {
+                return coords;
+            }
+            let coords = fuse().into();
+            self.residency.lock().keep_coords(h.key(), lkey, &coords);
+            coords
+        });
+        let coords = match &kept {
+            Some(coords) => Cow::Borrowed(&coords[..]),
+            None => Cow::Owned(fuse()),
+        };
+        kernels::sd_contract(plan, at.dims(), coords, b, self.pool(), &self.workspace)
     }
 
     /// Sparse-dense contraction over the worker processes: the driver

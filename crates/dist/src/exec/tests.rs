@@ -1,6 +1,7 @@
 use super::factorize::tall_panel;
 use super::*;
 use crate::handle::ResultHandle;
+use crate::kernels::tests::heff_steps;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tt_linalg::TruncSpec;
@@ -536,9 +537,8 @@ fn chains_compose_prev_acc_and_res_bitwise() {
         ])
         .unwrap();
     let h_y = out.pop().unwrap().unwrap();
-    let h_t = out.pop().unwrap().unwrap();
+    assert!(out.pop().unwrap().is_none(), "the chain consumed it");
     assert_eq!(exec.download::<f64>(h_y).unwrap().data(), y_ref.data());
-    exec.free_result(h_t).unwrap();
 
     // accumulate folds partials in submission order (first stored)
     let mut out = exec
@@ -654,9 +654,8 @@ fn multi_process_chains_bitwise_and_collapse_result_bytes() {
         ])
         .unwrap();
     let h_y = out.pop().unwrap().unwrap();
-    let h_t = out.pop().unwrap().unwrap();
+    assert!(out.pop().unwrap().is_none(), "the chain freed it itself");
     let y = mp.download::<f64>(h_y).unwrap();
-    mp.free_result(h_t).unwrap();
     let chain_result_bytes = mp.result_bytes() - before;
     assert_eq!(y.data(), y_ref.data(), "chained must be bitwise equal");
     assert!(
@@ -918,6 +917,289 @@ fn factorization_handle_batches_match_value_batches() {
     }
 }
 
+/// The four H_eff operands `(L, W₁, W₂, R)` as sparse tensors and a
+/// two-site tensor, at bond dimension `bond` (`kernels::tests::heff_steps`:
+/// MPO bond 5, physical dimension 2): at 64 every intermediate is 655 KB
+/// and `x`, `y` are 128 KiB — all workspace-sized; at 8 nothing is.
+fn heff_operands(bond: usize, seed: u64) -> (Vec<SparseTensor<f64>>, DenseTensor<f64>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let steps = heff_steps(bond);
+    let structural = steps
+        .iter()
+        .map(|(_, dims, _)| {
+            SparseTensor::from_dense(&DenseTensor::random(&dims[..], &mut rng), 0.8)
+        })
+        .collect();
+    (structural, DenseTensor::random(&steps[0].2[..], &mut rng))
+}
+
+/// One sparse-dense matvec as a sweep runs it: the four steps as one
+/// chain against resident operands, the result downloaded, its bits
+/// copied out and both dense ends handed back.
+fn sd_matvec(exec: &Executor, handles: &[OpHandle], x: &DenseTensor<f64>) -> Vec<f64> {
+    let x = x.clone();
+    let specs = heff_steps(0).map(|(spec, ..)| spec);
+    let steps: Vec<ChainStep> = specs
+        .iter()
+        .zip(handles)
+        .enumerate()
+        .map(|(s, (&spec, h))| ChainStep {
+            spec,
+            a: ChainSrc::Sparse(h.into()),
+            b: match s.checked_sub(1) {
+                None => ChainSrc::Dense((&x).into()),
+                Some(prev) => ChainSrc::Prev(prev),
+            },
+            acc: None,
+        })
+        .collect();
+    let mut out = exec.chain(&steps).unwrap();
+    let y = exec.download::<f64>(out.pop().unwrap().unwrap()).unwrap();
+    assert!(out.iter().all(Option::is_none), "t1..t3 are internal");
+    let bits = y.data().to_vec();
+    exec.recycle(y);
+    exec.recycle(x);
+    bits
+}
+
+/// A dense chain with an accumulate, a consumed step and an unconsumed
+/// non-final one: both handed-out results, downloaded.
+fn list_chain(exec: &Executor, seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut dense = |dims: [usize; 2]| DenseTensor::<f64>::random(dims, &mut rng);
+    let (a, b, a2, c) = (
+        dense([60, 70]),
+        dense([70, 300]),
+        dense([60, 70]),
+        dense([300, 9]),
+    );
+    let step = |a, b, acc| ChainStep {
+        spec: "ik,kj->ij",
+        a,
+        b,
+        acc,
+    };
+    let out = exec
+        .chain(&[
+            step(
+                ChainSrc::Dense((&a).into()),
+                ChainSrc::Dense((&b).into()),
+                None,
+            ),
+            step(
+                ChainSrc::Dense((&a2).into()),
+                ChainSrc::Dense((&b).into()),
+                Some(0),
+            ),
+            step(
+                ChainSrc::Dense((&a2).into()),
+                ChainSrc::Dense((&b).into()),
+                None,
+            ),
+            step(ChainSrc::Prev(0), ChainSrc::Dense((&c).into()), None),
+        ])
+        .unwrap();
+    let handed: Vec<bool> = out.iter().map(Option::is_some).collect();
+    assert_eq!(handed, [false, false, true, true]);
+    exec.download_many::<f64>(out.into_iter().flatten().collect())
+        .unwrap()
+        .into_iter()
+        .map(DenseTensor::into_data)
+        .collect()
+}
+
+/// The workspace hands a chain the buffers an earlier, differently shaped
+/// chain retired — filled with NaN on their way back in a test build, so a
+/// reuse that skipped its zero-fill, or a transposition that did not
+/// write every element, cannot pass. Whatever ran before, a chain's bits
+/// are a fresh executor's.
+#[test]
+fn workspace_reuse_is_bitwise_invisible() {
+    let (large, x_large) = heff_operands(64, 31);
+    let (small, x_small) = heff_operands(8, 32);
+    let upload = |exec: &Executor, ops: &[SparseTensor<f64>]| -> Vec<OpHandle> {
+        ops.iter().map(|t| exec.upload_sparse(t)).collect()
+    };
+    let fresh = |ops: &[SparseTensor<f64>], x: &DenseTensor<f64>| {
+        let exec = Executor::local();
+        sd_matvec(&exec, &upload(&exec, ops), x)
+    };
+    let exec = Executor::local();
+    let (hl, hs) = (upload(&exec, &large), upload(&exec, &small));
+    let first = sd_matvec(&exec, &hl, &x_large);
+    assert_eq!(first, fresh(&large, &x_large), "large, cold");
+    assert_eq!(sd_matvec(&exec, &hs, &x_small), fresh(&small, &x_small));
+    assert_eq!(list_chain(&exec, 33), list_chain(&Executor::local(), 33));
+    let held_cold = exec.workspace_stats();
+    assert_eq!(sd_matvec(&exec, &hl, &x_large), first, "large, again");
+    assert_eq!(sd_matvec(&exec, &hl, &x_large), first, "large, warm");
+    let stats = exec.workspace_stats();
+    assert!(stats.reuses > held_cold.reuses, "{stats:?}");
+    // the value path draws from the same workspace
+    let step1 = heff_steps(0)[0].0;
+    let c = exec.contract_sd(step1, &hl[0], &x_large).unwrap();
+    let c_ref = Executor::local()
+        .contract_sd(step1, &large[0], &x_large)
+        .unwrap();
+    assert_eq!(c.data(), c_ref.data());
+    assert!(exec.workspace_stats().reuses > stats.reuses);
+    for h in hl.iter().chain(&hs) {
+        exec.free(h).unwrap();
+    }
+}
+
+/// After a call the workspace holds no more than that call requested,
+/// whatever ran before it — and a second matvec of one shape allocates
+/// nothing.
+#[test]
+fn workspace_holds_no_more_than_the_last_call() {
+    let exec = Executor::local();
+    let fixtures: Vec<_> = [64, 48, 8]
+        .iter()
+        .map(|&bond| {
+            let (ops, x) = heff_operands(bond, bond as u64);
+            let handles: Vec<OpHandle> = ops.iter().map(|t| exec.upload_sparse(t)).collect();
+            (handles, x)
+        })
+        .collect();
+    let mut held = Vec::new();
+    for which in [0, 0, 1, 2, 1, 0] {
+        let (handles, x) = &fixtures[which];
+        let before = exec.workspace_stats();
+        sd_matvec(&exec, handles, x);
+        let after = exec.workspace_stats();
+        assert!(
+            after.held_bytes <= exec.workspace.call_bytes(),
+            "bond fixture {which}: {after:?}"
+        );
+        held.push((
+            after.held_bytes,
+            (after.takes - before.takes) - (after.reuses - before.reuses),
+        ));
+    }
+    let (cold, warm, medium, small) = (held[0], held[1], held[2], held[3]);
+    assert!(
+        cold.0 > 0 && cold.1 > 0,
+        "a cold matvec allocates: {held:?}"
+    );
+    assert_eq!(warm, (cold.0, 0), "a warm one does not: {held:?}");
+    assert!(medium.0 < warm.0, "the bound follows the call: {held:?}");
+    assert_eq!(small.0, 0, "nothing requested, nothing kept: {held:?}");
+    // four steps, two buffers: an intermediate is back before the next
+    // but one is requested
+    let t_bytes = 8 * 20 * 64 * 64;
+    assert!(cold.0 <= 2 * t_bytes + 2 * 128 * 1024, "{held:?}");
+    for (handles, _) in &fixtures {
+        for h in handles {
+            exec.free(h).unwrap();
+        }
+    }
+}
+
+/// In-process, a resident sparse operand keeps its fused coordinates from
+/// its first sparse-dense contraction to its last free, under the key its
+/// upload is charged by; a value operand keeps nothing.
+#[test]
+fn resident_sparse_operands_keep_their_coords_until_freed() {
+    let (a, b) = operands(74);
+    let sa = SparseTensor::from_dense(&a, 0.5);
+    let spec = "isj,jtk->istk";
+    let plan = tt_tensor::einsum::ContractPlan::parse(spec).unwrap();
+    let exec = Executor::local();
+    let h = exec.upload_sparse(&sa);
+    let n = crate::kernels::fused_dims(&plan, a.dims(), b.dims()).2;
+    let lkey = keys::sd_a(&h, &plan, n).logical();
+    let kept = || exec.residency.lock().coords(lkey);
+
+    let by_value = exec.contract_sd(spec, &sa, &b).unwrap();
+    assert!(kept().is_none());
+    let first = exec.contract_sd(spec, &h, &b).unwrap();
+    let coords = kept().expect("kept by the first contraction");
+    assert_eq!(coords.len(), sa.nnz());
+    let chained = to_handle(
+        &exec,
+        spec,
+        ChainSrc::Sparse((&h).into()),
+        ChainSrc::Dense((&b).into()),
+    );
+    assert!(
+        Arc::ptr_eq(&coords, &kept().unwrap()),
+        "and reused, not rebuilt"
+    );
+    assert_eq!(first.data(), by_value.data());
+    assert_eq!(
+        exec.download::<f64>(chained).unwrap().data(),
+        by_value.data()
+    );
+    exec.free(&h).unwrap();
+    assert!(kept().is_none(), "the last free drops them");
+}
+
+/// A chain hands out a handle for every output nothing in it consumed,
+/// final or not, and for nothing else; on a cluster the consumed ones are
+/// gone from the worker stores when it returns.
+#[test]
+fn chain_hands_out_terminal_results_only() {
+    use crate::transport::RecordingTransport;
+    let mut cluster = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
+    let (transport, _log) = RecordingTransport::new(2);
+    cluster.cluster = Some(Mutex::new(Cluster::new(Box::new(transport))));
+    let local = Executor::local();
+    let reference = list_chain(&local, 34);
+    assert_eq!(list_chain(&cluster, 34), reference);
+    let stores = cluster.cache_stats().unwrap();
+    assert!(stores.iter().all(|s| s.entries == 0), "{stores:?}");
+
+    // between the chain and the downloads: two results stored, not three
+    let mut rng = StdRng::seed_from_u64(35);
+    let (a, b) = (
+        DenseTensor::<f64>::random([6, 8], &mut rng),
+        DenseTensor::<f64>::random([8, 8], &mut rng),
+    );
+    let step = |a, acc| ChainStep {
+        spec: "ik,kj->ij",
+        a,
+        b: ChainSrc::Dense((&b).into()),
+        acc,
+    };
+    let out = cluster
+        .chain(&[
+            step(ChainSrc::Dense((&a).into()), None),
+            step(ChainSrc::Prev(0), None),
+            step(ChainSrc::Dense((&a).into()), None),
+        ])
+        .unwrap();
+    let handed: Vec<bool> = out.iter().map(Option::is_some).collect();
+    assert_eq!(handed, [false, true, true]);
+    let entries: u64 = cluster
+        .cache_stats()
+        .unwrap()
+        .iter()
+        .map(|s| s.entries)
+        .sum();
+    assert_eq!(entries, 2);
+    cluster
+        .free_results(out.into_iter().flatten().collect())
+        .unwrap();
+
+    // an accumulate step has no output of its own to read
+    for exec in [&local, &cluster] {
+        let err = exec.chain(&[
+            step(ChainSrc::Dense((&a).into()), None),
+            step(ChainSrc::Dense((&a).into()), Some(0)),
+            step(ChainSrc::Prev(1), None),
+        ]);
+        assert!(matches!(err, Err(Error::Runtime(_))));
+    }
+    let entries: u64 = cluster
+        .cache_stats()
+        .unwrap()
+        .iter()
+        .map(|s| s.entries)
+        .sum();
+    assert_eq!(entries, 0);
+}
+
 /// Every frame a 2-worker cluster executor sends for a fixed script that
 /// walks each superstep builder — which rank, which request, which
 /// resident keys it reads and stores, how many operand bytes it carries —
@@ -1036,7 +1318,8 @@ fn protocol_trace_matches_golden() {
 
     // -- chains. `big` is resident on rank 1 only (second pair of a batch),
     // so step 1 runs there and pulls step 0's output across from rank 0;
-    // step 2 accumulates into step 1 in place
+    // step 2 accumulates into step 1 in place; the chain ends by freeing
+    // step 0's output, which was internal to it
     let (p, q, big, r) = (
         dense(&[6, 8]),
         dense(&[8, 40]),
@@ -1071,20 +1354,24 @@ fn protocol_trace_matches_golden() {
         ])
         .unwrap();
     let y = out.remove(1).unwrap();
-    let t = out.remove(0).unwrap();
-    // a later chain consumes both results; a sparse-dense step by value
+    assert!(out.iter().all(Option::is_none));
+    // a later chain consumes the result; a sparse-dense step by value
     // and by handle
     let sq = SparseTensor::from_dense(&dense(&[12, 6]), 0.5);
     let hsq = exec.upload_sparse(&sq);
     let tail = exec
         .chain(&[
-            step(ChainSrc::Res(&t), ChainSrc::Dense((&big).into()), None),
+            ChainStep {
+                spec: "ik,jk->ij",
+                a: ChainSrc::Res(&y),
+                b: ChainSrc::Dense((&big).into()),
+                acc: None,
+            },
             step(ChainSrc::Sparse((&sq).into()), ChainSrc::Res(&y), None),
             step(ChainSrc::Sparse((&hsq).into()), ChainSrc::Res(&y), None),
         ])
         .unwrap();
     exec.download::<f64>(y).unwrap();
-    exec.free_result(t).unwrap();
     let mut tail: Vec<ResultHandle> = tail.into_iter().flatten().collect();
     exec.download::<f64>(tail.remove(0)).unwrap();
     exec.free_results(tail).unwrap();

@@ -20,6 +20,7 @@
 //! backends.
 
 use crate::exec::WireScalar;
+use crate::kernels::Coord;
 use crate::transport::worker::Buf;
 use crate::{Error, Result};
 use std::collections::HashMap;
@@ -312,6 +313,8 @@ struct HandleState {
     logical: Vec<u64>,
     /// Worker keys of physical buffers derived from this handle.
     physical: Vec<u64>,
+    /// Keys of the fused coordinate lists kept in-process for this handle.
+    coords: Vec<u64>,
 }
 
 /// Driver-side registry of everything resident (or charged as resident).
@@ -335,6 +338,10 @@ pub(crate) struct Residency {
     homes: HashMap<u64, (u64, Vec<usize>)>,
     /// Resident contraction results: worker key → placement.
     results: HashMap<u64, ResultInfo>,
+    /// Fused coordinates of resident sparse-dense operands, by the logical
+    /// key of their bucket family: what a worker keeps after
+    /// `UploadCoords`, kept here for the in-process legs.
+    coords: HashMap<u64, Arc<[Coord]>>,
 }
 
 /// Driver-side record of one resident contraction result.
@@ -373,6 +380,9 @@ impl Residency {
         for k in &st.logical {
             self.charged.remove(k);
         }
+        for k in &st.coords {
+            self.coords.remove(k);
+        }
         let mut physical = Vec::with_capacity(st.physical.len());
         for k in st.physical {
             if let Some((_, ranks)) = self.homes.remove(&k) {
@@ -410,6 +420,22 @@ impl Residency {
         } else {
             entry.1.push(rank);
             true
+        }
+    }
+
+    /// The fused coordinates kept under `lkey`, if any.
+    pub(crate) fn coords(&self, lkey: u64) -> Option<Arc<[Coord]>> {
+        self.coords.get(&lkey).cloned()
+    }
+
+    /// Keep `coords`, derived from live handle `content`, under `lkey`
+    /// until the handle's last free. A handle that is not live keeps
+    /// nothing: there would be no free to drop it.
+    pub(crate) fn keep_coords(&mut self, content: u64, lkey: u64, coords: &Arc<[Coord]>) {
+        if let Some(st) = self.handles.get_mut(&content).filter(|st| st.rc > 0) {
+            if self.coords.insert(lkey, Arc::clone(coords)).is_none() {
+                st.coords.push(lkey);
+            }
         }
     }
 
@@ -514,5 +540,21 @@ mod tests {
         // after the last free the logical charge comes back
         r.retain(7);
         assert!(r.observe(7, 100), "fresh resident period re-charges");
+    }
+
+    #[test]
+    fn kept_coords_live_as_long_as_their_handle() {
+        let mut r = Residency::default();
+        let coords: Arc<[Coord]> = vec![(0, 1, 2.0)].into();
+        r.keep_coords(7, 100, &coords);
+        assert!(r.coords(100).is_none(), "no live handle, nothing kept");
+        r.retain(7);
+        r.retain(7);
+        r.keep_coords(7, 100, &coords);
+        assert_eq!(r.coords(100).as_deref(), Some(&coords[..]));
+        r.release(7).unwrap();
+        assert!(r.coords(100).is_some(), "rc 2 -> 1 keeps them");
+        r.release(7).unwrap();
+        assert!(r.coords(100).is_none(), "the last free drops them");
     }
 }

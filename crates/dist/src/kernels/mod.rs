@@ -49,12 +49,14 @@ mod dense;
 mod sd;
 mod ss;
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;
 
 pub(crate) use dense::{dense_chunk, dense_contract, dense_prepare};
 pub(crate) use sd::{sd_apply, sd_buckets, sd_contract, sd_panel, sd_prepare, SdGeometry, SdView};
 pub(crate) use ss::{ss_chunk, ss_contract, ss_prepare};
 
+#[cfg(doc)]
+use crate::exec::Workspace;
 use crate::pool::{PoolJob, ThreadPool};
 use crate::Result;
 use tt_tensor::einsum::ContractPlan;
@@ -99,6 +101,13 @@ fn lanes(pool: Option<&ThreadPool>) -> usize {
 /// `sd_contract_threaded` at 512×128×64 (~5.6 MFlop) *slower* than
 /// sequential before this gate existed.
 const SPARSE_PAR_MIN_FLOPS: u64 = 16_000_000;
+
+/// Size (bytes) from which a dense temporary of the sparse-dense kernel is
+/// drawn from the caller's [`Workspace`] rather than allocated: the
+/// allocator's own threshold for handing out fresh pages (glibc maps
+/// requests of 128 KiB and more), below which a buffer comes warm from the
+/// heap and recycling it gains nothing.
+pub(crate) const WORKSPACE_MIN_BYTES: usize = 128 * 1024;
 
 /// The sparse fan-out rule: how many row chunks a sparse-dense or
 /// sparse-sparse contraction of `flops` flops is cut into, given `lanes`

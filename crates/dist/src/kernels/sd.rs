@@ -2,15 +2,16 @@
 //! one chunk body, and the contraction over [`ordered_map`].
 
 use super::{
-    bucket_by_volume, concat_rows, fused_dims, into_output, lanes, natural_dims, operand_perms,
-    ordered_map, sparse_chunks, sparse_coords, Coord, Ranges,
+    bucket_by_volume, concat_rows, fused_dims, lanes, natural_dims, operand_perms, ordered_map,
+    sparse_chunks, sparse_coords, Coord, Ranges,
 };
+use crate::exec::Workspace;
 use crate::pool::ThreadPool;
 use crate::{Error, Result};
 use std::borrow::Cow;
 use tt_tensor::einsum::ContractPlan;
 use tt_tensor::shape::is_permutation;
-use tt_tensor::transpose::permute_data;
+use tt_tensor::transpose::{motion, permute_data_into, Motion};
 use tt_tensor::{DenseTensor, SparseTensor};
 
 /// Shortest contiguous run worth addressing through an offset table:
@@ -248,12 +249,18 @@ pub(crate) fn sd_panel(
 /// straight into output order; more chunks bucket the coords by volume
 /// and fan natural-order row panels out over the pool. `B` is borrowed
 /// unless it has to be transposed.
+///
+/// The inline leg's large temporaries — `C`, a transposed `B`, a
+/// natural-order `C` on its way to output order — come from `ws` and the
+/// two that die here go back to it; the returned tensor's buffer is the
+/// caller's to give back. Pool panels are plain allocations.
 pub(crate) fn sd_apply(
     g: &SdGeometry,
     b: &[f64],
     coords: Cow<[Coord]>,
     chunks: usize,
     pool: Option<&ThreadPool>,
+    ws: &Workspace,
 ) -> Result<DenseTensor<f64>> {
     let (m, n) = (g.m, g.n);
     // the worker builds `g` from request fields: check before indexing
@@ -275,24 +282,36 @@ pub(crate) fn sd_apply(
     let b_data: Cow<[f64]> = if layout.b_in_place {
         Cow::Borrowed(b)
     } else {
-        Cow::Owned(permute_data(b, g.b_dims, g.perm_b)?)
+        let mut permuted = ws.take_unzeroed(b.len());
+        permute_data_into(b, g.b_dims, g.perm_b, &mut permuted)?;
+        Cow::Owned(permuted)
     };
-    if parallel.is_none() {
-        let mut c = vec![0.0f64; m * n];
-        sd_chunk(
-            0, &coords, layout.run, &layout.b, &b_data, &layout.c, &mut c,
-        );
-        return if layout.c_in_place {
-            Ok(DenseTensor::from_vec(out_dims, c)?)
-        } else {
-            into_output(g.nat_dims.to_vec(), c, g.out_perm)
-        };
+    let c = match parallel {
+        None => {
+            let mut c = ws.take(m * n);
+            sd_chunk(
+                0, &coords, layout.run, &layout.b, &b_data, &layout.c, &mut c,
+            );
+            c
+        }
+        Some(_) => {
+            let (ranges, buckets) = sd_buckets(coords.into_owned(), m, n, chunks);
+            let panels = ordered_map(parallel, ranges.len(), |i| {
+                sd_panel(ranges[i], n, &buckets[i], layout.run, &layout.b, &b_data)
+            });
+            concat_rows(panels, m * n)
+        }
+    };
+    if let Cow::Owned(permuted) = b_data {
+        ws.give(permuted);
     }
-    let (ranges, buckets) = sd_buckets(coords.into_owned(), m, n, chunks);
-    let panels = ordered_map(parallel, ranges.len(), |i| {
-        sd_panel(ranges[i], n, &buckets[i], layout.run, &layout.b, &b_data)
-    });
-    into_output(g.nat_dims.to_vec(), concat_rows(panels, m * n), g.out_perm)
+    if layout.c_in_place || motion(g.nat_dims, g.out_perm)? == Motion::Identity {
+        return Ok(DenseTensor::from_vec(out_dims, c)?);
+    }
+    let mut out = ws.take_unzeroed(c.len());
+    permute_data_into(&c, g.nat_dims, g.out_perm, &mut out)?;
+    ws.give(c);
+    Ok(DenseTensor::from_vec(out_dims, out)?)
 }
 
 /// `coords` as `chunks` volume-balanced row buckets: every stored entry
@@ -306,7 +325,14 @@ pub(crate) fn sd_buckets(
     bucket_by_volume(coords, m, chunks, |_| n as u64)
 }
 
-/// The prelude both legs of a sparse-dense contraction share: `A`'s
+/// The flops `nnz` stored entries of `A` cost against `B`'s `n`-wide rows,
+/// and the chunk count over `lanes`.
+fn sd_work(nnz: usize, n: usize, lanes: usize) -> (u64, usize) {
+    let flops = 2 * nnz as u64 * n as u64;
+    (flops, sparse_chunks(flops, lanes))
+}
+
+/// The prelude of the cluster leg of a sparse-dense contraction: `A`'s
 /// coords in stored order, the flops they cost against `B`'s `n`-wide
 /// rows, and the chunk count over `lanes`.
 pub(crate) fn sd_prepare(
@@ -318,29 +344,34 @@ pub(crate) fn sd_prepare(
     plan.output_dims(a.dims(), b_dims)?;
     let n = fused_dims(plan, a.dims(), b_dims).2;
     let coords = sparse_coords(a, plan.free_a_positions(), plan.ctr_a_positions());
-    let flops = 2 * coords.len() as u64 * n as u64;
-    Ok((coords, flops, sparse_chunks(flops, lanes)))
+    let (flops, chunks) = sd_work(coords.len(), n, lanes);
+    Ok((coords, flops, chunks))
 }
 
 /// Sparse × dense contraction producing a dense tensor, row-chunked with
 /// volume-balanced (nnz·n) chunk boundaries when [`sparse_chunks`] says
-/// the work is worth more than one lane.
+/// the work is worth more than one lane. `coords` are [`sparse_coords`] of
+/// the sparse operand (of shape `a_dims`) under `plan` — computed by the
+/// caller, which may keep them with a resident operand and has checked the
+/// operand shapes against `plan`.
 pub(crate) fn sd_contract(
     plan: &ContractPlan,
-    a: &SparseTensor<f64>,
+    a_dims: &[usize],
+    coords: Cow<[Coord]>,
     b: &DenseTensor<f64>,
     pool: Option<&ThreadPool>,
+    ws: &Workspace,
 ) -> Result<(DenseTensor<f64>, u64)> {
-    let (coords, flops, chunks) = sd_prepare(plan, a, b.dims(), lanes(pool))?;
-    let (m, _k, n) = fused_dims(plan, a.dims(), b.dims());
+    let (m, _k, n) = fused_dims(plan, a_dims, b.dims());
+    let (flops, chunks) = sd_work(coords.len(), n, lanes(pool));
     let g = SdGeometry {
         m,
         n,
         b_dims: b.dims(),
         perm_b: &operand_perms(plan).1,
-        nat_dims: &natural_dims(plan, a.dims(), b.dims()),
+        nat_dims: &natural_dims(plan, a_dims, b.dims()),
         out_perm: plan.output_permutation(),
     };
-    let c = sd_apply(&g, b.data(), Cow::Owned(coords), chunks, pool)?;
+    let c = sd_apply(&g, b.data(), coords, chunks, pool, ws)?;
     Ok((c, flops))
 }

@@ -1,6 +1,7 @@
 use super::sd::SdLayout;
 use super::ss::ss_chunked;
 use super::*;
+use crate::exec::Workspace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
@@ -17,6 +18,19 @@ fn random_sparse(dims: &[usize], density: f64, seed: u64) -> SparseTensor<f64> {
         }
     });
     SparseTensor::from_dense(&dense, 0.0)
+}
+
+/// [`sd::sd_contract`] on freshly fused coords and a workspace of its own.
+fn sd_contract(
+    plan: &ContractPlan,
+    a: &SparseTensor<f64>,
+    b: &DenseTensor<f64>,
+    pool: Option<&ThreadPool>,
+) -> Result<(DenseTensor<f64>, u64)> {
+    plan.output_dims(a.dims(), b.dims())?;
+    let coords = sparse_coords(a, plan.free_a_positions(), plan.ctr_a_positions());
+    let ws = Workspace::default();
+    sd::sd_contract(plan, a.dims(), Cow::Owned(coords), b, pool, &ws)
 }
 
 /// [`sd_contract`] cut into one chunk per pool thread, whatever
@@ -37,7 +51,16 @@ fn sd_forced(
         nat_dims: &natural_dims(plan, a.dims(), b.dims()),
         out_perm: plan.output_permutation(),
     };
-    sd_apply(&g, b.data(), Cow::Owned(coords), pool.threads(), Some(pool)).unwrap()
+    let ws = Workspace::default();
+    sd_apply(
+        &g,
+        b.data(),
+        Cow::Owned(coords),
+        pool.threads(),
+        Some(pool),
+        &ws,
+    )
+    .unwrap()
 }
 
 /// [`ss_contract`] cut into one chunk per pool thread likewise.
@@ -356,7 +379,7 @@ fn check_sd(spec: &str, a_dims: &[usize], b_dims: &[usize], seed: u64) {
 
 /// The four H_eff steps `(spec, A dims, B dims)` at bond dimension
 /// `bond`, MPO bond 5, physical dimension 2.
-fn heff_steps(bond: usize) -> [(&'static str, Vec<usize>, Vec<usize>); 4] {
+pub(crate) fn heff_steps(bond: usize) -> [(&'static str, Vec<usize>, Vec<usize>); 4] {
     let (m, w, d) = (bond, 5, 2);
     [
         ("bkc,cqwf->bkqwf", vec![m, w, m], vec![m, d, d, m]),
@@ -506,12 +529,14 @@ fn sd_apply_rejects_inconsistent_geometry() {
         nat_dims: &[2, 3, 4],
         out_perm: &[0, 1, 2],
     };
-    assert!(sd_apply(&g(&[0, 1, 2], 12), &b, Cow::Owned(vec![]), 1, None).is_ok());
+    let ws = Workspace::default();
+    let apply = |g: SdGeometry, b: &[f64]| sd_apply(&g, b, Cow::Owned(vec![]), 1, None, &ws);
+    assert!(apply(g(&[0, 1, 2], 12), &b).is_ok());
     // not a permutation; n no product of trailing modes
-    assert!(sd_apply(&g(&[0, 1, 1], 12), &b, Cow::Owned(vec![]), 1, None).is_err());
-    assert!(sd_apply(&g(&[0, 1, 2], 8), &b, Cow::Owned(vec![]), 1, None).is_err());
+    assert!(apply(g(&[0, 1, 1], 12), &b).is_err());
+    assert!(apply(g(&[0, 1, 2], 8), &b).is_err());
     // operand shorter than its dims
-    assert!(sd_apply(&g(&[0, 1, 2], 12), &b[..20], Cow::Owned(vec![]), 1, None).is_err());
+    assert!(apply(g(&[0, 1, 2], 12), &b[..20]).is_err());
 }
 
 #[test]

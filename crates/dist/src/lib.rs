@@ -62,7 +62,7 @@ pub use cluster::{Cluster, JournalStats};
 pub use cost::{CostTracker, JobScope, ResidentMeter, SimTime};
 pub use exec::{
     Backend, ChainSrc, ChainStep, DenseOp, DenseOpC, DenseOpT, DenseSrc, ExecMode, Executor,
-    RankCacheStats, SparseOp,
+    RankCacheStats, SparseOp, WorkspaceStats,
 };
 pub use handle::{OpHandle, ResultHandle, ResultKind};
 pub use machine::Machine;

@@ -27,7 +27,7 @@ impl WorkerState {
             Request::Shutdown => unreachable!("handled in handle()"),
             Request::Ping => Ok(Reply::Pong),
             Request::Free { key } => {
-                self.remove(key);
+                self.free(key);
                 Ok(Reply::Unit)
             }
             Request::Upload { key, data } => {
@@ -229,7 +229,8 @@ impl WorkerState {
                     nat_dims: &nat_dims,
                     out_perm: &out_perm,
                 };
-                let c = kernels::sd_apply(&g, b.as_f64()?, Cow::Borrowed(&bucket), 1, None)?;
+                let coords = Cow::Borrowed(&bucket[..]);
+                let c = kernels::sd_apply(&g, b.as_f64()?, coords, 1, None, &self.workspace)?;
                 self.store(store, Buf::F64(c.into_data()), false)?;
                 Ok(Reply::Unit)
             }

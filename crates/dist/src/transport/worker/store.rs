@@ -2,6 +2,7 @@
 //! it.
 
 use super::protocol::{Buf, Op, OpCoords, OpSs};
+use crate::exec::Workspace;
 use crate::kernels;
 use crate::{Error, Result};
 use std::collections::HashMap;
@@ -73,6 +74,10 @@ pub(crate) struct WorkerState {
     pub(super) hits: u64,
     /// Fresh insertions — key not already resident (lifetime).
     pub(super) misses: u64,
+    /// Where `ChainSd` draws its large temporaries from and a freed `f64`
+    /// result goes: a chain's intermediates serve the next chain's. Not
+    /// part of the store — `bytes` counts what the driver can name.
+    pub(super) workspace: Workspace,
 }
 
 impl WorkerState {
@@ -95,6 +100,18 @@ impl WorkerState {
         let val = self.store.remove(&key)?;
         self.bytes -= val.bytes();
         Some(val)
+    }
+
+    /// Drop the buffer under `key`, if any (`Free`). A free ends the run
+    /// of requests that is the workspace's call; an `f64` buffer nobody
+    /// else holds goes back to it.
+    pub(super) fn free(&mut self, key: u64) {
+        self.workspace.settle();
+        if let Some(Cached::Dense(buf)) = self.remove(key) {
+            if let Ok(Buf::F64(data)) = Arc::try_unwrap(buf) {
+                self.workspace.give(data);
+            }
+        }
     }
 
     fn get(&mut self, key: u64) -> Result<&Cached> {

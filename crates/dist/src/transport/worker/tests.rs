@@ -572,63 +572,88 @@ fn chain_steps_store_accumulate_and_download() {
     );
 }
 
-#[test]
-fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use tt_tensor::SparseTensor;
-    // H_eff step 2 at a bond dimension where the worker's ChainSd
-    // reads B and writes C through run views: the stored bytes must
-    // be the in-process kernel's
-    let spec = "kpqg,bkqwf->bpgwf";
-    let (a_dims, b_dims) = ([5usize, 2, 2, 5], [40usize, 5, 2, 2, 40]);
-    let mut rng = StdRng::seed_from_u64(15);
-    let b = DenseTensor::<f64>::random(b_dims, &mut rng);
-    let a_dense = DenseTensor::<f64>::from_fn(a_dims, |_| {
-        if rng.gen_bool(0.4) {
-            rng.gen_range(-1.0..1.0)
-        } else {
-            0.0
+/// H_eff step 2 at a bond dimension where the worker's `ChainSd` reads
+/// `B` and writes `C` (256 KB) through run views: the request storing
+/// under `store`, the operands behind it, and the bytes the in-process
+/// kernel produces from them.
+struct HeffStep2 {
+    a_dense: DenseTensor<f64>,
+    b: DenseTensor<f64>,
+    coords: Vec<kernels::Coord>,
+    local: Vec<f64>,
+}
+
+const HEFF_STEP2: &str = "kpqg,bkqwf->bpgwf";
+
+impl HeffStep2 {
+    fn new() -> Self {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use tt_tensor::SparseTensor;
+        let mut rng = StdRng::seed_from_u64(15);
+        let b = DenseTensor::<f64>::random([40, 5, 2, 2, 40], &mut rng);
+        let a_dense = DenseTensor::<f64>::from_fn([5, 2, 2, 5], |_| {
+            if rng.gen_bool(0.4) {
+                rng.gen_range(-1.0..1.0)
+            } else {
+                0.0
+            }
+        });
+        let a = SparseTensor::from_dense(&a_dense, 0.0);
+        let plan = ContractPlan::parse(HEFF_STEP2).unwrap();
+        let coords = kernels::sparse_coords(&a, plan.free_a_positions(), plan.ctr_a_positions());
+        let ws = crate::exec::Workspace::default();
+        let borrowed = std::borrow::Cow::Borrowed(&coords[..]);
+        let (local, _) = kernels::sd_contract(&plan, a.dims(), borrowed, &b, None, &ws).unwrap();
+        Self {
+            a_dense,
+            local: local.into_data(),
+            b,
+            coords,
         }
-    });
-    let a = SparseTensor::from_dense(&a_dense, 0.0);
-    let plan = ContractPlan::parse(spec).unwrap();
-    let (m, _k, n) = kernels::fused_dims(&plan, &a_dims, &b_dims);
-    let (mut rows, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
-    for (r, c, v) in kernels::sparse_coords(&a, plan.free_a_positions(), plan.ctr_a_positions()) {
-        rows.push(r);
-        cols.push(c);
-        vals.push(v);
     }
-    let mut w = WorkerState::new();
-    assert_eq!(
-        w.handle(Request::ChainSd {
+
+    fn chain_sd(&self, store: u64) -> Request {
+        let plan = ContractPlan::parse(HEFF_STEP2).unwrap();
+        let (a_dims, b_dims) = (self.a_dense.dims(), self.b.dims());
+        let (m, _k, n) = kernels::fused_dims(&plan, a_dims, b_dims);
+        let (rows, (cols, vals)) = self.coords.iter().map(|&(r, c, v)| (r, (c, v))).unzip();
+        Request::ChainSd {
             a: OpCoords::Inline { rows, cols, vals },
             m,
             n,
             b_dims: b_dims.to_vec(),
             perm_b: kernels::operand_perms(&plan).1,
-            b: Op::Inline(Buf::F64(b.data().to_vec())),
-            nat_dims: kernels::natural_dims(&plan, &a_dims, &b_dims),
+            b: Op::Inline(Buf::F64(self.b.data().to_vec())),
+            nat_dims: kernels::natural_dims(&plan, a_dims, b_dims),
             out_perm: plan.output_permutation().to_vec(),
-            store: 90,
-        }),
-        Some(Reply::Unit)
-    );
-    let (local, _) = kernels::sd_contract(&plan, &a, &b, None).unwrap();
+            store,
+        }
+    }
+}
+
+#[test]
+fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
+    // the stored bytes must be the in-process kernel's
+    let step = HeffStep2::new();
+    let mut w = WorkerState::new();
+    assert_eq!(w.handle(step.chain_sd(90)), Some(Reply::Unit));
     assert_eq!(
         w.handle(Request::Download { key: 90 }),
-        Some(Reply::Buf(Buf::F64(local.into_data())))
+        Some(Reply::Buf(Buf::F64(step.local.clone())))
     );
 
     // the dense step on the same operands (A densified)
+    let HeffStep2 { a_dense, b, .. } = step;
+    let plan = ContractPlan::parse(HEFF_STEP2).unwrap();
+    let (a_dims, b_dims) = (a_dense.dims().to_vec(), b.dims().to_vec());
     let local = kernels::dense_contract(&plan, &a_dense, &b, None).unwrap();
     assert_eq!(
         w.handle(Request::Contract {
-            spec: spec.into(),
-            a_dims: a_dims.to_vec(),
+            spec: HEFF_STEP2.into(),
+            a_dims,
             a: Op::Inline(Buf::F64(a_dense.into_data())),
-            b_dims: b_dims.to_vec(),
+            b_dims,
             b: Op::Inline(Buf::F64(b.into_data())),
             out: Out::Reply,
         }),
@@ -667,6 +692,39 @@ fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
             store: 91,
         }),
         Some(Reply::Fail(_))
+    ));
+}
+
+/// `ChainSd` → `Free` → `ChainSd` on one rank: the freed result's buffer
+/// (NaN-filled on its way back, in a test build) serves the second run,
+/// whose bytes are the same, and the workspace is no part of the store —
+/// `CacheStats` is back at nothing once the driver has taken its results.
+#[test]
+fn worker_workspace_serves_the_next_chain_step_from_a_freed_result() {
+    let step = HeffStep2::new();
+    let mut w = WorkerState::new();
+    assert_eq!(w.handle(step.chain_sd(91)), Some(Reply::Unit));
+    let before = w.workspace.stats();
+    assert_eq!(w.handle(Request::Free { key: 91 }), Some(Reply::Unit));
+    assert_eq!(w.workspace.stats().held_bytes, 8 * step.local.len() as u64);
+    assert_eq!(w.handle(step.chain_sd(92)), Some(Reply::Unit));
+    let after = w.workspace.stats();
+    assert_eq!(
+        (after.takes - before.takes, after.reuses - before.reuses),
+        (1, 1),
+        "one request, served by the freed buffer"
+    );
+    assert_eq!(
+        w.handle(Request::Download { key: 92 }),
+        Some(Reply::Buf(Buf::F64(step.local)))
+    );
+    assert!(matches!(
+        w.handle(Request::CacheStats),
+        Some(Reply::Stats {
+            bytes: 0,
+            entries: 0,
+            ..
+        })
     ));
 }
 

@@ -159,8 +159,24 @@ pub fn permute<T: Scalar>(t: &DenseTensor<T>, perm: &[usize]) -> Result<DenseTen
 }
 
 /// [`permute`] on a bare row-major buffer of shape `dims`: the permuted
-/// elements, for callers that hold an operand as a slice.
+/// elements, for callers that hold an operand as a slice. Allocates the
+/// result and fills it with [`permute_data_into`].
 pub fn permute_data<T: Scalar>(data: &[T], dims: &[usize], perm: &[usize]) -> Result<Vec<T>> {
+    let mut out = Vec::new();
+    permute_data_into(data, dims, perm, &mut out)?;
+    Ok(out)
+}
+
+/// [`permute_data`] into a buffer the caller brings: on return `out` holds
+/// the permuted elements, in its own allocation when that is large enough
+/// (whatever it held is overwritten, and a buffer that already has the
+/// right length is not cleared first), in a fresh one otherwise.
+pub fn permute_data_into<T: Scalar>(
+    data: &[T],
+    dims: &[usize],
+    perm: &[usize],
+    out: &mut Vec<T>,
+) -> Result<()> {
     check_permutation(perm, dims.len())?;
     if data.len() != dims.iter().product::<usize>() {
         return Err(Error::ShapeMismatch(format!(
@@ -169,22 +185,26 @@ pub fn permute_data<T: Scalar>(data: &[T], dims: &[usize], perm: &[usize]) -> Re
         )));
     }
     if data.is_empty() {
-        return Ok(Vec::new());
+        out.clear();
+        return Ok(());
     }
     crate::counter::add_mem_traffic(2 * std::mem::size_of_val(data) as u64);
-    Ok(with_fused(dims, perm, |modes| {
+    with_fused(dims, perm, |modes| {
         let n = modes.len();
         if n <= 1 {
             // identity after fusion: one slice copy
-            return data.to_vec();
+            out.clear();
+            out.extend_from_slice(data);
+            return;
         }
         if modes[n - 1].src == 1 {
             let (outer, run) = (&modes[..n - 1], modes[n - 1].dim);
-            let mut out = Vec::with_capacity(data.len());
+            out.clear();
+            out.reserve_exact(data.len());
             walk(outer, 0, 0, &mut |src, _| {
                 out.extend_from_slice(&data[src..src + run]);
             });
-            return out;
+            return;
         }
         // the fused mode holding the input's innermost mode has stride 1
         // there and is not the output's innermost: move it next to that
@@ -195,7 +215,14 @@ pub fn permute_data<T: Scalar>(data: &[T], dims: &[usize], perm: &[usize]) -> Re
             .expect("a non-empty tensor has a unit-stride mode");
         modes[q..n - 1].rotate_left(1);
         let (outer, row, col) = (&modes[..n - 2], modes[n - 2], modes[n - 1]);
-        let mut out = vec![T::zero(); data.len()];
+        // tiles are written by index: the buffer needs its length first,
+        // and zeroed pages straight from the allocator are the cheapest
+        // way to get a new one
+        if out.capacity() < data.len() {
+            *out = vec![T::zero(); data.len()];
+        } else {
+            out.resize(data.len(), T::zero());
+        }
         walk(outer, 0, 0, &mut |src, dst| {
             transpose_tiled(
                 &data[src..],
@@ -206,8 +233,8 @@ pub fn permute_data<T: Scalar>(data: &[T], dims: &[usize], perm: &[usize]) -> Re
                 col.dim,
             );
         });
-        out
-    }))
+    });
+    Ok(())
 }
 
 /// `out[a·out_rs + b] = data[a + b·data_cs]` for `a < rows`, `b < cols`,
@@ -406,6 +433,24 @@ mod tests {
         assert_eq!(motion(t.dims(), &[2, 0, 1]).unwrap(), Motion::Identity);
         let s = DenseTensor::<f64>::scalar(2.5);
         assert_eq!(permute(&s, &[]).unwrap().data(), &[2.5]);
+    }
+
+    #[test]
+    fn permute_into_overwrites_whatever_the_buffer_held() {
+        // one case per branch: identity, run copies, tiled transpose
+        let mut rng = StdRng::seed_from_u64(11);
+        let t = DenseTensor::<f64>::random([5, 3, 2, 36], &mut rng);
+        for perm in [[0usize, 1, 2, 3], [1, 0, 2, 3], [3, 2, 0, 1]] {
+            let expect = naive_permute(&t, &perm);
+            // a buffer of the right length, a longer one, none at all
+            for stale in [t.len(), t.len() + 7, 0] {
+                let mut out = vec![f64::NAN; stale];
+                let at = out.as_ptr();
+                permute_data_into(t.data(), t.dims(), &perm, &mut out).unwrap();
+                assert_eq!(out, expect.data(), "perm {perm:?} into {stale}");
+                assert!(stale == 0 || out.as_ptr() == at, "the allocation is reused");
+            }
+        }
     }
 
     #[test]
