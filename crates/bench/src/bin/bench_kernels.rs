@@ -473,7 +473,7 @@ fn sd_chain_matvec(exec: &Executor, operands: &[OpHandle], x: &DenseTensor<f64>)
         })
         .collect();
     let y = exec.chain(&steps).unwrap().pop().flatten().unwrap();
-    let y = exec.download::<f64>(y).unwrap();
+    let y = exec.download(y).unwrap();
     exec.recycle(black_box(y));
 }
 

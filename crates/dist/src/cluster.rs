@@ -614,7 +614,6 @@ impl Placement {
 mod tests {
     use super::*;
     use crate::machine::Machine;
-    use crate::transport::worker::Buf;
 
     #[test]
     fn call_all_returns_in_submission_order() {
@@ -625,7 +624,7 @@ mod tests {
                     i % 3,
                     Request::Upload {
                         key: i as u64,
-                        data: Buf::F64(vec![i as f64]),
+                        data: vec![i as f64],
                     },
                 )
             })
@@ -638,7 +637,7 @@ mod tests {
             .collect();
         let reps = cl.call_all(gets).unwrap();
         for (i, rep) in reps.into_iter().enumerate() {
-            assert_eq!(rep, Reply::Buf(Buf::F64(vec![i as f64])));
+            assert_eq!(rep, Reply::Buf(vec![i as f64]));
         }
     }
 
@@ -657,7 +656,7 @@ mod tests {
             0,
             &Request::Upload {
                 key: 1,
-                data: Buf::F64(vec![1.0; 100]),
+                data: vec![1.0; 100],
             },
         )
         .unwrap();
@@ -885,7 +884,7 @@ mod tests {
                 1,
                 &Request::Upload {
                     key: 5,
-                    data: Buf::F64(vec![1.0, 2.0]),
+                    data: vec![1.0, 2.0],
                 },
             )
             .unwrap();
@@ -893,7 +892,7 @@ mod tests {
                 1,
                 &Request::Upload {
                     key: 6,
-                    data: Buf::F64(vec![3.0]),
+                    data: vec![3.0],
                 },
             )
             .unwrap();
@@ -901,11 +900,11 @@ mod tests {
             // replays both journaled stores and re-issues this Download
             assert_eq!(
                 cl.call(1, &Request::Download { key: 5 }).unwrap(),
-                Reply::Buf(Buf::F64(vec![1.0, 2.0]))
+                Reply::Buf(vec![1.0, 2.0])
             );
             assert_eq!(
                 cl.call(1, &Request::Download { key: 6 }).unwrap(),
-                Reply::Buf(Buf::F64(vec![3.0]))
+                Reply::Buf(vec![3.0])
             );
             let t = tracker.lock();
             assert!(t.bytes_recovery > 0, "replay traffic is metered apart");
@@ -918,7 +917,7 @@ mod tests {
                 1,
                 &Request::Upload {
                     key: 7,
-                    data: Buf::F64(vec![4.5]),
+                    data: vec![4.5],
                 },
             )
             .unwrap();
@@ -926,7 +925,7 @@ mod tests {
             // survivor — with its journal replayed there
             assert_eq!(
                 cl.call(1, &Request::Download { key: 7 }).unwrap(),
-                Reply::Buf(Buf::F64(vec![4.5]))
+                Reply::Buf(vec![4.5])
             );
             // both logical ranks stay serviceable
             cl.probe(0).unwrap();
@@ -940,7 +939,7 @@ mod tests {
                 0,
                 &Request::Upload {
                     key: 9,
-                    data: Buf::F64(vec![0.25]),
+                    data: vec![0.25],
                 },
             )
             .unwrap();
@@ -948,7 +947,7 @@ mod tests {
             // replay + re-issue → the retried Download answers correctly
             assert_eq!(
                 cl.call(0, &Request::Download { key: 9 }).unwrap(),
-                Reply::Buf(Buf::F64(vec![0.25]))
+                Reply::Buf(vec![0.25])
             );
             assert!(tracker.lock().bytes_recovery > 0);
         }
@@ -960,7 +959,7 @@ mod tests {
                 0,
                 &Request::Upload {
                     key: 11,
-                    data: Buf::F64(vec![1.0]),
+                    data: vec![1.0],
                 },
             )
             .unwrap();
@@ -969,14 +968,14 @@ mod tests {
                 0,
                 &Request::Upload {
                     key: 12,
-                    data: Buf::F64(vec![2.0]),
+                    data: vec![2.0],
                 },
             )
             .unwrap();
             // kill + recovery: replay must not resurrect the freed key
             assert_eq!(
                 cl.call(0, &Request::Download { key: 12 }).unwrap(),
-                Reply::Buf(Buf::F64(vec![2.0]))
+                Reply::Buf(vec![2.0])
             );
             let err = cl.call(0, &Request::Download { key: 11 }).unwrap_err();
             assert!(
@@ -1005,7 +1004,7 @@ mod tests {
             let (mut cl, _) = cluster_with(1, "kill:0@2");
             let up = |key| Request::Upload {
                 key,
-                data: Buf::F64(vec![key as f64]),
+                data: vec![key as f64],
             };
             cl.call(0, &up(1)).unwrap();
             // the kill lands on the first of three pipelined requests: all
@@ -1018,8 +1017,8 @@ mod tests {
                     (0, Request::Download { key: 2 }),
                 ])
                 .unwrap();
-            assert_eq!(replies[1], Reply::Buf(Buf::F64(vec![1.0])));
-            assert_eq!(replies[2], Reply::Buf(Buf::F64(vec![2.0])));
+            assert_eq!(replies[1], Reply::Buf(vec![1.0]));
+            assert_eq!(replies[2], Reply::Buf(vec![2.0]));
             assert!(cl.remap.is_empty(), "{:?}", cl.remap);
             assert_eq!(cl.journal_stats()[0], JournalStats::default());
         }

@@ -5,24 +5,22 @@
 use super::keys;
 use super::residency::{OpCharge, Superstep};
 use super::sparse::{inline_coords, upload_coords};
-use super::{expect_buf, DenseSrc, Executor, SparseOp, WireScalar};
+use super::{expect_buf, DenseOp, Executor, SparseOp};
 use crate::cluster::{Cluster, Placement};
-use crate::handle::{
-    DenseAny, DenseRef, OpHandle, Residency, ResultHandle, ResultInfo, ResultKind,
-};
+use crate::handle::{OpHandle, Residency, ResultHandle, ResultInfo};
 use crate::kernels;
 use crate::transport::worker::{Op, OpCoords, Out, Request};
 use crate::{Error, Result};
 use std::sync::Arc;
 use tt_tensor::einsum::ContractPlan;
-use tt_tensor::{Complex64, DenseTensor};
+use tt_tensor::DenseTensor;
 
 /// One operand of a [`Executor::chain`] step.
 pub enum ChainSrc<'a> {
-    /// A dense operand, `f64` or [`Complex64`], by value or by resident
-    /// operand handle: `ChainSrc::Dense(x.into())` from a `&DenseTensor<T>`,
-    /// an `&OpHandle` or a [`DenseOpT`](super::DenseOpT).
-    Dense(DenseSrc<'a>),
+    /// A dense operand, by value or by resident operand handle:
+    /// `ChainSrc::Dense(x.into())` from a `&DenseTensor<f64>` or an
+    /// `&OpHandle`.
+    Dense(DenseOp<'a>),
     /// A sparse `f64` operand — only valid as the first (`a`) side of a
     /// step, selecting the sparse-dense kernel.
     Sparse(SparseOp<'a>),
@@ -58,8 +56,6 @@ enum StepKind {
 /// dims alone.
 struct PlannedStep {
     kind: StepKind,
-    /// Element type of the step's operands and result.
-    scalar: ResultKind,
     /// The parsed spec, shared by every step of the chain that spells the
     /// same spec.
     plan: Arc<ContractPlan>,
@@ -87,22 +83,6 @@ impl PlannedStep {
     fn hands_out(&self, i: usize) -> bool {
         self.base == i && self.dies_after.is_none()
     }
-}
-
-/// Stored `f64` words per element of a dense buffer tagged `kind`.
-fn words_per_element(kind: ResultKind) -> usize {
-    match kind {
-        ResultKind::F64 => f64::WORDS,
-        ResultKind::C64 => Complex64::WORDS,
-    }
-}
-
-/// What a chain-step operand is at planning time: a dense buffer of some
-/// element type, or sparse `f64` coordinates.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SrcKind {
-    Dense(ResultKind),
-    Sparse,
 }
 
 /// A resolved wire operand of a chain step.
@@ -159,7 +139,7 @@ impl Executor {
     /// submission order exactly like the driver-side value path.
     pub fn chain(&self, steps: &[ChainStep]) -> Result<Vec<Option<ResultHandle>>> {
         let planned = self.plan_chain(steps)?;
-        let mut locals: Vec<Option<DenseAny>> = (0..steps.len()).map(|_| None).collect();
+        let mut locals: Vec<Option<Arc<DenseTensor<f64>>>> = vec![None; steps.len()];
         let homes = if let Some(cl) = &self.cluster {
             // its own statement: a guard in the `match` scrutinee would live
             // through the arms, and the error arm locks the cluster again
@@ -223,8 +203,6 @@ impl Executor {
             out.push(Some(ResultHandle {
                 key: pl.key,
                 dims: pl.out_dims.clone(),
-                kind: pl.scalar,
-                words: pl.words_c,
                 local: locals[i].take(),
             }));
         }
@@ -239,25 +217,18 @@ impl Executor {
         // parse each distinct one once
         let mut specs: Vec<(&str, Arc<ContractPlan>)> = Vec::new();
         for (i, st) in steps.iter().enumerate() {
-            let (a_dims, ak) = src_info(&st.a, &planned)?;
-            let (b_dims, bk) = src_info(&st.b, &planned)?;
+            let (a_dims, a_sparse) = src_info(&st.a, &planned)?;
+            let (b_dims, b_sparse) = src_info(&st.b, &planned)?;
             for j in [st.a.prev(), st.b.prev()].into_iter().flatten() {
                 planned[j].dies_after = Some(i);
             }
-            let (kind, scalar) = match (ak, bk) {
-                (SrcKind::Sparse, SrcKind::Dense(ResultKind::F64)) => {
-                    (StepKind::Sd, ResultKind::F64)
-                }
-                (SrcKind::Sparse, _) | (_, SrcKind::Sparse) => {
+            let kind = match (a_sparse, b_sparse) {
+                (false, false) => StepKind::Dense,
+                (true, false) => StepKind::Sd,
+                _ => {
                     return Err(Error::Runtime(
                         "only sparse × dense chain steps are supported (sparse operand first)"
                             .into(),
-                    ))
-                }
-                (SrcKind::Dense(ka), SrcKind::Dense(kb)) if ka == kb => (StepKind::Dense, ka),
-                _ => {
-                    return Err(Error::Runtime(
-                        "chain step mixes f64 and Complex64 operands".into(),
                     ))
                 }
             };
@@ -275,7 +246,7 @@ impl Executor {
                 (StepKind::Sd, ChainSrc::Sparse(op)) => 2 * op.tensor()?.nnz() as u64 * n as u64,
                 _ => plan.flop_count(&a_dims, &b_dims),
             };
-            let words_c = words_per_element(scalar) * out_dims.iter().product::<usize>();
+            let words_c = out_dims.iter().product();
             let (base, key) = match st.acc {
                 None => (i, self.fresh_result_key()),
                 Some(t) => {
@@ -292,9 +263,9 @@ impl Executor {
                             "accumulate is only supported for dense chain steps".into(),
                         ));
                     }
-                    if tgt.out_dims != out_dims || tgt.scalar != scalar {
+                    if tgt.out_dims != out_dims {
                         return Err(Error::Runtime(format!(
-                            "step {i} accumulate target has mismatched shape or kind"
+                            "step {i} accumulate target has a mismatched shape"
                         )));
                     }
                     // an accumulate keeps an internal output alive
@@ -307,7 +278,6 @@ impl Executor {
             };
             planned.push(PlannedStep {
                 kind,
-                scalar,
                 plan,
                 a_dims,
                 b_dims,
@@ -487,46 +457,28 @@ impl Executor {
         &self,
         steps: &[ChainStep],
         planned: &[PlannedStep],
-        outs: &mut [Option<DenseAny>],
+        outs: &mut [Option<Arc<DenseTensor<f64>>>],
     ) -> Result<()> {
-        let mismatch = || Error::Runtime("chain step operand kind mismatch".into());
         for (i, (st, pl)) in steps.iter().zip(planned).enumerate() {
-            let partial = match pl.kind {
-                StepKind::Dense => match (resolve_local(&st.a, outs)?, resolve_local(&st.b, outs)?)
-                {
-                    (DenseRef::F64(ta), DenseRef::F64(tb)) => DenseAny::F64(Arc::new(
-                        kernels::dense_contract(&pl.plan, ta, tb, self.pool())?,
-                    )),
-                    (DenseRef::C64(ta), DenseRef::C64(tb)) => DenseAny::C64(Arc::new(
-                        kernels::dense_contract(&pl.plan, ta, tb, self.pool())?,
-                    )),
-                    _ => return Err(mismatch()),
-                },
-                StepKind::Sd => {
-                    let ChainSrc::Sparse(op) = &st.a else {
-                        unreachable!("validated by plan_chain");
-                    };
-                    let DenseRef::F64(tb) = resolve_local(&st.b, outs)? else {
-                        return Err(mismatch());
-                    };
-                    let (c, _flops) = self.sd_local(&pl.plan, op, tb)?;
-                    DenseAny::F64(Arc::new(c))
-                }
+            let b = resolve_local(&st.b, outs)?;
+            // plan_chain made a sparse `a` an sd step
+            let partial = match &st.a {
+                ChainSrc::Sparse(op) => self.sd_local(&pl.plan, op, b)?.0,
+                a => kernels::dense_contract(&pl.plan, resolve_local(a, outs)?, b, self.pool())?,
             };
             if pl.base == i {
-                outs[i] = Some(partial);
+                outs[i] = Some(Arc::new(partial));
             } else {
-                outs[pl.base]
+                let target = outs[pl.base]
                     .as_mut()
-                    .ok_or_else(|| Error::Runtime("accumulate target missing".into()))?
-                    .accumulate(&partial)?;
+                    .ok_or_else(|| Error::Runtime("accumulate target missing".into()))?;
+                Arc::make_mut(target).axpy(1.0, &partial)?;
             }
             for j in [st.a.prev(), st.b.prev(), st.acc].into_iter().flatten() {
                 if planned[j].dies_after != Some(i) {
                     continue;
                 }
-                if let (StepKind::Sd, Some(DenseAny::F64(dead))) = (planned[j].kind, outs[j].take())
-                {
+                if let (StepKind::Sd, Some(dead)) = (planned[j].kind, outs[j].take()) {
                     if let Ok(dead) = Arc::try_unwrap(dead) {
                         self.workspace.give(dead.into_data());
                     }
@@ -544,11 +496,7 @@ impl Executor {
     fn chain_charge(&self, src: &ChainSrc, pl: &PlannedStep, is_a: bool) -> Result<OpCharge> {
         let elems = if is_a { pl.m * pl.k } else { pl.k * pl.n };
         Ok(match src {
-            ChainSrc::Dense(_) => self.op_state(
-                src.handle(),
-                keys::whole,
-                words_per_element(pl.scalar) * elems,
-            ),
+            ChainSrc::Dense(_) => self.op_state(src.handle(), keys::whole, elems),
             ChainSrc::Sparse(op) => self.op_state(
                 src.handle(),
                 |h| keys::sd_a(h, &pl.plan, pl.n).logical(),
@@ -558,28 +506,20 @@ impl Executor {
         })
     }
 
-    /// Download a resident result of element type `T` — with
-    /// [`Executor::download_many`], of which it is the one-handle case,
-    /// the only value-returning exit of a chain. Consumes the handle: the
-    /// buffer leaves its home rank's store and the driver forgets it.
-    #[allow(private_bounds)]
-    pub fn download<T: WireScalar>(&self, h: ResultHandle) -> Result<DenseTensor<T>> {
+    /// Download a resident result — with [`Executor::download_many`], of
+    /// which it is the one-handle case, the only value-returning exit of a
+    /// chain. Consumes the handle: the buffer leaves its home rank's store
+    /// and the driver forgets it.
+    pub fn download(&self, h: ResultHandle) -> Result<DenseTensor<f64>> {
         Ok(self
             .download_many(vec![h])?
             .pop()
             .expect("one handle in, one tensor out"))
     }
 
-    /// Download many resident results of element type `T` in one
-    /// superstep (consuming the handles).
-    #[allow(private_bounds)]
-    pub fn download_many<T: WireScalar>(
-        &self,
-        hs: Vec<ResultHandle>,
-    ) -> Result<Vec<DenseTensor<T>>> {
-        if let Some(h) = hs.iter().find(|h| h.kind != T::KIND) {
-            return Err(Error::Runtime(format!("{:?} download of {h:?}", T::KIND)));
-        }
+    /// Download many resident results in one superstep (consuming the
+    /// handles).
+    pub fn download_many(&self, hs: Vec<ResultHandle>) -> Result<Vec<DenseTensor<f64>>> {
         if let Some(cl) = &self.cluster {
             let reqs = {
                 let res = self.residency.lock();
@@ -597,8 +537,7 @@ impl Executor {
             let mut out = Vec::with_capacity(hs.len());
             for (h, reply) in hs.iter().zip(replies) {
                 res.forget_result(h.key);
-                let data = T::unwrap(expect_buf(reply)?)?;
-                out.push(DenseTensor::from_vec(h.dims.clone(), data)?);
+                out.push(DenseTensor::from_vec(h.dims.clone(), expect_buf(reply)?)?);
             }
             Ok(out)
         } else {
@@ -606,13 +545,10 @@ impl Executor {
             hs.into_iter()
                 .map(|mut h| {
                     res.forget_result(h.key);
-                    let local = h.local.take();
-                    let t = local.as_ref().and_then(T::peek).cloned().ok_or_else(|| {
+                    let t = h.local.take().ok_or_else(|| {
                         Error::Runtime("result handle has no in-process payload".into())
                     })?;
-                    // the handle's own reference goes first, so a result
-                    // nobody else holds moves out without a copy
-                    drop(local);
+                    // a result nobody else holds moves out without a copy
                     Ok(Arc::try_unwrap(t).unwrap_or_else(|a| (*a).clone()))
                 })
                 .collect()
@@ -670,14 +606,12 @@ impl ChainSrc<'_> {
     }
 }
 
-/// Dims and kind of a chain-step operand at planning time.
-fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, SrcKind)> {
+/// Dims of a chain-step operand at planning time, and whether it is
+/// sparse.
+fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, bool)> {
     Ok(match src {
-        ChainSrc::Dense(op) => match op.tensor()? {
-            DenseRef::F64(t) => (t.dims().to_vec(), SrcKind::Dense(ResultKind::F64)),
-            DenseRef::C64(t) => (t.dims().to_vec(), SrcKind::Dense(ResultKind::C64)),
-        },
-        ChainSrc::Sparse(op) => (op.tensor()?.dims().to_vec(), SrcKind::Sparse),
+        ChainSrc::Dense(op) => (op.tensor()?.dims().to_vec(), false),
+        ChainSrc::Sparse(op) => (op.tensor()?.dims().to_vec(), true),
         ChainSrc::Prev(j) => {
             let pl = planned
                 .get(*j)
@@ -687,9 +621,9 @@ fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, SrcK
                     "chain step references accumulate step {j}; reference its base instead"
                 )));
             }
-            (pl.out_dims.clone(), SrcKind::Dense(pl.scalar))
+            (pl.out_dims.clone(), false)
         }
-        ChainSrc::Res(h) => (h.dims.clone(), SrcKind::Dense(h.kind)),
+        ChainSrc::Res(h) => (h.dims.clone(), false),
     })
 }
 
@@ -725,14 +659,16 @@ fn collect_weights(
 
 /// Resolve a dense chain-step operand to its local tensor (in-process
 /// execution).
-fn resolve_local<'x>(src: &'x ChainSrc<'x>, outs: &'x [Option<DenseAny>]) -> Result<DenseRef<'x>> {
+fn resolve_local<'x>(
+    src: &'x ChainSrc<'x>,
+    outs: &'x [Option<Arc<DenseTensor<f64>>>],
+) -> Result<&'x DenseTensor<f64>> {
     let resident = match src {
         ChainSrc::Dense(op) => return op.tensor(),
         ChainSrc::Sparse(_) => None,
-        ChainSrc::Prev(j) => outs[*j].as_ref(),
-        ChainSrc::Res(h) => h.local.as_ref(),
+        ChainSrc::Prev(j) => outs[*j].as_deref(),
+        ChainSrc::Res(h) => h.local.as_deref(),
     };
     resident
-        .map(DenseAny::as_ref)
         .ok_or_else(|| Error::Runtime("chain step operand has no in-process dense payload".into()))
 }

@@ -5,32 +5,26 @@ use super::keys;
 use super::residency::{whole_home, Superstep};
 #[cfg(doc)]
 use super::ExecMode;
-use super::{expect_buf, DenseOp, DenseOpT, Executor, WireScalar};
+use super::{expect_buf, DenseOp, Executor};
 use crate::cluster::{Cluster, Placement};
 use crate::kernels;
 use crate::transport::worker::{Op, Out, Request};
 use crate::Result;
 use tt_tensor::einsum::ContractPlan;
 use tt_tensor::gemm::gemm_path;
-#[cfg(doc)]
-use tt_tensor::Complex64;
 use tt_tensor::DenseTensor;
 
 impl Executor {
-    /// Distributed dense × dense contraction (einsum grammar) of `f64` or
-    /// [`Complex64`] operands, each by value (`&DenseTensor<T>`) or by
-    /// resident handle (`&OpHandle`). Results and α–β charges are
-    /// bitwise-identical on every backend and for either operand form;
-    /// decomposition and residency derivation are the same for both
-    /// element types (a `Complex64` element is two stored words). Two
-    /// handles leave `T` to the caller: `contract::<f64>(..)`.
-    #[allow(private_bounds)]
-    pub fn contract<'a, T: WireScalar>(
+    /// Distributed dense × dense contraction (einsum grammar), each
+    /// operand by value (`&DenseTensor<f64>`) or by resident handle
+    /// (`&OpHandle`). Results and α–β charges are bitwise-identical on
+    /// every backend and for either operand form.
+    pub fn contract<'a>(
         &self,
         spec: &str,
-        a: impl Into<DenseOpT<'a, T>>,
-        b: impl Into<DenseOpT<'a, T>>,
-    ) -> Result<DenseTensor<T>> {
+        a: impl Into<DenseOp<'a>>,
+        b: impl Into<DenseOp<'a>>,
+    ) -> Result<DenseTensor<f64>> {
         let (a, b) = (a.into(), b.into());
         let plan = ContractPlan::parse(spec)?;
         let (at, bt) = (a.tensor()?, b.tensor()?);
@@ -42,8 +36,8 @@ impl Executor {
         let auto_a = self.auto_handle(&a, at);
         let auto_b = self.auto_handle(&b, bt);
         let c = if let Some(cl) = &self.cluster {
-            let a_phys = auto_a.as_ref().map(DenseOpT::from).unwrap_or(a);
-            let b_phys = auto_b.as_ref().map(DenseOpT::from).unwrap_or(b);
+            let a_phys = auto_a.as_ref().map(DenseOp::from).unwrap_or(a);
+            let b_phys = auto_b.as_ref().map(DenseOp::from).unwrap_or(b);
             self.dense_over_cluster(&mut cl.lock(), &plan, &a_phys, &b_phys)?
         } else {
             kernels::dense_contract(&plan, at, bt, self.pool())?
@@ -56,15 +50,11 @@ impl Executor {
         let path = gemm_path(k, n);
         let sa = self.op_state(
             a.handle(),
-            |h| keys::dense_a::<T>(h, &perm_a, path).logical(),
-            T::WORDS * m * k,
+            |h| keys::dense_a(h, &perm_a, path).logical(),
+            m * k,
         );
-        let sb = self.op_state(
-            b.handle(),
-            |h| keys::matrix_b::<T>(h, &perm_b),
-            T::WORDS * k * n,
-        );
-        self.charge_contraction(sa, sb, T::WORDS * m * n, m, n, flops, false);
+        let sb = self.op_state(b.handle(), |h| keys::matrix_b(h, &perm_b), k * n);
+        self.charge_contraction(sa, sb, m * n, m, n, flops, false);
         Ok(c)
     }
 
@@ -76,15 +66,14 @@ impl Executor {
     /// miss requires rides in the same superstep as the chunk tasks. The
     /// decomposition is row-disjoint with an invariant kernel path, so
     /// the result is bitwise-identical to the sequential in-process
-    /// kernel. Generic over the scalar type — one driver serves `f64`
-    /// and [`Complex64`].
-    fn dense_over_cluster<T: WireScalar>(
+    /// kernel.
+    fn dense_over_cluster(
         &self,
         cl: &mut Cluster,
         plan: &ContractPlan,
-        a: &DenseOpT<T>,
-        b: &DenseOpT<T>,
-    ) -> Result<DenseTensor<T>> {
+        a: &DenseOp,
+        b: &DenseOp,
+    ) -> Result<DenseTensor<f64>> {
         let (at, bt) = (a.tensor()?, b.tensor()?);
         let p = cl.ranks();
         let ((m, k, n), path, ranges) = kernels::dense_prepare(plan, at.dims(), bt.dims(), p)?;
@@ -96,20 +85,20 @@ impl Executor {
         let (b_field, a_fields) = {
             let mut res = self.residency.lock();
             let b_field = step.replicated(&mut res, b, &perm_b, nchunks.min(p))?;
-            let mut a_mat: Option<Vec<T>> = None;
+            let mut a_mat: Option<Vec<f64>> = None;
             let mut slab = |(r0, r1): (usize, usize)| -> Result<_> {
                 let mat = match &a_mat {
                     Some(mat) => mat,
                     None => a_mat.insert(at.permute(&perm_a)?.into_data()),
                 };
-                Ok(T::wrap(mat[r0 * k..r1 * k].to_vec()))
+                Ok(mat[r0 * k..r1 * k].to_vec())
             };
             let mut a_fields = Vec::with_capacity(nchunks);
             for (i, &range) in ranges.iter().enumerate() {
                 a_fields.push(match a.handle() {
                     None => Op::Inline(slab(range)?),
                     Some(h) => {
-                        let key = keys::dense_a::<T>(h, &perm_a, path).chunk(nchunks, i);
+                        let key = keys::dense_a(h, &perm_a, path).chunk(nchunks, i);
                         step.ensure(&mut res, h.key(), key, i % p, || {
                             Ok(Request::Upload {
                                 key,
@@ -141,7 +130,7 @@ impl Executor {
         // driver's global counter matches the in-process backends)
         let mut c = Vec::with_capacity(m * n);
         for reply in step.run(cl)? {
-            c.extend_from_slice(&T::unwrap(expect_buf(reply)?)?);
+            c.extend_from_slice(&expect_buf(reply)?);
         }
         kernels::natural_output(plan, at.dims(), bt.dims(), c)
     }
@@ -202,9 +191,9 @@ impl Executor {
                     let request = Request::Contract {
                         spec: spec.to_string(),
                         a_dims: at.dims().to_vec(),
-                        a: step.whole(&mut res, (*a).into(), rank)?,
+                        a: step.whole(&mut res, *a, rank)?,
                         b_dims: bt.dims().to_vec(),
-                        b: step.whole(&mut res, (*b).into(), rank)?,
+                        b: step.whole(&mut res, *b, rank)?,
                         out: Out::Reply,
                     };
                     step.task(rank, request);
@@ -216,7 +205,7 @@ impl Executor {
             for ((reply, pair), &chg) in replies.into_iter().zip(pairs).zip(&charges) {
                 let (at, bt) = (pair.0.tensor()?, pair.1.tensor()?);
                 let dims = plan.output_dims(at.dims(), bt.dims())?;
-                out.push(DenseTensor::from_vec(dims, expect_buf(reply)?.into_f64()?)?);
+                out.push(DenseTensor::from_vec(dims, expect_buf(reply)?)?);
                 charge_pair(pair, chg);
             }
             return Ok(out);

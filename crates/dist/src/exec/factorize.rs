@@ -171,7 +171,7 @@ impl Executor {
                 let mut res = self.residency.lock();
                 for (op, t) in mats.iter().zip(&tensors) {
                     let rank = placement.place([whole_home(&res, op)]);
-                    let field = step.whole(&mut res, (*op).into(), rank)?;
+                    let field = step.whole(&mut res, *op, rank)?;
                     step.task(rank, make_req(t.dims()[0], t.dims()[1], field));
                 }
             }

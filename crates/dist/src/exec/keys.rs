@@ -12,16 +12,13 @@
 //! backend-independent, which is what lets the in-process backend replay
 //! the exact charge sequence of the multi-process one.
 
-use super::WireScalar;
 use crate::handle::{Fnv, OpHandle};
 use tt_tensor::einsum::ContractPlan;
 use tt_tensor::gemm::GemmPath;
 
 // Purpose tags: what a buffer derived from a handle's content is for.
-pub(super) const TAG_DENSE_A: u64 = 0xA1; // slab-partitioned permuted f64 A
-pub(super) const TAG_MAT_B: u64 = 0xB1; // replicated permuted f64 matrix
-pub(super) const TAG_C64_A: u64 = 0xA2; // slab-partitioned permuted Complex64 A
-pub(super) const TAG_C64_B: u64 = 0xB2; // replicated permuted Complex64 matrix
+const TAG_DENSE_A: u64 = 0xA1; // slab-partitioned permuted A
+const TAG_MAT_B: u64 = 0xB1; // replicated permuted matrix
 const TAG_SD_A: u64 = 0x5D; // volume-bucketed sparse-dense coords
 const TAG_SS_A: u64 = 0x55; // row-bucketed sparse-sparse coords
 const TAG_SS_B: u64 = 0x56; // grouped sparse-sparse B table
@@ -64,13 +61,13 @@ impl Chunked {
 /// Row slabs of the permuted dense `A`. Their contents depend on the
 /// kernel path (MC-aligned or uniform ranges), so a path change is a
 /// genuine re-upload, not a cache hit.
-pub(super) fn dense_a<T: WireScalar>(h: &OpHandle, perm_a: &[usize], path: GemmPath) -> Chunked {
-    Chunked(derive(&[h.key(), T::TAG_A, hseq(perm_a), path as u64]))
+pub(super) fn dense_a(h: &OpHandle, perm_a: &[usize], path: GemmPath) -> Chunked {
+    Chunked(derive(&[h.key(), TAG_DENSE_A, hseq(perm_a), path as u64]))
 }
 
 /// The replicated permuted `k × n` matrix of a dense `B`.
-pub(super) fn matrix_b<T: WireScalar>(h: &OpHandle, perm_b: &[usize]) -> u64 {
-    derive(&[h.key(), T::TAG_B, hseq(perm_b)]).finish()
+pub(super) fn matrix_b(h: &OpHandle, perm_b: &[usize]) -> u64 {
+    derive(&[h.key(), TAG_MAT_B, hseq(perm_b)]).finish()
 }
 
 /// Volume-balanced coordinate buckets of a sparse-dense `A`, fused against

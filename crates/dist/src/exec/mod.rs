@@ -71,16 +71,16 @@ pub use workspace::WorkspaceStats;
 
 use crate::cluster::Cluster;
 use crate::cost::{CostTracker, SimTime};
-use crate::handle::{DenseAny, DenseRef, OpHandle, Residency, ResultKind};
+use crate::handle::{OpHandle, Residency};
 use crate::machine::Machine;
 use crate::pool::ThreadPool;
-use crate::transport::worker::{Buf, Reply};
+use crate::transport::worker::Reply;
 use crate::transport::SpawnSpec;
 use crate::{Error, Result};
 use parking_lot::Mutex;
 use residency::Retention;
 use std::sync::Arc;
-use tt_tensor::{Complex64, DenseTensor, Scalar, SparseTensor};
+use tt_tensor::{DenseTensor, SparseTensor};
 
 /// How the executor runs its local kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -111,109 +111,40 @@ pub enum Backend {
     },
 }
 
-/// A dense operand of scalar type `T`: by value or by resident handle.
-/// [`DenseOp`] and [`DenseOpC`] are the `f64` / [`Complex64`] instances —
-/// every dense executor path is generic over the element type, which is
-/// what lets one cluster driver serve both.
-pub enum DenseOpT<'a, T: Scalar> {
+/// A dense `f64` operand: by value or by resident handle.
+#[derive(Clone, Copy)]
+pub enum DenseOp<'a> {
     /// Shipped with every task.
-    Value(&'a DenseTensor<T>),
+    Value(&'a DenseTensor<f64>),
     /// Resident on the runtime after first use.
     Handle(&'a OpHandle),
 }
 
-/// A dense `f64` operand: by value or by resident handle.
-pub type DenseOp<'a> = DenseOpT<'a, f64>;
-/// A dense [`Complex64`] operand: by value or by resident handle.
-pub type DenseOpC<'a> = DenseOpT<'a, Complex64>;
-
-impl<T: Scalar> Copy for DenseOpT<'_, T> {}
-impl<T: Scalar> Clone for DenseOpT<'_, T> {
-    fn clone(&self) -> Self {
-        *self
+impl<'a> From<&'a DenseTensor<f64>> for DenseOp<'a> {
+    fn from(t: &'a DenseTensor<f64>) -> Self {
+        DenseOp::Value(t)
     }
 }
 
-impl<'a, T: Scalar> From<&'a DenseTensor<T>> for DenseOpT<'a, T> {
-    fn from(t: &'a DenseTensor<T>) -> Self {
-        DenseOpT::Value(t)
-    }
-}
-
-impl<'a, T: Scalar> From<&'a OpHandle> for DenseOpT<'a, T> {
+impl<'a> From<&'a OpHandle> for DenseOp<'a> {
     fn from(h: &'a OpHandle) -> Self {
-        DenseOpT::Handle(h)
+        DenseOp::Handle(h)
     }
 }
 
-// the WireScalar bound is an internal wiring detail of the public operand
-// type — the trait itself is not part of the API surface
-#[allow(private_bounds)]
-impl<'a, T: WireScalar> DenseOpT<'a, T> {
-    pub(crate) fn tensor(&self) -> Result<&'a DenseTensor<T>> {
+impl<'a> DenseOp<'a> {
+    pub(crate) fn tensor(&self) -> Result<&'a DenseTensor<f64>> {
         match self {
-            DenseOpT::Value(t) => Ok(t),
-            DenseOpT::Handle(h) => h.dense(),
+            DenseOp::Value(t) => Ok(t),
+            DenseOp::Handle(h) => h.dense(),
         }
     }
 
     pub(crate) fn handle(&self) -> Option<&'a OpHandle> {
         match self {
-            DenseOpT::Value(_) => None,
-            DenseOpT::Handle(h) => Some(h),
+            DenseOp::Value(_) => None,
+            DenseOp::Handle(h) => Some(h),
         }
-    }
-}
-
-/// A dense operand of a [`ChainStep`]: `f64` or [`Complex64`], by value or
-/// by resident handle. The element type is a tag on the data, so one type
-/// takes them all — built `From` a `&DenseTensor<T>`, an `&OpHandle` or a
-/// [`DenseOpT`].
-#[derive(Clone, Copy)]
-pub struct DenseSrc<'a>(SrcRepr<'a>);
-
-#[derive(Clone, Copy)]
-enum SrcRepr<'a> {
-    Value(DenseRef<'a>),
-    Handle(&'a OpHandle),
-}
-
-impl<'a> DenseSrc<'a> {
-    pub(crate) fn tensor(&self) -> Result<DenseRef<'a>> {
-        match self.0 {
-            SrcRepr::Value(t) => Ok(t),
-            SrcRepr::Handle(h) => h.dense_ref(),
-        }
-    }
-
-    pub(crate) fn handle(&self) -> Option<&'a OpHandle> {
-        match self.0 {
-            SrcRepr::Value(_) => None,
-            SrcRepr::Handle(h) => Some(h),
-        }
-    }
-}
-
-#[allow(private_bounds)]
-impl<'a, T: WireScalar> From<DenseOpT<'a, T>> for DenseSrc<'a> {
-    fn from(op: DenseOpT<'a, T>) -> Self {
-        DenseSrc(match op {
-            DenseOpT::Value(t) => SrcRepr::Value(T::tagged(t)),
-            DenseOpT::Handle(h) => SrcRepr::Handle(h),
-        })
-    }
-}
-
-#[allow(private_bounds)]
-impl<'a, T: WireScalar> From<&'a DenseTensor<T>> for DenseSrc<'a> {
-    fn from(t: &'a DenseTensor<T>) -> Self {
-        DenseOpT::Value(t).into()
-    }
-}
-
-impl<'a> From<&'a OpHandle> for DenseSrc<'a> {
-    fn from(h: &'a OpHandle) -> Self {
-        DenseSrc(SrcRepr::Handle(h))
     }
 }
 
@@ -251,87 +182,6 @@ impl<'a> SparseOp<'a> {
             SparseOp::Value(_) => None,
             SparseOp::Handle(h) => Some(h),
         }
-    }
-}
-
-/// What the dense data plane needs to know about an element type: how to
-/// tag a buffer or tensor of it, and how to recognize one. The two
-/// implementations (for `f64` and [`Complex64`]) are the *only*
-/// scalar-specific code — everything else is one generic driver
-/// (mirroring `kernels::dense_contract<T>`).
-pub(crate) trait WireScalar: Scalar {
-    /// Stored `f64` words per element (1 for `f64`, 2 for [`Complex64`]).
-    const WORDS: usize;
-    /// The tag itself.
-    const KIND: ResultKind;
-    /// Derived-buffer purpose tag for slab-partitioned permuted `A`.
-    const TAG_A: u64;
-    /// Derived-buffer purpose tag for the replicated permuted `B` matrix.
-    const TAG_B: u64;
-    fn wrap(data: Vec<Self>) -> Buf;
-    fn unwrap(buf: Buf) -> Result<Vec<Self>>;
-    fn wrap_tensor(t: Arc<DenseTensor<Self>>) -> DenseAny;
-    fn peek(t: &DenseAny) -> Option<&Arc<DenseTensor<Self>>>;
-    fn tagged(t: &DenseTensor<Self>) -> DenseRef<'_>;
-}
-
-impl WireScalar for f64 {
-    const WORDS: usize = 1;
-    const KIND: ResultKind = ResultKind::F64;
-    const TAG_A: u64 = keys::TAG_DENSE_A;
-    const TAG_B: u64 = keys::TAG_MAT_B;
-
-    fn wrap(data: Vec<Self>) -> Buf {
-        Buf::F64(data)
-    }
-
-    fn unwrap(buf: Buf) -> Result<Vec<Self>> {
-        buf.into_f64()
-    }
-
-    fn wrap_tensor(t: Arc<DenseTensor<Self>>) -> DenseAny {
-        DenseAny::F64(t)
-    }
-
-    fn peek(t: &DenseAny) -> Option<&Arc<DenseTensor<Self>>> {
-        match t {
-            DenseAny::F64(t) => Some(t),
-            DenseAny::C64(_) => None,
-        }
-    }
-
-    fn tagged(t: &DenseTensor<Self>) -> DenseRef<'_> {
-        DenseRef::F64(t)
-    }
-}
-
-impl WireScalar for Complex64 {
-    const WORDS: usize = 2;
-    const KIND: ResultKind = ResultKind::C64;
-    const TAG_A: u64 = keys::TAG_C64_A;
-    const TAG_B: u64 = keys::TAG_C64_B;
-
-    fn wrap(data: Vec<Self>) -> Buf {
-        Buf::C64(data)
-    }
-
-    fn unwrap(buf: Buf) -> Result<Vec<Self>> {
-        buf.into_c64()
-    }
-
-    fn wrap_tensor(t: Arc<DenseTensor<Self>>) -> DenseAny {
-        DenseAny::C64(t)
-    }
-
-    fn peek(t: &DenseAny) -> Option<&Arc<DenseTensor<Self>>> {
-        match t {
-            DenseAny::C64(t) => Some(t),
-            DenseAny::F64(_) => None,
-        }
-    }
-
-    fn tagged(t: &DenseTensor<Self>) -> DenseRef<'_> {
-        DenseRef::C64(t)
     }
 }
 
@@ -578,9 +428,9 @@ impl Executor {
 }
 
 /// Unwrap a dense-buffer reply.
-fn expect_buf(reply: Reply) -> Result<Buf> {
+fn expect_buf(reply: Reply) -> Result<Vec<f64>> {
     match reply {
-        Reply::Buf(buf) => Ok(buf),
+        Reply::Buf(data) => Ok(data),
         other => Err(Error::transport(format!(
             "expected a dense buffer, got {other:?}"
         ))),

@@ -4,18 +4,16 @@
 //! cluster leg assembles its frames with.
 
 use super::keys;
-use super::{DenseOp, DenseOpT, DenseSrc, Executor, WireScalar};
+use super::{DenseOp, Executor};
 use crate::cluster::Cluster;
 use crate::cost;
 #[cfg(doc)]
 use crate::handle::ResultHandle;
-use crate::handle::{DenseAny, OpHandle, Payload, Residency};
+use crate::handle::{OpHandle, Payload, Residency};
 use crate::transport::worker::{Op, Reply, Request};
 use crate::{process_grid, Error, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-#[cfg(doc)]
-use tt_tensor::Complex64;
 use tt_tensor::{DenseTensor, SparseTensor};
 
 /// How one operand participates in a contraction's cost charges.
@@ -125,13 +123,12 @@ pub struct RankCacheStats {
 impl Executor {
     // -- resident-operand lifecycle --------------------------------------
 
-    /// Upload a dense tensor (`f64` or [`Complex64`]), returning a
-    /// content-keyed handle. Residency is lazy: buffers derived from the
-    /// handle are stored on the workers by the first contraction that
-    /// needs them. Each upload must be matched by one [`Executor::free`].
-    #[allow(private_bounds)]
-    pub fn upload<T: WireScalar>(&self, t: &DenseTensor<T>) -> OpHandle {
-        self.upload_dense(T::wrap_tensor(Arc::new(t.clone())))
+    /// Upload a dense tensor, returning a content-keyed handle. Residency
+    /// is lazy: buffers derived from the handle are stored on the workers
+    /// by the first contraction that needs them. Each upload must be
+    /// matched by one [`Executor::free`].
+    pub fn upload(&self, t: &DenseTensor<f64>) -> OpHandle {
+        self.upload_shared(&Arc::new(t.clone()))
     }
 
     /// Upload an `Arc`-shared dense `f64` tensor without cloning its
@@ -140,11 +137,7 @@ impl Executor {
     /// per-block uploads and chain-step enqueues stop paying a full clone
     /// per block.
     pub fn upload_shared(&self, t: &Arc<DenseTensor<f64>>) -> OpHandle {
-        self.upload_dense(DenseAny::F64(Arc::clone(t)))
-    }
-
-    fn upload_dense(&self, t: DenseAny) -> OpHandle {
-        let h = OpHandle::new(Payload::Dense(t));
+        let h = OpHandle::new(Payload::Dense(Arc::clone(t)));
         self.finish_upload(&h);
         h
     }
@@ -284,15 +277,11 @@ impl Executor {
     /// or the tensor exceeds its budget. The returned handle carries one
     /// registry refcount guarding the contraction in flight; pass it to
     /// [`Executor::finish_auto`] when the requests have been answered.
-    pub(super) fn auto_handle<T: WireScalar>(
-        &self,
-        op: &DenseOpT<T>,
-        t: &DenseTensor<T>,
-    ) -> Option<OpHandle> {
+    pub(super) fn auto_handle(&self, op: &DenseOp, t: &DenseTensor<f64>) -> Option<OpHandle> {
         if op.handle().is_some() || !self.retention_enabled() {
             return None;
         }
-        let h = OpHandle::new(Payload::Dense(T::wrap_tensor(Arc::new(t.clone()))));
+        let h = OpHandle::new(Payload::Dense(Arc::new(t.clone())));
         self.residency.lock().retain(h.key());
         if self.note_retention(&h) {
             Some(h)
@@ -511,13 +500,13 @@ impl Superstep {
     /// The wire form of a whole dense operand for a task on `rank`: the
     /// payload itself for a value; for a handle its resident key, the
     /// upload queued when `rank` does not hold the buffer yet.
-    pub(super) fn whole(&mut self, res: &mut Residency, op: DenseSrc, rank: usize) -> Result<Op> {
+    pub(super) fn whole(&mut self, res: &mut Residency, op: DenseOp, rank: usize) -> Result<Op> {
         let Some(h) = op.handle() else {
-            return Ok(Op::Inline(op.tensor()?.buf()));
+            return Ok(Op::Inline(op.tensor()?.data().to_vec()));
         };
         let key = keys::whole(h);
         self.ensure(res, h.key(), key, rank, || {
-            let data = op.tensor()?.buf();
+            let data = op.tensor()?.data().to_vec();
             Ok(Request::Upload { key, data })
         })?;
         Ok(Op::Key(key))
@@ -526,25 +515,25 @@ impl Superstep {
     /// The permuted `k × n` matrix of `b` as the replicated operand of
     /// chunk tasks on ranks `0..nranks`: inline for a value; for a handle
     /// resident under one key, permuted once, on the first miss.
-    pub(super) fn replicated<T: WireScalar>(
+    pub(super) fn replicated(
         &mut self,
         res: &mut Residency,
-        b: &DenseOpT<T>,
+        b: &DenseOp,
         perm_b: &[usize],
         nranks: usize,
     ) -> Result<Op> {
         let mat = || Ok::<_, Error>(b.tensor()?.permute(perm_b)?.into_data());
         let Some(h) = b.handle() else {
-            return Ok(Op::Inline(T::wrap(mat()?)));
+            return Ok(Op::Inline(mat()?));
         };
-        let key = keys::matrix_b::<T>(h, perm_b);
-        let mut memo: Option<Vec<T>> = None;
+        let key = keys::matrix_b(h, perm_b);
+        let mut memo: Option<Vec<f64>> = None;
         for rank in 0..nranks {
             self.ensure(res, h.key(), key, rank, || {
-                let data = T::wrap(match &memo {
+                let data = match &memo {
                     Some(m) => m.clone(),
                     None => memo.insert(mat()?).clone(),
-                });
+                };
                 Ok(Request::Upload { key, data })
             })?;
         }

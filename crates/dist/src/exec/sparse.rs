@@ -43,7 +43,7 @@ impl Executor {
             |h| keys::sd_a(h, &plan, n).logical(),
             2 * at.nnz(),
         );
-        let sb = self.op_state(b.handle(), |h| keys::matrix_b::<f64>(h, &perm_b), k * n);
+        let sb = self.op_state(b.handle(), |h| keys::matrix_b(h, &perm_b), k * n);
         self.charge_contraction(sa, sb, m * n, m, n, flops, true);
         Ok(c)
     }
@@ -114,7 +114,7 @@ impl Executor {
         }
         let mut c = Vec::with_capacity(m * n);
         for reply in step.run(cl)? {
-            c.extend_from_slice(&expect_buf(reply)?.into_f64()?);
+            c.extend_from_slice(&expect_buf(reply)?);
         }
         let c = kernels::natural_output(plan, at.dims(), bt.dims(), c)?;
         Ok((c, flops))

@@ -226,7 +226,7 @@ fn handle_contractions_bitwise_match_value_path_in_process() {
         let hsb = han.upload_sparse(&sb);
 
         let c_val = val.contract("isj,jtk->istk", &a, &b).unwrap();
-        let c_han = han.contract::<f64>("isj,jtk->istk", &ha, &hb).unwrap();
+        let c_han = han.contract("isj,jtk->istk", &ha, &hb).unwrap();
         assert_eq!(c_val.data(), c_han.data(), "{mode:?} dense");
 
         let d_val = val.contract_sd("isj,jtk->istk", &sa, &b).unwrap();
@@ -256,9 +256,9 @@ fn handle_reuse_charges_less_than_value_path() {
     let (a, b) = operands(61);
     let exec = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
     let hb = exec.upload(&b);
-    exec.contract::<f64>("isj,jtk->istk", &a, &hb).unwrap();
+    exec.contract("isj,jtk->istk", &a, &hb).unwrap();
     let after_first = exec.tracker().lock().bytes_critical;
-    exec.contract::<f64>("isj,jtk->istk", &a, &hb).unwrap();
+    exec.contract("isj,jtk->istk", &a, &hb).unwrap();
     let hit_delta = exec.tracker().lock().bytes_critical - after_first;
 
     let val = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
@@ -282,25 +282,6 @@ fn handle_type_mismatch_is_an_error() {
     let h = exec.upload(&a);
     assert!(exec.contract_sd("isj,jtk->istk", &h, &a).is_err());
     exec.free(&h).unwrap();
-}
-
-#[test]
-fn contract_c64_matches_einsum_and_handles_hit() {
-    let (ar, br) = operands(63);
-    let a = ar.to_complex();
-    let b = br.to_complex();
-    let exec = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
-    let reference = tt_tensor::einsum("isj,jtk->istk", &a, &b).unwrap();
-    let c = exec.contract::<Complex64>("isj,jtk->istk", &a, &b).unwrap();
-    assert_eq!(c.data(), reference.data());
-    let ha = exec.upload(&a);
-    let hb = exec.upload(&b);
-    let ch = exec
-        .contract::<Complex64>("isj,jtk->istk", &ha, &hb)
-        .unwrap();
-    assert_eq!(ch.data(), reference.data());
-    exec.free(&ha).unwrap();
-    exec.free(&hb).unwrap();
 }
 
 #[cfg(unix)]
@@ -422,9 +403,9 @@ fn multi_process_handle_reuse_ships_zero_operand_bytes() {
     let (a, b) = operands(64);
     let ha = mp.upload(&a);
     let hb = mp.upload(&b);
-    let c1 = mp.contract::<f64>("isj,jtk->istk", &ha, &hb).unwrap();
+    let c1 = mp.contract("isj,jtk->istk", &ha, &hb).unwrap();
     let first = mp.operand_bytes();
-    let c2 = mp.contract::<f64>("isj,jtk->istk", &ha, &hb).unwrap();
+    let c2 = mp.contract("isj,jtk->istk", &ha, &hb).unwrap();
     let second = mp.operand_bytes() - first;
     assert_eq!(c1.data(), c2.data());
     // the repeat ships only chunk headers and store keys — orders of
@@ -459,8 +440,8 @@ fn multi_process_resident_footprint_stays_bounded() {
         let a = DenseTensor::<f64>::random([12, 18], &mut rng);
         let b = DenseTensor::<f64>::random([18, 9], &mut rng);
         let hb = mp.upload(&b);
-        let c1 = mp.contract::<f64>("ik,kj->ij", &a, &hb).unwrap();
-        let c2 = mp.contract::<f64>("ik,kj->ij", &a, &hb).unwrap();
+        let c1 = mp.contract("ik,kj->ij", &a, &hb).unwrap();
+        let c2 = mp.contract("ik,kj->ij", &a, &hb).unwrap();
         assert_eq!(c1.data(), c2.data());
         mp.free(&hb).unwrap();
     }
@@ -481,7 +462,7 @@ fn handle_returning_contractions_match_value_paths() {
         ChainSrc::Dense((&b).into()),
     );
     assert_eq!(h.dims(), c_ref.dims());
-    let c = exec.download::<f64>(h).unwrap();
+    let c = exec.download(h).unwrap();
     assert_eq!(c.data(), c_ref.data(), "dense");
 
     let sa = SparseTensor::from_dense(&a, 0.5);
@@ -492,21 +473,8 @@ fn handle_returning_contractions_match_value_paths() {
         ChainSrc::Sparse((&sa).into()),
         ChainSrc::Dense((&b).into()),
     );
-    let d = exec.download::<f64>(h).unwrap();
+    let d = exec.download(h).unwrap();
     assert_eq!(d.data(), d_ref.data(), "sparse-dense");
-
-    let (ac, bc) = (a.to_complex(), b.to_complex());
-    let e_ref = exec
-        .contract::<Complex64>("isj,jtk->istk", &ac, &bc)
-        .unwrap();
-    let h = to_handle(
-        &exec,
-        "isj,jtk->istk",
-        ChainSrc::Dense((&ac).into()),
-        ChainSrc::Dense((&bc).into()),
-    );
-    let e = exec.download::<Complex64>(h).unwrap();
-    assert_eq!(e.data(), e_ref.data(), "Complex64");
 }
 
 #[test]
@@ -538,7 +506,7 @@ fn chains_compose_prev_acc_and_res_bitwise() {
         .unwrap();
     let h_y = out.pop().unwrap().unwrap();
     assert!(out.pop().unwrap().is_none(), "the chain consumed it");
-    assert_eq!(exec.download::<f64>(h_y).unwrap().data(), y_ref.data());
+    assert_eq!(exec.download(h_y).unwrap().data(), y_ref.data());
 
     // accumulate folds partials in submission order (first stored)
     let mut out = exec
@@ -561,7 +529,7 @@ fn chains_compose_prev_acc_and_res_bitwise() {
     let h = out[0].take().unwrap();
     let mut acc_ref = t_ref.clone();
     acc_ref.axpy(1.0, &t_ref).unwrap();
-    assert_eq!(exec.download::<f64>(h).unwrap().data(), acc_ref.data());
+    assert_eq!(exec.download(h).unwrap().data(), acc_ref.data());
 
     // results of earlier chains feed later ones via Res
     let h1 = to_handle(
@@ -579,7 +547,7 @@ fn chains_compose_prev_acc_and_res_bitwise() {
         }])
         .unwrap();
     let h_y = out.pop().unwrap().unwrap();
-    assert_eq!(exec.download::<f64>(h_y).unwrap().data(), y_ref.data());
+    assert_eq!(exec.download(h_y).unwrap().data(), y_ref.data());
     exec.free_result(h1).unwrap();
 
     // malformed chains surface as errors
@@ -655,7 +623,7 @@ fn multi_process_chains_bitwise_and_collapse_result_bytes() {
         .unwrap();
     let h_y = out.pop().unwrap().unwrap();
     assert!(out.pop().unwrap().is_none(), "the chain freed it itself");
-    let y = mp.download::<f64>(h_y).unwrap();
+    let y = mp.download(h_y).unwrap();
     let chain_result_bytes = mp.result_bytes() - before;
     assert_eq!(y.data(), y_ref.data(), "chained must be bitwise equal");
     assert!(
@@ -692,7 +660,7 @@ fn multi_process_chains_bitwise_and_collapse_result_bytes() {
         }])
         .unwrap();
     let h = out.pop().unwrap().unwrap();
-    assert_eq!(mp.download::<f64>(h).unwrap().data(), fused_ref.data());
+    assert_eq!(mp.download(h).unwrap().data(), fused_ref.data());
     mp.free_results(vec![h1, h2]).unwrap();
 
     // after download/free nothing is left on the workers
@@ -954,7 +922,7 @@ fn sd_matvec(exec: &Executor, handles: &[OpHandle], x: &DenseTensor<f64>) -> Vec
         })
         .collect();
     let mut out = exec.chain(&steps).unwrap();
-    let y = exec.download::<f64>(out.pop().unwrap().unwrap()).unwrap();
+    let y = exec.download(out.pop().unwrap().unwrap()).unwrap();
     assert!(out.iter().all(Option::is_none), "t1..t3 are internal");
     let bits = y.data().to_vec();
     exec.recycle(y);
@@ -1001,7 +969,7 @@ fn list_chain(exec: &Executor, seed: u64) -> Vec<Vec<f64>> {
         .unwrap();
     let handed: Vec<bool> = out.iter().map(Option::is_some).collect();
     assert_eq!(handed, [false, false, true, true]);
-    exec.download_many::<f64>(out.into_iter().flatten().collect())
+    exec.download_many(out.into_iter().flatten().collect())
         .unwrap()
         .into_iter()
         .map(DenseTensor::into_data)
@@ -1127,10 +1095,7 @@ fn resident_sparse_operands_keep_their_coords_until_freed() {
         "and reused, not rebuilt"
     );
     assert_eq!(first.data(), by_value.data());
-    assert_eq!(
-        exec.download::<f64>(chained).unwrap().data(),
-        by_value.data()
-    );
+    assert_eq!(exec.download(chained).unwrap().data(), by_value.data());
     exec.free(&h).unwrap();
     assert!(kept().is_none(), "the last free drops them");
 }
@@ -1222,30 +1187,21 @@ fn protocol_trace_matches_golden() {
     let mut rng = StdRng::seed_from_u64(1900);
     let mut dense = |dims: &[usize]| DenseTensor::<f64>::random(dims, &mut rng);
 
-    // -- dense: packed (two MC-aligned slabs) and GEMV shapes, f64 and
-    // Complex64, by value, by handle (miss, then hit) and mixed
+    // -- dense: packed (two MC-aligned slabs) and GEMV shapes, by value, by
+    // handle (miss, then hit) and mixed
     let (a, b, x) = (dense(&[MC + 22, 65]), dense(&[65, 70]), dense(&[65]));
     assert_eq!(gemm_path(65, 70), GemmPath::Packed);
     assert_eq!(gemm_path(65, 1), GemmPath::Gemv);
-    fn dense_forms<T: WireScalar>(
-        exec: &Executor,
-        a: &DenseTensor<T>,
-        b: &DenseTensor<T>,
-        x: &DenseTensor<T>,
-    ) {
-        let (ha, hb, hx) = (exec.upload(a), exec.upload(b), exec.upload(x));
-        for (spec, bv, hbv) in [("ik,kj->ji", b, &hb), ("ik,k->i", x, &hx)] {
-            exec.contract::<T>(spec, a, bv).unwrap();
-            exec.contract::<T>(spec, &ha, hbv).unwrap();
-            exec.contract::<T>(spec, &ha, hbv).unwrap();
-            exec.contract::<T>(spec, &ha, bv).unwrap();
-        }
-        for h in [ha, hb, hx] {
-            exec.free(&h).unwrap();
-        }
+    let (ha, hb, hx) = (exec.upload(&a), exec.upload(&b), exec.upload(&x));
+    for (spec, bv, hbv) in [("ik,kj->ji", &b, &hb), ("ik,k->i", &x, &hx)] {
+        exec.contract(spec, &a, bv).unwrap();
+        exec.contract(spec, &ha, hbv).unwrap();
+        exec.contract(spec, &ha, hbv).unwrap();
+        exec.contract(spec, &ha, bv).unwrap();
     }
-    dense_forms(&exec, &a, &b, &x);
-    dense_forms(&exec, &a.to_complex(), &b.to_complex(), &x.to_complex());
+    for h in [ha, hb, hx] {
+        exec.free(&h).unwrap();
+    }
     // value operands under the retention cache ship once, keyed
     exec.set_retention_cap(1 << 20).unwrap();
     exec.contract("ik,kj->ij", &a, &b).unwrap();
@@ -1371,18 +1327,10 @@ fn protocol_trace_matches_golden() {
             step(ChainSrc::Sparse((&hsq).into()), ChainSrc::Res(&y), None),
         ])
         .unwrap();
-    exec.download::<f64>(y).unwrap();
+    exec.download(y).unwrap();
     let mut tail: Vec<ResultHandle> = tail.into_iter().flatten().collect();
-    exec.download::<f64>(tail.remove(0)).unwrap();
+    exec.download(tail.remove(0)).unwrap();
     exec.free_results(tail).unwrap();
-    let (pc, qc) = (p.to_complex(), q.to_complex());
-    let hc = to_handle(
-        &exec,
-        "ik,kj->ij",
-        ChainSrc::Dense((&pc).into()),
-        ChainSrc::Dense((&qc).into()),
-    );
-    exec.download::<Complex64>(hc).unwrap();
 
     for h in [h1, h2, h3, hm, ht, hbig, hsq] {
         exec.free(&h).unwrap();

@@ -2,8 +2,8 @@
 //! stay *resident* on the runtime instead of being re-shipped with every
 //! task.
 //!
-//! An [`OpHandle`] is created by [`crate::Executor::upload`] (dense, `f64`
-//! or [`Complex64`]) or [`crate::Executor::upload_sparse`] and freed by
+//! An [`OpHandle`] is created by [`crate::Executor::upload`] (dense) or
+//! [`crate::Executor::upload_sparse`] and freed by
 //! [`crate::Executor::free`]. The handle's key is a content hash of the
 //! tensor (dims + exact value bit patterns), so two uploads of identical
 //! data share one key — and one refcount, one set of resident buffers.
@@ -19,13 +19,11 @@
 //! still consulted so the α–β cost charges are bitwise-identical across
 //! backends.
 
-use crate::exec::WireScalar;
 use crate::kernels::Coord;
-use crate::transport::worker::Buf;
 use crate::{Error, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
-use tt_tensor::{Complex64, DenseTensor, SparseTensor};
+use tt_tensor::{DenseTensor, SparseTensor};
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -65,59 +63,6 @@ impl Fnv {
     }
 }
 
-/// A shared dense tensor whose element type is a tag on the data: the
-/// payload of a dense operand handle, and the value of an in-process
-/// resident result (the in-process backend has no worker stores — the
-/// "resident" buffer is the driver's own `Arc`).
-#[derive(Clone)]
-pub(crate) enum DenseAny {
-    F64(Arc<DenseTensor<f64>>),
-    C64(Arc<DenseTensor<Complex64>>),
-}
-
-/// A borrowed dense tensor, tagged like [`DenseAny`].
-#[derive(Clone, Copy)]
-pub(crate) enum DenseRef<'a> {
-    F64(&'a DenseTensor<f64>),
-    C64(&'a DenseTensor<Complex64>),
-}
-
-impl DenseRef<'_> {
-    /// A copy of the data as a wire buffer.
-    pub(crate) fn buf(&self) -> Buf {
-        match self {
-            DenseRef::F64(t) => Buf::F64(t.data().to_vec()),
-            DenseRef::C64(t) => Buf::C64(t.data().to_vec()),
-        }
-    }
-}
-
-impl DenseAny {
-    pub(crate) fn as_ref(&self) -> DenseRef<'_> {
-        match self {
-            DenseAny::F64(t) => DenseRef::F64(t),
-            DenseAny::C64(t) => DenseRef::C64(t),
-        }
-    }
-
-    /// Accumulate `partial` elementwise into this tensor; the element
-    /// types and shapes must agree.
-    pub(crate) fn accumulate(&mut self, partial: &DenseAny) -> Result<()> {
-        match (self, partial) {
-            (DenseAny::F64(acc), DenseAny::F64(p)) => Arc::make_mut(acc).axpy(1.0, p)?,
-            (DenseAny::C64(acc), DenseAny::C64(p)) => {
-                Arc::make_mut(acc).axpy(Complex64::new(1.0, 0.0), p)?
-            }
-            _ => {
-                return Err(Error::Runtime(
-                    "accumulate target has the other element type".into(),
-                ))
-            }
-        }
-        Ok(())
-    }
-}
-
 /// The tensor a handle refers to. Payloads are `Arc`-backed so an upload
 /// of an already-shared tensor (an `Arc`-stored block of a
 /// `BlockSparseTensor`, say) shares storage instead of cloning the data —
@@ -125,7 +70,7 @@ impl DenseAny {
 #[derive(Clone)]
 pub(crate) enum Payload {
     /// A dense tensor.
-    Dense(DenseAny),
+    Dense(Arc<DenseTensor<f64>>),
     /// A flattened sparse `f64` tensor.
     Sparse(Arc<SparseTensor<f64>>),
 }
@@ -134,19 +79,10 @@ impl Payload {
     /// Content key: tag + dims + exact value bit patterns.
     fn content_key(&self) -> u64 {
         match self {
-            Payload::Dense(DenseAny::F64(t)) => Fnv::new()
+            Payload::Dense(t) => Fnv::new()
                 .u8(1)
                 .u64s(t.dims().iter().map(|&d| d as u64))
                 .u64s(t.data().iter().map(|v| v.to_bits()))
-                .finish(),
-            Payload::Dense(DenseAny::C64(t)) => Fnv::new()
-                .u8(2)
-                .u64s(t.dims().iter().map(|&d| d as u64))
-                .u64s(
-                    t.data()
-                        .iter()
-                        .flat_map(|v| [v.re.to_bits(), v.im.to_bits()]),
-                )
                 .finish(),
             Payload::Sparse(t) => Fnv::new()
                 .u8(3)
@@ -160,8 +96,7 @@ impl Payload {
     /// payload moves.
     fn words(&self) -> usize {
         match self {
-            Payload::Dense(DenseAny::F64(t)) => t.len(),
-            Payload::Dense(DenseAny::C64(t)) => 2 * t.len(),
+            Payload::Dense(t) => t.len(),
             // offset + value per stored entry
             Payload::Sparse(t) => 2 * t.nnz(),
         }
@@ -201,24 +136,10 @@ impl OpHandle {
         self.words
     }
 
-    /// The dense tensor of element type `T` behind this handle.
-    pub(crate) fn dense<T: WireScalar>(&self) -> Result<&DenseTensor<T>> {
+    /// The dense tensor behind this handle.
+    pub(crate) fn dense(&self) -> Result<&DenseTensor<f64>> {
         match &self.payload {
-            Payload::Dense(t) => T::peek(t).map(|t| &**t),
-            Payload::Sparse(_) => None,
-        }
-        .ok_or_else(|| {
-            Error::Runtime(format!(
-                "operand handle does not hold a dense {:?} tensor",
-                T::KIND
-            ))
-        })
-    }
-
-    /// The dense tensor behind this handle, whatever its element type.
-    pub(crate) fn dense_ref(&self) -> Result<DenseRef<'_>> {
-        match &self.payload {
-            Payload::Dense(t) => Ok(t.as_ref()),
+            Payload::Dense(t) => Ok(t),
             Payload::Sparse(_) => Err(Error::Runtime(
                 "operand handle does not hold a dense tensor".into(),
             )),
@@ -235,15 +156,6 @@ impl OpHandle {
     }
 }
 
-/// The scalar kind of a resident contraction result.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResultKind {
-    /// Dense `f64` buffer.
-    F64,
-    /// Dense [`Complex64`] buffer.
-    C64,
-}
-
 /// A handle on a contraction *result* that stayed resident on the runtime
 /// instead of returning to the driver — produced by a
 /// [`crate::Executor::chain`] superstep. Unlike [`OpHandle`] the key is
@@ -254,9 +166,9 @@ pub enum ResultKind {
 pub struct ResultHandle {
     pub(crate) key: u64,
     pub(crate) dims: Vec<usize>,
-    pub(crate) kind: ResultKind,
-    pub(crate) words: usize,
-    pub(crate) local: Option<DenseAny>,
+    /// The result itself, on the in-process backend (which has no worker
+    /// stores — the "resident" buffer is the driver's own `Arc`).
+    pub(crate) local: Option<Arc<DenseTensor<f64>>>,
 }
 
 impl ResultHandle {
@@ -269,25 +181,11 @@ impl ResultHandle {
     pub fn dims(&self) -> &[usize] {
         &self.dims
     }
-
-    /// The result's scalar kind.
-    pub fn kind(&self) -> ResultKind {
-        self.kind
-    }
-
-    /// Stored words (8-byte units).
-    pub fn words(&self) -> usize {
-        self.words
-    }
 }
 
 impl std::fmt::Debug for ResultHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ResultHandle({:#018x}, {:?} {:?})",
-            self.key, self.kind, self.dims
-        )
+        write!(f, "ResultHandle({:#018x}, {:?})", self.key, self.dims)
     }
 }
 
@@ -468,10 +366,6 @@ impl Residency {
 mod tests {
     use super::*;
 
-    fn dense_f64(t: Arc<DenseTensor<f64>>) -> Payload {
-        Payload::Dense(DenseAny::F64(t))
-    }
-
     #[test]
     fn content_keys_are_content_keyed() {
         let a = DenseTensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
@@ -479,34 +373,19 @@ mod tests {
         let c = DenseTensor::from_vec([4], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let d = DenseTensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, -4.0]).unwrap();
         let (ha, hb) = (
-            OpHandle::new(dense_f64(Arc::new(a))),
-            OpHandle::new(dense_f64(Arc::new(b))),
+            OpHandle::new(Payload::Dense(Arc::new(a))),
+            OpHandle::new(Payload::Dense(Arc::new(b))),
         );
         assert_eq!(ha.key(), hb.key(), "same content, same key");
         assert_ne!(
             ha.key(),
-            OpHandle::new(dense_f64(Arc::new(c))).key(),
+            OpHandle::new(Payload::Dense(Arc::new(c))).key(),
             "dims count"
         );
         assert_ne!(
             ha.key(),
-            OpHandle::new(dense_f64(Arc::new(d))).key(),
+            OpHandle::new(Payload::Dense(Arc::new(d))).key(),
             "values count"
-        );
-        // scalar type is part of the key
-        let cx = DenseTensor::from_vec(
-            [2, 2],
-            vec![
-                Complex64::new(1.0, 0.0),
-                Complex64::new(2.0, 0.0),
-                Complex64::new(3.0, 0.0),
-                Complex64::new(4.0, 0.0),
-            ],
-        )
-        .unwrap();
-        assert_ne!(
-            ha.key(),
-            OpHandle::new(Payload::Dense(DenseAny::C64(Arc::new(cx)))).key()
         );
     }
 

@@ -15,12 +15,12 @@ use tt_tensor::gemm::{
     gemm_acc_packed_rows, gemm_acc_slices, gemm_path, gemv_acc_rows, GemmPath, PackedB,
 };
 use tt_tensor::transpose::{motion, permute_data, Motion};
-use tt_tensor::{DenseTensor, Scalar};
+use tt_tensor::DenseTensor;
 
 /// A dense operand as the `rows × cols` matrix the GEMM kernels read:
 /// element `(i, l)` lives at `data[i·rs + l·cs]`.
-struct MatOperand<'a, T: Scalar> {
-    data: Cow<'a, [T]>,
+struct MatOperand<'a> {
+    data: Cow<'a, [f64]>,
     rs: usize,
     cs: usize,
 }
@@ -29,13 +29,13 @@ struct MatOperand<'a, T: Scalar> {
 /// permutation only when elements have to change order: an identity (after
 /// fusion) borrows `t`'s storage, and — when the consumer takes strides
 /// (`strided`: the packed GEMM path) — so does a plain matrix transpose.
-fn mat_operand<'a, T: Scalar>(
-    t: &'a DenseTensor<T>,
+fn mat_operand<'a>(
+    t: &'a DenseTensor<f64>,
     perm: &[usize],
     rows: usize,
     cols: usize,
     strided: bool,
-) -> Result<MatOperand<'a, T>> {
+) -> Result<MatOperand<'a>> {
     let (data, rs, cs) = match motion(t.dims(), perm)? {
         Motion::Identity => (Cow::Borrowed(t.data()), cols, 1),
         // the fused pair is the matrix's (row, col) pair only if the
@@ -55,30 +55,30 @@ fn mat_operand<'a, T: Scalar>(
 /// by the GEMV and scalar paths; `pb` is `B` packed, read by the packed
 /// path.
 #[allow(clippy::too_many_arguments)]
-fn dense_rows<T: Scalar>(
+fn dense_rows(
     path: GemmPath,
     (r0, r1): (usize, usize),
     (k, n): (usize, usize),
-    a: &[T],
+    a: &[f64],
     (a_rs, a_cs): (usize, usize),
-    b: &[T],
-    pb: Option<&PackedB<T>>,
-) -> Vec<T> {
+    b: &[f64],
+    pb: Option<&PackedB<f64>>,
+) -> Vec<f64> {
     let rows = r1 - r0;
     match path {
         GemmPath::Gemv => {
             // Davidson matvec shape: skip the blocked machinery entirely
-            let mut c = vec![T::zero(); rows];
+            let mut c = vec![0.0; rows];
             gemv_acc_rows(r0, r1, k, a, b, 1, &mut c);
             c
         }
         GemmPath::Scalar => {
-            let mut c = vec![T::zero(); rows * n];
+            let mut c = vec![0.0; rows * n];
             gemm_acc_slices(rows, k, n, &a[r0 * k..r1 * k], b, &mut c);
             c
         }
         GemmPath::Packed => {
-            let mut c = vec![T::zero(); rows * n];
+            let mut c = vec![0.0; rows * n];
             if let Some(pb) = pb {
                 gemm_acc_packed_rows(r0, r1, a, a_rs, a_cs, pb, &mut c);
             }
@@ -108,12 +108,12 @@ pub(crate) fn dense_prepare(
 /// panels run the microkernel against the shared packed operand, both
 /// through [`ordered_map`]. Operands are read in place when their
 /// permutation moves nothing (see [`mat_operand`]), on every lane.
-pub(crate) fn dense_contract<T: Scalar>(
+pub(crate) fn dense_contract(
     plan: &ContractPlan,
-    a: &DenseTensor<T>,
-    b: &DenseTensor<T>,
+    a: &DenseTensor<f64>,
+    b: &DenseTensor<f64>,
     pool: Option<&ThreadPool>,
-) -> Result<DenseTensor<T>> {
+) -> Result<DenseTensor<f64>> {
     let ((m, k, n), path, ranges) = dense_prepare(plan, a.dims(), b.dims(), lanes(pool))?;
     let (perm_a, perm_b) = operand_perms(plan);
     let packed = path == GemmPath::Packed;
@@ -122,8 +122,8 @@ pub(crate) fn dense_contract<T: Scalar>(
     // one row range: nothing to fan out, and `B` is packed here too
     let pool = pool.filter(|_| ranges.len() > 1);
     let pb = packed.then(|| {
-        let blocks = ordered_map(pool, PackedB::<T>::block_count(k), |blk| {
-            PackedB::<T>::pack_block(k, n, &b_mat.data, b_mat.rs, b_mat.cs, blk)
+        let blocks = ordered_map(pool, PackedB::<f64>::block_count(k), |blk| {
+            PackedB::pack_block(k, n, &b_mat.data, b_mat.rs, b_mat.cs, blk)
         });
         PackedB::from_blocks(k, n, blocks)
     });
@@ -149,14 +149,14 @@ pub(crate) fn dense_contract<T: Scalar>(
 /// results stay bitwise-equal to the in-process kernels — provided the
 /// slab's first row is [`MC`]-aligned in the global matrix, which keeps
 /// the `A`-panel blocking identical).
-pub(crate) fn dense_chunk<T: Scalar>(
+pub(crate) fn dense_chunk(
     path: GemmPath,
     rows: usize,
     k: usize,
     n: usize,
-    a_slab: &[T],
-    b_mat: &[T],
-) -> Vec<T> {
+    a_slab: &[f64],
+    b_mat: &[f64],
+) -> Vec<f64> {
     let pb = (path == GemmPath::Packed && rows > 0).then(|| PackedB::pack(k, n, b_mat, n, 1));
     dense_rows(path, (0, rows), (k, n), a_slab, (k, 1), b_mat, pb.as_ref())
 }

@@ -62,7 +62,7 @@ use crate::Result;
 use tt_tensor::einsum::ContractPlan;
 use tt_tensor::gemm::{GemmPath, MC};
 use tt_tensor::transpose::{motion, permute_data, Motion};
-use tt_tensor::{DenseTensor, Scalar, SparseTensor};
+use tt_tensor::{DenseTensor, SparseTensor};
 
 /// Contiguous row ranges `[r0, r1)`, in row order.
 pub(crate) type Ranges = Vec<(usize, usize)>;
@@ -230,11 +230,7 @@ pub(crate) fn operand_perms(plan: &ContractPlan) -> (Vec<usize>, Vec<usize>) {
 /// The natural-order (`free A`, `free B`) result buffer as the output
 /// tensor: moved when the output permutation fuses to the identity,
 /// permuted otherwise.
-fn into_output<T: Scalar>(
-    nat_dims: Vec<usize>,
-    c: Vec<T>,
-    out_perm: &[usize],
-) -> Result<DenseTensor<T>> {
+fn into_output(nat_dims: Vec<usize>, c: Vec<f64>, out_perm: &[usize]) -> Result<DenseTensor<f64>> {
     let out_dims: Vec<usize> = out_perm.iter().map(|&q| nat_dims[q]).collect();
     let c = match motion(&nat_dims, out_perm)? {
         Motion::Identity => c,
@@ -246,12 +242,12 @@ fn into_output<T: Scalar>(
 /// The epilogue of every dense-result leg: the natural-order rows of
 /// `a ·plan· b`, as computed locally or concatenated from worker panels,
 /// as the output tensor.
-pub(crate) fn natural_output<T: Scalar>(
+pub(crate) fn natural_output(
     plan: &ContractPlan,
     a_dims: &[usize],
     b_dims: &[usize],
-    c: Vec<T>,
-) -> Result<DenseTensor<T>> {
+    c: Vec<f64>,
+) -> Result<DenseTensor<f64>> {
     into_output(
         natural_dims(plan, a_dims, b_dims),
         c,
@@ -260,7 +256,7 @@ pub(crate) fn natural_output<T: Scalar>(
 }
 
 /// Row panels in row order as one buffer: a single panel moves.
-fn concat_rows<T: Scalar>(mut panels: Vec<Vec<T>>, len: usize) -> Vec<T> {
+fn concat_rows(mut panels: Vec<Vec<f64>>, len: usize) -> Vec<f64> {
     if panels.len() == 1 {
         return panels.pop().expect("one panel");
     }

@@ -22,18 +22,16 @@
 //! * [`tsqr()`] — communication-avoiding tall-skinny QR built on
 //!   [`tt_linalg::qr_thin`].
 //!
-//! Two decisions are made once: *value-or-resident is a property of the
+//! One decision is made once: *value-or-resident is a property of the
 //! operand* ([`DenseOp`] / [`SparseOp`] convert from `&tensor` and from
-//! `&`[`OpHandle`]), and *the element type of a dense buffer is a tag on
-//! the data* (`contract`, `upload`, `download` and `download_many` are
-//! generic over `f64` / `Complex64`; a chain step's dense operand is one
-//! [`DenseSrc`] whatever it holds; [`ResultHandle`]s and wire buffers
-//! carry a [`ResultKind`]). Neither is spelled in a function or opcode name, so
-//! the whole [`Executor`] surface is:
+//! `&`[`OpHandle`]), never spelled in a function or opcode name. The data
+//! plane is `f64` — the paper's spin and electron models are real — and
+//! complex arithmetic lives in `tt_tensor` only. The whole [`Executor`]
+//! surface is:
 //!
 //! | entry point | operands |
 //! |---|---|
-//! | [`Executor::contract`] | 2 × `impl Into<DenseOpT<T>>` |
+//! | [`Executor::contract`] | 2 × `impl Into<DenseOp>` |
 //! | [`Executor::contract_sd`] | `impl Into<SparseOp>`, `impl Into<DenseOp>` |
 //! | [`Executor::contract_ss`] | 2 × `impl Into<SparseOp>`, output mask |
 //! | [`Executor::contract_batch`] | `&[(DenseOp, DenseOp)]` |
@@ -61,10 +59,10 @@ mod tsqr;
 pub use cluster::{Cluster, JournalStats};
 pub use cost::{CostTracker, JobScope, ResidentMeter, SimTime};
 pub use exec::{
-    Backend, ChainSrc, ChainStep, DenseOp, DenseOpC, DenseOpT, DenseSrc, ExecMode, Executor,
-    RankCacheStats, SparseOp, WorkspaceStats,
+    Backend, ChainSrc, ChainStep, DenseOp, ExecMode, Executor, RankCacheStats, SparseOp,
+    WorkspaceStats,
 };
-pub use handle::{OpHandle, ResultHandle, ResultKind};
+pub use handle::{OpHandle, ResultHandle};
 pub use machine::Machine;
 pub use pool::ThreadPool;
 #[cfg(unix)]

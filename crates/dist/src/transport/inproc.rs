@@ -7,8 +7,7 @@
 //! data actually crosses an address-space boundary. Messages still
 //! round-trip through the little-endian wire codec — the exact same bytes
 //! the multi-process backend puts on its sockets — which keeps one codec
-//! path exercised everywhere (and is exact for `f64`/`Complex64` bit
-//! patterns).
+//! path exercised everywhere (and is exact for `f64` bit patterns).
 
 use super::worker::{Request, WorkerState};
 use super::Transport;
@@ -159,7 +158,7 @@ impl Transport for RecordingTransport {
 
 #[cfg(test)]
 mod tests {
-    use super::super::worker::{Buf, Reply};
+    use super::super::worker::Reply;
     use super::*;
 
     #[test]
@@ -173,7 +172,7 @@ mod tests {
                 tag,
                 &Request::Upload {
                     key: 1,
-                    data: Buf::F64(vec![r as f64]),
+                    data: vec![r as f64],
                 }
                 .encode(),
             )
@@ -187,7 +186,7 @@ mod tests {
                 .unwrap();
             assert_eq!(
                 Reply::decode(&t.recv(r, tag).unwrap()).unwrap(),
-                Reply::Buf(Buf::F64(vec![r as f64]))
+                Reply::Buf(vec![r as f64])
             );
         }
         assert!(t.recv(0, 999).is_err(), "unknown tag must error");

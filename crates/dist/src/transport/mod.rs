@@ -11,8 +11,8 @@
 //!   transport [`Cluster`](crate::Cluster) keeps no journal for);
 //! * [`ProcTransport`] — the multi-process shared-nothing backend: `p`
 //!   real OS worker processes connected over Unix-domain sockets, with
-//!   hand-rolled little-endian framing for `f64`/`Complex64` tensor
-//!   payloads (exact bit round-trip).
+//!   hand-rolled little-endian framing for `f64` tensor payloads (exact
+//!   bit round-trip).
 //!
 //! The topology is a star rooted at the driver — the shape the
 //! coordinator-driven [`Executor`](crate::Executor) actually uses. Every
@@ -22,17 +22,16 @@
 //! the executor-side routing does not change.
 //!
 //! What travels over it is the rank-side task protocol (`worker`): 15
-//! requests. A dense operand is an `Op` — `Inline(Buf)` or a `Key` into
-//! the rank's store — and the element type is a tag on the data
-//! (`Buf::F64` / `Buf::C64`), never part of the opcode; operands whose
-//! tags disagree fail typed. The wire numbers 6, 8, 15 and 16 are
-//! retired and decode to a typed `Decode` fault.
+//! requests. A dense operand is an `Op` — `f64` data inline or a `Key`
+//! into the rank's store. The request numbers 3, 6, 8, 15 and 16, reply
+//! number 3 and inline-operand tag 2 are retired and decode to a typed
+//! `Decode` fault.
 //!
 //! | # | request | effect | reply |
 //! |---|---|---|---|
 //! | 0 | `Ping` | liveness probe (`Cluster::probe`) | `Pong` |
 //! | 1 | `Free` | drop the entry under a key | `Unit` |
-//! | 2–3 | `Upload` | store a dense `Buf` (`F64` / `C64`) under a key | `Unit` |
+//! | 2 | `Upload` | store a dense buffer under a key | `Unit` |
 //! | 4 | `UploadCoords` | store a sparse coordinate bucket | `Unit` |
 //! | 5 | `UploadSs` | store a grouped sparse-sparse table | `Unit` |
 //! | 7 | `CacheStats` | store footprint and hit/miss counters | `Stats` |

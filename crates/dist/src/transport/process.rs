@@ -880,7 +880,7 @@ impl Drop for ProcTransport {
 
 #[cfg(test)]
 mod tests {
-    use super::super::worker::{Buf, Op, Reply};
+    use super::super::worker::{Op, Reply};
     use super::*;
 
     /// Self-exec hook: when the lib test binary is re-executed as a
@@ -910,7 +910,7 @@ mod tests {
                 tag,
                 &Request::Upload {
                     key: 7,
-                    data: Buf::F64(vec![r as f64 + 0.5]),
+                    data: vec![r as f64 + 0.5],
                 }
                 .encode(),
             )
@@ -926,31 +926,9 @@ mod tests {
                 .unwrap();
             assert_eq!(
                 Reply::decode(&t.recv(r, tag).unwrap()).unwrap(),
-                Reply::Buf(Buf::F64(vec![r as f64 + 0.5]))
+                Reply::Buf(vec![r as f64 + 0.5])
             );
         }
-        // complex payloads cross the socket bitwise
-        let c = vec![tt_tensor::Complex64::new(1.0 / 3.0, -0.0)];
-        let tag = t.next_tag();
-        t.send(
-            0,
-            tag,
-            &Request::Upload {
-                key: 1,
-                data: Buf::C64(c.clone()),
-            }
-            .encode(),
-        )
-        .unwrap();
-        t.recv(0, tag).unwrap();
-        let tag = t.next_tag();
-        t.send(0, tag, &Request::Download { key: 1 }.encode())
-            .unwrap();
-        let Reply::Buf(Buf::C64(back)) = Reply::decode(&t.recv(0, tag).unwrap()).unwrap() else {
-            panic!("expected complex payload");
-        };
-        assert_eq!(back[0].re.to_bits(), c[0].re.to_bits());
-        assert_eq!(back[0].im.to_bits(), c[0].im.to_bits());
     }
 
     #[test]
@@ -971,7 +949,7 @@ mod tests {
                 put,
                 &Request::Upload {
                     key: round,
-                    data: Buf::F64(big.clone()),
+                    data: big.clone(),
                 }
                 .encode(),
             )
@@ -986,8 +964,7 @@ mod tests {
                 Reply::decode(&t.recv(0, put).unwrap()).unwrap(),
                 Reply::Unit
             );
-            let Reply::Buf(Buf::F64(back)) = Reply::decode(&t.recv(0, get).unwrap()).unwrap()
-            else {
+            let Reply::Buf(back) = Reply::decode(&t.recv(0, get).unwrap()).unwrap() else {
                 panic!("expected payload");
             };
             assert_eq!(back.len(), big.len());
@@ -1013,8 +990,8 @@ mod tests {
                 rows,
                 k,
                 n,
-                a: Op::Inline(Buf::F64(vec![1.0; rows * k])),
-                b: Op::Inline(Buf::F64(vec![1.0; k * n])),
+                a: Op::Inline(vec![1.0; rows * k]),
+                b: Op::Inline(vec![1.0; k * n]),
             }
             .encode(),
         )
@@ -1033,7 +1010,7 @@ mod tests {
             t1,
             &Request::Upload {
                 key: 1,
-                data: Buf::F64(vec![1.0]),
+                data: vec![1.0],
             }
             .encode(),
         )
@@ -1043,7 +1020,7 @@ mod tests {
             t2,
             &Request::Upload {
                 key: 2,
-                data: Buf::F64(vec![2.0]),
+                data: vec![2.0],
             }
             .encode(),
         )
@@ -1129,7 +1106,7 @@ mod tests {
             tag,
             &Request::Upload {
                 key: 9,
-                data: Buf::F64(vec![1.5]),
+                data: vec![1.5],
             }
             .encode(),
         )
@@ -1177,7 +1154,7 @@ mod tests {
             tag,
             &Request::Upload {
                 key: 3,
-                data: Buf::F64(vec![2.5]),
+                data: vec![2.5],
             }
             .encode(),
         )
@@ -1188,7 +1165,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             Reply::decode(&t.recv(1, tag).unwrap()).unwrap(),
-            Reply::Buf(Buf::F64(vec![2.5]))
+            Reply::Buf(vec![2.5])
         );
     }
 
@@ -1330,8 +1307,8 @@ mod tests {
                 rows: n,
                 k: n,
                 n,
-                a: Op::Inline(Buf::F64(vec![1.0; n * n])),
-                b: Op::Inline(Buf::F64(vec![0.5; n * n])),
+                a: Op::Inline(vec![1.0; n * n]),
+                b: Op::Inline(vec![0.5; n * n]),
             }
             .encode(),
         )
@@ -1342,7 +1319,7 @@ mod tests {
         let (waited, wakeups) = (start.elapsed(), WAKEUPS.with(|w| w.get()) - before);
         assert!(matches!(
             Reply::decode(&reply).unwrap(),
-            Reply::Buf(Buf::F64(c)) if c.len() == n * n && c[0] == 0.5 * n as f64
+            Reply::Buf(c) if c.len() == n * n && c[0] == 0.5 * n as f64
         ));
         assert!(waited >= Duration::from_millis(100), "{waited:?}");
         let allowed = 8 + (waited.as_millis() / LIVENESS_CAP.as_millis()) as u64;

@@ -5,13 +5,12 @@
 //! byte-level codec here. `f64` values round-trip through
 //! `to_le_bytes`/`from_le_bytes`, which preserves the exact bit pattern —
 //! the property the bitwise-equivalence guarantee of the multi-process
-//! backend rests on. [`Complex64`] payloads are framed as `(re, im)` pairs.
+//! backend rests on.
 //!
 //! A frame on a stream is `[tag: u64 LE][len: u64 LE][len bytes]`.
 
 use crate::{Error, Result};
 use std::io::{Read, Write};
-use tt_tensor::Complex64;
 
 /// Refuse frames larger than this (corrupt headers would otherwise ask the
 /// reader to allocate terabytes). Shared with the driver's pumping reader,
@@ -78,16 +77,6 @@ impl Enc {
         }
     }
 
-    /// Append a length-prefixed [`Complex64`] slice as `(re, im)` pairs.
-    pub fn put_c64s(&mut self, v: &[Complex64]) {
-        self.put_usize(v.len());
-        self.buf.reserve(16 * v.len());
-        for x in v {
-            self.buf.extend_from_slice(&x.re.to_le_bytes());
-            self.buf.extend_from_slice(&x.im.to_le_bytes());
-        }
-    }
-
     /// Append a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_usize(s.len());
@@ -107,10 +96,10 @@ impl<'a> Dec<'a> {
         Self { buf, pos: 0 }
     }
 
-    /// `count` elements of `width` bytes, guarding the multiplication.
-    fn take_elems(&mut self, count: usize, width: usize) -> Result<&'a [u8]> {
+    /// `count` 8-byte words, guarding the multiplication.
+    fn take_words(&mut self, count: usize) -> Result<&'a [u8]> {
         let bytes = count
-            .checked_mul(width)
+            .checked_mul(8)
             .ok_or_else(|| Error::transport(format!("absurd element count {count} in message")))?;
         self.take(bytes)
     }
@@ -162,7 +151,7 @@ impl<'a> Dec<'a> {
     /// Read a length-prefixed `f64` slice.
     pub fn f64s(&mut self) -> Result<Vec<f64>> {
         let n = self.usize()?;
-        let b = self.take_elems(n, 8)?;
+        let b = self.take_words(n)?;
         Ok(b.chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
             .collect())
@@ -171,23 +160,9 @@ impl<'a> Dec<'a> {
     /// Read a length-prefixed `u64` slice.
     pub fn u64s(&mut self) -> Result<Vec<u64>> {
         let n = self.usize()?;
-        let b = self.take_elems(n, 8)?;
+        let b = self.take_words(n)?;
         Ok(b.chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    /// Read a length-prefixed [`Complex64`] slice.
-    pub fn c64s(&mut self) -> Result<Vec<Complex64>> {
-        let n = self.usize()?;
-        let b = self.take_elems(n, 16)?;
-        Ok(b.chunks_exact(16)
-            .map(|c| {
-                Complex64::new(
-                    f64::from_le_bytes(c[..8].try_into().unwrap()),
-                    f64::from_le_bytes(c[8..].try_into().unwrap()),
-                )
-            })
             .collect())
     }
 
@@ -256,22 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn complex_payloads_roundtrip_bitwise() {
-        let v: Vec<Complex64> = (0..17)
-            .map(|i| Complex64::new(1.0 / (i as f64 + 3.0), -(i as f64).sqrt()))
-            .collect();
-        let mut e = Enc::new();
-        e.put_c64s(&v);
-        let bytes = e.finish();
-        let back = Dec::new(&bytes).c64s().unwrap();
-        assert_eq!(back.len(), v.len());
-        for (a, b) in v.iter().zip(&back) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
-    }
-
-    #[test]
     fn truncated_messages_error_instead_of_panicking() {
         let mut e = Enc::new();
         e.put_f64s(&[1.0, 2.0, 3.0]);
@@ -297,14 +256,13 @@ mod tests {
             let len = (next() % 64) as usize;
             let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
             let mut d = Dec::new(&bytes);
-            match round % 8 {
+            match round % 7 {
                 0 => drop(d.u8()),
                 1 => drop(d.u64()),
                 2 => drop(d.usize()),
                 3 => drop(d.f64()),
                 4 => drop(d.f64s()),
                 5 => drop(d.u64s()),
-                6 => drop(d.c64s()),
                 _ => drop(d.str()),
             }
         }

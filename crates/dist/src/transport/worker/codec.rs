@@ -1,7 +1,7 @@
 //! The little-endian wire form of [`Request`] and [`Reply`].
 
 use super::super::wire::{Dec, Enc};
-use super::protocol::{Buf, Op, OpCoords, OpSs, Out, Reply, Request};
+use super::protocol::{Op, OpCoords, OpSs, Out, Reply, Request};
 use crate::{DistError, Error, FaultKind, Result};
 use tt_tensor::gemm::GemmPath;
 
@@ -34,30 +34,12 @@ fn get_usizes(d: &mut Dec) -> Result<Vec<usize>> {
     (0..n).map(|_| d.usize()).collect()
 }
 
-impl Buf {
-    /// The element tag on the wire. It rides in the discriminant byte
-    /// that introduces the buffer (`base + tag`: an opcode or an operand
-    /// tag), so tagging the data adds no byte to any frame.
-    fn tag(&self) -> u8 {
-        match self {
-            Buf::F64(_) => 0,
-            Buf::C64(_) => 1,
-        }
-    }
-
-    fn put_data(&self, e: &mut Enc) {
-        match self {
-            Buf::F64(v) => e.put_f64s(v),
-            Buf::C64(v) => e.put_c64s(v),
-        }
-    }
-
-    fn get_data(d: &mut Dec, tag: u8) -> Result<Self> {
-        Ok(match tag {
-            0 => Buf::F64(d.f64s()?),
-            _ => Buf::C64(d.c64s()?),
-        })
-    }
+/// The typed fault for a number the codec does not (or no longer)
+/// assigns. Retired numbers — request opcodes 3, 6, 8, 15 and 16, reply
+/// opcode 3, inline-operand tag 2 — are never reassigned, so a frame from
+/// an older peer fails here instead of being misread.
+fn unknown(what: &str, v: u8) -> Error {
+    DistError::new(FaultKind::Decode, None, format!("unknown {what} {v}")).into()
 }
 
 impl Op {
@@ -67,9 +49,9 @@ impl Op {
                 e.put_u8(0);
                 e.put_u64(*k);
             }
-            Op::Inline(buf) => {
-                e.put_u8(1 + buf.tag());
-                buf.put_data(e);
+            Op::Inline(data) => {
+                e.put_u8(1);
+                e.put_f64s(data);
             }
         }
     }
@@ -77,8 +59,8 @@ impl Op {
     fn get(d: &mut Dec) -> Result<Self> {
         Ok(match d.u8()? {
             0 => Op::Key(d.u64()?),
-            t @ 1..=2 => Op::Inline(Buf::get_data(d, t - 1)?),
-            t => return Err(Error::transport(format!("bad operand tag {t}"))),
+            1 => Op::Inline(d.f64s()?),
+            t => return Err(unknown("operand tag", t)),
         })
     }
 }
@@ -159,9 +141,9 @@ impl Request {
                 e.put_u64(*key);
             }
             Request::Upload { key, data } => {
-                e.put_u8(2 + data.tag());
+                e.put_u8(2);
                 e.put_u64(*key);
-                data.put_data(&mut e);
+                e.put_f64s(data);
             }
             Request::UploadCoords {
                 key,
@@ -317,17 +299,15 @@ impl Request {
         e.finish()
     }
 
-    /// Decode from the wire format. Opcodes 6, 8, 15 and 16 are retired:
-    /// never reassign them, so a frame from an older peer fails typed
-    /// instead of being misread.
+    /// Decode from the wire format.
     pub(crate) fn decode(bytes: &[u8]) -> Result<Self> {
         let mut d = Dec::new(bytes);
         let req = match d.u8()? {
             0 => Request::Ping,
             1 => Request::Free { key: d.u64()? },
-            op @ 2..=3 => Request::Upload {
+            2 => Request::Upload {
                 key: d.u64()?,
-                data: Buf::get_data(&mut d, op - 2)?,
+                data: d.f64s()?,
             },
             4 => Request::UploadCoords {
                 key: d.u64()?,
@@ -411,14 +391,7 @@ impl Request {
             },
             18 => Request::Download { key: d.u64()? },
             19 => Request::Shutdown,
-            op => {
-                return Err(DistError::new(
-                    FaultKind::Decode,
-                    None,
-                    format!("unknown request opcode {op}"),
-                )
-                .into())
-            }
+            op => return Err(unknown("request opcode", op)),
         };
         Ok(req)
     }
@@ -431,9 +404,9 @@ impl Reply {
         match self {
             Reply::Pong => e.put_u8(0),
             Reply::Unit => e.put_u8(1),
-            Reply::Buf(buf) => {
-                e.put_u8(2 + buf.tag());
-                buf.put_data(&mut e);
+            Reply::Buf(data) => {
+                e.put_u8(2);
+                e.put_f64s(data);
             }
             Reply::Entries { offs, vals, flops } => {
                 e.put_u8(4);
@@ -503,7 +476,7 @@ impl Reply {
         let rep = match d.u8()? {
             0 => Reply::Pong,
             1 => Reply::Unit,
-            op @ 2..=3 => Reply::Buf(Buf::get_data(&mut d, op - 2)?),
+            2 => Reply::Buf(d.f64s()?),
             4 => Reply::Entries {
                 offs: d.u64s()?,
                 vals: d.f64s()?,
@@ -534,7 +507,7 @@ impl Reply {
                 hits: d.u64()?,
                 misses: d.u64()?,
             },
-            op => return Err(Error::transport(format!("unknown reply opcode {op}"))),
+            op => return Err(unknown("reply opcode", op)),
         };
         Ok(rep)
     }

@@ -1,15 +1,14 @@
 //! Executing one request against a rank's store.
 
-use super::protocol::{Buf, OpCoords, Out, Reply, Request};
-use super::store::{mixed_tags, Cached, SsTable, WorkerState};
+use super::protocol::{OpCoords, Out, Reply, Request};
+use super::store::{Cached, SsTable, WorkerState};
 use crate::kernels;
 use crate::{Error, Result};
 use std::borrow::Cow;
 use std::sync::Arc;
 use tt_linalg::TruncSpec;
 use tt_tensor::einsum::ContractPlan;
-use tt_tensor::gemm::GemmPath;
-use tt_tensor::{DenseTensor, Scalar};
+use tt_tensor::DenseTensor;
 
 impl WorkerState {
     /// Execute one request. Returns `None` only for [`Request::Shutdown`];
@@ -69,23 +68,11 @@ impl WorkerState {
                 a,
                 b,
             } => {
-                fn chunk<T: Scalar>(
-                    path: GemmPath,
-                    (rows, k, n): (usize, usize, usize),
-                    a: &[T],
-                    b: &[T],
-                ) -> Result<Vec<T>> {
-                    if a.len() != rows * k || b.len() != k * n {
-                        return Err(Error::transport("dense chunk operand size mismatch"));
-                    }
-                    Ok(kernels::dense_chunk(path, rows, k, n, a, b))
-                }
                 let (a, b) = (self.op(a)?, self.op(b)?);
-                Ok(Reply::Buf(match (a.as_ref(), b.as_ref()) {
-                    (Buf::F64(a), Buf::F64(b)) => Buf::F64(chunk(path, (rows, k, n), a, b)?),
-                    (Buf::C64(a), Buf::C64(b)) => Buf::C64(chunk(path, (rows, k, n), a, b)?),
-                    _ => return Err(mixed_tags()),
-                }))
+                if Some(a.len()) != rows.checked_mul(k) || Some(b.len()) != k.checked_mul(n) {
+                    return Err(Error::transport("dense chunk operand size mismatch"));
+                }
+                Ok(Reply::Buf(kernels::dense_chunk(path, rows, k, n, &a, &b)))
             }
             Request::Contract {
                 spec,
@@ -95,26 +82,11 @@ impl WorkerState {
                 b,
                 out,
             } => {
-                fn contract<T: Scalar>(
-                    plan: &ContractPlan,
-                    (a_dims, a): (Vec<usize>, Vec<T>),
-                    (b_dims, b): (Vec<usize>, Vec<T>),
-                ) -> Result<Vec<T>> {
-                    let ta = DenseTensor::from_vec(a_dims, a)?;
-                    let tb = DenseTensor::from_vec(b_dims, b)?;
-                    Ok(kernels::dense_contract(plan, &ta, &tb, None)?.into_data())
-                }
                 let plan = ContractPlan::parse(&spec)?;
                 let (a, b) = (self.op(a)?, self.op(b)?);
-                let c = match (Self::take(a), Self::take(b)) {
-                    (Buf::F64(a), Buf::F64(b)) => {
-                        Buf::F64(contract(&plan, (a_dims, a), (b_dims, b))?)
-                    }
-                    (Buf::C64(a), Buf::C64(b)) => {
-                        Buf::C64(contract(&plan, (a_dims, a), (b_dims, b))?)
-                    }
-                    _ => return Err(mixed_tags()),
-                };
+                let ta = DenseTensor::from_vec(a_dims, Self::take(a))?;
+                let tb = DenseTensor::from_vec(b_dims, Self::take(b))?;
+                let c = kernels::dense_contract(&plan, &ta, &tb, None)?.into_data();
                 match out {
                     Out::Reply => Ok(Reply::Buf(c)),
                     Out::Store { key, acc } => {
@@ -126,20 +98,19 @@ impl WorkerState {
             Request::SdChunk { r0, r1, n, a, b } => {
                 let bucket = self.opcoords(a)?;
                 let b = self.op(b)?;
-                let b = b.as_f64()?;
                 if r1 < r0 || (n > 0 && b.len() % n != 0) {
                     return Err(Error::transport("sd chunk operand size mismatch"));
                 }
                 // the driver ships B already permuted: one full-width run
                 let b_view = kernels::SdView::matrix(b.len() / n.max(1), n, n);
-                Ok(Reply::Buf(Buf::F64(kernels::sd_panel(
+                Ok(Reply::Buf(kernels::sd_panel(
                     (r0, r1),
                     n,
                     &bucket,
                     n,
                     &b_view,
-                    b,
-                ))))
+                    &b,
+                )))
             }
             Request::SsChunk {
                 a,
@@ -171,7 +142,7 @@ impl WorkerState {
                 Ok(Reply::Entries { offs, vals, flops })
             }
             Request::QrThin { rows, cols, a } => {
-                let a = Self::take(self.op(a)?).into_f64()?;
+                let a = Self::take(self.op(a)?);
                 let (q, r) = tt_linalg::qr_thin(&DenseTensor::from_vec([rows, cols], a)?)?;
                 Ok(Reply::Factors {
                     q_rows: q.dims()[0],
@@ -195,7 +166,7 @@ impl WorkerState {
                     cutoff,
                     min_keep: min_keep as usize,
                 };
-                let a = Self::take(self.op(a)?).into_f64()?;
+                let a = Self::take(self.op(a)?);
                 let t = tt_linalg::svd_trunc(&DenseTensor::from_vec([rows, cols], a)?, spec)?;
                 Ok(Reply::Svd {
                     u_rows: t.u.dims()[0],
@@ -230,8 +201,8 @@ impl WorkerState {
                     out_perm: &out_perm,
                 };
                 let coords = Cow::Borrowed(&bucket[..]);
-                let c = kernels::sd_apply(&g, b.as_f64()?, coords, 1, None, &self.workspace)?;
-                self.store(store, Buf::F64(c.into_data()), false)?;
+                let c = kernels::sd_apply(&g, &b, coords, 1, None, &self.workspace)?;
+                self.store(store, c.into_data(), false)?;
                 Ok(Reply::Unit)
             }
             Request::Download { key } => {

@@ -11,17 +11,15 @@
 //! decomposition, multi-process results are bitwise-identical to the
 //! in-process Sequential executor.
 //!
-//! The element type of a dense buffer is a tag on the data ([`Buf`]), not
-//! a property of the opcode: one request serves `f64` and [`Complex64`],
-//! and a pair of operands whose tags disagree fails typed. Every bulk
-//! operand of a compute task is an [`Op`] / [`OpCoords`] / [`OpSs`] —
-//! either **inline** bytes (the value-passing path) or a **key** into the
-//! rank's resident store (the handle path: the operand was stored by an
-//! earlier `Upload*` request and ships zero bytes with the task). The
-//! store is a plain keyed map: `Upload*` and storing compute requests
-//! insert (or replace), `Free` and `Download` remove, and nothing else
-//! ever leaves it — a rank's memory is bounded by the driver's frees, not
-//! here (`Executor::free` documents the bound).
+//! Every buffer holds `f64` data. Every bulk operand of a compute task is
+//! an [`Op`] / [`OpCoords`] / [`OpSs`] — either **inline** bytes (the
+//! value-passing path) or a **key** into the rank's resident store (the
+//! handle path: the operand was stored by an earlier `Upload*` request and
+//! ships zero bytes with the task). The store is a plain keyed map:
+//! `Upload*` and storing compute requests insert (or replace), `Free` and
+//! `Download` remove, and nothing else ever leaves it — a rank's memory is
+//! bounded by the driver's frees, not here (`Executor::free` documents the
+//! bound).
 //!
 //! The same [`WorkerState`] is driven two ways:
 //!
@@ -43,7 +41,7 @@ mod store;
 #[cfg(test)]
 mod tests;
 
-pub(crate) use protocol::{Buf, Op, OpCoords, OpSs, Out, Reply, Request};
+pub(crate) use protocol::{Op, OpCoords, OpSs, Out, Reply, Request};
 pub use serve::maybe_serve;
 #[cfg(unix)]
 pub use serve::{serve_from_env, worker_loop};

@@ -1,22 +1,13 @@
 //! The messages of the rank-side task protocol: operands, requests and
 //! replies. Their wire form is in `codec`.
 
-use crate::{Error, Result};
 use tt_tensor::gemm::GemmPath;
-use tt_tensor::Complex64;
-
-/// A dense buffer: the element type is a tag on the data.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum Buf {
-    F64(Vec<f64>),
-    C64(Vec<Complex64>),
-}
 
 /// A dense buffer operand: inline payload or resident-store key.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum Op {
     /// The bytes travel with the task.
-    Inline(Buf),
+    Inline(Vec<f64>),
     /// The operand is resident on the rank under this key.
     Key(u64),
 }
@@ -68,7 +59,7 @@ pub(crate) enum Request {
     /// Drop the buffer under `key` unconditionally (any payload type).
     Free { key: u64 },
     /// Store a dense buffer under `key`.
-    Upload { key: u64, data: Buf },
+    Upload { key: u64, data: Vec<f64> },
     /// Store a sparse-coordinate bucket under `key`.
     UploadCoords {
         key: u64,
@@ -176,7 +167,7 @@ pub(crate) enum Reply {
     /// Success with no payload.
     Unit,
     /// A dense buffer.
-    Buf(Buf),
+    Buf(Vec<f64>),
     /// Sparse output entries plus the flops the chunk executed.
     Entries {
         offs: Vec<u64>,
@@ -214,39 +205,6 @@ pub(crate) enum Reply {
     Fail(String),
 }
 
-impl Buf {
-    /// Payload bytes.
-    pub(crate) fn bytes(&self) -> usize {
-        match self {
-            Buf::F64(v) => 8 * v.len(),
-            Buf::C64(v) => 16 * v.len(),
-        }
-    }
-
-    /// The `f64` data, or a typed failure for a [`Complex64`] buffer.
-    pub(crate) fn into_f64(self) -> Result<Vec<f64>> {
-        match self {
-            Buf::F64(v) => Ok(v),
-            Buf::C64(_) => Err(Error::transport("expected f64 data, got Complex64")),
-        }
-    }
-
-    /// The [`Complex64`] data, or a typed failure for an `f64` buffer.
-    pub(crate) fn into_c64(self) -> Result<Vec<Complex64>> {
-        match self {
-            Buf::C64(v) => Ok(v),
-            Buf::F64(_) => Err(Error::transport("expected Complex64 data, got f64")),
-        }
-    }
-
-    pub(super) fn as_f64(&self) -> Result<&[f64]> {
-        match self {
-            Buf::F64(v) => Ok(v),
-            Buf::C64(_) => Err(Error::transport("expected f64 data, got Complex64")),
-        }
-    }
-}
-
 impl Op {
     /// Resident key this operand reads, if any.
     pub(crate) fn key(&self) -> Option<u64> {
@@ -258,7 +216,7 @@ impl Op {
 
     fn payload_bytes(&self) -> usize {
         match self {
-            Op::Inline(buf) => buf.bytes(),
+            Op::Inline(data) => 8 * data.len(),
             Op::Key(_) => 0,
         }
     }
@@ -300,7 +258,7 @@ impl Request {
             }
         }
         match self {
-            Request::Upload { data, .. } => data.bytes(),
+            Request::Upload { data, .. } => 8 * data.len(),
             Request::UploadCoords {
                 rows, cols, vals, ..
             } => 8 * (rows.len() + cols.len() + vals.len()),

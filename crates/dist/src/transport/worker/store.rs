@@ -1,14 +1,13 @@
 //! One rank's keyed buffer store and the resolution of operands against
 //! it.
 
-use super::protocol::{Buf, Op, OpCoords, OpSs};
+use super::protocol::{Op, OpCoords, OpSs};
 use crate::exec::Workspace;
 use crate::kernels;
 use crate::{Error, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tt_tensor::ssmerge::SsBTable;
-use tt_tensor::Scalar;
 
 /// The grouped sparse-sparse `B` operand in its resident (decoded) form:
 /// the flat sorted-run table the merge kernel consumes directly. The wire
@@ -49,7 +48,7 @@ impl SsTable {
 
 /// One resident buffer.
 pub(super) enum Cached {
-    Dense(Arc<Buf>),
+    Dense(Arc<Vec<f64>>),
     Coords(Arc<Vec<kernels::Coord>>),
     Ss(Arc<SsTable>),
 }
@@ -58,7 +57,7 @@ impl Cached {
     /// Deterministic byte accounting of the buffer.
     fn bytes(&self) -> u64 {
         match self {
-            Cached::Dense(buf) => buf.bytes() as u64,
+            Cached::Dense(data) => 8 * data.len() as u64,
             Cached::Coords(v) => 24 * v.len() as u64,
             Cached::Ss(t) => 16 * (t.table.n_entries() + t.table.n_keys()) as u64,
         }
@@ -74,7 +73,7 @@ pub(crate) struct WorkerState {
     pub(super) hits: u64,
     /// Fresh insertions — key not already resident (lifetime).
     pub(super) misses: u64,
-    /// Where `ChainSd` draws its large temporaries from and a freed `f64`
+    /// Where `ChainSd` draws its large temporaries from and a freed dense
     /// result goes: a chain's intermediates serve the next chain's. Not
     /// part of the store — `bytes` counts what the driver can name.
     pub(super) workspace: Workspace,
@@ -103,12 +102,12 @@ impl WorkerState {
     }
 
     /// Drop the buffer under `key`, if any (`Free`). A free ends the run
-    /// of requests that is the workspace's call; an `f64` buffer nobody
+    /// of requests that is the workspace's call; a dense buffer nobody
     /// else holds goes back to it.
     pub(super) fn free(&mut self, key: u64) {
         self.workspace.settle();
         if let Some(Cached::Dense(buf)) = self.remove(key) {
-            if let Ok(Buf::F64(data)) = Arc::try_unwrap(buf) {
+            if let Ok(data) = Arc::try_unwrap(buf) {
                 self.workspace.give(data);
             }
         }
@@ -123,7 +122,7 @@ impl WorkerState {
         Ok(val)
     }
 
-    fn get_dense(&mut self, key: u64) -> Result<Arc<Buf>> {
+    fn get_dense(&mut self, key: u64) -> Result<Arc<Vec<f64>>> {
         match self.get(key)? {
             Cached::Dense(buf) => Ok(Arc::clone(buf)),
             _ => Err(Error::transport(format!(
@@ -153,14 +152,14 @@ impl WorkerState {
     /// Take a resolved operand by value: moves the buffer out when the
     /// `Arc` is unique (inline operands), copies only when it is shared
     /// (resident buffers, which must stay in the store).
-    pub(super) fn take(buf: Arc<Buf>) -> Buf {
+    pub(super) fn take(buf: Arc<Vec<f64>>) -> Vec<f64> {
         Arc::try_unwrap(buf).unwrap_or_else(|a| a.as_ref().clone())
     }
 
     /// Resolve an [`Op`] to owned-or-resident dense data.
-    pub(super) fn op(&mut self, op: Op) -> Result<Arc<Buf>> {
+    pub(super) fn op(&mut self, op: Op) -> Result<Arc<Vec<f64>>> {
         match op {
-            Op::Inline(buf) => Ok(Arc::new(buf)),
+            Op::Inline(data) => Ok(Arc::new(data)),
             Op::Key(k) => self.get_dense(k),
         }
     }
@@ -200,16 +199,7 @@ impl WorkerState {
     /// first partial of an output block is *stored*, not added to zeros
     /// (`-0.0 + 0.0` would flip sign bits), exactly like the driver-side
     /// value path inserts its first partial.
-    pub(super) fn store(&mut self, key: u64, data: Buf, acc: bool) -> Result<()> {
-        fn add<T: Scalar>(acc: &mut [T], data: &[T]) -> Result<()> {
-            if acc.len() != data.len() {
-                return Err(Error::transport("chain partial shape mismatch"));
-            }
-            for (c, p) in acc.iter_mut().zip(data) {
-                *c += *p;
-            }
-            Ok(())
-        }
+    pub(super) fn store(&mut self, key: u64, data: Vec<f64>, acc: bool) -> Result<()> {
         if !acc {
             self.insert(key, Cached::Dense(Arc::new(data)));
             return Ok(());
@@ -218,19 +208,15 @@ impl WorkerState {
             .store
             .get_mut(&key)
             .ok_or_else(|| Error::transport(format!("no chain result under key {key:#x}")))?;
-        let Cached::Dense(buf) = entry else {
+        let Cached::Dense(target) = entry else {
             return Err(Error::transport("chain result has wrong payload type"));
         };
-        match (Arc::make_mut(buf), &data) {
-            (Buf::F64(c), Buf::F64(p)) => add(c, p),
-            (Buf::C64(c), Buf::C64(p)) => add(c, p),
-            _ => Err(mixed_tags()),
+        if target.len() != data.len() {
+            return Err(Error::transport("chain partial shape mismatch"));
         }
+        for (c, p) in Arc::make_mut(target).iter_mut().zip(&data) {
+            *c += *p;
+        }
+        Ok(())
     }
-}
-
-/// The typed failure for a dense operand pair (or accumulate target)
-/// whose element tags disagree.
-pub(super) fn mixed_tags() -> Error {
-    Error::transport("operands mix f64 and Complex64 data")
 }

@@ -4,13 +4,12 @@ use crate::FaultKind;
 use proptest::prelude::*;
 use tt_tensor::einsum::ContractPlan;
 use tt_tensor::gemm::GemmPath;
-use tt_tensor::{Complex64, DenseTensor};
+use tt_tensor::DenseTensor;
 
 /// The values the request/reply samples are built from.
 struct Seed {
     key: u64,
     data: Vec<f64>,
-    cdata: Vec<Complex64>,
     rows: Vec<u64>,
 }
 
@@ -18,7 +17,6 @@ fn fixed_seed() -> Seed {
     Seed {
         key: 77,
         data: vec![1.5, -2.25, -0.0],
-        cdata: vec![Complex64::new(0.1, -0.2), Complex64::I],
         rows: vec![1, 3],
     }
 }
@@ -80,10 +78,10 @@ fn reply_variant(rep: &Reply) -> usize {
 }
 const REPLY_VARIANTS: usize = 8;
 
-/// Every request variant; every dense-buffer-carrying one under both
-/// element tags, inline and keyed, and `Contract` under every `out`.
+/// Every request variant; every dense-buffer-carrying one inline and
+/// keyed, and `Contract` under every `out`.
 fn sample_requests(s: &Seed) -> Vec<Request> {
-    let Seed { key, rows, .. } = s;
+    let Seed { key, data, rows } = s;
     let key = *key;
     let vals: Vec<f64> = rows.iter().map(|&r| f64::from_bits(r ^ 0x5a5a)).collect();
     let coords = OpCoords::Inline {
@@ -97,9 +95,14 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
         cols: rows.clone(),
         vals: vals.clone(),
     };
+    let (inline, keyed) = (Op::Inline(data.clone()), Op::Key(key));
     let mut reqs = vec![
         Request::Ping,
         Request::Free { key },
+        Request::Upload {
+            key,
+            data: data.clone(),
+        },
         Request::UploadCoords {
             key,
             rows: rows.clone(),
@@ -114,8 +117,23 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
             vals,
         },
         Request::CacheStats,
-        Request::SsChunk {
+        Request::DenseChunk {
+            path: GemmPath::Packed,
+            rows: rows.len(),
+            k: 3,
+            n: 2,
+            a: inline.clone(),
+            b: keyed.clone(),
+        },
+        Request::SdChunk {
+            r0: 1,
+            r1: 4,
+            n: 2,
             a: coords.clone(),
+            b: inline.clone(),
+        },
+        Request::SsChunk {
+            a: coords,
             b: OpSs::Key(key),
             r0: 0,
             r1: key,
@@ -138,79 +156,56 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
             cx_strides: vec![1],
             mask: None,
         },
-        Request::Download { key },
-        Request::Shutdown,
-    ];
-    for buf in [Buf::F64(s.data.clone()), Buf::C64(s.cdata.clone())] {
-        let (inline, keyed) = (Op::Inline(buf.clone()), Op::Key(key));
-        reqs.push(Request::Upload {
-            key,
-            data: buf.clone(),
-        });
-        reqs.push(Request::DenseChunk {
-            path: GemmPath::Packed,
-            rows: rows.len(),
-            k: 3,
-            n: 2,
-            a: inline.clone(),
-            b: keyed.clone(),
-        });
-        for out in [
-            Out::Reply,
-            Out::Store { key, acc: false },
-            Out::Store { key, acc: true },
-        ] {
-            reqs.push(Request::Contract {
-                spec: "ik,kj->ij".into(),
-                a_dims: vec![2, 3],
-                a: keyed.clone(),
-                b_dims: vec![3, 2],
-                b: inline.clone(),
-                out,
-            });
-        }
-        reqs.push(Request::SdChunk {
-            r0: 1,
-            r1: 4,
-            n: 2,
-            a: coords.clone(),
-            b: inline.clone(),
-        });
-        reqs.push(Request::QrThin {
+        Request::QrThin {
             rows: 2,
             cols: 2,
             a: inline.clone(),
-        });
-        reqs.push(Request::SvdTrunc {
+        },
+        Request::SvdTrunc {
             rows: 2,
             cols: 2,
             a: keyed.clone(),
             max_rank: u64::MAX,
             cutoff: 1e-12,
             min_keep: 1,
-        });
-        reqs.push(Request::ChainSd {
+        },
+        Request::ChainSd {
             a: OpCoords::Key(key),
             m: 4,
             n: 2,
             b_dims: vec![3, 2],
             perm_b: vec![0, 1],
-            b: inline,
+            b: inline.clone(),
             nat_dims: vec![4, 2],
             out_perm: vec![1, 0],
             store: key,
+        },
+        Request::Download { key },
+        Request::Shutdown,
+    ];
+    for out in [
+        Out::Reply,
+        Out::Store { key, acc: false },
+        Out::Store { key, acc: true },
+    ] {
+        reqs.push(Request::Contract {
+            spec: "ik,kj->ij".into(),
+            a_dims: vec![2, 3],
+            a: keyed.clone(),
+            b_dims: vec![3, 2],
+            b: inline.clone(),
+            out,
         });
     }
     reqs
 }
 
-/// Every reply variant, `Buf` under both element tags.
+/// Every reply variant.
 fn sample_replies(s: &Seed) -> Vec<Reply> {
     vec![
         Reply::Pong,
         Reply::Unit,
-        Reply::Buf(Buf::F64(s.data.clone())),
-        Reply::Buf(Buf::C64(s.cdata.clone())),
+        Reply::Buf(s.data.clone()),
         Reply::Entries {
             offs: s.rows.clone(),
             vals: s.rows.iter().map(|&r| f64::from_bits(r)).collect(),
@@ -280,30 +275,20 @@ fn any_f64s() -> impl Strategy<Value = Vec<f64>> {
         .prop_map(|bits| bits.into_iter().map(f64::from_bits).collect())
 }
 
-fn any_c64s() -> impl Strategy<Value = Vec<Complex64>> {
-    prop::collection::vec((any::<u64>(), any::<u64>()), 0..16).prop_map(|pairs| {
-        pairs
-            .into_iter()
-            .map(|(re, im)| Complex64::new(f64::from_bits(re), f64::from_bits(im)))
-            .collect()
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The codec round-trips every request and reply sample with
-    /// exact f64/Complex64 bit patterns (NaNs and -0.0 included), so
+    /// exact f64 bit patterns (NaNs and -0.0 included), so
     /// bitwise equality is compared on the *re-encoded bytes*, not
     /// through float ==.
     #[test]
     fn handle_request_codec_is_bit_exact(
         key in any::<u64>(),
         data in any_f64s(),
-        cdata in any_c64s(),
         rows in prop::collection::vec(any::<u64>(), 0..16),
     ) {
-        let s = Seed { key, data, cdata, rows };
+        let s = Seed { key, data, rows };
         for req in sample_requests(&s) {
             let bytes = req.encode();
             let back = Request::decode(&bytes).unwrap();
@@ -327,34 +312,51 @@ proptest! {
     }
 }
 
-/// A frame under each retired request opcode, with a payload long
-/// enough for any fixed-width field a decoder could try to read.
-fn retired_frames() -> Vec<Vec<u8>> {
-    [6u8, 8, 15, 16]
-        .iter()
-        .map(|&op| std::iter::once(op).chain([0x11; 40]).collect())
-        .collect()
+/// A frame under each retired number, with a payload long enough for any
+/// fixed-width field a decoder could try to read: request opcodes 3, 6, 8,
+/// 15 and 16 and a `DenseChunk` whose `a` operand carries the retired
+/// inline tag 2; then reply opcode 3.
+fn retired_frames() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+    let frame = |op: u8| -> Vec<u8> { std::iter::once(op).chain([0x11; 40]).collect() };
+    let mut requests = Vec::from([3, 6, 8, 15, 16].map(frame));
+    let mut chunk = Request::DenseChunk {
+        path: GemmPath::Scalar,
+        rows: 1,
+        k: 1,
+        n: 1,
+        a: Op::Key(0),
+        b: Op::Key(0),
+    }
+    .encode();
+    chunk[26] = 2; // `a`'s tag: after the opcode, the path and three u64s
+    requests.push(chunk);
+    (requests, vec![frame(3)])
 }
 
 /// Every valid encoding of every sample, requests then replies, and
-/// the retired-opcode frames.
+/// the retired-number frames.
 fn sample_encodings() -> Vec<Vec<u8>> {
     let s = fixed_seed();
+    let (requests, replies) = retired_frames();
     let reqs = sample_requests(&s).into_iter().map(|r| r.encode());
     reqs.chain(sample_replies(&s).into_iter().map(|r| r.encode()))
-        .chain(retired_frames())
+        .chain(requests)
+        .chain(replies)
         .collect()
 }
 
 #[test]
 fn retired_opcodes_decode_to_a_typed_fault() {
-    for frame in retired_frames() {
-        let err = Request::decode(&frame).unwrap_err();
+    let (requests, replies) = retired_frames();
+    let errors = requests
+        .iter()
+        .map(|f| Request::decode(f).unwrap_err())
+        .chain(replies.iter().map(|f| Reply::decode(f).unwrap_err()));
+    for err in errors {
         assert_eq!(
             err.as_fault().map(|f| f.kind),
             Some(FaultKind::Decode),
-            "opcode {}: {err}",
-            frame[0]
+            "{err}"
         );
     }
 }
@@ -420,13 +422,7 @@ fn bit_flipped_messages_never_panic() {
 }
 
 fn upload(w: &mut WorkerState, key: u64, data: Vec<f64>) {
-    assert_eq!(
-        w.handle(Request::Upload {
-            key,
-            data: Buf::F64(data)
-        }),
-        Some(Reply::Unit)
-    );
+    assert_eq!(w.handle(Request::Upload { key, data }), Some(Reply::Unit));
 }
 
 /// Whether `key` holds `len` resident f64 words, probed with a keyed
@@ -439,7 +435,7 @@ fn resident(w: &mut WorkerState, key: u64, len: usize) -> bool {
             k: 1,
             n: 1,
             a: Op::Key(key),
-            b: Op::Inline(Buf::F64(vec![1.0])),
+            b: Op::Inline(vec![1.0]),
         }),
         Some(Reply::Buf(_))
     )
@@ -452,7 +448,7 @@ fn worker_state_store_lifecycle() {
     upload(&mut w, 5, vec![1.0, 2.0]);
     assert_eq!(
         w.handle(Request::Download { key: 5 }),
-        Some(Reply::Buf(Buf::F64(vec![1.0, 2.0])))
+        Some(Reply::Buf(vec![1.0, 2.0]))
     );
     upload(&mut w, 8, vec![3.0]);
     assert_eq!(w.handle(Request::Free { key: 8 }), Some(Reply::Unit));
@@ -503,13 +499,10 @@ fn resident_operands_serve_fused_tasks() {
         rows: 1,
         k: 3,
         n: 2,
-        a: Op::Inline(Buf::F64(vec![1.0, 1.0, 1.0])),
+        a: Op::Inline(vec![1.0, 1.0, 1.0]),
         b: Op::Key(b),
     };
-    assert_eq!(
-        w.handle(chunk(100)),
-        Some(Reply::Buf(Buf::F64(vec![9.0, 12.0])))
-    );
+    assert_eq!(w.handle(chunk(100)), Some(Reply::Buf(vec![9.0, 12.0])));
     // unknown key fails without killing the worker
     assert!(matches!(w.handle(chunk(999)), Some(Reply::Fail(_))));
     assert_eq!(w.handle(Request::Ping), Some(Reply::Pong));
@@ -520,9 +513,9 @@ fn contract(dims: [usize; 2], a: Vec<f64>, b: Vec<f64>, out: Out) -> Request {
     Request::Contract {
         spec: "ik,kj->ij".into(),
         a_dims: dims.to_vec(),
-        a: Op::Inline(Buf::F64(a)),
+        a: Op::Inline(a),
         b_dims: dims.to_vec(),
-        b: Op::Inline(Buf::F64(b)),
+        b: Op::Inline(b),
         out,
     }
 }
@@ -547,7 +540,7 @@ fn chain_steps_store_accumulate_and_download() {
     }
     assert_eq!(
         w.handle(Request::Download { key: 50 }),
-        Some(Reply::Buf(Buf::F64(vec![2.0, 4.0, 6.0, 8.0])))
+        Some(Reply::Buf(vec![2.0, 4.0, 6.0, 8.0]))
     );
     // downloaded results are gone
     assert!(matches!(
@@ -568,7 +561,7 @@ fn chain_steps_store_accumulate_and_download() {
     // would have kept
     assert_eq!(
         w.handle(contract([2, 2], a.clone(), b, Out::Reply)),
-        Some(Reply::Buf(Buf::F64(a)))
+        Some(Reply::Buf(a))
     );
 }
 
@@ -624,7 +617,7 @@ impl HeffStep2 {
             n,
             b_dims: b_dims.to_vec(),
             perm_b: kernels::operand_perms(&plan).1,
-            b: Op::Inline(Buf::F64(self.b.data().to_vec())),
+            b: Op::Inline(self.b.data().to_vec()),
             nat_dims: kernels::natural_dims(&plan, a_dims, b_dims),
             out_perm: plan.output_permutation().to_vec(),
             store,
@@ -640,7 +633,7 @@ fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
     assert_eq!(w.handle(step.chain_sd(90)), Some(Reply::Unit));
     assert_eq!(
         w.handle(Request::Download { key: 90 }),
-        Some(Reply::Buf(Buf::F64(step.local.clone())))
+        Some(Reply::Buf(step.local.clone()))
     );
 
     // the dense step on the same operands (A densified)
@@ -652,12 +645,12 @@ fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
         w.handle(Request::Contract {
             spec: HEFF_STEP2.into(),
             a_dims,
-            a: Op::Inline(Buf::F64(a_dense.into_data())),
+            a: Op::Inline(a_dense.into_data()),
             b_dims,
-            b: Op::Inline(Buf::F64(b.into_data())),
+            b: Op::Inline(b.into_data()),
             out: Out::Reply,
         }),
-        Some(Reply::Buf(Buf::F64(local.into_data())))
+        Some(Reply::Buf(local.into_data()))
     );
     // a zero-width row chunk is an empty panel, not a failure
     assert_eq!(
@@ -670,9 +663,9 @@ fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
                 cols: vec![],
                 vals: vec![]
             },
-            b: Op::Inline(Buf::F64(vec![])),
+            b: Op::Inline(vec![]),
         }),
-        Some(Reply::Buf(Buf::F64(vec![])))
+        Some(Reply::Buf(vec![]))
     );
     // a ChainSd whose geometry contradicts its operand fails cleanly
     assert!(matches!(
@@ -686,7 +679,7 @@ fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
             n: 3,
             b_dims: vec![2, 3],
             perm_b: vec![0, 0],
-            b: Op::Inline(Buf::F64(vec![0.0; 6])),
+            b: Op::Inline(vec![0.0; 6]),
             nat_dims: vec![2, 3],
             out_perm: vec![0, 1],
             store: 91,
@@ -716,7 +709,7 @@ fn worker_workspace_serves_the_next_chain_step_from_a_freed_result() {
     );
     assert_eq!(
         w.handle(Request::Download { key: 92 }),
-        Some(Reply::Buf(Buf::F64(step.local)))
+        Some(Reply::Buf(step.local))
     );
     assert!(matches!(
         w.handle(Request::CacheStats),
@@ -731,8 +724,7 @@ fn worker_workspace_serves_the_next_chain_step_from_a_freed_result() {
 #[test]
 fn bad_tasks_fail_without_killing_the_worker() {
     let mut w = WorkerState::new();
-    let f = |v: Vec<f64>| Op::Inline(Buf::F64(v));
-    let c = |n: usize| Op::Inline(Buf::C64(vec![Complex64::I; n]));
+    let f = |v: Vec<f64>| Op::Inline(v);
     let chunk = |a: Op, b: Op| Request::DenseChunk {
         path: GemmPath::Scalar,
         rows: 2,
@@ -764,16 +756,24 @@ fn bad_tasks_fail_without_killing_the_worker() {
     let bad = [
         // wrong operand size
         chunk(f(vec![0.0; 3]), f(vec![0.0; 4])),
-        // f64 `A` against Complex64 `B`, chunked and whole
-        chunk(f(vec![0.0; 4]), c(4)),
-        pair(c(4), f(vec![0.0; 4]), Out::Reply),
-        // accumulate into a buffer of the other element type
-        pair(c(4), c(4), store(true)),
-        // a keyed f64-only operand that resolves to Complex64 data
-        Request::QrThin {
-            rows: 2,
-            cols: 2,
-            a: c(4),
+        // accumulate a partial of the wrong length
+        Request::Contract {
+            spec: "ik,kj->ij".into(),
+            a_dims: vec![1, 2],
+            a: f(vec![1.0; 2]),
+            b_dims: vec![2, 2],
+            b: f(vec![1.0; 4]),
+            out: store(true),
+        },
+        // a shape whose element count overflows usize (wrapped, it would
+        // be an empty tensor — and so would B's)
+        Request::Contract {
+            spec: "ik,kj->ij".into(),
+            a_dims: vec![1 << 33, 1 << 31],
+            a: f(vec![]),
+            b_dims: vec![1 << 31, 0],
+            b: f(vec![]),
+            out: Out::Reply,
         },
         // Download reads dense buffers only
         Request::Download { key: 71 },
@@ -788,6 +788,6 @@ fn bad_tasks_fail_without_killing_the_worker() {
     // the refused accumulate left its target intact
     assert_eq!(
         w.handle(Request::Download { key: 70 }),
-        Some(Reply::Buf(Buf::F64(vec![2.0; 4])))
+        Some(Reply::Buf(vec![2.0; 4]))
     );
 }

@@ -9,7 +9,7 @@
 
 use crate::cost::CostTracker;
 use crate::exec::{decode_qr, keys, DenseOp, Superstep};
-use crate::transport::worker::{Buf, Op, Request};
+use crate::transport::worker::{Op, Request};
 use crate::{Executor, Result};
 use parking_lot::Mutex;
 use tt_linalg::qr_thin;
@@ -92,7 +92,7 @@ pub fn tsqr_on<'a>(
         let nslabs = m.div_ceil(rows_per.max(1));
         let workers = cluster.ranks();
         let slab = |i: usize| (i * rows_per, ((i + 1) * rows_per).min(m));
-        let data = |i: usize| Buf::F64(a.data()[slab(i).0 * n..slab(i).1 * n].to_vec());
+        let data = |i: usize| a.data()[slab(i).0 * n..slab(i).1 * n].to_vec();
         let mut step = Superstep::default();
         let mut fields = Vec::with_capacity(nslabs);
         {

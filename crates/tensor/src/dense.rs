@@ -35,16 +35,19 @@ impl<T: Scalar> DenseTensor<T> {
         }
     }
 
-    /// Tensor from existing data (row-major). Length must match the shape.
+    /// Tensor from existing data (row-major). Length must match the shape;
+    /// a shape whose dims multiply past `usize` is refused, not wrapped.
     pub fn from_vec(shape: impl Into<Shape>, data: Vec<T>) -> Result<Self> {
         let shape = shape.into();
-        if shape.len() != data.len() {
-            return Err(Error::ShapeMismatch(format!(
-                "shape {:?} wants {} elements, got {}",
-                shape,
-                shape.len(),
-                data.len()
-            )));
+        let len = shape
+            .dims()
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d));
+        if len != Some(data.len()) {
+            return Err(Error::ShapeMismatch(match len {
+                Some(len) => format!("shape {shape:?} wants {len} elements, got {}", data.len()),
+                None => format!("shape {shape:?} has more elements than usize can count"),
+            }));
         }
         Ok(Self { shape, data })
     }
@@ -279,20 +282,6 @@ impl<T: Scalar> DenseTensor<T> {
     }
 }
 
-impl DenseTensor<f64> {
-    /// Promote to a complex tensor (imaginary parts zero).
-    pub fn to_complex(&self) -> DenseTensor<crate::Complex64> {
-        DenseTensor {
-            shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .map(|&x| crate::Complex64::new(x, 0.0))
-                .collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,6 +308,14 @@ mod tests {
     fn from_vec_checks_length() {
         assert!(DenseTensor::<f64>::from_vec([2, 2], vec![1.0; 3]).is_err());
         assert!(DenseTensor::<f64>::from_vec([2, 2], vec![1.0; 4]).is_ok());
+    }
+
+    #[test]
+    fn from_vec_rejects_overflowing_shapes() {
+        // 2^33 · 2^31 wraps to 0 elements: an empty vector must not pass
+        let err = DenseTensor::<f64>::from_vec([1 << 33, 1 << 31], vec![]).unwrap_err();
+        assert!(matches!(err, Error::ShapeMismatch(_)), "{err}");
+        assert!(DenseTensor::<f64>::from_vec([usize::MAX, 2], vec![]).is_err());
     }
 
     #[test]

@@ -9,7 +9,6 @@ use tt_dist::{ExecMode, Executor, Machine, SpawnSpec};
 use tt_integration::test_schedule;
 use tt_linalg::TruncSpec;
 use tt_mps::{heisenberg_j1j2, neel_state, Lattice, Mps, SpinHalf};
-use tt_tensor::Complex64;
 
 /// Self-exec worker hook: when the multi-process backend re-executes this
 /// test binary with the `spawned_worker_entry` filter, this "test" becomes
@@ -353,8 +352,8 @@ fn run_handles(
     let (ha, hb) = (exec.upload(&a), exec.upload(&b));
     let (hsa, hsb) = (exec.upload_sparse(&sa), exec.upload_sparse(&sb));
     // twice each: miss then hit — results must be bitwise identical
-    let c1 = exec.contract::<f64>("isj,jtk->istk", &ha, &hb).unwrap();
-    let c2 = exec.contract::<f64>("isj,jtk->istk", &ha, &hb).unwrap();
+    let c1 = exec.contract("isj,jtk->istk", &ha, &hb).unwrap();
+    let c2 = exec.contract("isj,jtk->istk", &ha, &hb).unwrap();
     assert_eq!(c1.data(), c2.data(), "hit repeats the miss bitwise");
     let d1 = exec.contract_sd("isj,jtk->istk", &hsa, &hb).unwrap();
     let d2 = exec.contract_sd("isj,jtk->istk", &hsa, &hb).unwrap();
@@ -408,37 +407,6 @@ fn handle_contractions_bitwise_match_value_paths_across_backends() {
             sims[0].2.total().to_bits(),
             "{name}: handle-path cost charges must be backend-bitwise-equal"
         );
-    }
-}
-
-#[test]
-fn handle_c64_contractions_bitwise_across_backends() {
-    let (ar, br, _, _) = dense_fixture();
-    let a = ar.to_complex();
-    let b = br.to_complex();
-    let reference = tt_tensor::einsum("isj,jtk->istk", &a, &b).unwrap();
-    let mut execs: Vec<Executor> = vec![
-        Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential),
-        Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Threaded),
-    ];
-    #[cfg(unix)]
-    for p in [2usize, 3] {
-        execs.push(multi_process_executor(p));
-    }
-    for exec in &execs {
-        let cv = exec.contract("isj,jtk->istk", &a, &b).unwrap();
-        assert_eq!(cv.data(), reference.data(), "value path");
-        let (ha, hb) = (exec.upload(&a), exec.upload(&b));
-        let c1 = exec
-            .contract::<Complex64>("isj,jtk->istk", &ha, &hb)
-            .unwrap();
-        let c2 = exec
-            .contract::<Complex64>("isj,jtk->istk", &ha, &hb)
-            .unwrap();
-        assert_eq!(c1.data(), reference.data(), "handle miss");
-        assert_eq!(c2.data(), reference.data(), "handle hit");
-        exec.free(&ha).unwrap();
-        exec.free(&hb).unwrap();
     }
 }
 
@@ -506,7 +474,7 @@ fn resident_ham_matches_effective_ham_bitwise() {
 #[test]
 fn handle_returning_contractions_bitwise_across_backends() {
     // one-step chains (a contraction whose result stays resident, for
-    // dense f64, sparse-dense and Complex64 operands) + chains with
+    // dense and sparse-dense operands) + chains with
     // worker-side intermediates: value ≡ chained-handle bitwise over
     // InProcess seq/thr and MultiProcess p=2,3, with bitwise-equal cost
     // counters across all of them
@@ -527,8 +495,6 @@ fn handle_returning_contractions_bitwise_across_backends() {
     let c_ref = val.contract("isj,jtk->istk", &a, &b).unwrap();
     let d_ref = val.contract_sd("isj,jtk->istk", &sa, &b).unwrap();
     let y_ref = val.contract("istk,istk->", &c_ref, &c_ref).unwrap();
-    let (ac, bc) = (a.to_complex(), b.to_complex());
-    let e_ref = tt_tensor::einsum("isj,jtk->istk", &ac, &bc).unwrap();
 
     let mut execs: Vec<(String, Executor)> = vec![
         (
@@ -574,12 +540,12 @@ fn handle_returning_contractions_bitwise_across_backends() {
             "{name}: an output the chain consumed is released by the chain"
         );
         assert_eq!(
-            exec.download::<f64>(h_y).unwrap().data(),
+            exec.download(h_y).unwrap().data(),
             y_ref.data(),
             "{name}: chained scalar"
         );
         assert_eq!(
-            exec.download::<f64>(h).unwrap().data(),
+            exec.download(h).unwrap().data(),
             c_ref.data(),
             "{name}: handle-returning dense"
         );
@@ -589,17 +555,10 @@ fn handle_returning_contractions_bitwise_across_backends() {
             ChainSrc::Dense((&b).into()),
         );
         assert_eq!(
-            exec.download::<f64>(hd).unwrap().data(),
+            exec.download(hd).unwrap().data(),
             d_ref.data(),
             "{name}: handle-returning sd"
         );
-        let hc = to_handle(
-            exec,
-            ChainSrc::Dense((&ac).into()),
-            ChainSrc::Dense((&bc).into()),
-        );
-        let e = exec.download::<Complex64>(hc).unwrap();
-        assert_eq!(e.data(), e_ref.data(), "{name}: handle-returning c64");
         sims.push((name.clone(), exec.total_flops(), exec.sim_time()));
     }
     for (name, flops, sim) in &sims[1..] {

@@ -257,11 +257,30 @@ fn admission_control_and_cancellation() {
     service.stop();
 }
 
-#[test]
-fn chain_jobs_match_local_execution_bitwise() {
-    // Contraction-chain jobs run natively in the daemon (no DMRG runner
-    // involved); the downloaded result must be bitwise-identical to the
-    // same chain on a local in-process executor.
+/// How long a chain job may take to reach its terminal event.
+const CHAIN_DEADLINE: Duration = Duration::from_secs(60);
+
+/// `cl.wait(job)`, failing the test instead of hanging when the job never
+/// reaches a terminal event (a runner thread that panicked sends none; the
+/// waiting thread is then left blocked on the daemon's socket).
+fn wait_within(mut cl: ServiceClient, job: u64) -> (ServiceClient, tt_dist::Result<JobReport>) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let outcome = cl.wait_with(job, |_| {});
+        let _ = tx.send((cl, outcome));
+    });
+    let done = rx
+        .recv_timeout(CHAIN_DEADLINE)
+        .unwrap_or_else(|_| panic!("job {job}: no terminal event within {CHAIN_DEADLINE:?}"));
+    waiter.join().expect("the waiting thread sent its outcome");
+    done
+}
+
+/// Run the chain `(a·b)·c` as a job on the daemon behind `cl`: contraction
+/// chain jobs run natively in the daemon (no DMRG runner involved), and
+/// the downloaded result must be bitwise-identical to the same chain on a
+/// local in-process executor.
+fn chain_job_matches_local(mut cl: ServiceClient) {
     let a = DenseTensor::from_vec(vec![2, 3], (0..6).map(|i| i as f64 * 0.5 + 1.0).collect())
         .expect("a");
     let b = DenseTensor::from_vec(vec![3, 4], (0..12).map(|i| 2.0 - i as f64 * 0.25).collect())
@@ -287,11 +306,9 @@ fn chain_jobs_match_local_execution_bitwise() {
         ])
         .expect("local chain");
     let mut hs: Vec<_> = handles.into_iter().flatten().collect();
-    let expected: DenseTensor<f64> = local.download(hs.pop().expect("result")).expect("download");
+    let expected = local.download(hs.pop().expect("result")).expect("download");
     local.free_results(hs).expect("free");
 
-    let (service, socket) = start("chain", config("chain"));
-    let mut cl = client(&socket);
     let dense = |t: &DenseTensor<f64>| ChainOperand::Dense {
         dims: t.dims().iter().map(|&d| d as u64).collect(),
         vals: t.data().to_vec(),
@@ -314,7 +331,7 @@ fn chain_jobs_match_local_execution_bitwise() {
             ],
         })
         .expect("submit chain");
-    let report = cl.wait(job).expect("chain job");
+    let report = wait_within(cl, job).1.expect("chain job");
     assert_eq!(
         report.dense_dims,
         expected
@@ -326,5 +343,37 @@ fn chain_jobs_match_local_execution_bitwise() {
     let got: Vec<u64> = report.dense_vals.iter().map(|v| v.to_bits()).collect();
     let want: Vec<u64> = expected.data().iter().map(|v| v.to_bits()).collect();
     assert_eq!(got, want, "chain result must be bitwise-identical");
+}
+
+#[test]
+fn chain_jobs_match_local_execution_bitwise() {
+    let (service, socket) = start("chain", config("chain"));
+    chain_job_matches_local(client(&socket));
+    service.stop();
+}
+
+#[test]
+fn chain_job_with_an_overflowing_shape_fails_and_the_daemon_serves_on() {
+    // 2^33 · 2^31 elements: the product overflows usize (and wraps to 0,
+    // which the empty data would match). The job must fail typed — not
+    // panic the runner thread and never finish, nor run as an empty
+    // tensor — and the daemon must go on serving.
+    let (service, socket) = start("overflow", config("overflow"));
+    let mut cl = client(&socket);
+    let empty = |dims: Vec<u64>| ChainOperand::Dense { dims, vals: vec![] };
+    let job = cl
+        .submit_chain(&ChainJobSpec {
+            steps: vec![ChainStepSpec {
+                spec: "ij,jk->ik".into(),
+                a: empty(vec![1 << 33, 1 << 31]),
+                b: empty(vec![1 << 31, 0]),
+                acc: None,
+            }],
+        })
+        .expect("submit chain");
+    let (cl, outcome) = wait_within(cl, job);
+    let err = outcome.expect_err("a shape past usize must fail the job");
+    assert!(err.to_string().contains("failed"), "{err}");
+    chain_job_matches_local(cl);
     service.stop();
 }
