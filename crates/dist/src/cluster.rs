@@ -211,9 +211,7 @@ impl RankLog {
 fn journal_class(req: &Request) -> JClass {
     let store = |key: u64, deps: Vec<u64>| JClass::Store { op: key, deps };
     match req {
-        Request::Upload { key, .. }
-        | Request::UploadCoords { key, .. }
-        | Request::UploadSs { key, .. } => store(*key, Vec::new()),
+        Request::Upload { key, .. } | Request::UploadCoords { key, .. } => store(*key, Vec::new()),
         Request::Contract {
             a,
             b,

@@ -1,5 +1,4 @@
-//! Truncated SVD and thin QR, single and batched, through one driver;
-//! tall panels route through the TSQR tree.
+//! Truncated SVD and thin QR, single and batched, through one driver.
 
 use super::keys;
 use super::residency::{whole_home, OpCharge, Superstep, MAP_OVERHEAD_S};
@@ -14,36 +13,14 @@ use crate::{Error, Result};
 use tt_linalg::{TruncSpec, TruncatedSvd};
 use tt_tensor::DenseTensor;
 
-/// Aspect ratio (rows / cols) at which a factorization panel counts as
-/// *tall* and routes through the TSQR tree instead of the direct
-/// single-matrix factorization.
-pub(crate) const TSQR_MIN_ASPECT: usize = 8;
-
-/// Row floor below which even a high-aspect panel stays on the direct
-/// path (the tree's slab bookkeeping isn't worth it).
-const TSQR_MIN_ROWS: usize = 32;
-
-/// True when `dims` is a tall matrix panel that should take the TSQR
-/// route. Purely dims-driven, so the routing decision is identical on
-/// every backend and in every mode.
-pub(super) fn tall_panel(dims: &[usize]) -> bool {
-    dims.len() == 2
-        && dims[1] > 0
-        && dims[0] >= TSQR_MIN_ROWS
-        && dims[0] >= TSQR_MIN_ASPECT * dims[1]
-}
-
 impl Executor {
     /// Distributed truncated SVD of a matrix, by value or by resident
     /// handle (the ScaLAPACK `pdgesvd` stand-in used under the block SVD).
     /// On the multi-process backend the factorization executes on a worker
     /// process (same code, same bits) — the one holding the matrix, for a
-    /// handle. Tall panels (at least 32 rows, and 8× as many rows as
-    /// columns) actually route through the [`crate::tsqr()`] tree — QR the
-    /// panel, SVD the small `R` on the driver, `U = Q · U_R` — instead of
-    /// only charging its cost model; singular values then match the direct
-    /// path to rounding, vectors up to the usual per-column sign
-    /// convention.
+    /// handle. A tall panel (at least 32 rows, and 8× as many rows as
+    /// columns) is QR-factored first, wherever it runs: the SVD is of the
+    /// small `R`, and `U = Q · U_R`.
     pub fn svd_trunc<'a>(
         &self,
         a: impl Into<DenseOp<'a>>,
@@ -53,12 +30,8 @@ impl Executor {
         Ok(out.pop().expect("one matrix, one factorization"))
     }
 
-    /// Distributed thin QR of a matrix, by value or by resident handle.
-    /// Tall panels route through the [`crate::tsqr()`] tree (slab QRs on the
-    /// workers, `R`-merge on the driver — the communication-avoiding
-    /// factorization the cost model always assumed, whose real p2p charges
-    /// land on top of the standard factorization charge, identically on
-    /// every backend); everything else is one direct `qr_thin`.
+    /// Distributed thin QR of a matrix, by value or by resident handle:
+    /// one `qr_thin`, whatever the panel's shape.
     pub fn qr<'a>(
         &self,
         a: impl Into<DenseOp<'a>>,
@@ -90,17 +63,7 @@ impl Executor {
                 min_keep: spec.min_keep as u64,
             },
             &decode_svd,
-            &|m| tt_linalg::svd_trunc(m, spec),
-            &|(q, r)| {
-                let t = tt_linalg::svd_trunc(&r, spec)?;
-                Ok(TruncatedSvd {
-                    u: tt_tensor::gemm_f64(&q, &t.u)?,
-                    s: t.s,
-                    vt: t.vt,
-                    trunc_err: t.trunc_err,
-                    n_discarded: t.n_discarded,
-                })
-            },
+            &|m| kernels::svd_trunc(m, spec),
         )
     }
 
@@ -113,7 +76,6 @@ impl Executor {
             &|rows, cols, a| Request::QrThin { rows, cols, a },
             &decode_qr,
             &tt_linalg::qr_thin,
-            &Ok,
         )
     }
 
@@ -122,8 +84,7 @@ impl Executor {
     /// `local` in-process — and charge each, in submission order: what a
     /// contraction charges a whole operand (nothing extra by value, the
     /// one-time upload on a handle's first observation), then the
-    /// factorization costing `flop_coeff · max(m,n) · min²` flops. A tall
-    /// panel factors through the TSQR tree and `from_tsqr` instead.
+    /// factorization costing `flop_coeff · max(m,n) · min²` flops.
     fn factorize<R: Send>(
         &self,
         mats: &[DenseOp],
@@ -131,29 +92,11 @@ impl Executor {
         make_req: &dyn Fn(usize, usize, Op) -> Request,
         decode: &dyn Fn(Reply) -> Result<R>,
         local: &(dyn Fn(&DenseTensor<f64>) -> tt_linalg::Result<R> + Sync),
-        from_tsqr: &dyn Fn((DenseTensor<f64>, DenseTensor<f64>)) -> Result<R>,
     ) -> Result<Vec<R>> {
         let tensors = mats
             .iter()
             .map(|m| m.tensor())
             .collect::<Result<Vec<_>>>()?;
-        if tensors.iter().any(|t| tall_panel(t.dims())) {
-            if let [op] = mats {
-                let factors = crate::tsqr::tsqr_on(self, *op)?;
-                let out = from_tsqr(factors)?;
-                self.charge_factorization(tensors[0].dims(), flop_coeff);
-                return Ok(vec![out]);
-            }
-            // a batch must route exactly like the loop of singles (batch ≡
-            // loop is a tested invariant), so one containing a tall panel
-            // runs as that loop
-            let mut out = Vec::with_capacity(mats.len());
-            for op in mats {
-                let one = std::slice::from_ref(op);
-                out.extend(self.factorize(one, flop_coeff, make_req, decode, local, from_tsqr)?);
-            }
-            return Ok(out);
-        }
         let charge = |op: &DenseOp, t: &DenseTensor<f64>| {
             if let OpCharge::Miss(w) = self.op_state(op.handle(), keys::whole, t.len()) {
                 if self.ranks > 1 {
@@ -239,7 +182,7 @@ fn decode_svd(reply: Reply) -> Result<TruncatedSvd> {
 }
 
 /// Rebuild a `(Q, R)` pair from its wire reply.
-pub(crate) fn decode_qr(reply: Reply) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
+fn decode_qr(reply: Reply) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
     match reply {
         Reply::Factors {
             q_rows,

@@ -21,9 +21,7 @@ const TAG_DENSE_A: u64 = 0xA1; // slab-partitioned permuted A
 const TAG_MAT_B: u64 = 0xB1; // replicated permuted matrix
 const TAG_SD_A: u64 = 0x5D; // volume-bucketed sparse-dense coords
 const TAG_SS_A: u64 = 0x55; // row-bucketed sparse-sparse coords
-const TAG_SS_B: u64 = 0x56; // grouped sparse-sparse B table
 const TAG_WHOLE: u64 = 0xF0; // whole tensor (pairs, SVD/QR inputs)
-const TAG_TSQR: u64 = 0x7A; // TSQR row slabs
 
 fn derive(parts: &[u64]) -> Fnv {
     Fnv::new().u64s(parts.iter().copied())
@@ -92,27 +90,8 @@ pub(super) fn ss_a(h: &OpHandle, plan: &ContractPlan) -> Chunked {
     ]))
 }
 
-/// The grouped table of a sparse-sparse `B`. It stores *fused* free
-/// indices, so it depends only on `B`'s content and the plan's `B`-side
-/// positions — not on `A`'s dims or the output permutation: one resident
-/// table serves every contraction against this operand.
-pub(super) fn ss_b(h: &OpHandle, plan: &ContractPlan) -> u64 {
-    derive(&[
-        h.key(),
-        TAG_SS_B,
-        hseq(plan.ctr_b_positions()),
-        hseq(plan.free_b_positions()),
-    ])
-    .finish()
-}
-
 /// A dense operand's whole tensor — what pair, chain-step and
 /// factorization tasks consume.
 pub(super) fn whole(h: &OpHandle) -> u64 {
     derive(&[h.key(), TAG_WHOLE]).finish()
-}
-
-/// Row slabs of a tall panel factored by TSQR over `p` ranks.
-pub(crate) fn tsqr_slabs(h: &OpHandle, p: usize) -> Chunked {
-    Chunked(derive(&[h.key(), TAG_TSQR, p as u64]))
 }

@@ -14,8 +14,9 @@
 //! **by handle** ([`OpHandle`], created with [`Executor::upload`] /
 //! [`Executor::upload_sparse`], freed with [`Executor::free`]) — the same
 //! entry point takes either, as `impl Into<`[`DenseOp`]`>` /
-//! `impl Into<`[`SparseOp`]`>`. A handle's derived buffers (permuted
-//! matrices, row slabs, coordinate buckets, grouped sparse tables) are
+//! `impl Into<`[`SparseOp`]`>` (only [`Executor::contract_ss`]'s `b`, the
+//! moving operand of a sparse-sparse step, is by value only). A handle's
+//! derived buffers (permuted matrices, row slabs, coordinate buckets) are
 //! stored on the workers on first use, so every later contraction
 //! against the same handle ships **zero operand bytes**: scatter and
 //! compute are fused into one superstep per chunk, and the chunk request
@@ -55,7 +56,7 @@
 mod chain;
 mod dense;
 mod factorize;
-pub(crate) mod keys;
+mod keys;
 mod residency;
 mod sparse;
 #[cfg(test)]
@@ -63,9 +64,7 @@ mod tests;
 mod workspace;
 
 pub use chain::{ChainSrc, ChainStep};
-pub(crate) use factorize::decode_qr;
 pub use residency::RankCacheStats;
-pub(crate) use residency::Superstep;
 pub(crate) use workspace::Workspace;
 pub use workspace::WorkspaceStats;
 
@@ -338,19 +337,6 @@ impl Executor {
         &self.backend
     }
 
-    /// Run `f` with the multi-process cluster handle, when this executor
-    /// has one ([`crate::tsqr_on`] factors its slabs over the same worker
-    /// set).
-    pub(crate) fn with_cluster<R>(&self, f: impl FnOnce(&mut Cluster) -> R) -> Option<R> {
-        self.cluster.as_ref().map(|cl| f(&mut cl.lock()))
-    }
-
-    /// The driver-side residency registry (for sibling modules that
-    /// manage resident buffers through the same lifecycle).
-    pub(crate) fn residency(&self) -> &Mutex<Residency> {
-        &self.residency
-    }
-
     /// The shared cost tracker.
     pub fn tracker(&self) -> &Arc<Mutex<CostTracker>> {
         &self.tracker
@@ -387,7 +373,9 @@ impl Executor {
     /// With no live result handle it is the retained uploads and nothing
     /// else, however many jobs this executor has served.
     pub fn journal_stats(&self) -> Vec<crate::JournalStats> {
-        self.with_cluster(|cl| cl.journal_stats())
+        self.cluster
+            .as_ref()
+            .map(|cl| cl.lock().journal_stats())
             .unwrap_or_default()
     }
 

@@ -2,7 +2,7 @@
 //! algorithms' kernels), in-process or bucketed over the cluster.
 
 use super::keys;
-use super::residency::Superstep;
+use super::residency::{OpCharge, Superstep};
 use super::{expect_buf, DenseOp, Executor, SparseOp};
 use crate::cluster::Cluster;
 use crate::handle::{OpHandle, Residency};
@@ -121,30 +121,30 @@ impl Executor {
     }
 
     /// Distributed sparse × sparse contraction with optional pre-computed
-    /// output sparsity `mask` (output linear offsets that may be nonzero),
-    /// each operand by value or by handle. A handle on `a` keeps its row
-    /// buckets resident (bucketed by stored entries only, so the
-    /// boundaries don't depend on `b`); a handle on `b` keeps the grouped
-    /// contraction table resident.
+    /// output sparsity `mask` (output linear offsets that may be nonzero).
+    /// `a` is taken by value or by handle; a handle keeps its row buckets
+    /// resident (bucketed by stored entries only, so the boundaries don't
+    /// depend on `b`). `b` — in a sweep, the moving ψ or an intermediate —
+    /// is taken by value.
     pub fn contract_ss<'a>(
         &self,
         spec: &str,
         a: impl Into<SparseOp<'a>>,
-        b: impl Into<SparseOp<'a>>,
+        b: &SparseTensor<f64>,
         mask: Option<&[u64]>,
     ) -> Result<SparseTensor<f64>> {
-        let (a, b) = (a.into(), b.into());
+        let a = a.into();
         let plan = ContractPlan::parse(spec)?;
-        let (at, bt) = (a.tensor()?, b.tensor()?);
+        let at = a.tensor()?;
         let (c, flops) = if let Some(cl) = &self.cluster {
-            self.ss_over_cluster(&mut cl.lock(), &plan, &a, &b, mask)?
+            self.ss_over_cluster(&mut cl.lock(), &plan, &a, b, mask)?
         } else {
-            kernels::ss_contract(&plan, at, bt, mask, self.pool())?
+            kernels::ss_contract(&plan, at, b, mask, self.pool())?
         };
-        let (m, _k, n) = kernels::fused_dims(&plan, at.dims(), bt.dims());
+        let (m, _k, n) = kernels::fused_dims(&plan, at.dims(), b.dims());
         // All three tensors move only their stored entries (offset + value).
         let sa = self.op_state(a.handle(), |h| keys::ss_a(h, &plan).logical(), 2 * at.nnz());
-        let sb = self.op_state(b.handle(), |h| keys::ss_b(h, &plan), 2 * bt.nnz());
+        let sb = OpCharge::Value(2 * b.nnz());
         self.charge_contraction(sa, sb, 2 * c.nnz(), m, n, flops, true);
         Ok(c)
     }
@@ -153,19 +153,19 @@ impl Executor {
     /// `B` operand, output-axis map and mask ship once per rank alongside
     /// that rank's volume-balanced `A` bucket; the per-bucket entry sets
     /// are row-disjoint, so concatenating replies in submission order
-    /// reproduces the in-process result exactly. Handle operands resolve
-    /// to resident buckets / group tables; because every bucketing is
-    /// row-contiguous and scan-order-preserving, the result is bitwise
-    /// identical no matter which boundaries are used.
+    /// reproduces the in-process result exactly. A handle `a` resolves to
+    /// resident buckets; because every bucketing is row-contiguous and
+    /// scan-order-preserving, the result is bitwise identical no matter
+    /// which boundaries are used.
     fn ss_over_cluster(
         &self,
         cl: &mut Cluster,
         plan: &ContractPlan,
         a: &SparseOp,
-        b: &SparseOp,
+        bt: &SparseTensor<f64>,
         mask: Option<&[u64]>,
     ) -> Result<(SparseTensor<f64>, u64)> {
-        let (at, bt) = (a.tensor()?, b.tensor()?);
+        let at = a.tensor()?;
         let p = cl.ranks();
         let mut prep = kernels::ss_prepare(plan, at, bt, mask)?;
         let chunks = kernels::sparse_chunks(prep.flops(), p);
@@ -173,44 +173,24 @@ impl Executor {
         let (ranges, buckets) = prep.take_buckets(chunks, a.handle().is_some());
 
         // flatten the grouped B operand once
-        let b_keys = prep.btab.keys().to_vec();
-        let b_lens: Vec<u64> = prep.btab.run_lens().collect();
-        let b_cols = prep.btab.cols().to_vec();
-        let b_vals = prep.btab.vals().to_vec();
+        let b_field = OpSs {
+            keys: prep.btab.keys().to_vec(),
+            lens: prep.btab.run_lens().collect(),
+            cols: prep.btab.cols().to_vec(),
+            vals: prep.btab.vals().to_vec(),
+        };
         let (ax_dims, ax_strides): (Vec<u64>, Vec<u64>) = prep.row_axes.iter().copied().unzip();
         let (cx_dims, cx_strides): (Vec<u64>, Vec<u64>) = prep.col_axes.iter().copied().unzip();
 
         let mut step = Superstep::default();
-        let (b_field, a_fields) = {
-            let mut res = self.residency.lock();
-            let b_field = match b.handle() {
-                None => OpSs::Inline {
-                    keys: b_keys,
-                    lens: b_lens,
-                    cols: b_cols,
-                    vals: b_vals,
-                },
-                Some(h) => {
-                    let key = keys::ss_b(h, plan);
-                    for rank in 0..ranges.len().min(p) {
-                        step.ensure(&mut res, h.key(), key, rank, || {
-                            Ok(Request::UploadSs {
-                                key,
-                                keys: b_keys.clone(),
-                                lens: b_lens.clone(),
-                                cols: b_cols.clone(),
-                                vals: b_vals.clone(),
-                            })
-                        })?;
-                    }
-                    OpSs::Key(key)
-                }
-            };
-            let a_fields = bucket_fields(&mut step, &mut res, a.handle(), buckets, p, |h, i| {
-                keys::ss_a(h, plan).chunk(chunks, i)
-            })?;
-            (b_field, a_fields)
-        };
+        let a_fields = bucket_fields(
+            &mut step,
+            &mut self.residency.lock(),
+            a.handle(),
+            buckets,
+            p,
+            |h, i| keys::ss_a(h, plan).chunk(chunks, i),
+        )?;
         for (i, (a, (r0, r1))) in a_fields.into_iter().zip(ranges).enumerate() {
             step.task(
                 i % p,

@@ -1,10 +1,9 @@
-use super::factorize::tall_panel;
 use super::*;
 use crate::handle::ResultHandle;
 use crate::kernels::tests::heff_steps;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tt_linalg::TruncSpec;
+use tt_linalg::{TruncSpec, TruncatedSvd};
 
 /// One contraction whose result stays resident: a one-step chain.
 fn to_handle(exec: &Executor, spec: &str, a: ChainSrc, b: ChainSrc) -> ResultHandle {
@@ -223,7 +222,6 @@ fn handle_contractions_bitwise_match_value_path_in_process() {
         let ha = han.upload(&a);
         let hb = han.upload(&b);
         let hsa = han.upload_sparse(&sa);
-        let hsb = han.upload_sparse(&sb);
 
         let c_val = val.contract("isj,jtk->istk", &a, &b).unwrap();
         let c_han = han.contract("isj,jtk->istk", &ha, &hb).unwrap();
@@ -234,7 +232,7 @@ fn handle_contractions_bitwise_match_value_path_in_process() {
         assert_eq!(d_val.data(), d_han.data(), "{mode:?} sd");
 
         let s_val = val.contract_ss("isj,jtk->istk", &sa, &sb, None).unwrap();
-        let s_han = han.contract_ss("isj,jtk->istk", &hsa, &hsb, None).unwrap();
+        let s_han = han.contract_ss("isj,jtk->istk", &hsa, &sb, None).unwrap();
         assert_eq!(
             s_val.to_dense().data(),
             s_han.to_dense().data(),
@@ -244,7 +242,6 @@ fn handle_contractions_bitwise_match_value_path_in_process() {
         han.free(&ha).unwrap();
         han.free(&hb).unwrap();
         han.free(&hsa).unwrap();
-        han.free(&hsb).unwrap();
     }
 }
 
@@ -668,51 +665,95 @@ fn multi_process_chains_bitwise_and_collapse_result_bytes() {
     assert_eq!(entries, 0, "chain intermediates leave on download/free");
 }
 
+/// A tall panel (≥ 32 rows, ≥ 8× as many rows as columns) is SVD'd as
+/// `qr_thin`, then the SVD of `R`, then `U = Q · U_R` — bit for bit on
+/// every backend — and QR'd as plain `qr_thin`; anything else is one
+/// `svd_trunc`. A batch holding tall and square panels is one superstep.
 #[test]
-fn tall_panels_route_through_tsqr() {
+fn tall_panels_factor_through_qr_first() {
+    use crate::transport::RecordingTransport;
     let mut rng = StdRng::seed_from_u64(73);
-    let a = DenseTensor::<f64>::random([256, 8], &mut rng);
-    let exec = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
-    let (q, r) = exec.qr(&a).unwrap();
-    // bitwise-identical to the TSQR tree over the same rank count
-    let reference = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
-    let (q_ref, r_ref) = crate::tsqr::tsqr(&a, reference.ranks(), reference.tracker()).unwrap();
-    assert_eq!(q.data(), q_ref.data());
-    assert_eq!(r.data(), r_ref.data());
-    // and equal to the direct factorization up to per-column sign
-    let (q_d, r_d) = tt_linalg::qr_thin(&a).unwrap();
-    for j in 0..8 {
-        let sign = (r.at(&[j, j]) * r_d.at(&[j, j])).signum();
-        for jj in j..8 {
-            assert!(
-                (r.at(&[j, jj]) - sign * r_d.at(&[j, jj])).abs() < 1e-9,
-                "R row {j} beyond sign"
-            );
-        }
-        for i in 0..256 {
-            assert!((q.at(&[i, j]) - sign * q_d.at(&[i, j])).abs() < 1e-9);
-        }
-    }
-
-    // tall SVD: singular values match the direct path to rounding
     let spec = TruncSpec {
-        max_rank: 8,
+        max_rank: 6,
         cutoff: 0.0,
         min_keep: 1,
     };
-    let t = exec.svd_trunc(&a, spec).unwrap();
-    let t_ref = tt_linalg::svd_trunc(&a, spec).unwrap();
-    assert_eq!(t.s.len(), t_ref.s.len());
-    for (x, y) in t.s.iter().zip(&t_ref.s) {
-        assert!((x - y).abs() < 1e-9 * y.max(1.0), "{x} vs {y}");
+    // (dims, tall): 32 × 4 sits on both bounds; 31 rows or aspect < 8 is
+    // not tall
+    let panels: Vec<(DenseTensor<f64>, bool)> = [
+        ([256, 8], true),
+        ([32, 4], true),
+        ([31, 2], false),
+        ([40, 6], false),
+    ]
+    .into_iter()
+    .map(|(dims, tall)| (DenseTensor::<f64>::random(dims, &mut rng), tall))
+    .collect();
+    let mut execs = vec![
+        Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential),
+        Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Threaded),
+    ];
+    #[cfg(unix)]
+    execs.push({
+        let spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
+        Executor::multi_process(Machine::blue_waters(2), 2, 2, spawn).unwrap()
+    });
+    for (a, tall) in &panels {
+        let (q, r) = tt_linalg::qr_thin(a).unwrap();
+        let reference = if *tall {
+            let t = tt_linalg::svd_trunc(&r, spec).unwrap();
+            TruncatedSvd {
+                u: tt_tensor::gemm_f64(&q, &t.u).unwrap(),
+                ..t
+            }
+        } else {
+            tt_linalg::svd_trunc(a, spec).unwrap()
+        };
+        for exec in &execs {
+            let what = format!("{:?} on {:?}", a.dims(), exec.backend());
+            let t = exec.svd_trunc(a, spec).unwrap();
+            assert_eq!(t.u.data(), reference.u.data(), "{what}");
+            assert_eq!(t.s, reference.s, "{what}");
+            assert_eq!(t.vt.data(), reference.vt.data(), "{what}");
+            assert_eq!(
+                t.trunc_err.to_bits(),
+                reference.trunc_err.to_bits(),
+                "{what}"
+            );
+            let (qe, re) = exec.qr(a).unwrap();
+            assert_eq!((qe.data(), re.data()), (q.data(), r.data()), "{what}");
+        }
     }
 
-    // sub-threshold panels keep the direct path bitwise
-    let b = DenseTensor::<f64>::random([40, 12], &mut rng);
-    let (qb, rb) = exec.qr(&b).unwrap();
-    let (qb_d, rb_d) = tt_linalg::qr_thin(&b).unwrap();
-    assert_eq!(qb.data(), qb_d.data());
-    assert_eq!(rb.data(), rb_d.data());
+    // tall and square in one batch: one frame per matrix, placed by one
+    // placement (a loop of singles would put each on rank 0), and charged
+    // in submission order like that loop
+    let mut batch = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
+    let (transport, log) = RecordingTransport::new(2);
+    batch.cluster = Some(Mutex::new(Cluster::new(Box::new(transport))));
+    let mixed = [&panels[2].0, &panels[0].0, &panels[3].0];
+    let singles = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
+    let reference: Vec<TruncatedSvd> = mixed
+        .iter()
+        .map(|&a| singles.svd_trunc(a, spec).unwrap())
+        .collect();
+    let ops: Vec<DenseOp> = mixed.iter().map(|&a| a.into()).collect();
+    let out = batch.svd_trunc_batch(&ops, spec).unwrap();
+    for (t, r) in out.iter().zip(&reference) {
+        assert_eq!(t.u.data(), r.u.data());
+        assert_eq!(t.vt.data(), r.vt.data());
+    }
+    let frames = log.lock().unwrap().clone();
+    let ranks: Vec<&str> = frames
+        .iter()
+        .map(|f| f.split(' ').next().unwrap())
+        .collect();
+    assert!(
+        frames.iter().all(|f| f.contains(" SvdTrunc ")),
+        "{frames:?}"
+    );
+    assert_eq!(ranks, ["r0", "r1", "r0"], "{frames:?}");
+    assert_eq!(counters(&batch), counters(&singles));
 }
 
 #[test]
@@ -757,7 +798,6 @@ fn mixed_factorization_batch(make: impl Fn() -> Executor) -> Vec<Vec<f64>> {
         .iter()
         .map(|&(m, n)| DenseTensor::<f64>::random([m, n], &mut rng))
         .collect();
-    assert!(tall_panel(mats[2].dims()));
     let spec = TruncSpec {
         max_rank: 6,
         cutoff: 0.0,
@@ -1178,7 +1218,7 @@ fn protocol_trace_matches_golden() {
     use crate::transport::RecordingTransport;
     use tt_tensor::gemm::{gemm_path, GemmPath, MC};
 
-    // 4 simulated ranks (TSQR cuts 4 slabs) over 2 workers
+    // 4 simulated ranks over 2 workers
     let mut exec = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
     let (transport, log) = RecordingTransport::new(2);
     let mut cl = Cluster::new(Box::new(transport));
@@ -1217,20 +1257,16 @@ fn protocol_trace_matches_golden() {
             SparseTensor::from_dense(a, 0.5),
             SparseTensor::from_dense(b, thr_b),
         );
-        let (hsa, hsb, hb) = (
-            exec.upload_sparse(&sa),
-            exec.upload_sparse(&sb),
-            exec.upload(b),
-        );
+        let (hsa, hb) = (exec.upload_sparse(&sa), exec.upload(b));
         exec.contract_sd(spec, &sa, b).unwrap();
         exec.contract_sd(spec, &hsa, &hb).unwrap();
         exec.contract_sd(spec, &hsa, &hb).unwrap();
         let c = exec.contract_ss(spec, &sa, &sb, None).unwrap();
         let mask: Vec<u64> = c.entries().map(|(off, _)| off).step_by(2).collect();
         exec.contract_ss(spec, &sa, &sb, Some(&mask)).unwrap();
-        exec.contract_ss(spec, &hsa, &hsb, None).unwrap();
-        exec.contract_ss(spec, &hsa, &hsb, Some(&mask)).unwrap();
-        for h in [hsa, hsb, hb] {
+        exec.contract_ss(spec, &hsa, &sb, None).unwrap();
+        exec.contract_ss(spec, &hsa, &sb, Some(&mask)).unwrap();
+        for h in [hsa, hb] {
             exec.free(&h).unwrap();
         }
     }
@@ -1253,10 +1289,9 @@ fn protocol_trace_matches_golden() {
     exec.contract_batch("isj,jtk->istk", &mixed).unwrap();
     exec.contract_batch("isj,jtk->istk", &mixed).unwrap();
 
-    // -- factorizations: mixed batches, and a tall panel through TSQR slabs
+    // -- factorizations: mixed batches, and a tall panel
     let mats = [dense(&[20, 8]), dense(&[13, 13]), dense(&[6, 17])];
     let tall = dense(&[256, 8]);
-    assert!(tall_panel(tall.dims()));
     let (hm, ht) = (exec.upload(&mats[1]), exec.upload(&tall));
     let batch: Vec<DenseOp> = vec![(&mats[0]).into(), (&hm).into(), (&mats[2]).into()];
     let spec = TruncSpec {

@@ -1,8 +1,8 @@
 //! `tt-dist` — the simulated distributed-memory execution runtime.
 //!
 //! This crate plays the role that MPI + Cyclops (CTF) + ScaLAPACK play in
-//! the paper: every block-sparse contraction, SVD/QR and TSQR in the
-//! workspace is dispatched through an [`Executor`] that
+//! the paper: every block-sparse contraction and SVD/QR in the workspace
+//! is dispatched through an [`Executor`] that
 //!
 //! * computes the *exact* same numbers as the serial code (the simulated
 //!   runtime is bit-for-bit deterministic, including under
@@ -20,7 +20,8 @@
 //! * [`Executor`] — the entry points used by `tt-blocks` and everything
 //!   above it (table below),
 //! * [`tsqr()`] — communication-avoiding tall-skinny QR built on
-//!   [`tt_linalg::qr_thin`].
+//!   [`tt_linalg::qr_thin`], charged to a [`CostTracker`] as its merge
+//!   tree; a standalone routine, which no [`Executor`] entry point calls.
 //!
 //! One decision is made once: *value-or-resident is a property of the
 //! operand* ([`DenseOp`] / [`SparseOp`] convert from `&tensor` and from
@@ -33,7 +34,7 @@
 //! |---|---|
 //! | [`Executor::contract`] | 2 × `impl Into<DenseOp>` |
 //! | [`Executor::contract_sd`] | `impl Into<SparseOp>`, `impl Into<DenseOp>` |
-//! | [`Executor::contract_ss`] | 2 × `impl Into<SparseOp>`, output mask |
+//! | [`Executor::contract_ss`] | `impl Into<SparseOp>`, `&SparseTensor<f64>`, output mask |
 //! | [`Executor::contract_batch`] | `&[(DenseOp, DenseOp)]` |
 //! | [`Executor::chain`] | [`ChainStep`]s over [`ChainSrc`] operands; results stay resident |
 //! | [`Executor::svd_trunc`], [`Executor::qr`] | `impl Into<DenseOp>` |
@@ -41,7 +42,7 @@
 //! | [`Executor::upload`], [`Executor::upload_shared`], [`Executor::upload_sparse`], [`Executor::free`] | operand residency |
 //! | [`Executor::download`], [`Executor::download_many`], [`Executor::free_result`], [`Executor::free_results`] | result residency |
 //!
-//! The worker protocol under it — 15 requests — is tabulated in
+//! The worker protocol under it — 14 requests — is tabulated in
 //! [`transport`].
 
 mod cluster;
@@ -70,7 +71,7 @@ pub use transport::ProcTransport;
 pub use transport::{maybe_serve, InProcTransport, SpawnSpec, Transport};
 #[cfg(unix)]
 pub use transport::{FaultPlan, ProcOptions};
-pub use tsqr::{tsqr, tsqr_on};
+pub use tsqr::tsqr;
 
 // DistError / FaultKind are defined below and exported from the crate
 // root alongside Error/Result.

@@ -97,12 +97,10 @@ impl RecordingTransport {
     }
 
     fn line(rank: usize, req: &Request) -> String {
-        use super::worker::{OpSs, Out};
+        use super::worker::Out;
         let (mut reads, mut writes): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
         match req {
-            Request::Upload { key, .. }
-            | Request::UploadCoords { key, .. }
-            | Request::UploadSs { key, .. } => writes.push(*key),
+            Request::Upload { key, .. } | Request::UploadCoords { key, .. } => writes.push(*key),
             Request::Free { key } | Request::Download { key } => reads.push(*key),
             Request::DenseChunk { a, b, .. } => reads.extend(a.key().into_iter().chain(b.key())),
             Request::Contract { a, b, out, .. } => {
@@ -116,12 +114,7 @@ impl RecordingTransport {
                 reads.extend(a.key().into_iter().chain(b.key()));
                 writes.push(*store);
             }
-            Request::SsChunk { a, b, .. } => {
-                reads.extend(a.key());
-                if let OpSs::Key(k) = b {
-                    reads.push(*k);
-                }
-            }
+            Request::SsChunk { a, .. } => reads.extend(a.key()),
             Request::QrThin { a, .. } | Request::SvdTrunc { a, .. } => reads.extend(a.key()),
             Request::Ping | Request::CacheStats | Request::Shutdown => {}
         }

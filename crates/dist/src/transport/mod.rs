@@ -21,11 +21,11 @@
 //! past it. A future MPI backend is "swap this trait's implementation":
 //! the executor-side routing does not change.
 //!
-//! What travels over it is the rank-side task protocol (`worker`): 15
+//! What travels over it is the rank-side task protocol (`worker`): 14
 //! requests. A dense operand is an `Op` — `f64` data inline or a `Key`
-//! into the rank's store. The request numbers 3, 6, 8, 15 and 16, reply
-//! number 3 and inline-operand tag 2 are retired and decode to a typed
-//! `Decode` fault.
+//! into the rank's store. The request numbers 3, 5, 6, 8, 15 and 16, reply
+//! number 3, inline-operand tag 2 and sparse-sparse operand tag 1 are
+//! retired and decode to a typed `Decode` fault.
 //!
 //! | # | request | effect | reply |
 //! |---|---|---|---|
@@ -33,12 +33,11 @@
 //! | 1 | `Free` | drop the entry under a key | `Unit` |
 //! | 2 | `Upload` | store a dense buffer under a key | `Unit` |
 //! | 4 | `UploadCoords` | store a sparse coordinate bucket | `Unit` |
-//! | 5 | `UploadSs` | store a grouped sparse-sparse table | `Unit` |
 //! | 7 | `CacheStats` | store footprint and hit/miss counters | `Stats` |
 //! | 9 | `DenseChunk` | one row slab of a dense contraction | `Buf` |
 //! | 10 | `Contract` | a whole dense contraction, `out` = `Reply` or `Store {key, acc}` | `Buf` or `Unit` |
 //! | 11 | `SdChunk` | one sparse-dense bucket | `Buf` |
-//! | 12 | `SsChunk` | one sparse-sparse bucket | `Entries` |
+//! | 12 | `SsChunk` | one sparse-sparse bucket, its grouped `B` inline | `Entries` |
 //! | 13 | `QrThin` | thin QR of an `f64` matrix | `Factors` |
 //! | 14 | `SvdTrunc` | truncated SVD of an `f64` matrix | `Svd` |
 //! | 17 | `ChainSd` | a whole sparse-dense chain step, result stored | `Unit` |

@@ -35,9 +35,10 @@ fn get_usizes(d: &mut Dec) -> Result<Vec<usize>> {
 }
 
 /// The typed fault for a number the codec does not (or no longer)
-/// assigns. Retired numbers — request opcodes 3, 6, 8, 15 and 16, reply
-/// opcode 3, inline-operand tag 2 — are never reassigned, so a frame from
-/// an older peer fails here instead of being misread.
+/// assigns. Retired numbers — request opcodes 3, 5, 6, 8, 15 and 16, reply
+/// opcode 3, inline-operand tag 2 and sparse-sparse operand tag 1 — are
+/// never reassigned, so a frame from an older peer fails here instead of
+/// being misread.
 fn unknown(what: &str, v: u8) -> Error {
     DistError::new(FaultKind::Decode, None, format!("unknown {what} {v}")).into()
 }
@@ -95,38 +96,26 @@ impl OpCoords {
 }
 
 impl OpSs {
+    /// Tag byte 0 (inline) stays on the wire; tag 1, a resident table, is
+    /// retired.
     fn put(&self, e: &mut Enc) {
-        match self {
-            OpSs::Inline {
-                keys,
-                lens,
-                cols,
-                vals,
-            } => {
-                e.put_u8(0);
-                e.put_u64s(keys);
-                e.put_u64s(lens);
-                e.put_u64s(cols);
-                e.put_f64s(vals);
-            }
-            OpSs::Key(k) => {
-                e.put_u8(1);
-                e.put_u64(*k);
-            }
-        }
+        e.put_u8(0);
+        e.put_u64s(&self.keys);
+        e.put_u64s(&self.lens);
+        e.put_u64s(&self.cols);
+        e.put_f64s(&self.vals);
     }
 
     fn get(d: &mut Dec) -> Result<Self> {
-        Ok(match d.u8()? {
-            0 => OpSs::Inline {
+        match d.u8()? {
+            0 => Ok(OpSs {
                 keys: d.u64s()?,
                 lens: d.u64s()?,
                 cols: d.u64s()?,
                 vals: d.f64s()?,
-            },
-            1 => OpSs::Key(d.u64()?),
-            t => return Err(Error::transport(format!("bad operand tag {t}"))),
-        })
+            }),
+            t => Err(unknown("sparse-sparse operand tag", t)),
+        }
     }
 }
 
@@ -154,20 +143,6 @@ impl Request {
                 e.put_u8(4);
                 e.put_u64(*key);
                 e.put_u64s(rows);
-                e.put_u64s(cols);
-                e.put_f64s(vals);
-            }
-            Request::UploadSs {
-                key,
-                keys,
-                lens,
-                cols,
-                vals,
-            } => {
-                e.put_u8(5);
-                e.put_u64(*key);
-                e.put_u64s(keys);
-                e.put_u64s(lens);
                 e.put_u64s(cols);
                 e.put_f64s(vals);
             }
@@ -312,13 +287,6 @@ impl Request {
             4 => Request::UploadCoords {
                 key: d.u64()?,
                 rows: d.u64s()?,
-                cols: d.u64s()?,
-                vals: d.f64s()?,
-            },
-            5 => Request::UploadSs {
-                key: d.u64()?,
-                keys: d.u64s()?,
-                lens: d.u64s()?,
                 cols: d.u64s()?,
                 vals: d.f64s()?,
             },

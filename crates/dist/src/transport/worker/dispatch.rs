@@ -1,7 +1,7 @@
 //! Executing one request against a rank's store.
 
 use super::protocol::{OpCoords, Out, Reply, Request};
-use super::store::{Cached, SsTable, WorkerState};
+use super::store::{ss_table, Cached, WorkerState};
 use crate::kernels;
 use crate::{Error, Result};
 use std::borrow::Cow;
@@ -41,17 +41,6 @@ impl WorkerState {
             } => {
                 let coords = self.opcoords(OpCoords::Inline { rows, cols, vals })?;
                 self.insert(key, Cached::Coords(coords));
-                Ok(Reply::Unit)
-            }
-            Request::UploadSs {
-                key,
-                keys,
-                lens,
-                cols,
-                vals,
-            } => {
-                let table = SsTable::build(keys, &lens, cols, vals)?;
-                self.insert(key, Cached::Ss(Arc::new(table)));
                 Ok(Reply::Unit)
             }
             Request::CacheStats => Ok(Reply::Stats {
@@ -125,12 +114,12 @@ impl WorkerState {
                 mask,
             } => {
                 let bucket = self.opcoords(a)?;
-                let table = self.opss(b)?;
+                let table = ss_table(b)?;
                 let row_axes: Vec<(u64, u64)> = ax_dims.into_iter().zip(ax_strides).collect();
                 let col_axes: Vec<(u64, u64)> = cx_dims.into_iter().zip(cx_strides).collect();
                 let (entries, flops) = kernels::ss_chunk(
                     &bucket,
-                    &table.table,
+                    &table,
                     r0 as usize,
                     r1 as usize,
                     n,
@@ -167,7 +156,7 @@ impl WorkerState {
                     min_keep: min_keep as usize,
                 };
                 let a = Self::take(self.op(a)?);
-                let t = tt_linalg::svd_trunc(&DenseTensor::from_vec([rows, cols], a)?, spec)?;
+                let t = kernels::svd_trunc(&DenseTensor::from_vec([rows, cols], a)?, spec)?;
                 Ok(Reply::Svd {
                     u_rows: t.u.dims()[0],
                     rank: t.s.len(),

@@ -11,11 +11,12 @@
 //! decomposition, multi-process results are bitwise-identical to the
 //! in-process Sequential executor.
 //!
-//! Every buffer holds `f64` data. Every bulk operand of a compute task is
-//! an [`Op`] / [`OpCoords`] / [`OpSs`] — either **inline** bytes (the
+//! Every buffer holds `f64` data. A dense or coordinate operand of a
+//! compute task is an [`Op`] / [`OpCoords`] — either **inline** bytes (the
 //! value-passing path) or a **key** into the rank's resident store (the
 //! handle path: the operand was stored by an earlier `Upload*` request and
-//! ships zero bytes with the task). The store is a plain keyed map:
+//! ships zero bytes with the task); a sparse-sparse `B` ([`OpSs`]) is
+//! always inline. The store is a plain keyed map:
 //! `Upload*` and storing compute requests insert (or replace), `Free` and
 //! `Download` remove, and nothing else ever leaves it — a rank's memory is
 //! bounded by the driver's frees, not here (`Executor::free` documents the

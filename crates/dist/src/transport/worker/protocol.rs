@@ -39,16 +39,14 @@ pub(crate) enum OpCoords {
 }
 
 /// A grouped sparse-sparse `B` operand (`keys`/`lens` index the flattened
-/// `cols`/`vals`, output offsets already resolved).
+/// `cols`/`vals`, output offsets already resolved). It always travels with
+/// its task: `B` is the moving operand of a sparse-sparse step.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) enum OpSs {
-    Inline {
-        keys: Vec<u64>,
-        lens: Vec<u64>,
-        cols: Vec<u64>,
-        vals: Vec<f64>,
-    },
-    Key(u64),
+pub(crate) struct OpSs {
+    pub(crate) keys: Vec<u64>,
+    pub(crate) lens: Vec<u64>,
+    pub(crate) cols: Vec<u64>,
+    pub(crate) vals: Vec<f64>,
 }
 
 /// A request shipped to one rank.
@@ -64,14 +62,6 @@ pub(crate) enum Request {
     UploadCoords {
         key: u64,
         rows: Vec<u64>,
-        cols: Vec<u64>,
-        vals: Vec<f64>,
-    },
-    /// Store a grouped sparse-sparse operand table under `key`.
-    UploadSs {
-        key: u64,
-        keys: Vec<u64>,
-        lens: Vec<u64>,
         cols: Vec<u64>,
         vals: Vec<f64>,
     },
@@ -247,28 +237,13 @@ impl Request {
             }
         }
         fn ss(op: &OpSs) -> usize {
-            match op {
-                OpSs::Inline {
-                    keys,
-                    lens,
-                    cols,
-                    vals,
-                } => 8 * (keys.len() + lens.len() + cols.len() + vals.len()),
-                OpSs::Key(_) => 0,
-            }
+            8 * (op.keys.len() + op.lens.len() + op.cols.len() + op.vals.len())
         }
         match self {
             Request::Upload { data, .. } => 8 * data.len(),
             Request::UploadCoords {
                 rows, cols, vals, ..
             } => 8 * (rows.len() + cols.len() + vals.len()),
-            Request::UploadSs {
-                keys,
-                lens,
-                cols,
-                vals,
-                ..
-            } => 8 * (keys.len() + lens.len() + cols.len() + vals.len()),
             Request::DenseChunk { a, b, .. } | Request::Contract { a, b, .. } => {
                 a.payload_bytes() + b.payload_bytes()
             }

@@ -9,48 +9,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use tt_tensor::ssmerge::SsBTable;
 
-/// The grouped sparse-sparse `B` operand in its resident (decoded) form:
-/// the flat sorted-run table the merge kernel consumes directly. The wire
-/// shape (`keys`/`lens`/`cols`/`vals`) is already the table's internal
-/// layout, so decoding is a validation pass plus a prefix-sum — no
-/// per-entry tree inserts.
-pub(crate) struct SsTable {
-    pub(crate) table: SsBTable<f64>,
-}
-
-impl SsTable {
-    /// Validating constructor for wire data ([`SsBTable::from_runs`] only
-    /// `debug_assert`s its invariants; a malformed or malicious frame must
-    /// surface as a transport error, not UB-adjacent nonsense).
-    pub(super) fn build(
-        keys: Vec<u64>,
-        lens: &[u64],
-        cols: Vec<u64>,
-        vals: Vec<f64>,
-    ) -> Result<Self> {
-        if cols.len() != vals.len() || keys.len() != lens.len() {
-            return Err(Error::transport("ss group table mismatch"));
-        }
-        let total: u64 = lens.iter().sum();
-        if total != cols.len() as u64 {
-            return Err(Error::transport("ss group table mismatch"));
-        }
-        if !keys.windows(2).all(|w| w[0] < w[1]) {
-            return Err(Error::transport(
-                "ss group table keys not strictly ascending",
-            ));
-        }
-        Ok(Self {
-            table: SsBTable::from_runs(keys, lens, cols, vals),
-        })
-    }
-}
-
 /// One resident buffer.
 pub(super) enum Cached {
     Dense(Arc<Vec<f64>>),
     Coords(Arc<Vec<kernels::Coord>>),
-    Ss(Arc<SsTable>),
 }
 
 impl Cached {
@@ -59,9 +21,32 @@ impl Cached {
         match self {
             Cached::Dense(data) => 8 * data.len() as u64,
             Cached::Coords(v) => 24 * v.len() as u64,
-            Cached::Ss(t) => 16 * (t.table.n_entries() + t.table.n_keys()) as u64,
         }
     }
+}
+
+/// The grouped sparse-sparse `B` operand as the flat sorted-run table
+/// the merge kernel consumes. The wire shape is already the table's
+/// layout, so this is a validation pass plus a prefix sum
+/// ([`SsBTable::from_runs`] only `debug_assert`s its invariants, and a
+/// malformed frame must surface as a transport error).
+pub(super) fn ss_table(op: OpSs) -> Result<SsBTable<f64>> {
+    let OpSs {
+        keys,
+        lens,
+        cols,
+        vals,
+    } = op;
+    let total = lens.iter().try_fold(0u64, |sum, &len| sum.checked_add(len));
+    if cols.len() != vals.len() || keys.len() != lens.len() || total != Some(cols.len() as u64) {
+        return Err(Error::transport("ss group table mismatch"));
+    }
+    if !keys.windows(2).all(|w| w[0] < w[1]) {
+        return Err(Error::transport(
+            "ss group table keys not strictly ascending",
+        ));
+    }
+    Ok(SsBTable::from_runs(keys, &lens, cols, vals))
 }
 
 /// One rank's resident state: a keyed buffer store and its counters.
@@ -140,15 +125,6 @@ impl WorkerState {
         }
     }
 
-    fn get_ss(&mut self, key: u64) -> Result<Arc<SsTable>> {
-        match self.get(key)? {
-            Cached::Ss(v) => Ok(Arc::clone(v)),
-            _ => Err(Error::transport(format!(
-                "key {key:#x} is not a grouped ss operand"
-            ))),
-        }
-    }
-
     /// Take a resolved operand by value: moves the buffer out when the
     /// `Arc` is unique (inline operands), copies only when it is shared
     /// (resident buffers, which must stay in the store).
@@ -179,18 +155,6 @@ impl WorkerState {
                 ))
             }
             OpCoords::Key(k) => self.get_coords(k),
-        }
-    }
-
-    pub(super) fn opss(&mut self, op: OpSs) -> Result<Arc<SsTable>> {
-        match op {
-            OpSs::Inline {
-                keys,
-                lens,
-                cols,
-                vals,
-            } => Ok(Arc::new(SsTable::build(keys, &lens, cols, vals)?)),
-            OpSs::Key(k) => self.get_ss(k),
         }
     }
 

@@ -31,7 +31,6 @@ fn request_variant(req: &Request) -> &'static str {
         Request::Free { .. } => "Free",
         Request::Upload { .. } => "Upload",
         Request::UploadCoords { .. } => "UploadCoords",
-        Request::UploadSs { .. } => "UploadSs",
         Request::CacheStats => "CacheStats",
         Request::DenseChunk { .. } => "DenseChunk",
         Request::Contract { .. } => "Contract",
@@ -45,12 +44,11 @@ fn request_variant(req: &Request) -> &'static str {
     }
 }
 /// Every request variant, in wire-number order.
-const REQUEST_VARIANTS: [&str; 15] = [
+const REQUEST_VARIANTS: [&str; 14] = [
     "Ping",
     "Free",
     "Upload",
     "UploadCoords",
-    "UploadSs",
     "CacheStats",
     "DenseChunk",
     "Contract",
@@ -89,7 +87,7 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
         cols: rows.clone(),
         vals: vals.clone(),
     };
-    let ss = OpSs::Inline {
+    let ss = OpSs {
         keys: rows.clone(),
         lens: vec![1; rows.len()],
         cols: rows.clone(),
@@ -106,13 +104,6 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
         Request::UploadCoords {
             key,
             rows: rows.clone(),
-            cols: rows.clone(),
-            vals: vals.clone(),
-        },
-        Request::UploadSs {
-            key,
-            keys: rows.clone(),
-            lens: vec![1; rows.len()],
             cols: rows.clone(),
             vals,
         },
@@ -134,7 +125,7 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
         },
         Request::SsChunk {
             a: coords,
-            b: OpSs::Key(key),
+            b: ss.clone(),
             r0: 0,
             r1: key,
             n: key,
@@ -313,12 +304,13 @@ proptest! {
 }
 
 /// A frame under each retired number, with a payload long enough for any
-/// fixed-width field a decoder could try to read: request opcodes 3, 6, 8,
-/// 15 and 16 and a `DenseChunk` whose `a` operand carries the retired
-/// inline tag 2; then reply opcode 3.
+/// fixed-width field a decoder could try to read: request opcodes 3, 5, 6,
+/// 8, 15 and 16, a `DenseChunk` whose `a` operand carries the retired
+/// inline tag 2 and an `SsChunk` whose `b` carries the retired resident
+/// tag 1; then reply opcode 3.
 fn retired_frames() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let frame = |op: u8| -> Vec<u8> { std::iter::once(op).chain([0x11; 40]).collect() };
-    let mut requests = Vec::from([3, 6, 8, 15, 16].map(frame));
+    let mut requests = Vec::from([3, 5, 6, 8, 15, 16].map(frame));
     let mut chunk = Request::DenseChunk {
         path: GemmPath::Scalar,
         rows: 1,
@@ -330,6 +322,26 @@ fn retired_frames() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     .encode();
     chunk[26] = 2; // `a`'s tag: after the opcode, the path and three u64s
     requests.push(chunk);
+    let mut ss = Request::SsChunk {
+        a: OpCoords::Key(0),
+        b: OpSs {
+            keys: vec![],
+            lens: vec![],
+            cols: vec![],
+            vals: vec![],
+        },
+        r0: 0,
+        r1: 0,
+        n: 0,
+        ax_dims: vec![],
+        ax_strides: vec![],
+        cx_dims: vec![],
+        cx_strides: vec![],
+        mask: None,
+    }
+    .encode();
+    ss[10] = 1; // `b`'s tag: after the opcode and the keyed `a` (tag, u64)
+    requests.push(ss);
     (requests, vec![frame(3)])
 }
 
@@ -753,6 +765,14 @@ fn bad_tasks_fail_without_killing_the_worker() {
         cols: vec![0],
         vals: vec![1.0],
     });
+    // a sparse-sparse `B` whose run lengths wrap to `cols.len()` when
+    // summed unchecked: the runs would reach past `cols`
+    let wrapping_b = OpSs {
+        keys: vec![0, 1],
+        lens: vec![u64::MAX, 3],
+        cols: vec![0; 2],
+        vals: vec![1.0; 2],
+    };
     let bad = [
         // wrong operand size
         chunk(f(vec![0.0; 3]), f(vec![0.0; 4])),
@@ -777,6 +797,22 @@ fn bad_tasks_fail_without_killing_the_worker() {
         },
         // Download reads dense buffers only
         Request::Download { key: 71 },
+        Request::SsChunk {
+            a: OpCoords::Inline {
+                rows: vec![0],
+                cols: vec![0],
+                vals: vec![1.0],
+            },
+            b: wrapping_b,
+            r0: 0,
+            r1: 1,
+            n: 1,
+            ax_dims: vec![1],
+            ax_strides: vec![1],
+            cx_dims: vec![1],
+            cx_strides: vec![1],
+            mask: None,
+        },
     ];
     for req in bad {
         assert!(

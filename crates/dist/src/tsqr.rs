@@ -8,9 +8,7 @@
 //! whole panel.
 
 use crate::cost::CostTracker;
-use crate::exec::{decode_qr, keys, DenseOp, Superstep};
-use crate::transport::worker::{Op, Request};
-use crate::{Executor, Result};
+use crate::Result;
 use parking_lot::Mutex;
 use tt_linalg::qr_thin;
 use tt_tensor::gemm::gemm_acc_slices;
@@ -51,75 +49,6 @@ pub fn tsqr(
         r0 = r1;
     }
     merge_tree(factors, n, tracker)
-}
-
-/// TSQR over the executor's own ranks and tracker, with the slab
-/// factorizations executed on its worker ranks (one `qr_thin`
-/// task per slab, round-robin) and the `R`-merge tree run on the driver.
-/// Slab boundaries and merge order are identical to [`tsqr`], so the
-/// factors are bitwise-identical to the in-process run — which is also
-/// what an executor without worker processes falls back to.
-///
-/// The panel is taken by value or by resident handle. A handle's row
-/// slabs are stored on the worker ranks at first use (same lifecycle as
-/// every other operand handle — [`Executor::free`] releases them), so
-/// repeated factorizations of the same panel ship zero operand bytes; the
-/// one-time upload is charged on first use on every backend, so the
-/// counters stay backend-identical.
-pub fn tsqr_on<'a>(
-    exec: &Executor,
-    a: impl Into<DenseOp<'a>>,
-) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
-    let (ranks, tracker) = (exec.ranks(), exec.tracker());
-    let a = a.into();
-    let (h, a) = (a.handle(), a.tensor()?);
-    if a.order() != 2 {
-        return Err(crate::Error::Runtime(format!(
-            "tsqr wants a matrix, got order {}",
-            a.order()
-        )));
-    }
-    let (m, n) = (a.dims()[0], a.dims()[1]);
-    let p = ranks.clamp(1, m.max(1));
-    if let Some(h) = h {
-        let lkey = keys::tsqr_slabs(h, p).logical();
-        if exec.residency().lock().observe(h.key(), lkey) {
-            CostTracker::charge_p2p(tracker, 8 * (m * n) as u64);
-        }
-    }
-    let factors = exec.with_cluster(|cluster| -> Result<_> {
-        let rows_per = m.div_ceil(p);
-        let nslabs = m.div_ceil(rows_per.max(1));
-        let workers = cluster.ranks();
-        let slab = |i: usize| (i * rows_per, ((i + 1) * rows_per).min(m));
-        let data = |i: usize| a.data()[slab(i).0 * n..slab(i).1 * n].to_vec();
-        let mut step = Superstep::default();
-        let mut fields = Vec::with_capacity(nslabs);
-        {
-            let mut res = exec.residency().lock();
-            for i in 0..nslabs {
-                fields.push(match h {
-                    None => Op::Inline(data(i)),
-                    Some(h) => {
-                        let key = keys::tsqr_slabs(h, p).chunk(nslabs, i);
-                        step.ensure(&mut res, h.key(), key, i % workers, || {
-                            Ok(Request::Upload { key, data: data(i) })
-                        })?;
-                        Op::Key(key)
-                    }
-                });
-            }
-        }
-        for (i, a) in fields.into_iter().enumerate() {
-            let (rows, cols) = (slab(i).1 - slab(i).0, n);
-            step.task(i % workers, Request::QrThin { rows, cols, a });
-        }
-        step.run(cluster)?.into_iter().map(decode_qr).collect()
-    });
-    match factors {
-        Some(factors) => merge_tree(factors?, n, tracker),
-        None => tsqr(a, ranks, tracker),
-    }
 }
 
 /// Merge slab `(Q, R)` factors pairwise up the binary tree; one superstep
@@ -230,85 +159,6 @@ mod tests {
         assert_eq!(q.data(), q2.data());
         assert_eq!(r.data(), r2.data());
         assert_eq!(c.lock().supersteps, 0);
-    }
-
-    /// `workers` worker processes simulating `p` ranks.
-    #[cfg(unix)]
-    fn mp_executor(p: usize, workers: usize) -> Executor {
-        let spawn = crate::transport::SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
-        Executor::multi_process(Machine::blue_waters(1), p, workers, spawn).unwrap()
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn tsqr_on_cluster_is_bitwise_identical() {
-        let mut rng = StdRng::seed_from_u64(55);
-        let a = DenseTensor::<f64>::random([96, 7], &mut rng);
-        for p in [1usize, 2, 4, 5] {
-            let c_ref = tracker(p);
-            let (q_ref, r_ref) = tsqr(&a, p, &c_ref).unwrap();
-            let mp = mp_executor(p, 3);
-            let (q, r) = tsqr_on(&mp, &a).unwrap();
-            assert_eq!(q.data(), q_ref.data(), "p={p}");
-            assert_eq!(r.data(), r_ref.data(), "p={p}");
-            assert_eq!(mp.supersteps(), c_ref.lock().supersteps);
-        }
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn tsqr_on_real_processes_is_bitwise() {
-        let mut rng = StdRng::seed_from_u64(56);
-        let a = DenseTensor::<f64>::random([64, 5], &mut rng);
-        let (q_ref, r_ref) = tsqr(&a, 4, &tracker(4)).unwrap();
-        let (q, r) = tsqr_on(&mp_executor(4, 2), &a).unwrap();
-        assert_eq!(q.data(), q_ref.data());
-        assert_eq!(r.data(), r_ref.data());
-    }
-
-    #[test]
-    fn tsqr_on_handle_in_process_matches_tsqr_bitwise() {
-        use crate::exec::ExecMode;
-        let mut rng = StdRng::seed_from_u64(57);
-        let a = DenseTensor::<f64>::random([80, 6], &mut rng);
-        let exec = crate::Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
-        let h = exec.upload(&a);
-        let (q_ref, r_ref) = tsqr(&a, 4, &tracker(4)).unwrap();
-        let (q, r) = tsqr_on(&exec, &h).unwrap();
-        assert_eq!(q.data(), q_ref.data());
-        assert_eq!(r.data(), r_ref.data());
-        // the first use charges the one-time panel upload on top of the
-        // merge-tree supersteps; the second (cache hit) does not
-        let first = exec.tracker().lock().bytes_critical;
-        let (q2, _) = tsqr_on(&exec, &h).unwrap();
-        assert_eq!(q2.data(), q_ref.data());
-        let second = exec.tracker().lock().bytes_critical - first;
-        assert!(second < first, "hit must charge less: {second} vs {first}");
-        exec.free(&h).unwrap();
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn tsqr_on_handle_over_processes_reuses_resident_slabs() {
-        let mut rng = StdRng::seed_from_u64(58);
-        let a = DenseTensor::<f64>::random([72, 5], &mut rng);
-        let (q_ref, r_ref) = tsqr(&a, 4, &tracker(4)).unwrap();
-        let mp = mp_executor(4, 2);
-        let h = mp.upload(&a);
-        let (q, r) = tsqr_on(&mp, &h).unwrap();
-        assert_eq!(q.data(), q_ref.data());
-        assert_eq!(r.data(), r_ref.data());
-        let first = mp.operand_bytes();
-        let (q2, r2) = tsqr_on(&mp, &h).unwrap();
-        let repeat = mp.operand_bytes() - first;
-        assert_eq!(q2.data(), q_ref.data());
-        assert_eq!(r2.data(), r_ref.data());
-        // the repeat ships only task headers against the resident slabs
-        assert!(
-            repeat * 4 < first,
-            "resident panel must not re-ship: first {first}, repeat {repeat}"
-        );
-        mp.free(&h).unwrap();
     }
 
     #[test]
