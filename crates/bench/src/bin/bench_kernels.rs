@@ -48,7 +48,12 @@
 //! `spins-m64-matvec` is what a sweep runs instead — the four steps as one
 //! `Executor::chain` against resident operands on one executor, the result
 //! downloaded and handed back — and reads seconds per matvec, buffer
-//! lifetimes included.
+//! lifetimes included. The `ss_chain` row `electrons-m32-matvec` is the
+//! sparse-sparse counterpart: the four H_eff steps at the middle bond of
+//! the warm electrons state (`bench_e2e`'s `electrons-ss-seq` size) as one
+//! `ResidentChain::apply`, whose planned chain keeps every intermediate in
+//! the merge kernel's format — seconds per matvec, the block↔flat
+//! conversion of `x` and `y` included.
 //!
 //! The seed repository's scalar GEMM stays as the reference the packed
 //! kernel is measured against, at one size per element type (full runs
@@ -61,7 +66,7 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
 use tt_bench::{grow_state, System};
-use tt_blocks::{contract, Algorithm, BlockSparseTensor};
+use tt_blocks::{contract, Algorithm, BlockSparseTensor, ResidentChain};
 use tt_dist::{ChainSrc, ChainStep, ExecMode, Executor, Machine, OpHandle};
 use tt_tensor::{Complex64, DenseTensor, Scalar, SparseTensor};
 
@@ -477,16 +482,15 @@ fn sd_chain_matvec(exec: &Executor, operands: &[OpHandle], x: &DenseTensor<f64>)
     exec.recycle(black_box(y));
 }
 
-/// The tensors the sparse algorithms convert at the middle bond of a warm
-/// `lx × ly` state at bond dimension `m` (the `bench_e2e` sweep sizes):
-/// the two-site tensor `x` (order 4) and the first matvec intermediate
-/// `t₁ = L·x` (order 5), labelled `<system>-m<m>-<tensor>`.
-fn conversion_operands(
+/// The middle bond of a warm `lx × ly` state at bond dimension `m` (the
+/// `bench_e2e` sweep sizes): the two-site effective Hamiltonian's
+/// operands `[L, W₁, W₂, R]` in matvec order, and the two-site tensor `x`.
+fn middle_bond(
     system: System,
     lx: usize,
     ly: usize,
     m: usize,
-) -> Vec<(String, BlockSparseTensor)> {
+) -> ([BlockSparseTensor; 4], BlockSparseTensor) {
     let warm = grow_state(system, &system.lattice(lx, ly), m);
     let exec = Executor::local();
     let mut mps = warm.mps;
@@ -503,17 +507,39 @@ fn conversion_operands(
         )
         .expect("left environment");
     }
-    let list =
-        |spec, a, b| contract(&exec, Algorithm::List, spec, a, b).expect("bond indices match");
-    let x = list("lsj,jtk->lstk", mps.tensor(mid), mps.tensor(mid + 1));
-    let t1 = list("bkc,cqwf->bkqwf", &left, &x);
-    let name = match system {
-        System::Spins => "spins",
-        System::Electrons => "electrons",
-    };
+    let right = dmrg::Environments::initialize(&exec, Algorithm::List, &mps, &warm.mpo)
+        .expect("right environments")
+        .right[mid + 1]
+        .take()
+        .expect("a right environment past the middle bond");
+    let x = contract(
+        &exec,
+        Algorithm::List,
+        "lsj,jtk->lstk",
+        mps.tensor(mid),
+        mps.tensor(mid + 1),
+    )
+    .expect("bond indices match");
+    let (w1, w2) = (
+        warm.mpo.tensor(mid).clone(),
+        warm.mpo.tensor(mid + 1).clone(),
+    );
+    ([left, w1, w2, right], x)
+}
+
+/// The tensors the sparse algorithms convert at a middle bond: the
+/// two-site tensor `x` (order 4) and the first matvec intermediate
+/// `t₁ = L·x` (order 5), labelled `<label>-<tensor>`.
+fn conversion_operands(
+    label: &str,
+    (heff, x): &([BlockSparseTensor; 4], BlockSparseTensor),
+) -> Vec<(String, BlockSparseTensor)> {
+    let exec = Executor::local();
+    let t1 = contract(&exec, Algorithm::List, MATVEC_STEPS[0].0, &heff[0], x)
+        .expect("bond indices match");
     vec![
-        (format!("{name}-m{m}-x"), x),
-        (format!("{name}-m{m}-t1"), t1),
+        (format!("{label}-x"), x.clone()),
+        (format!("{label}-t1"), t1),
     ]
 }
 
@@ -563,9 +589,11 @@ fn main() {
     };
     // smoke converts the electrons tensors only: that state grows in about
     // a second, the spins one in several
-    let mut conversion_tensors = conversion_operands(System::Electrons, 4, 3, 32);
+    let electrons = middle_bond(System::Electrons, 4, 3, 32);
+    let mut conversion_tensors = conversion_operands("electrons-m32", &electrons);
     if !smoke {
-        conversion_tensors.extend(conversion_operands(System::Spins, 6, 4, 64));
+        let spins = middle_bond(System::Spins, 6, 4, 64);
+        conversion_tensors.extend(conversion_operands("spins-m64", &spins));
     }
     let reps = 8;
     // every (kernel, size) is measured in PASSES round-robin sweeps and
@@ -776,6 +804,33 @@ fn main() {
             for h in &operands {
                 exec.free(h).unwrap();
             }
+        }
+        // the sparse-sparse matvec of a sweep: the four H_eff steps at the
+        // electrons middle bond as one planned chain, its plan kept from
+        // the first application
+        {
+            let exec = Executor::with_machine(Machine::local(), 1, ExecMode::Sequential);
+            let (heff, x) = &electrons;
+            let steps: Vec<(&str, &BlockSparseTensor)> = MATVEC_STEPS
+                .iter()
+                .zip(heff)
+                .map(|(&(spec, ..), a)| (spec, a))
+                .collect();
+            let chain = ResidentChain::upload(&exec, Algorithm::SparseSparse, &steps).unwrap();
+            let before = exec.total_flops();
+            chain.apply(x).unwrap();
+            let flops = (exec.total_flops() - before) as f64;
+            let secs = best_of(reps * 2, || {
+                black_box(chain.apply(x).unwrap());
+            });
+            record(
+                &mut entries,
+                "ss_chain",
+                "electrons-m32-matvec".to_string(),
+                flops,
+                secs,
+            );
+            chain.release().unwrap();
         }
         for &(m, k, n, reps) in ss_sizes {
             let sp = skewed_sparse(m, k);

@@ -15,20 +15,29 @@
 //! and communication exactly as Table II quantifies.
 //!
 //! [`contract`] passes both operands by value and is the reference every
-//! other path is compared against. A [`ResidentChain`] keeps the structural
-//! operands of a run of contractions resident and applies the run to a
-//! moving operand; it alone uploads and frees a [`ResidentOperand`].
-//! Runtime and kernel errors travel up by `?` as [`Error::Dist`], typed.
+//! other path is compared against; [`contract_resident`] is the same one
+//! step against a resident operand. A [`ResidentChain`] keeps the
+//! structural operands of a run of contractions resident and applies the
+//! run to a moving operand; it alone uploads and frees a
+//! [`ResidentOperand`]. For sparse-sparse it runs the run as one planned
+//! chain ([`Executor::plan_ss_chain`]): the quantum numbers give each
+//! step's output mask as classes of fused rows and columns, and the
+//! intermediates stay in the merge kernel's format, accumulated only where
+//! the mask allows an entry. Runtime and kernel errors travel up by `?` as
+//! [`Error::Dist`], typed.
 
 use crate::block::{BlockKey, BlockSparseTensor};
 use crate::index::QnIndex;
-use crate::qn::QN;
+use crate::qn::{signed, QN};
 use crate::{Error, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
-use tt_dist::{ChainSrc, ChainStep, DenseOp, Executor, OpHandle, ResultHandle, SparseOp};
+use tt_dist::{
+    ChainSrc, ChainStep, DenseOp, Executor, OpHandle, ResultHandle, SparseOp, SsChainPlan,
+    SsChainStep,
+};
 use tt_tensor::einsum::ContractPlan;
-use tt_tensor::{DenseTensor, SparseTensor};
+use tt_tensor::DenseTensor;
 
 /// Which block-sparsity strategy to contract with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,17 +74,12 @@ struct StepPlan {
     contract: ContractPlan,
     out_indices: Vec<QnIndex>,
     out_flux: QN,
-    /// For [`Algorithm::SparseSparse`], and only then: every dense offset
-    /// of the output the symmetry allows, ascending
-    /// ([`BlockSparseTensor::flat_mask`]).
-    mask: Option<Vec<u64>>,
 }
 
 impl StepPlan {
     /// Parse `spec`, validate the operands' structures against it and
     /// derive the output's.
     fn derive(
-        algo: Algorithm,
         spec: &str,
         (a_indices, a_flux): Structure,
         (b_indices, b_flux): Structure,
@@ -111,29 +115,65 @@ impl StepPlan {
             .iter()
             .map(|&p| natural[p].clone())
             .collect();
-        let out_flux = a_flux.add(b_flux);
-        let mask = (algo == Algorithm::SparseSparse)
-            .then(|| BlockSparseTensor::flat_mask(&out_indices, out_flux));
         Ok(Self {
             contract,
             out_indices,
-            out_flux,
-            mask,
+            out_flux: a_flux.add(b_flux),
         })
     }
 
-    /// Run the step as one flattened contraction — sparse-sparse under its
-    /// mask when it has one, sparse-dense otherwise — of `a`, flattened, by
-    /// value or by resident handle, against `b`.
+    /// The output mask as [`SsChainStep`] takes it: the class of
+    /// `flux − q(row)` for every fused row of `a`'s free modes and of
+    /// `q(col)` for every fused column of `b`'s, `q` the arrow-signed charge
+    /// sum. An output element conserves the flux exactly when its row's and
+    /// its column's classes are equal.
+    fn mask_classes(&self, a_indices: &[QnIndex], b_indices: &[QnIndex]) -> (Vec<u32>, Vec<u32>) {
+        let mut ids: HashMap<QN, u32> = HashMap::new();
+        let mut class = |q: QN| {
+            let fresh = ids.len() as u32;
+            *ids.entry(q).or_insert(fresh)
+        };
+        let arity = self.out_flux.n_charges();
+        let rows = fused_charges(
+            self.contract
+                .free_a_positions()
+                .iter()
+                .map(|&i| &a_indices[i]),
+            arity,
+        );
+        let cols = fused_charges(
+            self.contract
+                .free_b_positions()
+                .iter()
+                .map(|&j| &b_indices[j]),
+            arity,
+        );
+        let row_class = rows
+            .into_iter()
+            .map(|q| class(self.out_flux.sub(q)))
+            .collect();
+        let col_class = cols.into_iter().map(class).collect();
+        (row_class, col_class)
+    }
+
+    /// Run the step as one flattened contraction — sparse-sparse under the
+    /// output mask for [`Algorithm::SparseSparse`], sparse-dense otherwise —
+    /// of `a`, flattened, by value or by resident handle, against `b`.
     fn contract_flat(
         self,
         exec: &Executor,
+        algo: Algorithm,
         spec: &str,
         a: SparseOp,
         b: &BlockSparseTensor,
     ) -> Result<BlockSparseTensor> {
-        match self.mask {
-            None => {
+        match algo {
+            Algorithm::SparseSparse => {
+                let mask = BlockSparseTensor::flat_mask(&self.out_indices, self.out_flux);
+                let c = exec.contract_ss(spec, a, &b.to_flat_sparse(), Some(&mask))?;
+                BlockSparseTensor::from_flat_sparse(self.out_indices, self.out_flux, &c)
+            }
+            _ => {
                 let b_dense = b.to_dense();
                 let c = exec.contract_sd(spec, a, &b_dense)?;
                 let blocks =
@@ -144,12 +184,26 @@ impl StepPlan {
                 exec.recycle(b_dense);
                 blocks
             }
-            Some(mask) => {
-                let c = exec.contract_ss(spec, a, &b.to_flat_sparse(), Some(&mask))?;
-                BlockSparseTensor::from_flat_sparse(self.out_indices, self.out_flux, &c)
-            }
         }
     }
+}
+
+/// The arrow-signed charge of every element of the row-major fusion of
+/// `modes` (one zero charge for no modes).
+fn fused_charges<'i>(modes: impl Iterator<Item = &'i QnIndex>, arity: u8) -> Vec<QN> {
+    let mut charges = vec![QN::zero(arity)];
+    for ix in modes {
+        let digit: Vec<QN> = ix
+            .sectors()
+            .iter()
+            .flat_map(|&(q, d)| std::iter::repeat_n(signed(q, ix.arrow()), d))
+            .collect();
+        charges = charges
+            .iter()
+            .flat_map(|&c| digit.iter().map(move |&q| c.add(q)))
+            .collect();
+    }
+    charges
 }
 
 /// Every matching block pair of a contraction, in the one order all list
@@ -203,8 +257,8 @@ pub fn contract(
     }
     // flattened: sparse A times densified B, or sparse A times sparse B
     // with the output sparsity pre-computed from the quantum numbers
-    let step = StepPlan::derive(algo, spec, structure(a), structure(b))?;
-    step.contract_flat(exec, spec, (&a.to_flat_sparse()).into(), b)
+    let step = StepPlan::derive(spec, structure(a), structure(b))?;
+    step.contract_flat(exec, algo, spec, (&a.to_flat_sparse()).into(), b)
 }
 
 /// Paper Algorithm 2: loop over block pairs, match contracted labels,
@@ -221,7 +275,7 @@ pub fn contract_list(
     a: &BlockSparseTensor,
     b: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
-    let step = StepPlan::derive(Algorithm::List, spec, structure(a), structure(b))?;
+    let step = StepPlan::derive(spec, structure(a), structure(b))?;
     let mut c = BlockSparseTensor::new(step.out_indices, step.out_flux);
 
     let mut out_keys: Vec<BlockKey> = Vec::new();
@@ -399,9 +453,9 @@ pub fn contract_resident(
     a: &ResidentOperand,
     b: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
-    let step = StepPlan::derive(algo, spec, (&a.indices, a.flux), structure(b))?;
+    let step = StepPlan::derive(spec, (&a.indices, a.flux), structure(b))?;
     if algo != Algorithm::List {
-        return step.contract_flat(exec, spec, a.flat()?.into(), b);
+        return step.contract_flat(exec, algo, spec, a.flat()?.into(), b);
     }
     let (keys, handles) = a.blocks()?;
     // enumerate the pairs; each B block they use uploads once, in
@@ -444,10 +498,12 @@ pub fn contract_resident(
 /// order, [`ResidentChain::operand`] lends one to [`contract_resident`],
 /// [`ResidentChain::release`] frees **every** handle whatever fails on the
 /// way and reports the first error; dropping the chain does the same and
-/// has nobody to report to. *The plan*: one `StepPlan` per step, derived
-/// by the first [`ResidentChain::apply`] and kept for the later ones. The
-/// operands cannot change under the chain, so the plan is stale only when
-/// `x`'s indices or flux are not the ones it was derived for.
+/// has nobody to report to. *The plan*: one `StepPlan` per step — for
+/// sparse-sparse also the executor's [`SsChainPlan`] of the whole run —
+/// derived by the first [`ResidentChain::apply`] and kept for the later
+/// ones. The operands cannot change under the chain, so the plan is stale
+/// only when `x`'s indices or flux are not the ones it was derived for; it
+/// goes with the chain.
 pub struct ResidentChain<'e> {
     exec: &'e Executor,
     algo: Algorithm,
@@ -461,26 +517,49 @@ struct ChainPlan {
     x_indices: Vec<QnIndex>,
     x_flux: QN,
     steps: Vec<StepPlan>,
+    /// For [`Algorithm::SparseSparse`], and only then: the run as one
+    /// planned chain on the executor.
+    ss: Option<SsChainPlan>,
 }
 
 impl ChainPlan {
     fn derive(
+        exec: &Executor,
         algo: Algorithm,
         steps: &[(String, ResidentOperand)],
         x: &BlockSparseTensor,
     ) -> Result<Self> {
         let mut planned: Vec<StepPlan> = Vec::with_capacity(steps.len());
+        let mut ss_steps: Vec<SsChainStep> = Vec::new();
         for (spec, a) in steps {
             let b = match planned.last() {
                 Some(prev) => (&prev.out_indices[..], prev.out_flux),
                 None => structure(x),
             };
-            planned.push(StepPlan::derive(algo, spec, (&a.indices, a.flux), b)?);
+            let step = StepPlan::derive(spec, (&a.indices, a.flux), b)?;
+            if algo == Algorithm::SparseSparse {
+                let (row_class, col_class) = step.mask_classes(&a.indices, b.0);
+                ss_steps.push(SsChainStep {
+                    spec,
+                    a: a.flat()?,
+                    row_class,
+                    col_class,
+                });
+            }
+            planned.push(step);
         }
+        let ss = match algo {
+            Algorithm::SparseSparse => {
+                let x_dims: Vec<usize> = x.indices().iter().map(QnIndex::dim).collect();
+                Some(exec.plan_ss_chain(&x_dims, ss_steps)?)
+            }
+            _ => None,
+        };
         Ok(Self {
             x_indices: x.indices().to_vec(),
             x_flux: x.flux(),
             steps: planned,
+            ss,
         })
     }
 
@@ -561,13 +640,16 @@ impl<'e> ResidentChain<'e> {
     /// order of [`contract_list`]); sparse-dense chains the whole flattened
     /// contractions.
     ///
-    /// [`Algorithm::SparseSparse`] stays flat on the driver: `x` is
-    /// flattened once, each step's sparse result is the next step's `B`
-    /// operand as it comes back from [`Executor::contract_ss`], and only
-    /// the result is re-blocked. The steps are still one superstep each (a
-    /// worker-side sparse-sparse chain is an open ROADMAP item), but the
-    /// boundary between block and flat form is crossed once per
-    /// application, not twice per step.
+    /// [`Algorithm::SparseSparse`] runs as one planned chain
+    /// ([`Executor::apply_ss_chain`]): `x` is flattened once, each step
+    /// merges into the slots its output mask allows and hands its touched
+    /// slots on as the next step's sorted-run table, and only the result
+    /// is re-blocked. No intermediate is a sparse tensor, none is sorted
+    /// by comparison, and cancelled zeros are dropped between steps as
+    /// block form would drop them. On the multi-process backend the steps
+    /// are one `SsChunk` superstep each, the per-step path's frames byte
+    /// for byte; the mask, the fused operands and the step-to-step tables
+    /// are planned once per structure of `x`.
     pub fn apply(&self, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
         let plan = self.plan_for(x)?;
         match self.algo {
@@ -587,26 +669,23 @@ impl<'e> ResidentChain<'e> {
         if let Some(plan) = slot.as_ref().filter(|p| p.serves(x)) {
             return Ok(Arc::clone(plan));
         }
-        let plan = Arc::new(ChainPlan::derive(self.algo, &self.steps, x)?);
+        let plan = Arc::new(ChainPlan::derive(self.exec, self.algo, &self.steps, x)?);
         *slot = Some(Arc::clone(&plan));
         Ok(plan)
     }
 
-    /// The sparse-sparse chain. A step's flat result may hold explicit
-    /// zeros where products cancelled; block form never stores them back
-    /// into a flattened operand ([`BlockSparseTensor::to_flat_sparse`]
-    /// skips zeros), so dropping them here hands the next step bit for bit
-    /// the operand the per-step path ([`contract_resident`]) builds — and
-    /// with it the same flop count.
+    /// The sparse-sparse chain: one planned chain on the executor. A step
+    /// whose products cancel leaves a touched slot holding zero; block form
+    /// never stores that zero back into a flattened operand
+    /// ([`BlockSparseTensor::to_flat_sparse`] skips zeros), and the chain
+    /// does not hand it on either, so the next step meets bit for bit the
+    /// operand the per-step path ([`contract_resident`]) builds — and with
+    /// it the same flop count.
     fn apply_ss(&self, plan: &ChainPlan, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
-        let mut cur = x.to_flat_sparse();
-        for ((spec, a), step) in self.steps.iter().zip(&plan.steps) {
-            let mask = step.mask.as_deref().expect("planned for sparse-sparse");
-            let c = self.exec.contract_ss(spec, a.flat()?, &cur, Some(mask))?;
-            cur = without_zeros(c);
-        }
+        let ss = plan.ss.as_ref().expect("planned for sparse-sparse");
+        let y = self.exec.apply_ss_chain(ss, &x.to_flat_sparse())?;
         let (indices, flux) = plan.output();
-        BlockSparseTensor::from_flat_sparse(indices, flux, &cur)
+        BlockSparseTensor::from_flat_sparse(indices, flux, &y)
     }
 
     /// The sparse-dense chain: one sd chain step per contraction, each
@@ -739,18 +818,6 @@ impl Drop for ResidentChain<'_> {
         // nobody to report to: `release` is the exit that does
         let _ = self.free_handles();
     }
-}
-
-/// `c` minus its stored zeros — by `v != 0.0`, the test
-/// `to_flat_sparse` applies (`SparseTensor::prune(0.0)` would drop NaN too
-/// and hide a diverged matvec).
-fn without_zeros(c: SparseTensor<f64>) -> SparseTensor<f64> {
-    if c.entries().all(|(_, v)| v != 0.0) {
-        return c;
-    }
-    let (offsets, values) = c.entries().filter(|&(_, v)| v != 0.0).unzip();
-    SparseTensor::from_sorted(c.shape().clone(), offsets, values)
-        .expect("a subsequence of sorted entries is sorted")
 }
 
 #[cfg(test)]
@@ -991,6 +1058,74 @@ mod tests {
                 assert_eq!(fresh(&exec), after_first, "{algo}");
             }
             chain.release().unwrap();
+        }
+    }
+
+    /// The classes a sparse-sparse chain plans its masks from allow
+    /// exactly the offsets [`BlockSparseTensor::flat_mask`] lists: one and
+    /// two charges, identity and permuted outputs.
+    #[test]
+    fn mask_classes_allow_exactly_the_flat_mask() {
+        let (a, b) = pair();
+        let mut rng = StdRng::seed_from_u64(105);
+        let two = |arrow, dims: &[((i32, i32), usize)]| {
+            QnIndex::new(
+                arrow,
+                dims.iter().map(|&((n, s), d)| (QN::two(n, s), d)).collect(),
+            )
+        };
+        let bond = two(
+            Arrow::Out,
+            &[((0, 0), 1), ((1, 0), 2), ((1, 1), 3), ((2, 1), 2)],
+        );
+        let site = two(
+            Arrow::In,
+            &[((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((1, 1), 1)],
+        );
+        let e1 = BlockSparseTensor::random(
+            vec![bond.dual(), site.clone(), bond.clone()],
+            QN::two(1, 0),
+            &mut rng,
+        );
+        let e2 = BlockSparseTensor::random(vec![bond.dual(), site, bond], QN::two(0, 1), &mut rng);
+        for (spec, a, b) in [
+            ("isj,jtk->istk", &a, &b),
+            ("isj,jtk->tkis", &a, &b),
+            ("isj,jtk->kits", &e1, &e2),
+        ] {
+            let step = StepPlan::derive(spec, structure(a), structure(b)).unwrap();
+            let (row_class, col_class) = step.mask_classes(a.indices(), b.indices());
+            let plan = &step.contract;
+            let nat: Vec<usize> = plan
+                .free_a_positions()
+                .iter()
+                .map(|&i| a.indices()[i].dim())
+                .chain(
+                    plan.free_b_positions()
+                        .iter()
+                        .map(|&j| b.indices()[j].dim()),
+                )
+                .collect();
+            let ra = plan.free_a_positions().len();
+            let out_dims: Vec<usize> = step.out_indices.iter().map(QnIndex::dim).collect();
+            let out = tt_tensor::Shape::from(out_dims);
+            let fuse = |idx: &[usize], dims: &[usize]| {
+                idx.iter().zip(dims).fold(0, |f, (&i, &d)| f * d + i)
+            };
+            let allowed: Vec<u64> = (0..out.len())
+                .filter(|&off| {
+                    let idx = out.unoffset(off);
+                    let mut n = vec![0; idx.len()];
+                    for (j, &q) in plan.output_permutation().iter().enumerate() {
+                        n[q] = idx[j];
+                    }
+                    row_class[fuse(&n[..ra], &nat[..ra])] == col_class[fuse(&n[ra..], &nat[ra..])]
+                })
+                .map(|off| off as u64)
+                .collect();
+            let want = BlockSparseTensor::flat_mask(&step.out_indices, step.out_flux);
+            assert!(!want.is_empty(), "{spec}");
+            assert_eq!(allowed, want, "{spec}");
         }
     }
 

@@ -50,8 +50,10 @@
 //! `residency` the upload/free lifecycle, the retention cache, the α–β
 //! charges and the `Superstep` builder; `dense`, `sparse` and `factorize`
 //! the value-returning entry points; `chain` the planner of worker-side
-//! chains and the result handles' exits; `workspace` the recycled buffers
-//! of the sparse-dense temporaries.
+//! chains and the result handles' exits; `ss_chain` the planned
+//! sparse-sparse chain, whose intermediates stay in the merge kernel's
+//! format; `workspace` the recycled buffers of the sparse-dense
+//! temporaries.
 
 mod chain;
 mod dense;
@@ -59,12 +61,14 @@ mod factorize;
 mod keys;
 mod residency;
 mod sparse;
+mod ss_chain;
 #[cfg(test)]
 mod tests;
 mod workspace;
 
 pub use chain::{ChainSrc, ChainStep};
 pub use residency::RankCacheStats;
+pub use ss_chain::{SsChainPlan, SsChainStep};
 pub(crate) use workspace::Workspace;
 pub use workspace::WorkspaceStats;
 

@@ -125,7 +125,8 @@ impl Executor {
     /// `a` is taken by value or by handle; a handle keeps its row buckets
     /// resident (bucketed by stored entries only, so the boundaries don't
     /// depend on `b`). `b` — in a sweep, the moving ψ or an intermediate —
-    /// is taken by value.
+    /// is taken by value. A run of these whose results feed each other is
+    /// a planned chain: [`Executor::apply_ss_chain`].
     pub fn contract_ss<'a>(
         &self,
         spec: &str,
@@ -137,40 +138,57 @@ impl Executor {
         let plan = ContractPlan::parse(spec)?;
         let at = a.tensor()?;
         let (c, flops) = if let Some(cl) = &self.cluster {
-            self.ss_over_cluster(&mut cl.lock(), &plan, &a, b, mask)?
+            let prep = kernels::ss_prepare(&plan, at, b, mask)?;
+            let out_shape = prep.out_shape.clone();
+            let (entries, flops) = self.ss_over_cluster(&mut cl.lock(), &plan, a.handle(), prep)?;
+            (SparseTensor::from_entries(out_shape, entries)?, flops)
         } else {
             kernels::ss_contract(&plan, at, b, mask, self.pool())?
         };
         let (m, _k, n) = kernels::fused_dims(&plan, at.dims(), b.dims());
-        // All three tensors move only their stored entries (offset + value).
-        let sa = self.op_state(a.handle(), |h| keys::ss_a(h, &plan).logical(), 2 * at.nnz());
-        let sb = OpCharge::Value(2 * b.nnz());
-        self.charge_contraction(sa, sb, 2 * c.nnz(), m, n, flops, true);
+        let sizes = (at.nnz(), b.nnz(), c.nnz());
+        self.charge_ss(&plan, a.handle(), sizes, m, n, flops);
         Ok(c)
     }
 
-    /// Sparse-sparse contraction over the worker processes: the grouped
-    /// `B` operand, output-axis map and mask ship once per rank alongside
-    /// that rank's volume-balanced `A` bucket; the per-bucket entry sets
-    /// are row-disjoint, so concatenating replies in submission order
-    /// reproduces the in-process result exactly. A handle `a` resolves to
-    /// resident buckets; because every bucketing is row-contiguous and
-    /// scan-order-preserving, the result is bitwise identical no matter
-    /// which boundaries are used.
-    fn ss_over_cluster(
+    /// The α–β charge of one sparse-sparse contraction of `a_nnz × b_nnz →
+    /// c_nnz` stored entries (`c_nnz` counts every touched allowed element,
+    /// cancelled zeros included) over an `m × n` fused grid. All three
+    /// tensors move only their stored entries (offset + value).
+    pub(super) fn charge_ss(
+        &self,
+        plan: &ContractPlan,
+        a: Option<&OpHandle>,
+        (a_nnz, b_nnz, c_nnz): (usize, usize, usize),
+        m: usize,
+        n: usize,
+        flops: u64,
+    ) {
+        let sa = self.op_state(a, |h| keys::ss_a(h, plan).logical(), 2 * a_nnz);
+        let sb = OpCharge::Value(2 * b_nnz);
+        self.charge_contraction(sa, sb, 2 * c_nnz, m, n, flops, true);
+    }
+
+    /// Sparse-sparse contraction over the worker processes, from its
+    /// prepared state: the grouped `B` operand, output-axis map and mask
+    /// ship once per rank alongside that rank's volume-balanced `A`
+    /// bucket. A handle `a` resolves to resident buckets; because every
+    /// bucketing is row-contiguous and scan-order-preserving, the result is
+    /// bitwise identical no matter which boundaries are used. Returns the
+    /// replies' `(output offset, value)` entries concatenated in
+    /// submission order — row-disjoint chunks in row order, each in fused
+    /// `(row, col)` order — and the flops.
+    pub(super) fn ss_over_cluster(
         &self,
         cl: &mut Cluster,
         plan: &ContractPlan,
-        a: &SparseOp,
-        bt: &SparseTensor<f64>,
-        mask: Option<&[u64]>,
-    ) -> Result<(SparseTensor<f64>, u64)> {
-        let at = a.tensor()?;
+        a: Option<&OpHandle>,
+        mut prep: kernels::SsPrep,
+    ) -> Result<(Vec<(u64, f64)>, u64)> {
         let p = cl.ranks();
-        let mut prep = kernels::ss_prepare(plan, at, bt, mask)?;
         let chunks = kernels::sparse_chunks(prep.flops(), p);
         // resident A buckets must not depend on B's pattern
-        let (ranges, buckets) = prep.take_buckets(chunks, a.handle().is_some());
+        let (ranges, buckets) = prep.take_buckets(chunks, a.is_some());
 
         // flatten the grouped B operand once
         let b_field = OpSs {
@@ -186,7 +204,7 @@ impl Executor {
         let a_fields = bucket_fields(
             &mut step,
             &mut self.residency.lock(),
-            a.handle(),
+            a,
             buckets,
             p,
             |h, i| keys::ss_a(h, plan).chunk(chunks, i),
@@ -227,7 +245,7 @@ impl Executor {
                 }
             }
         }
-        Ok((SparseTensor::from_entries(prep.out_shape, entries)?, flops))
+        Ok((entries, flops))
     }
 }
 

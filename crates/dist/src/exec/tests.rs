@@ -1213,6 +1213,225 @@ fn chain_hands_out_terminal_results_only() {
 /// property of any refactor of the cluster legs. On a mismatch the full
 /// trace is printed; after an *intended* protocol change, paste it over
 /// `trace_golden.txt`.
+/// A transport that keeps every frame it sends, byte for byte.
+struct FrameLog {
+    inner: crate::InProcTransport,
+    sent: Sent,
+}
+
+impl crate::Transport for FrameLog {
+    fn ranks(&self) -> usize {
+        self.inner.ranks()
+    }
+
+    fn next_tag(&mut self) -> u64 {
+        self.inner.next_tag()
+    }
+
+    fn send(&mut self, to: usize, tag: u64, msg: &[u8]) -> Result<()> {
+        self.sent
+            .lock()
+            .expect("frame log")
+            .push((to, msg.to_vec()));
+        self.inner.send(to, tag, msg)
+    }
+
+    fn recv(&mut self, from: usize, tag: u64) -> Result<Vec<u8>> {
+        self.inner.recv(from, tag)
+    }
+}
+
+/// Every output offset of `spec` on `a_dims · b_dims` whose fused row and
+/// column classes agree, ascending: the mask the classes stand for,
+/// found the slow way.
+fn class_mask(
+    spec: &str,
+    a_dims: &[usize],
+    b_dims: &[usize],
+    row_class: &[u32],
+    col_class: &[u32],
+) -> Vec<u64> {
+    let plan = tt_tensor::ContractPlan::parse(spec).unwrap();
+    let out = tt_tensor::Shape::from(plan.output_dims(a_dims, b_dims).unwrap());
+    let nat_dims = crate::kernels::natural_dims(&plan, a_dims, b_dims);
+    let ra = plan.free_a_positions().len();
+    let fuse =
+        |idx: &[usize], dims: &[usize]| idx.iter().zip(dims).fold(0, |f, (&i, &d)| f * d + i);
+    (0..out.len())
+        .filter(|&off| {
+            let idx = out.unoffset(off);
+            let mut nat = vec![0; idx.len()];
+            for (j, &q) in plan.output_permutation().iter().enumerate() {
+                nat[q] = idx[j];
+            }
+            let row = fuse(&nat[..ra], &nat_dims[..ra]);
+            let col = fuse(&nat[ra..], &nat_dims[ra..]);
+            row_class[row] == col_class[col]
+        })
+        .map(|off| off as u64)
+        .collect()
+}
+
+/// A planned sparse-sparse chain is the fold of masked `contract_ss`
+/// calls, each result minus its stored zeros: the same result bits,
+/// flops and simulated seconds in-process — one chunk or, past the 16
+/// MFlop gate, one per pool lane — and on the cluster the same frames,
+/// byte for byte, in the same order. The first step is above the gate, so
+/// it runs as two chunks on two ranks. Its output is the next step's
+/// operand with the contracted mode last and the free modes `(j, p)` in
+/// the opposite order to the step's `(p | j, l)` slots: a table handed on
+/// in slot order would carry its runs in another order than the per-step
+/// path's.
+#[test]
+fn planned_ss_chain_is_the_masked_fold() {
+    let mut rng = StdRng::seed_from_u64(2700);
+    let mut sparse = |dims: &[usize], keep: f64| {
+        SparseTensor::from_dense(&DenseTensor::<f64>::random(dims, &mut rng), keep)
+    };
+    let (a1, x, a2) = (
+        sparse(&[300, 250], 0.5),
+        sparse(&[250, 30, 10], 0.2),
+        sparse(&[10, 20], 0.5),
+    );
+    let class = |len: usize, k: u32| (0..len as u32).map(|i| i % k).collect::<Vec<u32>>();
+    // step 1: rows p, columns (j, l); step 2: rows q, columns (j, p)
+    let steps = [
+        (
+            "pk,kjl->jpl",
+            &a1,
+            x.dims().to_vec(),
+            class(300, 3),
+            class(300, 3),
+        ),
+        (
+            "lq,jpl->qjp",
+            &a2,
+            vec![30, 300, 10],
+            class(20, 2),
+            class(9000, 4),
+        ),
+    ];
+    let masks: Vec<Vec<u64>> = steps
+        .iter()
+        .map(|(spec, a, b_dims, rc, cc)| class_mask(spec, a.dims(), b_dims, rc, cc))
+        .collect();
+    let chain = |exec: &Executor| {
+        let handles: Vec<OpHandle> = steps.iter().map(|st| exec.upload_sparse(st.1)).collect();
+        let planned = steps
+            .iter()
+            .zip(&handles)
+            .map(|((spec, _, _, rc, cc), h)| SsChainStep {
+                spec,
+                a: h,
+                row_class: rc.clone(),
+                col_class: cc.clone(),
+            })
+            .collect();
+        let plan = exec.plan_ss_chain(x.dims(), planned).unwrap();
+        let y = exec.apply_ss_chain(&plan, &x).unwrap();
+        handles.iter().for_each(|h| exec.free(h).unwrap());
+        y
+    };
+    let fold = |exec: &Executor| {
+        let handles: Vec<OpHandle> = steps.iter().map(|st| exec.upload_sparse(st.1)).collect();
+        let mut b = x.clone();
+        for ((st, h), mask) in steps.iter().zip(&handles).zip(&masks) {
+            let c = exec.contract_ss(st.0, h, &b, Some(mask)).unwrap();
+            let (offs, vals) = c.entries().filter(|&(_, v)| v != 0.0).unzip();
+            b = SparseTensor::from_sorted(c.shape().clone(), offs, vals).unwrap();
+        }
+        handles.iter().for_each(|h| exec.free(h).unwrap());
+        b
+    };
+    let mut across = None;
+    for backend in ["sequential", "threaded", "2 ranks"] {
+        let run = |path: &dyn Fn(&Executor) -> SparseTensor<f64>| {
+            let (exec, sent) = ss_chain_executor(backend);
+            let y = path(&exec);
+            let entries: Vec<(u64, u64)> = y.entries().map(|(o, v)| (o, v.to_bits())).collect();
+            let meters = (exec.total_flops(), exec.sim_time().total().to_bits());
+            let frames = sent.map(|s| s.lock().unwrap().clone());
+            (entries, meters, frames)
+        };
+        let (planned, folded) = (run(&chain), run(&fold));
+        assert!(!planned.0.is_empty());
+        assert_eq!(planned, folded, "{backend}");
+        if let Some(frames) = &planned.2 {
+            let chunks = frames.iter().filter(|(_, f)| f[0] == 12).count();
+            assert_eq!(chunks, 3, "two chunks of step 1, one of step 2");
+        }
+        match &across {
+            None => across = Some((planned.0, planned.1)),
+            Some(first) => assert_eq!((&planned.0, &planned.1), (&first.0, &first.1), "{backend}"),
+        }
+    }
+}
+
+/// Every frame a [`FrameLog`] sent: `(rank, encoded request)`.
+type Sent = Arc<std::sync::Mutex<Vec<(usize, Vec<u8>)>>>;
+
+/// The executors [`planned_ss_chain_is_the_masked_fold`] compares: in
+/// process, or on a 2-rank in-process cluster whose frames it keeps.
+fn ss_chain_executor(backend: &str) -> (Executor, Option<Sent>) {
+    let exec = |mode| Executor::with_machine(Machine::blue_waters(2), 1, mode);
+    match backend {
+        "sequential" => (exec(ExecMode::Sequential), None),
+        "threaded" => (exec(ExecMode::Threaded), None),
+        _ => {
+            let mut exec = exec(ExecMode::Sequential);
+            let sent = Sent::default();
+            let transport = FrameLog {
+                inner: crate::InProcTransport::new(2),
+                sent: Arc::clone(&sent),
+            };
+            let mut cl = Cluster::new(Box::new(transport));
+            cl.attach_tracker(Arc::clone(exec.tracker()));
+            exec.cluster = Some(Mutex::new(cl));
+            (exec, Some(sent))
+        }
+    }
+}
+
+/// A chain plan is refused typed, not by a panic, when its steps do not
+/// fit: an empty chain, classes of the wrong length, a step whose operand
+/// is not the previous step's output; and an input of other dims.
+#[test]
+fn ss_chain_plan_rejects_steps_that_do_not_fit() {
+    let exec = Executor::local();
+    let a = SparseTensor::from_dense(&DenseTensor::<f64>::from_fn([3, 4], |i| i[0] as f64), 0.0);
+    let h = exec.upload_sparse(&a);
+    let step = |spec, rows: usize, cols: usize| SsChainStep {
+        spec,
+        a: &h,
+        row_class: vec![0; rows],
+        col_class: vec![0; cols],
+    };
+    let rejected = |x_dims: &[usize], steps: Vec<SsChainStep>| {
+        matches!(exec.plan_ss_chain(x_dims, steps), Err(Error::Runtime(_)))
+    };
+    assert!(rejected(&[4, 5], vec![]));
+    assert!(rejected(&[4, 5], vec![step("ik,kj->ij", 3, 4)]));
+    // "ik,kj->ij" makes a 3 × 5 output, which "ik,kjl->ijl" cannot take
+    assert!(rejected(
+        &[4, 5],
+        vec![step("ik,kj->ij", 3, 5), step("ik,kjl->ijl", 3, 1)]
+    ));
+    let plan = exec
+        .plan_ss_chain(&[4, 5], vec![step("ik,kj->ij", 3, 5)])
+        .unwrap();
+    let wrong = SparseTensor::<f64>::empty([4, 6]);
+    assert!(matches!(
+        exec.apply_ss_chain(&plan, &wrong),
+        Err(Error::Runtime(_))
+    ));
+    // an empty input flows through to an empty output
+    let y = exec
+        .apply_ss_chain(&plan, &SparseTensor::empty([4, 5]))
+        .unwrap();
+    assert_eq!((y.dims(), y.nnz()), (&[3usize, 5][..], 0));
+    exec.free(&h).unwrap();
+}
+
 #[test]
 fn protocol_trace_matches_golden() {
     use crate::transport::RecordingTransport;

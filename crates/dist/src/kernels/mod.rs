@@ -43,8 +43,9 @@
 //! range functions and the dims / output helpers every family shares;
 //! `dense` the packed-GEMM contraction and its worker chunk; `sd` the
 //! sparse-dense layout decision, chunk body and contraction; `ss` the
-//! sparse-sparse preparation, merge chunk and contraction; `factor` the
-//! truncated SVD and its tall-panel rule.
+//! sparse-sparse preparation, merge chunk and contraction, and the slot
+//! merge of a planned chain's step; `factor` the truncated SVD and its
+//! tall-panel rule.
 
 mod dense;
 mod factor;
@@ -56,7 +57,7 @@ pub(crate) mod tests;
 pub(crate) use dense::{dense_chunk, dense_contract, dense_prepare};
 pub(crate) use factor::svd_trunc;
 pub(crate) use sd::{sd_apply, sd_buckets, sd_contract, sd_panel, sd_prepare, SdGeometry, SdView};
-pub(crate) use ss::{ss_chunk, ss_contract, ss_prepare};
+pub(crate) use ss::{ss_chunk, ss_contract, ss_prepare, ss_slots, SsPrep};
 
 #[cfg(doc)]
 use crate::exec::Workspace;

@@ -1,5 +1,6 @@
 //! Sparse × sparse: the shared preparation ([`SsPrep`]), the merge chunk,
-//! and the contraction over [`ordered_map`].
+//! the contraction over [`ordered_map`], and the slot merge of one step of
+//! a planned chain ([`ss_slots`]).
 
 use super::{
     bucket_by_volume, fused_dims, lanes, natural_dims, ordered_map, sparse_chunks, sparse_coords,
@@ -9,7 +10,7 @@ use crate::pool::ThreadPool;
 use crate::Result;
 use std::borrow::Cow;
 use tt_tensor::einsum::ContractPlan;
-use tt_tensor::ssmerge::{merge_chunk, SsBTable};
+use tt_tensor::ssmerge::{merge_chunk, merge_slots, SlotChunk, SlotMap, SsBTable};
 use tt_tensor::{Shape, SparseTensor};
 
 /// Decompose a row-major fused index over `axes` (`(dimension, output
@@ -44,8 +45,9 @@ pub(crate) struct SsPrep<'a> {
     /// operand's dims and the output permutation — a cached resident table
     /// is reusable across contractions).
     pub(crate) col_axes: Vec<(u64, u64)>,
-    /// `B` grouped by contracted key: sorted key runs over flat arrays.
-    pub(crate) btab: SsBTable<f64>,
+    /// `B` grouped by contracted key: sorted key runs over flat arrays —
+    /// built here, or borrowed from a planned chain that built it.
+    pub(crate) btab: Cow<'a, SsBTable<f64>>,
     /// Sorted output-sparsity mask, when given: the caller's own slice
     /// when that already ascends (what `BlockSparseTensor::flat_mask`
     /// hands over), a sorted copy otherwise.
@@ -86,11 +88,11 @@ pub(crate) fn ss_prepare<'a>(
 
     // B grouped by contracted key: one stable sort, flat run arrays. Runs
     // keep stored order, so accumulation is deterministic.
-    let btab = SsBTable::build(sparse_coords(
+    let btab = Cow::Owned(SsBTable::build(sparse_coords(
         b,
         plan.ctr_b_positions(),
         plan.free_b_positions(),
-    ));
+    )));
 
     let mask_sorted = mask.map(|ms| {
         if ms.windows(2).all(|w| w[0] <= w[1]) {
@@ -163,6 +165,12 @@ pub(crate) fn ss_chunk(
     (entries, flops)
 }
 
+/// Flops of `coords · btab` — what [`sparse_chunks`] gates on: an `A`
+/// entry costs one multiply-add per entry of its matching `B` key run.
+fn ss_flops(coords: &[Coord], btab: &SsBTable<f64>) -> u64 {
+    2 * coords.iter().map(|c| btab.run_len(c.1) as u64).sum::<u64>()
+}
+
 impl SsPrep<'_> {
     /// Exact work model: an `A` entry costs one multiply-add per entry of
     /// its matching `B` key run (zero when no run matches).
@@ -172,7 +180,7 @@ impl SsPrep<'_> {
 
     /// Flops of the whole contraction — what [`sparse_chunks`] gates on.
     pub(crate) fn flops(&self) -> u64 {
-        2 * self.coords.iter().map(|c| self.coord_work(c)).sum::<u64>()
+        ss_flops(&self.coords, &self.btab)
     }
 
     /// Take the coords as `chunks` row-disjoint buckets, each stably
@@ -245,4 +253,46 @@ pub(super) fn ss_chunked(
         flops += f;
     }
     Ok((SparseTensor::from_entries(prep.out_shape, entries)?, flops))
+}
+
+/// One step of a planned sparse-sparse chain, in-process: `coords` (the
+/// step's `A`, stably key-sorted) merged against `btab` into the slots of
+/// the step's output mask. Rows are cut by [`sparse_chunks`] over the
+/// pool's lanes and balanced by exact work; each chunk accumulates into
+/// its own slot range, and the ranges concatenate in row order — the same
+/// products in the same order per element whatever the cut.
+pub(crate) fn ss_slots(
+    coords: &[Coord],
+    btab: &SsBTable<f64>,
+    map: &SlotMap,
+    pool: Option<&ThreadPool>,
+) -> SlotChunk<f64> {
+    let chunks = match lanes(pool) {
+        1 => 1,
+        lanes => sparse_chunks(ss_flops(coords, btab), lanes),
+    };
+    ss_slots_chunked(coords, btab, map, chunks, pool)
+}
+
+/// [`ss_slots`] over a given chunk count.
+pub(super) fn ss_slots_chunked(
+    coords: &[Coord],
+    btab: &SsBTable<f64>,
+    map: &SlotMap,
+    chunks: usize,
+    pool: Option<&ThreadPool>,
+) -> SlotChunk<f64> {
+    let slots = if chunks == 1 {
+        merge_slots(coords, btab, map, 0, map.rows())
+    } else {
+        // bucketing keeps each bucket's coords in key order
+        let (ranges, buckets) = bucket_by_volume(coords.to_vec(), map.rows(), chunks, |c| {
+            btab.run_len(c.1) as u64
+        });
+        SlotChunk::concat(ordered_map(pool, ranges.len(), |i| {
+            merge_slots(&buckets[i], btab, map, ranges[i].0, ranges[i].1)
+        }))
+    };
+    tt_tensor::counter::add_flops(slots.flops);
+    slots
 }

@@ -1,5 +1,5 @@
 use super::sd::SdLayout;
-use super::ss::ss_chunked;
+use super::ss::{ss_chunked, ss_slots_chunked};
 use super::*;
 use crate::exec::Workspace;
 use rand::rngs::StdRng;
@@ -568,6 +568,39 @@ fn ss_kernel_matches_dense_reference_and_respects_mask() {
     let (masked, _) = ss_contract(&plan, &a, &b, Some(&mask), None).unwrap();
     for (off, _) in masked.entries() {
         assert!(mask.contains(&off));
+    }
+}
+
+/// A planned chain step's slot merge, cut into 1…5 work-balanced row
+/// chunks over a pool, is bitwise the single-chunk merge: every chunk
+/// owns its slot range, and the ranges concatenate in row order.
+#[test]
+fn ss_slots_any_chunking_is_one_chunk() {
+    use tt_tensor::ssmerge::{SlotMap, SsBTable};
+    let (spec, a_dims, b_dims) = &heff_steps(12)[1];
+    let plan = ContractPlan::parse(spec).unwrap();
+    let a = random_sparse(a_dims, 0.4, 21);
+    let b = random_sparse(b_dims, 0.3, 22);
+    let (m, k, n) = fused_dims(&plan, a_dims, b_dims);
+    let mut coords = sparse_coords(&a, plan.free_a_positions(), plan.ctr_a_positions());
+    coords.sort_by_key(|c| c.1);
+    let btab = SsBTable::from_keyed(
+        &sparse_coords(&b, plan.ctr_b_positions(), plan.free_b_positions()),
+        k,
+    );
+    let map = SlotMap::new(
+        (0..m as u32).map(|r| r % 3).collect(),
+        &(0..n as u32).map(|c| (c / 7) % 3).collect::<Vec<_>>(),
+    );
+    let one = ss_slots_chunked(&coords, &btab, &map, 1, None);
+    assert!(one.touched.iter().any(|&t| t) && one.flops > 0);
+    let pool = ThreadPool::new(3);
+    for chunks in 2..=5 {
+        let cut = ss_slots_chunked(&coords, &btab, &map, chunks, Some(&pool));
+        assert_eq!(cut.flops, one.flops, "{chunks} chunks");
+        assert_eq!(cut.touched, one.touched, "{chunks} chunks");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&cut.vals), bits(&one.vals), "{chunks} chunks");
     }
 }
 

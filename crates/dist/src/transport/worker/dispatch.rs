@@ -114,7 +114,15 @@ impl WorkerState {
                 mask,
             } => {
                 let bucket = self.opcoords(a)?;
-                let table = ss_table(b)?;
+                let table = ss_table(b, n)?;
+                // the merge trusts both: a row outside the chunk lands in
+                // another chunk's panel, a descending key misses its match
+                if bucket.iter().any(|&(row, _, _)| row < r0 || row >= r1) {
+                    return Err(Error::transport("ss chunk A row outside the chunk"));
+                }
+                if !bucket.windows(2).all(|w| w[0].1 <= w[1].1) {
+                    return Err(Error::transport("ss chunk A keys descend"));
+                }
                 let row_axes: Vec<(u64, u64)> = ax_dims.into_iter().zip(ax_strides).collect();
                 let col_axes: Vec<(u64, u64)> = cx_dims.into_iter().zip(cx_strides).collect();
                 let (entries, flops) = kernels::ss_chunk(

@@ -25,12 +25,13 @@ impl Cached {
     }
 }
 
-/// The grouped sparse-sparse `B` operand as the flat sorted-run table
-/// the merge kernel consumes. The wire shape is already the table's
-/// layout, so this is a validation pass plus a prefix sum
-/// ([`SsBTable::from_runs`] only `debug_assert`s its invariants, and a
-/// malformed frame must surface as a transport error).
-pub(super) fn ss_table(op: OpSs) -> Result<SsBTable<f64>> {
+/// The grouped sparse-sparse `B` operand of a chunk `n` columns wide as
+/// the flat sorted-run table the merge kernel consumes. The wire shape is
+/// already the table's layout, so this is a validation pass plus a prefix
+/// sum ([`SsBTable::from_runs`] only `debug_assert`s its invariants, the
+/// kernel trusts its columns, and a malformed frame must surface as a
+/// transport error).
+pub(super) fn ss_table(op: OpSs, n: u64) -> Result<SsBTable<f64>> {
     let OpSs {
         keys,
         lens,
@@ -45,6 +46,10 @@ pub(super) fn ss_table(op: OpSs) -> Result<SsBTable<f64>> {
         return Err(Error::transport(
             "ss group table keys not strictly ascending",
         ));
+    }
+    // a column past the panel's width would land in the next row's slot
+    if cols.iter().any(|&c| c >= n) {
+        return Err(Error::transport("ss group table column out of range"));
     }
     Ok(SsBTable::from_runs(keys, &lens, cols, vals))
 }

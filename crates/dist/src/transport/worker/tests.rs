@@ -773,6 +773,50 @@ fn bad_tasks_fail_without_killing_the_worker() {
         cols: vec![0; 2],
         vals: vec![1.0; 2],
     };
+    // `A` buckets the merge must not be handed: keys [1, 0] descend (the
+    // merge would miss key 0's match), and row 1 lies outside a chunk of
+    // rows 0..1 — inline, and resident under keys 72 and 73
+    for (key, rows, cols) in [(72, vec![0, 0], vec![1, 0]), (73, vec![1], vec![0])] {
+        let vals = vec![1.0; rows.len()];
+        w.handle(Request::UploadCoords {
+            key,
+            rows,
+            cols,
+            vals,
+        });
+    }
+    let descending = || OpCoords::Inline {
+        rows: vec![0, 0],
+        cols: vec![1, 0],
+        vals: vec![1.0; 2],
+    };
+    let ss = |a: OpCoords, b_cols: Vec<u64>, r1: u64| Request::SsChunk {
+        a,
+        b: OpSs {
+            keys: vec![0, 1],
+            lens: vec![1, 1],
+            cols: b_cols,
+            vals: vec![1.0, 2.0],
+        },
+        r0: 0,
+        r1,
+        n: 1,
+        ax_dims: vec![2],
+        ax_strides: vec![1],
+        cx_dims: vec![1],
+        cx_strides: vec![1],
+        mask: None,
+    };
+    let one = || OpCoords::Inline {
+        rows: vec![0],
+        cols: vec![0],
+        vals: vec![5.0],
+    };
+    // the well-formed frame the malformed ones are variations of
+    assert!(matches!(
+        w.handle(ss(one(), vec![0, 0], 1)),
+        Some(Reply::Entries { .. })
+    ));
     let bad = [
         // wrong operand size
         chunk(f(vec![0.0; 3]), f(vec![0.0; 4])),
@@ -813,6 +857,11 @@ fn bad_tasks_fail_without_killing_the_worker() {
             cx_strides: vec![1],
             mask: None,
         },
+        // a `B` column past `n = 1`: it would land in row 1's slot
+        ss(one(), vec![1, 0], 2),
+        ss(descending(), vec![0, 0], 1),
+        ss(OpCoords::Key(72), vec![0, 0], 1),
+        ss(OpCoords::Key(73), vec![0, 0], 1),
     ];
     for req in bad {
         assert!(

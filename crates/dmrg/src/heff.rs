@@ -106,11 +106,13 @@ impl ResidentHam<'_> {
     /// chained superstep per matvec** — ψ uploads once, t₁…t₃ stay
     /// resident in the worker stores and only `y`'s blocks download, which
     /// on the multi-process backend collapses the driver's per-matvec
-    /// *result* traffic to the final download. For sparse-sparse the four
-    /// steps stay separate supersteps, but ψ is flattened once, each flat
-    /// result feeds the next step as it comes back and only `y` is
-    /// re-blocked. What the matvec knows from structure alone is derived
-    /// once per eigensolve, for all three.
+    /// *result* traffic to the final download. For sparse-sparse it is one
+    /// planned flat chain: ψ is flattened once, every step accumulates
+    /// only where its output mask allows an entry and hands its result on
+    /// in the merge kernel's own format, and only `y` is re-blocked (on
+    /// the multi-process backend still one superstep per step). What the
+    /// matvec knows from structure alone is derived once per eigensolve,
+    /// for all three.
     pub fn apply(&self, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
         Ok(self.0.apply(x)?)
     }

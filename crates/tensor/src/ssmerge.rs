@@ -15,12 +15,21 @@
 //!    contractions of a Davidson solve).
 //! 2. **Two-pointer merge.** Matching key runs are found by a linear merge
 //!    over the two sorted key sequences — no per-entry map lookups.
-//! 3. **Dense micro-accumulator.** Each matching `A`-run × `B`-run pair is
-//!    an outer product scattered into a dense `rows × n` panel (flat adds
-//!    at computed offsets), with a hash-map fallback when the panel would
-//!    be unreasonably large. Both accumulators apply the *same products in
-//!    the same order* per output element, so which one runs never changes
-//!    a bit of the result.
+//! 3. **Two accumulators.** Each matching `A`-run × `B`-run pair is an
+//!    outer product scattered into an accumulator by flat adds at computed
+//!    offsets. [`merge_chunk`] accumulates into a dense `rows × n` panel
+//!    (a hash map when the panel would be unreasonably large) and returns
+//!    every touched element. [`merge_slots`] accumulates into the slots of
+//!    a [`SlotMap`] — the output mask the quantum numbers pre-compute,
+//!    one slot per element it allows — so the accumulator is as large as
+//!    the mask, not as `rows × n`, and a product outside the mask lands
+//!    nowhere. Every accumulator applies the *same products in the same
+//!    order* per output element, so which one runs never changes a bit of
+//!    an element they both keep.
+//!
+//! [`SsBTable::from_keyed`] builds the table by a counting sort when the
+//! key range is small, which is how a chain of masked contractions hands
+//! one step's slots to the next step's merge without a comparison sort.
 //!
 //! ## Determinism
 //!
@@ -36,6 +45,7 @@
 
 use crate::scalar::Scalar;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Above this many panel elements (`rows × n`), [`merge_chunk`] switches
 /// from the dense panel accumulator to a hash map. 2²² f64 elements is a
@@ -61,6 +71,52 @@ impl<T: Scalar> SsBTable<T> {
     /// `ctr`, so within a run the input order is preserved.
     pub fn build(mut entries: Vec<(u64, u64, T)>) -> Self {
         entries.sort_by_key(|e| e.0);
+        Self::grouped(entries)
+    }
+
+    /// [`Self::build`] for entries whose keys all lie below `key_range`:
+    /// the same table — runs in ascending key order, each in input order —
+    /// by one counting pass and one scatter instead of a comparison sort
+    /// (which it falls back to when `key_range` dwarfs the entry count).
+    pub fn from_keyed(entries: &[(u64, u64, T)], key_range: usize) -> Self {
+        if !counting_pays(entries.len(), key_range) {
+            return Self::build(entries.to_vec());
+        }
+        // the counting sort of [`counting_sort_by`], scattering straight
+        // into the run arrays: a sort into tuples and a grouping pass after
+        // it cost ~10 % of a sparse-sparse sweep
+        let mut start = vec![0usize; key_range + 1];
+        for e in entries {
+            start[e.0 as usize + 1] += 1;
+        }
+        let mut keys = Vec::new();
+        let mut starts = Vec::new();
+        for k in 0..key_range {
+            if start[k + 1] > 0 {
+                keys.push(k as u64);
+                starts.push(start[k]);
+            }
+            start[k + 1] += start[k];
+        }
+        starts.push(entries.len());
+        let mut cols = vec![0u64; entries.len()];
+        let mut vals = vec![T::zero(); entries.len()];
+        for &(key, col, v) in entries {
+            let at = &mut start[key as usize];
+            cols[*at] = col;
+            vals[*at] = v;
+            *at += 1;
+        }
+        Self {
+            keys,
+            starts,
+            cols,
+            vals,
+        }
+    }
+
+    /// Runs of key-sorted entries.
+    fn grouped(entries: Vec<(u64, u64, T)>) -> Self {
         let mut keys = Vec::new();
         let mut starts = Vec::new();
         let mut cols = Vec::with_capacity(entries.len());
@@ -152,23 +208,174 @@ impl<T: Scalar> SsBTable<T> {
     }
 }
 
-/// Product accumulator abstraction: panel or hash map, bitwise-identical
-/// results (same products, same per-element order). Statically dispatched —
-/// `add` sits on the innermost loop.
+/// Whether a counting sort over `range` buckets beats a comparison sort of
+/// `len` items: its table must not dwarf the items.
+fn counting_pays(len: usize, range: usize) -> bool {
+    range <= 8 * len.max(512)
+}
+
+/// `items` stably sorted by `key`, which must lie below `range`: a
+/// counting sort when the range is small against the item count, a stable
+/// comparison sort otherwise.
+pub fn counting_sort_by<E: Copy>(items: &[E], range: usize, key: impl Fn(&E) -> usize) -> Vec<E> {
+    let Some(&first) = items.first() else {
+        return Vec::new();
+    };
+    if !counting_pays(items.len(), range) {
+        let mut sorted = items.to_vec();
+        sorted.sort_by_key(key);
+        return sorted;
+    }
+    // start[k + 1] counts key k, then start[k] becomes where key k begins
+    let mut start = vec![0usize; range + 1];
+    for e in items {
+        start[key(e) + 1] += 1;
+    }
+    for k in 0..range {
+        start[k + 1] += start[k];
+    }
+    let mut sorted = vec![first; items.len()];
+    for &e in items {
+        let at = &mut start[key(&e)];
+        sorted[*at] = e;
+        *at += 1;
+    }
+    sorted
+}
+
+/// The output mask of one merge as slots. Fused row `r` and fused column
+/// `c` meet in an allowed output element iff their classes are equal — for
+/// a symmetric contraction, the class of `flux − q(r)` and the class of
+/// `q(c)` — and that element lives in slot `row_start(r) + rank(c)`, where
+/// `rank(c)` counts the columns of `c`'s class before `c`. Slots ascend in
+/// row-major `(row, col)` order, so a row range owns one contiguous slot
+/// range, and there are exactly as many slots as allowed elements, however
+/// large `rows × cols` is. Building the map needs neither the allowed
+/// offsets nor a division.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SlotMap {
+    row_class: Vec<u32>,
+    /// `row_start[r]` is the first slot of row `r`; one extra entry closes
+    /// the last row.
+    row_start: Vec<usize>,
+    /// Per column: its class in the high 32 bits, its rank in the low 32 —
+    /// one load on the merge's innermost loop.
+    col_slot: Vec<u64>,
+    /// The columns of class `k`, ascending, are
+    /// `class_cols[class_start[k]..class_start[k + 1]]`.
+    class_start: Vec<usize>,
+    class_cols: Vec<u64>,
+}
+
+impl SlotMap {
+    /// The slot map of `row_class.len()` rows against `col_class.len()`
+    /// columns. Classes are small dense ids: a table runs up to the largest.
+    pub fn new(row_class: Vec<u32>, col_class: &[u32]) -> Self {
+        let classes = row_class
+            .iter()
+            .chain(col_class)
+            .max()
+            .map_or(0, |&k| k as usize + 1);
+        let mut class_start = vec![0usize; classes + 1];
+        for &k in col_class {
+            class_start[k as usize + 1] += 1;
+        }
+        for k in 0..classes {
+            class_start[k + 1] += class_start[k];
+        }
+        let mut fill = class_start.clone();
+        let mut class_cols = vec![0u64; col_class.len()];
+        let col_slot = col_class
+            .iter()
+            .enumerate()
+            .map(|(col, &k)| {
+                let at = &mut fill[k as usize];
+                let rank = u32::try_from(*at - class_start[k as usize])
+                    .expect("a class holds fewer than 2^32 columns");
+                class_cols[*at] = col as u64;
+                *at += 1;
+                (k as u64) << 32 | rank as u64
+            })
+            .collect();
+        let mut row_start = Vec::with_capacity(row_class.len() + 1);
+        row_start.push(0);
+        let mut at = 0;
+        for &k in &row_class {
+            at += class_start[k as usize + 1] - class_start[k as usize];
+            row_start.push(at);
+        }
+        Self {
+            row_class,
+            row_start,
+            col_slot,
+            class_start,
+            class_cols,
+        }
+    }
+
+    /// Fused rows.
+    pub fn rows(&self) -> usize {
+        self.row_class.len()
+    }
+
+    /// Fused columns.
+    pub fn cols(&self) -> usize {
+        self.col_slot.len()
+    }
+
+    /// Slots in all: the number of elements the mask allows.
+    pub fn n_slots(&self) -> usize {
+        self.row_start[self.rows()]
+    }
+
+    /// The slots of rows `r0..r1`.
+    pub fn row_slots(&self, r0: usize, r1: usize) -> Range<usize> {
+        self.row_start[r0]..self.row_start[r1]
+    }
+
+    /// The columns row `r` may hold, ascending: the row's `i`-th slot holds
+    /// column `row_cols(r)[i]`.
+    pub fn row_cols(&self, r: usize) -> &[u64] {
+        let k = self.row_class[r] as usize;
+        &self.class_cols[self.class_start[k]..self.class_start[k + 1]]
+    }
+
+    /// The slot of element `(row, col)`, if the mask allows it.
+    pub fn slot(&self, row: usize, col: usize) -> Option<usize> {
+        let info = self.col_slot[col];
+        ((info >> 32) as u32 == self.row_class[row])
+            .then(|| self.row_start[row] + (info as u32) as usize)
+    }
+}
+
+/// Product accumulator abstraction: panel, hash map or mask slots, with
+/// bitwise-identical values where they overlap (same products, same
+/// per-element order). Statically dispatched — `add` sits on the innermost
+/// loop, and what an `A` entry's row resolves to is computed once per entry
+/// by `row`, outside it.
 trait SsAcc<T: Scalar> {
-    fn add(&mut self, idx: u64, p: T);
-    fn finish(self) -> Vec<(u64, T)>;
+    type Row: Copy;
+    fn row(&self, row: u64) -> Self::Row;
+    fn add(&mut self, row: Self::Row, col: u64, p: T);
 }
 
 struct PanelAcc<T> {
+    r0: u64,
+    n: u64,
     panel: Vec<T>,
     touched: Vec<bool>,
     order: Vec<u64>,
 }
 
 impl<T: Scalar> SsAcc<T> for PanelAcc<T> {
+    type Row = u64;
     #[inline(always)]
-    fn add(&mut self, idx: u64, p: T) {
+    fn row(&self, row: u64) -> u64 {
+        (row - self.r0) * self.n
+    }
+    #[inline(always)]
+    fn add(&mut self, base: u64, col: u64, p: T) {
+        let idx = base + col;
         let i = idx as usize;
         if !self.touched[i] {
             self.touched[i] = true;
@@ -176,6 +383,9 @@ impl<T: Scalar> SsAcc<T> for PanelAcc<T> {
         }
         self.panel[i] += p;
     }
+}
+
+impl<T: Scalar> PanelAcc<T> {
     fn finish(mut self) -> Vec<(u64, T)> {
         self.order.sort_unstable();
         self.order
@@ -186,14 +396,24 @@ impl<T: Scalar> SsAcc<T> for PanelAcc<T> {
 }
 
 struct HashAcc<T> {
+    r0: u64,
+    n: u64,
     map: HashMap<u64, T>,
 }
 
 impl<T: Scalar> SsAcc<T> for HashAcc<T> {
+    type Row = u64;
     #[inline(always)]
-    fn add(&mut self, idx: u64, p: T) {
-        *self.map.entry(idx).or_insert_with(T::zero) += p;
+    fn row(&self, row: u64) -> u64 {
+        (row - self.r0) * self.n
     }
+    #[inline(always)]
+    fn add(&mut self, base: u64, col: u64, p: T) {
+        *self.map.entry(base + col).or_insert_with(T::zero) += p;
+    }
+}
+
+impl<T: Scalar> HashAcc<T> {
     fn finish(self) -> Vec<(u64, T)> {
         let mut out: Vec<(u64, T)> = self.map.into_iter().collect();
         out.sort_unstable_by_key(|e| e.0);
@@ -201,14 +421,36 @@ impl<T: Scalar> SsAcc<T> for HashAcc<T> {
     }
 }
 
+/// The slots of a row chunk: `vals[i]`/`touched[i]` belong to slot
+/// `s0 + i`.
+struct SlotAcc<'m, T> {
+    map: &'m SlotMap,
+    s0: usize,
+    vals: Vec<T>,
+    touched: Vec<bool>,
+}
+
+impl<T: Scalar> SsAcc<T> for SlotAcc<'_, T> {
+    /// The row's class and the chunk-local index of its first slot.
+    type Row = (u32, usize);
+    #[inline(always)]
+    fn row(&self, row: u64) -> (u32, usize) {
+        let row = row as usize;
+        (self.map.row_class[row], self.map.row_start[row] - self.s0)
+    }
+    #[inline(always)]
+    fn add(&mut self, (class, base): (u32, usize), col: u64, p: T) {
+        let info = self.map.col_slot[col as usize];
+        if (info >> 32) as u32 == class {
+            let i = base + (info as u32) as usize;
+            self.touched[i] = true;
+            self.vals[i] += p;
+        }
+    }
+}
+
 /// The merge loop, monomorphized per accumulator type.
-fn merge_into<T: Scalar, A: SsAcc<T>>(
-    a: &[(u64, u64, T)],
-    btab: &SsBTable<T>,
-    r0: u64,
-    n: u64,
-    acc: &mut A,
-) -> u64 {
+fn merge_into<T: Scalar, A: SsAcc<T>>(a: &[(u64, u64, T)], btab: &SsBTable<T>, acc: &mut A) -> u64 {
     let mut flops = 0u64;
     let mut ai = 0usize;
     let mut bi = 0usize;
@@ -225,9 +467,9 @@ fn merge_into<T: Scalar, A: SsAcc<T>>(
             let (bcols, bvals) = btab.run(bi);
             flops += 2 * (aj - ai) as u64 * bcols.len() as u64;
             for &(row, _, va) in &a[ai..aj] {
-                let base = (row - r0) * n;
+                let row = acc.row(row);
                 for (&col, &vb) in bcols.iter().zip(bvals.iter()) {
-                    acc.add(base + col, va * vb);
+                    acc.add(row, col, va * vb);
                 }
             }
         }
@@ -260,17 +502,21 @@ pub fn merge_chunk<T: Scalar>(
     let rows = r1.saturating_sub(r0);
     let (flat, flops) = if rows.checked_mul(n).is_some_and(|e| e <= PANEL_MAX_ELEMS) {
         let mut acc = PanelAcc {
+            r0,
+            n,
             panel: vec![T::zero(); (rows * n) as usize],
             touched: vec![false; (rows * n) as usize],
             order: Vec::new(),
         };
-        let flops = merge_into(a, btab, r0, n, &mut acc);
+        let flops = merge_into(a, btab, &mut acc);
         (acc.finish(), flops)
     } else {
         let mut acc = HashAcc {
+            r0,
+            n,
             map: HashMap::new(),
         };
-        let flops = merge_into(a, btab, r0, n, &mut acc);
+        let flops = merge_into(a, btab, &mut acc);
         (acc.finish(), flops)
     };
     let out = flat
@@ -278,6 +524,70 @@ pub fn merge_chunk<T: Scalar>(
         .map(|(idx, v)| (r0 + idx / n, idx % n, v))
         .collect();
     (out, flops)
+}
+
+/// One row chunk merged into the slots of its rows ([`merge_slots`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SlotChunk<T> {
+    /// The value of every slot of the chunk's rows, in slot order; zero
+    /// where no product landed.
+    pub vals: Vec<T>,
+    /// Whether at least one product landed in the slot — a touched slot
+    /// may still hold zero, where products cancelled.
+    pub touched: Vec<bool>,
+    /// 2 per product, counted before masking.
+    pub flops: u64,
+}
+
+impl<T> SlotChunk<T> {
+    /// Row chunks in row order as one chunk: a single chunk moves.
+    pub fn concat(mut parts: Vec<Self>) -> Self {
+        if parts.len() == 1 {
+            return parts.pop().expect("one part");
+        }
+        let mut whole = SlotChunk {
+            vals: Vec::new(),
+            touched: Vec::new(),
+            flops: 0,
+        };
+        for part in parts {
+            whole.vals.extend(part.vals);
+            whole.touched.extend(part.touched);
+            whole.flops += part.flops;
+        }
+        whole
+    }
+}
+
+/// [`merge_chunk`] into the slots of `map` over rows `r0..r1`: same
+/// arguments, same flops, and for every element the mask allows the same
+/// value and the same touched state as the panel — but the accumulator is
+/// [`SlotMap::row_slots`] long, and a product the mask does not allow is
+/// counted and dropped.
+pub fn merge_slots<T: Scalar>(
+    a: &[(u64, u64, T)],
+    btab: &SsBTable<T>,
+    map: &SlotMap,
+    r0: usize,
+    r1: usize,
+) -> SlotChunk<T> {
+    debug_assert!(a
+        .iter()
+        .all(|&(row, _, _)| r0 as u64 <= row && row < r1 as u64));
+    debug_assert!(a.windows(2).all(|w| w[0].1 <= w[1].1), "A not key-sorted");
+    let slots = map.row_slots(r0, r1);
+    let mut acc = SlotAcc {
+        map,
+        s0: slots.start,
+        vals: vec![T::zero(); slots.len()],
+        touched: vec![false; slots.len()],
+    };
+    let flops = merge_into(a, btab, &mut acc);
+    SlotChunk {
+        vals: acc.vals,
+        touched: acc.touched,
+        flops,
+    }
 }
 
 #[cfg(test)]
@@ -448,6 +758,172 @@ mod tests {
         let wide_r1 = PANEL_MAX_ELEMS; // rows * 8 > PANEL_MAX_ELEMS
         let (hash, _) = merge_chunk(&sorted_a(a), &btab, 0, wide_r1, n);
         assert_eq!(panel, hash);
+    }
+
+    /// What the slot accumulator replaces: the dense panel of
+    /// [`merge_chunk`] over rows `r0..r1`, filtered to the mask, as
+    /// `(slot, value)` in slot order, plus the flops.
+    fn masked_panel(
+        a: &[(u64, u64, f64)],
+        btab: &SsBTable<f64>,
+        map: &SlotMap,
+        r0: usize,
+        r1: usize,
+    ) -> (Vec<(usize, u64)>, u64) {
+        let (triples, flops) = merge_chunk(a, btab, r0 as u64, r1 as u64, map.cols() as u64);
+        let kept = triples
+            .into_iter()
+            .filter_map(|(r, c, v)| Some((map.slot(r as usize, c as usize)?, v.to_bits())))
+            .collect();
+        (kept, flops)
+    }
+
+    /// The touched slots of a chunk over rows `r0..`, as `(slot, bits)`.
+    fn touched(chunk: &SlotChunk<f64>, s0: usize) -> Vec<(usize, u64)> {
+        (0..chunk.vals.len())
+            .filter(|&i| chunk.touched[i])
+            .map(|i| (s0 + i, chunk.vals[i].to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn slot_map_layout() {
+        // classes 0 and 3 have columns, 1 has none, 2 is not used at all
+        let map = SlotMap::new(vec![3, 1, 0, 3], &[0, 3, 3, 0, 3]);
+        assert_eq!((map.rows(), map.cols()), (4, 5));
+        assert_eq!(map.row_cols(0), &[1, 2, 4]);
+        assert!(map.row_cols(1).is_empty(), "a row with no allowed column");
+        assert_eq!(map.row_cols(2), &[0, 3]);
+        // rows 0..4 hold 3, none, 2 and 3 slots
+        assert_eq!(map.n_slots(), 8);
+        assert_eq!(map.row_slots(1, 3), 3..5);
+        // slots ascend in row-major (row, col) order
+        let mut last = None;
+        for r in 0..4 {
+            for c in 0..5 {
+                if let Some(s) = map.slot(r, c) {
+                    assert!(last.map_or(s == 0, |l| s == l + 1), "({r}, {c}) -> {s}");
+                    assert_eq!(map.row_cols(r)[s - map.row_slots(r, r + 1).start], c as u64);
+                    last = Some(s);
+                }
+            }
+        }
+        assert_eq!(last, Some(map.n_slots() - 1));
+        assert_eq!(map.slot(1, 0), None);
+        assert_eq!(map.slot(0, 0), None);
+    }
+
+    #[test]
+    fn slots_equal_the_masked_panel() {
+        // rows 0 and 3 in class 0, row 1 in class 1 (no column has it),
+        // row 2 in class 2; columns 0, 2 in class 0, 1 and 3 in class 2
+        let map = SlotMap::new(vec![0, 1, 2, 0], &[0, 2, 0, 2]);
+        let a = sorted_a(vec![
+            (0, 0, 1.0),
+            (1, 0, 5.0), // every product of row 1 is outside the mask
+            (2, 1, 2.0),
+            (3, 1, -1.0),
+            (0, 1, 4.0),
+        ]);
+        let btab = SsBTable::build(vec![
+            (0, 0, 2.0),
+            (0, 1, 7.0), // (0, 1) is outside the mask
+            (1, 0, -0.5),
+            (1, 1, 4.0),
+            (1, 2, 0.5),
+        ]);
+        let got = merge_slots(&a, &btab, &map, 0, 4);
+        let (want, flops) = masked_panel(&a, &btab, &map, 0, 4);
+        assert_eq!(got.vals.len(), map.n_slots());
+        assert_eq!(touched(&got, 0), want);
+        assert_eq!(got.flops, flops);
+        assert_eq!(flops, 2 * (2 * 2 + 3 * 3));
+        // (0, 0) cancels to an exact zero: touched, and kept as a slot
+        let s = map.slot(0, 0).unwrap();
+        assert!(got.touched[s]);
+        assert_eq!(got.vals[s], 0.0);
+        // a touched count equal to the panel's allowed entries
+        assert_eq!(got.touched.iter().filter(|&&t| t).count(), want.len());
+    }
+
+    #[test]
+    fn slot_row_chunks_concatenate_to_the_whole() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(13);
+        let (m, k, n) = (30usize, 11u64, 19usize);
+        let row_class: Vec<u32> = (0..m).map(|_| rng.gen_range(0..4u64) as u32).collect();
+        let col_class: Vec<u32> = (0..n).map(|_| rng.gen_range(1..4u64) as u32).collect();
+        let map = SlotMap::new(row_class, &col_class);
+        let mut a = Vec::new();
+        for row in 0..m as u64 {
+            for key in 0..k {
+                if rng.gen_bool(0.4) {
+                    a.push((row, key, rng.gen_range(-1.0..1.0)));
+                }
+            }
+        }
+        let mut b = Vec::new();
+        for key in 0..k {
+            for col in 0..n as u64 {
+                if rng.gen_bool(0.4) {
+                    b.push((key, col, rng.gen_range(-1.0..1.0)));
+                }
+            }
+        }
+        let btab = SsBTable::build(b);
+        let a = sorted_a(a);
+        let whole = merge_slots(&a, &btab, &map, 0, m);
+        let (want, flops) = masked_panel(&a, &btab, &map, 0, m);
+        assert_eq!(touched(&whole, 0), want);
+        assert_eq!(whole.flops, flops);
+        for cuts in [vec![0, 7, m], vec![0, 0, 13, 29, m], vec![0, m, m]] {
+            let parts: Vec<SlotChunk<f64>> = cuts
+                .windows(2)
+                .map(|w| {
+                    let part: Vec<_> = a
+                        .iter()
+                        .copied()
+                        .filter(|e| (w[0] as u64..w[1] as u64).contains(&e.0))
+                        .collect();
+                    let chunk = merge_slots(&part, &btab, &map, w[0], w[1]);
+                    let s0 = map.row_slots(w[0], w[1]).start;
+                    assert_eq!(
+                        touched(&chunk, s0),
+                        masked_panel(&part, &btab, &map, w[0], w[1]).0
+                    );
+                    chunk
+                })
+                .collect();
+            assert_eq!(SlotChunk::concat(parts), whole, "cuts {cuts:?}");
+        }
+    }
+
+    #[test]
+    fn counting_tables_equal_sorted_tables() {
+        let entries = vec![
+            (3u64, 1u64, 4.0f64),
+            (1, 0, 2.0),
+            (3, 0, 5.0),
+            (0, 9, 1.0),
+            (1, 2, -1.0),
+        ];
+        assert_eq!(
+            SsBTable::from_keyed(&entries, 4),
+            SsBTable::build(entries.clone())
+        );
+        // a key range far beyond the entry count takes the comparison sort
+        let sparse = vec![(1u64 << 20, 0u64, 1.0f64), (7, 1, 2.0)];
+        assert_eq!(
+            SsBTable::from_keyed(&sparse, (1 << 20) + 1),
+            SsBTable::build(sparse.clone())
+        );
+        assert_eq!(SsBTable::<f64>::from_keyed(&[], 3).n_keys(), 0);
+        // stable on ties, either way
+        let items = [(2, 'a'), (0, 'b'), (2, 'c'), (1, 'd'), (0, 'e')];
+        let want = [(0, 'b'), (0, 'e'), (1, 'd'), (2, 'a'), (2, 'c')];
+        assert_eq!(counting_sort_by(&items, 3, |e| e.0), want);
+        assert_eq!(counting_sort_by(&items, 1 << 20, |e| e.0), want);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the local tensor kernels.
 
 use proptest::prelude::*;
-use tt_tensor::ssmerge::{merge_chunk, SsBTable};
+use tt_tensor::ssmerge::{merge_chunk, merge_slots, SlotChunk, SlotMap, SsBTable};
 use tt_tensor::{einsum, gemm, Complex64, DenseTensor, Layout, Scalar, SparseTensor};
 
 /// Raw `(row, key, val)` / `(key, col, val)` entry lists for the sparse
@@ -13,6 +13,20 @@ fn ss_raw_entries(
     max_len: usize,
 ) -> impl Strategy<Value = Vec<(u64, u64, f64)>> {
     prop::collection::vec((0..rows, 0..keys, -1.0f64..1.0), 0..max_len)
+}
+
+/// Entry lists like [`ss_raw_entries`] whose values are multiples of ½ in
+/// `[-2, 2]` — zeros and exact cancellations are common.
+fn ss_grid_entries(
+    rows: u64,
+    keys: u64,
+    max_len: usize,
+) -> impl Strategy<Value = Vec<(u64, u64, f64)>> {
+    prop::collection::vec((0..rows, 0..keys, -4i32..=4), 0..max_len).prop_map(|v| {
+        v.into_iter()
+            .map(|(r, k, h)| (r, k, 0.5 * h as f64))
+            .collect()
+    })
 }
 
 fn small_dims() -> impl Strategy<Value = Vec<usize>> {
@@ -384,5 +398,63 @@ proptest! {
                 (y.0, y.1, y.2.re.to_bits(), y.2.im.to_bits())
             );
         }
+    }
+
+    /// The slot accumulator against the masked dense panel it replaces:
+    /// random classes (rows whose class no column has, classes nobody
+    /// uses), products outside the mask, cancelled zeros, and arbitrary
+    /// row-chunk splits. Every touched slot holds the bits the panel holds
+    /// at its element, the touched count equals the panel's allowed
+    /// entries, the flops are equal, and the chunks concatenate to the
+    /// whole.
+    #[test]
+    fn ss_slots_equal_masked_panel(
+        m in 1usize..10,
+        n in 1usize..9,
+        classes in prop::collection::vec(0usize..5, 18),
+        a_raw in ss_grid_entries(10, 6, 40),
+        b_raw in ss_grid_entries(6, 9, 40),
+        splits in prop::collection::vec(0usize..11, 0..4),
+    ) {
+        // rows draw from classes 0..5, columns from 1..4: class 0 and 4
+        // rows get no column, and some class may have neither
+        let row_class: Vec<u32> = classes[..m].iter().map(|&k| k as u32).collect();
+        let col_class: Vec<u32> = classes[9..9 + n].iter().map(|&k| 1 + (k % 3) as u32).collect();
+        let map = SlotMap::new(row_class, &col_class);
+        let mut a: Vec<_> = a_raw.into_iter().filter(|e| (e.0 as usize) < m).collect();
+        a.sort_by_key(|e| e.1);
+        let b: Vec<_> = b_raw.into_iter().filter(|e| (e.1 as usize) < n).collect();
+        let btab = SsBTable::build(b);
+
+        let (panel, flops) = merge_chunk(&a, &btab, 0, m as u64, n as u64);
+        let want: Vec<(usize, u64)> = panel
+            .iter()
+            .filter_map(|&(r, c, v)| Some((map.slot(r as usize, c as usize)?, v.to_bits())))
+            .collect();
+        let whole = merge_slots(&a, &btab, &map, 0, m);
+        prop_assert_eq!(whole.vals.len(), map.n_slots());
+        prop_assert_eq!(whole.flops, flops);
+        let got: Vec<(usize, u64)> = (0..map.n_slots())
+            .filter(|&s| whole.touched[s])
+            .map(|s| (s, whole.vals[s].to_bits()))
+            .collect();
+        prop_assert_eq!(got, want);
+        // an untouched slot stays an exact +0.0
+        for s in (0..map.n_slots()).filter(|&s| !whole.touched[s]) {
+            prop_assert_eq!(whole.vals[s].to_bits(), 0.0f64.to_bits());
+        }
+
+        let mut cuts: Vec<usize> = splits.into_iter().map(|s| s % (m + 1)).collect();
+        cuts.extend([0, m]);
+        cuts.sort_unstable();
+        let parts: Vec<SlotChunk<f64>> = cuts
+            .windows(2)
+            .map(|w| {
+                let part: Vec<_> = a.iter().copied()
+                    .filter(|e| (w[0]..w[1]).contains(&(e.0 as usize))).collect();
+                merge_slots(&part, &btab, &map, w[0], w[1])
+            })
+            .collect();
+        prop_assert_eq!(SlotChunk::concat(parts), whole);
     }
 }

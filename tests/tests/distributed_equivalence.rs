@@ -815,6 +815,45 @@ fn flat_chain_drops_cancelled_intermediate_entries() {
     }
 }
 
+/// The flat chain with every step above the sparse fan-out gate (16
+/// MFlop): Threaded cuts each step's rows into one chunk per pool lane and
+/// the two-process backend into one `SsChunk` per worker, each chunk
+/// accumulating into its own range of the mask's slots. Chain, fold,
+/// value path, Sequential and multi-process p=2 must still agree bit for
+/// bit, meters included. Two sectors of 170 make each step 2·170³
+/// multiply-adds; the second step contracts the first's permuted output.
+#[test]
+fn flat_chain_splits_steps_above_the_sparse_gate() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(2701);
+    let ix = QnIndex::new(Arrow::Out, vec![(QN::one(-1), 170), (QN::one(1), 170)]);
+    let mut matrix =
+        || BlockSparseTensor::random(vec![ix.clone(), ix.dual()], QN::zero(1), &mut rng);
+    let (a1, a2, x) = (matrix(), matrix(), matrix());
+    let specs = ["ik,kj->ji", "li,ji->jl"];
+    // each step on its own, by value: above the gate
+    let local = Executor::local();
+    let mut b = x.clone();
+    for (spec, a) in specs.iter().zip([&a1, &a2]) {
+        let before = local.total_flops();
+        b = tt_blocks::contract::contract(&local, Algorithm::SparseSparse, spec, a, &b).unwrap();
+        assert!(
+            local.total_flops() - before > 16_000_000,
+            "{spec} is below the gate"
+        );
+    }
+    let mut across = None;
+    for (name, exec) in flat_chain_executors() {
+        let m = meter_ss_paths(&name, &exec, &specs, &[&a1, &a2], &x);
+        assert_eq!(m.1, 2 * 2 * 2 * 170u64.pow(3), "{name}: flops");
+        match &across {
+            None => across = Some(m),
+            Some(first) => assert_eq!(&m, first, "{name}: across backends"),
+        }
+    }
+}
+
 /// Driver data-plane traffic of one Davidson solve, per path.
 #[cfg(unix)]
 struct DavidsonBytes {
