@@ -16,15 +16,24 @@
 //!
 //! [`contract`] passes both operands by value and is the reference every
 //! other path is compared against; [`contract_resident`] is the same one
-//! step against a resident operand. A [`ResidentChain`] keeps the
-//! structural operands of a run of contractions resident and applies the
-//! run to a moving operand; it alone uploads and frees a
-//! [`ResidentOperand`]. For sparse-sparse it runs the run as one planned
-//! chain ([`Executor::plan_ss_chain`]): the quantum numbers give each
-//! step's output mask as classes of fused rows and columns, and the
-//! intermediates stay in the merge kernel's format, accumulated only where
-//! the mask allows an entry. Runtime and kernel errors travel up by `?` as
-//! [`Error::Dist`], typed.
+//! step against a resident operand.
+//!
+//! A run of contractions in which each step contracts a structural operand
+//! with the previous step's output is a *chain*, and two entry points run
+//! one without bringing an intermediate back into block form. A
+//! [`ResidentChain`] keeps the structural operands resident and applies the
+//! run to many moving operands (a Davidson matvec); it alone uploads and
+//! frees a [`ResidentOperand`]. [`contract_chain`] applies a run once with
+//! every operand by value (an environment extension): an operand used once
+//! gains nothing from an upload, which would hash it and, on a service
+//! fleet, retain it. Both derive one structural plan and run the same
+//! per-algorithm body over value-or-handle operands — per-block chain steps
+//! for list, one sparse-dense chain step per contraction, and for
+//! sparse-sparse one planned chain ([`Executor::plan_ss_chain`]): the
+//! quantum numbers give each step's output mask as classes of fused rows
+//! and columns, and the intermediates stay in the merge kernel's format,
+//! accumulated only where the mask allows an entry. Runtime and kernel
+//! errors travel up by `?` as [`Error::Dist`], typed.
 
 use crate::block::{BlockKey, BlockSparseTensor};
 use crate::index::QnIndex;
@@ -37,7 +46,7 @@ use tt_dist::{
     SsChainStep,
 };
 use tt_tensor::einsum::ContractPlan;
-use tt_tensor::DenseTensor;
+use tt_tensor::{DenseTensor, SparseTensor};
 
 /// Which block-sparsity strategy to contract with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,7 +78,7 @@ fn structure(t: &BlockSparseTensor) -> Structure<'_> {
 
 /// What one contraction is from structure alone — indices and fluxes,
 /// never values. Every path starts from one: the value path, the per-step
-/// resident path, and each step of a [`ResidentChain`]'s kept plan.
+/// resident path, and each step of a chain's plan.
 struct StepPlan {
     contract: ContractPlan,
     out_indices: Vec<QnIndex>,
@@ -211,8 +220,8 @@ fn fused_charges<'i>(modes: impl Iterator<Item = &'i QnIndex>, arity: u8) -> Vec
 /// same contracted labels, as given. `emit` receives the two payloads and
 /// the pair's output block key. Partials accumulate into an output block in
 /// this order, so sharing it is what makes [`contract_list`],
-/// [`contract_resident`] and [`ResidentChain::apply`] bitwise-equal to each
-/// other.
+/// [`contract_resident`] and the list chains ([`ResidentChain::apply`],
+/// [`contract_chain`]) bitwise-equal to each other.
 fn for_each_block_pair<'a, 'b, A: Copy, B: Copy>(
     plan: &ContractPlan,
     a: impl IntoIterator<Item = (&'a BlockKey, A)>,
@@ -363,12 +372,60 @@ impl ResidentOperand {
         }
     }
 
-    /// The per-block form the list algorithm consumes: block keys and
-    /// their handles, in stored order.
-    fn blocks(&self) -> Result<(&[BlockKey], &[OpHandle])> {
+    /// The operand as a step of `spec` reads it: its handles.
+    fn step<'t>(&'t self, spec: &'t str) -> StepOperand<'t> {
+        let form = match &self.form {
+            ResidentForm::List { keys, handles } => {
+                OperandForm::List(keys.iter().zip(handles.iter().map(DenseOp::from)).collect())
+            }
+            ResidentForm::Flat(h) => OperandForm::Flat(h.into()),
+        };
+        StepOperand {
+            spec,
+            indices: &self.indices,
+            flux: self.flux,
+            form,
+        }
+    }
+
+    /// Every handle behind the operand, in upload order.
+    fn handles(&self) -> &[OpHandle] {
         match &self.form {
-            ResidentForm::List { keys, handles } => Ok((keys, handles)),
-            ResidentForm::Flat(_) => Err(Error::Key(
+            ResidentForm::List { handles, .. } => handles,
+            ResidentForm::Flat(h) => std::slice::from_ref(h),
+        }
+    }
+}
+
+/// One step's structural operand as every path past the value path reads
+/// it — `tt_dist`'s value-or-handle operands in the form the algorithm
+/// consumes: a [`ResidentOperand`]'s handles, or for one
+/// [`contract_chain`] the tensor's own blocks or flattening, by value.
+struct StepOperand<'t> {
+    spec: &'t str,
+    indices: &'t [QnIndex],
+    flux: QN,
+    form: OperandForm<'t>,
+}
+
+enum OperandForm<'t> {
+    /// Per quantum-number block, for [`Algorithm::List`]: every block's key
+    /// and operand, in stored order.
+    List(Vec<(&'t BlockKey, DenseOp<'t>)>),
+    /// Flattened, for the sparse-dense and sparse-sparse algorithms.
+    Flat(SparseOp<'t>),
+}
+
+impl<'t> StepOperand<'t> {
+    fn structure(&self) -> Structure<'t> {
+        (self.indices, self.flux)
+    }
+
+    /// The per-block form the list algorithm consumes.
+    fn blocks(&self) -> Result<&[(&'t BlockKey, DenseOp<'t>)]> {
+        match &self.form {
+            OperandForm::List(blocks) => Ok(blocks),
+            OperandForm::Flat(_) => Err(Error::Key(
                 "operand was uploaded in flattened form; contract with the algorithm it was \
                  uploaded for"
                     .into(),
@@ -378,20 +435,12 @@ impl ResidentOperand {
 
     /// The flattened form the sparse-dense and sparse-sparse algorithms
     /// consume.
-    fn flat(&self) -> Result<&OpHandle> {
+    fn flat(&self) -> Result<SparseOp<'t>> {
         match &self.form {
-            ResidentForm::Flat(h) => Ok(h),
-            ResidentForm::List { .. } => Err(Error::Key(
+            OperandForm::Flat(op) => Ok(*op),
+            OperandForm::List(_) => Err(Error::Key(
                 "operand was uploaded per-block for the list algorithm".into(),
             )),
-        }
-    }
-
-    /// Every handle behind the operand, in upload order.
-    fn handles(&self) -> &[OpHandle] {
-        match &self.form {
-            ResidentForm::List { handles, .. } => handles,
-            ResidentForm::Flat(h) => std::slice::from_ref(h),
         }
     }
 }
@@ -453,34 +502,34 @@ pub fn contract_resident(
     a: &ResidentOperand,
     b: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
-    let step = StepPlan::derive(spec, (&a.indices, a.flux), structure(b))?;
+    let a = a.step(spec);
+    let step = StepPlan::derive(spec, a.structure(), structure(b))?;
     if algo != Algorithm::List {
-        return step.contract_flat(exec, algo, spec, a.flat()?.into(), b);
+        return step.contract_flat(exec, algo, spec, a.flat()?, b);
     }
-    let (keys, handles) = a.blocks()?;
     // enumerate the pairs; each B block they use uploads once, in
     // first-use order
     let mut used: Vec<&Arc<DenseTensor<f64>>> = Vec::new();
     let mut slot: HashMap<&BlockKey, usize> = HashMap::new();
     let mut out_keys: Vec<BlockKey> = Vec::new();
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    let mut pairs: Vec<(DenseOp, usize)> = Vec::new();
     for_each_block_pair(
         &step.contract,
-        keys.iter().zip(0..),
+        a.blocks()?.iter().copied(),
         b.blocks_shared().map(|(kb, block)| (kb, (kb, block))),
-        |ai, (kb, block), kc| {
+        |a_op, (kb, block), kc| {
             let bi = *slot.entry(kb).or_insert_with(|| {
                 used.push(block);
                 used.len() - 1
             });
             out_keys.push(kc);
-            pairs.push((ai, bi));
+            pairs.push((a_op, bi));
         },
     );
     let partials = with_transient(exec, used, |b_handles| {
         let ops: Vec<(DenseOp, DenseOp)> = pairs
             .iter()
-            .map(|&(ai, bi)| ((&handles[ai]).into(), (&b_handles[bi]).into()))
+            .map(|&(a_op, bi)| (a_op, (&b_handles[bi]).into()))
             .collect();
         exec.contract_batch(spec, &ops)
     })?;
@@ -503,7 +552,8 @@ pub fn contract_resident(
 /// derived by the first [`ResidentChain::apply`] and kept for the later
 /// ones. The operands cannot change under the chain, so the plan is stale
 /// only when `x`'s indices or flux are not the ones it was derived for; it
-/// goes with the chain.
+/// goes with the chain. A run applied once is [`contract_chain`]: the same
+/// plan and bodies, every operand by value.
 pub struct ResidentChain<'e> {
     exec: &'e Executor,
     algo: Algorithm,
@@ -522,25 +572,33 @@ struct ChainPlan {
     ss: Option<SsChainPlan>,
 }
 
+/// The error of a chain without steps.
+fn empty_chain() -> Error {
+    Error::Key("empty contraction chain".into())
+}
+
 impl ChainPlan {
     fn derive(
         exec: &Executor,
         algo: Algorithm,
-        steps: &[(String, ResidentOperand)],
+        steps: &[StepOperand],
         x: &BlockSparseTensor,
     ) -> Result<Self> {
+        if steps.is_empty() {
+            return Err(empty_chain());
+        }
         let mut planned: Vec<StepPlan> = Vec::with_capacity(steps.len());
         let mut ss_steps: Vec<SsChainStep> = Vec::new();
-        for (spec, a) in steps {
+        for a in steps {
             let b = match planned.last() {
                 Some(prev) => (&prev.out_indices[..], prev.out_flux),
                 None => structure(x),
             };
-            let step = StepPlan::derive(spec, (&a.indices, a.flux), b)?;
+            let step = StepPlan::derive(a.spec, a.structure(), b)?;
             if algo == Algorithm::SparseSparse {
-                let (row_class, col_class) = step.mask_classes(&a.indices, b.0);
+                let (row_class, col_class) = step.mask_classes(a.indices, b.0);
                 ss_steps.push(SsChainStep {
-                    spec,
+                    spec: a.spec,
                     a: a.flat()?,
                     row_class,
                     col_class,
@@ -574,10 +632,19 @@ impl ChainPlan {
     }
 }
 
-/// Which resident buffer backs one `B` operand of a list chain step.
+/// How a list chain passes the blocks of its input `x`.
+enum ListInput {
+    /// Uploaded for the length of the chain, each block shipping at most
+    /// once per rank (a matvec's ψ, used by many pairs of every step).
+    Transient,
+    /// By value, as [`contract`] passes them.
+    Value,
+}
+
+/// Which buffer backs one `B` operand of a list chain step.
 #[derive(Clone, Copy)]
 enum BRef {
-    /// A transiently uploaded block of the chain input `x`.
+    /// Block `i` of the chain input `x`.
     X(usize),
     /// The resident output of an earlier chain step.
     Step(usize),
@@ -593,7 +660,7 @@ impl<'e> ResidentChain<'e> {
         steps: &[(&str, &BlockSparseTensor)],
     ) -> Result<Self> {
         if steps.is_empty() {
-            return Err(Error::Key("empty contraction chain".into()));
+            return Err(empty_chain());
         }
         Ok(Self {
             exec,
@@ -651,17 +718,14 @@ impl<'e> ResidentChain<'e> {
     /// for byte; the mask, the fused operands and the step-to-step tables
     /// are planned once per structure of `x`.
     pub fn apply(&self, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
-        let plan = self.plan_for(x)?;
-        match self.algo {
-            Algorithm::List => self.apply_list(&plan, x),
-            Algorithm::SparseDense => self.apply_sd(&plan, x),
-            Algorithm::SparseSparse => self.apply_ss(&plan, x),
-        }
+        let steps: Vec<StepOperand> = self.steps.iter().map(|(spec, op)| op.step(spec)).collect();
+        let plan = self.plan_for(&steps, x)?;
+        apply_chain(self.exec, self.algo, &steps, &plan, x, ListInput::Transient)
     }
 
     /// The kept plan when it serves `x`'s structure, a fresh one (kept
     /// from now on) otherwise.
-    fn plan_for(&self, x: &BlockSparseTensor) -> Result<Arc<ChainPlan>> {
+    fn plan_for(&self, steps: &[StepOperand], x: &BlockSparseTensor) -> Result<Arc<ChainPlan>> {
         let mut slot = self
             .plan
             .lock()
@@ -669,148 +733,219 @@ impl<'e> ResidentChain<'e> {
         if let Some(plan) = slot.as_ref().filter(|p| p.serves(x)) {
             return Ok(Arc::clone(plan));
         }
-        let plan = Arc::new(ChainPlan::derive(self.exec, self.algo, &self.steps, x)?);
+        let plan = Arc::new(ChainPlan::derive(self.exec, self.algo, steps, x)?);
         *slot = Some(Arc::clone(&plan));
         Ok(plan)
     }
+}
 
-    /// The sparse-sparse chain: one planned chain on the executor. A step
-    /// whose products cancel leaves a touched slot holding zero; block form
-    /// never stores that zero back into a flattened operand
-    /// ([`BlockSparseTensor::to_flat_sparse`] skips zeros), and the chain
-    /// does not hand it on either, so the next step meets bit for bit the
-    /// operand the per-step path ([`contract_resident`]) builds — and with
-    /// it the same flop count.
-    fn apply_ss(&self, plan: &ChainPlan, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
-        let ss = plan.ss.as_ref().expect("planned for sparse-sparse");
-        let y = self.exec.apply_ss_chain(ss, &x.to_flat_sparse())?;
-        let (indices, flux) = plan.output();
-        BlockSparseTensor::from_flat_sparse(indices, flux, &y)
+/// Apply a chain of contractions once — step `s` contracts the tensor of
+/// `steps[s]`, its structural operand, with step `s − 1`'s output (`x` for
+/// step 0) — without bringing any intermediate back into block form.
+/// Result bits and `total_flops` are those of folding [`contract`] over
+/// the steps, on every backend; the sparse-sparse chain is charged as that
+/// fold is, while list and sparse-dense chains charge each intermediate as
+/// a chain-resident input instead of a shipped value, so their simulated
+/// seconds are lower.
+///
+/// The one-shot counterpart of [`ResidentChain::apply`], through the same
+/// structural plan and the same three bodies, with every operand by value:
+/// an operand contracted once gains nothing from being uploaded. List
+/// steps pass each block as a value (on the multi-process backend
+/// content-keyed through the retention cache when that is on — the rule of
+/// [`Executor::chain`]), sparse-dense steps the flattened operand inline,
+/// and sparse-sparse steps run [`Executor::plan_ss_chain`]'s planned chain
+/// with the flattened operand as each step's `A`.
+pub fn contract_chain(
+    exec: &Executor,
+    algo: Algorithm,
+    steps: &[(&str, &BlockSparseTensor)],
+    x: &BlockSparseTensor,
+) -> Result<BlockSparseTensor> {
+    let flat: Vec<SparseTensor<f64>> = match algo {
+        Algorithm::List => Vec::new(),
+        _ => steps.iter().map(|(_, t)| t.to_flat_sparse()).collect(),
+    };
+    let operands: Vec<StepOperand> = steps
+        .iter()
+        .enumerate()
+        .map(|(s, &(spec, t))| StepOperand {
+            spec,
+            indices: t.indices(),
+            flux: t.flux(),
+            form: match algo {
+                Algorithm::List => {
+                    OperandForm::List(t.blocks().map(|(k, b)| (k, b.into())).collect())
+                }
+                _ => OperandForm::Flat((&flat[s]).into()),
+            },
+        })
+        .collect();
+    let plan = ChainPlan::derive(exec, algo, &operands, x)?;
+    apply_chain(exec, algo, &operands, &plan, x, ListInput::Value)
+}
+
+/// The body [`ResidentChain::apply`] and [`contract_chain`] share: run the
+/// planned chain of `steps` on `x`.
+fn apply_chain(
+    exec: &Executor,
+    algo: Algorithm,
+    steps: &[StepOperand],
+    plan: &ChainPlan,
+    x: &BlockSparseTensor,
+    input: ListInput,
+) -> Result<BlockSparseTensor> {
+    match algo {
+        Algorithm::List => apply_list(exec, steps, plan, x, input),
+        Algorithm::SparseDense => apply_sd(exec, steps, plan, x),
+        Algorithm::SparseSparse => apply_ss(exec, plan, x),
     }
+}
 
-    /// The sparse-dense chain: one sd chain step per contraction, each
-    /// consuming the previous step's resident dense output directly
-    /// (exact: symmetric contractions put no weight outside allowed
-    /// blocks, so skipping the driver-side re-blocking between steps is
-    /// bitwise-neutral).
-    fn apply_sd(&self, plan: &ChainPlan, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
-        let b_dense = x.to_dense();
-        let chain_steps = self
-            .steps
-            .iter()
-            .enumerate()
-            .map(|(s, (spec, a))| {
-                Ok(ChainStep {
-                    spec,
-                    a: ChainSrc::Sparse(a.flat()?.into()),
-                    b: match s.checked_sub(1) {
-                        None => ChainSrc::Dense((&b_dense).into()),
-                        Some(prev) => ChainSrc::Prev(prev),
-                    },
-                    acc: None,
-                })
-            })
-            .collect::<Result<Vec<ChainStep>>>()?;
-        // every step but the last is consumed by the next: the chain
-        // releases those itself and hands out the last alone
-        let last = self
-            .exec
-            .chain(&chain_steps)?
-            .pop()
-            .expect("non-empty chain")
-            .expect("final step is not an accumulate");
-        let y = self.exec.download(last)?;
-        let (indices, flux) = plan.output();
-        let blocks = BlockSparseTensor::from_dense(indices, flux, &y, 0.0);
-        self.exec.recycle(y);
-        self.exec.recycle(b_dense);
-        blocks
-    }
+/// The sparse-sparse chain: one planned chain on the executor. A step
+/// whose products cancel leaves a touched slot holding zero; block form
+/// never stores that zero back into a flattened operand
+/// ([`BlockSparseTensor::to_flat_sparse`] skips zeros), and the chain
+/// does not hand it on either, so the next step meets bit for bit the
+/// operand the per-step path ([`contract_resident`]) builds — and with
+/// it the same flop count.
+fn apply_ss(exec: &Executor, plan: &ChainPlan, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
+    let ss = plan.ss.as_ref().expect("planned for sparse-sparse");
+    let y = exec.apply_ss_chain(ss, &x.to_flat_sparse())?;
+    let (indices, flux) = plan.output();
+    BlockSparseTensor::from_flat_sparse(indices, flux, &y)
+}
 
-    /// The list chain: propagate the block structure symbolically (the
-    /// driver knows every intermediate's block keys without seeing its
-    /// values — this part depends on `x`'s stored keys, so it is redone
-    /// per application), emit one chain step per block pair with
-    /// accumulate steps in [`contract_list`]'s exact enumeration order,
-    /// and download only the last contraction's blocks.
-    fn apply_list(&self, plan: &ChainPlan, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
-        let operands = self
-            .steps
-            .iter()
-            .map(|(_, a)| a.blocks())
-            .collect::<Result<Vec<_>>>()?;
-
-        struct Desc {
-            s: usize,
-            ai: usize,
-            b: BRef,
-            acc: Option<usize>,
-        }
-        let mut descs: Vec<Desc> = Vec::new();
-        let mut cur: BTreeMap<BlockKey, BRef> = x
-            .blocks()
-            .enumerate()
-            .map(|(i, (k, _))| (k.clone(), BRef::X(i)))
-            .collect();
-        for (s, (&(a_keys, _), step)) in operands.iter().zip(&plan.steps).enumerate() {
-            // out block key -> desc index of its creating (non-acc) step
-            let mut made: BTreeMap<BlockKey, usize> = BTreeMap::new();
-            for_each_block_pair(
-                &step.contract,
-                a_keys.iter().zip(0..),
-                &cur,
-                |ai, &b, kc| {
-                    let acc = made.get(&kc).copied();
-                    if acc.is_none() {
-                        made.insert(kc, descs.len());
-                    }
-                    descs.push(Desc { s, ai, b, acc });
+/// The sparse-dense chain: one sd chain step per contraction, each
+/// consuming the previous step's resident dense output directly
+/// (exact: symmetric contractions put no weight outside allowed
+/// blocks, so skipping the driver-side re-blocking between steps is
+/// bitwise-neutral).
+fn apply_sd(
+    exec: &Executor,
+    steps: &[StepOperand],
+    plan: &ChainPlan,
+    x: &BlockSparseTensor,
+) -> Result<BlockSparseTensor> {
+    let b_dense = x.to_dense();
+    let chain_steps = steps
+        .iter()
+        .enumerate()
+        .map(|(s, a)| {
+            Ok(ChainStep {
+                spec: a.spec,
+                a: ChainSrc::Sparse(a.flat()?),
+                b: match s.checked_sub(1) {
+                    None => ChainSrc::Dense((&b_dense).into()),
+                    Some(prev) => ChainSrc::Prev(prev),
                 },
-            );
-            cur = made.into_iter().map(|(k, i)| (k, BRef::Step(i))).collect();
-        }
+                acc: None,
+            })
+        })
+        .collect::<Result<Vec<ChainStep>>>()?;
+    // every step but the last is consumed by the next: the chain
+    // releases those itself and hands out the last alone
+    let last = exec
+        .chain(&chain_steps)?
+        .pop()
+        .expect("non-empty chain")
+        .expect("final step is not an accumulate");
+    let y = exec.download(last)?;
+    let (indices, flux) = plan.output();
+    let blocks = BlockSparseTensor::from_dense(indices, flux, &y, 0.0);
+    exec.recycle(y);
+    exec.recycle(b_dense);
+    blocks
+}
 
-        // x's blocks upload in stored order, for the length of the chain
-        let x_blocks = x.blocks_shared().map(|(_, block)| block);
-        let mut results = with_transient(self.exec, x_blocks, |x_handles| {
-            let chain_steps: Vec<ChainStep> = descs
-                .iter()
-                .map(|d| ChainStep {
-                    spec: &self.steps[d.s].0,
-                    a: ChainSrc::Dense((&operands[d.s].1[d.ai]).into()),
-                    b: match d.b {
-                        BRef::X(i) => ChainSrc::Dense((&x_handles[i]).into()),
-                        BRef::Step(j) => ChainSrc::Prev(j),
-                    },
-                    acc: d.acc,
-                })
-                .collect();
-            self.exec.chain(&chain_steps)
-        })?;
-
-        // download the final step's blocks (in sorted key order); free the
-        // blocks of earlier steps that nothing consumed (the chain released
-        // the consumed ones itself)
-        let mut dl_keys: Vec<BlockKey> = Vec::new();
-        let mut to_download: Vec<ResultHandle> = Vec::new();
-        for (k, bref) in &cur {
-            if let BRef::Step(j) = bref {
-                dl_keys.push(k.clone());
-                to_download.push(results[*j].take().expect("creating step owns its result"));
-            }
-        }
-        let rest: Vec<ResultHandle> = results.into_iter().flatten().collect();
-        let downloaded = self.exec.download_many(to_download);
-        let freed = self.exec.free_results(rest);
-        let downloaded = downloaded?;
-        freed?;
-        let (indices, flux) = plan.output();
-        let mut c = BlockSparseTensor::new(indices, flux);
-        for (k, t) in dl_keys.into_iter().zip(downloaded) {
-            c.insert_block(k, t)?;
-        }
-        Ok(c)
+/// The list chain: propagate the block structure symbolically (the
+/// driver knows every intermediate's block keys without seeing its
+/// values — this part depends on `x`'s stored keys, so it is redone
+/// per application), emit one chain step per block pair with
+/// accumulate steps in [`contract_list`]'s exact enumeration order,
+/// and download only the last contraction's blocks.
+fn apply_list(
+    exec: &Executor,
+    steps: &[StepOperand],
+    plan: &ChainPlan,
+    x: &BlockSparseTensor,
+    input: ListInput,
+) -> Result<BlockSparseTensor> {
+    struct Desc<'t> {
+        s: usize,
+        a: DenseOp<'t>,
+        b: BRef,
+        acc: Option<usize>,
     }
+    let mut descs: Vec<Desc> = Vec::new();
+    let mut cur: BTreeMap<BlockKey, BRef> = x
+        .blocks()
+        .enumerate()
+        .map(|(i, (k, _))| (k.clone(), BRef::X(i)))
+        .collect();
+    for (s, (a, step)) in steps.iter().zip(&plan.steps).enumerate() {
+        // out block key -> desc index of its creating (non-acc) step
+        let mut made: BTreeMap<BlockKey, usize> = BTreeMap::new();
+        for_each_block_pair(
+            &step.contract,
+            a.blocks()?.iter().copied(),
+            &cur,
+            |a, &b, kc| {
+                let acc = made.get(&kc).copied();
+                if acc.is_none() {
+                    made.insert(kc, descs.len());
+                }
+                descs.push(Desc { s, a, b, acc });
+            },
+        );
+        cur = made.into_iter().map(|(k, i)| (k, BRef::Step(i))).collect();
+    }
+
+    let run = |x_ops: &[DenseOp]| {
+        let chain_steps: Vec<ChainStep> = descs
+            .iter()
+            .map(|d| ChainStep {
+                spec: steps[d.s].spec,
+                a: ChainSrc::Dense(d.a),
+                b: match d.b {
+                    BRef::X(i) => ChainSrc::Dense(x_ops[i]),
+                    BRef::Step(j) => ChainSrc::Prev(j),
+                },
+                acc: d.acc,
+            })
+            .collect();
+        exec.chain(&chain_steps)
+    };
+    let mut results = match input {
+        // x's blocks upload in stored order, for the length of the chain
+        ListInput::Transient => with_transient(exec, x.blocks_shared().map(|(_, b)| b), |hs| {
+            run(&hs.iter().map(DenseOp::from).collect::<Vec<_>>())
+        })?,
+        ListInput::Value => run(&x.blocks().map(|(_, b)| b.into()).collect::<Vec<_>>())?,
+    };
+
+    // download the final step's blocks (in sorted key order); free the
+    // blocks of earlier steps that nothing consumed (the chain released
+    // the consumed ones itself)
+    let mut dl_keys: Vec<BlockKey> = Vec::new();
+    let mut to_download: Vec<ResultHandle> = Vec::new();
+    for (k, bref) in &cur {
+        if let BRef::Step(j) = bref {
+            dl_keys.push(k.clone());
+            to_download.push(results[*j].take().expect("creating step owns its result"));
+        }
+    }
+    let rest: Vec<ResultHandle> = results.into_iter().flatten().collect();
+    let downloaded = exec.download_many(to_download);
+    let freed = exec.free_results(rest);
+    let downloaded = downloaded?;
+    freed?;
+    let (indices, flux) = plan.output();
+    let mut c = BlockSparseTensor::new(indices, flux);
+    for (k, t) in dl_keys.into_iter().zip(downloaded) {
+        c.insert_block(k, t)?;
+    }
+    Ok(c)
 }
 
 impl Drop for ResidentChain<'_> {

@@ -16,6 +16,7 @@ use tt_tensor::einsum::ContractPlan;
 use tt_tensor::DenseTensor;
 
 /// One operand of a [`Executor::chain`] step.
+#[derive(Clone, Copy)]
 pub enum ChainSrc<'a> {
     /// A dense operand, by value or by resident operand handle:
     /// `ChainSrc::Dense(x.into())` from a `&DenseTensor<f64>` or an
@@ -133,6 +134,16 @@ impl Executor {
     /// across backends). Steps with no resident input anchor to one
     /// round-robin rank per chain call.
     ///
+    /// A by-value operand ([`ChainSrc::Dense`] or [`ChainSrc::Sparse`] of
+    /// a tensor) goes as the matching value entry point takes it. On a
+    /// dense × dense step it is content-keyed through the retention cache
+    /// when that is on ([`Executor::set_retention_cap`]), as in
+    /// [`Executor::contract`]: it ships once fleet-wide, and a later chain
+    /// or job that passes the same content ships nothing for it. On a
+    /// sparse-dense step both operands ship inline, as in
+    /// [`Executor::contract_sd`], and nothing is retained — a Davidson
+    /// vector is used once. Either way it is charged as a value.
+    ///
     /// Numerics are bitwise-identical to running the equivalent
     /// value-returning contractions on any backend: every kernel is the
     /// same row-disjoint code, and accumulate steps add partials in
@@ -141,9 +152,23 @@ impl Executor {
         let planned = self.plan_chain(steps)?;
         let mut locals: Vec<Option<Arc<DenseTensor<f64>>>> = vec![None; steps.len()];
         let homes = if let Some(cl) = &self.cluster {
+            let autos = self.auto_key_chain(steps, &planned);
+            let keyed: Vec<ChainStep> = steps
+                .iter()
+                .zip(&autos)
+                .map(|(st, [a, b])| ChainStep {
+                    spec: st.spec,
+                    a: keyed(a, st.a),
+                    b: keyed(b, st.b),
+                    acc: st.acc,
+                })
+                .collect();
             // its own statement: a guard in the `match` scrutinee would live
             // through the arms, and the error arm locks the cluster again
-            let run = self.chain_over_cluster(&mut cl.lock(), steps, &planned);
+            let run = self.chain_over_cluster(&mut cl.lock(), &keyed, &planned);
+            for h in autos.into_iter().flatten() {
+                self.finish_auto(h);
+            }
             match run {
                 Ok(homes) => homes,
                 Err(e) => {
@@ -488,6 +513,30 @@ impl Executor {
         Ok(())
     }
 
+    /// For every step, the content-keyed stand-ins of its `a` and `b`: a
+    /// by-value operand of a dense × dense step goes through the retention
+    /// cache ([`Executor::auto_handle`]) as [`Executor::contract`] sends
+    /// it; nothing else does, and nothing at all while retention is off.
+    fn auto_key_chain(
+        &self,
+        steps: &[ChainStep],
+        planned: &[PlannedStep],
+    ) -> Vec<[Option<OpHandle>; 2]> {
+        steps
+            .iter()
+            .zip(planned)
+            .map(|(st, pl)| {
+                let auto = |src: &ChainSrc| match (pl.kind, src) {
+                    (StepKind::Dense, ChainSrc::Dense(op @ DenseOp::Value(t))) => {
+                        self.auto_handle(op, t)
+                    }
+                    _ => None,
+                };
+                [auto(&st.a), auto(&st.b)]
+            })
+            .collect()
+    }
+
     /// The α–β charge state of one chain-step operand: value operands
     /// charge in full, resident operands follow the one-time-upload /
     /// cache-hit discipline (whole-tensor buffers — chains run whole
@@ -604,6 +653,11 @@ impl ChainSrc<'_> {
             ChainSrc::Prev(_) | ChainSrc::Res(_) => None,
         }
     }
+}
+
+/// `src`, or the content-keyed handle that stands in for it.
+fn keyed<'a>(auto: &'a Option<OpHandle>, src: ChainSrc<'a>) -> ChainSrc<'a> {
+    auto.as_ref().map_or(src, |h| ChainSrc::Dense(h.into()))
 }
 
 /// Dims of a chain-step operand at planning time, and whether it is

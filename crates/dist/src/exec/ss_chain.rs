@@ -1,16 +1,16 @@
 //! The planned sparse-sparse chain: a run of masked sparse-sparse
 //! contractions whose intermediates never leave the merge kernel's own
 //! format. [`Executor::plan_ss_chain`] derives from structure alone what
-//! every application needs — each resident `A` fused and key-sorted once,
-//! each step's output mask as a [`SlotMap`], and the tables that send a
-//! step's fused `(row, col)` to the next step's `(key, col)` or, on the
-//! last step, to an output offset. [`Executor::apply_ss_chain`] converts
-//! `x` to the first [`SsBTable`] once; each step merges into the slots of
-//! its mask, and its touched slots go straight into the next table by a
-//! counting sort on the next key. Only the last step's slots become a
-//! [`SparseTensor`].
+//! every application needs — each `A`, resident or by value, fused and
+//! key-sorted once, each step's output mask as a [`SlotMap`], and the
+//! tables that send a step's fused `(row, col)` to the next step's
+//! `(key, col)` or, on the last step, to an output offset.
+//! [`Executor::apply_ss_chain`] converts `x` to the first [`SsBTable`]
+//! once; each step merges into the slots of its mask, and its touched
+//! slots go straight into the next table by a counting sort on the next
+//! key. Only the last step's slots become a [`SparseTensor`].
 
-use super::Executor;
+use super::{Executor, SparseOp};
 use crate::cluster::Cluster;
 use crate::handle::OpHandle;
 use crate::kernels::{self, Coord, SsPrep};
@@ -20,14 +20,16 @@ use tt_tensor::einsum::ContractPlan;
 use tt_tensor::ssmerge::{counting_sort_by, SlotChunk, SlotMap, SsBTable};
 use tt_tensor::{Shape, SparseTensor};
 
-/// One step of a planned sparse-sparse chain: a resident operand against
+/// One step of a planned sparse-sparse chain: a structural operand against
 /// the previous step's output (the chain input `x` for the first step),
 /// under an output mask given as classes.
 pub struct SsChainStep<'a> {
-    /// Einsum grammar of the step, resident operand first.
+    /// Einsum grammar of the step, structural operand first.
     pub spec: &'a str,
-    /// The step's structural operand, from [`Executor::upload_sparse`].
-    pub a: &'a OpHandle,
+    /// The step's structural operand: by value, charged and shipped as
+    /// [`Executor::contract_ss`] takes a value, or by handle from
+    /// [`Executor::upload_sparse`].
+    pub a: SparseOp<'a>,
     /// The class of every fused row — the free modes of `a`, row-major.
     pub row_class: Vec<u32>,
     /// The class of every fused column — the free modes of the moving
@@ -41,7 +43,7 @@ pub struct SsChainStep<'a> {
 /// What [`Executor::plan_ss_chain`] derives: everything an application
 /// needs that does not depend on `x`'s values. It holds clones of the
 /// steps' operand handles (no refcount of their own) and must not outlive
-/// the uploads.
+/// the uploads; of a by-value operand it keeps the fused entries alone.
 pub struct SsChainPlan {
     x_dims: Vec<usize>,
     steps: Vec<SsStep>,
@@ -50,7 +52,8 @@ pub struct SsChainPlan {
 /// One planned step.
 struct SsStep {
     plan: ContractPlan,
-    a: OpHandle,
+    /// The operand's handle, `None` for a value.
+    a: Option<OpHandle>,
     /// `A`'s `(fused row, contracted key, value)`, stably key-sorted.
     coords: Vec<Coord>,
     /// Fused rows, contracted extent (the `B` table's key range) and
@@ -116,7 +119,7 @@ impl SsStep {
         b_dims: &[usize],
         next: Option<&ContractPlan>,
     ) -> Result<Self> {
-        let at = st.a.sparse()?;
+        let at = st.a.tensor()?;
         let out_dims = plan.output_dims(at.dims(), b_dims)?;
         let (m, k, n) = kernels::fused_dims(&plan, at.dims(), b_dims);
         if st.row_class.len() != m || st.col_class.len() != n {
@@ -177,7 +180,7 @@ impl SsStep {
         let coords = kernels::sparse_coords(at, plan.free_a_positions(), plan.ctr_a_positions());
         Ok(Self {
             coords: counting_sort_by(&coords, k, |c| c.1 as usize),
-            a: st.a.clone(),
+            a: st.a.handle().cloned(),
             m,
             k,
             n,
@@ -343,7 +346,8 @@ impl Executor {
     /// In-process, each step's rows are cut by the sparse fan-out rule and
     /// every chunk accumulates into its own range of the mask's slots. On
     /// the multi-process backend each step is one `SsChunk` superstep with
-    /// the frames the per-step contraction sends, byte for byte; the
+    /// the frames the per-step contraction sends, byte for byte — a
+    /// by-value `A` inline in every chunk, a handle's buckets resident; the
     /// replies go back into slots on the driver.
     pub fn apply_ss_chain(
         &self,
@@ -387,7 +391,7 @@ impl Executor {
             let sizes = (step.coords.len(), b_nnz, c_nnz);
             self.charge_ss(
                 &step.plan,
-                Some(&step.a),
+                step.a.as_ref(),
                 sizes,
                 step.m,
                 step.n,
@@ -414,7 +418,7 @@ impl Executor {
             mask_sorted: Some(Cow::Owned(step.mask())),
             coords: step.coords.clone(),
         };
-        let (entries, flops) = self.ss_over_cluster(cl, &step.plan, Some(&step.a), prep)?;
+        let (entries, flops) = self.ss_over_cluster(cl, &step.plan, step.a.as_ref(), prep)?;
         step.slots_from_entries(entries, flops)
     }
 }

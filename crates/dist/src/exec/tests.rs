@@ -1205,6 +1205,81 @@ fn chain_hands_out_terminal_results_only() {
     assert_eq!(entries, 0);
 }
 
+/// A by-value chain operand goes as its value entry point takes it, on a
+/// 2-rank cluster with the retention cache on. On dense × dense steps it is
+/// content-keyed, as `contract` keys a value: the second run of a chain
+/// ships no operand byte, the first run's operands serving from the
+/// worker stores. On sparse-dense steps it ships inline, as `contract_sd`
+/// ships a value: the second run ships the first run's bytes again, and
+/// the stores hold nothing more afterwards — ψ of a matvec is not kept.
+#[test]
+fn by_value_chain_operands_follow_their_value_entry_point() {
+    use crate::transport::RecordingTransport;
+    let mut exec = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
+    let (transport, _log) = RecordingTransport::new(2);
+    let mut cl = Cluster::new(Box::new(transport));
+    cl.attach_tracker(Arc::clone(exec.tracker()));
+    exec.cluster = Some(Mutex::new(cl));
+    exec.set_retention_cap(1 << 20).unwrap();
+    let mut rng = StdRng::seed_from_u64(2800);
+    let mut dense = |dims: &[usize]| DenseTensor::<f64>::random(dims, &mut rng);
+    let (a, b, c, x) = (
+        dense(&[6, 8]),
+        dense(&[8, 5]),
+        dense(&[5, 7]),
+        dense(&[8, 5]),
+    );
+    let (sa, sc) = (
+        SparseTensor::from_dense(&a, 0.5),
+        SparseTensor::from_dense(&dense(&[7, 6]), 0.5),
+    );
+    let entries =
+        |exec: &Executor| -> u64 { exec.cache_stats().unwrap().iter().map(|s| s.entries).sum() };
+    // one run: its result's bits and the operand bytes the chain shipped
+    let run = |steps: &[ChainStep]| {
+        let before = exec.operand_bytes();
+        let out = exec.chain(steps).unwrap();
+        let shipped = exec.operand_bytes() - before;
+        let y = exec.download(out.into_iter().flatten().last().unwrap());
+        (y.unwrap().into_data(), shipped)
+    };
+    let step = |a, b| ChainStep {
+        spec: "ik,kj->ij",
+        a,
+        b,
+        acc: None,
+    };
+
+    let dense_chain = [
+        step(ChainSrc::Dense((&a).into()), ChainSrc::Dense((&b).into())),
+        step(ChainSrc::Prev(0), ChainSrc::Dense((&c).into())),
+    ];
+    let (y, first) = run(&dense_chain);
+    assert_eq!(first, 8 * (a.len() + b.len() + c.len()) as u64);
+    let kept = entries(&exec);
+    assert_eq!(kept, 3, "a, b and c, retained");
+    assert_eq!(run(&dense_chain), (y, 0), "the second run ships nothing");
+    assert_eq!(entries(&exec), kept);
+
+    let sd_chain = [
+        step(ChainSrc::Sparse((&sa).into()), ChainSrc::Dense((&x).into())),
+        step(ChainSrc::Sparse((&sc).into()), ChainSrc::Prev(0)),
+    ];
+    let (y, first) = run(&sd_chain);
+    assert_eq!(
+        first,
+        24 * (sa.nnz() + sc.nnz()) as u64 + 8 * x.len() as u64,
+        "both sparse operands inline as coordinates, x inline"
+    );
+    assert_eq!(entries(&exec), kept, "nothing retained");
+    assert_eq!(
+        run(&sd_chain),
+        (y, first),
+        "the second run ships it all again"
+    );
+    assert_eq!(entries(&exec), kept);
+}
+
 /// Every frame a 2-worker cluster executor sends for a fixed script that
 /// walks each superstep builder — which rank, which request, which
 /// resident keys it reads and stores, how many operand bytes it carries —
@@ -1273,10 +1348,11 @@ fn class_mask(
 }
 
 /// A planned sparse-sparse chain is the fold of masked `contract_ss`
-/// calls, each result minus its stored zeros: the same result bits,
-/// flops and simulated seconds in-process — one chunk or, past the 16
-/// MFlop gate, one per pool lane — and on the cluster the same frames,
-/// byte for byte, in the same order. The first step is above the gate, so
+/// calls, each result minus its stored zeros — with every `A` by handle,
+/// and with every `A` by value: the same result bits, flops and simulated
+/// seconds in-process — one chunk or, past the 16 MFlop gate, one per pool
+/// lane — and on the cluster the same frames, byte for byte, in the same
+/// order, a value `A` inline in its chunks. The first step is above the gate, so
 /// it runs as two chunks on two ranks. Its output is the next step's
 /// operand with the contracted mode last and the free modes `(j, p)` in
 /// the opposite order to the step's `(p | j, l)` slots: a table handed on
@@ -1315,14 +1391,28 @@ fn planned_ss_chain_is_the_masked_fold() {
         .iter()
         .map(|(spec, a, b_dims, rc, cc)| class_mask(spec, a.dims(), b_dims, rc, cc))
         .collect();
-    let chain = |exec: &Executor| {
-        let handles: Vec<OpHandle> = steps.iter().map(|st| exec.upload_sparse(st.1)).collect();
+    // each step's `A` by handle, or by value when there are no handles
+    fn operand<'a>(
+        handles: &'a [OpHandle],
+        s: usize,
+        value: &'a SparseTensor<f64>,
+    ) -> SparseOp<'a> {
+        handles.get(s).map_or(value.into(), SparseOp::from)
+    }
+    let upload = |exec: &Executor, by_value: bool| -> Vec<OpHandle> {
+        match by_value {
+            true => Vec::new(),
+            false => steps.iter().map(|st| exec.upload_sparse(st.1)).collect(),
+        }
+    };
+    let chain = |exec: &Executor, by_value: bool| {
+        let handles = upload(exec, by_value);
         let planned = steps
             .iter()
-            .zip(&handles)
-            .map(|((spec, _, _, rc, cc), h)| SsChainStep {
+            .enumerate()
+            .map(|(s, (spec, a, _, rc, cc))| SsChainStep {
                 spec,
-                a: h,
+                a: operand(&handles, s, a),
                 row_class: rc.clone(),
                 col_class: cc.clone(),
             })
@@ -1332,37 +1422,47 @@ fn planned_ss_chain_is_the_masked_fold() {
         handles.iter().for_each(|h| exec.free(h).unwrap());
         y
     };
-    let fold = |exec: &Executor| {
-        let handles: Vec<OpHandle> = steps.iter().map(|st| exec.upload_sparse(st.1)).collect();
+    let fold = |exec: &Executor, by_value: bool| {
+        let handles = upload(exec, by_value);
         let mut b = x.clone();
-        for ((st, h), mask) in steps.iter().zip(&handles).zip(&masks) {
-            let c = exec.contract_ss(st.0, h, &b, Some(mask)).unwrap();
+        for (s, (st, mask)) in steps.iter().zip(&masks).enumerate() {
+            let c = exec
+                .contract_ss(st.0, operand(&handles, s, st.1), &b, Some(mask))
+                .unwrap();
             let (offs, vals) = c.entries().filter(|&(_, v)| v != 0.0).unzip();
             b = SparseTensor::from_sorted(c.shape().clone(), offs, vals).unwrap();
         }
         handles.iter().for_each(|h| exec.free(h).unwrap());
         b
     };
-    let mut across = None;
-    for backend in ["sequential", "threaded", "2 ranks"] {
-        let run = |path: &dyn Fn(&Executor) -> SparseTensor<f64>| {
-            let (exec, sent) = ss_chain_executor(backend);
-            let y = path(&exec);
-            let entries: Vec<(u64, u64)> = y.entries().map(|(o, v)| (o, v.to_bits())).collect();
-            let meters = (exec.total_flops(), exec.sim_time().total().to_bits());
-            let frames = sent.map(|s| s.lock().unwrap().clone());
-            (entries, meters, frames)
-        };
-        let (planned, folded) = (run(&chain), run(&fold));
-        assert!(!planned.0.is_empty());
-        assert_eq!(planned, folded, "{backend}");
-        if let Some(frames) = &planned.2 {
-            let chunks = frames.iter().filter(|(_, f)| f[0] == 12).count();
-            assert_eq!(chunks, 3, "two chunks of step 1, one of step 2");
-        }
-        match &across {
-            None => across = Some((planned.0, planned.1)),
-            Some(first) => assert_eq!((&planned.0, &planned.1), (&first.0, &first.1), "{backend}"),
+    for by_value in [false, true] {
+        let mut across = None;
+        for backend in ["sequential", "threaded", "2 ranks"] {
+            let run = |path: &dyn Fn(&Executor, bool) -> SparseTensor<f64>| {
+                let (exec, sent) = ss_chain_executor(backend);
+                let y = path(&exec, by_value);
+                let entries: Vec<(u64, u64)> = y.entries().map(|(o, v)| (o, v.to_bits())).collect();
+                let meters = (exec.total_flops(), exec.sim_time().total().to_bits());
+                let frames = sent.map(|s| s.lock().unwrap().clone());
+                (entries, meters, frames)
+            };
+            let (planned, folded) = (run(&chain), run(&fold));
+            let what = format!("{backend}, by value: {by_value}");
+            assert!(!planned.0.is_empty());
+            assert_eq!(planned, folded, "{what}");
+            if let Some(frames) = &planned.2 {
+                let chunks = frames.iter().filter(|(_, f)| f[0] == 12).count();
+                assert_eq!(chunks, 3, "two chunks of step 1, one of step 2");
+                // a value ships with its chunks, a handle's buckets before them
+                let uploads = frames.iter().filter(|(_, f)| f[0] == 4).count();
+                assert_eq!(uploads == 0, by_value, "{what}");
+            }
+            match &across {
+                None => across = Some((planned.0, planned.1)),
+                Some(first) => {
+                    assert_eq!((&planned.0, &planned.1), (&first.0, &first.1), "{what}")
+                }
+            }
         }
     }
 }
@@ -1402,7 +1502,7 @@ fn ss_chain_plan_rejects_steps_that_do_not_fit() {
     let h = exec.upload_sparse(&a);
     let step = |spec, rows: usize, cols: usize| SsChainStep {
         spec,
-        a: &h,
+        a: (&h).into(),
         row_class: vec![0; rows],
         col_class: vec![0; cols],
     };

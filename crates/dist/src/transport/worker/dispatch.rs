@@ -203,15 +203,20 @@ impl WorkerState {
                 Ok(Reply::Unit)
             }
             Request::Download { key } => {
-                let val = self
-                    .remove(key)
-                    .ok_or_else(|| Error::transport(format!("no result under key {key:#x}")))?;
-                match val {
-                    Cached::Dense(buf) => Ok(Reply::Buf(Self::take(buf))),
-                    _ => Err(Error::transport(format!(
-                        "key {key:#x} does not hold a downloadable dense buffer"
-                    ))),
-                }
+                // refused before anything is removed: a refused download
+                // leaves the store as it found it
+                let buf = match self.store.get(&key) {
+                    Some(Cached::Dense(buf)) => Arc::clone(buf),
+                    Some(Cached::Coords(_)) => {
+                        return Err(Error::transport(format!(
+                            "key {key:#x} does not hold a downloadable dense buffer"
+                        )))
+                    }
+                    None => return Err(Error::transport(format!("no result under key {key:#x}"))),
+                };
+                // the store's reference goes, so the buffer moves out whole
+                self.remove(key);
+                Ok(Reply::Buf(Self::take(buf)))
             }
         }
     }

@@ -875,4 +875,13 @@ fn bad_tasks_fail_without_killing_the_worker() {
         w.handle(Request::Download { key: 70 }),
         Some(Reply::Buf(vec![2.0; 4]))
     );
+    // and the refused download of the coordinate bucket left it resident
+    assert_eq!(
+        w.handle(ss(OpCoords::Key(71), vec![0, 0], 1)),
+        Some(Reply::Entries {
+            offs: vec![0],
+            vals: vec![1.0],
+            flops: 2
+        })
+    );
 }

@@ -4,12 +4,17 @@
 //! `(j, j+1)` is represented by a left environment `A` (everything left of
 //! `j`), the two MPO site tensors, and a right environment `B` (everything
 //! right of `j+1`); both environments are order-3 tensors of size `m²k`.
-//! Environments extend site by site as the sweep moves, each extension a
-//! three-contraction chain dispatched through the chosen block-sparsity
-//! algorithm.
+//! Environments extend site by site as the sweep moves, each extension the
+//! paper's three-contraction chain — the old environment, the MPO tensor
+//! and the bra each contracted with the previous result, the ket first —
+//! run as one [`contract_chain`] of the chosen block-sparsity algorithm:
+//! the two intermediates stay in the kernel's format (resident chain
+//! outputs for list and sparse-dense, merge-kernel tables for
+//! sparse-sparse) and only the new environment is re-blocked. The three
+//! `contract` calls it replaces are its bitwise reference in the tests.
 
 use crate::{Error, Result};
-use tt_blocks::contract::contract;
+use tt_blocks::contract::contract_chain;
 use tt_blocks::{Algorithm, Arrow, BlockSparseTensor, QnIndex, QN};
 use tt_dist::Executor;
 use tt_mps::{Mpo, Mps};
@@ -51,6 +56,15 @@ pub fn right_edge(mps: &Mps, mpo: &Mpo) -> Result<BlockSparseTensor> {
     Ok(e)
 }
 
+/// The chain of a left extension, in step order, each step's structural
+/// operand first: `t1(b,k,q,f) = L(b,k,c) · ket(c,q,f)`,
+/// `t2(b,p,f,g) = W(k,p,q,g) · t1`, `L'(h,g,f) = bra(b,p,h) · t2`.
+const EXTEND_LEFT: [&str; 3] = ["bkc,cqf->bkqf", "kpqg,bkqf->bpfg", "bph,bpfg->hgf"];
+
+/// The chain of a right extension: `t1(b,k,c,q) = R(b,k,f) · ket(c,q,f)`,
+/// `t2(b,p,g,c) = W(g,p,q,k) · t1`, `R'(h,g,c) = bra(h,p,b) · t2`.
+const EXTEND_RIGHT: [&str; 3] = ["bkf,cqf->bkcq", "gpqk,bkcq->bpgc", "hpb,bpgc->hgc"];
+
 /// Extend a left environment over site `j`:
 /// `L' = L ∘ ket_j ∘ W_j ∘ bra_j` (indices `(In, Out, Out)` preserved).
 pub fn extend_left(
@@ -60,13 +74,7 @@ pub fn extend_left(
     ket: &BlockSparseTensor,
     w: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
-    let bra = ket.conj();
-    // t1(b,k,q,f) = L(b,k,c) · ket(c,q,f)
-    let t1 = contract(exec, algo, "bkc,cqf->bkqf", l, ket)?;
-    // t2(b,p,f,g) = W(k,p,q,g) · t1(b,k,q,f)
-    let t2 = contract(exec, algo, "kpqg,bkqf->bpfg", w, &t1)?;
-    // L'(h,g,f) = bra(b,p,h) · t2(b,p,f,g)
-    Ok(contract(exec, algo, "bph,bpfg->hgf", &bra, &t2)?)
+    extend(exec, algo, &EXTEND_LEFT, l, ket, w)
 }
 
 /// Extend a right environment over site `j`:
@@ -78,13 +86,22 @@ pub fn extend_right(
     ket: &BlockSparseTensor,
     w: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
+    extend(exec, algo, &EXTEND_RIGHT, r, ket, w)
+}
+
+/// `env`, `w` and the bra, in that order, each contracted with the
+/// previous result — the ket first — as one chain.
+fn extend(
+    exec: &Executor,
+    algo: Algorithm,
+    specs: &[&str; 3],
+    env: &BlockSparseTensor,
+    ket: &BlockSparseTensor,
+    w: &BlockSparseTensor,
+) -> Result<BlockSparseTensor> {
     let bra = ket.conj();
-    // t1(b,k,c,q) = R(b,k,f) · ket(c,q,f)
-    let t1 = contract(exec, algo, "bkf,cqf->bkcq", r, ket)?;
-    // t2(b,p,g,c) = W(g,p,q,k) · t1(b,k,c,q)
-    let t2 = contract(exec, algo, "gpqk,bkcq->bpgc", w, &t1)?;
-    // R'(h,g,c) = bra(h,p,b) · t2(b,p,g,c)
-    Ok(contract(exec, algo, "hpb,bpgc->hgc", &bra, &t2)?)
+    let steps = [(specs[0], env), (specs[1], w), (specs[2], &bra)];
+    Ok(contract_chain(exec, algo, &steps, ket)?)
 }
 
 /// Environment cache for a sweep: `left[j]` absorbs sites `< j`,

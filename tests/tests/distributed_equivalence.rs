@@ -686,6 +686,147 @@ fn chained_matvecs_bitwise_across_backends() {
     }
 }
 
+/// An environment extension as three `contract` calls, the way `extend_left`
+/// and `extend_right` ran it before it became one chain: `specs` are its
+/// three steps, each with its structural operand (`env`, `w`, the bra)
+/// first and the previous result second, the ket first of all.
+fn extend_by_fold(
+    exec: &Executor,
+    algo: Algorithm,
+    specs: [&str; 3],
+    env: &BlockSparseTensor,
+    ket: &BlockSparseTensor,
+    w: &BlockSparseTensor,
+) -> BlockSparseTensor {
+    use tt_blocks::contract::contract;
+    let bra = ket.conj();
+    let t1 = contract(exec, algo, specs[0], env, ket).unwrap();
+    let t2 = contract(exec, algo, specs[1], w, &t1).unwrap();
+    contract(exec, algo, specs[2], &bra, &t2).unwrap()
+}
+
+/// A tensor's structure and every block's bits.
+type Bits = (Vec<QnIndex>, QN, Vec<(Vec<u16>, Vec<u64>)>);
+
+fn bits(t: &BlockSparseTensor) -> Bits {
+    let blocks = t
+        .blocks()
+        .map(|(k, b)| (k.clone(), b.data().iter().map(|v| v.to_bits()).collect()))
+        .collect();
+    (t.indices().to_vec(), t.flux(), blocks)
+}
+
+/// Every environment extension a sweep makes — left over each site of a
+/// state, right over each site — as one `contract_chain` against the three
+/// `contract` calls it replaced, on a spin state and on an electron state
+/// (two charges), for all three algorithms on Sequential, Threaded and two
+/// worker processes: the same blocks bit for bit, the same flops and
+/// supersteps. Sparse-sparse charges exactly what the fold charges; list
+/// and sparse-dense charge less, their intermediates being chain inputs
+/// rather than shipped values. Every counter of the chain is equal across
+/// the backends.
+#[test]
+fn environment_chains_are_the_contract_fold() {
+    use dmrg::{extend_left, extend_right, left_edge, right_edge};
+    let states = [
+        {
+            let mpo = heisenberg_j1j2(&Lattice::chain(6), 1.0, 0.0)
+                .build()
+                .unwrap();
+            let psi = Mps::product_state(&SpinHalf, &neel_state(6)).unwrap();
+            (mpo, psi)
+        },
+        {
+            let mpo = tt_mps::hubbard(&Lattice::chain(4), 1.0, 4.0)
+                .build()
+                .unwrap();
+            let psi =
+                Mps::product_state(&tt_mps::Electron, &tt_mps::electron_filling(4, 2, 2)).unwrap();
+            (mpo, psi)
+        },
+    ];
+    let local = Executor::local();
+    let states: Vec<_> = states
+        .into_iter()
+        .map(|(mpo, mut psi)| {
+            Dmrg::new(&local, Algorithm::List, &mpo)
+                .run(&mut psi, &test_schedule(&[8], 1))
+                .unwrap();
+            (mpo, psi)
+        })
+        .collect();
+    const LEFT: [&str; 3] = ["bkc,cqf->bkqf", "kpqg,bkqf->bpfg", "bph,bpfg->hgf"];
+    const RIGHT: [&str; 3] = ["bkf,cqf->bkcq", "gpqk,bkcq->bpgc", "hpb,bpgc->hgc"];
+    for algo in [
+        Algorithm::List,
+        Algorithm::SparseDense,
+        Algorithm::SparseSparse,
+    ] {
+        let mut across: Option<Vec<(u64, u64, u64)>> = None;
+        for (name, exec) in flat_chain_executors() {
+            let what = |site: usize, side: &str| format!("{name}/{algo}: {side} over site {site}");
+            let mut meters = Vec::new();
+            // one extension both ways, from zeroed meters each
+            let mut check = |what: String,
+                             chain: &dyn Fn() -> BlockSparseTensor,
+                             fold: &dyn Fn() -> BlockSparseTensor| {
+                exec.reset_costs();
+                let c = chain();
+                let cm = (
+                    exec.total_flops(),
+                    exec.supersteps(),
+                    exec.sim_time().total(),
+                );
+                exec.reset_costs();
+                let f = fold();
+                let fm = (
+                    exec.total_flops(),
+                    exec.supersteps(),
+                    exec.sim_time().total(),
+                );
+                assert_eq!(bits(&c), bits(&f), "{what}");
+                assert_eq!((cm.0, cm.1), (fm.0, fm.1), "{what}: flops and supersteps");
+                match algo {
+                    Algorithm::SparseSparse => assert_eq!(cm.2.to_bits(), fm.2.to_bits(), "{what}"),
+                    _ => assert!(
+                        cm.2 < fm.2,
+                        "{what}: simulated seconds {} vs {}",
+                        cm.2,
+                        fm.2
+                    ),
+                }
+                meters.push((cm.0, cm.1, cm.2.to_bits()));
+                c
+            };
+            for (mpo, psi) in &states {
+                let n = psi.n_sites();
+                let mut l = left_edge(psi, mpo).unwrap();
+                for j in 0..n {
+                    let (ket, w) = (psi.tensor(j), mpo.tensor(j));
+                    l = check(
+                        what(j, "left"),
+                        &|| extend_left(&exec, algo, &l, ket, w).unwrap(),
+                        &|| extend_by_fold(&exec, algo, LEFT, &l, ket, w),
+                    );
+                }
+                let mut r = right_edge(psi, mpo).unwrap();
+                for j in (0..n).rev() {
+                    let (ket, w) = (psi.tensor(j), mpo.tensor(j));
+                    r = check(
+                        what(j, "right"),
+                        &|| extend_right(&exec, algo, &r, ket, w).unwrap(),
+                        &|| extend_by_fold(&exec, algo, RIGHT, &r, ket, w),
+                    );
+                }
+            }
+            match &across {
+                None => across = Some(meters),
+                Some(first) => assert_eq!(&meters, first, "{name}/{algo}: across backends"),
+            }
+        }
+    }
+}
+
 /// The four contractions of one two-site matvec, in order.
 const MATVEC_SPECS: [&str; 4] = [
     "bkc,cqwf->bkqwf",

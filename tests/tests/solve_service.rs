@@ -134,12 +134,26 @@ fn concurrent_tenants_dedup_and_meter_as_if_alone() {
     // Tenant B submits the identical Hamiltonian: every operand content
     // it uploads is already worker-resident, so its shipped operand
     // bytes collapse — while its meters still read as-if-run-alone.
+    //
+    // What each tenant ships, measured per request kind on this fixture:
+    // A 74 864 B = 44 328 B of content uploads (environments, MPO and MPS
+    // blocks, Davidson vectors) + 25 592 B of chain redistributions
+    // (`Download` + re-`Upload` of a resident result under its
+    // driver-issued key) + 4 944 B of inline `SvdTrunc` matrices; B
+    // 19 648 B = 96 B of content uploads + 14 608 B of redistributions +
+    // the same 4 944 B. The content uploads are what retention can
+    // deduplicate, and they fall ~460×. The other two never can: an
+    // `SvdTrunc` matrix is the job's own state, and a redistributed
+    // result is keyed by the driver, not by content. Before environment
+    // extensions ran as one chain, A also shipped every environment
+    // intermediate by value (152 216 B in all, 8.3× B's 18 376 B). So
+    // the ratio gates the deduplicable part through the 3.8× it leaves.
     let job_b = c1.submit_dmrg(&spec).expect("submit B");
     let report_b = c1.wait(job_b).expect("job B");
     assert_bitwise(&report_b, &reference, "job B");
     assert!(
-        report_b.meter.bytes_operands * 5 <= report_a.meter.bytes_operands,
-        "cross-job dedup must collapse the second tenant's operand bytes ≥5×: \
+        report_b.meter.bytes_operands * 3 <= report_a.meter.bytes_operands,
+        "cross-job dedup must collapse the second tenant's operand bytes ≥3×: \
          first {} B, second {} B",
         report_a.meter.bytes_operands,
         report_b.meter.bytes_operands
