@@ -55,6 +55,14 @@
 //! the merge kernel's format — seconds per matvec, the block↔flat
 //! conversion of `x` and `y` included.
 //!
+//! The `gemm_small` rows run one row panel on the unpacked register tile
+//! (`gemm_acc_small_rows`) and the `gemm_small_packed` rows the same panel
+//! on the packed kernel, packing `B` included — at the List sweep's
+//! block-pair shapes and at the two cube-like shapes past the crossover
+//! where packing wins again. The pair is where `SMALL_MAX_MNK` in
+//! `tt_tensor::gemm` comes from; a sub-millisecond shape is timed as a
+//! loop of calls.
+//!
 //! The seed repository's scalar GEMM stays as the reference the packed
 //! kernel is measured against, at one size per element type (full runs
 //! only).
@@ -68,6 +76,7 @@ use std::time::Instant;
 use tt_bench::{grow_state, System};
 use tt_blocks::{contract, Algorithm, BlockSparseTensor, ResidentChain};
 use tt_dist::{ChainSrc, ChainStep, ExecMode, Executor, Machine, OpHandle};
+use tt_tensor::gemm::{gemm_acc_packed_rows, gemm_acc_small_rows, PackedB};
 use tt_tensor::{Complex64, DenseTensor, Scalar, SparseTensor};
 
 /// GFlop/s regression a kernel may show against the baseline before the
@@ -416,6 +425,23 @@ const PERMUTE_CASES: [(&str, &[usize], &[usize]); 4] = [
     ("list-30x8x30", &[30, 8, 30], &[1, 0, 2]),
 ];
 
+/// `(m, k, n)` of the `gemm_small` rows: block pairs of the List sweep —
+/// a `W` step's 4×6×1521 and 8×7×1521, ψ blocks' 30×8×30, 39×234×39 and
+/// 273×39×39 — then 256³ and 512×256×512, past the crossover.
+const GEMM_SMALL_CASES: [(usize, usize, usize); 7] = [
+    (4, 6, 1521),
+    (8, 7, 1521),
+    (30, 8, 30),
+    (39, 234, 39),
+    (273, 39, 39),
+    (256, 256, 256),
+    (512, 256, 512),
+];
+
+/// Flops one timed sample of a `gemm_small` row covers at least: a call at
+/// the smallest shapes takes about a microsecond, below the timer's noise.
+const GEMM_SMALL_SAMPLE_FLOPS: f64 = 1e7;
+
 /// One sparse-dense row at an H_eff chain shape.
 struct SdChainCase {
     label: &'static str,
@@ -699,6 +725,32 @@ fn main() {
                 flops,
                 secs,
             );
+        }
+
+        // --- one row panel: unpacked register tile vs packing B -------------
+        for &(m, k, n) in &GEMM_SMALL_CASES {
+            let a = DenseTensor::<f64>::random([m, k], &mut rng);
+            let b = DenseTensor::<f64>::random([k, n], &mut rng);
+            let mut c = vec![0.0f64; m * n];
+            let flops = 2.0 * (m * k * n) as f64;
+            let calls = (GEMM_SMALL_SAMPLE_FLOPS / flops).ceil() as usize;
+            let secs = best_of(reps, || {
+                for _ in 0..calls {
+                    c.fill(0.0);
+                    gemm_acc_small_rows(0, m, k, n, a.data(), k, 1, b.data(), &mut c);
+                }
+            });
+            let size = format!("{m}x{k}x{n}");
+            let sample_flops = flops * calls as f64;
+            record(&mut entries, "gemm_small", size.clone(), sample_flops, secs);
+            let secs = best_of(reps, || {
+                for _ in 0..calls {
+                    c.fill(0.0);
+                    let pb = PackedB::pack(k, n, b.data(), n, 1);
+                    gemm_acc_packed_rows(0, m, a.data(), k, 1, &pb, &mut c);
+                }
+            });
+            record(&mut entries, "gemm_small_packed", size, sample_flops, secs);
         }
 
         // --- GEMV fast path (Davidson matvec shape) --------------------------

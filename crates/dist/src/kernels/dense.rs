@@ -1,5 +1,6 @@
 //! Dense × dense: operands as strided matrices, the row-panel unit of
-//! work, the contraction over [`ordered_map`], and the worker's chunk.
+//! work and its kernel, the contraction over [`ordered_map`], and the
+//! worker's chunk.
 
 use super::{
     concat_rows, dense_ranges, fused_dims, lanes, natural_output, operand_perms, ordered_map,
@@ -12,7 +13,8 @@ use tt_tensor::einsum::ContractPlan;
 #[cfg(doc)]
 use tt_tensor::gemm::MC;
 use tt_tensor::gemm::{
-    gemm_acc_packed_rows, gemm_acc_slices, gemm_path, gemv_acc_rows, GemmPath, PackedB,
+    gemm_acc_packed_rows, gemm_acc_small_rows, gemm_path, gemv_acc_rows, panel_kernel, GemmPath,
+    PackedB, PanelKernel,
 };
 use tt_tensor::transpose::{motion, permute_data, Motion};
 use tt_tensor::DenseTensor;
@@ -28,7 +30,8 @@ struct MatOperand<'a> {
 /// `t` permuted by `perm` as a `rows × cols` matrix, executing the
 /// permutation only when elements have to change order: an identity (after
 /// fusion) borrows `t`'s storage, and — when the consumer takes strides
-/// (`strided`: the packed GEMM path) — so does a plain matrix transpose.
+/// (`strided`: the unpacked and packed kernels' `A`, the packer's `B`) —
+/// so does a plain matrix transpose.
 fn mat_operand<'a>(
     t: &'a DenseTensor<f64>,
     perm: &[usize],
@@ -49,11 +52,11 @@ fn mat_operand<'a>(
 }
 
 /// Rows `[r0, r1)` of `A · B` as a fresh row panel — the unit of work of
-/// every dense path (in-process lane, multi-process worker). `a` is the
-/// full `m × k` matrix through strides `(a_rs, a_cs)` (contiguous rows
-/// unless the path is packed); `b` is the contiguous `k × n` matrix, read
-/// by the GEMV and scalar paths; `pb` is `B` packed, read by the packed
-/// path.
+/// every dense path (in-process lane, multi-process worker), run on the
+/// kernel [`panel_kernel`] picks for the panel. `a` is the full `m × k`
+/// matrix through strides `(a_rs, a_cs)` (contiguous rows on the GEMV
+/// path); `b` is the contiguous `k × n` matrix, read by every kernel but
+/// the packed one; `pb` is `B` packed, read by the packed kernel.
 #[allow(clippy::too_many_arguments)]
 fn dense_rows(
     path: GemmPath,
@@ -64,31 +67,22 @@ fn dense_rows(
     b: &[f64],
     pb: Option<&PackedB<f64>>,
 ) -> Vec<f64> {
-    let rows = r1 - r0;
-    match path {
-        GemmPath::Gemv => {
-            // Davidson matvec shape: skip the blocked machinery entirely
-            let mut c = vec![0.0; rows];
-            gemv_acc_rows(r0, r1, k, a, b, 1, &mut c);
-            c
-        }
-        GemmPath::Scalar => {
-            let mut c = vec![0.0; rows * n];
-            gemm_acc_slices(rows, k, n, &a[r0 * k..r1 * k], b, &mut c);
-            c
-        }
-        GemmPath::Packed => {
-            let mut c = vec![0.0; rows * n];
+    let mut c = vec![0.0; (r1 - r0) * n];
+    match panel_kernel(path, r1 - r0, k, n) {
+        // Davidson matvec shape: skip the blocked machinery entirely
+        PanelKernel::Gemv => gemv_acc_rows(r0, r1, k, a, b, 1, &mut c),
+        PanelKernel::Small => gemm_acc_small_rows(r0, r1, k, n, a, a_rs, a_cs, b, &mut c),
+        PanelKernel::Packed => {
             if let Some(pb) = pb {
                 gemm_acc_packed_rows(r0, r1, a, a_rs, a_cs, pb, &mut c);
             }
-            c
         }
     }
+    c
 }
 
 /// The prelude both legs of a dense contraction share: the validated
-/// fused dims `(m, k, n)`, the kernel path ([`gemm_path`]`(k, n)`,
+/// fused dims `(m, k, n)`, the path tag ([`gemm_path`]`(k, n)`,
 /// invariant under row chunking) and the row ranges over `lanes`.
 pub(crate) fn dense_prepare(
     plan: &ContractPlan,
@@ -102,12 +96,14 @@ pub(crate) fn dense_prepare(
     Ok(((m, k, n), path, dense_ranges(path, m, lanes)))
 }
 
-/// Dense × dense contraction (TTGT), parallel at the GEMM level: `B` is
-/// packed once — one `KC`-deep block per call; blocks are independent and
-/// reassemble to the exact bytes of a monolithic pack — and row-disjoint
-/// panels run the microkernel against the shared packed operand, both
-/// through [`ordered_map`]. Operands are read in place when their
-/// permutation moves nothing (see [`mat_operand`]), on every lane.
+/// Dense × dense contraction (TTGT), parallel at the GEMM level: when a
+/// row panel runs the packed kernel, `B` is packed once — one `KC`-deep
+/// block per call; blocks are independent and reassemble to the exact
+/// bytes of a monolithic pack — and row-disjoint panels run against the
+/// shared operand, both through [`ordered_map`]. `A` is read in place when
+/// its permutation moves nothing or is a plain transpose (every kernel but
+/// GEMV takes strides), and so is `B` when every panel packs it (see
+/// [`mat_operand`]).
 pub(crate) fn dense_contract(
     plan: &ContractPlan,
     a: &DenseTensor<f64>,
@@ -116,12 +112,13 @@ pub(crate) fn dense_contract(
 ) -> Result<DenseTensor<f64>> {
     let ((m, k, n), path, ranges) = dense_prepare(plan, a.dims(), b.dims(), lanes(pool))?;
     let (perm_a, perm_b) = operand_perms(plan);
-    let packed = path == GemmPath::Packed;
-    let a_mat = mat_operand(a, &perm_a, m, k, packed)?;
-    let b_mat = mat_operand(b, &perm_b, k, n, packed)?;
+    let packs =
+        |&(r0, r1): &(usize, usize)| panel_kernel(path, r1 - r0, k, n) == PanelKernel::Packed;
+    let a_mat = mat_operand(a, &perm_a, m, k, path != GemmPath::Gemv)?;
+    let b_mat = mat_operand(b, &perm_b, k, n, ranges.iter().all(packs))?;
     // one row range: nothing to fan out, and `B` is packed here too
     let pool = pool.filter(|_| ranges.len() > 1);
-    let pb = packed.then(|| {
+    let pb = ranges.iter().any(packs).then(|| {
         let blocks = ordered_map(pool, PackedB::<f64>::block_count(k), |blk| {
             PackedB::pack_block(k, n, &b_mat.data, b_mat.rs, b_mat.cs, blk)
         });
@@ -144,11 +141,11 @@ pub(crate) fn dense_contract(
 /// One dense chunk computed from a *local* row slab: the shared-nothing
 /// form of the per-range jobs in [`dense_contract`], used by the
 /// multi-process worker. `a_slab` holds `rows` rows of the permuted `A`
-/// matrix and `b_mat` the full permuted `B`; for the packed path the
-/// worker packs `B` itself (identical `PackedB` contents every time, so
-/// results stay bitwise-equal to the in-process kernels — provided the
-/// slab's first row is [`MC`]-aligned in the global matrix, which keeps
-/// the `A`-panel blocking identical).
+/// matrix and `b_mat` the full permuted `B`; when the slab runs the packed
+/// kernel the worker packs `B` itself (identical `PackedB` contents every
+/// time, so results stay bitwise-equal to the in-process kernels —
+/// provided the slab's first row is [`MC`]-aligned in the global matrix,
+/// which keeps the `A`-panel blocking identical).
 pub(crate) fn dense_chunk(
     path: GemmPath,
     rows: usize,
@@ -157,6 +154,7 @@ pub(crate) fn dense_chunk(
     a_slab: &[f64],
     b_mat: &[f64],
 ) -> Vec<f64> {
-    let pb = (path == GemmPath::Packed && rows > 0).then(|| PackedB::pack(k, n, b_mat, n, 1));
+    let packed = panel_kernel(path, rows, k, n) == PanelKernel::Packed;
+    let pb = (packed && rows > 0).then(|| PackedB::pack(k, n, b_mat, n, 1));
     dense_rows(path, (0, rows), (k, n), a_slab, (k, 1), b_mat, pb.as_ref())
 }

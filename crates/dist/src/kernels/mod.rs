@@ -14,10 +14,12 @@
 //! sit side by side below and nowhere else:
 //!
 //! * [`dense_ranges`]: the dense kernel parallelizes **inside** the GEMM —
-//!   `B` is packed once (its `KC`-deep blocks are themselves an ordered
-//!   map), then [`MC`]-aligned row panels of the packed microkernel run
-//!   against the shared packed operand; one range per lane, no gate on
-//!   work size;
+//!   row panels ([`MC`]-aligned on the packed path) each run the kernel
+//!   `tt_tensor::gemm::panel_kernel` picks for them: a small one the
+//!   unpacked register tile on the operands where they lie, a large one
+//!   the packed microkernel against a `B` packed once for all of them (its
+//!   `KC`-deep blocks are themselves an ordered map); one range per lane,
+//!   no gate on work size;
 //! * [`sparse_chunks`]: the sparse kernels split rows by **work volume** —
 //!   a prefix sum of per-row flops picks the chunk boundaries, so a
 //!   handful of dense rows (the skewed patterns block-sparse flattening
@@ -33,7 +35,8 @@
 //! permutation is executed when elements really have to change order.
 //! An operand whose permutation fuses to the identity
 //! ([`tt_tensor::transpose::motion`]) is read where it lies, a plain
-//! matrix transpose reaches the packed GEMM as strides, and the
+//! matrix transpose reaches the GEMM as strides (an `A` on every kernel
+//! but GEMV, a `B` when only the packer reads it), and the
 //! sparse-dense kernel gathers `B` rows and scatters `C` rows through
 //! [`SdView`] offset tables whenever the trailing free modes form a
 //! contiguous run. None of this touches arithmetic: every output element
@@ -41,7 +44,7 @@
 //!
 //! Layout: this file holds the ordered map, the two fan-out rules, the
 //! range functions and the dims / output helpers every family shares;
-//! `dense` the packed-GEMM contraction and its worker chunk; `sd` the
+//! `dense` the dense contraction, its row panel and its worker chunk; `sd` the
 //! sparse-dense layout decision, chunk body and contraction; `ss` the
 //! sparse-sparse preparation, merge chunk and contraction, and the slot
 //! merge of a planned chain's step; `factor` the truncated SVD and its
@@ -124,9 +127,9 @@ pub(crate) fn sparse_chunks(flops: u64, lanes: usize) -> usize {
     }
 }
 
-/// The dense fan-out rule: the row ranges an `m`-row GEMM on kernel path
-/// `path` is cut into over `lanes` — [`MC`]-aligned on the packed path,
-/// uniform otherwise; never gated on work size.
+/// The dense fan-out rule: the row ranges an `m`-row GEMM tagged `path` is
+/// cut into over `lanes` — [`MC`]-aligned on the packed path (whichever
+/// kernel a panel then runs), uniform otherwise; never gated on work size.
 pub(crate) fn dense_ranges(path: GemmPath, m: usize, lanes: usize) -> Ranges {
     match path {
         GemmPath::Packed => mc_aligned_ranges(m, lanes),

@@ -108,6 +108,22 @@ fn dense_kernel_packed_path_bitwise_across_chunkings() {
 }
 
 #[test]
+fn dense_kernel_mixed_panel_kernels_bitwise() {
+    // k = n = 200: a whole MC panel packs B, the 44-row tail runs the
+    // unpacked tile; sequential is one packed panel. Both operands stored
+    // transposed, so A is strided and B — read in place by the tile — is
+    // executed, then packed from the executed copy
+    use tt_tensor::gemm::{panel_kernel, PanelKernel};
+    let (m, k, n) = (2 * MC + 44, 200, 200);
+    assert_eq!(
+        panel_kernel(GemmPath::Packed, MC, k, n),
+        PanelKernel::Packed
+    );
+    assert_eq!(panel_kernel(GemmPath::Packed, 44, k, n), PanelKernel::Small);
+    check_dense("ki,jk->ij", &[k, m], &[n, k], 8);
+}
+
+#[test]
 fn dense_kernel_gemv_path_used_and_bitwise() {
     // fused n == 1 (Davidson matvec shape)
     let mut rng = StdRng::seed_from_u64(52);
@@ -446,7 +462,8 @@ fn strided_and_gemv_operands_bitwise_equal_reference() {
     // a transpose that does not split at the row/column boundary must
     // be executed: A (x,y,z) with rows y and cols (z,x)
     check_dense("xyz,zxc->yc", &[9, 40, 8], &[8, 9, 50], 4);
-    // same transposes on the scalar path (executed, not strided)
+    // same transposes on the scalar path, which runs the unpacked tile:
+    // A strided, B executed (the tile reads B rows in place)
     assert_eq!(gemm_path(7, 9), GemmPath::Scalar);
     check_dense("ki,jk->ij", &[7, 11], &[9, 7], 5);
     // gemv: B fully contracted, its modes in another order than A's

@@ -986,7 +986,7 @@ mod tests {
             0,
             tag,
             &Request::DenseChunk {
-                path: tt_tensor::gemm::GemmPath::Scalar,
+                path: tt_tensor::gemm::gemm_path(k, n),
                 rows,
                 k,
                 n,
@@ -1303,7 +1303,7 @@ mod tests {
             0,
             tag,
             &Request::DenseChunk {
-                path: tt_tensor::gemm::GemmPath::Scalar,
+                path: tt_tensor::gemm::gemm_path(n, n),
                 rows: n,
                 k: n,
                 n,

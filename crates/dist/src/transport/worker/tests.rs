@@ -3,7 +3,7 @@ use crate::kernels;
 use crate::FaultKind;
 use proptest::prelude::*;
 use tt_tensor::einsum::ContractPlan;
-use tt_tensor::gemm::GemmPath;
+use tt_tensor::gemm::{GemmPath, KC};
 use tt_tensor::DenseTensor;
 
 /// The values the request/reply samples are built from.
@@ -442,7 +442,7 @@ fn upload(w: &mut WorkerState, key: u64, data: Vec<f64>) {
 fn resident(w: &mut WorkerState, key: u64, len: usize) -> bool {
     matches!(
         w.handle(Request::DenseChunk {
-            path: GemmPath::Scalar,
+            path: GemmPath::Gemv,
             rows: len,
             k: 1,
             n: 1,
@@ -817,9 +817,22 @@ fn bad_tasks_fail_without_killing_the_worker() {
         w.handle(ss(one(), vec![0, 0], 1)),
         Some(Reply::Entries { .. })
     ));
+    // a dense chunk whose tag is not `gemm_path(k, n)`, operands sized
+    // right: a GEMV tag on a two-column panel would return one column, a
+    // packed tag on a GEMV shape would split the sums at KC
+    let mistagged = |path: GemmPath, k: usize, n: usize| Request::DenseChunk {
+        path,
+        rows: 2,
+        k,
+        n,
+        a: f(vec![1.0; 2 * k]),
+        b: f(vec![1.0; k * n]),
+    };
     let bad = [
         // wrong operand size
         chunk(f(vec![0.0; 3]), f(vec![0.0; 4])),
+        mistagged(GemmPath::Gemv, 2, 2),
+        mistagged(GemmPath::Packed, KC + 1, 1),
         // accumulate a partial of the wrong length
         Request::Contract {
             spec: "ik,kj->ij".into(),

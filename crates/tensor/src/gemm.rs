@@ -16,15 +16,22 @@
 //! `im += ar·bi`, `im += ai·br`) instead of falling back to scalar complex
 //! arithmetic.
 //!
-//! Three execution paths exist, chosen by [`gemm_path`] from `(k, n)`
-//! **only** — never from `m`. Row-disjoint chunks of the same multiply must
-//! take the same path so threaded row-partitioned execution stays
-//! bitwise-identical to sequential execution (the `tt-dist` contract):
+//! A multiply is tagged by [`gemm_path`] from `(k, n)` **only** — never
+//! from `m` — so row-disjoint chunks of it agree on the tag, which fixes
+//! how the `tt-dist` kernels cut rows into slabs:
 //!
-//! * `n == 1` — a GEMV loop (the Davidson matvec shape),
-//! * small `k·n` — a plain `(i,l,j)` scalar loop; packing overhead would
-//!   dominate on the many tiny blocks of block-sparse DMRG,
-//! * otherwise — the packed microkernel.
+//! * `n == 1` — [`GemmPath::Gemv`] (the Davidson matvec shape),
+//! * small `k·n` — [`GemmPath::Scalar`]: never packed, packing overhead
+//!   would dominate on the many tiny blocks of block-sparse DMRG,
+//! * otherwise — [`GemmPath::Packed`].
+//!
+//! Inside a slab, [`panel_kernel`] picks the row-panel kernel from the tag,
+//! the panel's rows and `(k, n)`: a GEMV loop, the unpacked `TM × TN`
+//! register tile (every `Scalar`-tagged panel, and every small one with
+//! `k ≤ KC`: no `B` packing), or the packed microkernel. The choice may
+//! depend on the rows because for `k ≤ KC` all of them add each element's
+//! products in the same ascending order: Sequential, Threaded and
+//! multi-process execution stay bitwise-identical (the `tt-dist` contract).
 //!
 //! Transposed operands are handled during packing / via strided loads
 //! ([`Layout::Transposed`] no longer materializes a transposed copy).
@@ -63,19 +70,42 @@ pub const MC: usize = 128;
 /// `f64` A-block (~256 KiB) stays L2-resident.
 pub const KC: usize = 256;
 
-/// Below this `k·n` the scalar loop beats packing (threshold compares
-/// only chunking-invariant dims, keeping the path choice row-independent).
+/// Below this `k·n` a multiply is tagged [`GemmPath::Scalar`] (threshold
+/// compares only chunking-invariant dims, keeping the tag
+/// row-independent). The tag fixes the row slabs and their keys; which
+/// kernel runs inside a slab is [`panel_kernel`]'s choice.
 const PACK_MIN_KN: usize = 2048;
 
-/// Which kernel a `(k, n)` multiply runs through. Deliberately independent
-/// of `m`: row-chunked parallel execution must agree with sequential.
+/// Rows of the unpacked kernel's register tile.
+const TM: usize = 4;
+/// Columns of the unpacked kernel's register tile: two AVX2 vectors per
+/// row, so the `4 × 8` `f64` accumulator tile takes 8 of the 16 vector
+/// registers and `B` is read as unit-stride row pieces.
+const TN: usize = 8;
+
+/// Largest `rows · k · n` a [`GemmPath::Packed`] row panel runs unpacked.
+/// `bench_kernels`' `gemm_small` / `gemm_small_packed` rows bracket the
+/// crossover: at the List sweep's shapes the unpacked tile runs 1.25–4.8×
+/// as fast as packing `B` and running the microkernel (4×6×1521: 16.6 vs
+/// 3.5 GFlop/s), at 256³ (2²⁴) it runs at 0.85×. Between them, 128³ and
+/// 128×256×128 (2²²) still ran unpacked 1.35–1.5× as fast, 160×256×160 and
+/// 200³ packed ~1.1× as fast.
+const SMALL_MAX_MNK: usize = 1 << 22;
+
+/// The kernel family a `(k, n)` multiply is tagged with. Deliberately
+/// independent of `m`: the tag fixes the row slabs (MC-aligned on the
+/// packed path), their resident keys and the worker's wire byte, and
+/// row-chunked parallel execution must agree with sequential.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum GemmPath {
     /// Fused output width 1: matrix–vector product.
     Gemv,
-    /// Small problem: plain scalar loop, no packing.
+    /// Small `k·n`: never packed. Its panels run the unpacked register
+    /// tile, which adds each element's products in ascending `l` onto `C`
+    /// for every `k`.
     Scalar,
-    /// Packed panels + register-tiled microkernel.
+    /// Packed panels + register-tiled microkernel; small panels with
+    /// `k ≤ KC` run unpacked (see [`panel_kernel`]).
     Packed,
 }
 
@@ -88,6 +118,37 @@ pub fn gemm_path(k: usize, n: usize) -> GemmPath {
         GemmPath::Scalar
     } else {
         GemmPath::Packed
+    }
+}
+
+/// The kernel that runs one row panel of a multiply tagged `path`.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum PanelKernel {
+    /// One register-summed dot product per row ([`gemv_acc_rows`]).
+    Gemv,
+    /// The unpacked `TM × TN` register tile ([`gemm_acc_small_rows`]).
+    Small,
+    /// `B` packed, the `MR × NR` microkernel ([`gemm_acc_packed_rows`]).
+    Packed,
+}
+
+/// The kernel for a `rows`-row panel of a `(k, n)` multiply tagged `path`.
+///
+/// The choice may depend on `rows` because it never moves a bit: for
+/// `k ≤ KC` every kernel adds each element's products in ascending `l`
+/// onto a zeroed `C` — the packed kernel's register sum starts at `+0.0`,
+/// so adding it to the zeroed `C` gives the same bits as the unpacked
+/// tile, which accumulates onto `C` itself. Only the packed kernel splits
+/// a sum (at `KC`), so a `Packed`-tagged `k > KC` panel never runs
+/// unpacked; a `Scalar`-tagged panel is never packed, whatever its `k`.
+pub fn panel_kernel(path: GemmPath, rows: usize, k: usize, n: usize) -> PanelKernel {
+    match path {
+        GemmPath::Gemv => PanelKernel::Gemv,
+        GemmPath::Scalar => PanelKernel::Small,
+        GemmPath::Packed if k <= KC && rows.saturating_mul(k * n) <= SMALL_MAX_MNK => {
+            PanelKernel::Small
+        }
+        GemmPath::Packed => PanelKernel::Packed,
     }
 }
 
@@ -369,6 +430,139 @@ fn micro_kernel_for(level: SimdLevel) -> MicroKernel {
     }
 }
 
+// ---------------------------------------------------------------------------
+// unpacked small-GEMM kernel + dispatch
+// ---------------------------------------------------------------------------
+
+/// A row panel `C[i0..i1, :] += A[i0..i1, :] · B` as the unpacked kernel
+/// reads it: element `(i, l)` of `A` at `a[i·a_rs + l·a_cs]`, `B` the
+/// contiguous row-major `k × n` matrix, `c` rows `[i0, i1)` only.
+#[derive(Copy, Clone)]
+struct SmallPanel<'a> {
+    i0: usize,
+    i1: usize,
+    k: usize,
+    n: usize,
+    a: &'a [f64],
+    a_rs: usize,
+    a_cs: usize,
+    b: &'a [f64],
+}
+
+/// One `R × W` tile of the unpacked kernel: rows `i..i + R`, columns
+/// `j0..j0 + W`. The tile is loaded from `c`, held in a local array across
+/// the whole `k` loop — the copy LLVM keeps in registers, as in
+/// [`microkernel_body`] — and stored once. Each element gets
+/// `c + a₀b₀ + a₁b₁ + …` in ascending `l`: the scalar loop's order.
+#[inline(always)]
+fn small_tile<const R: usize, const W: usize>(p: SmallPanel, i: usize, j0: usize, c: &mut [f64]) {
+    let n = p.n;
+    let crow = |r: usize| (i - p.i0 + r) * n + j0;
+    let mut regs = [[0.0f64; W]; R];
+    for (r, reg) in regs.iter_mut().enumerate() {
+        reg.copy_from_slice(&c[crow(r)..crow(r) + W]);
+    }
+    for l in 0..p.k {
+        let bv: &[f64; W] = p.b[l * n + j0..l * n + j0 + W]
+            .try_into()
+            .expect("W-wide B piece");
+        for (r, reg) in regs.iter_mut().enumerate() {
+            let ar = p.a[(i + r) * p.a_rs + l * p.a_cs];
+            for (rv, &bc) in reg.iter_mut().zip(bv.iter()) {
+                *rv += ar * bc;
+            }
+        }
+    }
+    for (r, reg) in regs.iter().enumerate() {
+        c[crow(r)..crow(r) + W].copy_from_slice(reg);
+    }
+}
+
+/// All columns of rows `i..i + R`: `TN`-wide tiles, then one tile each of
+/// width 4, 2 and 1 for the remainder.
+#[inline(always)]
+fn small_strip<const R: usize>(p: SmallPanel, i: usize, c: &mut [f64]) {
+    let mut j0 = 0;
+    while j0 + TN <= p.n {
+        small_tile::<R, TN>(p, i, j0, c);
+        j0 += TN;
+    }
+    if j0 + 4 <= p.n {
+        small_tile::<R, 4>(p, i, j0, c);
+        j0 += 4;
+    }
+    if j0 + 2 <= p.n {
+        small_tile::<R, 2>(p, i, j0, c);
+        j0 += 2;
+    }
+    if j0 < p.n {
+        small_tile::<R, 1>(p, i, j0, c);
+    }
+}
+
+/// The unpacked kernel over a whole panel: `TM`-row strips, then one strip
+/// of the remaining 1–3 rows.
+#[inline(always)]
+fn small_rows_body(p: SmallPanel, c: &mut [f64]) {
+    let mut i = p.i0;
+    while i + TM <= p.i1 {
+        small_strip::<TM>(p, i, c);
+        i += TM;
+    }
+    match p.i1 - i {
+        3 => small_strip::<3>(p, i, c),
+        2 => small_strip::<2>(p, i, c),
+        1 => small_strip::<1>(p, i, c),
+        _ => {}
+    }
+}
+
+/// Baseline variant (ambient codegen flags).
+///
+/// # Safety
+///
+/// None: `unsafe fn` only for signature uniformity with the feature-gated
+/// variants; callable on any CPU.
+unsafe fn small_rows_baseline(p: SmallPanel, c: &mut [f64]) {
+    small_rows_body(p, c);
+}
+
+/// AVX2+FMA variant.
+///
+/// # Safety
+///
+/// The CPU must support `avx2` and `fma` (see [`crate::simd`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn small_rows_avx2(p: SmallPanel, c: &mut [f64]) {
+    small_rows_body(p, c);
+}
+
+/// AVX-512 variant.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`, `avx512vl` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl,avx512dq")]
+unsafe fn small_rows_avx512(p: SmallPanel, c: &mut [f64]) {
+    small_rows_body(p, c);
+}
+
+type SmallFn = unsafe fn(SmallPanel, &mut [f64]);
+
+fn small_kernel_for(level: SimdLevel) -> SmallFn {
+    match level {
+        SimdLevel::Baseline => small_rows_baseline,
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => small_rows_avx2,
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => small_rows_avx512,
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => small_rows_baseline,
+    }
+}
+
 /// Packed-path macro kernel for output rows `[i0, i1)`: packs `A` blocks on
 /// the fly and drives the microkernel against a pre-packed `B`. `c` holds
 /// only rows `[i0, i1)`, row-major with leading dimension `pb.n()`.
@@ -563,6 +757,41 @@ pub fn gemm_acc_packed_rows<T: Scalar>(
 ) {
     crate::counter::add_flops(2 * ((i1 - i0) as u64) * (pb.n as u64) * (pb.k as u64));
     packed_rows(i0, i1, a, a_rs, a_cs, pb, c);
+}
+
+/// `C[i0..i1, :] += A[i0..i1, :] · B` on the unpacked `TM × TN` register
+/// tile — the row-panel entry point [`panel_kernel`] picks for small
+/// panels. `a` is the full effective matrix viewed through strides
+/// `(a_rs, a_cs)`, so a transposed `A` is read in place; `b` is the
+/// contiguous row-major `k × n` matrix; `c` holds only rows `[i0, i1)`.
+/// Bitwise equal to the plain `(i, l, j)` loop for every `k`: each element
+/// gets its products in ascending `l`, added onto `C`.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_acc_small_rows(
+    i0: usize,
+    i1: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    a_rs: usize,
+    a_cs: usize,
+    b: &[f64],
+    c: &mut [f64],
+) {
+    crate::counter::add_flops(2 * ((i1 - i0) as u64) * (n as u64) * (k as u64));
+    let p = SmallPanel {
+        i0,
+        i1,
+        k,
+        n,
+        a,
+        a_rs,
+        a_cs,
+        b,
+    };
+    // SAFETY: the variant was selected by `simd_level()`, which only
+    // reports levels whose features were detected.
+    unsafe { small_kernel_for(simd_level())(p, c) };
 }
 
 /// `y[i0..i1] += A[i0..i1, :] · b` — the `n == 1` row-panel entry point
@@ -840,6 +1069,93 @@ mod tests {
             let mut v5 = [[0.25f64; NR]; MR];
             unsafe { microkernel_avx512::<false>(kc, ap.data(), bp.data(), &mut v5) };
             assert_eq!(base, v5, "avx512 variant diverged from baseline");
+        }
+    }
+
+    #[test]
+    fn gemm_small_panel_rule_never_unpacks_split_sums() {
+        // only the packed kernel splits a sum (at KC): whatever its size, a
+        // Packed-tagged k > KC panel stays packed, while a Scalar-tagged
+        // panel (which the packed kernel never runs) is always unpacked
+        for k in [0, 1, 7, KC - 1, KC, KC + 1, 2 * KC + 3, 1000] {
+            for n in [1, 2, 7, 8, 33, 1521, 4096] {
+                let path = gemm_path(k, n);
+                for rows in [0, 1, 3, TM, 39, MC, 513, 4096] {
+                    let kernel = panel_kernel(path, rows, k, n);
+                    let at = format!("{path:?} {rows}x{k}x{n}");
+                    match path {
+                        GemmPath::Gemv => assert_eq!(kernel, PanelKernel::Gemv, "{at}"),
+                        GemmPath::Scalar => assert_eq!(kernel, PanelKernel::Small, "{at}"),
+                        GemmPath::Packed if k > KC => {
+                            assert_eq!(kernel, PanelKernel::Packed, "{at}")
+                        }
+                        GemmPath::Packed => assert_ne!(kernel, PanelKernel::Gemv, "{at}"),
+                    }
+                }
+            }
+        }
+        // the List sweep's shapes run unpacked, the cubes past the
+        // crossover packed, and the crossover is 2²² multiply-adds
+        for (m, k, n) in [
+            (4, 6, 1521),
+            (8, 7, 1521),
+            (30, 8, 30),
+            (39, 234, 39),
+            (273, 39, 39),
+            (128, 256, 128),
+        ] {
+            assert_eq!(panel_kernel(gemm_path(k, n), m, k, n), PanelKernel::Small);
+        }
+        for (m, k, n) in [(129, 256, 128), (256, 256, 256), (512, 256, 512)] {
+            assert_eq!(panel_kernel(gemm_path(k, n), m, k, n), PanelKernel::Packed);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn gemm_small_variants_agree_bitwise() {
+        // per-variant determinism is the promise; like the microkernel,
+        // the unpacked tile is in fact bitwise identical across variants,
+        // and in the scalar loop's order for every k — including the
+        // k > KC depth of a Scalar-tagged multiply (n ≤ 7)
+        let mut rng = StdRng::seed_from_u64(60);
+        for (m, k, n) in [(2 * TM + 3, 173, 3 * TN + 7), (TM + 1, 2 * KC + 3, 3)] {
+            let a = DenseTensor::<f64>::random([k, m], &mut rng);
+            let b = DenseTensor::<f64>::random([k, n], &mut rng);
+            let c0 = DenseTensor::<f64>::random([m, n], &mut rng);
+            let p = SmallPanel {
+                i0: 0,
+                i1: m,
+                k,
+                n,
+                a: a.data(),
+                a_rs: 1,
+                a_cs: m,
+                b: b.data(),
+            };
+            let mut base = c0.data().to_vec();
+            // SAFETY: the baseline variant needs no CPU feature
+            unsafe { small_rows_baseline(p, &mut base) };
+            let mut scalar = c0.data().to_vec();
+            scalar_rows(0, m, k, n, a.data(), 1, m, b.data(), n, 1, &mut scalar);
+            assert_eq!(base, scalar, "baseline variant left the scalar order");
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                let mut v2 = c0.data().to_vec();
+                // SAFETY: avx2 and fma were detected just above
+                unsafe { small_rows_avx2(p, &mut v2) };
+                assert_eq!(base, v2, "avx2 variant diverged from baseline");
+            }
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512vl")
+                && std::arch::is_x86_feature_detected!("avx512dq")
+            {
+                let mut v5 = c0.data().to_vec();
+                // SAFETY: the three avx512 features were detected just above
+                unsafe { small_rows_avx512(p, &mut v5) };
+                assert_eq!(base, v5, "avx512 variant diverged from baseline");
+            }
         }
     }
 

@@ -280,6 +280,109 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The row-panel kernels agree bit for bit on `k ≤ KC`: the unpacked
+    /// register tile, the packed microkernel, `gemm_acc_slices` on the
+    /// panel's rows (the scalar loop when the multiply is tagged `Scalar`)
+    /// and (for `n = 1`) the GEMV loop, each run whole and split at
+    /// arbitrary row boundaries, on a zeroed `C`, all equal to a plain
+    /// ascending-`l` reference loop — over zero extents, `m < TM`,
+    /// `n < TN`, `A` read transposed through strides, and ±0, ±inf and NaN
+    /// entries. Every NaN compares equal to every other: IEEE leaves the
+    /// payload of a NaN result to the hardware. On a non-zero `C` the
+    /// unpacked tile still equals the reference loop.
+    #[test]
+    fn gemm_small_kernels_agree_bitwise(
+        m in 0usize..11,
+        k_pick in 0usize..40,
+        n in 0usize..37,
+        ta in any::<bool>(),
+        seed in 0u64..1000,
+        splits in prop::collection::vec(0usize..12, 0..4),
+    ) {
+        use rand::prelude::*;
+        use tt_tensor::gemm::{
+            gemm_acc_packed_rows, gemm_acc_slices, gemm_acc_small_rows, gemv_acc_rows, PackedB,
+            KC,
+        };
+        // mostly shallow; sometimes KC − 1, KC (the deepest unpacked
+        // panel) or 100
+        let k = match k_pick {
+            0..=36 => k_pick,
+            37 => KC - 1,
+            38 => KC,
+            _ => 100,
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let special = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let value = |rng: &mut StdRng| {
+            if rng.gen_bool(0.08) {
+                special[rng.gen_range(0..special.len())]
+            } else {
+                rng.gen_range(-1.0..1.0)
+            }
+        };
+        let a: Vec<f64> = (0..m * k).map(|_| value(&mut rng)).collect();
+        let b: Vec<f64> = (0..k * n).map(|_| value(&mut rng)).collect();
+        // `a` is row-major (the GEMV kernel's contiguous `A`); `stored`
+        // is what the other kernels read, element (i, l) at
+        // stored[i·a_rs + l·a_cs]
+        let (a_rs, a_cs) = if ta { (1, m) } else { (k, 1) };
+        let stored: Vec<f64> = if ta {
+            (0..k * m).map(|q| a[(q % m) * k + q / m]).collect()
+        } else {
+            a.clone()
+        };
+        let bits = |c: &[f64]| -> Vec<u64> {
+            c.iter().map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() }).collect()
+        };
+        let mut cuts: Vec<usize> = splits.into_iter().map(|s| s % (m + 1)).collect();
+        cuts.extend([0, m]);
+        cuts.sort_unstable();
+        // the reference order: each element's products in ascending l,
+        // added onto C
+        let reference = |c: &mut [f64]| {
+            for i in 0..m {
+                for l in 0..k {
+                    for j in 0..n {
+                        c[i * n + j] += a[i * k + l] * b[l * n + j];
+                    }
+                }
+            }
+        };
+        let pb = PackedB::pack(k, n, &b, n, 1);
+        // one kernel over rows [r0, r1) into a fresh zeroed panel
+        let run = |kernel: &str, r0: usize, r1: usize| -> Vec<f64> {
+            let mut c = vec![0.0; (r1 - r0) * n];
+            match kernel {
+                "small" => gemm_acc_small_rows(r0, r1, k, n, &stored, a_rs, a_cs, &b, &mut c),
+                "slices" => gemm_acc_slices(r1 - r0, k, n, &a[r0 * k..r1 * k], &b, &mut c),
+                "packed" => gemm_acc_packed_rows(r0, r1, &stored, a_rs, a_cs, &pb, &mut c),
+                _ => gemv_acc_rows(r0, r1, k, &a, &b, 1, &mut c),
+            }
+            c
+        };
+        let mut want = vec![0.0; m * n];
+        reference(&mut want);
+        let want = bits(&want);
+        let kernels = ["small", "slices", "packed", "gemv"];
+        for kernel in &kernels[..if n == 1 { 4 } else { 3 }] {
+            prop_assert!(bits(&run(kernel, 0, m)) == want,
+                "kernel {} whole, {}x{}x{} ta={}", kernel, m, k, n, ta);
+            let split: Vec<f64> = cuts.windows(2).flat_map(|w| run(kernel, w[0], w[1])).collect();
+            prop_assert!(bits(&split) == want,
+                "kernel {} split at {:?}, {}x{}x{} ta={}", kernel, cuts, m, k, n, ta);
+        }
+        let c0: Vec<f64> = (0..m * n).map(|_| value(&mut rng)).collect();
+        let (mut small, mut reference_c) = (c0.clone(), c0);
+        gemm_acc_small_rows(0, m, k, n, &stored, a_rs, a_cs, &b, &mut small);
+        reference(&mut reference_c);
+        prop_assert!(bits(&small) == bits(&reference_c), "non-zero C, {}x{}x{}", m, k, n);
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The sorted-merge ss kernel agrees with a naive quadratic reference
