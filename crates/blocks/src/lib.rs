@@ -13,7 +13,7 @@
 //! * [`mod@contract`] — the `list` (Alg. 2), `sparse-dense` and `sparse-sparse`
 //!   contraction algorithms, all dispatched through a
 //!   [`tt_dist::Executor`],
-//! * [`linalg`] — block SVD/QR via the list method with *global* singular
+//! * [`linalg`] — block SVD via the list method with *global* singular
 //!   value truncation,
 //! * [`model::BlockModel`] — the empirical block model and the Table II
 //!   complexity formulas.
@@ -30,7 +30,7 @@ pub use contract::{
     contract, contract_chain, contract_resident, Algorithm, ResidentChain, ResidentOperand,
 };
 pub use index::QnIndex;
-pub use linalg::{block_qr, block_svd, scale_bond, BlockDiag, BlockSvd};
+pub use linalg::{block_svd, scale_bond, BlockDiag, BlockSvd};
 pub use model::BlockModel;
 pub use qn::{Arrow, QN};
 

@@ -1,4 +1,4 @@
-//! Block-sparse SVD and QR via the list method.
+//! Block-sparse SVD via the list method.
 //!
 //! "For all algorithms, the SVD portion of DMRG is performed via the list
 //! method": the order-r tensor is wrapped into an effective matrix, blocks
@@ -335,90 +335,6 @@ pub fn block_svd(
     })
 }
 
-/// Thin block QR of a matricized block tensor: `t = Q·R` with `Q` carrying
-/// the row indices + bond(`Out`) (flux 0) and `R` carrying bond(`In`) +
-/// column indices (original flux).
-pub fn block_qr(
-    exec: &Executor,
-    t: &BlockSparseTensor,
-    row_modes: &[usize],
-    col_modes: &[usize],
-) -> Result<(BlockSparseTensor, BlockSparseTensor)> {
-    let (groups, mats) = build_groups(t, row_modes, col_modes)?;
-    if groups.is_empty() {
-        return Err(Error::Key(
-            "block_qr of a tensor with no stored blocks".into(),
-        ));
-    }
-    // independent per-group QRs fan out over the executor's pool
-    let ops: Vec<DenseOp> = mats.iter().map(DenseOp::from).collect();
-    let qrs = exec.qr_batch(&ops)?;
-
-    let mut bond_sectors: Vec<(QN, usize)> = Vec::new();
-    for (g, (q, _)) in groups.iter().zip(&qrs) {
-        bond_sectors.push((g.g.neg(), q.dims()[1]));
-    }
-    bond_sectors.sort();
-    // merge duplicates is unnecessary: groups have distinct g
-    let bond_out = QnIndex::new(Arrow::Out, bond_sectors.clone());
-    let bond_in = bond_out.dual();
-
-    let arity = t.flux().n_charges();
-    let mut q_indices: Vec<QnIndex> = row_modes.iter().map(|&m| t.indices()[m].clone()).collect();
-    q_indices.push(bond_out);
-    let mut qt = BlockSparseTensor::new(q_indices, QN::zero(arity));
-
-    let mut r_indices: Vec<QnIndex> = vec![bond_in];
-    r_indices.extend(col_modes.iter().map(|&m| t.indices()[m].clone()));
-    let mut rt = BlockSparseTensor::new(r_indices, t.flux());
-
-    for (g, (qm, rm)) in groups.iter().zip(&qrs) {
-        let k = qm.dims()[1];
-        let bond_sector_id = bond_sectors
-            .iter()
-            .position(|&(q, _)| q == g.g.neg())
-            .expect("present") as u16;
-        for (rk, ro, rd) in &g.rows {
-            let mut dims: Vec<usize> = rk
-                .iter()
-                .zip(row_modes)
-                .map(|(&s, &m)| t.indices()[m].sector_dim(s as usize))
-                .collect();
-            dims.push(k);
-            let mut flat = DenseTensor::zeros([*rd, k]);
-            for i in 0..*rd {
-                for j in 0..k {
-                    flat.set(&[i, j], qm.at(&[ro + i, j]));
-                }
-            }
-            let mut key: BlockKey = rk.clone();
-            key.push(bond_sector_id);
-            qt.insert_block(key, flat.reshape(dims)?)?;
-        }
-        for (ck, co, cd) in &g.cols {
-            let mut dims: Vec<usize> = vec![k];
-            dims.extend(
-                ck.iter()
-                    .zip(col_modes)
-                    .map(|(&s, &m)| t.indices()[m].sector_dim(s as usize)),
-            );
-            let mut flat = DenseTensor::zeros([k, *cd]);
-            for i in 0..k {
-                for j in 0..*cd {
-                    flat.set(&[i, j], rm.at(&[i, co + j]));
-                }
-            }
-            let mut key: BlockKey = vec![bond_sector_id];
-            key.extend_from_slice(ck);
-            let block = flat.reshape(dims)?;
-            if block.max_abs() > 0.0 {
-                rt.insert_block(key, block)?;
-            }
-        }
-    }
-    Ok((qt, rt))
-}
-
 /// Multiply `t` along its mode `mode` (a bond index) by per-sector diagonal
 /// values — used to absorb singular values into `U` or `Vᵀ`.
 pub fn scale_bond(
@@ -604,19 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn qr_reconstructs_and_isometry() {
-        let t = two_site_like();
-        let exec = Executor::local();
-        let (q, r) = block_qr(&exec, &t, &[0, 1], &[2, 3]).unwrap();
-        let rec = contract_list(&exec, "abk,kcd->abcd", &q, &r).unwrap();
-        assert!(rec.to_dense().allclose(&t.to_dense(), 1e-9));
-        let qdag = q.conj();
-        let gram = contract_list(&exec, "abk,abl->kl", &qdag, &q).unwrap();
-        let g = gram.to_dense();
-        assert!(g.allclose(&DenseTensor::eye(g.dims()[0]), 1e-9));
-    }
-
-    #[test]
     fn svd_with_duplicate_charge_sectors() {
         // indices produced by MPS direct sums carry repeated QN values in
         // separate sectors; the SVD must group them into one charge sector
@@ -661,7 +564,6 @@ mod tests {
         assert_eq!(t.allowed_keys().len(), 0);
         let exec = Executor::local();
         assert!(block_svd(&exec, &t, &[0], &[1], TruncSpec::default()).is_err());
-        assert!(block_qr(&exec, &t, &[0], &[1]).is_err());
     }
 
     #[test]

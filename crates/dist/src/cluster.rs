@@ -233,7 +233,6 @@ fn journal_class(req: &Request) -> JClass {
         }
         | Request::SdChunk { .. }
         | Request::SsChunk { .. }
-        | Request::QrThin { .. }
         | Request::SvdTrunc { .. }
         | Request::Shutdown => JClass::Skip,
     }

@@ -30,7 +30,7 @@ pub struct SimTime {
     pub transpose: f64,
     /// Communication (α supersteps + β volume).
     pub comm: f64,
-    /// Dense SVD/QR time.
+    /// Dense SVD time.
     pub svd: f64,
     /// Idle time from uneven tile sizes on the process grid.
     pub imbalance: f64,

@@ -1,6 +1,6 @@
 //! Worker-side chains: the planner that turns [`ChainStep`]s into fused
 //! supersteps (placement, redistribution, charging), its in-process leg,
-//! and the exits of a resident result (`download*`, `free_result*`).
+//! and the exits of a resident result (`download*`, `free_results`).
 
 use super::keys;
 use super::residency::{OpCharge, Superstep};
@@ -123,7 +123,7 @@ impl Executor {
     /// last consumer has run: in-process its buffer goes back to the
     /// workspace there and then, on the cluster the chain ends with the
     /// `Free`s. [`Executor::download`] / [`Executor::download_many`] are the
-    /// only value-returning exits; [`Executor::free_result`] discards. A
+    /// only value-returning exits; [`Executor::free_results`] discards. A
     /// contraction that should just *produce a handle* is a one-step chain.
     ///
     /// Placement: a step runs on the rank holding its largest resident
@@ -604,12 +604,8 @@ impl Executor {
         }
     }
 
-    /// Discard a resident result without downloading it.
-    pub fn free_result(&self, h: ResultHandle) -> Result<()> {
-        self.free_results(vec![h])
-    }
-
-    /// Discard many resident results in one superstep.
+    /// Discard resident results without downloading them, in one
+    /// superstep.
     pub fn free_results(&self, hs: Vec<ResultHandle>) -> Result<()> {
         let reqs = {
             let mut res = self.residency.lock();

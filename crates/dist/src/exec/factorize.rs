@@ -1,4 +1,5 @@
-//! Truncated SVD and thin QR, single and batched, through one driver.
+//! Truncated SVD, single and batched: the one dense factorization a sweep
+//! runs.
 
 use super::keys;
 use super::residency::{whole_home, OpCharge, Superstep, MAP_OVERHEAD_S};
@@ -8,7 +9,7 @@ use super::{DenseOp, Executor};
 use crate::cluster::Placement;
 use crate::cost;
 use crate::kernels;
-use crate::transport::worker::{Op, Reply, Request};
+use crate::transport::worker::{Reply, Request};
 use crate::{Error, Result};
 use tt_linalg::{TruncSpec, TruncatedSvd};
 use tt_tensor::DenseTensor;
@@ -30,16 +31,6 @@ impl Executor {
         Ok(out.pop().expect("one matrix, one factorization"))
     }
 
-    /// Distributed thin QR of a matrix, by value or by resident handle:
-    /// one `qr_thin`, whatever the panel's shape.
-    pub fn qr<'a>(
-        &self,
-        a: impl Into<DenseOp<'a>>,
-    ) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
-        let mut out = self.qr_batch(&[a.into()])?;
-        Ok(out.pop().expect("one matrix, one factorization"))
-    }
-
     /// Truncated SVDs of many independent matrices (the sector groups of a
     /// block SVD), each by value or by resident handle. In
     /// [`ExecMode::Threaded`] the factorizations fan out over the pool,
@@ -49,64 +40,32 @@ impl Executor {
     /// when it is on none) — so after the first batch against the same
     /// handles, zero operand bytes ship. Results return in submission
     /// order and costs are charged in that order, so factors and counters
-    /// match the serial loop of [`Executor::svd_trunc`] exactly.
-    pub fn svd_trunc_batch(&self, mats: &[DenseOp], spec: TruncSpec) -> Result<Vec<TruncatedSvd>> {
-        self.factorize(
-            mats,
-            14.0,
-            &|rows, cols, a| Request::SvdTrunc {
-                rows,
-                cols,
-                a,
-                max_rank: spec.max_rank as u64,
-                cutoff: spec.cutoff,
-                min_keep: spec.min_keep as u64,
-            },
-            &decode_svd,
-            &|m| kernels::svd_trunc(m, spec),
-        )
-    }
-
-    /// Thin QRs of many independent matrices (the sector groups of a block
-    /// QR); see [`Executor::svd_trunc_batch`].
-    pub fn qr_batch(&self, mats: &[DenseOp]) -> Result<Vec<(DenseTensor<f64>, DenseTensor<f64>)>> {
-        self.factorize(
-            mats,
-            4.0,
-            &|rows, cols, a| Request::QrThin { rows, cols, a },
-            &decode_qr,
-            &tt_linalg::qr_thin,
-        )
-    }
-
-    /// The one factorization driver: factor every matrix of `mats` — on
-    /// the worker `make_req` addresses and `decode` reads back, or with
-    /// `local` in-process — and charge each, in submission order: what a
+    /// match the serial loop of [`Executor::svd_trunc`] exactly: what a
     /// contraction charges a whole operand (nothing extra by value, the
     /// one-time upload on a handle's first observation), then the
-    /// factorization costing `flop_coeff · max(m,n) · min²` flops.
-    fn factorize<R: Send>(
-        &self,
-        mats: &[DenseOp],
-        flop_coeff: f64,
-        make_req: &dyn Fn(usize, usize, Op) -> Request,
-        decode: &dyn Fn(Reply) -> Result<R>,
-        local: &(dyn Fn(&DenseTensor<f64>) -> tt_linalg::Result<R> + Sync),
-    ) -> Result<Vec<R>> {
+    /// factorization. A batch holding anything but matrices fails on every
+    /// backend before it charges or sends anything.
+    pub fn svd_trunc_batch(&self, mats: &[DenseOp], spec: TruncSpec) -> Result<Vec<TruncatedSvd>> {
         let tensors = mats
             .iter()
             .map(|m| m.tensor())
             .collect::<Result<Vec<_>>>()?;
+        if let Some((i, t)) = tensors.iter().enumerate().find(|(_, t)| t.order() != 2) {
+            return Err(Error::Linalg(tt_linalg::Error::Shape(format!(
+                "svd_trunc_batch: operand {i} has dims {:?}, not a matrix",
+                t.dims()
+            ))));
+        }
         let charge = |op: &DenseOp, t: &DenseTensor<f64>| {
             if let OpCharge::Miss(w) = self.op_state(op.handle(), keys::whole, t.len()) {
                 if self.ranks > 1 {
                     cost::charge(&self.tracker, |tr| tr.charge_superstep(8 * w as u64));
                 }
             }
-            self.charge_factorization(t.dims(), flop_coeff);
+            self.charge_factorization(t.dims());
         };
         let mut out = Vec::with_capacity(mats.len());
-        if let (Some(cl), true) = (&self.cluster, tensors.iter().all(|t| t.order() == 2)) {
+        if let Some(cl) = &self.cluster {
             let mut cl = cl.lock();
             let mut placement = Placement::new(cl.ranks());
             let mut step = Superstep::default();
@@ -114,14 +73,22 @@ impl Executor {
                 let mut res = self.residency.lock();
                 for (op, t) in mats.iter().zip(&tensors) {
                     let rank = placement.place([whole_home(&res, op)]);
-                    let field = step.whole(&mut res, *op, rank)?;
-                    step.task(rank, make_req(t.dims()[0], t.dims()[1], field));
+                    let a = step.whole(&mut res, *op, rank)?;
+                    let req = Request::SvdTrunc {
+                        rows: t.dims()[0],
+                        cols: t.dims()[1],
+                        a,
+                        max_rank: spec.max_rank as u64,
+                        cutoff: spec.cutoff,
+                        min_keep: spec.min_keep as u64,
+                    };
+                    step.task(rank, req);
                 }
             }
             let replies = step.run(&mut cl)?;
             drop(cl);
             for ((reply, op), t) in replies.into_iter().zip(mats).zip(tensors) {
-                out.push(decode(reply)?);
+                out.push(decode_svd(reply)?);
                 charge(op, t);
             }
             return Ok(out);
@@ -129,7 +96,9 @@ impl Executor {
         // in-process, charging per matrix in submission order exactly like
         // the cluster path (same float accumulation order ⇒ bitwise-equal
         // counters across backends)
-        let results = kernels::ordered_map(self.pool(), tensors.len(), |i| local(tensors[i]));
+        let results = kernels::ordered_map(self.pool(), tensors.len(), |i| {
+            kernels::svd_trunc(tensors[i], spec)
+        });
         for ((r, op), t) in results.into_iter().zip(mats).zip(tensors) {
             out.push(r?);
             charge(op, t);
@@ -137,13 +106,13 @@ impl Executor {
         Ok(out)
     }
 
-    /// Charge an `m×n` dense factorization costing `c · max(m,n) · min²`
-    /// flops: ScaLAPACK-style half-efficiency compute plus a TSQR-shaped
-    /// reduction tree (one n×n R per level).
-    fn charge_factorization(&self, dims: &[usize], flop_coeff: f64) {
-        let (m, n) = (dims[0].max(1), dims.get(1).copied().unwrap_or(1).max(1));
+    /// Charge an `m×n` truncated SVD costing `14 · max(m,n) · min²` flops:
+    /// ScaLAPACK-style half-efficiency compute plus a TSQR-shaped reduction
+    /// tree (one n×n R per level).
+    fn charge_factorization(&self, dims: &[usize]) {
+        let (m, n) = (dims[0].max(1), dims[1].max(1));
         let k = m.min(n);
-        let flops = (flop_coeff * (m.max(n) as f64) * (k as f64) * (k as f64)) as u64;
+        let flops = (14.0 * (m.max(n) as f64) * (k as f64) * (k as f64)) as u64;
         let p = self.ranks as f64;
         let rate = self.machine.dense_rate((k as f64 / p.sqrt()).max(1.0));
         cost::charge(&self.tracker, |tr| {
@@ -178,23 +147,5 @@ fn decode_svd(reply: Reply) -> Result<TruncatedSvd> {
             n_discarded: n_discarded as usize,
         }),
         other => Err(Error::transport(format!("expected SVD, got {other:?}"))),
-    }
-}
-
-/// Rebuild a `(Q, R)` pair from its wire reply.
-fn decode_qr(reply: Reply) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
-    match reply {
-        Reply::Factors {
-            q_rows,
-            q_cols,
-            q,
-            r_rows,
-            r_cols,
-            r,
-        } => Ok((
-            DenseTensor::from_vec([q_rows, q_cols], q)?,
-            DenseTensor::from_vec([r_rows, r_cols], r)?,
-        )),
-        other => Err(Error::transport(format!("expected QR, got {other:?}"))),
     }
 }

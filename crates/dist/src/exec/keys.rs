@@ -21,7 +21,7 @@ const TAG_DENSE_A: u64 = 0xA1; // slab-partitioned permuted A
 const TAG_MAT_B: u64 = 0xB1; // replicated permuted matrix
 const TAG_SD_A: u64 = 0x5D; // volume-bucketed sparse-dense coords
 const TAG_SS_A: u64 = 0x55; // row-bucketed sparse-sparse coords
-const TAG_WHOLE: u64 = 0xF0; // whole tensor (pairs, SVD/QR inputs)
+const TAG_WHOLE: u64 = 0xF0; // whole tensor (pairs, SVD inputs)
 
 fn derive(parts: &[u64]) -> Fnv {
     Fnv::new().u64s(parts.iter().copied())

@@ -40,7 +40,7 @@
 //! cluster is `residency::Superstep`: `ensure` an upload wherever a rank
 //! lacks a buffer, queue the `task`s, `run` — every request that carries
 //! work (`DenseChunk`, `Contract`, `SdChunk`, `SsChunk`, `ChainSd`,
-//! `QrThin`, `SvdTrunc`) is assembled and sent there; the bare
+//! `SvdTrunc`) is assembled and sent there; the bare
 //! `call_all`s left outside it (`Free`s, `CacheStats`, `Download`s, the
 //! chain's error sweep) carry none. The frames a fixed script sends are
 //! pinned by `tests::protocol_trace_matches_golden`.

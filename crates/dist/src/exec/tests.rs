@@ -188,7 +188,6 @@ fn factorization_batches_match_singles() {
         .iter()
         .map(|m| single.svd_trunc(m, spec).unwrap())
         .collect();
-    let qrs_ref: Vec<_> = mats.iter().map(|m| single.qr(m).unwrap()).collect();
     for mode in [ExecMode::Sequential, ExecMode::Threaded] {
         let batch = Executor::with_machine(Machine::stampede2(4), 1, mode);
         let svds = batch.svd_trunc_batch(&ops(&mats), spec).unwrap();
@@ -196,11 +195,6 @@ fn factorization_batches_match_singles() {
             assert_eq!(s.s, r.s, "{mode:?}");
             assert_eq!(s.u.data(), r.u.data(), "{mode:?}");
             assert_eq!(s.vt.data(), r.vt.data(), "{mode:?}");
-        }
-        let qrs = batch.qr_batch(&ops(&mats)).unwrap();
-        for ((q, rr), (q2, r2)) in qrs.iter().zip(&qrs_ref) {
-            assert_eq!(q.data(), q2.data(), "{mode:?}");
-            assert_eq!(rr.data(), r2.data(), "{mode:?}");
         }
         assert_eq!(batch.total_flops(), single.total_flops(), "{mode:?}");
         assert_eq!(
@@ -323,10 +317,6 @@ fn multi_process_backend_bitwise_matches_sequential() {
     assert_eq!(ts.u.data(), tm.u.data());
     assert_eq!(ts.vt.data(), tm.vt.data());
     assert_eq!(ts.trunc_err.to_bits(), tm.trunc_err.to_bits());
-    let (qs, rs) = seq.qr(&mat).unwrap();
-    let (qm, rm) = mp.qr(&mat).unwrap();
-    assert_eq!(qs.data(), qm.data());
-    assert_eq!(rs.data(), rm.data());
 
     // identical cost accounting: same machine model, same charges
     assert_eq!(seq.total_flops(), mp.total_flops());
@@ -378,12 +368,6 @@ fn multi_process_contract_batch_matches_sequential() {
         assert_eq!(s.s, m.s);
         assert_eq!(s.u.data(), m.u.data());
         assert_eq!(s.vt.data(), m.vt.data());
-    }
-    let qr_seq = seq.qr_batch(&ops(&mats)).unwrap();
-    let qr_mp = mp.qr_batch(&ops(&mats)).unwrap();
-    for ((q1, r1), (q2, r2)) in qr_seq.iter().zip(&qr_mp) {
-        assert_eq!(q1.data(), q2.data());
-        assert_eq!(r1.data(), r2.data());
     }
     assert_eq!(seq.total_flops(), mp.total_flops());
     assert_eq!(
@@ -545,7 +529,7 @@ fn chains_compose_prev_acc_and_res_bitwise() {
         .unwrap();
     let h_y = out.pop().unwrap().unwrap();
     assert_eq!(exec.download(h_y).unwrap().data(), y_ref.data());
-    exec.free_result(h1).unwrap();
+    exec.free_results(vec![h1]).unwrap();
 
     // malformed chains surface as errors
     assert!(
@@ -667,8 +651,8 @@ fn multi_process_chains_bitwise_and_collapse_result_bytes() {
 
 /// A tall panel (≥ 32 rows, ≥ 8× as many rows as columns) is SVD'd as
 /// `qr_thin`, then the SVD of `R`, then `U = Q · U_R` — bit for bit on
-/// every backend — and QR'd as plain `qr_thin`; anything else is one
-/// `svd_trunc`. A batch holding tall and square panels is one superstep.
+/// every backend; anything else is one `svd_trunc`. A batch holding tall
+/// and square panels is one superstep.
 #[test]
 fn tall_panels_factor_through_qr_first() {
     use crate::transport::RecordingTransport;
@@ -699,8 +683,8 @@ fn tall_panels_factor_through_qr_first() {
         Executor::multi_process(Machine::blue_waters(2), 2, 2, spawn).unwrap()
     });
     for (a, tall) in &panels {
-        let (q, r) = tt_linalg::qr_thin(a).unwrap();
         let reference = if *tall {
+            let (q, r) = tt_linalg::qr_thin(a).unwrap();
             let t = tt_linalg::svd_trunc(&r, spec).unwrap();
             TruncatedSvd {
                 u: tt_tensor::gemm_f64(&q, &t.u).unwrap(),
@@ -720,8 +704,6 @@ fn tall_panels_factor_through_qr_first() {
                 reference.trunc_err.to_bits(),
                 "{what}"
             );
-            let (qe, re) = exec.qr(a).unwrap();
-            assert_eq!((qe.data(), re.data()), (q.data(), r.data()), "{what}");
         }
     }
 
@@ -757,23 +739,55 @@ fn tall_panels_factor_through_qr_first() {
 }
 
 #[test]
-fn svd_and_qr_are_exact_and_charged() {
+fn svd_is_exact_and_charged() {
     let mut rng = StdRng::seed_from_u64(46);
     let a = DenseTensor::<f64>::random([40, 12], &mut rng);
     let exec = Executor::with_machine(Machine::stampede2(4), 1, ExecMode::Sequential);
-    let (q, r) = exec.qr(&a).unwrap();
-    let (q2, r2) = tt_linalg::qr_thin(&a).unwrap();
-    assert_eq!(q.data(), q2.data());
-    assert_eq!(r.data(), r2.data());
     let spec = TruncSpec {
         max_rank: 8,
         cutoff: 0.0,
         min_keep: 1,
     };
     let t = exec.svd_trunc(&a, spec).unwrap();
+    let t2 = tt_linalg::svd_trunc(&a, spec).unwrap();
+    assert_eq!((t.u.data(), &t.s), (t2.u.data(), &t2.s));
+    assert_eq!(t.vt.data(), t2.vt.data());
     assert_eq!(t.s.len(), 8);
     assert!(exec.sim_time().svd > 0.0);
     assert!(exec.supersteps() > 0);
+}
+
+/// A batch holding a non-matrix fails on every backend before anything
+/// is charged or sent, whatever matrices stand ahead of it.
+#[test]
+fn factorization_batch_with_a_non_matrix_fails_up_front() {
+    let mut rng = StdRng::seed_from_u64(74);
+    let matrix = DenseTensor::<f64>::random([20, 8], &mut rng);
+    let cube = DenseTensor::<f64>::random([3, 4, 5], &mut rng);
+    let spec = TruncSpec {
+        max_rank: 6,
+        cutoff: 0.0,
+        min_keep: 1,
+    };
+    let mut execs = vec![
+        Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential),
+        Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Threaded),
+    ];
+    #[cfg(unix)]
+    execs.push({
+        let spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
+        Executor::multi_process(Machine::blue_waters(2), 2, 2, spawn).unwrap()
+    });
+    for exec in &execs {
+        let before = counters(exec);
+        let batch = [(&matrix).into(), (&cube).into()];
+        assert!(
+            matches!(exec.svd_trunc_batch(&batch, spec), Err(Error::Linalg(_))),
+            "{:?}",
+            exec.backend()
+        );
+        assert_eq!(counters(exec), before, "{:?}", exec.backend());
+    }
 }
 
 /// Every cost counter of an executor, floats by bit pattern.
@@ -815,16 +829,12 @@ fn mixed_factorization_batch(make: impl Fn() -> Executor) -> Vec<Vec<f64>> {
     }
     let mixed = |h| mixed_ops(&mats, h);
     let hs: Vec<OpHandle> = mats[1..3].iter().map(|m| single.upload(m)).collect();
-    let (mut svds_ref, mut qrs_ref) = (Vec::new(), Vec::new());
-    for op in mixed(&hs) {
-        svds_ref.push(single.svd_trunc(op, spec).unwrap());
-    }
-    for op in mixed(&hs) {
-        qrs_ref.push(single.qr(op).unwrap());
-    }
+    let svds_ref: Vec<TruncatedSvd> = mixed(&hs)
+        .into_iter()
+        .map(|op| single.svd_trunc(op, spec).unwrap())
+        .collect();
     let hb: Vec<OpHandle> = mats[1..3].iter().map(|m| batch.upload(m)).collect();
     let svds = batch.svd_trunc_batch(&mixed(&hb), spec).unwrap();
-    let qrs = batch.qr_batch(&mixed(&hb)).unwrap();
     let mut bits = Vec::new();
     for (s, r) in svds.iter().zip(&svds_ref) {
         assert_eq!(s.s, r.s);
@@ -833,19 +843,13 @@ fn mixed_factorization_batch(make: impl Fn() -> Executor) -> Vec<Vec<f64>> {
         assert_eq!(s.trunc_err.to_bits(), r.trunc_err.to_bits());
         bits.push(s.u.data().to_vec());
     }
-    for ((q, rr), (q2, r2)) in qrs.iter().zip(&qrs_ref) {
-        assert_eq!(q.data(), q2.data());
-        assert_eq!(rr.data(), r2.data());
-        bits.push(q.data().to_vec());
-    }
     assert_eq!(counters(&batch), counters(&single));
     // second pass: the handles are resident, so only the two value
-    // matrices (and nothing else) ship — once per batch
+    // matrices (and nothing else) ship
     let before = batch.operand_bytes();
     batch.svd_trunc_batch(&mixed(&hb), spec).unwrap();
-    batch.qr_batch(&mixed(&hb)).unwrap();
     let by_value = match batch.backend() {
-        Backend::MultiProcess { .. } => 2 * 8 * (mats[0].len() + mats[3].len()) as u64,
+        Backend::MultiProcess { .. } => 8 * (mats[0].len() + mats[3].len()) as u64,
         Backend::InProcess(_) => 0,
     };
     assert_eq!(
@@ -907,18 +911,12 @@ fn factorization_handle_batches_match_value_batches() {
     };
     let exec = Executor::with_machine(Machine::stampede2(4), 1, ExecMode::Sequential);
     let svds_ref = exec.svd_trunc_batch(&ops(&mats), spec).unwrap();
-    let qrs_ref = exec.qr_batch(&ops(&mats)).unwrap();
     let handles: Vec<OpHandle> = mats.iter().map(|m| exec.upload(m)).collect();
     let svds = exec.svd_trunc_batch(&ops(&handles), spec).unwrap();
     for (s, r) in svds.iter().zip(&svds_ref) {
         assert_eq!(s.s, r.s);
         assert_eq!(s.u.data(), r.u.data());
         assert_eq!(s.vt.data(), r.vt.data());
-    }
-    let qrs = exec.qr_batch(&ops(&handles)).unwrap();
-    for ((q, rr), (q2, r2)) in qrs.iter().zip(&qrs_ref) {
-        assert_eq!(q.data(), q2.data());
-        assert_eq!(rr.data(), r2.data());
     }
     for h in &handles {
         exec.free(h).unwrap();
@@ -1620,10 +1618,7 @@ fn protocol_trace_matches_golden() {
     };
     for _ in 0..2 {
         exec.svd_trunc_batch(&batch, spec).unwrap();
-        exec.qr_batch(&batch).unwrap();
-        exec.qr(&ht).unwrap();
     }
-    exec.qr(&tall).unwrap();
     exec.svd_trunc(&ht, spec).unwrap();
 
     // -- chains. `big` is resident on rank 1 only (second pair of a batch),

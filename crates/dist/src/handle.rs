@@ -162,7 +162,7 @@ impl OpHandle {
 /// driver-issued (the driver never sees the bytes, so it cannot content-
 /// hash them) and ownership is linear: every handle must be consumed by
 /// exactly one [`crate::Executor::download`] or
-/// [`crate::Executor::free_result`].
+/// [`crate::Executor::free_results`].
 pub struct ResultHandle {
     pub(crate) key: u64,
     pub(crate) dims: Vec<usize>,

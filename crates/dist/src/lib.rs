@@ -1,7 +1,7 @@
 //! `tt-dist` — the simulated distributed-memory execution runtime.
 //!
 //! This crate plays the role that MPI + Cyclops (CTF) + ScaLAPACK play in
-//! the paper: every block-sparse contraction and SVD/QR in the workspace
+//! the paper: every block-sparse contraction and SVD in the workspace
 //! is dispatched through an [`Executor`] that
 //!
 //! * computes the *exact* same numbers as the serial code (the simulated
@@ -37,12 +37,12 @@
 //! | [`Executor::contract_ss`] | `impl Into<SparseOp>`, `&SparseTensor<f64>`, output mask |
 //! | [`Executor::contract_batch`] | `&[(DenseOp, DenseOp)]` |
 //! | [`Executor::chain`] | [`ChainStep`]s over [`ChainSrc`] operands; results stay resident |
-//! | [`Executor::svd_trunc`], [`Executor::qr`] | `impl Into<DenseOp>` |
-//! | [`Executor::svd_trunc_batch`], [`Executor::qr_batch`] | `&[DenseOp]` |
+//! | [`Executor::svd_trunc`] | `impl Into<DenseOp>` |
+//! | [`Executor::svd_trunc_batch`] | `&[DenseOp]` |
 //! | [`Executor::upload`], [`Executor::upload_shared`], [`Executor::upload_sparse`], [`Executor::free`] | operand residency |
-//! | [`Executor::download`], [`Executor::download_many`], [`Executor::free_result`], [`Executor::free_results`] | result residency |
+//! | [`Executor::download`], [`Executor::download_many`], [`Executor::free_results`] | result residency |
 //!
-//! The worker protocol under it — 14 requests — is tabulated in
+//! The worker protocol under it — 13 requests — is tabulated in
 //! [`transport`].
 
 mod cluster;

@@ -115,7 +115,7 @@ impl RecordingTransport {
                 writes.push(*store);
             }
             Request::SsChunk { a, .. } => reads.extend(a.key()),
-            Request::QrThin { a, .. } | Request::SvdTrunc { a, .. } => reads.extend(a.key()),
+            Request::SvdTrunc { a, .. } => reads.extend(a.key()),
             Request::Ping | Request::CacheStats | Request::Shutdown => {}
         }
         let name = format!("{req:?}");

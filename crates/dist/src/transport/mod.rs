@@ -21,11 +21,11 @@
 //! past it. A future MPI backend is "swap this trait's implementation":
 //! the executor-side routing does not change.
 //!
-//! What travels over it is the rank-side task protocol (`worker`): 14
+//! What travels over it is the rank-side task protocol (`worker`): 13
 //! requests. A dense operand is an `Op` — `f64` data inline or a `Key`
-//! into the rank's store. The request numbers 3, 5, 6, 8, 15 and 16, reply
-//! number 3, inline-operand tag 2 and sparse-sparse operand tag 1 are
-//! retired and decode to a typed `Decode` fault.
+//! into the rank's store. The request numbers 3, 5, 6, 8, 13, 15 and 16,
+//! reply numbers 3 and 5, inline-operand tag 2 and sparse-sparse operand
+//! tag 1 are retired and decode to a typed `Decode` fault.
 //!
 //! | # | request | effect | reply |
 //! |---|---|---|---|
@@ -38,7 +38,6 @@
 //! | 10 | `Contract` | a whole dense contraction, `out` = `Reply` or `Store {key, acc}` | `Buf` or `Unit` |
 //! | 11 | `SdChunk` | one sparse-dense bucket | `Buf` |
 //! | 12 | `SsChunk` | one sparse-sparse bucket, its grouped `B` inline | `Entries` |
-//! | 13 | `QrThin` | thin QR of an `f64` matrix | `Factors` |
 //! | 14 | `SvdTrunc` | truncated SVD of an `f64` matrix | `Svd` |
 //! | 17 | `ChainSd` | a whole sparse-dense chain step, result stored | `Unit` |
 //! | 18 | `Download` | remove a dense entry and return it | `Buf` |

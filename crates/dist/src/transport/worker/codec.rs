@@ -35,10 +35,10 @@ fn get_usizes(d: &mut Dec) -> Result<Vec<usize>> {
 }
 
 /// The typed fault for a number the codec does not (or no longer)
-/// assigns. Retired numbers — request opcodes 3, 5, 6, 8, 15 and 16, reply
-/// opcode 3, inline-operand tag 2 and sparse-sparse operand tag 1 — are
-/// never reassigned, so a frame from an older peer fails here instead of
-/// being misread.
+/// assigns. Retired numbers — request opcodes 3, 5, 6, 8, 13, 15 and 16,
+/// reply opcodes 3 and 5, inline-operand tag 2 and sparse-sparse operand
+/// tag 1 — are never reassigned, so a frame from an older peer fails here
+/// instead of being misread.
 fn unknown(what: &str, v: u8) -> Error {
     DistError::new(FaultKind::Decode, None, format!("unknown {what} {v}")).into()
 }
@@ -221,12 +221,6 @@ impl Request {
                     e.put_u64s(m);
                 }
             }
-            Request::QrThin { rows, cols, a } => {
-                e.put_u8(13);
-                e.put_usize(*rows);
-                e.put_usize(*cols);
-                a.put(&mut e);
-            }
             Request::SvdTrunc {
                 rows,
                 cols,
@@ -333,11 +327,6 @@ impl Request {
                 cx_strides: d.u64s()?,
                 mask: if d.bool()? { Some(d.u64s()?) } else { None },
             },
-            13 => Request::QrThin {
-                rows: d.usize()?,
-                cols: d.usize()?,
-                a: Op::get(&mut d)?,
-            },
             14 => Request::SvdTrunc {
                 rows: d.usize()?,
                 cols: d.usize()?,
@@ -381,22 +370,6 @@ impl Reply {
                 e.put_u64s(offs);
                 e.put_f64s(vals);
                 e.put_u64(*flops);
-            }
-            Reply::Factors {
-                q_rows,
-                q_cols,
-                q,
-                r_rows,
-                r_cols,
-                r,
-            } => {
-                e.put_u8(5);
-                e.put_usize(*q_rows);
-                e.put_usize(*q_cols);
-                e.put_f64s(q);
-                e.put_usize(*r_rows);
-                e.put_usize(*r_cols);
-                e.put_f64s(r);
             }
             Reply::Svd {
                 u_rows,
@@ -449,14 +422,6 @@ impl Reply {
                 offs: d.u64s()?,
                 vals: d.f64s()?,
                 flops: d.u64()?,
-            },
-            5 => Reply::Factors {
-                q_rows: d.usize()?,
-                q_cols: d.usize()?,
-                q: d.f64s()?,
-                r_rows: d.usize()?,
-                r_cols: d.usize()?,
-                r: d.f64s()?,
             },
             6 => Reply::Svd {
                 u_rows: d.usize()?,

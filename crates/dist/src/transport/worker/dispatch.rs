@@ -148,18 +148,6 @@ impl WorkerState {
                 let (offs, vals) = entries.into_iter().unzip();
                 Ok(Reply::Entries { offs, vals, flops })
             }
-            Request::QrThin { rows, cols, a } => {
-                let a = Self::take(self.op(a)?);
-                let (q, r) = tt_linalg::qr_thin(&DenseTensor::from_vec([rows, cols], a)?)?;
-                Ok(Reply::Factors {
-                    q_rows: q.dims()[0],
-                    q_cols: q.dims()[1],
-                    q: q.into_data(),
-                    r_rows: r.dims()[0],
-                    r_cols: r.dims()[1],
-                    r: r.into_data(),
-                })
-            }
             Request::SvdTrunc {
                 rows,
                 cols,

@@ -114,8 +114,6 @@ pub(crate) enum Request {
         cx_strides: Vec<u64>,
         mask: Option<Vec<u64>>,
     },
-    /// Thin QR of a `rows × cols` `f64` matrix.
-    QrThin { rows: usize, cols: usize, a: Op },
     /// Truncated SVD of a `rows × cols` `f64` matrix.
     SvdTrunc {
         rows: usize,
@@ -163,15 +161,6 @@ pub(crate) enum Reply {
         offs: Vec<u64>,
         vals: Vec<f64>,
         flops: u64,
-    },
-    /// A `(Q, R)` factor pair with explicit dimensions.
-    Factors {
-        q_rows: usize,
-        q_cols: usize,
-        q: Vec<f64>,
-        r_rows: usize,
-        r_cols: usize,
-        r: Vec<f64>,
     },
     /// A truncated SVD.
     Svd {
@@ -251,7 +240,7 @@ impl Request {
                 coords(a) + b.payload_bytes()
             }
             Request::SsChunk { a, b, .. } => coords(a) + ss(b),
-            Request::QrThin { a, .. } | Request::SvdTrunc { a, .. } => a.payload_bytes(),
+            Request::SvdTrunc { a, .. } => a.payload_bytes(),
             Request::Ping
             | Request::Free { .. }
             | Request::CacheStats

@@ -36,7 +36,6 @@ fn request_variant(req: &Request) -> &'static str {
         Request::Contract { .. } => "Contract",
         Request::SdChunk { .. } => "SdChunk",
         Request::SsChunk { .. } => "SsChunk",
-        Request::QrThin { .. } => "QrThin",
         Request::SvdTrunc { .. } => "SvdTrunc",
         Request::ChainSd { .. } => "ChainSd",
         Request::Download { .. } => "Download",
@@ -44,7 +43,7 @@ fn request_variant(req: &Request) -> &'static str {
     }
 }
 /// Every request variant, in wire-number order.
-const REQUEST_VARIANTS: [&str; 14] = [
+const REQUEST_VARIANTS: [&str; 13] = [
     "Ping",
     "Free",
     "Upload",
@@ -54,7 +53,6 @@ const REQUEST_VARIANTS: [&str; 14] = [
     "Contract",
     "SdChunk",
     "SsChunk",
-    "QrThin",
     "SvdTrunc",
     "ChainSd",
     "Download",
@@ -68,13 +66,12 @@ fn reply_variant(rep: &Reply) -> usize {
         Reply::Unit => 1,
         Reply::Buf(_) => 2,
         Reply::Entries { .. } => 3,
-        Reply::Factors { .. } => 4,
-        Reply::Svd { .. } => 5,
-        Reply::Stats { .. } => 6,
-        Reply::Fail(_) => 7,
+        Reply::Svd { .. } => 4,
+        Reply::Stats { .. } => 5,
+        Reply::Fail(_) => 6,
     }
 }
-const REPLY_VARIANTS: usize = 8;
+const REPLY_VARIANTS: usize = 7;
 
 /// Every request variant; every dense-buffer-carrying one inline and
 /// keyed, and `Contract` under every `out`.
@@ -147,10 +144,13 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
             cx_strides: vec![1],
             mask: None,
         },
-        Request::QrThin {
+        Request::SvdTrunc {
             rows: 2,
             cols: 2,
             a: inline.clone(),
+            max_rank: 3,
+            cutoff: 0.0,
+            min_keep: 2,
         },
         Request::SvdTrunc {
             rows: 2,
@@ -201,14 +201,6 @@ fn sample_replies(s: &Seed) -> Vec<Reply> {
             offs: s.rows.clone(),
             vals: s.rows.iter().map(|&r| f64::from_bits(r)).collect(),
             flops: s.key,
-        },
-        Reply::Factors {
-            q_rows: 2,
-            q_cols: 1,
-            q: s.data.clone(),
-            r_rows: 1,
-            r_cols: 1,
-            r: vec![2.0],
         },
         Reply::Svd {
             u_rows: 2,
@@ -305,12 +297,12 @@ proptest! {
 
 /// A frame under each retired number, with a payload long enough for any
 /// fixed-width field a decoder could try to read: request opcodes 3, 5, 6,
-/// 8, 15 and 16, a `DenseChunk` whose `a` operand carries the retired
+/// 8, 13, 15 and 16, a `DenseChunk` whose `a` operand carries the retired
 /// inline tag 2 and an `SsChunk` whose `b` carries the retired resident
-/// tag 1; then reply opcode 3.
+/// tag 1; then reply opcodes 3 and 5.
 fn retired_frames() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let frame = |op: u8| -> Vec<u8> { std::iter::once(op).chain([0x11; 40]).collect() };
-    let mut requests = Vec::from([3, 5, 6, 8, 15, 16].map(frame));
+    let mut requests = Vec::from([3, 5, 6, 8, 13, 15, 16].map(frame));
     let mut chunk = Request::DenseChunk {
         path: GemmPath::Scalar,
         rows: 1,
@@ -342,7 +334,7 @@ fn retired_frames() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     .encode();
     ss[10] = 1; // `b`'s tag: after the opcode and the keyed `a` (tag, u64)
     requests.push(ss);
-    (requests, vec![frame(3)])
+    (requests, vec![frame(3), frame(5)])
 }
 
 /// Every valid encoding of every sample, requests then replies, and

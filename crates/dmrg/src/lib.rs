@@ -15,7 +15,7 @@
 //!   daemon (`tt-dist-serve`),
 //! * [`measure`] — observables on optimized states.
 //!
-//! Every contraction, SVD and QR routes through a
+//! Every contraction and SVD routes through a
 //! [`tt_dist::Executor`] with one of the three block-sparsity
 //! [`tt_blocks::Algorithm`]s, so the same driver produces the serial
 //! baseline and the simulated-distributed runs of the paper's figures.

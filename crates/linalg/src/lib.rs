@@ -2,8 +2,8 @@
 //!
 //! Replaces the LAPACK/ScaLAPACK routines the paper relies on:
 //!
-//! * [`qr::qr_thin`] — Householder QR (used for MPS canonicalization and as
-//!   the building block of the distributed TSQR in `tt-dist`),
+//! * [`qr::qr_thin`] — Householder QR (the pre-reduction of a tall panel's
+//!   SVD, and the building block of the TSQR in `tt-dist`),
 //! * [`svd::svd`] / [`svd::svd_trunc`] — one-sided Jacobi SVD with global
 //!   truncation (the `pdgesvd` stand-in; drives DMRG bond truncation),
 //! * [`eig::eigh`] — symmetric Jacobi eigensolver (Davidson's subspace
@@ -21,7 +21,7 @@ pub mod svd;
 
 pub use eig::eigh;
 pub use lanczos::{lanczos_smallest, LanczosOptions};
-pub use qr::{qr_thin, rq_thin};
+pub use qr::qr_thin;
 pub use svd::{svd, svd_trunc, SvdResult, TruncSpec, TruncatedSvd};
 
 /// Crate-wide result type.

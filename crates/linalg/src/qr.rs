@@ -107,17 +107,6 @@ pub fn qr_thin(a: &DenseTensor<f64>) -> Result<(DenseTensor<f64>, DenseTensor<f6
     Ok((qo, ro))
 }
 
-/// Thin RQ-like factorization: `A = L·Q` with `Q` of size `min(m,n)×n`
-/// having orthonormal *rows* and `L` lower-triangular `m×min(m,n)`.
-///
-/// Used for right-canonicalization of MPS tensors. Implemented via QR of
-/// `Aᵀ`: `Aᵀ = Q̃ R̃  ⇒  A = R̃ᵀ Q̃ᵀ`.
-pub fn rq_thin(a: &DenseTensor<f64>) -> Result<(DenseTensor<f64>, DenseTensor<f64>)> {
-    let at = a.permute(&[1, 0])?;
-    let (qt, rt) = qr_thin(&at)?;
-    Ok((rt.permute(&[1, 0])?, qt.permute(&[1, 0])?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,28 +167,5 @@ mod tests {
         let (q, r) = qr_thin(&a).unwrap();
         let qr = gemm_f64(&q, &r).unwrap();
         assert!(qr.allclose(&a, 1e-12));
-    }
-
-    #[test]
-    fn rq_factorization() {
-        let mut rng = StdRng::seed_from_u64(13);
-        for (m, n) in [(3, 6), (4, 4), (7, 3)] {
-            let a = DenseTensor::<f64>::random([m, n], &mut rng);
-            let (l, q) = rq_thin(&a).unwrap();
-            let k = m.min(n);
-            assert_eq!(l.dims(), &[m, k]);
-            assert_eq!(q.dims(), &[k, n]);
-            let lq = gemm_f64(&l, &q).unwrap();
-            assert!(lq.allclose(&a, 1e-10));
-            // Q Q^T = I (orthonormal rows)
-            let qqt = tt_tensor::gemm(
-                &q,
-                tt_tensor::Layout::Normal,
-                &q,
-                tt_tensor::Layout::Transposed,
-            )
-            .unwrap();
-            assert!(qqt.allclose(&DenseTensor::eye(k), 1e-10));
-        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Site tensors carry indices `(i_left In, σ In, i_right Out)` with flux 0;
 //! the state's total quantum number rides on the rightmost boundary bond.
-//! Canonical forms are maintained via block QR/SVD exactly as in
+//! Canonical forms are maintained via the block SVD exactly as in
 //! Section II-C of the paper.
 
 use crate::mpo::Mpo;
@@ -13,6 +13,14 @@ use tt_blocks::{block_svd, scale_bond, Arrow, BlockSparseTensor, QnIndex, QN};
 use tt_dist::Executor;
 use tt_linalg::TruncSpec;
 use tt_tensor::DenseTensor;
+
+/// Keep every nonzero singular value: the factorization of a
+/// canonicalization, not of a truncation.
+const FULL: TruncSpec = TruncSpec {
+    max_rank: usize::MAX,
+    cutoff: 0.0,
+    min_keep: 1,
+};
 
 /// A matrix product state over block-sparse site tensors.
 #[derive(Debug, Clone)]
@@ -267,31 +275,24 @@ impl Mps {
     }
 
     /// Left-canonicalize sites `0..center` and right-canonicalize
-    /// `center+1..n` (via block QR / SVD), making `center` the
-    /// orthogonality center.
+    /// `center+1..n` with the block SVD, making `center` the orthogonality
+    /// center: a left site keeps `U` and passes `S·Vᵀ` right, a right site
+    /// keeps `Vᵀ` and passes `U·S` left.
     pub fn canonicalize(&mut self, exec: &Executor, center: usize) -> Result<()> {
         let n = self.n_sites();
         if center >= n {
             return Err(Error::State(format!("center {center} ≥ n={n}")));
         }
         for j in 0..center {
-            let (q, r) = tt_blocks::block_qr(exec, &self.tensors[j], &[0, 1], &[2])?;
-            let merged = contract_list(exec, "bk,ksj->bsj", &r, &self.tensors[j + 1])?;
-            self.tensors[j] = q;
+            let svd = block_svd(exec, &self.tensors[j], &[0, 1], &[2], FULL)?;
+            let mut svt = svd.vt;
+            scale_bond(&mut svt, 0, &svd.s, false)?;
+            let merged = contract_list(exec, "bk,ksj->bsj", &svt, &self.tensors[j + 1])?;
+            self.tensors[j] = svd.u;
             self.tensors[j + 1] = merged;
         }
         for j in (center + 1..n).rev() {
-            let svd = block_svd(
-                exec,
-                &self.tensors[j],
-                &[0],
-                &[1, 2],
-                TruncSpec {
-                    max_rank: usize::MAX,
-                    cutoff: 0.0,
-                    min_keep: 1,
-                },
-            )?;
+            let svd = block_svd(exec, &self.tensors[j], &[0], &[1, 2], FULL)?;
             let mut us = svd.u;
             scale_bond(&mut us, 1, &svd.s, false)?;
             let merged = contract_list(exec, "lsk,kx->lsx", &self.tensors[j - 1], &us)?;
@@ -304,18 +305,7 @@ impl Mps {
     /// Entanglement spectrum across the bond right of `site`
     /// (requires the state to be canonicalized with center at `site`).
     pub fn bond_spectrum(&self, exec: &Executor, site: usize) -> Result<tt_blocks::BlockDiag> {
-        let svd = block_svd(
-            exec,
-            &self.tensors[site],
-            &[0, 1],
-            &[2],
-            TruncSpec {
-                max_rank: usize::MAX,
-                cutoff: 0.0,
-                min_keep: 1,
-            },
-        )?;
-        Ok(svd.s)
+        Ok(block_svd(exec, &self.tensors[site], &[0, 1], &[2], FULL)?.s)
     }
 
     /// Per-tensor block statistics for Fig. 2: `(n_blocks, largest block
@@ -403,6 +393,53 @@ mod tests {
         psi.canonicalize(&exec, 2).unwrap();
         assert!((psi.norm() - 1.0).abs() < 1e-10);
         assert!((psi.overlap(&reference).unwrap() - 1.0).abs() < 1e-10);
+    }
+
+    /// `Σ A†A = I` on the right bond of every site left of the center and
+    /// `Σ AA† = I` on the left bond of every site right of it, with the
+    /// state unchanged, at every center of states whose bonds carry several
+    /// sectors (sums of product states, spins and electrons).
+    #[test]
+    fn canonicalize_leaves_isometries_around_the_center() {
+        let spins = |s: &[usize]| Mps::product_state(&SpinHalf, s).unwrap();
+        let electrons = |s: &[usize]| Mps::product_state(&Electron, s).unwrap();
+        let states = [
+            spins(&[0, 1, 0, 1, 1, 0])
+                .sum(&spins(&[1, 0, 0, 1, 0, 1]))
+                .unwrap()
+                .sum(&spins(&[0, 0, 1, 1, 1, 0]))
+                .unwrap(),
+            electrons(&[1, 2, 0, 3, 2])
+                .sum(&electrons(&[2, 1, 3, 0, 2]))
+                .unwrap()
+                .sum(&electrons(&[3, 0, 1, 2, 2]))
+                .unwrap(),
+        ];
+        let exec = Executor::local();
+        let eye = |g: BlockSparseTensor| {
+            let g = g.to_dense();
+            g.allclose(&DenseTensor::eye(g.dims()[0]), 1e-10)
+        };
+        for original in states {
+            let (n, norm2) = (original.n_sites(), original.overlap(&original).unwrap());
+            assert!(original.max_bond_dim() > 1);
+            for center in 0..n {
+                let mut psi = original.clone();
+                psi.canonicalize(&exec, center).unwrap();
+                for j in 0..n {
+                    let a = psi.tensor(j);
+                    if j < center {
+                        let gram = contract_list(&exec, "lsb,lsc->bc", &a.conj(), a).unwrap();
+                        assert!(eye(gram), "site {j} left of center {center}");
+                    } else if j > center {
+                        let gram = contract_list(&exec, "bsr,csr->bc", a, &a.conj()).unwrap();
+                        assert!(eye(gram), "site {j} right of center {center}");
+                    }
+                }
+                assert!((psi.overlap(&psi).unwrap() - norm2).abs() < 1e-10 * norm2);
+                assert!((psi.overlap(&original).unwrap() - norm2).abs() < 1e-10 * norm2);
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use dmrg::Dmrg;
 use tt_blocks::contract::contract_list;
-use tt_blocks::{block_qr, block_svd, Algorithm, Arrow, BlockSparseTensor, QnIndex, QN};
+use tt_blocks::{block_svd, Algorithm, Arrow, BlockSparseTensor, QnIndex, QN};
 use tt_dist::{ExecMode, Executor, Machine, SpawnSpec};
 use tt_integration::test_schedule;
 use tt_linalg::TruncSpec;
@@ -87,7 +87,7 @@ fn threaded_mode_is_bitwise_identical() {
 }
 
 /// A two-site-like block tensor with enough sector groups to exercise the
-/// pool fan-out in `block_svd`/`block_qr`/`contract_list`.
+/// pool fan-out in `block_svd`/`contract_list`.
 fn block_fixture() -> (BlockSparseTensor, BlockSparseTensor) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -114,11 +114,40 @@ fn block_fixture() -> (BlockSparseTensor, BlockSparseTensor) {
     (x, y)
 }
 
+/// A sum of three Néel-like product states on six sites: bonds of
+/// dimension 3 in several sectors, for canonicalizations with work to do.
+fn canonical_fixture() -> Mps {
+    let state = |s: &[usize]| Mps::product_state(&SpinHalf, s).expect("state");
+    state(&neel_state(6))
+        .sum(&state(&[1, 0, 0, 1, 0, 1]))
+        .and_then(|s| s.sum(&state(&[0, 0, 1, 1, 1, 0])))
+        .expect("sum")
+}
+
+/// Left-canonicalize every site but the last of [`canonical_fixture`] on
+/// `exec`; the bits of the site tensors, densified.
+fn left_canonical(exec: &Executor) -> Vec<Vec<u64>> {
+    let mut psi = canonical_fixture();
+    psi.canonicalize(exec, psi.n_sites() - 1)
+        .expect("canonicalize");
+    (0..psi.n_sites())
+        .map(|j| {
+            psi.tensor(j)
+                .to_dense()
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
 fn pool_parallel_block_linalg_is_bitwise_identical() {
-    // block_svd and block_qr fan their independent sector groups out over
-    // the thread pool in Threaded mode; U, S, Vᵀ / Q, R must still match
-    // the sequential executor bit for bit (groups collected in order).
+    // block_svd fans its independent sector groups out over the thread
+    // pool in Threaded mode; U, S, Vᵀ — and a canonicalization that runs
+    // it at every site — must still match the sequential executor bit for
+    // bit (groups collected in order).
     let (x, _) = block_fixture();
     let seq = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
     let thr = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Threaded);
@@ -134,10 +163,7 @@ fn pool_parallel_block_linalg_is_bitwise_identical() {
     assert_eq!(s1.u.to_dense().data(), s2.u.to_dense().data());
     assert_eq!(s1.vt.to_dense().data(), s2.vt.to_dense().data());
 
-    let (q1, r1) = block_qr(&seq, &x, &[0, 1], &[2]).unwrap();
-    let (q2, r2) = block_qr(&thr, &x, &[0, 1], &[2]).unwrap();
-    assert_eq!(q1.to_dense().data(), q2.to_dense().data());
-    assert_eq!(r1.to_dense().data(), r2.to_dense().data());
+    assert_eq!(left_canonical(&seq), left_canonical(&thr));
 }
 
 #[test]
@@ -180,7 +206,7 @@ fn volume_balanced_sparse_kernels_bitwise_on_rectangular_blocks() {
 #[test]
 fn multi_process_dmrg_pipeline_is_bitwise_identical() {
     // The central claim of the shared-nothing backend: a whole DMRG run —
-    // every contraction, SVD, QR and batch routed over the socket
+    // every contraction, SVD and batch routed over the socket
     // transport to 2 real OS worker processes — lands on bitwise-identical
     // numbers to the in-process Sequential executor.
     let seq = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
@@ -273,10 +299,7 @@ fn multi_process_block_pipeline_tensors_are_bitwise_identical() {
     assert_eq!(s1.u.to_dense().data(), s2.u.to_dense().data());
     assert_eq!(s1.vt.to_dense().data(), s2.vt.to_dense().data());
 
-    let (q1, r1) = block_qr(&seq, &x, &[0, 1], &[2]).unwrap();
-    let (q2, r2) = block_qr(&mp, &x, &[0, 1], &[2]).unwrap();
-    assert_eq!(q1.to_dense().data(), q2.to_dense().data());
-    assert_eq!(r1.to_dense().data(), r2.to_dense().data());
+    assert_eq!(left_canonical(&seq), left_canonical(&mp));
 }
 
 #[test]
