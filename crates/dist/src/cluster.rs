@@ -19,8 +19,8 @@
 //!
 //! When the transport supports recovery (the multi-process backend), the
 //! cluster additionally keeps a per-rank **journal**: the encoded bytes of
-//! every state-mutating request (`Upload*`, storing `Contract`,
-//! `ChainSd`) the rank has *acknowledged*. A rank fault
+//! every state-mutating request (`Upload*`, a storing `Contract` or
+//! `SdContract`) the rank has *acknowledged*. A rank fault
 //! ([`crate::FaultKind::is_rank_fault`]) triggers, transparently inside
 //! [`Cluster::call`]/[`Cluster::call_all`]:
 //!
@@ -209,18 +209,22 @@ impl RankLog {
 /// Classify a request for the journal. Operand `Key`s become dependency
 /// edges; `store` keys (and uploaded keys) become the entry's `op`.
 fn journal_class(req: &Request) -> JClass {
-    let store = |key: u64, deps: Vec<u64>| JClass::Store { op: key, deps };
+    // a contraction that stores its result is journaled with the keys it
+    // reads; one that replies is value-returning compute
+    let by_out = |out: &Out, a: Option<u64>, b: Option<u64>| match out.key() {
+        Some(op) => JClass::Store {
+            op,
+            deps: a.into_iter().chain(b).collect(),
+        },
+        None => JClass::Skip,
+    };
     match req {
-        Request::Upload { key, .. } | Request::UploadCoords { key, .. } => store(*key, Vec::new()),
-        Request::Contract {
-            a,
-            b,
-            out: Out::Store { key, .. },
-            ..
-        } => store(*key, a.key().into_iter().chain(b.key()).collect()),
-        Request::ChainSd {
-            a, b, store: key, ..
-        } => store(*key, a.key().into_iter().chain(b.key()).collect()),
+        Request::Upload { key, .. } | Request::UploadCoords { key, .. } => JClass::Store {
+            op: *key,
+            deps: Vec::new(),
+        },
+        Request::Contract { a, b, out, .. } => by_out(out, a.key(), b.key()),
+        Request::SdContract { a, b, out, .. } => by_out(out, a.key(), b.key()),
         Request::Free { key } | Request::Download { key } => JClass::Remove { key: *key },
         // pure probes and value-returning compute: nothing to reconstruct
         // (their operands, when keyed, are journaled by the uploads that
@@ -228,10 +232,6 @@ fn journal_class(req: &Request) -> JClass {
         Request::Ping
         | Request::CacheStats
         | Request::DenseChunk { .. }
-        | Request::Contract {
-            out: Out::Reply, ..
-        }
-        | Request::SdChunk { .. }
         | Request::SsChunk { .. }
         | Request::SvdTrunc { .. }
         | Request::Shutdown => JClass::Skip,

@@ -4,7 +4,7 @@
 
 use super::keys;
 use super::residency::{OpCharge, Superstep};
-use super::sparse::{inline_coords, upload_coords};
+use super::sparse::{inline_coords, sd_request, upload_coords};
 use super::{expect_buf, DenseOp, Executor, SparseOp};
 use crate::cluster::{Cluster, Placement};
 use crate::handle::{OpHandle, Residency, ResultHandle, ResultInfo};
@@ -370,17 +370,18 @@ impl Executor {
                         acc: pl.base != i,
                     },
                 },
-                StepKind::Sd => Request::ChainSd {
-                    a: a_field.coords()?,
-                    m: pl.m,
-                    n: pl.n,
-                    b_dims: pl.b_dims.clone(),
-                    perm_b: kernels::operand_perms(&pl.plan).1,
-                    b: b_field.dense()?,
-                    nat_dims: kernels::natural_dims(&pl.plan, &pl.a_dims, &pl.b_dims),
-                    out_perm: pl.plan.output_permutation().to_vec(),
-                    store: pl.key,
-                },
+                // plan_chain refused `acc` on sd steps: a fresh whole result
+                StepKind::Sd => sd_request(
+                    &pl.plan,
+                    (&pl.a_dims, &pl.b_dims),
+                    a_field.coords()?,
+                    (0, pl.m),
+                    b_field.dense()?,
+                    Out::Store {
+                        key: pl.key,
+                        acc: false,
+                    },
+                ),
             };
             pending.task(rank, req);
         }

@@ -18,7 +18,7 @@ use tt_tensor::gemm::GemmPath;
 
 // Purpose tags: what a buffer derived from a handle's content is for.
 const TAG_DENSE_A: u64 = 0xA1; // slab-partitioned permuted A
-const TAG_MAT_B: u64 = 0xB1; // replicated permuted matrix
+const TAG_MAT_B: u64 = 0xB1; // replicated permuted dense-chunk matrix
 const TAG_SD_A: u64 = 0x5D; // volume-bucketed sparse-dense coords
 const TAG_SS_A: u64 = 0x55; // row-bucketed sparse-sparse coords
 const TAG_WHOLE: u64 = 0xF0; // whole tensor (pairs, SVD inputs)
@@ -90,8 +90,8 @@ pub(super) fn ss_a(h: &OpHandle, plan: &ContractPlan) -> Chunked {
     ]))
 }
 
-/// A dense operand's whole tensor — what pair, chain-step and
-/// factorization tasks consume.
+/// A dense operand's whole tensor — what pair, sparse-dense, chain-step
+/// and factorization tasks consume.
 pub(super) fn whole(h: &OpHandle) -> u64 {
     derive(&[h.key(), TAG_WHOLE]).finish()
 }

@@ -39,8 +39,8 @@
 //! `kernels::ordered_map` over borrowed data. *What a superstep is* on the
 //! cluster is `residency::Superstep`: `ensure` an upload wherever a rank
 //! lacks a buffer, queue the `task`s, `run` — every request that carries
-//! work (`DenseChunk`, `Contract`, `SdChunk`, `SsChunk`, `ChainSd`,
-//! `SvdTrunc`) is assembled and sent there; the bare
+//! work (`DenseChunk`, `Contract`, `SdContract`, `SsChunk`, `SvdTrunc`)
+//! is assembled and sent there; the bare
 //! `call_all`s left outside it (`Free`s, `CacheStats`, `Download`s, the
 //! chain's error sweep) carry none. The frames a fixed script sends are
 //! pinned by `tests::protocol_trace_matches_golden`.

@@ -456,10 +456,9 @@ pub(super) fn whole_home(res: &Residency, op: &DenseOp) -> Option<usize> {
 /// One superstep under construction: requests in submission order, each an
 /// *upload* (a buffer a later task reads by key; its ack says nothing) or
 /// a *task* (its reply is the result). Every cluster leg that computes —
-/// dense, sd and ss chunks, block pairs, factorizations, TSQR slabs, chain
-/// steps — assembles its frames here and nowhere else, so the rule "ship
-/// what the rank is missing, then the tasks, keep the task replies" is
-/// said once.
+/// dense, sd and ss chunks, block pairs, factorizations, chain steps —
+/// assembles its frames here and nowhere else, so the rule "ship what the
+/// rank is missing, then the tasks, keep the task replies" is said once.
 #[derive(Default)]
 pub(crate) struct Superstep {
     reqs: Vec<(usize, Request)>,

@@ -7,7 +7,7 @@ use super::{expect_buf, DenseOp, Executor, SparseOp};
 use crate::cluster::Cluster;
 use crate::handle::{OpHandle, Residency};
 use crate::kernels;
-use crate::transport::worker::{OpCoords, OpSs, Reply, Request};
+use crate::transport::worker::{Op, OpCoords, OpSs, Out, Reply, Request};
 use crate::{Error, Result};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -19,7 +19,7 @@ impl Executor {
     /// algorithm's kernel): flattened-sparse `a` against densified `b`,
     /// each by value or by handle. A handle on `a` keeps its
     /// volume-balanced coordinate buckets resident per rank; a handle on
-    /// `b` keeps the permuted dense matrix resident.
+    /// `b` keeps the whole tensor resident, as a chain step reads it.
     pub fn contract_sd<'a>(
         &self,
         spec: &str,
@@ -35,7 +35,6 @@ impl Executor {
             self.workspace.call(|| self.sd_local(&plan, &a, bt))?
         };
         let (m, k, n) = kernels::fused_dims(&plan, at.dims(), bt.dims());
-        let perm_b = kernels::operand_perms(&plan).1;
         // The sparse operand moves its stored entries (offset + value),
         // the dense operand and result their full volume.
         let sa = self.op_state(
@@ -43,7 +42,7 @@ impl Executor {
             |h| keys::sd_a(h, &plan, n).logical(),
             2 * at.nnz(),
         );
-        let sb = self.op_state(b.handle(), |h| keys::matrix_b(h, &perm_b), k * n);
+        let sb = self.op_state(b.handle(), keys::whole, k * n);
         self.charge_contraction(sa, sb, m * n, m, n, flops, true);
         Ok(c)
     }
@@ -83,9 +82,11 @@ impl Executor {
 
     /// Sparse-dense contraction over the worker processes: the driver
     /// buckets the sparse coords by work volume (same boundaries as the
-    /// in-process kernel) and ships each bucket plus the dense operand to
-    /// a rank; row panels concatenate in submission order. Handle
-    /// operands resolve to resident buckets / matrices instead.
+    /// in-process kernel) and ships each bucket, with the dense operand as
+    /// it lies, to a rank as one row-ranged [`Request::SdContract`]; row
+    /// panels concatenate in submission order. A handle `a` resolves to
+    /// resident buckets, a handle `b` to its whole tensor on every rank a
+    /// bucket goes to.
     fn sd_over_cluster(
         &self,
         cl: &mut Cluster,
@@ -97,20 +98,27 @@ impl Executor {
         let p = cl.ranks();
         let (coords, flops, chunks) = kernels::sd_prepare(plan, at, bt.dims(), p)?;
         let (m, _k, n) = kernels::fused_dims(plan, at.dims(), bt.dims());
-        let perm_b = kernels::operand_perms(plan).1;
         let (ranges, buckets) = kernels::sd_buckets(coords, m, n, chunks);
         let mut step = Superstep::default();
         let (b_field, a_fields) = {
             let mut res = self.residency.lock();
-            let b_field = step.replicated(&mut res, b, &perm_b, ranges.len().min(p))?;
+            // a value ships inline with every task; a handle is uploaded
+            // to every rank a bucket goes to that lacks it
+            let b_field = step.whole(&mut res, *b, 0)?;
+            if b.handle().is_some() {
+                for rank in 1..ranges.len().min(p) {
+                    step.whole(&mut res, *b, rank)?;
+                }
+            }
             let a_fields = bucket_fields(&mut step, &mut res, a.handle(), buckets, p, |h, i| {
                 keys::sd_a(h, plan, n).chunk(chunks, i)
             })?;
             (b_field, a_fields)
         };
-        for (i, (a, &(r0, r1))) in a_fields.into_iter().zip(&ranges).enumerate() {
-            let b = b_field.clone();
-            step.task(i % p, Request::SdChunk { r0, r1, n, a, b });
+        let dims = (at.dims(), bt.dims());
+        for (i, (a, &rows)) in a_fields.into_iter().zip(&ranges).enumerate() {
+            let req = sd_request(plan, dims, a, rows, b_field.clone(), Out::Reply);
+            step.task(i % p, req);
         }
         let mut c = Vec::with_capacity(m * n);
         for reply in step.run(cl)? {
@@ -246,6 +254,33 @@ impl Executor {
             }
         }
         Ok((entries, flops))
+    }
+}
+
+/// The sparse-dense request computing rows `[r0, r1)` of `a_dims ·plan·
+/// b_dims` from `a`, the entries of those rows: a row bucket of
+/// [`Executor::contract_sd`] or, over all rows, a chain step.
+pub(super) fn sd_request(
+    plan: &ContractPlan,
+    (a_dims, b_dims): (&[usize], &[usize]),
+    a: OpCoords,
+    (r0, r1): (usize, usize),
+    b: Op,
+    out: Out,
+) -> Request {
+    let (m, _k, n) = kernels::fused_dims(plan, a_dims, b_dims);
+    Request::SdContract {
+        a,
+        r0,
+        r1,
+        m,
+        n,
+        b_dims: b_dims.to_vec(),
+        perm_b: kernels::operand_perms(plan).1,
+        nat_dims: kernels::natural_dims(plan, a_dims, b_dims),
+        out_perm: plan.output_permutation().to_vec(),
+        b,
+        out,
     }
 }
 

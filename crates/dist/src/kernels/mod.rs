@@ -38,7 +38,7 @@
 //! matrix transpose reaches the GEMM as strides (an `A` on every kernel
 //! but GEMV, a `B` when only the packer reads it), and the
 //! sparse-dense kernel gathers `B` rows and scatters `C` rows through
-//! [`SdView`] offset tables whenever the trailing free modes form a
+//! [`SdView`](sd::SdView) offset tables whenever the trailing free modes form a
 //! contiguous run. None of this touches arithmetic: every output element
 //! still accumulates the same products in the same order.
 //!
@@ -59,7 +59,7 @@ pub(crate) mod tests;
 
 pub(crate) use dense::{dense_chunk, dense_contract, dense_prepare};
 pub(crate) use factor::svd_trunc;
-pub(crate) use sd::{sd_apply, sd_buckets, sd_contract, sd_panel, sd_prepare, SdGeometry, SdView};
+pub(crate) use sd::{sd_apply, sd_buckets, sd_contract, sd_prepare, sd_rows, SdGeometry};
 pub(crate) use ss::{ss_chunk, ss_contract, ss_prepare, ss_slots, SsPrep};
 
 #[cfg(doc)]

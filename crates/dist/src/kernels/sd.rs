@@ -34,7 +34,7 @@ pub(crate) struct SdView {
 impl SdView {
     /// The view of a contiguous row-major `rows × n` matrix, cut into runs
     /// of `run` elements (`run` divides `n`; both may be zero).
-    pub(crate) fn matrix(rows: usize, n: usize, run: usize) -> Self {
+    fn matrix(rows: usize, n: usize, run: usize) -> Self {
         Self {
             rows: (0..rows).map(|r| r * n).collect(),
             outer: (0..n / run.max(1)).map(|o| o * run).collect(),
@@ -106,8 +106,8 @@ fn trailing_run(cols: &[Axis]) -> usize {
 
 /// The dense side of one sparse-dense contraction — everything the layout
 /// decision reads. Built from a [`ContractPlan`] by [`sd_contract`] and
-/// from the `ChainSd` request fields by the worker, so both make the same
-/// decision.
+/// from the `SdContract` request fields by the worker, so both make the
+/// same decision.
 pub(crate) struct SdGeometry<'a> {
     /// Fused output rows (free modes of the sparse operand).
     pub(crate) m: usize,
@@ -228,8 +228,8 @@ pub(crate) fn sd_chunk(
 }
 
 /// Rows `[r0, r1)` of a sparse-dense product as a fresh natural-order
-/// row panel: the chunk form used by pool jobs and the worker's `SdChunk`.
-pub(crate) fn sd_panel(
+/// row panel: the chunk form of the pool jobs and of [`sd_rows`].
+fn sd_panel(
     (r0, r1): (usize, usize),
     n: usize,
     bucket: &[Coord],
@@ -263,29 +263,13 @@ pub(crate) fn sd_apply(
     ws: &Workspace,
 ) -> Result<DenseTensor<f64>> {
     let (m, n) = (g.m, g.n);
-    // the worker builds `g` from request fields: check before indexing
-    if !is_permutation(g.perm_b, g.b_dims.len())
-        || !is_permutation(g.out_perm, g.nat_dims.len())
-        || b.len() != g.b_dims.iter().product::<usize>()
-        || m * n != g.nat_dims.iter().product::<usize>()
-    {
-        return Err(Error::Runtime(
-            "sparse-dense geometry does not match its operands".into(),
-        ));
-    }
-    let out_dims: Vec<usize> = g.out_perm.iter().map(|&q| g.nat_dims[q]).collect();
+    let out_dims = checked_out_dims(g, b)?;
     if m * n == 0 || b.is_empty() {
         return Ok(DenseTensor::zeros(out_dims));
     }
     let parallel = pool.filter(|_| chunks > 1);
     let layout = SdLayout::choose(g, &out_dims, parallel.is_none())?;
-    let b_data: Cow<[f64]> = if layout.b_in_place {
-        Cow::Borrowed(b)
-    } else {
-        let mut permuted = ws.take_unzeroed(b.len());
-        permute_data_into(b, g.b_dims, g.perm_b, &mut permuted)?;
-        Cow::Owned(permuted)
-    };
+    let b_data = b_operand(&layout, g, b, ws)?;
     let c = match parallel {
         None => {
             let mut c = ws.take(m * n);
@@ -312,6 +296,66 @@ pub(crate) fn sd_apply(
     permute_data_into(&c, g.nat_dims, g.out_perm, &mut out)?;
     ws.give(c);
     Ok(DenseTensor::from_vec(out_dims, out)?)
+}
+
+/// Rows `[r0, r1)` (within `[0, g.m)`) of a sparse-dense product as a
+/// natural-order row panel, from `bucket`, the entries of those rows: the
+/// reply to a row-ranged `SdContract`. `B` is read in place or permuted
+/// as [`SdLayout`] decides, which no result bit shows, so the panel holds
+/// the bits of the same rows of [`sd_apply`].
+pub(crate) fn sd_rows(
+    g: &SdGeometry,
+    b: &[f64],
+    (r0, r1): (usize, usize),
+    bucket: &[Coord],
+    ws: &Workspace,
+) -> Result<Vec<f64>> {
+    let out_dims = checked_out_dims(g, b)?;
+    let len = (r1 - r0) * g.n;
+    if len == 0 || b.is_empty() {
+        return Ok(vec![0.0; len]);
+    }
+    let layout = SdLayout::choose(g, &out_dims, false)?;
+    let b_data = b_operand(&layout, g, b, ws)?;
+    let c = sd_panel((r0, r1), g.n, bucket, layout.run, &layout.b, &b_data);
+    if let Cow::Owned(permuted) = b_data {
+        ws.give(permuted);
+    }
+    Ok(c)
+}
+
+/// The output dims of `g`, once it is known to fit `b`: the worker builds
+/// `g` from request fields, so nothing is indexed before this check.
+fn checked_out_dims(g: &SdGeometry, b: &[f64]) -> Result<Vec<usize>> {
+    let volume = |dims: &[usize]| dims.iter().try_fold(1usize, |v, &d| v.checked_mul(d));
+    let mn = g.m.checked_mul(g.n);
+    if !is_permutation(g.perm_b, g.b_dims.len())
+        || !is_permutation(g.out_perm, g.nat_dims.len())
+        || volume(g.b_dims) != Some(b.len())
+        || mn.is_none()
+        || volume(g.nat_dims) != mn
+    {
+        return Err(Error::Runtime(
+            "sparse-dense geometry does not match its operands".into(),
+        ));
+    }
+    Ok(g.out_perm.iter().map(|&q| g.nat_dims[q]).collect())
+}
+
+/// `B` as `layout` reads it: where it lies, or permuted to `k × n` into a
+/// buffer from `ws`, which the caller gives back.
+fn b_operand<'b>(
+    layout: &SdLayout,
+    g: &SdGeometry,
+    b: &'b [f64],
+    ws: &Workspace,
+) -> Result<Cow<'b, [f64]>> {
+    if layout.b_in_place {
+        return Ok(Cow::Borrowed(b));
+    }
+    let mut permuted = ws.take_unzeroed(b.len());
+    permute_data_into(b, g.b_dims, g.perm_b, &mut permuted)?;
+    Ok(Cow::Owned(permuted))
 }
 
 /// `coords` as `chunks` volume-balanced row buckets: every stored entry

@@ -42,7 +42,7 @@
 //! | [`Executor::upload`], [`Executor::upload_shared`], [`Executor::upload_sparse`], [`Executor::free`] | operand residency |
 //! | [`Executor::download`], [`Executor::download_many`], [`Executor::free_results`] | result residency |
 //!
-//! The worker protocol under it — 13 requests — is tabulated in
+//! The worker protocol under it — 12 requests — is tabulated in
 //! [`transport`].
 
 mod cluster;

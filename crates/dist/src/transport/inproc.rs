@@ -97,7 +97,6 @@ impl RecordingTransport {
     }
 
     fn line(rank: usize, req: &Request) -> String {
-        use super::worker::Out;
         let (mut reads, mut writes): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
         match req {
             Request::Upload { key, .. } | Request::UploadCoords { key, .. } => writes.push(*key),
@@ -105,14 +104,11 @@ impl RecordingTransport {
             Request::DenseChunk { a, b, .. } => reads.extend(a.key().into_iter().chain(b.key())),
             Request::Contract { a, b, out, .. } => {
                 reads.extend(a.key().into_iter().chain(b.key()));
-                if let Out::Store { key, .. } = out {
-                    writes.push(*key);
-                }
+                writes.extend(out.key());
             }
-            Request::SdChunk { a, b, .. } => reads.extend(a.key().into_iter().chain(b.key())),
-            Request::ChainSd { a, b, store, .. } => {
+            Request::SdContract { a, b, out, .. } => {
                 reads.extend(a.key().into_iter().chain(b.key()));
-                writes.push(*store);
+                writes.extend(out.key());
             }
             Request::SsChunk { a, .. } => reads.extend(a.key()),
             Request::SvdTrunc { a, .. } => reads.extend(a.key()),

@@ -21,11 +21,11 @@
 //! past it. A future MPI backend is "swap this trait's implementation":
 //! the executor-side routing does not change.
 //!
-//! What travels over it is the rank-side task protocol (`worker`): 13
+//! What travels over it is the rank-side task protocol (`worker`): 12
 //! requests. A dense operand is an `Op` — `f64` data inline or a `Key`
-//! into the rank's store. The request numbers 3, 5, 6, 8, 13, 15 and 16,
-//! reply numbers 3 and 5, inline-operand tag 2 and sparse-sparse operand
-//! tag 1 are retired and decode to a typed `Decode` fault.
+//! into the rank's store. The request numbers 3, 5, 6, 8, 11, 13, 15, 16
+//! and 17, reply numbers 3 and 5, inline-operand tag 2 and sparse-sparse
+//! operand tag 1 are retired and decode to a typed `Decode` fault.
 //!
 //! | # | request | effect | reply |
 //! |---|---|---|---|
@@ -36,12 +36,11 @@
 //! | 7 | `CacheStats` | store footprint and hit/miss counters | `Stats` |
 //! | 9 | `DenseChunk` | one row slab of a dense contraction | `Buf` |
 //! | 10 | `Contract` | a whole dense contraction, `out` = `Reply` or `Store {key, acc}` | `Buf` or `Unit` |
-//! | 11 | `SdChunk` | one sparse-dense bucket | `Buf` |
 //! | 12 | `SsChunk` | one sparse-sparse bucket, its grouped `B` inline | `Entries` |
 //! | 14 | `SvdTrunc` | truncated SVD of an `f64` matrix | `Svd` |
-//! | 17 | `ChainSd` | a whole sparse-dense chain step, result stored | `Unit` |
 //! | 18 | `Download` | remove a dense entry and return it | `Buf` |
 //! | 19 | `Shutdown` | end the worker loop | — |
+//! | 20 | `SdContract` | rows `[r0, r1)` of a sparse-dense contraction, `B` as it lies, `out` = `Reply` (the natural-order panel) or `Store {key}` (all rows, output order) | `Buf` or `Unit` |
 
 mod inproc;
 #[cfg(unix)]

@@ -35,10 +35,10 @@ fn get_usizes(d: &mut Dec) -> Result<Vec<usize>> {
 }
 
 /// The typed fault for a number the codec does not (or no longer)
-/// assigns. Retired numbers — request opcodes 3, 5, 6, 8, 13, 15 and 16,
-/// reply opcodes 3 and 5, inline-operand tag 2 and sparse-sparse operand
-/// tag 1 — are never reassigned, so a frame from an older peer fails here
-/// instead of being misread.
+/// assigns. Retired numbers — request opcodes 3, 5, 6, 8, 11, 13, 15, 16
+/// and 17, reply opcodes 3 and 5, inline-operand tag 2 and sparse-sparse
+/// operand tag 1 — are never reassigned, so a frame from an older peer
+/// fails here instead of being misread.
 fn unknown(what: &str, v: u8) -> Error {
     DistError::new(FaultKind::Decode, None, format!("unknown {what} {v}")).into()
 }
@@ -91,6 +91,30 @@ impl OpCoords {
             },
             1 => OpCoords::Key(d.u64()?),
             t => return Err(Error::transport(format!("bad operand tag {t}"))),
+        })
+    }
+}
+
+impl Out {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            Out::Reply => e.put_u8(0),
+            Out::Store { key, acc } => {
+                e.put_u8(1);
+                e.put_u64(*key);
+                e.put_bool(*acc);
+            }
+        }
+    }
+
+    fn get(d: &mut Dec) -> Result<Self> {
+        Ok(match d.u8()? {
+            0 => Out::Reply,
+            1 => Out::Store {
+                key: d.u64()?,
+                acc: d.bool()?,
+            },
+            t => return Err(Error::transport(format!("bad output tag {t}"))),
         })
     }
 }
@@ -177,22 +201,7 @@ impl Request {
                 a.put(&mut e);
                 put_usizes(&mut e, b_dims);
                 b.put(&mut e);
-                match out {
-                    Out::Reply => e.put_u8(0),
-                    Out::Store { key, acc } => {
-                        e.put_u8(1);
-                        e.put_u64(*key);
-                        e.put_bool(*acc);
-                    }
-                }
-            }
-            Request::SdChunk { r0, r1, n, a, b } => {
-                e.put_u8(11);
-                e.put_usize(*r0);
-                e.put_usize(*r1);
-                e.put_usize(*n);
-                a.put(&mut e);
-                b.put(&mut e);
+                out.put(&mut e);
             }
             Request::SsChunk {
                 a,
@@ -237,33 +246,37 @@ impl Request {
                 e.put_f64(*cutoff);
                 e.put_u64(*min_keep);
             }
-            Request::ChainSd {
-                a,
-                m,
-                n,
-                b_dims,
-                perm_b,
-                b,
-                nat_dims,
-                out_perm,
-                store,
-            } => {
-                e.put_u8(17);
-                a.put(&mut e);
-                e.put_usize(*m);
-                e.put_usize(*n);
-                put_usizes(&mut e, b_dims);
-                put_usizes(&mut e, perm_b);
-                b.put(&mut e);
-                put_usizes(&mut e, nat_dims);
-                put_usizes(&mut e, out_perm);
-                e.put_u64(*store);
-            }
             Request::Download { key } => {
                 e.put_u8(18);
                 e.put_u64(*key);
             }
             Request::Shutdown => e.put_u8(19),
+            Request::SdContract {
+                a,
+                r0,
+                r1,
+                m,
+                n,
+                b_dims,
+                perm_b,
+                nat_dims,
+                out_perm,
+                b,
+                out,
+            } => {
+                e.put_u8(20);
+                a.put(&mut e);
+                e.put_usize(*r0);
+                e.put_usize(*r1);
+                e.put_usize(*m);
+                e.put_usize(*n);
+                put_usizes(&mut e, b_dims);
+                put_usizes(&mut e, perm_b);
+                put_usizes(&mut e, nat_dims);
+                put_usizes(&mut e, out_perm);
+                b.put(&mut e);
+                out.put(&mut e);
+            }
         }
         e.finish()
     }
@@ -299,21 +312,7 @@ impl Request {
                 a: Op::get(&mut d)?,
                 b_dims: get_usizes(&mut d)?,
                 b: Op::get(&mut d)?,
-                out: match d.u8()? {
-                    0 => Out::Reply,
-                    1 => Out::Store {
-                        key: d.u64()?,
-                        acc: d.bool()?,
-                    },
-                    t => return Err(Error::transport(format!("bad output tag {t}"))),
-                },
-            },
-            11 => Request::SdChunk {
-                r0: d.usize()?,
-                r1: d.usize()?,
-                n: d.usize()?,
-                a: OpCoords::get(&mut d)?,
-                b: Op::get(&mut d)?,
+                out: Out::get(&mut d)?,
             },
             12 => Request::SsChunk {
                 a: OpCoords::get(&mut d)?,
@@ -335,19 +334,21 @@ impl Request {
                 cutoff: d.f64()?,
                 min_keep: d.u64()?,
             },
-            17 => Request::ChainSd {
+            18 => Request::Download { key: d.u64()? },
+            19 => Request::Shutdown,
+            20 => Request::SdContract {
                 a: OpCoords::get(&mut d)?,
+                r0: d.usize()?,
+                r1: d.usize()?,
                 m: d.usize()?,
                 n: d.usize()?,
                 b_dims: get_usizes(&mut d)?,
                 perm_b: get_usizes(&mut d)?,
-                b: Op::get(&mut d)?,
                 nat_dims: get_usizes(&mut d)?,
                 out_perm: get_usizes(&mut d)?,
-                store: d.u64()?,
+                b: Op::get(&mut d)?,
+                out: Out::get(&mut d)?,
             },
-            18 => Request::Download { key: d.u64()? },
-            19 => Request::Shutdown,
             op => return Err(unknown("request opcode", op)),
         };
         Ok(req)

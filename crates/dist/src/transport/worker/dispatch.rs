@@ -94,23 +94,6 @@ impl WorkerState {
                     }
                 }
             }
-            Request::SdChunk { r0, r1, n, a, b } => {
-                let bucket = self.opcoords(a)?;
-                let b = self.op(b)?;
-                if r1 < r0 || (n > 0 && b.len() % n != 0) {
-                    return Err(Error::transport("sd chunk operand size mismatch"));
-                }
-                // the driver ships B already permuted: one full-width run
-                let b_view = kernels::SdView::matrix(b.len() / n.max(1), n, n);
-                Ok(Reply::Buf(kernels::sd_panel(
-                    (r0, r1),
-                    n,
-                    &bucket,
-                    n,
-                    &b_view,
-                    &b,
-                )))
-            }
             Request::SsChunk {
                 a,
                 b,
@@ -174,19 +157,33 @@ impl WorkerState {
                     n_discarded: t.n_discarded as u64,
                 })
             }
-            Request::ChainSd {
+            Request::SdContract {
                 a,
+                r0,
+                r1,
                 m,
                 n,
                 b_dims,
                 perm_b,
-                b,
                 nat_dims,
                 out_perm,
-                store,
+                b,
+                out,
             } => {
                 let bucket = self.opcoords(a)?;
                 let b = self.op(b)?;
+                // the kernel indexes `C` by row and `B` by column unchecked:
+                // a row outside the range would land in another panel or
+                // past the buffer, a column past `B`'s `k` rows
+                let k = b.len().checked_div(n).unwrap_or(0) as u64;
+                let outside = |&(row, col, _): &kernels::Coord| {
+                    row < r0 as u64 || row >= r1 as u64 || col >= k
+                };
+                if r0 > r1 || r1 > m || bucket.iter().any(outside) {
+                    return Err(Error::transport(format!(
+                        "sd entries outside rows {r0}..{r1} of {m} or B's {k} rows"
+                    )));
+                }
                 let g = kernels::SdGeometry {
                     m,
                     n,
@@ -195,10 +192,23 @@ impl WorkerState {
                     nat_dims: &nat_dims,
                     out_perm: &out_perm,
                 };
-                let coords = Cow::Borrowed(&bucket[..]);
-                let c = kernels::sd_apply(&g, &b, coords, 1, None, &self.workspace)?;
-                self.store(store, c.into_data(), false)?;
-                Ok(Reply::Unit)
+                match out {
+                    Out::Reply => {
+                        let panel = kernels::sd_rows(&g, &b, (r0, r1), &bucket, &self.workspace)?;
+                        Ok(Reply::Buf(panel))
+                    }
+                    // a stored result is the whole output, in output order
+                    Out::Store { key, acc: false } if (r0, r1) == (0, m) => {
+                        let coords = Cow::Borrowed(&bucket[..]);
+                        let c = kernels::sd_apply(&g, &b, coords, 1, None, &self.workspace)?;
+                        self.store(key, c.into_data(), false)?;
+                        Ok(Reply::Unit)
+                    }
+                    Out::Store { .. } => Err(Error::transport(format!(
+                        "an sd store takes all {m} rows and no accumulate, got rows {r0}..{r1} \
+                         and {out:?}"
+                    ))),
+                }
             }
             Request::Download { key } => {
                 // refused before anything is removed: a refused download

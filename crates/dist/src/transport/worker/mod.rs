@@ -4,8 +4,8 @@
 //! server: it holds a keyed store of resident buffers and executes the
 //! same deterministic chunk kernels as the in-process executor —
 //! [`crate::kernels::dense_chunk`], `kernels::sd::sd_chunk` (through
-//! [`crate::kernels::sd_panel`] for a shipped row chunk and
-//! [`crate::kernels::sd_apply`] for a whole chain step),
+//! [`crate::kernels::sd_rows`] for a row bucket and
+//! [`crate::kernels::sd_apply`] for a whole chain step, one request both),
 //! [`crate::kernels::ss_chunk`] and whole-matrix factorizations. Because
 //! both backends run *exactly* this code over *exactly* the same work
 //! decomposition, multi-process results are bitwise-identical to the

@@ -12,7 +12,8 @@ pub(crate) enum Op {
     Key(u64),
 }
 
-/// Where a [`Request::Contract`] puts its result.
+/// Where a [`Request::Contract`] or a [`Request::SdContract`] puts its
+/// result.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum Out {
     /// Return it to the driver in the reply.
@@ -90,14 +91,6 @@ pub(crate) enum Request {
         b: Op,
         out: Out,
     },
-    /// One volume-balanced sparse-dense bucket over rows `[r0, r1)`.
-    SdChunk {
-        r0: usize,
-        r1: usize,
-        n: usize,
-        a: OpCoords,
-        b: Op,
-    },
     /// One work-balanced sparse-sparse bucket (key-sorted `A` coords over
     /// fused rows `[r0, r1)`) merged against the sorted-run `B` table.
     /// `ax_*` map fused rows and `cx_*` map fused `B` free columns (width
@@ -123,28 +116,34 @@ pub(crate) enum Request {
         cutoff: f64,
         min_keep: u64,
     },
-    /// One sparse-dense chain step: the whole contraction (single bucket
-    /// covering all `m` fused rows — bitwise-identical to any row-disjoint
-    /// bucketing), with the dense operand permuted worker-side by
-    /// `perm_b` and the result permuted to output order by `out_perm`
-    /// before being stored under `store`.
-    ChainSd {
-        a: OpCoords,
-        m: usize,
-        n: usize,
-        b_dims: Vec<usize>,
-        perm_b: Vec<usize>,
-        b: Op,
-        nat_dims: Vec<usize>,
-        out_perm: Vec<usize>,
-        store: u64,
-    },
     /// Remove the dense buffer under `key` from the store and return its
     /// payload — the only value-returning read of the store (the driver
     /// forgets the home).
     Download { key: u64 },
     /// Terminate the worker loop.
     Shutdown,
+    /// One sparse-dense contraction over fused output rows `[r0, r1)` of
+    /// `m`: `a` holds the entries of those rows, `b` the dense operand as
+    /// it lies (shape `b_dims`), which the worker reads in place or
+    /// permutes by `perm_b`; `nat_dims` is the result's natural
+    /// `(free A, free B)` shape and `out_perm` its output order. A row
+    /// bucket of `contract_sd` replies with its natural-order panel
+    /// ([`Out::Reply`]); a chain step stores the output-order result
+    /// ([`Out::Store`], all rows, no `acc`). Row-disjoint pieces are
+    /// bitwise the rows of the whole.
+    SdContract {
+        a: OpCoords,
+        r0: usize,
+        r1: usize,
+        m: usize,
+        n: usize,
+        b_dims: Vec<usize>,
+        perm_b: Vec<usize>,
+        nat_dims: Vec<usize>,
+        out_perm: Vec<usize>,
+        b: Op,
+        out: Out,
+    },
 }
 
 /// A reply from one rank.
@@ -201,6 +200,16 @@ impl Op {
     }
 }
 
+impl Out {
+    /// Resident key the result is stored under, if any.
+    pub(crate) fn key(&self) -> Option<u64> {
+        match self {
+            Out::Reply => None,
+            Out::Store { key, .. } => Some(*key),
+        }
+    }
+}
+
 impl OpCoords {
     /// Resident key this operand reads, if any.
     pub(crate) fn key(&self) -> Option<u64> {
@@ -236,9 +245,7 @@ impl Request {
             Request::DenseChunk { a, b, .. } | Request::Contract { a, b, .. } => {
                 a.payload_bytes() + b.payload_bytes()
             }
-            Request::SdChunk { a, b, .. } | Request::ChainSd { a, b, .. } => {
-                coords(a) + b.payload_bytes()
-            }
+            Request::SdContract { a, b, .. } => coords(a) + b.payload_bytes(),
             Request::SsChunk { a, b, .. } => coords(a) + ss(b),
             Request::SvdTrunc { a, .. } => a.payload_bytes(),
             Request::Ping

@@ -63,9 +63,10 @@ pub(crate) struct WorkerState {
     pub(super) hits: u64,
     /// Fresh insertions — key not already resident (lifetime).
     pub(super) misses: u64,
-    /// Where `ChainSd` draws its large temporaries from and a freed dense
-    /// result goes: a chain's intermediates serve the next chain's. Not
-    /// part of the store — `bytes` counts what the driver can name.
+    /// Where `SdContract` draws its large temporaries from (a stored
+    /// result, a permuted `B`) and a freed dense result goes: a chain's
+    /// intermediates serve the next chain's. Not part of the store —
+    /// `bytes` counts what the driver can name.
     pub(super) workspace: Workspace,
 }
 

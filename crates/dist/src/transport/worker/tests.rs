@@ -34,16 +34,15 @@ fn request_variant(req: &Request) -> &'static str {
         Request::CacheStats => "CacheStats",
         Request::DenseChunk { .. } => "DenseChunk",
         Request::Contract { .. } => "Contract",
-        Request::SdChunk { .. } => "SdChunk",
         Request::SsChunk { .. } => "SsChunk",
         Request::SvdTrunc { .. } => "SvdTrunc",
-        Request::ChainSd { .. } => "ChainSd",
         Request::Download { .. } => "Download",
         Request::Shutdown => "Shutdown",
+        Request::SdContract { .. } => "SdContract",
     }
 }
 /// Every request variant, in wire-number order.
-const REQUEST_VARIANTS: [&str; 13] = [
+const REQUEST_VARIANTS: [&str; 12] = [
     "Ping",
     "Free",
     "Upload",
@@ -51,12 +50,11 @@ const REQUEST_VARIANTS: [&str; 13] = [
     "CacheStats",
     "DenseChunk",
     "Contract",
-    "SdChunk",
     "SsChunk",
     "SvdTrunc",
-    "ChainSd",
     "Download",
     "Shutdown",
+    "SdContract",
 ];
 
 /// Same contract as [`request_variant`], for replies.
@@ -74,7 +72,8 @@ fn reply_variant(rep: &Reply) -> usize {
 const REPLY_VARIANTS: usize = 7;
 
 /// Every request variant; every dense-buffer-carrying one inline and
-/// keyed, and `Contract` under every `out`.
+/// keyed, `Contract` under every `out`, and `SdContract` replying inline
+/// and storing keyed.
 fn sample_requests(s: &Seed) -> Vec<Request> {
     let Seed { key, data, rows } = s;
     let key = *key;
@@ -113,15 +112,8 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
             a: inline.clone(),
             b: keyed.clone(),
         },
-        Request::SdChunk {
-            r0: 1,
-            r1: 4,
-            n: 2,
-            a: coords.clone(),
-            b: inline.clone(),
-        },
         Request::SsChunk {
-            a: coords,
+            a: coords.clone(),
             b: ss.clone(),
             r0: 0,
             r1: key,
@@ -160,20 +152,31 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
             cutoff: 1e-12,
             min_keep: 1,
         },
-        Request::ChainSd {
-            a: OpCoords::Key(key),
+        Request::Download { key },
+        Request::Shutdown,
+    ];
+    for (a, b, out) in [
+        (coords.clone(), inline.clone(), Out::Reply),
+        (
+            OpCoords::Key(key),
+            keyed.clone(),
+            Out::Store { key, acc: false },
+        ),
+    ] {
+        reqs.push(Request::SdContract {
+            a,
+            r0: 1,
+            r1: 4,
             m: 4,
             n: 2,
             b_dims: vec![3, 2],
             perm_b: vec![0, 1],
-            b: inline.clone(),
             nat_dims: vec![4, 2],
             out_perm: vec![1, 0],
-            store: key,
-        },
-        Request::Download { key },
-        Request::Shutdown,
-    ];
+            b,
+            out,
+        });
+    }
     for out in [
         Out::Reply,
         Out::Store { key, acc: false },
@@ -297,12 +300,12 @@ proptest! {
 
 /// A frame under each retired number, with a payload long enough for any
 /// fixed-width field a decoder could try to read: request opcodes 3, 5, 6,
-/// 8, 13, 15 and 16, a `DenseChunk` whose `a` operand carries the retired
-/// inline tag 2 and an `SsChunk` whose `b` carries the retired resident
-/// tag 1; then reply opcodes 3 and 5.
+/// 8, 11, 13, 15, 16 and 17, a `DenseChunk` whose `a` operand carries the
+/// retired inline tag 2 and an `SsChunk` whose `b` carries the retired
+/// resident tag 1; then reply opcodes 3 and 5.
 fn retired_frames() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let frame = |op: u8| -> Vec<u8> { std::iter::once(op).chain([0x11; 40]).collect() };
-    let mut requests = Vec::from([3, 5, 6, 8, 13, 15, 16].map(frame));
+    let mut requests = Vec::from([3, 5, 6, 8, 11, 13, 15, 16, 17].map(frame));
     let mut chunk = Request::DenseChunk {
         path: GemmPath::Scalar,
         rows: 1,
@@ -569,10 +572,10 @@ fn chain_steps_store_accumulate_and_download() {
     );
 }
 
-/// H_eff step 2 at a bond dimension where the worker's `ChainSd` reads
-/// `B` and writes `C` (256 KB) through run views: the request storing
-/// under `store`, the operands behind it, and the bytes the in-process
-/// kernel produces from them.
+/// H_eff step 2 at a bond dimension where the worker's `SdContract` reads
+/// `B` and writes `C` (256 KB) through run views: the request over rows
+/// `[r0, r1)`, the operands behind it, and the bytes the in-process kernel
+/// produces from them.
 struct HeffStep2 {
     a_dense: DenseTensor<f64>,
     b: DenseTensor<f64>,
@@ -610,22 +613,41 @@ impl HeffStep2 {
         }
     }
 
-    fn chain_sd(&self, store: u64) -> Request {
+    /// Fused output rows.
+    fn m(&self) -> usize {
+        let plan = ContractPlan::parse(HEFF_STEP2).unwrap();
+        kernels::fused_dims(&plan, self.a_dense.dims(), self.b.dims()).0
+    }
+
+    fn sd(&self, (r0, r1): (usize, usize), out: Out) -> Request {
         let plan = ContractPlan::parse(HEFF_STEP2).unwrap();
         let (a_dims, b_dims) = (self.a_dense.dims(), self.b.dims());
         let (m, _k, n) = kernels::fused_dims(&plan, a_dims, b_dims);
-        let (rows, (cols, vals)) = self.coords.iter().map(|&(r, c, v)| (r, (c, v))).unzip();
-        Request::ChainSd {
+        let rows_of = |&&(r, _, _): &&kernels::Coord| (r0..r1).contains(&(r as usize));
+        let (rows, (cols, vals)) = self
+            .coords
+            .iter()
+            .filter(rows_of)
+            .map(|&(r, c, v)| (r, (c, v)))
+            .unzip();
+        Request::SdContract {
             a: OpCoords::Inline { rows, cols, vals },
+            r0,
+            r1,
             m,
             n,
             b_dims: b_dims.to_vec(),
             perm_b: kernels::operand_perms(&plan).1,
-            b: Op::Inline(self.b.data().to_vec()),
             nat_dims: kernels::natural_dims(&plan, a_dims, b_dims),
             out_perm: plan.output_permutation().to_vec(),
-            store,
+            b: Op::Inline(self.b.data().to_vec()),
+            out,
         }
+    }
+
+    /// The whole step, stored under `key`.
+    fn chain_sd(&self, key: u64) -> Request {
+        self.sd((0, self.m()), Out::Store { key, acc: false })
     }
 }
 
@@ -656,43 +678,79 @@ fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
         }),
         Some(Reply::Buf(local.into_data()))
     );
+    let empty = || OpCoords::Inline {
+        rows: vec![],
+        cols: vec![],
+        vals: vec![],
+    };
     // a zero-width row chunk is an empty panel, not a failure
     assert_eq!(
-        w.handle(Request::SdChunk {
+        w.handle(Request::SdContract {
+            a: empty(),
             r0: 0,
             r1: 3,
+            m: 3,
             n: 0,
-            a: OpCoords::Inline {
-                rows: vec![],
-                cols: vec![],
-                vals: vec![]
-            },
+            b_dims: vec![2, 0],
+            perm_b: vec![0, 1],
+            nat_dims: vec![3, 0],
+            out_perm: vec![0, 1],
             b: Op::Inline(vec![]),
+            out: Out::Reply,
         }),
         Some(Reply::Buf(vec![]))
     );
-    // a ChainSd whose geometry contradicts its operand fails cleanly
+    // a request whose geometry contradicts its operand fails cleanly
     assert!(matches!(
-        w.handle(Request::ChainSd {
-            a: OpCoords::Inline {
-                rows: vec![],
-                cols: vec![],
-                vals: vec![]
-            },
+        w.handle(Request::SdContract {
+            a: empty(),
+            r0: 0,
+            r1: 2,
             m: 2,
             n: 3,
             b_dims: vec![2, 3],
             perm_b: vec![0, 0],
-            b: Op::Inline(vec![0.0; 6]),
             nat_dims: vec![2, 3],
             out_perm: vec![0, 1],
-            store: 91,
+            b: Op::Inline(vec![0.0; 6]),
+            out: Out::Store {
+                key: 91,
+                acc: false
+            },
         }),
         Some(Reply::Fail(_))
     ));
 }
 
-/// `ChainSd` → `Free` → `ChainSd` on one rank: the freed result's buffer
+#[test]
+fn sd_row_panels_are_the_rows_of_the_stored_step() {
+    // the step cut into row ranges: each reply is those rows of the
+    // in-process kernel's result taken back to natural order
+    let step = HeffStep2::new();
+    let plan = ContractPlan::parse(HEFF_STEP2).unwrap();
+    let out_perm = plan.output_permutation();
+    let mut to_natural = vec![0; out_perm.len()];
+    for (j, &q) in out_perm.iter().enumerate() {
+        to_natural[q] = j;
+    }
+    let out_dims = plan
+        .output_dims(step.a_dense.dims(), step.b.dims())
+        .unwrap();
+    let local = DenseTensor::from_vec(out_dims, step.local.clone()).unwrap();
+    let natural = local.permute(&to_natural).unwrap().into_data();
+    let (m, n) = (step.m(), natural.len() / step.m());
+    let mut w = WorkerState::new();
+    for (r0, r1) in [(0, m), (0, 3), (3, m / 2), (m / 2, m), (m, m)] {
+        assert_eq!(
+            w.handle(step.sd((r0, r1), Out::Reply)),
+            Some(Reply::Buf(natural[r0 * n..r1 * n].to_vec())),
+            "rows {r0}..{r1}"
+        );
+    }
+}
+
+/// A stored `SdContract` → `Free` → the same again on one rank: the freed
+/// result's buffer
 /// (NaN-filled on its way back, in a test build) serves the second run,
 /// whose bytes are the same, and the workspace is no part of the store —
 /// `CacheStats` is back at nothing once the driver has taken its results.
@@ -804,6 +862,39 @@ fn bad_tasks_fail_without_killing_the_worker() {
         cols: vec![0],
         vals: vec![5.0],
     };
+    // a 2 × 2 sparse-dense product against B = I, rows [r0, r1); its one
+    // `A` entry inline, or resident under keys 74 (row 0) and 75 (column
+    // 2, past B's two rows)
+    let sd = |a: OpCoords, (r0, r1): (usize, usize), out: Out| Request::SdContract {
+        a,
+        r0,
+        r1,
+        m: 2,
+        n: 2,
+        b_dims: vec![2, 2],
+        perm_b: vec![0, 1],
+        nat_dims: vec![2, 2],
+        out_perm: vec![0, 1],
+        b: f(vec![1.0, 0.0, 0.0, 1.0]),
+        out,
+    };
+    let entry = |row: u64, col: u64| OpCoords::Inline {
+        rows: vec![row],
+        cols: vec![col],
+        vals: vec![3.0],
+    };
+    for (key, row, col) in [(74, 0, 0), (75, 1, 2)] {
+        w.handle(Request::UploadCoords {
+            key,
+            rows: vec![row],
+            cols: vec![col],
+            vals: vec![3.0],
+        });
+    }
+    assert_eq!(
+        w.handle(sd(entry(1, 1), (1, 2), Out::Reply)),
+        Some(Reply::Buf(vec![0.0, 3.0]))
+    );
     // the well-formed frame the malformed ones are variations of
     assert!(matches!(
         w.handle(ss(one(), vec![0, 0], 1)),
@@ -867,6 +958,19 @@ fn bad_tasks_fail_without_killing_the_worker() {
         ss(descending(), vec![0, 0], 1),
         ss(OpCoords::Key(72), vec![0, 0], 1),
         ss(OpCoords::Key(73), vec![0, 0], 1),
+        // sparse-dense: an `A` row below the range, a column past B, a
+        // range past the output, an entry past it, each inline and
+        // resident
+        sd(entry(0, 0), (1, 2), Out::Reply),
+        sd(OpCoords::Key(74), (1, 2), Out::Reply),
+        sd(entry(1, 2), (0, 2), Out::Reply),
+        sd(OpCoords::Key(75), (0, 2), Out::Reply),
+        sd(entry(0, 0), (1, 3), Out::Reply),
+        sd(entry(2, 0), (0, 2), store(false)),
+        sd(entry(1, 2), (0, 2), store(false)),
+        // a store is the whole result, fresh
+        sd(entry(1, 1), (1, 2), store(false)),
+        sd(entry(1, 1), (0, 2), store(true)),
     ];
     for req in bad {
         assert!(
