@@ -1,25 +1,15 @@
-//! Ablations of the design choices DESIGN.md calls out:
-//!
-//! 1. **output-sparsity masking** in the sparse-sparse algorithm (the
-//!    paper's pre-computed sparsity feature) — result sizes with and
-//!    without the mask;
-//! 2. **distributed-SVD strategy** — TSQR vs gathered Householder QR on a
-//!    tall-skinny panel.
+//! Ablation of the **output-sparsity masking** in the sparse-sparse
+//! algorithm (the paper's pre-computed sparsity feature): result sizes
+//! with and without the mask.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tt_bench::Table;
 use tt_blocks::{contract, Algorithm, Arrow, BlockSparseTensor, QnIndex, QN};
-use tt_dist::{tsqr, CostTracker, Executor, Machine};
-use tt_tensor::DenseTensor;
-
-fn tracker(p: usize) -> Mutex<CostTracker> {
-    Mutex::new(CostTracker::new(Machine::blue_waters(16), p))
-}
+use tt_dist::Executor;
 
 fn main() {
-    println!("=== Ablation 1: output-sparsity masking (sparse-sparse) ===\n");
+    println!("=== Ablation: output-sparsity masking (sparse-sparse) ===\n");
     // block tensors with parity-compatible spectra
     let even: Vec<(QN, usize)> = [(0, 8), (2, 6), (-2, 6), (4, 3), (-4, 3)]
         .iter()
@@ -73,59 +63,4 @@ fn main() {
          pattern — 'knowledge of quantum number labels allows for pre-computation\n\
          of the output sparsity … to control memory consumption'.\n"
     );
-
-    println!("=== Ablation 2: TSQR vs gathered QR (tall-skinny panel) ===\n");
-    let mut t2 = Table::new(&[
-        "method",
-        "ranks",
-        "supersteps",
-        "bytes critical",
-        "ortho err",
-    ]);
-    let mut rng = StdRng::seed_from_u64(22);
-    let a_tall = DenseTensor::<f64>::random([256, 8], &mut rng);
-    for p in [2usize, 4, 8] {
-        let c = tracker(p);
-        let (q, _r) = tsqr(&a_tall, p, &c).unwrap();
-        let qtq = tt_tensor::gemm(
-            &q,
-            tt_tensor::Layout::Transposed,
-            &q,
-            tt_tensor::Layout::Normal,
-        )
-        .unwrap();
-        let err = qtq.max_diff(&DenseTensor::eye(8)).unwrap();
-        let tr = c.lock();
-        t2.row(vec![
-            "TSQR".into(),
-            p.to_string(),
-            tr.supersteps.to_string(),
-            tr.bytes_critical.to_string(),
-            format!("{err:.2e}"),
-        ]);
-    }
-    {
-        // gathered: all data to one rank, local QR — bytes scale with the
-        // full panel instead of n² per tree level
-        let c = tracker(8);
-        CostTracker::charge_p2p(&c, (256 * 8 * 8) as u64);
-        let (q, _r) = tt_linalg::qr_thin(&a_tall).unwrap();
-        let qtq = tt_tensor::gemm(
-            &q,
-            tt_tensor::Layout::Transposed,
-            &q,
-            tt_tensor::Layout::Normal,
-        )
-        .unwrap();
-        let err = qtq.max_diff(&DenseTensor::eye(8)).unwrap();
-        let tr = c.lock();
-        t2.row(vec![
-            "gather+QR".into(),
-            "8".into(),
-            tr.supersteps.to_string(),
-            tr.bytes_critical.to_string(),
-            format!("{err:.2e}"),
-        ]);
-    }
-    t2.print();
 }

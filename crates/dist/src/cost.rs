@@ -79,7 +79,7 @@ impl SimTime {
 }
 
 /// Mutable cost state shared (behind a mutex) by everything that charges
-/// simulated work: executors and [`crate::tsqr()`].
+/// simulated work: the executors.
 #[derive(Clone, Debug)]
 pub struct CostTracker {
     /// The machine being simulated.
@@ -141,14 +141,6 @@ impl CostTracker {
         self.supersteps += 1;
         self.bytes_critical += bytes;
         self.sim.comm += self.machine.alpha_s + bytes as f64 * self.machine.beta_s_per_byte;
-    }
-
-    /// A point-to-point message of `bytes` — one superstep, full volume —
-    /// charged to the shared `tracker` and to the job scope installed on
-    /// this thread, if any. What [`crate::tsqr()`] charges each level of
-    /// its `R`-merge tree with.
-    pub fn charge_p2p(tracker: &Mutex<CostTracker>, bytes: u64) {
-        charge(tracker, |t| t.charge_superstep(bytes));
     }
 
     /// Charge `steps` supersteps that together move `bytes`.
@@ -371,23 +363,6 @@ mod tests {
         let p = sim.percentages();
         assert!((p.iter().sum::<f64>() - 100.0).abs() < 1e-9);
         assert_eq!(SimTime::default().percentages(), [0.0; 5]);
-    }
-
-    #[test]
-    fn p2p_charges_one_superstep_at_the_exact_alpha_beta_cost() {
-        let mut times = Vec::new();
-        for machine in [Machine::blue_waters(16), Machine::stampede2(64)] {
-            let tracker = Mutex::new(CostTracker::new(machine, 8));
-            CostTracker::charge_p2p(&tracker, 4096);
-            let t = tracker.lock();
-            assert_eq!((t.supersteps, t.bytes_critical), (1, 4096));
-            // the expression shape of `CostTracker::charge_superstep`, so
-            // the comparison can be exact
-            let expect = t.machine.alpha_s + 4096.0 * t.machine.beta_s_per_byte;
-            assert_eq!(t.sim.comm.to_bits(), expect.to_bits());
-            times.push(t.sim.comm);
-        }
-        assert_ne!(times[0], times[1], "different α/β, different time");
     }
 
     #[test]

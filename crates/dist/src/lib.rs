@@ -18,10 +18,7 @@
 //!   `local`) with flop rooflines and α/β network parameters,
 //! * [`SimTime`] / [`CostTracker`] — the Fig. 7 cost categories,
 //! * [`Executor`] — the entry points used by `tt-blocks` and everything
-//!   above it (table below),
-//! * [`tsqr()`] — communication-avoiding tall-skinny QR built on
-//!   [`tt_linalg::qr_thin`], charged to a [`CostTracker`] as its merge
-//!   tree; a standalone routine, which no [`Executor`] entry point calls.
+//!   above it (table below).
 //!
 //! One decision is made once: *value-or-resident is a property of the
 //! operand* ([`DenseOp`] / [`SparseOp`] convert from `&tensor` and from
@@ -55,7 +52,6 @@ mod pool;
 #[cfg(unix)]
 pub mod service;
 pub mod transport;
-mod tsqr;
 
 pub use cluster::{Cluster, JournalStats};
 pub use cost::{CostTracker, JobScope, ResidentMeter, SimTime};
@@ -71,7 +67,6 @@ pub use transport::ProcTransport;
 pub use transport::{maybe_serve, InProcTransport, SpawnSpec, Transport};
 #[cfg(unix)]
 pub use transport::{FaultPlan, ProcOptions};
-pub use tsqr::tsqr;
 
 // DistError / FaultKind are defined below and exported from the crate
 // root alongside Error/Result.
