@@ -662,9 +662,30 @@ fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
         Some(Reply::Buf(step.local.clone()))
     );
 
+    let plan = ContractPlan::parse(HEFF_STEP2).unwrap();
+    // the step cut into row ranges: each reply is those rows of the
+    // in-process kernel's result taken back to natural order
+    let out_perm = plan.output_permutation();
+    let mut to_natural = vec![0; out_perm.len()];
+    for (j, &q) in out_perm.iter().enumerate() {
+        to_natural[q] = j;
+    }
+    let out_dims = plan
+        .output_dims(step.a_dense.dims(), step.b.dims())
+        .unwrap();
+    let local = DenseTensor::from_vec(out_dims, step.local.clone()).unwrap();
+    let natural = local.permute(&to_natural).unwrap().into_data();
+    let (m, n) = (step.m(), natural.len() / step.m());
+    for (r0, r1) in [(0, m), (0, 3), (3, m / 2), (m / 2, m), (m, m)] {
+        assert_eq!(
+            w.handle(step.sd((r0, r1), Out::Reply)),
+            Some(Reply::Buf(natural[r0 * n..r1 * n].to_vec())),
+            "rows {r0}..{r1}"
+        );
+    }
+
     // the dense step on the same operands (A densified)
     let HeffStep2 { a_dense, b, .. } = step;
-    let plan = ContractPlan::parse(HEFF_STEP2).unwrap();
     let (a_dims, b_dims) = (a_dense.dims().to_vec(), b.dims().to_vec());
     let local = kernels::dense_contract(&plan, &a_dense, &b, None).unwrap();
     assert_eq!(
@@ -722,38 +743,11 @@ fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
     ));
 }
 
-#[test]
-fn sd_row_panels_are_the_rows_of_the_stored_step() {
-    // the step cut into row ranges: each reply is those rows of the
-    // in-process kernel's result taken back to natural order
-    let step = HeffStep2::new();
-    let plan = ContractPlan::parse(HEFF_STEP2).unwrap();
-    let out_perm = plan.output_permutation();
-    let mut to_natural = vec![0; out_perm.len()];
-    for (j, &q) in out_perm.iter().enumerate() {
-        to_natural[q] = j;
-    }
-    let out_dims = plan
-        .output_dims(step.a_dense.dims(), step.b.dims())
-        .unwrap();
-    let local = DenseTensor::from_vec(out_dims, step.local.clone()).unwrap();
-    let natural = local.permute(&to_natural).unwrap().into_data();
-    let (m, n) = (step.m(), natural.len() / step.m());
-    let mut w = WorkerState::new();
-    for (r0, r1) in [(0, m), (0, 3), (3, m / 2), (m / 2, m), (m, m)] {
-        assert_eq!(
-            w.handle(step.sd((r0, r1), Out::Reply)),
-            Some(Reply::Buf(natural[r0 * n..r1 * n].to_vec())),
-            "rows {r0}..{r1}"
-        );
-    }
-}
-
 /// A stored `SdContract` → `Free` → the same again on one rank: the freed
-/// result's buffer
-/// (NaN-filled on its way back, in a test build) serves the second run,
-/// whose bytes are the same, and the workspace is no part of the store —
-/// `CacheStats` is back at nothing once the driver has taken its results.
+/// result's buffer (NaN-filled on its way back, in a test build) serves
+/// the second run, whose bytes are the same, and the workspace is no part
+/// of the store — `CacheStats` is back at nothing once the driver has
+/// taken its results.
 #[test]
 fn worker_workspace_serves_the_next_chain_step_from_a_freed_result() {
     let step = HeffStep2::new();

@@ -3,7 +3,7 @@
 //! Replaces the LAPACK/ScaLAPACK routines the paper relies on:
 //!
 //! * [`qr::qr_thin`] — Householder QR (the pre-reduction of a tall panel's
-//!   SVD, and the building block of the TSQR in `tt-dist`),
+//!   SVD),
 //! * [`svd::svd`] / [`svd::svd_trunc`] — one-sided Jacobi SVD with global
 //!   truncation (the `pdgesvd` stand-in; drives DMRG bond truncation),
 //! * [`eig::eigh`] — symmetric Jacobi eigensolver (Davidson's subspace
