@@ -651,8 +651,9 @@ fn multi_process_chains_bitwise_and_collapse_result_bytes() {
 
 /// A tall panel (≥ 32 rows, ≥ 8× as many rows as columns) is SVD'd as
 /// `qr_thin`, then the SVD of `R`, then `U = Q · U_R` — bit for bit on
-/// every backend; anything else is one `svd_trunc`. A batch holding tall
-/// and square panels is one superstep.
+/// every backend; anything else is one `svd_trunc`; either way the sign
+/// gauge is fixed last. A batch holding tall and square panels is one
+/// superstep.
 #[test]
 fn tall_panels_factor_through_qr_first() {
     use crate::transport::RecordingTransport;
@@ -683,7 +684,7 @@ fn tall_panels_factor_through_qr_first() {
         Executor::multi_process(Machine::blue_waters(2), 2, 2, spawn).unwrap()
     });
     for (a, tall) in &panels {
-        let reference = if *tall {
+        let mut reference = if *tall {
             let (q, r) = tt_linalg::qr_thin(a).unwrap();
             let t = tt_linalg::svd_trunc(&r, spec).unwrap();
             TruncatedSvd {
@@ -693,6 +694,7 @@ fn tall_panels_factor_through_qr_first() {
         } else {
             tt_linalg::svd_trunc(a, spec).unwrap()
         };
+        reference.fix_signs();
         for exec in &execs {
             let what = format!("{:?} on {:?}", a.dims(), exec.backend());
             let t = exec.svd_trunc(a, spec).unwrap();
@@ -749,7 +751,8 @@ fn svd_is_exact_and_charged() {
         min_keep: 1,
     };
     let t = exec.svd_trunc(&a, spec).unwrap();
-    let t2 = tt_linalg::svd_trunc(&a, spec).unwrap();
+    let mut t2 = tt_linalg::svd_trunc(&a, spec).unwrap();
+    t2.fix_signs();
     assert_eq!((t.u.data(), &t.s), (t2.u.data(), &t2.s));
     assert_eq!(t.vt.data(), t2.vt.data());
     assert_eq!(t.s.len(), 8);

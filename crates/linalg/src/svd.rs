@@ -72,6 +72,45 @@ pub struct TruncatedSvd {
     pub n_discarded: usize,
 }
 
+impl TruncatedSvd {
+    /// Fix the sign gauge of every kept triple: the largest-magnitude entry
+    /// of `u_k` (the first one on ties) becomes positive, and row `k` of
+    /// `Vᵀ` flips with it. Two factorizations of the same matrix then agree
+    /// on their vectors up to rotations inside degenerate subspaces,
+    /// whatever algorithm produced them. Idempotent.
+    pub fn fix_signs(&mut self) {
+        let r = self.s.len();
+        if r == 0 {
+            return;
+        }
+        let mut best = vec![0.0f64; r];
+        let mut flip = vec![false; r];
+        for row in self.u.data().chunks_exact(r) {
+            for ((b, f), &x) in best.iter_mut().zip(&mut flip).zip(row) {
+                if x.abs() > *b {
+                    *b = x.abs();
+                    *f = x < 0.0;
+                }
+            }
+        }
+        for row in self.u.data_mut().chunks_exact_mut(r) {
+            for (x, _) in row.iter_mut().zip(&flip).filter(|(_, &f)| f) {
+                *x = -*x;
+            }
+        }
+        let n = self.vt.dims()[1];
+        for (row, _) in self
+            .vt
+            .data_mut()
+            .chunks_exact_mut(n.max(1))
+            .zip(&flip)
+            .filter(|(_, &f)| f)
+        {
+            row.iter_mut().for_each(|x| *x = -*x);
+        }
+    }
+}
+
 const JACOBI_EPS: f64 = 1e-14;
 const MAX_SWEEPS: usize = 60;
 
@@ -352,6 +391,35 @@ mod tests {
         let approx = gemm_f64(&us, &t.vt).unwrap();
         let diff = a.sub(&approx).unwrap();
         assert!((diff.norm2() - t.trunc_err).abs() < 1e-8);
+    }
+
+    #[test]
+    fn fix_signs_makes_the_largest_entry_of_each_u_column_positive() {
+        let mut rng = StdRng::seed_from_u64(25);
+        let a = DenseTensor::<f64>::random([6, 5], &mut rng);
+        let mut t = svd_trunc(&a, TruncSpec::default()).unwrap();
+        t.fix_signs();
+        for k in 0..t.s.len() {
+            let col: Vec<f64> = (0..6).map(|i| t.u.at(&[i, k])).collect();
+            let top = col.iter().fold(0.0f64, |b, x| b.max(x.abs()));
+            let first = col.iter().find(|x| x.abs() == top).unwrap();
+            assert!(*first > 0.0, "column {k}: {col:?}");
+        }
+        // still a factorization of A, and a second call changes nothing
+        let mut us = t.u.clone();
+        for i in 0..6 {
+            for j in 0..t.s.len() {
+                us.set(&[i, j], us.at(&[i, j]) * t.s[j]);
+            }
+        }
+        assert!(gemm_f64(&us, &t.vt).unwrap().allclose(&a, 1e-10));
+        let again = {
+            let mut c = t.clone();
+            c.fix_signs();
+            c
+        };
+        assert_eq!(again.u.data(), t.u.data());
+        assert_eq!(again.vt.data(), t.vt.data());
     }
 
     #[test]
