@@ -63,6 +63,12 @@
 //! `tt_tensor::gemm` comes from; a sub-millisecond shape is timed as a
 //! loop of calls.
 //!
+//! The `svd` rows time `tt_linalg::svd` — the factorization every bond
+//! sector of a sweep gets — on 64×64 and 128×128 matrices with a
+//! DMRG-like, fast-decaying spectrum. Their rate is on the nominal
+//! `14·n³` flops the executor charges a factorization, so it moves with
+//! the time and nothing else; a short factorization is timed as a loop.
+//!
 //! The seed repository's scalar GEMM stays as the reference the packed
 //! kernel is measured against, at one size per element type (full runs
 //! only).
@@ -442,6 +448,32 @@ const GEMM_SMALL_CASES: [(usize, usize, usize); 7] = [
 /// the smallest shapes takes about a microsecond, below the timer's noise.
 const GEMM_SMALL_SAMPLE_FLOPS: f64 = 1e7;
 
+/// Nominal flops one timed sample of an `svd` row covers at least: a
+/// 64×64 factorization takes well under a millisecond.
+const SVD_SAMPLE_FLOPS: f64 = 1e7;
+
+/// An `n×n` matrix shaped like a DMRG bond sector: `Q₁·diag(σ)·Q₂ᵀ` with
+/// random orthonormal `Q₁`, `Q₂` and `σⱼ = e^(−j/4)`, the fast decay of a
+/// sweep's singular values.
+fn dmrg_like_matrix(n: usize) -> DenseTensor<f64> {
+    let mut rng = StdRng::seed_from_u64(11);
+    let (q1, _) = tt_linalg::qr_thin(&DenseTensor::random([n, n], &mut rng)).unwrap();
+    let (q2, _) = tt_linalg::qr_thin(&DenseTensor::random([n, n], &mut rng)).unwrap();
+    let mut q1s = q1;
+    for row in q1s.data_mut().chunks_exact_mut(n) {
+        for (j, x) in row.iter_mut().enumerate() {
+            *x *= (-(j as f64) / 4.0).exp();
+        }
+    }
+    tt_tensor::gemm(
+        &q1s,
+        tt_tensor::Layout::Normal,
+        &q2,
+        tt_tensor::Layout::Transposed,
+    )
+    .unwrap()
+}
+
 /// One sparse-dense row at an H_eff chain shape.
 struct SdChainCase {
     label: &'static str,
@@ -613,6 +645,13 @@ fn main() {
     } else {
         &[(512, 128, 64, 10), (1024, 256, 128, 6), (2048, 512, 256, 6)]
     };
+    // the SVD of a bond sector: the widest sectors of a spins m=128 sweep
+    // are 64–78 wide
+    let svd_sizes: &[usize] = if smoke { &[64] } else { &[64, 128] };
+    let svd_matrices: Vec<(usize, DenseTensor<f64>)> = svd_sizes
+        .iter()
+        .map(|&n| (n, dmrg_like_matrix(n)))
+        .collect();
     // smoke converts the electrons tensors only: that state grows in about
     // a second, the spins one in several
     let electrons = middle_bond(System::Electrons, 4, 3, 32);
@@ -968,6 +1007,24 @@ fn main() {
                 ))
                 .expect("flat image holds allowed entries only");
             });
+        }
+
+        // --- truncated SVD of a sector (rate on 14·n³ nominal flops) ---------
+        for (n, a) in &svd_matrices {
+            let flops = 14.0 * (*n as f64).powi(3);
+            let calls = (SVD_SAMPLE_FLOPS / flops).ceil() as usize;
+            let secs = best_of(reps, || {
+                for _ in 0..calls {
+                    black_box(tt_linalg::svd(a).expect("svd converges"));
+                }
+            });
+            record(
+                &mut entries,
+                "svd",
+                format!("dmrg-{n}x{n}"),
+                flops * calls as f64,
+                secs,
+            );
         }
     } // pass loop
 

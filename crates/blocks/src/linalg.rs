@@ -126,69 +126,65 @@ fn build_groups(
         }
         g
     };
+    let part =
+        |modes: &[usize], key: &BlockKey| -> Vec<u16> { modes.iter().map(|&m| key[m]).collect() };
+    let part_dim = |modes: &[usize], part: &[u16]| -> usize {
+        modes
+            .iter()
+            .zip(part)
+            .map(|(&m, &s)| t.indices()[m].sector_dim(s as usize))
+            .product()
+    };
 
-    // collect row/col key-parts per group
+    // one pass over the blocks: each one's group and key parts, computed
+    // once; a key part maps to its (offset, dim) in the group's matrix
     #[derive(Default)]
-    struct Partial {
-        rows: BTreeMap<Vec<u16>, usize>, // key part -> dim
-        cols: BTreeMap<Vec<u16>, usize>,
+    struct Partial<'a> {
+        rows: BTreeMap<Vec<u16>, (usize, usize)>,
+        cols: BTreeMap<Vec<u16>, (usize, usize)>,
+        blocks: Vec<(Vec<u16>, Vec<u16>, &'a DenseTensor<f64>)>,
     }
     let mut partials: BTreeMap<QN, Partial> = BTreeMap::new();
-    for (key, _) in t.blocks() {
-        let g = row_charge(key);
-        let p = partials.entry(g).or_default();
-        let rk: Vec<u16> = row_modes.iter().map(|&m| key[m]).collect();
-        let ck: Vec<u16> = col_modes.iter().map(|&m| key[m]).collect();
-        let rdim: usize = row_modes
-            .iter()
-            .map(|&m| t.indices()[m].sector_dim(key[m] as usize))
-            .product();
-        let cdim: usize = col_modes
-            .iter()
-            .map(|&m| t.indices()[m].sector_dim(key[m] as usize))
-            .product();
-        p.rows.insert(rk, rdim);
-        p.cols.insert(ck, cdim);
+    for (key, block) in t.blocks() {
+        let p = partials.entry(row_charge(key)).or_default();
+        let (rk, ck) = (part(row_modes, key), part(col_modes, key));
+        p.rows.insert(rk.clone(), (0, part_dim(row_modes, &rk)));
+        p.cols.insert(ck.clone(), (0, part_dim(col_modes, &ck)));
+        p.blocks.push((rk, ck, block));
     }
+    // offsets in key order; the total is the matrix dimension
+    let lay_out = |parts: &mut BTreeMap<Vec<u16>, (usize, usize)>| -> usize {
+        parts.values_mut().fold(0, |off, (o, d)| {
+            *o = off;
+            off + *d
+        })
+    };
 
-    // assemble matrices
-    let mut groups = Vec::new();
-    let mut mats = Vec::new();
-    for (g, p) in partials {
-        let mut rows = Vec::new();
-        let mut off = 0usize;
-        for (rk, d) in p.rows {
-            rows.push((rk, off, d));
-            off += d;
-        }
-        let total_rows = off;
-        let mut cols = Vec::new();
-        let mut off = 0usize;
-        for (ck, d) in p.cols {
-            cols.push((ck, off, d));
-            off += d;
-        }
-        let total_cols = off;
+    let mut groups = Vec::with_capacity(partials.len());
+    let mut mats = Vec::with_capacity(partials.len());
+    for (g, mut p) in partials {
+        let total_rows = lay_out(&mut p.rows);
+        let total_cols = lay_out(&mut p.cols);
         let mut mat = DenseTensor::zeros([total_rows, total_cols]);
-
-        for (key, block) in t.blocks() {
-            if row_charge(key) != g {
-                continue;
-            }
-            let rk: Vec<u16> = row_modes.iter().map(|&m| key[m]).collect();
-            let ck: Vec<u16> = col_modes.iter().map(|&m| key[m]).collect();
-            let (_, ro, rd) = rows.iter().find(|(k, _, _)| *k == rk).expect("present");
-            let (_, co, _cd) = cols.iter().find(|(k, _, _)| *k == ck).expect("present");
-            // matricize the block to (row_modes, col_modes)
+        for (rk, ck, block) in &p.blocks {
+            let (ro, rd) = p.rows[rk];
+            let (co, cd) = p.cols[ck];
+            // the block matricized to (row_modes, col_modes), row by row
             let bm = block.matricize(row_modes, col_modes)?;
-            debug_assert_eq!(bm.dims()[0], *rd);
-            for i in 0..bm.dims()[0] {
-                for j in 0..bm.dims()[1] {
-                    mat.set(&[ro + i, co + j], bm.at(&[i, j]));
-                }
+            debug_assert_eq!(bm.dims(), [rd, cd]);
+            for (i, src) in bm.data().chunks_exact(cd.max(1)).enumerate() {
+                let at = (ro + i) * total_cols + co;
+                mat.data_mut()[at..at + cd].copy_from_slice(src);
             }
         }
-        groups.push(SectorGroup { g, rows, cols });
+        let flat = |parts: BTreeMap<Vec<u16>, (usize, usize)>| {
+            parts.into_iter().map(|(k, (o, d))| (k, o, d)).collect()
+        };
+        groups.push(SectorGroup {
+            g,
+            rows: flat(p.rows),
+            cols: flat(p.cols),
+        });
         mats.push(mat);
     }
     Ok((groups, mats))
@@ -289,13 +285,13 @@ pub fn block_svd(
                 .map(|(&s, &m)| t.indices()[m].sector_dim(s as usize))
                 .collect();
             dims.push(r);
-            let mut flat = DenseTensor::zeros([*rd, r]);
-            for i in 0..*rd {
-                for j in 0..r {
-                    flat.set(&[i, j], svd.u.at(&[ro + i, j]));
-                }
-            }
-            let block = flat.reshape(dims)?;
+            let rank = svd.s.len();
+            let flat: Vec<f64> = svd.u.data()[ro * rank..(ro + rd) * rank]
+                .chunks_exact(rank)
+                .flat_map(|row| &row[..r])
+                .copied()
+                .collect();
+            let block = DenseTensor::from_vec(dims, flat)?;
             let mut key: BlockKey = rk.clone();
             key.push(bond_sector_id);
             let norm = block.max_abs();
@@ -311,13 +307,13 @@ pub fn block_svd(
                     .zip(col_modes)
                     .map(|(&s, &m)| t.indices()[m].sector_dim(s as usize)),
             );
-            let mut flat = DenseTensor::zeros([r, *cd]);
-            for i in 0..r {
-                for j in 0..*cd {
-                    flat.set(&[i, j], svd.vt.at(&[i, co + j]));
-                }
-            }
-            let block = flat.reshape(dims)?;
+            let n = svd.vt.dims()[1];
+            let flat: Vec<f64> = svd.vt.data()[..r * n]
+                .chunks_exact(n)
+                .flat_map(|row| &row[*co..co + cd])
+                .copied()
+                .collect();
+            let block = DenseTensor::from_vec(dims, flat)?;
             let mut key: BlockKey = vec![bond_sector_id];
             key.extend_from_slice(ck);
             if block.max_abs() > 0.0 {

@@ -16,12 +16,18 @@ use tt_tensor::DenseTensor;
 
 impl Executor {
     /// Distributed truncated SVD of a matrix, by value or by resident
-    /// handle (the ScaLAPACK `pdgesvd` stand-in used under the block SVD).
-    /// On the multi-process backend the factorization executes on a worker
+    /// handle (the ScaLAPACK `pdgesvd` stand-in used under the block SVD:
+    /// [`tt_linalg::svd_trunc`] runs `pdgesvd`'s algorithm, Householder
+    /// bidiagonalization and implicit-shift QR, on one core). On the
+    /// multi-process backend the factorization executes on a worker
     /// process (same code, same bits) — the one holding the matrix, for a
     /// handle. A tall panel (at least 32 rows, and 8× as many rows as
     /// columns) is QR-factored first, wherever it runs: the SVD is of the
-    /// small `R`, and `U = Q · U_R`.
+    /// small `R`, and `U = Q · U_R`. The sign of each kept triple is fixed
+    /// last ([`TruncatedSvd::fix_signs`]). A matrix the SVD cannot factor
+    /// (a NaN or an infinity in it) fails with the typed
+    /// [`tt_linalg::Error::NoConvergence`] — in-process as
+    /// [`Error::Linalg`], from a worker as a task fault.
     pub fn svd_trunc<'a>(
         &self,
         a: impl Into<DenseOp<'a>>,

@@ -793,6 +793,42 @@ fn factorization_batch_with_a_non_matrix_fails_up_front() {
     }
 }
 
+/// A matrix the SVD cannot factor (a NaN in it) fails typed on every
+/// backend — the linear-algebra error in-process, a task fault from a
+/// worker — and the executor factors the next matrix as before.
+#[test]
+fn an_svd_that_cannot_converge_fails_typed_on_every_backend() {
+    let mut rng = StdRng::seed_from_u64(75);
+    let good = DenseTensor::<f64>::random([12, 9], &mut rng);
+    let mut bad = good.clone();
+    bad.set(&[3, 4], f64::NAN);
+    let spec = TruncSpec::default();
+    let mut execs = vec![
+        Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential),
+        Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Threaded),
+    ];
+    #[cfg(unix)]
+    execs.push({
+        let spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
+        Executor::multi_process(Machine::blue_waters(2), 2, 2, spawn).unwrap()
+    });
+    let reference = execs[0].svd_trunc(&good, spec).unwrap();
+    for exec in &execs {
+        let what = format!("{:?}", exec.backend());
+        match exec.svd_trunc(&bad, spec) {
+            Err(Error::Linalg(tt_linalg::Error::NoConvergence(_))) => {}
+            Err(Error::Transport(e)) if exec.cluster.is_some() => {
+                assert_eq!(e.kind, crate::FaultKind::Task, "{what}: {e}");
+                assert!(e.detail.contains("no convergence"), "{what}: {e}");
+            }
+            other => panic!("{what}: {other:?}"),
+        }
+        let t = exec.svd_trunc(&good, spec).unwrap();
+        assert_eq!(t.u.data(), reference.u.data(), "{what}");
+        assert_eq!(t.vt.data(), reference.vt.data(), "{what}");
+    }
+}
+
 /// Every cost counter of an executor, floats by bit pattern.
 fn counters(exec: &Executor) -> (u64, u64, String, u64, u64, u64) {
     (

@@ -4,8 +4,10 @@
 //!
 //! * [`qr::qr_thin`] — Householder QR (the pre-reduction of a tall panel's
 //!   SVD),
-//! * [`svd::svd`] / [`svd::svd_trunc`] — one-sided Jacobi SVD with global
-//!   truncation (the `pdgesvd` stand-in; drives DMRG bond truncation),
+//! * [`svd::svd_trunc`] / [`svd::svd`] — Golub–Kahan–Reinsch SVD
+//!   (Householder bidiagonalization, then implicit-shift QR) with
+//!   truncation, the algorithm of the paper's `pdgesvd` on one core; it
+//!   drives DMRG bond truncation,
 //! * [`eig::eigh`] — symmetric Jacobi eigensolver (Davidson's subspace
 //!   diagonalization, paper Alg. 1 line 7),
 //! * [`lanczos::lanczos_smallest`] — Lanczos with full reorthogonalization
@@ -22,7 +24,7 @@ pub mod svd;
 pub use eig::eigh;
 pub use lanczos::{lanczos_smallest, LanczosOptions};
 pub use qr::qr_thin;
-pub use svd::{svd, svd_trunc, SvdResult, TruncSpec, TruncatedSvd};
+pub use svd::{svd, svd_trunc, TruncSpec, TruncatedSvd};
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, Error>;

@@ -22,53 +22,21 @@ pub fn qr_thin(a: &DenseTensor<f64>) -> Result<(DenseTensor<f64>, DenseTensor<f6
     // Householder vectors stored below the diagonal; betas separately.
     let mut betas = vec![0.0f64; k];
     for j in 0..k {
-        // compute reflector for column j, rows j..m
-        let (beta, tau) = {
-            let col = &mut r[j * m..(j + 1) * m];
-            let alpha = col[j];
-            let sigma: f64 = col[j + 1..m].iter().map(|x| x * x).sum();
-            if sigma == 0.0 {
-                // no off-diagonal mass: the column is already triangular
-                (0.0, alpha)
-            } else {
-                let mu = (alpha * alpha + sigma).sqrt();
-                // v = x - mu*e1 with the cancellation-free form for alpha > 0
-                let v0 = if alpha <= 0.0 {
-                    alpha - mu
-                } else {
-                    -sigma / (alpha + mu)
-                };
-                let v0sq = v0 * v0;
-                let beta = 2.0 * v0sq / (sigma + v0sq);
-                // normalize so v[j] = 1
-                for x in col[j + 1..m].iter_mut() {
-                    *x /= v0;
-                }
-                (beta, mu)
-            }
-        };
+        let (head, rest) = r.split_at_mut((j + 1) * m);
+        let col = &mut head[j * m + j..];
+        let (beta, tau) = householder(col);
         betas[j] = beta;
-        // apply reflector to remaining columns
         if beta != 0.0 {
-            for c in (j + 1)..n {
-                // w = v^T * col_c  (v[j]=1 implicit)
-                let mut w = r[j + c * m];
-                for i in (j + 1)..m {
-                    w += r[i + j * m] * r[i + c * m];
-                }
-                w *= beta;
-                r[j + c * m] -= w;
-                for i in (j + 1)..m {
-                    let vij = r[i + j * m];
-                    r[i + c * m] -= w * vij;
-                }
+            for c in rest.chunks_exact_mut(m) {
+                reflect(&col[1..], beta, &mut c[j..]);
             }
         }
-        r[j + j * m] = tau;
+        col[0] = tau;
         tt_tensor::counter::add_flops(4 * ((m - j) as u64) * ((n - j) as u64));
     }
 
-    // Build thin Q by applying reflectors to the first k columns of I.
+    // Build thin Q by applying reflectors to the first k columns of I;
+    // reflector j leaves columns before j (still e_c) alone.
     let mut q = vec![0.0f64; m * k]; // column major
     for j in 0..k {
         q[j + j * m] = 1.0;
@@ -77,17 +45,9 @@ pub fn qr_thin(a: &DenseTensor<f64>) -> Result<(DenseTensor<f64>, DenseTensor<f6
         if betas[j] == 0.0 {
             continue;
         }
-        for c in 0..k {
-            let mut w = q[j + c * m];
-            for i in (j + 1)..m {
-                w += r[i + j * m] * q[i + c * m];
-            }
-            w *= betas[j];
-            q[j + c * m] -= w;
-            for i in (j + 1)..m {
-                let vij = r[i + j * m];
-                q[i + c * m] -= w * vij;
-            }
+        let tail = &r[j * m + j + 1..(j + 1) * m];
+        for c in q[j * m..].chunks_exact_mut(m) {
+            reflect(tail, betas[j], &mut c[j..]);
         }
     }
 
@@ -105,6 +65,62 @@ pub fn qr_thin(a: &DenseTensor<f64>) -> Result<(DenseTensor<f64>, DenseTensor<f6
         }
     }
     Ok((qo, ro))
+}
+
+/// Householder reflector of `x`: on return `x[1..]` holds the tail of `v`
+/// (`v[0] = 1` implied) and the result is `(β, α)` with
+/// `(I − β·v·vᵀ)·x = α·e₁`, `α ≥ 0` unless `x[1..]` was already zero
+/// (then `β = 0` and `α = x[0]`). `x[0]` itself is left as it was.
+pub(crate) fn householder(x: &mut [f64]) -> (f64, f64) {
+    let alpha = x[0];
+    let sigma = dot(&x[1..], &x[1..]);
+    if sigma == 0.0 {
+        // no off-diagonal mass: nothing to reflect
+        return (0.0, alpha);
+    }
+    let mu = (alpha * alpha + sigma).sqrt();
+    // v = x − μ·e₁ with the cancellation-free form for α > 0
+    let v0 = if alpha <= 0.0 {
+        alpha - mu
+    } else {
+        -sigma / (alpha + mu)
+    };
+    let v0sq = v0 * v0;
+    let beta = 2.0 * v0sq / (sigma + v0sq);
+    for t in x[1..].iter_mut() {
+        *t /= v0;
+    }
+    (beta, mu)
+}
+
+/// `y ← (I − β·v·vᵀ)·y` for `v = (1, tail)`.
+pub(crate) fn reflect(tail: &[f64], beta: f64, y: &mut [f64]) {
+    let (y0, ys) = y
+        .split_first_mut()
+        .expect("a reflector acts on at least one row");
+    let w = beta * (*y0 + dot(tail, ys));
+    *y0 -= w;
+    for (yi, &vi) in ys.iter_mut().zip(tail) {
+        *yi -= w * vi;
+    }
+}
+
+/// `Σ xᵢ·yᵢ` in four interleaved partial sums (lane `i mod 4`) added as
+/// `(s₀ + s₁) + (s₂ + s₃)`, then the remainder in order: a fixed order the
+/// compiler may vectorize without changing a bit.
+fn dot(x: &[f64], y: &[f64]) -> f64 {
+    let split = x.len().min(y.len()) / 4 * 4;
+    let mut acc = [0.0f64; 4];
+    for (a, b) in x[..split].chunks_exact(4).zip(y[..split].chunks_exact(4)) {
+        for l in 0..4 {
+            acc[l] += a[l] * b[l];
+        }
+    }
+    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    for (a, b) in x[split..].iter().zip(&y[split..]) {
+        s += a * b;
+    }
+    s
 }
 
 #[cfg(test)]
