@@ -3,8 +3,9 @@
 //! * [`Algorithm::List`] — Algorithm 2 of the paper: loop over all pairs of
 //!   quantum-number blocks, contract pairs whose labels match along the
 //!   contracted indices, and accumulate into the result block keyed by the
-//!   surviving labels. Each pairwise contraction is dispatched through the
-//!   executor (a distributed dense contraction when ranks > 1).
+//!   surviving labels. The matching pairs go to the executor as one batch
+//!   of whole-pair contractions ([`Executor::contract_batch`]), spread over
+//!   the pool's threads or the worker ranks.
 //! * [`Algorithm::SparseDense`] — flatten the first (sparse-stored) operand
 //!   into one big sparse tensor, densify the second, contract once.
 //! * [`Algorithm::SparseSparse`] — flatten both operands into sparse
@@ -273,11 +274,13 @@ pub fn contract(
 /// Paper Algorithm 2: loop over block pairs, match contracted labels,
 /// accumulate result blocks.
 ///
-/// The independent per-pair GEMMs are dispatched through
-/// [`Executor::contract_batch`] — pool-parallel in `ExecMode::Threaded` —
-/// and the partial results are accumulated into output blocks afterwards
-/// in pair-enumeration order, so the floating-point accumulation order
-/// (and therefore the result, bit for bit) never depends on the mode.
+/// The block list is the unit of distribution: every matching pair goes
+/// in one [`Executor::contract_batch`] call — pool-parallel in
+/// `ExecMode::Threaded`, one superstep of whole-pair tasks spread over the
+/// ranks on the multi-process backend — and the partial results are
+/// accumulated into output blocks afterwards in pair-enumeration order,
+/// so the floating-point accumulation order (and therefore the result, bit
+/// for bit) never depends on the backend.
 pub fn contract_list(
     exec: &Executor,
     spec: &str,
@@ -298,20 +301,9 @@ pub fn contract_list(
             pairs.push((ablock.into(), bblock.into()));
         },
     );
-
-    if exec.mode() == tt_dist::ExecMode::Threaded {
-        // pair-level fan-out over the pool; partials return in pair order
-        let partials = exec.contract_batch(spec, &pairs)?;
-        for (kc, partial) in out_keys.into_iter().zip(partials) {
-            absorb(&mut c, kc, partial)?;
-        }
-    } else {
-        // sequential: stream one partial at a time (no operand copies, no
-        // materialized partial list) — bitwise identical to the batch path
-        for (kc, (ablock, bblock)) in out_keys.into_iter().zip(pairs) {
-            let partial = exec.contract(spec, ablock, bblock)?;
-            absorb(&mut c, kc, partial)?;
-        }
+    let partials = exec.contract_batch(spec, &pairs)?;
+    for (kc, partial) in out_keys.into_iter().zip(partials) {
+        absorb(&mut c, kc, partial)?;
     }
     Ok(c)
 }

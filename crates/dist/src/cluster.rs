@@ -231,7 +231,6 @@ fn journal_class(req: &Request) -> JClass {
         // stored them)
         Request::Ping
         | Request::CacheStats
-        | Request::DenseChunk { .. }
         | Request::SsChunk { .. }
         | Request::SvdTrunc { .. }
         | Request::Shutdown => JClass::Skip,
@@ -281,8 +280,8 @@ impl Cluster {
     }
 
     /// Cluster over `ranks` real worker processes under
-    /// [`ProcOptions`](crate::ProcOptions) (fault injection, deadline,
-    /// respawn budget; `default()` reads them from the environment).
+    /// [`ProcOptions`](crate::ProcOptions) (fault injection, deadline;
+    /// `default()` reads them from the environment).
     #[cfg(unix)]
     pub fn multi_process(
         ranks: usize,
@@ -866,7 +865,6 @@ mod tests {
             let opts = ProcOptions {
                 plan: Some(FaultPlan::parse(plan).unwrap()),
                 deadline: Some(Duration::from_secs(20)),
-                ..Default::default()
             };
             let mut cl = Cluster::multi_process(ranks, &spec(), opts).unwrap();
             let tracker = Arc::new(Mutex::new(CostTracker::new(Machine::local(), ranks)));

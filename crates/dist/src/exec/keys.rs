@@ -14,11 +14,8 @@
 
 use crate::handle::{Fnv, OpHandle};
 use tt_tensor::einsum::ContractPlan;
-use tt_tensor::gemm::GemmPath;
 
 // Purpose tags: what a buffer derived from a handle's content is for.
-const TAG_DENSE_A: u64 = 0xA1; // slab-partitioned permuted A
-const TAG_MAT_B: u64 = 0xB1; // replicated permuted dense-chunk matrix
 const TAG_SD_A: u64 = 0x5D; // volume-bucketed sparse-dense coords
 const TAG_SS_A: u64 = 0x55; // row-bucketed sparse-sparse coords
 const TAG_WHOLE: u64 = 0xF0; // whole tensor (pairs, SVD inputs)
@@ -56,18 +53,6 @@ impl Chunked {
     }
 }
 
-/// Row slabs of the permuted dense `A`. Their contents depend on the
-/// kernel path (MC-aligned or uniform ranges), so a path change is a
-/// genuine re-upload, not a cache hit.
-pub(super) fn dense_a(h: &OpHandle, perm_a: &[usize], path: GemmPath) -> Chunked {
-    Chunked(derive(&[h.key(), TAG_DENSE_A, hseq(perm_a), path as u64]))
-}
-
-/// The replicated permuted `k × n` matrix of a dense `B`.
-pub(super) fn matrix_b(h: &OpHandle, perm_b: &[usize]) -> u64 {
-    derive(&[h.key(), TAG_MAT_B, hseq(perm_b)]).finish()
-}
-
 /// Volume-balanced coordinate buckets of a sparse-dense `A`, fused against
 /// `n` output columns.
 pub(super) fn sd_a(h: &OpHandle, plan: &ContractPlan, n: usize) -> Chunked {
@@ -90,8 +75,8 @@ pub(super) fn ss_a(h: &OpHandle, plan: &ContractPlan) -> Chunked {
     ]))
 }
 
-/// A dense operand's whole tensor — what pair, sparse-dense, chain-step
-/// and factorization tasks consume.
+/// A dense operand's whole tensor — what every dense task consumes: pair,
+/// sparse-dense, chain-step and factorization.
 pub(super) fn whole(h: &OpHandle) -> u64 {
     derive(&[h.key(), TAG_WHOLE]).finish()
 }

@@ -16,12 +16,12 @@
 //! entry point takes either, as `impl Into<`[`DenseOp`]`>` /
 //! `impl Into<`[`SparseOp`]`>` (only [`Executor::contract_ss`]'s `b`, the
 //! moving operand of a sparse-sparse step, is by value only). A handle's
-//! derived buffers (permuted matrices, row slabs, coordinate buckets) are
-//! stored on the workers on first use, so every later contraction
-//! against the same handle ships **zero operand bytes**: scatter and
-//! compute are fused into one superstep per chunk, and the chunk request
-//! carries only a store key. The α–β charges follow the same discipline —
-//! a one-time upload charge on first use (miss), no β charge on a hit —
+//! derived buffers (the whole tensor, coordinate buckets) are stored on
+//! the workers on first use, so every later contraction against the same
+//! handle ships **zero operand bytes**: scatter and compute are fused into
+//! one superstep, and the task carries only a store key. The α–β charges
+//! follow the same discipline — a one-time upload charge on first use
+//! (miss), no β charge on a hit —
 //! and are computed from driver-side registry state only, so the charge
 //! sequence is bitwise-identical on every backend. On [`Backend::InProcess`]
 //! handles are plain `Arc`s around the tensor and the numerics take the
@@ -30,17 +30,18 @@
 //! # One leg per decision
 //!
 //! An entry point has an in-process leg and a cluster leg, and they share
-//! everything but the carrier. *How the work is cut* comes from one
-//! prelude per kernel family in `kernels` (`dense_prepare`, `sd_prepare`,
-//! `ss_prepare`: fused dims, kernel path, the two fan-out rules over
-//! `lanes` = pool threads or worker ranks, buckets), consumed by both
-//! legs, and the pieces come back through one epilogue
-//! (`kernels::natural_output`). *How it reaches a lane* in-process is
-//! `kernels::ordered_map` over borrowed data. *What a superstep is* on the
-//! cluster is `residency::Superstep`: `ensure` an upload wherever a rank
-//! lacks a buffer, queue the `task`s, `run` — every request that carries
-//! work (`DenseChunk`, `Contract`, `SdContract`, `SsChunk`, `SvdTrunc`)
-//! is assembled and sent there; the bare
+//! everything but the carrier. A dense contraction is cut the same way on
+//! both: one whole pair per lane (pool thread or worker rank), the pool
+//! alone splitting a lone pair into row panels. *How sparse work is cut*
+//! comes from one prelude per sparse kernel family in `kernels`
+//! (`sd_prepare`, `ss_prepare`: fused dims, the fan-out rule over `lanes` =
+//! pool threads or worker ranks, buckets), consumed by both legs, and the
+//! pieces come back through one epilogue (`kernels::natural_output`). *How
+//! it reaches a lane* in-process is `kernels::ordered_map` over borrowed
+//! data. *What a superstep is* on the cluster is `residency::Superstep`:
+//! `ensure` an upload wherever a rank lacks a buffer, queue the `task`s,
+//! `run` — every request that carries work (`Contract`, `SdContract`,
+//! `SsChunk`, `SvdTrunc`) is assembled and sent there; the bare
 //! `call_all`s left outside it (`Free`s, `CacheStats`, `Download`s, the
 //! chain's error sweep) carry none. The frames a fixed script sends are
 //! pinned by `tests::protocol_trace_matches_golden`.
@@ -251,8 +252,8 @@ impl Executor {
     }
 
     /// Multi-process executor with explicit [`ProcOptions`] — detection
-    /// deadline, respawn budget and the [`FaultPlan`] injection layer
-    /// (both types re-exported at the crate root).
+    /// deadline and the [`FaultPlan`] injection layer (both types
+    /// re-exported at the crate root).
     ///
     /// [`ProcOptions`]: crate::ProcOptions
     /// [`FaultPlan`]: crate::FaultPlan

@@ -456,7 +456,7 @@ pub(super) fn whole_home(res: &Residency, op: &DenseOp) -> Option<usize> {
 /// One superstep under construction: requests in submission order, each an
 /// *upload* (a buffer a later task reads by key; its ack says nothing) or
 /// a *task* (its reply is the result). Every cluster leg that computes —
-/// dense, sd and ss chunks, block pairs, factorizations, chain steps —
+/// block pairs, sd and ss chunks, factorizations, chain steps —
 /// assembles its frames here and nowhere else, so the rule "ship what the
 /// rank is missing, then the tasks, keep the task replies" is said once.
 #[derive(Default)]
@@ -508,34 +508,6 @@ impl Superstep {
             let data = op.tensor()?.data().to_vec();
             Ok(Request::Upload { key, data })
         })?;
-        Ok(Op::Key(key))
-    }
-
-    /// The permuted `k × n` matrix of `b` as the replicated operand of
-    /// chunk tasks on ranks `0..nranks`: inline for a value; for a handle
-    /// resident under one key, permuted once, on the first miss.
-    pub(super) fn replicated(
-        &mut self,
-        res: &mut Residency,
-        b: &DenseOp,
-        perm_b: &[usize],
-        nranks: usize,
-    ) -> Result<Op> {
-        let mat = || Ok::<_, Error>(b.tensor()?.permute(perm_b)?.into_data());
-        let Some(h) = b.handle() else {
-            return Ok(Op::Inline(mat()?));
-        };
-        let key = keys::matrix_b(h, perm_b);
-        let mut memo: Option<Vec<f64>> = None;
-        for rank in 0..nranks {
-            self.ensure(res, h.key(), key, rank, || {
-                let data = match &memo {
-                    Some(m) => m.clone(),
-                    None => memo.insert(mat()?).clone(),
-                };
-                Ok(Request::Upload { key, data })
-            })?;
-        }
         Ok(Op::Key(key))
     }
 

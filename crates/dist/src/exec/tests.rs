@@ -1583,8 +1583,8 @@ fn protocol_trace_matches_golden() {
     let mut rng = StdRng::seed_from_u64(1900);
     let mut dense = |dims: &[usize]| DenseTensor::<f64>::random(dims, &mut rng);
 
-    // -- dense: packed (two MC-aligned slabs) and GEMV shapes, by value, by
-    // handle (miss, then hit) and mixed
+    // -- dense, each contraction one whole-pair task: packed and GEMV
+    // shapes, by value, by handle (miss, then hit) and mixed
     let (a, b, x) = (dense(&[MC + 22, 65]), dense(&[65, 70]), dense(&[65]));
     assert_eq!(gemm_path(65, 70), GemmPath::Packed);
     assert_eq!(gemm_path(65, 1), GemmPath::Gemv);

@@ -10,8 +10,8 @@
 //!
 //! Residency itself is *lazy*: nothing ships at upload time. The first
 //! contraction that consumes a handle derives the operand buffer it needs
-//! (a permuted matrix, per-rank row slabs, volume-balanced coordinate
-//! buckets) and stores it on the workers; every
+//! (the whole tensor, volume-balanced coordinate buckets) and stores it
+//! on the workers; every
 //! later contraction that derives the same buffer ships **zero operand
 //! bytes** for it. On [`crate::Backend::InProcess`] handles are plain
 //! `Arc`s around the tensor — numerics take the exact same kernel path as

@@ -1,17 +1,14 @@
 //! Dense × dense: operands as strided matrices, the row-panel unit of
-//! work and its kernel, the contraction over [`ordered_map`], and the
-//! worker's chunk.
+//! work and its kernel, and the contraction over [`ordered_map`] — the one
+//! dense kernel of the in-process lanes and of a worker's `Contract` task.
 
 use super::{
     concat_rows, dense_ranges, fused_dims, lanes, natural_output, operand_perms, ordered_map,
-    Ranges,
 };
 use crate::pool::ThreadPool;
 use crate::Result;
 use std::borrow::Cow;
 use tt_tensor::einsum::ContractPlan;
-#[cfg(doc)]
-use tt_tensor::gemm::MC;
 use tt_tensor::gemm::{
     gemm_acc_packed_rows, gemm_acc_small_rows, gemm_path, gemv_acc_rows, panel_kernel, GemmPath,
     PackedB, PanelKernel,
@@ -52,8 +49,8 @@ fn mat_operand<'a>(
 }
 
 /// Rows `[r0, r1)` of `A · B` as a fresh row panel — the unit of work of
-/// every dense path (in-process lane, multi-process worker), run on the
-/// kernel [`panel_kernel`] picks for the panel. `a` is the full `m × k`
+/// the dense contraction, run on the kernel [`panel_kernel`] picks for the
+/// panel. `a` is the full `m × k`
 /// matrix through strides `(a_rs, a_cs)` (contiguous rows on the GEMV
 /// path); `b` is the contiguous `k × n` matrix, read by every kernel but
 /// the packed one; `pb` is `B` packed, read by the packed kernel.
@@ -81,21 +78,6 @@ fn dense_rows(
     c
 }
 
-/// The prelude both legs of a dense contraction share: the validated
-/// fused dims `(m, k, n)`, the path tag ([`gemm_path`]`(k, n)`,
-/// invariant under row chunking) and the row ranges over `lanes`.
-pub(crate) fn dense_prepare(
-    plan: &ContractPlan,
-    a_dims: &[usize],
-    b_dims: &[usize],
-    lanes: usize,
-) -> Result<((usize, usize, usize), GemmPath, Ranges)> {
-    plan.output_dims(a_dims, b_dims)?; // validates shapes
-    let (m, k, n) = fused_dims(plan, a_dims, b_dims);
-    let path = gemm_path(k, n);
-    Ok(((m, k, n), path, dense_ranges(path, m, lanes)))
-}
-
 /// Dense × dense contraction (TTGT), parallel at the GEMM level: when a
 /// row panel runs the packed kernel, `B` is packed once — one `KC`-deep
 /// block per call; blocks are independent and reassemble to the exact
@@ -110,7 +92,10 @@ pub(crate) fn dense_contract(
     b: &DenseTensor<f64>,
     pool: Option<&ThreadPool>,
 ) -> Result<DenseTensor<f64>> {
-    let ((m, k, n), path, ranges) = dense_prepare(plan, a.dims(), b.dims(), lanes(pool))?;
+    plan.output_dims(a.dims(), b.dims())?; // validates shapes
+    let (m, k, n) = fused_dims(plan, a.dims(), b.dims());
+    let path = gemm_path(k, n);
+    let ranges = dense_ranges(path, m, lanes(pool));
     let (perm_a, perm_b) = operand_perms(plan);
     let packs =
         |&(r0, r1): &(usize, usize)| panel_kernel(path, r1 - r0, k, n) == PanelKernel::Packed;
@@ -136,25 +121,4 @@ pub(crate) fn dense_contract(
         )
     });
     natural_output(plan, a.dims(), b.dims(), concat_rows(panels, m * n))
-}
-
-/// One dense chunk computed from a *local* row slab: the shared-nothing
-/// form of the per-range jobs in [`dense_contract`], used by the
-/// multi-process worker. `a_slab` holds `rows` rows of the permuted `A`
-/// matrix and `b_mat` the full permuted `B`; when the slab runs the packed
-/// kernel the worker packs `B` itself (identical `PackedB` contents every
-/// time, so results stay bitwise-equal to the in-process kernels —
-/// provided the slab's first row is [`MC`]-aligned in the global matrix,
-/// which keeps the `A`-panel blocking identical).
-pub(crate) fn dense_chunk(
-    path: GemmPath,
-    rows: usize,
-    k: usize,
-    n: usize,
-    a_slab: &[f64],
-    b_mat: &[f64],
-) -> Vec<f64> {
-    let packed = panel_kernel(path, rows, k, n) == PanelKernel::Packed;
-    let pb = (packed && rows > 0).then(|| PackedB::pack(k, n, b_mat, n, 1));
-    dense_rows(path, (0, rows), (k, n), a_slab, (k, 1), b_mat, pb.as_ref())
 }

@@ -13,23 +13,25 @@
 //! clones nothing. How many pieces there are is decided by two rules that
 //! sit side by side below and nowhere else:
 //!
-//! * [`dense_ranges`]: the dense kernel parallelizes **inside** the GEMM —
-//!   row panels ([`MC`]-aligned on the packed path) each run the kernel
-//!   `tt_tensor::gemm::panel_kernel` picks for them: a small one the
-//!   unpacked register tile on the operands where they lie, a large one
-//!   the packed microkernel against a `B` packed once for all of them (its
-//!   `KC`-deep blocks are themselves an ordered map); one range per lane,
-//!   no gate on work size;
+//! * [`dense_ranges`]: the dense kernel parallelizes **inside** the GEMM
+//!   on the thread pool — row panels ([`MC`]-aligned on the packed path)
+//!   each run the kernel `tt_tensor::gemm::panel_kernel` picks for them: a
+//!   small one the unpacked register tile on the operands where they lie,
+//!   a large one the packed microkernel against a `B` packed once for all
+//!   of them (its `KC`-deep blocks are themselves an ordered map); one
+//!   range per pool thread, no gate on work size. A worker runs a dense
+//!   contraction whole (one `Contract` task, one lane), so a cluster never
+//!   cuts a GEMM into rows;
 //! * [`sparse_chunks`]: the sparse kernels split rows by **work volume** —
 //!   a prefix sum of per-row flops picks the chunk boundaries, so a
 //!   handful of dense rows (the skewed patterns block-sparse flattening
 //!   produces) does not serialize onto one lane — one chunk per lane from
 //!   16 MFlop up, a single chunk below.
 //!
-//! `lanes` is the pool's thread count for the in-process legs and the
-//! worker count for the cluster legs (`exec`), which start from the same
-//! preludes ([`dense_prepare`], [`sd_prepare`], [`ss_prepare`]) and end in
-//! the same epilogue ([`natural_output`]).
+//! `lanes` is the pool's thread count for the in-process legs and, for
+//! the sparse families, the worker count for the cluster legs (`exec`),
+//! which start from the same preludes ([`sd_prepare`], [`ss_prepare`]) and
+//! end in the same epilogue ([`natural_output`]).
 //!
 //! The kernels are TTGT (transpose–GEMM–transpose) in meaning only: a
 //! permutation is executed when elements really have to change order.
@@ -44,7 +46,7 @@
 //!
 //! Layout: this file holds the ordered map, the two fan-out rules, the
 //! range functions and the dims / output helpers every family shares;
-//! `dense` the dense contraction, its row panel and its worker chunk; `sd` the
+//! `dense` the dense contraction and its row panel; `sd` the
 //! sparse-dense layout decision, chunk body and contraction; `ss` the
 //! sparse-sparse preparation, merge chunk and contraction, and the slot
 //! merge of a planned chain's step; `factor` the truncated SVD and its
@@ -57,7 +59,7 @@ mod ss;
 #[cfg(test)]
 pub(crate) mod tests;
 
-pub(crate) use dense::{dense_chunk, dense_contract, dense_prepare};
+pub(crate) use dense::dense_contract;
 pub(crate) use factor::svd_trunc;
 pub(crate) use sd::{sd_apply, sd_buckets, sd_contract, sd_prepare, sd_rows, SdGeometry};
 pub(crate) use ss::{ss_chunk, ss_contract, ss_prepare, ss_slots, SsPrep};
@@ -128,8 +130,9 @@ pub(crate) fn sparse_chunks(flops: u64, lanes: usize) -> usize {
 }
 
 /// The dense fan-out rule: the row ranges an `m`-row GEMM tagged `path` is
-/// cut into over `lanes` — [`MC`]-aligned on the packed path (whichever
-/// kernel a panel then runs), uniform otherwise; never gated on work size.
+/// cut into over `lanes` pool threads — [`MC`]-aligned on the packed path
+/// (whichever kernel a panel then runs), uniform otherwise; never gated on
+/// work size.
 pub(crate) fn dense_ranges(path: GemmPath, m: usize, lanes: usize) -> Ranges {
     match path {
         GemmPath::Packed => mc_aligned_ranges(m, lanes),

@@ -39,8 +39,10 @@
 //! | [`Executor::upload`], [`Executor::upload_shared`], [`Executor::upload_sparse`], [`Executor::free`] | operand residency |
 //! | [`Executor::download`], [`Executor::download_many`], [`Executor::free_results`] | result residency |
 //!
-//! The worker protocol under it — 12 requests — is tabulated in
-//! [`transport`].
+//! A dense contraction reaches a worker whole, one `Contract` task per
+//! block pair — the paper's block list is the unit of distribution — while
+//! sparse work is cut into row buckets. The worker protocol under it — 11
+//! requests — is tabulated in [`transport`].
 
 mod cluster;
 mod cost;

@@ -152,7 +152,7 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// How workers are launched.
     pub spawn: SpawnSpec,
-    /// Transport options (fault plan, default deadline, respawn budget).
+    /// Transport options (fault plan, default deadline).
     pub opts: ProcOptions,
     /// Runner threads — jobs executing at once.
     pub max_concurrent: usize,

@@ -101,7 +101,6 @@ impl RecordingTransport {
         match req {
             Request::Upload { key, .. } | Request::UploadCoords { key, .. } => writes.push(*key),
             Request::Free { key } | Request::Download { key } => reads.push(*key),
-            Request::DenseChunk { a, b, .. } => reads.extend(a.key().into_iter().chain(b.key())),
             Request::Contract { a, b, out, .. } => {
                 reads.extend(a.key().into_iter().chain(b.key()));
                 writes.extend(out.key());

@@ -21,10 +21,10 @@
 //! past it. A future MPI backend is "swap this trait's implementation":
 //! the executor-side routing does not change.
 //!
-//! What travels over it is the rank-side task protocol (`worker`): 12
+//! What travels over it is the rank-side task protocol (`worker`): 11
 //! requests. A dense operand is an `Op` — `f64` data inline or a `Key`
-//! into the rank's store. The request numbers 3, 5, 6, 8, 11, 13, 15, 16
-//! and 17, reply numbers 3 and 5, inline-operand tag 2 and sparse-sparse
+//! into the rank's store. The request numbers 3, 5, 6, 8, 9, 11, 13, 15,
+//! 16 and 17, reply numbers 3 and 5, inline-operand tag 2 and sparse-sparse
 //! operand tag 1 are retired and decode to a typed `Decode` fault.
 //!
 //! | # | request | effect | reply |
@@ -34,8 +34,7 @@
 //! | 2 | `Upload` | store a dense buffer under a key | `Unit` |
 //! | 4 | `UploadCoords` | store a sparse coordinate bucket | `Unit` |
 //! | 7 | `CacheStats` | store footprint and hit/miss counters | `Stats` |
-//! | 9 | `DenseChunk` | one row slab of a dense contraction | `Buf` |
-//! | 10 | `Contract` | a whole dense contraction, `out` = `Reply` or `Store {key, acc}` | `Buf` or `Unit` |
+//! | 10 | `Contract` | a whole dense contraction — the only dense task — `out` = `Reply` or `Store {key, acc}` | `Buf` or `Unit` |
 //! | 12 | `SsChunk` | one sparse-sparse bucket, its grouped `B` inline | `Entries` |
 //! | 14 | `SvdTrunc` | truncated SVD of an `f64` matrix | `Svd` |
 //! | 18 | `Download` | remove a dense entry and return it | `Buf` |

@@ -214,9 +214,9 @@ impl FaultPlan {
     }
 }
 
-/// Spawn-time options for [`ProcTransport::spawn_with`]: fault injection,
-/// detection deadline, respawn budget. `Default` reads everything from the
-/// environment (`TT_FAULT_PLAN`, `TT_DIST_TIMEOUT_MS`).
+/// Spawn-time options for [`ProcTransport::spawn_with`]: fault injection
+/// and detection deadline. `Default` reads everything from the environment
+/// (`TT_FAULT_PLAN`, `TT_DIST_TIMEOUT_MS`).
 #[derive(Clone, Debug, Default)]
 pub struct ProcOptions {
     /// Fault injection plan (merged over the env plan; a non-empty builder
@@ -224,8 +224,6 @@ pub struct ProcOptions {
     pub plan: Option<FaultPlan>,
     /// Receive/stalled-send deadline (overrides `TT_DIST_TIMEOUT_MS`).
     pub deadline: Option<Duration>,
-    /// Respawn attempts per failure before the rank degrades.
-    pub respawn_attempts: Option<u32>,
 }
 
 /// Mutable injection state: the remaining plan plus per-rank send and
@@ -474,7 +472,6 @@ pub struct ProcTransport {
     dir: PathBuf,
     next_tag: u64,
     deadline: Duration,
-    respawn_attempts: u32,
     inj: Injector,
 }
 
@@ -533,8 +530,8 @@ impl ProcTransport {
         Self::spawn_with(ranks, spec, ProcOptions::default())
     }
 
-    /// Spawn with explicit [`ProcOptions`] (fault injection, deadline,
-    /// respawn budget); unset options fall back to the environment, where
+    /// Spawn with explicit [`ProcOptions`] (fault injection, deadline);
+    /// unset options fall back to the environment, where
     /// a malformed `TT_FAULT_PLAN` or `TT_DIST_TIMEOUT_MS` (not a positive
     /// number of milliseconds) is an error, never a silent default.
     pub fn spawn_with(ranks: usize, spec: &SpawnSpec, opts: ProcOptions) -> Result<Self> {
@@ -571,10 +568,6 @@ impl ProcTransport {
             dir,
             next_tag: 1,
             deadline,
-            respawn_attempts: opts
-                .respawn_attempts
-                .unwrap_or(DEFAULT_RESPAWN_ATTEMPTS)
-                .max(1),
             inj: Injector::new(plan, ranks),
         };
         for slot in 0..ranks {
@@ -791,7 +784,7 @@ impl Transport for ProcTransport {
         let _ = self.children[slot].wait();
         self.links[slot] = None;
         let mut last = Error::fault(FaultKind::Spawn, rank, "no respawn attempts made");
-        for attempt in 0..self.respawn_attempts {
+        for attempt in 0..DEFAULT_RESPAWN_ATTEMPTS {
             if attempt > 0 {
                 std::thread::sleep(RESPAWN_BACKOFF * (1 << (attempt - 1).min(6)));
             }
@@ -880,7 +873,7 @@ impl Drop for ProcTransport {
 
 #[cfg(test)]
 mod tests {
-    use super::super::worker::{Op, Reply};
+    use super::super::worker::{Op, Out, Reply};
     use super::*;
 
     /// Self-exec hook: when the lib test binary is re-executed as a
@@ -974,7 +967,7 @@ mod tests {
 
     #[test]
     fn worker_flop_counts_propagate_to_the_driver() {
-        // a DenseChunk runs its GEMM in the worker process; the reply's
+        // a Contract runs its GEMM in the worker process; the reply's
         // counter-delta prefix must land in this process's global counter
         // (lower bound, not equality: other tests share the global
         // counter and libtest runs them concurrently)
@@ -985,13 +978,13 @@ mod tests {
         t.send(
             0,
             tag,
-            &Request::DenseChunk {
-                path: tt_tensor::gemm::gemm_path(k, n),
-                rows,
-                k,
-                n,
+            &Request::Contract {
+                spec: "ik,kj->ij".into(),
+                a_dims: vec![rows, k],
                 a: Op::Inline(vec![1.0; rows * k]),
+                b_dims: vec![k, n],
                 b: Op::Inline(vec![1.0; k * n]),
+                out: Out::Reply,
             }
             .encode(),
         )
@@ -1204,7 +1197,6 @@ mod tests {
         let opts = ProcOptions {
             plan: Some(FaultPlan::parse("kill:0@2").unwrap()),
             deadline: Some(Duration::from_secs(10)),
-            ..Default::default()
         };
         let mut t = ProcTransport::spawn_with(1, &spec(), opts).unwrap();
         let tag = t.next_tag();
@@ -1238,7 +1230,6 @@ mod tests {
         let opts = ProcOptions {
             plan: Some(FaultPlan::parse("corrupt:0@1").unwrap()),
             deadline: Some(Duration::from_secs(10)),
-            ..Default::default()
         };
         let mut t = ProcTransport::spawn_with(1, &spec(), opts).unwrap();
         let tag = t.next_tag();
@@ -1263,7 +1254,6 @@ mod tests {
         let opts = ProcOptions {
             plan: Some(FaultPlan::parse("drop:0@1").unwrap()),
             deadline: Some(deadline),
-            ..Default::default()
         };
         let mut t = ProcTransport::spawn_with(1, &spec(), opts).unwrap();
         let tag = t.next_tag();
@@ -1294,7 +1284,6 @@ mod tests {
         let opts = ProcOptions {
             plan: Some(FaultPlan::parse("delay:0@1+100").unwrap()),
             deadline: Some(Duration::from_secs(60)),
-            ..Default::default()
         };
         let mut t = ProcTransport::spawn_with(1, &spec(), opts).unwrap();
         let n = 320usize;
@@ -1302,13 +1291,13 @@ mod tests {
         t.send(
             0,
             tag,
-            &Request::DenseChunk {
-                path: tt_tensor::gemm::gemm_path(n, n),
-                rows: n,
-                k: n,
-                n,
+            &Request::Contract {
+                spec: "ik,kj->ij".into(),
+                a_dims: vec![n, n],
                 a: Op::Inline(vec![1.0; n * n]),
+                b_dims: vec![n, n],
                 b: Op::Inline(vec![0.5; n * n]),
+                out: Out::Reply,
             }
             .encode(),
         )

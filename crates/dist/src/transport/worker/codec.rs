@@ -3,24 +3,6 @@
 use super::super::wire::{Dec, Enc};
 use super::protocol::{Op, OpCoords, OpSs, Out, Reply, Request};
 use crate::{DistError, Error, FaultKind, Result};
-use tt_tensor::gemm::GemmPath;
-
-fn path_to_u8(p: GemmPath) -> u8 {
-    match p {
-        GemmPath::Gemv => 0,
-        GemmPath::Scalar => 1,
-        GemmPath::Packed => 2,
-    }
-}
-
-fn path_from_u8(v: u8) -> Result<GemmPath> {
-    match v {
-        0 => Ok(GemmPath::Gemv),
-        1 => Ok(GemmPath::Scalar),
-        2 => Ok(GemmPath::Packed),
-        _ => Err(Error::transport(format!("bad gemm path tag {v}"))),
-    }
-}
 
 fn put_usizes(e: &mut Enc, v: &[usize]) {
     e.put_usize(v.len());
@@ -35,8 +17,8 @@ fn get_usizes(d: &mut Dec) -> Result<Vec<usize>> {
 }
 
 /// The typed fault for a number the codec does not (or no longer)
-/// assigns. Retired numbers — request opcodes 3, 5, 6, 8, 11, 13, 15, 16
-/// and 17, reply opcodes 3 and 5, inline-operand tag 2 and sparse-sparse
+/// assigns. Retired numbers — request opcodes 3, 5, 6, 8, 9, 11, 13, 15,
+/// 16 and 17, reply opcodes 3 and 5, inline-operand tag 2 and sparse-sparse
 /// operand tag 1 — are never reassigned, so a frame from an older peer
 /// fails here instead of being misread.
 fn unknown(what: &str, v: u8) -> Error {
@@ -171,22 +153,6 @@ impl Request {
                 e.put_f64s(vals);
             }
             Request::CacheStats => e.put_u8(7),
-            Request::DenseChunk {
-                path,
-                rows,
-                k,
-                n,
-                a,
-                b,
-            } => {
-                e.put_u8(9);
-                e.put_u8(path_to_u8(*path));
-                e.put_usize(*rows);
-                e.put_usize(*k);
-                e.put_usize(*n);
-                a.put(&mut e);
-                b.put(&mut e);
-            }
             Request::Contract {
                 spec,
                 a_dims,
@@ -298,14 +264,6 @@ impl Request {
                 vals: d.f64s()?,
             },
             7 => Request::CacheStats,
-            9 => Request::DenseChunk {
-                path: path_from_u8(d.u8()?)?,
-                rows: d.usize()?,
-                k: d.usize()?,
-                n: d.usize()?,
-                a: Op::get(&mut d)?,
-                b: Op::get(&mut d)?,
-            },
             10 => Request::Contract {
                 spec: d.str()?,
                 a_dims: get_usizes(&mut d)?,

@@ -8,7 +8,6 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use tt_linalg::TruncSpec;
 use tt_tensor::einsum::ContractPlan;
-use tt_tensor::gemm::gemm_path;
 use tt_tensor::DenseTensor;
 
 impl WorkerState {
@@ -50,29 +49,6 @@ impl WorkerState {
                 hits: self.hits,
                 misses: self.misses,
             }),
-            Request::DenseChunk {
-                path,
-                rows,
-                k,
-                n,
-                a,
-                b,
-            } => {
-                // the tag fixes the panel's length (a GEMV panel is one
-                // column) and where its sums may split: a tag the
-                // in-process leg would not pick returns other bits
-                if path != gemm_path(k, n) {
-                    return Err(Error::transport(format!(
-                        "dense chunk tagged {path:?}, but a k={k}, n={n} multiply is {:?}",
-                        gemm_path(k, n)
-                    )));
-                }
-                let (a, b) = (self.op(a)?, self.op(b)?);
-                if Some(a.len()) != rows.checked_mul(k) || Some(b.len()) != k.checked_mul(n) {
-                    return Err(Error::transport("dense chunk operand size mismatch"));
-                }
-                Ok(Reply::Buf(kernels::dense_chunk(path, rows, k, n, &a, &b)))
-            }
             Request::Contract {
                 spec,
                 a_dims,

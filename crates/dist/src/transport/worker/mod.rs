@@ -2,14 +2,14 @@
 //!
 //! A worker (one rank of the shared-nothing backend) is a small kernel
 //! server: it holds a keyed store of resident buffers and executes the
-//! same deterministic chunk kernels as the in-process executor —
-//! [`crate::kernels::dense_chunk`], `kernels::sd::sd_chunk` (through
-//! [`crate::kernels::sd_rows`] for a row bucket and
-//! [`crate::kernels::sd_apply`] for a whole chain step, one request both),
-//! [`crate::kernels::ss_chunk`] and whole-matrix factorizations. Because
-//! both backends run *exactly* this code over *exactly* the same work
-//! decomposition, multi-process results are bitwise-identical to the
-//! in-process Sequential executor.
+//! same deterministic kernels as the in-process executor — one whole
+//! [`crate::kernels::dense_contract`] per `Contract` task,
+//! `kernels::sd::sd_chunk` (through [`crate::kernels::sd_rows`] for a row
+//! bucket and [`crate::kernels::sd_apply`] for a whole chain step, one
+//! request both), [`crate::kernels::ss_chunk`] and whole-matrix
+//! factorizations. Because both backends run *exactly* this code over
+//! *exactly* the same work decomposition, multi-process results are
+//! bitwise-identical to the in-process Sequential executor.
 //!
 //! Every buffer holds `f64` data. A dense or coordinate operand of a
 //! compute task is an [`Op`] / [`OpCoords`] — either **inline** bytes (the

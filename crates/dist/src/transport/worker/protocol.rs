@@ -1,8 +1,6 @@
 //! The messages of the rank-side task protocol: operands, requests and
 //! replies. Their wire form is in `codec`.
 
-use tt_tensor::gemm::GemmPath;
-
 /// A dense buffer operand: inline payload or resident-store key.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum Op {
@@ -68,21 +66,10 @@ pub(crate) enum Request {
     },
     /// Report the store's byte footprint and entry counts.
     CacheStats,
-    /// One row-slab of a dense TTGT contraction (`a` holds `rows` rows of
-    /// the permuted A, `b` the full permuted B). Scatter and compute are
-    /// fused: resident operands ship as keys, everything else rides in
-    /// this one request.
-    DenseChunk {
-        path: GemmPath,
-        rows: usize,
-        k: usize,
-        n: usize,
-        a: Op,
-        b: Op,
-    },
-    /// One whole dense TTGT contraction: a block pair of the list
-    /// algorithm's fan-out ([`Out::Reply`]) or a chain step whose result
-    /// stays resident ([`Out::Store`]).
+    /// One whole dense TTGT contraction — the only dense task: a single
+    /// contraction or a block pair of the list algorithm's fan-out
+    /// ([`Out::Reply`]), or a chain step whose result stays resident
+    /// ([`Out::Store`]).
     Contract {
         spec: String,
         a_dims: Vec<usize>,
@@ -242,9 +229,7 @@ impl Request {
             Request::UploadCoords {
                 rows, cols, vals, ..
             } => 8 * (rows.len() + cols.len() + vals.len()),
-            Request::DenseChunk { a, b, .. } | Request::Contract { a, b, .. } => {
-                a.payload_bytes() + b.payload_bytes()
-            }
+            Request::Contract { a, b, .. } => a.payload_bytes() + b.payload_bytes(),
             Request::SdContract { a, b, .. } => coords(a) + b.payload_bytes(),
             Request::SsChunk { a, b, .. } => coords(a) + ss(b),
             Request::SvdTrunc { a, .. } => a.payload_bytes(),

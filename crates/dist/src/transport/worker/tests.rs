@@ -3,7 +3,6 @@ use crate::kernels;
 use crate::FaultKind;
 use proptest::prelude::*;
 use tt_tensor::einsum::ContractPlan;
-use tt_tensor::gemm::{GemmPath, KC};
 use tt_tensor::DenseTensor;
 
 /// The values the request/reply samples are built from.
@@ -32,7 +31,6 @@ fn request_variant(req: &Request) -> &'static str {
         Request::Upload { .. } => "Upload",
         Request::UploadCoords { .. } => "UploadCoords",
         Request::CacheStats => "CacheStats",
-        Request::DenseChunk { .. } => "DenseChunk",
         Request::Contract { .. } => "Contract",
         Request::SsChunk { .. } => "SsChunk",
         Request::SvdTrunc { .. } => "SvdTrunc",
@@ -42,13 +40,12 @@ fn request_variant(req: &Request) -> &'static str {
     }
 }
 /// Every request variant, in wire-number order.
-const REQUEST_VARIANTS: [&str; 12] = [
+const REQUEST_VARIANTS: [&str; 11] = [
     "Ping",
     "Free",
     "Upload",
     "UploadCoords",
     "CacheStats",
-    "DenseChunk",
     "Contract",
     "SsChunk",
     "SvdTrunc",
@@ -104,14 +101,6 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
             vals,
         },
         Request::CacheStats,
-        Request::DenseChunk {
-            path: GemmPath::Packed,
-            rows: rows.len(),
-            k: 3,
-            n: 2,
-            a: inline.clone(),
-            b: keyed.clone(),
-        },
         Request::SsChunk {
             a: coords.clone(),
             b: ss.clone(),
@@ -300,23 +289,23 @@ proptest! {
 
 /// A frame under each retired number, with a payload long enough for any
 /// fixed-width field a decoder could try to read: request opcodes 3, 5, 6,
-/// 8, 11, 13, 15, 16 and 17, a `DenseChunk` whose `a` operand carries the
+/// 8, 9, 11, 13, 15, 16 and 17, a `Contract` whose `a` operand carries the
 /// retired inline tag 2 and an `SsChunk` whose `b` carries the retired
 /// resident tag 1; then reply opcodes 3 and 5.
 fn retired_frames() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let frame = |op: u8| -> Vec<u8> { std::iter::once(op).chain([0x11; 40]).collect() };
-    let mut requests = Vec::from([3, 5, 6, 8, 11, 13, 15, 16, 17].map(frame));
-    let mut chunk = Request::DenseChunk {
-        path: GemmPath::Scalar,
-        rows: 1,
-        k: 1,
-        n: 1,
+    let mut requests = Vec::from([3, 5, 6, 8, 9, 11, 13, 15, 16, 17].map(frame));
+    let mut pair = Request::Contract {
+        spec: String::new(),
+        a_dims: vec![],
         a: Op::Key(0),
+        b_dims: vec![],
         b: Op::Key(0),
+        out: Out::Reply,
     }
     .encode();
-    chunk[26] = 2; // `a`'s tag: after the opcode, the path and three u64s
-    requests.push(chunk);
+    pair[17] = 2; // `a`'s tag: after the opcode, the empty spec and dims
+    requests.push(pair);
     let mut ss = Request::SsChunk {
         a: OpCoords::Key(0),
         b: OpSs {
@@ -436,13 +425,13 @@ fn upload(w: &mut WorkerState, key: u64, data: Vec<f64>) {
 /// compute task — a touch that leaves the entry in place.
 fn resident(w: &mut WorkerState, key: u64, len: usize) -> bool {
     matches!(
-        w.handle(Request::DenseChunk {
-            path: GemmPath::Gemv,
-            rows: len,
-            k: 1,
-            n: 1,
+        w.handle(Request::Contract {
+            spec: "ik,kj->ij".into(),
+            a_dims: vec![len, 1],
             a: Op::Key(key),
+            b_dims: vec![1, 1],
             b: Op::Inline(vec![1.0]),
+            out: Out::Reply,
         }),
         Some(Reply::Buf(_))
     )
@@ -499,19 +488,19 @@ fn a_key_stored_twice_and_freed_once_leaves_nothing() {
 #[test]
 fn resident_operands_serve_fused_tasks() {
     let mut w = WorkerState::new();
-    // pin B, then run a dense chunk against the resident key only
+    // pin B, then run a dense contraction against the resident key only
     upload(&mut w, 100, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]); // 3×2
-    let chunk = |b: u64| Request::DenseChunk {
-        path: GemmPath::Scalar,
-        rows: 1,
-        k: 3,
-        n: 2,
+    let pair = |b: u64| Request::Contract {
+        spec: "ik,kj->ij".into(),
+        a_dims: vec![1, 3],
         a: Op::Inline(vec![1.0, 1.0, 1.0]),
+        b_dims: vec![3, 2],
         b: Op::Key(b),
+        out: Out::Reply,
     };
-    assert_eq!(w.handle(chunk(100)), Some(Reply::Buf(vec![9.0, 12.0])));
+    assert_eq!(w.handle(pair(100)), Some(Reply::Buf(vec![9.0, 12.0])));
     // unknown key fails without killing the worker
-    assert!(matches!(w.handle(chunk(999)), Some(Reply::Fail(_))));
+    assert!(matches!(w.handle(pair(999)), Some(Reply::Fail(_))));
     assert_eq!(w.handle(Request::Ping), Some(Reply::Pong));
 }
 
@@ -781,14 +770,6 @@ fn worker_workspace_serves_the_next_chain_step_from_a_freed_result() {
 fn bad_tasks_fail_without_killing_the_worker() {
     let mut w = WorkerState::new();
     let f = |v: Vec<f64>| Op::Inline(v);
-    let chunk = |a: Op, b: Op| Request::DenseChunk {
-        path: GemmPath::Scalar,
-        rows: 2,
-        k: 2,
-        n: 2,
-        a,
-        b,
-    };
     let pair = |a: Op, b: Op, out: Out| Request::Contract {
         spec: "ik,kj->ij".into(),
         a_dims: vec![2, 2],
@@ -894,22 +875,9 @@ fn bad_tasks_fail_without_killing_the_worker() {
         w.handle(ss(one(), vec![0, 0], 1)),
         Some(Reply::Entries { .. })
     ));
-    // a dense chunk whose tag is not `gemm_path(k, n)`, operands sized
-    // right: a GEMV tag on a two-column panel would return one column, a
-    // packed tag on a GEMV shape would split the sums at KC
-    let mistagged = |path: GemmPath, k: usize, n: usize| Request::DenseChunk {
-        path,
-        rows: 2,
-        k,
-        n,
-        a: f(vec![1.0; 2 * k]),
-        b: f(vec![1.0; k * n]),
-    };
     let bad = [
-        // wrong operand size
-        chunk(f(vec![0.0; 3]), f(vec![0.0; 4])),
-        mistagged(GemmPath::Gemv, 2, 2),
-        mistagged(GemmPath::Packed, KC + 1, 1),
+        // inline data that disagrees with its dims
+        pair(f(vec![0.0; 3]), f(vec![0.0; 4]), Out::Reply),
         // accumulate a partial of the wrong length
         Request::Contract {
             spec: "ik,kj->ij".into(),

@@ -27,7 +27,6 @@ use crate::{Error, Result};
 pub struct ContractPlan {
     a_labels: Vec<u8>,
     b_labels: Vec<u8>,
-    out_labels: Vec<u8>,
     /// positions of contracted labels in A and B (aligned pairwise)
     ctr_a: Vec<usize>,
     ctr_b: Vec<usize>,
@@ -129,7 +128,6 @@ impl ContractPlan {
         Ok(Self {
             a_labels,
             b_labels,
-            out_labels,
             ctr_a,
             ctr_b,
             free_a,
@@ -168,11 +166,6 @@ impl ContractPlan {
     /// requested output order.
     pub fn output_permutation(&self) -> &[usize] {
         &self.out_perm
-    }
-
-    /// Order of the result.
-    pub fn output_order(&self) -> usize {
-        self.out_labels.len()
     }
 
     /// Predict the output shape for given operand shapes (validates
@@ -371,7 +364,6 @@ mod tests {
     fn plan_reuse_and_flop_count() {
         let plan = ContractPlan::parse("ik,kj->ij").unwrap();
         assert_eq!(plan.operand_orders(), (2, 2));
-        assert_eq!(plan.output_order(), 2);
         assert_eq!(plan.flop_count(&[8, 4], &[4, 16]), 2 * 8 * 4 * 16);
         assert_eq!(plan.output_dims(&[8, 4], &[4, 16]).unwrap(), vec![8, 16]);
         let mut rng = StdRng::seed_from_u64(4);

@@ -18,14 +18,14 @@
 //!
 //! A multiply is tagged by [`gemm_path`] from `(k, n)` **only** — never
 //! from `m` — so row-disjoint chunks of it agree on the tag, which fixes
-//! how the `tt-dist` kernels cut rows into slabs:
+//! how the `tt-dist` thread pool cuts rows into panels:
 //!
 //! * `n == 1` — [`GemmPath::Gemv`] (the Davidson matvec shape),
 //! * small `k·n` — [`GemmPath::Scalar`]: never packed, packing overhead
 //!   would dominate on the many tiny blocks of block-sparse DMRG,
 //! * otherwise — [`GemmPath::Packed`].
 //!
-//! Inside a slab, [`panel_kernel`] picks the row-panel kernel from the tag,
+//! Inside a panel, [`panel_kernel`] picks the row-panel kernel from the tag,
 //! the panel's rows and `(k, n)`: a GEMV loop, the unpacked `TM × TN`
 //! register tile (every `Scalar`-tagged panel, and every small one with
 //! `k ≤ KC`: no `B` packing), or the packed microkernel. The choice may
@@ -72,8 +72,8 @@ pub const KC: usize = 256;
 
 /// Below this `k·n` a multiply is tagged [`GemmPath::Scalar`] (threshold
 /// compares only chunking-invariant dims, keeping the tag
-/// row-independent). The tag fixes the row slabs and their keys; which
-/// kernel runs inside a slab is [`panel_kernel`]'s choice.
+/// row-independent). The tag fixes the row panels; which kernel runs
+/// inside a panel is [`panel_kernel`]'s choice.
 const PACK_MIN_KN: usize = 2048;
 
 /// Rows of the unpacked kernel's register tile.
@@ -93,9 +93,9 @@ const TN: usize = 8;
 const SMALL_MAX_MNK: usize = 1 << 22;
 
 /// The kernel family a `(k, n)` multiply is tagged with. Deliberately
-/// independent of `m`: the tag fixes the row slabs (MC-aligned on the
-/// packed path), their resident keys and the worker's wire byte, and
-/// row-chunked parallel execution must agree with sequential.
+/// independent of `m`: the tag fixes the row panels (MC-aligned on the
+/// packed path), and row-chunked parallel execution must agree with
+/// sequential.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum GemmPath {
     /// Fused output width 1: matrix–vector product.
@@ -711,19 +711,6 @@ fn gemv_rows<T: Scalar>(
 // ---------------------------------------------------------------------------
 // public entry points
 // ---------------------------------------------------------------------------
-
-/// `C = A · B` for row-major matrices given as flat slices.
-///
-/// `a` is `m×k`, `b` is `k×n`, `c` (output, overwritten) is `m×n`.
-pub fn gemm_slices<T: Scalar>(m: usize, k: usize, n: usize, a: &[T], b: &[T], c: &mut [T]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    for x in c.iter_mut() {
-        *x = T::zero();
-    }
-    gemm_acc_slices(m, k, n, a, b, c);
-}
 
 /// `C += A · B` for row-major flat slices (accumulating form).
 pub fn gemm_acc_slices<T: Scalar>(m: usize, k: usize, n: usize, a: &[T], b: &[T], c: &mut [T]) {

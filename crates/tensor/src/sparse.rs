@@ -1,20 +1,19 @@
-//! Coordinate-format sparse tensors and sparse contraction kernels.
+//! Coordinate-format sparse tensors.
 //!
-//! These are the local pieces of the paper's *sparse-dense* and
-//! *sparse-sparse* algorithms (Section IV-A): quantum-number block tensors
-//! are flattened into one large sparse tensor, and contractions run as a
-//! single sparse operation instead of a loop over block pairs. The paper
-//! notes that "knowledge of quantum number labels allows for pre-computation
-//! of the output sparsity, which can be provided to Cyclops to control
-//! memory consumption" — [`SparseTensor::contract_sparse_masked`] implements
-//! exactly that interface.
+//! The storage of the paper's *sparse-dense* and *sparse-sparse*
+//! algorithms (Section IV-A): quantum-number block tensors are flattened
+//! into one large sparse tensor, and contractions run as a single sparse
+//! operation instead of a loop over block pairs. The contraction kernels
+//! live elsewhere: the sorted-run merge of sparse × sparse in
+//! [`crate::ssmerge`], whose slot accumulator takes the output sparsity the
+//! quantum numbers pre-compute (the paper's "knowledge of quantum number
+//! labels allows for pre-computation of the output sparsity"), and the
+//! row-chunked contractions of the distributed executor built on it.
 
 use crate::dense::DenseTensor;
-use crate::einsum::ContractPlan;
 use crate::scalar::Scalar;
 use crate::shape::Shape;
 use crate::{Error, Result};
-use std::collections::HashSet;
 
 /// A sparse tensor storing `(linear offset, value)` pairs sorted by offset.
 ///
@@ -213,163 +212,11 @@ impl<T: Scalar> SparseTensor<T> {
         }
         Self::from_entries(out_shape, entries)
     }
-
-    /// Split each entry's multi-index into a fused `(row, col)` pair given
-    /// row-mode and col-mode position lists.
-    fn to_matrix_coords(&self, row_modes: &[usize], col_modes: &[usize]) -> Vec<(u64, u64, T)> {
-        let dims = self.shape.dims();
-        let mut out = Vec::with_capacity(self.nnz());
-        for (off, v) in self.entries() {
-            let idx = self.shape.unoffset(off as usize);
-            let mut row = 0u64;
-            for &m in row_modes {
-                row = row * dims[m] as u64 + idx[m] as u64;
-            }
-            let mut col = 0u64;
-            for &m in col_modes {
-                col = col * dims[m] as u64 + idx[m] as u64;
-            }
-            out.push((row, col, v));
-        }
-        out
-    }
-
-    /// Sparse × dense contraction producing a dense tensor.
-    ///
-    /// `spec` follows [`crate::einsum()`] grammar with `self` as the first
-    /// operand. This is the kernel under the *sparse-dense* algorithm.
-    pub fn contract_dense(&self, spec: &str, b: &DenseTensor<T>) -> Result<DenseTensor<T>> {
-        let plan = ContractPlan::parse(spec)?;
-        let out_dims = plan.output_dims(self.dims(), b.dims())?;
-
-        // B fused to (ctr, free) dense matrix, ctr modes aligned with A's.
-        let mut perm_b: Vec<usize> = plan.ctr_b_positions().to_vec();
-        perm_b.extend_from_slice(plan.free_b_positions());
-        let k: usize = plan
-            .ctr_b_positions()
-            .iter()
-            .map(|&m| b.dims()[m])
-            .product();
-        let n: usize = plan
-            .free_b_positions()
-            .iter()
-            .map(|&m| b.dims()[m])
-            .product();
-        let b_mat = crate::transpose::permute(b, &perm_b)?;
-        let b_data = b_mat.data();
-
-        let m: usize = plan
-            .free_a_positions()
-            .iter()
-            .map(|&m| self.dims()[m])
-            .product();
-        let coords = self.to_matrix_coords(plan.free_a_positions(), plan.ctr_a_positions());
-
-        let mut c = vec![T::zero(); m * n];
-        for (row, col, v) in coords {
-            debug_assert!((col as usize) < k);
-            let brow = &b_data[col as usize * n..(col as usize + 1) * n];
-            let crow = &mut c[row as usize * n..(row as usize + 1) * n];
-            for (cj, &bj) in crow.iter_mut().zip(brow.iter()) {
-                *cj += v * bj;
-            }
-        }
-        crate::counter::add_flops(2 * self.nnz() as u64 * n as u64);
-
-        let natural_dims: Vec<usize> = plan
-            .free_a_positions()
-            .iter()
-            .map(|&i| self.dims()[i])
-            .chain(plan.free_b_positions().iter().map(|&j| b.dims()[j]))
-            .collect();
-        let c = DenseTensor::from_vec(natural_dims, c)?;
-        let c = crate::transpose::permute(&c, plan.output_permutation())?;
-        debug_assert_eq!(c.dims(), &out_dims[..]);
-        Ok(c)
-    }
-
-    /// Sparse × sparse contraction producing a sparse tensor.
-    ///
-    /// The kernel under the *sparse-sparse* algorithm: both operands are
-    /// fused to sparse matrices, key-sorted once, joined by a two-pointer
-    /// merge over contracted-key runs, and accumulated in a dense panel
-    /// ([`crate::ssmerge`]).
-    pub fn contract_sparse(&self, spec: &str, b: &Self) -> Result<Self> {
-        self.contract_sparse_impl(spec, b, None)
-    }
-
-    /// Sparse × sparse contraction with pre-computed output sparsity: only
-    /// offsets present in `mask` (output linear offsets, any order) are
-    /// accumulated; everything else is discarded on the fly.
-    pub fn contract_sparse_masked(&self, spec: &str, b: &Self, mask: &[u64]) -> Result<Self> {
-        self.contract_sparse_impl(spec, b, Some(mask))
-    }
-
-    fn contract_sparse_impl(&self, spec: &str, b: &Self, mask: Option<&[u64]>) -> Result<Self> {
-        let plan = ContractPlan::parse(spec)?;
-        let out_dims = plan.output_dims(self.dims(), b.dims())?;
-        let out_shape = Shape::from(out_dims.clone());
-
-        let m: u64 = plan
-            .free_a_positions()
-            .iter()
-            .map(|&m| self.dims()[m] as u64)
-            .product();
-        let n: u64 = plan
-            .free_b_positions()
-            .iter()
-            .map(|&m| b.dims()[m] as u64)
-            .product();
-
-        // A as (row, ctr) triples, stably key-sorted; B grouped by key
-        let mut a_coords = self.to_matrix_coords(plan.free_a_positions(), plan.ctr_a_positions());
-        a_coords.sort_by_key(|e| e.1);
-        let btab = crate::ssmerge::SsBTable::build(
-            b.to_matrix_coords(plan.ctr_b_positions(), plan.free_b_positions()),
-        );
-
-        let (triples, flops) = crate::ssmerge::merge_chunk(&a_coords, &btab, 0, m.max(1), n);
-        crate::counter::add_flops(flops);
-
-        // natural-order output strides: (free_a fused) * n + (free_b fused)
-        // then convert to requested output order via permutation of indices.
-        let natural_dims: Vec<usize> = plan
-            .free_a_positions()
-            .iter()
-            .map(|&i| self.dims()[i])
-            .chain(plan.free_b_positions().iter().map(|&j| b.dims()[j]))
-            .collect();
-        let natural_shape = Shape::from(natural_dims);
-        let out_perm = plan.output_permutation();
-
-        let natural_to_out = |nat_off: u64| -> u64 {
-            let idx = natural_shape.unoffset(nat_off as usize);
-            let out_idx: Vec<usize> = out_perm.iter().map(|&p| idx[p]).collect();
-            out_shape.offset(&out_idx).expect("in bounds") as u64
-        };
-
-        // masking filters at extraction: each output element accumulates
-        // independently, so this is value-identical to per-product masking
-        let mask_set: Option<HashSet<u64>> = mask.map(|m| m.iter().copied().collect());
-        let mut entries = Vec::with_capacity(triples.len());
-        for (row, col, v) in triples {
-            let out_off = natural_to_out(row * n + col);
-            if let Some(ref ms) = mask_set {
-                if !ms.contains(&out_off) {
-                    continue;
-                }
-            }
-            entries.push((out_off, v));
-        }
-
-        Self::from_entries(out_shape, entries)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::einsum::einsum;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -412,65 +259,6 @@ mod tests {
         let sp = s.permute(&[2, 0, 1]).unwrap();
         let dp = d.permute(&[2, 0, 1]).unwrap();
         assert!(sp.to_dense().allclose(&dp, 0.0));
-    }
-
-    #[test]
-    fn sparse_dense_contraction_matches_einsum() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let s = random_sparse(&[4, 3, 5], 0.4, 3);
-        let b = DenseTensor::<f64>::random([5, 3, 2], &mut rng);
-        let c = s.contract_dense("ajk,kjc->ac", &b).unwrap();
-        let c_ref = einsum("ajk,kjc->ac", &s.to_dense(), &b).unwrap();
-        assert!(c.allclose(&c_ref, 1e-12));
-    }
-
-    #[test]
-    fn sparse_dense_with_output_permutation() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let s = random_sparse(&[4, 3], 0.5, 5);
-        let b = DenseTensor::<f64>::random([3, 6], &mut rng);
-        let c = s.contract_dense("ik,kj->ji", &b).unwrap();
-        let c_ref = einsum("ik,kj->ji", &s.to_dense(), &b).unwrap();
-        assert!(c.allclose(&c_ref, 1e-12));
-    }
-
-    #[test]
-    fn sparse_sparse_contraction_matches_einsum() {
-        let a = random_sparse(&[4, 6], 0.4, 6);
-        let b = random_sparse(&[6, 5], 0.4, 7);
-        let c = a.contract_sparse("ik,kj->ij", &b).unwrap();
-        let c_ref = einsum("ik,kj->ij", &a.to_dense(), &b.to_dense()).unwrap();
-        assert!(c.to_dense().allclose(&c_ref, 1e-12));
-    }
-
-    #[test]
-    fn sparse_sparse_higher_order() {
-        let a = random_sparse(&[2, 3, 4], 0.5, 8);
-        let b = random_sparse(&[4, 3, 5], 0.5, 9);
-        let c = a.contract_sparse("ajk,kjc->ca", &b).unwrap();
-        let c_ref = einsum("ajk,kjc->ca", &a.to_dense(), &b.to_dense()).unwrap();
-        assert!(c.to_dense().allclose(&c_ref, 1e-12));
-    }
-
-    #[test]
-    fn masked_contraction_restricts_output() {
-        let a = random_sparse(&[4, 6], 0.8, 10);
-        let b = random_sparse(&[6, 4], 0.8, 11);
-        let full = a.contract_sparse("ik,kj->ij", &b).unwrap();
-        // mask = diagonal offsets only
-        let mask: Vec<u64> = (0..4).map(|i| (i * 4 + i) as u64).collect();
-        let masked = a.contract_sparse_masked("ik,kj->ij", &b, &mask).unwrap();
-        for (off, v) in masked.entries() {
-            assert!(mask.contains(&off));
-            assert!((v - full.to_dense().data()[off as usize]).abs() < 1e-12);
-        }
-        // every diagonal entry of full must be present in masked
-        for &off in &mask {
-            let fv = full.to_dense().data()[off as usize];
-            if fv.abs() > 1e-12 {
-                assert!((masked.to_dense().data()[off as usize] - fv).abs() < 1e-12);
-            }
-        }
     }
 
     #[test]

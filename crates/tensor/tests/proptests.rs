@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tt_tensor::ssmerge::{merge_chunk, merge_slots, SlotChunk, SlotMap, SsBTable};
-use tt_tensor::{einsum, gemm, Complex64, DenseTensor, Layout, Scalar, SparseTensor};
+use tt_tensor::{einsum, gemm, Complex64, DenseTensor, Layout, Scalar};
 
 /// Raw `(row, key, val)` / `(key, col, val)` entry lists for the sparse
 /// merge kernel — duplicates (same coordinates twice) and absent keys
@@ -149,26 +149,6 @@ proptest! {
         let mut rhs = einsum(spec, &a1, &b).unwrap();
         rhs.axpy(alpha, &einsum(spec, &a2, &b).unwrap()).unwrap();
         prop_assert!(lhs.allclose(&rhs, 1e-10));
-    }
-
-    /// Sparse kernels agree with dense einsum regardless of pattern.
-    #[test]
-    fn sparse_kernels_match_dense(
-        a in tensor_with_shape(vec![3, 4, 2]),
-        b in tensor_with_shape(vec![2, 4, 3]),
-        tol in 0.0f64..0.9,
-    ) {
-        // sparsify with a threshold to get varied patterns
-        let sa = SparseTensor::from_dense(&a, tol);
-        let sb = SparseTensor::from_dense(&b, tol);
-        let da = sa.to_dense();
-        let db = sb.to_dense();
-        let spec = "ika,akj->ij";
-        let reference = einsum(spec, &da, &db).unwrap();
-        let sd = sa.contract_dense(spec, &db).unwrap();
-        prop_assert!(sd.allclose(&reference, 1e-10));
-        let ss = sa.contract_sparse(spec, &sb).unwrap();
-        prop_assert!(ss.to_dense().allclose(&reference, 1e-10));
     }
 
     /// einsum reduces to reference triple loop for matrices.

@@ -184,6 +184,30 @@ fn pool_parallel_contract_list_is_bitwise_identical() {
     );
 }
 
+#[cfg(unix)]
+#[test]
+fn multi_process_contract_list_ships_each_block_once_per_pair() {
+    // The block list is the unit of distribution: a by-value list
+    // contraction is one superstep of whole-pair tasks, so each block of
+    // each matching pair travels once, with that pair's task — no operand
+    // is cut into row slabs or replicated to a second rank.
+    let (x, y) = block_fixture();
+    let seq = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
+    let mp = multi_process_executor(2);
+    let c1 = contract_list(&seq, "isj,jtk->istk", &x, &y).unwrap();
+    let c2 = contract_list(&mp, "isj,jtk->istk", &x, &y).unwrap();
+    assert_eq!(c1.to_dense().data(), c2.to_dense().data());
+    // a pair matches on the contracted label: x's mode 2 against y's mode 0
+    let mut expected = 0u64;
+    for (kx, bx) in x.blocks() {
+        for (_, by) in y.blocks().filter(|(ky, _)| ky[0] == kx[2]) {
+            expected += 8 * (bx.len() + by.len()) as u64;
+        }
+    }
+    assert!(expected > 0);
+    assert_eq!(mp.operand_bytes(), expected);
+}
+
 #[test]
 fn volume_balanced_sparse_kernels_bitwise_on_rectangular_blocks() {
     // the sparse-dense / sparse-sparse algorithms flatten block tensors

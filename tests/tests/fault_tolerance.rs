@@ -30,7 +30,6 @@ fn faulty_executor(workers: usize, plan: &str) -> Executor {
     let opts = ProcOptions {
         plan: Some(FaultPlan::parse(plan).expect("valid fault plan")),
         deadline: Some(Duration::from_secs(60)),
-        ..Default::default()
     };
     Executor::multi_process_opts(Machine::blue_waters(2), 1, workers, spec(), opts)
         .expect("spawn multi-process workers")
@@ -155,11 +154,12 @@ fn block_fixture() -> (BlockSparseTensor, BlockSparseTensor) {
 #[test]
 fn killed_rank_mid_contraction_tensors_are_bitwise() {
     // Tensor-level (not just scalar-energy) recovery equivalence: a kill
-    // during the chained block contraction still yields bitwise-equal
-    // dense data.
+    // during the block-list contraction still yields bitwise-equal dense
+    // data. The whole list is one superstep of pair tasks spread over the
+    // ranks, three of them to rank 0: its second send dies mid-call.
     let (x, y) = block_fixture();
     let seq = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
-    let faulty = faulty_executor(3, "kill:0@5");
+    let faulty = faulty_executor(3, "kill:0@2");
     let c_seq = contract_list(&seq, "isj,jtk->istk", &x, &y).unwrap();
     let c_mp = contract_list(&faulty, "isj,jtk->istk", &x, &y).unwrap();
     assert_eq!(c_seq.to_dense().data(), c_mp.to_dense().data());
