@@ -216,6 +216,49 @@ fn fused_charges<'i>(modes: impl Iterator<Item = &'i QnIndex>, arity: u8) -> Vec
     charges
 }
 
+/// The specs of a list chain as the chain runs them, every intermediate
+/// stored in the order its consumer reads it. Step `s` of `specs` reads
+/// step `s − 1`'s output as its `B`; each step but the last writes its
+/// output in the order the next step's GEMM reads `B` — first the
+/// contracted modes, in the next step's `A` order, then the free `B` modes
+/// in their original order — and the next step names its `B` labels in
+/// that same order, so it reads `B` in place. Only labels move: every
+/// step's fused `m × k × n` product, flop count and output block keys are
+/// those of the original spec, and the last step keeps the caller's output
+/// order. For the two-site matvec's four steps this turns six
+/// intermediate-sized permutes per block-pair chain into four.
+pub fn consumer_order(specs: &[&str]) -> Result<Vec<String>> {
+    let mut plans: Vec<ContractPlan> = Vec::with_capacity(specs.len());
+    let mut labels: Vec<[Vec<char>; 3]> = Vec::with_capacity(specs.len());
+    for spec in specs {
+        plans.push(ContractPlan::parse(spec)?);
+        // a parsed spec has one "->" and one ","
+        let (inputs, out) = spec.split_once("->").expect("parsed");
+        let (a, b) = inputs.split_once(',').expect("parsed");
+        labels.push([a, b, out].map(|part| part.trim().chars().collect()));
+    }
+    for (s, plan) in plans.iter().enumerate().skip(1) {
+        let perm_b = plan.operand_permutations().1;
+        if labels[s - 1][2].len() != perm_b.len() {
+            return Err(Error::Key(format!(
+                "step {s} of the chain reads a {}-mode B from a {}-mode output",
+                perm_b.len(),
+                labels[s - 1][2].len()
+            )));
+        }
+        let reorder = |ls: &[char]| -> Vec<char> { perm_b.iter().map(|&j| ls[j]).collect() };
+        labels[s - 1][2] = reorder(&labels[s - 1][2]);
+        labels[s][1] = reorder(&labels[s][1]);
+    }
+    Ok(labels
+        .iter()
+        .map(|[a, b, out]| {
+            let [a, b, out] = [a, b, out].map(|ls| ls.iter().collect::<String>());
+            format!("{a},{b}->{out}")
+        })
+        .collect())
+}
+
 /// Every matching block pair of a contraction, in the one order all list
 /// paths share: `A`'s blocks as given, and for each the `B` blocks with the
 /// same contracted labels, as given. `emit` receives the two payloads and
@@ -540,12 +583,14 @@ pub fn contract_resident(
 /// [`ResidentChain::release`] frees **every** handle whatever fails on the
 /// way and reports the first error; dropping the chain does the same and
 /// has nobody to report to. *The plan*: one `StepPlan` per step — for
-/// sparse-sparse also the executor's [`SsChainPlan`] of the whole run —
-/// derived by the first [`ResidentChain::apply`] and kept for the later
-/// ones. The operands cannot change under the chain, so the plan is stale
-/// only when `x`'s indices or flux are not the ones it was derived for; it
-/// goes with the chain. A run applied once is [`contract_chain`]: the same
-/// plan and bodies, every operand by value.
+/// sparse-sparse also the executor's [`SsChainPlan`] of the whole run, for
+/// list the specs in [`consumer_order`] and one block-pair schedule per
+/// set of stored keys of `x` met so far — derived by the first
+/// [`ResidentChain::apply`] and kept for the later ones. The operands
+/// cannot change under the chain, so the plan is stale only when `x`'s
+/// indices or flux are not the ones it was derived for; it goes with the
+/// chain. A run applied once is [`contract_chain`]: the same plan and
+/// bodies, every operand by value.
 pub struct ResidentChain<'e> {
     exec: &'e Executor,
     algo: Algorithm,
@@ -559,6 +604,13 @@ struct ChainPlan {
     x_indices: Vec<QnIndex>,
     x_flux: QN,
     steps: Vec<StepPlan>,
+    /// For [`Algorithm::List`], and only then: each step's spec as the
+    /// chain runs it, intermediates in [`consumer_order`].
+    list_specs: Vec<String>,
+    /// For [`Algorithm::List`]: one pair schedule per set of stored block
+    /// keys of `x` the plan has met (a bond's ψ and its Davidson
+    /// residuals bring two), each keyed by those keys in stored order.
+    schedules: Mutex<Vec<(Vec<BlockKey>, Arc<ListSchedule>)>>,
     /// For [`Algorithm::SparseSparse`], and only then: the run as one
     /// planned chain on the executor.
     ss: Option<SsChainPlan>,
@@ -605,16 +657,43 @@ impl ChainPlan {
             }
             _ => None,
         };
+        let list_specs = match algo {
+            Algorithm::List => consumer_order(&steps.iter().map(|a| a.spec).collect::<Vec<_>>())?,
+            _ => Vec::new(),
+        };
         Ok(Self {
             x_indices: x.indices().to_vec(),
             x_flux: x.flux(),
             steps: planned,
+            list_specs,
+            schedules: Mutex::new(Vec::new()),
             ss,
         })
     }
 
     fn serves(&self, x: &BlockSparseTensor) -> bool {
         self.x_indices == x.indices() && self.x_flux == x.flux()
+    }
+
+    /// The pair schedule of `x`'s stored block keys: the kept one when the
+    /// plan has met these keys before, a fresh one (kept from now on)
+    /// otherwise.
+    fn list_schedule(
+        &self,
+        steps: &[StepOperand],
+        x: &BlockSparseTensor,
+    ) -> Result<Arc<ListSchedule>> {
+        let mut kept = self
+            .schedules
+            .lock()
+            .expect("a schedule is only ever pushed whole");
+        let x_keys = || x.blocks().map(|(k, _)| k);
+        if let Some((_, schedule)) = kept.iter().find(|(keys, _)| keys.iter().eq(x_keys())) {
+            return Ok(Arc::clone(schedule));
+        }
+        let schedule = Arc::new(ListSchedule::derive(steps, &self.steps, x)?);
+        kept.push((x_keys().cloned().collect(), Arc::clone(&schedule)));
+        Ok(schedule)
     }
 
     /// Indices and flux of the chain's result.
@@ -640,6 +719,63 @@ enum BRef {
     X(usize),
     /// The resident output of an earlier chain step.
     Step(usize),
+}
+
+/// One block pair of a list chain: chain step by chain step, what
+/// [`Executor::chain`] is handed.
+struct PairStep {
+    /// The contraction it belongs to.
+    s: usize,
+    /// Its `A` block, by position among that contraction's operand blocks.
+    a: usize,
+    b: BRef,
+    /// The chain step whose output it accumulates into.
+    acc: Option<usize>,
+}
+
+/// The block-pair schedule of a list chain for one set of stored keys of
+/// `x`: the block structure propagated symbolically (the driver knows
+/// every intermediate's block keys without seeing its values), in the
+/// original specs' key space, so partials accumulate in
+/// [`contract_list`]'s exact enumeration order whatever order the
+/// intermediates are stored in.
+struct ListSchedule {
+    pairs: Vec<PairStep>,
+    /// The last contraction's output blocks, in sorted key order, each with
+    /// the chain step that creates it.
+    outputs: Vec<(BlockKey, usize)>,
+}
+
+impl ListSchedule {
+    fn derive(steps: &[StepOperand], planned: &[StepPlan], x: &BlockSparseTensor) -> Result<Self> {
+        let mut pairs: Vec<PairStep> = Vec::new();
+        let mut cur: BTreeMap<BlockKey, BRef> = x
+            .blocks()
+            .enumerate()
+            .map(|(i, (k, _))| (k.clone(), BRef::X(i)))
+            .collect();
+        for (s, (a, step)) in steps.iter().zip(planned).enumerate() {
+            // out block key -> chain step of its creating (non-acc) pair
+            let mut made: BTreeMap<BlockKey, usize> = BTreeMap::new();
+            let a_blocks = a.blocks()?.iter().enumerate().map(|(i, &(k, _))| (k, i));
+            for_each_block_pair(&step.contract, a_blocks, &cur, |a, &b, kc| {
+                let acc = made.get(&kc).copied();
+                if acc.is_none() {
+                    made.insert(kc, pairs.len());
+                }
+                pairs.push(PairStep { s, a, b, acc });
+            });
+            cur = made.into_iter().map(|(k, i)| (k, BRef::Step(i))).collect();
+        }
+        let outputs = cur
+            .into_iter()
+            .filter_map(|(k, b)| match b {
+                BRef::Step(j) => Some((k, j)),
+                BRef::X(_) => None,
+            })
+            .collect();
+        Ok(Self { pairs, outputs })
+    }
 }
 
 impl<'e> ResidentChain<'e> {
@@ -696,7 +832,8 @@ impl<'e> ResidentChain<'e> {
     /// traffic collapses from one payload per block pair per step to one
     /// download per output block of the last step. List chains per-block
     /// results (accumulate steps fold partials in the exact enumeration
-    /// order of [`contract_list`]); sparse-dense chains the whole flattened
+    /// order of [`contract_list`], each intermediate stored in the order
+    /// its consumer reads it); sparse-dense chains the whole flattened
     /// contractions.
     ///
     /// [`Algorithm::SparseSparse`] runs as one planned chain
@@ -850,12 +987,11 @@ fn apply_sd(
     blocks
 }
 
-/// The list chain: propagate the block structure symbolically (the
-/// driver knows every intermediate's block keys without seeing its
-/// values — this part depends on `x`'s stored keys, so it is redone
-/// per application), emit one chain step per block pair with
-/// accumulate steps in [`contract_list`]'s exact enumeration order,
-/// and download only the last contraction's blocks.
+/// The list chain: one chain step per block pair of the kept schedule of
+/// `x`'s stored keys ([`ListSchedule`]), accumulate steps in
+/// [`contract_list`]'s exact enumeration order, intermediates stored in
+/// their consumer's order ([`consumer_order`]), and only the last
+/// contraction's blocks downloaded.
 fn apply_list(
     exec: &Executor,
     steps: &[StepOperand],
@@ -863,47 +999,23 @@ fn apply_list(
     x: &BlockSparseTensor,
     input: ListInput,
 ) -> Result<BlockSparseTensor> {
-    struct Desc<'t> {
-        s: usize,
-        a: DenseOp<'t>,
-        b: BRef,
-        acc: Option<usize>,
-    }
-    let mut descs: Vec<Desc> = Vec::new();
-    let mut cur: BTreeMap<BlockKey, BRef> = x
-        .blocks()
-        .enumerate()
-        .map(|(i, (k, _))| (k.clone(), BRef::X(i)))
-        .collect();
-    for (s, (a, step)) in steps.iter().zip(&plan.steps).enumerate() {
-        // out block key -> desc index of its creating (non-acc) step
-        let mut made: BTreeMap<BlockKey, usize> = BTreeMap::new();
-        for_each_block_pair(
-            &step.contract,
-            a.blocks()?.iter().copied(),
-            &cur,
-            |a, &b, kc| {
-                let acc = made.get(&kc).copied();
-                if acc.is_none() {
-                    made.insert(kc, descs.len());
-                }
-                descs.push(Desc { s, a, b, acc });
-            },
-        );
-        cur = made.into_iter().map(|(k, i)| (k, BRef::Step(i))).collect();
-    }
-
+    let schedule = plan.list_schedule(steps, x)?;
+    let a_blocks = steps
+        .iter()
+        .map(StepOperand::blocks)
+        .collect::<Result<Vec<_>>>()?;
     let run = |x_ops: &[DenseOp]| {
-        let chain_steps: Vec<ChainStep> = descs
+        let chain_steps: Vec<ChainStep> = schedule
+            .pairs
             .iter()
-            .map(|d| ChainStep {
-                spec: steps[d.s].spec,
-                a: ChainSrc::Dense(d.a),
-                b: match d.b {
+            .map(|p| ChainStep {
+                spec: &plan.list_specs[p.s],
+                a: ChainSrc::Dense(a_blocks[p.s][p.a].1),
+                b: match p.b {
                     BRef::X(i) => ChainSrc::Dense(x_ops[i]),
                     BRef::Step(j) => ChainSrc::Prev(j),
                 },
-                acc: d.acc,
+                acc: p.acc,
             })
             .collect();
         exec.chain(&chain_steps)
@@ -919,14 +1031,11 @@ fn apply_list(
     // download the final step's blocks (in sorted key order); free the
     // blocks of earlier steps that nothing consumed (the chain released
     // the consumed ones itself)
-    let mut dl_keys: Vec<BlockKey> = Vec::new();
-    let mut to_download: Vec<ResultHandle> = Vec::new();
-    for (k, bref) in &cur {
-        if let BRef::Step(j) = bref {
-            dl_keys.push(k.clone());
-            to_download.push(results[*j].take().expect("creating step owns its result"));
-        }
-    }
+    let to_download: Vec<ResultHandle> = schedule
+        .outputs
+        .iter()
+        .map(|&(_, j)| results[j].take().expect("creating step owns its result"))
+        .collect();
     let rest: Vec<ResultHandle> = results.into_iter().flatten().collect();
     let downloaded = exec.download_many(to_download);
     let freed = exec.free_results(rest);
@@ -934,8 +1043,8 @@ fn apply_list(
     freed?;
     let (indices, flux) = plan.output();
     let mut c = BlockSparseTensor::new(indices, flux);
-    for (k, t) in dl_keys.into_iter().zip(downloaded) {
-        c.insert_block(k, t)?;
+    for ((k, _), t) in schedule.outputs.iter().zip(downloaded) {
+        c.insert_block(k.clone(), t)?;
     }
     Ok(c)
 }
@@ -1138,6 +1247,78 @@ mod tests {
             for x in [&psi, &psi2, &psi] {
                 let fresh = ResidentChain::upload(&exec, algo, &steps).unwrap();
                 assert_eq!(kept.apply(x).unwrap(), fresh.apply(x).unwrap(), "{algo}");
+                fresh.release().unwrap();
+            }
+            kept.release().unwrap();
+        }
+    }
+
+    /// Self-exec worker hook: when the multi-process backend re-executes
+    /// this test binary with the `spawned_worker_entry` filter, this test
+    /// becomes the worker serve loop; in a normal run it is a no-op pass.
+    #[test]
+    fn spawned_worker_entry() {
+        tt_dist::maybe_serve();
+    }
+
+    /// A tensor as its stored keys and the bits of every block.
+    fn bits(t: &BlockSparseTensor) -> Vec<(BlockKey, Vec<u64>)> {
+        t.blocks()
+            .map(|(k, b)| (k.clone(), b.data().iter().map(|v| v.to_bits()).collect()))
+            .collect()
+    }
+
+    /// A list chain keeps one pair schedule per set of stored keys of its
+    /// input and must tell them apart when indices and flux agree: ψ, then
+    /// a ψ′ with one stored block fewer, then ψ again, on one chain, each
+    /// equal bit for bit to the `contract` fold and to a fresh chain, on
+    /// Sequential and on two workers.
+    #[test]
+    fn kept_plan_follows_the_stored_keys() {
+        let mut rng = StdRng::seed_from_u64(106);
+        let (a, psi) = pair();
+        let w = BlockSparseTensor::random(
+            vec![bond(Arrow::In, &[(-1, 2), (1, 3)]), a.indices()[0].dual()],
+            QN::zero(1),
+            &mut rng,
+        );
+        let steps = [("isj,jtk->istk", &a), ("ui,istk->ustk", &w)];
+        let mut fewer = BlockSparseTensor::new(psi.indices().to_vec(), psi.flux());
+        let dropped = psi.n_blocks() / 2;
+        for (i, (k, b)) in psi.blocks().enumerate() {
+            if i != dropped {
+                fewer.insert_block(k.clone(), b.clone()).unwrap();
+            }
+        }
+        assert!(
+            fewer.n_blocks() >= 2,
+            "ψ′ keeps blocks on both sides of the gap"
+        );
+        let mut execs = vec![Executor::with_machine(
+            tt_dist::Machine::blue_waters(2),
+            1,
+            tt_dist::ExecMode::Sequential,
+        )];
+        #[cfg(unix)]
+        execs.push(
+            Executor::multi_process(
+                tt_dist::Machine::blue_waters(2),
+                1,
+                2,
+                tt_dist::SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]),
+            )
+            .unwrap(),
+        );
+        for exec in &execs {
+            let kept = ResidentChain::upload(exec, Algorithm::List, &steps).unwrap();
+            for x in [&psi, &fewer, &psi] {
+                let t = contract(exec, Algorithm::List, steps[0].0, &a, x).unwrap();
+                let fold = contract(exec, Algorithm::List, steps[1].0, &w, &t).unwrap();
+                let fresh = ResidentChain::upload(exec, Algorithm::List, &steps).unwrap();
+                let what = format!("{} blocks on {:?}", x.n_blocks(), exec.backend());
+                let y = kept.apply(x).unwrap();
+                assert_eq!(bits(&y), bits(&fold), "{what}");
+                assert_eq!(bits(&y), bits(&fresh.apply(x).unwrap()), "{what}");
                 fresh.release().unwrap();
             }
             kept.release().unwrap();

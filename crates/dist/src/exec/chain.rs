@@ -476,7 +476,8 @@ impl Executor {
 
     /// The in-process leg of [`Executor::chain`]: run every step locally
     /// with the exact same kernels as the value paths, accumulating
-    /// partials in submission order. An internal output leaves `outs` as
+    /// products in submission order, each added into its target through
+    /// the output permutation. An internal output leaves `outs` as
     /// soon as its last consumer has run; a sparse-dense one's buffer goes
     /// back to the workspace it came from, for the next step to take.
     fn chain_local(
@@ -487,18 +488,23 @@ impl Executor {
     ) -> Result<()> {
         for (i, (st, pl)) in steps.iter().zip(planned).enumerate() {
             let b = resolve_local(&st.b, outs)?;
-            // plan_chain made a sparse `a` an sd step
-            let partial = match &st.a {
-                ChainSrc::Sparse(op) => self.sd_local(&pl.plan, op, b)?.0,
-                a => kernels::dense_contract(&pl.plan, resolve_local(a, outs)?, b, self.pool())?,
-            };
+            // plan_chain made a sparse `a` an sd step, and refused `acc` on
+            // one
             if pl.base == i {
-                outs[i] = Some(Arc::new(partial));
+                let c = match &st.a {
+                    ChainSrc::Sparse(op) => self.sd_local(&pl.plan, op, b)?.0,
+                    a => {
+                        kernels::dense_contract(&pl.plan, resolve_local(a, outs)?, b, self.pool())?
+                    }
+                };
+                outs[i] = Some(Arc::new(c));
             } else {
+                let a = resolve_local(&st.a, outs)?;
+                let product = kernels::NaturalProduct::compute(&pl.plan, a, b, self.pool())?;
                 let target = outs[pl.base]
                     .as_mut()
                     .ok_or_else(|| Error::Runtime("accumulate target missing".into()))?;
-                Arc::make_mut(target).axpy(1.0, &partial)?;
+                product.add_into(Arc::make_mut(target).data_mut())?;
             }
             for j in [st.a.prev(), st.b.prev(), st.acc].into_iter().flatten() {
                 if planned[j].dies_after != Some(i) {

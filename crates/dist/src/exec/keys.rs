@@ -8,11 +8,12 @@
 //! the logical key's parts followed by `(chunks, i)`. Both come from the
 //! one [`Chunked`] value, so they cannot drift apart.
 //!
-//! A key is a plain FNV hash of its parts in order: deterministic and
-//! backend-independent, which is what lets the in-process backend replay
-//! the exact charge sequence of the multi-process one.
+//! A key is a [`WordHash`] of its parts in order, one 64-bit word per
+//! part: deterministic and backend-independent, which is what lets the
+//! in-process backend replay the exact charge sequence of the
+//! multi-process one.
 
-use crate::handle::{Fnv, OpHandle};
+use crate::handle::{OpHandle, WordHash};
 use tt_tensor::einsum::ContractPlan;
 
 // Purpose tags: what a buffer derived from a handle's content is for.
@@ -20,18 +21,20 @@ const TAG_SD_A: u64 = 0x5D; // volume-bucketed sparse-dense coords
 const TAG_SS_A: u64 = 0x55; // row-bucketed sparse-sparse coords
 const TAG_WHOLE: u64 = 0xF0; // whole tensor (pairs, SVD inputs)
 
-fn derive(parts: &[u64]) -> Fnv {
-    Fnv::new().u64s(parts.iter().copied())
+fn derive(parts: &[u64]) -> WordHash {
+    WordHash::new().u64s(parts.iter().copied())
 }
 
 /// A `usize` sequence (an axis permutation, mode positions) as one part.
 fn hseq(vals: &[usize]) -> u64 {
-    Fnv::new().u64s(vals.iter().map(|&v| v as u64)).finish()
+    WordHash::new()
+        .u64s(vals.iter().map(|&v| v as u64))
+        .finish()
 }
 
 /// The key of a buffer family that is stored in chunks.
 #[derive(Clone, Copy)]
-pub(crate) struct Chunked(Fnv);
+pub(crate) struct Chunked(WordHash);
 
 impl Chunked {
     /// The charge key. It omits the chunk count, which follows the worker

@@ -568,6 +568,77 @@ fn chains_compose_prev_acc_and_res_bitwise() {
     );
 }
 
+/// An accumulate step adds its natural-order product into the target
+/// through the output permutation in one walk; the target must hold the
+/// bits of the value path's fold — the first partial stored, every later
+/// one permuted and then added — on every backend (the two-worker leg is
+/// the worker's accumulate store). A general permutation, a plain
+/// transpose (its product row-split over the pool in Threaded mode) and
+/// one that fuses to the identity.
+#[test]
+fn accumulate_folds_the_output_permutation_bitwise() {
+    use tt_tensor::gemm::MC;
+    use tt_tensor::transpose::{motion, Motion};
+    let mut rng = StdRng::seed_from_u64(74);
+    let mut dense = |dims: &[usize]| DenseTensor::<f64>::random(dims, &mut rng);
+    let cases = [
+        (
+            "isj,jtk->ktis",
+            &[9, 4, 7][..],
+            &[7, 3, 5][..],
+            Motion::General,
+        ),
+        (
+            "ik,kj->ji",
+            &[MC + 22, 65],
+            &[65, 70],
+            Motion::Transpose {
+                rows: 70,
+                cols: MC + 22,
+            },
+        ),
+        ("isj,jtk->istk", &[9, 4, 7], &[7, 3, 5], Motion::Identity),
+    ];
+    let mut execs = vec![
+        Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential),
+        Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Threaded),
+    ];
+    #[cfg(unix)]
+    execs.push({
+        let spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
+        Executor::multi_process(Machine::blue_waters(2), 2, 2, spawn).unwrap()
+    });
+    for (spec, a_dims, b_dims, moves) in cases {
+        let pairs: Vec<_> = (0..3).map(|_| (dense(a_dims), dense(b_dims))).collect();
+        let plan = tt_tensor::einsum::ContractPlan::parse(spec).unwrap();
+        let nat = crate::kernels::natural_dims(&plan, a_dims, b_dims);
+        assert_eq!(motion(&nat, plan.output_permutation()).unwrap(), moves);
+        let local = Executor::local();
+        let mut fold = local.contract(spec, &pairs[0].0, &pairs[0].1).unwrap();
+        for (a, b) in &pairs[1..] {
+            fold.axpy(1.0, &local.contract(spec, a, b).unwrap())
+                .unwrap();
+        }
+        let steps: Vec<ChainStep> = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, (a, b))| ChainStep {
+                spec,
+                a: ChainSrc::Dense(a.into()),
+                b: ChainSrc::Dense(b.into()),
+                acc: (i > 0).then_some(0),
+            })
+            .collect();
+        let bits = |t: &DenseTensor<f64>| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for exec in &execs {
+            let mut out = exec.chain(&steps).unwrap();
+            let c = exec.download(out[0].take().unwrap()).unwrap();
+            assert_eq!(c.dims(), fold.dims());
+            assert_eq!(bits(&c), bits(&fold), "{spec} on {:?}", exec.backend());
+        }
+    }
+}
+
 #[cfg(unix)]
 #[test]
 fn multi_process_chains_bitwise_and_collapse_result_bytes() {

@@ -25,30 +25,28 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use tt_tensor::{DenseTensor, SparseTensor};
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Initial state of a [`WordHash`] (the 64-bit golden ratio).
+const HASH_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Odd multiplier of a [`WordHash`] step (SplitMix64's first).
+const HASH_MUL: u64 = 0xbf58_476d_1ce4_e5b9;
 
-/// Running FNV-1a hash state.
+/// Running content hash, one 64-bit word per step: the word is xored into
+/// the state, which is then multiplied by an odd constant and xor-shifted.
+/// Each of the three is a bijection, so for fixed other words two inputs
+/// that differ in one word — in one bit of one `f64`, say — always hash
+/// apart; one dependent multiply per word where a byte-wise hash takes
+/// eight.
 #[derive(Clone, Copy)]
-pub(crate) struct Fnv(u64);
+pub(crate) struct WordHash(u64);
 
-impl Fnv {
+impl WordHash {
     pub(crate) fn new() -> Self {
-        Fnv(FNV_OFFSET)
+        WordHash(HASH_SEED)
     }
 
-    pub(crate) fn u8(mut self, b: u8) -> Self {
-        self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
-        self
-    }
-
-    pub(crate) fn u64(mut self, v: u64) -> Self {
-        for b in v.to_le_bytes() {
-            self = self.u8(b);
-        }
-        self
+    pub(crate) fn u64(self, v: u64) -> Self {
+        let h = (self.0 ^ v).wrapping_mul(HASH_MUL);
+        WordHash(h ^ (h >> 31))
     }
 
     pub(crate) fn u64s(mut self, vs: impl IntoIterator<Item = u64>) -> Self {
@@ -79,13 +77,13 @@ impl Payload {
     /// Content key: tag + dims + exact value bit patterns.
     fn content_key(&self) -> u64 {
         match self {
-            Payload::Dense(t) => Fnv::new()
-                .u8(1)
+            Payload::Dense(t) => WordHash::new()
+                .u64(1)
                 .u64s(t.dims().iter().map(|&d| d as u64))
                 .u64s(t.data().iter().map(|v| v.to_bits()))
                 .finish(),
-            Payload::Sparse(t) => Fnv::new()
-                .u8(3)
+            Payload::Sparse(t) => WordHash::new()
+                .u64(3)
                 .u64s(t.dims().iter().map(|&d| d as u64))
                 .u64s(t.entries().flat_map(|(off, v)| [off, v.to_bits()]))
                 .finish(),
@@ -368,25 +366,41 @@ mod tests {
 
     #[test]
     fn content_keys_are_content_keyed() {
-        let a = DenseTensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let b = DenseTensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let c = DenseTensor::from_vec([4], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let d = DenseTensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, -4.0]).unwrap();
-        let (ha, hb) = (
-            OpHandle::new(Payload::Dense(Arc::new(a))),
-            OpHandle::new(Payload::Dense(Arc::new(b))),
-        );
-        assert_eq!(ha.key(), hb.key(), "same content, same key");
-        assert_ne!(
-            ha.key(),
-            OpHandle::new(Payload::Dense(Arc::new(c))).key(),
-            "dims count"
-        );
-        assert_ne!(
-            ha.key(),
-            OpHandle::new(Payload::Dense(Arc::new(d))).key(),
-            "values count"
-        );
+        let dense = |dims: &[usize], data: &[f64]| {
+            let t = DenseTensor::from_vec(dims.to_vec(), data.to_vec()).unwrap();
+            OpHandle::new(Payload::Dense(Arc::new(t))).key()
+        };
+        let sparse = |dims: &[usize], entries: &[(u64, f64)]| {
+            let t = SparseTensor::from_entries(dims.to_vec(), entries.to_vec()).unwrap();
+            OpHandle::new(Payload::Sparse(Arc::new(t))).key()
+        };
+        let data = [1.0, 2.0, 3.0, 4.0];
+        let base = dense(&[2, 2], &data);
+        assert_eq!(base, dense(&[2, 2], &data), "same content, same key");
+        let mut keys = vec![base];
+        // a single-bit flip at each of the 64 bit positions of one element
+        for bit in 0..64 {
+            let mut flipped = data;
+            flipped[2] = f64::from_bits(flipped[2].to_bits() ^ (1 << bit));
+            keys.push(dense(&[2, 2], &flipped));
+        }
+        // +0.0 against −0.0
+        keys.push(dense(&[2], &[0.0, 1.0]));
+        keys.push(dense(&[2], &[-0.0, 1.0]));
+        // the same data under other dims
+        keys.push(dense(&[4], &data));
+        keys.push(dense(&[4, 1], &data));
+        keys.push(dense(&[1, 4], &data));
+        // a sparse entry with its offset and its value's bits swapped
+        keys.push(sparse(&[4], &[(1, f64::from_bits(2))]));
+        keys.push(sparse(&[4], &[(2, f64::from_bits(1))]));
+        // and the same offsets and values as a dense tensor's words
+        keys.push(sparse(&[2, 2], &[(0, 2.0), (1, 3.0)]));
+        keys.push(sparse(&[2, 2], &[(0, 3.0), (1, 2.0)]));
+        let mut distinct = keys.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), keys.len(), "every input its own key");
     }
 
     // (named for the provenance hash the book also kept until nothing

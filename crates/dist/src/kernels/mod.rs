@@ -59,7 +59,7 @@ mod ss;
 #[cfg(test)]
 pub(crate) mod tests;
 
-pub(crate) use dense::dense_contract;
+pub(crate) use dense::{dense_contract, NaturalProduct};
 pub(crate) use factor::svd_trunc;
 pub(crate) use sd::{sd_apply, sd_buckets, sd_contract, sd_prepare, sd_rows, SdGeometry};
 pub(crate) use ss::{ss_chunk, ss_contract, ss_prepare, ss_slots, SsPrep};
@@ -227,20 +227,14 @@ pub(crate) fn natural_dims(plan: &ContractPlan, a_dims: &[usize], b_dims: &[usiz
         .collect()
 }
 
-/// TTGT operand permutations of a plan: `A` to `(free, contracted)` and
-/// `B` to `(contracted, free)` order.
-pub(crate) fn operand_perms(plan: &ContractPlan) -> (Vec<usize>, Vec<usize>) {
-    let mut perm_a: Vec<usize> = plan.free_a_positions().to_vec();
-    perm_a.extend_from_slice(plan.ctr_a_positions());
-    let mut perm_b: Vec<usize> = plan.ctr_b_positions().to_vec();
-    perm_b.extend_from_slice(plan.free_b_positions());
-    (perm_a, perm_b)
-}
-
 /// The natural-order (`free A`, `free B`) result buffer as the output
 /// tensor: moved when the output permutation fuses to the identity,
 /// permuted otherwise.
-fn into_output(nat_dims: Vec<usize>, c: Vec<f64>, out_perm: &[usize]) -> Result<DenseTensor<f64>> {
+pub(super) fn into_output(
+    nat_dims: Vec<usize>,
+    c: Vec<f64>,
+    out_perm: &[usize],
+) -> Result<DenseTensor<f64>> {
     let out_dims: Vec<usize> = out_perm.iter().map(|&q| nat_dims[q]).collect();
     let c = match motion(&nat_dims, out_perm)? {
         Motion::Identity => c,

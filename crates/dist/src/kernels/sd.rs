@@ -2,8 +2,8 @@
 //! one chunk body, and the contraction over [`ordered_map`].
 
 use super::{
-    bucket_by_volume, concat_rows, fused_dims, lanes, natural_dims, operand_perms, ordered_map,
-    sparse_chunks, sparse_coords, Coord, Ranges,
+    bucket_by_volume, concat_rows, fused_dims, lanes, natural_dims, ordered_map, sparse_chunks,
+    sparse_coords, Coord, Ranges,
 };
 use crate::exec::Workspace;
 use crate::pool::ThreadPool;
@@ -412,7 +412,7 @@ pub(crate) fn sd_contract(
         m,
         n,
         b_dims: b.dims(),
-        perm_b: &operand_perms(plan).1,
+        perm_b: plan.operand_permutations().1,
         nat_dims: &natural_dims(plan, a_dims, b.dims()),
         out_perm: plan.output_permutation(),
     };

@@ -46,7 +46,7 @@ fn sd_forced(
         m,
         n,
         b_dims: b.dims(),
-        perm_b: &operand_perms(plan).1,
+        perm_b: plan.operand_permutations().1,
         nat_dims: &natural_dims(plan, a.dims(), b.dims()),
         out_perm: plan.output_permutation(),
     };
@@ -328,9 +328,9 @@ fn dense_reference(
     b: &DenseTensor<f64>,
 ) -> DenseTensor<f64> {
     let (m, k, n) = fused_dims(plan, a.dims(), b.dims());
-    let (perm_a, perm_b) = operand_perms(plan);
-    let a_mat = a.permute(&perm_a).unwrap().into_data();
-    let b_mat = b.permute(&perm_b).unwrap().into_data();
+    let (perm_a, perm_b) = plan.operand_permutations();
+    let a_mat = a.permute(perm_a).unwrap().into_data();
+    let b_mat = b.permute(perm_b).unwrap().into_data();
     let mut c = vec![0.0; m * n];
     gemm_acc_slices(m, k, n, &a_mat, &b_mat, &mut c);
     DenseTensor::from_vec(natural_dims(plan, a.dims(), b.dims()), c)
@@ -347,7 +347,10 @@ fn sd_reference(
     b: &DenseTensor<f64>,
 ) -> DenseTensor<f64> {
     let (m, _k, n) = fused_dims(plan, a.dims(), b.dims());
-    let b_mat = b.permute(&operand_perms(plan).1).unwrap().into_data();
+    let b_mat = b
+        .permute(plan.operand_permutations().1)
+        .unwrap()
+        .into_data();
     let mut c = vec![0.0f64; m * n];
     for (row, col, v) in sparse_coords(a, plan.free_a_positions(), plan.ctr_a_positions()) {
         for j in 0..n {
@@ -418,7 +421,7 @@ fn heff_chain_layouts_are_what_the_profile_asked_for() {
                 m,
                 n,
                 b_dims,
-                perm_b: &operand_perms(&plan).1,
+                perm_b: plan.operand_permutations().1,
                 nat_dims: &natural_dims(&plan, a_dims, b_dims),
                 out_perm: plan.output_permutation(),
             };

@@ -61,11 +61,15 @@ impl WorkerState {
                 let (a, b) = (self.op(a)?, self.op(b)?);
                 let ta = DenseTensor::from_vec(a_dims, Self::take(a))?;
                 let tb = DenseTensor::from_vec(b_dims, Self::take(b))?;
-                let c = kernels::dense_contract(&plan, &ta, &tb, None)?.into_data();
+                let c = kernels::NaturalProduct::compute(&plan, &ta, &tb, None)?;
                 match out {
-                    Out::Reply => Ok(Reply::Buf(c)),
-                    Out::Store { key, acc } => {
-                        self.store(key, c, acc)?;
+                    Out::Reply => Ok(Reply::Buf(c.into_output()?.into_data())),
+                    Out::Store { key, acc: false } => {
+                        self.store(key, c.into_output()?.into_data());
+                        Ok(Reply::Unit)
+                    }
+                    Out::Store { key, acc: true } => {
+                        self.accumulate(key, |target| c.add_into(target))?;
                         Ok(Reply::Unit)
                     }
                 }
@@ -177,7 +181,7 @@ impl WorkerState {
                     Out::Store { key, acc: false } if (r0, r1) == (0, m) => {
                         let coords = Cow::Borrowed(&bucket[..]);
                         let c = kernels::sd_apply(&g, &b, coords, 1, None, &self.workspace)?;
-                        self.store(key, c.into_data(), false)?;
+                        self.store(key, c.into_data());
                         Ok(Reply::Unit)
                     }
                     Out::Store { .. } => Err(Error::transport(format!(

@@ -164,16 +164,22 @@ impl WorkerState {
         }
     }
 
-    /// Store a fresh resident result, or — with `acc` —
-    /// accumulate elementwise into the existing buffer under `key`. The
-    /// first partial of an output block is *stored*, not added to zeros
-    /// (`-0.0 + 0.0` would flip sign bits), exactly like the driver-side
-    /// value path inserts its first partial.
-    pub(super) fn store(&mut self, key: u64, data: Vec<f64>, acc: bool) -> Result<()> {
-        if !acc {
-            self.insert(key, Cached::Dense(Arc::new(data)));
-            return Ok(());
-        }
+    /// Store a fresh resident result under `key`. The first partial of an
+    /// output block is *stored*, not added to zeros (`-0.0 + 0.0` would
+    /// flip sign bits), exactly like the driver-side value path inserts its
+    /// first partial.
+    pub(super) fn store(&mut self, key: u64, data: Vec<f64>) {
+        self.insert(key, Cached::Dense(Arc::new(data)));
+    }
+
+    /// Accumulate into the resident result under `key`: `add` adds a
+    /// partial into the buffer elementwise and refuses, leaving it intact,
+    /// a buffer of the wrong length.
+    pub(super) fn accumulate(
+        &mut self,
+        key: u64,
+        add: impl FnOnce(&mut [f64]) -> Result<()>,
+    ) -> Result<()> {
         let entry = self
             .store
             .get_mut(&key)
@@ -181,12 +187,7 @@ impl WorkerState {
         let Cached::Dense(target) = entry else {
             return Err(Error::transport("chain result has wrong payload type"));
         };
-        if target.len() != data.len() {
-            return Err(Error::transport("chain partial shape mismatch"));
-        }
-        for (c, p) in Arc::make_mut(target).iter_mut().zip(&data) {
-            *c += *p;
-        }
-        Ok(())
+        add(Arc::make_mut(target).as_mut_slice())
+            .map_err(|e| Error::transport(format!("chain partial shape mismatch: {e}")))
     }
 }

@@ -626,7 +626,7 @@ impl HeffStep2 {
             m,
             n,
             b_dims: b_dims.to_vec(),
-            perm_b: kernels::operand_perms(&plan).1,
+            perm_b: plan.operand_permutations().1.to_vec(),
             nat_dims: kernels::natural_dims(&plan, a_dims, b_dims),
             out_perm: plan.output_permutation().to_vec(),
             b: Op::Inline(self.b.data().to_vec()),

@@ -59,11 +59,11 @@ pub fn right_edge(mps: &Mps, mpo: &Mpo) -> Result<BlockSparseTensor> {
 /// The chain of a left extension, in step order, each step's structural
 /// operand first: `t1(b,k,q,f) = L(b,k,c) · ket(c,q,f)`,
 /// `t2(b,p,f,g) = W(k,p,q,g) · t1`, `L'(h,g,f) = bra(b,p,h) · t2`.
-const EXTEND_LEFT: [&str; 3] = ["bkc,cqf->bkqf", "kpqg,bkqf->bpfg", "bph,bpfg->hgf"];
+pub(crate) const EXTEND_LEFT: [&str; 3] = ["bkc,cqf->bkqf", "kpqg,bkqf->bpfg", "bph,bpfg->hgf"];
 
 /// The chain of a right extension: `t1(b,k,c,q) = R(b,k,f) · ket(c,q,f)`,
 /// `t2(b,p,g,c) = W(g,p,q,k) · t1`, `R'(h,g,c) = bra(h,p,b) · t2`.
-const EXTEND_RIGHT: [&str; 3] = ["bkf,cqf->bkcq", "gpqk,bkcq->bpgc", "hpb,bpgc->hgc"];
+pub(crate) const EXTEND_RIGHT: [&str; 3] = ["bkf,cqf->bkcq", "gpqk,bkcq->bpgc", "hpb,bpgc->hgc"];
 
 /// Extend a left environment over site `j`:
 /// `L' = L ∘ ket_j ∘ W_j ∘ bra_j` (indices `(In, Out, Out)` preserved).

@@ -112,7 +112,10 @@ impl ResidentHam<'_> {
     /// in the merge kernel's own format, and only `y` is re-blocked (on
     /// the multi-process backend still one superstep per step). What the
     /// matvec knows from structure alone is derived once per eigensolve,
-    /// for all three.
+    /// for all three; for list that includes the block-pair schedule, one
+    /// per set of stored keys of `x` (ψ's and the residuals'), and t₁…t₃
+    /// stored in the order the next step reads them, so steps 2–4 read
+    /// their `B` in place.
     pub fn apply(&self, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
         Ok(self.0.apply(x)?)
     }
@@ -183,6 +186,54 @@ mod tests {
         let a = y.dot(&kx).unwrap();
         let b = ky.dot(&x).unwrap();
         assert!((a - b).abs() < 1e-9 * a.abs().max(1.0), "{a} vs {b}");
+    }
+
+    /// A list chain stores every intermediate in the order its consumer's
+    /// GEMM reads `B`: the rewritten specs of the matvec and of both
+    /// environment extensions, pinned, and every step after the first
+    /// reading its `B` in place.
+    #[test]
+    fn chains_store_intermediates_in_consumer_order() {
+        use crate::env::{EXTEND_LEFT, EXTEND_RIGHT};
+        use tt_blocks::contract::consumer_order;
+        use tt_tensor::einsum::ContractPlan;
+        use tt_tensor::transpose::{motion, Motion};
+        let pinned: [(&[&str], &[&str]); 3] = [
+            (
+                &MATVEC,
+                &[
+                    "bkc,cqwf->kqbwf",
+                    "kpqg,kqbwf->gwbpf",
+                    "gswh,gwbpf->hfbps",
+                    "rhf,hfbps->bpsr",
+                ],
+            ),
+            (
+                &EXTEND_LEFT,
+                &["bkc,cqf->kqbf", "kpqg,kqbf->bpfg", "bph,bpfg->hgf"],
+            ),
+            (
+                &EXTEND_RIGHT,
+                &["bkf,cqf->qkbc", "gpqk,qkbc->pbgc", "hpb,pbgc->hgc"],
+            ),
+        ];
+        for (specs, want) in pinned {
+            let got = consumer_order(specs).unwrap();
+            assert_eq!(got, want);
+            // the caller's output order survives the rewrite
+            let out = |spec: &str| spec.split_once("->").unwrap().1.to_string();
+            assert_eq!(out(got.last().unwrap()), out(specs.last().unwrap()));
+            for spec in &got[1..] {
+                let perm_b = ContractPlan::parse(spec)
+                    .unwrap()
+                    .operand_permutations()
+                    .1
+                    .to_vec();
+                let dims: Vec<usize> = (2..2 + perm_b.len()).collect();
+                assert_eq!(motion(&dims, &perm_b).unwrap(), Motion::Identity, "{spec}");
+                assert!(perm_b.iter().enumerate().all(|(i, &p)| i == p), "{spec}");
+            }
+        }
     }
 
     /// All three algorithms produce the same matvec.

@@ -35,6 +35,10 @@ pub struct ContractPlan {
     free_b: Vec<usize>,
     /// permutation taking (free_a ++ free_b) order to out order
     out_perm: Vec<usize>,
+    /// TTGT operand permutations: A to (free, contracted), B to
+    /// (contracted, free)
+    perm_a: Vec<usize>,
+    perm_b: Vec<usize>,
 }
 
 impl ContractPlan {
@@ -125,6 +129,8 @@ impl ContractPlan {
             out_perm.push(p);
         }
 
+        let perm_a = free_a.iter().chain(&ctr_a).copied().collect();
+        let perm_b = ctr_b.iter().chain(&free_b).copied().collect();
         Ok(Self {
             a_labels,
             b_labels,
@@ -133,6 +139,8 @@ impl ContractPlan {
             free_a,
             free_b,
             out_perm,
+            perm_a,
+            perm_b,
         })
     }
 
@@ -166,6 +174,12 @@ impl ContractPlan {
     /// requested output order.
     pub fn output_permutation(&self) -> &[usize] {
         &self.out_perm
+    }
+
+    /// The TTGT operand permutations: `A` to `(free, contracted)` and `B`
+    /// to `(contracted, free)` order — the matrices the GEMM reads.
+    pub fn operand_permutations(&self) -> (&[usize], &[usize]) {
+        (&self.perm_a, &self.perm_b)
     }
 
     /// Predict the output shape for given operand shapes (validates
@@ -214,17 +228,12 @@ impl ContractPlan {
         let out_dims = self.output_dims(a.dims(), b.dims())?;
 
         // Fuse A to (free, ctr) and B to (ctr, free) matrices.
-        let mut perm_a: Vec<usize> = self.free_a.clone();
-        perm_a.extend_from_slice(&self.ctr_a);
-        let mut perm_b: Vec<usize> = self.ctr_b.clone();
-        perm_b.extend_from_slice(&self.free_b);
-
         let m: usize = self.free_a.iter().map(|&i| a.dims()[i]).product();
         let k: usize = self.ctr_a.iter().map(|&i| a.dims()[i]).product();
         let n: usize = self.free_b.iter().map(|&j| b.dims()[j]).product();
 
-        let a_mat = permute(a, &perm_a)?;
-        let b_mat = permute(b, &perm_b)?;
+        let a_mat = permute(a, &self.perm_a)?;
+        let b_mat = permute(b, &self.perm_b)?;
 
         let mut c = vec![T::zero(); m * n];
         gemm_acc_slices(m, k, n, a_mat.data(), b_mat.data(), &mut c);
