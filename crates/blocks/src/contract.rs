@@ -584,8 +584,8 @@ pub fn contract_resident(
 /// way and reports the first error; dropping the chain does the same and
 /// has nobody to report to. *The plan*: one `StepPlan` per step — for
 /// sparse-sparse also the executor's [`SsChainPlan`] of the whole run, for
-/// list the specs in [`consumer_order`] and one block-pair schedule per
-/// set of stored keys of `x` met so far — derived by the first
+/// list the specs in [`consumer_order`] and the block-pair schedule of the
+/// stored keys of the last `x` — derived by the first
 /// [`ResidentChain::apply`] and kept for the later ones. The operands
 /// cannot change under the chain, so the plan is stale only when `x`'s
 /// indices or flux are not the ones it was derived for; it goes with the
@@ -607,10 +607,10 @@ struct ChainPlan {
     /// For [`Algorithm::List`], and only then: each step's spec as the
     /// chain runs it, intermediates in [`consumer_order`].
     list_specs: Vec<String>,
-    /// For [`Algorithm::List`]: one pair schedule per set of stored block
-    /// keys of `x` the plan has met (a bond's ψ and its Davidson
-    /// residuals bring two), each keyed by those keys in stored order.
-    schedules: Mutex<Vec<(Vec<BlockKey>, Arc<ListSchedule>)>>,
+    /// For [`Algorithm::List`]: the pair schedule of the stored block keys
+    /// of the last `x` applied, with those keys in stored order; replaced
+    /// when an `x` brings other keys.
+    schedule: Mutex<Option<(Vec<BlockKey>, Arc<ListSchedule>)>>,
     /// For [`Algorithm::SparseSparse`], and only then: the run as one
     /// planned chain on the executor.
     ss: Option<SsChainPlan>,
@@ -666,7 +666,7 @@ impl ChainPlan {
             x_flux: x.flux(),
             steps: planned,
             list_specs,
-            schedules: Mutex::new(Vec::new()),
+            schedule: Mutex::new(None),
             ss,
         })
     }
@@ -676,23 +676,23 @@ impl ChainPlan {
     }
 
     /// The pair schedule of `x`'s stored block keys: the kept one when the
-    /// plan has met these keys before, a fresh one (kept from now on)
+    /// last `x` stored the same keys, a fresh one (kept from now on)
     /// otherwise.
     fn list_schedule(
         &self,
         steps: &[StepOperand],
         x: &BlockSparseTensor,
     ) -> Result<Arc<ListSchedule>> {
-        let mut kept = self
-            .schedules
+        let mut slot = self
+            .schedule
             .lock()
-            .expect("a schedule is only ever pushed whole");
+            .expect("the schedule slot is only ever assigned whole");
         let x_keys = || x.blocks().map(|(k, _)| k);
-        if let Some((_, schedule)) = kept.iter().find(|(keys, _)| keys.iter().eq(x_keys())) {
+        if let Some((_, schedule)) = slot.as_ref().filter(|(keys, _)| keys.iter().eq(x_keys())) {
             return Ok(Arc::clone(schedule));
         }
         let schedule = Arc::new(ListSchedule::derive(steps, &self.steps, x)?);
-        kept.push((x_keys().cloned().collect(), Arc::clone(&schedule)));
+        *slot = Some((x_keys().cloned().collect(), Arc::clone(&schedule)));
         Ok(schedule)
     }
 
@@ -1268,8 +1268,8 @@ mod tests {
             .collect()
     }
 
-    /// A list chain keeps one pair schedule per set of stored keys of its
-    /// input and must tell them apart when indices and flux agree: ψ, then
+    /// A list chain keeps the pair schedule of its input's stored keys and
+    /// must tell key sets apart when indices and flux agree: ψ, then
     /// a ψ′ with one stored block fewer, then ψ again, on one chain, each
     /// equal bit for bit to the `contract` fold and to a fresh chain, on
     /// Sequential and on two workers.

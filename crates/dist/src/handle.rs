@@ -394,9 +394,14 @@ mod tests {
         // a sparse entry with its offset and its value's bits swapped
         keys.push(sparse(&[4], &[(1, f64::from_bits(2))]));
         keys.push(sparse(&[4], &[(2, f64::from_bits(1))]));
-        // and the same offsets and values as a dense tensor's words
+        // two sparse values swapped between offsets
         keys.push(sparse(&[2, 2], &[(0, 2.0), (1, 3.0)]));
         keys.push(sparse(&[2, 2], &[(0, 3.0), (1, 2.0)]));
+        // a dense tensor whose dims and words are a sparse tensor's: only
+        // the payload's tag word keeps them apart
+        let words = [0, 2.0f64.to_bits(), 1, 3.0f64.to_bits()];
+        keys.push(dense(&[4], &words.map(f64::from_bits)));
+        keys.push(sparse(&[4], &[(0, 2.0), (1, 3.0)]));
         let mut distinct = keys.clone();
         distinct.sort_unstable();
         distinct.dedup();

@@ -83,12 +83,11 @@ fn dense_rows(
 /// row panel runs the packed kernel, `B` is packed once — one `KC`-deep
 /// block per call; blocks are independent and reassemble to the exact
 /// bytes of a monolithic pack — and row-disjoint panels run against the
-/// shared operand, both through [`ordered_map`]; a product of one row
-/// range runs its panel kernel right here, against `B` packed whole.
-/// `A` is read in place when its permutation moves nothing or is a plain
-/// transpose (every kernel but GEMV takes strides), and so is `B` when
-/// every panel packs it (see [`mat_operand`]). The result is the
-/// natural-order (`free A`, `free B`) `m × n` matrix.
+/// shared operand, both through [`ordered_map`]. `A` is read in place when
+/// its permutation moves nothing or is a plain transpose (every kernel but
+/// GEMV takes strides), and so is `B` when every panel packs it (see
+/// [`mat_operand`]). The result is the natural-order (`free A`, `free B`)
+/// `m × n` matrix.
 fn dense_product(
     plan: &ContractPlan,
     a: &DenseTensor<f64>,
@@ -104,28 +103,25 @@ fn dense_product(
         |&(r0, r1): &(usize, usize)| panel_kernel(path, r1 - r0, k, n) == PanelKernel::Packed;
     let a_mat = mat_operand(a, perm_a, m, k, path != GemmPath::Gemv)?;
     let b_mat = mat_operand(b, perm_b, k, n, ranges.iter().all(packs))?;
-    let panel = |range, pb: Option<&PackedB<f64>>| {
-        dense_rows(
-            path,
-            range,
-            (k, n),
-            &a_mat.data,
-            (a_mat.rs, a_mat.cs),
-            &b_mat.data,
-            pb,
-        )
-    };
-    if let [range] = ranges[..] {
-        let pb = packs(&range).then(|| PackedB::pack(k, n, &b_mat.data, b_mat.rs, b_mat.cs));
-        return Ok(panel(range, pb.as_ref()));
-    }
+    // one row range: nothing to fan out, and `B` is packed here too
+    let pool = pool.filter(|_| ranges.len() > 1);
     let pb = ranges.iter().any(packs).then(|| {
         let blocks = ordered_map(pool, PackedB::<f64>::block_count(k), |blk| {
             PackedB::pack_block(k, n, &b_mat.data, b_mat.rs, b_mat.cs, blk)
         });
         PackedB::from_blocks(k, n, blocks)
     });
-    let panels = ordered_map(pool, ranges.len(), |i| panel(ranges[i], pb.as_ref()));
+    let panels = ordered_map(pool, ranges.len(), |i| {
+        dense_rows(
+            path,
+            ranges[i],
+            (k, n),
+            &a_mat.data,
+            (a_mat.rs, a_mat.cs),
+            &b_mat.data,
+            pb.as_ref(),
+        )
+    });
     Ok(concat_rows(panels, m * n))
 }
 

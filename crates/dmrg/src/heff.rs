@@ -112,10 +112,10 @@ impl ResidentHam<'_> {
     /// in the merge kernel's own format, and only `y` is re-blocked (on
     /// the multi-process backend still one superstep per step). What the
     /// matvec knows from structure alone is derived once per eigensolve,
-    /// for all three; for list that includes the block-pair schedule, one
-    /// per set of stored keys of `x` (ψ's and the residuals'), and t₁…t₃
-    /// stored in the order the next step reads them, so steps 2–4 read
-    /// their `B` in place.
+    /// for all three; for list that includes the block-pair schedule of
+    /// `x`'s stored keys (re-derived when a residual brings others), and
+    /// t₁…t₃ stored in the order the next step reads them, so steps 2–4
+    /// read their `B` in place.
     pub fn apply(&self, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
         Ok(self.0.apply(x)?)
     }
