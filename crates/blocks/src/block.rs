@@ -269,12 +269,6 @@ impl BlockSparseTensor {
         self.blocks.get(key).map(|b| b.as_ref())
     }
 
-    /// The shared (`Arc`) block at `key`, if stored — for clone-free
-    /// uploads onto an executor.
-    pub fn block_shared(&self, key: &[u16]) -> Option<&Arc<DenseTensor<f64>>> {
-        self.blocks.get(key)
-    }
-
     /// Iterate stored blocks in deterministic key order.
     pub fn blocks(&self) -> impl Iterator<Item = (&BlockKey, &DenseTensor<f64>)> {
         self.blocks.iter().map(|(k, b)| (k, b.as_ref()))

@@ -1,5 +1,5 @@
 //! The multi-tenant solve service: a persistent driver daemon serving
-//! concurrent DMRG / contraction jobs over **one** shared worker fleet.
+//! concurrent DMRG jobs over **one** shared worker fleet.
 //!
 //! A [`Service`] owns a multi-process [`Executor`] (the `ProcTransport`
 //! fleet, recovery enabled) and accepts jobs over a Unix-domain socket
@@ -28,29 +28,27 @@
 //!   fault.
 //!
 //! DMRG solves are delegated to a [`SolveRunner`] implementation (the
-//! `dmrg` crate provides one — this crate cannot depend on it);
-//! contraction chains execute natively via [`Executor::chain`].
+//! `dmrg` crate provides one — this crate cannot depend on it).
 
 pub mod wire;
 
 pub use wire::{
-    AlgoSpec, ChainJobSpec, ChainOperand, ChainStepSpec, DavidsonSpec, DmrgJobSpec, JobEvent,
-    JobMeter, JobReport, JobRequest, ModelSpec, StatusReport,
+    AlgoSpec, DavidsonSpec, DmrgJobSpec, JobEvent, JobMeter, JobReport, JobRequest, ModelSpec,
+    StatusReport,
 };
 
 use crate::cost::{CostTracker, JobScope, ResidentMeter};
 use crate::exec::RankCacheStats;
 use crate::transport::wire::{read_frame, write_frame};
 use crate::transport::{wait_fd, LIVENESS_CAP};
-use crate::{ChainSrc, ChainStep, Error, Executor, Machine, ProcOptions, Result, SpawnSpec};
+use crate::{Error, Executor, Machine, ProcOptions, Result, SpawnSpec};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
 use std::time::{Duration, Instant};
-use tt_tensor::DenseTensor;
 use wire::{FRAME_EVENT, FRAME_REQUEST};
 
 /// Why a job stopped before producing a result.
@@ -69,16 +67,13 @@ impl From<Error> for JobError {
     }
 }
 
-/// What a finished job hands back to the service.
+/// What a finished DMRG job hands back to the service.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SolveOutcome {
-    /// Final energy (DMRG).
+    /// Final energy.
     pub energy: f64,
-    /// Per-sweep energies in execution order (DMRG).
+    /// Per-sweep energies in execution order.
     pub energies: Vec<f64>,
-    /// Dense result (chain jobs).
-    pub dense_dims: Vec<u64>,
-    pub dense_vals: Vec<f64>,
 }
 
 /// Executes DMRG solve jobs for the service. Implemented by the `dmrg`
@@ -186,18 +181,13 @@ impl ServiceConfig {
     }
 }
 
-enum Payload {
-    Dmrg(DmrgJobSpec),
-    Chain(ChainJobSpec),
-}
-
 const STATE_QUEUED: u8 = 0;
 const STATE_RUNNING: u8 = 1;
 const STATE_FINISHED: u8 = 2;
 
 struct Job {
     id: u64,
-    payload: Payload,
+    spec: DmrgJobSpec,
     sink: Sink,
     cancel: AtomicBool,
     sweeps: AtomicU64,
@@ -271,7 +261,8 @@ pub struct Service {
 impl Service {
     /// Start a daemon: spawn the fleet, bind the socket, launch the
     /// accept loop and `max_concurrent` runner threads. `runner` executes
-    /// DMRG jobs; pass `None` for a chains-only daemon.
+    /// the DMRG jobs; with `None` every job fails with a typed
+    /// [`JobEvent::Failed`].
     pub fn start(cfg: ServiceConfig, runner: Option<Arc<dyn SolveRunner>>) -> Result<Service> {
         let exec = Executor::multi_process_opts(
             cfg.machine.clone(),
@@ -383,11 +374,11 @@ fn accept_loop(inner: Arc<Inner>, listener: UnixListener) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nonblocking(false);
-                let inner = Arc::clone(&inner);
+                let daemon = Arc::downgrade(&inner);
                 // connection readers are detached: they exit on client EOF
                 let _ = std::thread::Builder::new()
                     .name("tt-serve-conn".into())
-                    .spawn(move || serve_connection(inner, stream));
+                    .spawn(move || serve_connection(daemon, stream));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 // a client connecting — or `teardown`'s own — ends the wait
@@ -398,7 +389,11 @@ fn accept_loop(inner: Arc<Inner>, listener: UnixListener) {
     }
 }
 
-fn serve_connection(inner: Arc<Inner>, stream: UnixStream) {
+/// Serve one client. The connection holds the daemon weakly: a client that
+/// stays connected must not keep the executor, and with it the fleet,
+/// alive past the daemon's teardown. Its next request then finds the
+/// daemon gone and closes the connection.
+fn serve_connection(daemon: Weak<Inner>, stream: UnixStream) {
     let sink = match stream.try_clone() {
         Ok(w) => Sink(Arc::new(StdMutex::new(w))),
         Err(_) => return,
@@ -407,6 +402,9 @@ fn serve_connection(inner: Arc<Inner>, stream: UnixStream) {
     let mut my_jobs: Vec<u64> = Vec::new();
     // stop on EOF, corruption, or a wrong frame kind
     while let Ok((FRAME_REQUEST, payload)) = read_frame(&mut reader) {
+        let Some(inner) = daemon.upgrade() else {
+            return;
+        };
         let req = match JobRequest::decode(&payload) {
             Ok(r) => r,
             Err(e) => {
@@ -418,12 +416,7 @@ fn serve_connection(inner: Arc<Inner>, stream: UnixStream) {
         };
         match req {
             JobRequest::SubmitDmrg(spec) => {
-                if let Some(id) = submit(&inner, Payload::Dmrg(spec), &sink) {
-                    my_jobs.push(id);
-                }
-            }
-            JobRequest::SubmitChain(spec) => {
-                if let Some(id) = submit(&inner, Payload::Chain(spec), &sink) {
+                if let Some(id) = submit(&inner, spec, &sink) {
                     my_jobs.push(id);
                 }
             }
@@ -440,6 +433,9 @@ fn serve_connection(inner: Arc<Inner>, stream: UnixStream) {
         }
     }
     // a vanished client's unfinished jobs are cancelled, not orphaned
+    let Some(inner) = daemon.upgrade() else {
+        return;
+    };
     let jobs = inner.jobs.lock().expect("jobs lock");
     for id in my_jobs {
         if let Some(j) = jobs.get(&id) {
@@ -452,7 +448,7 @@ fn serve_connection(inner: Arc<Inner>, stream: UnixStream) {
 
 /// Admission control: reject when shutting down or the queue is full,
 /// otherwise register + enqueue the job and ack with `Accepted`.
-fn submit(inner: &Arc<Inner>, payload: Payload, sink: &Sink) -> Option<u64> {
+fn submit(inner: &Arc<Inner>, spec: DmrgJobSpec, sink: &Sink) -> Option<u64> {
     if inner.stop.load(Ordering::SeqCst) {
         sink.send(&JobEvent::Rejected {
             reason: "daemon is shutting down".into(),
@@ -469,7 +465,7 @@ fn submit(inner: &Arc<Inner>, payload: Payload, sink: &Sink) -> Option<u64> {
     let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
     let job = Arc::new(Job {
         id,
-        payload,
+        spec,
         sink: sink.clone(),
         cancel: AtomicBool::new(false),
         sweeps: AtomicU64::new(0),
@@ -531,32 +527,22 @@ fn run_job(inner: &Arc<Inner>, job: &Arc<Job>) {
         inner.exec.ranks(),
     )));
     let resident = Arc::new(ResidentMeter::new());
-    let (deadline, cap) = match &job.payload {
-        Payload::Dmrg(s) => (
-            (s.timeout_ms > 0).then(|| Duration::from_millis(s.timeout_ms)),
-            if s.resident_cap_bytes > 0 {
-                s.resident_cap_bytes
-            } else {
-                inner.default_resident_cap
-            },
-        ),
-        Payload::Chain(_) => (None, inner.default_resident_cap),
-    };
+    let spec = &job.spec;
+    let deadline = (spec.timeout_ms > 0).then(|| Duration::from_millis(spec.timeout_ms));
     let ctx = JobCtx {
         job: Arc::clone(job),
         resident: Arc::clone(&resident),
-        cap,
+        cap: if spec.resident_cap_bytes > 0 {
+            spec.resident_cap_bytes
+        } else {
+            inner.default_resident_cap
+        },
     };
 
     let scope = JobScope::enter(Arc::clone(&tracker), Arc::clone(&resident), deadline);
-    let outcome = match &job.payload {
-        Payload::Dmrg(spec) => match &inner.runner {
-            Some(r) => r.run(spec, &inner.exec, &ctx),
-            None => Err(JobError::Failed(
-                "this daemon has no DMRG runner (chains only)".into(),
-            )),
-        },
-        Payload::Chain(spec) => run_chain(&inner.exec, spec, &ctx),
+    let outcome = match &inner.runner {
+        Some(r) => r.run(spec, &inner.exec, &ctx),
+        None => Err(JobError::Failed("this daemon has no DMRG runner".into())),
     };
     drop(scope);
 
@@ -582,8 +568,6 @@ fn run_job(inner: &Arc<Inner>, job: &Arc<Job>) {
                     energies: out.energies,
                     meter,
                     resident_peak_bytes: resident.peak_bytes(),
-                    dense_dims: out.dense_dims,
-                    dense_vals: out.dense_vals,
                 },
             });
         }
@@ -593,81 +577,6 @@ fn run_job(inner: &Arc<Inner>, job: &Arc<Job>) {
             reason,
         }),
     }
-}
-
-/// Execute a contraction-chain job natively: one worker-side chain, last
-/// result downloaded into the report.
-fn run_chain(
-    exec: &Executor,
-    spec: &ChainJobSpec,
-    ctx: &JobCtx,
-) -> std::result::Result<SolveOutcome, JobError> {
-    ctx.checkpoint()?;
-    if spec.steps.is_empty() {
-        return Err(JobError::Failed("empty chain".into()));
-    }
-    // materialize inline operands first so chain steps can borrow them
-    enum Slot {
-        Owned(usize),
-        Prev(usize),
-    }
-    let mut owned: Vec<DenseTensor<f64>> = Vec::new();
-    let mut slots: Vec<(Slot, Slot, Option<usize>)> = Vec::new();
-    for (i, step) in spec.steps.iter().enumerate() {
-        let mut slot = |op: &ChainOperand| -> std::result::Result<Slot, JobError> {
-            match op {
-                ChainOperand::Dense { dims, vals } => {
-                    let dims: Vec<usize> = dims.iter().map(|&d| d as usize).collect();
-                    let t = DenseTensor::from_vec(dims, vals.clone())
-                        .map_err(|e| JobError::Failed(format!("step {i}: {e}")))?;
-                    owned.push(t);
-                    Ok(Slot::Owned(owned.len() - 1))
-                }
-                ChainOperand::Prev { step } => {
-                    if *step as usize >= i {
-                        return Err(JobError::Failed(format!(
-                            "step {i}: operand references step {step}, which has not run"
-                        )));
-                    }
-                    Ok(Slot::Prev(*step as usize))
-                }
-            }
-        };
-        let a = slot(&step.a)?;
-        let b = slot(&step.b)?;
-        slots.push((a, b, step.acc.map(|x| x as usize)));
-    }
-    let steps: Vec<ChainStep> = spec
-        .steps
-        .iter()
-        .zip(&slots)
-        .map(|(s, (a, b, acc))| {
-            let src = |slot: &Slot| match slot {
-                Slot::Owned(i) => ChainSrc::Dense((&owned[*i]).into()),
-                Slot::Prev(i) => ChainSrc::Prev(*i),
-            };
-            ChainStep {
-                spec: &s.spec,
-                a: src(a),
-                b: src(b),
-                acc: *acc,
-            }
-        })
-        .collect();
-    let handles = exec.chain(&steps)?;
-    let mut hs: Vec<_> = handles.into_iter().flatten().collect();
-    let last = hs
-        .pop()
-        .ok_or_else(|| JobError::Failed("chain produced no result".into()))?;
-    exec.free_results(hs)?;
-    let t = exec.download(last)?;
-    ctx.checkpoint()?;
-    Ok(SolveOutcome {
-        energy: 0.0,
-        energies: Vec::new(),
-        dense_dims: t.dims().iter().map(|&d| d as u64).collect(),
-        dense_vals: t.data().to_vec(),
-    })
 }
 
 // -- client --------------------------------------------------------------
@@ -722,16 +631,6 @@ impl ServiceClient {
     /// as an error).
     pub fn submit_dmrg(&mut self, spec: &DmrgJobSpec) -> Result<u64> {
         self.send(&JobRequest::SubmitDmrg(spec.clone()))?;
-        self.await_admission()
-    }
-
-    /// Submit a contraction chain; returns the job id.
-    pub fn submit_chain(&mut self, spec: &ChainJobSpec) -> Result<u64> {
-        self.send(&JobRequest::SubmitChain(spec.clone()))?;
-        self.await_admission()
-    }
-
-    fn await_admission(&mut self) -> Result<u64> {
         // scan buffered then fresh events for this submission's verdict;
         // anything else belongs to other in-flight jobs
         let mut unrelated = VecDeque::new();

@@ -68,42 +68,11 @@ pub struct DmrgJobSpec {
     pub resident_cap_bytes: u64,
 }
 
-/// One operand of a contraction-chain job step.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ChainOperand {
-    /// An inline dense `f64` tensor.
-    Dense { dims: Vec<u64>, vals: Vec<f64> },
-    /// The output of an earlier step of the same job.
-    Prev { step: u64 },
-}
-
-/// One step of a contraction-chain job.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ChainStepSpec {
-    /// Einsum grammar of the step.
-    pub spec: String,
-    pub a: ChainOperand,
-    pub b: ChainOperand,
-    /// Accumulate into the output of step `acc` instead of producing a
-    /// fresh result.
-    pub acc: Option<u64>,
-}
-
-/// A contraction-chain job: the steps run as one worker-side chain; the
-/// last non-accumulate step's result is downloaded and returned in the
-/// job report.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ChainJobSpec {
-    pub steps: Vec<ChainStepSpec>,
-}
-
 /// Client → daemon messages.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JobRequest {
     /// Submit a DMRG solve.
     SubmitDmrg(DmrgJobSpec),
-    /// Submit a contraction chain.
-    SubmitChain(ChainJobSpec),
     /// Cancel a job (queued: dropped; running: stops at the next sweep
     /// boundary).
     Cancel { job: u64 },
@@ -133,19 +102,17 @@ pub struct JobMeter {
     pub sim_seconds: f64,
 }
 
-/// Final result of a finished job.
+/// Final result of a finished DMRG job: its energies, its meter and its
+/// resident peak.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobReport {
-    /// Final energy (DMRG jobs; `0` for chains).
+    /// Final energy.
     pub energy: f64,
-    /// Per-sweep energies in execution order (DMRG jobs).
+    /// Per-sweep energies in execution order.
     pub energies: Vec<f64>,
     pub meter: JobMeter,
     /// Peak retained operand bytes over the job's lifetime.
     pub resident_peak_bytes: u64,
-    /// Dense result of a chain job (empty for DMRG jobs).
-    pub dense_dims: Vec<u64>,
-    pub dense_vals: Vec<f64>,
 }
 
 /// Daemon-wide status snapshot.
@@ -268,72 +235,6 @@ fn get_dmrg(d: &mut Dec) -> Result<DmrgJobSpec> {
     })
 }
 
-fn put_operand(e: &mut Enc, op: &ChainOperand) {
-    match op {
-        ChainOperand::Dense { dims, vals } => {
-            e.put_u8(0);
-            e.put_u64s(dims);
-            e.put_f64s(vals);
-        }
-        ChainOperand::Prev { step } => {
-            e.put_u8(1);
-            e.put_u64(*step);
-        }
-    }
-}
-
-fn get_operand(d: &mut Dec) -> Result<ChainOperand> {
-    Ok(match d.u8()? {
-        0 => ChainOperand::Dense {
-            dims: d.u64s()?,
-            vals: d.f64s()?,
-        },
-        1 => ChainOperand::Prev { step: d.u64()? },
-        t => return Err(Error::transport(format!("unknown operand tag {t}"))),
-    })
-}
-
-fn put_chain(e: &mut Enc, s: &ChainJobSpec) {
-    e.put_usize(s.steps.len());
-    for step in &s.steps {
-        e.put_str(&step.spec);
-        put_operand(e, &step.a);
-        put_operand(e, &step.b);
-        match step.acc {
-            Some(i) => {
-                e.put_u8(1);
-                e.put_u64(i);
-            }
-            None => e.put_u8(0),
-        }
-    }
-}
-
-/// Ceiling on decoded chain-step counts — a corrupt length field must
-/// not drive a huge allocation.
-const MAX_CHAIN_STEPS: usize = 1 << 20;
-
-fn get_chain(d: &mut Dec) -> Result<ChainJobSpec> {
-    let n = d.usize()?;
-    if n > MAX_CHAIN_STEPS {
-        return Err(Error::transport(format!("chain of {n} steps")));
-    }
-    let mut steps = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        steps.push(ChainStepSpec {
-            spec: d.str()?,
-            a: get_operand(d)?,
-            b: get_operand(d)?,
-            acc: match d.u8()? {
-                0 => None,
-                1 => Some(d.u64()?),
-                t => return Err(Error::transport(format!("unknown acc tag {t}"))),
-            },
-        });
-    }
-    Ok(ChainJobSpec { steps })
-}
-
 fn put_meter(e: &mut Enc, m: &JobMeter) {
     e.put_u64(m.flops);
     e.put_u64(m.supersteps);
@@ -361,8 +262,6 @@ fn put_report(e: &mut Enc, r: &JobReport) {
     e.put_f64s(&r.energies);
     put_meter(e, &r.meter);
     e.put_u64(r.resident_peak_bytes);
-    e.put_u64s(&r.dense_dims);
-    e.put_f64s(&r.dense_vals);
 }
 
 fn get_report(d: &mut Dec) -> Result<JobReport> {
@@ -371,8 +270,6 @@ fn get_report(d: &mut Dec) -> Result<JobReport> {
         energies: d.f64s()?,
         meter: get_meter(d)?,
         resident_peak_bytes: d.u64()?,
-        dense_dims: d.u64s()?,
-        dense_vals: d.f64s()?,
     })
 }
 
@@ -434,10 +331,6 @@ impl JobRequest {
                 e.put_u8(0);
                 put_dmrg(&mut e, s);
             }
-            JobRequest::SubmitChain(s) => {
-                e.put_u8(1);
-                put_chain(&mut e, s);
-            }
             JobRequest::Cancel { job } => {
                 e.put_u8(2);
                 e.put_u64(*job);
@@ -448,12 +341,13 @@ impl JobRequest {
         e.finish()
     }
 
-    /// Decode from the wire format.
+    /// Decode from the wire format. Tag 1, a retired job kind, stays
+    /// unassigned, so a request under it fails typed instead of decoding
+    /// as another request.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let mut d = Dec::new(bytes);
         Ok(match d.u8()? {
             0 => JobRequest::SubmitDmrg(get_dmrg(&mut d)?),
-            1 => JobRequest::SubmitChain(get_chain(&mut d)?),
             2 => JobRequest::Cancel { job: d.u64()? },
             3 => JobRequest::Status,
             4 => JobRequest::Shutdown,
@@ -584,31 +478,6 @@ mod tests {
                 timeout_ms: 0,
                 resident_cap_bytes: 0,
             }),
-            JobRequest::SubmitChain(ChainJobSpec {
-                steps: vec![
-                    ChainStepSpec {
-                        spec: "ij,jk->ik".into(),
-                        a: ChainOperand::Dense {
-                            dims: vec![2, 3],
-                            vals: vec![1.0, -2.0, 3.5, 0.0, 4.0, 5.0],
-                        },
-                        b: ChainOperand::Dense {
-                            dims: vec![3, 2],
-                            vals: vec![1.0; 6],
-                        },
-                        acc: None,
-                    },
-                    ChainStepSpec {
-                        spec: "ij,jk->ik".into(),
-                        a: ChainOperand::Prev { step: 0 },
-                        b: ChainOperand::Dense {
-                            dims: vec![2, 2],
-                            vals: vec![0.5; 4],
-                        },
-                        acc: Some(0),
-                    },
-                ],
-            }),
             JobRequest::Cancel { job: 42 },
             JobRequest::Status,
             JobRequest::Shutdown,
@@ -643,8 +512,6 @@ mod tests {
                         sim_seconds: 0.125,
                     },
                     resident_peak_bytes: 1 << 20,
-                    dense_dims: vec![2, 2],
-                    dense_vals: vec![1.0, 0.0, 0.0, 1.0],
                 },
             },
             JobEvent::Failed {
@@ -677,11 +544,33 @@ mod tests {
         }
     }
 
+    /// A request under the retired tag 1 (the contraction-chain job), with
+    /// a payload long enough for any fixed-width field a decoder could try
+    /// to read.
+    fn retired_request() -> Vec<u8> {
+        std::iter::once(1).chain([0x11; 40]).collect()
+    }
+
+    /// Every sample encoded, requests then events, and the retired request.
+    fn sample_frames() -> Vec<Vec<u8>> {
+        let requests = sample_requests().into_iter().map(|r| r.encode());
+        let events = sample_events().into_iter().map(|e| e.encode());
+        requests.chain(events).chain([retired_request()]).collect()
+    }
+
+    #[test]
+    fn retired_request_tag_decodes_to_a_typed_error() {
+        let err = JobRequest::decode(&retired_request()).unwrap_err();
+        assert!(err.as_fault().is_some(), "{err}");
+        assert!(
+            err.to_string().contains("unknown request opcode 1"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn truncated_messages_never_panic() {
-        let mut frames: Vec<Vec<u8>> = sample_requests().iter().map(|r| r.encode()).collect();
-        frames.extend(sample_events().iter().map(|e| e.encode()));
-        for bytes in frames {
+        for bytes in sample_frames() {
             for cut in 0..bytes.len() {
                 let _ = JobRequest::decode(&bytes[..cut]);
                 let _ = JobEvent::decode(&bytes[..cut]);
@@ -700,8 +589,7 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut frames: Vec<Vec<u8>> = sample_requests().iter().map(|r| r.encode()).collect();
-        frames.extend(sample_events().iter().map(|e| e.encode()));
+        let frames = sample_frames();
         for _ in 0..64 {
             for original in &frames {
                 let mut bytes = original.clone();
@@ -729,7 +617,6 @@ mod tests {
         fn codec_is_bit_exact(
             energy_bits in any::<u64>(),
             energies in any_f64s(16),
-            vals in any_f64s(64),
             job in any::<u64>(),
         ) {
             let energy = f64::from_bits(energy_bits);
@@ -740,8 +627,6 @@ mod tests {
                     energies,
                     meter: JobMeter { sim_seconds: energy, ..JobMeter::default() },
                     resident_peak_bytes: job,
-                    dense_dims: vec![vals.len() as u64],
-                    dense_vals: vals,
                 },
             };
             let bytes = ev.encode();

@@ -1,9 +1,9 @@
 //! `tt-dist-serve` — the multi-tenant solve daemon.
 //!
 //! Spawns one worker fleet, binds a Unix-domain socket and serves
-//! concurrent DMRG / contraction-chain jobs until a client sends
-//! `Shutdown` (or the process is signalled). Workers are re-execs of this
-//! same binary ([`tt_dist::SpawnSpec::SelfExec`]), so the daemon is self-contained.
+//! concurrent DMRG jobs until a client sends `Shutdown` (or the process
+//! is signalled). Workers are re-execs of this same binary
+//! ([`tt_dist::SpawnSpec::SelfExec`]), so the daemon is self-contained.
 //!
 //! ```text
 //! tt-dist-serve [--socket PATH] [--workers P] [--nodes N]

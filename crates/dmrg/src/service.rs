@@ -61,15 +61,27 @@ fn algorithm(a: AlgoSpec) -> Algorithm {
     }
 }
 
+/// The most sites a job's chain may have: far above any solve this
+/// service runs, far below a size whose lattice, MPO and state could not be
+/// allocated (a failed allocation aborts the daemon).
+const MAX_SITES: usize = 4096;
+
+/// The site count `n` of a job's model, refused unless `2 ≤ n ≤ MAX_SITES`.
+fn sites(n: u64) -> std::result::Result<usize, JobError> {
+    match usize::try_from(n) {
+        Ok(n) if (2..=MAX_SITES).contains(&n) => Ok(n),
+        _ => Err(JobError::Failed(format!(
+            "a chain takes 2 to {MAX_SITES} sites, got {n}"
+        ))),
+    }
+}
+
 /// Build the requested Hamiltonian MPO and initial product state.
 fn build_problem(spec: &DmrgJobSpec) -> std::result::Result<(Mpo, Mps), JobError> {
     let fail = |what: &str, e: &dyn std::fmt::Display| JobError::Failed(format!("{what}: {e}"));
     match spec.model {
         ModelSpec::HeisenbergChain { n, j2 } => {
-            let n = n as usize;
-            if n < 2 {
-                return Err(JobError::Failed(format!("chain needs ≥ 2 sites, got {n}")));
-            }
+            let n = sites(n)?;
             let lat = Lattice::chain(n);
             let mpo = heisenberg_j1j2(&lat, 1.0, j2)
                 .build()
@@ -79,10 +91,7 @@ fn build_problem(spec: &DmrgJobSpec) -> std::result::Result<(Mpo, Mps), JobError
             Ok((mpo, psi))
         }
         ModelSpec::HubbardChain { n, u } => {
-            let n = n as usize;
-            if n < 2 {
-                return Err(JobError::Failed(format!("chain needs ≥ 2 sites, got {n}")));
-            }
+            let n = sites(n)?;
             let lat = Lattice::chain(n);
             let mpo = hubbard(&lat, 1.0, u)
                 .build()
@@ -147,12 +156,7 @@ fn run_spec(
             }
         }
     }
-    Ok(SolveOutcome {
-        energy,
-        energies,
-        dense_dims: Vec::new(),
-        dense_vals: Vec::new(),
-    })
+    Ok(SolveOutcome { energy, energies })
 }
 
 #[cfg(test)]
@@ -240,8 +244,21 @@ mod tests {
         let mut s = small_spec();
         s.ms.clear();
         assert!(run_reference(&s, &exec).is_err());
-        let mut s = small_spec();
-        s.model = ModelSpec::HeisenbergChain { n: 1, j2: 0.0 };
-        assert!(run_reference(&s, &exec).is_err());
+        for n in [0, 1, MAX_SITES as u64 + 1, 1 << 40, u64::MAX] {
+            for model in [
+                ModelSpec::HeisenbergChain { n, j2: 0.0 },
+                ModelSpec::HubbardChain { n, u: 4.0 },
+            ] {
+                let s = DmrgJobSpec {
+                    model,
+                    ..small_spec()
+                };
+                let err = run_reference(&s, &exec).expect_err("a hostile size is refused");
+                assert!(
+                    matches!(&err, JobError::Failed(why) if why.contains("sites")),
+                    "{err:?}"
+                );
+            }
+        }
     }
 }

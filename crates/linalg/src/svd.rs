@@ -45,11 +45,6 @@ impl TruncSpec {
         self.max_rank = r;
         self
     }
-    /// Set the absolute singular-value cutoff.
-    pub fn with_cutoff(mut self, c: f64) -> Self {
-        self.cutoff = c;
-        self
-    }
 }
 
 /// Result of a (truncated) SVD: `A ≈ U · diag(s) · Vᵀ`.

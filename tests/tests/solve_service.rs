@@ -7,14 +7,12 @@
 use dmrg::run_reference;
 use std::sync::Arc;
 use std::time::Duration;
+use std::time::Instant;
 use tt_dist::service::{
-    AlgoSpec, ChainJobSpec, ChainOperand, ChainStepSpec, DavidsonSpec, DmrgJobSpec, JobReport,
-    ModelSpec, Service, ServiceClient, ServiceConfig,
+    AlgoSpec, DavidsonSpec, DmrgJobSpec, JobReport, ModelSpec, Service, ServiceClient,
+    ServiceConfig,
 };
-use tt_dist::{
-    ChainSrc, ChainStep, ExecMode, Executor, FaultPlan, Machine, ProcOptions, SpawnSpec,
-};
-use tt_tensor::DenseTensor;
+use tt_dist::{ExecMode, Executor, FaultPlan, Machine, ProcOptions, SpawnSpec};
 
 /// Self-exec worker hook: when the daemon (or a bare multi-process
 /// executor) re-executes this test binary with the `spawned_worker_entry`
@@ -271,8 +269,8 @@ fn admission_control_and_cancellation() {
     service.stop();
 }
 
-/// How long a chain job may take to reach its terminal event.
-const CHAIN_DEADLINE: Duration = Duration::from_secs(60);
+/// How long a job, or the daemon's shutdown, may take to end.
+const DEADLINE: Duration = Duration::from_secs(60);
 
 /// `cl.wait(job)`, failing the test instead of hanging when the job never
 /// reaches a terminal event (a runner thread that panicked sends none; the
@@ -284,110 +282,124 @@ fn wait_within(mut cl: ServiceClient, job: u64) -> (ServiceClient, tt_dist::Resu
         let _ = tx.send((cl, outcome));
     });
     let done = rx
-        .recv_timeout(CHAIN_DEADLINE)
-        .unwrap_or_else(|_| panic!("job {job}: no terminal event within {CHAIN_DEADLINE:?}"));
+        .recv_timeout(DEADLINE)
+        .unwrap_or_else(|_| panic!("job {job}: no terminal event within {DEADLINE:?}"));
     waiter.join().expect("the waiting thread sent its outcome");
     done
 }
 
-/// Run the chain `(a·b)·c` as a job on the daemon behind `cl`: contraction
-/// chain jobs run natively in the daemon (no DMRG runner involved), and
-/// the downloaded result must be bitwise-identical to the same chain on a
-/// local in-process executor.
-fn chain_job_matches_local(mut cl: ServiceClient) {
-    let a = DenseTensor::from_vec(vec![2, 3], (0..6).map(|i| i as f64 * 0.5 + 1.0).collect())
-        .expect("a");
-    let b = DenseTensor::from_vec(vec![3, 4], (0..12).map(|i| 2.0 - i as f64 * 0.25).collect())
-        .expect("b");
-    let c =
-        DenseTensor::from_vec(vec![4, 2], (0..8).map(|i| (i as f64).sin()).collect()).expect("c");
-
-    let local = Executor::local();
-    let handles = local
-        .chain(&[
-            ChainStep {
-                spec: "ij,jk->ik",
-                a: ChainSrc::Dense((&a).into()),
-                b: ChainSrc::Dense((&b).into()),
-                acc: None,
-            },
-            ChainStep {
-                spec: "ik,kl->il",
-                a: ChainSrc::Prev(0),
-                b: ChainSrc::Dense((&c).into()),
-                acc: None,
-            },
-        ])
-        .expect("local chain");
-    let mut hs: Vec<_> = handles.into_iter().flatten().collect();
-    let expected = local.download(hs.pop().expect("result")).expect("download");
-    local.free_results(hs).expect("free");
-
-    let dense = |t: &DenseTensor<f64>| ChainOperand::Dense {
-        dims: t.dims().iter().map(|&d| d as u64).collect(),
-        vals: t.data().to_vec(),
+#[test]
+fn hostile_model_size_fails_and_the_daemon_serves_on() {
+    // A chain of 2^64 - 1 sites: building its lattice would panic the
+    // runner thread (capacity overflow), leaving the job unfinished and
+    // the daemon a runner short; a size that merely fits usize would ask
+    // for terabytes and abort the daemon. The job must fail typed, and
+    // the same daemon must then solve a normal job bit for bit.
+    let (service, socket) = start("hostile", config("hostile"));
+    let hostile = DmrgJobSpec {
+        model: ModelSpec::HeisenbergChain {
+            n: u64::MAX,
+            j2: 0.0,
+        },
+        ..heisenberg_spec()
     };
-    let job = cl
-        .submit_chain(&ChainJobSpec {
-            steps: vec![
-                ChainStepSpec {
-                    spec: "ij,jk->ik".into(),
-                    a: dense(&a),
-                    b: dense(&b),
-                    acc: None,
-                },
-                ChainStepSpec {
-                    spec: "ik,kl->il".into(),
-                    a: ChainOperand::Prev { step: 0 },
-                    b: dense(&c),
-                    acc: None,
-                },
-            ],
-        })
-        .expect("submit chain");
-    let report = wait_within(cl, job).1.expect("chain job");
-    assert_eq!(
-        report.dense_dims,
-        expected
-            .dims()
-            .iter()
-            .map(|&d| d as u64)
-            .collect::<Vec<_>>()
-    );
-    let got: Vec<u64> = report.dense_vals.iter().map(|v| v.to_bits()).collect();
-    let want: Vec<u64> = expected.data().iter().map(|v| v.to_bits()).collect();
-    assert_eq!(got, want, "chain result must be bitwise-identical");
-}
-
-#[test]
-fn chain_jobs_match_local_execution_bitwise() {
-    let (service, socket) = start("chain", config("chain"));
-    chain_job_matches_local(client(&socket));
-    service.stop();
-}
-
-#[test]
-fn chain_job_with_an_overflowing_shape_fails_and_the_daemon_serves_on() {
-    // 2^33 · 2^31 elements: the product overflows usize (and wraps to 0,
-    // which the empty data would match). The job must fail typed — not
-    // panic the runner thread and never finish, nor run as an empty
-    // tensor — and the daemon must go on serving.
-    let (service, socket) = start("overflow", config("overflow"));
     let mut cl = client(&socket);
-    let empty = |dims: Vec<u64>| ChainOperand::Dense { dims, vals: vec![] };
-    let job = cl
-        .submit_chain(&ChainJobSpec {
-            steps: vec![ChainStepSpec {
-                spec: "ij,jk->ik".into(),
-                a: empty(vec![1 << 33, 1 << 31]),
-                b: empty(vec![1 << 31, 0]),
-                acc: None,
-            }],
-        })
-        .expect("submit chain");
-    let (cl, outcome) = wait_within(cl, job);
-    let err = outcome.expect_err("a shape past usize must fail the job");
+    let job = cl.submit_dmrg(&hostile).expect("submit the hostile job");
+    let (mut cl, outcome) = wait_within(cl, job);
+    let err = outcome.expect_err("a hostile model size must fail the job");
     assert!(err.to_string().contains("failed"), "{err}");
-    chain_job_matches_local(cl);
+
+    let spec = heisenberg_spec();
+    let job = cl.submit_dmrg(&spec).expect("submit a normal job");
+    let report = wait_within(cl, job).1.expect("the daemon serves on");
+    assert_bitwise(&report, &reference(&spec), "job after the hostile one");
     service.stop();
+}
+
+/// An extra test-name filter that matches no test: a worker spawned with
+/// it still runs only `spawned_worker_entry`, and carries it on its
+/// command line, so one daemon's fleet can be told from the fleets of
+/// tests running alongside.
+const SHUTDOWN_FLEET: &str = "fleet_of_the_shutdown_test";
+
+/// Live children of this process spawned with `marker` among their
+/// arguments.
+fn children_marked(marker: &str) -> Vec<u32> {
+    let me = std::process::id().to_string();
+    let Ok(proc) = std::fs::read_dir("/proc") else {
+        return Vec::new();
+    };
+    proc.flatten()
+        .filter_map(|entry| {
+            let pid: u32 = entry.file_name().to_str()?.parse().ok()?;
+            // "pid (comm) state ppid …", and comm may hold spaces
+            let stat = std::fs::read_to_string(entry.path().join("stat")).ok()?;
+            let (_, rest) = stat.rsplit_once(')')?;
+            let cmdline = std::fs::read(entry.path().join("cmdline")).ok()?;
+            let marked = cmdline.split(|&b| b == 0).any(|a| a == marker.as_bytes());
+            (rest.split_whitespace().nth(1) == Some(me.as_str()) && marked).then_some(pid)
+        })
+        .collect()
+}
+
+#[test]
+fn shutdown_ends_every_job_and_the_fleet() {
+    let mut cfg = config("shutdown");
+    cfg.spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into(), SHUTDOWN_FLEET.into()]);
+    cfg.max_concurrent = 1;
+    let (service, socket) = start("shutdown", cfg);
+    let workers = children_marked(SHUTDOWN_FLEET);
+    assert_eq!(workers.len(), 3, "the daemon's fleet: {workers:?}");
+
+    // one job running on the single runner, one queued behind it
+    let long = DmrgJobSpec {
+        ms: vec![8],
+        sweeps_per_m: 500,
+        ..heisenberg_spec()
+    };
+    let mut c = client(&socket);
+    let running = c.submit_dmrg(&long).expect("submit the running job");
+    while !c
+        .status()
+        .expect("status")
+        .running
+        .iter()
+        .any(|&(id, _)| id == running)
+    {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let queued = c.submit_dmrg(&long).expect("submit the queued job");
+
+    client(&socket).shutdown_server().expect("send Shutdown");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        service.wait();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(DEADLINE)
+        .unwrap_or_else(|_| panic!("Service::wait did not return within {DEADLINE:?}"));
+    waiter.join().expect("the waiting thread returned");
+    assert!(!socket.exists(), "the socket file outlived the daemon");
+
+    for job in [running, queued] {
+        let (next, outcome) = wait_within(c, job);
+        c = next;
+        let err = outcome.expect_err("a job ended by shutdown does not report Done");
+        assert!(
+            err.to_string().contains("cancelled"),
+            "job {job}: expected cancellation, got {err}"
+        );
+    }
+    // the client is still connected: the fleet must not wait for it
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for pid in workers {
+        while std::path::Path::new(&format!("/proc/{pid}")).exists() {
+            assert!(
+                Instant::now() < deadline,
+                "worker {pid} outlived the daemon"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+    drop(c);
 }
