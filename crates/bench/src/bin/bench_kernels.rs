@@ -56,12 +56,15 @@
 //! conversion of `x` and `y` included.
 //!
 //! The `gemm_small` rows run one row panel on the unpacked register tile
-//! (`gemm_acc_small_rows`) and the `gemm_small_packed` rows the same panel
-//! on the packed kernel, packing `B` included — at the List sweep's
+//! (`gemm_small_into`) and the `gemm_small_packed` rows the same panel on
+//! the packed kernel, packing `B` included — at the List sweep's
 //! block-pair shapes and at the two cube-like shapes past the crossover
-//! where packing wins again. The pair is where `SMALL_MAX_MNK` in
-//! `tt_tensor::gemm` comes from; a sub-millisecond shape is timed as a
-//! loop of calls.
+//! where packing wins again, both storing through the identity view. The
+//! pair is where `SMALL_MAX_MNK` in `tt_tensor::gemm` comes from; a
+//! sub-millisecond shape is timed as a loop of calls. The
+//! `gemm_small_permuted` row runs the tile at a List block-pair shape
+//! whose output permutation leaves no contiguous column run, so every
+//! tile is written element by element through its view.
 //!
 //! The `svd` rows time `tt_linalg::svd` — the factorization every bond
 //! sector of a sweep gets — on 64×64 and 128×128 matrices with a
@@ -82,7 +85,8 @@ use std::time::Instant;
 use tt_bench::{grow_state, System};
 use tt_blocks::{contract, Algorithm, BlockSparseTensor, ResidentChain};
 use tt_dist::{ChainSrc, ChainStep, ExecMode, Executor, Machine, OpHandle};
-use tt_tensor::gemm::{gemm_acc_packed_rows, gemm_acc_small_rows, PackedB};
+use tt_tensor::gemm::{gemm_packed_into, gemm_small_into, PackedB};
+use tt_tensor::view::{Epilogue, RunView, ViewMut};
 use tt_tensor::{Complex64, DenseTensor, Scalar, SparseTensor};
 
 /// GFlop/s regression a kernel may show against the baseline before the
@@ -771,12 +775,14 @@ fn main() {
             let a = DenseTensor::<f64>::random([m, k], &mut rng);
             let b = DenseTensor::<f64>::random([k, n], &mut rng);
             let mut c = vec![0.0f64; m * n];
+            let identity = RunView::matrix(m, n, n);
             let flops = 2.0 * (m * k * n) as f64;
             let calls = (GEMM_SMALL_SAMPLE_FLOPS / flops).ceil() as usize;
             let secs = best_of(reps, || {
                 for _ in 0..calls {
                     c.fill(0.0);
-                    gemm_acc_small_rows(0, m, k, n, a.data(), k, 1, b.data(), &mut c);
+                    let out = &mut ViewMut::whole(&identity, &mut c).unwrap();
+                    gemm_small_into(0, m, k, n, a.data(), k, 1, b.data(), out, Epilogue::Store);
                 }
             });
             let size = format!("{m}x{k}x{n}");
@@ -786,10 +792,38 @@ fn main() {
                 for _ in 0..calls {
                     c.fill(0.0);
                     let pb = PackedB::pack(k, n, b.data(), n, 1);
-                    gemm_acc_packed_rows(0, m, a.data(), k, 1, &pb, &mut c);
+                    let out = &mut ViewMut::whole(&identity, &mut c).unwrap();
+                    gemm_packed_into(0, m, a.data(), k, 1, &pb, out, Epilogue::Store);
                 }
             });
             record(&mut entries, "gemm_small_packed", size, sample_flops, secs);
+        }
+        // the same tile at a List block-pair shape, its 273 × 39 natural
+        // product — dims (7, 39 | 3, 13) — stored as (3, 39, 13, 7): the
+        // columns' innermost mode has stride 7, so no run is contiguous
+        {
+            let (m, k, n) = (273, 39, 39);
+            let a = DenseTensor::<f64>::random([m, k], &mut rng);
+            let b = DenseTensor::<f64>::random([k, n], &mut rng);
+            let mut c = vec![0.0f64; m * n];
+            let view = RunView::output(&[7, 39, 3, 13], &[2, 1, 3, 0], (m, n)).unwrap();
+            let flops = 2.0 * (m * k * n) as f64;
+            let calls = (GEMM_SMALL_SAMPLE_FLOPS / flops).ceil() as usize;
+            let secs = best_of(reps, || {
+                for _ in 0..calls {
+                    c.fill(0.0);
+                    let out = &mut ViewMut::whole(&view, &mut c).unwrap();
+                    gemm_small_into(0, m, k, n, a.data(), k, 1, b.data(), out, Epilogue::Store);
+                }
+            });
+            let (size, sample_flops) = (format!("{m}x{k}x{n}"), flops * calls as f64);
+            record(
+                &mut entries,
+                "gemm_small_permuted",
+                size,
+                sample_flops,
+                secs,
+            );
         }
 
         // --- GEMV fast path (Davidson matvec shape) --------------------------

@@ -3,7 +3,7 @@
 //! and the exits of a resident result (`download*`, `free_results`).
 
 use super::keys;
-use super::residency::{OpCharge, Superstep};
+use super::residency::{op_state, Charge, OpCharge, Superstep};
 use super::sparse::{inline_coords, sd_request, upload_coords};
 use super::{expect_buf, DenseOp, Executor, SparseOp};
 use crate::cluster::{Cluster, Placement};
@@ -11,9 +11,15 @@ use crate::handle::{OpHandle, Residency, ResultHandle, ResultInfo};
 use crate::kernels;
 use crate::transport::worker::{Op, OpCoords, Out, Request};
 use crate::{Error, Result};
+use std::collections::HashMap;
 use std::sync::Arc;
 use tt_tensor::einsum::ContractPlan;
+use tt_tensor::view::{Epilogue, RunView};
 use tt_tensor::DenseTensor;
+
+/// The output views of a chain's in-process dense steps, by spec and
+/// natural-order dims.
+pub(super) type ViewMemo = HashMap<String, HashMap<Vec<usize>, Arc<RunView>>>;
 
 /// One operand of a [`Executor::chain`] step.
 #[derive(Clone, Copy)]
@@ -60,6 +66,10 @@ struct PlannedStep {
     /// The parsed spec, shared by every step of the chain that spells the
     /// same spec.
     plan: Arc<ContractPlan>,
+    /// In-process dense steps: the view the product is written through
+    /// ([`kernels::output_view`]), shared by every step of the chain — and
+    /// of the next chain — with the same spec and natural-order dims.
+    view: Option<Arc<RunView>>,
     a_dims: Vec<usize>,
     b_dims: Vec<usize>,
     out_dims: Vec<usize>,
@@ -197,20 +207,27 @@ impl Executor {
         };
         // charge every step in submission order, from driver-side registry
         // state only — the charge sequence is bitwise-identical on every
-        // backend
-        for (st, pl) in steps.iter().zip(&planned) {
-            let sa = self.chain_charge(&st.a, pl, true)?;
-            let sb = self.chain_charge(&st.b, pl, false)?;
-            self.charge_contraction(
-                sa,
-                sb,
-                pl.words_c,
-                pl.m,
-                pl.n,
-                pl.flops,
-                pl.kind == StepKind::Sd,
-            );
-        }
+        // backend — under one lock of the registry, then one of the tracker
+        let states = {
+            let mut res = self.residency.lock();
+            let state = |(st, pl): (&ChainStep, &PlannedStep)| {
+                let a = chain_charge(&mut res, &st.a, pl, true)?;
+                Ok([a, chain_charge(&mut res, &st.b, pl, false)?])
+            };
+            let states: Result<Vec<[OpCharge; 2]>> =
+                steps.iter().zip(&planned).map(state).collect();
+            states?
+        };
+        let charges = planned.iter().zip(&states).map(|(pl, &[a, b])| Charge {
+            a,
+            b,
+            words_c: pl.words_c,
+            m: pl.m,
+            n: pl.n,
+            flops: pl.flops,
+            sparse: pl.kind == StepKind::Sd,
+        });
+        self.charge_contractions(charges);
         let mut out = Vec::with_capacity(steps.len());
         let mut res = self.residency.lock();
         for (i, pl) in planned.iter().enumerate() {
@@ -241,6 +258,15 @@ impl Executor {
         // a list matvec is hundreds of steps over a handful of specs:
         // parse each distinct one once
         let mut specs: Vec<(&str, Arc<ContractPlan>)> = Vec::new();
+        // and derive each distinct output view once — a view is the plan's
+        // output permutation of the natural-order dims — unless the last
+        // chain had it: an eigensolve's matvecs repeat one chain
+        let local = self.cluster.is_none();
+        let mut last = match local {
+            true => std::mem::take(&mut *self.chain_views.lock()),
+            false => ViewMemo::new(),
+        };
+        let mut views = ViewMemo::new();
         for (i, st) in steps.iter().enumerate() {
             let (a_dims, a_sparse) = src_info(&st.a, &planned)?;
             let (b_dims, b_sparse) = src_info(&st.b, &planned)?;
@@ -267,6 +293,28 @@ impl Executor {
             };
             let out_dims = plan.output_dims(&a_dims, &b_dims)?;
             let (m, k, n) = kernels::fused_dims(&plan, &a_dims, &b_dims);
+            let view = match kind {
+                StepKind::Dense if local => {
+                    let nat_dims = kernels::natural_dims(&plan, &a_dims, &b_dims);
+                    if !views.contains_key(st.spec) {
+                        views.insert(st.spec.to_string(), HashMap::new());
+                    }
+                    let known = views.get_mut(st.spec).expect("inserted above");
+                    Some(match known.get(&nat_dims) {
+                        Some(view) => Arc::clone(view),
+                        None => {
+                            let kept = last.get_mut(st.spec).and_then(|v| v.remove(&nat_dims));
+                            let view = match kept {
+                                Some(view) => view,
+                                None => Arc::new(kernels::output_view(&plan, &a_dims, &b_dims)?),
+                            };
+                            known.insert(nat_dims, Arc::clone(&view));
+                            view
+                        }
+                    })
+                }
+                _ => None,
+            };
             let flops = match (kind, &st.a) {
                 (StepKind::Sd, ChainSrc::Sparse(op)) => 2 * op.tensor()?.nnz() as u64 * n as u64,
                 _ => plan.flop_count(&a_dims, &b_dims),
@@ -304,6 +352,7 @@ impl Executor {
             planned.push(PlannedStep {
                 kind,
                 plan,
+                view,
                 a_dims,
                 b_dims,
                 out_dims,
@@ -316,6 +365,9 @@ impl Executor {
                 key,
                 dies_after: None,
             });
+        }
+        if local {
+            *self.chain_views.lock() = views;
         }
         Ok(planned)
     }
@@ -476,8 +528,9 @@ impl Executor {
 
     /// The in-process leg of [`Executor::chain`]: run every step locally
     /// with the exact same kernels as the value paths, accumulating
-    /// products in submission order, each added into its target through
-    /// the output permutation. An internal output leaves `outs` as
+    /// products in submission order: a dense step's kernel stores its
+    /// tiles into a fresh output, or adds them into its target, through
+    /// the step's output view. An internal output leaves `outs` as
     /// soon as its last consumer has run; a sparse-dense one's buffer goes
     /// back to the workspace it came from, for the next step to take.
     fn chain_local(
@@ -487,24 +540,36 @@ impl Executor {
         outs: &mut [Option<Arc<DenseTensor<f64>>>],
     ) -> Result<()> {
         for (i, (st, pl)) in steps.iter().zip(planned).enumerate() {
-            let b = resolve_local(&st.b, outs)?;
             // plan_chain made a sparse `a` an sd step, and refused `acc` on
-            // one
+            // one; it gave every dense step its view
+            let dense = |outs: &[Option<Arc<DenseTensor<f64>>>], out: &mut [f64], how| {
+                let view = pl.view.as_deref().expect("a planned in-process view");
+                let (a, b) = (resolve_local(&st.a, outs)?, resolve_local(&st.b, outs)?);
+                kernels::dense_into(&pl.plan, view, a, b, self.pool(), out, how)
+            };
             if pl.base == i {
                 let c = match &st.a {
-                    ChainSrc::Sparse(op) => self.sd_local(&pl.plan, op, b)?.0,
-                    a => {
-                        kernels::dense_contract(&pl.plan, resolve_local(a, outs)?, b, self.pool())?
+                    ChainSrc::Sparse(op) => {
+                        self.sd_local(&pl.plan, op, resolve_local(&st.b, outs)?)?.0
+                    }
+                    _ => {
+                        let mut c = vec![0.0; pl.words_c];
+                        dense(outs, &mut c, Epilogue::Store)?;
+                        DenseTensor::from_vec(pl.out_dims.clone(), c)?
                     }
                 };
                 outs[i] = Some(Arc::new(c));
             } else {
-                let a = resolve_local(&st.a, outs)?;
-                let product = kernels::NaturalProduct::compute(&pl.plan, a, b, self.pool())?;
-                let target = outs[pl.base]
-                    .as_mut()
+                // the target leaves `outs` while the kernel adds into it; an
+                // operand that reads it keeps the value it had
+                let mut target = outs[pl.base]
+                    .take()
                     .ok_or_else(|| Error::Runtime("accumulate target missing".into()))?;
-                product.add_into(Arc::make_mut(target).data_mut())?;
+                if [st.a.prev(), st.b.prev()].contains(&Some(pl.base)) {
+                    outs[pl.base] = Some(Arc::clone(&target));
+                }
+                dense(outs, Arc::make_mut(&mut target).data_mut(), Epilogue::Add)?;
+                outs[pl.base] = Some(target);
             }
             for j in [st.a.prev(), st.b.prev(), st.acc].into_iter().flatten() {
                 if planned[j].dies_after != Some(i) {
@@ -542,24 +607,6 @@ impl Executor {
                 [auto(&st.a), auto(&st.b)]
             })
             .collect()
-    }
-
-    /// The α–β charge state of one chain-step operand: value operands
-    /// charge in full, resident operands follow the one-time-upload /
-    /// cache-hit discipline (whole-tensor buffers — chains run whole
-    /// contractions), and resident results are always hits (they were
-    /// produced in place and never move on the charged path).
-    fn chain_charge(&self, src: &ChainSrc, pl: &PlannedStep, is_a: bool) -> Result<OpCharge> {
-        let elems = if is_a { pl.m * pl.k } else { pl.k * pl.n };
-        Ok(match src {
-            ChainSrc::Dense(_) => self.op_state(src.handle(), keys::whole, elems),
-            ChainSrc::Sparse(op) => self.op_state(
-                src.handle(),
-                |h| keys::sd_a(h, &pl.plan, pl.n).logical(),
-                2 * op.tensor()?.nnz(),
-            ),
-            ChainSrc::Prev(_) | ChainSrc::Res(_) => OpCharge::Hit,
-        })
     }
 
     /// Download a resident result — with [`Executor::download_many`], of
@@ -656,6 +703,30 @@ impl ChainSrc<'_> {
             ChainSrc::Prev(_) | ChainSrc::Res(_) => None,
         }
     }
+}
+
+/// The α–β charge state of one chain-step operand against the registry
+/// `res`: value operands charge in full, resident operands follow the
+/// one-time-upload / cache-hit discipline (whole-tensor buffers — chains
+/// run whole contractions), and resident results are always hits (they
+/// were produced in place and never move on the charged path).
+fn chain_charge(
+    res: &mut Residency,
+    src: &ChainSrc,
+    pl: &PlannedStep,
+    is_a: bool,
+) -> Result<OpCharge> {
+    let elems = if is_a { pl.m * pl.k } else { pl.k * pl.n };
+    Ok(match src {
+        ChainSrc::Dense(_) => op_state(res, src.handle(), keys::whole, elems),
+        ChainSrc::Sparse(op) => op_state(
+            res,
+            src.handle(),
+            |h| keys::sd_a(h, &pl.plan, pl.n).logical(),
+            2 * op.tensor()?.nnz(),
+        ),
+        ChainSrc::Prev(_) | ChainSrc::Res(_) => OpCharge::Hit,
+    })
 }
 
 /// `src`, or the content-keyed handle that stands in for it.

@@ -3,7 +3,7 @@
 //! contraction as its one-pair case.
 
 use super::keys;
-use super::residency::{whole_home, Superstep};
+use super::residency::{op_state, whole_home, Charge, OpCharge, Superstep};
 #[cfg(doc)]
 use super::ExecMode;
 use super::{expect_buf, DenseOp, Executor};
@@ -58,12 +58,12 @@ impl Executor {
         // validate every pair up front (fused_dims/flop_count index by
         // plan positions and would panic on mismatched operand orders),
         // and snapshot the cost parameters
-        let mut charges = Vec::with_capacity(pairs.len());
+        let mut shapes = Vec::with_capacity(pairs.len());
         for (a, b) in pairs {
             let (at, bt) = (a.tensor()?, b.tensor()?);
             let dims = plan.output_dims(at.dims(), bt.dims())?;
             let (m, k, n) = kernels::fused_dims(&plan, at.dims(), bt.dims());
-            charges.push((dims, m, k, n, plan.flop_count(at.dims(), bt.dims())));
+            shapes.push((dims, m, k, n, plan.flop_count(at.dims(), bt.dims())));
         }
         let results = if let Some(cl) = &self.cluster {
             // value-operand auto-residency: the physical dispatch sees
@@ -89,7 +89,7 @@ impl Executor {
             }
             bufs?
                 .into_iter()
-                .zip(&charges)
+                .zip(&shapes)
                 .map(|(c, (dims, ..))| Ok(DenseTensor::from_vec(dims.clone(), c)?))
                 .collect::<Result<Vec<_>>>()?
         } else {
@@ -99,18 +99,33 @@ impl Executor {
             // either way)
             let pool = self.pool();
             let rows = pool.filter(|_| pairs.len() == 1);
-            kernels::ordered_map(pool, pairs.len(), |i| {
+            kernels::ordered_map(pool, 0..pairs.len(), |i| {
                 let (a, b) = &pairs[i];
                 kernels::dense_contract(&plan, a.tensor()?, b.tensor()?, rows)
             })
             .into_iter()
             .collect::<Result<Vec<_>>>()?
         };
-        for ((a, b), &(_, m, k, n, flops)) in pairs.iter().zip(&charges) {
-            let sa = self.op_state(a.handle(), keys::whole, m * k);
-            let sb = self.op_state(b.handle(), keys::whole, k * n);
-            self.charge_contraction(sa, sb, m * n, m, n, flops, false);
-        }
+        let states: Vec<[OpCharge; 2]> = {
+            let mut res = self.residency.lock();
+            let pairs = pairs.iter().zip(&shapes);
+            pairs
+                .map(|((a, b), &(_, m, k, n, _))| {
+                    let sa = op_state(&mut res, a.handle(), keys::whole, m * k);
+                    [sa, op_state(&mut res, b.handle(), keys::whole, k * n)]
+                })
+                .collect()
+        };
+        let charges = shapes.iter().zip(&states);
+        self.charge_contractions(charges.map(|(&(_, m, _, n, flops), &[a, b])| Charge {
+            a,
+            b,
+            words_c: m * n,
+            m,
+            n,
+            flops,
+            sparse: false,
+        }));
         Ok(results)
     }
 

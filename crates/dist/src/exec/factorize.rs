@@ -2,7 +2,7 @@
 //! runs.
 
 use super::keys;
-use super::residency::{whole_home, OpCharge, Superstep, MAP_OVERHEAD_S};
+use super::residency::{op_state, whole_home, OpCharge, Superstep, MAP_OVERHEAD_S};
 #[cfg(doc)]
 use super::ExecMode;
 use super::{DenseOp, Executor};
@@ -63,7 +63,13 @@ impl Executor {
             ))));
         }
         let charge = |op: &DenseOp, t: &DenseTensor<f64>| {
-            if let OpCharge::Miss(w) = self.op_state(op.handle(), keys::whole, t.len()) {
+            let state = op_state(
+                &mut self.residency.lock(),
+                op.handle(),
+                keys::whole,
+                t.len(),
+            );
+            if let OpCharge::Miss(w) = state {
                 if self.ranks > 1 {
                     cost::charge(&self.tracker, |tr| tr.charge_superstep(8 * w as u64));
                 }
@@ -102,7 +108,7 @@ impl Executor {
         // in-process, charging per matrix in submission order exactly like
         // the cluster path (same float accumulation order ⇒ bitwise-equal
         // counters across backends)
-        let results = kernels::ordered_map(self.pool(), tensors.len(), |i| {
+        let results = kernels::ordered_map(self.pool(), 0..tensors.len(), |i| {
             kernels::svd_trunc(tensors[i], spec)
         });
         for ((r, op), t) in results.into_iter().zip(mats).zip(tensors) {

@@ -210,6 +210,9 @@ pub struct Executor {
     /// Where the in-process sparse-dense legs keep their large temporaries
     /// between uses (see [`Executor::workspace_stats`]).
     workspace: Workspace,
+    /// The output views of the last in-process chain, for the next one
+    /// (see [`Executor::chain`]).
+    chain_views: Mutex<chain::ViewMemo>,
 }
 
 /// Transport options of the multi-process backend; nothing to set on a
@@ -310,6 +313,7 @@ impl Executor {
             chain_cursor: Mutex::new(0),
             retention: Mutex::new(Retention::default()),
             workspace: Workspace::default(),
+            chain_views: Mutex::default(),
         })
     }
 

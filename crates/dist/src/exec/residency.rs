@@ -6,7 +6,7 @@
 use super::keys;
 use super::{DenseOp, Executor};
 use crate::cluster::Cluster;
-use crate::cost;
+use crate::cost::{self, CostTracker};
 #[cfg(doc)]
 use crate::handle::ResultHandle;
 use crate::handle::{OpHandle, Payload, Residency};
@@ -339,63 +339,34 @@ impl Executor {
             .collect()
     }
 
-    /// Resolve an operand's charge state: value operands charge in full;
-    /// for a handle the first observation of its logical key `lkey(h)` in
-    /// a resident period is a [`OpCharge::Miss`], later ones are hits.
-    pub(super) fn op_state(
-        &self,
-        handle: Option<&OpHandle>,
-        lkey: impl FnOnce(&OpHandle) -> u64,
-        words: usize,
-    ) -> OpCharge {
-        match handle {
-            None => OpCharge::Value(words),
-            Some(h) => {
-                if self.observe_logical(h.key(), lkey(h)) {
-                    OpCharge::Miss(words)
-                } else {
-                    OpCharge::Hit
-                }
+    /// Charge every contraction of `charges`, in order, under one lock of
+    /// the tracker (and one of the job scope's, which walks them again).
+    pub(super) fn charge_contractions(&self, charges: impl Iterator<Item = Charge> + Clone) {
+        cost::charge(&self.tracker, |tr| {
+            for c in charges.clone() {
+                self.charge_contraction(tr, &c);
             }
-        }
+        });
     }
 
-    /// First-sighting test for a logical operand key. With a per-job
-    /// [`cost::JobScope`] on this thread, the *job's* charge book decides
-    /// (so a multi-tenant job's miss/hit sequence reads as if it ran
-    /// alone), while the executor-wide book is still updated for
-    /// release-time cleanup; without a scope, the executor-wide book
-    /// decides as before.
-    fn observe_logical(&self, content: u64, lkey: u64) -> bool {
-        let shared = self.residency.lock().observe(content, lkey);
-        match cost::scope_observe(content, lkey) {
-            Some(first) => first,
-            None => shared,
-        }
-    }
-
-    /// Charge compute + imbalance + transpose + panel-broadcast communication for a
-    /// contraction whose operands participate as `a`/`b` (value words,
-    /// one-time resident upload, or cache hit) with `words_c` stored
-    /// result words over an `m × n` fused output grid, executing `flops`
-    /// flops. `sparse` selects the sparse roofline and time bucket.
+    /// Charge compute + imbalance + transpose + panel-broadcast
+    /// communication for one contraction (see [`Charge`]).
     ///
     /// Value-only charges are bit-identical to the historical formula;
     /// resident operands drop their packing traffic and broadcast β share
     /// (cache hit ⇒ no β), with a one-time full-volume upload superstep
     /// on first use. The fused scatter+compute superstep costs one α
     /// regardless.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn charge_contraction(
-        &self,
-        a: OpCharge,
-        b: OpCharge,
-        words_c: usize,
-        m: usize,
-        n: usize,
-        flops: u64,
-        sparse: bool,
-    ) {
+    fn charge_contraction(&self, tr: &mut CostTracker, c: &Charge) {
+        let &Charge {
+            a,
+            b,
+            words_c,
+            m,
+            n,
+            flops,
+            sparse,
+        } = c;
         let p = self.ranks as f64;
         let n_eff = ((flops.max(2) as f64) / 2.0).cbrt();
         let n_loc = (n_eff / p.sqrt()).max(1.0);
@@ -405,47 +376,85 @@ impl Executor {
             self.machine.dense_rate(n_loc)
         };
         let t_compute = flops as f64 / (rate * p);
-
-        cost::charge(&self.tracker, |tr| {
-            if self.ranks > 1 {
-                // one-time resident-operand uploads: one superstep each,
-                // moving the operand's full stored volume
-                for op in [a, b] {
-                    if let OpCharge::Miss(w) = op {
-                        tr.charge_superstep(8 * w as u64);
-                    }
+        if self.ranks > 1 {
+            // one-time resident-operand uploads: one superstep each,
+            // moving the operand's full stored volume
+            for op in [a, b] {
+                if let OpCharge::Miss(w) = op {
+                    tr.charge_superstep(8 * w as u64);
                 }
             }
-            tr.flops += flops;
-            if sparse {
-                tr.sim.sparse += t_compute;
-            } else {
-                tr.sim.gemm += t_compute;
-            }
+        }
+        tr.flops += flops;
+        if sparse {
+            tr.sim.sparse += t_compute;
+        } else {
+            tr.sim.gemm += t_compute;
+        }
 
-            // TTGT packing: locally-handled operands + result through memory
-            // twice (resident reuse skips the pack).
-            let moved_bytes = 8.0 * 2.0 * (a.local_words() + b.local_words() + words_c) as f64;
-            tr.sim.transpose += moved_bytes / (self.machine.rank_mem_bw() * p);
-            tr.sim.other += MAP_OVERHEAD_S;
+        // TTGT packing: locally-handled operands + result through memory
+        // twice (resident reuse skips the pack).
+        let moved_bytes = 8.0 * 2.0 * (a.local_words() + b.local_words() + words_c) as f64;
+        tr.sim.transpose += moved_bytes / (self.machine.rank_mem_bw() * p);
+        tr.sim.other += MAP_OVERHEAD_S;
 
-            if self.ranks > 1 {
-                // Tile imbalance on the process grid.
-                let (pr, pc) = process_grid(self.ranks);
-                let lambda = (m.div_ceil(pr) * pr) as f64 / m.max(1) as f64
-                    * ((n.div_ceil(pc) * pc) as f64 / n.max(1) as f64)
-                    - 1.0;
-                tr.sim.imbalance += t_compute * lambda.max(0.0);
+        if self.ranks > 1 {
+            // Tile imbalance on the process grid.
+            let (pr, pc) = process_grid(self.ranks);
+            let lambda = (m.div_ceil(pr) * pr) as f64 / m.max(1) as f64
+                * ((n.div_ceil(pc) * pc) as f64 / n.max(1) as f64)
+                - 1.0;
+            tr.sim.imbalance += t_compute * lambda.max(0.0);
 
-                // broadcast: value operand panels travel √p-reduced, resident
-                // operands move nothing, the result is reduced once — all in
-                // the one fused scatter+compute superstep.
-                let words = ((a.beta_words() + b.beta_words()) as f64 / p.sqrt()
-                    + words_c as f64 / p) as u64;
-                tr.charge_superstep(8 * words);
-            }
-        });
+            // broadcast: value operand panels travel √p-reduced, resident
+            // operands move nothing, the result is reduced once — all in
+            // the one fused scatter+compute superstep.
+            let words =
+                ((a.beta_words() + b.beta_words()) as f64 / p.sqrt() + words_c as f64 / p) as u64;
+            tr.charge_superstep(8 * words);
+        }
     }
+}
+
+/// Resolve an operand's charge state against the registry `res`: value
+/// operands charge in full; for a handle the first observation of its
+/// logical key `lkey(h)` in a resident period is a [`OpCharge::Miss`],
+/// later ones are hits. With a per-job [`cost::JobScope`] on this thread,
+/// the *job's* charge book decides (so a multi-tenant job's miss/hit
+/// sequence reads as if it ran alone), while the executor-wide book is
+/// still updated for release-time cleanup; without a scope, the
+/// executor-wide book decides.
+pub(super) fn op_state(
+    res: &mut Residency,
+    handle: Option<&OpHandle>,
+    lkey: impl FnOnce(&OpHandle) -> u64,
+    words: usize,
+) -> OpCharge {
+    let Some(h) = handle else {
+        return OpCharge::Value(words);
+    };
+    let (content, lkey) = (h.key(), lkey(h));
+    let shared = res.observe(content, lkey);
+    if cost::scope_observe(content, lkey).unwrap_or(shared) {
+        OpCharge::Miss(words)
+    } else {
+        OpCharge::Hit
+    }
+}
+
+/// One contraction's α–β charge: how its operands participate (value
+/// words, one-time resident upload, or cache hit), `words_c` stored
+/// result words over an `m × n` fused output grid, `flops` flops, and
+/// whether the sparse roofline and time bucket apply.
+#[derive(Clone, Copy)]
+pub(super) struct Charge {
+    pub(super) a: OpCharge,
+    pub(super) b: OpCharge,
+    pub(super) words_c: usize,
+    pub(super) m: usize,
+    pub(super) n: usize,
+    pub(super) flops: u64,
+    pub(super) sparse: bool,
 }
 
 /// The first rank already holding `op`'s whole-tensor buffer, if any.

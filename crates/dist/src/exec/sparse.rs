@@ -2,7 +2,7 @@
 //! algorithms' kernels), in-process or bucketed over the cluster.
 
 use super::keys;
-use super::residency::{OpCharge, Superstep};
+use super::residency::{op_state, Charge, OpCharge, Superstep};
 use super::{expect_buf, DenseOp, Executor, SparseOp};
 use crate::cluster::Cluster;
 use crate::handle::{OpHandle, Residency};
@@ -37,13 +37,21 @@ impl Executor {
         let (m, k, n) = kernels::fused_dims(&plan, at.dims(), bt.dims());
         // The sparse operand moves its stored entries (offset + value),
         // the dense operand and result their full volume.
-        let sa = self.op_state(
-            a.handle(),
-            |h| keys::sd_a(h, &plan, n).logical(),
-            2 * at.nnz(),
-        );
-        let sb = self.op_state(b.handle(), keys::whole, k * n);
-        self.charge_contraction(sa, sb, m * n, m, n, flops, true);
+        let (sa, sb) = {
+            let res = &mut self.residency.lock();
+            let lkey = |h: &OpHandle| keys::sd_a(h, &plan, n).logical();
+            let sa = op_state(res, a.handle(), lkey, 2 * at.nnz());
+            (sa, op_state(res, b.handle(), keys::whole, k * n))
+        };
+        self.charge_contractions(std::iter::once(Charge {
+            a: sa,
+            b: sb,
+            words_c: m * n,
+            m,
+            n,
+            flops,
+            sparse: true,
+        }));
         Ok(c)
     }
 
@@ -172,9 +180,17 @@ impl Executor {
         n: usize,
         flops: u64,
     ) {
-        let sa = self.op_state(a, |h| keys::ss_a(h, plan).logical(), 2 * a_nnz);
-        let sb = OpCharge::Value(2 * b_nnz);
-        self.charge_contraction(sa, sb, 2 * c_nnz, m, n, flops, true);
+        let lkey = |h: &OpHandle| keys::ss_a(h, plan).logical();
+        let sa = op_state(&mut self.residency.lock(), a, lkey, 2 * a_nnz);
+        self.charge_contractions(std::iter::once(Charge {
+            a: sa,
+            b: OpCharge::Value(2 * b_nnz),
+            words_c: 2 * c_nnz,
+            m,
+            n,
+            flops,
+            sparse: true,
+        }));
     }
 
     /// Sparse-sparse contraction over the worker processes, from its

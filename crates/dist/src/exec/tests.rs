@@ -568,13 +568,13 @@ fn chains_compose_prev_acc_and_res_bitwise() {
     );
 }
 
-/// An accumulate step adds its natural-order product into the target
-/// through the output permutation in one walk; the target must hold the
-/// bits of the value path's fold — the first partial stored, every later
-/// one permuted and then added — on every backend (the two-worker leg is
-/// the worker's accumulate store). A general permutation, a plain
-/// transpose (its product row-split over the pool in Threaded mode) and
-/// one that fuses to the identity.
+/// An accumulate step's kernel adds its tiles into the target through
+/// the output permutation; the target must hold the bits of the value
+/// path's fold — the first partial stored, every later one permuted and
+/// then added — on every backend (the two-worker leg is the worker's
+/// accumulate store). A general permutation, a plain transpose (its
+/// product row-split over the pool in Threaded mode) and one that fuses
+/// to the identity.
 #[test]
 fn accumulate_folds_the_output_permutation_bitwise() {
     use tt_tensor::gemm::MC;

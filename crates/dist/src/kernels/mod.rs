@@ -38,11 +38,13 @@
 //! An operand whose permutation fuses to the identity
 //! ([`tt_tensor::transpose::motion`]) is read where it lies, a plain
 //! matrix transpose reaches the GEMM as strides (an `A` on every kernel
-//! but GEMV, a `B` when only the packer reads it), and the
-//! sparse-dense kernel gathers `B` rows and scatters `C` rows through
-//! [`SdView`](sd::SdView) offset tables whenever the trailing free modes form a
-//! contiguous run. None of this touches arithmetic: every output element
-//! still accumulates the same products in the same order.
+//! but GEMV, a `B` when only the packer reads it), the dense kernel
+//! writes each finished register tile through a
+//! [`RunView`](tt_tensor::view::RunView) of the output permutation, and
+//! the sparse-dense kernel gathers `B` rows and scatters `C` rows through
+//! run views whenever the trailing free modes form a contiguous run. None
+//! of this touches arithmetic: every output element still accumulates the
+//! same products in the same order.
 //!
 //! Layout: this file holds the ordered map, the two fan-out rules, the
 //! range functions and the dims / output helpers every family shares;
@@ -59,7 +61,7 @@ mod ss;
 #[cfg(test)]
 pub(crate) mod tests;
 
-pub(crate) use dense::{dense_contract, NaturalProduct};
+pub(crate) use dense::{dense_contract, dense_into, output_view};
 pub(crate) use factor::svd_trunc;
 pub(crate) use sd::{sd_apply, sd_buckets, sd_contract, sd_prepare, sd_rows, SdGeometry};
 pub(crate) use ss::{ss_chunk, ss_contract, ss_prepare, ss_slots, SsPrep};
@@ -76,26 +78,30 @@ use tt_tensor::{DenseTensor, SparseTensor};
 /// Contiguous row ranges `[r0, r1)`, in row order.
 pub(crate) type Ranges = Vec<(usize, usize)>;
 
-/// `f(0), …, f(n − 1)`, in that order: across the pool when there is one
-/// and more than one call to make, on this thread otherwise. The one way
-/// kernel work reaches a lane — `f` borrows whatever it needs, and the
+/// `f` of each item, in order: across the pool when there is one and more
+/// than one call to make, on this thread otherwise. The one way kernel
+/// work reaches a lane — `f` borrows whatever it needs, each call owns its
+/// item (an index, or the band of an output a row panel writes), and the
 /// result order never depends on which leg ran.
-pub(crate) fn ordered_map<T: Send>(
+pub(crate) fn ordered_map<I: Send, T: Send>(
     pool: Option<&ThreadPool>,
-    n: usize,
-    f: impl Fn(usize) -> T + Sync,
+    items: impl IntoIterator<Item = I>,
+    f: impl Fn(I) -> T + Sync,
 ) -> Vec<T> {
-    match pool {
-        Some(pool) if n > 1 => {
-            let f = &f;
-            pool.run(
-                (0..n)
-                    .map(|i| Box::new(move || f(i)) as PoolJob<T>)
-                    .collect(),
-            )
-        }
-        _ => (0..n).map(f).collect(),
+    let Some(pool) = pool else {
+        return items.into_iter().map(f).collect();
+    };
+    let items: Vec<I> = items.into_iter().collect();
+    if items.len() < 2 {
+        return items.into_iter().map(f).collect();
     }
+    let f = &f;
+    pool.run(
+        items
+            .into_iter()
+            .map(|item| Box::new(move || f(item)) as PoolJob<T>)
+            .collect(),
+    )
 }
 
 /// Lanes a kernel may fan out over: the pool's threads, or one.
@@ -227,36 +233,23 @@ pub(crate) fn natural_dims(plan: &ContractPlan, a_dims: &[usize], b_dims: &[usiz
         .collect()
 }
 
-/// The natural-order (`free A`, `free B`) result buffer as the output
-/// tensor: moved when the output permutation fuses to the identity,
-/// permuted otherwise.
-pub(super) fn into_output(
-    nat_dims: Vec<usize>,
-    c: Vec<f64>,
-    out_perm: &[usize],
-) -> Result<DenseTensor<f64>> {
-    let out_dims: Vec<usize> = out_perm.iter().map(|&q| nat_dims[q]).collect();
-    let c = match motion(&nat_dims, out_perm)? {
-        Motion::Identity => c,
-        _ => permute_data(&c, &nat_dims, out_perm)?,
-    };
-    Ok(DenseTensor::from_vec(out_dims, c)?)
-}
-
-/// The epilogue of every dense-result leg: the natural-order rows of
-/// `a ·plan· b`, as computed locally or concatenated from worker panels,
-/// as the output tensor.
+/// The epilogue of the sparse-dense cluster leg: the natural-order rows
+/// of `a ·plan· b`, concatenated from worker panels, as the output tensor
+/// — moved when the output permutation fuses to the identity, permuted
+/// otherwise.
 pub(crate) fn natural_output(
     plan: &ContractPlan,
     a_dims: &[usize],
     b_dims: &[usize],
     c: Vec<f64>,
 ) -> Result<DenseTensor<f64>> {
-    into_output(
-        natural_dims(plan, a_dims, b_dims),
-        c,
-        plan.output_permutation(),
-    )
+    let nat_dims = natural_dims(plan, a_dims, b_dims);
+    let out_perm = plan.output_permutation();
+    let c = match motion(&nat_dims, out_perm)? {
+        Motion::Identity => c,
+        _ => permute_data(&c, &nat_dims, out_perm)?,
+    };
+    Ok(DenseTensor::from_vec(plan.output_dims(a_dims, b_dims)?, c)?)
 }
 
 /// Row panels in row order as one buffer: a single panel moves.

@@ -1,5 +1,5 @@
-//! Sparse × dense: where `B` and `C` live ([`SdView`], [`SdLayout`]), the
-//! one chunk body, and the contraction over [`ordered_map`].
+//! Sparse × dense: where `B` and `C` live ([`SdLayout`], [`RunView`]s),
+//! the one chunk body, and the contraction over [`ordered_map`].
 
 use super::{
     bucket_by_volume, concat_rows, fused_dims, lanes, natural_dims, ordered_map, sparse_chunks,
@@ -12,6 +12,7 @@ use std::borrow::Cow;
 use tt_tensor::einsum::ContractPlan;
 use tt_tensor::shape::is_permutation;
 use tt_tensor::transpose::{motion, permute_data_into, Motion};
+use tt_tensor::view::{Modes, RunView};
 use tt_tensor::{DenseTensor, SparseTensor};
 
 /// Shortest contiguous run worth addressing through an offset table:
@@ -19,90 +20,6 @@ use tt_tensor::{DenseTensor, SparseTensor};
 /// transposition it saves, and the operand is permuted into one
 /// full-width run instead.
 const SD_MIN_RUN: usize = 32;
-
-/// Where the logical `rows × n` matrix of a sparse-dense operand lives in
-/// its buffer, as *(offset tables, contiguous inner run)*: with `run`
-/// elements per run (a property of the contraction, shared by the `B` and
-/// `C` views), element `(r, o·run + i)` sits at
-/// `rows[r] + outer[o] + i`. A plain row-major matrix is the view with one
-/// full-width run per row.
-pub(crate) struct SdView {
-    rows: Vec<usize>,
-    outer: Vec<usize>,
-}
-
-impl SdView {
-    /// The view of a contiguous row-major `rows × n` matrix, cut into runs
-    /// of `run` elements (`run` divides `n`; both may be zero).
-    fn matrix(rows: usize, n: usize, run: usize) -> Self {
-        Self {
-            rows: (0..rows).map(|r| r * n).collect(),
-            outer: (0..n / run.max(1)).map(|o| o * run).collect(),
-        }
-    }
-
-    /// The view of a tensor read in place, modes most significant first.
-    fn strided(row_modes: &[Axis], outer_modes: &[Axis]) -> Self {
-        Self {
-            rows: mode_offsets(row_modes),
-            outer: mode_offsets(outer_modes),
-        }
-    }
-}
-
-/// One mode of a tensor read in place: `(extent, stride)`.
-type Axis = (usize, usize);
-
-/// Offsets of every index combination of `modes` (most significant first)
-/// in row-major order.
-fn mode_offsets(modes: &[Axis]) -> Vec<usize> {
-    let mut offs = vec![0usize];
-    for &(dim, stride) in modes {
-        offs = offs
-            .iter()
-            .flat_map(|&base| (0..dim).map(move |i| base + i * stride))
-            .collect();
-    }
-    offs
-}
-
-/// `(extent, stride)` of the modes of a row-major tensor of shape `dims`,
-/// listed in `order`, unit modes dropped.
-fn strided_modes(dims: &[usize], order: &[usize]) -> Vec<Axis> {
-    order
-        .iter()
-        .filter(|&&p| dims[p] != 1)
-        .map(|&p| (dims[p], dims[p + 1..].iter().product()))
-        .collect()
-}
-
-/// Split `modes` in front of its trailing group of total extent `width`.
-fn split_trailing(modes: &[Axis], width: usize) -> Result<(&[Axis], &[Axis])> {
-    let (mut at, mut got) = (modes.len(), 1usize);
-    while got < width && at > 0 {
-        at -= 1;
-        got *= modes[at].0;
-    }
-    if got != width {
-        return Err(Error::Runtime(format!(
-            "no trailing modes of {modes:?} span {width} elements"
-        )));
-    }
-    Ok(modes.split_at(at))
-}
-
-/// Extent of the longest trailing group of `cols` that is contiguous
-/// (unit stride, each mode nested directly inside the previous).
-fn trailing_run(cols: &[Axis]) -> usize {
-    let mut run = 1;
-    for &(dim, stride) in cols.iter().rev() {
-        if stride != run {
-            break;
-        }
-        run *= dim;
-    }
-    run
-}
 
 /// The dense side of one sparse-dense contraction — everything the layout
 /// decision reads. Built from a [`ContractPlan`] by [`sd_contract`] and
@@ -124,16 +41,16 @@ pub(crate) struct SdGeometry<'a> {
 }
 
 /// How [`sd_apply`] addresses `B` and `C`: in place through run views, or
-/// as full-width matrices around a real transposition.
+/// as full-width matrices around a real transposition. Both views share
+/// one run length.
 pub(super) struct SdLayout {
-    pub(super) run: usize,
     /// `B` is read where it lies (else: permuted to `k × n` first).
     pub(super) b_in_place: bool,
     /// `C` is accumulated in output order (else: in natural order, then
     /// permuted).
     pub(super) c_in_place: bool,
-    b: SdView,
-    c: SdView,
+    pub(super) b: RunView,
+    c: RunView,
 }
 
 impl SdLayout {
@@ -150,19 +67,14 @@ impl SdLayout {
         for (j, &q) in g.out_perm.iter().enumerate() {
             inv_out[q] = j;
         }
-        let b_modes = strided_modes(g.b_dims, g.perm_b);
-        let c_modes = strided_modes(out_dims, &inv_out);
-        let (b_rows, b_cols) = split_trailing(&b_modes, n)?;
-        let (c_rows, c_cols) = split_trailing(&c_modes, n)?;
-        let k: usize = b_rows.iter().map(|m| m.0).product();
-        if !b_cols.iter().map(|m| m.0).eq(c_cols.iter().map(|m| m.0))
-            || c_rows.iter().map(|m| m.0).product::<usize>() != g.m
-        {
+        let b_modes = Modes::new(g.b_dims, g.perm_b, n)?;
+        let c_modes = Modes::new(out_dims, &inv_out, n)?;
+        if !b_modes.col_extents().eq(c_modes.col_extents()) || c_modes.row_count() != g.m {
             return Err(Error::Runtime(
                 "sparse-dense operand and result shapes disagree".into(),
             ));
         }
-        let (run_b, run_c) = (trailing_run(b_cols), trailing_run(c_cols));
+        let (run_b, run_c) = (b_modes.max_run(), c_modes.max_run());
         let usable = |run: usize| run >= SD_MIN_RUN || run == n;
         let (b_in_place, c_in_place, run) = if scatter && usable(run_b.min(run_c)) {
             (true, true, run_b.min(run_c))
@@ -174,31 +86,26 @@ impl SdLayout {
             (false, false, n)
         };
         // `run` is a trailing product of the column extents either way
-        let (b_outer, c_outer) = (
-            split_trailing(b_cols, run)?.0,
-            split_trailing(c_cols, run)?.0,
-        );
-        let view = |in_place: bool, rows: &[Axis], outer: &[Axis], r: usize| {
-            if in_place {
-                SdView::strided(rows, outer)
+        let view = |in_place: bool, modes: &Modes| -> Result<RunView> {
+            Ok(if in_place {
+                modes.view(run)?
             } else {
-                SdView::matrix(r, n, run)
-            }
+                RunView::matrix(modes.row_count(), n, run)
+            })
         };
         Ok(Self {
-            run,
             b_in_place,
             c_in_place,
-            b: view(b_in_place, b_rows, b_outer, k),
-            c: view(c_in_place, c_rows, c_outer, g.m),
+            b: view(b_in_place, &b_modes)?,
+            c: view(c_in_place, &c_modes)?,
         })
     }
 }
 
 /// One sparse-dense chunk: accumulate `bucket`'s entries (all with fused
-/// rows in `[r0, r0 + c.rows.len())`) against dense `B` into the chunk's
-/// rows of `C`, both addressed through [`SdView`]s (`c`'s row table is
-/// chunk-local: row `r` is entry `r - r0`). The one body behind the
+/// rows in `[r0, r0 + c.rows().len())`) against dense `B` into the chunk's
+/// rows of `C`, both addressed through [`RunView`]s of one run length
+/// (`c`'s row table is chunk-local: row `r` is entry `r - r0`). The one body behind the
 /// inline path, the pool jobs and the multi-process worker — per output
 /// element the accumulation order is the stored-entry order whatever the
 /// views are, so the layout decision never shows in a result bit. Charges
@@ -208,16 +115,17 @@ impl SdLayout {
 pub(crate) fn sd_chunk(
     r0: usize,
     bucket: &[Coord],
-    run: usize,
-    b: &SdView,
+    b: &RunView,
     b_data: &[f64],
-    c: &SdView,
+    c: &RunView,
     c_data: &mut [f64],
 ) {
-    tt_tensor::counter::add_flops(2 * (bucket.len() * run * b.outer.len()) as u64);
+    let run = b.run();
+    tt_tensor::counter::add_flops(2 * (bucket.len() * b.n()) as u64);
+    let (c_rows, c_outer, b_rows, b_outer) = (c.rows(), c.outer(), b.rows(), b.outer());
     for &(row, col, v) in bucket {
-        let (c_row, b_row) = (c.rows[row as usize - r0], b.rows[col as usize]);
-        for (&co, &bo) in c.outer.iter().zip(&b.outer) {
+        let (c_row, b_row) = (c_rows[row as usize - r0], b_rows[col as usize]);
+        for (&co, &bo) in c_outer.iter().zip(b_outer) {
             let c_run = &mut c_data[c_row + co..c_row + co + run];
             let b_run = &b_data[b_row + bo..b_row + bo + run];
             for (cj, &bj) in c_run.iter_mut().zip(b_run) {
@@ -233,13 +141,12 @@ fn sd_panel(
     (r0, r1): (usize, usize),
     n: usize,
     bucket: &[Coord],
-    run: usize,
-    b: &SdView,
+    b: &RunView,
     b_data: &[f64],
 ) -> Vec<f64> {
     let mut c = vec![0.0f64; (r1 - r0) * n];
-    let c_view = SdView::matrix(r1 - r0, n, run);
-    sd_chunk(r0, bucket, run, b, b_data, &c_view, &mut c);
+    let c_view = RunView::matrix(r1 - r0, n, b.run());
+    sd_chunk(r0, bucket, b, b_data, &c_view, &mut c);
     c
 }
 
@@ -273,15 +180,13 @@ pub(crate) fn sd_apply(
     let c = match parallel {
         None => {
             let mut c = ws.take(m * n);
-            sd_chunk(
-                0, &coords, layout.run, &layout.b, &b_data, &layout.c, &mut c,
-            );
+            sd_chunk(0, &coords, &layout.b, &b_data, &layout.c, &mut c);
             c
         }
         Some(_) => {
             let (ranges, buckets) = sd_buckets(coords.into_owned(), m, n, chunks);
-            let panels = ordered_map(parallel, ranges.len(), |i| {
-                sd_panel(ranges[i], n, &buckets[i], layout.run, &layout.b, &b_data)
+            let panels = ordered_map(parallel, 0..ranges.len(), |i| {
+                sd_panel(ranges[i], n, &buckets[i], &layout.b, &b_data)
             });
             concat_rows(panels, m * n)
         }
@@ -317,7 +222,7 @@ pub(crate) fn sd_rows(
     }
     let layout = SdLayout::choose(g, &out_dims, false)?;
     let b_data = b_operand(&layout, g, b, ws)?;
-    let c = sd_panel((r0, r1), g.n, bucket, layout.run, &layout.b, &b_data);
+    let c = sd_panel((r0, r1), g.n, bucket, &layout.b, &b_data);
     if let Cow::Owned(permuted) = b_data {
         ws.give(permuted);
     }

@@ -232,7 +232,7 @@ pub(super) fn ss_chunked(
     pool: Option<&ThreadPool>,
 ) -> Result<(SparseTensor<f64>, u64)> {
     let (ranges, buckets) = prep.take_buckets(chunks, false);
-    let chunk_results = ordered_map(pool, ranges.len(), |i| {
+    let chunk_results = ordered_map(pool, 0..ranges.len(), |i| {
         ss_chunk(
             &buckets[i],
             &prep.btab,
@@ -289,7 +289,7 @@ pub(super) fn ss_slots_chunked(
         let (ranges, buckets) = bucket_by_volume(coords.to_vec(), map.rows(), chunks, |c| {
             btab.run_len(c.1) as u64
         });
-        SlotChunk::concat(ordered_map(pool, ranges.len(), |i| {
+        SlotChunk::concat(ordered_map(pool, 0..ranges.len(), |i| {
             merge_slots(&buckets[i], btab, map, ranges[i].0, ranges[i].1)
         }))
     };

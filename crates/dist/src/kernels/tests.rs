@@ -376,6 +376,116 @@ fn check_dense(spec: &str, a_dims: &[usize], b_dims: &[usize], seed: u64) {
     assert_eq!(par, reference, "{spec} {a_dims:?} {b_dims:?} pool");
 }
 
+/// `a ·plan· b` by definition: permute both operands to matrices, sum
+/// every natural-order element from `+0.0` in ascending `l` — per `KC`
+/// block, the block sums then added in order, when the packed kernel runs
+/// the product — and permute the result to output order.
+fn epilogue_reference(plan: &ContractPlan, a: &DenseTensor<f64>, b: &DenseTensor<f64>) -> Vec<f64> {
+    use tt_tensor::gemm::{panel_kernel, PanelKernel, KC};
+    let (m, k, n) = fused_dims(plan, a.dims(), b.dims());
+    let (perm_a, perm_b) = plan.operand_permutations();
+    let a_mat = permute_data(a.data(), a.dims(), perm_a).unwrap();
+    let b_mat = permute_data(b.data(), b.dims(), perm_b).unwrap();
+    let packed = panel_kernel(gemm_path(k, n), m, k, n) == PanelKernel::Packed;
+    let depth = if packed { KC } else { k.max(1) };
+    let mut c = vec![0.0; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            for l0 in (0..k).step_by(depth) {
+                let mut part = 0.0;
+                for l in l0..(l0 + depth).min(k) {
+                    part += a_mat[i * k + l] * b_mat[l * n + j];
+                }
+                c[i * n + j] = if l0 == 0 { part } else { c[i * n + j] + part };
+            }
+        }
+    }
+    let nat_dims = natural_dims(plan, a.dims(), b.dims());
+    permute_data(&c, &nat_dims, plan.output_permutation()).unwrap()
+}
+
+/// Every order of `labels`.
+fn orders(labels: &str) -> Vec<String> {
+    if labels.len() <= 1 {
+        return vec![labels.to_string()];
+    }
+    let mut out = Vec::new();
+    for (i, c) in labels.char_indices() {
+        let rest = format!("{}{}", &labels[..i], &labels[i + 1..]);
+        out.extend(orders(&rest).into_iter().map(|o| format!("{c}{o}")));
+    }
+    out
+}
+
+#[test]
+fn dense_epilogue_stores_and_adds_through_the_output_permutation() {
+    use tt_tensor::gemm::KC;
+    use tt_tensor::view::Epilogue;
+    // (A, its dims, B, its dims, the free labels): every output order of
+    // a 2 + 2 and a 3 + 2 mode contraction, then unit dims, k = 0, the
+    // packed kernel over several KC blocks, GEMV, and MC-aligned row bands
+    let cases = [
+        ("akb", vec![5, 7, 3], "ckd", vec![9, 7, 4], "abcd"),
+        ("akbe", vec![2, 6, 3, 4], "ckd", vec![5, 6, 3], "abecd"),
+        ("akb", vec![1, 3, 6], "ckd", vec![10, 3, 1], "abcd"),
+        ("ak", vec![4, 0], "kc", vec![0, 9], "ac"),
+        (
+            "ak",
+            vec![5, 2 * KC + 9],
+            "kcd",
+            vec![2 * KC + 9, 4, 5],
+            "acd",
+        ),
+        ("akb", vec![3, 11, 4], "k", vec![11], "ab"),
+        ("ak", vec![MC + 5, 40], "kc", vec![40, 64], "ac"),
+    ];
+    let special = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    let bits = |v: &[f64]| -> Vec<u64> {
+        v.iter()
+            .map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() })
+            .collect()
+    };
+    let pool = ThreadPool::new(3);
+    let mut rng = StdRng::seed_from_u64(80);
+    for (a_labels, a_dims, b_labels, b_dims, free) in cases {
+        let a = DenseTensor::<f64>::random(&a_dims[..], &mut rng);
+        let b = DenseTensor::<f64>::random(&b_dims[..], &mut rng);
+        for out in orders(free) {
+            let spec = format!("{a_labels},{b_labels}->{out}");
+            let plan = ContractPlan::parse(&spec).unwrap();
+            let want = epilogue_reference(&plan, &a, &b);
+            let view = output_view(&plan, a.dims(), b.dims()).unwrap();
+            // a target holding ±0, ±inf and NaN between ordinary values
+            let target: Vec<f64> = (0..want.len())
+                .map(|i| {
+                    if i % 3 == 0 {
+                        special[i / 3 % 5]
+                    } else {
+                        rng.gen_range(-1.0..1.0)
+                    }
+                })
+                .collect();
+            let added: Vec<f64> = target.iter().zip(&want).map(|(t, w)| t + w).collect();
+            for pool in [None, Some(&pool)] {
+                for (how, expect) in [(Epilogue::Store, &want), (Epilogue::Add, &added)] {
+                    let mut got = target.clone();
+                    dense_into(&plan, &view, &a, &b, pool, &mut got, how).unwrap();
+                    let at = format!("{spec} {how:?} pool={}", pool.is_some());
+                    assert_eq!(bits(&got), bits(expect), "{at}");
+                }
+            }
+            // a target of the wrong length is refused and left as it was
+            let mut short = target[..target.len().saturating_sub(1)].to_vec();
+            let before = bits(&short);
+            if !target.is_empty() {
+                let refused = dense_into(&plan, &view, &a, &b, None, &mut short, Epilogue::Add);
+                assert!(refused.is_err(), "{spec}");
+                assert_eq!(bits(&short), before, "{spec}");
+            }
+        }
+    }
+}
+
 fn check_sd(spec: &str, a_dims: &[usize], b_dims: &[usize], seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let a = random_sparse(a_dims, 0.3, seed);
@@ -427,7 +537,7 @@ fn heff_chain_layouts_are_what_the_profile_asked_for() {
             };
             let out_dims = plan.output_dims(a_dims, b_dims).unwrap();
             let l = SdLayout::choose(&g, &out_dims, true).unwrap();
-            (l.b_in_place, l.c_in_place, l.run)
+            (l.b_in_place, l.c_in_place, l.b.run())
         })
         .collect();
     assert_eq!(

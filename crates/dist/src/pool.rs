@@ -264,15 +264,15 @@ mod tests {
         for n in [0usize, 1, 7] {
             let expect: Vec<usize> = (0..n).map(|i| base[i] * i).collect();
             for pool in [None, Some(&pool)] {
-                let got = ordered_map(pool, n, |i| base[i] * i);
+                let got = ordered_map(pool, 0..n, |i| base[i] * i);
                 assert_eq!(got, expect, "n={n} pool={}", pool.is_some());
             }
         }
         // one call runs on the caller's thread even when there is a pool
         let here = std::thread::current().id();
-        let ran_on = ordered_map(Some(&pool), 1, |_| std::thread::current().id());
+        let ran_on = ordered_map(Some(&pool), 0..1, |_| std::thread::current().id());
         assert_eq!(ran_on, [here]);
-        let ran_on = ordered_map(Some(&pool), 2, |_| std::thread::current().id());
+        let ran_on = ordered_map(Some(&pool), 0..2, |_| std::thread::current().id());
         assert!(ran_on.iter().all(|&id| id != here));
     }
 }

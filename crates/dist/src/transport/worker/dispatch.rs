@@ -8,6 +8,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use tt_linalg::TruncSpec;
 use tt_tensor::einsum::ContractPlan;
+use tt_tensor::view::Epilogue;
 use tt_tensor::DenseTensor;
 
 impl WorkerState {
@@ -61,15 +62,18 @@ impl WorkerState {
                 let (a, b) = (self.op(a)?, self.op(b)?);
                 let ta = DenseTensor::from_vec(a_dims, Self::take(a))?;
                 let tb = DenseTensor::from_vec(b_dims, Self::take(b))?;
-                let c = kernels::NaturalProduct::compute(&plan, &ta, &tb, None)?;
+                let fresh = || kernels::dense_contract(&plan, &ta, &tb, None);
                 match out {
-                    Out::Reply => Ok(Reply::Buf(c.into_output()?.into_data())),
+                    Out::Reply => Ok(Reply::Buf(fresh()?.into_data())),
                     Out::Store { key, acc: false } => {
-                        self.store(key, c.into_output()?.into_data());
+                        self.store(key, fresh()?.into_data());
                         Ok(Reply::Unit)
                     }
                     Out::Store { key, acc: true } => {
-                        self.accumulate(key, |target| c.add_into(target))?;
+                        let view = kernels::output_view(&plan, ta.dims(), tb.dims())?;
+                        self.accumulate(key, |target| {
+                            kernels::dense_into(&plan, &view, &ta, &tb, None, target, Epilogue::Add)
+                        })?;
                         Ok(Reply::Unit)
                     }
                 }

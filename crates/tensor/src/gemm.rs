@@ -35,12 +35,20 @@
 //!
 //! Transposed operands are handled during packing / via strided loads
 //! ([`Layout::Transposed`] no longer materializes a transposed copy).
-//! Flops are charged to the global counter ([`crate::counter`]) as
-//! `2·m·n·k` by the public entry points.
+//! The row-panel kernels' epilogue writes each finished register tile
+//! through a [`RunView`] of the output ([`ViewMut`]): a contraction's
+//! output permutation is never a pass of its own, and its result never
+//! exists in natural order. A fresh result *stores* a tile, an accumulate
+//! step *adds* it ([`Epilogue`]); either way every element receives its
+//! whole register sum once, so the bits are those of the natural-order
+//! product permuted and then stored or added. Flops are charged to the
+//! global counter ([`crate::counter`]) as `2·m·n·k` by the public entry
+//! points.
 
 use crate::dense::DenseTensor;
 use crate::scalar::Scalar;
 use crate::simd::{simd_level, SimdLevel};
+use crate::view::{Epilogue, RunView, ViewMut};
 use crate::{Error, Result};
 use std::marker::PhantomData;
 
@@ -124,23 +132,22 @@ pub fn gemm_path(k: usize, n: usize) -> GemmPath {
 /// The kernel that runs one row panel of a multiply tagged `path`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum PanelKernel {
-    /// One register-summed dot product per row ([`gemv_acc_rows`]).
+    /// One register-summed dot product per row ([`gemv_into`]).
     Gemv,
-    /// The unpacked `TM × TN` register tile ([`gemm_acc_small_rows`]).
+    /// The unpacked `TM × TN` register tile ([`gemm_small_into`]).
     Small,
-    /// `B` packed, the `MR × NR` microkernel ([`gemm_acc_packed_rows`]).
+    /// `B` packed, the `MR × NR` microkernel ([`gemm_packed_into`]).
     Packed,
 }
 
 /// The kernel for a `rows`-row panel of a `(k, n)` multiply tagged `path`.
 ///
 /// The choice may depend on `rows` because it never moves a bit: for
-/// `k ≤ KC` every kernel adds each element's products in ascending `l`
-/// onto a zeroed `C` — the packed kernel's register sum starts at `+0.0`,
-/// so adding it to the zeroed `C` gives the same bits as the unpacked
-/// tile, which accumulates onto `C` itself. Only the packed kernel splits
-/// a sum (at `KC`), so a `Packed`-tagged `k > KC` panel never runs
-/// unpacked; a `Scalar`-tagged panel is never packed, whatever its `k`.
+/// `k ≤ KC` every kernel sums each element's products in ascending `l` in
+/// a register that starts at `+0.0` and writes that sum once. Only the
+/// packed kernel splits a sum (at `KC`), so a `Packed`-tagged `k > KC`
+/// panel never runs unpacked; a `Scalar`-tagged panel is never packed,
+/// whatever its `k`.
 pub fn panel_kernel(path: GemmPath, rows: usize, k: usize, n: usize) -> PanelKernel {
     match path {
         GemmPath::Gemv => PanelKernel::Gemv,
@@ -434,9 +441,9 @@ fn micro_kernel_for(level: SimdLevel) -> MicroKernel {
 // unpacked small-GEMM kernel + dispatch
 // ---------------------------------------------------------------------------
 
-/// A row panel `C[i0..i1, :] += A[i0..i1, :] · B` as the unpacked kernel
-/// reads it: element `(i, l)` of `A` at `a[i·a_rs + l·a_cs]`, `B` the
-/// contiguous row-major `k × n` matrix, `c` rows `[i0, i1)` only.
+/// A row panel `A[i0..i1, :] · B` as the unpacked kernel reads it:
+/// element `(i, l)` of `A` at `a[i·a_rs + l·a_cs]`, `B` the contiguous
+/// row-major `k × n` matrix.
 #[derive(Copy, Clone)]
 struct SmallPanel<'a> {
     i0: usize,
@@ -450,18 +457,21 @@ struct SmallPanel<'a> {
 }
 
 /// One `R × W` tile of the unpacked kernel: rows `i..i + R`, columns
-/// `j0..j0 + W`. The tile is loaded from `c`, held in a local array across
-/// the whole `k` loop — the copy LLVM keeps in registers, as in
-/// [`microkernel_body`] — and stored once. Each element gets
-/// `c + a₀b₀ + a₁b₁ + …` in ascending `l`: the scalar loop's order.
+/// `j0..j0 + W`. The tile is held in a local array across the whole `k`
+/// loop — the copy LLVM keeps in registers, as in [`microkernel_body`] —
+/// and written through `out` once. Each element gets
+/// `0 + a₀b₀ + a₁b₁ + …` in ascending `l`: the scalar loop's order on a
+/// zeroed `C`.
 #[inline(always)]
-fn small_tile<const R: usize, const W: usize>(p: SmallPanel, i: usize, j0: usize, c: &mut [f64]) {
+fn small_tile<const R: usize, const W: usize>(
+    p: SmallPanel,
+    i: usize,
+    j0: usize,
+    out: &mut ViewMut<f64>,
+    how: Epilogue,
+) {
     let n = p.n;
-    let crow = |r: usize| (i - p.i0 + r) * n + j0;
     let mut regs = [[0.0f64; W]; R];
-    for (r, reg) in regs.iter_mut().enumerate() {
-        reg.copy_from_slice(&c[crow(r)..crow(r) + W]);
-    }
     for l in 0..p.k {
         let bv: &[f64; W] = p.b[l * n + j0..l * n + j0 + W]
             .try_into()
@@ -473,46 +483,44 @@ fn small_tile<const R: usize, const W: usize>(p: SmallPanel, i: usize, j0: usize
             }
         }
     }
-    for (r, reg) in regs.iter().enumerate() {
-        c[crow(r)..crow(r) + W].copy_from_slice(reg);
-    }
+    out.put(i, j0, regs, how);
 }
 
 /// All columns of rows `i..i + R`: `TN`-wide tiles, then one tile each of
 /// width 4, 2 and 1 for the remainder.
 #[inline(always)]
-fn small_strip<const R: usize>(p: SmallPanel, i: usize, c: &mut [f64]) {
+fn small_strip<const R: usize>(p: SmallPanel, i: usize, out: &mut ViewMut<f64>, how: Epilogue) {
     let mut j0 = 0;
     while j0 + TN <= p.n {
-        small_tile::<R, TN>(p, i, j0, c);
+        small_tile::<R, TN>(p, i, j0, out, how);
         j0 += TN;
     }
     if j0 + 4 <= p.n {
-        small_tile::<R, 4>(p, i, j0, c);
+        small_tile::<R, 4>(p, i, j0, out, how);
         j0 += 4;
     }
     if j0 + 2 <= p.n {
-        small_tile::<R, 2>(p, i, j0, c);
+        small_tile::<R, 2>(p, i, j0, out, how);
         j0 += 2;
     }
     if j0 < p.n {
-        small_tile::<R, 1>(p, i, j0, c);
+        small_tile::<R, 1>(p, i, j0, out, how);
     }
 }
 
 /// The unpacked kernel over a whole panel: `TM`-row strips, then one strip
 /// of the remaining 1–3 rows.
 #[inline(always)]
-fn small_rows_body(p: SmallPanel, c: &mut [f64]) {
+fn small_rows_body(p: SmallPanel, out: &mut ViewMut<f64>, how: Epilogue) {
     let mut i = p.i0;
     while i + TM <= p.i1 {
-        small_strip::<TM>(p, i, c);
+        small_strip::<TM>(p, i, out, how);
         i += TM;
     }
     match p.i1 - i {
-        3 => small_strip::<3>(p, i, c),
-        2 => small_strip::<2>(p, i, c),
-        1 => small_strip::<1>(p, i, c),
+        3 => small_strip::<3>(p, i, out, how),
+        2 => small_strip::<2>(p, i, out, how),
+        1 => small_strip::<1>(p, i, out, how),
         _ => {}
     }
 }
@@ -523,8 +531,8 @@ fn small_rows_body(p: SmallPanel, c: &mut [f64]) {
 ///
 /// None: `unsafe fn` only for signature uniformity with the feature-gated
 /// variants; callable on any CPU.
-unsafe fn small_rows_baseline(p: SmallPanel, c: &mut [f64]) {
-    small_rows_body(p, c);
+unsafe fn small_rows_baseline(p: SmallPanel, out: &mut ViewMut<f64>, how: Epilogue) {
+    small_rows_body(p, out, how);
 }
 
 /// AVX2+FMA variant.
@@ -534,8 +542,8 @@ unsafe fn small_rows_baseline(p: SmallPanel, c: &mut [f64]) {
 /// The CPU must support `avx2` and `fma` (see [`crate::simd`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn small_rows_avx2(p: SmallPanel, c: &mut [f64]) {
-    small_rows_body(p, c);
+unsafe fn small_rows_avx2(p: SmallPanel, out: &mut ViewMut<f64>, how: Epilogue) {
+    small_rows_body(p, out, how);
 }
 
 /// AVX-512 variant.
@@ -545,11 +553,11 @@ unsafe fn small_rows_avx2(p: SmallPanel, c: &mut [f64]) {
 /// The CPU must support `avx512f`, `avx512vl` and `avx512dq`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl,avx512dq")]
-unsafe fn small_rows_avx512(p: SmallPanel, c: &mut [f64]) {
-    small_rows_body(p, c);
+unsafe fn small_rows_avx512(p: SmallPanel, out: &mut ViewMut<f64>, how: Epilogue) {
+    small_rows_body(p, out, how);
 }
 
-type SmallFn = unsafe fn(SmallPanel, &mut [f64]);
+type SmallFn = unsafe fn(SmallPanel, &mut ViewMut<f64>, Epilogue);
 
 fn small_kernel_for(level: SimdLevel) -> SmallFn {
     match level {
@@ -564,15 +572,20 @@ fn small_kernel_for(level: SimdLevel) -> SmallFn {
 }
 
 /// Packed-path macro kernel for output rows `[i0, i1)`: packs `A` blocks on
-/// the fly and drives the microkernel against a pre-packed `B`. `c` holds
-/// only rows `[i0, i1)`, row-major with leading dimension `pb.n()`.
+/// the fly and drives the microkernel against a pre-packed `B`, writing
+/// every finished tile through `out`.
 ///
 /// Per output element the accumulation order is: ascending `KC`-block, one
 /// register-summed partial per block — independent of how rows were split
 /// across calls, which is what keeps threaded execution bitwise equal to
-/// sequential. Complex elements take four plane passes per tile
-/// (`re += ar·br`, `re -= ai·bi`, `im += ar·bi`, `im += ai·br`) and write
-/// back one complex partial per `KC` block.
+/// sequential. The first block's partial is written as `how` says and
+/// later ones are added, so a stored element holds `p₀ + p₁ + …`. An added
+/// one must receive that sum whole, not partial by partial: with more than
+/// one block the partials of an `MC`-row block gather in a zeroed panel
+/// first, which is then added through `out`. Complex elements take four
+/// plane passes per tile (`re += ar·br`, `re -= ai·bi`, `im += ar·bi`,
+/// `im += ai·br`) and write back one complex partial per `KC` block.
+#[allow(clippy::too_many_arguments)]
 fn packed_rows<T: Scalar>(
     i0: usize,
     i1: usize,
@@ -580,7 +593,8 @@ fn packed_rows<T: Scalar>(
     a_rs: usize,
     a_cs: usize,
     pb: &PackedB<T>,
-    c: &mut [T],
+    out: &mut ViewMut<T>,
+    how: Epilogue,
 ) {
     let mk = micro_kernel_for(simd_level());
     let (k, n) = (pb.k, pb.n);
@@ -588,6 +602,8 @@ fn packed_rows<T: Scalar>(
     let complex = T::is_complex();
     let mut apack_re: Vec<f64> = Vec::with_capacity(MC * KC);
     let mut apack_im: Vec<f64> = Vec::with_capacity(if complex { MC * KC } else { 0 });
+    let gather = how == Epilogue::Add && k > KC;
+    let mut gathered = vec![T::zero(); if gather { MC.min(i1 - i0) * n } else { 0 }];
     for ic in (i0..i1).step_by(MC) {
         let rows = (ic + MC).min(i1) - ic;
         for pc in (0..k).step_by(KC) {
@@ -625,14 +641,32 @@ fn packed_rows<T: Scalar>(
                         }
                     }
                     let rmax = MR.min(rows - ip * MR);
-                    for r in 0..rmax {
-                        let crow0 = (ic - i0 + ip * MR + r) * n + j0;
-                        for (j, cj) in c[crow0..crow0 + ncols].iter_mut().enumerate() {
-                            *cj += T::from_re_im(acc_re[r][j], acc_im[r][j]);
+                    let mut tile = [[T::zero(); NR]; MR];
+                    for (r, row) in tile[..rmax].iter_mut().enumerate() {
+                        for (j, t) in row[..ncols].iter_mut().enumerate() {
+                            *t = T::from_re_im(acc_re[r][j], acc_im[r][j]);
                         }
+                    }
+                    let tile = tile[..rmax].iter().map(|row| &row[..]);
+                    if gather {
+                        for (r, vals) in tile.enumerate() {
+                            let at = (ip * MR + r) * n + j0;
+                            let dst = &mut gathered[at..at + ncols];
+                            if pc == 0 {
+                                dst.copy_from_slice(&vals[..ncols]);
+                            } else {
+                                dst.iter_mut().zip(vals).for_each(|(d, &t)| *d += t);
+                            }
+                        }
+                    } else {
+                        let part = if pc == 0 { how } else { Epilogue::Add };
+                        out.put_rows(ic + ip * MR, j0, ncols, tile, part);
                     }
                 }
             }
+        }
+        if gather {
+            out.put_rows(ic, 0, n, gathered.chunks_exact(n).take(rows), Epilogue::Add);
         }
     }
 }
@@ -673,7 +707,7 @@ fn scalar_rows<T: Scalar>(
 }
 
 /// GEMV-path kernel (`n == 1`) for output rows `[i0, i1)`: one dot product
-/// per row, register-accumulated then added once to `c`.
+/// per row, register-accumulated then written once through `out`.
 #[allow(clippy::too_many_arguments)]
 fn gemv_rows<T: Scalar>(
     i0: usize,
@@ -684,7 +718,8 @@ fn gemv_rows<T: Scalar>(
     a_cs: usize,
     b: &[T],
     b_rs: usize,
-    c: &mut [T],
+    out: &mut ViewMut<T>,
+    how: Epilogue,
 ) {
     for i in i0..i1 {
         let mut acc = T::zero();
@@ -704,7 +739,7 @@ fn gemv_rows<T: Scalar>(
                 acc += a[i * a_rs + l * a_cs] * b[l * b_rs];
             }
         }
-        c[i - i0] += acc;
+        out.put(i, 0, [[acc]], how);
     }
 }
 
@@ -712,49 +747,64 @@ fn gemv_rows<T: Scalar>(
 // public entry points
 // ---------------------------------------------------------------------------
 
-/// `C += A · B` for row-major flat slices (accumulating form).
+/// `C += A · B` for row-major flat slices (accumulating form): the
+/// row-panel kernels on the identity view of `c`.
 pub fn gemm_acc_slices<T: Scalar>(m: usize, k: usize, n: usize, a: &[T], b: &[T], c: &mut [T]) {
     crate::counter::add_flops(2 * (m as u64) * (n as u64) * (k as u64));
     if m == 0 || n == 0 {
         return;
     }
-    match gemm_path(k, n) {
-        GemmPath::Gemv => gemv_rows(0, m, k, a, k, 1, b, n, c),
-        GemmPath::Scalar => scalar_rows(0, m, k, n, a, k, 1, b, n, 1, c),
-        GemmPath::Packed => {
-            let pb = PackedB::pack(k, n, b, n, 1);
-            packed_rows(0, m, a, k, 1, &pb, c);
-        }
+    let path = gemm_path(k, n);
+    if path == GemmPath::Scalar {
+        return scalar_rows(0, m, k, n, a, k, 1, b, n, 1, c);
+    }
+    let view = RunView::matrix(m, n, n);
+    let out = &mut ViewMut::whole(&view, c).expect("C holds m × n elements");
+    match path {
+        GemmPath::Gemv => gemv_rows(0, m, k, a, k, 1, b, n, out, Epilogue::Add),
+        _ => packed_rows(
+            0,
+            m,
+            a,
+            k,
+            1,
+            &PackedB::pack(k, n, b, n, 1),
+            out,
+            Epilogue::Add,
+        ),
     }
 }
 
-/// `C[i0..i1, :] += A[i0..i1, :] · B` against a pre-packed `B` — the
-/// row-panel entry point parallel callers fan out over a thread pool.
-/// `i0` should be [`MC`]-aligned so every chunking packs identical `A`
-/// panels; `a` is the full effective matrix viewed through strides
-/// `(a_rs, a_cs)`; `c` holds only rows `[i0, i1)`.
-pub fn gemm_acc_packed_rows<T: Scalar>(
+/// Rows `[i0, i1)` of `A · B` against a pre-packed `B`, each finished
+/// tile written through `out` as `how` says — the packed row-panel entry
+/// point parallel callers fan out over a thread pool. `i0` should be
+/// [`MC`]-aligned so every chunking packs identical `A` panels; `a` is
+/// the full effective matrix viewed through strides `(a_rs, a_cs)`.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_packed_into<T: Scalar>(
     i0: usize,
     i1: usize,
     a: &[T],
     a_rs: usize,
     a_cs: usize,
     pb: &PackedB<T>,
-    c: &mut [T],
+    out: &mut ViewMut<T>,
+    how: Epilogue,
 ) {
     crate::counter::add_flops(2 * ((i1 - i0) as u64) * (pb.n as u64) * (pb.k as u64));
-    packed_rows(i0, i1, a, a_rs, a_cs, pb, c);
+    packed_rows(i0, i1, a, a_rs, a_cs, pb, out, how);
 }
 
-/// `C[i0..i1, :] += A[i0..i1, :] · B` on the unpacked `TM × TN` register
-/// tile — the row-panel entry point [`panel_kernel`] picks for small
-/// panels. `a` is the full effective matrix viewed through strides
-/// `(a_rs, a_cs)`, so a transposed `A` is read in place; `b` is the
-/// contiguous row-major `k × n` matrix; `c` holds only rows `[i0, i1)`.
-/// Bitwise equal to the plain `(i, l, j)` loop for every `k`: each element
-/// gets its products in ascending `l`, added onto `C`.
+/// Rows `[i0, i1)` of `A · B` on the unpacked `TM × TN` register tile,
+/// each finished tile written through `out` as `how` says — the
+/// row-panel entry point [`panel_kernel`] picks for small panels. `a` is
+/// the full effective matrix viewed through strides `(a_rs, a_cs)`, so a
+/// transposed `A` is read in place; `b` is the contiguous row-major
+/// `k × n` matrix. Every element's products are summed in ascending `l`
+/// from `+0.0` for every `k`: a store holds the plain `(i, l, j)` loop's
+/// bits on a zeroed `C`, an add adds them.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_acc_small_rows(
+pub fn gemm_small_into(
     i0: usize,
     i1: usize,
     k: usize,
@@ -763,7 +813,8 @@ pub fn gemm_acc_small_rows(
     a_rs: usize,
     a_cs: usize,
     b: &[f64],
-    c: &mut [f64],
+    out: &mut ViewMut<f64>,
+    how: Epilogue,
 ) {
     crate::counter::add_flops(2 * ((i1 - i0) as u64) * (n as u64) * (k as u64));
     let p = SmallPanel {
@@ -778,23 +829,25 @@ pub fn gemm_acc_small_rows(
     };
     // SAFETY: the variant was selected by `simd_level()`, which only
     // reports levels whose features were detected.
-    unsafe { small_kernel_for(simd_level())(p, c) };
+    unsafe { small_kernel_for(simd_level())(p, out, how) };
 }
 
-/// `y[i0..i1] += A[i0..i1, :] · b` — the `n == 1` row-panel entry point
-/// (Davidson matvec shape). `b`'s element `l` lives at `b[l*b_rs]`.
+/// Rows `[i0, i1)` of `A · b`, the `n == 1` row-panel entry point
+/// (Davidson matvec shape): `A` contiguous `· × k`, `b`'s element `l` at
+/// `b[l*b_rs]`, each row's sum written through `out` as `how` says.
 #[allow(clippy::too_many_arguments)]
-pub fn gemv_acc_rows<T: Scalar>(
+pub fn gemv_into<T: Scalar>(
     i0: usize,
     i1: usize,
     k: usize,
     a: &[T],
     b: &[T],
     b_rs: usize,
-    c: &mut [T],
+    out: &mut ViewMut<T>,
+    how: Epilogue,
 ) {
     crate::counter::add_flops(2 * ((i1 - i0) as u64) * (k as u64));
-    gemv_rows(i0, i1, k, a, k, 1, b, b_rs, c);
+    gemv_rows(i0, i1, k, a, k, 1, b, b_rs, out, how);
 }
 
 /// General matrix multiply on [`DenseTensor`] matrices with optional
@@ -834,14 +887,19 @@ pub fn gemm<T: Scalar>(
     if m == 0 || n == 0 {
         return Ok(c);
     }
-    let (ad, bd, cd) = (a.data(), b.data(), c.data_mut());
-    match gemm_path(ka, n) {
-        GemmPath::Gemv => gemv_rows(0, m, ka, ad, a_rs, a_cs, bd, b_rs, cd),
-        GemmPath::Scalar => scalar_rows(0, m, ka, n, ad, a_rs, a_cs, bd, b_rs, b_cs, cd),
-        GemmPath::Packed => {
-            let pb = PackedB::pack(ka, n, bd, b_rs, b_cs);
-            packed_rows(0, m, ad, a_rs, a_cs, &pb, cd);
-        }
+    let (ad, bd) = (a.data(), b.data());
+    let path = gemm_path(ka, n);
+    if path == GemmPath::Scalar {
+        scalar_rows(0, m, ka, n, ad, a_rs, a_cs, bd, b_rs, b_cs, c.data_mut());
+        return Ok(c);
+    }
+    let view = RunView::matrix(m, n, n);
+    let out = &mut ViewMut::whole(&view, c.data_mut())?;
+    if path == GemmPath::Gemv {
+        gemv_rows(0, m, ka, ad, a_rs, a_cs, bd, b_rs, out, Epilogue::Store);
+    } else {
+        let pb = PackedB::pack(ka, n, bd, b_rs, b_cs);
+        packed_rows(0, m, ad, a_rs, a_cs, &pb, out, Epilogue::Store);
     }
     Ok(c)
 }
@@ -865,7 +923,9 @@ pub fn gemv<T: Scalar>(a: &DenseTensor<T>, x: &[T]) -> Result<Vec<T>> {
     }
     crate::counter::add_flops(2 * (m as u64) * (n as u64));
     let mut y = vec![T::zero(); m];
-    gemv_rows(0, m, n, a.data(), n, 1, x, 1, &mut y);
+    let view = RunView::matrix(m, 1, 1);
+    let out = &mut ViewMut::whole(&view, &mut y)?;
+    gemv_rows(0, m, n, a.data(), n, 1, x, 1, out, Epilogue::Store);
     Ok(y)
 }
 
@@ -977,12 +1037,15 @@ mod tests {
         let mut whole = vec![0.0; m * n];
         gemm_acc_slices(m, k, n, a.data(), b.data(), &mut whole);
         let pb = PackedB::pack(k, n, b.data(), n, 1);
-        let mut chunked = Vec::with_capacity(m * n);
-        for r0 in (0..m).step_by(MC) {
-            let r1 = (r0 + MC).min(m);
-            let mut part = vec![0.0; (r1 - r0) * n];
-            gemm_acc_packed_rows(r0, r1, a.data(), k, 1, &pb, &mut part);
-            chunked.extend_from_slice(&part);
+        let mut chunked = vec![0.0; m * n];
+        let view = RunView::matrix(m, n, n);
+        let ranges: Vec<_> = (0..m)
+            .step_by(MC)
+            .map(|r0| (r0, (r0 + MC).min(m)))
+            .collect();
+        let bands = ViewMut::bands(&view, &mut chunked, &ranges).unwrap();
+        for (mut band, (r0, r1)) in bands.into_iter().zip(ranges) {
+            gemm_packed_into(r0, r1, a.data(), k, 1, &pb, &mut band, Epilogue::Store);
         }
         assert_eq!(whole, chunked, "row chunking changed bits");
     }
@@ -998,12 +1061,15 @@ mod tests {
         let mut whole = vec![C::zero(); m * n];
         gemm_acc_slices(m, k, n, a.data(), b.data(), &mut whole);
         let pb = PackedB::pack(k, n, b.data(), n, 1);
-        let mut chunked = Vec::with_capacity(m * n);
-        for r0 in (0..m).step_by(MC) {
-            let r1 = (r0 + MC).min(m);
-            let mut part = vec![C::zero(); (r1 - r0) * n];
-            gemm_acc_packed_rows(r0, r1, a.data(), k, 1, &pb, &mut part);
-            chunked.extend_from_slice(&part);
+        let mut chunked = vec![C::zero(); m * n];
+        let view = RunView::matrix(m, n, n);
+        let ranges: Vec<_> = (0..m)
+            .step_by(MC)
+            .map(|r0| (r0, (r0 + MC).min(m)))
+            .collect();
+        let bands = ViewMut::bands(&view, &mut chunked, &ranges).unwrap();
+        for (mut band, (r0, r1)) in bands.into_iter().zip(ranges) {
+            gemm_packed_into(r0, r1, a.data(), k, 1, &pb, &mut band, Epilogue::Store);
         }
         assert_eq!(whole, chunked, "complex row chunking changed bits");
     }
@@ -1104,7 +1170,8 @@ mod tests {
         // per-variant determinism is the promise; like the microkernel,
         // the unpacked tile is in fact bitwise identical across variants,
         // and in the scalar loop's order for every k — including the
-        // k > KC depth of a Scalar-tagged multiply (n ≤ 7)
+        // k > KC depth of a Scalar-tagged multiply (n ≤ 7) — its sum
+        // added once onto a non-zero C
         let mut rng = StdRng::seed_from_u64(60);
         for (m, k, n) in [(2 * TM + 3, 173, 3 * TN + 7), (TM + 1, 2 * KC + 3, 3)] {
             let a = DenseTensor::<f64>::random([k, m], &mut rng);
@@ -1120,28 +1187,38 @@ mod tests {
                 a_cs: m,
                 b: b.data(),
             };
-            let mut base = c0.data().to_vec();
-            // SAFETY: the baseline variant needs no CPU feature
-            unsafe { small_rows_baseline(p, &mut base) };
-            let mut scalar = c0.data().to_vec();
+            let view = RunView::matrix(m, n, n);
+            let run = |variant: SmallFn| {
+                let mut c = c0.data().to_vec();
+                let out = &mut ViewMut::whole(&view, &mut c).unwrap();
+                // SAFETY: each variant is run only once its CPU features
+                // are detected (the baseline needs none)
+                unsafe { variant(p, out, Epilogue::Add) };
+                c
+            };
+            let base = run(small_rows_baseline);
+            let mut scalar = vec![0.0; m * n];
             scalar_rows(0, m, k, n, a.data(), 1, m, b.data(), n, 1, &mut scalar);
-            assert_eq!(base, scalar, "baseline variant left the scalar order");
+            let added: Vec<f64> = c0.data().iter().zip(&scalar).map(|(c, s)| c + s).collect();
+            assert_eq!(base, added, "baseline variant left the scalar order");
             if std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
             {
-                let mut v2 = c0.data().to_vec();
-                // SAFETY: avx2 and fma were detected just above
-                unsafe { small_rows_avx2(p, &mut v2) };
-                assert_eq!(base, v2, "avx2 variant diverged from baseline");
+                assert_eq!(
+                    base,
+                    run(small_rows_avx2),
+                    "avx2 variant diverged from baseline"
+                );
             }
             if std::arch::is_x86_feature_detected!("avx512f")
                 && std::arch::is_x86_feature_detected!("avx512vl")
                 && std::arch::is_x86_feature_detected!("avx512dq")
             {
-                let mut v5 = c0.data().to_vec();
-                // SAFETY: the three avx512 features were detected just above
-                unsafe { small_rows_avx512(p, &mut v5) };
-                assert_eq!(base, v5, "avx512 variant diverged from baseline");
+                assert_eq!(
+                    base,
+                    run(small_rows_avx512),
+                    "avx512 variant diverged from baseline"
+                );
             }
         }
     }

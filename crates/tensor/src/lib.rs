@@ -30,6 +30,7 @@ pub mod simd;
 pub mod sparse;
 pub mod ssmerge;
 pub mod transpose;
+pub mod view;
 
 pub use counter::{flops, reset_flops, FlopGuard};
 pub use dense::DenseTensor;

@@ -214,91 +214,37 @@ pub fn permute_data_into<T: Scalar>(
         } else {
             out.resize(data.len(), T::zero());
         }
-        walk_tiled(modes, data, out, |o, v| *o = v);
+        // the fused mode holding the input's innermost mode has stride 1
+        // there and is not the output's innermost: move it next to that
+        // one, transpose the pair in tiles, walk the rest
+        let q = modes
+            .iter()
+            .position(|m| m.src == 1)
+            .expect("a non-empty tensor has a unit-stride mode");
+        modes[q..n - 1].rotate_left(1);
+        let (outer, row, col) = (&modes[..n - 2], modes[n - 2], modes[n - 1]);
+        walk(outer, 0, 0, &mut |src, dst| {
+            transpose_tiled(
+                &data[src..],
+                col.src,
+                &mut out[dst..],
+                row.dst,
+                (row.dim, col.dim),
+            );
+        });
     });
     Ok(())
 }
 
-/// `out += data` permuted by `perm` (the convention of [`permute`]):
-/// adds a row-major buffer of shape `dims` into the permuted buffer `out`
-/// in one walk, without materializing the permuted copy. Every element of
-/// `out` receives exactly one `+=`, of the value [`permute_data`] would
-/// have put there, so the result is bitwise that of permuting first and
-/// adding after. Charged to the traffic counter as the [`permute_data`] it
-/// replaces: nothing when the permutation fuses to the identity.
-pub fn permute_add_into<T: Scalar>(
-    data: &[T],
-    dims: &[usize],
-    perm: &[usize],
-    out: &mut [T],
-) -> Result<()> {
-    check_permutation(perm, dims.len())?;
-    if data.len() != dims.iter().product::<usize>() || out.len() != data.len() {
-        return Err(Error::ShapeMismatch(format!(
-            "shape {dims:?} adds {} elements into {}",
-            data.len(),
-            out.len()
-        )));
-    }
-    if data.is_empty() {
-        return Ok(());
-    }
-    let add = |o: &mut [T], d: &[T]| o.iter_mut().zip(d).for_each(|(o, &v)| *o += v);
-    with_fused(dims, perm, |modes| {
-        let n = modes.len();
-        if n <= 1 {
-            add(out, data);
-            return;
-        }
-        crate::counter::add_mem_traffic(2 * std::mem::size_of_val(data) as u64);
-        if modes[n - 1].src == 1 {
-            let (outer, run) = (&modes[..n - 1], modes[n - 1].dim);
-            walk(outer, 0, 0, &mut |src, dst| {
-                add(&mut out[dst..dst + run], &data[src..src + run]);
-            });
-            return;
-        }
-        walk_tiled(modes, data, out, |o, v| *o += v);
-    });
-    Ok(())
-}
-
-/// The branch of a permutation whose output-innermost fused mode is not
-/// the input's innermost: the fused mode holding the input's innermost
-/// mode has stride 1 there, so move it next to the output's innermost,
-/// transpose the pair in tiles and walk the rest, `put` storing or adding
-/// each element into the full-length `out`.
-fn walk_tiled<T: Scalar>(modes: &mut [Mode], data: &[T], out: &mut [T], put: impl Fn(&mut T, T)) {
-    let n = modes.len();
-    let q = modes
-        .iter()
-        .position(|m| m.src == 1)
-        .expect("a non-empty tensor has a unit-stride mode");
-    modes[q..n - 1].rotate_left(1);
-    let (outer, row, col) = (&modes[..n - 2], modes[n - 2], modes[n - 1]);
-    walk(outer, 0, 0, &mut |src, dst| {
-        transpose_tiled(
-            &data[src..],
-            col.src,
-            &mut out[dst..],
-            row.dst,
-            (row.dim, col.dim),
-            &put,
-        );
-    });
-}
-
-/// `put(&mut out[a·out_rs + b], data[a + b·data_cs])` for `a < rows`,
-/// `b < cols`, in [`TILE`]-square blocks: a tile reads at most `TILE` runs
-/// of the input and writes at most `TILE` runs of the output. `put`
-/// stores (a permute) or adds (a permute-add).
+/// `out[a·out_rs + b] = data[a + b·data_cs]` for `a < rows`, `b < cols`,
+/// in [`TILE`]-square blocks: a tile reads at most `TILE` runs of the
+/// input and writes at most `TILE` runs of the output.
 fn transpose_tiled<T: Scalar>(
     data: &[T],
     data_cs: usize,
     out: &mut [T],
     out_rs: usize,
     (rows, cols): (usize, usize),
-    put: impl Fn(&mut T, T),
 ) {
     for a0 in (0..rows).step_by(TILE) {
         let a1 = (a0 + TILE).min(rows);
@@ -307,7 +253,7 @@ fn transpose_tiled<T: Scalar>(
             for a in a0..a1 {
                 let orow = &mut out[a * out_rs + b0..a * out_rs + b1];
                 for (j, o) in orow.iter_mut().enumerate() {
-                    put(o, data[a + (b0 + j) * data_cs]);
+                    *o = data[a + (b0 + j) * data_cs];
                 }
             }
         }
@@ -503,30 +449,6 @@ mod tests {
                 assert!(stale == 0 || out.as_ptr() == at, "the allocation is reused");
             }
         }
-    }
-
-    #[test]
-    fn permute_add_is_permute_then_add_bit_for_bit() {
-        // one case per branch: identity, run adds, tiled transpose-add
-        let mut rng = StdRng::seed_from_u64(12);
-        let t = DenseTensor::<f64>::random([5, 3, 2, 36], &mut rng);
-        for perm in [[0usize, 1, 2, 3], [1, 0, 2, 3], [3, 2, 0, 1], [2, 3, 1, 0]] {
-            let target = DenseTensor::<f64>::random(t.shape().permuted(&perm).unwrap(), &mut rng);
-            let mut expect = target.clone();
-            for (e, &p) in expect
-                .data_mut()
-                .iter_mut()
-                .zip(permute(&t, &perm).unwrap().data())
-            {
-                *e += p;
-            }
-            let mut got = target.into_data();
-            permute_add_into(t.data(), t.dims(), &perm, &mut got).unwrap();
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(expect.data()), "perm {perm:?}");
-        }
-        let mut short = vec![0.0; t.len() - 1];
-        assert!(permute_add_into(t.data(), t.dims(), &[0, 1, 2, 3], &mut short).is_err());
     }
 
     #[test]

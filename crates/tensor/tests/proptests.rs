@@ -265,13 +265,13 @@ proptest! {
     /// The row-panel kernels agree bit for bit on `k ≤ KC`: the unpacked
     /// register tile, the packed microkernel, `gemm_acc_slices` on the
     /// panel's rows (the scalar loop when the multiply is tagged `Scalar`)
-    /// and (for `n = 1`) the GEMV loop, each run whole and split at
-    /// arbitrary row boundaries, on a zeroed `C`, all equal to a plain
-    /// ascending-`l` reference loop — over zero extents, `m < TM`,
-    /// `n < TN`, `A` read transposed through strides, and ±0, ±inf and NaN
-    /// entries. Every NaN compares equal to every other: IEEE leaves the
-    /// payload of a NaN result to the hardware. On a non-zero `C` the
-    /// unpacked tile still equals the reference loop.
+    /// and (for `n = 1`) the GEMV loop, each run whole and cut into row
+    /// bands at arbitrary boundaries, storing through the identity view,
+    /// all equal to a plain ascending-`l` reference loop on a zeroed `C` —
+    /// over zero extents, `m < TM`, `n < TN`, `A` read transposed through
+    /// strides, and ±0, ±inf and NaN entries. Every NaN compares equal to
+    /// every other: IEEE leaves the payload of a NaN result to the
+    /// hardware. On a non-zero `C` the unpacked tile adds that sum once.
     #[test]
     fn gemm_small_kernels_agree_bitwise(
         m in 0usize..11,
@@ -283,9 +283,9 @@ proptest! {
     ) {
         use rand::prelude::*;
         use tt_tensor::gemm::{
-            gemm_acc_packed_rows, gemm_acc_slices, gemm_acc_small_rows, gemv_acc_rows, PackedB,
-            KC,
+            gemm_acc_slices, gemm_packed_into, gemm_small_into, gemv_into, PackedB, KC,
         };
+        use tt_tensor::view::{Epilogue, RunView, ViewMut};
         // mostly shallow; sometimes KC − 1, KC (the deepest unpacked
         // panel) or 100
         let k = match k_pick {
@@ -332,33 +332,43 @@ proptest! {
             }
         };
         let pb = PackedB::pack(k, n, &b, n, 1);
-        // one kernel over rows [r0, r1) into a fresh zeroed panel
-        let run = |kernel: &str, r0: usize, r1: usize| -> Vec<f64> {
-            let mut c = vec![0.0; (r1 - r0) * n];
-            match kernel {
-                "small" => gemm_acc_small_rows(r0, r1, k, n, &stored, a_rs, a_cs, &b, &mut c),
-                "slices" => gemm_acc_slices(r1 - r0, k, n, &a[r0 * k..r1 * k], &b, &mut c),
-                "packed" => gemm_acc_packed_rows(r0, r1, &stored, a_rs, a_cs, &pb, &mut c),
-                _ => gemv_acc_rows(r0, r1, k, &a, &b, 1, &mut c),
+        let view = RunView::matrix(m, n, n);
+        // one kernel over the row bands between `cuts`, into a zeroed C
+        let run = |kernel: &str, cuts: &[usize]| -> Vec<f64> {
+            let mut c = vec![0.0; m * n];
+            let ranges: Vec<(usize, usize)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
+            if kernel == "slices" {
+                for &(r0, r1) in &ranges {
+                    gemm_acc_slices(r1 - r0, k, n, &a[r0 * k..r1 * k], &b, &mut c[r0 * n..r1 * n]);
+                }
+                return c;
+            }
+            let bands = ViewMut::bands(&view, &mut c, &ranges).unwrap();
+            for (mut out, (r0, r1)) in bands.into_iter().zip(ranges) {
+                let (out, how) = (&mut out, Epilogue::Store);
+                match kernel {
+                    "small" => gemm_small_into(r0, r1, k, n, &stored, a_rs, a_cs, &b, out, how),
+                    "packed" => gemm_packed_into(r0, r1, &stored, a_rs, a_cs, &pb, out, how),
+                    _ => gemv_into(r0, r1, k, &a, &b, 1, out, how),
+                }
             }
             c
         };
         let mut want = vec![0.0; m * n];
         reference(&mut want);
-        let want = bits(&want);
         let kernels = ["small", "slices", "packed", "gemv"];
         for kernel in &kernels[..if n == 1 { 4 } else { 3 }] {
-            prop_assert!(bits(&run(kernel, 0, m)) == want,
+            prop_assert!(bits(&run(kernel, &[0, m])) == bits(&want),
                 "kernel {} whole, {}x{}x{} ta={}", kernel, m, k, n, ta);
-            let split: Vec<f64> = cuts.windows(2).flat_map(|w| run(kernel, w[0], w[1])).collect();
-            prop_assert!(bits(&split) == want,
+            prop_assert!(bits(&run(kernel, &cuts)) == bits(&want),
                 "kernel {} split at {:?}, {}x{}x{} ta={}", kernel, cuts, m, k, n, ta);
         }
         let c0: Vec<f64> = (0..m * n).map(|_| value(&mut rng)).collect();
-        let (mut small, mut reference_c) = (c0.clone(), c0);
-        gemm_acc_small_rows(0, m, k, n, &stored, a_rs, a_cs, &b, &mut small);
-        reference(&mut reference_c);
-        prop_assert!(bits(&small) == bits(&reference_c), "non-zero C, {}x{}x{}", m, k, n);
+        let mut small = c0.clone();
+        let out = &mut ViewMut::whole(&view, &mut small).unwrap();
+        gemm_small_into(0, m, k, n, &stored, a_rs, a_cs, &b, out, Epilogue::Add);
+        let added: Vec<f64> = c0.iter().zip(&want).map(|(c, w)| c + w).collect();
+        prop_assert!(bits(&small) == bits(&added), "non-zero C, {}x{}x{}", m, k, n);
     }
 }
 
