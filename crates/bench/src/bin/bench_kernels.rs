@@ -41,9 +41,9 @@
 //! shapes the spins m=64 matvec transposes — and their "gflops" column is
 //! GB/s (bytes read plus bytes written). The `sd_contract_seq` rows named
 //! `spins-m64-step*` run the sparse-dense kernel at the H_eff chain's
-//! step-2 (run views on both sides) and step-4 (`B` really transposed)
-//! operand shapes, so the gate sees the layout boundary and not only the
-//! 2-D kernel. Those rows re-run one contraction in a loop, which the
+//! step-1 (the environment step, whole rows in place), step-2 (run views
+//! on both sides) and step-4 (`B` really transposed) operand shapes, so
+//! the gate sees the layout boundary and not only the 2-D kernel. Those rows re-run one contraction in a loop, which the
 //! allocator serves from a warm heap; the `sd_chain` row
 //! `spins-m64-matvec` is what a sweep runs instead — the four steps as one
 //! `Executor::chain` against resident operands on one executor, the result
@@ -488,11 +488,20 @@ struct SdChainCase {
 }
 
 /// The sparse-dense rows at H_eff chain shapes (spins 6×4, m = 64, middle
-/// bond): step 2 contracts a ~40-entry MPO tensor against `t₁` and
-/// reads/writes 128-element runs in place; step 4 contracts the right
-/// environment against `t₃`, whose free modes lead, so `B` is transposed
-/// for real.
-const SD_CHAIN_CASES: [SdChainCase; 2] = [
+/// bond): step 1 contracts the left environment against ψ, rows in blocks
+/// that share one column list, reading `B` and writing `C` whole-row in
+/// place — the largest share of sparse-dense kernel time in a sweep; step
+/// 2 contracts a ~40-entry MPO tensor against `t₁` and reads/writes
+/// 128-element runs in place; step 4 contracts the right environment
+/// against `t₃`, whose free modes lead, so `B` is transposed for real.
+const SD_CHAIN_CASES: [SdChainCase; 3] = [
+    SdChainCase {
+        label: "spins-m64-step1",
+        spec: "bkc,cqwf->bkqwf",
+        a_dims: &[64, 14, 64],
+        a_density: 0.24,
+        b_dims: &[64, 2, 2, 64],
+    },
     SdChainCase {
         label: "spins-m64-step2",
         spec: "kpqg,bkqwf->bpgwf",

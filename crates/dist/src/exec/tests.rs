@@ -1126,8 +1126,8 @@ fn list_chain(exec: &Executor, seed: u64) -> Vec<Vec<f64>> {
 
 /// The workspace hands a chain the buffers an earlier, differently shaped
 /// chain retired — filled with NaN on their way back in a test build, so a
-/// reuse that skipped its zero-fill, or a transposition that did not
-/// write every element, cannot pass. Whatever ran before, a chain's bits
+/// kernel row or a transposition that did not write every element cannot
+/// pass. Whatever ran before, a chain's bits
 /// are a fresh executor's.
 #[test]
 fn workspace_reuse_is_bitwise_invisible() {

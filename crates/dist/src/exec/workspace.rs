@@ -138,27 +138,24 @@ impl Workspace {
         out
     }
 
-    /// `len` zeros, in a held buffer when one fits.
-    pub(crate) fn take(&self, len: usize) -> Vec<f64> {
-        match self.0.lock().fit(len) {
-            Some(mut buf) => {
-                buf.clear();
-                buf.resize(len, 0.0);
-                buf
-            }
-            None => vec![0.0; len],
-        }
+    /// `len` elements of unspecified value, for a caller that overwrites
+    /// every one of them: a held buffer when one fits (in test builds it
+    /// comes back NaN-filled, so an element the caller fails to write
+    /// shows), else a fresh allocation.
+    pub(crate) fn take_unzeroed(&self, len: usize) -> Vec<f64> {
+        self.take_or_zeros(len).0
     }
 
-    /// `len` elements of unspecified value, for a caller that overwrites
-    /// every one of them.
-    pub(crate) fn take_unzeroed(&self, len: usize) -> Vec<f64> {
+    /// [`Workspace::take_unzeroed`], and whether the buffer is a fresh
+    /// allocation of `+0.0`s rather than a held one: a caller that has
+    /// zeros to write can then skip them.
+    pub(crate) fn take_or_zeros(&self, len: usize) -> (Vec<f64>, bool) {
         match self.0.lock().fit(len) {
             Some(mut buf) => {
                 buf.resize(len, 0.0);
-                buf
+                (buf, false)
             }
-            None => vec![0.0; len],
+            None => (vec![0.0; len], true),
         }
     }
 
@@ -173,7 +170,7 @@ impl Workspace {
         if bytes < WORKSPACE_MIN_BYTES {
             return;
         }
-        // a reuse that skipped its zero-fill must not pass a test
+        // an element its next taker fails to write must not pass a test
         #[cfg(test)]
         buf.fill(f64::NAN);
         let mut shelf = self.0.lock();
@@ -224,23 +221,23 @@ mod tests {
     #[test]
     fn small_requests_pass_through() {
         let ws = Workspace::default();
-        let buf = ws.take(LARGE - 1);
-        assert_eq!(buf.len(), LARGE - 1);
+        let (buf, zeroed) = ws.take_or_zeros(LARGE - 1);
+        assert!(zeroed && buf.len() == LARGE - 1 && buf.iter().all(|&v| v == 0.0));
         ws.give(buf);
         ws.settle();
         assert_eq!(ws.stats(), WorkspaceStats::default());
     }
 
     #[test]
-    fn a_reused_buffer_comes_back_zeroed_and_tightest_fit_first() {
+    fn a_reused_buffer_is_the_tightest_fit_and_comes_back_poisoned() {
         let ws = Workspace::default();
-        let (a, b) = (ws.take(4 * LARGE), ws.take(2 * LARGE));
+        let (a, b) = (ws.take_unzeroed(4 * LARGE), ws.take_unzeroed(2 * LARGE));
         let (pa, pb) = (a.as_ptr(), b.as_ptr());
         ws.give(a);
         ws.give(b);
-        let c = ws.take(LARGE);
+        let (c, zeroed) = ws.take_or_zeros(LARGE);
         assert_eq!(c.as_ptr(), pb, "2·LARGE fits, 4·LARGE would be wasted");
-        assert!(c.len() == LARGE && c.iter().all(|&v| v == 0.0));
+        assert!(!zeroed && c.len() == LARGE && c.iter().all(|v| v.is_nan()));
         let d = ws.take_unzeroed(3 * LARGE);
         assert_eq!(d.as_ptr(), pa);
         assert!(d.iter().all(|v| v.is_nan()), "retired buffers are poisoned");
@@ -261,10 +258,10 @@ mod tests {
         let ws = Workspace::default();
         let matvec = || {
             ws.call(|| {
-                let t1 = ws.take(5 * LARGE);
-                let t2 = ws.take(6 * LARGE);
+                let t1 = ws.take_unzeroed(5 * LARGE);
+                let t2 = ws.take_unzeroed(6 * LARGE);
                 ws.give(t1);
-                let t3 = ws.take(7 * LARGE);
+                let t3 = ws.take_unzeroed(7 * LARGE);
                 ws.give(t2);
                 let permuted = ws.take_unzeroed(7 * LARGE);
                 ws.give(t3);
@@ -280,20 +277,20 @@ mod tests {
     #[test]
     fn settling_keeps_what_the_call_used() {
         let ws = Workspace::default();
-        let (a, b) = (ws.take(4 * LARGE), ws.take(4 * LARGE));
+        let (a, b) = (ws.take_unzeroed(4 * LARGE), ws.take_unzeroed(4 * LARGE));
         ws.give(a);
         ws.give(b);
         ws.settle();
         assert_eq!(held(&ws), 8);
         // a call of another shape: what it leaves unused goes
-        let c = ws.take(LARGE);
+        let c = ws.take_unzeroed(LARGE);
         ws.give(c);
         ws.settle();
         assert_eq!(held(&ws), 1);
         // after the call, its own buffers may come back, a stranger's only
         // while there is room under what the call had out
         let d = ws.call(|| {
-            let (c, d) = (ws.take(LARGE), ws.take(LARGE));
+            let (c, d) = (ws.take_unzeroed(LARGE), ws.take_unzeroed(LARGE));
             ws.give(c);
             d
         });

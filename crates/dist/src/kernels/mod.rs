@@ -41,15 +41,19 @@
 //! but GEMV, a `B` when only the packer reads it), the dense kernel
 //! writes each finished register tile through a
 //! [`RunView`](tt_tensor::view::RunView) of the output permutation, and
-//! the sparse-dense kernel gathers `B` rows and scatters `C` rows through
+//! the sparse-dense kernel gathers `B` rows and writes `C` rows through
 //! run views whenever the trailing free modes form a contiguous run. None
 //! of this touches arithmetic: every output element still accumulates the
-//! same products in the same order.
+//! same products in the same order. Nor does the sparse-dense kernel's
+//! row pass: it sums each output row's entries in stored order in
+//! registers, strip by strip from `+0.0`, and stores each strip once,
+//! which is what a zero-filled `C` accumulating one entry at a time
+//! computed.
 //!
 //! Layout: this file holds the ordered map, the two fan-out rules, the
 //! range functions and the dims / output helpers every family shares;
 //! `dense` the dense contraction and its row panel; `sd` the
-//! sparse-dense layout decision, chunk body and contraction; `ss` the
+//! sparse-dense layout decision, row-pass chunk body and contraction; `ss` the
 //! sparse-sparse preparation, merge chunk and contraction, and the slot
 //! merge of a planned chain's step; `factor` the truncated SVD and its
 //! tall-panel rule.

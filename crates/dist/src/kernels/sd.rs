@@ -1,5 +1,13 @@
 //! Sparse × dense: where `B` and `C` live ([`SdLayout`], [`RunView`]s),
 //! the one chunk body, and the contraction over [`ordered_map`].
+//!
+//! The chunk body ([`sd_chunk`]) is a row pass: it takes each output
+//! row's entries in stored order and sums every strip of the `C` row in
+//! registers, storing it once — `C` is written, never read, so no caller
+//! zero-fills it. A stored entry costs one multiply and one add per
+//! column, as it did when each entry was an axpy into a zeroed `C`, and
+//! every element holds the same `+0.0 + v₁b₁ + v₂b₂ + …` in the same
+//! order.
 
 use super::{
     bucket_by_volume, concat_rows, fused_dims, lanes, natural_dims, ordered_map, sparse_chunks,
@@ -50,7 +58,7 @@ pub(super) struct SdLayout {
     /// permuted).
     pub(super) c_in_place: bool,
     pub(super) b: RunView,
-    c: RunView,
+    pub(super) c: RunView,
 }
 
 impl SdLayout {
@@ -102,36 +110,178 @@ impl SdLayout {
     }
 }
 
-/// One sparse-dense chunk: accumulate `bucket`'s entries (all with fused
-/// rows in `[r0, r0 + c.rows().len())`) against dense `B` into the chunk's
-/// rows of `C`, both addressed through [`RunView`]s of one run length
-/// (`c`'s row table is chunk-local: row `r` is entry `r - r0`). The one body behind the
-/// inline path, the pool jobs and the multi-process worker — per output
-/// element the accumulation order is the stored-entry order whatever the
-/// views are, so the layout decision never shows in a result bit. Charges
-/// the global flop counter here (not in the wrapper) so the count lands
-/// in whichever process actually ran the chunk; the transport propagates
-/// worker-side counts back to the driver.
+/// Width of the strip of a `C` row that [`sd_chunk`] sums in registers:
+/// eight AVX2 vectors for a row alone, four a row for a pair — enough
+/// independent sums to hide the adder's latency, few enough to stay in
+/// registers.
+const SD_STRIP: usize = 32;
+
+/// One sparse-dense chunk: write rows `[r0, r0 + c.rows().len())` of `C`
+/// from `bucket`'s entries (all with fused rows in that range) against
+/// dense `B`, both addressed through [`RunView`]s of one run length (`c`'s
+/// row table is chunk-local: row `r` is entry `r - r0`). The one body
+/// behind the inline path, the pool panels and the multi-process worker.
+///
+/// A row pass: every `C` row is summed a strip at a time in registers —
+/// from `+0.0`, over the row's entries in stored order, a multiply then an
+/// add per product — and each strip is stored once; a row with no entries
+/// is stored as `+0.0`, or left as it is when `c_zeroed` says the chunk's
+/// rows hold `+0.0` already (a fresh zeroed allocation). So every element
+/// of the chunk's rows ends up written (`c_data` need not be initialised)
+/// with `+0.0 + v₁b₁ + v₂b₂ + …` in stored-entry order whatever the views
+/// and the chunking are: the layout decision never shows in a result bit.
+/// Two adjacent rows with one column list share each `B` strip load. Runs
+/// are the outer loop, so the rows of a chunk read one run of each `B` row
+/// before the next. Charges the global flop counter here (not in the
+/// wrapper) so the count lands in whichever process actually ran the
+/// chunk; the transport propagates worker-side counts back to the driver.
 pub(crate) fn sd_chunk(
     r0: usize,
     bucket: &[Coord],
     b: &RunView,
     b_data: &[f64],
-    c: &RunView,
+    (c, c_zeroed): (&RunView, bool),
     c_data: &mut [f64],
 ) {
     let run = b.run();
     tt_tensor::counter::add_flops(2 * (bucket.len() * b.n()) as u64);
-    let (c_rows, c_outer, b_rows, b_outer) = (c.rows(), c.outer(), b.rows(), b.outer());
-    for &(row, col, v) in bucket {
-        let (c_row, b_row) = (c_rows[row as usize - r0], b_rows[col as usize]);
-        for (&co, &bo) in c_outer.iter().zip(b_outer) {
-            let c_run = &mut c_data[c_row + co..c_row + co + run];
-            let b_run = &b_data[b_row + bo..b_row + bo + run];
-            for (cj, &bj) in c_run.iter_mut().zip(b_run) {
-                *cj += v * bj;
+    let rows = RowGroups::new(r0, c.rows().len(), bucket);
+    let groups = rows.groups();
+    let (c_rows, b_rows) = (c.rows(), b.rows());
+    for (&co, &bo) in c.outer().iter().zip(b.outer()) {
+        for &(r, pair) in &groups {
+            let row = rows.row(r);
+            if pair {
+                let at = [c_rows[r] + co, c_rows[r + 1] + co];
+                let rows = [row, rows.row(r + 1)];
+                sum_run::<2, { SD_STRIP / 2 }>(rows, b_rows, b_data, bo, at, run, c_data);
+            } else if row.is_empty() {
+                if !c_zeroed {
+                    c_data[c_rows[r] + co..c_rows[r] + co + run].fill(0.0);
+                }
+            } else {
+                let at = [c_rows[r] + co];
+                sum_run::<1, SD_STRIP>([row], b_rows, b_data, bo, at, run, c_data);
             }
         }
+    }
+}
+
+/// A chunk's entries grouped by chunk-local row, each row's in stored
+/// order: the bucket as it lies when its rows ascend (`L`, `R`), else
+/// regrouped by a stable counting pass (`W`, whose stored order leads with
+/// a contracted mode).
+struct RowGroups<'a> {
+    entries: Cow<'a, [Coord]>,
+    /// Row `r`'s entries are `entries[starts[r]..starts[r + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl<'a> RowGroups<'a> {
+    fn new(r0: usize, rows: usize, bucket: &'a [Coord]) -> Self {
+        let mut starts = vec![0usize; rows + 1];
+        let (mut ascending, mut last) = (true, 0);
+        for &(row, ..) in bucket {
+            let r = row as usize - r0;
+            ascending &= r >= last;
+            last = r;
+            starts[r + 1] += 1;
+        }
+        for r in 0..rows {
+            starts[r + 1] += starts[r];
+        }
+        if ascending {
+            return Self {
+                entries: Cow::Borrowed(bucket),
+                starts,
+            };
+        }
+        let mut next = starts[..rows].to_vec();
+        let mut grouped = vec![(0, 0, 0.0); bucket.len()];
+        for &e in bucket {
+            let at = &mut next[e.0 as usize - r0];
+            grouped[*at] = e;
+            *at += 1;
+        }
+        Self {
+            entries: Cow::Owned(grouped),
+            starts,
+        }
+    }
+
+    fn row(&self, r: usize) -> &[Coord] {
+        &self.entries[self.starts[r]..self.starts[r + 1]]
+    }
+
+    /// `(first row, whether it is a pair)` of every group, in row order: a
+    /// pair is two adjacent non-empty rows with one column list.
+    fn groups(&self) -> Vec<(usize, bool)> {
+        let rows = self.starts.len() - 1;
+        let same_cols = |r: usize| {
+            let (a, b) = (self.row(r), self.row(r + 1));
+            !a.is_empty() && a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.1 == y.1)
+        };
+        let (mut groups, mut r) = (Vec::with_capacity(rows), 0);
+        while r < rows {
+            let pair = r + 1 < rows && same_cols(r);
+            groups.push((r, pair));
+            r += 1 + pair as usize;
+        }
+        groups
+    }
+}
+
+/// One run of `R` rows of `C` that share one column list (`rows[i]` are
+/// row `i`'s entries), read from `B` at `b_at` past each entry's row
+/// offset and stored at `c_at[i]`: `W`-wide strips, then one narrower
+/// strip for the tail.
+#[inline(always)]
+fn sum_run<const R: usize, const W: usize>(
+    rows: [&[Coord]; R],
+    b_rows: &[usize],
+    b_data: &[f64],
+    b_at: usize,
+    c_at: [usize; R],
+    run: usize,
+    c_data: &mut [f64],
+) {
+    let mut s = 0;
+    while s < run {
+        let at = (b_at + s, c_at.map(|c| c + s));
+        if s + W <= run {
+            strip::<R, W>(rows, b_rows, b_data, at, W, c_data);
+        } else {
+            strip::<R, W>(rows, b_rows, b_data, at, run - s, c_data);
+        }
+        s += W;
+    }
+}
+
+/// One strip of `R` rows, `w ≤ W` wide, at `(b_at, c_at)`: summed from
+/// `+0.0` in registers over the entries in stored order, a multiply then
+/// an add (never fused, which would round differently), then stored once.
+#[inline(always)]
+fn strip<const R: usize, const W: usize>(
+    rows: [&[Coord]; R],
+    b_rows: &[usize],
+    b_data: &[f64],
+    (b_at, c_at): (usize, [usize; R]),
+    w: usize,
+    c_data: &mut [f64],
+) {
+    let mut acc = [[0.0f64; W]; R];
+    for (i, &(_, col, _)) in rows[0].iter().enumerate() {
+        let at = b_rows[col as usize] + b_at;
+        let bs = &b_data[at..at + w];
+        for (acc, row) in acc.iter_mut().zip(rows) {
+            let v = row[i].2;
+            for (a, &x) in acc[..w].iter_mut().zip(bs) {
+                *a += v * x;
+            }
+        }
+    }
+    for (acc, at) in acc.iter().zip(c_at) {
+        c_data[at..at + w].copy_from_slice(&acc[..w]);
     }
 }
 
@@ -146,21 +296,22 @@ fn sd_panel(
 ) -> Vec<f64> {
     let mut c = vec![0.0f64; (r1 - r0) * n];
     let c_view = RunView::matrix(r1 - r0, n, b.run());
-    sd_chunk(r0, bucket, b, b_data, &c_view, &mut c);
+    sd_chunk(r0, bucket, b, b_data, (&c_view, true), &mut c);
     c
 }
 
-/// The dense half of a sparse-dense contraction: accumulate `coords`
-/// (`A`'s fused entries, stored order) against `B` and return the output
+/// The dense half of a sparse-dense contraction: sum `coords` (`A`'s
+/// fused entries, stored order) against `B` and return the output
 /// tensor. One chunk runs inline and, when the layout allows, writes `C`
 /// straight into output order; more chunks bucket the coords by volume
 /// and fan natural-order row panels out over the pool. `B` is borrowed
 /// unless it has to be transposed.
 ///
 /// The inline leg's large temporaries — `C`, a transposed `B`, a
-/// natural-order `C` on its way to output order — come from `ws` and the
-/// two that die here go back to it; the returned tensor's buffer is the
-/// caller's to give back. Pool panels are plain allocations.
+/// natural-order `C` on its way to output order — come from `ws` unzeroed
+/// (each is written whole before it is read) and the two that die here go
+/// back to it; the returned tensor's buffer is the caller's to give back.
+/// Pool panels are plain allocations.
 pub(crate) fn sd_apply(
     g: &SdGeometry,
     b: &[f64],
@@ -179,8 +330,8 @@ pub(crate) fn sd_apply(
     let b_data = b_operand(&layout, g, b, ws)?;
     let c = match parallel {
         None => {
-            let mut c = ws.take(m * n);
-            sd_chunk(0, &coords, &layout.b, &b_data, &layout.c, &mut c);
+            let (mut c, zeroed) = ws.take_or_zeros(m * n);
+            sd_chunk(0, &coords, &layout.b, &b_data, (&layout.c, zeroed), &mut c);
             c
         }
         Some(_) => {

@@ -346,6 +346,22 @@ fn sd_reference(
     a: &SparseTensor<f64>,
     b: &DenseTensor<f64>,
 ) -> DenseTensor<f64> {
+    DenseTensor::from_vec(
+        natural_dims(plan, a.dims(), b.dims()),
+        sd_reference_natural(plan, a, b),
+    )
+    .unwrap()
+    .permute(plan.output_permutation())
+    .unwrap()
+}
+
+/// [`sd_reference`] before the output permutation: the natural-order
+/// `m × n` matrix.
+fn sd_reference_natural(
+    plan: &ContractPlan,
+    a: &SparseTensor<f64>,
+    b: &DenseTensor<f64>,
+) -> Vec<f64> {
     let (m, _k, n) = fused_dims(plan, a.dims(), b.dims());
     let b_mat = b
         .permute(plan.operand_permutations().1)
@@ -357,10 +373,7 @@ fn sd_reference(
             c[row as usize * n + j] += v * b_mat[col as usize * n + j];
         }
     }
-    DenseTensor::from_vec(natural_dims(plan, a.dims(), b.dims()), c)
-        .unwrap()
-        .permute(plan.output_permutation())
-        .unwrap()
+    c
 }
 
 fn check_dense(spec: &str, a_dims: &[usize], b_dims: &[usize], seed: u64) {
@@ -642,6 +655,197 @@ fn sd_views_engage_on_long_runs_of_random_specs() {
         };
         check_sd(&format!("{a_txt},{b_txt}Z->{out}"), &a_dims, &b_dims, case);
     }
+}
+
+/// What a target holds before a kernel writes it: a quiet NaN with a
+/// payload no arithmetic produces from the operands below.
+const UNWRITTEN: u64 = 0x7ff8_dead_beef_0001;
+
+/// Result bits, every NaN but [`UNWRITTEN`] read as one.
+fn sd_bits(v: &[f64]) -> Vec<u64> {
+    v.iter()
+        .map(|x| match x.to_bits() {
+            UNWRITTEN => UNWRITTEN,
+            _ if x.is_nan() => u64::MAX,
+            bits => bits,
+        })
+        .collect()
+}
+
+/// ±0, ±inf and NaN: every seventh stored entry of `A` and every
+/// thirteenth element of `B` is one of them.
+const SPECIAL: [f64; 5] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+
+/// A sparse operand for `plan` whose stored entries sit where `keep`
+/// says of their fused `(row, col)`, in stored (offset) order.
+fn sd_operand(
+    plan: &ContractPlan,
+    dims: &[usize],
+    keep: impl Fn(usize, usize) -> bool,
+    seed: u64,
+) -> SparseTensor<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let fuse = |idx: &[usize], modes: &[usize]| modes.iter().fold(0, |f, &p| f * dims[p] + idx[p]);
+    let (mut offsets, mut values) = (Vec::new(), Vec::new());
+    let mut idx = vec![0usize; dims.len()];
+    for off in 0..dims.iter().product::<usize>() {
+        let mut rest = off;
+        for (i, &d) in dims.iter().enumerate().rev() {
+            idx[i] = rest % d;
+            rest /= d;
+        }
+        let (row, col) = (
+            fuse(&idx, plan.free_a_positions()),
+            fuse(&idx, plan.ctr_a_positions()),
+        );
+        if keep(row, col) {
+            let t = values.len();
+            values.push(if t % 7 == 3 {
+                SPECIAL[t / 7 % 5]
+            } else {
+                rng.gen_range(-1.0..1.0)
+            });
+            offsets.push(off as u64);
+        }
+    }
+    SparseTensor::from_sorted(dims, offsets, values).unwrap()
+}
+
+#[test]
+fn sd_row_pass_writes_every_element_with_the_reference_bits() {
+    use super::sd::sd_chunk;
+    // (spec, A dims, B dims): whole-row runs of n = 1, 3, 17, 33 and 69
+    // in place; C permuted; B transposed for real; runs of 33 over two
+    // run offsets in place; runs of 69 where B's own run is 138 and C's
+    // is scattered; A stored with its contracted mode leading, so its
+    // rows are scattered in stored order (as W's are); a larger one
+    // whose output buffer comes back from the workspace poisoned
+    let cases: [(&str, &[usize], &[usize]); 12] = [
+        ("ik,kj->ij", &[12, 5], &[5, 1]),
+        ("ik,kj->ij", &[12, 5], &[5, 3]),
+        ("ik,kj->ij", &[12, 5], &[5, 17]),
+        ("ik,kj->ij", &[12, 5], &[5, 33]),
+        ("ik,kj->ij", &[12, 5], &[5, 69]),
+        ("ik,kj->ji", &[12, 5], &[5, 17]),
+        ("ik,jk->ij", &[12, 5], &[69, 5]),
+        ("ik,kxj->ixj", &[12, 5], &[5, 2, 33]),
+        ("ik,kxj->xij", &[12, 5], &[5, 2, 69]),
+        ("ki,kj->ij", &[5, 12], &[5, 33]),
+        ("kiq,kxqj->xij", &[3, 12, 2], &[3, 2, 2, 17]),
+        ("ik,kj->ij", &[300, 5], &[5, 69]),
+    ];
+    // pairs of rows share one column list, except where one row of a
+    // pair differs in its first column; every fifth row has no entries
+    let keep = |row: usize, col: usize| {
+        let shared = (row / 2 * 7 + col * 3) % 5 < 2;
+        row % 5 != 4 && (shared != (row % 6 == 3 && col == 0))
+    };
+    let pool = ThreadPool::new(3);
+    let mut layouts = Vec::new();
+    let (mut equal_pairs, mut differing_pairs) = (0, 0);
+    for (case, &(spec, a_dims, b_dims)) in cases.iter().enumerate() {
+        let plan = ContractPlan::parse(spec).unwrap();
+        let a = sd_operand(&plan, a_dims, keep, case as u64);
+        let mut rng = StdRng::seed_from_u64(50 + case as u64);
+        let b = DenseTensor::<f64>::from_fn(b_dims, |_| {
+            if rng.gen_range(0..13usize) == 0 {
+                SPECIAL[rng.gen_range(0..5usize)]
+            } else {
+                rng.gen_range(-1.0..1.0)
+            }
+        });
+        let want = sd_bits(sd_reference(&plan, &a, &b).data());
+        let (m, _k, n) = fused_dims(&plan, a_dims, b_dims);
+        let (coords, ..) = sd_prepare(&plan, &a, b_dims, 1).unwrap();
+        let ascending = coords.windows(2).all(|w| w[0].0 <= w[1].0);
+        assert_eq!(ascending, !spec.starts_with('k'), "{spec}");
+        let cols =
+            |r: u64| -> Vec<u64> { coords.iter().filter(|e| e.0 == r).map(|e| e.1).collect() };
+        for r in 0..m as u64 - 1 {
+            let (this, next) = (cols(r), cols(r + 1));
+            if !this.is_empty() && !next.is_empty() {
+                *if this == next {
+                    &mut equal_pairs
+                } else {
+                    &mut differing_pairs
+                } += 1;
+            }
+        }
+        let nat_dims = natural_dims(&plan, a_dims, b_dims);
+        let g = SdGeometry {
+            m,
+            n,
+            b_dims,
+            perm_b: plan.operand_permutations().1,
+            nat_dims: &nat_dims,
+            out_perm: plan.output_permutation(),
+        };
+        // the chunk body itself, through both layouts, into a poisoned
+        // target: every element is written, with the reference's bits …
+        let out_dims = plan.output_dims(a_dims, b_dims).unwrap();
+        for scatter in [true, false] {
+            let layout = SdLayout::choose(&g, &out_dims, scatter).unwrap();
+            layouts.push((layout.b_in_place, layout.c_in_place, layout.b.run()));
+            let b_data = if layout.b_in_place {
+                b.data().to_vec()
+            } else {
+                permute_data(b.data(), b_dims, g.perm_b).unwrap()
+            };
+            // … and into zeros it is told of, where empty rows stay
+            for (fill, zeroed) in [(f64::from_bits(UNWRITTEN), false), (0.0, true)] {
+                let mut c = vec![fill; m * n];
+                sd_chunk(0, &coords, &layout.b, &b_data, (&layout.c, zeroed), &mut c);
+                if !layout.c_in_place {
+                    c = permute_data(&c, &nat_dims, g.out_perm).unwrap();
+                }
+                assert_eq!(sd_bits(&c), want, "{spec} scatter={scatter} {zeroed}");
+            }
+        }
+        // sd_apply in one chunk, then again into the first result's
+        // buffer, which the workspace hands back NaN-filled once it is
+        // large enough to be kept
+        let ws = Workspace::default();
+        let apply = || sd_apply(&g, b.data(), Cow::Borrowed(&coords), 1, None, &ws).unwrap();
+        let one = apply();
+        assert_eq!(sd_bits(one.data()), want, "{spec} one chunk");
+        ws.give(one.into_data());
+        let again = apply();
+        assert_eq!(sd_bits(again.data()), want, "{spec} reused target");
+        if m * n * 8 >= WORKSPACE_MIN_BYTES {
+            assert_eq!(ws.stats().reuses, 1, "{spec}");
+        }
+        // forced pool chunking over 3 threads
+        let forced = sd_forced(&plan, &a, &b, &pool);
+        assert_eq!(sd_bits(forced.data()), want, "{spec} 3 chunks");
+        // a worker's row panels: the natural-order rows of the reference
+        let natural = sd_bits(&sd_reference_natural(&plan, &a, &b));
+        for (r0, r1) in [(0, m), (1, m / 2), (m / 2, m)] {
+            let bucket: Vec<Coord> = coords
+                .iter()
+                .filter(|e| (r0..r1).contains(&(e.0 as usize)))
+                .copied()
+                .collect();
+            let panel = sd_rows(&g, b.data(), (r0, r1), &bucket, &ws).unwrap();
+            assert_eq!(
+                sd_bits(&panel),
+                natural[r0 * n..r1 * n],
+                "{spec} rows {r0}..{r1}"
+            );
+        }
+    }
+    // the cases cover what they say
+    for run in [1, 3, 17, 33, 69] {
+        assert!(layouts.iter().any(|l| l.2 == run), "a run of {run}");
+    }
+    for (b_in_place, c_in_place) in [(true, true), (true, false), (false, true), (false, false)] {
+        assert!(
+            layouts
+                .iter()
+                .any(|l| (l.0, l.1) == (b_in_place, c_in_place)),
+            "B in place {b_in_place}, C in place {c_in_place}"
+        );
+    }
+    assert!(equal_pairs > 0 && differing_pairs > 0);
 }
 
 #[test]
