@@ -51,8 +51,8 @@
 //! lifetimes included. The `ss_chain` row `electrons-m32-matvec` is the
 //! sparse-sparse counterpart: the four H_eff steps at the middle bond of
 //! the warm electrons state (`bench_e2e`'s `electrons-ss-seq` size) as one
-//! `ResidentChain::apply`, whose planned chain keeps every intermediate in
-//! the merge kernel's format — seconds per matvec, the block↔flat
+//! `ResidentChain::apply`, whose chain keeps every intermediate in the
+//! merge kernel's format — seconds per matvec, the block↔flat
 //! conversion of `x` and `y` included.
 //!
 //! The `gemm_small` rows run one row panel on the unpacked register tile
@@ -546,6 +546,7 @@ fn sd_chain_matvec(exec: &Executor, operands: &[OpHandle], x: &DenseTensor<f64>)
                 Some(prev) => ChainSrc::Prev(prev),
             },
             acc: None,
+            mask: None,
         })
         .collect();
     let y = exec.chain(&steps).unwrap().pop().flatten().unwrap();
@@ -940,8 +941,8 @@ fn main() {
             }
         }
         // the sparse-sparse matvec of a sweep: the four H_eff steps at the
-        // electrons middle bond as one planned chain, its plan kept from
-        // the first application
+        // electrons middle bond as one chain, its structural plan kept
+        // from the first application
         {
             let exec = Executor::with_machine(Machine::local(), 1, ExecMode::Sequential);
             let (heff, x) = &electrons;

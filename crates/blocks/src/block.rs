@@ -363,10 +363,8 @@ impl BlockSparseTensor {
             .expect("sorted runs of distinct blocks are disjoint")
     }
 
-    /// All dense offsets allowed by symmetry, **ascending** — the
-    /// pre-computed output sparsity handed to masked sparse-sparse
-    /// contractions (whose kernel binary-searches it; an ascending mask
-    /// spares it the sort).
+    /// All dense offsets allowed by symmetry, **ascending** — the output
+    /// sparsity the mask classes of a sparse-sparse contraction stand for.
     pub fn flat_mask(indices: &[QnIndex], flux: QN) -> Vec<u64> {
         let keys = Self::new(indices.to_vec(), flux).allowed_keys();
         let runs = FlatLayout::new(indices).sorted_runs(keys.iter());

@@ -27,14 +27,13 @@
 //! frees a [`ResidentOperand`]. [`contract_chain`] applies a run once with
 //! every operand by value (an environment extension): an operand used once
 //! gains nothing from an upload, which would hash it and, on a service
-//! fleet, retain it. Both derive one structural plan and run the same
-//! per-algorithm body over value-or-handle operands — per-block chain steps
-//! for list, one sparse-dense chain step per contraction, and for
-//! sparse-sparse one planned chain ([`Executor::plan_ss_chain`]): the
-//! quantum numbers give each step's output mask as classes of fused rows
-//! and columns, and the intermediates stay in the merge kernel's format,
-//! accumulated only where the mask allows an entry. Runtime and kernel
-//! errors travel up by `?` as [`Error::Dist`], typed.
+//! fleet, retain it. Both derive one structural plan and hand
+//! [`Executor::chain`] their steps over value-or-handle operands —
+//! per-block steps for list, one step per contraction for the flattened
+//! algorithms: sparse-dense, or sparse-sparse under each step's output
+//! mask, which the quantum numbers give as classes of fused rows and
+//! columns, the intermediates staying in the merge kernel's format.
+//! Runtime and kernel errors travel up by `?` as [`Error::Dist`], typed.
 
 use crate::block::{BlockKey, BlockSparseTensor};
 use crate::index::QnIndex;
@@ -42,11 +41,9 @@ use crate::qn::{signed, QN};
 use crate::{Error, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
-use tt_dist::{
-    ChainSrc, ChainStep, DenseOp, Executor, OpHandle, ResultHandle, SparseOp, SsChainPlan,
-    SsChainStep,
-};
+use tt_dist::{ChainSrc, ChainStep, DenseOp, Executor, OpHandle, ResultHandle, SparseOp};
 use tt_tensor::einsum::ContractPlan;
+use tt_tensor::ssmerge::SlotMap;
 use tt_tensor::{DenseTensor, SparseTensor};
 
 /// Which block-sparsity strategy to contract with.
@@ -132,7 +129,7 @@ impl StepPlan {
         })
     }
 
-    /// The output mask as [`SsChainStep`] takes it: the class of
+    /// The classes of the output mask ([`StepPlan::mask`]): the class of
     /// `flux − q(row)` for every fused row of `a`'s free modes and of
     /// `q(col)` for every fused column of `b`'s, `q` the arrow-signed charge
     /// sum. An output element conserves the flux exactly when its row's and
@@ -166,20 +163,28 @@ impl StepPlan {
         (row_class, col_class)
     }
 
+    /// The output mask, as [`Executor::contract_ss`] and a sparse-sparse
+    /// [`ChainStep`] take it.
+    fn mask(&self, a_indices: &[QnIndex], b_indices: &[QnIndex]) -> SlotMap {
+        let (rows, cols) = self.mask_classes(a_indices, b_indices);
+        SlotMap::new(rows, &cols)
+    }
+
     /// Run the step as one flattened contraction — sparse-sparse under the
     /// output mask for [`Algorithm::SparseSparse`], sparse-dense otherwise —
-    /// of `a`, flattened, by value or by resident handle, against `b`.
+    /// of `a` (graded by `a_indices`), flattened, by value or by resident
+    /// handle, against `b`.
     fn contract_flat(
         self,
         exec: &Executor,
         algo: Algorithm,
         spec: &str,
-        a: SparseOp,
+        (a, a_indices): (SparseOp, &[QnIndex]),
         b: &BlockSparseTensor,
     ) -> Result<BlockSparseTensor> {
         match algo {
             Algorithm::SparseSparse => {
-                let mask = BlockSparseTensor::flat_mask(&self.out_indices, self.out_flux);
+                let mask = self.mask(a_indices, b.indices());
                 let c = exec.contract_ss(spec, a, &b.to_flat_sparse(), Some(&mask))?;
                 BlockSparseTensor::from_flat_sparse(self.out_indices, self.out_flux, &c)
             }
@@ -311,7 +316,8 @@ pub fn contract(
     // flattened: sparse A times densified B, or sparse A times sparse B
     // with the output sparsity pre-computed from the quantum numbers
     let step = StepPlan::derive(spec, structure(a), structure(b))?;
-    step.contract_flat(exec, algo, spec, (&a.to_flat_sparse()).into(), b)
+    let a_flat = a.to_flat_sparse();
+    step.contract_flat(exec, algo, spec, ((&a_flat).into(), a.indices()), b)
 }
 
 /// Paper Algorithm 2: loop over block pairs, match contracted labels,
@@ -540,7 +546,7 @@ pub fn contract_resident(
     let a = a.step(spec);
     let step = StepPlan::derive(spec, a.structure(), structure(b))?;
     if algo != Algorithm::List {
-        return step.contract_flat(exec, algo, spec, a.flat()?, b);
+        return step.contract_flat(exec, algo, spec, (a.flat()?, a.indices), b);
     }
     // enumerate the pairs; each B block they use uploads once, in
     // first-use order
@@ -583,9 +589,9 @@ pub fn contract_resident(
 /// [`ResidentChain::release`] frees **every** handle whatever fails on the
 /// way and reports the first error; dropping the chain does the same and
 /// has nobody to report to. *The plan*: one `StepPlan` per step — for
-/// sparse-sparse also the executor's [`SsChainPlan`] of the whole run, for
-/// list the specs in [`consumer_order`] and the block-pair schedule of the
-/// stored keys of the last `x` — derived by the first
+/// sparse-sparse also each step's output mask, for list the
+/// specs in [`consumer_order`] and the block-pair schedule of the stored
+/// keys of the last `x` — derived by the first
 /// [`ResidentChain::apply`] and kept for the later ones. The operands
 /// cannot change under the chain, so the plan is stale only when `x`'s
 /// indices or flux are not the ones it was derived for; it goes with the
@@ -611,9 +617,9 @@ struct ChainPlan {
     /// of the last `x` applied, with those keys in stored order; replaced
     /// when an `x` brings other keys.
     schedule: Mutex<Option<(Vec<BlockKey>, Arc<ListSchedule>)>>,
-    /// For [`Algorithm::SparseSparse`], and only then: the run as one
-    /// planned chain on the executor.
-    ss: Option<SsChainPlan>,
+    /// For [`Algorithm::SparseSparse`], and only then: each step's output
+    /// mask.
+    masks: Vec<Arc<SlotMap>>,
 }
 
 /// The error of a chain without steps.
@@ -622,17 +628,12 @@ fn empty_chain() -> Error {
 }
 
 impl ChainPlan {
-    fn derive(
-        exec: &Executor,
-        algo: Algorithm,
-        steps: &[StepOperand],
-        x: &BlockSparseTensor,
-    ) -> Result<Self> {
+    fn derive(algo: Algorithm, steps: &[StepOperand], x: &BlockSparseTensor) -> Result<Self> {
         if steps.is_empty() {
             return Err(empty_chain());
         }
         let mut planned: Vec<StepPlan> = Vec::with_capacity(steps.len());
-        let mut ss_steps: Vec<SsChainStep> = Vec::new();
+        let mut masks = Vec::new();
         for a in steps {
             let b = match planned.last() {
                 Some(prev) => (&prev.out_indices[..], prev.out_flux),
@@ -640,23 +641,10 @@ impl ChainPlan {
             };
             let step = StepPlan::derive(a.spec, a.structure(), b)?;
             if algo == Algorithm::SparseSparse {
-                let (row_class, col_class) = step.mask_classes(a.indices, b.0);
-                ss_steps.push(SsChainStep {
-                    spec: a.spec,
-                    a: a.flat()?,
-                    row_class,
-                    col_class,
-                });
+                masks.push(Arc::new(step.mask(a.indices, b.0)));
             }
             planned.push(step);
         }
-        let ss = match algo {
-            Algorithm::SparseSparse => {
-                let x_dims: Vec<usize> = x.indices().iter().map(QnIndex::dim).collect();
-                Some(exec.plan_ss_chain(&x_dims, ss_steps)?)
-            }
-            _ => None,
-        };
         let list_specs = match algo {
             Algorithm::List => consumer_order(&steps.iter().map(|a| a.spec).collect::<Vec<_>>())?,
             _ => Vec::new(),
@@ -667,7 +655,7 @@ impl ChainPlan {
             steps: planned,
             list_specs,
             schedule: Mutex::new(None),
-            ss,
+            masks,
         })
     }
 
@@ -823,29 +811,21 @@ impl<'e> ResidentChain<'e> {
     /// Apply the chain to `x` without bringing any intermediate back into
     /// block form. Bitwise-identical to folding [`contract_resident`] over
     /// the same steps (and therefore to the value path) on every backend,
-    /// cost counters included.
+    /// flops included.
     ///
-    /// [`Algorithm::List`] and [`Algorithm::SparseDense`] run as
-    /// **worker-side chain supersteps**: every intermediate stays in the
-    /// worker stores under driver-issued keys and only the final result
-    /// downloads, so on the multi-process backend the driver's *result*
-    /// traffic collapses from one payload per block pair per step to one
-    /// download per output block of the last step. List chains per-block
-    /// results (accumulate steps fold partials in the exact enumeration
-    /// order of [`contract_list`], each intermediate stored in the order
-    /// its consumer reads it); sparse-dense chains the whole flattened
-    /// contractions.
-    ///
-    /// [`Algorithm::SparseSparse`] runs as one planned chain
-    /// ([`Executor::apply_ss_chain`]): `x` is flattened once, each step
-    /// merges into the slots its output mask allows and hands its touched
-    /// slots on as the next step's sorted-run table, and only the result
-    /// is re-blocked. No intermediate is a sparse tensor, none is sorted
-    /// by comparison, and cancelled zeros are dropped between steps as
-    /// block form would drop them. On the multi-process backend the steps
-    /// are one `SsChunk` superstep each, the per-step path's frames byte
-    /// for byte; the mask, the fused operands and the step-to-step tables
-    /// are planned once per structure of `x`.
+    /// Every algorithm runs as **worker-side chain supersteps**: every
+    /// intermediate stays in the worker stores under driver-issued keys and
+    /// only the final result downloads, so on the multi-process backend the
+    /// driver's *result* traffic collapses from one payload per block pair
+    /// (or per step) to one download per output block of the last step.
+    /// List chains per-block results (accumulate steps fold partials in the
+    /// exact enumeration order of [`contract_list`], each intermediate
+    /// stored in the order its consumer reads it); sparse-dense chains the
+    /// whole flattened contractions; sparse-sparse too, each step merging
+    /// into the slots its output mask allows and handing its touched slots
+    /// on as the next step's sorted-run table — no intermediate is a sparse
+    /// tensor, and cancelled zeros are dropped between steps as block form
+    /// would drop them. The masks are built once per structure of `x`.
     pub fn apply(&self, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
         let steps: Vec<StepOperand> = self.steps.iter().map(|(spec, op)| op.step(spec)).collect();
         let plan = self.plan_for(&steps, x)?;
@@ -862,7 +842,7 @@ impl<'e> ResidentChain<'e> {
         if let Some(plan) = slot.as_ref().filter(|p| p.serves(x)) {
             return Ok(Arc::clone(plan));
         }
-        let plan = Arc::new(ChainPlan::derive(self.exec, self.algo, steps, x)?);
+        let plan = Arc::new(ChainPlan::derive(self.algo, steps, x)?);
         *slot = Some(Arc::clone(&plan));
         Ok(plan)
     }
@@ -872,9 +852,8 @@ impl<'e> ResidentChain<'e> {
 /// `steps[s]`, its structural operand, with step `s − 1`'s output (`x` for
 /// step 0) — without bringing any intermediate back into block form.
 /// Result bits and `total_flops` are those of folding [`contract`] over
-/// the steps, on every backend; the sparse-sparse chain is charged as that
-/// fold is, while list and sparse-dense chains charge each intermediate as
-/// a chain-resident input instead of a shipped value, so their simulated
+/// the steps, on every backend; each intermediate is charged as a
+/// chain-resident input instead of a shipped value, so the simulated
 /// seconds are lower.
 ///
 /// The one-shot counterpart of [`ResidentChain::apply`], through the same
@@ -882,9 +861,7 @@ impl<'e> ResidentChain<'e> {
 /// an operand contracted once gains nothing from being uploaded. List
 /// steps pass each block as a value (on the multi-process backend
 /// content-keyed through the retention cache when that is on — the rule of
-/// [`Executor::chain`]), sparse-dense steps the flattened operand inline,
-/// and sparse-sparse steps run [`Executor::plan_ss_chain`]'s planned chain
-/// with the flattened operand as each step's `A`.
+/// [`Executor::chain`]) and sparse steps the flattened operand inline.
 pub fn contract_chain(
     exec: &Executor,
     algo: Algorithm,
@@ -910,7 +887,7 @@ pub fn contract_chain(
             },
         })
         .collect();
-    let plan = ChainPlan::derive(exec, algo, &operands, x)?;
+    let plan = ChainPlan::derive(algo, &operands, x)?;
     apply_chain(exec, algo, &operands, &plan, x, ListInput::Value)
 }
 
@@ -926,37 +903,35 @@ fn apply_chain(
 ) -> Result<BlockSparseTensor> {
     match algo {
         Algorithm::List => apply_list(exec, steps, plan, x, input),
-        Algorithm::SparseDense => apply_sd(exec, steps, plan, x),
-        Algorithm::SparseSparse => apply_ss(exec, plan, x),
+        _ => apply_flat(exec, steps, plan, x),
     }
 }
 
-/// The sparse-sparse chain: one planned chain on the executor. A step
-/// whose products cancel leaves a touched slot holding zero; block form
-/// never stores that zero back into a flattened operand
-/// ([`BlockSparseTensor::to_flat_sparse`] skips zeros), and the chain
-/// does not hand it on either, so the next step meets bit for bit the
-/// operand the per-step path ([`contract_resident`]) builds — and with
-/// it the same flop count.
-fn apply_ss(exec: &Executor, plan: &ChainPlan, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
-    let ss = plan.ss.as_ref().expect("planned for sparse-sparse");
-    let y = exec.apply_ss_chain(ss, &x.to_flat_sparse())?;
-    let (indices, flux) = plan.output();
-    BlockSparseTensor::from_flat_sparse(indices, flux, &y)
-}
-
-/// The sparse-dense chain: one sd chain step per contraction, each
-/// consuming the previous step's resident dense output directly
-/// (exact: symmetric contractions put no weight outside allowed
-/// blocks, so skipping the driver-side re-blocking between steps is
-/// bitwise-neutral).
-fn apply_sd(
+/// The flattened chains: one chain step per contraction, its flattened
+/// operand against the previous step's resident output, which never
+/// comes back into block form. Sparse-dense steps take `x` and every
+/// intermediate dense (exact: symmetric contractions put no weight outside
+/// allowed blocks, so skipping the re-blocking between steps is
+/// bitwise-neutral). Sparse-sparse steps take `x` flattened and hand their
+/// slots on under each step's mask; a product that cancels leaves a
+/// touched slot holding zero, which block form would never store back into
+/// a flattened operand ([`BlockSparseTensor::to_flat_sparse`] skips
+/// zeros) and the chain does not hand on either, so each step meets bit
+/// for bit the operand the per-step path ([`contract_resident`]) builds —
+/// and with it the same flop count.
+fn apply_flat(
     exec: &Executor,
     steps: &[StepOperand],
     plan: &ChainPlan,
     x: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
-    let b_dense = x.to_dense();
+    let sparse = !plan.masks.is_empty();
+    let x_flat = sparse.then(|| x.to_flat_sparse());
+    let x_dense = (!sparse).then(|| x.to_dense());
+    let x_src = match (&x_flat, &x_dense) {
+        (Some(x), _) => ChainSrc::Sparse(x.into()),
+        (_, x) => ChainSrc::Dense(x.as_ref().expect("x dense unless sparse").into()),
+    };
     let chain_steps = steps
         .iter()
         .enumerate()
@@ -964,11 +939,9 @@ fn apply_sd(
             Ok(ChainStep {
                 spec: a.spec,
                 a: ChainSrc::Sparse(a.flat()?),
-                b: match s.checked_sub(1) {
-                    None => ChainSrc::Dense((&b_dense).into()),
-                    Some(prev) => ChainSrc::Prev(prev),
-                },
+                b: s.checked_sub(1).map_or(x_src, ChainSrc::Prev),
                 acc: None,
+                mask: plan.masks.get(s),
             })
         })
         .collect::<Result<Vec<ChainStep>>>()?;
@@ -979,11 +952,15 @@ fn apply_sd(
         .pop()
         .expect("non-empty chain")
         .expect("final step is not an accumulate");
-    let y = exec.download(last)?;
     let (indices, flux) = plan.output();
+    let Some(x_dense) = x_dense else {
+        return BlockSparseTensor::from_flat_sparse(indices, flux, &exec.download_sparse(last)?);
+    };
+    let y = exec.download(last)?;
     let blocks = BlockSparseTensor::from_dense(indices, flux, &y, 0.0);
+    // both dense ends are spent: their buffers serve the next chain's
     exec.recycle(y);
-    exec.recycle(b_dense);
+    exec.recycle(x_dense);
     blocks
 }
 
@@ -1016,6 +993,7 @@ fn apply_list(
                     BRef::Step(j) => ChainSrc::Prev(j),
                 },
                 acc: p.acc,
+                mask: None,
             })
             .collect();
         exec.chain(&chain_steps)

@@ -225,15 +225,14 @@ fn journal_class(req: &Request) -> JClass {
         },
         Request::Contract { a, b, out, .. } => by_out(out, a.key(), b.key()),
         Request::SdContract { a, b, out, .. } => by_out(out, a.key(), b.key()),
+        Request::SsChunk { a, b, out, .. } => by_out(out, a.key(), b.key()),
         Request::Free { key } | Request::Download { key } => JClass::Remove { key: *key },
         // pure probes and value-returning compute: nothing to reconstruct
         // (their operands, when keyed, are journaled by the uploads that
         // stored them)
-        Request::Ping
-        | Request::CacheStats
-        | Request::SsChunk { .. }
-        | Request::SvdTrunc { .. }
-        | Request::Shutdown => JClass::Skip,
+        Request::Ping | Request::CacheStats | Request::SvdTrunc { .. } | Request::Shutdown => {
+            JClass::Skip
+        }
     }
 }
 

@@ -2,20 +2,22 @@
 //! supersteps (placement, redistribution, charging), its in-process leg,
 //! and the exits of a resident result (`download*`, `free_results`).
 
-use super::keys;
+use super::keys::{self, Chunked};
 use super::residency::{op_state, Charge, OpCharge, Superstep};
-use super::sparse::{inline_coords, sd_request, upload_coords};
+use super::sparse::{inline_coords, inline_table, sd_request, ss_request, upload_coords};
 use super::{expect_buf, DenseOp, Executor, SparseOp};
 use crate::cluster::{Cluster, Placement};
-use crate::handle::{OpHandle, Residency, ResultHandle, ResultInfo};
-use crate::kernels;
-use crate::transport::worker::{Op, OpCoords, Out, Request};
+use crate::handle::{Local, OpHandle, Residency, ResultHandle, ResultInfo};
+use crate::kernels::{self, Coord, SsSlots};
+use crate::transport::worker::{Op, OpCoords, OpSs, Out, Reply, Request};
 use crate::{Error, Result};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tt_tensor::einsum::ContractPlan;
+use tt_tensor::ssmerge::{counting_sort_by, SlotMap, SsBTable};
 use tt_tensor::view::{Epilogue, RunView};
-use tt_tensor::DenseTensor;
+use tt_tensor::{DenseTensor, SparseTensor};
 
 /// The output views of a chain's in-process dense steps, by spec and
 /// natural-order dims.
@@ -28,8 +30,8 @@ pub enum ChainSrc<'a> {
     /// `ChainSrc::Dense(x.into())` from a `&DenseTensor<f64>` or an
     /// `&OpHandle`.
     Dense(DenseOp<'a>),
-    /// A sparse `f64` operand — only valid as the first (`a`) side of a
-    /// step, selecting the sparse-dense kernel.
+    /// A sparse `f64` operand: the `a` side of a sparse step, or by value
+    /// the `b` side of a sparse-sparse one.
     Sparse(SparseOp<'a>),
     /// The resident output of step `i` of this chain (must be a
     /// non-accumulate step).
@@ -38,7 +40,8 @@ pub enum ChainSrc<'a> {
     Res(&'a ResultHandle),
 }
 
-/// One contraction of a worker-side chain superstep.
+/// One contraction of a worker-side chain superstep. Its operands name its
+/// kernel: dense × dense, sparse × dense, or sparse × sparse under `mask`.
 pub struct ChainStep<'a> {
     /// Einsum grammar of the step.
     pub spec: &'a str,
@@ -50,6 +53,8 @@ pub struct ChainStep<'a> {
     /// order — the first partial of an output is always a plain store)
     /// instead of producing a fresh result.
     pub acc: Option<usize>,
+    /// A sparse-sparse step's output mask.
+    pub mask: Option<&'a Arc<SlotMap>>,
 }
 
 /// The kernel family of a planned chain step.
@@ -57,6 +62,15 @@ pub struct ChainStep<'a> {
 enum StepKind {
     Dense,
     Sd,
+    Ss,
+}
+
+/// What a chain-step operand is.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Form {
+    Dense,
+    Sparse,
+    Slots,
 }
 
 /// Static per-step plan of a chain: everything derivable driver-side from
@@ -76,8 +90,11 @@ struct PlannedStep {
     m: usize,
     k: usize,
     n: usize,
+    /// Flops and stored result words; a sparse-sparse step's are measured.
     flops: u64,
     words_c: usize,
+    /// How a sparse-sparse step reads an earlier step's slots as its `B`.
+    b_weights: Option<Weights>,
     /// The step whose output slot this step writes (self for non-acc).
     base: usize,
     /// Result store key (the base's key for accumulate steps).
@@ -94,28 +111,63 @@ impl PlannedStep {
     fn hands_out(&self, i: usize) -> bool {
         self.base == i && self.dies_after.is_none()
     }
-}
 
-/// A resolved wire operand of a chain step.
-enum WireIn {
-    Dense(Op),
-    Coords(OpCoords),
-}
-
-impl WireIn {
-    fn dense(self) -> Result<Op> {
-        match self {
-            WireIn::Dense(op) => Ok(op),
-            WireIn::Coords(_) => Err(Error::Runtime("chain step operand kind mismatch".into())),
+    /// The key family of a sparse `a` of this step.
+    fn a_key(&self, h: &OpHandle) -> Chunked {
+        match self.kind {
+            StepKind::Ss => keys::ss_a(h, &self.plan),
+            _ => keys::sd_a(h, &self.plan, self.n),
         }
     }
 
-    fn coords(self) -> Result<OpCoords> {
-        match self {
-            WireIn::Coords(op) => Ok(op),
-            WireIn::Dense(_) => Err(Error::Runtime("chain step operand kind mismatch".into())),
+    /// The fused coordinates of a sparse `a` of this step as its kernel
+    /// takes them: sparse-sparse stably sorts them by contracted key.
+    fn a_coords(&self, at: &SparseTensor<f64>) -> Vec<Coord> {
+        let (rows, ctr) = (self.plan.free_a_positions(), self.plan.ctr_a_positions());
+        let coords = kernels::sparse_coords(at, rows, ctr);
+        match self.kind {
+            StepKind::Ss => counting_sort_by(&coords, self.k, |c| c.1 as usize),
+            _ => coords,
         }
     }
+
+    /// A sparse value as the `B` table of this sparse-sparse step.
+    fn b_table(&self, bt: &SparseTensor<f64>) -> SsBTable<f64> {
+        let (ctr, cols) = (self.plan.ctr_b_positions(), self.plan.free_b_positions());
+        SsBTable::from_keyed(&kernels::sparse_coords(bt, ctr, cols), self.k)
+    }
+}
+
+/// A step's `B` weights (boxed: a list chain plans thousands of steps).
+type Weights = Box<(Vec<u64>, Vec<u64>)>;
+
+/// The `b_weights` of sparse-sparse step `st` of `plan`, `m × n` fused:
+/// its mask must fit, and its `B` be a sparse value or an earlier step.
+fn ss_plan(
+    st: &ChainStep,
+    plan: &ContractPlan,
+    (m, n): (usize, usize),
+    planned: &[PlannedStep],
+) -> Result<Option<Weights>> {
+    let map = st.mask.expect("a sparse-sparse step has a mask");
+    if (map.rows(), map.cols()) != (m, n) {
+        return Err(Error::Runtime(format!(
+            "{}: mask classes off {m} × {n}",
+            st.spec
+        )));
+    }
+    Ok(match st.b {
+        ChainSrc::Sparse(SparseOp::Value(_)) => None,
+        ChainSrc::Prev(j) => {
+            let (dims, perm) = (&planned[j].out_dims, planned[j].plan.output_permutation());
+            let w = |positions| kernels::fusion_weights(positions, dims, perm);
+            Some(Box::new((
+                w(plan.ctr_b_positions()),
+                w(plan.free_b_positions()),
+            )))
+        }
+        _ => return Err(Error::Runtime(format!("{}: `B` is not moving", st.spec))),
+    })
 }
 
 impl Executor {
@@ -132,7 +184,8 @@ impl Executor {
     /// output is internal to the chain, which releases it itself once its
     /// last consumer has run: in-process its buffer goes back to the
     /// workspace there and then, on the cluster the chain ends with the
-    /// `Free`s. [`Executor::download`] / [`Executor::download_many`] are the
+    /// `Free`s. [`Executor::download`] / [`Executor::download_many`] and,
+    /// for a sparse-sparse step's, [`Executor::download_sparse`] are the
     /// only value-returning exits; [`Executor::free_results`] discards. A
     /// contraction that should just *produce a handle* is a one-step chain.
     ///
@@ -142,7 +195,8 @@ impl Executor {
     /// metered in the byte counters but — like every p-dependent physical
     /// re-ship — not α–β-charged, so the cost counters stay bitwise-equal
     /// across backends). Steps with no resident input anchor to one
-    /// round-robin rank per chain call.
+    /// round-robin rank per chain call. A sparse-sparse step's output, its
+    /// mask's slots, never moves: its reader runs where it lies.
     ///
     /// A by-value operand ([`ChainSrc::Dense`] or [`ChainSrc::Sparse`] of
     /// a tensor) goes as the matching value entry point takes it. On a
@@ -150,17 +204,20 @@ impl Executor {
     /// when that is on ([`Executor::set_retention_cap`]), as in
     /// [`Executor::contract`]: it ships once fleet-wide, and a later chain
     /// or job that passes the same content ships nothing for it. On a
-    /// sparse-dense step both operands ship inline, as in
-    /// [`Executor::contract_sd`], and nothing is retained — a Davidson
-    /// vector is used once. Either way it is charged as a value.
+    /// sparse step every by-value operand ships inline, as in
+    /// [`Executor::contract_sd`] / [`Executor::contract_ss`], and nothing is
+    /// retained — a Davidson vector is used once. Either way it is charged
+    /// as a value; an output a step reads is charged as chain-resident.
     ///
     /// Numerics are bitwise-identical to running the equivalent
     /// value-returning contractions on any backend: every kernel is the
     /// same row-disjoint code, and accumulate steps add partials in
     /// submission order exactly like the driver-side value path.
     pub fn chain(&self, steps: &[ChainStep]) -> Result<Vec<Option<ResultHandle>>> {
-        let planned = self.plan_chain(steps)?;
-        let mut locals: Vec<Option<Arc<DenseTensor<f64>>>> = vec![None; steps.len()];
+        let mut planned = self.plan_chain(steps)?;
+        let mut locals: Vec<Option<Local>> = vec![None; steps.len()];
+        // a sparse-sparse step's (flops, result words), measured
+        let mut measured = Vec::new();
         let homes = if let Some(cl) = &self.cluster {
             let autos = self.auto_key_chain(steps, &planned);
             let keyed: Vec<ChainStep> = steps
@@ -171,11 +228,12 @@ impl Executor {
                     a: keyed(a, st.a),
                     b: keyed(b, st.b),
                     acc: st.acc,
+                    mask: st.mask,
                 })
                 .collect();
             // its own statement: a guard in the `match` scrutinee would live
             // through the arms, and the error arm locks the cluster again
-            let run = self.chain_over_cluster(&mut cl.lock(), &keyed, &planned);
+            let run = self.chain_over_cluster(&mut cl.lock(), &keyed, &planned, &mut measured);
             for h in autos.into_iter().flatten() {
                 self.finish_auto(h);
             }
@@ -202,9 +260,12 @@ impl Executor {
             }
         } else {
             self.workspace
-                .call(|| self.chain_local(steps, &planned, &mut locals))?;
+                .call(|| self.chain_local(steps, &planned, &mut locals, &mut measured))?;
             vec![0; steps.len()]
         };
+        for (i, (flops, words_c)) in measured {
+            (planned[i].flops, planned[i].words_c) = (flops, words_c);
+        }
         // charge every step in submission order, from driver-side registry
         // state only — the charge sequence is bitwise-identical on every
         // backend — under one lock of the registry, then one of the tracker
@@ -225,7 +286,7 @@ impl Executor {
             m: pl.m,
             n: pl.n,
             flops: pl.flops,
-            sparse: pl.kind == StepKind::Sd,
+            sparse: pl.kind != StepKind::Dense,
         });
         self.charge_contractions(charges);
         let mut out = Vec::with_capacity(steps.len());
@@ -268,19 +329,19 @@ impl Executor {
         };
         let mut views = ViewMemo::new();
         for (i, st) in steps.iter().enumerate() {
-            let (a_dims, a_sparse) = src_info(&st.a, &planned)?;
-            let (b_dims, b_sparse) = src_info(&st.b, &planned)?;
+            let (a_dims, a_form) = src_info(&st.a, &planned)?;
+            let (b_dims, b_form) = src_info(&st.b, &planned)?;
             for j in [st.a.prev(), st.b.prev()].into_iter().flatten() {
                 planned[j].dies_after = Some(i);
             }
-            let kind = match (a_sparse, b_sparse) {
-                (false, false) => StepKind::Dense,
-                (true, false) => StepKind::Sd,
+            let kind = match (a_form, b_form, st.mask.is_some()) {
+                (Form::Dense, Form::Dense, false) => StepKind::Dense,
+                (Form::Sparse, Form::Dense, false) => StepKind::Sd,
+                (Form::Sparse, Form::Sparse | Form::Slots, true) => StepKind::Ss,
                 _ => {
-                    return Err(Error::Runtime(
-                        "only sparse × dense chain steps are supported (sparse operand first)"
-                            .into(),
-                    ))
+                    return Err(Error::Runtime(format!(
+                        "step {i}: no kernel for its operands"
+                    )))
                 }
             };
             let plan = match specs.iter().find(|(spec, _)| *spec == st.spec) {
@@ -316,10 +377,15 @@ impl Executor {
                 _ => None,
             };
             let flops = match (kind, &st.a) {
+                (StepKind::Ss, _) => 0,
                 (StepKind::Sd, ChainSrc::Sparse(op)) => 2 * op.tensor()?.nnz() as u64 * n as u64,
                 _ => plan.flop_count(&a_dims, &b_dims),
             };
             let words_c = out_dims.iter().product();
+            let b_weights = match kind {
+                StepKind::Ss => ss_plan(st, &plan, (m, n), &planned)?,
+                _ => None,
+            };
             let (base, key) = match st.acc {
                 None => (i, self.fresh_result_key()),
                 Some(t) => {
@@ -361,6 +427,7 @@ impl Executor {
                 n,
                 flops,
                 words_c,
+                b_weights,
                 base,
                 key,
                 dies_after: None,
@@ -381,6 +448,7 @@ impl Executor {
         cl: &mut Cluster,
         steps: &[ChainStep],
         planned: &[PlannedStep],
+        measured: &mut Vec<(usize, (u64, usize))>,
     ) -> Result<Vec<usize>> {
         let p = cl.ranks();
         let mut placement = Placement::new(p);
@@ -393,51 +461,72 @@ impl Executor {
         let mut homes: Vec<usize> = vec![0; steps.len()];
         let mut pending = Superstep::default();
         for (i, (st, pl)) in steps.iter().zip(planned).enumerate() {
-            let rank = if pl.base != i {
-                homes[pl.base]
-            } else {
-                let mut weighted: Vec<(usize, u64)> = Vec::new();
-                {
+            let rank = match (pl.kind, &st.b) {
+                _ if pl.base != i => homes[pl.base],
+                // a step's slots do not move: their reader runs where they lie
+                (StepKind::Ss, ChainSrc::Prev(j)) => homes[*j],
+                _ => {
+                    let mut weighted: Vec<(usize, u64)> = Vec::new();
                     let res = self.residency.lock();
                     for src in [&st.a, &st.b] {
                         collect_weights(src, pl, &res, &homes, planned, &mut weighted);
                     }
+                    placement.place_weighted(weighted, Some(anchor))
                 }
-                placement.place_weighted(weighted, Some(anchor))
             };
             homes[i] = rank;
-            let a_field =
-                self.wire_input(cl, rank, &st.a, pl, &mut homes, planned, &mut pending)?;
-            let b_field =
-                self.wire_input(cl, rank, &st.b, pl, &mut homes, planned, &mut pending)?;
-            let req = match pl.kind {
-                StepKind::Dense => Request::Contract {
+            let out = Out::Store {
+                key: pl.key,
+                acc: pl.base != i,
+            };
+            let mut wire = |src, pending: &mut Superstep| {
+                self.wire_input(cl, rank, src, &mut homes, planned, pending)
+            };
+            // plan_chain gave a sparse step a sparse `a`, and no `acc`
+            let req = match (pl.kind, &st.a) {
+                (StepKind::Dense, a) => Request::Contract {
                     spec: st.spec.to_string(),
                     a_dims: pl.a_dims.clone(),
-                    a: a_field.dense()?,
+                    a: wire(a, &mut pending)?,
                     b_dims: pl.b_dims.clone(),
-                    b: b_field.dense()?,
-                    out: Out::Store {
-                        key: pl.key,
-                        acc: pl.base != i,
-                    },
+                    b: wire(&st.b, &mut pending)?,
+                    out,
                 },
-                // plan_chain refused `acc` on sd steps: a fresh whole result
-                StepKind::Sd => sd_request(
-                    &pl.plan,
-                    (&pl.a_dims, &pl.b_dims),
-                    a_field.coords()?,
-                    (0, pl.m),
-                    b_field.dense()?,
-                    Out::Store {
-                        key: pl.key,
-                        acc: false,
-                    },
-                ),
+                (StepKind::Sd, ChainSrc::Sparse(a)) => {
+                    let a = self.wire_coords(rank, a, pl, &mut pending)?;
+                    let (dims, b) = ((&pl.a_dims[..], &pl.b_dims[..]), wire(&st.b, &mut pending)?);
+                    sd_request(&pl.plan, dims, a, (0, pl.m), b, out)
+                }
+                (StepKind::Ss, ChainSrc::Sparse(a)) => {
+                    // an earlier step's slots lie on this rank; a value ships
+                    let b = match (&st.b, pl.b_weights.as_deref()) {
+                        (ChainSrc::Prev(j), Some((key_w, col_w))) => OpSs::Key {
+                            key: planned[*j].key,
+                            key_w: key_w.clone(),
+                            col_w: col_w.clone(),
+                        },
+                        (ChainSrc::Sparse(x), _) => inline_table(&pl.b_table(x.tensor()?)),
+                        _ => unreachable!("planned with the form of its `B`"),
+                    };
+                    let mask = st.mask.map(|map| kernels::wire_classes(map));
+                    let axes = kernels::ss_axes(&pl.plan, &pl.a_dims, &pl.b_dims)?;
+                    let a = self.wire_coords(rank, a, pl, &mut pending)?;
+                    ss_request(a, b, (0, pl.m), pl.n, &axes, mask, out)
+                }
+                _ => unreachable!("plan_chain gave a sparse step a sparse `a`"),
             };
             pending.task(rank, req);
         }
-        pending.run(cl)?;
+        // one task per step, in step order
+        for (i, (pl, reply)) in planned.iter().zip(pending.run(cl)?).enumerate() {
+            match (pl.kind, reply) {
+                (StepKind::Ss, Reply::Merged { touched, flops }) => {
+                    measured.push((i, (flops, 2 * touched as usize)))
+                }
+                (StepKind::Ss, other) => return Err(Error::transport(format!("got {other:?}"))),
+                _ => {}
+            }
+        }
         // every consumer has run: the internal outputs go, each where it
         // ended up
         let frees: Vec<(usize, Request)> = planned
@@ -452,61 +541,60 @@ impl Executor {
         Ok(homes)
     }
 
-    /// Resolve one chain-step operand to its wire form on `rank`,
+    /// Resolve one dense chain-step operand to its wire form on `rank`,
     /// uploading missing resident operands and moving misplaced resident
     /// results (the explicit redistribute superstep).
-    #[allow(clippy::too_many_arguments)]
     fn wire_input(
         &self,
         cl: &mut Cluster,
         rank: usize,
         src: &ChainSrc,
-        pl: &PlannedStep,
         homes: &mut [usize],
         planned: &[PlannedStep],
         pending: &mut Superstep,
-    ) -> Result<WireIn> {
+    ) -> Result<Op> {
         Ok(match src {
-            ChainSrc::Dense(op) => {
-                WireIn::Dense(pending.whole(&mut self.residency.lock(), *op, rank)?)
-            }
-            ChainSrc::Sparse(op) => {
-                let at = op.tensor()?;
-                let (rows, cols) = (pl.plan.free_a_positions(), pl.plan.ctr_a_positions());
-                let coords = || kernels::sparse_coords(at, rows, cols);
-                WireIn::Coords(match op.handle() {
-                    None => inline_coords(coords()),
-                    Some(h) => {
-                        let key = keys::sd_a(h, &pl.plan, pl.n).whole();
-                        let res = &mut self.residency.lock();
-                        pending
-                            .ensure(res, h.key(), key, rank, || Ok(upload_coords(key, coords())))?;
-                        OpCoords::Key(key)
-                    }
-                })
-            }
+            ChainSrc::Dense(op) => pending.whole(&mut self.residency.lock(), *op, rank)?,
+            ChainSrc::Sparse(_) => unreachable!("plan_chain gave a sparse operand a sparse step"),
             ChainSrc::Prev(j) => {
                 let key = planned[*j].key;
                 if homes[*j] != rank {
                     self.chain_move(cl, key, homes[*j], rank, pending)?;
                     homes[*j] = rank;
                 }
-                WireIn::Dense(Op::Key(key))
+                Op::Key(key)
             }
             ChainSrc::Res(h) => {
-                let info = self.residency.lock().result(h.key).ok_or_else(|| {
-                    Error::Runtime(format!("unknown or already-consumed result {h:?}"))
-                })?;
-                if info.home != rank {
-                    self.chain_move(cl, h.key, info.home, rank, pending)?;
+                let home = result_home(&self.residency.lock(), h)?;
+                if home != rank {
+                    self.chain_move(cl, h.key, home, rank, pending)?;
                     self.residency.lock().move_result(h.key, rank);
                 }
-                WireIn::Dense(Op::Key(h.key))
+                Op::Key(h.key)
             }
         })
     }
 
-    /// Move a resident result from `from` to `to`: flush any pending
+    /// A sparse `a` of step `pl` on `rank`: inline, or uploaded once.
+    fn wire_coords(
+        &self,
+        rank: usize,
+        op: &SparseOp,
+        pl: &PlannedStep,
+        pending: &mut Superstep,
+    ) -> Result<OpCoords> {
+        let at = op.tensor()?;
+        let Some(h) = op.handle() else {
+            return Ok(inline_coords(pl.a_coords(at)));
+        };
+        let key = pl.a_key(h).whole();
+        let upload = || Ok(upload_coords(key, pl.a_coords(at)));
+        let res = &mut self.residency.lock();
+        pending.ensure(res, h.key(), key, rank, upload)?;
+        Ok(OpCoords::Key(key))
+    }
+
+    /// Move a resident dense result from `from` to `to`: run the pending
     /// superstep (whose tasks could produce or reference the buffer —
     /// conservative, but moves are rare on anchored chains), download the
     /// buffer off its old home, and re-upload on the new one.
@@ -520,7 +608,7 @@ impl Executor {
         to: usize,
         pending: &mut Superstep,
     ) -> Result<()> {
-        std::mem::take(pending).run(cl)?;
+        pending.flush(cl)?;
         let data = expect_buf(cl.call(from, &Request::Download { key })?)?;
         pending.upload(to, Request::Upload { key, data });
         Ok(())
@@ -537,45 +625,58 @@ impl Executor {
         &self,
         steps: &[ChainStep],
         planned: &[PlannedStep],
-        outs: &mut [Option<Arc<DenseTensor<f64>>>],
+        outs: &mut [Option<Local>],
+        measured: &mut Vec<(usize, (u64, usize))>,
     ) -> Result<()> {
         for (i, (st, pl)) in steps.iter().zip(planned).enumerate() {
-            // plan_chain made a sparse `a` an sd step, and refused `acc` on
-            // one; it gave every dense step its view
-            let dense = |outs: &[Option<Arc<DenseTensor<f64>>>], out: &mut [f64], how| {
+            // plan_chain made a sparse `a` a sparse step, and refused `acc`
+            // on one; it gave every dense step its view
+            let dense = |outs: &[Option<Local>], out: &mut [f64], how| {
                 let view = pl.view.as_deref().expect("a planned in-process view");
                 let (a, b) = (resolve_local(&st.a, outs)?, resolve_local(&st.b, outs)?);
                 kernels::dense_into(&pl.plan, view, a, b, self.pool(), out, how)
             };
             if pl.base == i {
-                let c = match &st.a {
-                    ChainSrc::Sparse(op) => {
-                        self.sd_local(&pl.plan, op, resolve_local(&st.b, outs)?)?.0
+                outs[i] = Some(match (pl.kind, &st.a) {
+                    (StepKind::Sd, ChainSrc::Sparse(op)) => {
+                        let b = resolve_local(&st.b, outs)?;
+                        Local::Dense(Arc::new(self.sd_local(&pl.plan, op, b)?.0))
+                    }
+                    (StepKind::Ss, ChainSrc::Sparse(op)) => {
+                        // an earlier step's slots go once their last reader
+                        // has its table
+                        let prev = st.b.prev().and_then(|j| match planned[j].dies_after {
+                            Some(last) if last == i => outs[j].take(),
+                            _ => outs[j].clone(),
+                        });
+                        let result = self.ss_local(st, pl, op, prev)?;
+                        measured.push((i, (result.slots.flops, 2 * result.touched())));
+                        Local::Slots(Arc::new(result))
                     }
                     _ => {
                         let mut c = vec![0.0; pl.words_c];
                         dense(outs, &mut c, Epilogue::Store)?;
-                        DenseTensor::from_vec(pl.out_dims.clone(), c)?
+                        Local::Dense(Arc::new(DenseTensor::from_vec(pl.out_dims.clone(), c)?))
                     }
-                };
-                outs[i] = Some(Arc::new(c));
+                });
             } else {
                 // the target leaves `outs` while the kernel adds into it; an
                 // operand that reads it keeps the value it had
-                let mut target = outs[pl.base]
-                    .take()
-                    .ok_or_else(|| Error::Runtime("accumulate target missing".into()))?;
+                let Some(Local::Dense(mut target)) = outs[pl.base].take() else {
+                    return Err(Error::Runtime("accumulate target missing".into()));
+                };
                 if [st.a.prev(), st.b.prev()].contains(&Some(pl.base)) {
-                    outs[pl.base] = Some(Arc::clone(&target));
+                    outs[pl.base] = Some(Local::Dense(Arc::clone(&target)));
                 }
                 dense(outs, Arc::make_mut(&mut target).data_mut(), Epilogue::Add)?;
-                outs[pl.base] = Some(target);
+                outs[pl.base] = Some(Local::Dense(target));
             }
             for j in [st.a.prev(), st.b.prev(), st.acc].into_iter().flatten() {
                 if planned[j].dies_after != Some(i) {
                     continue;
                 }
-                if let (StepKind::Sd, Some(dead)) = (planned[j].kind, outs[j].take()) {
+                if let (StepKind::Sd, Some(Local::Dense(dead))) = (planned[j].kind, outs[j].take())
+                {
                     if let Ok(dead) = Arc::try_unwrap(dead) {
                         self.workspace.give(dead.into_data());
                     }
@@ -583,6 +684,34 @@ impl Executor {
             }
         }
         Ok(())
+    }
+
+    /// The in-process leg of one sparse-sparse step: `a`'s sorted
+    /// coordinates ([`Executor::kept_coords`]) merged against `B`.
+    fn ss_local(
+        &self,
+        st: &ChainStep,
+        pl: &PlannedStep,
+        a: &SparseOp,
+        prev: Option<Local>,
+    ) -> Result<SsSlots> {
+        let at = a.tensor()?;
+        let fuse = || pl.a_coords(at);
+        let kept = self.kept_coords(a, |h| pl.a_key(h).logical(), &fuse);
+        let coords = kept
+            .as_deref()
+            .map_or_else(|| Cow::Owned(fuse()), Cow::Borrowed);
+        let btab = match (&st.b, pl.b_weights.as_deref(), prev) {
+            (ChainSrc::Sparse(b), ..) => pl.b_table(b.tensor()?),
+            (_, Some((key_w, col_w)), Some(Local::Slots(prev))) => {
+                prev.table(key_w, col_w, pl.n as u64)?
+            }
+            _ => return Err(no_local_payload()),
+        };
+        let map = Arc::clone(st.mask.expect("a sparse-sparse step has a mask"));
+        let axes = kernels::ss_axes(&pl.plan, &pl.a_dims, &pl.b_dims)?;
+        let slots = kernels::ss_slots(&coords, &btab, &map, self.pool());
+        Ok(SsSlots { map, slots, axes })
     }
 
     /// For every step, the content-keyed stand-ins of its `a` and `b`: a
@@ -611,8 +740,9 @@ impl Executor {
 
     /// Download a resident result — with [`Executor::download_many`], of
     /// which it is the one-handle case, the only value-returning exit of a
-    /// chain. Consumes the handle: the buffer leaves its home rank's store
-    /// and the driver forgets it.
+    /// chain ([`Executor::download_sparse`] for a sparse-sparse step's).
+    /// Consumes the handle: the buffer leaves its home rank's store and
+    /// the driver forgets it.
     pub fn download(&self, h: ResultHandle) -> Result<DenseTensor<f64>> {
         Ok(self
             .download_many(vec![h])?
@@ -627,12 +757,7 @@ impl Executor {
             let reqs = {
                 let res = self.residency.lock();
                 hs.iter()
-                    .map(|h| {
-                        let info = res.result(h.key).ok_or_else(|| {
-                            Error::Runtime(format!("unknown or already-consumed result {h:?}"))
-                        })?;
-                        Ok((info.home, Request::Download { key: h.key }))
-                    })
+                    .map(|h| Ok((result_home(&res, h)?, Request::Download { key: h.key })))
                     .collect::<Result<Vec<_>>>()?
             };
             let replies = cl.lock().call_all(reqs)?;
@@ -648,14 +773,32 @@ impl Executor {
             hs.into_iter()
                 .map(|mut h| {
                     res.forget_result(h.key);
-                    let t = h.local.take().ok_or_else(|| {
-                        Error::Runtime("result handle has no in-process payload".into())
-                    })?;
+                    let Some(Local::Dense(t)) = h.local.take() else {
+                        return Err(no_local_payload());
+                    };
                     // a result nobody else holds moves out without a copy
                     Ok(Arc::try_unwrap(t).unwrap_or_else(|a| (*a).clone()))
                 })
                 .collect()
         }
+    }
+
+    /// Download a resident sparse-sparse result as its stored entries,
+    /// cancelled zeros dropped (consuming the handle).
+    pub fn download_sparse(&self, mut h: ResultHandle) -> Result<SparseTensor<f64>> {
+        let (offs, vals) = match (&self.cluster, h.local.take()) {
+            (Some(cl), _) => {
+                let home = result_home(&self.residency.lock(), &h)?;
+                match cl.lock().call(home, &Request::Download { key: h.key })? {
+                    Reply::Entries { offs, vals, .. } => (offs, vals),
+                    other => return Err(Error::transport(format!("expected entries: {other:?}"))),
+                }
+            }
+            (None, Some(Local::Slots(result))) => result.entries(),
+            _ => return Err(no_local_payload()),
+        };
+        self.residency.lock().forget_result(h.key);
+        Ok(SparseTensor::from_sorted(h.dims, offs, vals)?)
     }
 
     /// Discard resident results without downloading them, in one
@@ -708,8 +851,9 @@ impl ChainSrc<'_> {
 /// The α–β charge state of one chain-step operand against the registry
 /// `res`: value operands charge in full, resident operands follow the
 /// one-time-upload / cache-hit discipline (whole-tensor buffers — chains
-/// run whole contractions), and resident results are always hits (they
-/// were produced in place and never move on the charged path).
+/// run whole contractions), and resident results of either format are
+/// always hits (they were produced in place and never move on the charged
+/// path).
 fn chain_charge(
     res: &mut Residency,
     src: &ChainSrc,
@@ -719,12 +863,14 @@ fn chain_charge(
     let elems = if is_a { pl.m * pl.k } else { pl.k * pl.n };
     Ok(match src {
         ChainSrc::Dense(_) => op_state(res, src.handle(), keys::whole, elems),
-        ChainSrc::Sparse(op) => op_state(
+        // a sparse operand moves its stored entries (offset + value)
+        ChainSrc::Sparse(op) if is_a => op_state(
             res,
             src.handle(),
-            |h| keys::sd_a(h, &pl.plan, pl.n).logical(),
+            |h| pl.a_key(h).logical(),
             2 * op.tensor()?.nnz(),
         ),
+        ChainSrc::Sparse(op) => OpCharge::Value(2 * op.tensor()?.nnz()),
         ChainSrc::Prev(_) | ChainSrc::Res(_) => OpCharge::Hit,
     })
 }
@@ -734,12 +880,11 @@ fn keyed<'a>(auto: &'a Option<OpHandle>, src: ChainSrc<'a>) -> ChainSrc<'a> {
     auto.as_ref().map_or(src, |h| ChainSrc::Dense(h.into()))
 }
 
-/// Dims of a chain-step operand at planning time, and whether it is
-/// sparse.
-fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, bool)> {
+/// Dims of a chain-step operand at planning time, and its form.
+fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, Form)> {
     Ok(match src {
-        ChainSrc::Dense(op) => (op.tensor()?.dims().to_vec(), false),
-        ChainSrc::Sparse(op) => (op.tensor()?.dims().to_vec(), true),
+        ChainSrc::Dense(op) => (op.tensor()?.dims().to_vec(), Form::Dense),
+        ChainSrc::Sparse(op) => (op.tensor()?.dims().to_vec(), Form::Sparse),
         ChainSrc::Prev(j) => {
             let pl = planned
                 .get(*j)
@@ -749,9 +894,13 @@ fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, bool
                     "chain step references accumulate step {j}; reference its base instead"
                 )));
             }
-            (pl.out_dims.clone(), false)
+            let form = match pl.kind {
+                StepKind::Ss => Form::Slots,
+                _ => Form::Dense,
+            };
+            (pl.out_dims.clone(), form)
         }
-        ChainSrc::Res(h) => (h.dims.clone(), false),
+        ChainSrc::Res(h) => (h.dims.clone(), Form::Dense),
     })
 }
 
@@ -775,7 +924,7 @@ fn collect_weights(
         _ => {
             let Some(h) = src.handle() else { return };
             let wkey = match src {
-                ChainSrc::Sparse(_) => keys::sd_a(h, &pl.plan, pl.n).whole(),
+                ChainSrc::Sparse(_) => pl.a_key(h).whole(),
                 _ => keys::whole(h),
             };
             if let Some(ranks) = res.homes(wkey) {
@@ -789,14 +938,29 @@ fn collect_weights(
 /// execution).
 fn resolve_local<'x>(
     src: &'x ChainSrc<'x>,
-    outs: &'x [Option<Arc<DenseTensor<f64>>>],
+    outs: &'x [Option<Local>],
 ) -> Result<&'x DenseTensor<f64>> {
     let resident = match src {
         ChainSrc::Dense(op) => return op.tensor(),
         ChainSrc::Sparse(_) => None,
-        ChainSrc::Prev(j) => outs[*j].as_deref(),
-        ChainSrc::Res(h) => h.local.as_deref(),
+        ChainSrc::Prev(j) => outs[*j].as_ref(),
+        ChainSrc::Res(h) => h.local.as_ref(),
     };
-    resident
-        .ok_or_else(|| Error::Runtime("chain step operand has no in-process dense payload".into()))
+    match resident {
+        Some(Local::Dense(t)) => Ok(t),
+        _ => Err(no_local_payload()),
+    }
+}
+
+/// The home rank of a live result handle.
+fn result_home(res: &Residency, h: &ResultHandle) -> Result<usize> {
+    let info = res
+        .result(h.key)
+        .ok_or_else(|| Error::Runtime(format!("unknown or already-consumed result {h:?}")))?;
+    Ok(info.home)
+}
+
+/// An in-process result without the payload its use needs.
+fn no_local_payload() -> Error {
+    Error::Runtime("chain result has no in-process payload of that kind".into())
 }

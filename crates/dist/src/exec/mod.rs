@@ -51,10 +51,9 @@
 //! `residency` the upload/free lifecycle, the retention cache, the α–β
 //! charges and the `Superstep` builder; `dense`, `sparse` and `factorize`
 //! the value-returning entry points; `chain` the planner of worker-side
-//! chains and the result handles' exits; `ss_chain` the planned
-//! sparse-sparse chain, whose intermediates stay in the merge kernel's
-//! format; `workspace` the recycled buffers of the sparse-dense
-//! temporaries.
+//! chains — dense, sparse-dense and sparse-sparse steps alike — and the
+//! result handles' exits; `workspace` the recycled buffers of the
+//! sparse-dense temporaries.
 
 mod chain;
 mod dense;
@@ -62,14 +61,12 @@ mod factorize;
 mod keys;
 mod residency;
 mod sparse;
-mod ss_chain;
 #[cfg(test)]
 mod tests;
 mod workspace;
 
 pub use chain::{ChainSrc, ChainStep};
 pub use residency::RankCacheStats;
-pub use ss_chain::{SsChainPlan, SsChainStep};
 pub(crate) use workspace::Workspace;
 pub use workspace::WorkspaceStats;
 

@@ -472,6 +472,8 @@ pub(super) fn whole_home(res: &Residency, op: &DenseOp) -> Option<usize> {
 pub(crate) struct Superstep {
     reqs: Vec<(usize, Request)>,
     is_task: Vec<bool>,
+    /// The task replies of what [`Superstep::flush`] has already run.
+    replies: Vec<Reply>,
 }
 
 impl Superstep {
@@ -520,12 +522,19 @@ impl Superstep {
         Ok(Op::Key(key))
     }
 
-    /// Ship every request — all before any reply is awaited — and return
-    /// the task replies in submission order.
-    pub(crate) fn run(self, cl: &mut Cluster) -> Result<Vec<Reply>> {
-        let mut replies = cl.call_all(self.reqs)?;
-        let mut is_task = self.is_task.into_iter();
+    /// Ship every request queued so far — all before any reply is
+    /// awaited — and keep the task replies.
+    pub(crate) fn flush(&mut self, cl: &mut Cluster) -> Result<()> {
+        let mut replies = cl.call_all(std::mem::take(&mut self.reqs))?;
+        let mut is_task = std::mem::take(&mut self.is_task).into_iter();
         replies.retain(|_| is_task.next().unwrap_or(false));
-        Ok(replies)
+        self.replies.extend(replies);
+        Ok(())
+    }
+
+    /// [`Superstep::flush`], and every task reply in submission order.
+    pub(crate) fn run(mut self, cl: &mut Cluster) -> Result<Vec<Reply>> {
+        self.flush(cl)?;
+        Ok(self.replies)
     }
 }

@@ -7,11 +7,12 @@ use super::{expect_buf, DenseOp, Executor, SparseOp};
 use crate::cluster::Cluster;
 use crate::handle::{OpHandle, Residency};
 use crate::kernels;
-use crate::transport::worker::{Op, OpCoords, OpSs, Out, Reply, Request};
+use crate::transport::worker::{Op, OpCoords, OpSs, Out, Reply, Request, SsTable};
 use crate::{Error, Result};
 use std::borrow::Cow;
 use std::sync::Arc;
 use tt_tensor::einsum::ContractPlan;
+use tt_tensor::ssmerge::{SlotMap, SsBTable};
 use tt_tensor::{DenseTensor, SparseTensor};
 
 impl Executor {
@@ -57,11 +58,9 @@ impl Executor {
 
     /// The in-process leg of one sparse-dense contraction, for
     /// [`Executor::contract_sd`] and sd chain steps alike. A resident `a`
-    /// keeps its fused coordinates with the handle (under the logical key
-    /// its upload is charged by) until its last [`Executor::free`] — what a
-    /// worker keeps after `UploadCoords`; a value's are computed per call.
-    /// The result's buffer comes from the workspace, inside the caller's
-    /// [`Workspace::call`](super::Workspace::call).
+    /// keeps its fused coordinates ([`Executor::kept_coords`]); a value's
+    /// are computed per call. The result's buffer comes from the workspace,
+    /// inside the caller's [`Workspace::call`](super::Workspace::call).
     pub(super) fn sd_local(
         &self,
         plan: &ContractPlan,
@@ -70,22 +69,32 @@ impl Executor {
     ) -> Result<(DenseTensor<f64>, u64)> {
         let at = a.tensor()?;
         plan.output_dims(at.dims(), b.dims())?;
+        let n = kernels::fused_dims(plan, at.dims(), b.dims()).2;
         let fuse = || kernels::sparse_coords(at, plan.free_a_positions(), plan.ctr_a_positions());
-        let kept: Option<Arc<[kernels::Coord]>> = a.handle().map(|h| {
-            let n = kernels::fused_dims(plan, at.dims(), b.dims()).2;
-            let lkey = keys::sd_a(h, plan, n).logical();
-            if let Some(coords) = self.residency.lock().coords(lkey) {
-                return coords;
-            }
-            let coords = fuse().into();
-            self.residency.lock().keep_coords(h.key(), lkey, &coords);
-            coords
-        });
+        let kept = self.kept_coords(a, |h| keys::sd_a(h, plan, n).logical(), &fuse);
         let coords = match &kept {
             Some(coords) => Cow::Borrowed(&coords[..]),
             None => Cow::Owned(fuse()),
         };
         kernels::sd_contract(plan, at.dims(), coords, b, self.pool(), &self.workspace)
+    }
+
+    /// `fuse`'s coordinates of a resident `a`, kept under its charge key
+    /// until its last [`Executor::free`]; `None` for a value.
+    pub(super) fn kept_coords(
+        &self,
+        a: &SparseOp,
+        lkey: impl FnOnce(&OpHandle) -> u64,
+        fuse: &dyn Fn() -> Vec<kernels::Coord>,
+    ) -> Option<Arc<[kernels::Coord]>> {
+        let h = a.handle()?;
+        let lkey = lkey(h);
+        if let Some(coords) = self.residency.lock().coords(lkey) {
+            return Some(coords);
+        }
+        let coords: Arc<[kernels::Coord]> = fuse().into();
+        self.residency.lock().keep_coords(h.key(), lkey, &coords);
+        Some(coords)
     }
 
     /// Sparse-dense contraction over the worker processes: the driver
@@ -136,19 +145,18 @@ impl Executor {
         Ok((c, flops))
     }
 
-    /// Distributed sparse × sparse contraction with optional pre-computed
-    /// output sparsity `mask` (output linear offsets that may be nonzero).
-    /// `a` is taken by value or by handle; a handle keeps its row buckets
-    /// resident (bucketed by stored entries only, so the boundaries don't
-    /// depend on `b`). `b` — in a sweep, the moving ψ or an intermediate —
-    /// is taken by value. A run of these whose results feed each other is
-    /// a planned chain: [`Executor::apply_ss_chain`].
+    /// Distributed sparse × sparse contraction with an optional output
+    /// `mask` (row and column classes: for a symmetric contraction those of
+    /// `flux − q(row)` and `q(col)`). `a` is taken by value or by handle; a
+    /// handle keeps its row buckets resident (bucketed by stored entries
+    /// only, so the boundaries don't depend on `b`). `b`, the moving
+    /// operand, is taken by value; a run of these is a [`Executor::chain`].
     pub fn contract_ss<'a>(
         &self,
         spec: &str,
         a: impl Into<SparseOp<'a>>,
         b: &SparseTensor<f64>,
-        mask: Option<&[u64]>,
+        mask: Option<&SlotMap>,
     ) -> Result<SparseTensor<f64>> {
         let a = a.into();
         let plan = ContractPlan::parse(spec)?;
@@ -162,47 +170,33 @@ impl Executor {
             kernels::ss_contract(&plan, at, b, mask, self.pool())?
         };
         let (m, _k, n) = kernels::fused_dims(&plan, at.dims(), b.dims());
-        let sizes = (at.nnz(), b.nnz(), c.nnz());
-        self.charge_ss(&plan, a.handle(), sizes, m, n, flops);
-        Ok(c)
-    }
-
-    /// The α–β charge of one sparse-sparse contraction of `a_nnz × b_nnz →
-    /// c_nnz` stored entries (`c_nnz` counts every touched allowed element,
-    /// cancelled zeros included) over an `m × n` fused grid. All three
-    /// tensors move only their stored entries (offset + value).
-    pub(super) fn charge_ss(
-        &self,
-        plan: &ContractPlan,
-        a: Option<&OpHandle>,
-        (a_nnz, b_nnz, c_nnz): (usize, usize, usize),
-        m: usize,
-        n: usize,
-        flops: u64,
-    ) {
-        let lkey = |h: &OpHandle| keys::ss_a(h, plan).logical();
-        let sa = op_state(&mut self.residency.lock(), a, lkey, 2 * a_nnz);
+        // all three tensors move only their stored entries (offset +
+        // value); the result's count every touched allowed element,
+        // cancelled zeros included
+        let lkey = |h: &OpHandle| keys::ss_a(h, &plan).logical();
+        let sa = op_state(&mut self.residency.lock(), a.handle(), lkey, 2 * at.nnz());
         self.charge_contractions(std::iter::once(Charge {
             a: sa,
-            b: OpCharge::Value(2 * b_nnz),
-            words_c: 2 * c_nnz,
+            b: OpCharge::Value(2 * b.nnz()),
+            words_c: 2 * c.nnz(),
             m,
             n,
             flops,
             sparse: true,
         }));
+        Ok(c)
     }
 
     /// Sparse-sparse contraction over the worker processes, from its
     /// prepared state: the grouped `B` operand, output-axis map and mask
-    /// ship once per rank alongside that rank's volume-balanced `A`
+    /// classes ship once per rank alongside that rank's volume-balanced `A`
     /// bucket. A handle `a` resolves to resident buckets; because every
     /// bucketing is row-contiguous and scan-order-preserving, the result is
     /// bitwise identical no matter which boundaries are used. Returns the
     /// replies' `(output offset, value)` entries concatenated in
     /// submission order — row-disjoint chunks in row order, each in fused
     /// `(row, col)` order — and the flops.
-    pub(super) fn ss_over_cluster(
+    fn ss_over_cluster(
         &self,
         cl: &mut Cluster,
         plan: &ContractPlan,
@@ -213,16 +207,7 @@ impl Executor {
         let chunks = kernels::sparse_chunks(prep.flops(), p);
         // resident A buckets must not depend on B's pattern
         let (ranges, buckets) = prep.take_buckets(chunks, a.is_some());
-
-        // flatten the grouped B operand once
-        let b_field = OpSs {
-            keys: prep.btab.keys().to_vec(),
-            lens: prep.btab.run_lens().collect(),
-            cols: prep.btab.cols().to_vec(),
-            vals: prep.btab.vals().to_vec(),
-        };
-        let (ax_dims, ax_strides): (Vec<u64>, Vec<u64>) = prep.row_axes.iter().copied().unzip();
-        let (cx_dims, cx_strides): (Vec<u64>, Vec<u64>) = prep.col_axes.iter().copied().unzip();
+        let b_field = inline_table(&prep.btab);
 
         let mut step = Superstep::default();
         let a_fields = bucket_fields(
@@ -233,21 +218,15 @@ impl Executor {
             p,
             |h, i| keys::ss_a(h, plan).chunk(chunks, i),
         )?;
-        for (i, (a, (r0, r1))) in a_fields.into_iter().zip(ranges).enumerate() {
+        for (i, (a, rows)) in a_fields.into_iter().zip(ranges).enumerate() {
+            let (b, mask) = (
+                b_field.clone(),
+                prep.mask.as_ref().map(kernels::wire_classes),
+            );
+            let n = prep.n as usize;
             step.task(
                 i % p,
-                Request::SsChunk {
-                    a,
-                    b: b_field.clone(),
-                    r0: r0 as u64,
-                    r1: r1 as u64,
-                    n: prep.n,
-                    ax_dims: ax_dims.clone(),
-                    ax_strides: ax_strides.clone(),
-                    cx_dims: cx_dims.clone(),
-                    cx_strides: cx_strides.clone(),
-                    mask: prep.mask_sorted.as_ref().map(|ms| ms.to_vec()),
-                },
+                ss_request(a, b, rows, n, &prep.axes, mask, Out::Reply),
             );
         }
         let mut entries = Vec::new();
@@ -271,6 +250,44 @@ impl Executor {
         }
         Ok((entries, flops))
     }
+}
+
+/// The sparse-sparse request for rows `[r0, r1)`: a bucket of
+/// [`Executor::contract_ss`] or, over all rows, a chain step.
+pub(super) fn ss_request(
+    a: OpCoords,
+    b: OpSs,
+    (r0, r1): (usize, usize),
+    n: usize,
+    (row_axes, col_axes): &kernels::AxesPair,
+    mask: Option<(Vec<u64>, Vec<u64>)>,
+    out: Out,
+) -> Request {
+    let (ax_dims, ax_strides) = row_axes.iter().copied().unzip();
+    let (cx_dims, cx_strides) = col_axes.iter().copied().unzip();
+    Request::SsChunk {
+        a,
+        b,
+        r0: r0 as u64,
+        r1: r1 as u64,
+        n: n as u64,
+        ax_dims,
+        ax_strides,
+        cx_dims,
+        cx_strides,
+        mask,
+        out,
+    }
+}
+
+/// A grouped sparse-sparse `B` operand shipped with its task.
+pub(super) fn inline_table(btab: &SsBTable<f64>) -> OpSs {
+    OpSs::Inline(SsTable {
+        keys: btab.keys().to_vec(),
+        lens: btab.run_lens().collect(),
+        cols: btab.cols().to_vec(),
+        vals: btab.vals().to_vec(),
+    })
 }
 
 /// The sparse-dense request computing rows `[r0, r1)` of `a_dims ·plan·

@@ -4,6 +4,7 @@ use crate::kernels::tests::heff_steps;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tt_linalg::{TruncSpec, TruncatedSvd};
+use tt_tensor::ssmerge::SlotMap;
 
 /// One contraction whose result stays resident: a one-step chain.
 fn to_handle(exec: &Executor, spec: &str, a: ChainSrc, b: ChainSrc) -> ResultHandle {
@@ -12,6 +13,7 @@ fn to_handle(exec: &Executor, spec: &str, a: ChainSrc, b: ChainSrc) -> ResultHan
         a,
         b,
         acc: None,
+        mask: None,
     };
     let mut out = exec.chain(&[step]).unwrap();
     out.pop().flatten().expect("single non-accumulate step")
@@ -476,12 +478,14 @@ fn chains_compose_prev_acc_and_res_bitwise() {
                 a: ChainSrc::Dense((&a).into()),
                 b: ChainSrc::Dense((&b).into()),
                 acc: None,
+                mask: None,
             },
             ChainStep {
                 spec: "ik,kj->ij",
                 a: ChainSrc::Prev(0),
                 b: ChainSrc::Dense((&c).into()),
                 acc: None,
+                mask: None,
             },
         ])
         .unwrap();
@@ -497,12 +501,14 @@ fn chains_compose_prev_acc_and_res_bitwise() {
                 a: ChainSrc::Dense((&a).into()),
                 b: ChainSrc::Dense((&b).into()),
                 acc: None,
+                mask: None,
             },
             ChainStep {
                 spec: "ik,kj->ij",
                 a: ChainSrc::Dense((&a).into()),
                 b: ChainSrc::Dense((&b).into()),
                 acc: Some(0),
+                mask: None,
             },
         ])
         .unwrap();
@@ -525,6 +531,7 @@ fn chains_compose_prev_acc_and_res_bitwise() {
             a: ChainSrc::Res(&h1),
             b: ChainSrc::Dense((&c).into()),
             acc: None,
+            mask: None,
         }])
         .unwrap();
     let h_y = out.pop().unwrap().unwrap();
@@ -538,6 +545,7 @@ fn chains_compose_prev_acc_and_res_bitwise() {
             a: ChainSrc::Prev(3),
             b: ChainSrc::Dense((&c).into()),
             acc: None,
+            mask: None,
         }])
         .is_err(),
         "forward Prev reference"
@@ -549,18 +557,21 @@ fn chains_compose_prev_acc_and_res_bitwise() {
                 a: ChainSrc::Dense((&a).into()),
                 b: ChainSrc::Dense((&b).into()),
                 acc: None,
+                mask: None,
             },
             ChainStep {
                 spec: "ik,kj->ij",
                 a: ChainSrc::Dense((&a).into()),
                 b: ChainSrc::Dense((&b).into()),
                 acc: Some(0),
+                mask: None,
             },
             ChainStep {
                 spec: "ik,kj->ij",
                 a: ChainSrc::Dense((&a).into()),
                 b: ChainSrc::Dense((&b).into()),
                 acc: Some(1),
+                mask: None,
             },
         ])
         .is_err(),
@@ -627,6 +638,7 @@ fn accumulate_folds_the_output_permutation_bitwise() {
                 a: ChainSrc::Dense(a.into()),
                 b: ChainSrc::Dense(b.into()),
                 acc: (i > 0).then_some(0),
+                mask: None,
             })
             .collect();
         let bits = |t: &DenseTensor<f64>| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -664,12 +676,14 @@ fn multi_process_chains_bitwise_and_collapse_result_bytes() {
                 a: ChainSrc::Dense((&a).into()),
                 b: ChainSrc::Dense((&b).into()),
                 acc: None,
+                mask: None,
             },
             ChainStep {
                 spec: "ik,kj->ij",
                 a: ChainSrc::Prev(0),
                 b: ChainSrc::Dense((&c).into()),
                 acc: None,
+                mask: None,
             },
         ])
         .unwrap();
@@ -709,6 +723,7 @@ fn multi_process_chains_bitwise_and_collapse_result_bytes() {
             a: ChainSrc::Res(&h1),
             b: ChainSrc::Res(&h2),
             acc: None,
+            mask: None,
         }])
         .unwrap();
     let h = out.pop().unwrap().unwrap();
@@ -1067,6 +1082,7 @@ fn sd_matvec(exec: &Executor, handles: &[OpHandle], x: &DenseTensor<f64>) -> Vec
                 Some(prev) => ChainSrc::Prev(prev),
             },
             acc: None,
+            mask: None,
         })
         .collect();
     let mut out = exec.chain(&steps).unwrap();
@@ -1094,6 +1110,7 @@ fn list_chain(exec: &Executor, seed: u64) -> Vec<Vec<f64>> {
         a,
         b,
         acc,
+        mask: None,
     };
     let out = exec
         .chain(&[
@@ -1274,6 +1291,7 @@ fn chain_hands_out_terminal_results_only() {
         a,
         b: ChainSrc::Dense((&b).into()),
         acc,
+        mask: None,
     };
     let out = cluster
         .chain(&[
@@ -1356,6 +1374,7 @@ fn by_value_chain_operands_follow_their_value_entry_point() {
         a,
         b,
         acc: None,
+        mask: None,
     };
 
     let dense_chain = [
@@ -1388,15 +1407,8 @@ fn by_value_chain_operands_follow_their_value_entry_point() {
     assert_eq!(entries(&exec), kept);
 }
 
-/// Every frame a 2-worker cluster executor sends for a fixed script that
-/// walks each superstep builder — which rank, which request, which
-/// resident keys it reads and stores, how many operand bytes it carries —
-/// against the committed list. The `kill:R@N` fault plans count sends per
-/// rank, so "same frames, same order, same ranks" is a correctness
-/// property of any refactor of the cluster legs. On a mismatch the full
-/// trace is printed; after an *intended* protocol change, paste it over
-/// `trace_golden.txt`.
-/// A transport that keeps every frame it sends, byte for byte.
+/// A transport that keeps every frame it sends, byte for byte, and marks
+/// every reply the driver waits for with an empty frame.
 struct FrameLog {
     inner: crate::InProcTransport,
     sent: Sent,
@@ -1420,52 +1432,27 @@ impl crate::Transport for FrameLog {
     }
 
     fn recv(&mut self, from: usize, tag: u64) -> Result<Vec<u8>> {
+        self.sent
+            .lock()
+            .expect("frame log")
+            .push((from, Vec::new()));
         self.inner.recv(from, tag)
     }
 }
 
-/// Every output offset of `spec` on `a_dims · b_dims` whose fused row and
-/// column classes agree, ascending: the mask the classes stand for,
-/// found the slow way.
-fn class_mask(
-    spec: &str,
-    a_dims: &[usize],
-    b_dims: &[usize],
-    row_class: &[u32],
-    col_class: &[u32],
-) -> Vec<u64> {
-    let plan = tt_tensor::ContractPlan::parse(spec).unwrap();
-    let out = tt_tensor::Shape::from(plan.output_dims(a_dims, b_dims).unwrap());
-    let nat_dims = crate::kernels::natural_dims(&plan, a_dims, b_dims);
-    let ra = plan.free_a_positions().len();
-    let fuse =
-        |idx: &[usize], dims: &[usize]| idx.iter().zip(dims).fold(0, |f, (&i, &d)| f * d + i);
-    (0..out.len())
-        .filter(|&off| {
-            let idx = out.unoffset(off);
-            let mut nat = vec![0; idx.len()];
-            for (j, &q) in plan.output_permutation().iter().enumerate() {
-                nat[q] = idx[j];
-            }
-            let row = fuse(&nat[..ra], &nat_dims[..ra]);
-            let col = fuse(&nat[ra..], &nat_dims[ra..]);
-            row_class[row] == col_class[col]
-        })
-        .map(|off| off as u64)
-        .collect()
-}
-
-/// A planned sparse-sparse chain is the fold of masked `contract_ss`
+/// A chain of sparse-sparse steps is the fold of masked `contract_ss`
 /// calls, each result minus its stored zeros — with every `A` by handle,
-/// and with every `A` by value: the same result bits, flops and simulated
-/// seconds in-process — one chunk or, past the 16 MFlop gate, one per pool
-/// lane — and on the cluster the same frames, byte for byte, in the same
-/// order, a value `A` inline in its chunks. The first step is above the gate, so
-/// it runs as two chunks on two ranks. Its output is the next step's
-/// operand with the contracted mode last and the free modes `(j, p)` in
-/// the opposite order to the step's `(p | j, l)` slots: a table handed on
-/// in slot order would carry its runs in another order than the per-step
-/// path's.
+/// and with every `A` by value: the same result bits and flops in-process
+/// — one chunk or, past the 16 MFlop gate, one per pool lane — and on a
+/// 2-rank cluster, where both steps go out in one superstep as one
+/// `SsChunk` each, the second reading the first's stored slots, with no
+/// reply awaited between them. Its intermediate is charged as
+/// chain-resident rather than as a shipped value, so the chain's simulated
+/// seconds are below the fold's and equal across backends. The first step
+/// is above the gate. Its output is the next step's operand with the
+/// contracted mode last and the free modes `(j, p)` in the opposite order
+/// to the step's `(p | j, l)` slots: a table handed on in slot order
+/// carries its runs in another order than the per-step path's.
 #[test]
 fn planned_ss_chain_is_the_masked_fold() {
     let mut rng = StdRng::seed_from_u64(2700);
@@ -1477,28 +1464,15 @@ fn planned_ss_chain_is_the_masked_fold() {
         sparse(&[250, 30, 10], 0.2),
         sparse(&[10, 20], 0.5),
     );
-    let class = |len: usize, k: u32| (0..len as u32).map(|i| i % k).collect::<Vec<u32>>();
+    let mask = |rows: usize, cols: usize, kr: u32, kc: u32| {
+        let class = |len: usize, k: u32| (0..len as u32).map(|i| i % k).collect::<Vec<u32>>();
+        Arc::new(SlotMap::new(class(rows, kr), &class(cols, kc)))
+    };
     // step 1: rows p, columns (j, l); step 2: rows q, columns (j, p)
     let steps = [
-        (
-            "pk,kjl->jpl",
-            &a1,
-            x.dims().to_vec(),
-            class(300, 3),
-            class(300, 3),
-        ),
-        (
-            "lq,jpl->qjp",
-            &a2,
-            vec![30, 300, 10],
-            class(20, 2),
-            class(9000, 4),
-        ),
+        ("pk,kjl->jpl", &a1, mask(300, 300, 3, 3)),
+        ("lq,jpl->qjp", &a2, mask(20, 9000, 2, 4)),
     ];
-    let masks: Vec<Vec<u64>> = steps
-        .iter()
-        .map(|(spec, a, b_dims, rc, cc)| class_mask(spec, a.dims(), b_dims, rc, cc))
-        .collect();
     // each step's `A` by handle, or by value when there are no handles
     fn operand<'a>(
         handles: &'a [OpHandle],
@@ -1515,27 +1489,31 @@ fn planned_ss_chain_is_the_masked_fold() {
     };
     let chain = |exec: &Executor, by_value: bool| {
         let handles = upload(exec, by_value);
-        let planned = steps
+        let chain_steps: Vec<ChainStep> = steps
             .iter()
             .enumerate()
-            .map(|(s, (spec, a, _, rc, cc))| SsChainStep {
+            .map(|(s, (spec, a, mask))| ChainStep {
                 spec,
-                a: operand(&handles, s, a),
-                row_class: rc.clone(),
-                col_class: cc.clone(),
+                a: ChainSrc::Sparse(operand(&handles, s, a)),
+                b: match s {
+                    0 => ChainSrc::Sparse((&x).into()),
+                    _ => ChainSrc::Prev(s - 1),
+                },
+                acc: None,
+                mask: Some(mask),
             })
             .collect();
-        let plan = exec.plan_ss_chain(x.dims(), planned).unwrap();
-        let y = exec.apply_ss_chain(&plan, &x).unwrap();
+        let y = exec.chain(&chain_steps).unwrap().pop().flatten().unwrap();
+        let y = exec.download_sparse(y).unwrap();
         handles.iter().for_each(|h| exec.free(h).unwrap());
         y
     };
     let fold = |exec: &Executor, by_value: bool| {
         let handles = upload(exec, by_value);
         let mut b = x.clone();
-        for (s, (st, mask)) in steps.iter().zip(&masks).enumerate() {
+        for (s, (spec, a, mask)) in steps.iter().enumerate() {
             let c = exec
-                .contract_ss(st.0, operand(&handles, s, st.1), &b, Some(mask))
+                .contract_ss(spec, operand(&handles, s, a), &b, Some(&**mask))
                 .unwrap();
             let (offs, vals) = c.entries().filter(|&(_, v)| v != 0.0).unzip();
             b = SparseTensor::from_sorted(c.shape().clone(), offs, vals).unwrap();
@@ -1546,36 +1524,51 @@ fn planned_ss_chain_is_the_masked_fold() {
     for by_value in [false, true] {
         let mut across = None;
         for backend in ["sequential", "threaded", "2 ranks"] {
+            let what = format!("{backend}, by value: {by_value}");
             let run = |path: &dyn Fn(&Executor, bool) -> SparseTensor<f64>| {
                 let (exec, sent) = ss_chain_executor(backend);
                 let y = path(&exec, by_value);
                 let entries: Vec<(u64, u64)> = y.entries().map(|(o, v)| (o, v.to_bits())).collect();
-                let meters = (exec.total_flops(), exec.sim_time().total().to_bits());
                 let frames = sent.map(|s| s.lock().unwrap().clone());
-                (entries, meters, frames)
+                (entries, exec.total_flops(), exec.sim_time().total(), frames)
             };
             let (planned, folded) = (run(&chain), run(&fold));
-            let what = format!("{backend}, by value: {by_value}");
             assert!(!planned.0.is_empty());
-            assert_eq!(planned, folded, "{what}");
-            if let Some(frames) = &planned.2 {
-                let chunks = frames.iter().filter(|(_, f)| f[0] == 12).count();
-                assert_eq!(chunks, 3, "two chunks of step 1, one of step 2");
-                // a value ships with its chunks, a handle's buckets before them
-                let uploads = frames.iter().filter(|(_, f)| f[0] == 4).count();
-                assert_eq!(uploads == 0, by_value, "{what}");
+            assert_eq!((&planned.0, planned.1), (&folded.0, folded.1), "{what}");
+            assert!(
+                planned.2 < folded.2,
+                "{what}: {} vs {}",
+                planned.2,
+                folded.2
+            );
+            if let Some(frames) = &planned.3 {
+                let at = |op: u8| {
+                    let is_op = move |(i, (_, f)): (usize, &(usize, Vec<u8>))| {
+                        (f.first() == Some(&op)).then_some(i)
+                    };
+                    frames.iter().enumerate().filter_map(is_op)
+                };
+                let chunks: Vec<usize> = at(12).collect();
+                assert_eq!(chunks.len(), 2, "{what}: one SsChunk per step");
+                let between = &frames[chunks[0]..chunks[1]];
+                assert!(
+                    between.iter().all(|(_, f)| !f.is_empty()),
+                    "{what}: a round trip"
+                );
+                // a value ships with its step, a handle's coordinates before it
+                assert_eq!(at(4).next().is_none(), by_value, "{what}");
             }
+            let seen = (planned.0, planned.1, planned.2.to_bits());
             match &across {
-                None => across = Some((planned.0, planned.1)),
-                Some(first) => {
-                    assert_eq!((&planned.0, &planned.1), (&first.0, &first.1), "{what}")
-                }
+                None => across = Some(seen),
+                Some(first) => assert_eq!(&seen, first, "{what}"),
             }
         }
     }
 }
 
-/// Every frame a [`FrameLog`] sent: `(rank, encoded request)`.
+/// Every frame a [`FrameLog`] sent, `(rank, encoded request)`, and every
+/// reply awaited, `(rank, [])`.
 type Sent = Arc<std::sync::Mutex<Vec<(usize, Vec<u8>)>>>;
 
 /// The executors [`planned_ss_chain_is_the_masked_fold`] compares: in
@@ -1600,46 +1593,75 @@ fn ss_chain_executor(backend: &str) -> (Executor, Option<Sent>) {
     }
 }
 
-/// A chain plan is refused typed, not by a panic, when its steps do not
-/// fit: an empty chain, classes of the wrong length, a step whose operand
-/// is not the previous step's output; and an input of other dims.
+/// A chain of sparse-sparse steps is refused typed, not by a panic, when
+/// its steps do not fit: classes of the wrong length, a step whose operand
+/// is not the previous step's output, an input of other dims, a step
+/// without its mask or a sparse-dense step with one. An empty input flows
+/// through to an empty output.
 #[test]
 fn ss_chain_plan_rejects_steps_that_do_not_fit() {
     let exec = Executor::local();
     let a = SparseTensor::from_dense(&DenseTensor::<f64>::from_fn([3, 4], |i| i[0] as f64), 0.0);
     let h = exec.upload_sparse(&a);
-    let step = |spec, rows: usize, cols: usize| SsChainStep {
+    let mask = |rows: usize, cols: usize| Arc::new(SlotMap::new(vec![0; rows], &vec![0; cols]));
+    let (m34, m35, m31) = (mask(3, 4), mask(3, 5), mask(3, 1));
+    let step = |spec, b, mask| ChainStep {
         spec,
-        a: (&h).into(),
-        row_class: vec![0; rows],
-        col_class: vec![0; cols],
+        a: ChainSrc::Sparse((&h).into()),
+        b,
+        acc: None,
+        mask,
     };
-    let rejected = |x_dims: &[usize], steps: Vec<SsChainStep>| {
-        matches!(exec.plan_ss_chain(x_dims, steps), Err(Error::Runtime(_)))
-    };
-    assert!(rejected(&[4, 5], vec![]));
-    assert!(rejected(&[4, 5], vec![step("ik,kj->ij", 3, 4)]));
+    let x = |dims: [usize; 2]| SparseTensor::<f64>::empty(dims);
+    let (x45, x46, x55) = (x([4, 5]), x([4, 6]), x([5, 5]));
+    let input = |x| ChainSrc::Sparse(SparseOp::Value(x));
+    let fails = |steps: &[ChainStep]| exec.chain(steps).err();
+    let runtime = |e: Option<Error>| matches!(e, Some(Error::Runtime(_)));
+    let shape = |e: Option<Error>| matches!(e, Some(Error::Tensor(_)));
+    // classes for 3 × 4 where the step is 3 × 5
+    assert!(runtime(fails(&[step(
+        "ik,kj->ij",
+        input(&x45),
+        Some(&m34)
+    )])));
     // "ik,kj->ij" makes a 3 × 5 output, which "ik,kjl->ijl" cannot take
-    assert!(rejected(
-        &[4, 5],
-        vec![step("ik,kj->ij", 3, 5), step("ik,kjl->ijl", 3, 1)]
-    ));
-    let plan = exec
-        .plan_ss_chain(&[4, 5], vec![step("ik,kj->ij", 3, 5)])
-        .unwrap();
-    let wrong = SparseTensor::<f64>::empty([4, 6]);
-    assert!(matches!(
-        exec.apply_ss_chain(&plan, &wrong),
-        Err(Error::Runtime(_))
-    ));
+    assert!(shape(fails(&[
+        step("ik,kj->ij", input(&x45), Some(&m35)),
+        step("ik,kjl->ijl", ChainSrc::Prev(0), Some(&m31)),
+    ])));
+    // an input of other dims: whose columns the mask was not made for,
+    // whose rows `a` cannot contract
+    assert!(runtime(fails(&[step(
+        "ik,kj->ij",
+        input(&x46),
+        Some(&m35)
+    )])));
+    assert!(shape(fails(&[step("ik,kj->ij", input(&x55), Some(&m35))])));
+    // a step without its mask, a sparse-dense one with one
+    assert!(runtime(fails(&[step("ik,kj->ij", input(&x45), None)])));
+    let d = DenseTensor::<f64>::zeros([4, 5]);
+    assert!(runtime(fails(&[step(
+        "ik,kj->ij",
+        ChainSrc::Dense((&d).into()),
+        Some(&m35)
+    )])));
     // an empty input flows through to an empty output
-    let y = exec
-        .apply_ss_chain(&plan, &SparseTensor::empty([4, 5]))
+    let mut out = exec
+        .chain(&[step("ik,kj->ij", input(&x45), Some(&m35))])
         .unwrap();
+    let y = exec.download_sparse(out.pop().flatten().unwrap()).unwrap();
     assert_eq!((y.dims(), y.nnz()), (&[3usize, 5][..], 0));
     exec.free(&h).unwrap();
 }
 
+/// Every frame a 2-worker cluster executor sends for a fixed script that
+/// walks each superstep builder — which rank, which request, which
+/// resident keys it reads and stores, how many operand bytes it carries —
+/// against the committed list. The `kill:R@N` fault plans count sends per
+/// rank, so "same frames, same order, same ranks" is a correctness
+/// property of any refactor of the cluster legs. On a mismatch the full
+/// trace is printed; after an *intended* protocol change, paste it over
+/// `trace_golden.txt`.
 #[test]
 fn protocol_trace_matches_golden() {
     use crate::transport::RecordingTransport;
@@ -1688,11 +1710,16 @@ fn protocol_trace_matches_golden() {
         exec.contract_sd(spec, &sa, b).unwrap();
         exec.contract_sd(spec, &hsa, &hb).unwrap();
         exec.contract_sd(spec, &hsa, &hb).unwrap();
-        let c = exec.contract_ss(spec, &sa, &sb, None).unwrap();
-        let mask: Vec<u64> = c.entries().map(|(off, _)| off).step_by(2).collect();
-        exec.contract_ss(spec, &sa, &sb, Some(&mask)).unwrap();
+        // a mask of two classes, alternating over rows and over columns
+        let plan = tt_tensor::ContractPlan::parse(spec).unwrap();
+        let (m, _, n) = crate::kernels::fused_dims(&plan, sa.dims(), sb.dims());
+        let class = |len: usize| (0..len as u32).map(|i| i % 2).collect::<Vec<u32>>();
+        let map = SlotMap::new(class(m), &class(n));
+        let mask = Some(&map);
+        exec.contract_ss(spec, &sa, &sb, None).unwrap();
+        exec.contract_ss(spec, &sa, &sb, mask).unwrap();
         exec.contract_ss(spec, &hsa, &sb, None).unwrap();
-        exec.contract_ss(spec, &hsa, &sb, Some(&mask)).unwrap();
+        exec.contract_ss(spec, &hsa, &sb, mask).unwrap();
         for h in [hsa, hb] {
             exec.free(&h).unwrap();
         }
@@ -1752,6 +1779,7 @@ fn protocol_trace_matches_golden() {
         a,
         b,
         acc,
+        mask: None,
     };
     let mut out = exec
         .chain(&[
@@ -1781,6 +1809,7 @@ fn protocol_trace_matches_golden() {
                 a: ChainSrc::Res(&y),
                 b: ChainSrc::Dense((&big).into()),
                 acc: None,
+                mask: None,
             },
             step(ChainSrc::Sparse((&sq).into()), ChainSrc::Res(&y), None),
             step(ChainSrc::Sparse((&hsq).into()), ChainSrc::Res(&y), None),
@@ -1791,7 +1820,41 @@ fn protocol_trace_matches_golden() {
     exec.download(tail.remove(0)).unwrap();
     exec.free_results(tail).unwrap();
 
-    for h in [h1, h2, h3, hm, ht, hbig, hsq] {
+    // -- a sparse-sparse chain, step 0's `A` by handle and step 1's by
+    // value: one superstep, step 1 reading step 0's stored slots, which the
+    // chain frees; only `y` downloads
+    let sparse = |t: DenseTensor<f64>| SparseTensor::from_dense(&t, 0.5);
+    let (s0, sx, s1) = (
+        sparse(dense(&[10, 12])),
+        sparse(dense(&[12, 9])),
+        sparse(dense(&[8, 10])),
+    );
+    let hs0 = exec.upload_sparse(&s0);
+    let two = |len: usize| (0..len as u32).map(|i| i % 2).collect::<Vec<u32>>();
+    let map = |rows: usize| Arc::new(SlotMap::new(two(rows), &two(9)));
+    let (m10, m8) = (map(10), map(8));
+    let ss = exec
+        .chain(&[
+            ChainStep {
+                spec: "ik,kj->ij",
+                a: ChainSrc::Sparse((&hs0).into()),
+                b: ChainSrc::Sparse((&sx).into()),
+                acc: None,
+                mask: Some(&m10),
+            },
+            ChainStep {
+                spec: "li,ij->lj",
+                a: ChainSrc::Sparse((&s1).into()),
+                b: ChainSrc::Prev(0),
+                acc: None,
+                mask: Some(&m8),
+            },
+        ])
+        .unwrap();
+    exec.download_sparse(ss.into_iter().flatten().next().unwrap())
+        .unwrap();
+
+    for h in [h1, h2, h3, hm, ht, hbig, hsq, hs0] {
         exec.free(&h).unwrap();
     }
     let stores = exec.cache_stats().unwrap();

@@ -19,7 +19,7 @@
 //! still consulted so the α–β cost charges are bitwise-identical across
 //! backends.
 
-use crate::kernels::Coord;
+use crate::kernels::{Coord, SsSlots};
 use crate::{Error, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -159,14 +159,22 @@ impl OpHandle {
 /// [`crate::Executor::chain`] superstep. Unlike [`OpHandle`] the key is
 /// driver-issued (the driver never sees the bytes, so it cannot content-
 /// hash them) and ownership is linear: every handle must be consumed by
-/// exactly one [`crate::Executor::download`] or
+/// exactly one [`crate::Executor::download`] /
+/// [`crate::Executor::download_sparse`] or
 /// [`crate::Executor::free_results`].
 pub struct ResultHandle {
     pub(crate) key: u64,
     pub(crate) dims: Vec<usize>,
     /// The result itself, on the in-process backend (which has no worker
     /// stores — the "resident" buffer is the driver's own `Arc`).
-    pub(crate) local: Option<Arc<DenseTensor<f64>>>,
+    pub(crate) local: Option<Local>,
+}
+
+/// An in-process resident result, in the format its step made it in.
+#[derive(Clone)]
+pub(crate) enum Local {
+    Dense(Arc<DenseTensor<f64>>),
+    Slots(Arc<SsSlots>),
 }
 
 impl ResultHandle {
@@ -234,9 +242,9 @@ pub(crate) struct Residency {
     homes: HashMap<u64, (u64, Vec<usize>)>,
     /// Resident contraction results: worker key → placement.
     results: HashMap<u64, ResultInfo>,
-    /// Fused coordinates of resident sparse-dense operands, by the logical
-    /// key of their bucket family: what a worker keeps after
-    /// `UploadCoords`, kept here for the in-process legs.
+    /// Fused coordinates of resident sparse operands, by the logical key
+    /// of their bucket family: what a worker keeps after `UploadCoords`,
+    /// kept here for the in-process legs.
     coords: HashMap<u64, Arc<[Coord]>>,
 }
 

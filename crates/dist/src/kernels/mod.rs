@@ -54,8 +54,8 @@
 //! range functions and the dims / output helpers every family shares;
 //! `dense` the dense contraction and its row panel; `sd` the
 //! sparse-dense layout decision, row-pass chunk body and contraction; `ss` the
-//! sparse-sparse preparation, merge chunk and contraction, and the slot
-//! merge of a planned chain's step; `factor` the truncated SVD and its
+//! sparse-sparse preparation, merge chunk and contraction, and a chain
+//! step's slots (the slot merge, the next step's table, the exit); `factor` the truncated SVD and its
 //! tall-panel rule.
 
 mod dense;
@@ -68,7 +68,10 @@ pub(crate) mod tests;
 pub(crate) use dense::{dense_contract, dense_into, output_view};
 pub(crate) use factor::svd_trunc;
 pub(crate) use sd::{sd_apply, sd_buckets, sd_contract, sd_prepare, sd_rows, SdGeometry};
-pub(crate) use ss::{ss_chunk, ss_contract, ss_prepare, ss_slots, SsPrep};
+pub(crate) use ss::{
+    fusion_weights, slot_map, ss_axes, ss_chunk, ss_contract, ss_prepare, ss_slots, wire_classes,
+    AxesPair, SsPrep, SsSlots,
+};
 
 #[cfg(doc)]
 use crate::exec::Workspace;

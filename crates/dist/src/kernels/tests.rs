@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 use tt_tensor::gemm::{gemm_acc_slices, gemm_path};
+use tt_tensor::ssmerge::SlotMap;
 
 fn random_sparse(dims: &[usize], density: f64, seed: u64) -> SparseTensor<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -67,7 +68,7 @@ fn ss_forced(
     plan: &ContractPlan,
     a: &SparseTensor<f64>,
     b: &SparseTensor<f64>,
-    mask: Option<&[u64]>,
+    mask: Option<&SlotMap>,
     pool: &ThreadPool,
 ) -> SparseTensor<f64> {
     let prep = ss_prepare(plan, a, b, mask).unwrap();
@@ -897,11 +898,14 @@ fn ss_kernel_matches_dense_reference_and_respects_mask() {
     let reference = tt_tensor::einsum("ik,kj->ji", &a.to_dense(), &b.to_dense()).unwrap();
     assert!(seq.to_dense().allclose(&reference, 1e-12));
 
-    // mask restricts the output pattern
-    let mask: Vec<u64> = (0..4).map(|i| i * 5 + i).collect();
-    let (masked, _) = ss_contract(&plan, &a, &b, Some(&mask), None).unwrap();
+    // mask restricts the output pattern: row i's class i, column j's
+    // class j, so it allows the diagonal of the 4 × 5 output `ji`
+    let (rows, cols): (Vec<u32>, Vec<u32>) = ((0..5).collect(), (0..4).collect());
+    let map = SlotMap::new(rows, &cols);
+    let (masked, _) = ss_contract(&plan, &a, &b, Some(&map), None).unwrap();
+    let diagonal: Vec<u64> = (0..4).map(|i| i * 5 + i).collect();
     for (off, _) in masked.entries() {
-        assert!(mask.contains(&off));
+        assert!(diagonal.contains(&off));
     }
 }
 
@@ -974,13 +978,17 @@ mod ss_props {
             prop_assert!(seq.to_dense().allclose(&reference, 1e-12));
 
             // masked run (threaded) == unmasked result filtered to the
-            // mask pattern, value for value
-            let mask: Vec<u64> = (0..(m * n) as u64).filter(|o| o % 3 != 0).collect();
+            // mask pattern, value for value: output (j, i) is allowed
+            // iff row i's class equals column j's
+            let rows: Vec<u32> = (0..m as u32).map(|i| i % 2).collect();
+            let cols: Vec<u32> = (0..n as u32).map(|j| (j / 2) % 2).collect();
+            let allowed = |off: u64| rows[off as usize % m] == cols[off as usize / m];
             let pool = ThreadPool::new(3);
-            let masked = ss_forced(&plan, &a, &b, Some(&mask), &pool);
+            let map = SlotMap::new(rows.clone(), &cols);
+            let masked = ss_forced(&plan, &a, &b, Some(&map), &pool);
             let expect: Vec<(u64, f64)> = seq
                 .entries()
-                .filter(|(off, _)| mask.binary_search(off).is_ok())
+                .filter(|&(off, _)| allowed(off))
                 .collect();
             let got: Vec<(u64, f64)> = masked.entries().collect();
             prop_assert_eq!(got, expect);

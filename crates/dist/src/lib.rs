@@ -59,7 +59,7 @@ pub use cluster::{Cluster, JournalStats};
 pub use cost::{CostTracker, JobScope, ResidentMeter, SimTime};
 pub use exec::{
     Backend, ChainSrc, ChainStep, DenseOp, ExecMode, Executor, RankCacheStats, SparseOp,
-    SsChainPlan, SsChainStep, WorkspaceStats,
+    WorkspaceStats,
 };
 pub use handle::{OpHandle, ResultHandle};
 pub use machine::Machine;

@@ -109,7 +109,10 @@ impl RecordingTransport {
                 reads.extend(a.key().into_iter().chain(b.key()));
                 writes.extend(out.key());
             }
-            Request::SsChunk { a, .. } => reads.extend(a.key()),
+            Request::SsChunk { a, b, out, .. } => {
+                reads.extend(a.key().into_iter().chain(b.key()));
+                writes.extend(out.key());
+            }
             Request::SvdTrunc { a, .. } => reads.extend(a.key()),
             Request::Ping | Request::CacheStats | Request::Shutdown => {}
         }

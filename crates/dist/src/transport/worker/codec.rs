@@ -1,7 +1,7 @@
 //! The little-endian wire form of [`Request`] and [`Reply`].
 
 use super::super::wire::{Dec, Enc};
-use super::protocol::{Op, OpCoords, OpSs, Out, Reply, Request};
+use super::protocol::{Op, OpCoords, OpSs, Out, Reply, Request, SsTable};
 use crate::{DistError, Error, FaultKind, Result};
 
 fn put_usizes(e: &mut Enc, v: &[usize]) {
@@ -102,23 +102,38 @@ impl Out {
 }
 
 impl OpSs {
-    /// Tag byte 0 (inline) stays on the wire; tag 1, a resident table, is
-    /// retired.
+    /// Tag byte 0 is the inline table, 2 a stored result; tag 1, a
+    /// resident table, is retired.
     fn put(&self, e: &mut Enc) {
-        e.put_u8(0);
-        e.put_u64s(&self.keys);
-        e.put_u64s(&self.lens);
-        e.put_u64s(&self.cols);
-        e.put_f64s(&self.vals);
+        match self {
+            OpSs::Inline(t) => {
+                e.put_u8(0);
+                e.put_u64s(&t.keys);
+                e.put_u64s(&t.lens);
+                e.put_u64s(&t.cols);
+                e.put_f64s(&t.vals);
+            }
+            OpSs::Key { key, key_w, col_w } => {
+                e.put_u8(2);
+                e.put_u64(*key);
+                e.put_u64s(key_w);
+                e.put_u64s(col_w);
+            }
+        }
     }
 
     fn get(d: &mut Dec) -> Result<Self> {
         match d.u8()? {
-            0 => Ok(OpSs {
+            0 => Ok(OpSs::Inline(SsTable {
                 keys: d.u64s()?,
                 lens: d.u64s()?,
                 cols: d.u64s()?,
                 vals: d.f64s()?,
+            })),
+            2 => Ok(OpSs::Key {
+                key: d.u64()?,
+                key_w: d.u64s()?,
+                col_w: d.u64s()?,
             }),
             t => Err(unknown("sparse-sparse operand tag", t)),
         }
@@ -180,6 +195,7 @@ impl Request {
                 cx_dims,
                 cx_strides,
                 mask,
+                out,
             } => {
                 e.put_u8(12);
                 a.put(&mut e);
@@ -192,9 +208,11 @@ impl Request {
                 e.put_u64s(cx_dims);
                 e.put_u64s(cx_strides);
                 e.put_bool(mask.is_some());
-                if let Some(m) = mask {
-                    e.put_u64s(m);
+                if let Some((rows, cols)) = mask {
+                    e.put_u64s(rows);
+                    e.put_u64s(cols);
                 }
+                out.put(&mut e);
             }
             Request::SvdTrunc {
                 rows,
@@ -282,7 +300,11 @@ impl Request {
                 ax_strides: d.u64s()?,
                 cx_dims: d.u64s()?,
                 cx_strides: d.u64s()?,
-                mask: if d.bool()? { Some(d.u64s()?) } else { None },
+                mask: match d.bool()? {
+                    true => Some((d.u64s()?, d.u64s()?)),
+                    false => None,
+                },
+                out: Out::get(&mut d)?,
             },
             14 => Request::SvdTrunc {
                 rows: d.usize()?,
@@ -328,6 +350,11 @@ impl Reply {
                 e.put_u8(4);
                 e.put_u64s(offs);
                 e.put_f64s(vals);
+                e.put_u64(*flops);
+            }
+            Reply::Merged { touched, flops } => {
+                e.put_u8(9);
+                e.put_u64(*touched);
                 e.put_u64(*flops);
             }
             Reply::Svd {
@@ -398,6 +425,10 @@ impl Reply {
                 entries: d.u64()?,
                 hits: d.u64()?,
                 misses: d.u64()?,
+            },
+            9 => Reply::Merged {
+                touched: d.u64()?,
+                flops: d.u64()?,
             },
             op => return Err(unknown("reply opcode", op)),
         };

@@ -1,7 +1,7 @@
 //! Executing one request against a rank's store.
 
 use super::protocol::{OpCoords, Out, Reply, Request};
-use super::store::{ss_table, Cached, WorkerState};
+use super::store::{Cached, WorkerState};
 use crate::kernels;
 use crate::{Error, Result};
 use std::borrow::Cow;
@@ -89,9 +89,10 @@ impl WorkerState {
                 cx_dims,
                 cx_strides,
                 mask,
+                out,
             } => {
                 let bucket = self.opcoords(a)?;
-                let table = ss_table(b, n)?;
+                let table = self.opss(b, n)?;
                 // the merge trusts both: a row outside the chunk lands in
                 // another chunk's panel, a descending key misses its match
                 if bucket.iter().any(|&(row, _, _)| row < r0 || row >= r1) {
@@ -100,20 +101,45 @@ impl WorkerState {
                 if !bucket.windows(2).all(|w| w[0].1 <= w[1].1) {
                     return Err(Error::transport("ss chunk A keys descend"));
                 }
-                let row_axes: Vec<(u64, u64)> = ax_dims.into_iter().zip(ax_strides).collect();
-                let col_axes: Vec<(u64, u64)> = cx_dims.into_iter().zip(cx_strides).collect();
-                let (entries, flops) = kernels::ss_chunk(
-                    &bucket,
-                    &table,
-                    r0 as usize,
-                    r1 as usize,
-                    n,
-                    &row_axes,
-                    &col_axes,
-                    mask.as_deref(),
-                );
-                let (offs, vals) = entries.into_iter().unzip();
-                Ok(Reply::Entries { offs, vals, flops })
+                // an offset unfuses each fused index over its axes: they
+                // must hold the chunk's rows and the `n` columns
+                let fused = |dims: &[u64]| dims.iter().try_fold(1u64, |p, &d| p.checked_mul(d));
+                let m = fused(&ax_dims).filter(|&m| r0 <= r1 && r1 <= m);
+                let m = m.filter(|_| fused(&cx_dims) == Some(n));
+                let m =
+                    m.ok_or_else(|| Error::transport("ss chunk rows or columns off its axes"))?;
+                let map = mask.map(|(rows, cols)| kernels::slot_map(&rows, &cols, m as _, n as _));
+                let map = map.transpose()?;
+                let row_axes = ax_dims.into_iter().zip(ax_strides).collect();
+                let axes = (row_axes, cx_dims.into_iter().zip(cx_strides).collect());
+                match (out, map) {
+                    (Out::Reply, map) => {
+                        let rows = (r0 as usize, r1 as usize);
+                        let chunk =
+                            kernels::ss_chunk(&bucket, &table, rows, n, &axes, map.as_ref());
+                        let (offs, vals) = chunk.0.into_iter().unzip();
+                        Ok(Reply::Entries {
+                            offs,
+                            vals,
+                            flops: chunk.1,
+                        })
+                    }
+                    // a stored result is the whole step, in its mask's slots
+                    (Out::Store { key, acc: false }, Some(map)) if (r0, r1) == (0, m) => {
+                        let slots = kernels::ss_slots(&bucket, &table, &map, None);
+                        let result = kernels::SsSlots {
+                            map: Arc::new(map),
+                            slots,
+                            axes,
+                        };
+                        let (touched, flops) = (result.touched() as u64, result.slots.flops);
+                        self.insert(key, Cached::Slots(Arc::new(result)));
+                        Ok(Reply::Merged { touched, flops })
+                    }
+                    (out, _) => Err(Error::transport(format!(
+                        "an ss store takes all {m} rows, a mask and no accumulate: {out:?}"
+                    ))),
+                }
             }
             Request::SvdTrunc {
                 rows,
@@ -197,18 +223,23 @@ impl WorkerState {
             Request::Download { key } => {
                 // refused before anything is removed: a refused download
                 // leaves the store as it found it
-                let buf = match self.store.get(&key) {
-                    Some(Cached::Dense(buf)) => Arc::clone(buf),
-                    Some(Cached::Coords(_)) => {
-                        return Err(Error::transport(format!(
-                            "key {key:#x} does not hold a downloadable dense buffer"
-                        )))
-                    }
-                    None => return Err(Error::transport(format!("no result under key {key:#x}"))),
+                if !matches!(
+                    self.store.get(&key),
+                    Some(Cached::Dense(_) | Cached::Slots(_))
+                ) {
+                    return Err(Error::transport(format!("no result under key {key:#x}")));
+                }
+                // the store's reference goes, so a buffer moves out whole
+                let (offs, vals) = match self.remove(key) {
+                    Some(Cached::Dense(buf)) => return Ok(Reply::Buf(Self::take(buf))),
+                    Some(Cached::Slots(result)) => result.entries(),
+                    _ => unreachable!("checked above"),
                 };
-                // the store's reference goes, so the buffer moves out whole
-                self.remove(key);
-                Ok(Reply::Buf(Self::take(buf)))
+                Ok(Reply::Entries {
+                    offs,
+                    vals,
+                    flops: 0,
+                })
             }
         }
     }

@@ -6,8 +6,9 @@
 //! [`crate::kernels::dense_contract`] per `Contract` task,
 //! `kernels::sd::sd_chunk` (through [`crate::kernels::sd_rows`] for a row
 //! bucket and [`crate::kernels::sd_apply`] for a whole chain step, one
-//! request both), [`crate::kernels::ss_chunk`] and whole-matrix
-//! factorizations. Because both backends run *exactly* this code over
+//! request both), [`crate::kernels::ss_chunk`] for a bucket of
+//! `contract_ss` and [`crate::kernels::ss_slots`] for a whole chain step
+//! (one `SsChunk` request both), and whole-matrix factorizations. Because both backends run *exactly* this code over
 //! *exactly* the same work decomposition, multi-process results are
 //! bitwise-identical to the in-process Sequential executor.
 //!
@@ -15,8 +16,9 @@
 //! compute task is an [`Op`] / [`OpCoords`] — either **inline** bytes (the
 //! value-passing path) or a **key** into the rank's resident store (the
 //! handle path: the operand was stored by an earlier `Upload*` request and
-//! ships zero bytes with the task); a sparse-sparse `B` ([`OpSs`]) is
-//! always inline. The store is a plain keyed map:
+//! ships zero bytes with the task); a sparse-sparse `B` ([`OpSs`]) is an
+//! inline table or the key of an earlier chain step's stored result. The
+//! store is a plain keyed map:
 //! `Upload*` and storing compute requests insert (or replace), `Free` and
 //! `Download` remove, and nothing else ever leaves it — a rank's memory is
 //! bounded by the driver's frees, not here (`Executor::free` documents the
@@ -42,7 +44,7 @@ mod store;
 #[cfg(test)]
 mod tests;
 
-pub(crate) use protocol::{Op, OpCoords, OpSs, Out, Reply, Request};
+pub(crate) use protocol::{Op, OpCoords, OpSs, Out, Reply, Request, SsTable};
 pub use serve::maybe_serve;
 #[cfg(unix)]
 pub use serve::{serve_from_env, worker_loop};

@@ -10,8 +10,8 @@ pub(crate) enum Op {
     Key(u64),
 }
 
-/// Where a [`Request::Contract`] or a [`Request::SdContract`] puts its
-/// result.
+/// Where a [`Request::Contract`], [`Request::SdContract`] or
+/// [`Request::SsChunk`] puts its result.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum Out {
     /// Return it to the driver in the reply.
@@ -37,15 +37,26 @@ pub(crate) enum OpCoords {
     Key(u64),
 }
 
-/// A grouped sparse-sparse `B` operand (`keys`/`lens` index the flattened
-/// `cols`/`vals`, output offsets already resolved). It always travels with
-/// its task: `B` is the moving operand of a sparse-sparse step.
+/// A grouped sparse-sparse `B` table: `keys`/`lens` index `cols`/`vals`.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) struct OpSs {
+pub(crate) struct SsTable {
     pub(crate) keys: Vec<u64>,
     pub(crate) lens: Vec<u64>,
     pub(crate) cols: Vec<u64>,
     pub(crate) vals: Vec<f64>,
+}
+
+/// The `B` of a sparse-sparse task: a table inline, or the result stored
+/// under `key` read as one — its natural axis `q` weighs `key_w[q]` in the
+/// contracted key and `col_w[q]` in the free column.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum OpSs {
+    Inline(SsTable),
+    Key {
+        key: u64,
+        key_w: Vec<u64>,
+        col_w: Vec<u64>,
+    },
 }
 
 /// A request shipped to one rank.
@@ -78,10 +89,10 @@ pub(crate) enum Request {
         b: Op,
         out: Out,
     },
-    /// One work-balanced sparse-sparse bucket (key-sorted `A` coords over
-    /// fused rows `[r0, r1)`) merged against the sorted-run `B` table.
-    /// `ax_*` map fused rows and `cx_*` map fused `B` free columns (width
-    /// `n`) to output offsets.
+    /// Key-sorted sparse-sparse `A` coords over fused rows `[r0, r1)`
+    /// merged against `B` under `mask` (row and column classes); `ax_*`
+    /// and `cx_*` map fused rows and columns (width `n`) to output offsets.
+    /// A chain step stores its slots (all rows, a mask, no `acc`).
     SsChunk {
         a: OpCoords,
         b: OpSs,
@@ -92,7 +103,8 @@ pub(crate) enum Request {
         ax_strides: Vec<u64>,
         cx_dims: Vec<u64>,
         cx_strides: Vec<u64>,
-        mask: Option<Vec<u64>>,
+        mask: Option<(Vec<u64>, Vec<u64>)>,
+        out: Out,
     },
     /// Truncated SVD of a `rows × cols` `f64` matrix.
     SvdTrunc {
@@ -103,9 +115,10 @@ pub(crate) enum Request {
         cutoff: f64,
         min_keep: u64,
     },
-    /// Remove the dense buffer under `key` from the store and return its
+    /// Remove the result under `key` from the store and return its
     /// payload — the only value-returning read of the store (the driver
-    /// forgets the home).
+    /// forgets the home): a dense buffer as [`Reply::Buf`], a
+    /// sparse-sparse result as [`Reply::Entries`].
     Download { key: u64 },
     /// Terminate the worker loop.
     Shutdown,
@@ -148,6 +161,8 @@ pub(crate) enum Reply {
         vals: Vec<f64>,
         flops: u64,
     },
+    /// A stored sparse-sparse result's touched slots and flops.
+    Merged { touched: u64, flops: u64 },
     /// A truncated SVD.
     Svd {
         u_rows: usize,
@@ -207,6 +222,16 @@ impl OpCoords {
     }
 }
 
+impl OpSs {
+    /// Resident key this operand reads, if any.
+    pub(crate) fn key(&self) -> Option<u64> {
+        match self {
+            OpSs::Inline { .. } => None,
+            OpSs::Key { key, .. } => Some(*key),
+        }
+    }
+}
+
 impl Request {
     /// Operand payload bytes this request carries inline: tensor values
     /// and sparse coordinates — the data-plane volume
@@ -222,7 +247,10 @@ impl Request {
             }
         }
         fn ss(op: &OpSs) -> usize {
-            8 * (op.keys.len() + op.lens.len() + op.cols.len() + op.vals.len())
+            match op {
+                OpSs::Inline(t) => 8 * (t.keys.len() + t.lens.len() + t.cols.len() + t.vals.len()),
+                OpSs::Key { .. } => 0,
+            }
         }
         match self {
             Request::Upload { data, .. } => 8 * data.len(),

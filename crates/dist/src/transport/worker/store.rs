@@ -1,7 +1,7 @@
 //! One rank's keyed buffer store and the resolution of operands against
 //! it.
 
-use super::protocol::{Op, OpCoords, OpSs};
+use super::protocol::{Op, OpCoords, OpSs, SsTable};
 use crate::exec::Workspace;
 use crate::kernels;
 use crate::{Error, Result};
@@ -13,6 +13,8 @@ use tt_tensor::ssmerge::SsBTable;
 pub(super) enum Cached {
     Dense(Arc<Vec<f64>>),
     Coords(Arc<Vec<kernels::Coord>>),
+    /// A sparse-sparse chain step's result.
+    Slots(Arc<kernels::SsSlots>),
 }
 
 impl Cached {
@@ -21,23 +23,25 @@ impl Cached {
         match self {
             Cached::Dense(data) => 8 * data.len() as u64,
             Cached::Coords(v) => 24 * v.len() as u64,
+            // a value and a touched flag per slot
+            Cached::Slots(s) => 9 * s.slots.vals.len() as u64,
         }
     }
 }
 
-/// The grouped sparse-sparse `B` operand of a chunk `n` columns wide as
-/// the flat sorted-run table the merge kernel consumes. The wire shape is
-/// already the table's layout, so this is a validation pass plus a prefix
-/// sum ([`SsBTable::from_runs`] only `debug_assert`s its invariants, the
-/// kernel trusts its columns, and a malformed frame must surface as a
-/// transport error).
-pub(super) fn ss_table(op: OpSs, n: u64) -> Result<SsBTable<f64>> {
-    let OpSs {
+/// An inline grouped sparse-sparse `B` operand of a chunk `n` columns wide
+/// as the flat sorted-run table the merge kernel consumes. The wire shape
+/// is already the table's layout, so this is a validation pass plus a
+/// prefix sum ([`SsBTable::from_runs`] only `debug_assert`s its
+/// invariants, the kernel trusts its columns, and a malformed frame must
+/// surface as a transport error).
+fn ss_table(table: SsTable, n: u64) -> Result<SsBTable<f64>> {
+    let SsTable {
         keys,
         lens,
         cols,
         vals,
-    } = op;
+    } = table;
     let total = lens.iter().try_fold(0u64, |sum, &len| sum.checked_add(len));
     if cols.len() != vals.len() || keys.len() != lens.len() || total != Some(cols.len() as u64) {
         return Err(Error::transport("ss group table mismatch"));
@@ -136,6 +140,21 @@ impl WorkerState {
     /// (resident buffers, which must stay in the store).
     pub(super) fn take(buf: Arc<Vec<f64>>) -> Vec<f64> {
         Arc::try_unwrap(buf).unwrap_or_else(|a| a.as_ref().clone())
+    }
+
+    /// Resolve an [`OpSs`] to the table of a chunk `n` columns wide: the
+    /// inline one validated, or a stored sparse-sparse result read through
+    /// the operand's weights ([`kernels::SsSlots::table`]).
+    pub(super) fn opss(&mut self, op: OpSs, n: u64) -> Result<SsBTable<f64>> {
+        match op {
+            OpSs::Inline(table) => ss_table(table, n),
+            OpSs::Key { key, key_w, col_w } => match self.get(key)? {
+                Cached::Slots(s) => s.table(&key_w, &col_w, n),
+                _ => Err(Error::transport(format!(
+                    "key {key:#x} is not a sparse-sparse result"
+                ))),
+            },
+        }
     }
 
     /// Resolve an [`Op`] to owned-or-resident dense data.

@@ -64,13 +64,14 @@ fn reply_variant(rep: &Reply) -> usize {
         Reply::Svd { .. } => 4,
         Reply::Stats { .. } => 5,
         Reply::Fail(_) => 6,
+        Reply::Merged { .. } => 7,
     }
 }
-const REPLY_VARIANTS: usize = 7;
+const REPLY_VARIANTS: usize = 8;
 
 /// Every request variant; every dense-buffer-carrying one inline and
-/// keyed, `Contract` under every `out`, and `SdContract` replying inline
-/// and storing keyed.
+/// keyed, `Contract` under every `out`, and `SdContract` and `SsChunk`
+/// replying inline and storing keyed.
 fn sample_requests(s: &Seed) -> Vec<Request> {
     let Seed { key, data, rows } = s;
     let key = *key;
@@ -80,12 +81,13 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
         cols: rows.clone(),
         vals: vals.clone(),
     };
-    let ss = OpSs {
+    let ss = OpSs::Inline(SsTable {
         keys: rows.clone(),
         lens: vec![1; rows.len()],
         cols: rows.clone(),
         vals: vals.clone(),
-    };
+    });
+    let classes = rows.clone();
     let (inline, keyed) = (Op::Inline(data.clone()), Op::Key(key));
     let mut reqs = vec![
         Request::Ping,
@@ -111,11 +113,16 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
             ax_strides: rows.clone(),
             cx_dims: rows.clone(),
             cx_strides: rows.clone(),
-            mask: Some(rows.clone()),
+            mask: None,
+            out: Out::Reply,
         },
         Request::SsChunk {
             a: OpCoords::Key(key),
-            b: ss,
+            b: OpSs::Key {
+                key,
+                key_w: rows.clone(),
+                col_w: rows.clone(),
+            },
             r0: 0,
             r1: 7,
             n: 5,
@@ -123,7 +130,8 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
             ax_strides: vec![5],
             cx_dims: vec![5],
             cx_strides: vec![1],
-            mask: None,
+            mask: Some((classes.clone(), classes)),
+            out: Out::Store { key, acc: false },
         },
         Request::SvdTrunc {
             rows: 2,
@@ -211,6 +219,10 @@ fn sample_replies(s: &Seed) -> Vec<Reply> {
             misses: 5,
         },
         Reply::Fail("boom".into()),
+        Reply::Merged {
+            touched: s.key,
+            flops: !s.key,
+        },
     ]
 }
 
@@ -308,12 +320,12 @@ fn retired_frames() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     requests.push(pair);
     let mut ss = Request::SsChunk {
         a: OpCoords::Key(0),
-        b: OpSs {
+        b: OpSs::Inline(SsTable {
             keys: vec![],
             lens: vec![],
             cols: vec![],
             vals: vec![],
-        },
+        }),
         r0: 0,
         r1: 0,
         n: 0,
@@ -322,6 +334,7 @@ fn retired_frames() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
         cx_dims: vec![],
         cx_strides: vec![],
         mask: None,
+        out: Out::Reply,
     }
     .encode();
     ss[10] = 1; // `b`'s tag: after the opcode and the keyed `a` (tag, u64)
@@ -792,12 +805,12 @@ fn bad_tasks_fail_without_killing_the_worker() {
     });
     // a sparse-sparse `B` whose run lengths wrap to `cols.len()` when
     // summed unchecked: the runs would reach past `cols`
-    let wrapping_b = OpSs {
+    let wrapping_b = OpSs::Inline(SsTable {
         keys: vec![0, 1],
         lens: vec![u64::MAX, 3],
         cols: vec![0; 2],
         vals: vec![1.0; 2],
-    };
+    });
     // `A` buckets the merge must not be handed: keys [1, 0] descend (the
     // merge would miss key 0's match), and row 1 lies outside a chunk of
     // rows 0..1 — inline, and resident under keys 72 and 73
@@ -815,14 +828,11 @@ fn bad_tasks_fail_without_killing_the_worker() {
         cols: vec![1, 0],
         vals: vec![1.0; 2],
     };
-    let ss = |a: OpCoords, b_cols: Vec<u64>, r1: u64| Request::SsChunk {
+    // a 2 × 1 sparse-sparse product, its `B` a table inline or a stored
+    // result read with the given key and column weights
+    let ss_from = |a: OpCoords, b: OpSs, r1: u64, mask, out| Request::SsChunk {
         a,
-        b: OpSs {
-            keys: vec![0, 1],
-            lens: vec![1, 1],
-            cols: b_cols,
-            vals: vec![1.0, 2.0],
-        },
+        b,
         r0: 0,
         r1,
         n: 1,
@@ -830,8 +840,45 @@ fn bad_tasks_fail_without_killing_the_worker() {
         ax_strides: vec![1],
         cx_dims: vec![1],
         cx_strides: vec![1],
-        mask: None,
+        mask,
+        out,
     };
+    let table = |cols: Vec<u64>| {
+        OpSs::Inline(SsTable {
+            keys: vec![0, 1],
+            lens: vec![1, 1],
+            cols,
+            vals: vec![1.0, 2.0],
+        })
+    };
+    let ss =
+        |a: OpCoords, b_cols: Vec<u64>, r1: u64| ss_from(a, table(b_cols), r1, None, Out::Reply);
+    let stored = |key, key_w: Vec<u64>, col_w: Vec<u64>| OpSs::Key { key, key_w, col_w };
+    let classes = |rows: Vec<u64>| Some((rows, vec![0]));
+    // a chain step's result stored under key 76: both rows of A against
+    // key 0 of `B`, in the slots of an all-allowing mask
+    let two = || OpCoords::Inline {
+        rows: vec![0, 1],
+        cols: vec![0, 0],
+        vals: vec![5.0, 6.0],
+    };
+    let store76 = Out::Store {
+        key: 76,
+        acc: false,
+    };
+    assert_eq!(
+        w.handle(ss_from(
+            two(),
+            table(vec![0, 0]),
+            2,
+            classes(vec![0, 0]),
+            store76
+        )),
+        Some(Reply::Merged {
+            touched: 2,
+            flops: 4
+        })
+    );
     let one = || OpCoords::Inline {
         rows: vec![0],
         cols: vec![0],
@@ -870,11 +917,26 @@ fn bad_tasks_fail_without_killing_the_worker() {
         w.handle(sd(entry(1, 1), (1, 2), Out::Reply)),
         Some(Reply::Buf(vec![0.0, 3.0]))
     );
-    // the well-formed frame the malformed ones are variations of
+    // the well-formed frames the malformed ones are variations of: and
+    // a step reading key 76 as its `B`, fused row as key, column as column
     assert!(matches!(
         w.handle(ss(one(), vec![0, 0], 1)),
         Some(Reply::Entries { .. })
     ));
+    assert_eq!(
+        w.handle(ss_from(
+            one(),
+            stored(76, vec![1, 0], vec![0, 1]),
+            1,
+            None,
+            Out::Reply
+        )),
+        Some(Reply::Entries {
+            offs: vec![0],
+            vals: vec![25.0],
+            flops: 2
+        })
+    );
     let bad = [
         // inline data that disagrees with its dims
         pair(f(vec![0.0; 3]), f(vec![0.0; 4]), Out::Reply),
@@ -897,29 +959,59 @@ fn bad_tasks_fail_without_killing_the_worker() {
             b: f(vec![]),
             out: Out::Reply,
         },
-        // Download reads dense buffers only
+        // Download reads results only
         Request::Download { key: 71 },
-        Request::SsChunk {
-            a: OpCoords::Inline {
-                rows: vec![0],
-                cols: vec![0],
-                vals: vec![1.0],
-            },
-            b: wrapping_b,
-            r0: 0,
-            r1: 1,
-            n: 1,
-            ax_dims: vec![1],
-            ax_strides: vec![1],
-            cx_dims: vec![1],
-            cx_strides: vec![1],
-            mask: None,
-        },
+        ss_from(one(), wrapping_b, 1, None, Out::Reply),
         // a `B` column past `n = 1`: it would land in row 1's slot
         ss(one(), vec![1, 0], 2),
         ss(descending(), vec![0, 0], 1),
         ss(OpCoords::Key(72), vec![0, 0], 1),
         ss(OpCoords::Key(73), vec![0, 0], 1),
+        // a stored `B` under an absent key, a dense buffer's, a coordinate
+        // bucket's; read with weights of another order, and as a table of
+        // another width (its row 1 as column 1 of one)
+        ss_from(
+            one(),
+            stored(99, vec![1, 0], vec![0, 1]),
+            1,
+            None,
+            Out::Reply,
+        ),
+        ss_from(
+            one(),
+            stored(70, vec![1, 0], vec![0, 1]),
+            1,
+            None,
+            Out::Reply,
+        ),
+        ss_from(
+            one(),
+            stored(71, vec![1, 0], vec![0, 1]),
+            1,
+            None,
+            Out::Reply,
+        ),
+        ss_from(one(), stored(76, vec![1], vec![0]), 1, None, Out::Reply),
+        ss_from(
+            one(),
+            stored(76, vec![0, 0], vec![1, 0]),
+            1,
+            None,
+            Out::Reply,
+        ),
+        // classes for one row of two, a class id past the rows and
+        // columns; a store of part of the rows, without a mask, or adding
+        ss_from(one(), table(vec![0, 0]), 2, classes(vec![0]), store76),
+        ss_from(one(), table(vec![0, 0]), 2, classes(vec![0, 3]), Out::Reply),
+        ss_from(one(), table(vec![0, 0]), 1, classes(vec![0, 0]), store76),
+        ss_from(one(), table(vec![0, 0]), 2, None, store76),
+        ss_from(
+            one(),
+            table(vec![0, 0]),
+            2,
+            classes(vec![0, 0]),
+            store(true),
+        ),
         // sparse-dense: an `A` row below the range, a column past B, a
         // range past the output, an entry past it, each inline and
         // resident
@@ -945,6 +1037,15 @@ fn bad_tasks_fail_without_killing_the_worker() {
     assert_eq!(
         w.handle(Request::Download { key: 70 }),
         Some(Reply::Buf(vec![2.0; 4]))
+    );
+    // the stored sparse-sparse result downloads as its entries
+    assert_eq!(
+        w.handle(Request::Download { key: 76 }),
+        Some(Reply::Entries {
+            offs: vec![0, 1],
+            vals: vec![5.0, 6.0],
+            flops: 0
+        })
     );
     // and the refused download of the coordinate bucket left it resident
     assert_eq!(

@@ -8,9 +8,9 @@
 //! paper's three-contraction chain — the old environment, the MPO tensor
 //! and the bra each contracted with the previous result, the ket first —
 //! run as one [`contract_chain`] of the chosen block-sparsity algorithm:
-//! the two intermediates stay in the kernel's format (resident chain
-//! outputs for list and sparse-dense, merge-kernel tables for
-//! sparse-sparse) and only the new environment is re-blocked. The three
+//! the two intermediates stay resident chain outputs in the kernel's
+//! format (dense, or a sparse-sparse step's mask slots) and only the new
+//! environment is re-blocked. The three
 //! `contract` calls it replaces are its bitwise reference in the tests.
 
 use crate::{Error, Result};

@@ -102,15 +102,14 @@ impl ResidentHam<'_> {
     /// Apply `K` to a two-site tensor — bitwise-identical to
     /// [`EffectiveHam::apply`] on the same operands, but run as one
     /// [`ResidentChain::apply`]: the intermediates t₁…t₃ never return to
-    /// block form. For the list and sparse-dense algorithms that is **one
-    /// chained superstep per matvec** — ψ uploads once, t₁…t₃ stay
-    /// resident in the worker stores and only `y`'s blocks download, which
-    /// on the multi-process backend collapses the driver's per-matvec
-    /// *result* traffic to the final download. For sparse-sparse it is one
-    /// planned flat chain: ψ is flattened once, every step accumulates
-    /// only where its output mask allows an entry and hands its result on
-    /// in the merge kernel's own format, and only `y` is re-blocked (on
-    /// the multi-process backend still one superstep per step). What the
+    /// block form. For all three algorithms that is **one chained
+    /// superstep per matvec** — ψ uploads once, t₁…t₃ stay resident in the
+    /// worker stores and only `y` downloads, which on the multi-process
+    /// backend collapses the driver's per-matvec *result* traffic to the
+    /// final download. For sparse-sparse ψ is flattened once, every step
+    /// accumulates only where its output mask allows an entry and hands
+    /// its result on in the merge kernel's own format, and only `y` is
+    /// re-blocked. What the
     /// matvec knows from structure alone is derived once per eigensolve,
     /// for all three; for list that includes the block-pair schedule of
     /// `x`'s stored keys (re-derived when a residual brings others), and

@@ -340,6 +340,12 @@ impl SlotMap {
         &self.class_cols[self.class_start[k]..self.class_start[k + 1]]
     }
 
+    /// The row and column classes the map was built from.
+    pub fn classes(&self) -> (&[u32], Vec<u32>) {
+        let cols = self.col_slot.iter().map(|&info| (info >> 32) as u32);
+        (&self.row_class, cols.collect())
+    }
+
     /// The slot of element `(row, col)`, if the mask allows it.
     pub fn slot(&self, row: usize, col: usize) -> Option<usize> {
         let info = self.col_slot[col];

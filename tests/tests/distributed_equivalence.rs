@@ -534,6 +534,7 @@ fn handle_returning_contractions_bitwise_across_backends() {
             a,
             b,
             acc: None,
+            mask: None,
         };
         let mut out = exec.chain(&[step]).unwrap();
         out.pop().flatten().expect("single non-accumulate step")
@@ -573,12 +574,14 @@ fn handle_returning_contractions_bitwise_across_backends() {
                     a: ChainSrc::Dense((&a).into()),
                     b: ChainSrc::Dense((&b).into()),
                     acc: None,
+                    mask: None,
                 },
                 ChainStep {
                     spec: "istk,istk->",
                     a: ChainSrc::Prev(0),
                     b: ChainSrc::Res(&h),
                     acc: None,
+                    mask: None,
                 },
             ])
             .unwrap();
@@ -768,10 +771,9 @@ fn bits(t: &BlockSparseTensor) -> Bits {
 /// `contract` calls it replaced, on a spin state and on an electron state
 /// (two charges), for all three algorithms on Sequential, Threaded and two
 /// worker processes: the same blocks bit for bit, the same flops and
-/// supersteps. Sparse-sparse charges exactly what the fold charges; list
-/// and sparse-dense charge less, their intermediates being chain inputs
-/// rather than shipped values. Every counter of the chain is equal across
-/// the backends.
+/// supersteps. Every algorithm charges less simulated time than the fold,
+/// its intermediates being chain inputs rather than shipped values. Every
+/// counter of the chain is equal across the backends.
 #[test]
 fn environment_chains_are_the_contract_fold() {
     use dmrg::{extend_left, extend_right, left_edge, right_edge};
@@ -833,15 +835,12 @@ fn environment_chains_are_the_contract_fold() {
                 );
                 assert_eq!(bits(&c), bits(&f), "{what}");
                 assert_eq!((cm.0, cm.1), (fm.0, fm.1), "{what}: flops and supersteps");
-                match algo {
-                    Algorithm::SparseSparse => assert_eq!(cm.2.to_bits(), fm.2.to_bits(), "{what}"),
-                    _ => assert!(
-                        cm.2 < fm.2,
-                        "{what}: simulated seconds {} vs {}",
-                        cm.2,
-                        fm.2
-                    ),
-                }
+                assert!(
+                    cm.2 < fm.2,
+                    "{what}: simulated seconds {} vs {}",
+                    cm.2,
+                    fm.2
+                );
                 meters.push((cm.0, cm.1, cm.2.to_bits()));
                 c
             };
@@ -902,10 +901,11 @@ fn flat_chain_executors() -> Vec<(String, Executor)> {
 /// Run the sparse-sparse chain `specs[s]: operands[s] · (previous result,
 /// `x` first)` three ways on `exec` — `ResidentChain::apply`'s flat chain, the fold
 /// of `contract_resident`, the value path — each from zeroed meters with
-/// the operands already resident. Asserts chain ≡ fold in result bits,
-/// flops, simulated seconds, operand bytes and result bytes, and chain ≡
-/// value in result bits and flops; returns what must also agree across
-/// backends: `(y, flops, simulated-seconds bits)`.
+/// the operands already resident. Asserts chain ≡ fold ≡ value in result
+/// bits and flops, and that the chain, whose intermediates stay where
+/// they were made, charges fewer simulated seconds than the fold and
+/// ships no more driver operand or result bytes; returns what must also
+/// agree across backends: `(y, flops, simulated-seconds bits)`.
 fn meter_ss_paths(
     name: &str,
     exec: &Executor,
@@ -949,10 +949,21 @@ fn meter_ss_paths(
     let chained = metered(&chain);
     // a second application finds the kept structural plan: same everything
     assert_eq!(metered(&chain), chained, "{name}: kept chain plan");
+    let folded = metered(&fold);
     assert_eq!(
-        metered(&fold),
-        chained,
+        (&folded.0, folded.1),
+        (&chained.0, chained.1),
         "{name}: flat chain vs per-step fold"
+    );
+    assert!(
+        f64::from_bits(chained.2) < f64::from_bits(folded.2),
+        "{name}: simulated seconds, chain vs fold"
+    );
+    assert!(
+        chained.3 <= folded.3 && chained.4 <= folded.4,
+        "{name}: driver bytes, chain {:?} vs fold {:?}",
+        (chained.3, chained.4),
+        (folded.3, folded.4)
     );
     let by_value = metered(&value);
     assert_eq!(by_value.0, chained.0, "{name}: flat chain vs value path");

@@ -226,27 +226,32 @@ fn run_metered(exec: &Executor, algo: Algorithm) -> (Vec<u64>, u64, tt_dist::Sim
 
 #[test]
 fn kill_after_collected_chains_replays_only_what_is_live() {
-    // Rank 1 takes ~2 400 requests over the four sparse-dense sweeps; its
-    // 900th falls inside the second, after hundreds of finished
-    // t1->t2->t3->y matvec chains have been collected from its journal.
-    // Recovery must rebuild the rank from what is left — bitwise — and
-    // replay only that: before the journal was collected the same plan
-    // moved 87 249 recovery bytes (every chain step the rank had ever
-    // run, each with its `Free`), now the live operands alone (4 257).
-    const RECOVERY_BYTES_BEFORE_COLLECTION: u64 = 87_249;
-    let clean = Executor::multi_process(Machine::blue_waters(2), 1, 2, spec()).expect("spawn");
-    let faulty = faulty_executor(2, "kill:1@900");
-    let want = run_metered(&clean, Algorithm::SparseDense);
-    let got = run_metered(&faulty, Algorithm::SparseDense);
-    assert_eq!(
-        want, got,
-        "energies, flops, sim time, operand and result bytes"
-    );
-    assert_eq!(clean.recovery_bytes(), 0);
-    let recovered = faulty.recovery_bytes();
-    assert!(recovered > 0, "the kill must have fired");
-    assert!(
-        recovered < RECOVERY_BYTES_BEFORE_COLLECTION,
-        "replay moved {recovered} bytes"
-    );
+    // Rank 1 takes ~1 500 requests over the four sweeps; its 900th falls
+    // inside the second, after hundreds of finished t1->t2->t3->y matvec
+    // chains have been collected from its journal — sparse-dense chains
+    // of dense intermediates, and sparse-sparse chains whose steps store
+    // their slots on the rank. Recovery must rebuild the rank from what is
+    // left — bitwise — and replay only that: with the journal left
+    // uncollected the same plan moves, for each input, the bytes below
+    // (every chain step the rank had ever run, each with its `Free`).
+    for (algo, uncollected) in [
+        (Algorithm::SparseDense, 87_249),
+        (Algorithm::SparseSparse, 235_966),
+    ] {
+        let clean = Executor::multi_process(Machine::blue_waters(2), 1, 2, spec()).expect("spawn");
+        let faulty = faulty_executor(2, "kill:1@900");
+        let want = run_metered(&clean, algo);
+        let got = run_metered(&faulty, algo);
+        assert_eq!(
+            want, got,
+            "{algo}: energies, flops, sim time, operand and result bytes"
+        );
+        assert_eq!(clean.recovery_bytes(), 0);
+        let recovered = faulty.recovery_bytes();
+        assert!(recovered > 0, "{algo}: the kill must have fired");
+        assert!(
+            recovered < uncollected,
+            "{algo}: replay moved {recovered} bytes"
+        );
+    }
 }
