@@ -15,9 +15,10 @@
 //! All three produce identical results; they differ in supersteps, memory
 //! and communication exactly as Table II quantifies.
 //!
-//! [`contract`] passes both operands by value and is the reference every
-//! other path is compared against; [`contract_resident`] is the same one
-//! step against a resident operand.
+//! [`contract`] passes both operands by value; [`contract_resident`] is the
+//! same one step against a resident operand. For the list algorithm each
+//! is one batch of block pairs, the reference every list chain is compared
+//! against; for the flattened algorithms each is a chain of one step.
 //!
 //! A run of contractions in which each step contracts a structural operand
 //! with the previous step's output is a *chain*, and two entry points run
@@ -163,43 +164,10 @@ impl StepPlan {
         (row_class, col_class)
     }
 
-    /// The output mask, as [`Executor::contract_ss`] and a sparse-sparse
-    /// [`ChainStep`] take it.
+    /// The output mask, as a sparse-sparse [`ChainStep`] takes it.
     fn mask(&self, a_indices: &[QnIndex], b_indices: &[QnIndex]) -> SlotMap {
         let (rows, cols) = self.mask_classes(a_indices, b_indices);
         SlotMap::new(rows, &cols)
-    }
-
-    /// Run the step as one flattened contraction — sparse-sparse under the
-    /// output mask for [`Algorithm::SparseSparse`], sparse-dense otherwise —
-    /// of `a` (graded by `a_indices`), flattened, by value or by resident
-    /// handle, against `b`.
-    fn contract_flat(
-        self,
-        exec: &Executor,
-        algo: Algorithm,
-        spec: &str,
-        (a, a_indices): (SparseOp, &[QnIndex]),
-        b: &BlockSparseTensor,
-    ) -> Result<BlockSparseTensor> {
-        match algo {
-            Algorithm::SparseSparse => {
-                let mask = self.mask(a_indices, b.indices());
-                let c = exec.contract_ss(spec, a, &b.to_flat_sparse(), Some(&mask))?;
-                BlockSparseTensor::from_flat_sparse(self.out_indices, self.out_flux, &c)
-            }
-            _ => {
-                let b_dense = b.to_dense();
-                let c = exec.contract_sd(spec, a, &b_dense)?;
-                let blocks =
-                    BlockSparseTensor::from_dense(self.out_indices, self.out_flux, &c, 0.0);
-                // both dense ends are spent: their buffers serve the next
-                // contraction's
-                exec.recycle(c);
-                exec.recycle(b_dense);
-                blocks
-            }
-        }
     }
 }
 
@@ -302,7 +270,11 @@ fn for_each_block_pair<'a, 'b, A: Copy, B: Copy>(
     }
 }
 
-/// Contract two block-sparse tensors with the chosen algorithm.
+/// Contract two block-sparse tensors with the chosen algorithm: the list
+/// algorithm's block pairs ([`contract_list`]), or for the flattened
+/// algorithms a one-step [`contract_chain`] — sparse `A` times densified
+/// `B`, or sparse `A` times sparse `B` with the output sparsity
+/// pre-computed from the quantum numbers.
 pub fn contract(
     exec: &Executor,
     algo: Algorithm,
@@ -310,14 +282,10 @@ pub fn contract(
     a: &BlockSparseTensor,
     b: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
-    if algo == Algorithm::List {
-        return contract_list(exec, spec, a, b);
+    match algo {
+        Algorithm::List => contract_list(exec, spec, a, b),
+        _ => contract_chain(exec, algo, &[(spec, a)], b),
     }
-    // flattened: sparse A times densified B, or sparse A times sparse B
-    // with the output sparsity pre-computed from the quantum numbers
-    let step = StepPlan::derive(spec, structure(a), structure(b))?;
-    let a_flat = a.to_flat_sparse();
-    step.contract_flat(exec, algo, spec, ((&a_flat).into(), a.indices()), b)
 }
 
 /// Paper Algorithm 2: loop over block pairs, match contracted labels,
@@ -544,10 +512,11 @@ pub fn contract_resident(
     b: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
     let a = a.step(spec);
-    let step = StepPlan::derive(spec, a.structure(), structure(b))?;
     if algo != Algorithm::List {
-        return step.contract_flat(exec, algo, spec, (a.flat()?, a.indices), b);
+        let steps = [a];
+        return apply_flat(exec, &steps, &ChainPlan::derive(algo, &steps, b)?, b);
     }
+    let step = StepPlan::derive(spec, a.structure(), structure(b))?;
     // enumerate the pairs; each B block they use uploads once, in
     // first-use order
     let mut used: Vec<&Arc<DenseTensor<f64>>> = Vec::new();

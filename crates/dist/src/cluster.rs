@@ -62,7 +62,7 @@
 //! keys are issued once and re-uploads carry no operands, so none are.)
 
 use crate::cost::CostTracker;
-use crate::transport::worker::{Out, Reply, Request};
+use crate::transport::worker::{Reply, Request};
 use crate::transport::{InProcTransport, Transport};
 use crate::{Error, FaultKind, Result};
 use parking_lot::Mutex;
@@ -211,7 +211,7 @@ impl RankLog {
 fn journal_class(req: &Request) -> JClass {
     // a contraction that stores its result is journaled with the keys it
     // reads; one that replies is value-returning compute
-    let by_out = |out: &Out, a: Option<u64>, b: Option<u64>| match out.key() {
+    let stores = |op: Option<u64>, a: Option<u64>, b: Option<u64>| match op {
         Some(op) => JClass::Store {
             op,
             deps: a.into_iter().chain(b).collect(),
@@ -223,9 +223,9 @@ fn journal_class(req: &Request) -> JClass {
             op: *key,
             deps: Vec::new(),
         },
-        Request::Contract { a, b, out, .. } => by_out(out, a.key(), b.key()),
-        Request::SdContract { a, b, out, .. } => by_out(out, a.key(), b.key()),
-        Request::SsChunk { a, b, out, .. } => by_out(out, a.key(), b.key()),
+        Request::Contract { a, b, out, .. } => stores(out.key(), a.key(), b.key()),
+        Request::SdContract { a, b, key, .. } => stores(Some(*key), a.key(), b.key()),
+        Request::SsChunk { a, b, key, .. } => stores(Some(*key), a.key(), b.key()),
         Request::Free { key } | Request::Download { key } => JClass::Remove { key: *key },
         // pure probes and value-returning compute: nothing to reconstruct
         // (their operands, when keyed, are journaled by the uploads that

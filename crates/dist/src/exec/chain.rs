@@ -2,7 +2,7 @@
 //! supersteps (placement, redistribution, charging), its in-process leg,
 //! and the exits of a resident result (`download*`, `free_results`).
 
-use super::keys::{self, Chunked};
+use super::keys::{self, CoordsKey};
 use super::residency::{op_state, Charge, OpCharge, Superstep};
 use super::sparse::{inline_coords, inline_table, sd_request, ss_request, upload_coords};
 use super::{expect_buf, DenseOp, Executor, SparseOp};
@@ -113,7 +113,7 @@ impl PlannedStep {
     }
 
     /// The key family of a sparse `a` of this step.
-    fn a_key(&self, h: &OpHandle) -> Chunked {
+    fn a_key(&self, h: &OpHandle) -> CoordsKey {
         match self.kind {
             StepKind::Ss => keys::ss_a(h, &self.plan),
             _ => keys::sd_a(h, &self.plan, self.n),
@@ -195,19 +195,22 @@ impl Executor {
     /// metered in the byte counters but — like every p-dependent physical
     /// re-ship — not α–β-charged, so the cost counters stay bitwise-equal
     /// across backends). Steps with no resident input anchor to one
-    /// round-robin rank per chain call. A sparse-sparse step's output, its
+    /// round-robin rank per chain call; a chain of one step — a one-shot
+    /// contraction such as [`Executor::contract_sd`] — takes the current
+    /// rank without moving the round robin on, so the chains after it
+    /// place as they would without it. A sparse-sparse step's output, its
     /// mask's slots, never moves: its reader runs where it lies.
     ///
     /// A by-value operand ([`ChainSrc::Dense`] or [`ChainSrc::Sparse`] of
-    /// a tensor) goes as the matching value entry point takes it. On a
-    /// dense × dense step it is content-keyed through the retention cache
-    /// when that is on ([`Executor::set_retention_cap`]), as in
-    /// [`Executor::contract`]: it ships once fleet-wide, and a later chain
-    /// or job that passes the same content ships nothing for it. On a
-    /// sparse step every by-value operand ships inline, as in
-    /// [`Executor::contract_sd`] / [`Executor::contract_ss`], and nothing is
-    /// retained — a Davidson vector is used once. Either way it is charged
-    /// as a value; an output a step reads is charged as chain-resident.
+    /// a tensor) is charged as a value; an output a step reads is charged
+    /// as chain-resident. On a dense × dense step a by-value operand is
+    /// content-keyed through the retention cache when that is on
+    /// ([`Executor::set_retention_cap`]), as in [`Executor::contract`]: it
+    /// ships once fleet-wide, and a later chain or job that passes the same
+    /// content ships nothing for it. On a sparse step every by-value
+    /// operand ships inline and nothing is retained — a Davidson vector is
+    /// used once. [`Executor::contract_sd`] and [`Executor::contract_ss`]
+    /// are one-step chains.
     ///
     /// Numerics are bitwise-identical to running the equivalent
     /// value-returning contractions on any backend: every kernel is the
@@ -455,7 +458,9 @@ impl Executor {
         let anchor = {
             let mut cur = self.chain_cursor.lock();
             let a = *cur % p.max(1);
-            *cur = cur.wrapping_add(1);
+            if steps.len() > 1 {
+                *cur = cur.wrapping_add(1);
+            }
             a
         };
         let mut homes: Vec<usize> = vec![0; steps.len()];
@@ -475,10 +480,6 @@ impl Executor {
                 }
             };
             homes[i] = rank;
-            let out = Out::Store {
-                key: pl.key,
-                acc: pl.base != i,
-            };
             let mut wire = |src, pending: &mut Superstep| {
                 self.wire_input(cl, rank, src, &mut homes, planned, pending)
             };
@@ -490,12 +491,15 @@ impl Executor {
                     a: wire(a, &mut pending)?,
                     b_dims: pl.b_dims.clone(),
                     b: wire(&st.b, &mut pending)?,
-                    out,
+                    out: Out::Store {
+                        key: pl.key,
+                        acc: pl.base != i,
+                    },
                 },
                 (StepKind::Sd, ChainSrc::Sparse(a)) => {
                     let a = self.wire_coords(rank, a, pl, &mut pending)?;
                     let (dims, b) = ((&pl.a_dims[..], &pl.b_dims[..]), wire(&st.b, &mut pending)?);
-                    sd_request(&pl.plan, dims, a, (0, pl.m), b, out)
+                    sd_request(&pl.plan, dims, a, b, pl.key)
                 }
                 (StepKind::Ss, ChainSrc::Sparse(a)) => {
                     // an earlier step's slots lie on this rank; a value ships
@@ -508,10 +512,11 @@ impl Executor {
                         (ChainSrc::Sparse(x), _) => inline_table(&pl.b_table(x.tensor()?)),
                         _ => unreachable!("planned with the form of its `B`"),
                     };
-                    let mask = st.mask.map(|map| kernels::wire_classes(map));
+                    let mask =
+                        kernels::wire_classes(st.mask.expect("a sparse-sparse step has a mask"));
                     let axes = kernels::ss_axes(&pl.plan, &pl.a_dims, &pl.b_dims)?;
                     let a = self.wire_coords(rank, a, pl, &mut pending)?;
-                    ss_request(a, b, (0, pl.m), pl.n, &axes, mask, out)
+                    ss_request(a, b, pl.key, pl.n, &axes, mask)
                 }
                 _ => unreachable!("plan_chain gave a sparse step a sparse `a`"),
             };
@@ -640,7 +645,7 @@ impl Executor {
                 outs[i] = Some(match (pl.kind, &st.a) {
                     (StepKind::Sd, ChainSrc::Sparse(op)) => {
                         let b = resolve_local(&st.b, outs)?;
-                        Local::Dense(Arc::new(self.sd_local(&pl.plan, op, b)?.0))
+                        Local::Dense(Arc::new(self.sd_local(&pl.plan, op, b)?))
                     }
                     (StepKind::Ss, ChainSrc::Sparse(op)) => {
                         // an earlier step's slots go once their last reader
@@ -790,7 +795,7 @@ impl Executor {
             (Some(cl), _) => {
                 let home = result_home(&self.residency.lock(), &h)?;
                 match cl.lock().call(home, &Request::Download { key: h.key })? {
-                    Reply::Entries { offs, vals, .. } => (offs, vals),
+                    Reply::Entries { offs, vals } => (offs, vals),
                     other => return Err(Error::transport(format!("expected entries: {other:?}"))),
                 }
             }

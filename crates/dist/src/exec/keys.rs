@@ -2,11 +2,12 @@
 //!
 //! A resident operand is stored on the workers as *derived* buffers — the
 //! form one kind of contraction consumes. Each has a **logical** key, which
-//! the cost model's charge book sees (free of the worker count, so the
-//! α–β charges are the same on every backend), and for the chunked
-//! families one **physical** key per chunk, which the worker stores see:
-//! the logical key's parts followed by `(chunks, i)`. Both come from the
-//! one [`Chunked`] value, so they cannot drift apart.
+//! the cost model's charge book sees, and for the sparse `A` families a
+//! **physical** key, which the worker stores see: the logical key's parts
+//! followed by `(1, 0)`, the one chunk of one a chain step consumes (the
+//! words are those of the row-bucketed layout the families once had, so
+//! the keys did not move). Both come from the one [`CoordsKey`] value, so
+//! they cannot drift apart.
 //!
 //! A key is a [`WordHash`] of its parts in order, one 64-bit word per
 //! part: deterministic and backend-independent, which is what lets the
@@ -17,8 +18,8 @@ use crate::handle::{OpHandle, WordHash};
 use tt_tensor::einsum::ContractPlan;
 
 // Purpose tags: what a buffer derived from a handle's content is for.
-const TAG_SD_A: u64 = 0x5D; // volume-bucketed sparse-dense coords
-const TAG_SS_A: u64 = 0x55; // row-bucketed sparse-sparse coords
+const TAG_SD_A: u64 = 0x5D; // sparse-dense coords
+const TAG_SS_A: u64 = 0x55; // key-sorted sparse-sparse coords
 const TAG_WHOLE: u64 = 0xF0; // whole tensor (pairs, SVD inputs)
 
 fn derive(parts: &[u64]) -> WordHash {
@@ -32,34 +33,27 @@ fn hseq(vals: &[usize]) -> u64 {
         .finish()
 }
 
-/// The key of a buffer family that is stored in chunks.
+/// The key of a sparse `A` buffer family.
 #[derive(Clone, Copy)]
-pub(crate) struct Chunked(WordHash);
+pub(crate) struct CoordsKey(WordHash);
 
-impl Chunked {
-    /// The charge key. It omits the chunk count, which follows the worker
-    /// count: a re-chunking re-ships physically (metered in
-    /// `bytes_operands`) without a second α–β upload charge.
+impl CoordsKey {
+    /// The charge key.
     pub(crate) fn logical(self) -> u64 {
         self.0.finish()
     }
 
-    /// The worker key of chunk `i` of `chunks`.
-    pub(crate) fn chunk(self, chunks: usize, i: usize) -> u64 {
-        self.0.u64(chunks as u64).u64(i as u64).finish()
-    }
-
-    /// The worker key of the family stored unchunked — the one chunk of
-    /// one that a chain step consumes.
+    /// The worker key: the family stored whole, as a chain step consumes
+    /// it — chunk 0 of 1 in the key words.
     pub(crate) fn whole(self) -> u64 {
-        self.chunk(1, 0)
+        self.0.u64(1).u64(0).finish()
     }
 }
 
-/// Volume-balanced coordinate buckets of a sparse-dense `A`, fused against
-/// `n` output columns.
-pub(super) fn sd_a(h: &OpHandle, plan: &ContractPlan, n: usize) -> Chunked {
-    Chunked(derive(&[
+/// The fused coordinates of a sparse-dense `A`, against `n` output
+/// columns.
+pub(super) fn sd_a(h: &OpHandle, plan: &ContractPlan, n: usize) -> CoordsKey {
+    CoordsKey(derive(&[
         h.key(),
         TAG_SD_A,
         hseq(plan.free_a_positions()),
@@ -68,9 +62,9 @@ pub(super) fn sd_a(h: &OpHandle, plan: &ContractPlan, n: usize) -> Chunked {
     ]))
 }
 
-/// Row buckets of a sparse-sparse `A`.
-pub(super) fn ss_a(h: &OpHandle, plan: &ContractPlan) -> Chunked {
-    Chunked(derive(&[
+/// The key-sorted fused coordinates of a sparse-sparse `A`.
+pub(super) fn ss_a(h: &OpHandle, plan: &ContractPlan) -> CoordsKey {
+    CoordsKey(derive(&[
         h.key(),
         TAG_SS_A,
         hseq(plan.free_a_positions()),

@@ -30,15 +30,13 @@
 //! # One leg per decision
 //!
 //! An entry point has an in-process leg and a cluster leg, and they share
-//! everything but the carrier. A dense contraction is cut the same way on
-//! both: one whole pair per lane (pool thread or worker rank), the pool
-//! alone splitting a lone pair into row panels. *How sparse work is cut*
-//! comes from one prelude per sparse kernel family in `kernels`
-//! (`sd_prepare`, `ss_prepare`: fused dims, the fan-out rule over `lanes` =
-//! pool threads or worker ranks, buckets), consumed by both legs, and the
-//! pieces come back through one epilogue (`kernels::natural_output`). *How
-//! it reaches a lane* in-process is `kernels::ordered_map` over borrowed
-//! data. *What a superstep is* on the cluster is `residency::Superstep`:
+//! everything but the carrier. A contraction is cut the same way on both:
+//! one whole contraction per lane (pool thread or worker rank) — a block
+//! pair, or a chain step — the pool alone splitting one into row panels or
+//! chunks (`kernels::dense_ranges`, `kernels::sparse_chunks`). A sparse
+//! contraction is always a chain step: `contract_sd` and `contract_ss` are
+//! one-step chains. *How work reaches a lane* in-process is
+//! `kernels::ordered_map` over borrowed data. *What a superstep is* on the cluster is `residency::Superstep`:
 //! `ensure` an upload wherever a rank lacks a buffer, queue the `task`s,
 //! `run` — every request that carries work (`Contract`, `SdContract`,
 //! `SsChunk`, `SvdTrunc`) is assembled and sent there; the bare
@@ -199,8 +197,8 @@ pub struct Executor {
     /// Allocator for driver-issued result keys (chain outputs).
     next_result: Mutex<u64>,
     /// Round-robin anchor cursor for chains with no resident inputs —
-    /// advanced once per [`Executor::chain`] call, so one chain's
-    /// unanchored steps stay together on one rank.
+    /// advanced once per [`Executor::chain`] call of more than one step,
+    /// so one chain's unanchored steps stay together on one rank.
     chain_cursor: Mutex<usize>,
     /// Cross-job retention cache (see [`Executor::set_retention_cap`]).
     retention: Mutex<Retention>,

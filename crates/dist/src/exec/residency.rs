@@ -172,7 +172,7 @@ impl Executor {
     /// workspace. A workspace (one per worker, one in the driver for the
     /// in-process legs; [`Executor::workspace_stats`]) holds retired
     /// sparse-dense temporaries for the next contraction to take: between
-    /// two calls, only buffers the last chain or `contract_sd` used, so at
+    /// two calls, only buffers the last chain used, so at
     /// most what that call would have had allocated while it ran, and
     /// nothing once a call has needed nothing. In-process a resident
     /// sparse operand also keeps its fused coordinates (24 bytes per stored

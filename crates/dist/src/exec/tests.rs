@@ -1593,6 +1593,113 @@ fn ss_chain_executor(backend: &str) -> (Executor, Option<Sent>) {
     }
 }
 
+/// `contract_sd`, masked `contract_ss` and unmasked `contract_ss` are
+/// one-step chains: on Sequential, Threaded (all three above the 16 MFlop
+/// gate, so the pool cuts them into row chunks) and 2 worker ranks each
+/// agrees with the dense einsum, and with itself on the other backends in
+/// result bits, flops and simulated seconds; the masked result is the
+/// unmasked one filtered to the mask, bit for bit. On the ranks each is
+/// one task on one rank, its reply, then its `Download` there.
+#[test]
+fn one_shot_sparse_contractions_are_one_step_chains() {
+    let mut rng = StdRng::seed_from_u64(4200);
+    let a = SparseTensor::from_dense(&DenseTensor::<f64>::random([300, 250], &mut rng), 0.5);
+    let b = DenseTensor::<f64>::random([250, 300], &mut rng);
+    let sb = SparseTensor::from_dense(&b, 0.2);
+    let spec = "ik,kj->ji";
+    let class = |len: usize| (0..len as u32).map(|i| i % 3).collect::<Vec<u32>>();
+    let map = SlotMap::new(class(300), &class(300));
+    let bits = |data: &[f64]| data.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    let entries = |t: SparseTensor<f64>| t.entries().map(|(o, v)| (o, v.to_bits())).collect();
+    // each one-shot on a fresh executor of `backend`: its result as
+    // `(offset, bits)` (every element for sparse-dense), flops, simulated
+    // seconds and, on the ranks, the frames
+    type Run = (Vec<(u64, u64)>, u64, u64, Option<Vec<(usize, Vec<u8>)>>);
+    let run = |backend: &str, op: usize| -> Run {
+        let (exec, sent) = ss_chain_executor(backend);
+        let got: Vec<(u64, u64)> = match op {
+            0 => {
+                let c = exec.contract_sd(spec, &a, &b).unwrap();
+                bits(c.data())
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, v)| (i as u64, v))
+                    .collect()
+            }
+            1 => entries(exec.contract_ss(spec, &a, &sb, Some(&map)).unwrap()),
+            _ => entries(exec.contract_ss(spec, &a, &sb, None).unwrap()),
+        };
+        let frames = sent.map(|s| s.lock().unwrap().clone());
+        (
+            got,
+            exec.total_flops(),
+            exec.sim_time().total().to_bits(),
+            frames,
+        )
+    };
+    let want = [
+        tt_tensor::einsum(spec, &a.to_dense(), &b).unwrap(),
+        tt_tensor::einsum(spec, &a.to_dense(), &sb.to_dense()).unwrap(),
+    ];
+    assert!(
+        2 * a.nnz() as u64 * 300 > 16_000_000,
+        "sparse-dense above the gate"
+    );
+    let mut seen: Vec<Run> = Vec::new();
+    for op in 0..3 {
+        let seq = run("sequential", op);
+        let mut value = vec![0.0; 300 * 300];
+        for &(off, v) in &seq.0 {
+            value[off as usize] = f64::from_bits(v);
+        }
+        // the masked result is held to the unmasked one below
+        let value = DenseTensor::from_vec([300, 300], value).unwrap();
+        if op != 1 {
+            assert!(value.allclose(&want[op / 2], 1e-12), "op {op}");
+        }
+        assert!(seq.1 > 16_000_000, "op {op} above the gate");
+        for backend in ["threaded", "2 ranks"] {
+            let other = run(backend, op);
+            assert_eq!(
+                (&other.0, other.1, other.2),
+                (&seq.0, seq.1, seq.2),
+                "op {op} on {backend}"
+            );
+            let Some(frames) = other.3 else { continue };
+            let rank = frames[0].0;
+            let shape: Vec<(usize, Option<u8>)> = frames
+                .iter()
+                .map(|(r, f)| (*r, f.first().copied()))
+                .collect();
+            let task = [20, 12, 12][op];
+            assert_eq!(
+                shape,
+                [
+                    (rank, Some(task)),
+                    (rank, None),
+                    (rank, Some(18)),
+                    (rank, None)
+                ],
+                "op {op}: one task, then its download"
+            );
+        }
+        seen.push(seq);
+    }
+    // masked = unmasked filtered to the mask; an offset of the `ji` output
+    // is `j · 300 + i`
+    let allowed = |&&(off, _): &&(u64, u64)| {
+        map.slot((off % 300) as usize, (off / 300) as usize)
+            .is_some()
+    };
+    let filtered: Vec<(u64, u64)> = seen[2].0.iter().filter(allowed).copied().collect();
+    assert_eq!(seen[1].0, filtered);
+    assert!(seen[1].0.len() < seen[2].0.len());
+    assert_eq!(
+        seen[1].1, seen[2].1,
+        "a mask drops products after counting them"
+    );
+}
+
 /// A chain of sparse-sparse steps is refused typed, not by a panic, when
 /// its steps do not fit: classes of the wrong length, a step whose operand
 /// is not the previous step's output, an input of other dims, a step
@@ -1697,8 +1804,9 @@ fn protocol_trace_matches_golden() {
     exec.contract("ik,kj->ij", &a, &b).unwrap();
     exec.set_retention_cap(0).unwrap();
 
-    // -- sparse-dense and sparse-sparse, below the 16 MFlop gate (one
-    // chunk) and above it (one per worker), by value and by handle
+    // -- sparse-dense and sparse-sparse one-shots, below the 16 MFlop gate
+    // and above it, by value and by handle: each a one-step chain, one
+    // task on one rank and its `Download`
     let small = (dense(&[24, 6, 30]), dense(&[30, 6, 18]));
     let large = (dense(&[400, 250]), dense(&[250, 300]));
     for (spec, (a, b), thr_b) in [("isj,jtk->istk", &small, 0.5), ("ik,kj->ji", &large, 0.2)] {

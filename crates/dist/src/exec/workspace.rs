@@ -7,9 +7,8 @@
 //! keeps such buffers between uses instead: one per [`Executor`] for the
 //! in-process legs, one per worker state for `SdContract` temporaries and
 //! what `Free` releases. It is not an allocator: it serves only requests of
-//! at least [`WORKSPACE_MIN_BYTES`] made by `kernels::sd_apply` and
-//! `kernels::sd_rows`, and between
-//! calls it keeps only buffers the last call used (see
+//! at least [`WORKSPACE_MIN_BYTES`] made by `kernels::sd_apply`, and
+//! between calls it keeps only buffers the last call used (see
 //! [`Workspace::settle`]).
 //!
 //! [`Executor`]: super::Executor

@@ -3,8 +3,9 @@
 //! The executor's two modes must produce **bitwise-identical** results, so
 //! every kernel here partitions work by *disjoint output rows*: for a fixed
 //! output element the accumulation order never depends on how many chunks
-//! (threads, or worker ranks) the row space was split into. Sequential
-//! execution is the single-chunk special case of the same code path.
+//! (pool threads) the row space was split into. Sequential execution — and
+//! a worker rank, which runs each contraction whole — is the single-chunk
+//! special case of the same code path.
 //!
 //! Each kernel is written once. Work reaches a lane through
 //! [`ordered_map`] — `f(0..n)` in order, across the pool when there is one
@@ -19,19 +20,16 @@
 //!   small one the unpacked register tile on the operands where they lie,
 //!   a large one the packed microkernel against a `B` packed once for all
 //!   of them (its `KC`-deep blocks are themselves an ordered map); one
-//!   range per pool thread, no gate on work size. A worker runs a dense
-//!   contraction whole (one `Contract` task, one lane), so a cluster never
-//!   cuts a GEMM into rows;
+//!   range per pool thread, no gate on work size;
 //! * [`sparse_chunks`]: the sparse kernels split rows by **work volume** —
 //!   a prefix sum of per-row flops picks the chunk boundaries, so a
 //!   handful of dense rows (the skewed patterns block-sparse flattening
 //!   produces) does not serialize onto one lane — one chunk per lane from
 //!   16 MFlop up, a single chunk below.
 //!
-//! `lanes` is the pool's thread count for the in-process legs and, for
-//! the sparse families, the worker count for the cluster legs (`exec`),
-//! which start from the same preludes ([`sd_prepare`], [`ss_prepare`]) and
-//! end in the same epilogue ([`natural_output`]).
+//! `lanes` is the pool's thread count. A worker runs every contraction
+//! whole (one `Contract`, `SdContract` or `SsChunk` task, one lane), so a
+//! cluster never cuts one into rows.
 //!
 //! The kernels are TTGT (transpose–GEMM–transpose) in meaning only: a
 //! permutation is executed when elements really have to change order.
@@ -53,10 +51,9 @@
 //! Layout: this file holds the ordered map, the two fan-out rules, the
 //! range functions and the dims / output helpers every family shares;
 //! `dense` the dense contraction and its row panel; `sd` the
-//! sparse-dense layout decision, row-pass chunk body and contraction; `ss` the
-//! sparse-sparse preparation, merge chunk and contraction, and a chain
-//! step's slots (the slot merge, the next step's table, the exit); `factor` the truncated SVD and its
-//! tall-panel rule.
+//! sparse-dense layout decision, row-pass chunk body and contraction; `ss`
+//! a sparse-sparse chain step's slots (the slot merge, the next step's
+//! table, the exit); `factor` the truncated SVD and its tall-panel rule.
 
 mod dense;
 mod factor;
@@ -67,20 +64,15 @@ pub(crate) mod tests;
 
 pub(crate) use dense::{dense_contract, dense_into, output_view};
 pub(crate) use factor::svd_trunc;
-pub(crate) use sd::{sd_apply, sd_buckets, sd_contract, sd_prepare, sd_rows, SdGeometry};
-pub(crate) use ss::{
-    fusion_weights, slot_map, ss_axes, ss_chunk, ss_contract, ss_prepare, ss_slots, wire_classes,
-    AxesPair, SsPrep, SsSlots,
-};
+pub(crate) use sd::{sd_apply, sd_contract, SdGeometry};
+pub(crate) use ss::{fusion_weights, slot_map, ss_axes, ss_slots, wire_classes, AxesPair, SsSlots};
 
 #[cfg(doc)]
 use crate::exec::Workspace;
 use crate::pool::{PoolJob, ThreadPool};
-use crate::Result;
 use tt_tensor::einsum::ContractPlan;
 use tt_tensor::gemm::{GemmPath, MC};
-use tt_tensor::transpose::{motion, permute_data, Motion};
-use tt_tensor::{DenseTensor, SparseTensor};
+use tt_tensor::SparseTensor;
 
 /// Contiguous row ranges `[r0, r1)`, in row order.
 pub(crate) type Ranges = Vec<(usize, usize)>;
@@ -118,10 +110,9 @@ fn lanes(pool: Option<&ThreadPool>) -> usize {
 
 /// Work volume (flops) below which the sparse kernels stay on a single
 /// lane: at small sizes the dispatch overhead (job boxing, channel
-/// wakeups, shared-queue contention — or a frame per worker) costs more
-/// than the kernel itself — `BENCH_kernels.json` measured
-/// `sd_contract_threaded` at 512×128×64 (~5.6 MFlop) *slower* than
-/// sequential before this gate existed.
+/// wakeups, shared-queue contention) costs more than the kernel itself —
+/// `BENCH_kernels.json` measured `sd_contract_threaded` at 512×128×64
+/// (~5.6 MFlop) *slower* than sequential before this gate existed.
 const SPARSE_PAR_MIN_FLOPS: u64 = 16_000_000;
 
 /// Size (bytes) from which a dense temporary of the sparse-dense kernel is
@@ -133,7 +124,7 @@ pub(crate) const WORKSPACE_MIN_BYTES: usize = 128 * 1024;
 
 /// The sparse fan-out rule: how many row chunks a sparse-dense or
 /// sparse-sparse contraction of `flops` flops is cut into, given `lanes`
-/// pool threads or worker ranks.
+/// pool threads.
 pub(crate) fn sparse_chunks(flops: u64, lanes: usize) -> usize {
     if flops < SPARSE_PAR_MIN_FLOPS {
         1
@@ -240,25 +231,6 @@ pub(crate) fn natural_dims(plan: &ContractPlan, a_dims: &[usize], b_dims: &[usiz
         .collect()
 }
 
-/// The epilogue of the sparse-dense cluster leg: the natural-order rows
-/// of `a ·plan· b`, concatenated from worker panels, as the output tensor
-/// — moved when the output permutation fuses to the identity, permuted
-/// otherwise.
-pub(crate) fn natural_output(
-    plan: &ContractPlan,
-    a_dims: &[usize],
-    b_dims: &[usize],
-    c: Vec<f64>,
-) -> Result<DenseTensor<f64>> {
-    let nat_dims = natural_dims(plan, a_dims, b_dims);
-    let out_perm = plan.output_permutation();
-    let c = match motion(&nat_dims, out_perm)? {
-        Motion::Identity => c,
-        _ => permute_data(&c, &nat_dims, out_perm)?,
-    };
-    Ok(DenseTensor::from_vec(plan.output_dims(a_dims, b_dims)?, c)?)
-}
-
 /// Row panels in row order as one buffer: a single panel moves.
 fn concat_rows(mut panels: Vec<Vec<f64>>, len: usize) -> Vec<f64> {
     if panels.len() == 1 {
@@ -315,19 +287,19 @@ pub(crate) type Coord = (u64, u64, f64);
 /// bitwise-stable: every output row lives in exactly one bucket, and its
 /// coords keep their stored order there).
 ///
-/// `coord_work` gives each coordinate's flop weight; per-row weights are
-/// their sum. Bucket lookup binary-searches the range starts — ranges are
-/// *not* uniform in width, so the old `row / first_range_width` indexing
-/// would misbucket everything past the first boundary.
+/// `coord_work(i)` gives the flop weight of the `i`-th coordinate; per-row
+/// weights are their sum. Bucket lookup binary-searches the range starts —
+/// ranges are *not* uniform in width, so the old `row / first_range_width`
+/// indexing would misbucket everything past the first boundary.
 pub(crate) fn bucket_by_volume(
     coords: Vec<Coord>,
     m: usize,
     chunks: usize,
-    coord_work: impl Fn(&Coord) -> u64,
+    coord_work: impl Fn(usize) -> u64,
 ) -> (Vec<(usize, usize)>, Vec<Vec<Coord>>) {
     let mut weights = vec![0u64; m];
-    for c in &coords {
-        weights[c.0 as usize] += coord_work(c);
+    for (i, c) in coords.iter().enumerate() {
+        weights[c.0 as usize] += coord_work(i);
     }
     let ranges = volume_ranges(&weights, chunks);
     let starts: Vec<usize> = ranges.iter().map(|&(r0, _)| r0).collect();

@@ -11,7 +11,7 @@
 
 use super::{
     bucket_by_volume, concat_rows, fused_dims, lanes, natural_dims, ordered_map, sparse_chunks,
-    sparse_coords, Coord, Ranges,
+    Coord, Ranges,
 };
 use crate::exec::Workspace;
 use crate::pool::ThreadPool;
@@ -21,7 +21,7 @@ use tt_tensor::einsum::ContractPlan;
 use tt_tensor::shape::is_permutation;
 use tt_tensor::transpose::{motion, permute_data_into, Motion};
 use tt_tensor::view::{Modes, RunView};
-use tt_tensor::{DenseTensor, SparseTensor};
+use tt_tensor::DenseTensor;
 
 /// Shortest contiguous run worth addressing through an offset table:
 /// below it the per-run loop overhead of [`sd_chunk`] outweighs the
@@ -286,7 +286,7 @@ fn strip<const R: usize, const W: usize>(
 }
 
 /// Rows `[r0, r1)` of a sparse-dense product as a fresh natural-order
-/// row panel: the chunk form of the pool jobs and of [`sd_rows`].
+/// row panel: the chunk form of the pool jobs.
 fn sd_panel(
     (r0, r1): (usize, usize),
     n: usize,
@@ -354,32 +354,6 @@ pub(crate) fn sd_apply(
     Ok(DenseTensor::from_vec(out_dims, out)?)
 }
 
-/// Rows `[r0, r1)` (within `[0, g.m)`) of a sparse-dense product as a
-/// natural-order row panel, from `bucket`, the entries of those rows: the
-/// reply to a row-ranged `SdContract`. `B` is read in place or permuted
-/// as [`SdLayout`] decides, which no result bit shows, so the panel holds
-/// the bits of the same rows of [`sd_apply`].
-pub(crate) fn sd_rows(
-    g: &SdGeometry,
-    b: &[f64],
-    (r0, r1): (usize, usize),
-    bucket: &[Coord],
-    ws: &Workspace,
-) -> Result<Vec<f64>> {
-    let out_dims = checked_out_dims(g, b)?;
-    let len = (r1 - r0) * g.n;
-    if len == 0 || b.is_empty() {
-        return Ok(vec![0.0; len]);
-    }
-    let layout = SdLayout::choose(g, &out_dims, false)?;
-    let b_data = b_operand(&layout, g, b, ws)?;
-    let c = sd_panel((r0, r1), g.n, bucket, &layout.b, &b_data);
-    if let Cow::Owned(permuted) = b_data {
-        ws.give(permuted);
-    }
-    Ok(c)
-}
-
 /// The output dims of `g`, once it is known to fit `b`: the worker builds
 /// `g` from request fields, so nothing is indexed before this check.
 fn checked_out_dims(g: &SdGeometry, b: &[f64]) -> Result<Vec<usize>> {
@@ -416,12 +390,7 @@ fn b_operand<'b>(
 
 /// `coords` as `chunks` volume-balanced row buckets: every stored entry
 /// costs one `n`-wide axpy.
-pub(crate) fn sd_buckets(
-    coords: Vec<Coord>,
-    m: usize,
-    n: usize,
-    chunks: usize,
-) -> (Ranges, Vec<Vec<Coord>>) {
+fn sd_buckets(coords: Vec<Coord>, m: usize, n: usize, chunks: usize) -> (Ranges, Vec<Vec<Coord>>) {
     bucket_by_volume(coords, m, chunks, |_| n as u64)
 }
 
@@ -432,28 +401,13 @@ fn sd_work(nnz: usize, n: usize, lanes: usize) -> (u64, usize) {
     (flops, sparse_chunks(flops, lanes))
 }
 
-/// The prelude of the cluster leg of a sparse-dense contraction: `A`'s
-/// coords in stored order, the flops they cost against `B`'s `n`-wide
-/// rows, and the chunk count over `lanes`.
-pub(crate) fn sd_prepare(
-    plan: &ContractPlan,
-    a: &SparseTensor<f64>,
-    b_dims: &[usize],
-    lanes: usize,
-) -> Result<(Vec<Coord>, u64, usize)> {
-    plan.output_dims(a.dims(), b_dims)?;
-    let n = fused_dims(plan, a.dims(), b_dims).2;
-    let coords = sparse_coords(a, plan.free_a_positions(), plan.ctr_a_positions());
-    let (flops, chunks) = sd_work(coords.len(), n, lanes);
-    Ok((coords, flops, chunks))
-}
-
 /// Sparse × dense contraction producing a dense tensor, row-chunked with
 /// volume-balanced (nnz·n) chunk boundaries when [`sparse_chunks`] says
-/// the work is worth more than one lane. `coords` are [`sparse_coords`] of
-/// the sparse operand (of shape `a_dims`) under `plan` — computed by the
-/// caller, which may keep them with a resident operand and has checked the
-/// operand shapes against `plan`.
+/// the work is worth more than one lane. `coords` are
+/// [`sparse_coords`](super::sparse_coords) of the sparse operand (of shape
+/// `a_dims`) under `plan` — computed by the caller, which may keep them
+/// with a resident operand and has checked the operand shapes against
+/// `plan`.
 pub(crate) fn sd_contract(
     plan: &ContractPlan,
     a_dims: &[usize],

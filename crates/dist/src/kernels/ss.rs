@@ -1,30 +1,14 @@
-//! Sparse × sparse: the shared preparation ([`SsPrep`]), the merge chunk,
-//! the contraction over [`ordered_map`], and a chain step's output in the
-//! merge kernel's format ([`SsSlots`]), in-process and on a worker alike.
+//! Sparse × sparse: a chain step's merge into the slots of its mask over
+//! [`ordered_map`], and its output in the merge kernel's format
+//! ([`SsSlots`]), in-process and on a worker alike.
 
-use super::{
-    bucket_by_volume, fused_dims, lanes, natural_dims, ordered_map, sparse_chunks, sparse_coords,
-    Coord, Ranges,
-};
+use super::{bucket_by_volume, lanes, natural_dims, ordered_map, sparse_chunks, Coord};
 use crate::pool::ThreadPool;
 use crate::{Error, Result};
 use std::sync::Arc;
 use tt_tensor::einsum::ContractPlan;
-use tt_tensor::ssmerge::{merge_chunk, merge_slots, SlotChunk, SlotMap, SsBTable};
-use tt_tensor::{Shape, SparseTensor};
-
-/// Decompose a row-major fused index over `axes` (`(dimension, output
-/// stride)` pairs, most-significant first) and re-fuse it with the output
-/// strides. The row and column halves of an output offset add.
-fn unfuse_to_out(fused: u64, axes: &[(u64, u64)]) -> u64 {
-    let mut rem = fused;
-    let mut off = 0u64;
-    for &(dim, stride) in axes.iter().rev() {
-        off += (rem % dim) * stride;
-        rem /= dim;
-    }
-    off
-}
+use tt_tensor::ssmerge::{merge_slots, SlotChunk, SlotMap, SsBTable};
+use tt_tensor::Shape;
 
 /// `(dimension, weight)` per axis of a fused index, most significant first.
 pub(crate) type Axes = Vec<(u64, u64)>;
@@ -88,16 +72,10 @@ pub(crate) fn slot_map(rows: &[u64], cols: &[u64], m: usize, n: usize) -> Result
     Ok(SlotMap::new(narrow(rows), &narrow(cols)))
 }
 
-/// `emit(row, col, value)` of every touched slot of rows `r0..r1`.
-fn touched_slots(
-    map: &SlotMap,
-    slots: &SlotChunk<f64>,
-    (r0, r1): (usize, usize),
-    mut emit: impl FnMut(usize, usize, f64),
-) {
-    let s0 = map.row_slots(r0, r0).start;
-    for r in r0..r1 {
-        let base = map.row_slots(r, r).start - s0;
+/// `emit(row, col, value)` of every touched slot of a whole-map merge.
+fn touched_slots(map: &SlotMap, slots: &SlotChunk<f64>, mut emit: impl FnMut(usize, usize, f64)) {
+    for r in 0..map.rows() {
+        let base = map.row_slots(r, r).start;
         for (i, &col) in map.row_cols(r).iter().enumerate() {
             if slots.touched[base + i] {
                 emit(r, col as usize, slots.vals[base + i]);
@@ -130,7 +108,7 @@ impl SsSlots {
         let (r1, c1) = (t(rows, &w1[..ra]), t(cols, &w1[ra..]));
         let (r2, c2) = (t(rows, &w2[..ra]), t(cols, &w2[ra..]));
         let mut out = Vec::with_capacity(self.slots.vals.len());
-        touched_slots(&self.map, &self.slots, (0, self.map.rows()), |r, c, v| {
+        touched_slots(&self.map, &self.slots, |r, c, v| {
             if v != 0.0 {
                 out.push((r1[r].wrapping_add(c1[c]), r2[r].wrapping_add(c2[c]), v));
             }
@@ -176,195 +154,18 @@ pub(crate) fn wire_classes(map: &SlotMap) -> (Vec<u64>, Vec<u64>) {
     (widen(rows), widen(&cols))
 }
 
-/// Driver-side preparation for a sparse × sparse contraction: everything
-/// the per-chunk jobs consume, computed once. Shared by the in-process
-/// kernel and the multi-process executor (which ships the pieces to its
-/// workers over the transport).
-pub(crate) struct SsPrep {
-    /// Output tensor shape (already permuted to the spec's output order).
-    pub(crate) out_shape: Shape,
-    /// Fused output row count.
-    pub(crate) m: usize,
-    /// Fused free-`B` width (the merge kernel's panel width).
-    pub(crate) n: u64,
-    /// `(dimension, output stride)` pairs for the fused row index and the
-    /// fused column index, applied at entry-extraction time (the grouped
-    /// `B` table itself stores *fused* free indices, so it is independent
-    /// of the other operand's dims and the output permutation).
-    pub(crate) axes: AxesPair,
-    /// `B` grouped by contracted key: sorted key runs over flat arrays.
-    pub(crate) btab: SsBTable<f64>,
-    /// The output mask, when given.
-    pub(crate) mask: Option<SlotMap>,
-    /// `A`'s `(fused row, contracted key, value)` coords in stored order.
-    pub(crate) coords: Vec<Coord>,
-}
-
-/// Build the shared [`SsPrep`] state for `a ·spec· b` under an optional
-/// output mask.
-pub(crate) fn ss_prepare(
-    plan: &ContractPlan,
-    a: &SparseTensor<f64>,
-    b: &SparseTensor<f64>,
-    mask: Option<&SlotMap>,
-) -> Result<SsPrep> {
-    let out_shape = Shape::from(plan.output_dims(a.dims(), b.dims())?);
-    let (m, _k, n) = fused_dims(plan, a.dims(), b.dims());
-    let axes = ss_axes(plan, a.dims(), b.dims())?;
-    if mask.is_some_and(|map| (map.rows(), map.cols()) != (m, n)) {
-        return Err(Error::Runtime(format!(
-            "a mask that does not fit {m} × {n}"
-        )));
-    }
-    // B grouped by contracted key: one stable sort, flat run arrays. Runs
-    // keep stored order, so accumulation is deterministic.
-    let btab = SsBTable::build(sparse_coords(
-        b,
-        plan.ctr_b_positions(),
-        plan.free_b_positions(),
-    ));
-    let coords = sparse_coords(a, plan.free_a_positions(), plan.ctr_a_positions());
-    Ok(SsPrep {
-        out_shape,
-        m,
-        n: n as u64,
-        axes,
-        btab,
-        mask: mask.cloned(),
-        coords,
+/// Per entry of key-sorted `coords`, the length of the `B` key run it
+/// meets — one multiply-add per entry of that run — by one walk along the
+/// table's keys.
+fn run_lens<'a>(coords: &'a [Coord], btab: &'a SsBTable<f64>) -> impl Iterator<Item = u64> + 'a {
+    let mut runs = btab.keys().iter().zip(btab.run_lens()).peekable();
+    coords.iter().map(move |c| {
+        while runs.next_if(|&(&key, _)| key < c.1).is_some() {}
+        match runs.peek() {
+            Some(&(&key, len)) if key == c.1 => len,
+            _ => 0,
+        }
     })
-}
-
-/// One sparse-sparse chunk: two-pointer merge of the chunk's key-sorted
-/// `A` entries against the grouped `B` table — into a dense panel, or into
-/// the mask's slots ([`merge_slots`], the one masked accumulator) — then
-/// every touched element, cancelled zeros included, at its output offset.
-/// Shared by the pool jobs and the multi-process worker.
-///
-/// `bucket_sorted` must be stably sorted by contracted key — per output
-/// element the products then apply in ascending key order regardless of
-/// how rows were chunked, which is what keeps Sequential ≡ Threaded ≡
-/// MultiProcess bitwise.
-pub(crate) fn ss_chunk(
-    bucket_sorted: &[Coord],
-    btab: &SsBTable<f64>,
-    (r0, r1): (usize, usize),
-    n: u64,
-    (row_axes, col_axes): &AxesPair,
-    mask: Option<&SlotMap>,
-) -> (Vec<(u64, f64)>, u64) {
-    // the row → output-offset resolution is cached across each row's run
-    let mut entries = Vec::new();
-    let mut last_row = u64::MAX;
-    let mut last_row_out = 0u64;
-    let mut emit = |row: u64, col: u64, v: f64| {
-        if row != last_row {
-            last_row = row;
-            last_row_out = unfuse_to_out(row, row_axes);
-        }
-        entries.push((last_row_out + unfuse_to_out(col, col_axes), v));
-    };
-    let flops = match mask {
-        Some(map) => {
-            let slots = merge_slots(bucket_sorted, btab, map, r0, r1);
-            touched_slots(map, &slots, (r0, r1), |r, c, v| emit(r as u64, c as u64, v));
-            slots.flops
-        }
-        None => {
-            let (triples, flops) = merge_chunk(bucket_sorted, btab, r0 as u64, r1 as u64, n);
-            for (row, col, v) in triples {
-                emit(row, col, v);
-            }
-            flops
-        }
-    };
-    // charge the flop counter in the process that ran the chunk (the
-    // transport propagates worker-side counts back to the driver)
-    tt_tensor::counter::add_flops(flops);
-    (entries, flops)
-}
-
-/// Flops of `coords · btab` — what [`sparse_chunks`] gates on: an `A`
-/// entry costs one multiply-add per entry of its matching `B` key run.
-fn ss_flops(coords: &[Coord], btab: &SsBTable<f64>) -> u64 {
-    2 * coords.iter().map(|c| btab.run_len(c.1) as u64).sum::<u64>()
-}
-
-impl SsPrep {
-    /// Exact work model: an `A` entry costs one multiply-add per entry of
-    /// its matching `B` key run (zero when no run matches).
-    fn coord_work(&self, c: &Coord) -> u64 {
-        self.btab.run_len(c.1) as u64
-    }
-
-    /// Flops of the whole contraction — what [`sparse_chunks`] gates on.
-    pub(crate) fn flops(&self) -> u64 {
-        ss_flops(&self.coords, &self.btab)
-    }
-
-    /// Take the coords as `chunks` row-disjoint buckets, each stably
-    /// sorted by contracted key (the order [`ss_chunk`] consumes, so a
-    /// resident bucket amortizes the sort across iterations). Buckets are
-    /// balanced by exact work — or, `by_entries`, by stored entries alone:
-    /// a resident bucket must not depend on `B`'s pattern, and any
-    /// row-contiguous bucketing yields bitwise-identical results.
-    pub(crate) fn take_buckets(
-        &mut self,
-        chunks: usize,
-        by_entries: bool,
-    ) -> (Ranges, Vec<Vec<Coord>>) {
-        let coords = std::mem::take(&mut self.coords);
-        let (ranges, mut buckets) = if by_entries {
-            bucket_by_volume(coords, self.m, chunks, |_| 1)
-        } else {
-            bucket_by_volume(coords, self.m, chunks, |c| self.coord_work(c))
-        };
-        for bucket in &mut buckets {
-            bucket.sort_by_key(|c| c.1);
-        }
-        (ranges, buckets)
-    }
-}
-
-/// Sparse × sparse contraction with an optional pre-computed output-
-/// sparsity mask: sorted-merge join +
-/// panel (or mask-slot) accumulation per chunk,
-/// row-chunked with exact per-row work weights (each `A` entry is weighted
-/// by its matching `B` key-run length) and fully deterministic (per output
-/// element, products apply in ascending contracted-key order independent
-/// of chunking).
-pub(crate) fn ss_contract(
-    plan: &ContractPlan,
-    a: &SparseTensor<f64>,
-    b: &SparseTensor<f64>,
-    mask: Option<&SlotMap>,
-    pool: Option<&ThreadPool>,
-) -> Result<(SparseTensor<f64>, u64)> {
-    let prep = ss_prepare(plan, a, b, mask)?;
-    let chunks = sparse_chunks(prep.flops(), lanes(pool));
-    ss_chunked(prep, chunks, pool)
-}
-
-/// [`ss_contract`] over a given chunk count.
-pub(super) fn ss_chunked(
-    mut prep: SsPrep,
-    chunks: usize,
-    pool: Option<&ThreadPool>,
-) -> Result<(SparseTensor<f64>, u64)> {
-    let (ranges, buckets) = prep.take_buckets(chunks, false);
-    let chunk_results = ordered_map(pool, 0..ranges.len(), |i| {
-        let (btab, map) = (&prep.btab, prep.mask.as_ref());
-        ss_chunk(&buckets[i], btab, ranges[i], prep.n, &prep.axes, map)
-    });
-    // Distinct output rows per chunk ⇒ entry sets are disjoint; the union
-    // is just a concatenation that from_entries re-sorts.
-    let mut entries = Vec::new();
-    let mut flops = 0u64;
-    for (chunk, f) in chunk_results {
-        entries.extend(chunk);
-        flops += f;
-    }
-    Ok((SparseTensor::from_entries(prep.out_shape, entries)?, flops))
 }
 
 /// One sparse-sparse chain step: `coords` (stably key-sorted) merged
@@ -379,7 +180,7 @@ pub(crate) fn ss_slots(
 ) -> SlotChunk<f64> {
     let chunks = match lanes(pool) {
         1 => 1,
-        lanes => sparse_chunks(ss_flops(coords, btab), lanes),
+        lanes => sparse_chunks(2 * run_lens(coords, btab).sum::<u64>(), lanes),
     };
     ss_slots_chunked(coords, btab, map, chunks, pool)
 }
@@ -396,9 +197,8 @@ pub(super) fn ss_slots_chunked(
         merge_slots(coords, btab, map, 0, map.rows())
     } else {
         // bucketing keeps each bucket's coords in key order
-        let (ranges, buckets) = bucket_by_volume(coords.to_vec(), map.rows(), chunks, |c| {
-            btab.run_len(c.1) as u64
-        });
+        let runs: Vec<u64> = run_lens(coords, btab).collect();
+        let (ranges, buckets) = bucket_by_volume(coords.to_vec(), map.rows(), chunks, |i| runs[i]);
         SlotChunk::concat(ordered_map(pool, 0..ranges.len(), |i| {
             merge_slots(&buckets[i], btab, map, ranges[i].0, ranges[i].1)
         }))

@@ -1,12 +1,16 @@
 use super::sd::SdLayout;
-use super::ss::{ss_chunked, ss_slots_chunked};
+use super::ss::ss_slots_chunked;
 use super::*;
 use crate::exec::Workspace;
+use crate::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
+use std::sync::Arc;
 use tt_tensor::gemm::{gemm_acc_slices, gemm_path};
-use tt_tensor::ssmerge::SlotMap;
+use tt_tensor::ssmerge::{SlotMap, SsBTable};
+use tt_tensor::transpose::permute_data;
+use tt_tensor::DenseTensor;
 
 fn random_sparse(dims: &[usize], density: f64, seed: u64) -> SparseTensor<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -41,7 +45,7 @@ fn sd_forced(
     b: &DenseTensor<f64>,
     pool: &ThreadPool,
 ) -> DenseTensor<f64> {
-    let (coords, ..) = sd_prepare(plan, a, b.dims(), 1).unwrap();
+    let coords = sparse_coords(a, plan.free_a_positions(), plan.ctr_a_positions());
     let (m, _k, n) = fused_dims(plan, a.dims(), b.dims());
     let g = SdGeometry {
         m,
@@ -63,7 +67,38 @@ fn sd_forced(
     .unwrap()
 }
 
-/// [`ss_contract`] cut into one chunk per pool thread likewise.
+/// A sparse-sparse contraction as a chain step runs it: `a`'s key-sorted
+/// coords merged against `b`'s table into the slots of `mask` (one class,
+/// every element allowed, when `None`) over `chunks` row chunks, read
+/// back as a sparse tensor with cancelled zeros dropped.
+fn ss_contract(
+    plan: &ContractPlan,
+    a: &SparseTensor<f64>,
+    b: &SparseTensor<f64>,
+    mask: Option<&SlotMap>,
+    (chunks, pool): (usize, Option<&ThreadPool>),
+) -> SparseTensor<f64> {
+    let (m, k, n) = fused_dims(plan, a.dims(), b.dims());
+    let mut coords = sparse_coords(a, plan.free_a_positions(), plan.ctr_a_positions());
+    coords.sort_by_key(|c| c.1);
+    let btab = SsBTable::from_keyed(
+        &sparse_coords(b, plan.ctr_b_positions(), plan.free_b_positions()),
+        k,
+    );
+    let map = mask
+        .cloned()
+        .unwrap_or_else(|| SlotMap::new(vec![0; m], &vec![0; n]));
+    let result = SsSlots {
+        slots: ss_slots_chunked(&coords, &btab, &map, chunks, pool),
+        map: Arc::new(map),
+        axes: ss_axes(plan, a.dims(), b.dims()).unwrap(),
+    };
+    let (offs, vals) = result.entries();
+    let dims = plan.output_dims(a.dims(), b.dims()).unwrap();
+    SparseTensor::from_sorted(dims, offs, vals).unwrap()
+}
+
+/// [`ss_contract`] cut into one chunk per pool thread.
 fn ss_forced(
     plan: &ContractPlan,
     a: &SparseTensor<f64>,
@@ -71,8 +106,7 @@ fn ss_forced(
     mask: Option<&SlotMap>,
     pool: &ThreadPool,
 ) -> SparseTensor<f64> {
-    let prep = ss_prepare(plan, a, b, mask).unwrap();
-    ss_chunked(prep, pool.threads(), Some(pool)).unwrap().0
+    ss_contract(plan, a, b, mask, (pool.threads(), Some(pool)))
 }
 
 #[test]
@@ -347,22 +381,6 @@ fn sd_reference(
     a: &SparseTensor<f64>,
     b: &DenseTensor<f64>,
 ) -> DenseTensor<f64> {
-    DenseTensor::from_vec(
-        natural_dims(plan, a.dims(), b.dims()),
-        sd_reference_natural(plan, a, b),
-    )
-    .unwrap()
-    .permute(plan.output_permutation())
-    .unwrap()
-}
-
-/// [`sd_reference`] before the output permutation: the natural-order
-/// `m × n` matrix.
-fn sd_reference_natural(
-    plan: &ContractPlan,
-    a: &SparseTensor<f64>,
-    b: &DenseTensor<f64>,
-) -> Vec<f64> {
     let (m, _k, n) = fused_dims(plan, a.dims(), b.dims());
     let b_mat = b
         .permute(plan.operand_permutations().1)
@@ -374,7 +392,10 @@ fn sd_reference_natural(
             c[row as usize * n + j] += v * b_mat[col as usize * n + j];
         }
     }
-    c
+    DenseTensor::from_vec(natural_dims(plan, a.dims(), b.dims()), c)
+        .unwrap()
+        .permute(plan.output_permutation())
+        .unwrap()
 }
 
 fn check_dense(spec: &str, a_dims: &[usize], b_dims: &[usize], seed: u64) {
@@ -757,7 +778,7 @@ fn sd_row_pass_writes_every_element_with_the_reference_bits() {
         });
         let want = sd_bits(sd_reference(&plan, &a, &b).data());
         let (m, _k, n) = fused_dims(&plan, a_dims, b_dims);
-        let (coords, ..) = sd_prepare(&plan, &a, b_dims, 1).unwrap();
+        let coords = sparse_coords(&a, plan.free_a_positions(), plan.ctr_a_positions());
         let ascending = coords.windows(2).all(|w| w[0].0 <= w[1].0);
         assert_eq!(ascending, !spec.starts_with('k'), "{spec}");
         let cols =
@@ -818,21 +839,6 @@ fn sd_row_pass_writes_every_element_with_the_reference_bits() {
         // forced pool chunking over 3 threads
         let forced = sd_forced(&plan, &a, &b, &pool);
         assert_eq!(sd_bits(forced.data()), want, "{spec} 3 chunks");
-        // a worker's row panels: the natural-order rows of the reference
-        let natural = sd_bits(&sd_reference_natural(&plan, &a, &b));
-        for (r0, r1) in [(0, m), (1, m / 2), (m / 2, m)] {
-            let bucket: Vec<Coord> = coords
-                .iter()
-                .filter(|e| (r0..r1).contains(&(e.0 as usize)))
-                .copied()
-                .collect();
-            let panel = sd_rows(&g, b.data(), (r0, r1), &bucket, &ws).unwrap();
-            assert_eq!(
-                sd_bits(&panel),
-                natural[r0 * n..r1 * n],
-                "{spec} rows {r0}..{r1}"
-            );
-        }
     }
     // the cases cover what they say
     for run in [1, 3, 17, 33, 69] {
@@ -881,7 +887,7 @@ fn zero_extent_outputs_do_not_panic() {
     assert_eq!(c.dims(), &[0, 2]);
     assert_eq!(flops, 0);
     let sb = SparseTensor::<f64>::from_dense(&b, 0.0);
-    let (cs, _) = ss_contract(&plan, &a, &sb, None, None).unwrap();
+    let cs = ss_contract(&plan, &a, &sb, None, (1, None));
     assert_eq!(cs.dims(), &[0, 2]);
     assert_eq!(cs.nnz(), 0);
 }
@@ -891,7 +897,7 @@ fn ss_kernel_matches_dense_reference_and_respects_mask() {
     let a = random_sparse(&[5, 6], 0.5, 8);
     let b = random_sparse(&[6, 4], 0.5, 9);
     let plan = ContractPlan::parse("ik,kj->ji").unwrap();
-    let (seq, _) = ss_contract(&plan, &a, &b, None, None).unwrap();
+    let seq = ss_contract(&plan, &a, &b, None, (1, None));
     let pool = ThreadPool::new(4);
     let par = ss_forced(&plan, &a, &b, None, &pool);
     assert_eq!(seq.to_dense().data(), par.to_dense().data());
@@ -902,7 +908,7 @@ fn ss_kernel_matches_dense_reference_and_respects_mask() {
     // class j, so it allows the diagonal of the 4 × 5 output `ji`
     let (rows, cols): (Vec<u32>, Vec<u32>) = ((0..5).collect(), (0..4).collect());
     let map = SlotMap::new(rows, &cols);
-    let (masked, _) = ss_contract(&plan, &a, &b, Some(&map), None).unwrap();
+    let masked = ss_contract(&plan, &a, &b, Some(&map), (1, None));
     let diagonal: Vec<u64> = (0..4).map(|i| i * 5 + i).collect();
     for (off, _) in masked.entries() {
         assert!(diagonal.contains(&off));
@@ -914,7 +920,6 @@ fn ss_kernel_matches_dense_reference_and_respects_mask() {
 /// owns its slot range, and the ranges concatenate in row order.
 #[test]
 fn ss_slots_any_chunking_is_one_chunk() {
-    use tt_tensor::ssmerge::{SlotMap, SsBTable};
     let (spec, a_dims, b_dims) = &heff_steps(12)[1];
     let plan = ContractPlan::parse(spec).unwrap();
     let a = random_sparse(a_dims, 0.4, 21);
@@ -965,7 +970,7 @@ mod ss_props {
             let a = random_sparse(&[m, kk], da, seed);
             let b = random_sparse(&[kk, n], db, seed.wrapping_add(1));
             let plan = ContractPlan::parse("ik,kj->ji").unwrap();
-            let (seq, _) = ss_contract(&plan, &a, &b, None, None).unwrap();
+            let seq = ss_contract(&plan, &a, &b, None, (1, None));
             let seq_dense = seq.to_dense();
             for threads in [2usize, 5] {
                 let pool = ThreadPool::new(threads);
@@ -1010,7 +1015,7 @@ fn ss_kernel_rectangular_skewed_bitwise() {
     let a = SparseTensor::from_dense(&dense, 0.0);
     let b = random_sparse(&[6, 9], 0.6, 11);
     let plan = ContractPlan::parse("ik,kj->ij").unwrap();
-    let (seq, _) = ss_contract(&plan, &a, &b, None, None).unwrap();
+    let seq = ss_contract(&plan, &a, &b, None, (1, None));
     for threads in [2, 5, 8] {
         let pool = ThreadPool::new(threads);
         let par = ss_forced(&plan, &a, &b, None, &pool);

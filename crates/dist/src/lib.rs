@@ -40,8 +40,9 @@
 //! | [`Executor::download`], [`Executor::download_many`], [`Executor::free_results`] | result residency |
 //!
 //! A dense contraction reaches a worker whole, one `Contract` task per
-//! block pair — the paper's block list is the unit of distribution — while
-//! sparse work is cut into row buckets. The worker protocol under it — 11
+//! block pair — the paper's block list is the unit of distribution — and
+//! so does a sparse one, one chain step per task (`contract_sd` and
+//! `contract_ss` are one-step chains). The worker protocol under it — 11
 //! requests — is tabulated in [`transport`].
 
 mod cluster;

@@ -105,13 +105,13 @@ impl RecordingTransport {
                 reads.extend(a.key().into_iter().chain(b.key()));
                 writes.extend(out.key());
             }
-            Request::SdContract { a, b, out, .. } => {
+            Request::SdContract { a, b, key, .. } => {
                 reads.extend(a.key().into_iter().chain(b.key()));
-                writes.extend(out.key());
+                writes.push(*key);
             }
-            Request::SsChunk { a, b, out, .. } => {
+            Request::SsChunk { a, b, key, .. } => {
                 reads.extend(a.key().into_iter().chain(b.key()));
-                writes.extend(out.key());
+                writes.push(*key);
             }
             Request::SvdTrunc { a, .. } => reads.extend(a.key()),
             Request::Ping | Request::CacheStats | Request::Shutdown => {}

@@ -35,11 +35,11 @@
 //! | 4 | `UploadCoords` | store a sparse coordinate bucket | `Unit` |
 //! | 7 | `CacheStats` | store footprint and hit/miss counters | `Stats` |
 //! | 10 | `Contract` | a whole dense contraction — the only dense task — `out` = `Reply` or `Store {key, acc}` | `Buf` or `Unit` |
-//! | 12 | `SsChunk` | sparse-sparse rows `[r0, r1)`, the mask as row and column classes, `B` inline or a stored result, `out` = `Reply` (a bucket's entries) or `Store {key}` (a chain step's slots) | `Entries` or `Merged` |
+//! | 12 | `SsChunk` | a sparse-sparse chain step under a mask given as row and column classes, `B` inline or a stored result; its slots stored under `key` | `Merged` |
 //! | 14 | `SvdTrunc` | truncated SVD of an `f64` matrix | `Svd` |
 //! | 18 | `Download` | remove a stored result and return it | `Buf` or `Entries` |
 //! | 19 | `Shutdown` | end the worker loop | — |
-//! | 20 | `SdContract` | rows `[r0, r1)` of a sparse-dense contraction, `B` as it lies, `out` = `Reply` (the natural-order panel) or `Store {key}` (all rows, output order) | `Buf` or `Unit` |
+//! | 20 | `SdContract` | a sparse-dense chain step, `B` as it lies; its output-order result stored under `key` | `Unit` |
 
 mod inproc;
 #[cfg(unix)]

@@ -187,32 +187,25 @@ impl Request {
             Request::SsChunk {
                 a,
                 b,
-                r0,
-                r1,
+                key,
                 n,
                 ax_dims,
                 ax_strides,
                 cx_dims,
                 cx_strides,
-                mask,
-                out,
+                mask: (rows, cols),
             } => {
                 e.put_u8(12);
                 a.put(&mut e);
                 b.put(&mut e);
-                e.put_u64(*r0);
-                e.put_u64(*r1);
+                e.put_u64(*key);
                 e.put_u64(*n);
                 e.put_u64s(ax_dims);
                 e.put_u64s(ax_strides);
                 e.put_u64s(cx_dims);
                 e.put_u64s(cx_strides);
-                e.put_bool(mask.is_some());
-                if let Some((rows, cols)) = mask {
-                    e.put_u64s(rows);
-                    e.put_u64s(cols);
-                }
-                out.put(&mut e);
+                e.put_u64s(rows);
+                e.put_u64s(cols);
             }
             Request::SvdTrunc {
                 rows,
@@ -237,8 +230,7 @@ impl Request {
             Request::Shutdown => e.put_u8(19),
             Request::SdContract {
                 a,
-                r0,
-                r1,
+                key,
                 m,
                 n,
                 b_dims,
@@ -246,12 +238,10 @@ impl Request {
                 nat_dims,
                 out_perm,
                 b,
-                out,
             } => {
                 e.put_u8(20);
                 a.put(&mut e);
-                e.put_usize(*r0);
-                e.put_usize(*r1);
+                e.put_u64(*key);
                 e.put_usize(*m);
                 e.put_usize(*n);
                 put_usizes(&mut e, b_dims);
@@ -259,7 +249,6 @@ impl Request {
                 put_usizes(&mut e, nat_dims);
                 put_usizes(&mut e, out_perm);
                 b.put(&mut e);
-                out.put(&mut e);
             }
         }
         e.finish()
@@ -293,18 +282,13 @@ impl Request {
             12 => Request::SsChunk {
                 a: OpCoords::get(&mut d)?,
                 b: OpSs::get(&mut d)?,
-                r0: d.u64()?,
-                r1: d.u64()?,
+                key: d.u64()?,
                 n: d.u64()?,
                 ax_dims: d.u64s()?,
                 ax_strides: d.u64s()?,
                 cx_dims: d.u64s()?,
                 cx_strides: d.u64s()?,
-                mask: match d.bool()? {
-                    true => Some((d.u64s()?, d.u64s()?)),
-                    false => None,
-                },
-                out: Out::get(&mut d)?,
+                mask: (d.u64s()?, d.u64s()?),
             },
             14 => Request::SvdTrunc {
                 rows: d.usize()?,
@@ -318,8 +302,7 @@ impl Request {
             19 => Request::Shutdown,
             20 => Request::SdContract {
                 a: OpCoords::get(&mut d)?,
-                r0: d.usize()?,
-                r1: d.usize()?,
+                key: d.u64()?,
                 m: d.usize()?,
                 n: d.usize()?,
                 b_dims: get_usizes(&mut d)?,
@@ -327,7 +310,6 @@ impl Request {
                 nat_dims: get_usizes(&mut d)?,
                 out_perm: get_usizes(&mut d)?,
                 b: Op::get(&mut d)?,
-                out: Out::get(&mut d)?,
             },
             op => return Err(unknown("request opcode", op)),
         };
@@ -346,11 +328,10 @@ impl Reply {
                 e.put_u8(2);
                 e.put_f64s(data);
             }
-            Reply::Entries { offs, vals, flops } => {
+            Reply::Entries { offs, vals } => {
                 e.put_u8(4);
                 e.put_u64s(offs);
                 e.put_f64s(vals);
-                e.put_u64(*flops);
             }
             Reply::Merged { touched, flops } => {
                 e.put_u8(9);
@@ -407,7 +388,6 @@ impl Reply {
             4 => Reply::Entries {
                 offs: d.u64s()?,
                 vals: d.f64s()?,
-                flops: d.u64()?,
             },
             6 => Reply::Svd {
                 u_rows: d.usize()?,

@@ -81,65 +81,42 @@ impl WorkerState {
             Request::SsChunk {
                 a,
                 b,
-                r0,
-                r1,
+                key,
                 n,
                 ax_dims,
                 ax_strides,
                 cx_dims,
                 cx_strides,
-                mask,
-                out,
+                mask: (rows, cols),
             } => {
-                let bucket = self.opcoords(a)?;
+                let coords = self.opcoords(a)?;
                 let table = self.opss(b, n)?;
-                // the merge trusts both: a row outside the chunk lands in
-                // another chunk's panel, a descending key misses its match
-                if bucket.iter().any(|&(row, _, _)| row < r0 || row >= r1) {
-                    return Err(Error::transport("ss chunk A row outside the chunk"));
-                }
-                if !bucket.windows(2).all(|w| w[0].1 <= w[1].1) {
+                // the merge trusts both: a row past the mask lands in another
+                // row's slots, a descending key misses its match
+                if !coords.windows(2).all(|w| w[0].1 <= w[1].1) {
                     return Err(Error::transport("ss chunk A keys descend"));
                 }
                 // an offset unfuses each fused index over its axes: they
-                // must hold the chunk's rows and the `n` columns
+                // must hold the `m` rows and the `n` columns
                 let fused = |dims: &[u64]| dims.iter().try_fold(1u64, |p, &d| p.checked_mul(d));
-                let m = fused(&ax_dims).filter(|&m| r0 <= r1 && r1 <= m);
-                let m = m.filter(|_| fused(&cx_dims) == Some(n));
+                let m = fused(&ax_dims).filter(|_| fused(&cx_dims) == Some(n));
                 let m =
                     m.ok_or_else(|| Error::transport("ss chunk rows or columns off its axes"))?;
-                let map = mask.map(|(rows, cols)| kernels::slot_map(&rows, &cols, m as _, n as _));
-                let map = map.transpose()?;
+                if coords.iter().any(|&(row, _, _)| row >= m) {
+                    return Err(Error::transport("ss chunk A row outside the mask"));
+                }
+                let map = kernels::slot_map(&rows, &cols, m as _, n as _)?;
                 let row_axes = ax_dims.into_iter().zip(ax_strides).collect();
                 let axes = (row_axes, cx_dims.into_iter().zip(cx_strides).collect());
-                match (out, map) {
-                    (Out::Reply, map) => {
-                        let rows = (r0 as usize, r1 as usize);
-                        let chunk =
-                            kernels::ss_chunk(&bucket, &table, rows, n, &axes, map.as_ref());
-                        let (offs, vals) = chunk.0.into_iter().unzip();
-                        Ok(Reply::Entries {
-                            offs,
-                            vals,
-                            flops: chunk.1,
-                        })
-                    }
-                    // a stored result is the whole step, in its mask's slots
-                    (Out::Store { key, acc: false }, Some(map)) if (r0, r1) == (0, m) => {
-                        let slots = kernels::ss_slots(&bucket, &table, &map, None);
-                        let result = kernels::SsSlots {
-                            map: Arc::new(map),
-                            slots,
-                            axes,
-                        };
-                        let (touched, flops) = (result.touched() as u64, result.slots.flops);
-                        self.insert(key, Cached::Slots(Arc::new(result)));
-                        Ok(Reply::Merged { touched, flops })
-                    }
-                    (out, _) => Err(Error::transport(format!(
-                        "an ss store takes all {m} rows, a mask and no accumulate: {out:?}"
-                    ))),
-                }
+                let slots = kernels::ss_slots(&coords, &table, &map, None);
+                let result = kernels::SsSlots {
+                    map: Arc::new(map),
+                    slots,
+                    axes,
+                };
+                let (touched, flops) = (result.touched() as u64, result.slots.flops);
+                self.insert(key, Cached::Slots(Arc::new(result)));
+                Ok(Reply::Merged { touched, flops })
             }
             Request::SvdTrunc {
                 rows,
@@ -169,8 +146,7 @@ impl WorkerState {
             }
             Request::SdContract {
                 a,
-                r0,
-                r1,
+                key,
                 m,
                 n,
                 b_dims,
@@ -178,20 +154,17 @@ impl WorkerState {
                 nat_dims,
                 out_perm,
                 b,
-                out,
             } => {
-                let bucket = self.opcoords(a)?;
+                let coords = self.opcoords(a)?;
                 let b = self.op(b)?;
                 // the kernel indexes `C` by row and `B` by column unchecked:
-                // a row outside the range would land in another panel or
-                // past the buffer, a column past `B`'s `k` rows
+                // a row past `m` would land past the buffer, a column past
+                // `B`'s `k` rows
                 let k = b.len().checked_div(n).unwrap_or(0) as u64;
-                let outside = |&(row, col, _): &kernels::Coord| {
-                    row < r0 as u64 || row >= r1 as u64 || col >= k
-                };
-                if r0 > r1 || r1 > m || bucket.iter().any(outside) {
+                let outside = |&(row, col, _): &kernels::Coord| row >= m as u64 || col >= k;
+                if coords.iter().any(outside) {
                     return Err(Error::transport(format!(
-                        "sd entries outside rows {r0}..{r1} of {m} or B's {k} rows"
+                        "sd entries outside {m} rows or B's {k} rows"
                     )));
                 }
                 let g = kernels::SdGeometry {
@@ -202,23 +175,10 @@ impl WorkerState {
                     nat_dims: &nat_dims,
                     out_perm: &out_perm,
                 };
-                match out {
-                    Out::Reply => {
-                        let panel = kernels::sd_rows(&g, &b, (r0, r1), &bucket, &self.workspace)?;
-                        Ok(Reply::Buf(panel))
-                    }
-                    // a stored result is the whole output, in output order
-                    Out::Store { key, acc: false } if (r0, r1) == (0, m) => {
-                        let coords = Cow::Borrowed(&bucket[..]);
-                        let c = kernels::sd_apply(&g, &b, coords, 1, None, &self.workspace)?;
-                        self.store(key, c.into_data());
-                        Ok(Reply::Unit)
-                    }
-                    Out::Store { .. } => Err(Error::transport(format!(
-                        "an sd store takes all {m} rows and no accumulate, got rows {r0}..{r1} \
-                         and {out:?}"
-                    ))),
-                }
+                let coords = Cow::Borrowed(&coords[..]);
+                let c = kernels::sd_apply(&g, &b, coords, 1, None, &self.workspace)?;
+                self.store(key, c.into_data());
+                Ok(Reply::Unit)
             }
             Request::Download { key } => {
                 // refused before anything is removed: a refused download
@@ -235,11 +195,7 @@ impl WorkerState {
                     Some(Cached::Slots(result)) => result.entries(),
                     _ => unreachable!("checked above"),
                 };
-                Ok(Reply::Entries {
-                    offs,
-                    vals,
-                    flops: 0,
-                })
+                Ok(Reply::Entries { offs, vals })
             }
         }
     }

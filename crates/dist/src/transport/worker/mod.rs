@@ -4,11 +4,9 @@
 //! server: it holds a keyed store of resident buffers and executes the
 //! same deterministic kernels as the in-process executor — one whole
 //! [`crate::kernels::dense_contract`] per `Contract` task,
-//! `kernels::sd::sd_chunk` (through [`crate::kernels::sd_rows`] for a row
-//! bucket and [`crate::kernels::sd_apply`] for a whole chain step, one
-//! request both), [`crate::kernels::ss_chunk`] for a bucket of
-//! `contract_ss` and [`crate::kernels::ss_slots`] for a whole chain step
-//! (one `SsChunk` request both), and whole-matrix factorizations. Because both backends run *exactly* this code over
+//! [`crate::kernels::sd_apply`] per `SdContract` and
+//! [`crate::kernels::ss_slots`] per `SsChunk` (each a whole chain step),
+//! and whole-matrix factorizations. Because both backends run *exactly* this code over
 //! *exactly* the same work decomposition, multi-process results are
 //! bitwise-identical to the in-process Sequential executor.
 //!

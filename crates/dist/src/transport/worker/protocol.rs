@@ -10,8 +10,7 @@ pub(crate) enum Op {
     Key(u64),
 }
 
-/// Where a [`Request::Contract`], [`Request::SdContract`] or
-/// [`Request::SsChunk`] puts its result.
+/// Where a [`Request::Contract`] puts its result.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum Out {
     /// Return it to the driver in the reply.
@@ -89,22 +88,20 @@ pub(crate) enum Request {
         b: Op,
         out: Out,
     },
-    /// Key-sorted sparse-sparse `A` coords over fused rows `[r0, r1)`
-    /// merged against `B` under `mask` (row and column classes); `ax_*`
-    /// and `cx_*` map fused rows and columns (width `n`) to output offsets.
-    /// A chain step stores its slots (all rows, a mask, no `acc`).
+    /// One sparse-sparse chain step: key-sorted `A` coords merged against
+    /// `B` under `mask` (row and column classes), the mask's slots stored
+    /// under `key`; `ax_*` and `cx_*` map fused rows and columns (width
+    /// `n`) to output offsets.
     SsChunk {
         a: OpCoords,
         b: OpSs,
-        r0: u64,
-        r1: u64,
+        key: u64,
         n: u64,
         ax_dims: Vec<u64>,
         ax_strides: Vec<u64>,
         cx_dims: Vec<u64>,
         cx_strides: Vec<u64>,
-        mask: Option<(Vec<u64>, Vec<u64>)>,
-        out: Out,
+        mask: (Vec<u64>, Vec<u64>),
     },
     /// Truncated SVD of a `rows × cols` `f64` matrix.
     SvdTrunc {
@@ -122,19 +119,14 @@ pub(crate) enum Request {
     Download { key: u64 },
     /// Terminate the worker loop.
     Shutdown,
-    /// One sparse-dense contraction over fused output rows `[r0, r1)` of
-    /// `m`: `a` holds the entries of those rows, `b` the dense operand as
-    /// it lies (shape `b_dims`), which the worker reads in place or
-    /// permutes by `perm_b`; `nat_dims` is the result's natural
-    /// `(free A, free B)` shape and `out_perm` its output order. A row
-    /// bucket of `contract_sd` replies with its natural-order panel
-    /// ([`Out::Reply`]); a chain step stores the output-order result
-    /// ([`Out::Store`], all rows, no `acc`). Row-disjoint pieces are
-    /// bitwise the rows of the whole.
+    /// One sparse-dense chain step, its output-order result stored under
+    /// `key`: `a` holds the entries of all `m` fused output rows, `b` the
+    /// dense operand as it lies (shape `b_dims`), which the worker reads
+    /// in place or permutes by `perm_b`; `nat_dims` is the result's
+    /// natural `(free A, free B)` shape and `out_perm` its output order.
     SdContract {
         a: OpCoords,
-        r0: usize,
-        r1: usize,
+        key: u64,
         m: usize,
         n: usize,
         b_dims: Vec<usize>,
@@ -142,7 +134,6 @@ pub(crate) enum Request {
         nat_dims: Vec<usize>,
         out_perm: Vec<usize>,
         b: Op,
-        out: Out,
     },
 }
 
@@ -155,12 +146,8 @@ pub(crate) enum Reply {
     Unit,
     /// A dense buffer.
     Buf(Vec<f64>),
-    /// Sparse output entries plus the flops the chunk executed.
-    Entries {
-        offs: Vec<u64>,
-        vals: Vec<f64>,
-        flops: u64,
-    },
+    /// A downloaded sparse-sparse result's entries, offsets ascending.
+    Entries { offs: Vec<u64>, vals: Vec<f64> },
     /// A stored sparse-sparse result's touched slots and flops.
     Merged { touched: u64, flops: u64 },
     /// A truncated SVD.

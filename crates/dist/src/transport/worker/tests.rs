@@ -71,7 +71,7 @@ const REPLY_VARIANTS: usize = 8;
 
 /// Every request variant; every dense-buffer-carrying one inline and
 /// keyed, `Contract` under every `out`, and `SdContract` and `SsChunk`
-/// replying inline and storing keyed.
+/// with inline and keyed operands.
 fn sample_requests(s: &Seed) -> Vec<Request> {
     let Seed { key, data, rows } = s;
     let key = *key;
@@ -106,15 +106,13 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
         Request::SsChunk {
             a: coords.clone(),
             b: ss.clone(),
-            r0: 0,
-            r1: key,
+            key,
             n: key,
             ax_dims: rows.clone(),
             ax_strides: rows.clone(),
             cx_dims: rows.clone(),
             cx_strides: rows.clone(),
-            mask: None,
-            out: Out::Reply,
+            mask: (classes.clone(), Vec::new()),
         },
         Request::SsChunk {
             a: OpCoords::Key(key),
@@ -123,15 +121,13 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
                 key_w: rows.clone(),
                 col_w: rows.clone(),
             },
-            r0: 0,
-            r1: 7,
+            key: !key,
             n: 5,
             ax_dims: vec![7],
             ax_strides: vec![5],
             cx_dims: vec![5],
             cx_strides: vec![1],
-            mask: Some((classes.clone(), classes)),
-            out: Out::Store { key, acc: false },
+            mask: (classes.clone(), classes),
         },
         Request::SvdTrunc {
             rows: 2,
@@ -152,18 +148,13 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
         Request::Download { key },
         Request::Shutdown,
     ];
-    for (a, b, out) in [
-        (coords.clone(), inline.clone(), Out::Reply),
-        (
-            OpCoords::Key(key),
-            keyed.clone(),
-            Out::Store { key, acc: false },
-        ),
+    for (a, b) in [
+        (coords.clone(), inline.clone()),
+        (OpCoords::Key(key), keyed.clone()),
     ] {
         reqs.push(Request::SdContract {
             a,
-            r0: 1,
-            r1: 4,
+            key,
             m: 4,
             n: 2,
             b_dims: vec![3, 2],
@@ -171,7 +162,6 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
             nat_dims: vec![4, 2],
             out_perm: vec![1, 0],
             b,
-            out,
         });
     }
     for out in [
@@ -200,7 +190,6 @@ fn sample_replies(s: &Seed) -> Vec<Reply> {
         Reply::Entries {
             offs: s.rows.clone(),
             vals: s.rows.iter().map(|&r| f64::from_bits(r)).collect(),
-            flops: s.key,
         },
         Reply::Svd {
             u_rows: 2,
@@ -326,15 +315,13 @@ fn retired_frames() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
             cols: vec![],
             vals: vec![],
         }),
-        r0: 0,
-        r1: 0,
+        key: 0,
         n: 0,
         ax_dims: vec![],
         ax_strides: vec![],
         cx_dims: vec![],
         cx_strides: vec![],
-        mask: None,
-        out: Out::Reply,
+        mask: (vec![], vec![]),
     }
     .encode();
     ss[10] = 1; // `b`'s tag: after the opcode and the keyed `a` (tag, u64)
@@ -575,9 +562,9 @@ fn chain_steps_store_accumulate_and_download() {
 }
 
 /// H_eff step 2 at a bond dimension where the worker's `SdContract` reads
-/// `B` and writes `C` (256 KB) through run views: the request over rows
-/// `[r0, r1)`, the operands behind it, and the bytes the in-process kernel
-/// produces from them.
+/// `B` and writes `C` (256 KB) through run views: the request, the
+/// operands behind it, and the bytes the in-process kernel produces from
+/// them.
 struct HeffStep2 {
     a_dense: DenseTensor<f64>,
     b: DenseTensor<f64>,
@@ -615,27 +602,15 @@ impl HeffStep2 {
         }
     }
 
-    /// Fused output rows.
-    fn m(&self) -> usize {
-        let plan = ContractPlan::parse(HEFF_STEP2).unwrap();
-        kernels::fused_dims(&plan, self.a_dense.dims(), self.b.dims()).0
-    }
-
-    fn sd(&self, (r0, r1): (usize, usize), out: Out) -> Request {
+    /// The whole step, stored under `key`.
+    fn chain_sd(&self, key: u64) -> Request {
         let plan = ContractPlan::parse(HEFF_STEP2).unwrap();
         let (a_dims, b_dims) = (self.a_dense.dims(), self.b.dims());
         let (m, _k, n) = kernels::fused_dims(&plan, a_dims, b_dims);
-        let rows_of = |&&(r, _, _): &&kernels::Coord| (r0..r1).contains(&(r as usize));
-        let (rows, (cols, vals)) = self
-            .coords
-            .iter()
-            .filter(rows_of)
-            .map(|&(r, c, v)| (r, (c, v)))
-            .unzip();
+        let (rows, (cols, vals)) = self.coords.iter().map(|&(r, c, v)| (r, (c, v))).unzip();
         Request::SdContract {
             a: OpCoords::Inline { rows, cols, vals },
-            r0,
-            r1,
+            key,
             m,
             n,
             b_dims: b_dims.to_vec(),
@@ -643,13 +618,7 @@ impl HeffStep2 {
             nat_dims: kernels::natural_dims(&plan, a_dims, b_dims),
             out_perm: plan.output_permutation().to_vec(),
             b: Op::Inline(self.b.data().to_vec()),
-            out,
         }
-    }
-
-    /// The whole step, stored under `key`.
-    fn chain_sd(&self, key: u64) -> Request {
-        self.sd((0, self.m()), Out::Store { key, acc: false })
     }
 }
 
@@ -665,27 +634,6 @@ fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
     );
 
     let plan = ContractPlan::parse(HEFF_STEP2).unwrap();
-    // the step cut into row ranges: each reply is those rows of the
-    // in-process kernel's result taken back to natural order
-    let out_perm = plan.output_permutation();
-    let mut to_natural = vec![0; out_perm.len()];
-    for (j, &q) in out_perm.iter().enumerate() {
-        to_natural[q] = j;
-    }
-    let out_dims = plan
-        .output_dims(step.a_dense.dims(), step.b.dims())
-        .unwrap();
-    let local = DenseTensor::from_vec(out_dims, step.local.clone()).unwrap();
-    let natural = local.permute(&to_natural).unwrap().into_data();
-    let (m, n) = (step.m(), natural.len() / step.m());
-    for (r0, r1) in [(0, m), (0, 3), (3, m / 2), (m / 2, m), (m, m)] {
-        assert_eq!(
-            w.handle(step.sd((r0, r1), Out::Reply)),
-            Some(Reply::Buf(natural[r0 * n..r1 * n].to_vec())),
-            "rows {r0}..{r1}"
-        );
-    }
-
     // the dense step on the same operands (A densified)
     let HeffStep2 { a_dense, b, .. } = step;
     let (a_dims, b_dims) = (a_dense.dims().to_vec(), b.dims().to_vec());
@@ -706,12 +654,11 @@ fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
         cols: vec![],
         vals: vec![],
     };
-    // a zero-width row chunk is an empty panel, not a failure
+    // a zero-width result is an empty buffer, not a failure
     assert_eq!(
         w.handle(Request::SdContract {
             a: empty(),
-            r0: 0,
-            r1: 3,
+            key: 91,
             m: 3,
             n: 0,
             b_dims: vec![2, 0],
@@ -719,16 +666,18 @@ fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
             nat_dims: vec![3, 0],
             out_perm: vec![0, 1],
             b: Op::Inline(vec![]),
-            out: Out::Reply,
         }),
+        Some(Reply::Unit)
+    );
+    assert_eq!(
+        w.handle(Request::Download { key: 91 }),
         Some(Reply::Buf(vec![]))
     );
     // a request whose geometry contradicts its operand fails cleanly
     assert!(matches!(
         w.handle(Request::SdContract {
             a: empty(),
-            r0: 0,
-            r1: 2,
+            key: 91,
             m: 2,
             n: 3,
             b_dims: vec![2, 3],
@@ -736,10 +685,6 @@ fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
             nat_dims: vec![2, 3],
             out_perm: vec![0, 1],
             b: Op::Inline(vec![0.0; 6]),
-            out: Out::Store {
-                key: 91,
-                acc: false
-            },
         }),
         Some(Reply::Fail(_))
     ));
@@ -812,8 +757,8 @@ fn bad_tasks_fail_without_killing_the_worker() {
         vals: vec![1.0; 2],
     });
     // `A` buckets the merge must not be handed: keys [1, 0] descend (the
-    // merge would miss key 0's match), and row 1 lies outside a chunk of
-    // rows 0..1 — inline, and resident under keys 72 and 73
+    // merge would miss key 0's match), and row 1 lies past a one-row
+    // output — inline, and resident under keys 72 and 73
     for (key, rows, cols) in [(72, vec![0, 0], vec![1, 0]), (73, vec![1], vec![0])] {
         let vals = vec![1.0; rows.len()];
         w.handle(Request::UploadCoords {
@@ -828,21 +773,21 @@ fn bad_tasks_fail_without_killing_the_worker() {
         cols: vec![1, 0],
         vals: vec![1.0; 2],
     };
-    // a 2 × 1 sparse-sparse product, its `B` a table inline or a stored
+    // an `m` × 1 sparse-sparse step storing its slots under key 77 (76 for
+    // the one a later step reads), its `B` a table inline or a stored
     // result read with the given key and column weights
-    let ss_from = |a: OpCoords, b: OpSs, r1: u64, mask, out| Request::SsChunk {
+    let ss_at = |key, a: OpCoords, b: OpSs, m: u64, classes: Vec<u64>| Request::SsChunk {
         a,
         b,
-        r0: 0,
-        r1,
+        key,
         n: 1,
-        ax_dims: vec![2],
+        ax_dims: vec![m],
         ax_strides: vec![1],
         cx_dims: vec![1],
         cx_strides: vec![1],
-        mask,
-        out,
+        mask: (classes, vec![0]),
     };
+    let ss_from = |a, b, m, classes| ss_at(77, a, b, m, classes);
     let table = |cols: Vec<u64>| {
         OpSs::Inline(SsTable {
             keys: vec![0, 1],
@@ -851,10 +796,9 @@ fn bad_tasks_fail_without_killing_the_worker() {
             vals: vec![1.0, 2.0],
         })
     };
-    let ss =
-        |a: OpCoords, b_cols: Vec<u64>, r1: u64| ss_from(a, table(b_cols), r1, None, Out::Reply);
+    // one row, every element allowed
+    let ss = |a: OpCoords, b_cols: Vec<u64>| ss_from(a, table(b_cols), 1, vec![0]);
     let stored = |key, key_w: Vec<u64>, col_w: Vec<u64>| OpSs::Key { key, key_w, col_w };
-    let classes = |rows: Vec<u64>| Some((rows, vec![0]));
     // a chain step's result stored under key 76: both rows of A against
     // key 0 of `B`, in the slots of an all-allowing mask
     let two = || OpCoords::Inline {
@@ -862,18 +806,8 @@ fn bad_tasks_fail_without_killing_the_worker() {
         cols: vec![0, 0],
         vals: vec![5.0, 6.0],
     };
-    let store76 = Out::Store {
-        key: 76,
-        acc: false,
-    };
     assert_eq!(
-        w.handle(ss_from(
-            two(),
-            table(vec![0, 0]),
-            2,
-            classes(vec![0, 0]),
-            store76
-        )),
+        w.handle(ss_at(76, two(), table(vec![0, 0]), 2, vec![0, 0])),
         Some(Reply::Merged {
             touched: 2,
             flops: 4
@@ -884,13 +818,12 @@ fn bad_tasks_fail_without_killing_the_worker() {
         cols: vec![0],
         vals: vec![5.0],
     };
-    // a 2 × 2 sparse-dense product against B = I, rows [r0, r1); its one
-    // `A` entry inline, or resident under keys 74 (row 0) and 75 (column
-    // 2, past B's two rows)
-    let sd = |a: OpCoords, (r0, r1): (usize, usize), out: Out| Request::SdContract {
+    // a 2 × 2 sparse-dense step against B = I, stored under key 78; its
+    // one `A` entry inline, or resident under keys 74 (row 2, past the
+    // output) and 75 (column 2, past B's two rows)
+    let sd = |a: OpCoords| Request::SdContract {
         a,
-        r0,
-        r1,
+        key: 78,
         m: 2,
         n: 2,
         b_dims: vec![2, 2],
@@ -898,14 +831,13 @@ fn bad_tasks_fail_without_killing_the_worker() {
         nat_dims: vec![2, 2],
         out_perm: vec![0, 1],
         b: f(vec![1.0, 0.0, 0.0, 1.0]),
-        out,
     };
     let entry = |row: u64, col: u64| OpCoords::Inline {
         rows: vec![row],
         cols: vec![col],
         vals: vec![3.0],
     };
-    for (key, row, col) in [(74, 0, 0), (75, 1, 2)] {
+    for (key, row, col) in [(74, 2, 0), (75, 1, 2)] {
         w.handle(Request::UploadCoords {
             key,
             rows: vec![row],
@@ -913,28 +845,33 @@ fn bad_tasks_fail_without_killing_the_worker() {
             vals: vec![3.0],
         });
     }
+    // the well-formed frames the malformed ones are variations of, each
+    // stored and downloaded: and a step reading key 76 as its `B`, fused
+    // row as key, column as column
+    let download = |w: &mut WorkerState, key| w.handle(Request::Download { key });
+    assert_eq!(w.handle(sd(entry(1, 1))), Some(Reply::Unit));
     assert_eq!(
-        w.handle(sd(entry(1, 1), (1, 2), Out::Reply)),
-        Some(Reply::Buf(vec![0.0, 3.0]))
+        download(&mut w, 78),
+        Some(Reply::Buf(vec![0.0, 0.0, 0.0, 3.0]))
     );
-    // the well-formed frames the malformed ones are variations of: and
-    // a step reading key 76 as its `B`, fused row as key, column as column
     assert!(matches!(
-        w.handle(ss(one(), vec![0, 0], 1)),
-        Some(Reply::Entries { .. })
+        w.handle(ss(one(), vec![0, 0])),
+        Some(Reply::Merged { flops: 2, .. })
     ));
+    assert!(matches!(download(&mut w, 77), Some(Reply::Entries { .. })));
+    let read76 = ss_from(one(), stored(76, vec![1, 0], vec![0, 1]), 1, vec![0]);
     assert_eq!(
-        w.handle(ss_from(
-            one(),
-            stored(76, vec![1, 0], vec![0, 1]),
-            1,
-            None,
-            Out::Reply
-        )),
+        w.handle(read76),
+        Some(Reply::Merged {
+            touched: 1,
+            flops: 2
+        })
+    );
+    assert_eq!(
+        download(&mut w, 77),
         Some(Reply::Entries {
             offs: vec![0],
             vals: vec![25.0],
-            flops: 2
         })
     );
     let bad = [
@@ -961,70 +898,31 @@ fn bad_tasks_fail_without_killing_the_worker() {
         },
         // Download reads results only
         Request::Download { key: 71 },
-        ss_from(one(), wrapping_b, 1, None, Out::Reply),
-        // a `B` column past `n = 1`: it would land in row 1's slot
-        ss(one(), vec![1, 0], 2),
-        ss(descending(), vec![0, 0], 1),
-        ss(OpCoords::Key(72), vec![0, 0], 1),
-        ss(OpCoords::Key(73), vec![0, 0], 1),
+        ss_from(one(), wrapping_b, 1, vec![0]),
+        // a `B` column past `n = 1`: it would land in another row's slot
+        ss_from(one(), table(vec![1, 0]), 2, vec![0, 0]),
+        ss(descending(), vec![0, 0]),
+        ss(OpCoords::Key(72), vec![0, 0]),
+        // an `A` row past the output's one row, inline and resident
+        ss(entry(1, 0), vec![0, 0]),
+        ss(OpCoords::Key(73), vec![0, 0]),
         // a stored `B` under an absent key, a dense buffer's, a coordinate
         // bucket's; read with weights of another order, and as a table of
         // another width (its row 1 as column 1 of one)
-        ss_from(
-            one(),
-            stored(99, vec![1, 0], vec![0, 1]),
-            1,
-            None,
-            Out::Reply,
-        ),
-        ss_from(
-            one(),
-            stored(70, vec![1, 0], vec![0, 1]),
-            1,
-            None,
-            Out::Reply,
-        ),
-        ss_from(
-            one(),
-            stored(71, vec![1, 0], vec![0, 1]),
-            1,
-            None,
-            Out::Reply,
-        ),
-        ss_from(one(), stored(76, vec![1], vec![0]), 1, None, Out::Reply),
-        ss_from(
-            one(),
-            stored(76, vec![0, 0], vec![1, 0]),
-            1,
-            None,
-            Out::Reply,
-        ),
-        // classes for one row of two, a class id past the rows and
-        // columns; a store of part of the rows, without a mask, or adding
-        ss_from(one(), table(vec![0, 0]), 2, classes(vec![0]), store76),
-        ss_from(one(), table(vec![0, 0]), 2, classes(vec![0, 3]), Out::Reply),
-        ss_from(one(), table(vec![0, 0]), 1, classes(vec![0, 0]), store76),
-        ss_from(one(), table(vec![0, 0]), 2, None, store76),
-        ss_from(
-            one(),
-            table(vec![0, 0]),
-            2,
-            classes(vec![0, 0]),
-            store(true),
-        ),
-        // sparse-dense: an `A` row below the range, a column past B, a
-        // range past the output, an entry past it, each inline and
-        // resident
-        sd(entry(0, 0), (1, 2), Out::Reply),
-        sd(OpCoords::Key(74), (1, 2), Out::Reply),
-        sd(entry(1, 2), (0, 2), Out::Reply),
-        sd(OpCoords::Key(75), (0, 2), Out::Reply),
-        sd(entry(0, 0), (1, 3), Out::Reply),
-        sd(entry(2, 0), (0, 2), store(false)),
-        sd(entry(1, 2), (0, 2), store(false)),
-        // a store is the whole result, fresh
-        sd(entry(1, 1), (1, 2), store(false)),
-        sd(entry(1, 1), (0, 2), store(true)),
+        ss_from(one(), stored(99, vec![1, 0], vec![0, 1]), 1, vec![0]),
+        ss_from(one(), stored(70, vec![1, 0], vec![0, 1]), 1, vec![0]),
+        ss_from(one(), stored(71, vec![1, 0], vec![0, 1]), 1, vec![0]),
+        ss_from(one(), stored(76, vec![1], vec![0]), 1, vec![0]),
+        ss_from(one(), stored(76, vec![0, 0], vec![1, 0]), 1, vec![0]),
+        // classes for one row of two, a class id past the rows and columns
+        ss_from(one(), table(vec![0, 0]), 2, vec![0]),
+        ss_from(one(), table(vec![0, 0]), 2, vec![0, 3]),
+        // sparse-dense: an `A` row past the output, a column past B, each
+        // inline and resident
+        sd(entry(2, 0)),
+        sd(OpCoords::Key(74)),
+        sd(entry(1, 2)),
+        sd(OpCoords::Key(75)),
     ];
     for req in bad {
         assert!(
@@ -1033,27 +931,30 @@ fn bad_tasks_fail_without_killing_the_worker() {
         );
         assert_eq!(w.handle(Request::Ping), Some(Reply::Pong));
     }
-    // the refused accumulate left its target intact
-    assert_eq!(
-        w.handle(Request::Download { key: 70 }),
-        Some(Reply::Buf(vec![2.0; 4]))
-    );
+    // the refused accumulate left its target intact, and no refused task
+    // stored a result
+    assert_eq!(download(&mut w, 70), Some(Reply::Buf(vec![2.0; 4])));
+    for key in [77, 78] {
+        assert!(matches!(download(&mut w, key), Some(Reply::Fail(_))));
+    }
     // the stored sparse-sparse result downloads as its entries
     assert_eq!(
-        w.handle(Request::Download { key: 76 }),
+        download(&mut w, 76),
         Some(Reply::Entries {
             offs: vec![0, 1],
             vals: vec![5.0, 6.0],
-            flops: 0
         })
     );
     // and the refused download of the coordinate bucket left it resident
+    assert!(matches!(
+        w.handle(ss(OpCoords::Key(71), vec![0, 0])),
+        Some(Reply::Merged { flops: 2, .. })
+    ));
     assert_eq!(
-        w.handle(ss(OpCoords::Key(71), vec![0, 0], 1)),
+        download(&mut w, 77),
         Some(Reply::Entries {
             offs: vec![0],
             vals: vec![1.0],
-            flops: 2
         })
     );
 }

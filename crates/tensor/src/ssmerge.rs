@@ -15,17 +15,13 @@
 //!    contractions of a Davidson solve).
 //! 2. **Two-pointer merge.** Matching key runs are found by a linear merge
 //!    over the two sorted key sequences — no per-entry map lookups.
-//! 3. **Two accumulators.** Each matching `A`-run × `B`-run pair is an
-//!    outer product scattered into an accumulator by flat adds at computed
-//!    offsets. [`merge_chunk`] accumulates into a dense `rows × n` panel
-//!    (a hash map when the panel would be unreasonably large) and returns
-//!    every touched element. [`merge_slots`] accumulates into the slots of
-//!    a [`SlotMap`] — the output mask the quantum numbers pre-compute,
-//!    one slot per element it allows — so the accumulator is as large as
-//!    the mask, not as `rows × n`, and a product outside the mask lands
-//!    nowhere. Every accumulator applies the *same products in the same
-//!    order* per output element, so which one runs never changes a bit of
-//!    an element they both keep.
+//! 3. **One accumulator.** Each matching `A`-run × `B`-run pair is an
+//!    outer product scattered by flat adds at computed offsets into the
+//!    slots of a [`SlotMap`] ([`merge_slots`]) — the output mask the
+//!    quantum numbers pre-compute, one slot per element it allows — so the
+//!    accumulator is as large as the mask, not as `rows × n`, and a
+//!    product outside the mask lands nowhere. A merge with no mask is the
+//!    mask of one class, which allows every element.
 //!
 //! [`SsBTable::from_keyed`] builds the table by a counting sort when the
 //! key range is small, which is how a chain of masked contractions hands
@@ -38,20 +34,13 @@
 //! entries) in input order. That order depends only on the *content* of
 //! the row's entries — not on how rows were split across chunks — which is
 //! what keeps row-chunked threaded/multi-process execution bitwise equal
-//! to sequential execution. Returned triples are sorted by `(row, col)`.
+//! to sequential execution.
 //!
 //! The kernel is generic over [`Scalar`], so the same code serves `f64`
 //! DMRG and `Complex64` (TDVP-style) workloads.
 
 use crate::scalar::Scalar;
-use std::collections::HashMap;
 use std::ops::Range;
-
-/// Above this many panel elements (`rows × n`), [`merge_chunk`] switches
-/// from the dense panel accumulator to a hash map. 2²² f64 elements is a
-/// 32 MiB panel — comfortably larger than every benched DMRG block, so the
-/// fallback only triggers for pathologically wide outputs.
-const PANEL_MAX_ELEMS: u64 = 1 << 22;
 
 /// `B` side of a sparse×sparse contraction, grouped by contracted key:
 /// ascending distinct keys, and for each key a run of `(col, val)` entries
@@ -67,20 +56,15 @@ pub struct SsBTable<T> {
 }
 
 impl<T: Scalar> SsBTable<T> {
-    /// Group `(ctr, col, val)` entries. Entries are stably sorted by
-    /// `ctr`, so within a run the input order is preserved.
-    pub fn build(mut entries: Vec<(u64, u64, T)>) -> Self {
-        entries.sort_by_key(|e| e.0);
-        Self::grouped(entries)
-    }
-
-    /// [`Self::build`] for entries whose keys all lie below `key_range`:
-    /// the same table — runs in ascending key order, each in input order —
-    /// by one counting pass and one scatter instead of a comparison sort
-    /// (which it falls back to when `key_range` dwarfs the entry count).
+    /// Group `(ctr, col, val)` entries whose keys all lie below
+    /// `key_range`: runs in ascending key order, each in input order — by
+    /// one counting pass and one scatter, or by a stable comparison sort
+    /// when `key_range` dwarfs the entry count.
     pub fn from_keyed(entries: &[(u64, u64, T)], key_range: usize) -> Self {
         if !counting_pays(entries.len(), key_range) {
-            return Self::build(entries.to_vec());
+            let mut entries = entries.to_vec();
+            entries.sort_by_key(|e| e.0);
+            return Self::grouped(entries);
         }
         // the counting sort of [`counting_sort_by`], scattering straight
         // into the run arrays: a sort into tuples and a grouping pass after
@@ -189,15 +173,6 @@ impl<T: Scalar> SsBTable<T> {
     /// Number of distinct keys.
     pub fn n_keys(&self) -> usize {
         self.keys.len()
-    }
-
-    /// Length of the run for `key` (0 if absent) — the per-entry work
-    /// estimate used for volume-balanced chunking.
-    pub fn run_len(&self, key: u64) -> usize {
-        match self.keys.binary_search(&key) {
-            Ok(i) => self.starts[i + 1] - self.starts[i],
-            Err(_) => 0,
-        }
     }
 
     /// The `(cols, vals)` run for key index `i`.
@@ -354,79 +329,6 @@ impl SlotMap {
     }
 }
 
-/// Product accumulator abstraction: panel, hash map or mask slots, with
-/// bitwise-identical values where they overlap (same products, same
-/// per-element order). Statically dispatched — `add` sits on the innermost
-/// loop, and what an `A` entry's row resolves to is computed once per entry
-/// by `row`, outside it.
-trait SsAcc<T: Scalar> {
-    type Row: Copy;
-    fn row(&self, row: u64) -> Self::Row;
-    fn add(&mut self, row: Self::Row, col: u64, p: T);
-}
-
-struct PanelAcc<T> {
-    r0: u64,
-    n: u64,
-    panel: Vec<T>,
-    touched: Vec<bool>,
-    order: Vec<u64>,
-}
-
-impl<T: Scalar> SsAcc<T> for PanelAcc<T> {
-    type Row = u64;
-    #[inline(always)]
-    fn row(&self, row: u64) -> u64 {
-        (row - self.r0) * self.n
-    }
-    #[inline(always)]
-    fn add(&mut self, base: u64, col: u64, p: T) {
-        let idx = base + col;
-        let i = idx as usize;
-        if !self.touched[i] {
-            self.touched[i] = true;
-            self.order.push(idx);
-        }
-        self.panel[i] += p;
-    }
-}
-
-impl<T: Scalar> PanelAcc<T> {
-    fn finish(mut self) -> Vec<(u64, T)> {
-        self.order.sort_unstable();
-        self.order
-            .iter()
-            .map(|&idx| (idx, self.panel[idx as usize]))
-            .collect()
-    }
-}
-
-struct HashAcc<T> {
-    r0: u64,
-    n: u64,
-    map: HashMap<u64, T>,
-}
-
-impl<T: Scalar> SsAcc<T> for HashAcc<T> {
-    type Row = u64;
-    #[inline(always)]
-    fn row(&self, row: u64) -> u64 {
-        (row - self.r0) * self.n
-    }
-    #[inline(always)]
-    fn add(&mut self, base: u64, col: u64, p: T) {
-        *self.map.entry(base + col).or_insert_with(T::zero) += p;
-    }
-}
-
-impl<T: Scalar> HashAcc<T> {
-    fn finish(self) -> Vec<(u64, T)> {
-        let mut out: Vec<(u64, T)> = self.map.into_iter().collect();
-        out.sort_unstable_by_key(|e| e.0);
-        out
-    }
-}
-
 /// The slots of a row chunk: `vals[i]`/`touched[i]` belong to slot
 /// `s0 + i`.
 struct SlotAcc<'m, T> {
@@ -436,9 +338,9 @@ struct SlotAcc<'m, T> {
     touched: Vec<bool>,
 }
 
-impl<T: Scalar> SsAcc<T> for SlotAcc<'_, T> {
-    /// The row's class and the chunk-local index of its first slot.
-    type Row = (u32, usize);
+impl<T: Scalar> SlotAcc<'_, T> {
+    /// The row's class and the chunk-local index of its first slot:
+    /// resolved once per `A` entry, outside the innermost loop.
     #[inline(always)]
     fn row(&self, row: u64) -> (u32, usize) {
         let row = row as usize;
@@ -455,8 +357,8 @@ impl<T: Scalar> SsAcc<T> for SlotAcc<'_, T> {
     }
 }
 
-/// The merge loop, monomorphized per accumulator type.
-fn merge_into<T: Scalar, A: SsAcc<T>>(a: &[(u64, u64, T)], btab: &SsBTable<T>, acc: &mut A) -> u64 {
+/// The merge loop.
+fn merge_into<T: Scalar>(a: &[(u64, u64, T)], btab: &SsBTable<T>, acc: &mut SlotAcc<T>) -> u64 {
     let mut flops = 0u64;
     let mut ai = 0usize;
     let mut bi = 0usize;
@@ -482,54 +384,6 @@ fn merge_into<T: Scalar, A: SsAcc<T>>(a: &[(u64, u64, T)], btab: &SsBTable<T>, a
         ai = aj;
     }
     flops
-}
-
-/// Contract one row-chunk of `A` against a grouped `B` table.
-///
-/// * `a` — `(row, key, val)` entries with `r0 <= row < r1`, sorted
-///   **stably** by `key` (ties in original stored order).
-/// * `btab` — the grouped `B` operand.
-/// * `r0, r1` — the fused row range this chunk covers.
-/// * `n` — the fused free dimension of `B` (panel width).
-///
-/// Returns `(row, col, value)` triples sorted by `(row, col)` — only
-/// elements that received at least one product, matching the sparsity
-/// semantics of hash-join kernels — plus the flop count (2 per product,
-/// counted before any caller-side masking).
-pub fn merge_chunk<T: Scalar>(
-    a: &[(u64, u64, T)],
-    btab: &SsBTable<T>,
-    r0: u64,
-    r1: u64,
-    n: u64,
-) -> (Vec<(u64, u64, T)>, u64) {
-    debug_assert!(a.iter().all(|&(row, _, _)| r0 <= row && row < r1));
-    debug_assert!(a.windows(2).all(|w| w[0].1 <= w[1].1), "A not key-sorted");
-    let rows = r1.saturating_sub(r0);
-    let (flat, flops) = if rows.checked_mul(n).is_some_and(|e| e <= PANEL_MAX_ELEMS) {
-        let mut acc = PanelAcc {
-            r0,
-            n,
-            panel: vec![T::zero(); (rows * n) as usize],
-            touched: vec![false; (rows * n) as usize],
-            order: Vec::new(),
-        };
-        let flops = merge_into(a, btab, &mut acc);
-        (acc.finish(), flops)
-    } else {
-        let mut acc = HashAcc {
-            r0,
-            n,
-            map: HashMap::new(),
-        };
-        let flops = merge_into(a, btab, &mut acc);
-        (acc.finish(), flops)
-    };
-    let out = flat
-        .into_iter()
-        .map(|(idx, v)| (r0 + idx / n, idx % n, v))
-        .collect();
-    (out, flops)
 }
 
 /// One row chunk merged into the slots of its rows ([`merge_slots`]).
@@ -565,11 +419,15 @@ impl<T> SlotChunk<T> {
     }
 }
 
-/// [`merge_chunk`] into the slots of `map` over rows `r0..r1`: same
-/// arguments, same flops, and for every element the mask allows the same
-/// value and the same touched state as the panel — but the accumulator is
-/// [`SlotMap::row_slots`] long, and a product the mask does not allow is
-/// counted and dropped.
+/// Contract one row chunk of `A` against a grouped `B` table into the
+/// slots of `map` over rows `r0..r1`.
+///
+/// * `a` — `(row, key, val)` entries with `r0 <= row < r1`, sorted
+///   **stably** by `key` (ties in original stored order).
+/// * `btab` — the grouped `B` operand, its columns below `map.cols()`.
+///
+/// The accumulator is [`SlotMap::row_slots`] long; a product the mask does
+/// not allow is counted (2 flops, like every product) and dropped.
 pub fn merge_slots<T: Scalar>(
     a: &[(u64, u64, T)],
     btab: &SsBTable<T>,
@@ -600,27 +458,25 @@ pub fn merge_slots<T: Scalar>(
 mod tests {
     use super::*;
     use crate::Complex64;
+    use std::collections::HashMap;
 
     /// Naive triple-loop reference: for every (a, b) entry pair with equal
     /// key, accumulate into a dense map — key-ascending per element like
     /// the kernel.
-    fn naive<T: Scalar>(a: &[(u64, u64, T)], b: &[(u64, u64, T)], n: u64) -> Vec<(u64, u64, T)> {
+    fn naive<T: Scalar>(a: &[(u64, u64, T)], b: &[(u64, u64, T)]) -> Vec<(u64, u64, T)> {
         let mut keys: Vec<u64> = a.iter().map(|e| e.1).collect();
         keys.sort_unstable();
         keys.dedup();
         let mut acc: HashMap<(u64, u64), T> = HashMap::new();
         for key in keys {
-            for &(row, ka, va) in a.iter().filter(|e| e.1 == key) {
-                let _ = ka;
-                for &(kb, col, vb) in b.iter().filter(|e| e.0 == key) {
-                    let _ = kb;
+            for &(row, _, va) in a.iter().filter(|e| e.1 == key) {
+                for &(_, col, vb) in b.iter().filter(|e| e.0 == key) {
                     *acc.entry((row, col)).or_insert_with(T::zero) += va * vb;
                 }
             }
         }
         let mut out: Vec<(u64, u64, T)> = acc.into_iter().map(|((r, c), v)| (r, c, v)).collect();
         out.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        let _ = n;
         out
     }
 
@@ -629,27 +485,53 @@ mod tests {
         a
     }
 
+    /// The grouped table of `entries`, keyed up to their largest key.
+    fn table<T: Scalar>(entries: &[(u64, u64, T)]) -> SsBTable<T> {
+        let range = entries.iter().map(|e| e.0 as usize + 1).max().unwrap_or(0);
+        SsBTable::from_keyed(entries, range)
+    }
+
+    /// [`merge_slots`] of rows `r0..r1` under the one-class mask of `n`
+    /// columns, which allows every element: every touched element as
+    /// `(row, col, value)` in `(row, col)` order, and the flops.
+    fn unmasked<T: Scalar>(
+        a: &[(u64, u64, T)],
+        btab: &SsBTable<T>,
+        r0: u64,
+        r1: u64,
+        n: u64,
+    ) -> (Vec<(u64, u64, T)>, u64) {
+        let map = SlotMap::new(vec![0; r1 as usize], &vec![0; n as usize]);
+        let chunk = merge_slots(a, btab, &map, r0 as usize, r1 as usize);
+        let elems = (r0..r1).flat_map(|r| (0..n).map(move |c| (r, c)));
+        let touched = elems
+            .zip(chunk.touched.iter().zip(&chunk.vals))
+            .filter(|(_, (&t, _))| t)
+            .map(|((r, c), (_, &v))| (r, c, v))
+            .collect();
+        (touched, chunk.flops)
+    }
+
     #[test]
     fn small_merge_matches_naive() {
         let a = vec![(0, 2, 1.5), (1, 2, -2.0), (0, 5, 3.0), (2, 7, 1.0)];
         let b = vec![(2, 0, 2.0), (2, 3, 1.0), (5, 1, -1.0), (6, 0, 9.0)];
-        let btab = SsBTable::build(b.clone());
-        let (got, flops) = merge_chunk(&sorted_a(a.clone()), &btab, 0, 3, 4);
-        assert_eq!(got, naive(&a, &b, 4));
+        let (got, flops) = unmasked(&sorted_a(a.clone()), &table(&b), 0, 3, 4);
+        assert_eq!(got, naive(&a, &b));
         // key 2: 2 A × 2 B = 4 products, key 5: 1×1 — 5 products total
         assert_eq!(flops, 10);
     }
 
     #[test]
     fn empty_and_disjoint_runs() {
-        let btab = SsBTable::build(Vec::<(u64, u64, f64)>::new());
-        let (got, flops) = merge_chunk(&[(0, 1, 1.0)], &btab, 0, 1, 4);
+        let btab = table::<f64>(&[]);
+        let (got, flops) = unmasked(&[(0, 1, 1.0)], &btab, 0, 1, 4);
         assert!(got.is_empty());
         assert_eq!(flops, 0);
         // keys present on both sides but never equal
-        let btab = SsBTable::build(vec![(0, 0, 1.0), (2, 1, 1.0)]);
+        let btab = table(&[(0, 0, 1.0), (2, 1, 1.0)]);
         let a = sorted_a(vec![(0, 1, 1.0), (0, 3, 1.0)]);
-        let (got, flops) = merge_chunk(&a, &btab, 0, 1, 4);
+        let (got, flops) = unmasked(&a, &btab, 0, 1, 4);
         assert!(got.is_empty());
         assert_eq!(flops, 0);
     }
@@ -660,8 +542,7 @@ mod tests {
         // (key, col) pairs on the B side must all contribute
         let a = vec![(0, 1, 2.0), (0, 1, 3.0)];
         let b = vec![(1, 0, 1.0), (1, 0, 10.0)];
-        let btab = SsBTable::build(b.clone());
-        let (got, _) = merge_chunk(&sorted_a(a.clone()), &btab, 0, 1, 1);
+        let (got, _) = unmasked(&sorted_a(a.clone()), &table(&b), 0, 1, 1);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0], (0, 0, (2.0 + 3.0) * 11.0));
     }
@@ -679,9 +560,8 @@ mod tests {
             (3, 0, c(-1.0, 1.0)),
             (3, 1, c(2.0, 2.0)),
         ];
-        let btab = SsBTable::build(b.clone());
-        let (got, _) = merge_chunk(&sorted_a(a.clone()), &btab, 0, 2, 2);
-        let want = naive(&a, &b, 2);
+        let (got, _) = unmasked(&sorted_a(a.clone()), &table(&b), 0, 2, 2);
+        let want = naive(&a, &b);
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(want.iter()) {
             assert_eq!((g.0, g.1), (w.0, w.1));
@@ -713,8 +593,8 @@ mod tests {
                 }
             }
         }
-        let btab = SsBTable::build(b);
-        let (whole, wf) = merge_chunk(&sorted_a(a.clone()), &btab, 0, m, n);
+        let btab = table(&b);
+        let (whole, wf) = unmasked(&sorted_a(a.clone()), &btab, 0, m, n);
         for splits in [2u64, 3, 7] {
             let mut parts = Vec::new();
             let mut pf = 0;
@@ -725,7 +605,7 @@ mod tests {
                     .copied()
                     .filter(|&(row, _, _)| r0 <= row && row < r1)
                     .collect();
-                let (part, f) = merge_chunk(&sorted_a(chunk), &btab, r0, r1, n);
+                let (part, f) = unmasked(&sorted_a(chunk), &btab, r0, r1, n);
                 parts.extend(part);
                 pf += f;
             }
@@ -736,39 +616,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hash_fallback_is_bitwise_identical() {
-        // same input through both accumulators: force the hash path by a
-        // huge row range, then compare against the panel path shifted back
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(12);
-        let n = 8u64;
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for key in 0..16u64 {
-            for row in 0..8u64 {
-                if rng.gen_bool(0.5) {
-                    a.push((row, key, rng.gen_range(-1.0..1.0f64)));
-                }
-            }
-            for col in 0..n {
-                if rng.gen_bool(0.5) {
-                    b.push((key, col, rng.gen_range(-1.0..1.0f64)));
-                }
-            }
-        }
-        let btab = SsBTable::build(b);
-        let (panel, _) = merge_chunk(&sorted_a(a.clone()), &btab, 0, 8, n);
-        // rows < PANEL_MAX but rows*n above it → hash accumulator
-        let wide_r1 = PANEL_MAX_ELEMS; // rows * 8 > PANEL_MAX_ELEMS
-        let (hash, _) = merge_chunk(&sorted_a(a), &btab, 0, wide_r1, n);
-        assert_eq!(panel, hash);
-    }
-
-    /// What the slot accumulator replaces: the dense panel of
-    /// [`merge_chunk`] over rows `r0..r1`, filtered to the mask, as
-    /// `(slot, value)` in slot order, plus the flops.
+    /// A masked merge's reference: the unmasked merge over rows `r0..r1`,
+    /// filtered to the mask, as `(slot, value)` in slot order, plus the
+    /// flops.
     fn masked_panel(
         a: &[(u64, u64, f64)],
         btab: &SsBTable<f64>,
@@ -776,7 +626,7 @@ mod tests {
         r0: usize,
         r1: usize,
     ) -> (Vec<(usize, u64)>, u64) {
-        let (triples, flops) = merge_chunk(a, btab, r0 as u64, r1 as u64, map.cols() as u64);
+        let (triples, flops) = unmasked(a, btab, r0 as u64, r1 as u64, map.cols() as u64);
         let kept = triples
             .into_iter()
             .filter_map(|(r, c, v)| Some((map.slot(r as usize, c as usize)?, v.to_bits())))
@@ -831,7 +681,7 @@ mod tests {
             (3, 1, -1.0),
             (0, 1, 4.0),
         ]);
-        let btab = SsBTable::build(vec![
+        let btab = table(&[
             (0, 0, 2.0),
             (0, 1, 7.0), // (0, 1) is outside the mask
             (1, 0, -0.5),
@@ -877,7 +727,7 @@ mod tests {
                 }
             }
         }
-        let btab = SsBTable::build(b);
+        let btab = table(&b);
         let a = sorted_a(a);
         let whole = merge_slots(&a, &btab, &map, 0, m);
         let (want, flops) = masked_panel(&a, &btab, &map, 0, m);
@@ -914,16 +764,17 @@ mod tests {
             (0, 9, 1.0),
             (1, 2, -1.0),
         ];
-        assert_eq!(
-            SsBTable::from_keyed(&entries, 4),
-            SsBTable::build(entries.clone())
-        );
-        // a key range far beyond the entry count takes the comparison sort
-        let sparse = vec![(1u64 << 20, 0u64, 1.0f64), (7, 1, 2.0)];
-        assert_eq!(
-            SsBTable::from_keyed(&sparse, (1 << 20) + 1),
-            SsBTable::build(sparse.clone())
-        );
+        // the counting pass and, past its range, the comparison sort build
+        // one table
+        assert!(counting_pays(entries.len(), 4));
+        assert!(!counting_pays(entries.len(), 1 << 20));
+        let counted = SsBTable::from_keyed(&entries, 4);
+        assert_eq!(counted, SsBTable::from_keyed(&entries, 1 << 20));
+        assert_eq!(counted.keys(), &[0, 1, 3]);
+        let runs: Vec<u64> = counted.run_lens().collect();
+        assert_eq!(runs, [1, 2, 2]);
+        // each run keeps input order
+        assert_eq!(counted.cols(), &[9, 0, 2, 1, 0]);
         assert_eq!(SsBTable::<f64>::from_keyed(&[], 3).n_keys(), 0);
         // stable on ties, either way
         let items = [(2, 'a'), (0, 'b'), (2, 'c'), (1, 'd'), (0, 'e')];
@@ -935,12 +786,10 @@ mod tests {
     #[test]
     fn table_wire_roundtrip() {
         let b = vec![(3u64, 1u64, 4.0f64), (1, 0, 2.0), (3, 2, 5.0), (9, 9, 1.0)];
-        let t = SsBTable::build(b);
+        let t = table(&b);
         assert_eq!(t.keys(), &[1, 3, 9]);
         let lens: Vec<u64> = t.run_lens().collect();
         assert_eq!(lens, vec![1, 2, 1]);
-        assert_eq!(t.run_len(3), 2);
-        assert_eq!(t.run_len(2), 0);
         let rt = SsBTable::from_runs(
             t.keys().to_vec(),
             &lens,

@@ -1,7 +1,7 @@
 //! Property-based tests for the local tensor kernels.
 
 use proptest::prelude::*;
-use tt_tensor::ssmerge::{merge_chunk, merge_slots, SlotChunk, SlotMap, SsBTable};
+use tt_tensor::ssmerge::{merge_slots, SlotChunk, SlotMap, SsBTable};
 use tt_tensor::{einsum, gemm, Complex64, DenseTensor, Layout, Scalar};
 
 /// Raw `(row, key, val)` / `(key, col, val)` entry lists for the sparse
@@ -27,6 +27,32 @@ fn ss_grid_entries(
             .map(|(r, k, h)| (r, k, 0.5 * h as f64))
             .collect()
     })
+}
+
+/// The grouped table of `entries`, keyed up to their largest key.
+fn ss_table<T: Scalar>(entries: &[(u64, u64, T)]) -> SsBTable<T> {
+    let range = entries.iter().map(|e| e.0 as usize + 1).max().unwrap_or(0);
+    SsBTable::from_keyed(entries, range)
+}
+
+/// [`merge_slots`] of rows `r0..r1` under the one-class mask of `n`
+/// columns, which allows every element: every touched element as
+/// `(row, col, value)` in `(row, col)` order, and the flops.
+fn ss_unmasked<T: Scalar>(
+    a: &[(u64, u64, T)],
+    btab: &SsBTable<T>,
+    (r0, r1): (u64, u64),
+    n: u64,
+) -> (Vec<(u64, u64, T)>, u64) {
+    let map = SlotMap::new(vec![0; r1 as usize], &vec![0; n as usize]);
+    let chunk = merge_slots(a, btab, &map, r0 as usize, r1 as usize);
+    let elems = (r0..r1).flat_map(|r| (0..n).map(move |c| (r, c)));
+    let touched = elems
+        .zip(chunk.touched.iter().zip(&chunk.vals))
+        .filter(|(_, (&t, _))| t)
+        .map(|((r, c), (_, &v))| (r, c, v))
+        .collect();
+    (touched, chunk.flops)
 }
 
 fn small_dims() -> impl Strategy<Value = Vec<usize>> {
@@ -375,7 +401,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The sorted-merge ss kernel agrees with a naive quadratic reference
+    /// The sorted-merge ss kernel under the one-class mask (every element
+    /// allowed) agrees with a naive quadratic reference
     /// on raw entry lists — including duplicate `(row, key)` entries and
     /// keys with empty runs on either side — and reports exactly
     /// `2 · (matched A×B pairs)` flops. The output must come back sorted
@@ -394,8 +421,8 @@ proptest! {
             .filter(|e| e.0 < kk && e.1 < n).collect();
         let mut a = a_raw.clone();
         a.sort_by_key(|e| e.1);
-        let btab = SsBTable::build(b_raw.clone());
-        let (got, flops) = merge_chunk(&a, &btab, 0, m, n);
+        let btab = ss_table(&b_raw);
+        let (got, flops) = ss_unmasked(&a, &btab, (0, m), n);
 
         let mut pairs = 0u64;
         for &(_, ka, _) in &a_raw {
@@ -435,9 +462,9 @@ proptest! {
     }
 
     /// Splitting the row range at arbitrary points and stitching the chunk
-    /// results is *bitwise* identical to one whole-range merge — the
-    /// invariant the threaded and multi-process backends rest on — for
-    /// both f64 and Complex64.
+    /// results of the unmasked (one-class) merge is *bitwise* identical to
+    /// one whole-range merge — the invariant the threaded backend rests
+    /// on — for both f64 and Complex64.
     #[test]
     fn ss_merge_chunking_bitwise(
         m in 1u64..12,
@@ -456,13 +483,13 @@ proptest! {
         // f64
         let mut a = a_raw.clone();
         a.sort_by_key(|e| e.1);
-        let btab = SsBTable::build(b_raw.clone());
-        let (whole, _) = merge_chunk(&a, &btab, 0, m, n);
+        let btab = ss_table(&b_raw);
+        let (whole, _) = ss_unmasked(&a, &btab, (0, m), n);
         let mut stitched = Vec::new();
         for w in cuts.windows(2) {
             let part: Vec<_> = a.iter().copied()
                 .filter(|e| e.0 >= w[0] && e.0 < w[1]).collect();
-            let (res, _) = merge_chunk(&part, &btab, w[0], w[1], n);
+            let (res, _) = ss_unmasked(&part, &btab, (w[0], w[1]), n);
             stitched.extend(res);
         }
         prop_assert_eq!(whole.len(), stitched.len());
@@ -475,13 +502,13 @@ proptest! {
         let lift = |e: &(u64, u64, f64)| (e.0, e.1, Complex64::new(e.2, -0.5 * e.2 + 0.125));
         let mut ac: Vec<_> = a_raw.iter().map(lift).collect();
         ac.sort_by_key(|e| e.1);
-        let btab_c = SsBTable::build(b_raw.iter().map(lift).collect());
-        let (whole_c, _) = merge_chunk(&ac, &btab_c, 0, m, n);
+        let btab_c = ss_table(&b_raw.iter().map(lift).collect::<Vec<_>>());
+        let (whole_c, _) = ss_unmasked(&ac, &btab_c, (0, m), n);
         let mut stitched_c = Vec::new();
         for w in cuts.windows(2) {
             let part: Vec<_> = ac.iter().copied()
                 .filter(|e| e.0 >= w[0] && e.0 < w[1]).collect();
-            let (res, _) = merge_chunk(&part, &btab_c, w[0], w[1], n);
+            let (res, _) = ss_unmasked(&part, &btab_c, (w[0], w[1]), n);
             stitched_c.extend(res);
         }
         prop_assert_eq!(whole_c.len(), stitched_c.len());
@@ -493,11 +520,11 @@ proptest! {
         }
     }
 
-    /// The slot accumulator against the masked dense panel it replaces:
-    /// random classes (rows whose class no column has, classes nobody
-    /// uses), products outside the mask, cancelled zeros, and arbitrary
-    /// row-chunk splits. Every touched slot holds the bits the panel holds
-    /// at its element, the touched count equals the panel's allowed
+    /// A masked merge against the unmasked (one-class) merge filtered to
+    /// the mask: random classes (rows whose class no column has, classes
+    /// nobody uses), products outside the mask, cancelled zeros, and
+    /// arbitrary row-chunk splits. Every touched slot holds the bits the unmasked
+    /// merge holds at its element, the touched count equals its allowed
     /// entries, the flops are equal, and the chunks concatenate to the
     /// whole.
     #[test]
@@ -517,9 +544,9 @@ proptest! {
         let mut a: Vec<_> = a_raw.into_iter().filter(|e| (e.0 as usize) < m).collect();
         a.sort_by_key(|e| e.1);
         let b: Vec<_> = b_raw.into_iter().filter(|e| (e.1 as usize) < n).collect();
-        let btab = SsBTable::build(b);
+        let btab = ss_table(&b);
 
-        let (panel, flops) = merge_chunk(&a, &btab, 0, m as u64, n as u64);
+        let (panel, flops) = ss_unmasked(&a, &btab, (0, m as u64), n as u64);
         let want: Vec<(usize, u64)> = panel
             .iter()
             .filter_map(|&(r, c, v)| Some((map.slot(r as usize, c as usize)?, v.to_bits())))

@@ -972,10 +972,10 @@ fn meter_ss_paths(
     (chained.0, chained.1, chained.2)
 }
 
-/// An intermediate entry that cancels to exactly 0.0 comes back from the
-/// sparse-sparse kernel as a stored zero. Block form would not hand it on
-/// to the next step, so the flat chain must not either: one more entry in
-/// `B` is more products, and the flop count would leave the per-step path.
+/// An intermediate element that cancels to exactly 0.0 is a touched slot
+/// of the sparse-sparse kernel. Block form would not hand it on to the
+/// next step, so the flat chain must not either: one more entry in `B` is
+/// more products, and the flop count would leave the per-step path.
 #[test]
 fn flat_chain_drops_cancelled_intermediate_entries() {
     use tt_tensor::DenseTensor;
@@ -994,13 +994,13 @@ fn flat_chain_drops_cancelled_intermediate_entries() {
     let specs = ["ik,kj->ij", "li,ij->lj"];
     let mut across = None;
     for (name, exec) in flat_chain_executors() {
+        // the fixture cancels element (0, 0), which two products reach;
+        // `contract_ss` reads the slots back without it
         let t = exec
             .contract_ss(specs[0], &a1.to_flat_sparse(), &x.to_flat_sparse(), None)
             .unwrap();
-        assert!(
-            t.entries().any(|(_, v)| v == 0.0),
-            "{name}: the fixture must produce a stored zero"
-        );
+        assert_eq!(t.to_dense().data(), [0.0, 5.0, -1.0, 3.0], "{name}: a1·x");
+        assert_eq!(t.nnz(), 3, "{name}: the cancelled element is not stored");
         let m = meter_ss_paths(&name, &exec, &specs, &[&a1, &a2], &x);
         // step 1: 3 entries of a1 × 2-entry rows of x; step 2: a2's two
         // entries on i=0 meet the one surviving entry of t's row 0, its
