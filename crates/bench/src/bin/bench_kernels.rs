@@ -53,7 +53,9 @@
 //! the warm electrons state (`bench_e2e`'s `electrons-ss-seq` size) as one
 //! `ResidentChain::apply`, whose chain keeps every intermediate in the
 //! merge kernel's format — seconds per matvec, the block↔flat
-//! conversion of `x` and `y` included.
+//! conversion of `x` and `y` included. The `list_chain` row of the same
+//! name runs that matvec under `Algorithm::List`: one chain step per block
+//! pair, each distinct step shape planned once and kept across matvecs.
 //!
 //! The `gemm_small` rows run one row panel on the unpacked register tile
 //! (`gemm_small_into`) and the `gemm_small_packed` rows the same panel on
@@ -940,10 +942,14 @@ fn main() {
                 exec.free(h).unwrap();
             }
         }
-        // the sparse-sparse matvec of a sweep: the four H_eff steps at the
-        // electrons middle bond as one chain, its structural plan kept
-        // from the first application
-        {
+        // the sparse-sparse matvec of a sweep, and the list one: the four
+        // H_eff steps at the electrons middle bond as one chain, its
+        // structural plan (and for the list chain its pair schedule and
+        // the executor's step shapes) kept from the first application
+        for (kernel, algo) in [
+            ("ss_chain", Algorithm::SparseSparse),
+            ("list_chain", Algorithm::List),
+        ] {
             let exec = Executor::with_machine(Machine::local(), 1, ExecMode::Sequential);
             let (heff, x) = &electrons;
             let steps: Vec<(&str, &BlockSparseTensor)> = MATVEC_STEPS
@@ -951,7 +957,7 @@ fn main() {
                 .zip(heff)
                 .map(|(&(spec, ..), a)| (spec, a))
                 .collect();
-            let chain = ResidentChain::upload(&exec, Algorithm::SparseSparse, &steps).unwrap();
+            let chain = ResidentChain::upload(&exec, algo, &steps).unwrap();
             let before = exec.total_flops();
             chain.apply(x).unwrap();
             let flops = (exec.total_flops() - before) as f64;
@@ -960,7 +966,7 @@ fn main() {
             });
             record(
                 &mut entries,
-                "ss_chain",
+                kernel,
                 "electrons-m32-matvec".to_string(),
                 flops,
                 secs,

@@ -8,20 +8,17 @@ use super::sparse::{inline_coords, inline_table, sd_request, ss_request, upload_
 use super::{expect_buf, DenseOp, Executor, SparseOp};
 use crate::cluster::{Cluster, Placement};
 use crate::handle::{Local, OpHandle, Residency, ResultHandle, ResultInfo};
-use crate::kernels::{self, Coord, SsSlots};
+use crate::kernels::{self, Coord, DensePrep, SsSlots};
 use crate::transport::worker::{Op, OpCoords, OpSs, Out, Reply, Request};
 use crate::{Error, Result};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 use tt_tensor::einsum::ContractPlan;
 use tt_tensor::ssmerge::{counting_sort_by, SlotMap, SsBTable};
-use tt_tensor::view::{Epilogue, RunView};
+use tt_tensor::view::Epilogue;
 use tt_tensor::{DenseTensor, SparseTensor};
-
-/// The output views of a chain's in-process dense steps, by spec and
-/// natural-order dims.
-pub(super) type ViewMemo = HashMap<String, HashMap<Vec<usize>, Arc<RunView>>>;
 
 /// One operand of a [`Executor::chain`] step.
 #[derive(Clone, Copy)]
@@ -58,7 +55,7 @@ pub struct ChainStep<'a> {
 }
 
 /// The kernel family of a planned chain step.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum StepKind {
     Dense,
     Sd,
@@ -73,24 +70,163 @@ enum Form {
     Slots,
 }
 
-/// Static per-step plan of a chain: everything derivable driver-side from
-/// dims alone.
-struct PlannedStep {
+/// One distinct step shape — a spec, a kernel family and the two operand
+/// dims — and everything derivable from it alone. A list matvec is
+/// hundreds of block pairs over far fewer shapes, and an eigensolve
+/// repeats one matvec: a chain derives each shape once, or takes it from
+/// the last chain ([`ShapeMemo`]).
+struct Shape {
+    spec: String,
     kind: StepKind,
-    /// The parsed spec, shared by every step of the chain that spells the
-    /// same spec.
-    plan: Arc<ContractPlan>,
-    /// In-process dense steps: the view the product is written through
-    /// ([`kernels::output_view`]), shared by every step of the chain — and
-    /// of the next chain — with the same spec and natural-order dims.
-    view: Option<Arc<RunView>>,
     a_dims: Vec<usize>,
     b_dims: Vec<usize>,
+    /// The parsed spec.
+    plan: Arc<ContractPlan>,
     out_dims: Vec<usize>,
     m: usize,
     k: usize,
     n: usize,
-    /// Flops and stored result words; a sparse-sparse step's are measured.
+    /// Words of the output, stored dense.
+    words: usize,
+    /// Flops of the dense product.
+    flops: u64,
+    /// In-process dense steps: the kernel's set-up, its output view
+    /// included.
+    dense: Option<DensePrep>,
+}
+
+impl Shape {
+    /// The shape of a `kind` step `spec` over `a_dims` × `b_dims`; `lanes`
+    /// is the pool's lane count when the step runs in-process.
+    fn derive(
+        plan: Arc<ContractPlan>,
+        (spec, kind): (&str, StepKind),
+        a_dims: &[usize],
+        b_dims: &[usize],
+        lanes: Option<usize>,
+    ) -> Result<Self> {
+        let out_dims = plan.output_dims(a_dims, b_dims)?;
+        let (m, k, n) = kernels::fused_dims(&plan, a_dims, b_dims);
+        let dense = match (kind, lanes) {
+            (StepKind::Dense, Some(lanes)) => Some(DensePrep::new(&plan, a_dims, b_dims, lanes)?),
+            _ => None,
+        };
+        Ok(Self {
+            spec: spec.to_string(),
+            kind,
+            a_dims: a_dims.to_vec(),
+            b_dims: b_dims.to_vec(),
+            words: out_dims.iter().product(),
+            flops: plan.flop_count(a_dims, b_dims),
+            plan,
+            out_dims,
+            m,
+            k,
+            n,
+            dense,
+        })
+    }
+
+    /// Whether this is the shape of that key.
+    fn is(&self, (spec, kind): (&str, StepKind), a_dims: &[usize], b_dims: &[usize]) -> bool {
+        self.kind == kind && self.a_dims == a_dims && self.b_dims == b_dims && self.spec == spec
+    }
+}
+
+/// FxHash's multiply-rotate over 8-byte words: a shape key is a short spec
+/// and a few dims, hashed once per chain step.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let w = u64::from_le_bytes(word);
+            self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Shapes by the hash of their key; a hit is compared by content.
+type ShapeMap = HashMap<u64, Arc<Shape>, BuildHasherDefault<FxHasher>>;
+
+/// The shapes of the last chain an executor planned, for the next one.
+#[derive(Default)]
+pub(super) struct ShapeMemo {
+    shapes: ShapeMap,
+    /// Shapes derived so far rather than found (read by tests).
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(super) derived: usize,
+}
+
+#[cfg(test)]
+impl ShapeMemo {
+    /// The `(spec, a_dims, b_dims)` of every shape held.
+    pub(super) fn keys(&self) -> Vec<(String, Vec<usize>, Vec<usize>)> {
+        let key = |s: &Arc<Shape>| (s.spec.clone(), s.a_dims.clone(), s.b_dims.clone());
+        self.shapes.values().map(key).collect()
+    }
+}
+
+/// The shapes of one chain being planned: its own so far, then the last
+/// chain's, then a fresh derivation.
+struct ChainShapes<'s> {
+    cur: ShapeMap,
+    last: ShapeMap,
+    /// The specs this chain's derivations parsed.
+    plans: Vec<(&'s str, Arc<ContractPlan>)>,
+    /// The pool's lane count, when the chain runs in-process.
+    lanes: Option<usize>,
+    derived: usize,
+}
+
+impl<'s> ChainShapes<'s> {
+    /// The shape of a `kind` step `spec` over `a_dims` × `b_dims`.
+    fn get(
+        &mut self,
+        key: (&'s str, StepKind),
+        a_dims: &[usize],
+        b_dims: &[usize],
+    ) -> Result<Arc<Shape>> {
+        let mut h = FxHasher::default();
+        (key, a_dims, b_dims).hash(&mut h);
+        let hash = h.finish();
+        let fits = |s: &Arc<Shape>| s.is(key, a_dims, b_dims);
+        if let Some(shape) = self.cur.get(&hash).filter(|s| fits(s)) {
+            return Ok(Arc::clone(shape));
+        }
+        let shape = match self.last.remove(&hash).filter(fits) {
+            Some(shape) => shape,
+            None => {
+                self.derived += 1;
+                let plan = match self.plans.iter().find(|(spec, _)| *spec == key.0) {
+                    Some((_, plan)) => Arc::clone(plan),
+                    None => {
+                        let plan = Arc::new(ContractPlan::parse(key.0)?);
+                        self.plans.push((key.0, Arc::clone(&plan)));
+                        plan
+                    }
+                };
+                Arc::new(Shape::derive(plan, key, a_dims, b_dims, self.lanes)?)
+            }
+        };
+        self.cur.insert(hash, Arc::clone(&shape));
+        Ok(shape)
+    }
+}
+
+/// Per-step plan of a chain: the step's shape, and what differs between
+/// steps of one shape.
+struct PlannedStep {
+    shape: Arc<Shape>,
+    /// Flops and stored result words; a sparse-dense step's flops count
+    /// its `A`'s entries, a sparse-sparse step's are both measured.
     flops: u64,
     words_c: usize,
     /// How a sparse-sparse step reads an earlier step's slots as its `B`.
@@ -112,43 +248,46 @@ impl PlannedStep {
         self.base == i && self.dies_after.is_none()
     }
 
+    fn kind(&self) -> StepKind {
+        self.shape.kind
+    }
+
     /// The key family of a sparse `a` of this step.
     fn a_key(&self, h: &OpHandle) -> CoordsKey {
-        match self.kind {
-            StepKind::Ss => keys::ss_a(h, &self.plan),
-            _ => keys::sd_a(h, &self.plan, self.n),
+        let sh = &self.shape;
+        match sh.kind {
+            StepKind::Ss => keys::ss_a(h, &sh.plan),
+            _ => keys::sd_a(h, &sh.plan, sh.n),
         }
     }
 
     /// The fused coordinates of a sparse `a` of this step as its kernel
     /// takes them: sparse-sparse stably sorts them by contracted key.
     fn a_coords(&self, at: &SparseTensor<f64>) -> Vec<Coord> {
-        let (rows, ctr) = (self.plan.free_a_positions(), self.plan.ctr_a_positions());
+        let sh = &self.shape;
+        let (rows, ctr) = (sh.plan.free_a_positions(), sh.plan.ctr_a_positions());
         let coords = kernels::sparse_coords(at, rows, ctr);
-        match self.kind {
-            StepKind::Ss => counting_sort_by(&coords, self.k, |c| c.1 as usize),
+        match sh.kind {
+            StepKind::Ss => counting_sort_by(&coords, sh.k, |c| c.1 as usize),
             _ => coords,
         }
     }
 
     /// A sparse value as the `B` table of this sparse-sparse step.
     fn b_table(&self, bt: &SparseTensor<f64>) -> SsBTable<f64> {
-        let (ctr, cols) = (self.plan.ctr_b_positions(), self.plan.free_b_positions());
-        SsBTable::from_keyed(&kernels::sparse_coords(bt, ctr, cols), self.k)
+        let sh = &self.shape;
+        let (ctr, cols) = (sh.plan.ctr_b_positions(), sh.plan.free_b_positions());
+        SsBTable::from_keyed(&kernels::sparse_coords(bt, ctr, cols), sh.k)
     }
 }
 
 /// A step's `B` weights (boxed: a list chain plans thousands of steps).
 type Weights = Box<(Vec<u64>, Vec<u64>)>;
 
-/// The `b_weights` of sparse-sparse step `st` of `plan`, `m × n` fused:
-/// its mask must fit, and its `B` be a sparse value or an earlier step.
-fn ss_plan(
-    st: &ChainStep,
-    plan: &ContractPlan,
-    (m, n): (usize, usize),
-    planned: &[PlannedStep],
-) -> Result<Option<Weights>> {
+/// The `b_weights` of sparse-sparse step `st` of `shape`: its mask must
+/// fit, and its `B` be a sparse value or an earlier step.
+fn ss_plan(st: &ChainStep, shape: &Shape, planned: &[PlannedStep]) -> Result<Option<Weights>> {
+    let (plan, m, n) = (&shape.plan, shape.m, shape.n);
     let map = st.mask.expect("a sparse-sparse step has a mask");
     if (map.rows(), map.cols()) != (m, n) {
         return Err(Error::Runtime(format!(
@@ -159,7 +298,8 @@ fn ss_plan(
     Ok(match st.b {
         ChainSrc::Sparse(SparseOp::Value(_)) => None,
         ChainSrc::Prev(j) => {
-            let (dims, perm) = (&planned[j].out_dims, planned[j].plan.output_permutation());
+            let prev = &planned[j].shape;
+            let (dims, perm) = (&prev.out_dims, prev.plan.output_permutation());
             let w = |positions| kernels::fusion_weights(positions, dims, perm);
             Some(Box::new((
                 w(plan.ctr_b_positions()),
@@ -211,6 +351,14 @@ impl Executor {
     /// operand ships inline and nothing is retained — a Davidson vector is
     /// used once. [`Executor::contract_sd`] and [`Executor::contract_ss`]
     /// are one-step chains.
+    ///
+    /// Planning is per step *shape* — spec, kernel family and operand
+    /// dims — not per step: a list matvec is hundreds of block pairs over
+    /// far fewer shapes. Each distinct shape is derived once (its parsed
+    /// spec, output dims, fused sizes, dense flops and, in-process, the
+    /// dense kernel's set-up and output view), and the executor keeps the
+    /// last chain's shapes, so the repeated matvecs of an eigensolve derive
+    /// none.
     ///
     /// Numerics are bitwise-identical to running the equivalent
     /// value-returning contractions on any backend: every kernel is the
@@ -286,10 +434,10 @@ impl Executor {
             a,
             b,
             words_c: pl.words_c,
-            m: pl.m,
-            n: pl.n,
+            m: pl.shape.m,
+            n: pl.shape.n,
             flops: pl.flops,
-            sparse: pl.kind != StepKind::Dense,
+            sparse: pl.kind() != StepKind::Dense,
         });
         self.charge_contractions(charges);
         let mut out = Vec::with_capacity(steps.len());
@@ -308,89 +456,62 @@ impl Executor {
             );
             out.push(Some(ResultHandle {
                 key: pl.key,
-                dims: pl.out_dims.clone(),
+                dims: pl.shape.out_dims.clone(),
                 local: locals[i].take(),
             }));
         }
         Ok(out)
     }
 
-    /// Validate a chain and compute every step's static plan (kind, dims,
-    /// fused sizes, flops, output slot and store key).
+    /// Validate a chain and compute every step's plan: its [`Shape`] —
+    /// derived once per distinct shape, or kept from the last chain
+    /// planned — then what differs per step (flops of a sparse step,
+    /// output slot, store key). The store keys are one range, issued in
+    /// step order under one lock.
     fn plan_chain(&self, steps: &[ChainStep]) -> Result<Vec<PlannedStep>> {
         let mut planned: Vec<PlannedStep> = Vec::with_capacity(steps.len());
-        // a list matvec is hundreds of steps over a handful of specs:
-        // parse each distinct one once
-        let mut specs: Vec<(&str, Arc<ContractPlan>)> = Vec::new();
-        // and derive each distinct output view once — a view is the plan's
-        // output permutation of the natural-order dims — unless the last
-        // chain had it: an eigensolve's matvecs repeat one chain
-        let local = self.cluster.is_none();
-        let mut last = match local {
-            true => std::mem::take(&mut *self.chain_views.lock()),
-            false => ViewMemo::new(),
+        // an eigensolve's matvecs repeat one chain: the last chain's shapes
+        // serve this one, and what this one uses serves the next
+        let last = std::mem::take(&mut self.shapes.lock().shapes);
+        let mut shapes = ChainShapes {
+            cur: ShapeMap::with_capacity_and_hasher(last.len(), Default::default()),
+            last,
+            plans: Vec::new(),
+            lanes: self.cluster.is_none().then(|| kernels::lanes(self.pool())),
+            derived: 0,
         };
-        let mut views = ViewMemo::new();
         for (i, st) in steps.iter().enumerate() {
-            let (a_dims, a_form) = src_info(&st.a, &planned)?;
-            let (b_dims, b_form) = src_info(&st.b, &planned)?;
+            let shape = {
+                let (a_dims, a_form) = src_info(&st.a, &planned)?;
+                let (b_dims, b_form) = src_info(&st.b, &planned)?;
+                let kind = match (a_form, b_form, st.mask.is_some()) {
+                    (Form::Dense, Form::Dense, false) => StepKind::Dense,
+                    (Form::Sparse, Form::Dense, false) => StepKind::Sd,
+                    (Form::Sparse, Form::Sparse | Form::Slots, true) => StepKind::Ss,
+                    _ => {
+                        return Err(Error::Runtime(format!(
+                            "step {i}: no kernel for its operands"
+                        )))
+                    }
+                };
+                shapes.get((st.spec, kind), a_dims, b_dims)?
+            };
             for j in [st.a.prev(), st.b.prev()].into_iter().flatten() {
                 planned[j].dies_after = Some(i);
             }
-            let kind = match (a_form, b_form, st.mask.is_some()) {
-                (Form::Dense, Form::Dense, false) => StepKind::Dense,
-                (Form::Sparse, Form::Dense, false) => StepKind::Sd,
-                (Form::Sparse, Form::Sparse | Form::Slots, true) => StepKind::Ss,
-                _ => {
-                    return Err(Error::Runtime(format!(
-                        "step {i}: no kernel for its operands"
-                    )))
-                }
-            };
-            let plan = match specs.iter().find(|(spec, _)| *spec == st.spec) {
-                Some((_, plan)) => Arc::clone(plan),
-                None => {
-                    let plan = Arc::new(ContractPlan::parse(st.spec)?);
-                    specs.push((st.spec, Arc::clone(&plan)));
-                    plan
-                }
-            };
-            let out_dims = plan.output_dims(&a_dims, &b_dims)?;
-            let (m, k, n) = kernels::fused_dims(&plan, &a_dims, &b_dims);
-            let view = match kind {
-                StepKind::Dense if local => {
-                    let nat_dims = kernels::natural_dims(&plan, &a_dims, &b_dims);
-                    if !views.contains_key(st.spec) {
-                        views.insert(st.spec.to_string(), HashMap::new());
-                    }
-                    let known = views.get_mut(st.spec).expect("inserted above");
-                    Some(match known.get(&nat_dims) {
-                        Some(view) => Arc::clone(view),
-                        None => {
-                            let kept = last.get_mut(st.spec).and_then(|v| v.remove(&nat_dims));
-                            let view = match kept {
-                                Some(view) => view,
-                                None => Arc::new(kernels::output_view(&plan, &a_dims, &b_dims)?),
-                            };
-                            known.insert(nat_dims, Arc::clone(&view));
-                            view
-                        }
-                    })
-                }
-                _ => None,
-            };
-            let flops = match (kind, &st.a) {
+            let flops = match (shape.kind, &st.a) {
                 (StepKind::Ss, _) => 0,
-                (StepKind::Sd, ChainSrc::Sparse(op)) => 2 * op.tensor()?.nnz() as u64 * n as u64,
-                _ => plan.flop_count(&a_dims, &b_dims),
+                (StepKind::Sd, ChainSrc::Sparse(op)) => {
+                    2 * op.tensor()?.nnz() as u64 * shape.n as u64
+                }
+                _ => shape.flops,
             };
-            let words_c = out_dims.iter().product();
-            let b_weights = match kind {
-                StepKind::Ss => ss_plan(st, &plan, (m, n), &planned)?,
+            let b_weights = match shape.kind {
+                StepKind::Ss => ss_plan(st, &shape, &planned)?,
                 _ => None,
             };
-            let (base, key) = match st.acc {
-                None => (i, self.fresh_result_key()),
+            let base = match st.acc {
+                None => i,
                 Some(t) => {
                     let tgt = planned.get(t).ok_or_else(|| {
                         Error::Runtime(format!("step {i} accumulates into future step {t}"))
@@ -400,44 +521,55 @@ impl Executor {
                             "step {i} accumulates into step {t}, itself an accumulate step"
                         )));
                     }
-                    if kind != StepKind::Dense {
+                    if shape.kind != StepKind::Dense {
                         return Err(Error::Runtime(
                             "accumulate is only supported for dense chain steps".into(),
                         ));
                     }
-                    if tgt.out_dims != out_dims {
+                    if tgt.shape.out_dims != shape.out_dims {
                         return Err(Error::Runtime(format!(
                             "step {i} accumulate target has a mismatched shape"
                         )));
                     }
                     // an accumulate keeps an internal output alive
-                    let key = tgt.key;
                     if let Some(last) = &mut planned[t].dies_after {
                         *last = i;
                     }
-                    (t, key)
+                    t
                 }
             };
             planned.push(PlannedStep {
-                kind,
-                plan,
-                view,
-                a_dims,
-                b_dims,
-                out_dims,
-                m,
-                k,
-                n,
+                words_c: shape.words,
+                shape,
                 flops,
-                words_c,
                 b_weights,
                 base,
-                key,
+                key: 0,
                 dies_after: None,
             });
         }
-        if local {
-            *self.chain_views.lock() = views;
+        {
+            let mut memo = self.shapes.lock();
+            memo.shapes = shapes.cur;
+            memo.derived += shapes.derived;
+        }
+        // a fresh key per output slot, in step order, from one range; an
+        // accumulate step writes under its base's
+        let fresh = planned.iter().enumerate().filter(|&(i, pl)| pl.base == i);
+        let fresh = fresh.count() as u64;
+        let mut next = {
+            let mut k = self.next_result.lock();
+            *k += fresh;
+            *k - fresh
+        };
+        for i in 0..planned.len() {
+            let base = planned[i].base;
+            planned[i].key = if base == i {
+                next += 1;
+                next - 1
+            } else {
+                planned[base].key
+            };
         }
         Ok(planned)
     }
@@ -466,7 +598,7 @@ impl Executor {
         let mut homes: Vec<usize> = vec![0; steps.len()];
         let mut pending = Superstep::default();
         for (i, (st, pl)) in steps.iter().zip(planned).enumerate() {
-            let rank = match (pl.kind, &st.b) {
+            let rank = match (pl.kind(), &st.b) {
                 _ if pl.base != i => homes[pl.base],
                 // a step's slots do not move: their reader runs where they lie
                 (StepKind::Ss, ChainSrc::Prev(j)) => homes[*j],
@@ -484,12 +616,13 @@ impl Executor {
                 self.wire_input(cl, rank, src, &mut homes, planned, pending)
             };
             // plan_chain gave a sparse step a sparse `a`, and no `acc`
-            let req = match (pl.kind, &st.a) {
+            let sh = &pl.shape;
+            let req = match (sh.kind, &st.a) {
                 (StepKind::Dense, a) => Request::Contract {
                     spec: st.spec.to_string(),
-                    a_dims: pl.a_dims.clone(),
+                    a_dims: sh.a_dims.clone(),
                     a: wire(a, &mut pending)?,
-                    b_dims: pl.b_dims.clone(),
+                    b_dims: sh.b_dims.clone(),
                     b: wire(&st.b, &mut pending)?,
                     out: Out::Store {
                         key: pl.key,
@@ -498,8 +631,8 @@ impl Executor {
                 },
                 (StepKind::Sd, ChainSrc::Sparse(a)) => {
                     let a = self.wire_coords(rank, a, pl, &mut pending)?;
-                    let (dims, b) = ((&pl.a_dims[..], &pl.b_dims[..]), wire(&st.b, &mut pending)?);
-                    sd_request(&pl.plan, dims, a, b, pl.key)
+                    let (dims, b) = ((&sh.a_dims[..], &sh.b_dims[..]), wire(&st.b, &mut pending)?);
+                    sd_request(&sh.plan, dims, a, b, pl.key)
                 }
                 (StepKind::Ss, ChainSrc::Sparse(a)) => {
                     // an earlier step's slots lie on this rank; a value ships
@@ -514,9 +647,9 @@ impl Executor {
                     };
                     let mask =
                         kernels::wire_classes(st.mask.expect("a sparse-sparse step has a mask"));
-                    let axes = kernels::ss_axes(&pl.plan, &pl.a_dims, &pl.b_dims)?;
+                    let axes = kernels::ss_axes(&sh.plan, &sh.a_dims, &sh.b_dims)?;
                     let a = self.wire_coords(rank, a, pl, &mut pending)?;
-                    ss_request(a, b, pl.key, pl.n, &axes, mask)
+                    ss_request(a, b, pl.key, sh.n, &axes, mask)
                 }
                 _ => unreachable!("plan_chain gave a sparse step a sparse `a`"),
             };
@@ -524,7 +657,7 @@ impl Executor {
         }
         // one task per step, in step order
         for (i, (pl, reply)) in planned.iter().zip(pending.run(cl)?).enumerate() {
-            match (pl.kind, reply) {
+            match (pl.kind(), reply) {
                 (StepKind::Ss, Reply::Merged { touched, flops }) => {
                     measured.push((i, (flops, 2 * touched as usize)))
                 }
@@ -621,11 +754,12 @@ impl Executor {
 
     /// The in-process leg of [`Executor::chain`]: run every step locally
     /// with the exact same kernels as the value paths, accumulating
-    /// products in submission order: a dense step's kernel stores its
-    /// tiles into a fresh output, or adds them into its target, through
-    /// the step's output view. An internal output leaves `outs` as
-    /// soon as its last consumer has run; a sparse-dense one's buffer goes
-    /// back to the workspace it came from, for the next step to take.
+    /// products in submission order: a dense step runs its shape's
+    /// prepared kernel, which stores its tiles into a fresh output taken
+    /// unzeroed from the workspace, or adds them into its target, through
+    /// the shape's output view. An internal output leaves `outs` as soon
+    /// as its last consumer has run, and a dense one's buffer goes back to
+    /// the workspace, for the next step to take.
     fn chain_local(
         &self,
         steps: &[ChainStep],
@@ -635,17 +769,21 @@ impl Executor {
     ) -> Result<()> {
         for (i, (st, pl)) in steps.iter().zip(planned).enumerate() {
             // plan_chain made a sparse `a` a sparse step, and refused `acc`
-            // on one; it gave every dense step its view
+            // on one; it prepared every dense step's kernel
             let dense = |outs: &[Option<Local>], out: &mut [f64], how| {
-                let view = pl.view.as_deref().expect("a planned in-process view");
+                let prep = pl
+                    .shape
+                    .dense
+                    .as_ref()
+                    .expect("a prepared in-process kernel");
                 let (a, b) = (resolve_local(&st.a, outs)?, resolve_local(&st.b, outs)?);
-                kernels::dense_into(&pl.plan, view, a, b, self.pool(), out, how)
+                prep.run(a, b, self.pool(), out, how)
             };
             if pl.base == i {
-                outs[i] = Some(match (pl.kind, &st.a) {
+                outs[i] = Some(match (pl.kind(), &st.a) {
                     (StepKind::Sd, ChainSrc::Sparse(op)) => {
                         let b = resolve_local(&st.b, outs)?;
-                        Local::Dense(Arc::new(self.sd_local(&pl.plan, op, b)?))
+                        Local::Dense(Arc::new(self.sd_local(&pl.shape.plan, op, b)?))
                     }
                     (StepKind::Ss, ChainSrc::Sparse(op)) => {
                         // an earlier step's slots go once their last reader
@@ -659,9 +797,10 @@ impl Executor {
                         Local::Slots(Arc::new(result))
                     }
                     _ => {
-                        let mut c = vec![0.0; pl.words_c];
+                        let mut c = self.workspace.take_unzeroed(pl.words_c);
                         dense(outs, &mut c, Epilogue::Store)?;
-                        Local::Dense(Arc::new(DenseTensor::from_vec(pl.out_dims.clone(), c)?))
+                        let dims = pl.shape.out_dims.clone();
+                        Local::Dense(Arc::new(DenseTensor::from_vec(dims, c)?))
                     }
                 });
             } else {
@@ -680,8 +819,7 @@ impl Executor {
                 if planned[j].dies_after != Some(i) {
                     continue;
                 }
-                if let (StepKind::Sd, Some(Local::Dense(dead))) = (planned[j].kind, outs[j].take())
-                {
+                if let Some(Local::Dense(dead)) = outs[j].take() {
                     if let Ok(dead) = Arc::try_unwrap(dead) {
                         self.workspace.give(dead.into_data());
                     }
@@ -709,12 +847,13 @@ impl Executor {
         let btab = match (&st.b, pl.b_weights.as_deref(), prev) {
             (ChainSrc::Sparse(b), ..) => pl.b_table(b.tensor()?),
             (_, Some((key_w, col_w)), Some(Local::Slots(prev))) => {
-                prev.table(key_w, col_w, pl.n as u64)?
+                prev.table(key_w, col_w, pl.shape.n as u64)?
             }
             _ => return Err(no_local_payload()),
         };
         let map = Arc::clone(st.mask.expect("a sparse-sparse step has a mask"));
-        let axes = kernels::ss_axes(&pl.plan, &pl.a_dims, &pl.b_dims)?;
+        let sh = &pl.shape;
+        let axes = kernels::ss_axes(&sh.plan, &sh.a_dims, &sh.b_dims)?;
         let slots = kernels::ss_slots(&coords, &btab, &map, self.pool());
         Ok(SsSlots { map, slots, axes })
     }
@@ -732,7 +871,7 @@ impl Executor {
             .iter()
             .zip(planned)
             .map(|(st, pl)| {
-                let auto = |src: &ChainSrc| match (pl.kind, src) {
+                let auto = |src: &ChainSrc| match (pl.kind(), src) {
                     (StepKind::Dense, ChainSrc::Dense(op @ DenseOp::Value(t))) => {
                         self.auto_handle(op, t)
                     }
@@ -824,14 +963,6 @@ impl Executor {
         }
         Ok(())
     }
-
-    /// A fresh driver-issued key for a resident contraction result.
-    fn fresh_result_key(&self) -> u64 {
-        let mut k = self.next_result.lock();
-        let key = *k;
-        *k += 1;
-        key
-    }
 }
 
 impl ChainSrc<'_> {
@@ -865,7 +996,8 @@ fn chain_charge(
     pl: &PlannedStep,
     is_a: bool,
 ) -> Result<OpCharge> {
-    let elems = if is_a { pl.m * pl.k } else { pl.k * pl.n };
+    let sh = &pl.shape;
+    let elems = if is_a { sh.m * sh.k } else { sh.k * sh.n };
     Ok(match src {
         ChainSrc::Dense(_) => op_state(res, src.handle(), keys::whole, elems),
         // a sparse operand moves its stored entries (offset + value)
@@ -885,11 +1017,11 @@ fn keyed<'a>(auto: &'a Option<OpHandle>, src: ChainSrc<'a>) -> ChainSrc<'a> {
     auto.as_ref().map_or(src, |h| ChainSrc::Dense(h.into()))
 }
 
-/// Dims of a chain-step operand at planning time, and its form.
-fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, Form)> {
+/// Dims of a chain-step operand at planning time, borrowed, and its form.
+fn src_info<'a>(src: &'a ChainSrc, planned: &'a [PlannedStep]) -> Result<(&'a [usize], Form)> {
     Ok(match src {
-        ChainSrc::Dense(op) => (op.tensor()?.dims().to_vec(), Form::Dense),
-        ChainSrc::Sparse(op) => (op.tensor()?.dims().to_vec(), Form::Sparse),
+        ChainSrc::Dense(op) => (op.tensor()?.dims(), Form::Dense),
+        ChainSrc::Sparse(op) => (op.tensor()?.dims(), Form::Sparse),
         ChainSrc::Prev(j) => {
             let pl = planned
                 .get(*j)
@@ -899,13 +1031,13 @@ fn src_info(src: &ChainSrc, planned: &[PlannedStep]) -> Result<(Vec<usize>, Form
                     "chain step references accumulate step {j}; reference its base instead"
                 )));
             }
-            let form = match pl.kind {
+            let form = match pl.kind() {
                 StepKind::Ss => Form::Slots,
                 _ => Form::Dense,
             };
-            (pl.out_dims.clone(), form)
+            (&pl.shape.out_dims, form)
         }
-        ChainSrc::Res(h) => (h.dims.clone(), Form::Dense),
+        ChainSrc::Res(h) => (&h.dims, Form::Dense),
     })
 }
 

@@ -101,7 +101,7 @@ impl Executor {
             let rows = pool.filter(|_| pairs.len() == 1);
             kernels::ordered_map(pool, 0..pairs.len(), |i| {
                 let (a, b) = &pairs[i];
-                kernels::dense_contract(&plan, a.tensor()?, b.tensor()?, rows)
+                kernels::dense_contract(&plan, a.tensor()?, b.tensor()?, rows, &self.workspace)
             })
             .into_iter()
             .collect::<Result<Vec<_>>>()?

@@ -49,9 +49,9 @@
 //! `residency` the upload/free lifecycle, the retention cache, the α–β
 //! charges and the `Superstep` builder; `dense`, `sparse` and `factorize`
 //! the value-returning entry points; `chain` the planner of worker-side
-//! chains — dense, sparse-dense and sparse-sparse steps alike — and the
-//! result handles' exits; `workspace` the recycled buffers of the
-//! sparse-dense temporaries.
+//! chains — dense, sparse-dense and sparse-sparse steps alike, planned
+//! once per step shape — and the result handles' exits; `workspace` the
+//! recycled buffers of the large temporaries and outputs.
 
 mod chain;
 mod dense;
@@ -202,12 +202,12 @@ pub struct Executor {
     chain_cursor: Mutex<usize>,
     /// Cross-job retention cache (see [`Executor::set_retention_cap`]).
     retention: Mutex<Retention>,
-    /// Where the in-process sparse-dense legs keep their large temporaries
+    /// Where the in-process legs keep their large temporaries and outputs
     /// between uses (see [`Executor::workspace_stats`]).
     workspace: Workspace,
-    /// The output views of the last in-process chain, for the next one
-    /// (see [`Executor::chain`]).
-    chain_views: Mutex<chain::ViewMemo>,
+    /// The step shapes of the last chain, for the next one (see
+    /// [`Executor::chain`]).
+    shapes: Mutex<chain::ShapeMemo>,
 }
 
 /// Transport options of the multi-process backend; nothing to set on a
@@ -308,7 +308,7 @@ impl Executor {
             chain_cursor: Mutex::new(0),
             retention: Mutex::new(Retention::default()),
             workspace: Workspace::default(),
-            chain_views: Mutex::default(),
+            shapes: Mutex::default(),
         })
     }
 
@@ -384,9 +384,10 @@ impl Executor {
     }
 
     /// What the executor's workspace holds and has served. The workspace
-    /// recycles the large dense temporaries of the in-process sparse-dense
-    /// legs — chain-step outputs, released when their last consumer has
-    /// run, the kernel's `C` and transposed copies, and what
+    /// recycles the large dense temporaries of the in-process legs — chain
+    /// step outputs, sparse-dense and dense alike, released when their last
+    /// consumer has run, the sparse-dense kernel's `C` and transposed
+    /// copies, the fresh outputs of dense contractions, and what
     /// [`Executor::recycle`] hands in — so that a sweep does not page-fault
     /// fresh memory for each of them; [`Executor::free`] states the bound on
     /// what it keeps.

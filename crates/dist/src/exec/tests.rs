@@ -1265,6 +1265,138 @@ fn resident_sparse_operands_keep_their_coords_until_freed() {
     assert!(kept().is_none(), "the last free drops them");
 }
 
+/// `(spec, a dims, b dims, the step it accumulates into)`.
+type ListStep = (&'static str, [usize; 2], [usize; 2], Option<usize>);
+
+/// A list chain of one contraction's block pairs and one more step that
+/// reads a block, whose `A` is step 0's output. Its shapes repeat: eight
+/// steps over four shapes, for `m` rows of `A` and `n` columns of `B`.
+fn repeated_list((m, n): (usize, usize)) -> Vec<ListStep> {
+    let (ij, ji) = ("ik,kj->ij", "ik,jk->ji");
+    vec![
+        (ij, [m, 5], [5, n], None),
+        (ij, [m, 3], [3, n], Some(0)),
+        (ij, [m, 5], [5, n], Some(0)),
+        (ij, [m, 5], [5, n], None),
+        (ij, [m, 3], [3, n], Some(3)),
+        (ji, [m, 5], [n, 5], None),
+        (ji, [m, 5], [n, 5], Some(5)),
+        // `A` is step 0's output: the dims listed are its dims
+        ("ki,kj->ij", [m, n], [m, 6], None),
+    ]
+}
+
+/// [`repeated_list`] run as one chain on `exec`, and the blocks it hands
+/// out.
+fn run_repeated_list(exec: &Executor, mn: (usize, usize), seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let list = repeated_list(mn);
+    let tensors: Vec<[DenseTensor<f64>; 2]> = list
+        .iter()
+        .map(|(_, a, b, _)| [a, b].map(|&d| DenseTensor::<f64>::random(d, &mut rng)))
+        .collect();
+    let last = list.len() - 1;
+    let steps: Vec<ChainStep> = list
+        .iter()
+        .zip(&tensors)
+        .enumerate()
+        .map(|(i, (&(spec, .., acc), [a, b]))| ChainStep {
+            spec,
+            a: match i == last {
+                true => ChainSrc::Prev(0),
+                false => ChainSrc::Dense(a.into()),
+            },
+            b: ChainSrc::Dense(b.into()),
+            acc,
+            mask: None,
+        })
+        .collect();
+    let out = exec.chain(&steps).unwrap();
+    exec.download_many(out.into_iter().flatten().collect())
+        .unwrap()
+        .into_iter()
+        .map(DenseTensor::into_data)
+        .collect()
+}
+
+/// What `contract_list` computes for [`repeated_list`]: every pair one
+/// value contraction, partials added into their block in pair order.
+fn repeated_list_reference(mn: (usize, usize), seed: u64) -> Vec<Vec<f64>> {
+    let exec = Executor::local();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut blocks: Vec<Option<DenseTensor<f64>>> = Vec::new();
+    let list = repeated_list(mn);
+    for (i, &(spec, a, b, acc)) in list.iter().enumerate() {
+        let (a, b) = (
+            DenseTensor::<f64>::random(a, &mut rng),
+            DenseTensor::<f64>::random(b, &mut rng),
+        );
+        let a = match i == list.len() - 1 {
+            true => blocks[0].take().unwrap(),
+            false => a,
+        };
+        let partial = exec.contract(spec, &a, &b).unwrap();
+        match acc {
+            None => blocks.push(Some(partial)),
+            Some(t) => {
+                let sum = blocks[t].as_mut().unwrap().data_mut();
+                for (s, p) in sum.iter_mut().zip(partial.data()) {
+                    *s += p;
+                }
+                blocks.push(None);
+            }
+        }
+    }
+    blocks
+        .into_iter()
+        .flatten()
+        .map(DenseTensor::into_data)
+        .collect()
+}
+
+/// A chain derives each distinct step shape once, and an identical next
+/// chain derives none; a chain at other dims finds no stale shape; after a
+/// chain the executor keeps that chain's shapes and no others — with the
+/// bits of the value path on every backend.
+#[test]
+fn list_chain_plans_each_shape_once() {
+    use crate::transport::RecordingTransport;
+    let mut cluster = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
+    let (transport, _log) = RecordingTransport::new(2);
+    cluster.cluster = Some(Mutex::new(Cluster::new(Box::new(transport))));
+    let threaded = Executor::with_machine(Machine::local(), 1, ExecMode::Threaded);
+    let shapes = |mn| {
+        let mut keys: Vec<(String, Vec<usize>, Vec<usize>)> = repeated_list(mn)
+            .into_iter()
+            .map(|(spec, a, b, _)| (spec.to_string(), a.to_vec(), b.to_vec()))
+            .collect();
+        keys.sort();
+        keys.dedup();
+        keys
+    };
+    assert_eq!(shapes((4, 6)).len(), 4);
+    for exec in [&Executor::local(), &threaded, &cluster] {
+        let derived = || exec.shapes.lock().derived;
+        let held = || {
+            let mut keys = exec.shapes.lock().keys();
+            keys.sort();
+            keys
+        };
+        // the second chain repeats the first; the third changes only the
+        // `B` dims, the fourth only the `A` dims, and the memo holds only
+        // the chain before
+        for (mn, seed) in [((4, 6), 1), ((4, 6), 2), ((4, 9), 3), ((7, 9), 4)] {
+            let before = derived();
+            let got = run_repeated_list(exec, mn, seed);
+            let want = repeated_list_reference(mn, seed);
+            assert_eq!(got, want, "{mn:?}, seed {seed}");
+            let expect = if seed == 2 { 0 } else { shapes(mn).len() };
+            assert_eq!(derived() - before, expect, "{mn:?}, seed {seed}");
+            assert_eq!(held(), shapes(mn), "{mn:?}, seed {seed}");
+        }
+    }
+}
+
 /// A chain hands out a handle for every output nothing in it consumed,
 /// final or not, and for nothing else; on a cluster the consumed ones are
 /// gone from the worker stores when it returns.

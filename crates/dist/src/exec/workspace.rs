@@ -7,9 +7,9 @@
 //! keeps such buffers between uses instead: one per [`Executor`] for the
 //! in-process legs, one per worker state for `SdContract` temporaries and
 //! what `Free` releases. It is not an allocator: it serves only requests of
-//! at least [`WORKSPACE_MIN_BYTES`] made by `kernels::sd_apply`, and
-//! between calls it keeps only buffers the last call used (see
-//! [`Workspace::settle`]).
+//! at least [`WORKSPACE_MIN_BYTES`] made by `kernels::sd_apply` and for
+//! the fresh outputs of dense contractions, and between calls it keeps
+//! only buffers the last call used (see [`Workspace::settle`]).
 //!
 //! [`Executor`]: super::Executor
 
@@ -77,16 +77,13 @@ impl Shelf {
         self.held.iter().map(|h| h.buf.capacity()).enumerate()
     }
 
-    /// The held buffer that fits `len` elements most tightly without being
-    /// more than twice as large (a small tensor must not leave in a large
-    /// buffer), if the request is large enough to be served here at all.
+    /// The held buffer that fits `len` elements (at least the size floor)
+    /// most tightly without being more than twice as large (a small tensor
+    /// must not leave in a large buffer).
     fn fit(&mut self, len: usize) -> Option<Vec<f64>> {
-        // any request, served here or not, is a sign of a call
+        // any request, served by a held buffer or not, is a sign of a call
         if !self.in_call {
             self.begin();
-        }
-        if len * std::mem::size_of::<f64>() < WORKSPACE_MIN_BYTES {
-            return None;
         }
         self.takes += 1;
         let tightest = self
@@ -147,8 +144,13 @@ impl Workspace {
 
     /// [`Workspace::take_unzeroed`], and whether the buffer is a fresh
     /// allocation of `+0.0`s rather than a held one: a caller that has
-    /// zeros to write can then skip them.
+    /// zeros to write can then skip them. A request below the size floor
+    /// is a plain allocation and no part of any call: a list chain takes
+    /// thousands of small outputs, and none of them takes the lock.
     pub(crate) fn take_or_zeros(&self, len: usize) -> (Vec<f64>, bool) {
+        if len * std::mem::size_of::<f64>() < WORKSPACE_MIN_BYTES {
+            return (vec![0.0; len], true);
+        }
         match self.0.lock().fit(len) {
             Some(mut buf) => {
                 buf.resize(len, 0.0);

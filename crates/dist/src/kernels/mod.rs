@@ -62,7 +62,7 @@ mod ss;
 #[cfg(test)]
 pub(crate) mod tests;
 
-pub(crate) use dense::{dense_contract, dense_into, output_view};
+pub(crate) use dense::{dense_contract, dense_into, DensePrep};
 pub(crate) use factor::svd_trunc;
 pub(crate) use sd::{sd_apply, sd_contract, SdGeometry};
 pub(crate) use ss::{fusion_weights, slot_map, ss_axes, ss_slots, wire_classes, AxesPair, SsSlots};
@@ -104,7 +104,7 @@ pub(crate) fn ordered_map<I: Send, T: Send>(
 }
 
 /// Lanes a kernel may fan out over: the pool's threads, or one.
-fn lanes(pool: Option<&ThreadPool>) -> usize {
+pub(crate) fn lanes(pool: Option<&ThreadPool>) -> usize {
     pool.map_or(1, ThreadPool::threads)
 }
 

@@ -115,9 +115,9 @@ fn dense_kernel_matches_einsum_any_chunking() {
     let a = DenseTensor::<f64>::random([7, 3, 9], &mut rng);
     let b = DenseTensor::<f64>::random([9, 3, 5], &mut rng);
     let plan = ContractPlan::parse("ajk,kjc->ca").unwrap();
-    let seq = dense_contract(&plan, &a, &b, None).unwrap();
+    let seq = dense_contract(&plan, &a, &b, None, &Workspace::default()).unwrap();
     let pool = ThreadPool::new(3);
-    let par = dense_contract(&plan, &a, &b, Some(&pool)).unwrap();
+    let par = dense_contract(&plan, &a, &b, Some(&pool), &Workspace::default()).unwrap();
     assert_eq!(seq.data(), par.data(), "threaded must be bitwise identical");
     let reference = tt_tensor::einsum("ajk,kjc->ca", &a, &b).unwrap();
     assert_eq!(seq.data(), reference.data());
@@ -132,10 +132,10 @@ fn dense_kernel_packed_path_bitwise_across_chunkings() {
     let b = DenseTensor::<f64>::random([65, 70], &mut rng);
     assert_eq!(gemm_path(65, 70), GemmPath::Packed);
     let plan = ContractPlan::parse("ik,kj->ij").unwrap();
-    let seq = dense_contract(&plan, &a, &b, None).unwrap();
+    let seq = dense_contract(&plan, &a, &b, None, &Workspace::default()).unwrap();
     for threads in [2, 3, 5, 8] {
         let pool = ThreadPool::new(threads);
-        let par = dense_contract(&plan, &a, &b, Some(&pool)).unwrap();
+        let par = dense_contract(&plan, &a, &b, Some(&pool), &Workspace::default()).unwrap();
         assert_eq!(seq.data(), par.data(), "threads={threads}");
     }
     let reference = tt_tensor::einsum("ik,kj->ij", &a, &b).unwrap();
@@ -166,9 +166,9 @@ fn dense_kernel_gemv_path_used_and_bitwise() {
     let x = DenseTensor::<f64>::random([30, 1], &mut rng);
     assert_eq!(gemm_path(30, 1), GemmPath::Gemv);
     let plan = ContractPlan::parse("ik,kj->ij").unwrap();
-    let seq = dense_contract(&plan, &a, &x, None).unwrap();
+    let seq = dense_contract(&plan, &a, &x, None, &Workspace::default()).unwrap();
     let pool = ThreadPool::new(4);
-    let par = dense_contract(&plan, &a, &x, Some(&pool)).unwrap();
+    let par = dense_contract(&plan, &a, &x, Some(&pool), &Workspace::default()).unwrap();
     assert_eq!(seq.data(), par.data());
     let reference = tt_tensor::einsum("ik,kj->ij", &a, &x).unwrap();
     assert_eq!(seq.data(), reference.data());
@@ -404,10 +404,10 @@ fn check_dense(spec: &str, a_dims: &[usize], b_dims: &[usize], seed: u64) {
     let b = DenseTensor::<f64>::random(b_dims, &mut rng);
     let plan = ContractPlan::parse(spec).unwrap();
     let reference = dense_reference(&plan, &a, &b);
-    let seq = dense_contract(&plan, &a, &b, None).unwrap();
+    let seq = dense_contract(&plan, &a, &b, None, &Workspace::default()).unwrap();
     assert_eq!(seq, reference, "{spec} {a_dims:?} {b_dims:?} inline");
     let pool = ThreadPool::new(3);
-    let par = dense_contract(&plan, &a, &b, Some(&pool)).unwrap();
+    let par = dense_contract(&plan, &a, &b, Some(&pool), &Workspace::default()).unwrap();
     assert_eq!(par, reference, "{spec} {a_dims:?} {b_dims:?} pool");
 }
 
@@ -489,7 +489,6 @@ fn dense_epilogue_stores_and_adds_through_the_output_permutation() {
             let spec = format!("{a_labels},{b_labels}->{out}");
             let plan = ContractPlan::parse(&spec).unwrap();
             let want = epilogue_reference(&plan, &a, &b);
-            let view = output_view(&plan, a.dims(), b.dims()).unwrap();
             // a target holding ±0, ±inf and NaN between ordinary values
             let target: Vec<f64> = (0..want.len())
                 .map(|i| {
@@ -504,7 +503,7 @@ fn dense_epilogue_stores_and_adds_through_the_output_permutation() {
             for pool in [None, Some(&pool)] {
                 for (how, expect) in [(Epilogue::Store, &want), (Epilogue::Add, &added)] {
                     let mut got = target.clone();
-                    dense_into(&plan, &view, &a, &b, pool, &mut got, how).unwrap();
+                    dense_into(&plan, &a, &b, pool, &mut got, how).unwrap();
                     let at = format!("{spec} {how:?} pool={}", pool.is_some());
                     assert_eq!(bits(&got), bits(expect), "{at}");
                 }
@@ -513,9 +512,111 @@ fn dense_epilogue_stores_and_adds_through_the_output_permutation() {
             let mut short = target[..target.len().saturating_sub(1)].to_vec();
             let before = bits(&short);
             if !target.is_empty() {
-                let refused = dense_into(&plan, &view, &a, &b, None, &mut short, Epilogue::Add);
+                let refused = dense_into(&plan, &a, &b, None, &mut short, Epilogue::Add);
                 assert!(refused.is_err(), "{spec}");
                 assert_eq!(bits(&short), before, "{spec}");
+            }
+        }
+    }
+}
+
+/// A store epilogue writes every element of its target, whatever the
+/// target held: the product stored into a NaN-filled target is the one
+/// stored into a zeroed target, bit for bit, on every panel kernel, with
+/// the output in place and permuted, on one lane and on three — and so a
+/// fresh output may be taken unzeroed from a workspace, as
+/// [`dense_contract`] and the in-process chain take theirs.
+#[test]
+fn dense_store_overwrites_a_poisoned_target() {
+    use tt_tensor::gemm::{panel_kernel, PanelKernel, KC};
+    use tt_tensor::view::Epilogue;
+    // (A, its dims, B, its dims, output in place, permuted, the kernel)
+    let cases = [
+        (
+            "akb",
+            vec![3, 11, 4],
+            "k",
+            vec![11],
+            "ab",
+            "ba",
+            PanelKernel::Gemv,
+        ),
+        (
+            "ak",
+            vec![9, 7],
+            "kc",
+            vec![7, 5],
+            "ac",
+            "ca",
+            PanelKernel::Small,
+        ),
+        (
+            "ak",
+            vec![MC + 5, KC + 9],
+            "kc",
+            vec![KC + 9, 128],
+            "ac",
+            "ca",
+            PanelKernel::Packed,
+        ),
+        // zero extents: k = 0 stores zeros everywhere, m = 0 stores nothing
+        (
+            "ak",
+            vec![4, 0],
+            "kc",
+            vec![0, 9],
+            "ac",
+            "ca",
+            PanelKernel::Small,
+        ),
+        (
+            "ak",
+            vec![0, 5],
+            "kc",
+            vec![5, 3],
+            "ac",
+            "ca",
+            PanelKernel::Small,
+        ),
+    ];
+    let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+    let pool = ThreadPool::new(3);
+    let mut rng = StdRng::seed_from_u64(81);
+    for (a_labels, a_dims, b_labels, b_dims, in_place, permuted, kernel) in cases {
+        let a = DenseTensor::<f64>::random(&a_dims[..], &mut rng);
+        let b = DenseTensor::<f64>::random(&b_dims[..], &mut rng);
+        for out in [in_place, permuted] {
+            let spec = format!("{a_labels},{b_labels}->{out}");
+            let plan = ContractPlan::parse(&spec).unwrap();
+            let (m, k, n) = fused_dims(&plan, a.dims(), b.dims());
+            assert_eq!(panel_kernel(gemm_path(k, n), m, k, n), kernel, "{spec}");
+            let len = m * n;
+            let mut zeroed = vec![0.0; len];
+            dense_into(&plan, &a, &b, None, &mut zeroed, Epilogue::Store).unwrap();
+            assert_eq!(
+                bits(&zeroed),
+                bits(&epilogue_reference(&plan, &a, &b)),
+                "{spec}"
+            );
+            if k == 0 {
+                assert!(zeroed.iter().all(|v| v.to_bits() == 0), "{spec}");
+            }
+            for pool in [None, Some(&pool)] {
+                let mut poisoned = vec![f64::NAN; len];
+                dense_into(&plan, &a, &b, pool, &mut poisoned, Epilogue::Store).unwrap();
+                let at = format!("{spec} pool={}", pool.is_some());
+                assert_eq!(bits(&poisoned), bits(&zeroed), "{at}");
+                // a retired buffer comes back poisoned: the packed output
+                // is large enough to be served one
+                let ws = Workspace::default();
+                let fresh = ws.call(|| {
+                    ws.give(vec![0.0; len]);
+                    dense_contract(&plan, &a, &b, pool, &ws).unwrap()
+                });
+                assert_eq!(bits(fresh.data()), bits(&zeroed), "{at} workspace");
+                let served = len * 8 >= WORKSPACE_MIN_BYTES;
+                assert_eq!(ws.stats().reuses, served as u64, "{at}");
+                assert_eq!(served, kernel == PanelKernel::Packed, "{at}");
             }
         }
     }

@@ -62,17 +62,17 @@ impl WorkerState {
                 let (a, b) = (self.op(a)?, self.op(b)?);
                 let ta = DenseTensor::from_vec(a_dims, Self::take(a))?;
                 let tb = DenseTensor::from_vec(b_dims, Self::take(b))?;
-                let fresh = || kernels::dense_contract(&plan, &ta, &tb, None);
+                let fresh = || kernels::dense_contract(&plan, &ta, &tb, None, &self.workspace);
                 match out {
                     Out::Reply => Ok(Reply::Buf(fresh()?.into_data())),
                     Out::Store { key, acc: false } => {
-                        self.store(key, fresh()?.into_data());
+                        let c = fresh()?.into_data();
+                        self.store(key, c);
                         Ok(Reply::Unit)
                     }
                     Out::Store { key, acc: true } => {
-                        let view = kernels::output_view(&plan, ta.dims(), tb.dims())?;
                         self.accumulate(key, |target| {
-                            kernels::dense_into(&plan, &view, &ta, &tb, None, target, Epilogue::Add)
+                            kernels::dense_into(&plan, &ta, &tb, None, target, Epilogue::Add)
                         })?;
                         Ok(Reply::Unit)
                     }

@@ -637,7 +637,14 @@ fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
     // the dense step on the same operands (A densified)
     let HeffStep2 { a_dense, b, .. } = step;
     let (a_dims, b_dims) = (a_dense.dims().to_vec(), b.dims().to_vec());
-    let local = kernels::dense_contract(&plan, &a_dense, &b, None).unwrap();
+    let local = kernels::dense_contract(
+        &plan,
+        &a_dense,
+        &b,
+        None,
+        &crate::exec::Workspace::default(),
+    )
+    .unwrap();
     assert_eq!(
         w.handle(Request::Contract {
             spec: HEFF_STEP2.into(),
