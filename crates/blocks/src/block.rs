@@ -253,17 +253,6 @@ impl BlockSparseTensor {
         Ok(())
     }
 
-    /// Accumulate `t` into the block at `key` (elementwise, inserting the
-    /// block when absent — the first partial is *stored*, not added to
-    /// zeros, matching every chained accumulation path bit for bit).
-    pub fn axpy_block(&mut self, key: BlockKey, t: DenseTensor<f64>) -> Result<()> {
-        match self.blocks.get_mut(&key) {
-            Some(existing) => Arc::make_mut(existing).axpy(1.0, &t)?,
-            None => self.insert_block(key, t)?,
-        }
-        Ok(())
-    }
-
     /// The block at `key`, if stored.
     pub fn block(&self, key: &[u16]) -> Option<&DenseTensor<f64>> {
         self.blocks.get(key).map(|b| b.as_ref())

@@ -3,38 +3,35 @@
 //! * [`Algorithm::List`] — Algorithm 2 of the paper: loop over all pairs of
 //!   quantum-number blocks, contract pairs whose labels match along the
 //!   contracted indices, and accumulate into the result block keyed by the
-//!   surviving labels. The matching pairs go to the executor as one batch
-//!   of whole-pair contractions ([`Executor::contract_batch`]), spread over
-//!   the pool's threads or the worker ranks.
+//!   surviving labels. Each matching pair is one step of an
+//!   [`Executor::chain`], accumulating into its output block's first pair.
 //! * [`Algorithm::SparseDense`] — flatten the first (sparse-stored) operand
 //!   into one big sparse tensor, densify the second, contract once.
 //! * [`Algorithm::SparseSparse`] — flatten both operands into sparse
 //!   tensors and contract once, with the output sparsity pre-computed from
-//!   the quantum-number structure and passed as a mask.
+//!   the quantum numbers and passed as a mask.
 //!
 //! All three produce identical results; they differ in supersteps, memory
 //! and communication exactly as Table II quantifies.
 //!
-//! [`contract`] passes both operands by value; [`contract_resident`] is the
-//! same one step against a resident operand. For the list algorithm each
-//! is one batch of block pairs, the reference every list chain is compared
-//! against; for the flattened algorithms each is a chain of one step.
-//!
-//! A run of contractions in which each step contracts a structural operand
-//! with the previous step's output is a *chain*, and two entry points run
-//! one without bringing an intermediate back into block form. A
-//! [`ResidentChain`] keeps the structural operands resident and applies the
-//! run to many moving operands (a Davidson matvec); it alone uploads and
-//! frees a [`ResidentOperand`]. [`contract_chain`] applies a run once with
-//! every operand by value (an environment extension): an operand used once
-//! gains nothing from an upload, which would hash it and, on a service
-//! fleet, retain it. Both derive one structural plan and hand
-//! [`Executor::chain`] their steps over value-or-handle operands —
-//! per-block steps for list, one step per contraction for the flattened
-//! algorithms: sparse-dense, or sparse-sparse under each step's output
-//! mask, which the quantum numbers give as classes of fused rows and
-//! columns, the intermediates staying in the merge kernel's format.
-//! Runtime and kernel errors travel up by `?` as [`Error::Dist`], typed.
+//! Every contraction here is a *chain*: a run of contractions in which each
+//! step contracts a structural operand with the previous step's output,
+//! no intermediate coming back into block form, and a single contraction
+//! is a chain of one step. [`contract`] (and [`contract_list`], its list
+//! case) is [`contract_chain`] of one step; [`contract_chain`] applies a
+//! run once with every operand by value (an environment extension): an
+//! operand used once gains nothing from an upload, which would hash it
+//! and, on a service fleet, retain it. A [`ResidentChain`] keeps the
+//! structural operands resident and applies the run to many moving
+//! operands (a Davidson matvec); it alone uploads and frees a
+//! [`ResidentOperand`], and [`contract_resident`] is its one-step case.
+//! All of them derive one structural plan and hand [`Executor::chain`]
+//! their steps over value-or-handle operands — per-block steps for list,
+//! one step per contraction for the flattened algorithms: sparse-dense, or
+//! sparse-sparse under each step's output mask, which the quantum numbers
+//! give as classes of fused rows and columns, the intermediates staying in
+//! the merge kernel's format. Runtime and kernel errors travel up by `?` as
+//! [`Error::Dist`], typed.
 
 use crate::block::{BlockKey, BlockSparseTensor};
 use crate::index::QnIndex;
@@ -232,13 +229,13 @@ pub fn consumer_order(specs: &[&str]) -> Result<Vec<String>> {
         .collect())
 }
 
-/// Every matching block pair of a contraction, in the one order all list
-/// paths share: `A`'s blocks as given, and for each the `B` blocks with the
-/// same contracted labels, as given. `emit` receives the two payloads and
-/// the pair's output block key. Partials accumulate into an output block in
-/// this order, so sharing it is what makes [`contract_list`],
-/// [`contract_resident`] and the list chains ([`ResidentChain::apply`],
-/// [`contract_chain`]) bitwise-equal to each other.
+/// Every matching block pair of a contraction, in the one order every list
+/// chain enumerates: `A`'s blocks as given, and for each the `B` blocks
+/// with the same contracted labels, as given. `emit` receives the two
+/// payloads and the pair's output block key. Partials accumulate into an
+/// output block in this order, so a chain applied at once
+/// ([`ResidentChain::apply`], [`contract_chain`]) is bitwise-equal to the
+/// fold of its steps ([`contract_list`], [`contract_resident`]).
 fn for_each_block_pair<'a, 'b, A: Copy, B: Copy>(
     plan: &ContractPlan,
     a: impl IntoIterator<Item = (&'a BlockKey, A)>,
@@ -270,11 +267,10 @@ fn for_each_block_pair<'a, 'b, A: Copy, B: Copy>(
     }
 }
 
-/// Contract two block-sparse tensors with the chosen algorithm: the list
-/// algorithm's block pairs ([`contract_list`]), or for the flattened
-/// algorithms a one-step [`contract_chain`] — sparse `A` times densified
-/// `B`, or sparse `A` times sparse `B` with the output sparsity
-/// pre-computed from the quantum numbers.
+/// Contract two block-sparse tensors with the chosen algorithm: a one-step
+/// [`contract_chain`] — the list algorithm's block pairs, or sparse `A`
+/// times densified `B`, or sparse `A` times sparse `B` with the output
+/// sparsity pre-computed from the quantum numbers.
 pub fn contract(
     exec: &Executor,
     algo: Algorithm,
@@ -282,54 +278,26 @@ pub fn contract(
     a: &BlockSparseTensor,
     b: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
-    match algo {
-        Algorithm::List => contract_list(exec, spec, a, b),
-        _ => contract_chain(exec, algo, &[(spec, a)], b),
-    }
+    contract_chain(exec, algo, &[(spec, a)], b)
 }
 
 /// Paper Algorithm 2: loop over block pairs, match contracted labels,
-/// accumulate result blocks.
+/// accumulate result blocks — [`contract`] with [`Algorithm::List`].
 ///
-/// The block list is the unit of distribution: every matching pair goes
-/// in one [`Executor::contract_batch`] call — pool-parallel in
-/// `ExecMode::Threaded`, one superstep of whole-pair tasks spread over the
-/// ranks on the multi-process backend — and the partial results are
-/// accumulated into output blocks afterwards in pair-enumeration order,
-/// so the floating-point accumulation order (and therefore the result, bit
-/// for bit) never depends on the backend.
+/// The block pair is the unit of work: each matching pair is one step of
+/// the contraction's list chain ([`Executor::chain`]), the first pair of an
+/// output block storing it and every later one adding into it in
+/// pair-enumeration order, so the floating-point accumulation order (and
+/// therefore the result, bit for bit) never depends on the backend. A
+/// contraction with no matching pair is a chain of no steps: its result
+/// stores no block, and nothing is sent.
 pub fn contract_list(
     exec: &Executor,
     spec: &str,
     a: &BlockSparseTensor,
     b: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
-    let step = StepPlan::derive(spec, structure(a), structure(b))?;
-    let mut c = BlockSparseTensor::new(step.out_indices, step.out_flux);
-
-    let mut out_keys: Vec<BlockKey> = Vec::new();
-    let mut pairs: Vec<(DenseOp, DenseOp)> = Vec::new();
-    for_each_block_pair(
-        &step.contract,
-        a.blocks(),
-        b.blocks(),
-        |ablock, bblock, kc| {
-            out_keys.push(kc);
-            pairs.push((ablock.into(), bblock.into()));
-        },
-    );
-    let partials = exec.contract_batch(spec, &pairs)?;
-    for (kc, partial) in out_keys.into_iter().zip(partials) {
-        absorb(&mut c, kc, partial)?;
-    }
-    Ok(c)
-}
-
-/// Accumulate a partial into its output block (always called in pair
-/// order, so the floating-point accumulation order is fixed). The
-/// `Arc`-backed storage accumulates in place — no clone per partial.
-fn absorb(c: &mut BlockSparseTensor, kc: BlockKey, partial: DenseTensor<f64>) -> Result<()> {
-    c.axpy_block(kc, partial)
+    contract(exec, Algorithm::List, spec, a, b)
 }
 
 /// A block-sparse operand resident on the executor for reuse across many
@@ -489,20 +457,19 @@ fn with_transient<'b, T>(
 /// backend and in every mode. One step with a block-form result: `b` is
 /// converted on the way in and the result re-blocked on the way out, so a
 /// sequence of steps that feed each other belongs in
-/// [`ResidentChain::apply`], which this function is the per-step
-/// reference of.
+/// [`ResidentChain::apply`], of which this function is the one-step case.
 ///
-/// For [`Algorithm::List`] the per-pair `B` blocks are themselves
-/// uploaded transiently (each distinct block ships at most once per rank
-/// per call instead of once per pair) and freed, in first-use order,
-/// before returning; the resident `A` blocks ship nothing after their
-/// first use, which is where the Davidson matvec reuse pays.
+/// For [`Algorithm::List`] the blocks of `b` are themselves uploaded for
+/// the length of the call and freed, in stored order, before returning:
+/// each block a pair uses ships at most once per rank instead of once per
+/// pair, and the resident `A` blocks ship nothing after their first use,
+/// which is where the Davidson matvec reuse pays.
 ///
-/// The transient uploads cost one content hash per distinct `B` block on
-/// every call — on `Backend::InProcess` that is overhead with no
-/// shipping to save, but it is paid uniformly on purpose: the α–β charge
-/// sequence depends on the registry's hit/miss bookkeeping, and keeping
-/// it identical on every backend is what makes the cost counters
+/// The transient uploads cost one content hash per block of `b` on every
+/// call — on `Backend::InProcess` that is overhead with no shipping to
+/// save, but it is paid uniformly on purpose: the α–β charge sequence
+/// depends on the registry's hit/miss bookkeeping, and keeping it
+/// identical on every backend is what makes the cost counters
 /// bitwise-equal across backends (a tested invariant).
 pub fn contract_resident(
     exec: &Executor,
@@ -511,43 +478,9 @@ pub fn contract_resident(
     a: &ResidentOperand,
     b: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
-    let a = a.step(spec);
-    if algo != Algorithm::List {
-        let steps = [a];
-        return apply_flat(exec, &steps, &ChainPlan::derive(algo, &steps, b)?, b);
-    }
-    let step = StepPlan::derive(spec, a.structure(), structure(b))?;
-    // enumerate the pairs; each B block they use uploads once, in
-    // first-use order
-    let mut used: Vec<&Arc<DenseTensor<f64>>> = Vec::new();
-    let mut slot: HashMap<&BlockKey, usize> = HashMap::new();
-    let mut out_keys: Vec<BlockKey> = Vec::new();
-    let mut pairs: Vec<(DenseOp, usize)> = Vec::new();
-    for_each_block_pair(
-        &step.contract,
-        a.blocks()?.iter().copied(),
-        b.blocks_shared().map(|(kb, block)| (kb, (kb, block))),
-        |a_op, (kb, block), kc| {
-            let bi = *slot.entry(kb).or_insert_with(|| {
-                used.push(block);
-                used.len() - 1
-            });
-            out_keys.push(kc);
-            pairs.push((a_op, bi));
-        },
-    );
-    let partials = with_transient(exec, used, |b_handles| {
-        let ops: Vec<(DenseOp, DenseOp)> = pairs
-            .iter()
-            .map(|&(a_op, bi)| (a_op, (&b_handles[bi]).into()))
-            .collect();
-        exec.contract_batch(spec, &ops)
-    })?;
-    let mut c = BlockSparseTensor::new(step.out_indices, step.out_flux);
-    for (kc, partial) in out_keys.into_iter().zip(partials) {
-        absorb(&mut c, kc, partial)?;
-    }
-    Ok(c)
+    let steps = [a.step(spec)];
+    let plan = ChainPlan::derive(algo, &steps, b)?;
+    apply_chain(exec, algo, &steps, &plan, b, ListInput::Transient)
 }
 
 /// An ordered chain of contractions whose structural `A` operands are
@@ -665,7 +598,7 @@ enum ListInput {
     /// Uploaded for the length of the chain, each block shipping at most
     /// once per rank (a matvec's ψ, used by many pairs of every step).
     Transient,
-    /// By value, as [`contract`] passes them.
+    /// By value, as [`contract_chain`] passes every operand.
     Value,
 }
 
@@ -860,8 +793,9 @@ pub fn contract_chain(
     apply_chain(exec, algo, &operands, &plan, x, ListInput::Value)
 }
 
-/// The body [`ResidentChain::apply`] and [`contract_chain`] share: run the
-/// planned chain of `steps` on `x`.
+/// The body every contraction runs through: run the planned chain of
+/// `steps` on `x`. An `x` that stores no block yields a result that stores
+/// none, and nothing runs.
 fn apply_chain(
     exec: &Executor,
     algo: Algorithm,
@@ -870,6 +804,10 @@ fn apply_chain(
     x: &BlockSparseTensor,
     input: ListInput,
 ) -> Result<BlockSparseTensor> {
+    if x.n_blocks() == 0 {
+        let (indices, flux) = plan.output();
+        return Ok(BlockSparseTensor::new(indices, flux));
+    }
     match algo {
         Algorithm::List => apply_list(exec, steps, plan, x, input),
         _ => apply_flat(exec, steps, plan, x),
@@ -1206,6 +1144,68 @@ mod tests {
     #[test]
     fn spawned_worker_entry() {
         tt_dist::maybe_serve();
+    }
+
+    /// `t` with only the blocks `keep` admits.
+    fn only(t: &BlockSparseTensor, keep: impl Fn(&BlockKey) -> bool) -> BlockSparseTensor {
+        let mut out = BlockSparseTensor::new(t.indices().to_vec(), t.flux());
+        for (k, b) in t.blocks().filter(|(k, _)| keep(k)) {
+            out.insert_block(k.clone(), b.clone()).unwrap();
+        }
+        out
+    }
+
+    /// A contraction with nothing to contract: an `x` that stores no
+    /// block, under every algorithm, and for the list algorithm an `A`
+    /// that stores none or no matching block pair — a chain of no steps.
+    /// On Sequential, Threaded and two worker processes each result stores
+    /// no block and has the indices and flux of the contraction, and no
+    /// frame is sent: both workers are set to die at the first frame they
+    /// receive, and nothing has been recovered until a contraction with
+    /// work, which comes back with the right bits after the recovery.
+    #[cfg(unix)]
+    #[test]
+    fn zero_pair_contractions_are_empty_and_send_nothing() {
+        let (a, b) = pair();
+        let spec = "isj,jtk->istk";
+        let want = contract_list(&Executor::local(), spec, &a, &b).unwrap();
+        assert!(want.n_blocks() > 0);
+        let none = |t: &BlockSparseTensor| only(t, |_| false);
+        // A's contracted sector 0 only, B's every other one
+        let (a0, b_rest) = (only(&a, |k| k[2] == 0), only(&b, |k| k[0] != 0));
+        assert!(a0.n_blocks() > 0 && b_rest.n_blocks() > 0);
+        let mut cases = ALGOS.map(|algo| (algo, a.clone(), none(&b))).to_vec();
+        cases.push((Algorithm::List, none(&a), b.clone()));
+        cases.push((Algorithm::List, a0, b_rest));
+
+        let machine = || tt_dist::Machine::blue_waters(2);
+        let opts = tt_dist::ProcOptions {
+            plan: Some(tt_dist::FaultPlan::parse("kill:0@1,kill:1@1").unwrap()),
+            deadline: Some(std::time::Duration::from_secs(60)),
+        };
+        let spawn = tt_dist::SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
+        let execs = [
+            Executor::with_machine(machine(), 1, tt_dist::ExecMode::Sequential),
+            Executor::with_machine(machine(), 1, tt_dist::ExecMode::Threaded),
+            Executor::multi_process_opts(machine(), 1, 2, spawn, opts).unwrap(),
+        ];
+        for exec in &execs {
+            let on = format!("on {:?}", exec.backend());
+            for (algo, a, b) in &cases {
+                let (na, nb) = (a.n_blocks(), b.n_blocks());
+                let what = format!("{algo} of {na} × {nb} blocks {on}");
+                let c = contract(exec, *algo, spec, a, b).expect(&what);
+                assert_eq!(c.n_blocks(), 0, "{what}");
+                assert_eq!(c.indices(), want.indices(), "{what}");
+                assert_eq!(c.flux(), want.flux(), "{what}");
+            }
+            assert_eq!(exec.total_flops(), 0, "{on}");
+            assert_eq!(exec.recovery_bytes(), 0, "{on}");
+        }
+        let mp = &execs[2];
+        let c = contract(mp, Algorithm::List, spec, &a, &b).unwrap();
+        assert!(mp.recovery_bytes() > 0, "the first frame killed its worker");
+        assert_eq!(bits(&c), bits(&want));
     }
 
     /// A tensor as its stored keys and the bits of every block.

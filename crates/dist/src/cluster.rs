@@ -209,23 +209,19 @@ impl RankLog {
 /// Classify a request for the journal. Operand `Key`s become dependency
 /// edges; `store` keys (and uploaded keys) become the entry's `op`.
 fn journal_class(req: &Request) -> JClass {
-    // a contraction that stores its result is journaled with the keys it
-    // reads; one that replies is value-returning compute
-    let stores = |op: Option<u64>, a: Option<u64>, b: Option<u64>| match op {
-        Some(op) => JClass::Store {
-            op,
-            deps: a.into_iter().chain(b).collect(),
-        },
-        None => JClass::Skip,
+    // a contraction is journaled with the keys it reads
+    let stores = |op: u64, a: Option<u64>, b: Option<u64>| JClass::Store {
+        op,
+        deps: a.into_iter().chain(b).collect(),
     };
     match req {
         Request::Upload { key, .. } | Request::UploadCoords { key, .. } => JClass::Store {
             op: *key,
             deps: Vec::new(),
         },
-        Request::Contract { a, b, out, .. } => stores(out.key(), a.key(), b.key()),
-        Request::SdContract { a, b, key, .. } => stores(Some(*key), a.key(), b.key()),
-        Request::SsChunk { a, b, key, .. } => stores(Some(*key), a.key(), b.key()),
+        Request::Contract { a, b, key, .. } => stores(*key, a.key(), b.key()),
+        Request::SdContract { a, b, key, .. } => stores(*key, a.key(), b.key()),
+        Request::SsChunk { a, b, key, .. } => stores(*key, a.key(), b.key()),
         Request::Free { key } | Request::Download { key } => JClass::Remove { key: *key },
         // pure probes and value-returning compute: nothing to reconstruct
         // (their operands, when keyed, are journaled by the uploads that

@@ -9,7 +9,7 @@ use super::{expect_buf, DenseOp, Executor, SparseOp};
 use crate::cluster::{Cluster, Placement};
 use crate::handle::{Local, OpHandle, Residency, ResultHandle, ResultInfo};
 use crate::kernels::{self, Coord, DensePrep, SsSlots};
-use crate::transport::worker::{Op, OpCoords, OpSs, Out, Reply, Request};
+use crate::transport::worker::{Op, OpCoords, OpSs, Reply, Request};
 use crate::{Error, Result};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -336,21 +336,22 @@ impl Executor {
     /// re-ship — not α–β-charged, so the cost counters stay bitwise-equal
     /// across backends). Steps with no resident input anchor to one
     /// round-robin rank per chain call; a chain of one step — a one-shot
-    /// contraction such as [`Executor::contract_sd`] — takes the current
+    /// contraction such as [`Executor::contract`] — takes the current
     /// rank without moving the round robin on, so the chains after it
     /// place as they would without it. A sparse-sparse step's output, its
-    /// mask's slots, never moves: its reader runs where it lies.
+    /// mask's slots, never moves: its reader runs where it lies. A chain of
+    /// no steps sends nothing.
     ///
     /// A by-value operand ([`ChainSrc::Dense`] or [`ChainSrc::Sparse`] of
     /// a tensor) is charged as a value; an output a step reads is charged
     /// as chain-resident. On a dense × dense step a by-value operand is
     /// content-keyed through the retention cache when that is on
-    /// ([`Executor::set_retention_cap`]), as in [`Executor::contract`]: it
-    /// ships once fleet-wide, and a later chain or job that passes the same
-    /// content ships nothing for it. On a sparse step every by-value
-    /// operand ships inline and nothing is retained — a Davidson vector is
-    /// used once. [`Executor::contract_sd`] and [`Executor::contract_ss`]
-    /// are one-step chains.
+    /// ([`Executor::set_retention_cap`]): it ships once fleet-wide, and a
+    /// later chain or job that passes the same content ships nothing for
+    /// it. On a sparse step every by-value operand ships inline and nothing
+    /// is retained — a Davidson vector is used once. This is the one
+    /// contraction engine: [`Executor::contract`], [`Executor::contract_sd`]
+    /// and [`Executor::contract_ss`] are one-step chains.
     ///
     /// Planning is per step *shape* — spec, kernel family and operand
     /// dims — not per step: a list matvec is hundreds of block pairs over
@@ -461,6 +462,14 @@ impl Executor {
             }));
         }
         Ok(out)
+    }
+
+    /// The handle of a one-step chain's result: the one-shot contractions
+    /// ([`Executor::contract`], [`Executor::contract_sd`],
+    /// [`Executor::contract_ss`]) are this and a download.
+    pub(super) fn one_step(&self, step: &ChainStep) -> Result<ResultHandle> {
+        let out = self.chain(std::slice::from_ref(step))?.pop().flatten();
+        Ok(out.expect("a one-step chain hands out its result"))
     }
 
     /// Validate a chain and compute every step's plan: its [`Shape`] —
@@ -624,10 +633,8 @@ impl Executor {
                     a: wire(a, &mut pending)?,
                     b_dims: sh.b_dims.clone(),
                     b: wire(&st.b, &mut pending)?,
-                    out: Out::Store {
-                        key: pl.key,
-                        acc: pl.base != i,
-                    },
+                    key: pl.key,
+                    acc: pl.base != i,
                 },
                 (StepKind::Sd, ChainSrc::Sparse(a)) => {
                     let a = self.wire_coords(rank, a, pl, &mut pending)?;
@@ -860,8 +867,8 @@ impl Executor {
 
     /// For every step, the content-keyed stand-ins of its `a` and `b`: a
     /// by-value operand of a dense × dense step goes through the retention
-    /// cache ([`Executor::auto_handle`]) as [`Executor::contract`] sends
-    /// it; nothing else does, and nothing at all while retention is off.
+    /// cache ([`Executor::auto_handle`]); nothing else does, and nothing at
+    /// all while retention is off.
     fn auto_key_chain(
         &self,
         steps: &[ChainStep],

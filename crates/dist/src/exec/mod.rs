@@ -30,13 +30,13 @@
 //! # One leg per decision
 //!
 //! An entry point has an in-process leg and a cluster leg, and they share
-//! everything but the carrier. A contraction is cut the same way on both:
-//! one whole contraction per lane (pool thread or worker rank) — a block
-//! pair, or a chain step — the pool alone splitting one into row panels or
-//! chunks (`kernels::dense_ranges`, `kernels::sparse_chunks`). A sparse
-//! contraction is always a chain step: `contract_sd` and `contract_ss` are
-//! one-step chains. *How work reaches a lane* in-process is
-//! `kernels::ordered_map` over borrowed data. *What a superstep is* on the cluster is `residency::Superstep`:
+//! everything but the carrier. Every contraction is a chain step —
+//! `contract`, `contract_sd` and `contract_ss` are one-step chains, a
+//! block pair of the list algorithm is one step of a list chain — and it
+//! is cut the same way on both legs: whole, on one lane (a worker rank,
+//! or the caller's thread), the pool alone splitting it into row panels or
+//! chunks (`kernels::dense_ranges`, `kernels::sparse_chunks`). *How work
+//! reaches a lane* in-process is `kernels::ordered_map` over borrowed data. *What a superstep is* on the cluster is `residency::Superstep`:
 //! `ensure` an upload wherever a rank lacks a buffer, queue the `task`s,
 //! `run` — every request that carries work (`Contract`, `SdContract`,
 //! `SsChunk`, `SvdTrunc`) is assembled and sent there; the bare
@@ -48,10 +48,11 @@
 //! `keys` the logical and physical key of every derived-buffer family;
 //! `residency` the upload/free lifecycle, the retention cache, the α–β
 //! charges and the `Superstep` builder; `dense`, `sparse` and `factorize`
-//! the value-returning entry points; `chain` the planner of worker-side
-//! chains — dense, sparse-dense and sparse-sparse steps alike, planned
-//! once per step shape — and the result handles' exits; `workspace` the
-//! recycled buffers of the large temporaries and outputs.
+//! the value-returning entry points; `chain` the one contraction engine,
+//! the planner of worker-side chains — dense, sparse-dense and
+//! sparse-sparse steps alike, planned once per step shape — and the
+//! result handles' exits; `workspace` the recycled buffers of the large
+//! temporaries and outputs.
 
 mod chain;
 mod dense;

@@ -5,7 +5,7 @@
 use super::chain::{ChainSrc, ChainStep};
 use super::keys;
 use super::{DenseOp, Executor, SparseOp};
-use crate::handle::{OpHandle, ResultHandle};
+use crate::handle::OpHandle;
 use crate::kernels;
 use crate::transport::worker::{Op, OpCoords, OpSs, Request, SsTable};
 use crate::Result;
@@ -71,12 +71,6 @@ impl Executor {
             mask: Some(&map),
         };
         self.download_sparse(self.one_step(&step)?)
-    }
-
-    /// The handle of a one-step chain's result.
-    fn one_step(&self, step: &ChainStep) -> Result<ResultHandle> {
-        let out = self.chain(std::slice::from_ref(step))?.pop().flatten();
-        Ok(out.expect("a one-step chain hands out its result"))
     }
 
     /// The in-process leg of one sparse-dense chain step. A resident `a`

@@ -122,55 +122,21 @@ fn local_run_has_zero_comm_and_reset_works() {
 }
 
 #[test]
-fn contract_batch_matches_singles_bitwise_and_in_cost() {
-    let mut rng = StdRng::seed_from_u64(47);
-    let pairs: Vec<(DenseTensor<f64>, DenseTensor<f64>)> = (0..6)
-        .map(|_| {
-            (
-                DenseTensor::<f64>::random([9, 4, 7], &mut rng),
-                DenseTensor::<f64>::random([7, 4, 5], &mut rng),
-            )
-        })
-        .collect();
-    let single = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
-    let reference: Vec<DenseTensor<f64>> = pairs
-        .iter()
-        .map(|(a, b)| single.contract("isj,jtk->istk", a, b).unwrap())
-        .collect();
-    let pair_refs: Vec<(DenseOp, DenseOp)> =
-        pairs.iter().map(|(a, b)| (a.into(), b.into())).collect();
-    for mode in [ExecMode::Sequential, ExecMode::Threaded] {
-        let batch = Executor::with_machine(Machine::blue_waters(2), 2, mode);
-        let out = batch.contract_batch("isj,jtk->istk", &pair_refs).unwrap();
-        for (c, r) in out.iter().zip(&reference) {
-            assert_eq!(c.data(), r.data(), "{mode:?}");
-        }
-        // identical cost accounting regardless of mode
-        assert_eq!(batch.total_flops(), single.total_flops(), "{mode:?}");
-        assert_eq!(batch.supersteps(), single.supersteps(), "{mode:?}");
-        assert_eq!(
-            batch.sim_time().total().to_bits(),
-            single.sim_time().total().to_bits(),
-            "{mode:?}: cost charging must be order-deterministic"
-        );
-    }
-}
-
-#[test]
-fn contract_batch_rejects_malformed_pairs() {
-    // an operand whose order doesn't match the spec must surface as an
-    // error, exactly like the single-pair contract() path
-    let exec = Executor::local();
+fn contract_rejects_malformed_operands() {
+    // an operand whose order doesn't match the spec, or whose contracted
+    // dims disagree with the other's, is a typed error in either mode,
+    // never a panic in the chain's planner or the kernel
     let bad = DenseTensor::<f64>::zeros([2, 3]);
     let ok = DenseTensor::<f64>::zeros([3, 2, 2]);
-    assert!(exec
-        .contract_batch("isj,jtk->istk", &[((&bad).into(), (&ok).into())])
-        .is_err());
-    // mismatched contracted dims too
     let a = DenseTensor::<f64>::zeros([2, 2, 5]);
-    assert!(exec
-        .contract_batch("isj,jtk->istk", &[((&a).into(), (&ok).into())])
-        .is_err());
+    for mode in [ExecMode::Sequential, ExecMode::Threaded] {
+        let exec = Executor::with_machine(Machine::blue_waters(2), 2, mode);
+        for (a, b) in [(&bad, &ok), (&a, &ok)] {
+            let err = exec.contract("isj,jtk->istk", a, b).unwrap_err();
+            assert!(matches!(err, Error::Tensor(_)), "{mode:?}: {err}");
+        }
+        assert_eq!(exec.total_flops(), 0, "{mode:?}: nothing ran");
+    }
 }
 
 #[test]
@@ -336,7 +302,7 @@ fn multi_process_backend_bitwise_matches_sequential() {
 
 #[cfg(unix)]
 #[test]
-fn multi_process_contract_batch_matches_sequential() {
+fn multi_process_contracts_and_svd_batch_match_sequential() {
     let spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
     let mp = Executor::multi_process(Machine::blue_waters(2), 1, 3, spawn).unwrap();
     let seq = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
@@ -349,11 +315,9 @@ fn multi_process_contract_batch_matches_sequential() {
             )
         })
         .collect();
-    let pair_refs: Vec<(DenseOp, DenseOp)> =
-        pairs.iter().map(|(a, b)| (a.into(), b.into())).collect();
-    let out_seq = seq.contract_batch("isj,jtk->istk", &pair_refs).unwrap();
-    let out_mp = mp.contract_batch("isj,jtk->istk", &pair_refs).unwrap();
-    for (s, m) in out_seq.iter().zip(&out_mp) {
+    for (a, b) in &pairs {
+        let s = seq.contract("isj,jtk->istk", a, b).unwrap();
+        let m = mp.contract("isj,jtk->istk", a, b).unwrap();
         assert_eq!(s.data(), m.data());
     }
     let mats: Vec<DenseTensor<f64>> = (0..4)
@@ -372,6 +336,7 @@ fn multi_process_contract_batch_matches_sequential() {
         assert_eq!(s.vt.data(), m.vt.data());
     }
     assert_eq!(seq.total_flops(), mp.total_flops());
+    assert_eq!(seq.supersteps(), mp.supersteps());
     assert_eq!(
         seq.sim_time().total().to_bits(),
         mp.sim_time().total().to_bits()
@@ -1965,7 +1930,7 @@ fn protocol_trace_matches_golden() {
         }
     }
 
-    // -- block-pair batch with mixed operands, twice (misses, then hits)
+    // -- block pairs with mixed operands, twice (misses, then hits)
     let pairs: Vec<_> = (0..4)
         .map(|_| (dense(&[9, 4, 7]), dense(&[7, 4, 5])))
         .collect();
@@ -1980,8 +1945,11 @@ fn protocol_trace_matches_golden() {
         ((&pairs[2].0).into(), (&h2).into()),
         ((&h1).into(), (&h3).into()),
     ];
-    exec.contract_batch("isj,jtk->istk", &mixed).unwrap();
-    exec.contract_batch("isj,jtk->istk", &mixed).unwrap();
+    for _ in 0..2 {
+        for &(a, b) in &mixed {
+            exec.contract("isj,jtk->istk", a, b).unwrap();
+        }
+    }
 
     // -- factorizations: mixed batches, and a tall panel
     let mats = [dense(&[20, 8]), dense(&[13, 13]), dense(&[6, 17])];
@@ -1998,10 +1966,11 @@ fn protocol_trace_matches_golden() {
     }
     exec.svd_trunc(&ht, spec).unwrap();
 
-    // -- chains. `big` is resident on rank 1 only (second pair of a batch),
-    // so step 1 runs there and pulls step 0's output across from rank 0;
-    // step 2 accumulates into step 1 in place; the chain ends by freeing
-    // step 0's output, which was internal to it
+    // -- chains. `big` is resident on the anchor rank of a chain of two
+    // independent steps only, and the next chain anchors one rank on: its
+    // step 1 runs where `big` is and pulls step 0's output across; step 2
+    // accumulates into step 1 in place; the chain ends by freeing step 0's
+    // output, which was internal to it
     let (p, q, big, r) = (
         dense(&[6, 8]),
         dense(&[8, 40]),
@@ -2009,11 +1978,6 @@ fn protocol_trace_matches_golden() {
         dense(&[6, 40]),
     );
     let hbig = exec.upload(&big);
-    exec.contract_batch(
-        "ik,kj->ij",
-        &[((&p).into(), (&q).into()), ((&r).into(), (&hbig).into())],
-    )
-    .unwrap();
     let step = |a, b, acc| ChainStep {
         spec: "ik,kj->ij",
         a,
@@ -2021,6 +1985,22 @@ fn protocol_trace_matches_golden() {
         acc,
         mask: None,
     };
+    let pair = exec
+        .chain(&[
+            step(
+                ChainSrc::Dense((&p).into()),
+                ChainSrc::Dense((&q).into()),
+                None,
+            ),
+            step(
+                ChainSrc::Dense((&r).into()),
+                ChainSrc::Dense((&hbig).into()),
+                None,
+            ),
+        ])
+        .unwrap();
+    exec.download_many(pair.into_iter().flatten().collect())
+        .unwrap();
     let mut out = exec
         .chain(&[
             step(

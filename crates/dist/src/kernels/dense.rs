@@ -242,10 +242,10 @@ pub(crate) fn dense_into(
     DensePrep::new(plan, a.dims(), b.dims(), lanes(pool))?.run(a, b, pool, out, how)
 }
 
-/// `a ·plan· b` as a fresh output tensor — the dense kernel of the
-/// in-process lanes, and of a worker's `Contract` with a fresh result. The
-/// store epilogue writes every element, so the output is taken from `ws`
-/// unzeroed.
+/// `a ·plan· b` as a fresh output tensor — the dense kernel of a worker's
+/// `Contract` that stores a fresh result (an in-process chain step runs its
+/// shape's [`DensePrep`] itself). The store epilogue writes every element,
+/// so the output is taken from `ws` unzeroed.
 pub(crate) fn dense_contract(
     plan: &ContractPlan,
     a: &DenseTensor<f64>,

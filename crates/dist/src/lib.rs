@@ -32,17 +32,18 @@
 //! | [`Executor::contract`] | 2 × `impl Into<DenseOp>` |
 //! | [`Executor::contract_sd`] | `impl Into<SparseOp>`, `impl Into<DenseOp>` |
 //! | [`Executor::contract_ss`] | `impl Into<SparseOp>`, `&SparseTensor<f64>`, output mask |
-//! | [`Executor::contract_batch`] | `&[(DenseOp, DenseOp)]` |
 //! | [`Executor::chain`] | [`ChainStep`]s over [`ChainSrc`] operands; results stay resident |
 //! | [`Executor::svd_trunc`] | `impl Into<DenseOp>` |
 //! | [`Executor::svd_trunc_batch`] | `&[DenseOp]` |
 //! | [`Executor::upload`], [`Executor::upload_shared`], [`Executor::upload_sparse`], [`Executor::free`] | operand residency |
 //! | [`Executor::download`], [`Executor::download_many`], [`Executor::free_results`] | result residency |
 //!
-//! A dense contraction reaches a worker whole, one `Contract` task per
-//! block pair — the paper's block list is the unit of distribution — and
-//! so does a sparse one, one chain step per task (`contract_sd` and
-//! `contract_ss` are one-step chains). The worker protocol under it — 11
+//! [`Executor::chain`] is the one contraction engine: the three one-shot
+//! contractions are one-step chains and their download, and the list
+//! algorithm's block pairs — the paper's block list is the unit of
+//! distribution — are the steps of a chain. Every step reaches a worker
+//! whole, one task per step (`Contract`, `SdContract` or `SsChunk`), its
+//! result stored there until downloaded. The worker protocol under it — 11
 //! requests — is tabulated in [`transport`].
 
 mod cluster;

@@ -101,9 +101,9 @@ impl RecordingTransport {
         match req {
             Request::Upload { key, .. } | Request::UploadCoords { key, .. } => writes.push(*key),
             Request::Free { key } | Request::Download { key } => reads.push(*key),
-            Request::Contract { a, b, out, .. } => {
+            Request::Contract { a, b, key, .. } => {
                 reads.extend(a.key().into_iter().chain(b.key()));
-                writes.extend(out.key());
+                writes.push(*key);
             }
             Request::SdContract { a, b, key, .. } => {
                 reads.extend(a.key().into_iter().chain(b.key()));

@@ -24,8 +24,9 @@
 //! What travels over it is the rank-side task protocol (`worker`): 11
 //! requests. A dense operand is an `Op` — `f64` data inline or a `Key`
 //! into the rank's store. The request numbers 3, 5, 6, 8, 9, 11, 13, 15,
-//! 16 and 17, reply numbers 3 and 5, inline-operand tag 2 and sparse-sparse
-//! operand tag 1 are retired and decode to a typed `Decode` fault.
+//! 16 and 17, reply numbers 3 and 5, inline-operand tag 2, sparse-sparse
+//! operand tag 1 and contraction output tag 0 (the result in the reply) are
+//! retired and decode to a typed `Decode` fault.
 //!
 //! | # | request | effect | reply |
 //! |---|---|---|---|
@@ -34,7 +35,7 @@
 //! | 2 | `Upload` | store a dense buffer under a key | `Unit` |
 //! | 4 | `UploadCoords` | store a sparse coordinate bucket | `Unit` |
 //! | 7 | `CacheStats` | store footprint and hit/miss counters | `Stats` |
-//! | 10 | `Contract` | a whole dense contraction — the only dense task — `out` = `Reply` or `Store {key, acc}` | `Buf` or `Unit` |
+//! | 10 | `Contract` | a dense chain step, the only dense task: a whole contraction stored under `key`, or with `acc` added into what is stored there | `Unit` |
 //! | 12 | `SsChunk` | a sparse-sparse chain step under a mask given as row and column classes, `B` inline or a stored result; its slots stored under `key` | `Merged` |
 //! | 14 | `SvdTrunc` | truncated SVD of an `f64` matrix | `Svd` |
 //! | 18 | `Download` | remove a stored result and return it | `Buf` or `Entries` |

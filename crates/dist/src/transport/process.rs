@@ -873,7 +873,7 @@ impl Drop for ProcTransport {
 
 #[cfg(test)]
 mod tests {
-    use super::super::worker::{Op, Out, Reply};
+    use super::super::worker::{Op, Reply};
     use super::*;
 
     /// Self-exec hook: when the lib test binary is re-executed as a
@@ -984,7 +984,8 @@ mod tests {
                 a: Op::Inline(vec![1.0; rows * k]),
                 b_dims: vec![k, n],
                 b: Op::Inline(vec![1.0; k * n]),
-                out: Out::Reply,
+                key: 1,
+                acc: false,
             }
             .encode(),
         )
@@ -1297,7 +1298,8 @@ mod tests {
                 a: Op::Inline(vec![1.0; n * n]),
                 b_dims: vec![n, n],
                 b: Op::Inline(vec![0.5; n * n]),
-                out: Out::Reply,
+                key: 1,
+                acc: false,
             }
             .encode(),
         )
@@ -1306,16 +1308,21 @@ mod tests {
         let start = Instant::now();
         let reply = t.recv(0, tag).unwrap();
         let (waited, wakeups) = (start.elapsed(), WAKEUPS.with(|w| w.get()) - before);
-        assert!(matches!(
-            Reply::decode(&reply).unwrap(),
-            Reply::Buf(c) if c.len() == n * n && c[0] == 0.5 * n as f64
-        ));
+        assert_eq!(Reply::decode(&reply).unwrap(), Reply::Unit);
         assert!(waited >= Duration::from_millis(100), "{waited:?}");
         let allowed = 8 + (waited.as_millis() / LIVENESS_CAP.as_millis()) as u64;
         assert!(
             (1..=allowed).contains(&wakeups),
             "{wakeups} wake-ups in {waited:?}"
         );
+        // what the busy worker stored
+        let tag = t.next_tag();
+        t.send(0, tag, &Request::Download { key: 1 }.encode())
+            .unwrap();
+        assert!(matches!(
+            Reply::decode(&t.recv(0, tag).unwrap()).unwrap(),
+            Reply::Buf(c) if c.len() == n * n && c[0] == 0.5 * n as f64
+        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The little-endian wire form of [`Request`] and [`Reply`].
 
 use super::super::wire::{Dec, Enc};
-use super::protocol::{Op, OpCoords, OpSs, Out, Reply, Request, SsTable};
+use super::protocol::{Op, OpCoords, OpSs, Reply, Request, SsTable};
 use crate::{DistError, Error, FaultKind, Result};
 
 fn put_usizes(e: &mut Enc, v: &[usize]) {
@@ -18,9 +18,9 @@ fn get_usizes(d: &mut Dec) -> Result<Vec<usize>> {
 
 /// The typed fault for a number the codec does not (or no longer)
 /// assigns. Retired numbers — request opcodes 3, 5, 6, 8, 9, 11, 13, 15,
-/// 16 and 17, reply opcodes 3 and 5, inline-operand tag 2 and sparse-sparse
-/// operand tag 1 — are never reassigned, so a frame from an older peer
-/// fails here instead of being misread.
+/// 16 and 17, reply opcodes 3 and 5, inline-operand tag 2, sparse-sparse
+/// operand tag 1 and contraction output tag 0 — are never reassigned, so a
+/// frame from an older peer fails here instead of being misread.
 fn unknown(what: &str, v: u8) -> Error {
     DistError::new(FaultKind::Decode, None, format!("unknown {what} {v}")).into()
 }
@@ -77,27 +77,12 @@ impl OpCoords {
     }
 }
 
-impl Out {
-    fn put(&self, e: &mut Enc) {
-        match self {
-            Out::Reply => e.put_u8(0),
-            Out::Store { key, acc } => {
-                e.put_u8(1);
-                e.put_u64(*key);
-                e.put_bool(*acc);
-            }
-        }
-    }
-
-    fn get(d: &mut Dec) -> Result<Self> {
-        Ok(match d.u8()? {
-            0 => Out::Reply,
-            1 => Out::Store {
-                key: d.u64()?,
-                acc: d.bool()?,
-            },
-            t => return Err(Error::transport(format!("bad output tag {t}"))),
-        })
+/// A `Contract`'s output: tag 1 and the key its result is stored under
+/// (tag 0, the result returned in the reply, is retired).
+fn get_store_key(d: &mut Dec) -> Result<u64> {
+    match d.u8()? {
+        1 => d.u64(),
+        t => Err(unknown("contraction output tag", t)),
     }
 }
 
@@ -174,7 +159,8 @@ impl Request {
                 a,
                 b_dims,
                 b,
-                out,
+                key,
+                acc,
             } => {
                 e.put_u8(10);
                 e.put_str(spec);
@@ -182,7 +168,9 @@ impl Request {
                 a.put(&mut e);
                 put_usizes(&mut e, b_dims);
                 b.put(&mut e);
-                out.put(&mut e);
+                e.put_u8(1); // the output tag of a store (`get_store_key`)
+                e.put_u64(*key);
+                e.put_bool(*acc);
             }
             Request::SsChunk {
                 a,
@@ -277,7 +265,8 @@ impl Request {
                 a: Op::get(&mut d)?,
                 b_dims: get_usizes(&mut d)?,
                 b: Op::get(&mut d)?,
-                out: Out::get(&mut d)?,
+                key: get_store_key(&mut d)?,
+                acc: d.bool()?,
             },
             12 => Request::SsChunk {
                 a: OpCoords::get(&mut d)?,

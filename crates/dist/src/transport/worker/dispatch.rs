@@ -1,6 +1,6 @@
 //! Executing one request against a rank's store.
 
-use super::protocol::{OpCoords, Out, Reply, Request};
+use super::protocol::{OpCoords, Reply, Request};
 use super::store::{Cached, WorkerState};
 use crate::kernels;
 use crate::{Error, Result};
@@ -56,27 +56,22 @@ impl WorkerState {
                 a,
                 b_dims,
                 b,
-                out,
+                key,
+                acc,
             } => {
                 let plan = ContractPlan::parse(&spec)?;
                 let (a, b) = (self.op(a)?, self.op(b)?);
                 let ta = DenseTensor::from_vec(a_dims, Self::take(a))?;
                 let tb = DenseTensor::from_vec(b_dims, Self::take(b))?;
-                let fresh = || kernels::dense_contract(&plan, &ta, &tb, None, &self.workspace);
-                match out {
-                    Out::Reply => Ok(Reply::Buf(fresh()?.into_data())),
-                    Out::Store { key, acc: false } => {
-                        let c = fresh()?.into_data();
-                        self.store(key, c);
-                        Ok(Reply::Unit)
-                    }
-                    Out::Store { key, acc: true } => {
-                        self.accumulate(key, |target| {
-                            kernels::dense_into(&plan, &ta, &tb, None, target, Epilogue::Add)
-                        })?;
-                        Ok(Reply::Unit)
-                    }
+                if acc {
+                    self.accumulate(key, |target| {
+                        kernels::dense_into(&plan, &ta, &tb, None, target, Epilogue::Add)
+                    })?;
+                } else {
+                    let c = kernels::dense_contract(&plan, &ta, &tb, None, &self.workspace)?;
+                    self.store(key, c.into_data());
                 }
+                Ok(Reply::Unit)
             }
             Request::SsChunk {
                 a,

@@ -42,7 +42,7 @@ mod store;
 #[cfg(test)]
 mod tests;
 
-pub(crate) use protocol::{Op, OpCoords, OpSs, Out, Reply, Request, SsTable};
+pub(crate) use protocol::{Op, OpCoords, OpSs, Reply, Request, SsTable};
 pub use serve::maybe_serve;
 #[cfg(unix)]
 pub use serve::{serve_from_env, worker_loop};

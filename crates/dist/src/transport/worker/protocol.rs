@@ -10,20 +10,6 @@ pub(crate) enum Op {
     Key(u64),
 }
 
-/// Where a [`Request::Contract`] puts its result.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum Out {
-    /// Return it to the driver in the reply.
-    Reply,
-    /// Write it straight into the rank's resident store under the
-    /// driver-issued `key`; the reply carries no payload. With
-    /// `acc` the result is accumulated elementwise into the existing
-    /// buffer under `key` (the block-list chains route every partial of
-    /// one output block to one rank, in driver enumeration order, so the
-    /// accumulation order matches the driver-side value path exactly).
-    Store { key: u64, acc: bool },
-}
-
 /// A sparse-coordinate bucket operand (`(row, col, value)` triples as
 /// three parallel arrays).
 #[derive(Clone, Debug, PartialEq)]
@@ -76,17 +62,21 @@ pub(crate) enum Request {
     },
     /// Report the store's byte footprint and entry counts.
     CacheStats,
-    /// One whole dense TTGT contraction — the only dense task: a single
-    /// contraction or a block pair of the list algorithm's fan-out
-    /// ([`Out::Reply`]), or a chain step whose result stays resident
-    /// ([`Out::Store`]).
+    /// One whole dense TTGT contraction — the only dense task, a dense
+    /// chain step: its result goes straight into the rank's resident store
+    /// under the driver-issued `key`, and the reply carries no payload.
+    /// With `acc` it is accumulated elementwise into the buffer already
+    /// under `key` (a list chain routes every partial of one output block
+    /// to one rank, in driver enumeration order, so the accumulation order
+    /// is the same on every backend).
     Contract {
         spec: String,
         a_dims: Vec<usize>,
         a: Op,
         b_dims: Vec<usize>,
         b: Op,
-        out: Out,
+        key: u64,
+        acc: bool,
     },
     /// One sparse-sparse chain step: key-sorted `A` coords merged against
     /// `B` under `mask` (row and column classes), the mask's slots stored
@@ -185,16 +175,6 @@ impl Op {
         match self {
             Op::Inline(data) => 8 * data.len(),
             Op::Key(_) => 0,
-        }
-    }
-}
-
-impl Out {
-    /// Resident key the result is stored under, if any.
-    pub(crate) fn key(&self) -> Option<u64> {
-        match self {
-            Out::Reply => None,
-            Out::Store { key, .. } => Some(*key),
         }
     }
 }

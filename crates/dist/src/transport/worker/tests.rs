@@ -164,18 +164,15 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
             b,
         });
     }
-    for out in [
-        Out::Reply,
-        Out::Store { key, acc: false },
-        Out::Store { key, acc: true },
-    ] {
+    for acc in [false, true] {
         reqs.push(Request::Contract {
             spec: "ik,kj->ij".into(),
             a_dims: vec![2, 3],
             a: keyed.clone(),
             b_dims: vec![3, 2],
             b: inline.clone(),
-            out,
+            key,
+            acc,
         });
     }
     reqs
@@ -291,22 +288,30 @@ proptest! {
 /// A frame under each retired number, with a payload long enough for any
 /// fixed-width field a decoder could try to read: request opcodes 3, 5, 6,
 /// 8, 9, 11, 13, 15, 16 and 17, a `Contract` whose `a` operand carries the
-/// retired inline tag 2 and an `SsChunk` whose `b` carries the retired
-/// resident tag 1; then reply opcodes 3 and 5.
+/// retired inline tag 2, a `Contract` whose output carries the retired
+/// tag 0 (the result returned in the reply) and an `SsChunk` whose `b`
+/// carries the retired resident tag 1; then reply opcodes 3 and 5.
 fn retired_frames() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let frame = |op: u8| -> Vec<u8> { std::iter::once(op).chain([0x11; 40]).collect() };
     let mut requests = Vec::from([3, 5, 6, 8, 9, 11, 13, 15, 16, 17].map(frame));
-    let mut pair = Request::Contract {
+    let pair = Request::Contract {
         spec: String::new(),
         a_dims: vec![],
         a: Op::Key(0),
         b_dims: vec![],
         b: Op::Key(0),
-        out: Out::Reply,
+        key: 0,
+        acc: false,
     }
     .encode();
-    pair[17] = 2; // `a`'s tag: after the opcode, the empty spec and dims
-    requests.push(pair);
+    let mut inline2 = pair.clone();
+    inline2[17] = 2; // `a`'s tag: after the opcode, the empty spec and dims
+    requests.push(inline2);
+    let mut reply = pair;
+    let at = reply.len() - 10; // the output tag: before the key and `acc`
+    assert_eq!(reply[at], 1, "a store");
+    reply[at] = 0;
+    requests.push(reply);
     let mut ss = Request::SsChunk {
         a: OpCoords::Key(0),
         b: OpSs::Inline(SsTable {
@@ -422,19 +427,21 @@ fn upload(w: &mut WorkerState, key: u64, data: Vec<f64>) {
 }
 
 /// Whether `key` holds `len` resident f64 words, probed with a keyed
-/// compute task — a touch that leaves the entry in place.
+/// compute task — a touch that leaves the entry in place — whose result
+/// is freed again.
 fn resident(w: &mut WorkerState, key: u64, len: usize) -> bool {
-    matches!(
-        w.handle(Request::Contract {
-            spec: "ik,kj->ij".into(),
-            a_dims: vec![len, 1],
-            a: Op::Key(key),
-            b_dims: vec![1, 1],
-            b: Op::Inline(vec![1.0]),
-            out: Out::Reply,
-        }),
-        Some(Reply::Buf(_))
-    )
+    const PROBE: u64 = u64::MAX;
+    let stored = w.handle(Request::Contract {
+        spec: "ik,kj->ij".into(),
+        a_dims: vec![len, 1],
+        a: Op::Key(key),
+        b_dims: vec![1, 1],
+        b: Op::Inline(vec![1.0]),
+        key: PROBE,
+        acc: false,
+    });
+    w.handle(Request::Free { key: PROBE });
+    stored == Some(Reply::Unit)
 }
 
 #[test]
@@ -463,8 +470,7 @@ fn a_key_stored_twice_and_freed_once_leaves_nothing() {
     upload(&mut w, 1, vec![1.0; 16]);
     upload(&mut w, 1, vec![2.0; 4]);
     for _ in 0..2 {
-        let store = Out::Store { key: 2, acc: false };
-        w.handle(contract([1, 1], vec![2.0], vec![3.0], store));
+        w.handle(contract([1, 1], vec![2.0], vec![3.0], 2, false));
     }
     assert_eq!(
         w.handle(Request::CacheStats),
@@ -496,23 +502,30 @@ fn resident_operands_serve_fused_tasks() {
         a: Op::Inline(vec![1.0, 1.0, 1.0]),
         b_dims: vec![3, 2],
         b: Op::Key(b),
-        out: Out::Reply,
+        key: 101,
+        acc: false,
     };
-    assert_eq!(w.handle(pair(100)), Some(Reply::Buf(vec![9.0, 12.0])));
+    assert_eq!(w.handle(pair(100)), Some(Reply::Unit));
+    assert_eq!(
+        w.handle(Request::Download { key: 101 }),
+        Some(Reply::Buf(vec![9.0, 12.0]))
+    );
     // unknown key fails without killing the worker
     assert!(matches!(w.handle(pair(999)), Some(Reply::Fail(_))));
     assert_eq!(w.handle(Request::Ping), Some(Reply::Pong));
 }
 
-/// A 2-operand `f64` contraction step with inline operands.
-fn contract(dims: [usize; 2], a: Vec<f64>, b: Vec<f64>, out: Out) -> Request {
+/// A 2-operand `f64` contraction step with inline operands, stored under
+/// `key` (added into it with `acc`).
+fn contract(dims: [usize; 2], a: Vec<f64>, b: Vec<f64>, key: u64, acc: bool) -> Request {
     Request::Contract {
         spec: "ik,kj->ij".into(),
         a_dims: dims.to_vec(),
         a: Op::Inline(a),
         b_dims: dims.to_vec(),
         b: Op::Inline(b),
-        out,
+        key,
+        acc,
     }
 }
 
@@ -525,12 +538,7 @@ fn chain_steps_store_accumulate_and_download() {
     let b = vec![1.0, 0.0, 0.0, 1.0]; // identity
     for acc in [false, true] {
         assert_eq!(
-            w.handle(contract(
-                [2, 2],
-                a.clone(),
-                b.clone(),
-                Out::Store { key: 50, acc }
-            )),
+            w.handle(contract([2, 2], a.clone(), b.clone(), 50, acc)),
             Some(Reply::Unit)
         );
     }
@@ -545,19 +553,21 @@ fn chain_steps_store_accumulate_and_download() {
     ));
     // accumulating into an absent key fails cleanly
     assert!(matches!(
-        w.handle(contract(
-            [2, 2],
-            a.clone(),
-            vec![1.0; 4],
-            Out::Store { key: 51, acc: true }
-        )),
+        w.handle(contract([2, 2], a.clone(), vec![1.0; 4], 51, true)),
         Some(Reply::Fail(_))
     ));
-    // the same contraction with `Out::Reply` returns what a store
-    // would have kept
+    // a stored-then-downloaded result is the kernel's own output
+    let plan = ContractPlan::parse("ik,kj->ij").unwrap();
+    let [ta, tb] = [&a, &b].map(|v| DenseTensor::from_vec([2, 2], v.clone()).unwrap());
+    let ws = crate::exec::Workspace::default();
+    let local = kernels::dense_contract(&plan, &ta, &tb, None, &ws).unwrap();
     assert_eq!(
-        w.handle(contract([2, 2], a.clone(), b, Out::Reply)),
-        Some(Reply::Buf(a))
+        w.handle(contract([2, 2], a.clone(), b, 52, false)),
+        Some(Reply::Unit)
+    );
+    assert_eq!(
+        w.handle(Request::Download { key: 52 }),
+        Some(Reply::Buf(local.into_data()))
     );
 }
 
@@ -652,8 +662,13 @@ fn chain_steps_on_five_mode_operands_match_the_in_process_kernels() {
             a: Op::Inline(a_dense.into_data()),
             b_dims,
             b: Op::Inline(b.into_data()),
-            out: Out::Reply,
+            key: 93,
+            acc: false,
         }),
+        Some(Reply::Unit)
+    );
+    assert_eq!(
+        w.handle(Request::Download { key: 93 }),
         Some(Reply::Buf(local.into_data()))
     );
     let empty = || OpCoords::Inline {
@@ -735,18 +750,18 @@ fn worker_workspace_serves_the_next_chain_step_from_a_freed_result() {
 fn bad_tasks_fail_without_killing_the_worker() {
     let mut w = WorkerState::new();
     let f = |v: Vec<f64>| Op::Inline(v);
-    let pair = |a: Op, b: Op, out: Out| Request::Contract {
+    let pair = |a: Op, b: Op, key: u64| Request::Contract {
         spec: "ik,kj->ij".into(),
         a_dims: vec![2, 2],
         a,
         b_dims: vec![2, 2],
         b,
-        out,
+        key,
+        acc: false,
     };
-    let store = |acc: bool| Out::Store { key: 70, acc };
     // an f64 result resident under key 70, a coords bucket under 71
     assert_eq!(
-        w.handle(pair(f(vec![1.0; 4]), f(vec![1.0; 4]), store(false))),
+        w.handle(pair(f(vec![1.0; 4]), f(vec![1.0; 4]), 70)),
         Some(Reply::Unit)
     );
     w.handle(Request::UploadCoords {
@@ -883,7 +898,7 @@ fn bad_tasks_fail_without_killing_the_worker() {
     );
     let bad = [
         // inline data that disagrees with its dims
-        pair(f(vec![0.0; 3]), f(vec![0.0; 4]), Out::Reply),
+        pair(f(vec![0.0; 3]), f(vec![0.0; 4]), 79),
         // accumulate a partial of the wrong length
         Request::Contract {
             spec: "ik,kj->ij".into(),
@@ -891,7 +906,8 @@ fn bad_tasks_fail_without_killing_the_worker() {
             a: f(vec![1.0; 2]),
             b_dims: vec![2, 2],
             b: f(vec![1.0; 4]),
-            out: store(true),
+            key: 70,
+            acc: true,
         },
         // a shape whose element count overflows usize (wrapped, it would
         // be an empty tensor — and so would B's)
@@ -901,7 +917,8 @@ fn bad_tasks_fail_without_killing_the_worker() {
             a: f(vec![]),
             b_dims: vec![1 << 31, 0],
             b: f(vec![]),
-            out: Out::Reply,
+            key: 79,
+            acc: false,
         },
         // Download reads results only
         Request::Download { key: 71 },
@@ -941,7 +958,7 @@ fn bad_tasks_fail_without_killing_the_worker() {
     // the refused accumulate left its target intact, and no refused task
     // stored a result
     assert_eq!(download(&mut w, 70), Some(Reply::Buf(vec![2.0; 4])));
-    for key in [77, 78] {
+    for key in [77, 78, 79] {
         assert!(matches!(download(&mut w, key), Some(Reply::Fail(_))));
     }
     // the stored sparse-sparse result downloads as its entries

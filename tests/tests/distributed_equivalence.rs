@@ -187,10 +187,10 @@ fn pool_parallel_contract_list_is_bitwise_identical() {
 #[cfg(unix)]
 #[test]
 fn multi_process_contract_list_ships_each_block_once_per_pair() {
-    // The block list is the unit of distribution: a by-value list
-    // contraction is one superstep of whole-pair tasks, so each block of
-    // each matching pair travels once, with that pair's task — no operand
-    // is cut into row slabs or replicated to a second rank.
+    // The block pair is the unit of work: a by-value list contraction is
+    // a chain of one whole-pair step per matching pair, so each block of
+    // each pair travels once, with that pair's task — no operand is cut
+    // into row slabs or replicated to a second rank.
     let (x, y) = block_fixture();
     let seq = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
     let mp = multi_process_executor(2);

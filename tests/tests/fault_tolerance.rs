@@ -155,8 +155,8 @@ fn block_fixture() -> (BlockSparseTensor, BlockSparseTensor) {
 fn killed_rank_mid_contraction_tensors_are_bitwise() {
     // Tensor-level (not just scalar-energy) recovery equivalence: a kill
     // during the block-list contraction still yields bitwise-equal dense
-    // data. The whole list is one superstep of pair tasks spread over the
-    // ranks, three of them to rank 0: its second send dies mid-call.
+    // data. The whole list is one chain superstep of pair steps on the
+    // chain's anchor rank, rank 0: its second send dies mid-call.
     let (x, y) = block_fixture();
     let seq = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
     let faulty = faulty_executor(3, "kill:0@2");
