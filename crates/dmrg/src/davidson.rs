@@ -8,7 +8,8 @@
 //! good initial guesses DMRG provides).
 //!
 //! The `apply` closure is called once per matrix-vector product (several
-//! times per solve); the sweep driver passes
+//! times per solve; a thick restart forms the Ritz vector's `A·x` from the
+//! kept `A·v_j` and calls none); the sweep driver passes
 //! [`crate::heff::ResidentHam::apply`], whose environment/MPO operands
 //! were uploaded once for the whole solve — the repeated matvecs here are
 //! exactly the reuse window the resident-operand executor API exists for.
@@ -23,7 +24,9 @@ use tt_tensor::DenseTensor;
 /// Options for [`davidson`].
 #[derive(Debug, Clone, Copy)]
 pub struct DavidsonOptions {
-    /// Maximum matrix-vector products.
+    /// Maximum subspace expansions. The start vector and each new
+    /// direction count one and make one matrix-vector product; a thick
+    /// restart counts one and makes none.
     pub max_iter: usize,
     /// Maximum subspace dimension before restarting (paper: 2 during
     /// sweeps).
@@ -50,7 +53,8 @@ impl Default for DavidsonOptions {
 pub struct DavidsonResult {
     /// Smallest Ritz value.
     pub lambda: f64,
-    /// Matrix-vector products performed.
+    /// Matrix-vector products performed: calls of `apply`, restarts not
+    /// included.
     pub matvecs: usize,
     /// Final residual norm.
     pub residual: f64,
@@ -75,6 +79,8 @@ pub fn davidson(
     let mut basis: Vec<BlockSparseTensor> = vec![v0.clone()];
     let mut av: Vec<BlockSparseTensor> = vec![apply(&v0)?];
     let mut matvecs = 1usize;
+    // subspace expansions against `max_iter`: a restart counts one without an apply
+    let mut steps = 1usize;
     let mut lambda = v0.dot(&av[0])?;
     let mut x = v0;
     let mut residual = f64::INFINITY;
@@ -95,7 +101,7 @@ pub fn davidson(
         let (w, vec) = eigh(&m)?;
         lambda = w[0];
 
-        // Ritz vector x = Σ s_j v_j and q = Σ s_j (A v_j)
+        // Ritz vector x = Σ s_j v_j and q = Σ s_j (A v_j) = A x
         let mut xr = basis[0].clone();
         xr.scale_mut(vec.at(&[0, 0]));
         let mut q = av[0].clone();
@@ -104,11 +110,13 @@ pub fn davidson(
             xr.axpy(vec.at(&[j, 0]), &basis[j])?;
             q.axpy(vec.at(&[j, 0]), &av[j])?;
         }
+        // a full subspace restarts from x: keep A x for it
+        let ax = (k >= opts.max_subspace && steps < opts.max_iter).then(|| q.clone());
         // residual q = A x − λ x
         q.axpy(-lambda, &xr)?;
         residual = q.norm();
         x = xr;
-        if residual <= opts.tol || matvecs >= opts.max_iter {
+        if residual <= opts.tol || steps >= opts.max_iter {
             break;
         }
 
@@ -136,20 +144,21 @@ pub fn davidson(
         }
         q.scale_mut(1.0 / qn);
 
-        if basis.len() >= opts.max_subspace {
+        if let Some(mut ax) = ax {
             // thick restart: keep the Ritz vector and the new direction
-            let ax = apply(&x)?;
-            matvecs += 1;
             basis.clear();
             av.clear();
             let mut xn = x.clone();
             let nx = xn.norm();
             xn.scale_mut(1.0 / nx);
+            ax.scale_mut(1.0 / nx);
             basis.push(xn);
             av.push(ax);
+            steps += 1;
         }
         let aq = apply(&q)?;
         matvecs += 1;
+        steps += 1;
         basis.push(q);
         av.push(aq);
     }
@@ -239,6 +248,219 @@ mod tests {
         let (res, _) = davidson(diag_apply, &t, DavidsonOptions::default()).unwrap();
         assert!(res.lambda.abs() < 1e-12);
         assert!(res.residual < 1e-10);
+    }
+
+    /// `A = H·diag(d)·H` with the Householder reflection `H = I − 2uuᵀ`,
+    /// `u ∝ (1, 2, …, n)`: a dense operator with spectrum `d`.
+    fn reflected(d: &[f64]) -> Vec<Vec<f64>> {
+        let n = d.len();
+        let un = (1..=n).map(|i| (i * i) as f64).sum::<f64>().sqrt();
+        let u: Vec<f64> = (1..=n).map(|i| i as f64 / un).collect();
+        let h = |i: usize, j: usize| (if i == j { 1.0 } else { 0.0 }) - 2.0 * u[i] * u[j];
+        (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| (0..n).map(|l| h(i, l) * d[l] * h(l, j)).sum())
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn matvec(a: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
+        a.iter()
+            .map(|row| row.iter().zip(x).map(|(r, v)| r * v).sum())
+            .collect()
+    }
+
+    /// `A·x` on the single `n × 1` block of a [`diag_space`] vector.
+    fn matrix_apply(
+        a: &[Vec<f64>],
+    ) -> impl Fn(&BlockSparseTensor) -> Result<BlockSparseTensor> + '_ {
+        move |x| {
+            let d = x.to_dense();
+            let y = matvec(a, d.data());
+            let mut out = BlockSparseTensor::new(x.indices().to_vec(), x.flux());
+            out.insert_block(vec![0, 0], DenseTensor::from_vec([y.len(), 1], y)?)?;
+            Ok(out)
+        }
+    }
+
+    /// Smallest eigenvalue of `a` by `tt_linalg::lanczos_smallest`.
+    fn lanczos_lambda(a: &[Vec<f64>]) -> f64 {
+        let x0: Vec<f64> = (0..a.len()).map(|i| 1.0 + 0.1 * i as f64).collect();
+        let (lambda, _) = tt_linalg::lanczos_smallest(
+            |v: &[f64]| matvec(a, v),
+            &x0,
+            tt_linalg::LanczosOptions::default(),
+        )
+        .unwrap();
+        lambda
+    }
+
+    /// Reference solve: [`davidson`]'s iteration, except that a restart
+    /// applies the operator to the Ritz vector again. No randomized
+    /// fallback (the tests that use it never need one).
+    fn davidson_recomputing(
+        apply: impl Fn(&BlockSparseTensor) -> Result<BlockSparseTensor>,
+        x0: &BlockSparseTensor,
+        opts: DavidsonOptions,
+    ) -> (f64, BlockSparseTensor) {
+        let mut v0 = x0.clone();
+        v0.scale_mut(1.0 / x0.norm());
+        let mut basis = vec![v0.clone()];
+        let mut av = vec![apply(&v0).unwrap()];
+        let mut matvecs = 1;
+        let (mut lambda, mut x) = (0.0, v0);
+        for _ in 0..opts.max_iter {
+            let k = basis.len();
+            let mut m = DenseTensor::<f64>::zeros([k, k]);
+            for (i, bi) in basis.iter().enumerate() {
+                for (j, avj) in av.iter().enumerate() {
+                    m.set(&[i, j], bi.dot(avj).unwrap());
+                }
+            }
+            let m = m.add(&m.permute(&[1, 0]).unwrap()).unwrap().scaled(0.5);
+            let (w, s) = eigh(&m).unwrap();
+            lambda = w[0];
+            let mut xr = basis[0].clone();
+            xr.scale_mut(s.at(&[0, 0]));
+            let mut q = av[0].clone();
+            q.scale_mut(s.at(&[0, 0]));
+            for j in 1..k {
+                xr.axpy(s.at(&[j, 0]), &basis[j]).unwrap();
+                q.axpy(s.at(&[j, 0]), &av[j]).unwrap();
+            }
+            q.axpy(-lambda, &xr).unwrap();
+            x = xr;
+            if q.norm() <= opts.tol || matvecs >= opts.max_iter {
+                break;
+            }
+            for _pass in 0..2 {
+                for v in &basis {
+                    q.axpy(-v.dot(&q).unwrap(), v).unwrap();
+                }
+            }
+            let qn = q.norm();
+            assert!(qn >= 1e-12, "the reference has no randomized fallback");
+            q.scale_mut(1.0 / qn);
+            if basis.len() >= opts.max_subspace {
+                let ax = apply(&x).unwrap();
+                matvecs += 1;
+                let mut xn = x.clone();
+                xn.scale_mut(1.0 / x.norm());
+                basis = vec![xn];
+                av = vec![ax];
+            }
+            av.push(apply(&q).unwrap());
+            matvecs += 1;
+            basis.push(q);
+        }
+        x.scale_mut(1.0 / x.norm());
+        (lambda, x)
+    }
+
+    #[test]
+    fn restart_reuses_the_ritz_vectors_product() {
+        // the sweeps' options on an operator three products cannot solve:
+        // start, one expansion, the restart (no product) and one more
+        let idx = diag_space(12);
+        let mut rng = StdRng::seed_from_u64(5);
+        let x0 = BlockSparseTensor::random(idx, QN::zero(1), &mut rng);
+        let calls = std::cell::Cell::new(0);
+        let counting = |x: &BlockSparseTensor| {
+            calls.set(calls.get() + 1);
+            diag_apply(x)
+        };
+        let (res, _) = davidson(counting, &x0, DavidsonOptions::default()).unwrap();
+        assert!(res.residual > 1e-3, "residual {}", res.residual);
+        assert_eq!(calls.get(), 3);
+        assert_eq!(res.matvecs, 3);
+    }
+
+    #[test]
+    fn restart_reuse_matches_a_recomputed_restart() {
+        let d: Vec<f64> = (0..10)
+            .map(|i| 0.5 + i as f64 + 0.1 * (i * i) as f64)
+            .collect();
+        let a = reflected(&d);
+        let mut rng = StdRng::seed_from_u64(11);
+        let x0 = BlockSparseTensor::random(diag_space(10), QN::zero(1), &mut rng);
+        for max_subspace in [2, 3] {
+            let opts = DavidsonOptions {
+                max_iter: 9,
+                max_subspace,
+                tol: 1e-14,
+                seed: 1,
+            };
+            let (res, x) = davidson(matrix_apply(&a), &x0, opts).unwrap();
+            let (lambda, xr) = davidson_recomputing(matrix_apply(&a), &x0, opts);
+            assert!(
+                (res.lambda - lambda).abs() < 1e-12,
+                "{} vs {lambda}",
+                res.lambda
+            );
+            let mut diff = x.clone();
+            diff.axpy(-1.0, &xr).unwrap();
+            assert!(
+                diff.norm() < 1e-12,
+                "subspace {max_subspace}: |Δx| = {}",
+                diff.norm()
+            );
+            assert!(res.residual > 1e-6, "the solve must still be restarting");
+        }
+    }
+
+    #[test]
+    fn degenerate_ground_state_matches_lanczos() {
+        let a = reflected(&[-1.0, -1.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]);
+        let mut rng = StdRng::seed_from_u64(7);
+        let x0 = BlockSparseTensor::random(diag_space(8), QN::zero(1), &mut rng);
+        let opts = DavidsonOptions {
+            max_iter: 100,
+            max_subspace: 3,
+            tol: 1e-10,
+            seed: 1,
+        };
+        let (res, _) = davidson(matrix_apply(&a), &x0, opts).unwrap();
+        let want = lanczos_lambda(&a);
+        assert!((want + 1.0).abs() < 1e-10, "lanczos λ = {want}");
+        assert!(
+            (res.lambda - want).abs() < 1e-10,
+            "λ = {} vs {want}",
+            res.lambda
+        );
+    }
+
+    #[test]
+    fn zero_residual_start_takes_the_random_fallback() {
+        // e_3 is an eigenvector of diag(0, 1, 2, …): its residual is exactly
+        // zero, so the first new direction comes from the random fallback,
+        // and a negative tol keeps the zero residual from ending the solve
+        let mut t = BlockSparseTensor::new(diag_space(8), QN::zero(1));
+        let mut b = DenseTensor::zeros([8, 1]);
+        b.set(&[3, 0], 1.0);
+        t.insert_block(vec![0, 0], b).unwrap();
+        let opts = DavidsonOptions {
+            max_iter: 60,
+            max_subspace: 4,
+            tol: -1.0,
+            seed: 1,
+        };
+        let (res, _) = davidson(diag_apply, &t, opts).unwrap();
+        let a: Vec<Vec<f64>> = (0..8)
+            .map(|i| {
+                (0..8)
+                    .map(|j| if i == j { i as f64 } else { 0.0 })
+                    .collect()
+            })
+            .collect();
+        let want = lanczos_lambda(&a);
+        assert!(want.abs() < 1e-10, "lanczos λ = {want}");
+        assert!(
+            (res.lambda - want).abs() < 1e-10,
+            "λ = {} vs {want}",
+            res.lambda
+        );
     }
 
     #[test]

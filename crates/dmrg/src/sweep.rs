@@ -83,7 +83,7 @@ pub struct SiteRecord {
     pub seconds: f64,
     /// Flops counted during the step.
     pub flops: u64,
-    /// Davidson matvecs.
+    /// Davidson matrix-vector products ([`crate::DavidsonResult::matvecs`]).
     pub matvecs: usize,
     /// Ritz value after optimization.
     pub energy: f64,
