@@ -227,23 +227,23 @@ fn run_metered(exec: &Executor, algo: Algorithm) -> (Vec<u64>, u64, tt_dist::Sim
 #[test]
 fn kill_after_collected_chains_replays_only_what_is_live() {
     // Rank 1 takes 748 requests over the four sweeps (of 2 882, either
-    // algorithm); the second sweep is its requests 267-442, so its 400th
-    // falls late in that sweep, after the first sweep's finished
+    // algorithm); the fourth sweep is its requests 619-748, so its 700th
+    // falls late in the run, after the first three sweeps' finished
     // t1->t2->t3->y matvec chains have been collected from its journal —
     // sparse-dense chains of dense intermediates, and sparse-sparse chains
     // whose steps store their slots on the rank. Recovery must rebuild the
-    // rank from what is left — bitwise — and replay only that: 2 247 B
-    // (sparse-dense) and 2 919 B (sparse-sparse). With the journal left
+    // rank from what is left — bitwise — and replay only that: 2 875 B
+    // (sparse-dense) and 3 179 B (sparse-sparse). With the journal left
     // uncollected the same plan replays every chain step the rank had ever
-    // run, each with its `Free`: 59 949 B and 83 325 B. The bounds below
-    // predate these figures and are never raised; both now sit above
-    // today's uncollected replay.
+    // run, each with its `Free`: 119 217 B and 164 577 B. The bounds below
+    // predate these figures and are never raised; the sparse-dense one is
+    // below today's uncollected replay and still far above the collected one.
     for (algo, uncollected) in [
         (Algorithm::SparseDense, 87_249),
         (Algorithm::SparseSparse, 235_966),
     ] {
         let clean = Executor::multi_process(Machine::blue_waters(2), 1, 2, spec()).expect("spawn");
-        let faulty = faulty_executor(2, "kill:1@400");
+        let faulty = faulty_executor(2, "kill:1@700");
         let want = run_metered(&clean, algo);
         let got = run_metered(&faulty, algo);
         assert_eq!(
