@@ -23,15 +23,16 @@
 //! operand used once gains nothing from an upload, which would hash it
 //! and, on a service fleet, retain it. A [`ResidentChain`] keeps the
 //! structural operands resident and applies the run to many moving
-//! operands (a Davidson matvec); it alone uploads and frees a
-//! [`ResidentOperand`], and [`contract_resident`] is its one-step case.
-//! All of them derive one structural plan and hand [`Executor::chain`]
-//! their steps over value-or-handle operands — per-block steps for list,
-//! one step per contraction for the flattened algorithms: sparse-dense, or
-//! sparse-sparse under each step's output mask, which the quantum numbers
-//! give as classes of fused rows and columns, the intermediates staying in
-//! the merge kernel's format. Runtime and kernel errors travel up by `?` as
-//! [`Error::Dist`], typed.
+//! operands (a Davidson matvec); it is the one place a block-sparse
+//! operand is uploaded, and the one owner that frees it. The algorithm
+//! fixes every operand's form when the chain is built: per-block for list,
+//! flattened for the other two. All of them derive one structural plan and
+//! hand [`Executor::chain`] their steps over value-or-handle operands —
+//! per-block steps for list, one step per contraction for the flattened
+//! algorithms: sparse-dense, or sparse-sparse under each step's output
+//! mask, which the quantum numbers give as classes of fused rows and
+//! columns, the intermediates staying in the merge kernel's format.
+//! Runtime and kernel errors travel up by `?` as [`Error::Dist`], typed.
 
 use crate::block::{BlockKey, BlockSparseTensor};
 use crate::index::QnIndex;
@@ -73,8 +74,7 @@ fn structure(t: &BlockSparseTensor) -> Structure<'_> {
 }
 
 /// What one contraction is from structure alone — indices and fluxes,
-/// never values. Every path starts from one: the value path, the per-step
-/// resident path, and each step of a chain's plan.
+/// never values: each step of a chain's plan starts from one.
 struct StepPlan {
     contract: ContractPlan,
     out_indices: Vec<QnIndex>,
@@ -235,7 +235,7 @@ pub fn consumer_order(specs: &[&str]) -> Result<Vec<String>> {
 /// payloads and the pair's output block key. Partials accumulate into an
 /// output block in this order, so a chain applied at once
 /// ([`ResidentChain::apply`], [`contract_chain`]) is bitwise-equal to the
-/// fold of its steps ([`contract_list`], [`contract_resident`]).
+/// fold of its steps ([`contract_list`]).
 fn for_each_block_pair<'a, 'b, A: Copy, B: Copy>(
     plan: &ContractPlan,
     a: impl IntoIterator<Item = (&'a BlockKey, A)>,
@@ -300,124 +300,70 @@ pub fn contract_list(
     contract(exec, Algorithm::List, spec, a, b)
 }
 
-/// A block-sparse operand resident on the executor for reuse across many
-/// contractions (the paper's operand-residency discipline: the
-/// environment and MPO tensors of a Davidson solve stay put, only the
-/// iteration vector moves). Uploaded, owned and freed by a
-/// [`ResidentChain`], which lends it out through
-/// [`ResidentChain::operand`].
-///
-/// The uploaded form follows the algorithm that will consume it: one
-/// [`OpHandle`] per quantum-number block for [`Algorithm::List`]
-/// (block-pair tasks reference resident blocks by key and are routed to
-/// the rank that holds them), or one flattened-sparse handle for the
-/// sparse-dense / sparse-sparse algorithms (resident coordinate buckets
-/// and grouped tables).
-pub struct ResidentOperand {
-    indices: Vec<QnIndex>,
-    flux: QN,
-    form: ResidentForm,
+/// The structural operands of a chain's steps, in step order, in the one
+/// form the chain's algorithm consumes — fixed when the chain is built,
+/// so no body meets an operand in the other form.
+enum Operands<'t> {
+    /// For [`Algorithm::List`]: every block's key and operand, in stored
+    /// order.
+    Blocks(Vec<Vec<(&'t BlockKey, DenseOp<'t>)>>),
+    /// For the sparse-dense and sparse-sparse algorithms: the flattened
+    /// operand.
+    Flat(Vec<SparseOp<'t>>),
 }
 
-enum ResidentForm {
-    List {
-        keys: Vec<BlockKey>,
-        handles: Vec<OpHandle>,
-    },
-    Flat(OpHandle),
+/// What a [`ResidentChain`] keeps resident, in step order and in the form
+/// its algorithm consumes: one [`OpHandle`] per quantum-number block for
+/// [`Algorithm::List`] (block-pair tasks reference resident blocks by key
+/// and are routed to the rank that holds them), or one flattened-sparse
+/// handle per step for the sparse-dense and sparse-sparse algorithms
+/// (resident coordinate buckets and grouped tables).
+enum Resident {
+    Blocks(Vec<Vec<(BlockKey, OpHandle)>>),
+    Flat(Vec<OpHandle>),
 }
 
-impl ResidentOperand {
-    /// Upload `t` in the form `algo` consumes.
-    fn upload(exec: &Executor, algo: Algorithm, t: &BlockSparseTensor) -> Self {
-        let form = match algo {
-            Algorithm::List => {
-                let (keys, handles) = t
-                    .blocks_shared()
-                    .map(|(k, block)| (k.clone(), exec.upload_shared(block)))
-                    .unzip();
-                ResidentForm::List { keys, handles }
-            }
-            Algorithm::SparseDense | Algorithm::SparseSparse => {
-                ResidentForm::Flat(exec.upload_sparse(&t.to_flat_sparse()))
-            }
-        };
-        Self {
-            indices: t.indices().to_vec(),
-            flux: t.flux(),
-            form,
+impl Resident {
+    /// Upload each step's operand, in step order, in the form `algo`
+    /// consumes.
+    fn upload(exec: &Executor, algo: Algorithm, steps: &[(&str, &BlockSparseTensor)]) -> Self {
+        match algo {
+            Algorithm::List => Resident::Blocks(
+                steps
+                    .iter()
+                    .map(|(_, t)| {
+                        let upload = |(k, b): (&BlockKey, _)| (k.clone(), exec.upload_shared(b));
+                        t.blocks_shared().map(upload).collect()
+                    })
+                    .collect(),
+            ),
+            Algorithm::SparseDense | Algorithm::SparseSparse => Resident::Flat(
+                steps
+                    .iter()
+                    .map(|(_, t)| exec.upload_sparse(&t.to_flat_sparse()))
+                    .collect(),
+            ),
         }
     }
 
-    /// The operand as a step of `spec` reads it: its handles.
-    fn step<'t>(&'t self, spec: &'t str) -> StepOperand<'t> {
-        let form = match &self.form {
-            ResidentForm::List { keys, handles } => {
-                OperandForm::List(keys.iter().zip(handles.iter().map(DenseOp::from)).collect())
-            }
-            ResidentForm::Flat(h) => OperandForm::Flat(h.into()),
-        };
-        StepOperand {
-            spec,
-            indices: &self.indices,
-            flux: self.flux,
-            form,
+    /// The operands as the chain's steps read them: its handles.
+    fn operands(&self) -> Operands<'_> {
+        match self {
+            Resident::Blocks(steps) => Operands::Blocks(
+                steps
+                    .iter()
+                    .map(|blocks| blocks.iter().map(|(k, h)| (k, h.into())).collect())
+                    .collect(),
+            ),
+            Resident::Flat(handles) => Operands::Flat(handles.iter().map(Into::into).collect()),
         }
     }
 
-    /// Every handle behind the operand, in upload order.
-    fn handles(&self) -> &[OpHandle] {
-        match &self.form {
-            ResidentForm::List { handles, .. } => handles,
-            ResidentForm::Flat(h) => std::slice::from_ref(h),
-        }
-    }
-}
-
-/// One step's structural operand as every path past the value path reads
-/// it — `tt_dist`'s value-or-handle operands in the form the algorithm
-/// consumes: a [`ResidentOperand`]'s handles, or for one
-/// [`contract_chain`] the tensor's own blocks or flattening, by value.
-struct StepOperand<'t> {
-    spec: &'t str,
-    indices: &'t [QnIndex],
-    flux: QN,
-    form: OperandForm<'t>,
-}
-
-enum OperandForm<'t> {
-    /// Per quantum-number block, for [`Algorithm::List`]: every block's key
-    /// and operand, in stored order.
-    List(Vec<(&'t BlockKey, DenseOp<'t>)>),
-    /// Flattened, for the sparse-dense and sparse-sparse algorithms.
-    Flat(SparseOp<'t>),
-}
-
-impl<'t> StepOperand<'t> {
-    fn structure(&self) -> Structure<'t> {
-        (self.indices, self.flux)
-    }
-
-    /// The per-block form the list algorithm consumes.
-    fn blocks(&self) -> Result<&[(&'t BlockKey, DenseOp<'t>)]> {
-        match &self.form {
-            OperandForm::List(blocks) => Ok(blocks),
-            OperandForm::Flat(_) => Err(Error::Key(
-                "operand was uploaded in flattened form; contract with the algorithm it was \
-                 uploaded for"
-                    .into(),
-            )),
-        }
-    }
-
-    /// The flattened form the sparse-dense and sparse-sparse algorithms
-    /// consume.
-    fn flat(&self) -> Result<SparseOp<'t>> {
-        match &self.form {
-            OperandForm::Flat(op) => Ok(*op),
-            OperandForm::List(_) => Err(Error::Key(
-                "operand was uploaded per-block for the list algorithm".into(),
-            )),
+    /// Every handle, in upload order.
+    fn handles(&self) -> Vec<&OpHandle> {
+        match self {
+            Resident::Blocks(steps) => steps.iter().flatten().map(|(_, h)| h).collect(),
+            Resident::Flat(handles) => handles.iter().collect(),
         }
     }
 }
@@ -452,73 +398,43 @@ fn with_transient<'b, T>(
     Ok(out)
 }
 
-/// Contract a resident operand `a` against a by-value operand `b` —
-/// bitwise-identical to [`contract`] on the same tensors, on every
-/// backend and in every mode. One step with a block-form result: `b` is
-/// converted on the way in and the result re-blocked on the way out, so a
-/// sequence of steps that feed each other belongs in
-/// [`ResidentChain::apply`], of which this function is the one-step case.
-///
-/// For [`Algorithm::List`] the blocks of `b` are themselves uploaded for
-/// the length of the call and freed, in stored order, before returning:
-/// each block a pair uses ships at most once per rank instead of once per
-/// pair, and the resident `A` blocks ship nothing after their first use,
-/// which is where the Davidson matvec reuse pays.
-///
-/// The transient uploads cost one content hash per block of `b` on every
-/// call — on `Backend::InProcess` that is overhead with no shipping to
-/// save, but it is paid uniformly on purpose: the α–β charge sequence
-/// depends on the registry's hit/miss bookkeeping, and keeping it
-/// identical on every backend is what makes the cost counters
-/// bitwise-equal across backends (a tested invariant).
-pub fn contract_resident(
-    exec: &Executor,
-    algo: Algorithm,
-    spec: &str,
-    a: &ResidentOperand,
-    b: &BlockSparseTensor,
-) -> Result<BlockSparseTensor> {
-    let steps = [a.step(spec)];
-    let plan = ChainPlan::derive(algo, &steps, b)?;
-    apply_chain(exec, algo, &steps, &plan, b, ListInput::Transient)
-}
-
 /// An ordered chain of contractions whose structural `A` operands are
 /// **resident** — step `s` contracts its operand with the previous step's
 /// output (`x` for step 0) — and the owner of what residency needs an owner
-/// for. *The operands*: [`ResidentChain::upload`] uploads them in step
-/// order, [`ResidentChain::operand`] lends one to [`contract_resident`],
-/// [`ResidentChain::release`] frees **every** handle whatever fails on the
-/// way and reports the first error; dropping the chain does the same and
-/// has nobody to report to. *The plan*: one `StepPlan` per step — for
-/// sparse-sparse also each step's output mask, for list the
-/// specs in [`consumer_order`] and the block-pair schedule of the stored
-/// keys of the last `x` — derived by the first
+/// for (the paper's operand-residency discipline: the environment and MPO
+/// tensors of a Davidson solve stay put, only the iteration vector moves).
+/// *The operands*: [`ResidentChain::upload`] uploads them in step order,
+/// in the form the chain's algorithm consumes; [`ResidentChain::release`]
+/// frees **every** handle whatever fails on the way and reports the first
+/// error; dropping the chain does the same and has nobody to report to.
+/// *The plan*: one `StepPlan` per step — for sparse-sparse also each
+/// step's output mask, for list the specs in [`consumer_order`] and the
+/// block-pair schedule of the stored keys of `x` — derived by the first
 /// [`ResidentChain::apply`] and kept for the later ones. The operands
 /// cannot change under the chain, so the plan is stale only when `x`'s
-/// indices or flux are not the ones it was derived for; it goes with the
-/// chain. A run applied once is [`contract_chain`]: the same plan and
-/// bodies, every operand by value.
+/// indices or flux are not the ones it was derived for, or, for list,
+/// its stored keys; it goes with the chain. A run applied once is
+/// [`contract_chain`]: the same plan and bodies, every operand by value.
 pub struct ResidentChain<'e> {
     exec: &'e Executor,
     algo: Algorithm,
-    /// Each step's spec and resident operand, in step order.
-    steps: Vec<(String, ResidentOperand)>,
+    /// Each step's spec and its operand's indices and flux, in step order.
+    steps: Vec<(String, Vec<QnIndex>, QN)>,
+    resident: Resident,
     plan: Mutex<Option<Arc<ChainPlan>>>,
 }
 
-/// The structural plan of a chain, with the input structure it serves.
+/// The structural plan of a chain, with the input it serves.
 struct ChainPlan {
     x_indices: Vec<QnIndex>,
     x_flux: QN,
     steps: Vec<StepPlan>,
-    /// For [`Algorithm::List`], and only then: each step's spec as the
-    /// chain runs it, intermediates in [`consumer_order`].
-    list_specs: Vec<String>,
-    /// For [`Algorithm::List`]: the pair schedule of the stored block keys
-    /// of the last `x` applied, with those keys in stored order; replaced
-    /// when an `x` brings other keys.
-    schedule: Mutex<Option<(Vec<BlockKey>, Arc<ListSchedule>)>>,
+    /// Each step's spec as the chain runs it: for [`Algorithm::List`]
+    /// intermediates in [`consumer_order`], as given otherwise.
+    specs: Vec<String>,
+    /// For [`Algorithm::List`], and only then: the pair schedule of `x`'s
+    /// stored block keys.
+    schedule: Option<ListSchedule>,
     /// For [`Algorithm::SparseSparse`], and only then: each step's output
     /// mask.
     masks: Vec<Arc<SlotMap>>,
@@ -530,60 +446,58 @@ fn empty_chain() -> Error {
 }
 
 impl ChainPlan {
-    fn derive(algo: Algorithm, steps: &[StepOperand], x: &BlockSparseTensor) -> Result<Self> {
+    /// The plan of `steps` (each step's spec and operand structure) over
+    /// `operands`, applied to `x`.
+    fn derive(
+        algo: Algorithm,
+        steps: &[(&str, Structure)],
+        operands: &Operands,
+        x: &BlockSparseTensor,
+    ) -> Result<Self> {
         if steps.is_empty() {
             return Err(empty_chain());
         }
         let mut planned: Vec<StepPlan> = Vec::with_capacity(steps.len());
         let mut masks = Vec::new();
-        for a in steps {
+        for &(spec, a) in steps {
             let b = match planned.last() {
                 Some(prev) => (&prev.out_indices[..], prev.out_flux),
                 None => structure(x),
             };
-            let step = StepPlan::derive(a.spec, a.structure(), b)?;
+            let step = StepPlan::derive(spec, a, b)?;
             if algo == Algorithm::SparseSparse {
-                masks.push(Arc::new(step.mask(a.indices, b.0)));
+                masks.push(Arc::new(step.mask(a.0, b.0)));
             }
             planned.push(step);
         }
-        let list_specs = match algo {
-            Algorithm::List => consumer_order(&steps.iter().map(|a| a.spec).collect::<Vec<_>>())?,
-            _ => Vec::new(),
+        let given: Vec<&str> = steps.iter().map(|&(spec, _)| spec).collect();
+        let (specs, schedule) = match operands {
+            Operands::Blocks(a) => (
+                consumer_order(&given)?,
+                Some(ListSchedule::derive(a, &planned, x)),
+            ),
+            Operands::Flat(_) => (given.iter().map(|s| s.to_string()).collect(), None),
         };
         Ok(Self {
             x_indices: x.indices().to_vec(),
             x_flux: x.flux(),
             steps: planned,
-            list_specs,
-            schedule: Mutex::new(None),
+            specs,
+            schedule,
             masks,
         })
     }
 
+    /// Whether the plan was derived for `x`'s indices and flux and, for
+    /// [`Algorithm::List`], its stored keys.
     fn serves(&self, x: &BlockSparseTensor) -> bool {
-        self.x_indices == x.indices() && self.x_flux == x.flux()
-    }
-
-    /// The pair schedule of `x`'s stored block keys: the kept one when the
-    /// last `x` stored the same keys, a fresh one (kept from now on)
-    /// otherwise.
-    fn list_schedule(
-        &self,
-        steps: &[StepOperand],
-        x: &BlockSparseTensor,
-    ) -> Result<Arc<ListSchedule>> {
-        let mut slot = self
-            .schedule
-            .lock()
-            .expect("the schedule slot is only ever assigned whole");
-        let x_keys = || x.blocks().map(|(k, _)| k);
-        if let Some((_, schedule)) = slot.as_ref().filter(|(keys, _)| keys.iter().eq(x_keys())) {
-            return Ok(Arc::clone(schedule));
-        }
-        let schedule = Arc::new(ListSchedule::derive(steps, &self.steps, x)?);
-        *slot = Some((x_keys().cloned().collect(), Arc::clone(&schedule)));
-        Ok(schedule)
+        let keys = || x.blocks().map(|(k, _)| k);
+        self.x_indices == x.indices()
+            && self.x_flux == x.flux()
+            && self
+                .schedule
+                .as_ref()
+                .is_none_or(|s| s.x_keys.iter().eq(keys()))
     }
 
     /// Indices and flux of the chain's result.
@@ -630,6 +544,8 @@ struct PairStep {
 /// [`contract_list`]'s exact enumeration order whatever order the
 /// intermediates are stored in.
 struct ListSchedule {
+    /// The stored keys of `x` it was derived for, in stored order.
+    x_keys: Vec<BlockKey>,
     pairs: Vec<PairStep>,
     /// The last contraction's output blocks, in sorted key order, each with
     /// the chain step that creates it.
@@ -637,17 +553,21 @@ struct ListSchedule {
 }
 
 impl ListSchedule {
-    fn derive(steps: &[StepOperand], planned: &[StepPlan], x: &BlockSparseTensor) -> Result<Self> {
+    fn derive(
+        a: &[Vec<(&BlockKey, DenseOp)>],
+        planned: &[StepPlan],
+        x: &BlockSparseTensor,
+    ) -> Self {
         let mut pairs: Vec<PairStep> = Vec::new();
         let mut cur: BTreeMap<BlockKey, BRef> = x
             .blocks()
             .enumerate()
             .map(|(i, (k, _))| (k.clone(), BRef::X(i)))
             .collect();
-        for (s, (a, step)) in steps.iter().zip(planned).enumerate() {
+        for (s, (a, step)) in a.iter().zip(planned).enumerate() {
             // out block key -> chain step of its creating (non-acc) pair
             let mut made: BTreeMap<BlockKey, usize> = BTreeMap::new();
-            let a_blocks = a.blocks()?.iter().enumerate().map(|(i, &(k, _))| (k, i));
+            let a_blocks = a.iter().enumerate().map(|(i, &(k, _))| (k, i));
             for_each_block_pair(&step.contract, a_blocks, &cur, |a, &b, kc| {
                 let acc = made.get(&kc).copied();
                 if acc.is_none() {
@@ -664,7 +584,11 @@ impl ListSchedule {
                 BRef::X(_) => None,
             })
             .collect();
-        Ok(Self { pairs, outputs })
+        Self {
+            x_keys: x.blocks().map(|(k, _)| k.clone()).collect(),
+            pairs,
+            outputs,
+        }
     }
 }
 
@@ -685,15 +609,11 @@ impl<'e> ResidentChain<'e> {
             algo,
             steps: steps
                 .iter()
-                .map(|&(spec, t)| (spec.to_string(), ResidentOperand::upload(exec, algo, t)))
+                .map(|&(spec, t)| (spec.to_string(), t.indices().to_vec(), t.flux()))
                 .collect(),
+            resident: Resident::upload(exec, algo, steps),
             plan: Mutex::new(None),
         })
-    }
-
-    /// Step `i`'s resident operand, for [`contract_resident`].
-    pub fn operand(&self, i: usize) -> &ResidentOperand {
-        &self.steps[i].1
     }
 
     /// Free every resident handle of every step, in step order — all of
@@ -705,14 +625,13 @@ impl<'e> ResidentChain<'e> {
     }
 
     fn free_handles(&mut self) -> Result<()> {
-        let steps = std::mem::take(&mut self.steps);
-        let handles = steps.iter().flat_map(|(_, op)| op.handles());
-        Ok(free_all(self.exec, handles)?)
+        let resident = std::mem::replace(&mut self.resident, Resident::Flat(Vec::new()));
+        Ok(free_all(self.exec, resident.handles())?)
     }
 
     /// Apply the chain to `x` without bringing any intermediate back into
-    /// block form. Bitwise-identical to folding [`contract_resident`] over
-    /// the same steps (and therefore to the value path) on every backend,
+    /// block form. Bitwise-identical to folding one-step chains over the
+    /// same steps (and therefore to the value path) on every backend,
     /// flops included.
     ///
     /// Every algorithm runs as **worker-side chain supersteps**: every
@@ -728,15 +647,23 @@ impl<'e> ResidentChain<'e> {
     /// on as the next step's sorted-run table — no intermediate is a sparse
     /// tensor, and cancelled zeros are dropped between steps as block form
     /// would drop them. The masks are built once per structure of `x`.
+    ///
+    /// For [`Algorithm::List`] the blocks of `x` are themselves uploaded
+    /// for the length of the call and freed, in stored order, before
+    /// returning: each block a pair uses ships at most once per rank
+    /// instead of once per pair. The transient uploads cost one content
+    /// hash per block of `x` on every backend alike, so the α–β charges,
+    /// which follow the registry's hit/miss bookkeeping, stay
+    /// bitwise-equal across backends.
     pub fn apply(&self, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
-        let steps: Vec<StepOperand> = self.steps.iter().map(|(spec, op)| op.step(spec)).collect();
-        let plan = self.plan_for(&steps, x)?;
-        apply_chain(self.exec, self.algo, &steps, &plan, x, ListInput::Transient)
+        let operands = self.resident.operands();
+        let plan = self.plan_for(&operands, x)?;
+        apply_chain(self.exec, &operands, &plan, x, ListInput::Transient)
     }
 
-    /// The kept plan when it serves `x`'s structure, a fresh one (kept
-    /// from now on) otherwise.
-    fn plan_for(&self, steps: &[StepOperand], x: &BlockSparseTensor) -> Result<Arc<ChainPlan>> {
+    /// The kept plan when it serves `x`, a fresh one (kept from now on)
+    /// otherwise.
+    fn plan_for(&self, operands: &Operands, x: &BlockSparseTensor) -> Result<Arc<ChainPlan>> {
         let mut slot = self
             .plan
             .lock()
@@ -744,7 +671,12 @@ impl<'e> ResidentChain<'e> {
         if let Some(plan) = slot.as_ref().filter(|p| p.serves(x)) {
             return Ok(Arc::clone(plan));
         }
-        let plan = Arc::new(ChainPlan::derive(self.algo, steps, x)?);
+        let steps: Vec<(&str, Structure)> = self
+            .steps
+            .iter()
+            .map(|(spec, indices, flux)| (&spec[..], (&indices[..], *flux)))
+            .collect();
+        let plan = Arc::new(ChainPlan::derive(self.algo, &steps, operands, x)?);
         *slot = Some(Arc::clone(&plan));
         Ok(plan)
     }
@@ -759,10 +691,10 @@ impl<'e> ResidentChain<'e> {
 /// seconds are lower.
 ///
 /// The one-shot counterpart of [`ResidentChain::apply`], through the same
-/// structural plan and the same three bodies, with every operand by value:
-/// an operand contracted once gains nothing from being uploaded. List
-/// steps pass each block as a value (on the multi-process backend
-/// content-keyed through the retention cache when that is on — the rule of
+/// structural plan and the same bodies, with every operand by value: an
+/// operand contracted once gains nothing from being uploaded. List steps
+/// pass each block as a value (on the multi-process backend content-keyed
+/// through the retention cache when that is on — the rule of
 /// [`Executor::chain`]) and sparse steps the flattened operand inline.
 pub fn contract_chain(
     exec: &Executor,
@@ -774,32 +706,29 @@ pub fn contract_chain(
         Algorithm::List => Vec::new(),
         _ => steps.iter().map(|(_, t)| t.to_flat_sparse()).collect(),
     };
-    let operands: Vec<StepOperand> = steps
+    let operands = match algo {
+        Algorithm::List => Operands::Blocks(
+            steps
+                .iter()
+                .map(|(_, t)| t.blocks().map(|(k, b)| (k, b.into())).collect())
+                .collect(),
+        ),
+        _ => Operands::Flat(flat.iter().map(Into::into).collect()),
+    };
+    let structures: Vec<(&str, Structure)> = steps
         .iter()
-        .enumerate()
-        .map(|(s, &(spec, t))| StepOperand {
-            spec,
-            indices: t.indices(),
-            flux: t.flux(),
-            form: match algo {
-                Algorithm::List => {
-                    OperandForm::List(t.blocks().map(|(k, b)| (k, b.into())).collect())
-                }
-                _ => OperandForm::Flat((&flat[s]).into()),
-            },
-        })
+        .map(|&(spec, t)| (spec, structure(t)))
         .collect();
-    let plan = ChainPlan::derive(algo, &operands, x)?;
-    apply_chain(exec, algo, &operands, &plan, x, ListInput::Value)
+    let plan = ChainPlan::derive(algo, &structures, &operands, x)?;
+    apply_chain(exec, &operands, &plan, x, ListInput::Value)
 }
 
 /// The body every contraction runs through: run the planned chain of
-/// `steps` on `x`. An `x` that stores no block yields a result that stores
-/// none, and nothing runs.
+/// `operands` on `x`. An `x` that stores no block yields a result that
+/// stores none, and nothing runs.
 fn apply_chain(
     exec: &Executor,
-    algo: Algorithm,
-    steps: &[StepOperand],
+    operands: &Operands,
     plan: &ChainPlan,
     x: &BlockSparseTensor,
     input: ListInput,
@@ -808,9 +737,9 @@ fn apply_chain(
         let (indices, flux) = plan.output();
         return Ok(BlockSparseTensor::new(indices, flux));
     }
-    match algo {
-        Algorithm::List => apply_list(exec, steps, plan, x, input),
-        _ => apply_flat(exec, steps, plan, x),
+    match operands {
+        Operands::Blocks(a) => apply_list(exec, a, plan, x, input),
+        Operands::Flat(a) => apply_flat(exec, a, plan, x),
     }
 }
 
@@ -824,11 +753,11 @@ fn apply_chain(
 /// touched slot holding zero, which block form would never store back into
 /// a flattened operand ([`BlockSparseTensor::to_flat_sparse`] skips
 /// zeros) and the chain does not hand on either, so each step meets bit
-/// for bit the operand the per-step path ([`contract_resident`]) builds —
-/// and with it the same flop count.
+/// for bit the operand a fold of one-step chains builds — and with it the
+/// same flop count.
 fn apply_flat(
     exec: &Executor,
-    steps: &[StepOperand],
+    a: &[SparseOp],
     plan: &ChainPlan,
     x: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
@@ -839,19 +768,17 @@ fn apply_flat(
         (Some(x), _) => ChainSrc::Sparse(x.into()),
         (_, x) => ChainSrc::Dense(x.as_ref().expect("x dense unless sparse").into()),
     };
-    let chain_steps = steps
+    let chain_steps: Vec<ChainStep> = a
         .iter()
         .enumerate()
-        .map(|(s, a)| {
-            Ok(ChainStep {
-                spec: a.spec,
-                a: ChainSrc::Sparse(a.flat()?),
-                b: s.checked_sub(1).map_or(x_src, ChainSrc::Prev),
-                acc: None,
-                mask: plan.masks.get(s),
-            })
+        .map(|(s, &a)| ChainStep {
+            spec: &plan.specs[s],
+            a: ChainSrc::Sparse(a),
+            b: s.checked_sub(1).map_or(x_src, ChainSrc::Prev),
+            acc: None,
+            mask: plan.masks.get(s),
         })
-        .collect::<Result<Vec<ChainStep>>>()?;
+        .collect();
     // every step but the last is consumed by the next: the chain
     // releases those itself and hands out the last alone
     let last = exec
@@ -878,23 +805,22 @@ fn apply_flat(
 /// contraction's blocks downloaded.
 fn apply_list(
     exec: &Executor,
-    steps: &[StepOperand],
+    a: &[Vec<(&BlockKey, DenseOp)>],
     plan: &ChainPlan,
     x: &BlockSparseTensor,
     input: ListInput,
 ) -> Result<BlockSparseTensor> {
-    let schedule = plan.list_schedule(steps, x)?;
-    let a_blocks = steps
-        .iter()
-        .map(StepOperand::blocks)
-        .collect::<Result<Vec<_>>>()?;
+    let schedule = plan
+        .schedule
+        .as_ref()
+        .expect("a plan over blocks schedules their pairs");
     let run = |x_ops: &[DenseOp]| {
         let chain_steps: Vec<ChainStep> = schedule
             .pairs
             .iter()
             .map(|p| ChainStep {
-                spec: &plan.list_specs[p.s],
-                a: ChainSrc::Dense(a_blocks[p.s][p.a].1),
+                spec: &plan.specs[p.s],
+                a: ChainSrc::Dense(a[p.s][p.a].1),
                 b: match p.b {
                     BRef::X(i) => ChainSrc::Dense(x_ops[i]),
                     BRef::Step(j) => ChainSrc::Prev(j),
@@ -1089,7 +1015,7 @@ mod tests {
         let chain = ResidentChain::upload(&exec, Algorithm::List, &[(spec, &a)]).unwrap();
         chain.apply(&b).unwrap();
         // behind the owner's back: its first free is now a double free
-        exec.free(&chain.operand(0).handles()[0]).unwrap();
+        exec.free(chain.resident.handles()[0]).unwrap();
         let err = chain.release().expect_err("the first free fails");
         assert!(
             matches!(err, Error::Dist(tt_dist::Error::Runtime(_))),
@@ -1215,11 +1141,11 @@ mod tests {
             .collect()
     }
 
-    /// A list chain keeps the pair schedule of its input's stored keys and
-    /// must tell key sets apart when indices and flux agree: ψ, then
-    /// a ψ′ with one stored block fewer, then ψ again, on one chain, each
-    /// equal bit for bit to the `contract` fold and to a fresh chain, on
-    /// Sequential and on two workers.
+    /// A kept plan must follow a change of its input's stored keys alone,
+    /// indices and flux agreeing — for a list chain a new pair schedule:
+    /// ψ, then a ψ′ with one stored block fewer, then ψ again, on one
+    /// chain, each equal bit for bit to the `contract` fold and to a fresh
+    /// chain, under all three algorithms on Sequential and on two workers.
     #[test]
     fn kept_plan_follows_the_stored_keys() {
         let mut rng = StdRng::seed_from_u64(106);
@@ -1256,13 +1182,14 @@ mod tests {
             )
             .unwrap(),
         );
-        for exec in &execs {
-            let kept = ResidentChain::upload(exec, Algorithm::List, &steps).unwrap();
+        for (exec, algo) in execs.iter().flat_map(|e| ALGOS.map(|algo| (e, algo))) {
+            let kept = ResidentChain::upload(exec, algo, &steps).unwrap();
             for x in [&psi, &fewer, &psi] {
-                let t = contract(exec, Algorithm::List, steps[0].0, &a, x).unwrap();
-                let fold = contract(exec, Algorithm::List, steps[1].0, &w, &t).unwrap();
-                let fresh = ResidentChain::upload(exec, Algorithm::List, &steps).unwrap();
-                let what = format!("{} blocks on {:?}", x.n_blocks(), exec.backend());
+                let t = contract(exec, algo, steps[0].0, &a, x).unwrap();
+                let fold = contract(exec, algo, steps[1].0, &w, &t).unwrap();
+                let fresh = ResidentChain::upload(exec, algo, &steps).unwrap();
+                let on = exec.backend();
+                let what = format!("{algo} of {} blocks on {on:?}", x.n_blocks());
                 let y = kept.apply(x).unwrap();
                 assert_eq!(bits(&y), bits(&fold), "{what}");
                 assert_eq!(bits(&y), bits(&fresh.apply(x).unwrap()), "{what}");

@@ -26,9 +26,7 @@ pub mod model;
 pub mod qn;
 
 pub use block::{BlockKey, BlockSparseTensor};
-pub use contract::{
-    contract, contract_chain, contract_resident, Algorithm, ResidentChain, ResidentOperand,
-};
+pub use contract::{contract, contract_chain, Algorithm, ResidentChain};
 pub use index::QnIndex;
 pub use linalg::{block_svd, scale_bond, BlockDiag, BlockSvd};
 pub use model::BlockModel;

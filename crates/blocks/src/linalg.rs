@@ -12,7 +12,7 @@ use crate::index::QnIndex;
 use crate::qn::{signed, Arrow, QN};
 use crate::{Error, Result};
 use std::collections::BTreeMap;
-use tt_dist::{DenseOp, Executor};
+use tt_dist::Executor;
 use tt_linalg::TruncSpec;
 use tt_tensor::DenseTensor;
 
@@ -217,8 +217,7 @@ pub fn block_svd(
         cutoff: 0.0,
         min_keep: 1,
     };
-    let ops: Vec<DenseOp> = mats.iter().map(DenseOp::from).collect();
-    let svds = exec.svd_trunc_batch(&ops, full_spec)?;
+    let svds = exec.svd_trunc_batch(&mats, full_spec)?;
 
     // global truncation across groups
     let mut all: Vec<(f64, usize)> = Vec::new(); // (σ, group)

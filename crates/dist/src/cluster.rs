@@ -533,72 +533,37 @@ impl Cluster {
     }
 }
 
-/// Deterministic task placement with residency awareness: a task bearing a
-/// resident operand goes to the (first) rank that already holds it;
-/// everything else falls back to a round-robin cursor. Pure driver-side
-/// state — given the same submission sequence the placement is identical
-/// on every run.
-pub(crate) struct Placement {
+/// The rank for a chain step, from its resident inputs' weighted homes
+/// (`(rank, stored words)` per resident buffer copy) over `ranks` ranks:
+/// the rank holding the largest total resident volume wins, ties to the
+/// lowest rank — so the step runs where its biggest input already lives
+/// and only the smaller inputs redistribute. With nothing resident, the
+/// chain's `anchor` (a chain keeps its unanchored steps together). Pure:
+/// the same inputs place the same way on every run.
+pub(crate) fn place(
     ranks: usize,
-    rr: usize,
-}
-
-impl Placement {
-    pub(crate) fn new(ranks: usize) -> Self {
-        Self {
-            ranks: ranks.max(1),
-            rr: 0,
+    weighted: impl IntoIterator<Item = (usize, u64)>,
+    anchor: usize,
+) -> usize {
+    let ranks = ranks.max(1);
+    let mut by_rank: Vec<u64> = vec![0; ranks];
+    let mut any = false;
+    for (rank, words) in weighted {
+        if rank < ranks {
+            by_rank[rank] += words.max(1);
+            any = true;
         }
     }
-
-    /// Pick the rank for a task whose operands are resident on
-    /// `preferred` ranks (checked in order) — round-robin when none is.
-    pub(crate) fn place(&mut self, preferred: impl IntoIterator<Item = Option<usize>>) -> usize {
-        if let Some(p) = preferred.into_iter().flatten().next() {
-            return p;
-        }
-        let r = self.rr % self.ranks;
-        self.rr += 1;
-        r
+    if !any {
+        return anchor % ranks;
     }
-
-    /// Pick the rank for a chain step from its resident inputs' weighted
-    /// homes (`(rank, stored words)` per resident buffer copy): the rank
-    /// holding the largest total resident volume wins, ties to the lowest
-    /// rank — so the step runs where its biggest input already lives and
-    /// only the smaller inputs redistribute. With nothing resident, fall
-    /// back to `anchor` (a chain keeps its unanchored steps together —
-    /// one cursor advance per chain, not per step) or the round-robin
-    /// cursor.
-    pub(crate) fn place_weighted(
-        &mut self,
-        weighted: impl IntoIterator<Item = (usize, u64)>,
-        anchor: Option<usize>,
-    ) -> usize {
-        let mut by_rank: Vec<u64> = vec![0; self.ranks];
-        let mut any = false;
-        for (rank, words) in weighted {
-            if rank < self.ranks {
-                by_rank[rank] += words.max(1);
-                any = true;
-            }
+    let mut best = 0usize;
+    for (r, &w) in by_rank.iter().enumerate() {
+        if w > by_rank[best] {
+            best = r;
         }
-        if any {
-            let mut best = 0usize;
-            for (r, &w) in by_rank.iter().enumerate() {
-                if w > by_rank[best] {
-                    best = r;
-                }
-            }
-            return best;
-        }
-        if let Some(a) = anchor {
-            return a % self.ranks;
-        }
-        let r = self.rr % self.ranks;
-        self.rr += 1;
-        r
     }
+    best
 }
 
 #[cfg(test)]
@@ -667,28 +632,25 @@ mod tests {
 
     #[test]
     fn placement_prefers_residency_then_round_robins() {
-        let mut p = Placement::new(3);
-        assert_eq!(p.place([None, None]), 0);
-        assert_eq!(p.place([None]), 1);
-        assert_eq!(p.place([Some(0), Some(2)]), 0, "first resident rank wins");
-        assert_eq!(p.place([None, Some(2)]), 2);
-        assert_eq!(p.place([None, None]), 2, "cursor resumes after 0, 1");
-        assert_eq!(p.place([None]), 0);
+        // any resident input outweighs the anchor
+        assert_eq!(place(3, [(2, 1)], 0), 2);
+        // a home beyond the cluster counts for nothing
+        assert_eq!(place(3, [(5, 100), (1, 1)], 0), 1);
+        assert_eq!(place(3, [(5, 100)], 2), 2);
+        // nothing resident: the anchor, wrapped onto the ranks, so a
+        // cursor of successive anchors round-robins
+        let anchored: Vec<usize> = (0..5).map(|a| place(3, [], a)).collect();
+        assert_eq!(anchored, [0, 1, 2, 0, 1]);
     }
 
     #[test]
     fn weighted_placement_follows_the_largest_resident_input() {
-        let mut p = Placement::new(4);
         // largest total resident volume wins
-        assert_eq!(p.place_weighted([(1, 100), (3, 40), (3, 70)], None), 3);
+        assert_eq!(place(4, [(1, 100), (3, 40), (3, 70)], 0), 3);
         // ties break to the lowest rank
-        assert_eq!(p.place_weighted([(2, 50), (0, 50)], None), 0);
-        // nothing resident: the anchor keeps a chain's steps together
-        assert_eq!(p.place_weighted([], Some(2)), 2);
-        assert_eq!(p.place_weighted([], Some(2)), 2);
-        // no anchor either: round-robin cursor
-        assert_eq!(p.place_weighted([], None), 0);
-        assert_eq!(p.place_weighted([], None), 1);
+        assert_eq!(place(4, [(2, 50), (0, 50)], 3), 0);
+        // an empty buffer still counts as resident
+        assert_eq!(place(4, [(2, 0)], 1), 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use super::keys::{self, CoordsKey};
 use super::residency::{op_state, Charge, OpCharge, Superstep};
 use super::sparse::{inline_coords, inline_table, sd_request, ss_request, upload_coords};
 use super::{expect_buf, DenseOp, Executor, SparseOp};
-use crate::cluster::{Cluster, Placement};
+use crate::cluster::{self, Cluster};
 use crate::handle::{Local, OpHandle, Residency, ResultHandle, ResultInfo};
 use crate::kernels::{self, Coord, DensePrep, SsSlots};
 use crate::transport::worker::{Op, OpCoords, OpSs, Reply, Request};
@@ -594,11 +594,9 @@ impl Executor {
         planned: &[PlannedStep],
         measured: &mut Vec<(usize, (u64, usize))>,
     ) -> Result<Vec<usize>> {
-        let p = cl.ranks();
-        let mut placement = Placement::new(p);
         let anchor = {
             let mut cur = self.chain_cursor.lock();
-            let a = *cur % p.max(1);
+            let a = *cur;
             if steps.len() > 1 {
                 *cur = cur.wrapping_add(1);
             }
@@ -617,7 +615,7 @@ impl Executor {
                     for src in [&st.a, &st.b] {
                         collect_weights(src, pl, &res, &homes, planned, &mut weighted);
                     }
-                    placement.place_weighted(weighted, Some(anchor))
+                    cluster::place(cl.ranks(), weighted, anchor)
                 }
             };
             homes[i] = rank;

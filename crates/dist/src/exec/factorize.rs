@@ -1,119 +1,82 @@
 //! Truncated SVD, single and batched: the one dense factorization a sweep
 //! runs.
 
-use super::keys;
-use super::residency::{op_state, whole_home, OpCharge, Superstep, MAP_OVERHEAD_S};
+use super::residency::{Superstep, MAP_OVERHEAD_S};
 #[cfg(doc)]
 use super::ExecMode;
-use super::{DenseOp, Executor};
-use crate::cluster::Placement;
+use super::Executor;
 use crate::cost;
 use crate::kernels;
-use crate::transport::worker::{Reply, Request};
+use crate::transport::worker::{Op, Reply, Request};
 use crate::{Error, Result};
 use tt_linalg::{TruncSpec, TruncatedSvd};
 use tt_tensor::DenseTensor;
 
 impl Executor {
-    /// Distributed truncated SVD of a matrix, by value or by resident
-    /// handle (the ScaLAPACK `pdgesvd` stand-in used under the block SVD:
-    /// [`tt_linalg::svd_trunc`] runs `pdgesvd`'s algorithm, Householder
-    /// bidiagonalization and implicit-shift QR, on one core). On the
-    /// multi-process backend the factorization executes on a worker
-    /// process (same code, same bits) — the one holding the matrix, for a
-    /// handle. A tall panel (at least 32 rows, and 8× as many rows as
-    /// columns) is QR-factored first, wherever it runs: the SVD is of the
-    /// small `R`, and `U = Q · U_R`. The sign of each kept triple is fixed
-    /// last ([`TruncatedSvd::fix_signs`]). A matrix the SVD cannot factor
-    /// (a NaN or an infinity in it) fails with the typed
-    /// [`tt_linalg::Error::NoConvergence`] — in-process as
+    /// Distributed truncated SVD of a matrix (the ScaLAPACK `pdgesvd`
+    /// stand-in used under the block SVD: [`tt_linalg::svd_trunc`] runs
+    /// `pdgesvd`'s algorithm, Householder bidiagonalization and
+    /// implicit-shift QR, on one core). On the multi-process backend the
+    /// factorization executes on a worker process (same code, same bits),
+    /// the matrix shipped with the task. A tall panel (at least 32 rows,
+    /// and 8× as many rows as columns) is QR-factored first, wherever it
+    /// runs: the SVD is of the small `R`, and `U = Q · U_R`. The sign of
+    /// each kept triple is fixed last ([`TruncatedSvd::fix_signs`]). A
+    /// matrix the SVD cannot factor (a NaN or an infinity in it) fails
+    /// with the typed [`tt_linalg::Error::NoConvergence`] — in-process as
     /// [`Error::Linalg`], from a worker as a task fault.
-    pub fn svd_trunc<'a>(
-        &self,
-        a: impl Into<DenseOp<'a>>,
-        spec: TruncSpec,
-    ) -> Result<TruncatedSvd> {
-        let mut out = self.svd_trunc_batch(&[a.into()], spec)?;
+    pub fn svd_trunc(&self, a: &DenseTensor<f64>, spec: TruncSpec) -> Result<TruncatedSvd> {
+        let mut out = self.svd_trunc_batch(std::slice::from_ref(a), spec)?;
         Ok(out.pop().expect("one matrix, one factorization"))
     }
 
     /// Truncated SVDs of many independent matrices (the sector groups of a
-    /// block SVD), each by value or by resident handle. In
-    /// [`ExecMode::Threaded`] the factorizations fan out over the pool,
-    /// each borrowing its matrix; on
-    /// the multi-process backend each runs on the rank its matrix is
-    /// resident on (round-robin, with the upload in the same superstep,
-    /// when it is on none) — so after the first batch against the same
-    /// handles, zero operand bytes ship. Results return in submission
-    /// order and costs are charged in that order, so factors and counters
-    /// match the serial loop of [`Executor::svd_trunc`] exactly: what a
-    /// contraction charges a whole operand (nothing extra by value, the
-    /// one-time upload on a handle's first observation), then the
-    /// factorization. A batch holding anything but matrices fails on every
-    /// backend before it charges or sends anything.
-    pub fn svd_trunc_batch(&self, mats: &[DenseOp], spec: TruncSpec) -> Result<Vec<TruncatedSvd>> {
-        let tensors = mats
-            .iter()
-            .map(|m| m.tensor())
-            .collect::<Result<Vec<_>>>()?;
-        if let Some((i, t)) = tensors.iter().enumerate().find(|(_, t)| t.order() != 2) {
+    /// block SVD). In [`ExecMode::Threaded`] the factorizations fan out
+    /// over the pool, each borrowing its matrix; on the multi-process
+    /// backend they are one superstep, matrix `i` shipped to rank
+    /// `i mod p` with its task. Results return in submission order and
+    /// costs are charged in that order, so factors and counters match the
+    /// serial loop of [`Executor::svd_trunc`] exactly. A batch holding
+    /// anything but matrices fails on every backend before it charges or
+    /// sends anything.
+    pub fn svd_trunc_batch(
+        &self,
+        mats: &[DenseTensor<f64>],
+        spec: TruncSpec,
+    ) -> Result<Vec<TruncatedSvd>> {
+        if let Some((i, t)) = mats.iter().enumerate().find(|(_, t)| t.order() != 2) {
             return Err(Error::Linalg(tt_linalg::Error::Shape(format!(
                 "svd_trunc_batch: operand {i} has dims {:?}, not a matrix",
                 t.dims()
             ))));
         }
-        let charge = |op: &DenseOp, t: &DenseTensor<f64>| {
-            let state = op_state(
-                &mut self.residency.lock(),
-                op.handle(),
-                keys::whole,
-                t.len(),
-            );
-            if let OpCharge::Miss(w) = state {
-                if self.ranks > 1 {
-                    cost::charge(&self.tracker, |tr| tr.charge_superstep(8 * w as u64));
-                }
-            }
-            self.charge_factorization(t.dims());
-        };
-        let mut out = Vec::with_capacity(mats.len());
-        if let Some(cl) = &self.cluster {
-            let mut cl = cl.lock();
-            let mut placement = Placement::new(cl.ranks());
-            let mut step = Superstep::default();
-            {
-                let mut res = self.residency.lock();
-                for (op, t) in mats.iter().zip(&tensors) {
-                    let rank = placement.place([whole_home(&res, op)]);
-                    let a = step.whole(&mut res, *op, rank)?;
+        let results: Vec<Result<TruncatedSvd>> = match &self.cluster {
+            Some(cl) => {
+                let mut cl = cl.lock();
+                let p = cl.ranks();
+                let mut step = Superstep::default();
+                for (i, t) in mats.iter().enumerate() {
                     let req = Request::SvdTrunc {
                         rows: t.dims()[0],
                         cols: t.dims()[1],
-                        a,
+                        a: Op::Inline(t.data().to_vec()),
                         max_rank: spec.max_rank as u64,
                         cutoff: spec.cutoff,
                         min_keep: spec.min_keep as u64,
                     };
-                    step.task(rank, req);
+                    step.task(i % p, req);
                 }
+                step.run(&mut cl)?.into_iter().map(decode_svd).collect()
             }
-            let replies = step.run(&mut cl)?;
-            drop(cl);
-            for ((reply, op), t) in replies.into_iter().zip(mats).zip(tensors) {
-                out.push(decode_svd(reply)?);
-                charge(op, t);
-            }
-            return Ok(out);
-        }
-        // in-process, charging per matrix in submission order exactly like
-        // the cluster path (same float accumulation order ⇒ bitwise-equal
-        // counters across backends)
-        let results = kernels::ordered_map(self.pool(), 0..tensors.len(), |i| {
-            kernels::svd_trunc(tensors[i], spec)
-        });
-        for ((r, op), t) in results.into_iter().zip(mats).zip(tensors) {
+            // in-process, charged per matrix in submission order exactly
+            // like the cluster path (same float accumulation order ⇒
+            // bitwise-equal counters across backends)
+            None => kernels::ordered_map(self.pool(), mats, |t| Ok(kernels::svd_trunc(t, spec)?)),
+        };
+        let mut out = Vec::with_capacity(mats.len());
+        for (r, t) in results.into_iter().zip(mats) {
             out.push(r?);
-            charge(op, t);
+            self.charge_factorization(t.dims());
         }
         Ok(out)
     }

@@ -457,17 +457,12 @@ pub(super) struct Charge {
     pub(super) sparse: bool,
 }
 
-/// The first rank already holding `op`'s whole-tensor buffer, if any.
-pub(super) fn whole_home(res: &Residency, op: &DenseOp) -> Option<usize> {
-    res.homes(keys::whole(op.handle()?))?.first().copied()
-}
-
 /// One superstep under construction: requests in submission order, each an
 /// *upload* (a buffer a later task reads by key; its ack says nothing) or
 /// a *task* (its reply is the result). Every cluster leg that computes —
-/// block pairs, sd and ss chunks, factorizations, chain steps —
-/// assembles its frames here and nowhere else, so the rule "ship what the
-/// rank is missing, then the tasks, keep the task replies" is said once.
+/// chain steps and factorizations — assembles its frames here and nowhere
+/// else, so the rule "ship what the rank is missing, then the tasks, keep
+/// the task replies" is said once.
 #[derive(Default)]
 pub(crate) struct Superstep {
     reqs: Vec<(usize, Request)>,

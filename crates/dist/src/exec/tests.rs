@@ -19,14 +19,6 @@ fn to_handle(exec: &Executor, spec: &str, a: ChainSrc, b: ChainSrc) -> ResultHan
     out.pop().flatten().expect("single non-accumulate step")
 }
 
-/// A batch of operands, all by value or all by handle.
-fn ops<'a, X>(xs: &'a [X]) -> Vec<DenseOp<'a>>
-where
-    &'a X: Into<DenseOp<'a>>,
-{
-    xs.iter().map(Into::into).collect()
-}
-
 fn operands(seed: u64) -> (DenseTensor<f64>, DenseTensor<f64>) {
     let mut rng = StdRng::seed_from_u64(seed);
     (
@@ -139,10 +131,14 @@ fn contract_rejects_malformed_operands() {
     }
 }
 
+/// A factorization batch, a tall panel among its matrices, equals the
+/// loop of singles bit for bit — factors and every cost counter — on
+/// Sequential, Threaded and two worker processes, and the factors and
+/// charges agree across the backends.
 #[test]
 fn factorization_batches_match_singles() {
     let mut rng = StdRng::seed_from_u64(48);
-    let mats: Vec<DenseTensor<f64>> = [(20usize, 8usize), (13, 13), (6, 17), (30, 4)]
+    let mats: Vec<DenseTensor<f64>> = [(20usize, 8usize), (13, 13), (256, 8), (6, 17), (30, 4)]
         .iter()
         .map(|&(m, n)| DenseTensor::<f64>::random([m, n], &mut rng))
         .collect();
@@ -151,25 +147,44 @@ fn factorization_batches_match_singles() {
         cutoff: 0.0,
         min_keep: 1,
     };
-    let single = Executor::with_machine(Machine::stampede2(4), 1, ExecMode::Sequential);
-    let svds_ref: Vec<_> = mats
-        .iter()
-        .map(|m| single.svd_trunc(m, spec).unwrap())
-        .collect();
-    for mode in [ExecMode::Sequential, ExecMode::Threaded] {
-        let batch = Executor::with_machine(Machine::stampede2(4), 1, mode);
-        let svds = batch.svd_trunc_batch(&ops(&mats), spec).unwrap();
-        for (s, r) in svds.iter().zip(&svds_ref) {
-            assert_eq!(s.s, r.s, "{mode:?}");
-            assert_eq!(s.u.data(), r.u.data(), "{mode:?}");
-            assert_eq!(s.vt.data(), r.vt.data(), "{mode:?}");
-        }
-        assert_eq!(batch.total_flops(), single.total_flops(), "{mode:?}");
+    let in_process = |mode| move || Executor::with_machine(Machine::stampede2(4), 1, mode);
+    let mut backends: Vec<Box<dyn Fn() -> Executor>> = vec![
+        Box::new(in_process(ExecMode::Sequential)),
+        Box::new(in_process(ExecMode::Threaded)),
+    ];
+    #[cfg(unix)]
+    backends.push(Box::new(|| {
+        let spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
+        Executor::multi_process(Machine::stampede2(4), 1, 2, spawn).unwrap()
+    }));
+    let svd_bits = |t: &TruncatedSvd| {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let trunc_err = t.trunc_err.to_bits();
+        (bits(t.u.data()), bits(&t.s), bits(t.vt.data()), trunc_err)
+    };
+    let mut reference = None;
+    for make in &backends {
+        let (single, batch) = (make(), make());
+        let singles: Vec<_> = mats
+            .iter()
+            .map(|m| svd_bits(&single.svd_trunc(m, spec).unwrap()))
+            .collect();
+        let svds: Vec<_> = batch.svd_trunc_batch(&mats, spec).unwrap();
+        let what = format!("{:?}", batch.backend());
         assert_eq!(
-            batch.sim_time().total().to_bits(),
-            single.sim_time().total().to_bits(),
-            "{mode:?}"
+            svds.iter().map(svd_bits).collect::<Vec<_>>(),
+            singles,
+            "{what}"
         );
+        assert_eq!(counters(&batch), counters(&single), "{what}");
+        let charged = (
+            batch.total_flops(),
+            batch.supersteps(),
+            batch.sim_time().total().to_bits(),
+        );
+        let (want, want_charged) = reference.get_or_insert((singles.clone(), charged));
+        assert_eq!(&singles, want, "{what}");
+        assert_eq!(&charged, want_charged, "{what}");
     }
 }
 
@@ -328,8 +343,8 @@ fn multi_process_contracts_and_svd_batch_match_sequential() {
         cutoff: 0.0,
         min_keep: 1,
     };
-    let svd_seq = seq.svd_trunc_batch(&ops(&mats), spec).unwrap();
-    let svd_mp = mp.svd_trunc_batch(&ops(&mats), spec).unwrap();
+    let svd_seq = seq.svd_trunc_batch(&mats, spec).unwrap();
+    let svd_mp = mp.svd_trunc_batch(&mats, spec).unwrap();
     for (s, m) in svd_seq.iter().zip(&svd_mp) {
         assert_eq!(s.s, m.s);
         assert_eq!(s.u.data(), m.u.data());
@@ -766,14 +781,13 @@ fn tall_panels_factor_through_qr_first() {
     let mut batch = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
     let (transport, log) = RecordingTransport::new(2);
     batch.cluster = Some(Mutex::new(Cluster::new(Box::new(transport))));
-    let mixed = [&panels[2].0, &panels[0].0, &panels[3].0];
+    let mixed = [2, 0, 3].map(|i| panels[i].0.clone());
     let singles = Executor::with_machine(Machine::blue_waters(2), 2, ExecMode::Sequential);
     let reference: Vec<TruncatedSvd> = mixed
         .iter()
-        .map(|&a| singles.svd_trunc(a, spec).unwrap())
+        .map(|a| singles.svd_trunc(a, spec).unwrap())
         .collect();
-    let ops: Vec<DenseOp> = mixed.iter().map(|&a| a.into()).collect();
-    let out = batch.svd_trunc_batch(&ops, spec).unwrap();
+    let out = batch.svd_trunc_batch(&mixed, spec).unwrap();
     for (t, r) in out.iter().zip(&reference) {
         assert_eq!(t.u.data(), r.u.data());
         assert_eq!(t.vt.data(), r.vt.data());
@@ -834,7 +848,7 @@ fn factorization_batch_with_a_non_matrix_fails_up_front() {
     });
     for exec in &execs {
         let before = counters(exec);
-        let batch = [(&matrix).into(), (&cube).into()];
+        let batch = [matrix.clone(), cube.clone()];
         assert!(
             matches!(exec.svd_trunc_batch(&batch, spec), Err(Error::Linalg(_))),
             "{:?}",
@@ -890,127 +904,6 @@ fn counters(exec: &Executor) -> (u64, u64, String, u64, u64, u64) {
         exec.result_bytes(),
         exec.recovery_bytes(),
     )
-}
-
-/// The case one operand type newly allows: a factorization batch
-/// mixing value and handle matrices, one of them a tall panel, must
-/// equal the loop of singles bit for bit — factors and every cost
-/// counter — and a second pass must ship nothing for the handles.
-fn mixed_factorization_batch(make: impl Fn() -> Executor) -> Vec<Vec<f64>> {
-    let mut rng = StdRng::seed_from_u64(67);
-    let mats: Vec<DenseTensor<f64>> = [(20usize, 8usize), (13, 13), (256, 8), (6, 17)]
-        .iter()
-        .map(|&(m, n)| DenseTensor::<f64>::random([m, n], &mut rng))
-        .collect();
-    let spec = TruncSpec {
-        max_rank: 6,
-        cutoff: 0.0,
-        min_keep: 1,
-    };
-    // matrices 1 and 2 (the tall one) by handle, 0 and 3 by value
-    let (single, batch) = (make(), make());
-    fn mixed_ops<'a>(mats: &'a [DenseTensor<f64>], h: &'a [OpHandle]) -> Vec<DenseOp<'a>> {
-        vec![
-            (&mats[0]).into(),
-            (&h[0]).into(),
-            (&h[1]).into(),
-            (&mats[3]).into(),
-        ]
-    }
-    let mixed = |h| mixed_ops(&mats, h);
-    let hs: Vec<OpHandle> = mats[1..3].iter().map(|m| single.upload(m)).collect();
-    let svds_ref: Vec<TruncatedSvd> = mixed(&hs)
-        .into_iter()
-        .map(|op| single.svd_trunc(op, spec).unwrap())
-        .collect();
-    let hb: Vec<OpHandle> = mats[1..3].iter().map(|m| batch.upload(m)).collect();
-    let svds = batch.svd_trunc_batch(&mixed(&hb), spec).unwrap();
-    let mut bits = Vec::new();
-    for (s, r) in svds.iter().zip(&svds_ref) {
-        assert_eq!(s.s, r.s);
-        assert_eq!(s.u.data(), r.u.data());
-        assert_eq!(s.vt.data(), r.vt.data());
-        assert_eq!(s.trunc_err.to_bits(), r.trunc_err.to_bits());
-        bits.push(s.u.data().to_vec());
-    }
-    assert_eq!(counters(&batch), counters(&single));
-    // second pass: the handles are resident, so only the two value
-    // matrices (and nothing else) ship
-    let before = batch.operand_bytes();
-    batch.svd_trunc_batch(&mixed(&hb), spec).unwrap();
-    let by_value = match batch.backend() {
-        Backend::MultiProcess { .. } => 8 * (mats[0].len() + mats[3].len()) as u64,
-        Backend::InProcess(_) => 0,
-    };
-    assert_eq!(
-        batch.operand_bytes() - before,
-        by_value,
-        "handles must ship nothing on the second pass"
-    );
-    for (exec, handles) in [(&single, &hs), (&batch, &hb)] {
-        for h in handles {
-            exec.free(h).unwrap();
-        }
-    }
-    bits.push(vec![
-        batch.total_flops() as f64,
-        batch.supersteps() as f64,
-        batch.sim_time().total(),
-    ]);
-    bits
-}
-
-#[test]
-fn mixed_value_handle_factorization_batch_matches_singles_on_every_backend() {
-    let in_process = |mode| move || Executor::with_machine(Machine::stampede2(4), 1, mode);
-    let reference = mixed_factorization_batch(in_process(ExecMode::Sequential));
-    let bitwise = |other: Vec<Vec<f64>>, name: &str| {
-        for (x, y) in other.iter().zip(&reference) {
-            let (x, y): (Vec<u64>, Vec<u64>) = (
-                x.iter().map(|v| v.to_bits()).collect(),
-                y.iter().map(|v| v.to_bits()).collect(),
-            );
-            assert_eq!(x, y, "{name}");
-        }
-    };
-    bitwise(
-        mixed_factorization_batch(in_process(ExecMode::Threaded)),
-        "threaded",
-    );
-    #[cfg(unix)]
-    bitwise(
-        mixed_factorization_batch(|| {
-            let spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
-            Executor::multi_process(Machine::stampede2(4), 1, 2, spawn).unwrap()
-        }),
-        "multi-process p=2",
-    );
-}
-
-#[test]
-fn factorization_handle_batches_match_value_batches() {
-    let mut rng = StdRng::seed_from_u64(66);
-    let mats: Vec<DenseTensor<f64>> = [(20usize, 8usize), (13, 13), (30, 4)]
-        .iter()
-        .map(|&(m, n)| DenseTensor::<f64>::random([m, n], &mut rng))
-        .collect();
-    let spec = TruncSpec {
-        max_rank: 6,
-        cutoff: 0.0,
-        min_keep: 1,
-    };
-    let exec = Executor::with_machine(Machine::stampede2(4), 1, ExecMode::Sequential);
-    let svds_ref = exec.svd_trunc_batch(&ops(&mats), spec).unwrap();
-    let handles: Vec<OpHandle> = mats.iter().map(|m| exec.upload(m)).collect();
-    let svds = exec.svd_trunc_batch(&ops(&handles), spec).unwrap();
-    for (s, r) in svds.iter().zip(&svds_ref) {
-        assert_eq!(s.s, r.s);
-        assert_eq!(s.u.data(), r.u.data());
-        assert_eq!(s.vt.data(), r.vt.data());
-    }
-    for h in &handles {
-        exec.free(h).unwrap();
-    }
 }
 
 /// The four H_eff operands `(L, W₁, W₂, R)` as sparse tensors and a
@@ -1951,20 +1844,18 @@ fn protocol_trace_matches_golden() {
         }
     }
 
-    // -- factorizations: mixed batches, and a tall panel
+    // -- factorizations: batches, and a tall panel, every matrix inline
     let mats = [dense(&[20, 8]), dense(&[13, 13]), dense(&[6, 17])];
     let tall = dense(&[256, 8]);
-    let (hm, ht) = (exec.upload(&mats[1]), exec.upload(&tall));
-    let batch: Vec<DenseOp> = vec![(&mats[0]).into(), (&hm).into(), (&mats[2]).into()];
     let spec = TruncSpec {
         max_rank: 6,
         cutoff: 0.0,
         min_keep: 1,
     };
     for _ in 0..2 {
-        exec.svd_trunc_batch(&batch, spec).unwrap();
+        exec.svd_trunc_batch(&mats, spec).unwrap();
     }
-    exec.svd_trunc(&ht, spec).unwrap();
+    exec.svd_trunc(&tall, spec).unwrap();
 
     // -- chains. `big` is resident on the anchor rank of a chain of two
     // independent steps only, and the next chain anchors one rank on: its
@@ -2074,7 +1965,7 @@ fn protocol_trace_matches_golden() {
     exec.download_sparse(ss.into_iter().flatten().next().unwrap())
         .unwrap();
 
-    for h in [h1, h2, h3, hm, ht, hbig, hsq, hs0] {
+    for h in [h1, h2, h3, hbig, hsq, hs0] {
         exec.free(&h).unwrap();
     }
     let stores = exec.cache_stats().unwrap();

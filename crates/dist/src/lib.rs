@@ -22,10 +22,11 @@
 //!
 //! One decision is made once: *value-or-resident is a property of the
 //! operand* ([`DenseOp`] / [`SparseOp`] convert from `&tensor` and from
-//! `&`[`OpHandle`]), never spelled in a function or opcode name. The data
-//! plane is `f64` — the paper's spin and electron models are real — and
-//! complex arithmetic lives in `tt_tensor` only. The whole [`Executor`]
-//! surface is:
+//! `&`[`OpHandle`]), never spelled in a function or opcode name. Only
+//! contractions — every one a chain — take resident operands; a
+//! factorization takes its matrices by value. The data plane is `f64` —
+//! the paper's spin and electron models are real — and complex arithmetic
+//! lives in `tt_tensor` only. The whole [`Executor`] surface is:
 //!
 //! | entry point | operands |
 //! |---|---|
@@ -33,8 +34,8 @@
 //! | [`Executor::contract_sd`] | `impl Into<SparseOp>`, `impl Into<DenseOp>` |
 //! | [`Executor::contract_ss`] | `impl Into<SparseOp>`, `&SparseTensor<f64>`, output mask |
 //! | [`Executor::chain`] | [`ChainStep`]s over [`ChainSrc`] operands; results stay resident |
-//! | [`Executor::svd_trunc`] | `impl Into<DenseOp>` |
-//! | [`Executor::svd_trunc_batch`] | `&[DenseOp]` |
+//! | [`Executor::svd_trunc`] | `&DenseTensor<f64>` |
+//! | [`Executor::svd_trunc_batch`] | `&[DenseTensor<f64>]` |
 //! | [`Executor::upload`], [`Executor::upload_shared`], [`Executor::upload_sparse`], [`Executor::free`] | operand residency |
 //! | [`Executor::download`], [`Executor::download_many`], [`Executor::free_results`] | result residency |
 //!

@@ -11,9 +11,11 @@
 //! * [`mod@gemm`] — a tiled, cache-blocked matrix-multiply kernel,
 //! * [`transpose::permute`] — mode-fusing N-d transposition: run copies and
 //!   a tiled inner transpose (the HPTT stand-in),
-//! * [`SparseTensor`] — coordinate-format sparse tensors with
-//!   sparse×dense and sparse×sparse contraction kernels (the local pieces of
-//!   the paper's *sparse-dense* and *sparse-sparse* algorithms),
+//! * [`SparseTensor`] — coordinate-format sparse tensors, the operand
+//!   format of the paper's *sparse-dense* and *sparse-sparse* algorithms;
+//!   it has no contraction kernel of its own: both kernels are
+//!   `tt_dist::kernels::sd` and `tt_dist::kernels::ss`, the latter over
+//!   this crate's slot merge ([`ssmerge`]),
 //! * [`counter`] — global flop/memory-traffic counters mirroring CTF's
 //!   built-in flop counting, which the paper uses to report GFlops/s.
 //!

@@ -709,7 +709,7 @@ fn chained_matvecs_bitwise_across_backends() {
 
     // The sparse-sparse chain never brings t₁…t₃ back into block form. It
     // must still be the per-step path in every observable: y's bits and
-    // every meter against the fold of `contract_resident`, y's bits and the
+    // every meter against the fold of one-step chains, y's bits and the
     // flop count against the value path, on each backend and across them.
     let algo = Algorithm::SparseSparse;
     let mut across: Option<(Vec<f64>, u64, u64)> = None;
@@ -900,8 +900,8 @@ fn flat_chain_executors() -> Vec<(String, Executor)> {
 
 /// Run the sparse-sparse chain `specs[s]: operands[s] · (previous result,
 /// `x` first)` three ways on `exec` — `ResidentChain::apply`'s flat chain, the fold
-/// of `contract_resident`, the value path — each from zeroed meters with
-/// the operands already resident. Asserts chain ≡ fold ≡ value in result
+/// of one-step `ResidentChain`s over the same operands, the value path —
+/// each from zeroed meters with the operands already resident. Asserts chain ≡ fold ≡ value in result
 /// bits and flops, and that the chain, whose intermediates stay where
 /// they were made, charges fewer simulated seconds than the fold and
 /// ships no more driver operand or result bytes; returns what must also
@@ -913,19 +913,23 @@ fn meter_ss_paths(
     operands: &[&BlockSparseTensor],
     x: &BlockSparseTensor,
 ) -> (Vec<f64>, u64, u64) {
-    use tt_blocks::contract::{contract, contract_resident};
+    use tt_blocks::contract::contract;
+    use tt_blocks::ResidentChain;
     let algo = Algorithm::SparseSparse;
     let steps: Vec<(&str, &BlockSparseTensor)> = specs
         .iter()
         .copied()
         .zip(operands.iter().copied())
         .collect();
-    let resident = tt_blocks::ResidentChain::upload(exec, algo, &steps).unwrap();
+    let resident = ResidentChain::upload(exec, algo, &steps).unwrap();
+    let singles: Vec<ResidentChain> = steps
+        .iter()
+        .map(|&step| ResidentChain::upload(exec, algo, &[step]).unwrap())
+        .collect();
     let chain = || resident.apply(x).unwrap();
     let fold = || {
-        specs.iter().enumerate().fold(x.clone(), |b, (s, spec)| {
-            contract_resident(exec, algo, spec, resident.operand(s), &b).unwrap()
-        })
+        let apply = |b: BlockSparseTensor, single: &ResidentChain| single.apply(&b).unwrap();
+        singles.iter().fold(x.clone(), apply)
     };
     let value = || {
         specs.iter().zip(operands).fold(x.clone(), |b, (spec, a)| {
@@ -968,6 +972,9 @@ fn meter_ss_paths(
     let by_value = metered(&value);
     assert_eq!(by_value.0, chained.0, "{name}: flat chain vs value path");
     assert_eq!(by_value.1, chained.1, "{name}: flops vs value path");
+    for single in singles {
+        single.release().unwrap();
+    }
     resident.release().unwrap();
     (chained.0, chained.1, chained.2)
 }
