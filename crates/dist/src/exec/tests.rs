@@ -131,14 +131,10 @@ fn contract_rejects_malformed_operands() {
     }
 }
 
-/// A factorization batch, a tall panel among its matrices, equals the
-/// loop of singles bit for bit — factors and every cost counter — on
-/// Sequential, Threaded and two worker processes, and the factors and
-/// charges agree across the backends.
 #[test]
 fn factorization_batches_match_singles() {
     let mut rng = StdRng::seed_from_u64(48);
-    let mats: Vec<DenseTensor<f64>> = [(20usize, 8usize), (13, 13), (256, 8), (6, 17), (30, 4)]
+    let mats: Vec<DenseTensor<f64>> = [(20usize, 8usize), (13, 13), (6, 17), (30, 4)]
         .iter()
         .map(|&(m, n)| DenseTensor::<f64>::random([m, n], &mut rng))
         .collect();
@@ -147,44 +143,25 @@ fn factorization_batches_match_singles() {
         cutoff: 0.0,
         min_keep: 1,
     };
-    let in_process = |mode| move || Executor::with_machine(Machine::stampede2(4), 1, mode);
-    let mut backends: Vec<Box<dyn Fn() -> Executor>> = vec![
-        Box::new(in_process(ExecMode::Sequential)),
-        Box::new(in_process(ExecMode::Threaded)),
-    ];
-    #[cfg(unix)]
-    backends.push(Box::new(|| {
-        let spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
-        Executor::multi_process(Machine::stampede2(4), 1, 2, spawn).unwrap()
-    }));
-    let svd_bits = |t: &TruncatedSvd| {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        let trunc_err = t.trunc_err.to_bits();
-        (bits(t.u.data()), bits(&t.s), bits(t.vt.data()), trunc_err)
-    };
-    let mut reference = None;
-    for make in &backends {
-        let (single, batch) = (make(), make());
-        let singles: Vec<_> = mats
-            .iter()
-            .map(|m| svd_bits(&single.svd_trunc(m, spec).unwrap()))
-            .collect();
-        let svds: Vec<_> = batch.svd_trunc_batch(&mats, spec).unwrap();
-        let what = format!("{:?}", batch.backend());
+    let single = Executor::with_machine(Machine::stampede2(4), 1, ExecMode::Sequential);
+    let svds_ref: Vec<_> = mats
+        .iter()
+        .map(|m| single.svd_trunc(m, spec).unwrap())
+        .collect();
+    for mode in [ExecMode::Sequential, ExecMode::Threaded] {
+        let batch = Executor::with_machine(Machine::stampede2(4), 1, mode);
+        let svds = batch.svd_trunc_batch(&mats, spec).unwrap();
+        for (s, r) in svds.iter().zip(&svds_ref) {
+            assert_eq!(s.s, r.s, "{mode:?}");
+            assert_eq!(s.u.data(), r.u.data(), "{mode:?}");
+            assert_eq!(s.vt.data(), r.vt.data(), "{mode:?}");
+        }
+        assert_eq!(batch.total_flops(), single.total_flops(), "{mode:?}");
         assert_eq!(
-            svds.iter().map(svd_bits).collect::<Vec<_>>(),
-            singles,
-            "{what}"
-        );
-        assert_eq!(counters(&batch), counters(&single), "{what}");
-        let charged = (
-            batch.total_flops(),
-            batch.supersteps(),
             batch.sim_time().total().to_bits(),
+            single.sim_time().total().to_bits(),
+            "{mode:?}"
         );
-        let (want, want_charged) = reference.get_or_insert((singles.clone(), charged));
-        assert_eq!(&singles, want, "{what}");
-        assert_eq!(&charged, want_charged, "{what}");
     }
 }
 
@@ -904,6 +881,71 @@ fn counters(exec: &Executor) -> (u64, u64, String, u64, u64, u64) {
         exec.result_bytes(),
         exec.recovery_bytes(),
     )
+}
+
+/// A factorization batch, a tall panel among its matrices, equals the
+/// loop of singles bit for bit — factors and every cost counter — on
+/// Sequential, Threaded and two worker processes, and the factors and
+/// charges agree across the backends. Every matrix goes by value, so a
+/// repeated batch ships all of them again on the worker backend.
+#[test]
+fn mixed_value_handle_factorization_batch_matches_singles_on_every_backend() {
+    let mut rng = StdRng::seed_from_u64(48);
+    let mats: Vec<DenseTensor<f64>> = [(20usize, 8usize), (13, 13), (256, 8), (6, 17), (30, 4)]
+        .iter()
+        .map(|&(m, n)| DenseTensor::<f64>::random([m, n], &mut rng))
+        .collect();
+    let spec = TruncSpec {
+        max_rank: 6,
+        cutoff: 0.0,
+        min_keep: 1,
+    };
+    let in_process = |mode| move || Executor::with_machine(Machine::stampede2(4), 1, mode);
+    let mut backends: Vec<Box<dyn Fn() -> Executor>> = vec![
+        Box::new(in_process(ExecMode::Sequential)),
+        Box::new(in_process(ExecMode::Threaded)),
+    ];
+    #[cfg(unix)]
+    backends.push(Box::new(|| {
+        let spawn = SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
+        Executor::multi_process(Machine::stampede2(4), 1, 2, spawn).unwrap()
+    }));
+    let svd_bits = |t: &TruncatedSvd| {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let trunc_err = t.trunc_err.to_bits();
+        (bits(t.u.data()), bits(&t.s), bits(t.vt.data()), trunc_err)
+    };
+    let mut reference = None;
+    for make in &backends {
+        let (single, batch) = (make(), make());
+        let singles: Vec<_> = mats
+            .iter()
+            .map(|m| svd_bits(&single.svd_trunc(m, spec).unwrap()))
+            .collect();
+        let svds: Vec<_> = batch.svd_trunc_batch(&mats, spec).unwrap();
+        let what = format!("{:?}", batch.backend());
+        assert_eq!(
+            svds.iter().map(svd_bits).collect::<Vec<_>>(),
+            singles,
+            "{what}"
+        );
+        assert_eq!(counters(&batch), counters(&single), "{what}");
+        let charged = (
+            batch.total_flops(),
+            batch.supersteps(),
+            batch.sim_time().total().to_bits(),
+        );
+        let (want, want_charged) = reference.get_or_insert((singles.clone(), charged));
+        assert_eq!(&singles, want, "{what}");
+        assert_eq!(&charged, want_charged, "{what}");
+        let before = batch.operand_bytes();
+        batch.svd_trunc_batch(&mats, spec).unwrap();
+        let by_value = match batch.backend() {
+            Backend::MultiProcess { .. } => 8 * mats.iter().map(|m| m.len() as u64).sum::<u64>(),
+            Backend::InProcess(_) => 0,
+        };
+        assert_eq!(batch.operand_bytes() - before, by_value, "{what}");
+    }
 }
 
 /// The four H_eff operands `(L, W₁, W₂, R)` as sparse tensors and a
