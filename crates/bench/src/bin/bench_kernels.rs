@@ -51,9 +51,9 @@
 //! lifetimes included. The `ss_chain` row `electrons-m32-matvec` is the
 //! sparse-sparse counterpart: the four H_eff steps at the middle bond of
 //! the warm electrons state (`bench_e2e`'s `electrons-ss-seq` size) as one
-//! `ResidentChain::apply`, whose chain keeps every intermediate in the
-//! merge kernel's format — seconds per matvec, the block↔flat
-//! conversion of `x` and `y` included. The `list_chain` row of the same
+//! `ResidentChain::apply` on a bond vector, whose chain keeps every
+//! intermediate in the merge kernel's format — seconds per matvec, the
+//! gather of `x` and the scatter of `y` along the bond layout included. The `list_chain` row of the same
 //! name runs that matvec under `Algorithm::List`: one chain step per block
 //! pair, each distinct step shape planned once and kept across matvecs.
 //!
@@ -83,9 +83,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 use tt_bench::{grow_state, System};
-use tt_blocks::{contract, Algorithm, BlockSparseTensor, ResidentChain};
+use tt_blocks::{contract, Algorithm, BlockSparseTensor, BondLayout, BondVector, ResidentChain};
 use tt_dist::{ChainSrc, ChainStep, ExecMode, Executor, Machine, OpHandle};
 use tt_tensor::gemm::{gemm_packed_into, gemm_small_into, PackedB};
 use tt_tensor::view::{Epilogue, RunView, ViewMut};
@@ -958,11 +959,13 @@ fn main() {
                 .map(|(&(spec, ..), a)| (spec, a))
                 .collect();
             let chain = ResidentChain::upload(&exec, algo, &steps).unwrap();
+            let layout = Arc::new(BondLayout::new(x.indices(), x.flux()));
+            let x = BondVector::from_blocks(&layout, x).unwrap();
             let before = exec.total_flops();
-            chain.apply(x).unwrap();
+            chain.apply(&x).unwrap();
             let flops = (exec.total_flops() - before) as f64;
             let secs = best_of(reps * 2, || {
-                black_box(chain.apply(x).unwrap());
+                black_box(chain.apply(&x).unwrap());
             });
             record(
                 &mut entries,

@@ -4,7 +4,7 @@
 //! on Stampede2 (vs 2 on Blue Waters) for memory.
 
 use tt_bench::{model_step, System, Table};
-use tt_blocks::Algorithm;
+use tt_blocks::{Algorithm, BondVector};
 use tt_dist::Machine;
 
 fn main() {
@@ -160,7 +160,14 @@ fn live_driver_bytes() {
         right: envs.right[j + 1].as_ref().expect("right env"),
     };
     let before = (exec.operand_bytes(), exec.result_bytes());
-    let (_, _) = davidson(|v| heff.apply(v), &x0, DavidsonOptions::default()).expect("value solve");
+    // the value-passing reference: each matvec's vector in block form
+    let value_apply = |v: &BondVector| -> dmrg::Result<BondVector> {
+        Ok(BondVector::from_blocks(
+            v.layout(),
+            &heff.apply(&v.to_blocks())?,
+        )?)
+    };
+    let (_, _) = davidson(value_apply, &x0, DavidsonOptions::default()).expect("value solve");
     let value = (
         exec.operand_bytes() - before.0,
         exec.result_bytes() - before.1,

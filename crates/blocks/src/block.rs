@@ -16,6 +16,13 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use tt_tensor::{DenseTensor, SparseTensor};
 
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`BlockSparseTensor::allowed_keys`] on this thread: how
+    /// often a path searches the allowed keys, for the tests that pin it.
+    pub(crate) static ALLOWED_KEYS_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Sector choice per index, identifying one block.
 pub type BlockKey = Vec<u16>;
 
@@ -36,7 +43,7 @@ pub struct BlockSparseTensor {
 /// Sectors are contiguous ranges of each mode, so a block is a set of
 /// contiguous innermost-mode *runs* there, and every block↔flat
 /// conversion is slice copies between runs and block data.
-struct FlatLayout<'a> {
+pub(crate) struct FlatLayout<'a> {
     indices: &'a [QnIndex],
     /// Row-major strides of the dense dims.
     strides: Vec<usize>,
@@ -46,15 +53,15 @@ struct FlatLayout<'a> {
 
 /// One run of block `block` (a position in the caller's key order):
 /// `len` elements at flat offset `start`, at `local` in the block's data.
-struct Run {
-    start: usize,
-    len: usize,
-    block: usize,
-    local: usize,
+pub(crate) struct Run {
+    pub(crate) start: usize,
+    pub(crate) len: usize,
+    pub(crate) block: usize,
+    pub(crate) local: usize,
 }
 
 impl<'a> FlatLayout<'a> {
-    fn new(indices: &'a [QnIndex]) -> Self {
+    pub(crate) fn new(indices: &'a [QnIndex]) -> Self {
         let dims: Vec<usize> = indices.iter().map(|i| i.dim()).collect();
         Self {
             indices,
@@ -99,7 +106,7 @@ impl<'a> FlatLayout<'a> {
 
     /// The runs of every block of `keys`, ascending by flat offset
     /// (distinct blocks never overlap, so that order is total).
-    fn sorted_runs<'k>(mut self, keys: impl Iterator<Item = &'k BlockKey>) -> Vec<Run> {
+    pub(crate) fn sorted_runs<'k>(mut self, keys: impl Iterator<Item = &'k BlockKey>) -> Vec<Run> {
         let mut runs = Vec::new();
         for (block, key) in keys.enumerate() {
             self.for_each_run(key, |start, local, len| {
@@ -171,6 +178,8 @@ impl BlockSparseTensor {
 
     /// Enumerate all allowed sector combinations (suffix-DP pruned).
     pub fn allowed_keys(&self) -> Vec<BlockKey> {
+        #[cfg(test)]
+        ALLOWED_KEYS_CALLS.with(|c| c.set(c.get() + 1));
         let n = self.order();
         // suffix_possible[i] = set of achievable Σ_{j≥i} signed charges
         let arity = self.flux.n_charges();

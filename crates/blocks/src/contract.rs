@@ -23,8 +23,10 @@
 //! operand used once gains nothing from an upload, which would hash it
 //! and, on a service fleet, retain it. A [`ResidentChain`] keeps the
 //! structural operands resident and applies the run to many moving
-//! operands (a Davidson matvec); it is the one place a block-sparse
-//! operand is uploaded, and the one owner that frees it. The algorithm
+//! operands (a Davidson matvec), each a [`BondVector`] of one bond
+//! layout that enters and leaves the chain without passing through block
+//! form; it is the one place a block-sparse operand is uploaded, and the
+//! one owner that frees it. The algorithm
 //! fixes every operand's form when the chain is built: per-block for list,
 //! flattened for the other two. All of them derive one structural plan and
 //! hand [`Executor::chain`] their steps over value-or-handle operands —
@@ -36,6 +38,7 @@
 
 use crate::block::{BlockKey, BlockSparseTensor};
 use crate::index::QnIndex;
+use crate::layout::{BondLayout, BondVector};
 use crate::qn::{signed, QN};
 use crate::{Error, Result};
 use std::collections::{BTreeMap, HashMap};
@@ -407,34 +410,31 @@ fn with_transient<'b, T>(
 /// in the form the chain's algorithm consumes; [`ResidentChain::release`]
 /// frees **every** handle whatever fails on the way and reports the first
 /// error; dropping the chain does the same and has nobody to report to.
-/// *The plan*: one `StepPlan` per step — for sparse-sparse also each
-/// step's output mask, for list the specs in [`consumer_order`] and the
-/// block-pair schedule of the stored keys of `x` — derived by the first
-/// [`ResidentChain::apply`] and kept for the later ones. The operands
-/// cannot change under the chain, so the plan is stale only when `x`'s
-/// indices or flux are not the ones it was derived for, or, for list,
-/// its stored keys; it goes with the chain. A run applied once is
-/// [`contract_chain`]: the same plan and bodies, every operand by value.
+/// *The plan*: the chain moves [`BondVector`]s, and what it knows of them
+/// from structure alone it derives from their [`BondLayout`] — one
+/// `StepPlan` per step, for sparse-sparse each step's output mask, for
+/// list the specs in [`consumer_order`] and the block-pair schedule of
+/// every block of the layout, and the layout of the result — by the first
+/// [`ResidentChain::apply`], and keeps it for the later ones. The
+/// operands cannot change under the chain, so the plan is stale only when
+/// `x` comes in another structure; it goes with the chain. A run applied
+/// once to a block-sparse tensor is [`contract_chain`]: the same plan and
+/// bodies, every operand by value.
 pub struct ResidentChain<'e> {
     exec: &'e Executor,
     algo: Algorithm,
     /// Each step's spec and its operand's indices and flux, in step order.
     steps: Vec<(String, Vec<QnIndex>, QN)>,
     resident: Resident,
-    plan: Mutex<Option<Arc<ChainPlan>>>,
+    plan: Mutex<Option<Arc<BondPlan>>>,
 }
 
-/// The structural plan of a chain, with the input it serves.
+/// The structural plan of a chain applied to one structure of `x`.
 struct ChainPlan {
-    x_indices: Vec<QnIndex>,
-    x_flux: QN,
     steps: Vec<StepPlan>,
     /// Each step's spec as the chain runs it: for [`Algorithm::List`]
     /// intermediates in [`consumer_order`], as given otherwise.
     specs: Vec<String>,
-    /// For [`Algorithm::List`], and only then: the pair schedule of `x`'s
-    /// stored block keys.
-    schedule: Option<ListSchedule>,
     /// For [`Algorithm::SparseSparse`], and only then: each step's output
     /// mask.
     masks: Vec<Arc<SlotMap>>,
@@ -446,14 +446,9 @@ fn empty_chain() -> Error {
 }
 
 impl ChainPlan {
-    /// The plan of `steps` (each step's spec and operand structure) over
-    /// `operands`, applied to `x`.
-    fn derive(
-        algo: Algorithm,
-        steps: &[(&str, Structure)],
-        operands: &Operands,
-        x: &BlockSparseTensor,
-    ) -> Result<Self> {
+    /// The plan of `steps` (each step's spec and operand structure)
+    /// applied to an `x` of structure `x`.
+    fn derive(algo: Algorithm, steps: &[(&str, Structure)], x: Structure) -> Result<Self> {
         if steps.is_empty() {
             return Err(empty_chain());
         }
@@ -462,7 +457,7 @@ impl ChainPlan {
         for &(spec, a) in steps {
             let b = match planned.last() {
                 Some(prev) => (&prev.out_indices[..], prev.out_flux),
-                None => structure(x),
+                None => x,
             };
             let step = StepPlan::derive(spec, a, b)?;
             if algo == Algorithm::SparseSparse {
@@ -471,49 +466,44 @@ impl ChainPlan {
             planned.push(step);
         }
         let given: Vec<&str> = steps.iter().map(|&(spec, _)| spec).collect();
-        let (specs, schedule) = match operands {
-            Operands::Blocks(a) => (
-                consumer_order(&given)?,
-                Some(ListSchedule::derive(a, &planned, x)),
-            ),
-            Operands::Flat(_) => (given.iter().map(|s| s.to_string()).collect(), None),
+        let specs = match algo {
+            Algorithm::List => consumer_order(&given)?,
+            _ => given.iter().map(|s| s.to_string()).collect(),
         };
         Ok(Self {
-            x_indices: x.indices().to_vec(),
-            x_flux: x.flux(),
             steps: planned,
             specs,
-            schedule,
             masks,
         })
     }
 
-    /// Whether the plan was derived for `x`'s indices and flux and, for
-    /// [`Algorithm::List`], its stored keys.
-    fn serves(&self, x: &BlockSparseTensor) -> bool {
-        let keys = || x.blocks().map(|(k, _)| k);
-        self.x_indices == x.indices()
-            && self.x_flux == x.flux()
-            && self
-                .schedule
-                .as_ref()
-                .is_none_or(|s| s.x_keys.iter().eq(keys()))
-    }
-
     /// Indices and flux of the chain's result.
-    fn output(&self) -> (Vec<QnIndex>, QN) {
+    fn output(&self) -> Structure<'_> {
         let last = self.steps.last().expect("a chain has at least one step");
-        (last.out_indices.clone(), last.out_flux)
+        (&last.out_indices, last.out_flux)
     }
 }
 
-/// How a list chain passes the blocks of its input `x`.
-enum ListInput {
-    /// Uploaded for the length of the chain, each block shipping at most
-    /// once per rank (a matvec's ψ, used by many pairs of every step).
-    Transient,
-    /// By value, as [`contract_chain`] passes every operand.
-    Value,
+/// What a [`ResidentChain`] keeps for the vectors of one bond layout.
+struct BondPlan {
+    /// The layout it was derived for.
+    x: Arc<BondLayout>,
+    /// The result's layout: `x` itself when the result has `x`'s
+    /// structure.
+    y: Arc<BondLayout>,
+    chain: ChainPlan,
+    /// For [`Algorithm::List`], and only then: the pair schedule over every
+    /// block of `x`, and the position of each output block in the result's
+    /// layout.
+    list: Option<(ListSchedule, Vec<usize>)>,
+}
+
+impl BondPlan {
+    /// Whether the plan serves vectors of `layout`: the one it was derived
+    /// for, or one of the same structure.
+    fn serves(&self, layout: &Arc<BondLayout>) -> bool {
+        Arc::ptr_eq(&self.x, layout) || self.x.lays_out(layout.indices(), layout.flux())
+    }
 }
 
 /// Which buffer backs one `B` operand of a list chain step.
@@ -537,15 +527,12 @@ struct PairStep {
     acc: Option<usize>,
 }
 
-/// The block-pair schedule of a list chain for one set of stored keys of
-/// `x`: the block structure propagated symbolically (the driver knows
-/// every intermediate's block keys without seeing its values), in the
-/// original specs' key space, so partials accumulate in
-/// [`contract_list`]'s exact enumeration order whatever order the
-/// intermediates are stored in.
+/// The block-pair schedule of a list chain for one set of blocks of `x`:
+/// the block structure propagated symbolically (the driver knows every
+/// intermediate's block keys without seeing its values), in the original
+/// specs' key space, so partials accumulate in [`contract_list`]'s exact
+/// enumeration order whatever order the intermediates are stored in.
 struct ListSchedule {
-    /// The stored keys of `x` it was derived for, in stored order.
-    x_keys: Vec<BlockKey>,
     pairs: Vec<PairStep>,
     /// The last contraction's output blocks, in sorted key order, each with
     /// the chain step that creates it.
@@ -553,16 +540,17 @@ struct ListSchedule {
 }
 
 impl ListSchedule {
-    fn derive(
+    /// The schedule over `x_keys`, the keys of `x`'s blocks in the order
+    /// the chain is handed them.
+    fn derive<'k>(
         a: &[Vec<(&BlockKey, DenseOp)>],
         planned: &[StepPlan],
-        x: &BlockSparseTensor,
+        x_keys: impl Iterator<Item = &'k BlockKey>,
     ) -> Self {
         let mut pairs: Vec<PairStep> = Vec::new();
-        let mut cur: BTreeMap<BlockKey, BRef> = x
-            .blocks()
+        let mut cur: BTreeMap<BlockKey, BRef> = x_keys
             .enumerate()
-            .map(|(i, (k, _))| (k.clone(), BRef::X(i)))
+            .map(|(i, k)| (k.clone(), BRef::X(i)))
             .collect();
         for (s, (a, step)) in a.iter().zip(planned).enumerate() {
             // out block key -> chain step of its creating (non-acc) pair
@@ -584,11 +572,7 @@ impl ListSchedule {
                 BRef::X(_) => None,
             })
             .collect();
-        Self {
-            x_keys: x.blocks().map(|(k, _)| k.clone()).collect(),
-            pairs,
-            outputs,
-        }
+        Self { pairs, outputs }
     }
 }
 
@@ -629,10 +613,12 @@ impl<'e> ResidentChain<'e> {
         Ok(free_all(self.exec, resident.handles())?)
     }
 
-    /// Apply the chain to `x` without bringing any intermediate back into
-    /// block form. Bitwise-identical to folding one-step chains over the
-    /// same steps (and therefore to the value path) on every backend,
-    /// flops included.
+    /// Apply the chain to the bond vector `x` without bringing any
+    /// intermediate back into block form, and return the result in its own
+    /// layout (`x`'s when the result has `x`'s structure, as a matvec's
+    /// does). Bitwise-identical to folding one-step chains over the same
+    /// steps (and therefore to the value path) applied to `x`'s block form
+    /// on every backend, flops included.
     ///
     /// Every algorithm runs as **worker-side chain supersteps**: every
     /// intermediate stays in the worker stores under driver-issued keys and
@@ -646,29 +632,80 @@ impl<'e> ResidentChain<'e> {
     /// into the slots its output mask allows and handing its touched slots
     /// on as the next step's sorted-run table — no intermediate is a sparse
     /// tensor, and cancelled zeros are dropped between steps as block form
-    /// would drop them. The masks are built once per structure of `x`.
+    /// would drop them.
     ///
-    /// For [`Algorithm::List`] the blocks of `x` are themselves uploaded
-    /// for the length of the call and freed, in stored order, before
-    /// returning: each block a pair uses ships at most once per rank
-    /// instead of once per pair. The transient uploads cost one content
-    /// hash per block of `x` on every backend alike, so the α–β charges,
-    /// which follow the registry's hit/miss bookkeeping, stay
-    /// bitwise-equal across backends.
-    pub fn apply(&self, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
+    /// `x` enters in the algorithm's form and the result leaves it through
+    /// the kept layouts alone, with no key search and no block built: for
+    /// sparse-sparse one gather of `x`'s nonzeros along the layout's flat
+    /// runs (the operand [`BlockSparseTensor::to_flat_sparse`] would
+    /// build) and one merge walk of the result's entries; for sparse-dense
+    /// a scatter into a workspace buffer and a gather out of the result;
+    /// for list the layout's blocks, each uploaded for the length of the
+    /// call and freed, in layout order, before returning — a block a pair
+    /// uses ships at most once per rank instead of once per pair, at one
+    /// content hash per block on every backend alike, so the α–β charges,
+    /// which follow the registry's hit/miss bookkeeping, stay bitwise-equal
+    /// across backends. A zero `x` yields a zero result, and nothing runs.
+    pub fn apply(&self, x: &BondVector) -> Result<BondVector> {
         let operands = self.resident.operands();
-        let plan = self.plan_for(&operands, x)?;
-        apply_chain(self.exec, &operands, &plan, x, ListInput::Transient)
+        let plan = self.plan_for(x.layout())?;
+        let y_layout = &plan.y;
+        let mut y = BondVector::zeros(y_layout);
+        if x.data().iter().all(|&v| v == 0.0) {
+            return Ok(y);
+        }
+        let exec = self.exec;
+        match (&operands, &plan.list) {
+            (Operands::Blocks(a), Some((schedule, out))) => {
+                let layout = x.layout();
+                let blocks: Vec<Arc<DenseTensor<f64>>> = (0..layout.keys().len())
+                    .map(|i| {
+                        let data = x.data()[layout.range(i)].to_vec();
+                        let block = DenseTensor::from_vec(layout.block_dims(i), data);
+                        Arc::new(block.expect("a layout range holds its block"))
+                    })
+                    .collect();
+                // x's blocks upload in layout order, for the length of the chain
+                let results = with_transient(exec, &blocks, |hs| {
+                    let x_ops: Vec<DenseOp> = hs.iter().map(DenseOp::from).collect();
+                    chain_list(exec, a, &plan.chain, schedule, &x_ops)
+                })?;
+                for (t, &i) in download_list(exec, schedule, results)?.iter().zip(out) {
+                    y.data_mut()[y_layout.range(i)].copy_from_slice(t.data());
+                }
+            }
+            (Operands::Flat(a), None) => {
+                let (x_runs, y_runs) = (x.layout().flat_runs(), y_layout.flat_runs());
+                if plan.chain.masks.is_empty() {
+                    let mut x_dense = exec.zeros(x_runs.dims());
+                    x_runs.scatter_dense(x.data(), x_dense.data_mut());
+                    let last =
+                        chain_flat(exec, a, &plan.chain, ChainSrc::Dense((&x_dense).into()))?;
+                    let y_dense = exec.download(last)?;
+                    y_runs.gather_dense(y_dense.data(), y.data_mut());
+                    // both dense ends are spent: their buffers serve the next chain's
+                    exec.recycle(y_dense);
+                    exec.recycle(x_dense);
+                } else {
+                    let x_flat = x_runs.gather_sparse(x.data());
+                    let last =
+                        chain_flat(exec, a, &plan.chain, ChainSrc::Sparse((&x_flat).into()))?;
+                    y_runs.scatter_sparse(&exec.download_sparse(last)?, y.data_mut())?;
+                }
+            }
+            _ => unreachable!("a plan's body follows the chain's algorithm"),
+        }
+        Ok(y)
     }
 
-    /// The kept plan when it serves `x`, a fresh one (kept from now on)
-    /// otherwise.
-    fn plan_for(&self, operands: &Operands, x: &BlockSparseTensor) -> Result<Arc<ChainPlan>> {
+    /// The kept plan when it serves `layout`, a fresh one (kept from now
+    /// on) otherwise.
+    fn plan_for(&self, layout: &Arc<BondLayout>) -> Result<Arc<BondPlan>> {
         let mut slot = self
             .plan
             .lock()
             .expect("the plan slot is only ever assigned whole");
-        if let Some(plan) = slot.as_ref().filter(|p| p.serves(x)) {
+        if let Some(plan) = slot.as_ref().filter(|p| p.serves(layout)) {
             return Ok(Arc::clone(plan));
         }
         let steps: Vec<(&str, Structure)> = self
@@ -676,7 +713,31 @@ impl<'e> ResidentChain<'e> {
             .iter()
             .map(|(spec, indices, flux)| (&spec[..], (&indices[..], *flux)))
             .collect();
-        let plan = Arc::new(ChainPlan::derive(self.algo, &steps, operands, x)?);
+        let chain = ChainPlan::derive(self.algo, &steps, (layout.indices(), layout.flux()))?;
+        let (out_indices, out_flux) = chain.output();
+        let y = if layout.lays_out(out_indices, out_flux) {
+            Arc::clone(layout)
+        } else {
+            Arc::new(BondLayout::new(out_indices, out_flux))
+        };
+        let list = match self.resident.operands() {
+            Operands::Blocks(a) => {
+                let schedule = ListSchedule::derive(&a, &chain.steps, layout.keys().iter());
+                let out = schedule
+                    .outputs
+                    .iter()
+                    .map(|(k, _)| y.find(k).expect("an output block is allowed"))
+                    .collect();
+                Some((schedule, out))
+            }
+            Operands::Flat(_) => None,
+        };
+        let plan = Arc::new(BondPlan {
+            x: Arc::clone(layout),
+            y,
+            chain,
+            list,
+        });
         *slot = Some(Arc::clone(&plan));
         Ok(plan)
     }
@@ -695,153 +756,136 @@ impl<'e> ResidentChain<'e> {
 /// operand contracted once gains nothing from being uploaded. List steps
 /// pass each block as a value (on the multi-process backend content-keyed
 /// through the retention cache when that is on — the rule of
-/// [`Executor::chain`]) and sparse steps the flattened operand inline.
+/// [`Executor::chain`]) and sparse steps the flattened operand inline. An
+/// `x` that stores no block yields a result that stores none, and nothing
+/// runs.
 pub fn contract_chain(
     exec: &Executor,
     algo: Algorithm,
     steps: &[(&str, &BlockSparseTensor)],
     x: &BlockSparseTensor,
 ) -> Result<BlockSparseTensor> {
-    let flat: Vec<SparseTensor<f64>> = match algo {
-        Algorithm::List => Vec::new(),
-        _ => steps.iter().map(|(_, t)| t.to_flat_sparse()).collect(),
-    };
-    let operands = match algo {
-        Algorithm::List => Operands::Blocks(
-            steps
-                .iter()
-                .map(|(_, t)| t.blocks().map(|(k, b)| (k, b.into())).collect())
-                .collect(),
-        ),
-        _ => Operands::Flat(flat.iter().map(Into::into).collect()),
-    };
     let structures: Vec<(&str, Structure)> = steps
         .iter()
         .map(|&(spec, t)| (spec, structure(t)))
         .collect();
-    let plan = ChainPlan::derive(algo, &structures, &operands, x)?;
-    apply_chain(exec, &operands, &plan, x, ListInput::Value)
-}
-
-/// The body every contraction runs through: run the planned chain of
-/// `operands` on `x`. An `x` that stores no block yields a result that
-/// stores none, and nothing runs.
-fn apply_chain(
-    exec: &Executor,
-    operands: &Operands,
-    plan: &ChainPlan,
-    x: &BlockSparseTensor,
-    input: ListInput,
-) -> Result<BlockSparseTensor> {
+    let plan = ChainPlan::derive(algo, &structures, structure(x))?;
+    let (indices, flux) = plan.output();
+    let mut c = BlockSparseTensor::new(indices.to_vec(), flux);
     if x.n_blocks() == 0 {
-        let (indices, flux) = plan.output();
-        return Ok(BlockSparseTensor::new(indices, flux));
+        return Ok(c);
     }
-    match operands {
-        Operands::Blocks(a) => apply_list(exec, a, plan, x, input),
-        Operands::Flat(a) => apply_flat(exec, a, plan, x),
+    if algo == Algorithm::List {
+        let a: Vec<Vec<(&BlockKey, DenseOp)>> = steps
+            .iter()
+            .map(|(_, t)| t.blocks().map(|(k, b)| (k, b.into())).collect())
+            .collect();
+        let schedule = ListSchedule::derive(&a, &plan.steps, x.blocks().map(|(k, _)| k));
+        let x_ops: Vec<DenseOp> = x.blocks().map(|(_, b)| b.into()).collect();
+        let results = chain_list(exec, &a, &plan, &schedule, &x_ops)?;
+        for ((k, _), t) in schedule
+            .outputs
+            .iter()
+            .zip(download_list(exec, &schedule, results)?)
+        {
+            c.insert_block(k.clone(), t)?;
+        }
+        return Ok(c);
     }
+    let flat: Vec<SparseTensor<f64>> = steps.iter().map(|(_, t)| t.to_flat_sparse()).collect();
+    let a: Vec<SparseOp> = flat.iter().map(Into::into).collect();
+    let indices = indices.to_vec();
+    if plan.masks.is_empty() {
+        let x_dense = x.to_dense();
+        let last = chain_flat(exec, &a, &plan, ChainSrc::Dense((&x_dense).into()))?;
+        let y = exec.download(last)?;
+        c = BlockSparseTensor::from_dense(indices, flux, &y, 0.0)?;
+        // both dense ends are spent: their buffers serve the next chain's
+        exec.recycle(y);
+        exec.recycle(x_dense);
+    } else {
+        let x_flat = x.to_flat_sparse();
+        let last = chain_flat(exec, &a, &plan, ChainSrc::Sparse((&x_flat).into()))?;
+        c = BlockSparseTensor::from_flat_sparse(indices, flux, &exec.download_sparse(last)?)?;
+    }
+    Ok(c)
 }
 
 /// The flattened chains: one chain step per contraction, its flattened
 /// operand against the previous step's resident output, which never
-/// comes back into block form. Sparse-dense steps take `x` and every
-/// intermediate dense (exact: symmetric contractions put no weight outside
-/// allowed blocks, so skipping the re-blocking between steps is
-/// bitwise-neutral). Sparse-sparse steps take `x` flattened and hand their
-/// slots on under each step's mask; a product that cancels leaves a
-/// touched slot holding zero, which block form would never store back into
-/// a flattened operand ([`BlockSparseTensor::to_flat_sparse`] skips
-/// zeros) and the chain does not hand on either, so each step meets bit
-/// for bit the operand a fold of one-step chains builds — and with it the
-/// same flop count.
-fn apply_flat(
+/// comes back into block form; the last step's result, resident.
+/// Sparse-dense steps take `x` and every intermediate dense (exact:
+/// symmetric contractions put no weight outside allowed blocks, so
+/// skipping the re-blocking between steps is bitwise-neutral).
+/// Sparse-sparse steps take `x` flattened and hand their slots on under
+/// each step's mask; a product that cancels leaves a touched slot holding
+/// zero, which block form would never store back into a flattened operand
+/// ([`BlockSparseTensor::to_flat_sparse`] skips zeros) and the chain does
+/// not hand on either, so each step meets bit for bit the operand a fold
+/// of one-step chains builds — and with it the same flop count.
+fn chain_flat(
     exec: &Executor,
     a: &[SparseOp],
     plan: &ChainPlan,
-    x: &BlockSparseTensor,
-) -> Result<BlockSparseTensor> {
-    let sparse = !plan.masks.is_empty();
-    let x_flat = sparse.then(|| x.to_flat_sparse());
-    let x_dense = (!sparse).then(|| x.to_dense());
-    let x_src = match (&x_flat, &x_dense) {
-        (Some(x), _) => ChainSrc::Sparse(x.into()),
-        (_, x) => ChainSrc::Dense(x.as_ref().expect("x dense unless sparse").into()),
-    };
+    x: ChainSrc,
+) -> Result<ResultHandle> {
     let chain_steps: Vec<ChainStep> = a
         .iter()
         .enumerate()
         .map(|(s, &a)| ChainStep {
             spec: &plan.specs[s],
             a: ChainSrc::Sparse(a),
-            b: s.checked_sub(1).map_or(x_src, ChainSrc::Prev),
+            b: s.checked_sub(1).map_or(x, ChainSrc::Prev),
             acc: None,
             mask: plan.masks.get(s),
         })
         .collect();
     // every step but the last is consumed by the next: the chain
     // releases those itself and hands out the last alone
-    let last = exec
+    Ok(exec
         .chain(&chain_steps)?
         .pop()
         .expect("non-empty chain")
-        .expect("final step is not an accumulate");
-    let (indices, flux) = plan.output();
-    let Some(x_dense) = x_dense else {
-        return BlockSparseTensor::from_flat_sparse(indices, flux, &exec.download_sparse(last)?);
-    };
-    let y = exec.download(last)?;
-    let blocks = BlockSparseTensor::from_dense(indices, flux, &y, 0.0);
-    // both dense ends are spent: their buffers serve the next chain's
-    exec.recycle(y);
-    exec.recycle(x_dense);
-    blocks
+        .expect("final step is not an accumulate"))
 }
 
-/// The list chain: one chain step per block pair of the kept schedule of
-/// `x`'s stored keys ([`ListSchedule`]), accumulate steps in
-/// [`contract_list`]'s exact enumeration order, intermediates stored in
-/// their consumer's order ([`consumer_order`]), and only the last
-/// contraction's blocks downloaded.
-fn apply_list(
+/// The list chain: one chain step per block pair of `schedule` over the
+/// blocks `x` of the input, accumulate steps in [`contract_list`]'s exact
+/// enumeration order, intermediates stored in their consumer's order
+/// ([`consumer_order`]).
+fn chain_list(
     exec: &Executor,
     a: &[Vec<(&BlockKey, DenseOp)>],
     plan: &ChainPlan,
-    x: &BlockSparseTensor,
-    input: ListInput,
-) -> Result<BlockSparseTensor> {
-    let schedule = plan
-        .schedule
-        .as_ref()
-        .expect("a plan over blocks schedules their pairs");
-    let run = |x_ops: &[DenseOp]| {
-        let chain_steps: Vec<ChainStep> = schedule
-            .pairs
-            .iter()
-            .map(|p| ChainStep {
-                spec: &plan.specs[p.s],
-                a: ChainSrc::Dense(a[p.s][p.a].1),
-                b: match p.b {
-                    BRef::X(i) => ChainSrc::Dense(x_ops[i]),
-                    BRef::Step(j) => ChainSrc::Prev(j),
-                },
-                acc: p.acc,
-                mask: None,
-            })
-            .collect();
-        exec.chain(&chain_steps)
-    };
-    let mut results = match input {
-        // x's blocks upload in stored order, for the length of the chain
-        ListInput::Transient => with_transient(exec, x.blocks_shared().map(|(_, b)| b), |hs| {
-            run(&hs.iter().map(DenseOp::from).collect::<Vec<_>>())
-        })?,
-        ListInput::Value => run(&x.blocks().map(|(_, b)| b.into()).collect::<Vec<_>>())?,
-    };
+    schedule: &ListSchedule,
+    x: &[DenseOp],
+) -> tt_dist::Result<Vec<Option<ResultHandle>>> {
+    let chain_steps: Vec<ChainStep> = schedule
+        .pairs
+        .iter()
+        .map(|p| ChainStep {
+            spec: &plan.specs[p.s],
+            a: ChainSrc::Dense(a[p.s][p.a].1),
+            b: match p.b {
+                BRef::X(i) => ChainSrc::Dense(x[i]),
+                BRef::Step(j) => ChainSrc::Prev(j),
+            },
+            acc: p.acc,
+            mask: None,
+        })
+        .collect();
+    exec.chain(&chain_steps)
+}
 
-    // download the final step's blocks (in sorted key order); free the
-    // blocks of earlier steps that nothing consumed (the chain released
-    // the consumed ones itself)
+/// Download a list chain's last contraction, block by block in
+/// `schedule.outputs` (sorted key) order, and free the blocks of earlier
+/// steps that nothing consumed (the chain released the consumed ones
+/// itself).
+fn download_list(
+    exec: &Executor,
+    schedule: &ListSchedule,
+    mut results: Vec<Option<ResultHandle>>,
+) -> Result<Vec<DenseTensor<f64>>> {
     let to_download: Vec<ResultHandle> = schedule
         .outputs
         .iter()
@@ -852,12 +896,7 @@ fn apply_list(
     let freed = exec.free_results(rest);
     let downloaded = downloaded?;
     freed?;
-    let (indices, flux) = plan.output();
-    let mut c = BlockSparseTensor::new(indices, flux);
-    for ((k, _), t) in schedule.outputs.iter().zip(downloaded) {
-        c.insert_block(k.clone(), t)?;
-    }
-    Ok(c)
+    Ok(downloaded)
 }
 
 impl Drop for ResidentChain<'_> {
@@ -1001,6 +1040,7 @@ mod tests {
             )
         };
         // what one resident period of `a` charges, from upload to release
+        let b = vector(&b);
         let period = |exec: &Executor| {
             exec.reset_costs();
             let chain = ResidentChain::upload(exec, Algorithm::List, &[(spec, &a)]).unwrap();
@@ -1053,11 +1093,13 @@ mod tests {
             &mut rng,
         );
         let exec = Executor::local();
+        let (psi, psi2) = (vector(&psi), vector(&psi2));
         for algo in ALGOS {
             let kept = ResidentChain::upload(&exec, algo, &steps).unwrap();
             for x in [&psi, &psi2, &psi] {
                 let fresh = ResidentChain::upload(&exec, algo, &steps).unwrap();
-                assert_eq!(kept.apply(x).unwrap(), fresh.apply(x).unwrap(), "{algo}");
+                let (y, want) = (kept.apply(x).unwrap(), fresh.apply(x).unwrap());
+                assert_eq!(y.to_blocks(), want.to_blocks(), "{algo}");
                 fresh.release().unwrap();
             }
             kept.release().unwrap();
@@ -1134,6 +1176,11 @@ mod tests {
         assert_eq!(bits(&c), bits(&want));
     }
 
+    /// `t` as a vector of its own layout.
+    fn vector(t: &BlockSparseTensor) -> BondVector {
+        BondVector::from_blocks(&Arc::new(BondLayout::new(t.indices(), t.flux())), t).unwrap()
+    }
+
     /// A tensor as its stored keys and the bits of every block.
     fn bits(t: &BlockSparseTensor) -> Vec<(BlockKey, Vec<u64>)> {
         t.blocks()
@@ -1141,11 +1188,11 @@ mod tests {
             .collect()
     }
 
-    /// A kept plan must follow a change of its input's stored keys alone,
-    /// indices and flux agreeing — for a list chain a new pair schedule:
-    /// ψ, then a ψ′ with one stored block fewer, then ψ again, on one
-    /// chain, each equal bit for bit to the `contract` fold and to a fresh
-    /// chain, under all three algorithms on Sequential and on two workers.
+    /// A kept plan serves every vector of its layout, whichever blocks of
+    /// it hold nonzeros: ψ, then a ψ′ whose block form stores one block
+    /// fewer, then ψ again, on one chain, each equal bit for bit to the
+    /// `contract` fold of its block form and to a fresh chain, under all
+    /// three algorithms on Sequential and on two workers.
     #[test]
     fn kept_plan_follows_the_stored_keys() {
         let mut rng = StdRng::seed_from_u64(106);
@@ -1156,17 +1203,14 @@ mod tests {
             &mut rng,
         );
         let steps = [("isj,jtk->istk", &a), ("ui,istk->ustk", &w)];
-        let mut fewer = BlockSparseTensor::new(psi.indices().to_vec(), psi.flux());
         let dropped = psi.n_blocks() / 2;
-        for (i, (k, b)) in psi.blocks().enumerate() {
-            if i != dropped {
-                fewer.insert_block(k.clone(), b.clone()).unwrap();
-            }
-        }
+        let fewer = only(&psi, |k| psi.blocks().nth(dropped).unwrap().0 != k);
         assert!(
             fewer.n_blocks() >= 2,
             "ψ′ keeps blocks on both sides of the gap"
         );
+        let layout = Arc::new(BondLayout::new(psi.indices(), psi.flux()));
+        let vectors = [&psi, &fewer, &psi].map(|t| BondVector::from_blocks(&layout, t).unwrap());
         let mut execs = vec![Executor::with_machine(
             tt_dist::Machine::blue_waters(2),
             1,
@@ -1184,18 +1228,58 @@ mod tests {
         );
         for (exec, algo) in execs.iter().flat_map(|e| ALGOS.map(|algo| (e, algo))) {
             let kept = ResidentChain::upload(exec, algo, &steps).unwrap();
-            for x in [&psi, &fewer, &psi] {
-                let t = contract(exec, algo, steps[0].0, &a, x).unwrap();
+            for x in &vectors {
+                let blocks = x.to_blocks();
+                let t = contract(exec, algo, steps[0].0, &a, &blocks).unwrap();
                 let fold = contract(exec, algo, steps[1].0, &w, &t).unwrap();
                 let fresh = ResidentChain::upload(exec, algo, &steps).unwrap();
                 let on = exec.backend();
-                let what = format!("{algo} of {} blocks on {on:?}", x.n_blocks());
-                let y = kept.apply(x).unwrap();
+                let what = format!("{algo} of {} blocks on {on:?}", blocks.n_blocks());
+                let y = kept.apply(x).unwrap().to_blocks();
                 assert_eq!(bits(&y), bits(&fold), "{what}");
-                assert_eq!(bits(&y), bits(&fresh.apply(x).unwrap()), "{what}");
+                assert_eq!(
+                    bits(&y),
+                    bits(&fresh.apply(x).unwrap().to_blocks()),
+                    "{what}"
+                );
                 fresh.release().unwrap();
             }
             kept.release().unwrap();
+        }
+    }
+
+    /// A resident chain searches the allowed keys once per layout, not
+    /// once per application: five applications of a two-step chain whose
+    /// result has another structure than `x` derive the result's layout
+    /// once, and a matvec-like chain, whose result has `x`'s structure,
+    /// never — under every algorithm.
+    #[test]
+    fn allowed_keys_run_once_per_layout() {
+        use crate::block::ALLOWED_KEYS_CALLS;
+        let mut rng = StdRng::seed_from_u64(107);
+        let (a, psi) = pair();
+        let w = BlockSparseTensor::random(
+            vec![bond(Arrow::In, &[(-1, 2), (1, 3)]), a.indices()[0].dual()],
+            QN::zero(1),
+            &mut rng,
+        );
+        // back to ψ's structure: the free modes of `a` closed by its dual
+        let dual = a.conj();
+        let x = vector(&psi);
+        let exec = Executor::local();
+        let other = [("isj,jtk->istk", &a), ("ui,istk->ustk", &w)];
+        let same = [("isj,jtk->istk", &a), ("isu,istk->utk", &dual)];
+        for algo in ALGOS {
+            for (steps, derived) in [(&other[..], 1), (&same[..], 0)] {
+                let chain = ResidentChain::upload(&exec, algo, steps).unwrap();
+                let before = ALLOWED_KEYS_CALLS.with(|c| c.get());
+                for _ in 0..5 {
+                    chain.apply(&x).unwrap();
+                }
+                let calls = ALLOWED_KEYS_CALLS.with(|c| c.get()) - before;
+                assert_eq!(calls, derived, "{algo}");
+                chain.release().unwrap();
+            }
         }
     }
 
@@ -1225,6 +1309,7 @@ mod tests {
             &mut rng,
         );
         let steps = [("isj,jtk->istk", &a), ("ui,istk->ustk", &w)];
+        let x = vector(&x);
         for algo in ALGOS {
             let exec = Executor::local();
             let chain = ResidentChain::upload(&exec, algo, &steps).unwrap();
@@ -1236,7 +1321,7 @@ mod tests {
             let after_first = fresh(&exec);
             assert_eq!(after_first > 0, algo == Algorithm::SparseDense, "{algo}");
             for _ in 0..3 {
-                assert_eq!(chain.apply(&x).unwrap(), first, "{algo}");
+                assert_eq!(chain.apply(&x).unwrap().data(), first.data(), "{algo}");
                 assert_eq!(fresh(&exec), after_first, "{algo}");
             }
             chain.release().unwrap();

@@ -10,6 +10,9 @@
 //! * [`block::BlockSparseTensor`] — the list-of-blocks tensor format,
 //!   including flattening to single sparse/dense tensors and the
 //!   pre-computed output-sparsity masks,
+//! * [`layout::BondLayout`] / [`layout::BondVector`] — one bond's vector
+//!   layout (every allowed block, concatenated) and the flat vectors a
+//!   Davidson solve and a resident chain exchange in it,
 //! * [`mod@contract`] — the `list` (Alg. 2), `sparse-dense` and `sparse-sparse`
 //!   contraction algorithms, all dispatched through a
 //!   [`tt_dist::Executor`],
@@ -21,6 +24,7 @@
 pub mod block;
 pub mod contract;
 pub mod index;
+pub mod layout;
 pub mod linalg;
 pub mod model;
 pub mod qn;
@@ -28,6 +32,7 @@ pub mod qn;
 pub use block::{BlockKey, BlockSparseTensor};
 pub use contract::{contract, contract_chain, Algorithm, ResidentChain};
 pub use index::QnIndex;
+pub use layout::{BondLayout, BondVector};
 pub use linalg::{block_svd, scale_bond, BlockDiag, BlockSvd};
 pub use model::BlockModel;
 pub use qn::{Arrow, QN};

@@ -7,7 +7,7 @@ use super::ExecMode;
 use super::Executor;
 use crate::cost;
 use crate::kernels;
-use crate::transport::worker::{Op, Reply, Request};
+use crate::transport::worker::{Reply, Request};
 use crate::{Error, Result};
 use tt_linalg::{TruncSpec, TruncatedSvd};
 use tt_tensor::DenseTensor;
@@ -59,7 +59,7 @@ impl Executor {
                     let req = Request::SvdTrunc {
                         rows: t.dims()[0],
                         cols: t.dims()[1],
-                        a: Op::Inline(t.data().to_vec()),
+                        a: t.data().to_vec(),
                         max_rank: spec.max_rank as u64,
                         cutoff: spec.cutoff,
                         min_keep: spec.min_keep as u64,

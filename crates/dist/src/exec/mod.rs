@@ -396,6 +396,17 @@ impl Executor {
         self.workspace.stats()
     }
 
+    /// A zeroed dense tensor of `dims` from the workspace, for a caller
+    /// that fills an operand in and hands it back by
+    /// [`Executor::recycle`] once the chain that read it is done.
+    pub fn zeros(&self, dims: &[usize]) -> DenseTensor<f64> {
+        let (mut buf, zeroed) = self.workspace.take_or_zeros(dims.iter().product());
+        if !zeroed {
+            buf.fill(0.0);
+        }
+        DenseTensor::from_vec(dims.to_vec(), buf).expect("the buffer holds the volume")
+    }
+
     /// Hand a dense tensor the caller is done with — a sparse-dense result
     /// it has converted, the densified operand it passed in — back to the
     /// workspace its buffer came from, or could serve next.

@@ -113,8 +113,7 @@ impl RecordingTransport {
                 reads.extend(a.key().into_iter().chain(b.key()));
                 writes.push(*key);
             }
-            Request::SvdTrunc { a, .. } => reads.extend(a.key()),
-            Request::Ping | Request::CacheStats | Request::Shutdown => {}
+            Request::SvdTrunc { .. } | Request::Ping | Request::CacheStats | Request::Shutdown => {}
         }
         let name = format!("{req:?}");
         let name = name.split(|c: char| !c.is_alphanumeric()).next();

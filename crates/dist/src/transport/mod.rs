@@ -25,8 +25,9 @@
 //! requests. A dense operand is an `Op` — `f64` data inline or a `Key`
 //! into the rank's store. The request numbers 3, 5, 6, 8, 9, 11, 13, 15,
 //! 16 and 17, reply numbers 3 and 5, inline-operand tag 2, sparse-sparse
-//! operand tag 1 and contraction output tag 0 (the result in the reply) are
-//! retired and decode to a typed `Decode` fault.
+//! operand tag 1, contraction output tag 0 (the result in the reply) and
+//! SVD operand tag 0 (a resident matrix) are retired and decode to a typed
+//! `Decode` fault.
 //!
 //! | # | request | effect | reply |
 //! |---|---|---|---|
@@ -37,7 +38,7 @@
 //! | 7 | `CacheStats` | store footprint and hit/miss counters | `Stats` |
 //! | 10 | `Contract` | a dense chain step, the only dense task: a whole contraction stored under `key`, or with `acc` added into what is stored there | `Unit` |
 //! | 12 | `SsChunk` | a sparse-sparse chain step under a mask given as row and column classes, `B` inline or a stored result; its slots stored under `key` | `Merged` |
-//! | 14 | `SvdTrunc` | truncated SVD of an `f64` matrix | `Svd` |
+//! | 14 | `SvdTrunc` | truncated SVD of an `f64` matrix sent inline | `Svd` |
 //! | 18 | `Download` | remove a stored result and return it | `Buf` or `Entries` |
 //! | 19 | `Shutdown` | end the worker loop | — |
 //! | 20 | `SdContract` | a sparse-dense chain step, `B` as it lies; its output-order result stored under `key` | `Unit` |

@@ -19,8 +19,9 @@ fn get_usizes(d: &mut Dec) -> Result<Vec<usize>> {
 /// The typed fault for a number the codec does not (or no longer)
 /// assigns. Retired numbers — request opcodes 3, 5, 6, 8, 9, 11, 13, 15,
 /// 16 and 17, reply opcodes 3 and 5, inline-operand tag 2, sparse-sparse
-/// operand tag 1 and contraction output tag 0 — are never reassigned, so a
-/// frame from an older peer fails here instead of being misread.
+/// operand tag 1, contraction output tag 0 and SVD operand tag 0 — are
+/// never reassigned, so a frame from an older peer fails here instead of
+/// being misread.
 fn unknown(what: &str, v: u8) -> Error {
     DistError::new(FaultKind::Decode, None, format!("unknown {what} {v}")).into()
 }
@@ -83,6 +84,15 @@ fn get_store_key(d: &mut Dec) -> Result<u64> {
     match d.u8()? {
         1 => d.u64(),
         t => Err(unknown("contraction output tag", t)),
+    }
+}
+
+/// An `SvdTrunc`'s matrix: tag 1 and the values inline (tag 0, a
+/// resident operand, is retired).
+fn get_svd_operand(d: &mut Dec) -> Result<Vec<f64>> {
+    match d.u8()? {
+        1 => d.f64s(),
+        t => Err(unknown("SVD operand tag", t)),
     }
 }
 
@@ -206,7 +216,8 @@ impl Request {
                 e.put_u8(14);
                 e.put_usize(*rows);
                 e.put_usize(*cols);
-                a.put(&mut e);
+                e.put_u8(1); // the inline operand's tag (`get_svd_operand`)
+                e.put_f64s(a);
                 e.put_u64(*max_rank);
                 e.put_f64(*cutoff);
                 e.put_u64(*min_keep);
@@ -282,7 +293,7 @@ impl Request {
             14 => Request::SvdTrunc {
                 rows: d.usize()?,
                 cols: d.usize()?,
-                a: Op::get(&mut d)?,
+                a: get_svd_operand(&mut d)?,
                 max_rank: d.u64()?,
                 cutoff: d.f64()?,
                 min_keep: d.u64()?,

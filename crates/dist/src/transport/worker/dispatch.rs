@@ -126,7 +126,6 @@ impl WorkerState {
                     cutoff,
                     min_keep: min_keep as usize,
                 };
-                let a = Self::take(self.op(a)?);
                 let t = kernels::svd_trunc(&DenseTensor::from_vec([rows, cols], a)?, spec)?;
                 Ok(Reply::Svd {
                     u_rows: t.u.dims()[0],

@@ -93,11 +93,12 @@ pub(crate) enum Request {
         cx_strides: Vec<u64>,
         mask: (Vec<u64>, Vec<u64>),
     },
-    /// Truncated SVD of a `rows × cols` `f64` matrix.
+    /// Truncated SVD of a `rows × cols` `f64` matrix, sent inline (a
+    /// resident operand, tag 0, is retired).
     SvdTrunc {
         rows: usize,
         cols: usize,
-        a: Op,
+        a: Vec<f64>,
         max_rank: u64,
         cutoff: f64,
         min_keep: u64,
@@ -227,7 +228,7 @@ impl Request {
             Request::Contract { a, b, .. } => a.payload_bytes() + b.payload_bytes(),
             Request::SdContract { a, b, .. } => coords(a) + b.payload_bytes(),
             Request::SsChunk { a, b, .. } => coords(a) + ss(b),
-            Request::SvdTrunc { a, .. } => a.payload_bytes(),
+            Request::SvdTrunc { a, .. } => 8 * a.len(),
             Request::Ping
             | Request::Free { .. }
             | Request::CacheStats

@@ -132,18 +132,10 @@ fn sample_requests(s: &Seed) -> Vec<Request> {
         Request::SvdTrunc {
             rows: 2,
             cols: 2,
-            a: inline.clone(),
+            a: data.clone(),
             max_rank: 3,
             cutoff: 0.0,
             min_keep: 2,
-        },
-        Request::SvdTrunc {
-            rows: 2,
-            cols: 2,
-            a: keyed.clone(),
-            max_rank: u64::MAX,
-            cutoff: 1e-12,
-            min_keep: 1,
         },
         Request::Download { key },
         Request::Shutdown,
@@ -331,6 +323,17 @@ fn retired_frames() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     .encode();
     ss[10] = 1; // `b`'s tag: after the opcode and the keyed `a` (tag, u64)
     requests.push(ss);
+    let mut svd = Request::SvdTrunc {
+        rows: 0,
+        cols: 0,
+        a: vec![],
+        max_rank: 0,
+        cutoff: 0.0,
+        min_keep: 0,
+    }
+    .encode();
+    svd[17] = 0; // `a`'s tag: after the opcode and the two dims
+    requests.push(svd);
     (requests, vec![frame(3), frame(5)])
 }
 

@@ -7,17 +7,27 @@
 //! subspace (the paper sweeps with subspace size 2, banking on the very
 //! good initial guesses DMRG provides).
 //!
+//! The solve runs in one [`BondLayout`] — every allowed block of the
+//! start vector's structure, concatenated, derived once per solve — and
+//! keeps its basis, the `A·v` vectors, the Ritz vector and the residual as
+//! [`BondVector`]s: dot, axpy, norm and scale are slice loops, and block
+//! form appears only at the solve's two ends (the start vector gathered in,
+//! the eigenvector handed back without its all-zero blocks).
+//!
 //! The `apply` closure is called once per matrix-vector product (several
 //! times per solve; a thick restart forms the Ritz vector's `A·x` from the
-//! kept `A·v_j` and calls none); the sweep driver passes
+//! kept `A·v_j` and calls none), with a vector of the solve's layout, and
+//! must return one of the same layout; the sweep driver passes
 //! [`crate::heff::ResidentHam::apply`], whose environment/MPO operands
-//! were uploaded once for the whole solve — the repeated matvecs here are
-//! exactly the reuse window the resident-operand executor API exists for.
+//! were uploaded once for the whole solve and whose chain plans once for
+//! the layout — the repeated matvecs here are exactly the reuse window the
+//! resident-operand executor API exists for.
 
 use crate::{Error, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tt_blocks::BlockSparseTensor;
+use std::sync::Arc;
+use tt_blocks::{BlockSparseTensor, BondLayout, BondVector};
 use tt_linalg::eigh;
 use tt_tensor::DenseTensor;
 
@@ -62,26 +72,36 @@ pub struct DavidsonResult {
 
 /// Compute the smallest eigenpair of the symmetric operator `apply`,
 /// starting from `x0` (which is overwritten conceptually — the eigenvector
-/// is returned).
+/// is returned, in block form).
 pub fn davidson(
-    mut apply: impl FnMut(&BlockSparseTensor) -> Result<BlockSparseTensor>,
+    mut apply: impl FnMut(&BondVector) -> Result<BondVector>,
     x0: &BlockSparseTensor,
     opts: DavidsonOptions,
 ) -> Result<(DavidsonResult, BlockSparseTensor)> {
     let mut rng = StdRng::seed_from_u64(opts.seed);
-    let nrm = x0.norm();
+    let layout = Arc::new(BondLayout::new(x0.indices(), x0.flux()));
+    let mut v0 = BondVector::from_blocks(&layout, x0)?;
+    let nrm = v0.norm();
     if nrm == 0.0 {
         return Err(Error::Eig("Davidson needs a nonzero start vector".into()));
     }
-    let mut v0 = x0.clone();
     v0.scale_mut(1.0 / nrm);
+    let mut apply = |v: &BondVector| {
+        let av = apply(v)?;
+        let same = Arc::ptr_eq(av.layout(), &layout)
+            || layout.lays_out(av.layout().indices(), av.layout().flux());
+        if !same {
+            return Err(Error::Eig("the operator left the bond layout".into()));
+        }
+        Ok(av)
+    };
 
-    let mut basis: Vec<BlockSparseTensor> = vec![v0.clone()];
-    let mut av: Vec<BlockSparseTensor> = vec![apply(&v0)?];
+    let mut basis: Vec<BondVector> = vec![v0.clone()];
+    let mut av: Vec<BondVector> = vec![apply(&v0)?];
     let mut matvecs = 1usize;
     // subspace expansions against `max_iter`: a restart counts one without an apply
     let mut steps = 1usize;
-    let mut lambda = v0.dot(&av[0])?;
+    let mut lambda = v0.dot(&av[0]);
     let mut x = v0;
     let mut residual = f64::INFINITY;
 
@@ -91,8 +111,7 @@ pub fn davidson(
         let mut m = DenseTensor::<f64>::zeros([k, k]);
         for (i, bi) in basis.iter().enumerate() {
             for (j, avj) in av.iter().enumerate() {
-                let mij = bi.dot(avj)?;
-                m.set(&[i, j], mij);
+                m.set(&[i, j], bi.dot(avj));
             }
         }
         // symmetrize roundoff
@@ -107,13 +126,13 @@ pub fn davidson(
         let mut q = av[0].clone();
         q.scale_mut(vec.at(&[0, 0]));
         for j in 1..k {
-            xr.axpy(vec.at(&[j, 0]), &basis[j])?;
-            q.axpy(vec.at(&[j, 0]), &av[j])?;
+            xr.axpy(vec.at(&[j, 0]), &basis[j]);
+            q.axpy(vec.at(&[j, 0]), &av[j]);
         }
         // a full subspace restarts from x: keep A x for it
         let ax = (k >= opts.max_subspace && steps < opts.max_iter).then(|| q.clone());
         // residual q = A x − λ x
-        q.axpy(-lambda, &xr)?;
+        q.axpy(-lambda, &xr);
         residual = q.norm();
         x = xr;
         if residual <= opts.tol || steps >= opts.max_iter {
@@ -121,22 +140,11 @@ pub fn davidson(
         }
 
         // orthogonalize q against the basis (modified Gram-Schmidt, twice)
-        for _pass in 0..2 {
-            for v in &basis {
-                let c = v.dot(&q)?;
-                q.axpy(-c, v)?;
-            }
-        }
-        let qn = q.norm();
-        if qn < 1e-12 {
+        orthogonalize(&mut q, &basis);
+        if q.norm() < 1e-12 {
             // failed reorthogonalization — randomize (paper's fallback)
-            q = BlockSparseTensor::random(x.indices().to_vec(), x.flux(), &mut rng);
-            for _pass in 0..2 {
-                for v in &basis {
-                    let c = v.dot(&q)?;
-                    q.axpy(-c, v)?;
-                }
-            }
+            q = BondVector::random(&layout, &mut rng);
+            orthogonalize(&mut q, &basis);
         }
         let qn = q.norm();
         if qn < 1e-14 {
@@ -173,8 +181,18 @@ pub fn davidson(
             matvecs,
             residual,
         },
-        x,
+        x.to_blocks(),
     ))
+}
+
+/// Modified Gram–Schmidt of `q` against `basis`, twice.
+fn orthogonalize(q: &mut BondVector, basis: &[BondVector]) {
+    for _pass in 0..2 {
+        for v in basis {
+            let c = v.dot(q);
+            q.axpy(-c, v);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -190,18 +208,12 @@ mod tests {
         ]
     }
 
-    fn diag_apply(x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
-        // A = diag(0, 1, 2, ...)
+    /// A = diag(0, 1, 2, ...) on a [`diag_space`] vector, whose one
+    /// `n × 1` block is the whole layout.
+    fn diag_apply(x: &BondVector) -> Result<BondVector> {
         let mut y = x.clone();
-        let keys: Vec<_> = y.blocks().map(|(k, _)| k.clone()).collect();
-        for key in keys {
-            let b = y.block(&key).unwrap().clone();
-            let n = b.dims()[0];
-            let mut nb = b.clone();
-            for i in 0..n {
-                nb.set(&[i, 0], b.at(&[i, 0]) * i as f64);
-            }
-            y.insert_block(key, nb).unwrap();
+        for (i, v) in y.data_mut().iter_mut().enumerate() {
+            *v *= i as f64;
         }
         Ok(y)
     }
@@ -233,11 +245,12 @@ mod tests {
         let idx = diag_space(12);
         let mut rng = StdRng::seed_from_u64(5);
         let x0 = BlockSparseTensor::random(idx, QN::zero(1), &mut rng);
-        let mut x0n = x0.clone();
-        x0n.scale_mut(1.0 / x0.norm());
-        let before = x0n.dot(&diag_apply(&x0n).unwrap()).unwrap();
+        let layout = Arc::new(BondLayout::new(x0.indices(), x0.flux()));
+        let mut x0n = BondVector::from_blocks(&layout, &x0).unwrap();
+        x0n.scale_mut(1.0 / x0n.norm());
+        let before = x0n.dot(&diag_apply(&x0n).unwrap());
         let calls = std::cell::Cell::new(0);
-        let counting = |x: &BlockSparseTensor| {
+        let counting = |x: &BondVector| {
             calls.set(calls.get() + 1);
             diag_apply(x)
         };
@@ -283,15 +296,11 @@ mod tests {
     }
 
     /// `A·x` on the single `n × 1` block of a [`diag_space`] vector.
-    fn matrix_apply(
-        a: &[Vec<f64>],
-    ) -> impl Fn(&BlockSparseTensor) -> Result<BlockSparseTensor> + '_ {
+    fn matrix_apply(a: &[Vec<f64>]) -> impl Fn(&BondVector) -> Result<BondVector> + '_ {
         move |x| {
-            let d = x.to_dense();
-            let y = matvec(a, d.data());
-            let mut out = BlockSparseTensor::new(x.indices().to_vec(), x.flux());
-            out.insert_block(vec![0, 0], DenseTensor::from_vec([y.len(), 1], y)?)?;
-            Ok(out)
+            let mut y = x.clone();
+            y.data_mut().copy_from_slice(&matvec(a, x.data()));
+            Ok(y)
         }
     }
 
@@ -311,12 +320,13 @@ mod tests {
     /// applies the operator to the Ritz vector again. No randomized
     /// fallback (the tests that use it never need one).
     fn davidson_recomputing(
-        apply: impl Fn(&BlockSparseTensor) -> Result<BlockSparseTensor>,
+        apply: impl Fn(&BondVector) -> Result<BondVector>,
         x0: &BlockSparseTensor,
         opts: DavidsonOptions,
-    ) -> (f64, BlockSparseTensor) {
-        let mut v0 = x0.clone();
-        v0.scale_mut(1.0 / x0.norm());
+    ) -> (f64, BondVector) {
+        let layout = Arc::new(BondLayout::new(x0.indices(), x0.flux()));
+        let mut v0 = BondVector::from_blocks(&layout, x0).unwrap();
+        v0.scale_mut(1.0 / v0.norm());
         let mut basis = vec![v0.clone()];
         let mut av = vec![apply(&v0).unwrap()];
         let mut matvecs = 1;
@@ -326,7 +336,7 @@ mod tests {
             let mut m = DenseTensor::<f64>::zeros([k, k]);
             for (i, bi) in basis.iter().enumerate() {
                 for (j, avj) in av.iter().enumerate() {
-                    m.set(&[i, j], bi.dot(avj).unwrap());
+                    m.set(&[i, j], bi.dot(avj));
                 }
             }
             let m = m.add(&m.permute(&[1, 0]).unwrap()).unwrap().scaled(0.5);
@@ -337,19 +347,15 @@ mod tests {
             let mut q = av[0].clone();
             q.scale_mut(s.at(&[0, 0]));
             for j in 1..k {
-                xr.axpy(s.at(&[j, 0]), &basis[j]).unwrap();
-                q.axpy(s.at(&[j, 0]), &av[j]).unwrap();
+                xr.axpy(s.at(&[j, 0]), &basis[j]);
+                q.axpy(s.at(&[j, 0]), &av[j]);
             }
-            q.axpy(-lambda, &xr).unwrap();
+            q.axpy(-lambda, &xr);
             x = xr;
             if q.norm() <= opts.tol || matvecs >= opts.max_iter {
                 break;
             }
-            for _pass in 0..2 {
-                for v in &basis {
-                    q.axpy(-v.dot(&q).unwrap(), v).unwrap();
-                }
-            }
+            orthogonalize(&mut q, &basis);
             let qn = q.norm();
             assert!(qn >= 1e-12, "the reference has no randomized fallback");
             q.scale_mut(1.0 / qn);
@@ -386,13 +392,14 @@ mod tests {
             };
             let (res, x) = davidson(matrix_apply(&a), &x0, opts).unwrap();
             let (lambda, xr) = davidson_recomputing(matrix_apply(&a), &x0, opts);
+            let x = BondVector::from_blocks(xr.layout(), &x).unwrap();
             assert!(
                 (res.lambda - lambda).abs() < 1e-12,
                 "{} vs {lambda}",
                 res.lambda
             );
             let mut diff = x.clone();
-            diff.axpy(-1.0, &xr).unwrap();
+            diff.axpy(-1.0, &xr);
             assert!(
                 diff.norm() < 1e-12,
                 "subspace {max_subspace}: |Δx| = {}",

@@ -9,14 +9,17 @@
 //! *sparse-dense* algorithm keeps sparse while Davidson intermediates stay
 //! dense, exactly as Section IV-A prescribes.
 //!
-//! [`EffectiveHam`] applies the four operands by value (the reference);
-//! [`EffectiveHam::upload`] makes it a [`ResidentHam`], a [`ResidentChain`]
-//! of the same four steps that owns the uploaded operands, the matvec's
-//! structural plan and their release.
+//! [`EffectiveHam`] applies the four operands by value to a block-sparse
+//! tensor (the reference); [`EffectiveHam::upload`] makes it a
+//! [`ResidentHam`], a [`ResidentChain`] of the same four steps that owns
+//! the uploaded operands, the matvec's structural plan and their release.
+//! A `ResidentHam` maps the Davidson solve's [`BondVector`]s — one flat
+//! vector in the bond's [`tt_blocks::BondLayout`] — to vectors of the same
+//! layout: ψ and `y` never pass through block form between matvecs.
 
 use crate::Result;
 use tt_blocks::contract::contract;
-use tt_blocks::{Algorithm, BlockSparseTensor, ResidentChain};
+use tt_blocks::{Algorithm, BlockSparseTensor, BondVector, ResidentChain};
 use tt_dist::Executor;
 
 /// The four contractions of one matvec, in chain order: each step's
@@ -99,23 +102,25 @@ impl EffectiveHam<'_> {
 pub struct ResidentHam<'a>(ResidentChain<'a>);
 
 impl ResidentHam<'_> {
-    /// Apply `K` to a two-site tensor — bitwise-identical to
-    /// [`EffectiveHam::apply`] on the same operands, but run as one
+    /// Apply `K` to a two-site vector `x` of the bond's layout and return
+    /// `K·x` in the same layout — bitwise-identical to
+    /// [`EffectiveHam::apply`] on `x`'s block form, but run as one
     /// [`ResidentChain::apply`]: the intermediates t₁…t₃ never return to
     /// block form. For all three algorithms that is **one chained
     /// superstep per matvec** — ψ uploads once, t₁…t₃ stay resident in the
     /// worker stores and only `y` downloads, which on the multi-process
     /// backend collapses the driver's per-matvec *result* traffic to the
-    /// final download. For sparse-sparse ψ is flattened once, every step
-    /// accumulates only where its output mask allows an entry and hands
-    /// its result on in the merge kernel's own format, and only `y` is
-    /// re-blocked. What the
-    /// matvec knows from structure alone is derived once per eigensolve,
-    /// for all three; for list that includes the block-pair schedule of
-    /// `x`'s stored keys (re-derived when a residual brings others), and
-    /// t₁…t₃ stored in the order the next step reads them, so steps 2–4
-    /// read their `B` in place.
-    pub fn apply(&self, x: &BlockSparseTensor) -> Result<BlockSparseTensor> {
+    /// final download. ψ enters and `y` leaves through maps of the layout
+    /// derived with the plan: for sparse-sparse one gather of ψ's nonzeros
+    /// and one merge walk of `y`'s entries, every step in between
+    /// accumulating only where its output mask allows an entry and handing
+    /// its result on in the merge kernel's own format; for sparse-dense a
+    /// scatter and a gather along the layout's runs; for list the layout's
+    /// blocks. What the matvec knows from structure alone is derived once
+    /// per eigensolve, for all three; for list that includes the block-pair
+    /// schedule of every block of the layout, and t₁…t₃ stored in the order
+    /// the next step reads them, so steps 2–4 read their `B` in place.
+    pub fn apply(&self, x: &BondVector) -> Result<BondVector> {
         Ok(self.0.apply(x)?)
     }
 

@@ -458,10 +458,17 @@ fn handle_contractions_bitwise_match_value_paths_across_backends() {
     }
 }
 
+/// `ResidentHam::apply` maps a bond vector to the bond vector of what the
+/// value path `EffectiveHam::apply` makes of its block form: under all
+/// three algorithms, on Sequential, Threaded and two worker processes, on
+/// the first application (operands missing on the workers) and the second
+/// (resident), and the same values on every backend.
 #[test]
 fn resident_ham_matches_effective_ham_bitwise() {
     use dmrg::EffectiveHam;
     use dmrg::Environments;
+    use std::sync::Arc;
+    use tt_blocks::{BondLayout, BondVector};
     use tt_mps::Mps;
     let n = 6;
     let lat = Lattice::chain(n);
@@ -477,45 +484,57 @@ fn resident_ham_matches_effective_ham_bitwise() {
         Algorithm::SparseDense,
         Algorithm::SparseSparse,
     ] {
-        let exec = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
-        let envs = Environments::initialize(&exec, algo, &psi, &mpo).unwrap();
-        // build the left environment at a middle bond (initialize only
-        // seeds the edges)
-        let j = 2;
-        let mut lenv = envs.left[0].clone().unwrap();
-        for site in 0..j {
-            lenv =
-                dmrg::extend_left(&exec, algo, &lenv, psi.tensor(site), mpo.tensor(site)).unwrap();
+        let mut across: Option<Vec<f64>> = None;
+        for (name, exec) in &flat_chain_executors() {
+            let envs = Environments::initialize(exec, algo, &psi, &mpo).unwrap();
+            // build the left environment at a middle bond (initialize only
+            // seeds the edges)
+            let j = 2;
+            let mut lenv = envs.left[0].clone().unwrap();
+            for site in 0..j {
+                lenv = dmrg::extend_left(exec, algo, &lenv, psi.tensor(site), mpo.tensor(site))
+                    .unwrap();
+            }
+            let x = tt_blocks::contract::contract_list(
+                exec,
+                "lsj,jtk->lstk",
+                psi.tensor(j),
+                psi.tensor(j + 1),
+            )
+            .unwrap();
+            let layout = Arc::new(BondLayout::new(x.indices(), x.flux()));
+            let xv = BondVector::from_blocks(&layout, &x).unwrap();
+            let heff = EffectiveHam {
+                exec,
+                algo,
+                left: &lenv,
+                w1: mpo.tensor(j),
+                w2: mpo.tensor(j + 1),
+                right: envs.right[j + 1].as_ref().unwrap(),
+            };
+            let reference = BondVector::from_blocks(&layout, &heff.apply(&x).unwrap()).unwrap();
+            let rham = heff.upload().unwrap();
+            let first = rham.apply(&xv).unwrap();
+            let second = rham.apply(&xv).unwrap();
+            assert!(
+                Arc::ptr_eq(first.layout(), &layout),
+                "{name}/{algo}: y shares ψ's layout"
+            );
+            assert_eq!(
+                reference.data(),
+                first.data(),
+                "{name}/{algo}: resident apply (miss) must match the value path bitwise"
+            );
+            assert_eq!(
+                reference.data(),
+                second.data(),
+                "{name}/{algo}: resident apply (hit) must match too"
+            );
+            match &across {
+                None => across = Some(first.data().to_vec()),
+                Some(r) => assert_eq!(first.data(), &r[..], "{name}/{algo}: across backends"),
+            }
         }
-        let x = tt_blocks::contract::contract_list(
-            &exec,
-            "lsj,jtk->lstk",
-            psi.tensor(j),
-            psi.tensor(j + 1),
-        )
-        .unwrap();
-        let heff = EffectiveHam {
-            exec: &exec,
-            algo,
-            left: &lenv,
-            w1: mpo.tensor(j),
-            w2: mpo.tensor(j + 1),
-            right: envs.right[j + 1].as_ref().unwrap(),
-        };
-        let reference = heff.apply(&x).unwrap();
-        let rham = heff.upload().unwrap();
-        let first = rham.apply(&x).unwrap();
-        let second = rham.apply(&x).unwrap();
-        assert_eq!(
-            reference.to_dense().data(),
-            first.to_dense().data(),
-            "{algo}: resident apply (miss) must match the value path bitwise"
-        );
-        assert_eq!(
-            reference.to_dense().data(),
-            second.to_dense().data(),
-            "{algo}: resident apply (hit) must match too"
-        );
     }
 }
 
@@ -685,9 +704,11 @@ fn chained_matvecs_bitwise_across_backends() {
             };
             let value = heff.apply(&x).unwrap().to_dense();
             let rham = heff.upload().unwrap();
+            let layout = std::sync::Arc::new(tt_blocks::BondLayout::new(x.indices(), x.flux()));
+            let xv = tt_blocks::BondVector::from_blocks(&layout, &x).unwrap();
             // miss then hit: both chained matvecs must match the value path
-            let first = rham.apply(&x).unwrap().to_dense();
-            let second = rham.apply(&x).unwrap().to_dense();
+            let first = rham.apply(&xv).unwrap().to_blocks().to_dense();
+            let second = rham.apply(&xv).unwrap().to_blocks().to_dense();
             assert_eq!(value.data(), first.data(), "{name}/{algo}: chained miss");
             assert_eq!(value.data(), second.data(), "{name}/{algo}: chained hit");
             match &reference {
@@ -914,7 +935,7 @@ fn meter_ss_paths(
     x: &BlockSparseTensor,
 ) -> (Vec<f64>, u64, u64) {
     use tt_blocks::contract::contract;
-    use tt_blocks::ResidentChain;
+    use tt_blocks::{BondLayout, BondVector, ResidentChain};
     let algo = Algorithm::SparseSparse;
     let steps: Vec<(&str, &BlockSparseTensor)> = specs
         .iter()
@@ -926,9 +947,16 @@ fn meter_ss_paths(
         .iter()
         .map(|&step| ResidentChain::upload(exec, algo, &[step]).unwrap())
         .collect();
-    let chain = || resident.apply(x).unwrap();
+    let vector = |t: &BlockSparseTensor| {
+        let layout = std::sync::Arc::new(BondLayout::new(t.indices(), t.flux()));
+        BondVector::from_blocks(&layout, t).unwrap()
+    };
+    let xv = vector(x);
+    let chain = || resident.apply(&xv).unwrap().to_blocks();
     let fold = || {
-        let apply = |b: BlockSparseTensor, single: &ResidentChain| single.apply(&b).unwrap();
+        let apply = |b: BlockSparseTensor, single: &ResidentChain| {
+            single.apply(&vector(&b)).unwrap().to_blocks()
+        };
         singles.iter().fold(x.clone(), apply)
     };
     let value = || {
@@ -1129,7 +1157,14 @@ fn davidson_bytes(warm_m: usize, workers: usize, opts: dmrg::DavidsonOptions) ->
     };
 
     let before = (mp.operand_bytes(), mp.result_bytes());
-    let (_, x_val) = davidson(|v| heff.apply(v), &x0, opts).unwrap();
+    // the value-passing reference: each matvec's vector in block form
+    let value_apply = |v: &tt_blocks::BondVector| -> dmrg::Result<tt_blocks::BondVector> {
+        Ok(tt_blocks::BondVector::from_blocks(
+            v.layout(),
+            &heff.apply(&v.to_blocks())?,
+        )?)
+    };
+    let (_, x_val) = davidson(value_apply, &x0, opts).unwrap();
     let (value_operands, value_results) =
         (mp.operand_bytes() - before.0, mp.result_bytes() - before.1);
 
