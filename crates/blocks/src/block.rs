@@ -7,8 +7,18 @@
 //! flux: `Σ_i arrow_i · q(s_i) == flux`. Memory drops from `Π d_i` to
 //! `Σ_blocks Π d_i^ℓ` and contractions run block-by-block (list algorithm)
 //! or on the flattened sparse form (sparse-dense / sparse-sparse).
+//!
+//! The flattened index space belongs to [`crate::layout`]. Every import
+//! into block form — [`BlockSparseTensor::from_dense`],
+//! [`BlockSparseTensor::from_flat_sparse`],
+//! [`BlockSparseTensor::flat_mask`] and [`BlockSparseTensor::random`] — is
+//! a read of one [`BondLayout`]: gather or scatter along its runs, then one
+//! [`BondVector`] → blocks step that keeps a block when some entry is not
+//! `|x| ≤ tol`. Only the two exports walk the stored blocks themselves:
+//! [`BlockSparseTensor::to_dense`] and [`BlockSparseTensor::to_flat_sparse`].
 
 use crate::index::QnIndex;
+use crate::layout::{BondLayout, BondVector, FlatLayout, FlatRuns};
 use crate::qn::{signed, QN};
 use crate::{Error, Result};
 use rand::Rng;
@@ -36,91 +46,7 @@ pub struct BlockSparseTensor {
     /// (`Executor::upload_shared`) or enqueueing it into a chain step
     /// shares the allocation instead of copying the data; mutation goes
     /// through `Arc::make_mut` (copy-on-write when genuinely shared).
-    blocks: BTreeMap<BlockKey, Arc<DenseTensor<f64>>>,
-}
-
-/// The flattened (row-major dense) index space of a graded index list.
-/// Sectors are contiguous ranges of each mode, so a block is a set of
-/// contiguous innermost-mode *runs* there, and every block↔flat
-/// conversion is slice copies between runs and block data.
-pub(crate) struct FlatLayout<'a> {
-    indices: &'a [QnIndex],
-    /// Row-major strides of the dense dims.
-    strides: Vec<usize>,
-    /// Odometer over a block's outer modes, reused across blocks.
-    idx: Vec<usize>,
-}
-
-/// One run of block `block` (a position in the caller's key order):
-/// `len` elements at flat offset `start`, at `local` in the block's data.
-pub(crate) struct Run {
-    pub(crate) start: usize,
-    pub(crate) len: usize,
-    pub(crate) block: usize,
-    pub(crate) local: usize,
-}
-
-impl<'a> FlatLayout<'a> {
-    pub(crate) fn new(indices: &'a [QnIndex]) -> Self {
-        let dims: Vec<usize> = indices.iter().map(|i| i.dim()).collect();
-        Self {
-            indices,
-            strides: tt_tensor::Shape::from(dims).strides(),
-            idx: vec![0; indices.len() - 1],
-        }
-    }
-
-    /// Call `f(start, local, len)` for each run of block `key`, in the
-    /// block's row-major order — ascending in both offsets.
-    fn for_each_run(&mut self, key: &[u16], mut f: impl FnMut(usize, usize, usize)) {
-        let indices = self.indices;
-        let last = key.len() - 1;
-        let extent = |m: usize| indices[m].sector_dim(key[m] as usize);
-        let len = extent(last);
-        let mut start: usize = (0..=last)
-            .map(|m| indices[m].sector_offset(key[m] as usize) * self.strides[m])
-            .sum();
-        let mut local = 0;
-        self.idx.fill(0);
-        loop {
-            f(start, local, len);
-            local += len;
-            // advance the outer modes, innermost first; a mode that wraps
-            // hands its span back before carrying
-            let mut m = last;
-            loop {
-                if m == 0 {
-                    return;
-                }
-                m -= 1;
-                self.idx[m] += 1;
-                start += self.strides[m];
-                if self.idx[m] < extent(m) {
-                    break;
-                }
-                start -= self.idx[m] * self.strides[m];
-                self.idx[m] = 0;
-            }
-        }
-    }
-
-    /// The runs of every block of `keys`, ascending by flat offset
-    /// (distinct blocks never overlap, so that order is total).
-    pub(crate) fn sorted_runs<'k>(mut self, keys: impl Iterator<Item = &'k BlockKey>) -> Vec<Run> {
-        let mut runs = Vec::new();
-        for (block, key) in keys.enumerate() {
-            self.for_each_run(key, |start, local, len| {
-                runs.push(Run {
-                    start,
-                    len,
-                    block,
-                    local,
-                })
-            });
-        }
-        runs.sort_unstable_by_key(|r| r.start);
-        runs
-    }
+    pub(crate) blocks: BTreeMap<BlockKey, Arc<DenseTensor<f64>>>,
 }
 
 impl BlockSparseTensor {
@@ -282,15 +208,11 @@ impl BlockSparseTensor {
         self.blocks.len()
     }
 
-    /// Fill every allowed block with uniform random entries.
+    /// Fill every allowed block with uniform random entries, drawn in
+    /// key order: [`BondVector::random`] of the structure's layout.
     pub fn random(indices: Vec<QnIndex>, flux: QN, rng: &mut (impl Rng + ?Sized)) -> Self {
-        let mut t = Self::new(indices, flux);
-        for key in t.allowed_keys() {
-            let dims = t.block_dims(&key);
-            let b = DenseTensor::random(dims, rng);
-            t.blocks.insert(key, Arc::new(b));
-        }
-        t
+        let layout = Arc::new(BondLayout::new(&indices, flux));
+        BondVector::random(&layout, rng).to_blocks_above(f64::NEG_INFINITY)
     }
 
     /// Embed into a dense tensor (blocks at their sector offsets).
@@ -307,121 +229,53 @@ impl BlockSparseTensor {
         out
     }
 
-    /// Extract the allowed blocks of a dense tensor; blocks with all
-    /// entries `|x| ≤ tol` are dropped.
+    /// Extract the allowed blocks of a dense tensor; a block is kept when
+    /// some entry is not `|x| ≤ tol` (so a NaN always keeps its block).
     pub fn from_dense(
         indices: Vec<QnIndex>,
         flux: QN,
         dense: &DenseTensor<f64>,
         tol: f64,
     ) -> Result<Self> {
-        let mut t = Self::new(indices, flux);
-        let want: Vec<usize> = t.dense_dims();
-        if dense.dims() != want {
-            return Err(Error::Key(format!(
-                "dense dims {:?} != graded dims {:?}",
-                dense.dims(),
-                want
-            )));
-        }
-        let mut layout = FlatLayout::new(&t.indices);
-        let src = dense.data();
-        for key in t.allowed_keys() {
-            let dims = t.block_dims(&key);
-            let mut data = Vec::with_capacity(dims.iter().product());
-            layout.for_each_run(&key, |start, _, len| {
-                data.extend_from_slice(&src[start..start + len]);
-            });
-            let block = DenseTensor::from_vec(dims, data).expect("runs tile the block");
-            if block.max_abs() > tol {
-                t.blocks.insert(key, Arc::new(block));
-            }
-        }
-        Ok(t)
+        let layout = Arc::new(BondLayout::new(&indices, flux));
+        let runs = layout.flat_runs();
+        runs.check_dims("dense", dense.dims())?;
+        let mut v = BondVector::zeros(&layout);
+        runs.gather_dense(dense.data(), v.data_mut());
+        Ok(v.to_blocks_above(tol))
     }
 
     /// Flatten into a single sparse tensor over the dense index space
     /// (the storage format of the sparse-dense / sparse-sparse algorithms).
-    /// Stored zeros are not emitted.
+    /// Stored zeros are not emitted. The stored blocks, laid end to end,
+    /// are gathered along their own runs.
     pub fn to_flat_sparse(&self) -> SparseTensor<f64> {
-        let blocks: Vec<&[f64]> = self.blocks.values().map(|b| b.data()).collect();
-        let runs = FlatLayout::new(&self.indices).sorted_runs(self.blocks.keys());
-        let stored = self.stored_elements();
-        let (mut offsets, mut values) = (Vec::with_capacity(stored), Vec::with_capacity(stored));
-        for run in runs {
-            let src = &blocks[run.block][run.local..run.local + run.len];
-            for (i, &v) in src.iter().enumerate() {
-                if v != 0.0 {
-                    offsets.push((run.start + i) as u64);
-                    values.push(v);
-                }
-            }
+        let (mut starts, mut data) = (Vec::new(), Vec::with_capacity(self.stored_elements()));
+        for block in self.blocks.values() {
+            starts.push(data.len());
+            data.extend_from_slice(block.data());
         }
-        SparseTensor::from_sorted(self.dense_dims(), offsets, values)
-            .expect("sorted runs of distinct blocks are disjoint")
+        FlatRuns::new(&self.indices, self.blocks.keys(), &starts).gather_sparse(&data)
     }
 
     /// All dense offsets allowed by symmetry, **ascending** — the output
     /// sparsity the mask classes of a sparse-sparse contraction stand for.
     pub fn flat_mask(indices: &[QnIndex], flux: QN) -> Vec<u64> {
-        let keys = Self::new(indices.to_vec(), flux).allowed_keys();
-        let runs = FlatLayout::new(indices).sorted_runs(keys.iter());
-        let mut mask = Vec::with_capacity(runs.iter().map(|r| r.len).sum());
-        for run in runs {
-            mask.extend(run.start as u64..(run.start + run.len) as u64);
-        }
-        mask
+        BondLayout::new(indices, flux).flat_runs().offsets()
     }
 
     /// Rebuild block form from a flattened sparse tensor. Entries in
     /// symmetry-forbidden positions are rejected; stored zeros are skipped
-    /// wherever they sit, and a block is created by its first nonzero.
+    /// wherever they sit, and a block is kept when it holds a nonzero.
     pub fn from_flat_sparse(
         indices: Vec<QnIndex>,
         flux: QN,
         sp: &SparseTensor<f64>,
     ) -> Result<Self> {
-        let mut t = Self::new(indices, flux);
-        let dims = t.dense_dims();
-        if sp.dims() != dims {
-            return Err(Error::Key(format!(
-                "sparse dims {:?} != graded dims {:?}",
-                sp.dims(),
-                dims
-            )));
-        }
-        // entries and allowed runs both ascend: one merge pass places every
-        // entry, and an entry no run covers is forbidden
-        let keys = t.allowed_keys();
-        let runs = FlatLayout::new(&t.indices).sorted_runs(keys.iter());
-        let mut data: Vec<Option<Vec<f64>>> = vec![None; keys.len()];
-        let mut r = 0;
-        for (off, v) in sp.entries() {
-            if v == 0.0 {
-                continue;
-            }
-            let off = off as usize;
-            while runs.get(r).is_some_and(|run| run.start + run.len <= off) {
-                r += 1;
-            }
-            let Some(run) = runs.get(r).filter(|run| run.start <= off) else {
-                return Err(Error::Symmetry(format!(
-                    "entry at {:?} violates flux {}",
-                    sp.shape().unoffset(off),
-                    t.flux
-                )));
-            };
-            let block = data[run.block]
-                .get_or_insert_with(|| vec![0.0; t.block_dims(&keys[run.block]).iter().product()]);
-            block[run.local + off - run.start] = v;
-        }
-        for (key, d) in keys.into_iter().zip(data) {
-            if let Some(d) = d {
-                let block = DenseTensor::from_vec(t.block_dims(&key), d).expect("block volume");
-                t.blocks.insert(key, Arc::new(block));
-            }
-        }
-        Ok(t)
+        let layout = Arc::new(BondLayout::new(&indices, flux));
+        let mut v = BondVector::zeros(&layout);
+        layout.flat_runs().scatter_sparse(sp, v.data_mut())?;
+        Ok(v.to_blocks())
     }
 
     /// Permute the tensor modes.

@@ -8,13 +8,20 @@
 //! such a layout, shared, plus one `Vec<f64>`: dot, axpy, norm and scale are
 //! slice loops, and block form appears only where a solve starts and ends.
 //!
-//! A contraction chain reads a bond vector in the form its algorithm
-//! consumes through the layout's flat runs: the runs of the flattened
-//! (row-major dense) index space the layout covers, derived once per
-//! layout, which gather and scatter both flattened forms without a key
-//! lookup or a per-block allocation.
+//! This module also owns the flattened (row-major dense) index space of
+//! the sparse-dense and sparse-sparse algorithms. `FlatLayout` walks a
+//! block's runs there; `FlatRuns` are the runs of a list of blocks laid end
+//! to end, sorted by flat offset. A layout's, derived once per layout,
+//! gather and scatter both flattened forms without a key lookup or a
+//! per-block allocation. A contraction chain reads and writes a bond
+//! vector through them, and every import into block form
+//! ([`BlockSparseTensor::from_dense`], [`BlockSparseTensor::from_flat_sparse`],
+//! [`BlockSparseTensor::flat_mask`], [`BlockSparseTensor::random`]) is one
+//! read of a layout that ends in [`BondVector::to_blocks`]'s rule for
+//! keeping a block. Only the exports `to_dense` and `to_flat_sparse` walk
+//! stored blocks instead.
 
-use crate::block::{BlockKey, BlockSparseTensor, FlatLayout};
+use crate::block::{BlockKey, BlockSparseTensor};
 use crate::index::QnIndex;
 use crate::qn::QN;
 use crate::{Error, Result};
@@ -47,7 +54,11 @@ impl BondLayout {
         let mut at = 0;
         starts.push(at);
         for key in &keys {
-            at += volume(indices, key);
+            at += key
+                .iter()
+                .zip(indices)
+                .map(|(&s, i)| i.sector_dim(s as usize))
+                .product::<usize>();
             starts.push(at);
         }
         Self {
@@ -105,21 +116,72 @@ impl BondLayout {
 
     /// The layout's runs of the flattened index space.
     pub(crate) fn flat_runs(&self) -> &FlatRuns {
-        self.runs.get_or_init(|| FlatRuns::new(self))
+        self.runs
+            .get_or_init(|| FlatRuns::new(&self.indices, self.keys.iter(), &self.starts))
     }
 }
 
-fn volume(indices: &[QnIndex], key: &[u16]) -> usize {
-    key.iter()
-        .enumerate()
-        .map(|(m, &s)| indices[m].sector_dim(s as usize))
-        .product()
+/// The flattened (row-major dense) index space of a graded index list.
+/// Sectors are contiguous ranges of each mode, so a block is a set of
+/// contiguous innermost-mode *runs* there, and every block↔flat
+/// conversion is slice copies between runs and block data.
+pub(crate) struct FlatLayout<'a> {
+    indices: &'a [QnIndex],
+    /// Row-major strides of the dense dims.
+    strides: Vec<usize>,
+    /// Odometer over a block's outer modes, reused across blocks.
+    idx: Vec<usize>,
+}
+
+impl<'a> FlatLayout<'a> {
+    pub(crate) fn new(indices: &'a [QnIndex]) -> Self {
+        let dims: Vec<usize> = indices.iter().map(|i| i.dim()).collect();
+        Self {
+            indices,
+            strides: tt_tensor::Shape::from(dims).strides(),
+            idx: vec![0; indices.len() - 1],
+        }
+    }
+
+    /// Call `f(start, local, len)` for each run of block `key`, in the
+    /// block's row-major order — ascending in both offsets.
+    pub(crate) fn for_each_run(&mut self, key: &[u16], mut f: impl FnMut(usize, usize, usize)) {
+        let indices = self.indices;
+        let last = key.len() - 1;
+        let extent = |m: usize| indices[m].sector_dim(key[m] as usize);
+        let len = extent(last);
+        let mut start: usize = (0..=last)
+            .map(|m| indices[m].sector_offset(key[m] as usize) * self.strides[m])
+            .sum();
+        let mut local = 0;
+        self.idx.fill(0);
+        loop {
+            f(start, local, len);
+            local += len;
+            // advance the outer modes, innermost first; a mode that wraps
+            // hands its span back before carrying
+            let mut m = last;
+            loop {
+                if m == 0 {
+                    return;
+                }
+                m -= 1;
+                self.idx[m] += 1;
+                start += self.strides[m];
+                if self.idx[m] < extent(m) {
+                    break;
+                }
+                start -= self.idx[m] * self.strides[m];
+                self.idx[m] = 0;
+            }
+        }
+    }
 }
 
 /// One contiguous stretch shared by a layout and the flattened index
 /// space: `len` elements at flat offset `flat` and at layout position
 /// `pos`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct FlatRun {
     flat: usize,
     pos: usize,
@@ -137,31 +199,73 @@ pub(crate) struct FlatRuns {
 }
 
 impl FlatRuns {
-    fn new(layout: &BondLayout) -> Self {
-        let sorted = FlatLayout::new(&layout.indices).sorted_runs(layout.keys.iter());
-        let mut runs: Vec<FlatRun> = Vec::with_capacity(sorted.len());
-        for r in sorted {
-            let pos = layout.starts[r.block] + r.local;
-            match runs.last_mut() {
-                Some(last) if last.flat + last.len == r.start && last.pos + last.len == pos => {
-                    last.len += r.len
-                }
-                _ => runs.push(FlatRun {
-                    flat: r.start,
-                    pos,
-                    len: r.len,
-                }),
+    /// The runs of blocks `keys` (ascending) of `indices`, block `i` at
+    /// `starts[i]` of a vector holding the blocks end to end.
+    pub(crate) fn new<'k>(
+        indices: &[QnIndex],
+        keys: impl Iterator<Item = &'k BlockKey>,
+        starts: &[usize],
+    ) -> Self {
+        let mut walk = FlatLayout::new(indices);
+        let mut unsorted = Vec::new();
+        for (key, &at) in keys.zip(starts) {
+            walk.for_each_run(key, |flat, local, len| {
+                unsorted.push(FlatRun {
+                    flat,
+                    pos: at + local,
+                    len,
+                })
+            });
+        }
+        // A row of the flattened space (one index of every mode but the
+        // last) lies in one sector of each of those modes, so the blocks
+        // with runs in it differ in their last sector alone and key order
+        // is offset order there: one stable counting pass by row sorts.
+        let dims: Vec<usize> = indices.iter().map(QnIndex::dim).collect();
+        let width = dims[dims.len() - 1];
+        let mut row_at = vec![0; dims.iter().product::<usize>() / width + 1];
+        for r in &unsorted {
+            row_at[r.flat / width + 1] += 1;
+        }
+        for row in 1..row_at.len() {
+            row_at[row] += row_at[row - 1];
+        }
+        let mut runs = vec![FlatRun::default(); unsorted.len()];
+        for r in unsorted {
+            let at = &mut row_at[r.flat / width];
+            runs[*at] = r;
+            *at += 1;
+        }
+        // merge neighbours contiguous on both sides
+        runs.dedup_by(|r, last| {
+            let joins = last.flat + last.len == r.flat && last.pos + last.len == r.pos;
+            if joins {
+                last.len += r.len;
             }
-        }
-        Self {
-            dims: layout.indices.iter().map(QnIndex::dim).collect(),
-            runs,
-        }
+            joins
+        });
+        Self { dims, runs }
     }
 
     /// The flattened dense dims.
     pub(crate) fn dims(&self) -> &[usize] {
         &self.dims
+    }
+
+    /// `Ok` when a flattened tensor (`what`: "dense", "sparse") has `dims`.
+    pub(crate) fn check_dims(&self, what: &str, dims: &[usize]) -> Result<()> {
+        if dims == self.dims {
+            return Ok(());
+        }
+        let want = &self.dims;
+        let msg = format!("{what} dims {dims:?} != graded dims {want:?}");
+        Err(Error::Key(msg))
+    }
+
+    /// Every flat offset the layout covers, ascending.
+    pub(crate) fn offsets(&self) -> Vec<u64> {
+        let spans = self.runs.iter().map(|r| r.flat..r.flat + r.len);
+        spans.flatten().map(|o| o as u64).collect()
     }
 
     /// `data` as the flattened sparse tensor, zeros skipped:
@@ -198,16 +302,9 @@ impl FlatRuns {
 
     /// Write the entries of `sp` into `data` by one merge walk along the
     /// runs (both ascend). Zeros are skipped wherever they sit; a nonzero
-    /// entry no run covers is a symmetry violation, as
-    /// [`BlockSparseTensor::from_flat_sparse`] rejects it.
+    /// entry no run covers is a symmetry violation.
     pub(crate) fn scatter_sparse(&self, sp: &SparseTensor<f64>, data: &mut [f64]) -> Result<()> {
-        if sp.dims() != self.dims {
-            return Err(Error::Key(format!(
-                "sparse dims {:?} != graded dims {:?}",
-                sp.dims(),
-                self.dims
-            )));
-        }
+        self.check_dims("sparse", sp.dims())?;
         let mut r = 0;
         for (off, v) in sp.entries() {
             if v == 0.0 {
@@ -269,8 +366,8 @@ impl BondVector {
         Ok(v)
     }
 
-    /// Uniform random entries in `[-1, 1]` over every allowed block, drawn
-    /// in layout order: [`BlockSparseTensor::random`]'s values.
+    /// Uniform random entries in `[-1, 1]` over every allowed block: one
+    /// `DenseTensor::random` stream of the layout's length, in layout order.
     pub fn random(layout: &Arc<BondLayout>, rng: &mut (impl Rng + ?Sized)) -> Self {
         Self {
             layout: Arc::clone(layout),
@@ -278,20 +375,27 @@ impl BondVector {
         }
     }
 
-    /// Block form: every block holding a nonzero, as
-    /// [`BlockSparseTensor::from_dense`] with tolerance 0 keeps them.
+    /// Block form: every block holding a nonzero (or a NaN).
     pub fn to_blocks(&self) -> BlockSparseTensor {
+        self.to_blocks_above(0.0)
+    }
+
+    /// Block form: every block with an entry that is not `|x| ≤ tol` — a
+    /// NaN keeps its block at any `tol`, and `-∞` keeps every block. The
+    /// one rule by which an import into block form keeps a block.
+    pub(crate) fn to_blocks_above(&self, tol: f64) -> BlockSparseTensor {
         let layout = &self.layout;
         let mut t = BlockSparseTensor::new(layout.indices.clone(), layout.flux);
-        for (i, key) in layout.keys.iter().enumerate() {
-            let data = &self.data[layout.range(i)];
-            if data.iter().any(|&v| v != 0.0) {
-                let block = DenseTensor::from_vec(layout.block_dims(i), data.to_vec())
-                    .expect("a layout range holds its block's volume");
-                t.insert_block(key.clone(), block)
-                    .expect("layout keys are allowed");
-            }
-        }
+        // layout keys are allowed and ascend: the map is built in one pass
+        t.blocks = (0..layout.keys.len())
+            .map(|i| (i, &self.data[layout.range(i)]))
+            .filter(|(_, data)| data.iter().any(|&v| v.abs() > tol || v.is_nan()))
+            .map(|(i, data)| {
+                let block = DenseTensor::from_vec(layout.block_dims(i), data.to_vec());
+                let block = block.expect("a layout range holds its block's volume");
+                (layout.keys[i].clone(), Arc::new(block))
+            })
+            .collect();
         t
     }
 
@@ -439,20 +543,26 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The layout lists `allowed_keys` in its (ascending) order, and a
+    /// random tensor holds, key by key, the blocks a per-block draw from
+    /// the raw `DenseTensor::random` stream gives.
     #[test]
     fn layout_order_is_the_random_fill_order() {
         for (seed, (indices, flux)) in structures().into_iter().enumerate() {
-            let layout = Arc::new(BondLayout::new(&indices, flux));
+            let layout = BondLayout::new(&indices, flux);
+            let keys = BlockSparseTensor::new(indices.clone(), flux).allowed_keys();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(layout.keys(), &keys[..]);
             let mut rng = StdRng::seed_from_u64(seed as u64);
             let t = BlockSparseTensor::random(indices.clone(), flux, &mut rng);
             let mut rng = StdRng::seed_from_u64(seed as u64);
-            let v = BondVector::random(&layout, &mut rng);
-            assert_eq!(t.n_blocks(), layout.keys().len());
+            assert_eq!(t.n_blocks(), keys.len());
+            for ((key, block), want) in t.blocks().zip(&keys) {
+                assert_eq!(key, want);
+                let drawn = DenseTensor::<f64>::random(t.block_dims(key), &mut rng);
+                assert_eq!(bits(block.data()), bits(drawn.data()));
+            }
             assert_eq!(t.stored_elements(), layout.len());
-            let keys: Vec<&BlockKey> = t.blocks().map(|(k, _)| k).collect();
-            assert!(keys.iter().copied().eq(layout.keys()));
-            let gathered = BondVector::from_blocks(&layout, &t).unwrap();
-            assert_eq!(bits(gathered.data()), bits(v.data()));
         }
     }
 
@@ -481,33 +591,73 @@ mod tests {
         }
     }
 
-    /// A downloaded `y` scattered into the layout equals re-blocking it
-    /// (`from_flat_sparse` or `from_dense`) and gathering the blocks, and
-    /// its block form keeps exactly the nonzero blocks.
+    /// `t` flattened either way and scattered back into the layout is `t`
+    /// again: its elements (stored zeros as `+0.0`), its nonzero blocks in
+    /// block form, and its `to_dense` image.
     #[test]
-    fn scattered_results_equal_reblocked_ones() {
+    fn scattered_results_are_the_nonzero_blocks() {
         for (layout, t) in cases() {
-            let (indices, flux) = (t.indices().to_vec(), t.flux());
+            let mut nonzero = BlockSparseTensor::new(t.indices().to_vec(), t.flux());
+            for (k, b) in t
+                .blocks()
+                .filter(|(_, b)| b.data().iter().any(|&x| x != 0.0))
+            {
+                nonzero.insert_block(k.clone(), b.clone()).unwrap();
+            }
+            assert!(
+                nonzero.n_blocks() < t.n_blocks(),
+                "the fixture stores zeros"
+            );
+            let want = BondVector::from_blocks(&layout, &t).unwrap();
             let runs = layout.flat_runs();
-
-            let sp = t.to_flat_sparse();
-            let mut v = BondVector::zeros(&layout);
-            runs.scatter_sparse(&sp, v.data_mut()).unwrap();
-            let reblocked =
-                BlockSparseTensor::from_flat_sparse(indices.clone(), flux, &sp).unwrap();
-            let want = BondVector::from_blocks(&layout, &reblocked).unwrap();
-            assert_eq!(bits(v.data()), bits(want.data()));
-            assert_eq!(v.to_blocks(), reblocked);
-
             let dense = t.to_dense();
+
+            let mut v = BondVector::zeros(&layout);
+            runs.scatter_sparse(&t.to_flat_sparse(), v.data_mut())
+                .unwrap();
             let mut w = BondVector::zeros(&layout);
             runs.gather_dense(dense.data(), w.data_mut());
-            let reblocked = BlockSparseTensor::from_dense(indices, flux, &dense, 0.0).unwrap();
-            let want = BondVector::from_blocks(&layout, &reblocked).unwrap();
-            // equal as numbers: a block of signed zeros gathers as it is,
-            // where re-blocking drops it and gathers +0.0
-            assert_eq!(w.data(), want.data());
-            assert_eq!(w.to_blocks(), reblocked);
+            // equal as numbers: the stored block of signed zeros comes back
+            // as +0.0
+            for got in [v, w] {
+                assert_eq!(got.data(), want.data());
+                assert_eq!(got.to_blocks(), nonzero);
+                assert_eq!(got.to_blocks().to_dense().data(), dense.data());
+            }
+        }
+    }
+
+    /// One rule keeps a block in every import: some entry is not
+    /// `|x| ≤ tol`. A block of NaN, or of NaN and small entries, is kept;
+    /// a block of small entries is dropped by `from_dense` above its size.
+    #[test]
+    fn nan_blocks_are_kept_by_every_import() {
+        let (layout, _) = cases().remove(0);
+        let (indices, flux) = (layout.indices().to_vec(), layout.flux());
+        let mut v = BondVector::zeros(&layout);
+        let fills: [&dyn Fn(usize) -> f64; 3] = [
+            &|_| f64::NAN,
+            &|i| if i == 0 { f64::NAN } else { 1e-3 },
+            &|_| 1e-3,
+        ];
+        for (b, fill) in fills.iter().enumerate() {
+            for (i, x) in v.data_mut()[layout.range(b)].iter_mut().enumerate() {
+                *x = fill(i);
+            }
+        }
+        let kept = |t: &BlockSparseTensor| -> Vec<usize> {
+            t.blocks().map(|(k, _)| layout.find(k).unwrap()).collect()
+        };
+        let blocks = v.to_blocks();
+        assert_eq!(kept(&blocks), [0, 1, 2]);
+        let sp = blocks.to_flat_sparse();
+        let reblocked = BlockSparseTensor::from_flat_sparse(indices.clone(), flux, &sp).unwrap();
+        assert_eq!(kept(&reblocked), [0, 1, 2]);
+        let dense = blocks.to_dense();
+        for (tol, want) in [(0.0, &[0, 1, 2][..]), (1e-2, &[0, 1][..])] {
+            let t = BlockSparseTensor::from_dense(indices.clone(), flux, &dense, tol).unwrap();
+            assert_eq!(kept(&t), want, "tol {tol}");
+            assert!(t.blocks().next().unwrap().1.data()[0].is_nan());
         }
     }
 

@@ -125,6 +125,8 @@ struct RankLog {
     keys: HashMap<u64, KeyBook>,
     /// Encoded bytes held by `acked`.
     bytes: usize,
+    /// Encoded bytes ever appended, collected since or not.
+    appended: usize,
     inflight: VecDeque<Inflight>,
 }
 
@@ -143,6 +145,7 @@ impl RankLog {
             self.keys.entry(*d).or_default().readers += 1;
         }
         self.bytes += e.bytes.len();
+        self.appended += e.bytes.len();
         self.acked.insert(seq, e);
     }
 
@@ -251,6 +254,9 @@ pub struct JournalStats {
     pub entries: usize,
     /// Their encoded bytes.
     pub bytes: usize,
+    /// Encoded bytes the journal has ever appended: `bytes` plus all it
+    /// has collected since.
+    pub appended: usize,
 }
 
 impl Cluster {
@@ -307,6 +313,7 @@ impl Cluster {
             .map(|log| JournalStats {
                 entries: log.acked.len(),
                 bytes: log.bytes,
+                appended: log.appended,
             })
             .collect()
     }
@@ -972,7 +979,9 @@ mod tests {
             assert_eq!(replies[1], Reply::Buf(vec![1.0]));
             assert_eq!(replies[2], Reply::Buf(vec![2.0]));
             assert!(cl.remap.is_empty(), "{:?}", cl.remap);
-            assert_eq!(cl.journal_stats()[0], JournalStats::default());
+            let stats = cl.journal_stats()[0];
+            assert_eq!((stats.entries, stats.bytes), (0, 0));
+            assert!(stats.appended > 0, "the uploads were journaled");
         }
     }
 }

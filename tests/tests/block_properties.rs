@@ -122,7 +122,8 @@ fn oracle_from_dense(
         let block = DenseTensor::from_fn(t.block_dims(&key), |idx| {
             dense.at(&global_index(indices, &key, idx))
         });
-        if block.max_abs() > tol {
+        // kept when some entry is not |x| <= tol: a NaN keeps its block
+        if block.data().iter().any(|x| x.abs() > tol || x.is_nan()) {
             t.insert_block(key, block).unwrap();
         }
     }
