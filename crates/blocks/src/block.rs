@@ -344,11 +344,6 @@ impl BlockSparseTensor {
         self.blocks.values().map(|b| b.norm2()).sum::<f64>().sqrt()
     }
 
-    /// Drop blocks whose largest entry is ≤ `tol`.
-    pub fn prune(&mut self, tol: f64) {
-        self.blocks.retain(|_, b| b.max_abs() > tol);
-    }
-
     /// Stored elements (sum of block volumes).
     pub fn stored_elements(&self) -> usize {
         self.blocks.values().map(|b| b.len()).sum()
@@ -520,7 +515,5 @@ mod tests {
         let mut z = t.clone();
         z.axpy(-1.0, &t).unwrap();
         assert!(z.norm() < 1e-14);
-        z.prune(1e-15);
-        assert_eq!(z.n_blocks(), 0);
     }
 }

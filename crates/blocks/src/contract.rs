@@ -1176,6 +1176,73 @@ mod tests {
         assert_eq!(bits(&c), bits(&want));
     }
 
+    /// Placement is a function of the work: two 2-worker executors run the
+    /// same chains — a two-step dense chain and a sparse-dense
+    /// `ResidentChain` matvec — behind different one-shots (list
+    /// contractions, each a chain of many steps, and a sparse-dense
+    /// one-step chain), and each chain sends the same requests to the same
+    /// rank on both, all of them to one rank.
+    #[cfg(unix)]
+    #[test]
+    fn a_chain_lands_on_one_rank_whatever_ran_before_it() {
+        let mut rng = StdRng::seed_from_u64(108);
+        let [p, q, r] = [[6, 8], [8, 40], [40, 5]].map(|d| DenseTensor::random(d, &mut rng));
+        let (a, psi) = pair();
+        let (spec, dual) = ("isj,jtk->istk", a.conj());
+        let steps = [(spec, &a), ("isu,istk->utk", &dual)];
+        let x = vector(&psi);
+        let step = |a, b| ChainStep {
+            spec: "ik,kj->ij",
+            a,
+            b,
+            acc: None,
+            mask: None,
+        };
+        let dense_chain = |exec: &Executor| {
+            let pq = step(ChainSrc::Dense((&p).into()), ChainSrc::Dense((&q).into()));
+            let out = exec
+                .chain(&[pq, step(ChainSrc::Prev(0), ChainSrc::Dense((&r).into()))])
+                .unwrap();
+            exec.download(out.into_iter().flatten().next().unwrap())
+                .unwrap();
+        };
+        let matvec = |exec: &Executor| {
+            let chain = ResidentChain::upload(exec, Algorithm::SparseDense, &steps).unwrap();
+            chain.apply(&x).unwrap();
+            chain.apply(&x).unwrap();
+            chain.release().unwrap();
+        };
+        // the requests each rank is sent while `run` runs
+        let sends = |exec: &Executor, run: &dyn Fn(&Executor)| {
+            let sent = || exec.journal_stats().iter().map(|s| s.requests).collect();
+            let before: Vec<u64> = sent();
+            run(exec);
+            let after: Vec<u64> = sent();
+            after.iter().zip(before).map(|(n, m)| n - m).collect()
+        };
+        // each chain's sends on a fresh executor, `n` list and sparse-dense
+        // one-shots run before it
+        let placed = |one_shots: [usize; 2]| {
+            let spawn = tt_dist::SpawnSpec::SelfExec(vec!["spawned_worker_entry".into()]);
+            let machine = tt_dist::Machine::blue_waters(2);
+            let exec = Executor::multi_process(machine, 1, 2, spawn).unwrap();
+            let chains: [&dyn Fn(&Executor); 2] = [&dense_chain, &matvec];
+            let placed = one_shots.iter().zip(chains).map(|(&n, chain)| {
+                for _ in 0..n {
+                    contract_list(&exec, spec, &a, &psi).unwrap();
+                    contract(&exec, Algorithm::SparseDense, spec, &a, &psi).unwrap();
+                }
+                sends(&exec, chain)
+            });
+            placed.collect::<Vec<Vec<u64>>>()
+        };
+        let first = placed([0, 1]);
+        assert_eq!(first, placed([1, 2]));
+        for ranks in &first {
+            assert_eq!(ranks.iter().filter(|&&n| n > 0).count(), 1, "{first:?}");
+        }
+    }
+
     /// `t` as a vector of its own layout.
     fn vector(t: &BlockSparseTensor) -> BondVector {
         BondVector::from_blocks(&Arc::new(BondLayout::new(t.indices(), t.flux())), t).unwrap()

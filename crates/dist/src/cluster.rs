@@ -127,6 +127,8 @@ struct RankLog {
     bytes: usize,
     /// Encoded bytes ever appended, collected since or not.
     appended: usize,
+    /// Requests dispatched, journaled or not.
+    requests: u64,
     inflight: VecDeque<Inflight>,
 }
 
@@ -257,6 +259,9 @@ pub struct JournalStats {
     /// Encoded bytes the journal has ever appended: `bytes` plus all it
     /// has collected since.
     pub appended: usize,
+    /// Requests dispatched to the rank, journaled or not: in a run without
+    /// faults, the count a `kill:R@N` fault plan's `N` addresses.
+    pub requests: u64,
 }
 
 impl Cluster {
@@ -306,7 +311,8 @@ impl Cluster {
     }
 
     /// Per-rank size of the recovery journal — what a respawned rank would
-    /// be sent. Empty when the transport cannot recover ranks.
+    /// be sent — and request count. Empty when the transport cannot
+    /// recover ranks.
     pub fn journal_stats(&self) -> Vec<JournalStats> {
         self.logs
             .iter()
@@ -314,6 +320,7 @@ impl Cluster {
                 entries: log.acked.len(),
                 bytes: log.bytes,
                 appended: log.appended,
+                requests: log.requests,
             })
             .collect()
     }
@@ -377,9 +384,10 @@ impl Cluster {
         // carries — a task whose operands are all worker-resident ships
         // control framing only, and meters zero
         self.count_operand(req.payload_bytes());
-        if !self.logs.is_empty() {
+        if let Some(log) = self.logs.get_mut(rank) {
+            log.requests += 1;
             let class = journal_class(req);
-            self.logs[rank].inflight.push_back(Inflight {
+            log.inflight.push_back(Inflight {
                 tag,
                 bytes: Arc::clone(&bytes),
                 class,
@@ -452,10 +460,9 @@ impl Cluster {
     /// ack (the worker processed and refused the request deterministically)
     /// but never journal — replaying a refused request would refuse again.
     fn ack(&mut self, rank: usize, tag: u64, failed: bool) {
-        if self.logs.is_empty() {
+        let Some(log) = self.logs.get_mut(rank) else {
             return;
-        }
-        let log = &mut self.logs[rank];
+        };
         let Some(i) = log.inflight.iter().position(|f| f.tag == tag) else {
             return;
         };
@@ -544,9 +551,12 @@ impl Cluster {
 /// (`(rank, stored words)` per resident buffer copy) over `ranks` ranks:
 /// the rank holding the largest total resident volume wins, ties to the
 /// lowest rank — so the step runs where its biggest input already lives
-/// and only the smaller inputs redistribute. With nothing resident, the
-/// chain's `anchor` (a chain keeps its unanchored steps together). Pure:
-/// the same inputs place the same way on every run.
+/// and only the smaller inputs redistribute. With nothing resident,
+/// `anchor mod ranks`: a chain's anchor folds each step's shape key
+/// (spec, kernel family, operand dims) and the content key of each
+/// operand it ships by handle — the caller's handles, and the by-value
+/// operands the retention cache keys — so a chain keeps its unanchored
+/// steps together, on the same rank whatever ran before it. Pure.
 pub(crate) fn place(
     ranks: usize,
     weighted: impl IntoIterator<Item = (usize, u64)>,
@@ -554,23 +564,14 @@ pub(crate) fn place(
 ) -> usize {
     let ranks = ranks.max(1);
     let mut by_rank: Vec<u64> = vec![0; ranks];
-    let mut any = false;
-    for (rank, words) in weighted {
-        if rank < ranks {
-            by_rank[rank] += words.max(1);
-            any = true;
-        }
+    for (rank, words) in weighted.into_iter().filter(|&(rank, _)| rank < ranks) {
+        by_rank[rank] += words.max(1);
     }
-    if !any {
-        return anchor % ranks;
+    // `max_by_key` keeps the last of equals: over the ranks reversed, the lowest
+    match (0..ranks).rev().max_by_key(|&r| by_rank[r]) {
+        Some(best) if by_rank[best] > 0 => best,
+        _ => anchor % ranks,
     }
-    let mut best = 0usize;
-    for (r, &w) in by_rank.iter().enumerate() {
-        if w > by_rank[best] {
-            best = r;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -638,16 +639,14 @@ mod tests {
     }
 
     #[test]
-    fn placement_prefers_residency_then_round_robins() {
+    fn placement_prefers_residency_then_the_anchor() {
         // any resident input outweighs the anchor
         assert_eq!(place(3, [(2, 1)], 0), 2);
         // a home beyond the cluster counts for nothing
         assert_eq!(place(3, [(5, 100), (1, 1)], 0), 1);
+        // nothing resident: the anchor, wrapped onto the ranks
         assert_eq!(place(3, [(5, 100)], 2), 2);
-        // nothing resident: the anchor, wrapped onto the ranks, so a
-        // cursor of successive anchors round-robins
-        let anchored: Vec<usize> = (0..5).map(|a| place(3, [], a)).collect();
-        assert_eq!(anchored, [0, 1, 2, 0, 1]);
+        assert_eq!(place(3, [], 7), 1);
     }
 
     #[test]
@@ -954,8 +953,13 @@ mod tests {
             assert_eq!(tracker.lock().bytes_recovery, 0);
             // a refused request is acked (not re-issued) and never journaled
             assert!(cl.logs[0].inflight.is_empty());
-            assert_eq!(cl.journal_stats()[0], JournalStats::default());
+            let want = JournalStats {
+                requests: 1,
+                ..JournalStats::default()
+            };
+            assert_eq!(cl.journal_stats()[0], want);
             cl.probe(0).unwrap();
+            assert_eq!(cl.journal_stats()[0].requests, 2);
         }
 
         #[test]

@@ -76,6 +76,8 @@ enum Form {
 /// repeats one matvec: a chain derives each shape once, or takes it from
 /// the last chain ([`ShapeMemo`]).
 struct Shape {
+    /// The hash of its key.
+    hash: u64,
     spec: String,
     kind: StepKind,
     a_dims: Vec<usize>,
@@ -99,6 +101,7 @@ impl Shape {
     /// The shape of a `kind` step `spec` over `a_dims` × `b_dims`; `lanes`
     /// is the pool's lane count when the step runs in-process.
     fn derive(
+        hash: u64,
         plan: Arc<ContractPlan>,
         (spec, kind): (&str, StepKind),
         a_dims: &[usize],
@@ -112,6 +115,7 @@ impl Shape {
             _ => None,
         };
         Ok(Self {
+            hash,
             spec: spec.to_string(),
             kind,
             a_dims: a_dims.to_vec(),
@@ -213,7 +217,7 @@ impl<'s> ChainShapes<'s> {
                         plan
                     }
                 };
-                Arc::new(Shape::derive(plan, key, a_dims, b_dims, self.lanes)?)
+                Arc::new(Shape::derive(hash, plan, key, a_dims, b_dims, self.lanes)?)
             }
         };
         self.cur.insert(hash, Arc::clone(&shape));
@@ -334,13 +338,11 @@ impl Executor {
     /// in an explicit redistribute superstep (`Download` + re-`Upload`,
     /// metered in the byte counters but — like every p-dependent physical
     /// re-ship — not α–β-charged, so the cost counters stay bitwise-equal
-    /// across backends). Steps with no resident input anchor to one
-    /// round-robin rank per chain call; a chain of one step — a one-shot
-    /// contraction such as [`Executor::contract`] — takes the current
-    /// rank without moving the round robin on, so the chains after it
-    /// place as they would without it. A sparse-sparse step's output, its
-    /// mask's slots, never moves: its reader runs where it lies. A chain of
-    /// no steps sends nothing.
+    /// across backends). Steps with no resident input run on the chain's
+    /// anchor rank, a function of the chain alone (`cluster::place` states
+    /// the rule), so a chain lands on the same rank whatever ran before it.
+    /// A sparse-sparse step's output, its mask's slots, never moves: its
+    /// reader runs where it lies. A chain of no steps sends nothing.
     ///
     /// A by-value operand ([`ChainSrc::Dense`] or [`ChainSrc::Sparse`] of
     /// a tensor) is charged as a value; an output a step reads is charged
@@ -376,11 +378,9 @@ impl Executor {
                 .iter()
                 .zip(&autos)
                 .map(|(st, [a, b])| ChainStep {
-                    spec: st.spec,
                     a: keyed(a, st.a),
                     b: keyed(b, st.b),
-                    acc: st.acc,
-                    mask: st.mask,
+                    ..*st
                 })
                 .collect();
             // its own statement: a guard in the `match` scrutinee would live
@@ -594,14 +594,7 @@ impl Executor {
         planned: &[PlannedStep],
         measured: &mut Vec<(usize, (u64, usize))>,
     ) -> Result<Vec<usize>> {
-        let anchor = {
-            let mut cur = self.chain_cursor.lock();
-            let a = *cur;
-            if steps.len() > 1 {
-                *cur = cur.wrapping_add(1);
-            }
-            a
-        };
+        let anchor = anchor(steps, planned);
         let mut homes: Vec<usize> = vec![0; steps.len()];
         let mut pending = Superstep::default();
         for (i, (st, pl)) in steps.iter().zip(planned).enumerate() {
@@ -893,10 +886,7 @@ impl Executor {
     /// Consumes the handle: the buffer leaves its home rank's store and
     /// the driver forgets it.
     pub fn download(&self, h: ResultHandle) -> Result<DenseTensor<f64>> {
-        Ok(self
-            .download_many(vec![h])?
-            .pop()
-            .expect("one handle in, one tensor out"))
+        Ok(self.download_many(vec![h])?.remove(0))
     }
 
     /// Download many resident results in one superstep (consuming the
@@ -1015,6 +1005,19 @@ fn chain_charge(
         ChainSrc::Sparse(op) => OpCharge::Value(2 * op.tensor()?.nnz()),
         ChainSrc::Prev(_) | ChainSrc::Res(_) => OpCharge::Hit,
     })
+}
+
+/// A chain's anchor for `cluster::place`: its step shapes' and by-handle
+/// operands' keys folded, the high half (FxHash mixes its low bits least).
+fn anchor(steps: &[ChainStep], planned: &[PlannedStep]) -> usize {
+    let mut h = FxHasher::default();
+    for (st, pl) in steps.iter().zip(planned) {
+        h.write_u64(pl.shape.hash);
+        for op in [st.a.handle(), st.b.handle()].into_iter().flatten() {
+            h.write_u64(op.key());
+        }
+    }
+    (h.finish() >> 32) as usize
 }
 
 /// `src`, or the content-keyed handle that stands in for it.

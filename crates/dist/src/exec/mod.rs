@@ -197,10 +197,6 @@ pub struct Executor {
     residency: Mutex<Residency>,
     /// Allocator for driver-issued result keys (chain outputs).
     next_result: Mutex<u64>,
-    /// Round-robin anchor cursor for chains with no resident inputs —
-    /// advanced once per [`Executor::chain`] call of more than one step,
-    /// so one chain's unanchored steps stay together on one rank.
-    chain_cursor: Mutex<usize>,
     /// Cross-job retention cache (see [`Executor::set_retention_cap`]).
     retention: Mutex<Retention>,
     /// Where the in-process legs keep their large temporaries and outputs
@@ -306,7 +302,6 @@ impl Executor {
             cluster,
             residency: Mutex::new(Residency::default()),
             next_result: Mutex::new(1 << 48),
-            chain_cursor: Mutex::new(0),
             retention: Mutex::new(Retention::default()),
             workspace: Workspace::default(),
             shapes: Mutex::default(),
@@ -376,7 +371,8 @@ impl Executor {
     /// Per-rank size of the driver-side recovery journal (multi-process
     /// backend; empty in-process): what a respawned rank would be replayed.
     /// With no live result handle it is the retained uploads and nothing
-    /// else, however many jobs this executor has served.
+    /// else, however many jobs this executor has served. Each rank's entry
+    /// also counts the requests it has been sent.
     pub fn journal_stats(&self) -> Vec<crate::JournalStats> {
         self.cluster
             .as_ref()

@@ -19,6 +19,15 @@ fn to_handle(exec: &Executor, spec: &str, a: ChainSrc, b: ChainSrc) -> ResultHan
     out.pop().flatten().expect("single non-accumulate step")
 }
 
+/// The rank a resident result lives on.
+fn home(exec: &Executor, h: &ResultHandle) -> usize {
+    exec.residency
+        .lock()
+        .result(h.key)
+        .expect("a live result")
+        .home
+}
+
 fn operands(seed: u64) -> (DenseTensor<f64>, DenseTensor<f64>) {
     let mut rng = StdRng::seed_from_u64(seed);
     (
@@ -655,10 +664,10 @@ fn multi_process_chains_bitwise_and_collapse_result_bytes() {
          value {value_result_bytes}"
     );
 
-    // results created by separate chains land on different anchor
+    // results of two chains whose anchors differ land on different
     // ranks; combining them exercises the explicit redistribute
     // superstep and still matches the value path bitwise
-    let d = DenseTensor::<f64>::random([12, 9], &mut rng);
+    let d = DenseTensor::<f64>::random([12, 8], &mut rng);
     let h1 = to_handle(
         &mp,
         "ik,kj->ij",
@@ -671,6 +680,7 @@ fn multi_process_chains_bitwise_and_collapse_result_bytes() {
         ChainSrc::Dense((&c).into()),
         ChainSrc::Dense((&d).into()),
     );
+    assert_ne!(home(&mp, &h1), home(&mp, &h2), "the anchors must differ");
     let fused_ref = mp
         .contract("ik,kj->ij", &t, &mp.contract("ik,kj->ij", &c, &d).unwrap())
         .unwrap();
@@ -1900,10 +1910,15 @@ fn protocol_trace_matches_golden() {
     exec.svd_trunc(&tall, spec).unwrap();
 
     // -- chains. `big` is resident on the anchor rank of a chain of two
-    // independent steps only, and the next chain anchors one rank on: its
-    // step 1 runs where `big` is and pulls step 0's output across; step 2
-    // accumulates into step 1 in place; the chain ends by freeing step 0's
-    // output, which was internal to it
+    // independent steps only, and the next chain's anchor is the other
+    // rank: its step 1 runs where `big` is and pulls step 0's output
+    // across; step 2 accumulates into step 1 in place; the chain ends by
+    // freeing step 0's output, which was internal to it
+    let contracts_since = |from: usize| -> Vec<String> {
+        let log = log.lock().unwrap();
+        let tasks = log[from..].iter().filter(|l| l.contains(" Contract "));
+        tasks.map(|l| l[..2].to_string()).collect()
+    };
     let (p, q, big, r) = (
         dense(&[6, 8]),
         dense(&[8, 40]),
@@ -1911,8 +1926,9 @@ fn protocol_trace_matches_golden() {
         dense(&[6, 40]),
     );
     let hbig = exec.upload(&big);
+    let from = log.lock().unwrap().len();
     let step = |a, b, acc| ChainStep {
-        spec: "ik,kj->ij",
+        spec: "ij,jk->ik",
         a,
         b,
         acc,
@@ -1932,8 +1948,10 @@ fn protocol_trace_matches_golden() {
             ),
         ])
         .unwrap();
+    let pair_ranks = contracts_since(from);
     exec.download_many(pair.into_iter().flatten().collect())
         .unwrap();
+    let from = log.lock().unwrap().len();
     let mut out = exec
         .chain(&[
             step(
@@ -1951,6 +1969,11 @@ fn protocol_trace_matches_golden() {
         .unwrap();
     let y = out.remove(1).unwrap();
     assert!(out.iter().all(Option::is_none));
+    let next_ranks = contracts_since(from);
+    let big_home = &pair_ranks[1];
+    assert_eq!(pair_ranks[0], *big_home, "one anchor per chain");
+    assert_ne!(next_ranks[0], *big_home, "the two chains' anchors differ");
+    assert_eq!(next_ranks[1..], [big_home.clone(), big_home.clone()]);
     // a later chain consumes the result; a sparse-dense step by value
     // and by handle
     let sq = SparseTensor::from_dense(&dense(&[12, 6]), 0.5);

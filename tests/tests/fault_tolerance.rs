@@ -151,19 +151,54 @@ fn block_fixture() -> (BlockSparseTensor, BlockSparseTensor) {
     (x, y)
 }
 
+/// The block fixture's list contraction on `exec`, as dense data.
+fn contract_fixture(exec: &Executor) -> Vec<f64> {
+    let (x, y) = block_fixture();
+    let c = contract_list(exec, "isj,jtk->istk", &x, &y).unwrap();
+    c.to_dense().data().to_vec()
+}
+
+/// The busiest rank of a clean 3-worker run of the fixture's contraction,
+/// and the requests it was sent.
+fn busiest_rank_of_the_fixture() -> (usize, u64) {
+    let clean = Executor::multi_process(Machine::blue_waters(2), 1, 3, spec()).expect("spawn");
+    contract_fixture(&clean);
+    let sent = clean
+        .journal_stats()
+        .iter()
+        .map(|s| s.requests)
+        .collect::<Vec<_>>();
+    let (rank, &most) = sent.iter().enumerate().max_by_key(|&(_, n)| n).unwrap();
+    (rank, most)
+}
+
 #[test]
 fn killed_rank_mid_contraction_tensors_are_bitwise() {
     // Tensor-level (not just scalar-energy) recovery equivalence: a kill
     // during the block-list contraction still yields bitwise-equal dense
     // data. The whole list is one chain superstep of pair steps on the
-    // chain's anchor rank, rank 0: its second send dies mid-call.
-    let (x, y) = block_fixture();
+    // chain's anchor rank, the rank a clean run sends the most: its second
+    // send dies mid-call.
     let seq = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
-    let faulty = faulty_executor(3, "kill:0@2");
-    let c_seq = contract_list(&seq, "isj,jtk->istk", &x, &y).unwrap();
-    let c_mp = contract_list(&faulty, "isj,jtk->istk", &x, &y).unwrap();
-    assert_eq!(c_seq.to_dense().data(), c_mp.to_dense().data());
+    let (rank, _) = busiest_rank_of_the_fixture();
+    let faulty = faulty_executor(3, &format!("kill:{rank}@2"));
+    assert_eq!(contract_fixture(&seq), contract_fixture(&faulty));
     assert!(faulty.recovery_bytes() > 0, "the kill must have fired");
+}
+
+#[test]
+fn request_counts_are_what_the_fault_plan_counts() {
+    // A clean run's per-rank request count is the count `kill:R@N` reads:
+    // with `c` requests on rank `r`, `kill:r@c` fires at its last request
+    // and `kill:r@(c+1)` never does. Both runs keep the bits.
+    let seq = Executor::with_machine(Machine::blue_waters(2), 1, ExecMode::Sequential);
+    let want = contract_fixture(&seq);
+    let (rank, sent) = busiest_rank_of_the_fixture();
+    for (nth, fires) in [(sent, true), (sent + 1, false)] {
+        let faulty = faulty_executor(3, &format!("kill:{rank}@{nth}"));
+        assert_eq!(contract_fixture(&faulty), want, "kill:{rank}@{nth}");
+        assert_eq!(faulty.recovery_bytes() > 0, fires, "kill:{rank}@{nth}");
+    }
 }
 
 #[test]
@@ -226,22 +261,20 @@ fn run_metered(exec: &Executor, algo: Algorithm) -> (Vec<u64>, u64, tt_dist::Sim
 
 #[test]
 fn kill_after_collected_chains_replays_only_what_is_live() {
-    // Rank 1 takes 748 requests over the four sweeps (of 2 882, either
-    // algorithm); the fourth sweep is its requests 619-748, so its 700th
-    // falls late in the run, after the first three sweeps' finished
+    // Rank 1 is killed at 90 % of the requests a clean run sends it, late
+    // in the fourth sweep, after the first three sweeps' finished
     // t1->t2->t3->y matvec chains have been collected from its journal —
     // sparse-dense chains of dense intermediates, and sparse-sparse chains
     // whose steps store their slots on the rank. Recovery must rebuild the
     // rank from what is left — bitwise — and replay only that: at most a
-    // tenth of the bytes rank 1's journal ever appended (2 875 of 130 862 B
-    // sparse-dense, 3 179 of 175 670 B sparse-sparse). With the journal
+    // tenth of the bytes rank 1's journal ever appended. With the journal
     // left uncollected the same plan replays nearly all of them, every
-    // chain step the rank had run before the kill: 115 917 of 128 927 B
-    // and 161 277 of 173 735 B.
+    // chain step the rank had run before the kill.
     for algo in [Algorithm::SparseDense, Algorithm::SparseSparse] {
         let clean = Executor::multi_process(Machine::blue_waters(2), 1, 2, spec()).expect("spawn");
-        let faulty = faulty_executor(2, "kill:1@700");
         let want = run_metered(&clean, algo);
+        let nth = clean.journal_stats()[1].requests * 9 / 10;
+        let faulty = faulty_executor(2, &format!("kill:1@{nth}"));
         let got = run_metered(&faulty, algo);
         assert_eq!(
             want, got,
